@@ -123,6 +123,88 @@ func TestBatchIterSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// allocFederation builds the small Dirichlet(0.5) federation the round-level
+// allocation budgets are measured on: clients × 40 pooled samples and a
+// 100-sample test set, identical on every call.
+func allocFederation(t *testing.T, clients int) ([]*core.Client, *data.Dataset) {
+	t.Helper()
+	suite, err := data.NewStandardSuite(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	pool, err := suite.Target10.GenerateBalanced(clients*40, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	test, err := suite.Target10.GenerateBalanced(100, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := partition.Dirichlet(pool.Y, clients, 0.5, 10, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*core.Client, clients)
+	for i, idxs := range parts {
+		ds, err := pool.Subset(idxs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = &core.Client{ID: i, Data: ds, Device: simtime.Device{FLOPSRate: 1e9}}
+	}
+	return out, test
+}
+
+// TestLocalUpdateAllocBudget guards the one-shot cost of LocalUpdate, the
+// fedclient primitive: a fresh replica must not pay the pool's rebind (no
+// state copy straight after the clone, no optimizer cache), and a masked
+// call builds exactly one SGD at the mask. Each budget is the count the
+// standalone clone-per-call loop allocated on this federation before
+// LocalUpdate became a one-shot replica of the Runner's training loop; most
+// of it is the model clone.
+func TestLocalUpdateAllocBudget(t *testing.T) {
+	clients, _ := allocFederation(t, 8)
+	m, err := models.Build(models.Spec{
+		Arch:       models.ArchMLP,
+		InputShape: []int{64},
+		NumClasses: 10,
+		Hidden:     32,
+		InitSeed:   13,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eds := core.Config{LocalEpochs: 1, BatchSize: 16, LR: 0.1, Momentum: 0.5,
+		Selector: selection.Entropy{Temperature: 0.1}, SelectFraction: 0.5, Seed: 9}
+	all := eds
+	all.Selector, all.SelectFraction = selection.All{}, 1
+	masked := eds
+	masked.TrainGroups = []string{"classifier"}
+	for _, tt := range []struct {
+		name   string
+		cfg    core.Config
+		budget float64
+	}{
+		{"entropy selection", eds, 683},
+		{"all samples", all, 679},
+		{"classifier-only mask", masked, 476},
+	} {
+		cfg, err := core.NewLocalConfig(tt.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := core.LocalUpdate(cfg, m, clients[0], 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tt.budget {
+			t.Errorf("%s: LocalUpdate allocates %v times per call, want <= %v", tt.name, allocs, tt.budget)
+		}
+	}
+}
+
 // TestScheduledRoundAllocBudget guards the per-round allocation budget of a
 // fully scheduled federated round at the Runner level: candidate, weight,
 // participant and aggregate buffers are runner scratch, so the marginal
@@ -133,36 +215,8 @@ func TestBatchIterSteadyStateZeroAllocs(t *testing.T) {
 // layer workspaces) cancels out.
 func TestScheduledRoundAllocBudget(t *testing.T) {
 	const clients = 8
-	buildFederation := func() ([]*core.Client, *data.Dataset) {
-		suite, err := data.NewStandardSuite(11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(12))
-		pool, err := suite.Target10.GenerateBalanced(clients*40, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		test, err := suite.Target10.GenerateBalanced(100, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts, err := partition.Dirichlet(pool.Y, clients, 0.5, 10, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]*core.Client, clients)
-		for i, idxs := range parts {
-			ds, err := pool.Subset(idxs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = &core.Client{ID: i, Data: ds, Device: simtime.Device{FLOPSRate: 1e9}}
-		}
-		return out, test
-	}
 	runAllocs := func(rounds int) float64 {
-		cl, test := buildFederation()
+		cl, test := allocFederation(t, clients)
 		m, err := models.Build(models.Spec{
 			Arch:       models.ArchMLP,
 			InputShape: []int{64},
@@ -295,36 +349,8 @@ func TestTieredRoundAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buildFederation := func() ([]*core.Client, *data.Dataset) {
-		suite, err := data.NewStandardSuite(11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(12))
-		pool, err := suite.Target10.GenerateBalanced(clients*40, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		test, err := suite.Target10.GenerateBalanced(100, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts, err := partition.Dirichlet(pool.Y, clients, 0.5, 10, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]*core.Client, clients)
-		for i, idxs := range parts {
-			ds, err := pool.Subset(idxs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = &core.Client{ID: i, Data: ds, Device: simtime.Device{FLOPSRate: 1e9}}
-		}
-		return out, test
-	}
 	runAllocs := func(rounds int) float64 {
-		cl, test := buildFederation()
+		cl, test := allocFederation(t, clients)
 		m, err := models.Build(models.Spec{
 			Arch:       models.ArchMLP,
 			InputShape: []int{64},

@@ -456,8 +456,9 @@ func aggBenchSetup(b *testing.B) (groups, layout []string, full []*tensor.Tensor
 	return groups, layout, full, fullBlob, partBlob
 }
 
-// BenchmarkKernelStreamAggregation is the legacy server fold: 8 whole-state
-// client updates streamed into the selected-size-weighted average.
+// BenchmarkKernelStreamAggregation is the whole-state server fold on a fresh
+// aggregator: 8 whole-state client updates streamed into the
+// selected-size-weighted average.
 func BenchmarkKernelStreamAggregation(b *testing.B) {
 	_, _, _, fullBlob, _ := aggBenchSetup(b)
 	b.ReportAllocs()
@@ -476,15 +477,17 @@ func BenchmarkKernelStreamAggregation(b *testing.B) {
 }
 
 // BenchmarkKernelMaskedAggregation is the tiered server fold over the same 8
-// clients: half ship the whole state, half only the top two groups, and each
-// tensor is averaged over exactly the clients that covered it. The perf gate
-// (BENCH_perf.json) holds this within 2.5x of the legacy fold.
+// clients on a reused aggregator: half ship the whole state, half only the
+// top two groups, and each tensor is averaged over exactly the clients that
+// covered it. The perf gate (BENCH_perf.json) holds this within 2.5x of the
+// recorded baseline.
 func BenchmarkKernelMaskedAggregation(b *testing.B) {
 	groups, layout, full, fullBlob, partBlob := aggBenchSetup(b)
 	agg, err := comm.NewMaskedStreamAggregator(nil, groups, layout)
 	if err != nil {
 		b.Fatal(err)
 	}
+	agg.SetCodec(nil, full)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -497,7 +500,7 @@ func BenchmarkKernelMaskedAggregation(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := agg.Finish(full); err != nil {
+		if _, err := agg.Finish(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -503,33 +503,6 @@ func snapshotFederation(cfg serverConfig, round int, global *models.Model, hist 
 	return core.SaveRunState(ckpt.Path(cfg.ckptDir, round), snap)
 }
 
-// coreBuffered converts the async engine's pending wire updates into their
-// checkpoint representation, field for field.
-func coreBuffered(ups []comm.ClientUpdate) []core.BufferedUpdate {
-	out := make([]core.BufferedUpdate, len(ups))
-	for i, u := range ups {
-		out[i] = core.BufferedUpdate{
-			ClientID: u.ClientID, Round: u.Round, Version: u.Version,
-			State: u.State, Groups: u.Groups, NumSelected: u.NumSelected,
-			TrainSeconds: u.TrainSeconds, TrainLoss: u.TrainLoss, MeanEntropy: u.MeanEntropy,
-		}
-	}
-	return out
-}
-
-// wireBuffered is the inverse of coreBuffered, for warm-starting the engine.
-func wireBuffered(ups []core.BufferedUpdate) []comm.ClientUpdate {
-	out := make([]comm.ClientUpdate, len(ups))
-	for i, u := range ups {
-		out[i] = comm.ClientUpdate{
-			ClientID: u.ClientID, Round: u.Round, Version: u.Version,
-			State: u.State, Groups: u.Groups, NumSelected: u.NumSelected,
-			TrainSeconds: u.TrainSeconds, TrainLoss: u.TrainLoss, MeanEntropy: u.MeanEntropy,
-		}
-	}
-	return out
-}
-
 // regionAsUpdate reshapes a relay's folded delta into the ClientUpdate the
 // aggregation and strategy layers already understand: the region is one
 // heavyweight participant whose selected-sample mass is the sum over its
@@ -629,35 +602,19 @@ func serve(cfg serverConfig, l comm.Listener) error {
 
 	// The strategy weighs each streamed update (absorbing the fixed
 	// selected-size weighting) and later applies the weighted average to
-	// the global model through its server optimizer. The one-element
-	// scratch keeps the streaming path allocation-light.
-	var (
-		upScratch [1]strategy.Update
-		wScratch  [1]float64
-	)
-	weigh := func(u comm.ClientUpdate) (float64, error) {
-		upScratch[0] = strategy.Update{
-			ClientID:    u.ClientID,
-			NumSelected: u.NumSelected,
-			LocalSize:   sess.LocalSize(u.ClientID),
-		}
-		if err := cfg.strat.WeighUpdates(upScratch[:], wScratch[:]); err != nil {
-			return 0, err
-		}
-		return wScratch[0], nil
-	}
+	// the global model through its server optimizer.
+	lambda := 1.0
+	weigh := updateWeigher(cfg.strat, sess, &lambda)
 
-	// In tier mode clients ship only the groups their capability affords, so
-	// aggregation goes per layer: each tensor is averaged over exactly the
-	// clients that covered it, and uncovered tensors fall back to the current
-	// global state. Finish resets the aggregator, so one instance serves every
-	// round. Untiered federations keep the legacy whole-state aggregator and
-	// its exact semantics.
-	// In relay mode the per-layer work happens one tier down: each relay
-	// resolves its region's masks against the broadcast Layout and forwards a
-	// full-layout delta, so the root composes whole states even when the
-	// leaves are tiered.
-	var maskedAgg *comm.MaskedStreamAggregator
+	// One aggregator serves every round (Finish resets it). In tier mode
+	// clients ship only the groups their capability affords, so it is built
+	// over the layout and averages each tensor over exactly the clients that
+	// covered it, uncovered tensors falling back to the current global state;
+	// untiered updates cover everything. In relay mode the per-layer work
+	// happens one tier down: each relay resolves its region's masks against
+	// the broadcast Layout and forwards a full-layout delta, so the root
+	// composes whole states even when the leaves are tiered.
+	agg := comm.NewWeightedStreamAggregator(weigh)
 	var bcastLayout []string
 	if cfg.tierDist != nil {
 		layout, err := global.GroupStateLayout(commGroups)
@@ -666,7 +623,7 @@ func serve(cfg serverConfig, l comm.Listener) error {
 		}
 		if cfg.relays > 0 {
 			bcastLayout = layout
-		} else if maskedAgg, err = comm.NewMaskedStreamAggregator(weigh, commGroups, layout); err != nil {
+		} else if agg, err = comm.NewMaskedStreamAggregator(weigh, commGroups, layout); err != nil {
 			return err
 		}
 	}
@@ -699,27 +656,14 @@ func serve(cfg serverConfig, l comm.Listener) error {
 
 		// Stream each update into the weighted sum as it arrives: the
 		// server holds one decoded state at a time, O(state) not O(N·state).
-		// With a lossy codec the aggregator decodes each payload against the
-		// round's broadcast tensors (stateTs, still holding the broadcast
-		// values until ApplyAggregate below); identity keeps the legacy
-		// decode path untouched.
-		agg := comm.NewWeightedStreamAggregator(weigh)
-		if cfg.codec != nil {
-			if maskedAgg != nil {
-				if err := maskedAgg.SetCodec(cfg.codec, stateTs); err != nil {
-					return err
-				}
-			} else {
-				agg.SetCodec(cfg.codec, stateTs)
-			}
-		}
-		fold := agg.Add
-		if maskedAgg != nil {
-			fold = maskedAgg.Add
-		}
+		// The round's broadcast tensors (stateTs, still holding the broadcast
+		// values until ApplyAggregate below) are what every update is
+		// validated against, what a lossy codec decodes against, and what
+		// uncovered tensors fall back to.
+		agg.SetCodec(cfg.codec, stateTs)
 		var roundTrainSeconds, lossSum float64
 		foldOne := func(u comm.ClientUpdate) error {
-			if err := fold(u); err != nil {
+			if err := agg.Add(u); err != nil {
 				return err
 			}
 			roundTrainSeconds += u.TrainSeconds
@@ -752,12 +696,7 @@ func serve(cfg serverConfig, l comm.Listener) error {
 		for _, id := range out.TimedOut {
 			tracker.ObserveTimeout(id, cfg.roundDeadline.Seconds())
 		}
-		var fused []*tensor.Tensor
-		if maskedAgg != nil {
-			fused, err = maskedAgg.Finish(stateTs)
-		} else {
-			fused, err = agg.Finish()
-		}
+		fused, err := agg.Finish()
 		if err != nil {
 			return err
 		}
@@ -796,13 +735,7 @@ func serve(cfg serverConfig, l comm.Listener) error {
 			}
 		}
 	}
-	hist.TotalTrainSeconds = cumTrainSeconds
-	if eff, err := hist.LearningEfficiency(); err == nil {
-		log.Printf("run complete: best accuracy %.2f%%, total client time %.1fs, learning efficiency %.2f %%/s",
-			100*hist.BestAccuracy, hist.TotalTrainSeconds, eff)
-	} else {
-		log.Printf("run complete: best accuracy %.2f%%", 100*hist.BestAccuracy)
-	}
+	logRunComplete(hist, cumTrainSeconds)
 	return nil
 }
 
@@ -866,33 +799,19 @@ func serveAsync(cfg serverConfig, l comm.Listener) error {
 		return err
 	}
 	if restored != nil {
-		if err := engine.Restore(restored.Version, wireBuffered(restored.Buffer)); err != nil {
+		if err := engine.Restore(restored.Version, restored.Buffer); err != nil {
 			return err
 		}
 	}
 
 	// The strategy weighs each update as in the synchronous path; the async
 	// engine's staleness discount multiplies on top. curLambda is set by the
-	// fold immediately before the aggregator calls weigh (both run on this
-	// goroutine, never concurrently). A fresh update's lambda is exactly 1.0,
-	// so the multiplication is a float no-op and the synchronous special case
-	// stays bit-identical.
+	// fold immediately before the aggregator calls the weigher (both run on
+	// this goroutine, never concurrently). A fresh update's lambda is exactly
+	// 1.0, so the multiplication is a float no-op and the synchronous special
+	// case stays bit-identical.
 	curLambda := 1.0
-	var (
-		upScratch [1]strategy.Update
-		wScratch  [1]float64
-	)
-	weigh := func(u comm.ClientUpdate) (float64, error) {
-		upScratch[0] = strategy.Update{
-			ClientID:    u.ClientID,
-			NumSelected: u.NumSelected,
-			LocalSize:   sess.LocalSize(u.ClientID),
-		}
-		if err := cfg.strat.WeighUpdates(upScratch[:], wScratch[:]); err != nil {
-			return 0, err
-		}
-		return wScratch[0] * curLambda, nil
-	}
+	aggStream := comm.NewWeightedStreamAggregator(updateWeigher(cfg.strat, sess, &curLambda))
 
 	for agg := startAgg + 1; agg <= cfg.rounds; agg++ {
 		stateTs, err := global.GroupStateTensors(commGroups)
@@ -903,12 +822,11 @@ func serveAsync(cfg serverConfig, l comm.Listener) error {
 		if err != nil {
 			return err
 		}
-		aggStream := comm.NewWeightedStreamAggregator(weigh)
-		if cfg.codec != nil {
-			// Only reference-free codecs reach async mode (parseFlags refused
-			// the rest), so no broadcast reference is needed for decoding.
-			aggStream.SetCodec(cfg.codec, nil)
-		}
+		// Only reference-free codecs reach async mode (parseFlags refused the
+		// rest), so a stale update never decodes against stateTs; the
+		// aggregator still validates every update's tensor count and shapes
+		// against it, which no model version changes.
+		aggStream.SetCodec(cfg.codec, stateTs)
 		var roundTrainSeconds, lossSum float64
 		out, err := engine.RunAggregation(agg, comm.RoundStart{
 			State:          blob,
@@ -958,12 +876,40 @@ func serveAsync(cfg serverConfig, l comm.Listener) error {
 			agg, cfg.rounds, out.Version, len(out.Reported), out.Discarded, len(out.Dropped), 100*acc)
 
 		if cfg.ckptDir != "" {
-			async := &core.AsyncState{Version: engine.Version(), Buffer: coreBuffered(engine.Buffered())}
+			async := &core.AsyncState{Version: engine.Version(), Buffer: engine.Buffered()}
 			if err := snapshotFederation(cfg, agg, global, hist, cumTrainSeconds, tracker, async); err != nil {
 				return fmt.Errorf("checkpoint aggregation %d: %w", agg, err)
 			}
 		}
 	}
+	logRunComplete(hist, cumTrainSeconds)
+	return nil
+}
+
+// updateWeigher routes the strategy's WeighUpdates rule into the streaming
+// fold, one update at a time, multiplying *lambda on top — the async engine's
+// staleness discount for the update being folded, 1 in synchronous rounds.
+// The one-element scratch keeps the streaming path allocation-light.
+func updateWeigher(strat strategy.Strategy, sess *comm.ServerSession, lambda *float64) comm.WeightFunc {
+	var (
+		upScratch [1]strategy.Update
+		wScratch  [1]float64
+	)
+	return func(u comm.ClientUpdate) (float64, error) {
+		upScratch[0] = strategy.Update{
+			ClientID:    u.ClientID,
+			NumSelected: u.NumSelected,
+			LocalSize:   sess.LocalSize(u.ClientID),
+		}
+		if err := strat.WeighUpdates(upScratch[:], wScratch[:]); err != nil {
+			return 0, err
+		}
+		return wScratch[0] * *lambda, nil
+	}
+}
+
+// logRunComplete closes the run's history and reports its headline numbers.
+func logRunComplete(hist core.History, cumTrainSeconds float64) {
 	hist.TotalTrainSeconds = cumTrainSeconds
 	if eff, err := hist.LearningEfficiency(); err == nil {
 		log.Printf("run complete: best accuracy %.2f%%, total client time %.1fs, learning efficiency %.2f %%/s",
@@ -971,7 +917,6 @@ func serveAsync(cfg serverConfig, l comm.Listener) error {
 	} else {
 		log.Printf("run complete: best accuracy %.2f%%", 100*hist.BestAccuracy)
 	}
-	return nil
 }
 
 // logAggFailures reports an aggregation's dropped clients in deterministic

@@ -977,7 +977,7 @@ func TestServerAsyncWarmStartMidBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Async.Buffer = []core.BufferedUpdate{{
+	snap.Async.Buffer = []comm.ClientUpdate{{
 		ClientID: 0, Round: dieAfter, Version: dieAfter - 1, State: blob,
 		NumSelected: 10, TrainSeconds: 0.5, TrainLoss: 1.0, MeanEntropy: math.NaN(),
 	}}

@@ -285,7 +285,8 @@ type (
 	EngineConfig = comm.EngineConfig
 	// RoundOutcome reports one distributed round's participation.
 	RoundOutcome = comm.RoundOutcome
-	// StreamAggregator folds updates into a weighted sum as they arrive.
+	// StreamAggregator folds updates into per-tensor weighted sums as they
+	// arrive: whole-state, or per layer over the groups each update covers.
 	StreamAggregator = comm.StreamAggregator
 	// RoundStart instructs a client to run one local round.
 	RoundStart = comm.RoundStart
@@ -448,9 +449,6 @@ type (
 	// TierDistribution is a weighted mix of tiers with a deterministic
 	// per-client assignment.
 	TierDistribution = device.Distribution
-	// MaskedStreamAggregator folds masked updates per layer: each group is
-	// averaged only over the clients that shipped it.
-	MaskedStreamAggregator = comm.MaskedStreamAggregator
 )
 
 // Tier helpers.
@@ -463,8 +461,9 @@ var (
 	TierNames = device.TierNames
 	// JoinTieredFederation registers a client with its capability tier.
 	JoinTieredFederation = comm.JoinTiered
-	// NewMaskedStreamAggregator starts a per-layer aggregator over the
-	// communicated groups.
+	// NewMaskedStreamAggregator starts a StreamAggregator that folds masked
+	// updates per layer: each group is averaged only over the clients that
+	// shipped it.
 	NewMaskedStreamAggregator = comm.NewMaskedStreamAggregator
 )
 

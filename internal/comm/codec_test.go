@@ -369,10 +369,10 @@ func TestPickCodecNegotiation(t *testing.T) {
 	}
 }
 
-// TestAggregatorCodecPaths checks both streaming aggregators fold
-// codec-encoded updates to the same result as their identity paths (int8:
-// within quantization tolerance) and reject a codec-echo mismatch without
-// touching the aggregate.
+// TestAggregatorCodecPaths checks the streaming aggregator folds
+// codec-encoded updates — whole-state and per-layer — to the same result as
+// its identity path (int8: within quantization tolerance) and rejects a
+// codec-echo mismatch without touching the aggregate.
 func TestAggregatorCodecPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ref := []*tensor.Tensor{tensor.New(4, 4), tensor.New(4)}
@@ -445,9 +445,7 @@ func TestAggregatorCodecPaths(t *testing.T) {
 			if codec != "" {
 				server, _ = ParseCodec(codec)
 			}
-			if err := a.SetCodec(server, full); err != nil {
-				t.Fatal(err)
-			}
+			a.SetCodec(server, full)
 			for id := 0; id < 2; id++ {
 				// Client 0 covers only g0; client 1 covers both.
 				var sub []*tensor.Tensor
@@ -478,7 +476,7 @@ func TestAggregatorCodecPaths(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			out, err := a.Finish(full)
+			out, err := a.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}

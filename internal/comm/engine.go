@@ -329,48 +329,154 @@ func isTimeout(err error) bool {
 // weight) rejects the update without poisoning the round.
 type WeightFunc func(ClientUpdate) (float64, error)
 
-// StreamAggregator folds client updates into a weighted sum as they arrive
-// — by default the selected-size weighting of paper Eq. 5, or any
-// strategy-supplied WeightFunc. Only the running sum is retained, so server
-// memory is O(state) regardless of federation size — the buffered
-// alternative holds all N decoded states at once.
+// StreamAggregator folds client updates into per-tensor weighted sums as
+// they arrive — by default the selected-size weighting of paper Eq. 5, or
+// any strategy-supplied WeightFunc. Each state tensor is averaged, with its
+// own weight total, over the updates that covered it: an update covers every
+// tensor unless the aggregator was built over a layout and the update
+// declares a Groups subset, in which case groups outside the subset never
+// contribute (they also shipped zero bytes — the update's State holds only
+// the covered groups' tensors). Only the running sums are retained, so
+// server memory is O(state) regardless of federation size.
+//
+// The aggregator is reusable round after round with zero steady-state
+// allocations: decode buffers, accumulators, the coverage mask and the
+// result slice all persist. Consequently the tensors Finish returns are
+// owned by the aggregator and stay valid only until the next Add — callers
+// copy them into the model (or encode them onto the wire) before starting
+// the next round.
 type StreamAggregator struct {
-	weigh WeightFunc
-	acc   []*tensor.Tensor
-	total float64
-	count int
+	weigh  WeightFunc
+	gIndex map[string]int // group name → canonical position; nil without a layout
+	tgroup []int          // canonical group position of each layout tensor; nil without a layout
+	acc    []*tensor.Tensor
+	totals []float64
+	sumW   float64
+	count  int
 
-	codec Codec            // session uplink codec; nil is the legacy identity path
-	ref   []*tensor.Tensor // broadcast state, the delta codecs' decode reference
-	dec   []*tensor.Tensor // codec decode scratch, reused across Adds
+	covered []bool           // per-group coverage of the update being folded
+	full    bool             // the update being folded covers every tensor
+	scratch []*tensor.Tensor // decode buffer, reused across Adds
+	out     []*tensor.Tensor // Finish result slice, reused across rounds
+	fb      []*tensor.Tensor // fallback copies for uncovered tensors
+
+	codec      Codec            // session uplink codec; nil is the legacy identity path
+	ref        []*tensor.Tensor // broadcast state, parallel to the full layout
+	refScratch []*tensor.Tensor // covered subset of ref, rebuilt per Add without allocating
 }
 
-// NewStreamAggregator returns an empty aggregator for one round with the
+// NewStreamAggregator returns an empty whole-state aggregator with the
 // default selected-size weighting.
 func NewStreamAggregator() *StreamAggregator { return &StreamAggregator{} }
 
-// NewWeightedStreamAggregator returns an empty aggregator whose per-update
-// weights come from weigh (nil falls back to selected-size weighting). The
-// strategy layer uses this to route its WeighUpdates rule into the
-// streaming path.
+// NewWeightedStreamAggregator returns an empty whole-state aggregator whose
+// per-update weights come from weigh (nil falls back to selected-size
+// weighting). The strategy layer uses this to route its WeighUpdates rule
+// into the streaming path.
 func NewWeightedStreamAggregator(weigh WeightFunc) *StreamAggregator {
 	return &StreamAggregator{weigh: weigh}
 }
 
-// SetCodec routes the aggregator through the session's negotiated uplink
-// codec: updates decode via codec (against ref, the broadcast state the
-// round shipped, for delta codecs) and an update whose codec echo
-// disagrees with the session codec is rejected before its bytes are
-// touched. A nil codec is the legacy identity path, byte-for-byte
-// unchanged. Call before the round's first Add.
+// NewMaskedStreamAggregator builds an aggregator that also accepts
+// partially-trained updates over the given full communicated layout: groups
+// is the canonical communicated group list (RoundStart.Groups) and layout
+// names, per tensor of the full state blob, the group it belongs to
+// (models.GroupStateLayout). weigh may be nil for the default selected-size
+// weighting.
+func NewMaskedStreamAggregator(weigh WeightFunc, groups, layout []string) (*StreamAggregator, error) {
+	if len(groups) == 0 || len(layout) == 0 {
+		return nil, fmt.Errorf("%w: masked aggregator needs groups and a layout", ErrProtocol)
+	}
+	gIndex := make(map[string]int, len(groups))
+	for i, g := range groups {
+		if _, dup := gIndex[g]; dup {
+			return nil, fmt.Errorf("%w: duplicate group %q", ErrProtocol, g)
+		}
+		gIndex[g] = i
+	}
+	tgroup := make([]int, len(layout))
+	seen := make([]bool, len(groups))
+	for ti, g := range layout {
+		gi, ok := gIndex[g]
+		if !ok {
+			return nil, fmt.Errorf("%w: layout group %q not in group list", ErrProtocol, g)
+		}
+		tgroup[ti], seen[gi] = gi, true
+	}
+	for gi, g := range groups {
+		if !seen[gi] {
+			return nil, fmt.Errorf("%w: group %q has no tensors in the layout", ErrProtocol, g)
+		}
+	}
+	return &StreamAggregator{
+		weigh:   weigh,
+		gIndex:  gIndex,
+		tgroup:  tgroup,
+		acc:     make([]*tensor.Tensor, len(layout)),
+		totals:  make([]float64, len(layout)),
+		covered: make([]bool, len(groups)),
+	}, nil
+}
+
+// SetCodec installs the session's negotiated uplink codec and the round's
+// broadcast state. A nil codec is the legacy identity path, byte-for-byte
+// unchanged; an update whose codec echo disagrees with the session codec is
+// rejected before its bytes are touched. ref, tensor-parallel to the full
+// layout, serves three purposes at once: delta codecs decode each update
+// against the covered subset of it (the exact reference the client encoded
+// against), every update — the first included — is validated against its
+// tensor count and shapes before any sum is touched, and tensors no update
+// covered fall back to it in Finish. A nil ref keeps the reference-free
+// mode, where the first folded update defines count and shapes. Call before
+// the round's first Add; the ref tensors may be live views into the server's
+// model, which is safe because every consumer applies the aggregate only
+// after Finish.
 func (a *StreamAggregator) SetCodec(c Codec, ref []*tensor.Tensor) {
 	a.codec, a.ref = c, ref
 }
 
-// Add decodes one update and folds it into the running sum under the
-// aggregator's weighting. The fold is atomic: every validation happens
-// before the sum is touched, so on error the aggregate is unchanged and the
-// caller can drop the client yet keep the round.
+// setCovered records which tensors the update being folded covers. An empty
+// declaration is the whole-state contract: every broadcast group trained;
+// without a layout there is nothing to resolve a declaration against, so
+// every update must ship the whole state. A subset must name known groups
+// only, without duplicates, in canonical (ascending) order, so its tensor
+// layout is exactly the full layout filtered by membership.
+func (a *StreamAggregator) setCovered(clientID int, declared []string) error {
+	a.full = len(declared) == 0 || a.tgroup == nil
+	if a.full {
+		return nil
+	}
+	for i := range a.covered {
+		a.covered[i] = false
+	}
+	prev := -1
+	for _, g := range declared {
+		gi, ok := a.gIndex[g]
+		if !ok {
+			return fmt.Errorf("%w: client %d declared unknown group %q", ErrProtocol, clientID, g)
+		}
+		if a.covered[gi] {
+			return fmt.Errorf("%w: client %d declared group %q twice", ErrProtocol, clientID, g)
+		}
+		if gi <= prev {
+			return fmt.Errorf("%w: client %d declared groups out of canonical order", ErrProtocol, clientID)
+		}
+		prev = gi
+		a.covered[gi] = true
+	}
+	return nil
+}
+
+// covers reports whether the update being folded ships layout tensor ti.
+func (a *StreamAggregator) covers(ti int) bool { return a.full || a.covered[a.tgroup[ti]] }
+
+// Add decodes one update and folds its covered tensors into the per-tensor
+// sums under the aggregator's weighting. The fold is atomic: every
+// validation (weight, group declaration, codec echo, tensor count, shapes)
+// happens before any sum is touched, so on error the aggregate is unchanged
+// and the caller can drop the client yet keep the round. Decoding reuses the
+// aggregator's scratch tensors, so a warmed-up aggregator folds without
+// allocating.
 func (a *StreamAggregator) Add(u ClientUpdate) error {
 	if u.NumSelected <= 0 {
 		return fmt.Errorf("%w: client %d reports %d selected samples", ErrProtocol, u.ClientID, u.NumSelected)
@@ -385,78 +491,116 @@ func (a *StreamAggregator) Add(u ClientUpdate) error {
 			return fmt.Errorf("%w: client %d weighed %v", ErrProtocol, u.ClientID, w64)
 		}
 	}
+	if a.ref != nil && a.acc != nil && len(a.ref) != len(a.acc) {
+		return fmt.Errorf("%w: broadcast reference has %d tensors, layout %d", ErrProtocol, len(a.ref), len(a.acc))
+	}
+	if err := a.setCovered(u.ClientID, u.Groups); err != nil {
+		return err
+	}
 	if err := checkCodecEcho(a.codec, u.Codec, u.ClientID); err != nil {
 		return err
 	}
+	var ts []*tensor.Tensor
+	var err error
 	if a.codec != nil {
-		return a.addCodec(u, w64)
+		ts, err = a.codec.Decode(a.coveredRef(), a.scratch, u.State)
+	} else {
+		ts, err = DecodeTensorsReuse(a.scratch, u.State)
 	}
-	ts, err := DecodeTensors(u.State)
 	if err != nil {
 		return fmt.Errorf("comm: aggregate client %d: %w", u.ClientID, err)
 	}
-	w := float32(w64)
-	if a.acc == nil {
-		for _, t := range ts {
-			t.Scale(w)
-		}
-		a.acc = ts
-	} else {
-		if len(ts) != len(a.acc) {
-			return fmt.Errorf("%w: client %d sent %d tensors, want %d", ErrProtocol, u.ClientID, len(ts), len(a.acc))
-		}
-		for i := range ts {
-			if !a.acc[i].SameShape(ts[i]) {
-				return fmt.Errorf("%w: client %d tensor %d shape mismatch", ErrProtocol, u.ClientID, i)
-			}
-		}
-		for i := range ts {
-			if err := a.acc[i].Axpy(w, ts[i]); err != nil {
-				return err
+	a.scratch = ts[:cap(ts)]
+	// The layout fixes the tensor count, else the broadcast reference, else
+	// (reference-free mode) the first update ever folded.
+	n := len(a.acc)
+	switch {
+	case a.acc != nil:
+	case a.ref != nil:
+		n = len(a.ref)
+	default:
+		n = len(ts)
+	}
+	wantN := n
+	if !a.full {
+		wantN = 0
+		for ti := range a.tgroup {
+			if a.covers(ti) {
+				wantN++
 			}
 		}
 	}
-	a.total += w64
+	if len(ts) != wantN {
+		return fmt.Errorf("%w: client %d sent %d tensors for groups %v, want %d",
+			ErrProtocol, u.ClientID, len(ts), u.Groups, wantN)
+	}
+	// Validate every shape before folding anything: against the broadcast
+	// reference when there is one, else against what earlier updates set.
+	ci := 0
+	for ti := 0; ti < n; ti++ {
+		if !a.covers(ti) {
+			continue
+		}
+		var want *tensor.Tensor
+		if a.ref != nil {
+			want = a.ref[ti]
+		} else if a.acc != nil {
+			want = a.acc[ti]
+		}
+		if want != nil && !want.SameShape(ts[ci]) {
+			return fmt.Errorf("%w: client %d tensor %d shape mismatch", ErrProtocol, u.ClientID, ti)
+		}
+		ci++
+	}
+	if a.acc == nil {
+		a.acc, a.totals = make([]*tensor.Tensor, n), make([]float64, n)
+	}
+	w := float32(w64)
+	ci = 0
+	for ti := range a.acc {
+		if !a.covers(ti) {
+			continue
+		}
+		switch {
+		case a.acc[ti] == nil:
+			// First contribution ever: allocate the accumulator once for
+			// the aggregator's lifetime.
+			a.acc[ti] = ts[ci].Clone()
+			a.acc[ti].Scale(w)
+		case a.totals[ti] == 0:
+			// First contribution this round: overwrite the retained
+			// accumulator. Same bits as Clone-then-Scale.
+			if err := a.acc[ti].ScaleFrom(w, ts[ci]); err != nil {
+				return err
+			}
+		default:
+			if err := a.acc[ti].Axpy(w, ts[ci]); err != nil {
+				return err
+			}
+		}
+		a.totals[ti] += w64
+		ci++
+	}
+	a.sumW += w64
 	a.count++
 	return nil
 }
 
-// addCodec is the codec decode-and-fold path of Add. The decode scratch
-// is owned by the aggregator and reused, so the accumulator holds clones
-// of the first update rather than taking ownership of its tensors.
-func (a *StreamAggregator) addCodec(u ClientUpdate, w64 float64) error {
-	ts, err := a.codec.Decode(a.ref, a.dec, u.State)
-	if err != nil {
-		return fmt.Errorf("comm: aggregate client %d: %w", u.ClientID, err)
+// coveredRef filters the broadcast reference down to the tensors the update
+// being folded ships — exactly the subset the client encoded against. The
+// slice is reused across Adds.
+func (a *StreamAggregator) coveredRef() []*tensor.Tensor {
+	if a.ref == nil || a.full {
+		return a.ref
 	}
-	a.dec = ts[:cap(ts)]
-	if a.acc != nil {
-		if len(ts) != len(a.acc) {
-			return fmt.Errorf("%w: client %d sent %d tensors, want %d", ErrProtocol, u.ClientID, len(ts), len(a.acc))
-		}
-		for i := range ts {
-			if !a.acc[i].SameShape(ts[i]) {
-				return fmt.Errorf("%w: client %d tensor %d shape mismatch", ErrProtocol, u.ClientID, i)
-			}
+	rs := a.refScratch[:0]
+	for ti := range a.ref {
+		if a.covers(ti) {
+			rs = append(rs, a.ref[ti])
 		}
 	}
-	w := float32(w64)
-	if a.acc == nil {
-		a.acc = make([]*tensor.Tensor, len(ts))
-		for i, t := range ts {
-			a.acc[i] = t.Clone()
-			a.acc[i].Scale(w)
-		}
-	} else {
-		for i := range ts {
-			if err := a.acc[i].Axpy(w, ts[i]); err != nil {
-				return err
-			}
-		}
-	}
-	a.total += w64
-	a.count++
-	return nil
+	a.refScratch = rs
+	return rs
 }
 
 // checkCodecEcho rejects an update whose codec echo disagrees with the
@@ -481,22 +625,45 @@ func checkCodecEcho(codec Codec, echo string, clientID int) error {
 // Updates returns how many updates have been folded so far.
 func (a *StreamAggregator) Updates() int { return a.count }
 
-// Total returns the summed aggregation weight folded so far. A relay reads
-// it before Finish to stamp the outgoing RegionUpdate with the region's
-// weight mass.
-func (a *StreamAggregator) Total() float64 { return a.total }
+// Total returns the summed per-client aggregation weight folded so far
+// (each client counted once, regardless of how many layers it covered). A
+// relay reads it before Finish to stamp the outgoing RegionUpdate with the
+// region's weight mass.
+func (a *StreamAggregator) Total() float64 { return a.sumW }
 
-// Finish normalizes the sum into the aggregated state and resets the
-// aggregator. It fails when no update was folded.
+// Finish normalizes each tensor by its own weight total and resets the
+// aggregator for the next round. Tensors no folded update covered fall back
+// to a copy of the broadcast state — averaging nothing leaves the layer
+// where it was. It fails when no update at all was folded. The returned
+// tensors are owned by the aggregator and valid only until the next Add.
 func (a *StreamAggregator) Finish() ([]*tensor.Tensor, error) {
-	if a.count == 0 || a.total <= 0 {
+	if a.count == 0 {
 		return nil, fmt.Errorf("comm: aggregate: no client updates")
 	}
-	inv := float32(1 / a.total)
-	for _, t := range a.acc {
-		t.Scale(inv)
+	if cap(a.out) < len(a.acc) {
+		a.out = make([]*tensor.Tensor, len(a.acc))
 	}
-	out := a.acc
-	a.acc, a.total, a.count = nil, 0, 0
+	out := a.out[:len(a.acc)]
+	for ti := range a.acc {
+		if a.totals[ti] > 0 {
+			a.acc[ti].Scale(float32(1 / a.totals[ti]))
+			out[ti] = a.acc[ti]
+			a.totals[ti] = 0
+			continue
+		}
+		if len(a.ref) != len(a.acc) {
+			return nil, fmt.Errorf("%w: tensor %d uncovered and the broadcast state has %d tensors, layout %d",
+				ErrProtocol, ti, len(a.ref), len(a.acc))
+		}
+		if a.fb == nil {
+			a.fb = make([]*tensor.Tensor, len(a.acc))
+		}
+		a.fb[ti] = tensor.Ensure(a.fb[ti], a.ref[ti].Shape()...)
+		if err := a.fb[ti].CopyFrom(a.ref[ti]); err != nil {
+			return nil, err
+		}
+		out[ti] = a.fb[ti]
+	}
+	a.sumW, a.count = 0, 0
 	return out, nil
 }

@@ -405,39 +405,6 @@ func TestStreamAggregatorMatchesBuffered(t *testing.T) {
 	}
 }
 
-func TestStreamAggregatorRejectsBadUpdateAtomically(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	good := tensor.New(3, 3)
-	good.FillNormal(rng, 0, 1)
-	blob, err := EncodeTensors([]*tensor.Tensor{good})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := NewStreamAggregator()
-	if err := agg.Add(ClientUpdate{ClientID: 0, Round: 1, State: blob, NumSelected: 4}); err != nil {
-		t.Fatal(err)
-	}
-	// Wrong shape: must not disturb the running sum.
-	wrong := tensor.New(2, 2)
-	wrongBlob, err := EncodeTensors([]*tensor.Tensor{wrong})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := agg.Add(ClientUpdate{ClientID: 1, Round: 1, State: wrongBlob, NumSelected: 4}); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("expected ErrProtocol for shape mismatch, got %v", err)
-	}
-	if err := agg.Add(ClientUpdate{ClientID: 2, Round: 1, State: blob, NumSelected: 0}); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("expected ErrProtocol for zero selected, got %v", err)
-	}
-	out, err := agg.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out[0].Equal(good) {
-		t.Fatal("single-client aggregate must equal its state")
-	}
-}
-
 func TestPipeDeadline(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()

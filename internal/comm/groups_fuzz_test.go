@@ -24,15 +24,16 @@ func decodeGroupSpec(mask uint8) []string {
 }
 
 // FuzzGroupsSubsetRoundTrip round-trips ClientUpdate.Groups declarations
-// through the gob envelope and validates them against the masked
+// through the gob envelope and validates them against the per-layer
 // aggregator: every canonical subset must survive encode/decode byte-exact
-// and be accepted, while empty subsets and unknown group names must be
-// rejected after the round trip (never silently repaired).
+// and be accepted, while unknown group names — and an empty declaration,
+// the whole-state contract, arriving with no tensors — must be rejected
+// after the round trip (never silently repaired).
 func FuzzGroupsSubsetRoundTrip(f *testing.F) {
 	f.Add(uint8(0b1111), "", 4)    // full mask
 	f.Add(uint8(0b1000), "", 1)    // classifier only
 	f.Add(uint8(0b1010), "", 2)    // gap mask: mid + classifier
-	f.Add(uint8(0), "", 1)         // empty subset → rejected
+	f.Add(uint8(0), "", 1)         // whole-state declaration, no tensors → rejected
 	f.Add(uint8(0b1000), "gpu", 1) // unknown extra group → rejected
 
 	layout := []string{"low", "mid", "mid", "up", "classifier"}
@@ -97,7 +98,7 @@ func FuzzGroupsSubsetRoundTrip(f *testing.F) {
 }
 
 // isCanonicalSubset reports whether groups is a non-empty duplicate-free
-// subsequence of canonicalGroups — exactly what the aggregator accepts.
+// subsequence of canonicalGroups — exactly the subsets the aggregator accepts.
 func isCanonicalSubset(groups []string) bool {
 	if len(groups) == 0 {
 		return false

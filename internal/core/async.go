@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"fedfteds/internal/metrics"
 	"fedfteds/internal/simtime"
 	"fedfteds/internal/strategy"
 	"fedfteds/internal/tensor"
@@ -31,27 +30,18 @@ type AsyncConfig struct {
 	Weigher strategy.StalenessWeigher
 }
 
-func (c AsyncConfig) validate(numClients int) error {
-	if c.Buffer < 1 {
-		return fmt.Errorf("%w: async buffer %d, need at least 1", ErrConfig, c.Buffer)
-	}
-	if c.Buffer > numClients {
-		return fmt.Errorf("%w: async buffer %d exceeds the %d-client pool — it could never fill",
-			ErrConfig, c.Buffer, numClients)
-	}
-	return nil
-}
-
 // RunAsync executes Config.Rounds buffered-asynchronous aggregations over a
 // simulated-time event queue and returns the history (one record per
 // aggregation). Clients overlap: each trains for its projected round cost in
 // simulated seconds, reports, and is handed the then-current model at the
 // next aggregation boundary (or immediately, when its update was discarded
-// as too stale). Updates fold in ascending client order within each buffer,
-// the synchronous engine's participant order, so Buffer = pool size with the
-// identity weigher replays Run bit for bit: every client then trains each
-// version exactly once and the buffer fills exactly when the round would
-// have ended.
+// as too stale). It is the full-window, unscheduled case of the buffered
+// loop RunFleetAsync runs: every client is always in flight, so the clients
+// refilled after an aggregation are exactly the ones it folded. Updates fold
+// in ascending client order within each buffer, the synchronous engine's
+// participant order, so Buffer = pool size with the identity weigher replays
+// Run bit for bit: every client then trains each version exactly once and
+// the buffer fills exactly when the round would have ended.
 //
 // Async mode replaces the admission machinery wholesale, so RunAsync rejects
 // cohort scheduling, straggler policies, tiered partial training and
@@ -62,25 +52,79 @@ func (r *Runner) RunAsync(acfg AsyncConfig) (History, error) {
 		return History{}, fmt.Errorf("%w: RunAsync keeps every client's update in flight, which is "+
 			"O(pool) memory; fleet-backed runners overlap rounds with RunFleetAsync instead", ErrConfig)
 	}
-	if err := acfg.validate(len(r.clients)); err != nil {
-		return History{}, err
+	if r.cfg.Scheduler != nil || r.cfg.CohortSize > 0 {
+		return History{}, fmt.Errorf("%w: cohort scheduling and RunAsync's whole-pool dispatch are mutually "+
+			"exclusive — the buffer is the admission policy; RunFleetAsync schedules an in-flight window", ErrConfig)
 	}
+	return r.runBuffered(FleetAsyncConfig{AsyncConfig: acfg}, len(r.clients))
+}
+
+// FleetAsyncConfig shapes the fleet-backed buffered-asynchronous simulator:
+// RunAsync's FedBuff semantics, but with a scheduler-driven in-flight window
+// of Config.CohortSize clients instead of the whole population, so the
+// engine's working set stays O(cohort) over a million-client fleet.
+type FleetAsyncConfig struct {
+	AsyncConfig
+	// Departed, when non-nil, reports that a client left the fleet before
+	// its update for the given aggregation arrived. The update is dropped —
+	// its compute is accounted (the client did train) but nothing is
+	// uplinked — and the vacated slot is refilled by the scheduler at the
+	// next aggregation boundary.
+	Departed func(round, clientID int) bool
+}
+
+// RunFleetAsync executes Config.Rounds buffered-asynchronous aggregations
+// over a client source, keeping only Config.CohortSize clients in flight:
+// the scheduler admits clients into the window, each trains for its projected
+// cost in simulated time, and the server aggregates whenever Buffer updates
+// are in hand, discounting by staleness exactly as RunAsync does. Folded (and
+// departed) slots are refilled by the scheduler — over the candidates not
+// currently in flight — at the next aggregation boundary, which is where
+// trace-driven availability and cluster-stratified sampling plug in.
+//
+// With Buffer = CohortSize, no departures and no staleness discards, every
+// aggregation folds exactly the window it dispatched, so the run replays the
+// synchronous fleet Run bit for bit (TestFleetAsyncFullBufferMatchesRun).
+//
+// Like RunAsync, this mode replaces the admission machinery wholesale: it
+// rejects straggler policies, tiers, codecs and in-simulator checkpointing —
+// but unlike RunAsync it REQUIRES a scheduler and cohort size (the window is
+// the whole point; a window of the full population is RunAsync's job).
+func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
+	window := r.cfg.CohortSize
+	switch {
+	case r.cfg.Scheduler == nil || window <= 0:
+		return History{}, fmt.Errorf("%w: RunFleetAsync needs a scheduler and CohortSize — the "+
+			"scheduled window is its admission policy", ErrConfig)
+	case window > r.src.NumClients():
+		return History{}, fmt.Errorf("%w: in-flight window %d exceeds the %d-client fleet",
+			ErrConfig, window, r.src.NumClients())
+	}
+	return r.runBuffered(acfg, window)
+}
+
+// runBuffered is the one buffered-asynchronous loop: a simtime event queue
+// over window clients in flight, an aggregation whenever acfg.Buffer updates
+// are in hand, and a refill of the vacated slots at every aggregation
+// boundary — through the scheduler when one is configured, else with every
+// idle client (RunAsync, whose window is the whole pool).
+func (r *Runner) runBuffered(acfg FleetAsyncConfig, window int) (History, error) {
 	switch {
 	case r.restored:
 		return History{}, fmt.Errorf("%w: the async simulator does not resume from checkpoints; "+
-			"warm restarts of async state live in the distributed server", ErrConfig)
-	case r.cfg.Scheduler != nil || r.cfg.CohortSize > 0:
-		return History{}, fmt.Errorf("%w: cohort scheduling and buffered-async dispatch are mutually "+
-			"exclusive — the buffer is the admission policy", ErrConfig)
+			"checkpointed runs use the synchronous engine or the distributed server", ErrConfig)
 	case r.cfg.TierDist != nil:
 		return History{}, fmt.Errorf("%w: tiered partial training is synchronous-only; drop TierDist "+
 			"for async runs", ErrConfig)
 	case r.cfg.CheckpointEvery > 0:
-		return History{}, fmt.Errorf("%w: the async simulator does not checkpoint; use the distributed "+
-			"server for resumable async runs", ErrConfig)
+		return History{}, fmt.Errorf("%w: the async simulator does not checkpoint; checkpointed runs "+
+			"use the synchronous engine or the distributed server", ErrConfig)
 	case r.cfg.Codec != "":
 		return History{}, fmt.Errorf("%w: the async simulator does not simulate uplink codecs; drop "+
 			"Codec for async runs (the distributed server supports reference-free codecs with -buffer)", ErrConfig)
+	case acfg.Buffer < 1 || acfg.Buffer > window:
+		return History{}, fmt.Errorf("%w: async buffer %d must lie in [1, %d] — a larger buffer could "+
+			"never fill from the clients in flight", ErrConfig, acfg.Buffer, window)
 	}
 	if _, ok := r.cfg.Straggler.(simtime.FullParticipation); !ok {
 		return History{}, fmt.Errorf("%w: straggler policies do not apply in async mode — slow clients "+
@@ -94,196 +138,170 @@ func (r *Runner) RunAsync(acfg AsyncConfig) (History, error) {
 	if weigher == nil {
 		weigher = strategy.IdentityStaleness()
 	}
-
-	r.hist = History{}
-	r.acct = simtime.Accountant{}
-	r.startRound, r.doneRound = 0, 0
-
-	// Same preamble as Run: freeze the non-finetuned part, resolve the
-	// communicated groups/tensors once, project every client's round cost.
-	if err := r.global.SetFinetunePart(r.cfg.FinetunePart); err != nil {
-		return r.hist, err
-	}
-	commGroups := r.global.TrainableGroupNames()
-	commState, err := r.global.GroupStateTensors(commGroups)
+	stateSize, err := r.prepareRun()
 	if err != nil {
 		return r.hist, err
 	}
-	stateSize, err := r.stateBytes(commGroups)
-	if err != nil {
-		return r.hist, err
-	}
-	r.commGroups, r.commState = commGroups, commState
-	if err := r.setupTiers(); err != nil {
-		return r.hist, err
-	}
-	if err := r.cacheProjectedCosts(); err != nil {
-		return r.hist, err
-	}
-	r.maskActive = false
 
-	n := len(r.clients)
-	// Per-pool-position in-flight state: the finished update waiting in the
-	// event queue (each client has at most one), the version it trained
-	// against, and the owned state buffers the scratch results are copied
-	// into (trainParticipants reuses its buffers across calls).
-	pend := make([]clientResult, n)
-	pendVersion := make([]int, n)
-	pendBufs := make([][]*tensor.Tensor, n)
+	// In-flight state is keyed by pool position and bounded by the window:
+	// the buffered update (in owned tensors from a free list), and the model
+	// version it trained against.
+	type flight struct {
+		res     clientResult
+		version int
+	}
+	n := r.src.NumClients()
+	pend := make(map[int]*flight, window)
+	var bufFree [][]*tensor.Tensor
 	var q simtime.EventQueue
 	now := 0.0
 	version := 0
 
+	// pick chooses k clients among those not in flight — a client cannot
+	// train two models at once. Without a scheduler every idle client is
+	// picked: k is then exactly their number, because the window is the
+	// whole pool.
+	var idle []int
+	pick := func(round, k int) []int {
+		if r.cfg.Scheduler != nil {
+			return r.schedule(round, k, func(pos int) bool { return pend[pos] != nil })
+		}
+		idle = idle[:0]
+		for i := 0; i < n; i++ {
+			if pend[i] == nil {
+				idle = append(idle, i)
+			}
+		}
+		return idle
+	}
+
+	// dispatch trains positions against the current model version and queues
+	// each finished update at its simulated arrival time. trainParticipants
+	// reuses its state buffers across calls, so each update is copied into
+	// tensors the flight owns until it is folded or dropped.
 	dispatch := func(positions []int, round int, at float64) error {
 		if len(positions) == 0 {
 			return nil
 		}
 		sort.Ints(positions)
-		if cap(r.partScratch) < len(positions) {
-			r.partScratch = make([]*Client, len(positions))
+		parts, err := r.src.Acquire(positions, r.partScratch)
+		if err != nil {
+			return fmt.Errorf("core: acquiring aggregation %d dispatch: %w", round, err)
 		}
-		parts := r.partScratch[:len(positions)]
-		for i, pos := range positions {
-			parts[i] = r.clients[pos]
-		}
+		r.partScratch = parts
 		results, err := r.trainParticipants(parts, round)
+		r.src.Release(parts)
 		if err != nil {
 			return err
 		}
 		for i, pos := range positions {
 			res := results[i]
-			bufs := pendBufs[pos]
-			if cap(bufs) < len(res.state) {
-				bufs = append(bufs[:len(bufs)], make([]*tensor.Tensor, len(res.state)-len(bufs))...)
+			var bufs []*tensor.Tensor
+			if len(bufFree) > 0 {
+				bufs = bufFree[len(bufFree)-1]
+				bufFree = bufFree[:len(bufFree)-1]
 			}
-			bufs = bufs[:len(res.state)]
-			for ti, src := range res.state {
-				if bufs[ti] == nil || !bufs[ti].SameShape(src) {
-					bufs[ti] = tensor.Ensure(bufs[ti], src.Shape()...)
-				}
-				if err := bufs[ti].CopyFrom(src); err != nil {
-					return fmt.Errorf("core: buffering update from client %d: %w", res.clientID, err)
-				}
-			}
-			pendBufs[pos] = bufs
-			res.state = bufs
-			pend[pos] = res
-			pendVersion[pos] = version
+			res.state = snapshotState(bufs, res.state)
+			pend[pos] = &flight{res: res, version: version}
 			q.Push(simtime.Event{Time: at + r.projCost[pos], ID: pos})
 		}
 		return nil
 	}
+	// drop retires an in-flight update — folded, stale or departed —
+	// recycling its tensors.
+	drop := func(pos int) {
+		bufFree = append(bufFree, pend[pos].res.state)
+		delete(pend, pos)
+	}
 
-	initial := make([]int, n)
-	copy(initial, r.allIDs)
+	initial := pick(1, window)
+	if len(initial) == 0 {
+		return r.hist, fmt.Errorf("core: scheduler %s admitted no clients into the initial window",
+			r.cfg.Scheduler.Name())
+	}
 	if err := dispatch(initial, 1, now); err != nil {
 		return r.hist, err
 	}
 
 	var (
-		folded    []clientResult
 		foldedPos []int
-		lambdas   []float64
-		order     []int
 		aggRes    []clientResult
-		aggPos    []int
 		aggLam    []float64
+		redisp    []int
 	)
 	for agg := 1; agg <= r.cfg.Rounds; agg++ {
-		folded, foldedPos, lambdas = folded[:0], foldedPos[:0], lambdas[:0]
-		discarded := 0
-		for len(folded) < acfg.Buffer {
+		foldedPos = foldedPos[:0]
+		dropped := 0
+		for len(foldedPos) < acfg.Buffer {
 			ev, ok := q.Pop()
 			if !ok {
-				return r.hist, fmt.Errorf("core: async aggregation %d starved with %d/%d updates buffered",
-					agg, len(folded), acfg.Buffer)
+				return r.hist, fmt.Errorf("core: async aggregation %d starved with %d/%d updates "+
+					"buffered and %d clients in flight", agg, len(foldedPos), acfg.Buffer, len(pend))
 			}
 			now = ev.Time
-			s := version - pendVersion[ev.ID]
-			if acfg.MaxStaleness >= 0 && s > acfg.MaxStaleness {
-				// The client computed and uplinked regardless; count the work,
-				// drop the update, and hand it the current model right away.
-				r.acct.AddRound(pend[ev.ID].cost)
+			fl, ok := pend[ev.ID]
+			if !ok {
+				return r.hist, fmt.Errorf("core: arrival event for position %d with no in-flight update", ev.ID)
+			}
+			switch {
+			case acfg.Departed != nil && acfg.Departed(agg, fl.res.clientID):
+				// The client trained but left before uploading: account the
+				// compute, drop the update, free the slot for the next refill.
+				r.acct.AddRound(fl.res.cost)
+				dropped++
+				drop(ev.ID)
+			case acfg.MaxStaleness >= 0 && version-fl.version > acfg.MaxStaleness:
+				// Computed and uplinked regardless; count the work, drop the
+				// update, and hand the client the current model right away.
+				r.acct.AddRound(fl.res.cost)
 				r.acct.AddCommunication(stateSize, stateSize)
-				discarded++
-				if err := dispatch([]int{ev.ID}, agg, now); err != nil {
+				dropped++
+				drop(ev.ID)
+				redisp = append(redisp[:0], ev.ID)
+				if err := dispatch(redisp, agg, now); err != nil {
 					return r.hist, err
 				}
-				continue
+			default:
+				foldedPos = append(foldedPos, ev.ID)
 			}
+		}
+
+		// Fold in ascending position — the synchronous engine's participant
+		// order, not arrival order — so a full-buffer window replays Run's
+		// arithmetic exactly.
+		sort.Ints(foldedPos)
+		aggRes, aggLam = aggRes[:0], aggLam[:0]
+		for _, pos := range foldedPos {
+			fl := pend[pos]
+			s := version - fl.version
 			lam := weigher.Weight(s)
 			if lam <= 0 || math.IsNaN(lam) || math.IsInf(lam, 0) {
 				return r.hist, fmt.Errorf("core: staleness weigher %s returned %v for staleness %d",
 					weigher.Name(), lam, s)
 			}
-			folded = append(folded, pend[ev.ID])
-			foldedPos = append(foldedPos, ev.ID)
-			lambdas = append(lambdas, lam)
+			aggRes = append(aggRes, fl.res)
+			aggLam = append(aggLam, lam)
 		}
-
-		// Fold in ascending client order — the synchronous engine's
-		// participant order — not arrival order, so the degenerate full-buffer
-		// configuration reproduces Run's arithmetic exactly.
-		order = order[:0]
-		for i := range foldedPos {
-			order = append(order, i)
-		}
-		sort.Slice(order, func(a, b int) bool { return foldedPos[order[a]] < foldedPos[order[b]] })
-		aggRes, aggPos, aggLam = aggRes[:0], aggPos[:0], aggLam[:0]
-		for _, i := range order {
-			aggRes = append(aggRes, folded[i])
-			aggPos = append(aggPos, foldedPos[i])
-			aggLam = append(aggLam, lambdas[i])
-		}
-		if err := r.aggregate(aggRes, commState, aggLam); err != nil {
+		if err := r.aggregate(aggRes, r.commState, aggLam); err != nil {
 			return r.hist, err
 		}
 		version++
-
-		var lossSum float64
-		for i, res := range aggRes {
-			r.acct.AddRound(res.cost)
-			r.acct.AddCommunication(stateSize, stateSize)
-			lossSum += res.trainLoss
-			r.utility.ObserveUpdate(aggPos[i], res.meanEntropy, res.trainLoss, res.cost.Total())
+		for _, pos := range foldedPos {
+			drop(pos)
+		}
+		if err := r.recordRound(agg, len(aggRes)+dropped, aggRes, foldedPos, stateSize); err != nil {
+			return r.hist, err
 		}
 
-		rec := RoundRecord{
-			Round:           agg,
-			CohortSize:      len(aggRes) + discarded,
-			Participants:    len(aggRes),
-			TestAccuracy:    math.NaN(),
-			MeanTrainLoss:   lossSum / float64(len(aggRes)),
-			CumTrainSeconds: r.acct.TotalSeconds(),
-			CumUplinkBytes:  r.acct.UplinkBytes(),
-		}
-		if r.cfg.EvalEvery > 0 && (agg%r.cfg.EvalEvery == 0 || agg == r.cfg.Rounds) {
-			acc, err := metrics.Accuracy(r.global, r.test)
-			if err != nil {
-				return r.hist, fmt.Errorf("core: eval aggregation %d: %w", agg, err)
-			}
-			rec.TestAccuracy = acc
-			if acc > r.hist.BestAccuracy {
-				r.hist.BestAccuracy = acc
-			}
-			r.hist.FinalAccuracy = acc
-		}
-		r.hist.Records = append(r.hist.Records, rec)
-		r.doneRound = agg
-
-		// The consumed clients receive the freshly aggregated model and start
-		// training it; after the final aggregation there is nothing left to
-		// train for.
-		if agg < r.cfg.Rounds {
-			if err := dispatch(aggPos, agg+1, now); err != nil {
+		// Refill the window back to size — through the scheduler, which is
+		// where trace availability decides who is reachable and cluster
+		// sampling keeps the mix stratified. After the final aggregation
+		// there is nothing left to train for.
+		if need := window - len(pend); need > 0 && agg < r.cfg.Rounds {
+			if err := dispatch(pick(agg+1, need), agg+1, now); err != nil {
 				return r.hist, err
 			}
-			// dispatch sorts its argument in place; aggPos is already sorted,
-			// aggRes/aggLam stay aligned.
 		}
 	}
-	r.hist.TotalTrainSeconds = r.acct.TotalSeconds()
-	r.hist.TotalUplinkBytes = r.acct.UplinkBytes()
-	r.hist.TotalDownlinkBytes = r.acct.DownlinkBytes()
-	return r.hist, nil
+	return r.finishRun(), nil
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -223,6 +225,63 @@ func TestAsyncConfigRejections(t *testing.T) {
 			}
 			if _, err := r.RunAsync(tt.acfg); !errors.Is(err, ErrConfig) {
 				t.Fatalf("expected ErrConfig, got %v", err)
+			}
+		})
+	}
+}
+
+// runDigest condenses a run into one comparable value: the history's %+v
+// rendering plus the bits of every float of the final model state.
+func runDigest(hist History, m *models.Model) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", hist)
+	for _, ts := range m.StateTensors() {
+		for _, v := range ts.Data() {
+			fmt.Fprintf(h, "%08x", math.Float32bits(v))
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestAsyncPartialBufferDigests pins the genuinely asynchronous regime bit
+// for bit: buffers smaller than the pool, staleness discounts, discards and
+// immediate re-dispatch. The digests were captured from the standalone
+// RunAsync loop before it became the full-window, unscheduled case of the
+// buffered loop RunFleetAsync runs.
+func TestAsyncPartialBufferDigests(t *testing.T) {
+	for _, tt := range []struct {
+		name         string
+		mixed        bool
+		buffer       int
+		maxStaleness int
+		want         string
+	}{
+		{name: "mixed/buffer3/unlimited", mixed: true, buffer: 3, maxStaleness: -1, want: "b85866991f365d7f"},
+		{name: "mixed/buffer2/stale1", mixed: true, buffer: 2, maxStaleness: 1, want: "b50dcd99d23a6a00"},
+		{name: "mixed/buffer1/stale0", mixed: true, buffer: 1, maxStaleness: 0, want: "958bb8c75b49360f"},
+		{name: "uniform/buffer2/stale1", buffer: 2, maxStaleness: 1, want: "05dc5fb5d0db1f01"},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			clients, _, test, spec := testFederation(t, 6, 0.5)
+			if tt.mixed {
+				for i, cl := range clients {
+					cl.Device = simtime.Device{FLOPSRate: 1e9 / float64(1+i/2*3)}
+				}
+			}
+			m, err := models.Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewRunner(Config{Rounds: 8, LocalEpochs: 1, LR: 0.1, Momentum: 0.5, EvalEvery: 3, Seed: 7}, m, clients, test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hist, err := r.RunAsync(AsyncConfig{Buffer: tt.buffer, MaxStaleness: tt.maxStaleness, Weigher: strategy.InvSqrtStaleness()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := runDigest(hist, m); got != tt.want {
+				t.Fatalf("digest %s, want %s", got, tt.want)
 			}
 		})
 	}

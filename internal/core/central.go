@@ -70,24 +70,16 @@ func TrainCentralized(m *models.Model, train, test *data.Dataset, cfg CentralCon
 	if err != nil {
 		return hist, err
 	}
-	loss := nn.SoftmaxCrossEntropy{}
+	iter, err := data.NewBatchIter(train, nil, cfg.BatchSize)
+	if err != nil {
+		return hist, err
+	}
 	var ls nn.LossScratch
 	rng := tensor.NewRand(uint64(cfg.Seed), 0xCE27)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		batches, err := train.Batches(cfg.BatchSize, rng)
+		epochLoss, err := trainEpoch(m, sgd, iter, &ls, rng)
 		if err != nil {
 			return hist, err
-		}
-		var epochLoss float64
-		for _, b := range batches {
-			logits := m.Forward(b.X, true)
-			v, dl, err := loss.LossInto(&ls, logits, b.Y)
-			if err != nil {
-				return hist, err
-			}
-			m.Backward(dl)
-			sgd.Step()
-			epochLoss += v * float64(len(b.Y))
 		}
 		hist.EpochLosses = append(hist.EpochLosses, epochLoss/float64(train.Len()))
 

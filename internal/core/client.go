@@ -2,14 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"fedfteds/internal/data"
 	"fedfteds/internal/models"
-	"fedfteds/internal/nn"
-	"fedfteds/internal/opt"
-	"fedfteds/internal/seeds"
-	"fedfteds/internal/selection"
 	"fedfteds/internal/simtime"
 	"fedfteds/internal/tensor"
 )
@@ -56,108 +51,28 @@ type clientResult struct {
 }
 
 // LocalUpdate executes one local round on a clone of the global model: data
-// selection, E epochs of SGD on the selected subset, and cost accounting.
-// It is the client-side primitive shared by the in-process simulator and the
-// distributed fedclient binary. cfg must already have defaults applied when
-// called outside the Runner; NewLocalConfig does that.
+// selection, E epochs of SGD on the selected subset, and cost accounting —
+// the Runner's training loop on a fresh one-shot replica. It is the
+// client-side primitive of the distributed fedclient binary, whose layer mask
+// (cfg.TrainGroups) narrows both what trains and what State returns. cfg must
+// already have defaults applied when called outside the Runner;
+// NewLocalConfig does that.
 func LocalUpdate(cfg Config, global *models.Model, cl *Client, round int) (LocalOutcome, error) {
-	local, err := global.Clone()
-	if err != nil {
-		return LocalOutcome{}, fmt.Errorf("core: client %d: clone: %w", cl.ID, err)
-	}
-	if err := local.SetFinetunePart(cfg.FinetunePart); err != nil {
-		return LocalOutcome{}, fmt.Errorf("core: client %d: %w", cl.ID, err)
-	}
-	if len(cfg.TrainGroups) > 0 {
-		// The client's layer mask: only these groups train, and only their
-		// state is returned (and shipped) below.
-		if err := local.SetTrainableGroups(cfg.TrainGroups); err != nil {
-			return LocalOutcome{}, fmt.Errorf("core: client %d: mask: %w", cl.ID, err)
-		}
-	}
-	rng := seeds.ClientRound(cfg.Seed, round, cl.ID)
-
-	var (
-		selIdx      []int
-		meanEntropy = math.NaN()
-	)
-	if us, ok := cfg.Selector.(selection.UtilityScorer); ok {
-		selIdx, meanEntropy, err = us.SelectWithUtility(local, cl.Data, cfg.SelectFraction, rng)
-	} else {
-		selIdx, err = cfg.Selector.Select(local, cl.Data, cfg.SelectFraction, rng)
-	}
-	if err != nil {
-		return LocalOutcome{}, fmt.Errorf("core: client %d: selection: %w", cl.ID, err)
-	}
-	selected, err := cl.Data.Subset(selIdx)
-	if err != nil {
-		return LocalOutcome{}, fmt.Errorf("core: client %d: subset: %w", cl.ID, err)
-	}
-
-	// The strategy's local hook carries the per-round objective twist
-	// (FedProx tunes μ into the optimizer and snapshots the proximal anchor
-	// at bind time); plain strategies leave the optimizer untouched.
-	hook := cfg.localHook()
-	sgdCfg := opt.SGDConfig{
-		LR:          cfg.LR,
-		Momentum:    cfg.Momentum,
-		WeightDecay: cfg.WeightDecay,
-	}
-	if hook != nil {
-		hook.TuneSGD(&sgdCfg)
-	}
-	sgd, err := opt.NewSGD(sgdCfg, local.TrainableParams())
+	rep, err := newReplica(global, cfg, cfg.TrainGroups)
 	if err != nil {
 		return LocalOutcome{}, fmt.Errorf("core: client %d: %w", cl.ID, err)
 	}
-	if hook != nil {
-		if err := hook.OnBind(sgd); err != nil {
-			return LocalOutcome{}, fmt.Errorf("core: client %d: hook %s: %w", cl.ID, hook.Name(), err)
-		}
-	}
-
-	loss := nn.SoftmaxCrossEntropy{}
-	var ls nn.LossScratch
-	var lastLoss float64
-	for epoch := 0; epoch < cfg.LocalEpochs; epoch++ {
-		batches, err := selected.Batches(cfg.BatchSize, rng)
-		if err != nil {
-			return LocalOutcome{}, fmt.Errorf("core: client %d: batches: %w", cl.ID, err)
-		}
-		var epochLoss float64
-		for _, b := range batches {
-			logits := local.Forward(b.X, true)
-			v, dl, err := loss.LossInto(&ls, logits, b.Y)
-			if err != nil {
-				return LocalOutcome{}, fmt.Errorf("core: client %d: loss: %w", cl.ID, err)
-			}
-			local.Backward(dl)
-			sgd.Step()
-			epochLoss += v * float64(len(b.Y))
-		}
-		lastLoss = epochLoss / float64(selected.Len())
-	}
-
-	cost, err := simtime.ClientRoundCost(local, cl.Device,
-		cl.Data.Len(), selected.Len(), cfg.LocalEpochs, cfg.Selector.ScoringPasses())
+	var state []*tensor.Tensor
+	res, err := rep.train(cfg, cl, round, &state)
 	if err != nil {
-		return LocalOutcome{}, fmt.Errorf("core: client %d: cost: %w", cl.ID, err)
-	}
-
-	live, err := local.GroupStateTensors(local.TrainableGroupNames())
-	if err != nil {
-		return LocalOutcome{}, fmt.Errorf("core: client %d: state: %w", cl.ID, err)
-	}
-	state := make([]*tensor.Tensor, len(live))
-	for i, ts := range live {
-		state[i] = ts.Clone()
+		return LocalOutcome{}, err
 	}
 	return LocalOutcome{
-		State:       state,
-		NumSelected: selected.Len(),
-		Cost:        cost,
-		TrainLoss:   lastLoss,
-		MeanEntropy: meanEntropy,
+		State:       res.state,
+		NumSelected: res.numSelected,
+		Cost:        res.cost,
+		TrainLoss:   res.trainLoss,
+		MeanEntropy: res.meanEntropy,
 	}, nil
 }
 
@@ -180,25 +95,4 @@ func NewLocalConfig(cfg Config) (Config, error) {
 		return Config{}, err
 	}
 	return cfg, nil
-}
-
-// runClientRound adapts LocalUpdate to the Runner's internal result type,
-// narrowing the trainable groups to the client's layer mask when one is set.
-func runClientRound(cfg Config, global *models.Model, cl *Client, round int, mask []string) (clientResult, error) {
-	if mask != nil {
-		cfg.TrainGroups = mask
-	}
-	out, err := LocalUpdate(cfg, global, cl, round)
-	if err != nil {
-		return clientResult{}, err
-	}
-	return clientResult{
-		clientID:    cl.ID,
-		state:       out.State,
-		numSelected: out.NumSelected,
-		localSize:   cl.Data.Len(),
-		cost:        out.Cost,
-		trainLoss:   out.TrainLoss,
-		meanEntropy: out.MeanEntropy,
-	}, nil
 }

@@ -9,12 +9,13 @@ import (
 	"fedfteds/internal/simtime"
 )
 
-// TestReplicaPathBitIdenticalToLegacy pins the tentpole invariant: the pooled
-// replica engine (reused model, optimizer, batch iterator, state buffers)
-// produces byte-for-byte the same History and final global model as the
-// legacy clone-per-client path, across selectors, momentum, FedProx and
-// dropout, and with more clients than workers so replicas are rebound
-// mid-round.
+// TestReplicaPathBitIdenticalToLegacy pins the replica pool's invariant:
+// training on reused replicas (model, optimizer, batch iterator and state
+// buffers rebound per client) produces byte-for-byte the same History and
+// final global model as giving every client-round a fresh one-shot replica —
+// what LocalUpdate does — so reuse leaks no state from one client into the
+// next. It runs across selectors, momentum, FedProx and dropout, and with
+// more clients than workers so replicas are rebound mid-round.
 func TestReplicaPathBitIdenticalToLegacy(t *testing.T) {
 	clients, _, test, spec := testFederation(t, 6, 0.5)
 
@@ -76,11 +77,11 @@ func TestReplicaPathBitIdenticalToLegacy(t *testing.T) {
 		},
 	}
 
-	run := func(t *testing.T, fast bool, cfg Config, spec models.Spec) (History, *models.Model) {
+	run := func(t *testing.T, pooled bool, cfg Config, spec models.Spec) (History, *models.Model) {
 		t.Helper()
-		prev := useReplicaPath
-		useReplicaPath = fast
-		defer func() { useReplicaPath = prev }()
+		prev := reuseReplicas
+		reuseReplicas = pooled
+		defer func() { reuseReplicas = prev }()
 		m, err := models.Build(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -98,22 +99,13 @@ func TestReplicaPathBitIdenticalToLegacy(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			histLegacy, mLegacy := run(t, false, tc.cfg, tc.spec)
-			histFast, mFast := run(t, true, tc.cfg, tc.spec)
+			histFresh, mFresh := run(t, false, tc.cfg, tc.spec)
+			histPooled, mPooled := run(t, true, tc.cfg, tc.spec)
 
-			if !reflect.DeepEqual(histLegacy, histFast) {
-				t.Fatalf("histories differ:\nlegacy: %+v\nfast:   %+v", histLegacy, histFast)
+			if !reflect.DeepEqual(histFresh, histPooled) {
+				t.Fatalf("histories differ:\nfresh:  %+v\npooled: %+v", histFresh, histPooled)
 			}
-			legacyState := mLegacy.StateTensors()
-			fastState := mFast.StateTensors()
-			if len(legacyState) != len(fastState) {
-				t.Fatalf("state tensor count differs: %d vs %d", len(legacyState), len(fastState))
-			}
-			for i := range legacyState {
-				if !legacyState[i].Equal(fastState[i]) {
-					t.Fatalf("global state tensor %d differs between paths", i)
-				}
-			}
+			requireSameState(t, mFresh, mPooled)
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fedfteds/internal/ckpt"
+	"fedfteds/internal/comm"
 	"fedfteds/internal/models"
 )
 
@@ -17,7 +18,7 @@ const goldenAsyncCkptFile = "testdata/golden-async-round2.fedckpt"
 func goldenAsyncState() *AsyncState {
 	return &AsyncState{
 		Version: 7,
-		Buffer: []BufferedUpdate{
+		Buffer: []comm.ClientUpdate{
 			{
 				ClientID: 3, Round: 8, Version: 7,
 				State:       []byte("golden-async-update-a"),
@@ -143,5 +144,29 @@ func TestGoldenCheckpointAsync(t *testing.T) {
 	if string(reBlob) != string(blob) {
 		t.Fatalf("re-encoding the golden async state changed its bytes (%d vs %d): the async "+
 			"section format drifted without a fixture update", len(reBlob), len(blob))
+	}
+}
+
+// TestAsyncBufferRestoresCodecEcho: the async section does not store each
+// buffered update's codec echo, so a decoded buffer must carry the session
+// codec the codec section names — otherwise a warm-started float16 server
+// would refuse its own checkpointed updates as identity-encoded.
+func TestAsyncBufferRestoresCodecEcho(t *testing.T) {
+	state := &RunState{CodecName: "float16", Async: goldenAsyncState()}
+	sections, err := state.Sections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunStateFromSections(sections)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Async.Buffer) != 2 {
+		t.Fatalf("%d buffered updates, want 2", len(got.Async.Buffer))
+	}
+	for i, u := range got.Async.Buffer {
+		if u.Codec != "float16" {
+			t.Fatalf("buffered update %d decoded with codec echo %q, want float16", i, u.Codec)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 
 	"fedfteds/internal/data"
@@ -16,18 +17,18 @@ import (
 	"fedfteds/internal/tensor"
 )
 
-// useReplicaPath gates the Runner's pooled client-replica fast path. The
-// legacy clone-per-client path (LocalUpdate) is kept so the equivalence tests
-// can pin the fast path bit-identical to it; production runs never disable
-// this.
-var useReplicaPath = true
+// reuseReplicas is a test hook. Production runs always train on the Runner's
+// pooled replicas; the equivalence tests flip it to give every client-round a
+// fresh one-shot replica instead (what LocalUpdate does), pinning that reuse
+// leaks no state from one client into the next.
+var reuseReplicas = true
 
-// replica is one worker's reusable client-training context: a model replica
-// that is re-filled from the global model per client (instead of a full
-// Clone per client-round), a reusable SGD whose momentum buffers are zeroed
-// per round, a streaming batch iterator, and the loss scratch. Together with
-// the per-layer workspace caches this makes the steady-state training loop
-// allocation-free.
+// replica is a client-training context: a model clone, an SGD over its
+// trainable parameters, a streaming batch iterator, and the loss scratch.
+// The Runner keeps one per worker and rebinds it per client (instead of a
+// full Clone per client-round), which together with the per-layer workspace
+// caches makes the steady-state training loop allocation-free; LocalUpdate
+// builds one, trains once, and drops it.
 //
 // A replica belongs to exactly one worker goroutine at a time. Rebinding is
 // bit-identical to cloning: the full model state (params and buffers) is
@@ -36,7 +37,7 @@ var useReplicaPath = true
 type replica struct {
 	model *models.Model
 	sgd   *opt.SGD
-	iter  *data.BatchIter
+	iter  data.BatchIter
 	loss  nn.LossScratch
 	// hook is the strategy's client-side objective twist, bound per round.
 	hook strategy.LocalHook
@@ -44,22 +45,33 @@ type replica struct {
 	// caches one optimizer per distinct mask (each mask has its own
 	// trainable-parameter set): tiered runs rebind masks per client without
 	// re-allocating velocity buffers. sgdCfg rebuilds optimizers for masks
-	// first seen mid-run. The untiered path never leaves the initial mask,
-	// so it keeps using the construction-time sgd untouched.
+	// first seen mid-run. Both are filled on the first masked rebind: the
+	// untiered path and one-shot replicas never leave the construction-time
+	// model/optimizer pair and never pay for the cache.
 	maskKey string
 	sgds    map[string]*opt.SGD
 	sgdCfg  opt.SGDConfig
 }
 
-// newReplica builds a worker replica for the runner's global model.
-func newReplica(global *models.Model, cfg Config) (*replica, error) {
+// newReplica clones global into a training context at the configured
+// finetune part, narrowed to mask when one is given, with exactly one SGD
+// over the resulting trainable parameters.
+func newReplica(global *models.Model, cfg Config, mask []string) (*replica, error) {
 	m, err := global.Clone()
 	if err != nil {
-		return nil, fmt.Errorf("core: replica clone: %w", err)
+		return nil, fmt.Errorf("clone: %w", err)
 	}
 	if err := m.SetFinetunePart(cfg.FinetunePart); err != nil {
-		return nil, fmt.Errorf("core: replica: %w", err)
+		return nil, err
 	}
+	if len(mask) > 0 {
+		if err := m.SetTrainableGroups(mask); err != nil {
+			return nil, fmt.Errorf("mask: %w", err)
+		}
+	}
+	// The strategy's local hook carries the per-round objective twist
+	// (FedProx tunes μ into the optimizer and snapshots the proximal anchor
+	// at bind time); plain strategies leave the optimizer untouched.
 	hook := cfg.localHook()
 	sgdCfg := opt.SGDConfig{
 		LR:          cfg.LR,
@@ -71,11 +83,24 @@ func newReplica(global *models.Model, cfg Config) (*replica, error) {
 	}
 	sgd, err := opt.NewSGD(sgdCfg, m.TrainableParams())
 	if err != nil {
-		return nil, fmt.Errorf("core: replica: %w", err)
+		return nil, err
 	}
-	key := strings.Join(m.TrainableGroupNames(), ",")
-	return &replica{model: m, sgd: sgd, iter: &data.BatchIter{}, hook: hook,
-		maskKey: key, sgds: map[string]*opt.SGD{key: sgd}, sgdCfg: sgdCfg}, nil
+	return &replica{model: m, sgd: sgd, hook: hook, sgdCfg: sgdCfg}, nil
+}
+
+// rebind points a pooled replica at its next client: the global state copied
+// in, the client's layer mask bound, transient RNGs and optimizer state
+// rewound — everything a fresh newReplica would start from.
+func (rep *replica) rebind(global *models.Model, mask []string) error {
+	if err := rep.model.CopyStateFrom(global); err != nil {
+		return fmt.Errorf("rebind replica: %w", err)
+	}
+	if err := rep.bindMask(mask); err != nil {
+		return fmt.Errorf("mask: %w", err)
+	}
+	rep.model.ResetTransientRNGs()
+	rep.sgd.Reset()
+	return nil
 }
 
 // bindMask applies a client's layer mask to the replica, swapping in the
@@ -86,6 +111,10 @@ func newReplica(global *models.Model, cfg Config) (*replica, error) {
 func (rep *replica) bindMask(mask []string) error {
 	if mask == nil {
 		return nil
+	}
+	if rep.sgds == nil {
+		rep.maskKey = strings.Join(rep.model.TrainableGroupNames(), ",")
+		rep.sgds = map[string]*opt.SGD{rep.maskKey: rep.sgd}
 	}
 	key := strings.Join(mask, ",")
 	if key == rep.maskKey {
@@ -106,19 +135,11 @@ func (rep *replica) bindMask(mask []string) error {
 	return nil
 }
 
-// runReplicaRound executes one client's local round on a pooled replica,
-// mirroring LocalUpdate operation for operation (same RNG streams, same
-// batch composition, same update order) so the two paths produce bit-identical
-// histories. The trained state is copied into stateBuf's reused tensors,
-// which the caller owns per result slot.
-func runReplicaRound(cfg Config, global *models.Model, rep *replica, cl *Client, round int, mask []string, stateBuf *[]*tensor.Tensor) (clientResult, error) {
-	if err := rep.model.CopyStateFrom(global); err != nil {
-		return clientResult{}, fmt.Errorf("core: client %d: rebind replica: %w", cl.ID, err)
-	}
-	if err := rep.bindMask(mask); err != nil {
-		return clientResult{}, fmt.Errorf("core: client %d: mask: %w", cl.ID, err)
-	}
-	rep.model.ResetTransientRNGs()
+// train executes one client's local round on a freshly built or rebound
+// replica: data selection, E epochs of SGD on the selected subset, and cost
+// accounting. The trained state of the trainable groups is copied into
+// stateBuf's reused tensors, which the caller owns.
+func (rep *replica) train(cfg Config, cl *Client, round int, stateBuf *[]*tensor.Tensor) (clientResult, error) {
 	rng := seeds.ClientRound(cfg.Seed, round, cl.ID)
 
 	var (
@@ -137,33 +158,18 @@ func runReplicaRound(cfg Config, global *models.Model, rep *replica, cl *Client,
 	if err := rep.iter.Bind(cl.Data, selIdx, cfg.BatchSize); err != nil {
 		return clientResult{}, fmt.Errorf("core: client %d: batches: %w", cl.ID, err)
 	}
-
-	rep.sgd.Reset()
 	if rep.hook != nil {
 		if err := rep.hook.OnBind(rep.sgd); err != nil {
 			return clientResult{}, fmt.Errorf("core: client %d: hook %s: %w", cl.ID, rep.hook.Name(), err)
 		}
 	}
 
-	loss := nn.SoftmaxCrossEntropy{}
 	numSelected := rep.iter.Len()
 	var lastLoss float64
 	for epoch := 0; epoch < cfg.LocalEpochs; epoch++ {
-		rep.iter.Reset(rng)
-		var epochLoss float64
-		for {
-			b, ok := rep.iter.Next()
-			if !ok {
-				break
-			}
-			logits := rep.model.Forward(b.X, true)
-			v, dl, err := loss.LossInto(&rep.loss, logits, b.Y)
-			if err != nil {
-				return clientResult{}, fmt.Errorf("core: client %d: loss: %w", cl.ID, err)
-			}
-			rep.model.Backward(dl)
-			rep.sgd.Step()
-			epochLoss += v * float64(len(b.Y))
+		epochLoss, err := trainEpoch(rep.model, rep.sgd, &rep.iter, &rep.loss, rng)
+		if err != nil {
+			return clientResult{}, fmt.Errorf("core: client %d: loss: %w", cl.ID, err)
 		}
 		lastLoss = epochLoss / float64(numSelected)
 	}
@@ -178,16 +184,7 @@ func runReplicaRound(cfg Config, global *models.Model, rep *replica, cl *Client,
 	if err != nil {
 		return clientResult{}, fmt.Errorf("core: client %d: state: %w", cl.ID, err)
 	}
-	if len(*stateBuf) < len(live) {
-		*stateBuf = append(*stateBuf, make([]*tensor.Tensor, len(live)-len(*stateBuf))...)
-	}
-	state := (*stateBuf)[:len(live)]
-	for i, ts := range live {
-		state[i] = tensor.Ensure(state[i], ts.Shape()...)
-		if err := state[i].CopyFrom(ts); err != nil {
-			return clientResult{}, fmt.Errorf("core: client %d: state tensor %d: %w", cl.ID, i, err)
-		}
-	}
+	state := snapshotState(*stateBuf, live)
 	*stateBuf = state
 	return clientResult{
 		clientID:    cl.ID,
@@ -198,4 +195,48 @@ func runReplicaRound(cfg Config, global *models.Model, rep *replica, cl *Client,
 		trainLoss:   lastLoss,
 		meanEntropy: meanEntropy,
 	}, nil
+}
+
+// trainEpoch runs one reshuffled SGD pass over the samples iter is bound to —
+// forward, loss, backward, step per minibatch — and returns the summed
+// per-sample loss. It is the repository's one training loop body: client
+// rounds and centralized training both run it.
+func trainEpoch(m *models.Model, sgd *opt.SGD, iter *data.BatchIter, ls *nn.LossScratch, rng *rand.Rand) (float64, error) {
+	iter.Reset(rng)
+	var sum float64
+	for {
+		b, ok := iter.Next()
+		if !ok {
+			return sum, nil
+		}
+		logits := m.Forward(b.X, true)
+		v, dl, err := nn.SoftmaxCrossEntropy{}.LossInto(ls, logits, b.Y)
+		if err != nil {
+			return 0, err
+		}
+		m.Backward(dl)
+		sgd.Step()
+		sum += v * float64(len(b.Y))
+	}
+}
+
+// snapshotState copies live into buf's retained tensors — cloning where buf
+// holds none yet, re-shaping where a tensor's shape changed — and returns the
+// snapshot, which reuses buf's backing array when it is large enough.
+func snapshotState(buf, live []*tensor.Tensor) []*tensor.Tensor {
+	if cap(buf) < len(live) {
+		buf = append(buf[:cap(buf)], make([]*tensor.Tensor, len(live)-cap(buf))...)
+	}
+	buf = buf[:len(live)]
+	for i, src := range live {
+		switch {
+		case buf[i] == nil:
+			buf[i] = src.Clone()
+			continue
+		case !buf[i].SameShape(src):
+			buf[i] = tensor.Ensure(buf[i], src.Shape()...)
+		}
+		copy(buf[i].Data(), src.Data())
+	}
+	return buf
 }

@@ -116,8 +116,8 @@ type Runner struct {
 	updScratch    []strategy.Update
 	weightScratch []float64
 	avgScratch    []*tensor.Tensor
-	// replicas are the per-worker reusable client-training contexts of the
-	// fast path, created lazily on first use and kept across rounds.
+	// replicas are the per-worker reusable client-training contexts,
+	// created lazily on first use and kept across rounds.
 	replicas []*replica
 	// stateBufs holds per-result-slot reused state snapshot tensors, and
 	// results/errs are the per-round result buffers — reused across rounds
@@ -178,37 +178,17 @@ type Runner struct {
 // NewRunner validates the configuration and constructs a runner. The global
 // model is used in place (its state after Run is the trained model).
 func NewRunner(cfg Config, global *models.Model, clients []*Client, test *data.Dataset) (*Runner, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if global == nil {
-		return nil, fmt.Errorf("%w: nil global model", ErrConfig)
-	}
-	if len(clients) == 0 {
-		return nil, fmt.Errorf("%w: no clients", ErrConfig)
-	}
 	for _, cl := range clients {
-		if cl.Data == nil || cl.Data.Len() == 0 {
+		if cl.Data == nil {
 			return nil, fmt.Errorf("%w: client %d has no data", ErrConfig, cl.ID)
 		}
-		if cl.Device.FLOPSRate <= 0 {
-			return nil, fmt.Errorf("%w: client %d device rate %v", ErrConfig, cl.ID, cl.Device.FLOPSRate)
-		}
 	}
-	if test == nil || test.Len() == 0 {
-		return nil, fmt.Errorf("%w: empty test set", ErrConfig)
-	}
-	if len(cfg.TrainGroups) > 0 {
-		return nil, fmt.Errorf("%w: TrainGroups is a standalone-client setting; in-process runs "+
-			"derive per-client masks from TierDist", ErrConfig)
-	}
-	strat, err := cfg.resolveStrategy()
+	r, err := NewRunnerWithSource(cfg, global, eagerSource{clients: clients}, test)
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{cfg: cfg, global: global, clients: clients, src: eagerSource{clients: clients},
-		test: test, utility: sched.NewTracker(), strat: strat}, nil
+	r.clients = clients
+	return r, nil
 }
 
 // GlobalModel returns the (live) global model.
@@ -221,43 +201,10 @@ func (r *Runner) GlobalModel() *models.Model { return r.global }
 // Config.CheckpointDir is set, a checkpoint is written every
 // Config.CheckpointEvery rounds and always after the final round.
 func (r *Runner) Run() (History, error) {
-	if r.restored {
-		// RestoreInto armed this run to continue after startRound; consume
-		// the arming so any later Run on the same runner starts fresh (the
-		// legacy re-run semantics) instead of appending duplicate rounds.
-		r.restored = false
-	} else {
-		r.hist = History{}
-		r.acct = simtime.Accountant{}
-		r.startRound = 0
-		r.doneRound = 0
-	}
-
-	// The paper's FedFT freezes the lower part on the *server's* model too:
-	// group states that never train are never communicated.
-	if err := r.global.SetFinetunePart(r.cfg.FinetunePart); err != nil {
-		return r.hist, err
-	}
-	commGroups := r.global.TrainableGroupNames()
-	// The communicated tensors are live views into the global model and the
-	// groups never change during a run, so they are resolved once here
-	// instead of once per round in aggregate.
-	commState, err := r.global.GroupStateTensors(commGroups)
+	stateSize, err := r.prepareRun()
 	if err != nil {
 		return r.hist, err
 	}
-	stateSize, err := r.stateBytes(commGroups)
-	if err != nil {
-		return r.hist, err
-	}
-	r.commGroups, r.commState = commGroups, commState
-	if err := r.setupTiers(); err != nil {
-		return r.hist, err
-	}
-	if err := r.cacheProjectedCosts(); err != nil {
-		return r.hist, err
-	}
-
 	for round := r.startRound + 1; round <= r.cfg.Rounds; round++ {
 		participants, positions, cohortSize, err := r.sampleParticipants(round)
 		if err != nil {
@@ -273,65 +220,118 @@ func (r *Runner) Run() (History, error) {
 		if err := r.codecRoundTrip(results, round); err != nil {
 			return r.hist, err
 		}
-		if err := r.aggregate(results, commState, nil); err != nil {
+		if err := r.aggregate(results, r.commState, nil); err != nil {
 			return r.hist, err
-		}
-
-		var lossSum float64
-		for i, res := range results {
-			uplink := stateSize
-			if r.maskActive {
-				uplink = r.bytesScratch[i]
-			}
-			if r.codecActive() {
-				uplink = r.codecUplink[i]
-			}
-			r.acct.AddRound(res.cost)
-			r.acct.AddCommunication(uplink, stateSize)
-			lossSum += res.trainLoss
-			r.utility.ObserveUpdate(positions[i], res.meanEntropy, res.trainLoss, res.cost.Total())
 		}
 		// Training is done and results hold runner-owned state copies: the
 		// participants' datasets are no longer needed, so a lazy source can
 		// reclaim them — this is what keeps fleet runs O(cohort) resident.
 		r.src.Release(participants)
-
-		rec := RoundRecord{
-			Round:           round,
-			CohortSize:      cohortSize,
-			Participants:    len(results),
-			TestAccuracy:    math.NaN(),
-			MeanTrainLoss:   lossSum / float64(len(results)),
-			CumTrainSeconds: r.acct.TotalSeconds(),
-			CumUplinkBytes:  r.acct.UplinkBytes(),
+		if err := r.recordRound(round, cohortSize, results, positions, stateSize); err != nil {
+			return r.hist, err
 		}
-		if r.cfg.Scheduler != nil {
-			rec.SchedPolicy = r.cfg.Scheduler.Name()
-		}
-		if r.cfg.EvalEvery > 0 && (round%r.cfg.EvalEvery == 0 || round == r.cfg.Rounds) {
-			acc, err := metrics.Accuracy(r.global, r.test)
-			if err != nil {
-				return r.hist, fmt.Errorf("core: eval round %d: %w", round, err)
-			}
-			rec.TestAccuracy = acc
-			if acc > r.hist.BestAccuracy {
-				r.hist.BestAccuracy = acc
-			}
-			r.hist.FinalAccuracy = acc
-		}
-		r.hist.Records = append(r.hist.Records, rec)
-		r.doneRound = round
-
 		if r.cfg.CheckpointEvery > 0 && (round%r.cfg.CheckpointEvery == 0 || round == r.cfg.Rounds) {
 			if _, err := r.SaveCheckpoint(r.cfg.CheckpointDir); err != nil {
 				return r.hist, fmt.Errorf("core: checkpoint round %d: %w", round, err)
 			}
 		}
 	}
+	return r.finishRun(), nil
+}
+
+// prepareRun is the preamble every engine shares: reset the per-run state
+// (unless RestoreInto armed a continuation), freeze the non-finetuned part,
+// resolve the communicated groups and tensors once, set up tiers, and project
+// every client's round cost from descriptors alone. It returns the wire size
+// of the communicated state.
+func (r *Runner) prepareRun() (int64, error) {
+	if r.restored {
+		// RestoreInto armed this run to continue after startRound; consume
+		// the arming so any later run on the same runner starts fresh (the
+		// legacy re-run semantics) instead of appending duplicate rounds.
+		r.restored = false
+	} else {
+		r.hist = History{}
+		r.acct = simtime.Accountant{}
+		r.startRound, r.doneRound = 0, 0
+	}
+	// The paper's FedFT freezes the lower part on the *server's* model too:
+	// group states that never train are never communicated.
+	if err := r.global.SetFinetunePart(r.cfg.FinetunePart); err != nil {
+		return 0, err
+	}
+	r.commGroups = r.global.TrainableGroupNames()
+	// The communicated tensors are live views into the global model and the
+	// groups never change during a run, so they are resolved once here
+	// instead of once per round in aggregate.
+	commState, err := r.global.GroupStateTensors(r.commGroups)
+	if err != nil {
+		return 0, err
+	}
+	r.commState = commState
+	var stateSize int64
+	for _, t := range commState {
+		stateSize += int64(t.EncodedSize())
+	}
+	if err := r.setupTiers(); err != nil {
+		return 0, err
+	}
+	return stateSize, r.cacheProjectedCosts()
+}
+
+// recordRound closes one round (or buffered aggregation): it charges the
+// folded updates to the accountant, feeds the scheduler's utility tracker,
+// evaluates on the EvalEvery cadence and appends the round's record.
+// positions is parallel to results.
+func (r *Runner) recordRound(round, cohortSize int, results []clientResult, positions []int, stateSize int64) error {
+	var lossSum float64
+	for i, res := range results {
+		uplink := stateSize
+		if r.maskActive {
+			uplink = r.bytesScratch[i]
+		}
+		if r.codecActive() {
+			uplink = r.codecUplink[i]
+		}
+		r.acct.AddRound(res.cost)
+		r.acct.AddCommunication(uplink, stateSize)
+		lossSum += res.trainLoss
+		r.utility.ObserveUpdate(positions[i], res.meanEntropy, res.trainLoss, res.cost.Total())
+	}
+	rec := RoundRecord{
+		Round:           round,
+		CohortSize:      cohortSize,
+		Participants:    len(results),
+		TestAccuracy:    math.NaN(),
+		MeanTrainLoss:   lossSum / float64(len(results)),
+		CumTrainSeconds: r.acct.TotalSeconds(),
+		CumUplinkBytes:  r.acct.UplinkBytes(),
+	}
+	if r.cfg.Scheduler != nil {
+		rec.SchedPolicy = r.cfg.Scheduler.Name()
+	}
+	if r.cfg.EvalEvery > 0 && (round%r.cfg.EvalEvery == 0 || round == r.cfg.Rounds) {
+		acc, err := metrics.Accuracy(r.global, r.test)
+		if err != nil {
+			return fmt.Errorf("core: eval round %d: %w", round, err)
+		}
+		rec.TestAccuracy = acc
+		if acc > r.hist.BestAccuracy {
+			r.hist.BestAccuracy = acc
+		}
+		r.hist.FinalAccuracy = acc
+	}
+	r.hist.Records = append(r.hist.Records, rec)
+	r.doneRound = round
+	return nil
+}
+
+// finishRun closes the history's totals once the last round is recorded.
+func (r *Runner) finishRun() History {
 	r.hist.TotalTrainSeconds = r.acct.TotalSeconds()
 	r.hist.TotalUplinkBytes = r.acct.UplinkBytes()
 	r.hist.TotalDownlinkBytes = r.acct.DownlinkBytes()
-	return r.hist, nil
+	return r.hist
 }
 
 // maskProvider returns the strategy's per-client mask hook when one is
@@ -349,7 +349,8 @@ func (r *Runner) maskProvider() strategy.MaskProvider {
 // tier assignment, each tier's layer mask (the profile's affordable top
 // suffix, by per-group FLOP cost, intersected with the communicated groups),
 // and the tensor→group layout the per-layer aggregation filters by. Untiered
-// runs without a mask provider clear everything, keeping the legacy paths.
+// runs without a mask provider clear everything: every update then covers
+// every communicated tensor.
 // Called once per Run, after the finetune part is applied.
 func (r *Runner) setupTiers() error {
 	r.tiers, r.tierMasks, r.commLayout, r.commIndex = nil, nil, nil, nil
@@ -461,8 +462,8 @@ func (r *Runner) coverFor(mask []string) ([]int, int64, error) {
 
 // prepareRoundMasks resolves each participant's layer mask for the round: the
 // tier's mask by default, optionally overridden per client by the strategy's
-// MaskProvider hook. On untiered runs without a provider it deactivates the
-// masked paths, so the legacy whole-state round is untouched.
+// MaskProvider hook. On untiered runs without a provider there are no masks:
+// every participant trains and ships the whole communicated state.
 func (r *Runner) prepareRoundMasks(participants []*Client, positions []int, round int) error {
 	if r.commLayout == nil {
 		r.maskActive = false
@@ -543,31 +544,7 @@ func (r *Runner) sampleParticipants(round int) ([]*Client, []int, int, error) {
 
 	cohort, cohortTimes := ids, times
 	if r.cfg.Scheduler != nil {
-		// Candidates are keyed by pool position, the same key the straggler
-		// policy and the utility tracker use. The slice is runner scratch,
-		// rebuilt in place every round (every field is overwritten, so no
-		// stale state survives reuse).
-		n := r.src.NumClients()
-		if cap(r.candScratch) < n {
-			r.candScratch = make([]sched.Candidate, n)
-		}
-		cands := r.candScratch[:n]
-		for i := 0; i < n; i++ {
-			d := r.src.Describe(i)
-			cands[i] = sched.Candidate{
-				ClientID:         i,
-				DataSize:         d.DataSize,
-				ProjectedSeconds: times[i],
-				Available:        true,
-				Cluster:          d.Cluster,
-			}
-			if r.tiers != nil {
-				cands[i].Tier = r.tiers[i]
-			}
-		}
-		r.utility.Stamp(cands)
-		srng := tensor.NewRand(uint64(r.cfg.Seed), uint64(round), sched.StreamTag)
-		cohort = r.cfg.Scheduler.Schedule(round, cands, r.cfg.CohortSize, srng)
+		cohort = r.schedule(round, r.cfg.CohortSize, nil)
 		if len(cohort) == 0 {
 			return nil, nil, 0, fmt.Errorf("core: scheduler %s returned an empty cohort in round %d",
 				r.cfg.Scheduler.Name(), round)
@@ -615,6 +592,43 @@ func (r *Runner) sampleParticipants(round int) ([]*Client, []int, int, error) {
 	return out, chosen, len(cohort), nil
 }
 
+// schedule asks the configured scheduler for k of the pool positions not
+// marked busy (nil: none are). Candidates are keyed by pool position, the
+// same key the straggler policy and the utility tracker use. Busy positions
+// are excluded from the candidate set itself, not just flagged: availability
+// wrappers overwrite the Available flag from their own churn state. The
+// slice is runner scratch, rebuilt in place every call.
+func (r *Runner) schedule(round, k int, busy func(pos int) bool) []int {
+	n := r.src.NumClients()
+	if cap(r.candScratch) < n {
+		r.candScratch = make([]sched.Candidate, 0, n)
+	}
+	cands := r.candScratch[:0]
+	for i := 0; i < n; i++ {
+		if busy != nil && busy(i) {
+			continue
+		}
+		d := r.src.Describe(i)
+		c := sched.Candidate{
+			ClientID:         i,
+			DataSize:         d.DataSize,
+			ProjectedSeconds: r.projCost[i],
+			Available:        true,
+			Cluster:          d.Cluster,
+		}
+		if r.tiers != nil {
+			c.Tier = r.tiers[i]
+		}
+		cands = append(cands, c)
+	}
+	if len(cands) == 0 {
+		return nil
+	}
+	r.utility.Stamp(cands)
+	srng := tensor.NewRand(uint64(r.cfg.Seed), uint64(round), sched.StreamTag)
+	return r.cfg.Scheduler.Schedule(round, cands, k, srng)
+}
+
 // projectedSelected mirrors the selector's targetCount for cost projection.
 func projectedSelected(n int, fraction float64) int {
 	k := int(math.Ceil(fraction * float64(n)))
@@ -628,7 +642,7 @@ func projectedSelected(n int, fraction float64) int {
 }
 
 // slotMask returns participant slot's layer mask for the current round (nil
-// on legacy whole-state rounds, which skips every masked code path).
+// on whole-state rounds).
 func (r *Runner) slotMask(slot int) []string {
 	if !r.maskActive {
 		return nil
@@ -653,39 +667,14 @@ func (r *Runner) trainParticipants(participants []*Client, round int) ([]clientR
 	}
 	stateBufs := r.stateBufs[:n]
 
-	if !useReplicaPath {
-		// Legacy path: a fresh model clone, optimizer and batch copies per
-		// client-round. Kept as the reference the fast path is pinned to.
-		sem := make(chan struct{}, r.cfg.Parallelism)
-		var wg sync.WaitGroup
-		for i, cl := range participants {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(slot int, cl *Client) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				res, err := runClientRound(r.cfg, r.global, cl, round, r.slotMask(slot))
-				results[slot] = res
-				errs[slot] = err
-			}(i, cl)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return results, nil
-	}
-
 	workers := r.cfg.Parallelism
 	if workers > n {
 		workers = n
 	}
 	for len(r.replicas) < workers {
-		rep, err := newReplica(r.global, r.cfg)
+		rep, err := newReplica(r.global, r.cfg, nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: replica: %w", err)
 		}
 		r.replicas = append(r.replicas, rep)
 	}
@@ -701,9 +690,7 @@ func (r *Runner) trainParticipants(participants []*Client, round int) ([]clientR
 				if slot >= n {
 					return
 				}
-				res, err := runReplicaRound(r.cfg, r.global, rep, participants[slot], round, r.slotMask(slot), &stateBufs[slot])
-				results[slot] = res
-				errs[slot] = err
+				results[slot], errs[slot] = r.trainClient(rep, participants[slot], round, r.slotMask(slot), &stateBufs[slot])
 			}
 		}(r.replicas[w])
 	}
@@ -714,6 +701,22 @@ func (r *Runner) trainParticipants(participants []*Client, round int) ([]clientR
 		}
 	}
 	return results, nil
+}
+
+// trainClient runs one participant's local round on the worker's pooled
+// replica, rebound to the client (or, under the reuseReplicas test hook, on a
+// fresh one-shot replica — the same loop either way).
+func (r *Runner) trainClient(rep *replica, cl *Client, round int, mask []string, stateBuf *[]*tensor.Tensor) (clientResult, error) {
+	var err error
+	if reuseReplicas {
+		err = rep.rebind(r.global, mask)
+	} else {
+		rep, err = newReplica(r.global, r.cfg, mask)
+	}
+	if err != nil {
+		return clientResult{}, fmt.Errorf("core: client %d: %w", cl.ID, err)
+	}
+	return rep.train(r.cfg, cl, round, stateBuf)
 }
 
 // aggregate fuses client states into the weighted average of paper Eq. 5 —
@@ -755,56 +758,28 @@ func (r *Runner) aggregate(results []clientResult, globalState []*tensor.Tensor,
 			weights[i] *= lambdas[i]
 		}
 	}
-	var total float64
+	var sum float64
 	for i, w := range weights {
 		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 			return fmt.Errorf("core: strategy %s weighed client %d with %v", r.strat.Name(), ups[i].ClientID, w)
 		}
-		total += w
+		sum += w
 	}
-	if total <= 0 {
-		return fmt.Errorf("core: aggregate weights sum to %v", total)
+	if sum <= 0 {
+		return fmt.Errorf("core: aggregate weights sum to %v", sum)
 	}
 
 	if len(r.avgScratch) < len(globalState) {
 		r.avgScratch = append(r.avgScratch, make([]*tensor.Tensor, len(globalState)-len(r.avgScratch))...)
 	}
 	avg := r.avgScratch[:len(globalState)]
-	if r.maskActive {
-		return r.aggregateMasked(results, globalState, avg, weights)
-	}
-	for ti, dst := range globalState {
-		if avg[ti] == nil || !avg[ti].SameShape(dst) {
-			avg[ti] = tensor.Ensure(avg[ti], dst.Shape()...)
-		}
-		acc := avg[ti]
-		acc.Zero()
-		for ri, res := range results {
-			if ti >= len(res.state) {
-				return fmt.Errorf("core: client %d returned %d state tensors, want %d",
-					res.clientID, len(res.state), len(globalState))
-			}
-			if err := acc.Axpy(float32(weights[ri]/total), res.state[ti]); err != nil {
-				return fmt.Errorf("core: aggregating tensor %d from client %d: %w", ti, res.clientID, err)
-			}
-		}
-	}
-	if err := r.strat.ApplyAggregate(globalState, avg); err != nil {
-		return fmt.Errorf("core: strategy %s: %w", r.strat.Name(), err)
-	}
-	return nil
-}
-
-// aggregateMasked is the per-layer variant of the weighted average: every
-// communicated tensor is averaged — with its own weight total — only over the
-// participants whose mask covered it, via the round's cover maps. A tensor
-// nobody covered keeps the global value (its "average" is the current state,
-// so a strategy's server optimizer sees a zero delta). When every participant
-// covers every group, the per-tensor totals accumulate the same weights in
-// the same order as the legacy path's global total, so a full-mask tiered run
-// is bit-identical to an untiered one.
-func (r *Runner) aggregateMasked(results []clientResult, globalState, avg []*tensor.Tensor, weights []float64) error {
-	covers := r.coverScratch[:len(results)]
+	// Every communicated tensor is averaged, with its own weight total, over
+	// the participants whose mask covered it (all of them on unmasked rounds);
+	// a tensor nobody covered keeps the global value — its "average" is the
+	// current state, so a strategy's server optimizer sees a zero delta. When
+	// every participant covers every group the per-tensor totals accumulate
+	// the same weights in the same order as one global total would, so a
+	// full-mask tiered run is bit-identical to an untiered one.
 	for ti, dst := range globalState {
 		if avg[ti] == nil || !avg[ti].SameShape(dst) {
 			avg[ti] = tensor.Ensure(avg[ti], dst.Shape()...)
@@ -812,7 +787,7 @@ func (r *Runner) aggregateMasked(results []clientResult, globalState, avg []*ten
 		acc := avg[ti]
 		var total float64
 		for ri := range results {
-			if covers[ri][ti] >= 0 {
+			if r.coverIndex(ri, ti) >= 0 {
 				total += weights[ri]
 			}
 		}
@@ -824,12 +799,12 @@ func (r *Runner) aggregateMasked(results []clientResult, globalState, avg []*ten
 		}
 		acc.Zero()
 		for ri, res := range results {
-			ci := covers[ri][ti]
+			ci := r.coverIndex(ri, ti)
 			if ci < 0 {
 				continue
 			}
 			if ci >= len(res.state) {
-				return fmt.Errorf("core: client %d returned %d state tensors, want ≥%d for its mask",
+				return fmt.Errorf("core: client %d returned %d state tensors, want ≥%d",
 					res.clientID, len(res.state), ci+1)
 			}
 			if err := acc.Axpy(float32(weights[ri]/total), res.state[ci]); err != nil {
@@ -843,15 +818,12 @@ func (r *Runner) aggregateMasked(results []clientResult, globalState, avg []*ten
 	return nil
 }
 
-// stateBytes returns the wire size of the communicated model state.
-func (r *Runner) stateBytes(groups []string) (int64, error) {
-	ts, err := r.global.GroupStateTensors(groups)
-	if err != nil {
-		return 0, err
+// coverIndex maps communicated tensor ti to its index in participant ri's
+// shipped state: the identity on unmasked rounds, the round's cover map (-1
+// when the participant's mask excludes the tensor) on masked ones.
+func (r *Runner) coverIndex(ri, ti int) int {
+	if !r.maskActive {
+		return ti
 	}
-	var n int64
-	for _, t := range ts {
-		n += int64(t.EncodedSize())
-	}
-	return n, nil
+	return r.coverScratch[ri][ti]
 }

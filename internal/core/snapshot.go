@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"fedfteds/internal/ckpt"
+	"fedfteds/internal/comm"
 	"fedfteds/internal/models"
 	"fedfteds/internal/sched"
 	"fedfteds/internal/simtime"
@@ -57,30 +58,6 @@ const (
 	sectionFleet = "fleet"
 )
 
-// BufferedUpdate is one received-but-not-yet-aggregated client update of a
-// buffered-asynchronous server, the checkpoint rendering of the wire-level
-// ClientUpdate (the encoded state blob is carried opaquely).
-type BufferedUpdate struct {
-	// ClientID identifies the sender.
-	ClientID int
-	// Round is the aggregation index the update was dispatched under.
-	Round int
-	// Version is the model version the update was trained against; its
-	// staleness is re-measured against the restored version at fold time.
-	Version int
-	// State is the encoded updated state for the communicated groups.
-	State []byte
-	// Groups names the model groups State covers (empty for whole-state
-	// updates, mirroring the wire contract).
-	Groups []string
-	// NumSelected, TrainSeconds, TrainLoss and MeanEntropy mirror the wire
-	// update's reporting fields.
-	NumSelected  int
-	TrainSeconds float64
-	TrainLoss    float64
-	MeanEntropy  float64
-}
-
 // AsyncState is a buffered-asynchronous (FedBuff) server's resumable state
 // at a checkpoint boundary: the model version counter and the buffer of
 // updates that arrived but were not yet aggregated. Nil on synchronous
@@ -88,8 +65,10 @@ type BufferedUpdate struct {
 type AsyncState struct {
 	// Version is the number of aggregations applied since run start.
 	Version int
-	// Buffer holds the pending updates in arrival order.
-	Buffer []BufferedUpdate
+	// Buffer holds the pending wire updates in arrival order, the encoded
+	// state blobs carried opaquely. The checkpoint stores every field but the
+	// Codec echo, which decoding restores from the codec section.
+	Buffer []comm.ClientUpdate
 }
 
 // RunState is the complete resumable state of a federated run at a round
@@ -764,7 +743,7 @@ func RunStateFromSections(sections []ckpt.Section) (*RunState, error) {
 			return nil, fmt.Errorf("%w: async section claims %d buffered updates", ckpt.ErrCorrupt, n)
 		}
 		for i := uint64(0); i < n && async.Err() == nil; i++ {
-			u := BufferedUpdate{
+			u := comm.ClientUpdate{
 				ClientID: async.Int(),
 				Round:    async.Int(),
 				Version:  async.Int(),
@@ -806,6 +785,14 @@ func RunStateFromSections(sections []ckpt.Section) (*RunState, error) {
 		}
 		if err := codec.Done(); err != nil {
 			return nil, fmt.Errorf("codec section: %w", err)
+		}
+	}
+
+	// Buffered updates are stored without their codec echo: every one of them
+	// was accepted under the session codec the codec section names.
+	if s.Async != nil {
+		for i := range s.Async.Buffer {
+			s.Async.Buffer[i].Codec = s.CodecName
 		}
 	}
 

@@ -25,11 +25,11 @@ func TestExplicitFedAvgBitIdenticalToLegacy(t *testing.T) {
 			Parallelism: 2, Seed: 77,
 		}
 	}
-	run := func(t *testing.T, cfg Config, fast bool) (History, *models.Model) {
+	run := func(t *testing.T, cfg Config, pooled bool) (History, *models.Model) {
 		t.Helper()
-		prev := useReplicaPath
-		useReplicaPath = fast
-		defer func() { useReplicaPath = prev }()
+		prev := reuseReplicas
+		reuseReplicas = pooled
+		defer func() { reuseReplicas = prev }()
 		m, err := models.Build(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -44,13 +44,13 @@ func TestExplicitFedAvgBitIdenticalToLegacy(t *testing.T) {
 		}
 		return hist, m
 	}
-	for _, fast := range []bool{false, true} {
-		legacyHist, legacyModel := run(t, newCfg(), fast)
+	for _, pooled := range []bool{false, true} {
+		legacyHist, legacyModel := run(t, newCfg(), pooled)
 		cfg := newCfg()
 		cfg.Strategy = strategy.FedAvg()
-		stratHist, stratModel := run(t, cfg, fast)
+		stratHist, stratModel := run(t, cfg, pooled)
 		if !reflect.DeepEqual(legacyHist, stratHist) {
-			t.Fatalf("fast=%v: histories differ:\nlegacy:   %+v\nstrategy: %+v", fast, legacyHist, stratHist)
+			t.Fatalf("pooled=%v: histories differ:\nlegacy:   %+v\nstrategy: %+v", pooled, legacyHist, stratHist)
 		}
 		requireSameState(t, legacyModel, stratModel)
 	}

@@ -1,6 +1,8 @@
 package fleet_test
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"fedfteds/internal/models"
 	"fedfteds/internal/sched"
 	"fedfteds/internal/selection"
+	"fedfteds/internal/strategy"
 )
 
 // fixture builds a fleet spec, a shared test set, and the model builder used
@@ -437,4 +440,60 @@ func TestRunFleetAsyncValidation(t *testing.T) {
 			t.Fatalf("err %v, want RunFleetAsync redirect", err)
 		}
 	})
+}
+
+// TestFleetAsyncPartialBufferDigests pins the windowed buffered loop bit for
+// bit where Buffer < CohortSize: trace availability, staleness discards with
+// immediate re-dispatch, and departures that vacate window slots. The digest
+// (History %+v plus every final state float's bits) was captured before
+// RunAsync and RunFleetAsync were folded onto one loop.
+func TestFleetAsyncPartialBufferDigests(t *testing.T) {
+	for _, tt := range []struct {
+		name         string
+		rounds       int
+		maxStaleness int
+		departed     func(round, clientID int) bool
+		want         string
+	}{
+		{name: "discards", rounds: 6, maxStaleness: 2,
+			departed: func(round, clientID int) bool { return round == 3 && clientID%5 == 2 }, want: "1166fc6c5898c496"},
+		{name: "departures", rounds: 10, maxStaleness: 1,
+			departed: func(round, clientID int) bool { return round%2 == 0 && clientID%3 == 0 }, want: "9d7845dd4af77ce1"},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			spec, test, build := fixture(t, 18)
+			tr, err := fleet.ParseTrace(fleet.DiurnalTraceText(18))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := fleet.New(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := fleetCfg(tt.rounds, 6)
+			cfg.Scheduler = tr.Scheduler(sched.UniformRandom{})
+			m := build()
+			r, err := core.NewRunnerWithSource(cfg, m, f, test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hist, err := r.RunFleetAsync(core.FleetAsyncConfig{
+				AsyncConfig: core.AsyncConfig{Buffer: 3, MaxStaleness: tt.maxStaleness, Weigher: strategy.InvSqrtStaleness()},
+				Departed:    tt.departed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%+v", hist)
+			for _, ts := range m.StateTensors() {
+				for _, v := range ts.Data() {
+					fmt.Fprintf(h, "%08x", math.Float32bits(v))
+				}
+			}
+			if got := fmt.Sprintf("%016x", h.Sum64()); got != tt.want {
+				t.Fatalf("digest %s, want %s", got, tt.want)
+			}
+		})
+	}
 }

@@ -19,7 +19,6 @@ import (
 	"math"
 
 	"fedfteds/internal/comm"
-	"fedfteds/internal/tensor"
 )
 
 // codecName renders a possibly-nil codec for logs.
@@ -175,39 +174,20 @@ func FoldRound(engine *comm.RoundEngine, relayID int, rs comm.RoundStart) (comm.
 // re-encode reference the round's broadcast state, which each hop's peer
 // holds by construction.
 func foldRound(engine *comm.RoundEngine, relayID int, rs comm.RoundStart, leafCodec, upCodec comm.Codec) (comm.RegionUpdate, comm.RoundOutcome, error) {
-	var (
-		plain  *comm.StreamAggregator
-		masked *comm.MaskedStreamAggregator
-		fold   func(comm.ClientUpdate) error
-		err    error
-	)
-	// The broadcast state doubles as the codec reference on both hops (and
-	// as the masked aggregator's fallback); decode it once when any of the
-	// three needs it.
-	var bcast []*tensor.Tensor
-	if leafCodec != nil || upCodec != nil || len(rs.Layout) > 0 {
-		if bcast, err = comm.DecodeTensors(rs.State); err != nil {
-			return comm.RegionUpdate{}, comm.RoundOutcome{}, fmt.Errorf("relay %d: decoding broadcast: %w", relayID, err)
-		}
+	// The broadcast state is the codec reference on both hops, the shape
+	// every leaf update is validated against, and the fallback for layers no
+	// leaf covered.
+	bcast, err := comm.DecodeTensors(rs.State)
+	if err != nil {
+		return comm.RegionUpdate{}, comm.RoundOutcome{}, fmt.Errorf("relay %d: decoding broadcast: %w", relayID, err)
 	}
+	agg := comm.NewStreamAggregator()
 	if len(rs.Layout) > 0 {
-		masked, err = comm.NewMaskedStreamAggregator(nil, rs.Groups, rs.Layout)
-		if err != nil {
+		if agg, err = comm.NewMaskedStreamAggregator(nil, rs.Groups, rs.Layout); err != nil {
 			return comm.RegionUpdate{}, comm.RoundOutcome{}, err
 		}
-		if leafCodec != nil {
-			if err := masked.SetCodec(leafCodec, bcast); err != nil {
-				return comm.RegionUpdate{}, comm.RoundOutcome{}, err
-			}
-		}
-		fold = masked.Add
-	} else {
-		plain = comm.NewStreamAggregator()
-		if leafCodec != nil {
-			plain.SetCodec(leafCodec, bcast)
-		}
-		fold = plain.Add
 	}
+	agg.SetCodec(leafCodec, bcast)
 
 	var (
 		numSelected  int
@@ -218,13 +198,7 @@ func foldRound(engine *comm.RoundEngine, relayID int, rs comm.RoundStart, leafCo
 		weightSum    float64
 	)
 	out, err := engine.RunRound(rs, func(u comm.ClientUpdate) error {
-		if masked != nil && len(u.Groups) == 0 {
-			// Whole-state contract: an empty declaration means the leaf
-			// trained every broadcast group; the masked aggregator itself
-			// insists on an explicit subset.
-			u.Groups = rs.Groups
-		}
-		if err := fold(u); err != nil {
+		if err := agg.Add(u); err != nil {
 			return err
 		}
 		w := float64(u.NumSelected)
@@ -242,20 +216,10 @@ func foldRound(engine *comm.RoundEngine, relayID int, rs comm.RoundStart, leafCo
 		return comm.RegionUpdate{}, out, err
 	}
 
-	var (
-		total float64
-		fused []*tensor.Tensor
-	)
-	if masked != nil {
-		total = masked.Total()
-		if fused, err = masked.Finish(bcast); err != nil {
-			return comm.RegionUpdate{}, out, err
-		}
-	} else {
-		total = plain.Total()
-		if fused, err = plain.Finish(); err != nil {
-			return comm.RegionUpdate{}, out, err
-		}
+	total := agg.Total()
+	fused, err := agg.Finish()
+	if err != nil {
+		return comm.RegionUpdate{}, out, err
 	}
 	var blob []byte
 	codecEcho := ""

@@ -103,12 +103,13 @@ func TestRelayTreeMatchesFlatFederationExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	flatAgg.SetCodec(nil, fallback)
 	for id := 0; id < relays*leavesPer; id++ {
 		if err := flatAgg.Add(leafUpdate(id, 1, globalVersion)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	flat, err := flatAgg.Finish(fallback)
+	flat, err := flatAgg.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
