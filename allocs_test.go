@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"fedfteds/internal/comm"
 	"fedfteds/internal/core"
 	"fedfteds/internal/data"
 	"fedfteds/internal/device"
@@ -159,10 +160,9 @@ func allocFederation(t *testing.T, clients int) ([]*core.Client, *data.Dataset) 
 // TestLocalUpdateAllocBudget guards the one-shot cost of LocalUpdate, the
 // fedclient primitive: a fresh replica must not pay the pool's rebind (no
 // state copy straight after the clone, no optimizer cache), and a masked
-// call builds exactly one SGD at the mask. Each budget is the count the
-// standalone clone-per-call loop allocated on this federation before
-// LocalUpdate became a one-shot replica of the Runner's training loop; most
-// of it is the model clone.
+// call builds exactly one SGD at the mask. Each budget is the count measured
+// on this federation once the replica's own state tensors became the result
+// (no snapshot clone: 676/665/469 before); most of it is the model clone.
 func TestLocalUpdateAllocBudget(t *testing.T) {
 	clients, _ := allocFederation(t, 8)
 	m, err := models.Build(models.Spec{
@@ -186,9 +186,9 @@ func TestLocalUpdateAllocBudget(t *testing.T) {
 		cfg    core.Config
 		budget float64
 	}{
-		{"entropy selection", eds, 683},
-		{"all samples", all, 679},
-		{"classifier-only mask", masked, 476},
+		{"entropy selection", eds, 614},
+		{"all samples", all, 603},
+		{"classifier-only mask", masked, 461},
 	} {
 		cfg, err := core.NewLocalConfig(tt.cfg)
 		if err != nil {
@@ -202,6 +202,51 @@ func TestLocalUpdateAllocBudget(t *testing.T) {
 		if allocs > tt.budget {
 			t.Errorf("%s: LocalUpdate allocates %v times per call, want <= %v", tt.name, allocs, tt.budget)
 		}
+	}
+}
+
+// TestWirePathAllocBudget guards the copy-once wire path: a state blob and a
+// message body are each one allocation of exactly their encoded size, and a
+// decoded update's State is the received body itself rather than a copy.
+func TestWirePathAllocBudget(t *testing.T) {
+	m, err := models.Build(models.Spec{Arch: models.ArchMLP, InputShape: []int{64}, NumClasses: 10, Hidden: 32, InitSeed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := m.StateTensors()
+	size := 4
+	for _, ts := range state {
+		size += ts.EncodedSize()
+	}
+	var blob []byte
+	if allocs := testing.AllocsPerRun(10, func() {
+		if blob, err = comm.EncodeTensors(state); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 || len(blob) != size || cap(blob) != size {
+		t.Errorf("EncodeTensors: %v allocations, %d bytes in a buffer of %d; want 1 allocation of exactly %d", allocs, len(blob), cap(blob), size)
+	}
+
+	update := comm.ClientUpdate{ClientID: 1, Round: 2, State: blob, NumSelected: 16, TrainSeconds: 0.5, TrainLoss: 1.25}
+	var env comm.Envelope
+	if allocs := testing.AllocsPerRun(10, func() {
+		if env, err = comm.EncodeBody(comm.MsgClientUpdate, update); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 || cap(env.Body) != len(env.Body) {
+		t.Errorf("EncodeBody(ClientUpdate): %v allocations, %d bytes in a buffer of %d; want 1 exact allocation", allocs, len(env.Body), cap(env.Body))
+	}
+
+	var got comm.ClientUpdate
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err = comm.DecodeBody(env, &got); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("DecodeBody(ClientUpdate without Groups): %v allocations, want 0", allocs)
+	}
+	if len(got.State) != len(blob) || &got.State[0] != &env.Body[len(env.Body)-len(blob)] {
+		t.Error("decoded State does not alias the tail of the envelope body")
 	}
 }
 

@@ -63,8 +63,13 @@ func (e *Encoder) PutTensor(t *tensor.Tensor) error {
 	if t == nil {
 		return fmt.Errorf("ckpt: encode nil tensor")
 	}
-	_, err := t.WriteTo(&e.buf)
-	return err
+	e.buf.Grow(t.EncodedSize())
+	b, err := t.AppendTo(e.buf.AvailableBuffer())
+	if err != nil {
+		return err
+	}
+	e.buf.Write(b)
+	return nil
 }
 
 // PutTensors appends a count-prefixed tensor list.

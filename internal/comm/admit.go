@@ -53,26 +53,20 @@ func (a *Admitter) acceptLoop(l Listener) {
 	}
 }
 
-// handshake performs the server half of the registration exchange and
-// queues the connection for the next Drain. On any error, or when the queue
-// is full, the connection is closed — the peer retries with its usual
-// backoff.
+// handshake performs the server half of the registration exchange, bounded
+// by handshakeTimeout, and queues the connection for the next Drain. On any
+// error, or when the queue is full, the connection is closed — the peer
+// retries with its usual backoff.
 func (a *Admitter) handshake(conn Conn) {
-	env, err := conn.Recv()
-	if err != nil {
-		_ = conn.Close()
-		return
-	}
-	if env.Type != MsgHello {
-		_ = conn.Close()
-		return
-	}
 	var hello Hello
-	if err := DecodeBody(env, &hello); err != nil {
-		_ = conn.Close()
-		return
+	env, err := firstFrame(conn)
+	if err == nil {
+		hello, err = helloFrom(env)
 	}
-	if err := conn.Send(a.welcome); err != nil {
+	if err == nil {
+		err = sendWelcome(conn, a.welcome)
+	}
+	if err != nil {
 		_ = conn.Close()
 		return
 	}

@@ -33,14 +33,6 @@ func TestTCPSendRejectsOversizedFrame(t *testing.T) {
 	}
 }
 
-func TestDecodeBodyRejectsGarbage(t *testing.T) {
-	env := Envelope{Type: MsgHello, Body: []byte{0xde, 0xad, 0xbe, 0xef}}
-	var h Hello
-	if err := DecodeBody(env, &h); err == nil {
-		t.Fatal("expected gob decode error")
-	}
-}
-
 func TestMsgTypeStrings(t *testing.T) {
 	for typ, want := range map[MsgType]string{
 		MsgHello:        "hello",

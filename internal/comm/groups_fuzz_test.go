@@ -24,7 +24,7 @@ func decodeGroupSpec(mask uint8) []string {
 }
 
 // FuzzGroupsSubsetRoundTrip round-trips ClientUpdate.Groups declarations
-// through the gob envelope and validates them against the per-layer
+// through the envelope and validates them against the per-layer
 // aggregator: every canonical subset must survive encode/decode byte-exact
 // and be accepted, while unknown group names — and an empty declaration,
 // the whole-state contract, arriving with no tensors — must be rejected
@@ -74,7 +74,7 @@ func FuzzGroupsSubsetRoundTrip(f *testing.F) {
 		if err := DecodeBody(env, &got); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		// Gob encodes empty slices as nil; both mean "no declaration".
+		// An empty list decodes as nil; both mean "no declaration".
 		if len(groups) != 0 && !reflect.DeepEqual(got.Groups, groups) {
 			t.Fatalf("groups round-trip: sent %v, got %v", groups, got.Groups)
 		}

@@ -1,11 +1,11 @@
 // Package comm implements the federated-learning wire protocol: compact
-// tensor encoding, typed messages, and Transport implementations for
-// in-process testing and real TCP deployments (length-prefixed frames, gob
-// payloads). It is what cmd/fedserver and cmd/fedclient speak.
+// tensor encoding, typed messages with byte-specified bodies, and Transport
+// implementations for in-process testing and real TCP deployments
+// (length-prefixed frames). It is what cmd/fedserver and cmd/fedclient speak.
 package comm
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -65,13 +65,11 @@ type Hello struct {
 	// LocalSize is the client's local dataset size.
 	LocalSize int
 	// Tier names the client's device capability tier (see internal/device);
-	// empty on untiered federations. Gob omits empty strings, so legacy
-	// clients and servers interoperate unchanged.
+	// empty on untiered federations.
 	Tier string
 	// Relay marks a mid-tier aggregator registering on behalf of a region
 	// rather than a single device. Relays answer RoundStarts with
-	// RegionUpdate frames instead of ClientUpdates. Gob omits false, so
-	// legacy peers interoperate unchanged.
+	// RegionUpdate frames instead of ClientUpdates.
 	Relay bool
 	// Clients is the number of downstream leaf clients a relay speaks for
 	// (zero for plain clients). The root's scheduler uses it to weigh a
@@ -87,10 +85,8 @@ type Welcome struct {
 	Rounds int
 	// Codecs advertises the uplink codec the session runs, by canonical
 	// name (see ParseCodec). A server running the identity codec
-	// advertises nothing — gob omits the empty slice, so identity
-	// handshakes are byte-identical to pre-codec ones and legacy clients
-	// interoperate unchanged. Clients adopt the advertisement (-codec
-	// auto) or fail fast on a mismatch (PickCodec).
+	// advertises nothing. Clients adopt the advertisement (-codec auto) or
+	// fail fast on a mismatch (PickCodec).
 	Codecs []string
 }
 
@@ -99,6 +95,7 @@ type RoundStart struct {
 	// Round is the 1-based round index.
 	Round int
 	// State is the encoded global model state for the communicated groups.
+	// Decoded, it aliases the received Envelope.Body: read-only.
 	State []byte
 	// Groups names the model groups State covers (FedFT ships only the
 	// trainable upper part).
@@ -108,15 +105,14 @@ type RoundStart struct {
 	// LocalEpochs is E.
 	LocalEpochs int
 	// Version stamps the global model state with the number of aggregations
-	// applied since run start. Synchronous servers leave it zero (gob omits
-	// it); the buffered asynchronous engine uses the echo to measure an
-	// update's staleness.
+	// applied since run start. Synchronous servers leave it zero; the
+	// buffered asynchronous engine uses the echo to measure an update's
+	// staleness.
 	Version int
 	// Layout names, per tensor of State, the group it belongs to (the
 	// models.GroupStateLayout of the broadcast). The root sets it in relay
 	// mode so a relay — which has no model of its own — can aggregate
-	// masked tier updates per layer. Empty otherwise; gob omits it, so
-	// legacy peers interoperate unchanged.
+	// masked tier updates per layer. Empty otherwise.
 	Layout []string
 }
 
@@ -127,12 +123,13 @@ type ClientUpdate struct {
 	// Round echoes the round index.
 	Round int
 	// State is the encoded updated state for the communicated groups.
+	// Decoded, it aliases the received Envelope.Body: read-only.
 	State []byte
 	// Groups names the model groups State covers, in canonical bottom-to-top
 	// order. Empty means the client trained every group the server
 	// broadcast (the legacy whole-state contract); a tiered client reports
 	// the subset its layer mask afforded, and groups outside it ship zero
-	// bytes. Gob omits empty slices, keeping legacy peers compatible.
+	// bytes.
 	Groups []string
 	// NumSelected is |D_select|, the aggregation weight numerator.
 	NumSelected int
@@ -151,10 +148,9 @@ type ClientUpdate struct {
 	// leave it zero.
 	Version int
 	// Codec names the codec State is encoded with, echoing the session
-	// codec negotiated at Hello/Welcome. Empty means identity — gob omits
-	// it, so identity updates are byte-identical to pre-codec frames. The
-	// server's aggregators reject an echo that disagrees with the session
-	// codec before touching State.
+	// codec negotiated at Hello/Welcome. Empty means identity. The server's
+	// aggregators reject an echo that disagrees with the session codec
+	// before touching State.
 	Codec string
 }
 
@@ -173,7 +169,8 @@ type RegionUpdate struct {
 	// State is the encoded weighted-average state over the region's
 	// reporting leaves, covering every group the root broadcast (a relay
 	// resolves leaf layer masks locally, falling back to the broadcast
-	// state for uncovered layers).
+	// state for uncovered layers). Decoded, it aliases the received
+	// Envelope.Body: read-only.
 	State []byte
 	// Weight is the summed aggregation weight the relay folded, so the root
 	// can reproduce the flat federation's arithmetic exactly:
@@ -193,8 +190,7 @@ type RegionUpdate struct {
 	MeanEntropy float64
 	// Codec names the codec State is encoded with on the upstream leg
 	// (the root's session codec, which may differ from the codec the
-	// relay negotiated with its leaves). Empty means identity; gob omits
-	// it, keeping legacy relays compatible.
+	// relay negotiated with its leaves). Empty means identity.
 	Codec string
 }
 
@@ -205,17 +201,21 @@ type Shutdown struct {
 }
 
 // EncodeTensors serializes tensors into one buffer using the tensor wire
-// format, prefixed with a count.
+// format, prefixed with a count. The buffer is allocated once at its exact
+// size, 4 + Σ EncodedSize, and every tensor is written into it in place.
 func EncodeTensors(ts []*tensor.Tensor) ([]byte, error) {
-	var buf bytes.Buffer
-	count := uint32(len(ts))
-	buf.Write([]byte{byte(count), byte(count >> 8), byte(count >> 16), byte(count >> 24)})
+	size := 4
+	for _, t := range ts {
+		size += t.EncodedSize()
+	}
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(ts)))
 	for i, t := range ts {
-		if _, err := t.WriteTo(&buf); err != nil {
+		var err error
+		if b, err = t.AppendTo(b); err != nil {
 			return nil, fmt.Errorf("comm: encode tensor %d: %w", i, err)
 		}
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // DecodeTensors reverses EncodeTensors.

@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"log"
 	"sort"
 	"sync"
 	"time"
@@ -11,6 +12,12 @@ import (
 // shutdownTimeout bounds each shutdown send, so a hung client that stopped
 // reading cannot wedge the server at exit.
 const shutdownTimeout = 10 * time.Second
+
+// handshakeTimeout bounds the server half of one registration — reading the
+// Hello and writing the Welcome — so a socket that connects and then says
+// nothing holds the accept loop, and its descriptor, only this long. A
+// variable only so tests can compress it.
+var handshakeTimeout = 10 * time.Second
 
 // ServerSession coordinates a registered set of federated clients over any
 // Transport. It implements the server half of the wire protocol.
@@ -31,14 +38,22 @@ func AcceptClients(l Listener, numClients, rounds int) (*ServerSession, error) {
 }
 
 // AcceptClientsCodec is AcceptClients with an uplink-codec advertisement:
-// codec is the canonical name the Welcome carries (see advertiseCodecs —
-// identity advertises nothing, keeping the handshake byte-identical to
-// pre-codec sessions).
+// codec is the canonical name the Welcome carries (see advertiseCodecs).
+//
+// A connection that never delivers a well-framed first message within
+// handshakeTimeout — silence, a torn frame, a length prefix above
+// maxHelloBytes — is noise on an open port: it is closed and accepting goes
+// on. A well-framed message that is not an acceptable Hello (another type,
+// another protocol version, a duplicate ID) is a misconfigured peer and
+// fails the accept.
 func AcceptClientsCodec(l Listener, numClients, rounds int, codec string) (*ServerSession, error) {
 	if numClients <= 0 {
 		return nil, fmt.Errorf("%w: numClients %d", ErrProtocol, numClients)
 	}
-	adverts := advertiseCodecs(codec)
+	welcome, err := EncodeBody(MsgWelcome, Welcome{NumClients: numClients, Rounds: rounds, Codecs: advertiseCodecs(codec)})
+	if err != nil {
+		return nil, err
+	}
 	s := &ServerSession{
 		conns:  make(map[int]Conn, numClients),
 		sizes:  make(map[int]int, numClients),
@@ -60,25 +75,20 @@ func AcceptClientsCodec(l Listener, numClients, rounds int, codec string) (*Serv
 		if err != nil {
 			return fail(nil, fmt.Errorf("comm: accepting client %d of %d: %w", len(s.conns)+1, numClients, err))
 		}
-		env, err := conn.Recv()
+		env, err := firstFrame(conn)
 		if err != nil {
-			return fail(conn, fmt.Errorf("comm: reading hello: %w", err))
+			log.Printf("comm: dropping connection before hello: %v", err)
+			_ = conn.Close()
+			continue
 		}
-		if env.Type != MsgHello {
-			return fail(conn, fmt.Errorf("%w: expected hello, got %v", ErrProtocol, env.Type))
-		}
-		var hello Hello
-		if err := DecodeBody(env, &hello); err != nil {
+		hello, err := helloFrom(env)
+		if err != nil {
 			return fail(conn, err)
 		}
 		if _, dup := s.conns[hello.ClientID]; dup {
 			return fail(conn, fmt.Errorf("%w: duplicate client id %d", ErrProtocol, hello.ClientID))
 		}
-		welcome, err := EncodeBody(MsgWelcome, Welcome{NumClients: numClients, Rounds: rounds, Codecs: adverts})
-		if err != nil {
-			return fail(conn, err)
-		}
-		if err := conn.Send(welcome); err != nil {
+		if err := sendWelcome(conn, welcome); err != nil {
 			return fail(conn, fmt.Errorf("comm: sending welcome to %d: %w", hello.ClientID, err))
 		}
 		s.admit(hello, conn)
@@ -86,10 +96,40 @@ func AcceptClientsCodec(l Listener, numClients, rounds int, codec string) (*Serv
 	return s, nil
 }
 
+// firstFrame reads a fresh connection's first frame under the handshake
+// deadline, which stays armed until sendWelcome clears it.
+func firstFrame(conn Conn) (Envelope, error) {
+	if dc, ok := conn.(DeadlineConn); ok {
+		_ = dc.SetDeadline(time.Now().Add(handshakeTimeout))
+	}
+	return conn.Recv()
+}
+
+// helloFrom decodes a connection's first frame, which must be a Hello.
+func helloFrom(env Envelope) (Hello, error) {
+	if env.Type != MsgHello {
+		return Hello{}, fmt.Errorf("%w: expected hello, got %v", ErrProtocol, env.Type)
+	}
+	var hello Hello
+	err := DecodeBody(env, &hello)
+	return hello, err
+}
+
+// sendWelcome completes the server half of a registration and lifts the
+// handshake deadline.
+func sendWelcome(conn Conn, welcome Envelope) error {
+	if err := conn.Send(welcome); err != nil {
+		return err
+	}
+	if dc, ok := conn.(DeadlineConn); ok {
+		_ = dc.SetDeadline(time.Time{})
+	}
+	return nil
+}
+
 // advertiseCodecs renders a session codec name as the Welcome.Codecs
-// advertisement: identity (or empty) advertises nothing — gob then omits
-// the field and the Welcome stays byte-identical to pre-codec frames —
-// and anything else advertises exactly that one name.
+// advertisement: identity (or empty) advertises nothing, and anything else
+// advertises exactly that one name.
 func advertiseCodecs(codec string) []string {
 	if codec == "" || codec == CodecIdentity {
 		return nil

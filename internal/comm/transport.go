@@ -2,7 +2,6 @@ package comm
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -15,53 +14,18 @@ import (
 // prefix cannot trigger an enormous allocation.
 const maxFrameBytes = 64 << 20
 
-// Envelope is one framed message: a type tag and a gob-encoded body.
+// frameHeaderBytes is the frame header: u32 body length, u8 message type.
+const frameHeaderBytes = 5
+
+// Envelope is one framed message: a type tag and the encoded body (see
+// EncodeBody). A body is immutable once sent or received: a broadcast shares
+// one body across every recipient, the pipe transport hands the sender's
+// slice to the receiver, and a decoded State aliases it.
 type Envelope struct {
-	// Type identifies the body's Go type.
+	// Type identifies the body's message struct.
 	Type MsgType
-	// Body is the gob-encoded message struct.
+	// Body is the encoded message struct.
 	Body []byte
-}
-
-// EncodeBody gob-encodes a message struct into an envelope.
-func EncodeBody(t MsgType, v any) (Envelope, error) {
-	var buf bytesBuffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return Envelope{}, fmt.Errorf("comm: encode %v: %w", t, err)
-	}
-	return Envelope{Type: t, Body: buf.b}, nil
-}
-
-// DecodeBody gob-decodes an envelope body into v (a pointer).
-func DecodeBody(e Envelope, v any) error {
-	if err := gob.NewDecoder(&byteReader{b: e.Body}).Decode(v); err != nil {
-		return fmt.Errorf("comm: decode %v: %w", e.Type, err)
-	}
-	return nil
-}
-
-// bytesBuffer is a minimal io.Writer over a growing byte slice (avoids
-// pulling in bytes.Buffer's unused machinery in hot paths).
-type bytesBuffer struct{ b []byte }
-
-func (w *bytesBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-// byteReader is a minimal io.Reader over a byte slice.
-type byteReader struct {
-	b   []byte
-	off int
-}
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.off:])
-	r.off += n
-	return n, nil
 }
 
 // Conn is a bidirectional, message-oriented connection between one client
@@ -97,15 +61,28 @@ type DeadlineConn interface {
 type TCPConn struct {
 	conn net.Conn
 
-	sendMu sync.Mutex
-	recvMu sync.Mutex
+	// The frame header and the write vector live here, each under its
+	// direction's mutex, rather than on the stack: handing a slice to the
+	// net.Conn interface would move a local to the heap on every call.
+	sendMu   sync.Mutex
+	sendHdr  [frameHeaderBytes]byte
+	sendVec  [2][]byte
+	sendBufs net.Buffers
+
+	recvMu  sync.Mutex
+	recvHdr [frameHeaderBytes]byte
+	// recvLimit caps the next frame's body. An accepted connection starts at
+	// maxHelloBytes — nothing but a Hello may open it — and every connection
+	// runs at maxFrameBytes once a frame has been read.
+	recvLimit uint32
+
 	broken atomic.Bool
 }
 
 var _ Conn = (*TCPConn)(nil)
 
 // NewTCPConn wraps an established net.Conn.
-func NewTCPConn(conn net.Conn) *TCPConn { return &TCPConn{conn: conn} }
+func NewTCPConn(conn net.Conn) *TCPConn { return &TCPConn{conn: conn, recvLimit: maxFrameBytes} }
 
 // DesyncError reports a frame operation that failed mid-frame, leaving the
 // stream desynchronized. It matches ErrProtocol under errors.Is but
@@ -144,20 +121,25 @@ func (c *TCPConn) Send(e Envelope) error {
 	if len(e.Body) > maxFrameBytes {
 		return fmt.Errorf("%w: frame %d bytes exceeds limit", ErrProtocol, len(e.Body))
 	}
-	header := make([]byte, 5)
-	binary.LittleEndian.PutUint32(header, uint32(len(e.Body)))
-	header[4] = byte(e.Type)
-	if n, err := c.conn.Write(header); err != nil {
-		if n > 0 {
-			return c.desync("write header", err)
-		}
+	binary.LittleEndian.PutUint32(c.sendHdr[:], uint32(len(e.Body)))
+	c.sendHdr[4] = byte(e.Type)
+	// Header and body leave in one vectored write: with TCP_NODELAY (Go's
+	// default) a separate header write is its own segment and syscall.
+	c.sendVec = [2][]byte{c.sendHdr[:], e.Body}
+	c.sendBufs = c.sendVec[:]
+	n, err := c.sendBufs.WriteTo(c.conn)
+	c.sendVec[1] = nil // the connection must not keep the body alive
+	switch {
+	case err == nil:
+		return nil
+	case n == 0:
+		// Nothing reached the wire; the stream is still aligned.
 		return fmt.Errorf("comm: write header: %w", err)
-	}
-	if _, err := c.conn.Write(e.Body); err != nil {
-		// The header is already on the wire; the frame is incomplete.
+	case n < frameHeaderBytes:
+		return c.desync("write header", err)
+	default:
 		return c.desync("write body", err)
 	}
-	return nil
 }
 
 // Recv implements Conn.
@@ -167,22 +149,22 @@ func (c *TCPConn) Recv() (Envelope, error) {
 	if c.broken.Load() {
 		return Envelope{}, fmt.Errorf("%w: connection desynchronized", ErrProtocol)
 	}
-	header := make([]byte, 5)
-	if n, err := io.ReadFull(c.conn, header); err != nil {
+	if n, err := io.ReadFull(c.conn, c.recvHdr[:]); err != nil {
 		if n > 0 {
 			return Envelope{}, c.desync("read header", err)
 		}
 		return Envelope{}, fmt.Errorf("comm: read header: %w", err)
 	}
-	size := binary.LittleEndian.Uint32(header)
-	if size > maxFrameBytes {
-		return Envelope{}, fmt.Errorf("%w: frame %d bytes exceeds limit", ErrProtocol, size)
+	size := binary.LittleEndian.Uint32(c.recvHdr[:])
+	if size > c.recvLimit {
+		return Envelope{}, fmt.Errorf("%w: frame %d bytes exceeds limit %d", ErrProtocol, size, c.recvLimit)
 	}
 	body := make([]byte, size)
 	if _, err := io.ReadFull(c.conn, body); err != nil {
 		return Envelope{}, c.desync("read body", err)
 	}
-	return Envelope{Type: MsgType(header[4]), Body: body}, nil
+	c.recvLimit = maxFrameBytes
+	return Envelope{Type: MsgType(c.recvHdr[4]), Body: body}, nil
 }
 
 // Close implements Conn.
@@ -223,7 +205,9 @@ func (t *TCPListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("comm: accept: %w", err)
 	}
-	return NewTCPConn(c), nil
+	conn := NewTCPConn(c)
+	conn.recvLimit = maxHelloBytes
+	return conn, nil
 }
 
 // Addr implements Listener.

@@ -24,7 +24,8 @@ type Client struct {
 
 // LocalOutcome is the result of one client-side local round.
 type LocalOutcome struct {
-	// State is the updated state of the trainable groups (cloned tensors).
+	// State is the updated state of the trainable groups: the tensors of the
+	// one-shot replica the round trained, which nothing else references.
 	State []*tensor.Tensor
 	// NumSelected is |D_select|, the number of samples trained on.
 	NumSelected int
@@ -62,8 +63,7 @@ func LocalUpdate(cfg Config, global *models.Model, cl *Client, round int) (Local
 	if err != nil {
 		return LocalOutcome{}, fmt.Errorf("core: client %d: %w", cl.ID, err)
 	}
-	var state []*tensor.Tensor
-	res, err := rep.train(cfg, cl, round, &state)
+	res, err := rep.train(cfg, cl, round, nil)
 	if err != nil {
 		return LocalOutcome{}, err
 	}

@@ -138,7 +138,9 @@ func (rep *replica) bindMask(mask []string) error {
 // train executes one client's local round on a freshly built or rebound
 // replica: data selection, E epochs of SGD on the selected subset, and cost
 // accounting. The trained state of the trainable groups is copied into
-// stateBuf's reused tensors, which the caller owns.
+// stateBuf's reused tensors, which the caller owns; a nil stateBuf returns
+// the replica's live tensors instead, for a one-shot replica nobody trains
+// again.
 func (rep *replica) train(cfg Config, cl *Client, round int, stateBuf *[]*tensor.Tensor) (clientResult, error) {
 	rng := seeds.ClientRound(cfg.Seed, round, cl.ID)
 
@@ -184,8 +186,11 @@ func (rep *replica) train(cfg Config, cl *Client, round int, stateBuf *[]*tensor
 	if err != nil {
 		return clientResult{}, fmt.Errorf("core: client %d: state: %w", cl.ID, err)
 	}
-	state := snapshotState(*stateBuf, live)
-	*stateBuf = state
+	state := live
+	if stateBuf != nil {
+		state = snapshotState(*stateBuf, live)
+		*stateBuf = state
+	}
 	return clientResult{
 		clientID:    cl.ID,
 		state:       state,

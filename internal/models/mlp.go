@@ -11,8 +11,9 @@ import (
 // buildMLP constructs the block MLP: three hidden blocks (low, mid, up),
 // each Dense→BatchNorm→ReLU, plus a linear classifier. The mid and up blocks
 // are residual so that freezing lower blocks leaves useful refinement
-// capacity above, mirroring the WRN's structure.
-func buildMLP(spec Spec) ([]*nn.Sequential, error) {
+// capacity above, mirroring the WRN's structure. rng draws the weight
+// initialization; nil builds the skeleton with zero weights (see build).
+func buildMLP(spec Spec, rng *rand.Rand) ([]*nn.Sequential, error) {
 	if len(spec.InputShape) != 1 || spec.InputShape[0] <= 0 {
 		return nil, fmt.Errorf("%w: MLP input shape %v, want [features]", ErrSpec, spec.InputShape)
 	}
@@ -21,7 +22,6 @@ func buildMLP(spec Spec) ([]*nn.Sequential, error) {
 	}
 	in := spec.InputShape[0]
 	h := spec.Hidden
-	rng := rand.New(rand.NewSource(spec.InitSeed))
 
 	low, err := mlpStem("low", in, h, rng)
 	if err != nil {

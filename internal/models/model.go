@@ -9,6 +9,7 @@ package models
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 
 	"fedfteds/internal/nn"
 	"fedfteds/internal/tensor"
@@ -121,6 +122,14 @@ type Model struct {
 
 // Build constructs a model from its spec with deterministic initialization.
 func Build(spec Spec) (*Model, error) {
+	return build(spec, rand.New(rand.NewSource(spec.InitSeed)))
+}
+
+// build constructs the model, drawing weight initializations from rng. A nil
+// rng builds the same layers with zero weights and no draws — Clone's
+// skeleton, whose state is copied in next. Dropout streams are seeded from
+// the spec, not from rng, so they are identical either way.
+func build(spec Spec, rng *rand.Rand) (*Model, error) {
 	if spec.NumClasses <= 1 {
 		return nil, fmt.Errorf("%w: NumClasses %d", ErrSpec, spec.NumClasses)
 	}
@@ -130,9 +139,9 @@ func Build(spec Spec) (*Model, error) {
 	)
 	switch spec.Arch {
 	case ArchMLP:
-		groups, err = buildMLP(spec)
+		groups, err = buildMLP(spec, rng)
 	case ArchWRN:
-		groups, err = buildWRN(spec)
+		groups, err = buildWRN(spec, rng)
 	default:
 		return nil, fmt.Errorf("%w: unknown arch %q", ErrSpec, spec.Arch)
 	}
@@ -429,11 +438,12 @@ func (m *Model) CopyGroupStateFrom(src *Model, groups []string) error {
 	return nil
 }
 
-// Clone builds a fresh model from the same spec and copies all state.
-// The clone is independent: training it does not affect m. The clone
-// preserves the finetune part and the trainable-group mask.
+// Clone builds a fresh model from the same spec and copies all state, without
+// drawing the initialization the copy would overwrite. The clone is
+// independent: training it does not affect m. The clone preserves the
+// finetune part and the trainable-group mask.
 func (m *Model) Clone() (*Model, error) {
-	c, err := Build(m.spec)
+	c, err := build(m.spec, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -427,3 +427,84 @@ func TestDeterministicBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneSkipsInitBitIdentical pins Clone's shortcut — a skeleton built
+// without the weight initializers, then the state copy — to the path it
+// replaced, Build(spec) followed by CopyStateFrom: every state tensor is
+// equal, and with dropout on (its streams are seeded from the spec, not from
+// the init rng) the first training step produces the same logits and leaves
+// the same state behind.
+func TestCloneSkipsInitBitIdentical(t *testing.T) {
+	mlp, wrn := mlpSpec(), wrnSpec()
+	mlp.DropoutRate, wrn.DropoutRate = 0.3, 0.3
+	for _, tt := range []struct {
+		spec  Spec
+		batch []int
+	}{
+		{mlp, []int{8, 16}},
+		{wrn, []int{4, 3, 8, 8}},
+	} {
+		src, err := Build(tt.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Move the source off its initialization, so a clone that kept its
+		// own draws (or zeros) cannot pass.
+		rng := rand.New(rand.NewSource(6))
+		for _, ts := range src.StateTensors() {
+			noise := tensor.New(ts.Shape()...)
+			noise.FillNormal(rng, 0, 0.1)
+			if err := ts.Add(noise); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clone, err := src.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy, err := Build(tt.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := legacy.CopyStateFrom(src); err != nil {
+			t.Fatal(err)
+		}
+
+		x := tensor.New(tt.batch...)
+		x.FillNormal(rng, 0, 1)
+		labels := make([]int, tt.batch[0])
+		for i := range labels {
+			labels[i] = i % tt.spec.NumClasses
+		}
+		step := func(m *Model) *tensor.Tensor {
+			sgd, err := opt.NewSGD(opt.SGDConfig{LR: 0.1, Momentum: 0.5}, m.TrainableParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			logits := m.Forward(x, true).Clone()
+			_, dl, err := nn.SoftmaxCrossEntropy{}.Loss(logits, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Backward(dl)
+			sgd.Step()
+			return logits
+		}
+		equalStates := func(when string) {
+			a, b := clone.StateTensors(), legacy.StateTensors()
+			if len(a) != len(b) {
+				t.Fatalf("%s %s: %d vs %d state tensors", tt.spec.Arch, when, len(a), len(b))
+			}
+			for i := range a {
+				if !a[i].Equal(b[i]) {
+					t.Fatalf("%s %s: state tensor %d differs", tt.spec.Arch, when, i)
+				}
+			}
+		}
+		equalStates("after cloning")
+		if !step(clone).Equal(step(legacy)) {
+			t.Fatalf("%s: first training step's logits differ", tt.spec.Arch)
+		}
+		equalStates("after one training step")
+	}
+}

@@ -18,7 +18,10 @@ import (
 //	group2: n blocks, width 32k, stride 2            — "mid"
 //	group3: n blocks, width 64k, stride 2, BN-ReLU-GAP — "up"
 //	linear(64k → classes)                            — "classifier"
-func buildWRN(spec Spec) ([]*nn.Sequential, error) {
+//
+// rng draws the weight initialization; nil builds the skeleton with zero
+// weights (see build).
+func buildWRN(spec Spec, rng *rand.Rand) ([]*nn.Sequential, error) {
 	if len(spec.InputShape) != 3 {
 		return nil, fmt.Errorf("%w: WRN input shape %v, want [C H W]", ErrSpec, spec.InputShape)
 	}
@@ -31,7 +34,6 @@ func buildWRN(spec Spec) ([]*nn.Sequential, error) {
 	}
 	n := (spec.Depth - 4) / 6
 	inC := spec.InputShape[0]
-	rng := rand.New(rand.NewSource(spec.InitSeed))
 	widths := []int{16, 16 * k, 32 * k, 64 * k}
 
 	stem, err := nn.NewConv2D("stem.conv", inC, widths[0], 3, nn.ConvOpts{Padding: 1, NoBias: true}, rng)

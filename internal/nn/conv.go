@@ -50,7 +50,8 @@ type ConvOpts struct {
 	NoBias bool
 }
 
-// NewConv2D constructs a kernel×kernel convolution with He-normal weights.
+// NewConv2D constructs a kernel×kernel convolution with He-normal weights. A
+// nil rng skips the initialization and leaves the weights zero (see NewDense).
 func NewConv2D(name string, inC, outC, kernel int, opts ConvOpts, rng *rand.Rand) (*Conv2D, error) {
 	if inC <= 0 || outC <= 0 || kernel <= 0 {
 		return nil, fmt.Errorf("nn: conv %q: invalid dims inC=%d outC=%d k=%d", name, inC, outC, kernel)
@@ -64,7 +65,9 @@ func NewConv2D(name string, inC, outC, kernel int, opts ConvOpts, rng *rand.Rand
 	}
 	fanIn := inC * kernel * kernel
 	w := tensor.New(outC, fanIn)
-	w.FillKaiming(rng, fanIn)
+	if rng != nil {
+		w.FillKaiming(rng, fanIn)
+	}
 	c := &Conv2D{
 		base:    base{name: name},
 		inC:     inC,

@@ -24,13 +24,16 @@ type Dense struct {
 var _ Layer = (*Dense)(nil)
 
 // NewDense constructs a dense layer with He-normal weight initialization and
-// zero bias.
+// zero bias. A nil rng skips the initialization and leaves the weights zero,
+// for a caller that is about to overwrite them (models.Clone).
 func NewDense(name string, in, out int, rng *rand.Rand) (*Dense, error) {
 	if in <= 0 || out <= 0 {
 		return nil, fmt.Errorf("nn: dense %q: invalid dims in=%d out=%d", name, in, out)
 	}
 	w := tensor.New(out, in)
-	w.FillKaiming(rng, in)
+	if rng != nil {
+		w.FillKaiming(rng, in)
+	}
 	b := tensor.New(out)
 	return &Dense{
 		base:   base{name: name},

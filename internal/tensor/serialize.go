@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary wire format (little endian):
@@ -25,32 +26,41 @@ var ErrCorrupt = errors.New("tensor: corrupt serialized data")
 // corrupt or hostile stream cannot trigger an enormous allocation.
 const maxSerializedVolume = 1 << 28
 
+// AppendTo appends t's wire encoding to b and returns the extended slice,
+// writing every element straight into place. A b with EncodedSize spare
+// capacity is not reallocated, which is how EncodeTensors builds a whole
+// state blob in one exactly-sized allocation.
+func (t *Tensor) AppendTo(b []byte) ([]byte, error) {
+	if len(t.shape) > 255 {
+		return b, fmt.Errorf("tensor: rank %d exceeds wire format limit", len(t.shape))
+	}
+	off := len(b)
+	b = slices.Grow(b, t.EncodedSize())[:off+t.EncodedSize()]
+	b[off] = uint8(len(t.shape))
+	off++
+	for _, d := range t.shape {
+		binary.LittleEndian.PutUint32(b[off:], uint32(d))
+		off += 4
+	}
+	dst := b[off:]
+	for _, v := range t.data {
+		binary.LittleEndian.PutUint32(dst, math.Float32bits(v))
+		dst = dst[4:]
+	}
+	return b, nil
+}
+
 // WriteTo serializes t to w in the binary wire format.
 func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	if len(t.shape) > 255 {
-		return 0, fmt.Errorf("tensor: rank %d exceeds wire format limit", len(t.shape))
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint8(len(t.shape))); err != nil {
-		return n, fmt.Errorf("tensor: write rank: %w", err)
-	}
-	n++
-	for _, d := range t.shape {
-		if err := binary.Write(w, binary.LittleEndian, uint32(d)); err != nil {
-			return n, fmt.Errorf("tensor: write dim: %w", err)
-		}
-		n += 4
-	}
-	buf := make([]byte, 4*len(t.data))
-	for i, v := range t.data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
-	wn, err := w.Write(buf)
-	n += int64(wn)
+	b, err := t.AppendTo(make([]byte, 0, t.EncodedSize()))
 	if err != nil {
-		return n, fmt.Errorf("tensor: write data: %w", err)
+		return 0, err
 	}
-	return n, nil
+	n, err := w.Write(b)
+	if err != nil {
+		return int64(n), fmt.Errorf("tensor: write: %w", err)
+	}
+	return int64(n), nil
 }
 
 // ReadFrom deserializes a tensor from r, replacing t's shape and storage.
@@ -134,7 +144,7 @@ func (t *Tensor) DecodeFrom(b []byte) (int, error) {
 	return n + 4*vol, nil
 }
 
-// EncodedSize returns the number of bytes WriteTo will produce.
+// EncodedSize returns the number of bytes AppendTo and WriteTo produce.
 func (t *Tensor) EncodedSize() int {
 	return 1 + 4*len(t.shape) + 4*len(t.data)
 }
