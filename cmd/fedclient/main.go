@@ -57,18 +57,11 @@ import (
 	"time"
 
 	"fedfteds/internal/comm"
-	"fedfteds/internal/core"
 	"fedfteds/internal/device"
 	"fedfteds/internal/experiments"
-	"fedfteds/internal/models"
-	"fedfteds/internal/selection"
+	"fedfteds/internal/federation"
 	"fedfteds/internal/strategy"
-	"fedfteds/internal/tensor"
 )
-
-// defaultTierSpec mirrors fedserver's default -tiers distribution; the two
-// binaries must derive identical tier assignments from the shared seed.
-const defaultTierSpec = "low:1,mid:2,full:1"
 
 // exitEvicted is the exit status after a crash-class removal by the server,
 // distinct from 1 (local failure) so fleet scripts can tell them apart.
@@ -92,19 +85,13 @@ func main() {
 
 // clientConfig is the validated flag set of one fedclient run.
 type clientConfig struct {
+	federation.ClientConfig
 	addr         string
-	id           int
-	numClients   int
-	seed         int64
-	temperature  float64
 	timeout      time.Duration
 	dialRetries  int
 	stratSpec    string
-	strat        strategy.Strategy
 	tiers        bool
 	tierDistSpec string
-	tierDist     *device.Distribution // nil when untiered
-	codecSpec    string
 }
 
 // parseFlags parses and fail-fast validates the command line.
@@ -112,23 +99,23 @@ func parseFlags(args []string) (clientConfig, error) {
 	var cfg clientConfig
 	fs := flag.NewFlagSet("fedclient", flag.ContinueOnError)
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:7070", "server address")
-	fs.IntVar(&cfg.id, "id", 0, "this client's federation index")
-	fs.IntVar(&cfg.numClients, "clients", 2, "federation size (must match the server)")
-	fs.Int64Var(&cfg.seed, "seed", 1, "shared federation seed (must match the server)")
-	fs.Float64Var(&cfg.temperature, "temperature", 0.1, "hardened-softmax temperature ρ")
+	fs.IntVar(&cfg.ID, "id", 0, "this client's federation index")
+	fs.IntVar(&cfg.NumClients, "clients", 2, "federation size (must match the server)")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "shared federation seed (must match the server)")
+	fs.Float64Var(&cfg.Temperature, "temperature", 0.1, "hardened-softmax temperature ρ")
 	fs.DurationVar(&cfg.timeout, "timeout", 10*time.Second, "dial timeout")
 	fs.IntVar(&cfg.dialRetries, "dial-retries", 0, "re-dial a refused or timed-out connection this many times with exponential backoff, so a fleet can start before its server")
 	fs.StringVar(&cfg.stratSpec, "strategy", "fedavg", "federated-optimization strategy; only its client-side hook applies here (fedprox:mu=0.1 adds the proximal term), server optimizers run on fedserver")
 	fs.BoolVar(&cfg.tiers, "tiers", false, "device-tier mode: derive this client's capability tier from the shared seed, train and ship only the layer groups it affords (must match the server)")
-	fs.StringVar(&cfg.tierDistSpec, "tier-dist", "", "tier distribution \"tier:weight,...\" over "+strings.Join(device.TierNames(), "/")+" (implies -tiers; default "+defaultTierSpec+"; must match the server)")
-	fs.StringVar(&cfg.codecSpec, "codec", "auto", "uplink codec: auto (adopt the server's advertisement), or pin one of "+strings.Join(comm.CodecNames(), ", ")+" and fail fast on a mismatch")
+	fs.StringVar(&cfg.tierDistSpec, "tier-dist", "", "tier distribution \"tier:weight,...\" over "+strings.Join(device.TierNames(), "/")+" (implies -tiers; default "+federation.DefaultTierSpec+"; must match the server)")
+	fs.StringVar(&cfg.CodecSpec, "codec", "auto", "uplink codec: auto (adopt the server's advertisement), or pin one of "+strings.Join(comm.CodecNames(), ", ")+" and fail fast on a mismatch")
 	if err := fs.Parse(args); err != nil {
 		return clientConfig{}, err
 	}
 	// An explicit codec spec is validated now so a typo fails before dialing;
 	// the actual instance is negotiated against the server's Welcome.
-	if cfg.codecSpec != "auto" && cfg.codecSpec != "" {
-		if _, err := comm.ParseCodec(cfg.codecSpec); err != nil {
+	if cfg.CodecSpec != "auto" && cfg.CodecSpec != "" {
+		if _, err := comm.ParseCodec(cfg.CodecSpec); err != nil {
 			return clientConfig{}, fmt.Errorf("-codec: %w", err)
 		}
 	}
@@ -136,29 +123,18 @@ func parseFlags(args []string) (clientConfig, error) {
 	if err != nil {
 		return clientConfig{}, err
 	}
-	cfg.strat = strat
-	if cfg.tierDistSpec != "" {
-		cfg.tiers = true
+	cfg.Strat = strat
+	if cfg.TierDist, err = federation.TierFlags(cfg.tiers, cfg.tierDistSpec); err != nil {
+		return clientConfig{}, err
 	}
-	if cfg.tiers {
-		spec := cfg.tierDistSpec
-		if spec == "" {
-			spec = defaultTierSpec
-		}
-		dist, err := device.ParseDistribution(spec)
-		if err != nil {
-			return clientConfig{}, fmt.Errorf("-tier-dist: %w", err)
-		}
-		cfg.tierDist = dist
+	if cfg.NumClients <= 0 {
+		return clientConfig{}, fmt.Errorf("-clients %d must be positive", cfg.NumClients)
 	}
-	if cfg.numClients <= 0 {
-		return clientConfig{}, fmt.Errorf("-clients %d must be positive", cfg.numClients)
+	if cfg.ID < 0 || cfg.ID >= cfg.NumClients {
+		return clientConfig{}, fmt.Errorf("-id %d outside [0, %d)", cfg.ID, cfg.NumClients)
 	}
-	if cfg.id < 0 || cfg.id >= cfg.numClients {
-		return clientConfig{}, fmt.Errorf("-id %d outside [0, %d)", cfg.id, cfg.numClients)
-	}
-	if cfg.temperature <= 0 {
-		return clientConfig{}, fmt.Errorf("-temperature %v must be positive", cfg.temperature)
+	if cfg.Temperature <= 0 {
+		return clientConfig{}, fmt.Errorf("-temperature %v must be positive", cfg.Temperature)
 	}
 	if cfg.timeout <= 0 {
 		return clientConfig{}, fmt.Errorf("-timeout %v must be positive", cfg.timeout)
@@ -213,208 +189,30 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-
 	// Rebuild the shared world deterministically: same seed ⇒ same domains,
 	// same partition, same pretrained model as the server.
-	env, err := experiments.NewEnv(experiments.ScaleFast, cfg.seed)
+	world, err := experiments.NewWorld(cfg.Seed, cfg.NumClients)
 	if err != nil {
 		return err
 	}
-	fed, err := env.BuildFederation(env.Suite.Target10, cfg.numClients, 0.1, 31337)
-	if err != nil {
-		return err
-	}
-	me := fed.Clients[cfg.id]
-	global, err := env.PretrainedModel(env.Suite.Target10, env.Suite.Source)
-	if err != nil {
-		return err
-	}
-	if err := global.SetFinetunePart(models.FinetuneModerate); err != nil {
-		return err
-	}
-	log.Printf("client %d: %d local samples", cfg.id, me.Data.Len())
-
-	// In tier mode the client's capability tier falls out of the shared seed
-	// (same derivation on every fleet member and the server), its layer mask
-	// out of the tier's budget over the model's per-group training FLOPs, and
-	// its simulated compute rate is scaled by the tier's factor.
-	var tier string
-	var tierMask []string
-	if cfg.tierDist != nil {
-		tier = cfg.tierDist.Assign(cfg.numClients, cfg.seed)[cfg.id]
-		prof, err := device.Lookup(tier)
-		if err != nil {
-			return err
-		}
-		perGroup, _ := global.GroupFLOPs()
-		if tierMask, err = prof.MaskFor(models.GroupNames(), perGroup); err != nil {
-			return err
-		}
-		me.Device.FLOPSRate *= prof.FLOPSFactor
-		log.Printf("client %d: tier %s, trainable groups %v", cfg.id, tier, tierMask)
-	}
-
 	conn, err := comm.DialTCPRetry(cfg.addr, cfg.timeout, cfg.dialRetries)
 	if err != nil {
 		return err
 	}
-	sess, welcome, err := comm.JoinTiered(conn, cfg.id, me.Data.Len(), tier)
+	client, err := federation.Join(conn, cfg.ClientConfig, world.Global, world.Clients[cfg.ID])
 	if err != nil {
 		return err
 	}
-	// Negotiate the uplink codec against the server's advertisement: "auto"
-	// adopts it, an explicit -codec must match it exactly. Identity stays
-	// nil so the legacy encode path (and its exact wire bytes) is untouched.
-	codec, err := comm.PickCodec(welcome.Codecs, cfg.codecSpec)
-	if err != nil {
-		return err
-	}
-	var wireCodec comm.Codec
-	codecEcho := ""
-	if codec.Name() != comm.CodecIdentity {
-		wireCodec, codecEcho = codec, codec.Name()
-	}
-	log.Printf("joined federation of %d for %d rounds (codec %s)", welcome.NumClients, welcome.Rounds, codec.Name())
-
-	lastRound := 0
-	for {
-		rs, ok, err := sess.NextRound()
-		if err != nil {
-			return classifyDrop(lastRound+1, cfg.id, err)
-		}
-		if !ok {
-			log.Printf("server shut the session down")
-			return sess.Close()
-		}
-		lastRound = rs.Round
-		// Install the received global state.
-		stateTs, err := comm.DecodeTensors(rs.State)
-		if err != nil {
-			return err
-		}
-		dst, err := global.GroupStateTensors(rs.Groups)
-		if err != nil {
-			return err
-		}
-		if len(dst) != len(stateTs) {
-			return fmt.Errorf("round %d: got %d state tensors, want %d", rs.Round, len(stateTs), len(dst))
-		}
-		for i := range dst {
-			if err := dst[i].CopyFrom(stateTs[i]); err != nil {
-				return err
-			}
-		}
-
-		// The wire mask is the tier mask narrowed to the groups the server
-		// actually communicates this round: both are top-suffixes of the
-		// canonical group order, so the intersection is simply the shorter
-		// one, and it always contains the classifier.
-		var mask []string
-		if cfg.tierDist != nil {
-			mask = intersectGroups(tierMask, rs.Groups)
-		}
-
-		localCfg, err := core.NewLocalConfig(core.Config{
-			Rounds:         welcome.Rounds,
-			LocalEpochs:    rs.LocalEpochs,
-			LR:             0.05,
-			Momentum:       0.5,
-			FinetunePart:   models.FinetuneModerate,
-			TrainGroups:    mask,
-			Selector:       selection.Entropy{Temperature: cfg.temperature},
-			SelectFraction: rs.SelectFraction,
-			Strategy:       cfg.strat,
-			Seed:           cfg.seed,
-		})
-		if err != nil {
-			return err
-		}
-		out, err := core.LocalUpdate(localCfg, global, me, rs.Round)
-		if err != nil {
-			return err
-		}
-		var blob []byte
-		if wireCodec == nil {
-			blob, err = comm.EncodeTensors(out.State)
-		} else {
-			// Encode against the broadcast reference this round trained from:
-			// stateTs still holds the decoded wire values (training mutated
-			// the model, not these copies), narrowed to the shipped tensors in
-			// tier mode — the same subset the server's aggregator rebuilds.
-			// The seed derivation matches the simulator's, so a distributed
-			// client and its simulated twin quantize identically.
-			ref := stateTs
-			if mask != nil {
-				if ref, err = coveredSubset(global, stateTs, rs.Groups, mask); err != nil {
-					return err
-				}
-			}
-			seed := comm.CodecSeed(uint64(cfg.seed), rs.Round, cfg.id)
-			blob, err = wireCodec.Encode(ref, out.State, seed)
-		}
-		if err != nil {
-			return err
-		}
-		if err := sess.SendUpdate(comm.ClientUpdate{
-			ClientID: cfg.id,
-			Round:    rs.Round,
-			// Version echoes the model version of an async server's dispatch,
-			// letting it measure this update's staleness; synchronous servers
-			// send the zero value and ignore the echo.
-			Version:      rs.Version,
-			State:        blob,
-			Codec:        codecEcho,
-			Groups:       mask,
-			NumSelected:  out.NumSelected,
-			TrainSeconds: out.Cost.Total(),
-			TrainLoss:    out.TrainLoss,
-			MeanEntropy:  out.MeanEntropy,
-		}); err != nil {
-			return classifyDrop(rs.Round, cfg.id, err)
-		}
+	// pending is the round this client is waiting for or answering when the
+	// session ends, which is what an eviction message has to name.
+	pending := 1
+	err = client.Run(func(rs comm.RoundStart) error {
+		pending = rs.Round
+		return nil
+	}, func(u comm.ClientUpdate) {
+		pending = u.Round + 1
 		log.Printf("round %d: trained on %d selected samples (loss %.3f, mean entropy %.3f)",
-			rs.Round, out.NumSelected, out.TrainLoss, out.MeanEntropy)
-	}
-}
-
-// coveredSubset narrows the decoded broadcast tensors to the ones belonging
-// to this client's shipped groups, in broadcast order — the codec reference
-// for a tiered update. It mirrors the server aggregator's per-update
-// reference reconstruction, so both ends encode and decode against the same
-// tensor list.
-func coveredSubset(global *models.Model, stateTs []*tensor.Tensor, groups, mask []string) ([]*tensor.Tensor, error) {
-	layout, err := global.GroupStateLayout(groups)
-	if err != nil {
-		return nil, err
-	}
-	if len(layout) != len(stateTs) {
-		return nil, fmt.Errorf("broadcast carries %d tensors for a %d-tensor layout", len(stateTs), len(layout))
-	}
-	shipped := make(map[string]bool, len(mask))
-	for _, g := range mask {
-		shipped[g] = true
-	}
-	out := make([]*tensor.Tensor, 0, len(stateTs))
-	for i, g := range layout {
-		if shipped[g] {
-			out = append(out, stateTs[i])
-		}
-	}
-	return out, nil
-}
-
-// intersectGroups keeps the groups of mask that the server communicates,
-// preserving mask's (bottom-to-top) order.
-func intersectGroups(mask, have []string) []string {
-	set := make(map[string]bool, len(have))
-	for _, g := range have {
-		set[g] = true
-	}
-	out := make([]string, 0, len(mask))
-	for _, g := range mask {
-		if set[g] {
-			out = append(out, g)
-		}
-	}
-	return out
+			u.Round, u.NumSelected, u.TrainLoss, u.MeanEntropy)
+	})
+	return classifyDrop(pending, cfg.ID, err)
 }

@@ -19,11 +19,11 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.id != 0 || cfg.numClients != 2 || cfg.temperature != 0.1 || cfg.timeout != 10*time.Second {
+	if cfg.ID != 0 || cfg.NumClients != 2 || cfg.Temperature != 0.1 || cfg.timeout != 10*time.Second {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
-	if cfg.strat == nil || cfg.strat.Name() != "fedavg" || cfg.strat.LocalHook() != nil {
-		t.Fatalf("strategy must default to plain fedavg: %+v", cfg.strat)
+	if cfg.Strat == nil || cfg.Strat.Name() != "fedavg" || cfg.Strat.LocalHook() != nil {
+		t.Fatalf("strategy must default to plain fedavg: %+v", cfg.Strat)
 	}
 }
 
@@ -34,7 +34,7 @@ func TestParseFlagsStrategyHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.strat.LocalHook() == nil {
+	if cfg.Strat.LocalHook() == nil {
 		t.Fatal("fedprox lost its local hook")
 	}
 }

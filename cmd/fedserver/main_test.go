@@ -1,22 +1,23 @@
 package main
 
 import (
+	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"fedfteds/internal/ckpt"
 	"fedfteds/internal/comm"
 	"fedfteds/internal/core"
-	"fedfteds/internal/device"
 	"fedfteds/internal/experiments"
+	"fedfteds/internal/federation"
 	"fedfteds/internal/models"
 	"fedfteds/internal/relay"
-	"fedfteds/internal/sched"
-	"fedfteds/internal/selection"
 	"fedfteds/internal/strategy"
 )
 
@@ -25,19 +26,19 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.numClients != 2 || cfg.rounds != 10 || cfg.quorum != 1 || cfg.roundDeadline != 0 {
+	if cfg.NumClients != 2 || cfg.Rounds != 10 || cfg.Quorum != 1 || cfg.RoundDeadline != 0 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
-	if cfg.cohort != 0 || cfg.scheduler != nil {
+	if cfg.Cohort != 0 || cfg.Scheduler != nil {
 		t.Fatalf("scheduling must default off: %+v", cfg)
 	}
-	if cfg.schedName != "uniform" {
-		t.Fatalf("default policy %q", cfg.schedName)
+	if cfg.SchedName != "uniform" {
+		t.Fatalf("default policy %q", cfg.SchedName)
 	}
-	if cfg.strat == nil || !strategy.IsDefault(cfg.strat) {
-		t.Fatalf("strategy must default to fedavg: %+v", cfg.strat)
+	if cfg.Strat == nil || !strategy.IsDefault(cfg.Strat) {
+		t.Fatalf("strategy must default to fedavg: %+v", cfg.Strat)
 	}
-	if cfg.taggedStrategy() != nil {
+	if cfg.TaggedStrategy() != nil {
 		t.Fatal("default strategy must stay out of the checkpoint tag")
 	}
 }
@@ -49,10 +50,10 @@ func TestParseFlagsStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.strat.Name() != "fedadam" {
-		t.Fatalf("strategy name %q", cfg.strat.Name())
+	if cfg.Strat.Name() != "fedadam" {
+		t.Fatalf("strategy name %q", cfg.Strat.Name())
 	}
-	if cfg.taggedStrategy() == nil {
+	if cfg.TaggedStrategy() == nil {
 		t.Fatal("non-default strategy missing from the checkpoint tag")
 	}
 	// An edited strategy must change the config tag (the resume refusal).
@@ -60,7 +61,7 @@ func TestParseFlagsStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.configTag() == base.configTag() {
+	if cfg.ConfigTag() == base.ConfigTag() {
 		t.Fatal("fedadam and fedavg share a config tag")
 	}
 
@@ -82,10 +83,10 @@ func TestParseFlagsSchedulingOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.cohort != 3 || cfg.scheduler == nil || cfg.scheduler.Name() != "avail:entropy" {
+	if cfg.Cohort != 3 || cfg.Scheduler == nil || cfg.Scheduler.Name() != "avail:entropy" {
 		t.Fatalf("scheduling config: %+v", cfg)
 	}
-	if cfg.roundDeadline != 90*time.Second || cfg.quorum != 0.5 {
+	if cfg.RoundDeadline != 90*time.Second || cfg.Quorum != 0.5 {
 		t.Fatalf("engine flags: %+v", cfg)
 	}
 }
@@ -143,8 +144,8 @@ func TestParseFlagsCheckpointDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ckptDir != dir {
-		t.Fatalf("ckptDir %q", cfg.ckptDir)
+	if cfg.CkptDir != dir {
+		t.Fatalf("ckptDir %q", cfg.CkptDir)
 	}
 	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
 		t.Fatalf("checkpoint dir not created: %v", err)
@@ -160,111 +161,126 @@ func TestParseFlagsCheckpointDir(t *testing.T) {
 	}
 }
 
-// testClient mirrors fedclient's loop for in-process integration tests: it
-// joins the server, answers rounds with real FedFT-EDS local updates, and —
-// when dieAfter > 0 — severs its connection after completing that round,
-// simulating a client-side crash. A non-nil dist puts the client in tier
-// mode, mirroring fedclient's -tiers path: tier derived from the shared
-// seed, partial training under the tier's mask, masked state on the wire.
-func testClient(t *testing.T, env *experiments.Env, addr string, id, numClients int, seed int64, dieAfter int, dist *device.Distribution) error {
+// testWorld returns the shared world of a seed-1 federation of numClients,
+// built once per size for the whole package: servers and clients Clone its
+// model instead of pretraining their own.
+func testWorld(t *testing.T, numClients int) *experiments.World {
 	t.Helper()
-	fed, err := env.BuildFederation(env.Suite.Target10, numClients, 0.1, 31337)
+	worldsMu.Lock()
+	defer worldsMu.Unlock()
+	if w, ok := worlds[numClients]; ok {
+		return w
+	}
+	w, err := experiments.NewWorld(1, numClients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worlds[numClients] = w
+	return w
+}
+
+var (
+	worldsMu sync.Mutex
+	worlds   = map[int]*experiments.World{}
+)
+
+// testClient runs fedclient's own round (federation.Join + Client.Run) on
+// conn, configured like a fleet member of cfg's federation. When dieAfter > 0
+// it vanishes, connection severed, on the first RoundStart past that round:
+// a client-side crash after completing round dieAfter.
+func testClient(w *experiments.World, conn comm.Conn, id int, cfg serverConfig, dieAfter int) error {
+	model, err := w.Global.Clone()
 	if err != nil {
 		return err
 	}
-	me := fed.Clients[id]
-	global, err := env.PretrainedModel(env.Suite.Target10, env.Suite.Source)
+	client, err := federation.Join(conn, federation.ClientConfig{
+		ID: id, NumClients: cfg.NumClients, Seed: cfg.Seed, Temperature: 0.1, TierDist: cfg.TierDist,
+	}, model, w.Clients[id])
 	if err != nil {
 		return err
 	}
-	if err := global.SetFinetunePart(models.FinetuneModerate); err != nil {
-		return err
-	}
-	var tier string
-	var tierMask []string
-	if dist != nil {
-		tier = dist.Assign(numClients, seed)[id]
-		prof, err := device.Lookup(tier)
-		if err != nil {
-			return err
+	return client.Run(func(rs comm.RoundStart) error {
+		if dieAfter > 0 && rs.Round > dieAfter {
+			return errors.New("crash")
 		}
-		perGroup, _ := global.GroupFLOPs()
-		if tierMask, err = prof.MaskFor(models.GroupNames(), perGroup); err != nil {
-			return err
-		}
-	}
-	conn, err := comm.DialTCP(addr, 10*time.Second)
+		return nil
+	}, nil)
+}
+
+// federate serves the federation args describe on l, with one in-process
+// testClient per client dialing through dial. It returns the server's own
+// copy of the global model after the run plus Serve's results.
+func federate(t *testing.T, w *experiments.World, args []string, l comm.Listener, dial func(id int) (comm.Conn, error), dieAfter int) (*models.Model, core.History, error) {
+	t.Helper()
+	cfg, err := parseFlags(args)
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	sess, welcome, err := comm.JoinTiered(conn, id, me.Data.Len(), tier)
+	global, err := w.Global.Clone()
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	for {
-		rs, ok, err := sess.NextRound()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return sess.Close()
-		}
-		stateTs, err := comm.DecodeTensors(rs.State)
-		if err != nil {
-			return err
-		}
-		dst, err := global.GroupStateTensors(rs.Groups)
-		if err != nil {
-			return err
-		}
-		for i := range dst {
-			if err := dst[i].CopyFrom(stateTs[i]); err != nil {
-				return err
+	type served struct {
+		hist core.History
+		err  error
+	}
+	serveDone := make(chan served, 1)
+	go func() {
+		hist, err := federation.Serve(cfg.Config, l, global, w.Test)
+		serveDone <- served{hist, err}
+	}()
+	clientErr := make(chan error, cfg.NumClients)
+	for id := 0; id < cfg.NumClients; id++ {
+		go func(id int) {
+			conn, err := dial(id)
+			if err != nil {
+				clientErr <- err
+				return
 			}
-		}
-		var mask []string
-		if dist != nil {
-			mask = intersectGroups(tierMask, rs.Groups)
-		}
-		localCfg, err := core.NewLocalConfig(core.Config{
-			Rounds:         welcome.Rounds,
-			LocalEpochs:    rs.LocalEpochs,
-			LR:             0.05,
-			Momentum:       0.5,
-			FinetunePart:   models.FinetuneModerate,
-			TrainGroups:    mask,
-			Selector:       selection.Entropy{Temperature: 0.1},
-			SelectFraction: rs.SelectFraction,
-			Seed:           seed,
-		})
-		if err != nil {
-			return err
-		}
-		out, err := core.LocalUpdate(localCfg, global, me, rs.Round)
-		if err != nil {
-			return err
-		}
-		blob, err := comm.EncodeTensors(out.State)
-		if err != nil {
-			return err
-		}
-		if err := sess.SendUpdate(comm.ClientUpdate{
-			ClientID:     id,
-			Round:        rs.Round,
-			State:        blob,
-			Groups:       mask,
-			NumSelected:  out.NumSelected,
-			TrainSeconds: out.Cost.Total(),
-			TrainLoss:    out.TrainLoss,
-			MeanEntropy:  out.MeanEntropy,
-			Version:      rs.Version,
-		}); err != nil {
-			return err
-		}
-		if dieAfter > 0 && rs.Round >= dieAfter {
-			return sess.Close() // crash: vanish without a goodbye
+			clientErr <- testClient(w, conn, id, cfg, dieAfter)
+		}(id)
+	}
+	for i := 0; i < cfg.NumClients; i++ {
+		if err := <-clientErr; err != nil && dieAfter == 0 {
+			t.Fatalf("client: %v", err)
 		}
 	}
+	out := <-serveDone
+	return global, out.hist, out.err
+}
+
+// runFederation serves one TCP federation with the given server flags and
+// one in-process client per -clients that (when dieAfter > 0) vanishes after
+// that round. It returns Serve's error.
+func runFederation(t *testing.T, w *experiments.World, args []string, dieAfter int) error {
+	t.Helper()
+	l, err := comm.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	_, _, err = federate(t, w, args, l, func(int) (comm.Conn, error) {
+		return comm.DialTCP(l.Addr(), 10*time.Second)
+	}, dieAfter)
+	return err
+}
+
+// warmStartRefused reports whether a server configured by args refuses the
+// checkpoints in its -ckpt-dir. Serve restores before it accepts, so on a
+// listener nobody can join it returns either the restore's refusal or, had
+// the checkpoint been admitted, the accept failure.
+func warmStartRefused(t *testing.T, w *experiments.World, args []string) bool {
+	t.Helper()
+	cfg, err := parseFlags(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	global, err := w.Global.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = federation.Serve(cfg.Config, comm.NewPipeListener(0), global, w.Test)
+	return err != nil && strings.Contains(err.Error(), "warm-start from")
 }
 
 // TestServerCrashResume is the acceptance demo as a test: a fedserver killed
@@ -279,38 +295,12 @@ func TestServerCrashResume(t *testing.T) {
 		seed       = int64(1)
 	)
 	ckptDir := t.TempDir()
-	env, err := experiments.NewEnv(experiments.ScaleFast, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	w := testWorld(t, numClients)
 	phase := func(dieAfterRound int) error {
-		l, err := comm.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		cfg, err := parseFlags([]string{
+		return runFederation(t, w, []string{
 			"-clients", "2", "-rounds", "4", "-epochs", "1", "-seed", "1",
 			"-ckpt-dir", ckptDir,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		serveErr := make(chan error, 1)
-		go func() { serveErr <- serve(cfg, l) }()
-		clientErr := make(chan error, numClients)
-		for id := 0; id < numClients; id++ {
-			go func(id int) {
-				clientErr <- testClient(t, env, l.Addr(), id, numClients, seed, dieAfterRound, nil)
-			}(id)
-		}
-		for i := 0; i < numClients; i++ {
-			if err := <-clientErr; err != nil && dieAfterRound == 0 {
-				t.Fatalf("client: %v", err)
-			}
-		}
-		return <-serveErr
+		}, dieAfterRound)
 	}
 
 	// Phase 1: every client vanishes after round 2; the federation dies
@@ -352,36 +342,6 @@ func TestServerCrashResume(t *testing.T) {
 	}
 }
 
-// runFederation serves one TCP federation with the given extra server flags
-// and numClients in-process clients that (when dieAfter > 0) vanish after
-// that round. It returns serve's error.
-func runFederation(t *testing.T, env *experiments.Env, extraArgs []string, numClients, dieAfter int) error {
-	t.Helper()
-	l, err := comm.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	cfg, err := parseFlags(extraArgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- serve(cfg, l) }()
-	clientErr := make(chan error, numClients)
-	for id := 0; id < numClients; id++ {
-		go func(id int) {
-			clientErr <- testClient(t, env, l.Addr(), id, numClients, cfg.seed, dieAfter, cfg.tierDist)
-		}(id)
-	}
-	for i := 0; i < numClients; i++ {
-		if err := <-clientErr; err != nil && dieAfter == 0 {
-			t.Fatalf("client: %v", err)
-		}
-	}
-	return <-serveErr
-}
-
 // TestServerStrategiesTCPResumeBitIdentical is the distributed half of the
 // strategy acceptance: FedAvgM, FedAdam and FedYogi each run end-to-end
 // over real TCP, and a server crashed mid-federation and restarted from its
@@ -394,16 +354,7 @@ func TestServerStrategiesTCPResumeBitIdentical(t *testing.T) {
 		dieAfter   = 2
 		seed       = int64(1)
 	)
-	env, err := experiments.NewEnv(experiments.ScaleFast, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the env's pretrained-model cache once so per-strategy timings
-	// measure federation work, not repeated pretraining.
-	if _, err := env.PretrainedModel(env.Suite.Target10, env.Suite.Source); err != nil {
-		t.Fatal(err)
-	}
-
+	w := testWorld(t, numClients)
 	for _, spec := range []string{"fedavgm", "fedadam:lr=0.05", "fedyogi:lr=0.05"} {
 		t.Run(spec, func(t *testing.T) {
 			args := func(dir string) []string {
@@ -413,7 +364,7 @@ func TestServerStrategiesTCPResumeBitIdentical(t *testing.T) {
 
 			// Reference: an uninterrupted federation.
 			refDir := t.TempDir()
-			if err := runFederation(t, env, args(refDir), numClients, 0); err != nil {
+			if err := runFederation(t, w, args(refDir), 0); err != nil {
 				t.Fatalf("reference federation: %v", err)
 			}
 			ref, err := core.LoadLatestRunState(refDir)
@@ -433,10 +384,10 @@ func TestServerStrategiesTCPResumeBitIdentical(t *testing.T) {
 
 			// Crash after round 2, then restart from the same directory.
 			crashDir := t.TempDir()
-			if err := runFederation(t, env, args(crashDir), numClients, dieAfter); err == nil {
+			if err := runFederation(t, w, args(crashDir), dieAfter); err == nil {
 				t.Fatal("server survived losing every client")
 			}
-			if err := runFederation(t, env, args(crashDir), numClients, 0); err != nil {
+			if err := runFederation(t, w, args(crashDir), 0); err != nil {
 				t.Fatalf("restarted federation: %v", err)
 			}
 			resumed, err := core.LoadLatestRunState(crashDir)
@@ -470,49 +421,20 @@ func TestServerStrategiesTCPResumeBitIdentical(t *testing.T) {
 // TestServerStrategyWarmStartRefusesEditedStrategy: a checkpoint written
 // under one strategy must not warm-start a server configured with another.
 func TestServerStrategyWarmStartRefusesEditedStrategy(t *testing.T) {
-	env, err := experiments.NewEnv(experiments.ScaleFast, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := testWorld(t, 2)
 	dir := t.TempDir()
 	args := []string{"-clients", "2", "-rounds", "2", "-epochs", "1", "-seed", "1",
 		"-strategy", "fedadam:lr=0.05", "-ckpt-dir", dir}
-	if err := runFederation(t, env, args, 2, 0); err != nil {
+	if err := runFederation(t, w, args, 0); err != nil {
 		t.Fatalf("federation: %v", err)
 	}
 
 	for _, edited := range []string{"fedadam:lr=0.1", "fedavg"} {
-		cfg, err := parseFlags([]string{"-clients", "2", "-rounds", "2", "-epochs", "1", "-seed", "1",
-			"-strategy", edited, "-ckpt-dir", dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		global, err := env.PretrainedModel(env.Suite.Target10, env.Suite.Source)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hist core.History
-		var secs float64
-		if _, _, err := restoreFederation(cfg, global, &hist, &secs, sched.NewTracker()); err == nil {
+		if !warmStartRefused(t, w, []string{"-clients", "2", "-rounds", "2", "-epochs", "1", "-seed", "1",
+			"-strategy", edited, "-ckpt-dir", dir}) {
 			t.Fatalf("warm-start under edited strategy %q accepted", edited)
 		}
 	}
-}
-
-// intersectGroups mirrors fedclient's mask narrowing for the tier-mode test
-// client: keep the groups of mask the server communicates, in mask order.
-func intersectGroups(mask, have []string) []string {
-	set := make(map[string]bool, len(have))
-	for _, g := range have {
-		set[g] = true
-	}
-	out := make([]string, 0, len(mask))
-	for _, g := range mask {
-		if set[g] {
-			out = append(out, g)
-		}
-	}
-	return out
 }
 
 // TestParseFlagsQuorumAbsolute pins the -quorum dual reading: values in
@@ -524,8 +446,8 @@ func TestParseFlagsQuorumAbsolute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.minUpdates != 3 || cfg.quorum != 0 {
-		t.Fatalf("absolute quorum not converted: minUpdates %d, quorum %v", cfg.minUpdates, cfg.quorum)
+	if cfg.MinUpdates != 3 || cfg.Quorum != 0 {
+		t.Fatalf("absolute quorum not converted: minUpdates %d, quorum %v", cfg.MinUpdates, cfg.Quorum)
 	}
 	// The absolute count enters the config tag, so a checkpoint cannot be
 	// silently continued under an edited quorum mode.
@@ -533,7 +455,7 @@ func TestParseFlagsQuorumAbsolute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.configTag() == base.configTag() {
+	if cfg.ConfigTag() == base.ConfigTag() {
 		t.Fatal("absolute quorum does not change the config tag")
 	}
 
@@ -559,24 +481,24 @@ func TestParseFlagsTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.tierDist == nil || cfg.tierDist.String() != "full:1,low:1,mid:2" {
-		t.Fatalf("default tier distribution: %+v", cfg.tierDist)
+	if cfg.TierDist == nil || cfg.TierDist.String() != "full:1,low:1,mid:2" {
+		t.Fatalf("default tier distribution: %+v", cfg.TierDist)
 	}
 	implied, err := parseFlags([]string{"-tier-dist", "low:1,full:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !implied.tiers || implied.tierSpec() != "full:1,low:1" {
+	if !implied.tiers || implied.TierSpec() != "full:1,low:1" {
 		t.Fatalf("-tier-dist did not imply tiers: %+v", implied)
 	}
 	base, err := parseFlags(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.tierDist != nil || base.tierSpec() != "" {
+	if base.TierDist != nil || base.TierSpec() != "" {
 		t.Fatalf("tiers must default off: %+v", base)
 	}
-	if cfg.configTag() == base.configTag() || cfg.configTag() == implied.configTag() {
+	if cfg.ConfigTag() == base.ConfigTag() || cfg.ConfigTag() == implied.ConfigTag() {
 		t.Fatal("tier distributions do not separate config tags")
 	}
 	for _, bad := range []string{"low:0", "quantum:1", "low:-1", ","} {
@@ -593,14 +515,11 @@ func TestParseFlagsTiers(t *testing.T) {
 // edited or removed distribution.
 func TestServerTieredTCPEndToEnd(t *testing.T) {
 	const rounds = 2
-	env, err := experiments.NewEnv(experiments.ScaleFast, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := testWorld(t, 2)
 	dir := t.TempDir()
 	args := []string{"-clients", "2", "-rounds", "2", "-epochs", "1", "-seed", "1",
 		"-tier-dist", "low:1,full:1", "-ckpt-dir", dir}
-	if err := runFederation(t, env, args, 2, 0); err != nil {
+	if err := runFederation(t, w, args, 0); err != nil {
 		t.Fatalf("tiered federation: %v", err)
 	}
 	snap, err := core.LoadLatestRunState(dir)
@@ -624,18 +543,8 @@ func TestServerTieredTCPEndToEnd(t *testing.T) {
 		{"-tier-dist", "low:1,full:2"},
 		nil,
 	} {
-		cfg, err := parseFlags(append([]string{"-clients", "2", "-rounds", "4", "-epochs", "1",
-			"-seed", "1", "-ckpt-dir", dir}, edited...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		global, err := env.PretrainedModel(env.Suite.Target10, env.Suite.Source)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hist core.History
-		var secs float64
-		if _, _, err := restoreFederation(cfg, global, &hist, &secs, sched.NewTracker()); err == nil {
+		if !warmStartRefused(t, w, append([]string{"-clients", "2", "-rounds", "4", "-epochs", "1",
+			"-seed", "1", "-ckpt-dir", dir}, edited...)) {
 			t.Fatalf("warm-start under edited tier distribution %v accepted", edited)
 		}
 	}
@@ -650,11 +559,11 @@ func TestParseFlagsAsyncAndRelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if async.buffer != 2 || async.weigher == nil || async.weigher.Name() != "invsqrt" {
-		t.Fatalf("async defaults: buffer %d, weigher %+v", async.buffer, async.weigher)
+	if async.Buffer != 2 || async.Weigher == nil || async.Weigher.Name() != "invsqrt" {
+		t.Fatalf("async defaults: buffer %d, weigher %+v", async.Buffer, async.Weigher)
 	}
-	if async.maxStaleness != -1 {
-		t.Fatalf("max staleness default %d, want -1 (keep all)", async.maxStaleness)
+	if async.MaxStaleness != -1 {
+		t.Fatalf("max staleness default %d, want -1 (keep all)", async.MaxStaleness)
 	}
 	identity, err := parseFlags([]string{"-clients", "4", "-buffer", "2", "-staleness", "identity"})
 	if err != nil {
@@ -673,11 +582,11 @@ func TestParseFlagsAsyncAndRelays(t *testing.T) {
 		t.Fatal(err)
 	}
 	tags := map[string]uint64{
-		"base":     base.configTag(),
-		"async":    async.configTag(),
-		"identity": identity.configTag(),
-		"capped":   capped.configTag(),
-		"relay":    relay.configTag(),
+		"base":     base.ConfigTag(),
+		"async":    async.ConfigTag(),
+		"identity": identity.ConfigTag(),
+		"capped":   capped.ConfigTag(),
+		"relay":    relay.ConfigTag(),
 	}
 	seen := make(map[uint64]string, len(tags))
 	for name, tag := range tags {
@@ -726,25 +635,18 @@ func TestParseFlagsAsyncAndRelays(t *testing.T) {
 // which is a float no-op; any divergence is an arithmetic leak in the async
 // path.
 func TestServerAsyncTCPFullBufferMatchesSync(t *testing.T) {
-	const numClients = 2
-	env, err := experiments.NewEnv(experiments.ScaleFast, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := env.PretrainedModel(env.Suite.Target10, env.Suite.Source); err != nil {
-		t.Fatal(err)
-	}
+	w := testWorld(t, 2)
 	base := []string{"-clients", "2", "-rounds", "3", "-epochs", "1", "-seed", "1"}
 
 	refDir := t.TempDir()
 	syncArgs := append(append([]string{}, base...), "-ckpt-dir", refDir)
-	if err := runFederation(t, env, syncArgs, numClients, 0); err != nil {
+	if err := runFederation(t, w, syncArgs, 0); err != nil {
 		t.Fatalf("sync federation: %v", err)
 	}
 	asyncDir := t.TempDir()
 	asyncArgs := append(append([]string{}, base...),
 		"-buffer", "2", "-staleness", "identity", "-ckpt-dir", asyncDir)
-	if err := runFederation(t, env, asyncArgs, numClients, 0); err != nil {
+	if err := runFederation(t, w, asyncArgs, 0); err != nil {
 		t.Fatalf("async federation: %v", err)
 	}
 
@@ -780,7 +682,7 @@ func TestServerAsyncTCPFullBufferMatchesSync(t *testing.T) {
 // TCP: a relay (the in-process twin of cmd/fedrelay) plus its single leaf
 // client. The returned stop severs the relay's root connection and leaf
 // listener, simulating a relay-process crash.
-func startRegion(t *testing.T, env *experiments.Env, rootAddr string, relayID, numClients, rounds int, seed int64) (stop func(), relayDone, leafDone chan error) {
+func startRegion(t *testing.T, w *experiments.World, cfg serverConfig, rootAddr string, relayID int) (stop func(), relayDone, leafDone chan error) {
 	t.Helper()
 	leafL, err := comm.ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -794,12 +696,17 @@ func startRegion(t *testing.T, env *experiments.Env, rootAddr string, relayID, n
 	leafDone = make(chan error, 1)
 	go func() {
 		relayDone <- relay.Run(rootConn, leafL, relay.Config{
-			RelayID: relayID, Leaves: 1, Rounds: rounds,
+			RelayID: relayID, Leaves: 1, Rounds: cfg.Rounds,
 			Engine: comm.EngineConfig{Quorum: 1},
 		})
 	}()
 	go func() {
-		leafDone <- testClient(t, env, leafL.Addr(), relayID, numClients, seed, 0, nil)
+		conn, err := comm.DialTCP(leafL.Addr(), 10*time.Second)
+		if err != nil {
+			leafDone <- err
+			return
+		}
+		leafDone <- testClient(w, conn, relayID, cfg, 0)
 	}()
 	return func() { _ = rootConn.Close(); _ = leafL.Close() }, relayDone, leafDone
 }
@@ -812,18 +719,10 @@ func startRegion(t *testing.T, env *experiments.Env, rootAddr string, relayID, n
 // checkpoint then refuses a flat warm-start.
 func TestServerHierarchicalTCPCrashRejoin(t *testing.T) {
 	const (
-		numClients = 2 // total leaves, one per region
-		relays     = 2
-		rounds     = 8 // enough runway for crash, degraded rounds, and rejoin
-		seed       = int64(1)
+		relays = 2 // one leaf each
+		rounds = 8 // enough runway for crash, degraded rounds, and rejoin
 	)
-	env, err := experiments.NewEnv(experiments.ScaleFast, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := env.PretrainedModel(env.Suite.Target10, env.Suite.Source); err != nil {
-		t.Fatal(err)
-	}
+	w := testWorld(t, 2)
 	dir := t.TempDir()
 	rootL, err := comm.ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -840,32 +739,50 @@ func TestServerHierarchicalTCPCrashRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	global, err := w.Global.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- serve(cfg, rootL) }()
+	go func() {
+		_, err := federation.Serve(cfg.Config, rootL, global, w.Test)
+		serveErr <- err
+	}()
 
-	_, relay0Done, leaf0Done := startRegion(t, env, rootL.Addr(), 0, numClients, rounds, seed)
-	stop1, relay1Done, leaf1Done := startRegion(t, env, rootL.Addr(), 1, numClients, rounds, seed)
+	_, relay0Done, leaf0Done := startRegion(t, w, cfg, rootL.Addr(), 0)
+	stop1, relay1Done, leaf1Done := startRegion(t, w, cfg, rootL.Addr(), 1)
 
 	// Let at least one full round land on disk, then crash region 1.
-	waitDeadline := time.Now().Add(2 * time.Minute)
-	for {
-		if snap, err := core.LoadLatestRunState(dir); err == nil && snap.Round >= 1 {
-			break
+	waitForCheckpoint := func(what string, ok func(*core.RunState) bool) {
+		t.Helper()
+		waitDeadline := time.Now().Add(2 * time.Minute)
+		for {
+			if snap, err := core.LoadLatestRunState(dir); err == nil && ok(snap) {
+				return
+			}
+			if time.Now().After(waitDeadline) {
+				t.Fatalf("no %s appeared within 2 minutes", what)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if time.Now().After(waitDeadline) {
-			t.Fatal("no checkpoint appeared within 2 minutes")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
+	waitForCheckpoint("checkpoint", func(snap *core.RunState) bool { return snap.Round >= 1 })
 	stop1()
 	if err := <-relay1Done; err == nil {
 		t.Fatal("relay 1 survived losing its root connection")
 	}
 	<-leaf1Done // the relay shut its region down; error class irrelevant
+	// The root only learns of the crash inside a round. A region restarted
+	// faster than that would re-register while its old connection still
+	// counts as live and be turned away as a duplicate, so hold the restart
+	// until a degraded round is on disk.
+	waitForCheckpoint("degraded round", func(snap *core.RunState) bool {
+		return snap.Hist.Records[len(snap.Hist.Records)-1].Participants < relays
+	})
 
 	// Restart the region: same relay ID, fresh connections, fresh leaf. It
 	// re-registers through the admitter and rejoins at a round boundary.
-	_, relay1Redone, leaf1Redone := startRegion(t, env, rootL.Addr(), 1, numClients, rounds, seed)
+	_, relay1Redone, leaf1Redone := startRegion(t, w, cfg, rootL.Addr(), 1)
 
 	if err := <-serveErr; err != nil {
 		t.Fatalf("root failed: %v", err)
@@ -908,18 +825,8 @@ func TestServerHierarchicalTCPCrashRejoin(t *testing.T) {
 	}
 
 	// A relay checkpoint must not warm-start a flat server (and vice versa).
-	flat, err := parseFlags([]string{"-clients", "2", "-rounds", "8", "-epochs", "10",
-		"-seed", "1", "-quorum", "0.5", "-ckpt-dir", dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	global, err := env.PretrainedModel(env.Suite.Target10, env.Suite.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hist core.History
-	var secs float64
-	if _, _, err := restoreFederation(flat, global, &hist, &secs, sched.NewTracker()); err == nil {
+	if !warmStartRefused(t, w, []string{"-clients", "2", "-rounds", "8", "-epochs", "10",
+		"-seed", "1", "-quorum", "0.5", "-ckpt-dir", dir}) {
 		t.Fatal("flat server warm-started a hierarchical checkpoint")
 	}
 }
@@ -935,19 +842,15 @@ func TestServerAsyncWarmStartMidBuffer(t *testing.T) {
 		numClients = 2
 		rounds     = 4
 		dieAfter   = 2
-		seed       = int64(1)
 	)
-	env, err := experiments.NewEnv(experiments.ScaleFast, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := testWorld(t, numClients)
 	dir := t.TempDir()
 	args := []string{"-clients", "2", "-rounds", "4", "-epochs", "1", "-seed", "1",
 		"-buffer", "2", "-ckpt-dir", dir}
 
 	// Phase 1: every client vanishes after aggregation 2; the server dies
 	// with aggregations 1–2 checkpointed.
-	if err := runFederation(t, env, args, numClients, dieAfter); err == nil {
+	if err := runFederation(t, w, args, dieAfter); err == nil {
 		t.Fatal("async server survived losing every client")
 	}
 	snap, err := core.LoadLatestRunState(dir)
@@ -962,14 +865,7 @@ func TestServerAsyncWarmStartMidBuffer(t *testing.T) {
 	// had arrived but was not yet aggregated when the snapshot was taken
 	// (the live engine checkpoints at aggregation boundaries, so a non-empty
 	// buffer only occurs through the restore path — construct it directly).
-	global, err := env.PretrainedModel(env.Suite.Target10, env.Suite.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := global.SetFinetunePart(models.FinetuneModerate); err != nil {
-		t.Fatal(err)
-	}
-	stateTs, err := global.GroupStateTensors(global.TrainableGroupNames())
+	stateTs, err := w.Global.GroupStateTensors(w.Global.TrainableGroupNames())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -987,7 +883,7 @@ func TestServerAsyncWarmStartMidBuffer(t *testing.T) {
 
 	// Phase 2: a restarted server restores version 2 plus the buffered
 	// update and finishes aggregations 3–4 with fresh clients.
-	if err := runFederation(t, env, args, numClients, 0); err != nil {
+	if err := runFederation(t, w, args, 0); err != nil {
 		t.Fatalf("restarted async server failed: %v", err)
 	}
 	final, err := core.LoadLatestRunState(dir)
@@ -1005,5 +901,92 @@ func TestServerAsyncWarmStartMidBuffer(t *testing.T) {
 	}
 	if final.Async == nil || final.Async.Version != rounds || len(final.Async.Buffer) != 0 {
 		t.Fatalf("final async state: %+v", final.Async)
+	}
+}
+
+// TestConfigTagPinned pins the checkpoint config tag of every server mode to
+// the values the pre-federation fedserver wrote. TagConfig hashes each
+// part's Go type and value, so a field-type change in federation.Config
+// would silently orphan every server checkpoint in the field; this table is
+// what notices.
+func TestConfigTagPinned(t *testing.T) {
+	for _, tt := range []struct {
+		flags string
+		want  uint64
+	}{
+		{"", 0x6d8b02e4f4a37911},
+		{"-clients 4 -cohort 2 -sched entropy -quorum 0.5 -round-deadline 90s", 0x463cc0be8e46d213},
+		{"-clients 4 -quorum 3", 0x5361fc850ffba9d5},
+		{"-clients 4 -strategy fedadam:lr=0.05", 0x3fffb42997b0f2e7},
+		{"-clients 4 -tiers", 0xbb197809d7650355},
+		{"-clients 6 -relays 2", 0xcbf967d214bcac61},
+		{"-clients 4 -buffer 2 -max-staleness 3 -staleness poly:alpha=1", 0x53920a3d831d8c7d},
+		{"-clients 4 -codec int8", 0x82f9869c81a9f380},
+	} {
+		cfg, err := parseFlags(strings.Fields(tt.flags))
+		if err != nil {
+			t.Fatalf("%q: %v", tt.flags, err)
+		}
+		if got := cfg.ConfigTag(); got != tt.want {
+			t.Errorf("%q: config tag %#x, want %#x", tt.flags, got, tt.want)
+		}
+	}
+}
+
+// TestServeModesEndToEnd drives the modes no other test takes through the
+// whole server loop — cohort scheduling, a lossy codec, and the tiered
+// client's covered-subset codec reference — over in-process pipes with the
+// real client round: every round folds, the history stays finite, and a
+// second run reproduces the final global state bit for bit.
+func TestServeModesEndToEnd(t *testing.T) {
+	for _, tt := range []struct {
+		flags      string
+		numClients int
+		folds      int  // updates every round must fold
+		lossy      bool // the codec must shrink the uplink below the downlink
+	}{
+		{"-clients 4 -cohort 2 -sched entropy", 4, 2, false},
+		{"-clients 2 -codec int8", 2, 2, true},
+		{"-clients 2 -tier-dist low:1,full:1 -codec float16", 2, 2, true},
+	} {
+		t.Run(tt.flags, func(t *testing.T) {
+			w := testWorld(t, tt.numClients)
+			args := append(strings.Fields(tt.flags), "-rounds", "3", "-epochs", "1", "-seed", "1")
+			run := func() uint32 {
+				l := comm.NewPipeListener(tt.numClients)
+				global, hist, err := federate(t, w, args, l, func(id int) (comm.Conn, error) {
+					return l.ClientSide(id), nil
+				}, 0)
+				if err != nil {
+					t.Fatalf("federation: %v", err)
+				}
+				if len(hist.Records) != 3 {
+					t.Fatalf("%d records, want 3", len(hist.Records))
+				}
+				for _, rec := range hist.Records {
+					if rec.Participants != tt.folds || rec.CohortSize != tt.folds {
+						t.Errorf("round %d: cohort %d, %d folded, want %d", rec.Round, rec.CohortSize, rec.Participants, tt.folds)
+					}
+					if math.IsNaN(rec.TestAccuracy) || math.IsInf(rec.MeanTrainLoss, 0) || math.IsNaN(rec.MeanTrainLoss) {
+						t.Errorf("round %d: accuracy %v, loss %v", rec.Round, rec.TestAccuracy, rec.MeanTrainLoss)
+					}
+				}
+				if up, down := hist.TotalUplinkBytes, hist.TotalDownlinkBytes; up <= 0 || tt.lossy && up >= down {
+					t.Errorf("uplink %d bytes against downlink %d", up, down)
+				}
+				stateTs, err := global.GroupStateTensors(global.TrainableGroupNames())
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob, err := comm.EncodeTensors(stateTs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return crc32.Checksum(blob, crc32.MakeTable(crc32.Castagnoli))
+			}
+			if first, second := run(), run(); first != second {
+				t.Fatalf("final state CRC %08x, second run %08x", first, second)
+			}
+		})
 	}
 }

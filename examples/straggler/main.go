@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 	"sync"
 	"time"
 
@@ -105,11 +106,10 @@ func run() error {
 			selector: fedfteds.EntropySelector{Temperature: 0.1}, fraction: 0.5},
 	}
 
-	fmt.Printf("%-18s %-10s %-12s %-12s\n", "method", "best acc", "client time", "efficiency")
-	for _, sc := range scenarios {
+	simulate := func(sc scenario) (fedfteds.History, error) {
 		global, err := pretrained.Clone()
 		if err != nil {
-			return err
+			return fedfteds.History{}, err
 		}
 		runner, err := fedfteds.NewRunner(fedfteds.Config{
 			Rounds:         12,
@@ -123,9 +123,14 @@ func run() error {
 			Seed:           seed,
 		}, global, clients, test)
 		if err != nil {
-			return err
+			return fedfteds.History{}, err
 		}
-		hist, err := runner.Run()
+		return runner.Run()
+	}
+
+	fmt.Printf("%-18s %-10s %-12s %-12s\n", "method", "best acc", "client time", "efficiency")
+	for _, sc := range scenarios {
+		hist, err := simulate(sc)
 		if err != nil {
 			return err
 		}
@@ -148,25 +153,7 @@ func run() error {
 			selector: fedfteds.EntropySelector{Temperature: 0.1}, fraction: 0.5,
 			straggler: fedfteds.DeadlineStraggler{DeadlineSeconds: 0.04}},
 	} {
-		global, err := pretrained.Clone()
-		if err != nil {
-			return err
-		}
-		runner, err := fedfteds.NewRunner(fedfteds.Config{
-			Rounds:         12,
-			LocalEpochs:    5,
-			LR:             0.05,
-			Momentum:       0.5,
-			FinetunePart:   sc.part,
-			Selector:       sc.selector,
-			SelectFraction: sc.fraction,
-			Straggler:      sc.straggler,
-			Seed:           seed,
-		}, global, clients, test)
-		if err != nil {
-			return err
-		}
-		hist, err := runner.Run()
+		hist, err := simulate(sc)
 		if err != nil {
 			return err
 		}
@@ -182,170 +169,73 @@ func run() error {
 	return runDistributed(pretrained, clients, test, seed)
 }
 
-// runDistributed replays the straggler story on the real wire protocol: an
-// in-process federation over pipe transports where client 2 crashes while
-// a round is in flight. The quorum-based round engine drops it and the
-// remaining clients finish the run.
+// runDistributed replays the straggler story on the real wire protocol: the
+// server loop and client round cmd/fedserver and cmd/fedclient run, here
+// in-process over pipe transports, where client 2 crashes while a round is in
+// flight. The quorum-based round engine drops it and the remaining clients
+// finish the run; the server logs one line per round.
 func runDistributed(pretrained *fedfteds.Model, clients []*fedfteds.Client, test *fedfteds.Dataset, seed int64) error {
 	const (
 		distClients = 6
 		distRounds  = 6
 		killRound   = 3 // client 2 dies while round 3 is in flight
 	)
-	fmt.Println("\ndistributed mode (same protocol as fedserver/fedclient, in-process):")
+	// Server and clients narrate through the log package; fold that into
+	// this example's own output.
+	log.SetOutput(os.Stdout)
+	log.SetFlags(0)
+	fmt.Println("\ndistributed mode (same server loop and client round as fedserver/fedclient, in-process):")
 	fmt.Printf("client 2 is killed during round %d; quorum 0.5 keeps the run alive:\n", killRound)
 
+	global, err := pretrained.Clone()
+	if err != nil {
+		return err
+	}
+	if err := global.SetFinetunePart(fedfteds.FinetuneModerate); err != nil {
+		return err
+	}
 	lst := fedfteds.NewPipeListener(distClients)
 	var wg sync.WaitGroup
 	for i := 0; i < distClients; i++ {
+		replica, err := global.Clone()
+		if err != nil {
+			return err
+		}
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			kill := 0
-			if id == 2 {
-				kill = killRound
+			client, err := fedfteds.JoinParticipant(lst.ClientSide(id), fedfteds.ParticipantConfig{
+				ID: id, NumClients: distClients, Seed: seed, Temperature: 0.1,
+			}, replica, clients[id])
+			if err == nil {
+				err = client.Run(func(rs fedfteds.RoundStart) error {
+					if id == 2 && rs.Round == killRound {
+						return fmt.Errorf("crashing during round %d", rs.Round)
+					}
+					return nil
+				}, nil)
 			}
-			if err := runDistClient(lst.ClientSide(id), clients[id], pretrained, seed, kill); err != nil {
+			if err != nil {
 				log.Printf("client %d: %v", id, err)
 			}
 		}(i)
 	}
 
-	sess, err := fedfteds.AcceptClients(lst, distClients, distRounds)
-	if err != nil {
-		return err
-	}
-	engine, err := fedfteds.NewRoundEngine(sess, fedfteds.EngineConfig{
+	hist, err := fedfteds.ServeFederation(fedfteds.ServerConfig{
+		NumClients:    distClients,
+		Rounds:        distRounds,
+		Fraction:      0.5,
+		Epochs:        2,
+		Seed:          seed,
 		Quorum:        0.5,
 		RoundDeadline: 30 * time.Second, // safety net; the crash is what this demo exercises
-	})
+		Strat:         fedfteds.FedAvgStrategy(),
+	}, lst, global, test)
 	if err != nil {
-		return err
-	}
-
-	global, err := pretrained.Clone()
-	if err != nil {
-		return err
-	}
-	if err := global.SetFinetunePart(fedfteds.FinetuneModerate); err != nil {
-		return err
-	}
-	commGroups := global.TrainableGroupNames()
-	for round := 1; round <= distRounds; round++ {
-		stateTs, err := global.GroupStateTensors(commGroups)
-		if err != nil {
-			return err
-		}
-		blob, err := fedfteds.EncodeTensors(stateTs)
-		if err != nil {
-			return err
-		}
-		agg := fedfteds.NewStreamAggregator()
-		out, err := engine.RunRound(fedfteds.RoundStart{
-			Round:          round,
-			State:          blob,
-			Groups:         commGroups,
-			SelectFraction: 0.5,
-			LocalEpochs:    2,
-		}, agg.Add)
-		if err != nil {
-			return err
-		}
-		fused, err := agg.Finish()
-		if err != nil {
-			return err
-		}
-		// stateTs are live views of the global model's groups — copy the
-		// aggregate straight back into them.
-		for i := range stateTs {
-			if err := stateTs[i].CopyFrom(fused[i]); err != nil {
-				return err
-			}
-		}
-		acc, err := fedfteds.Accuracy(global, test)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  round %d: %d/%d clients reported (%d dropped), accuracy %.2f%%\n",
-			round, len(out.Reported), distClients, len(out.Dropped), 100*acc)
-	}
-	if err := sess.Shutdown("done"); err != nil {
 		return err
 	}
 	wg.Wait()
+	fmt.Printf("final accuracy %.2f%% after %d rounds, %.1fs of client compute, %d KiB uplink\n",
+		100*hist.FinalAccuracy, len(hist.Records), hist.TotalTrainSeconds, hist.TotalUplinkBytes/1024)
 	return nil
-}
-
-// runDistClient is the in-process analogue of cmd/fedclient. When
-// killRound is reached it closes the connection mid-round without
-// replying, simulating a crashed process.
-func runDistClient(conn fedfteds.Conn, cl *fedfteds.Client, pretrained *fedfteds.Model, seed int64, killRound int) error {
-	sess, welcome, err := fedfteds.JoinFederation(conn, cl.ID, cl.Data.Len())
-	if err != nil {
-		return err
-	}
-	global, err := pretrained.Clone()
-	if err != nil {
-		return err
-	}
-	if err := global.SetFinetunePart(fedfteds.FinetuneModerate); err != nil {
-		return err
-	}
-	for {
-		rs, ok, err := sess.NextRound()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return sess.Close()
-		}
-		if killRound > 0 && rs.Round == killRound {
-			fmt.Printf("  client %d: crashing during round %d\n", cl.ID, rs.Round)
-			return conn.Close()
-		}
-		stateTs, err := fedfteds.DecodeTensors(rs.State)
-		if err != nil {
-			return err
-		}
-		dst, err := global.GroupStateTensors(rs.Groups)
-		if err != nil {
-			return err
-		}
-		for i := range dst {
-			if err := dst[i].CopyFrom(stateTs[i]); err != nil {
-				return err
-			}
-		}
-		cfg, err := fedfteds.NewLocalConfig(fedfteds.Config{
-			Rounds:         welcome.Rounds,
-			LocalEpochs:    rs.LocalEpochs,
-			LR:             0.05,
-			Momentum:       0.5,
-			FinetunePart:   fedfteds.FinetuneModerate,
-			Selector:       fedfteds.EntropySelector{Temperature: 0.1},
-			SelectFraction: rs.SelectFraction,
-			Seed:           seed,
-		})
-		if err != nil {
-			return err
-		}
-		out, err := fedfteds.LocalUpdate(cfg, global, cl, rs.Round)
-		if err != nil {
-			return err
-		}
-		blob, err := fedfteds.EncodeTensors(out.State)
-		if err != nil {
-			return err
-		}
-		if err := sess.SendUpdate(fedfteds.ClientUpdate{
-			ClientID:     cl.ID,
-			Round:        rs.Round,
-			State:        blob,
-			NumSelected:  out.NumSelected,
-			TrainSeconds: out.Cost.Total(),
-			TrainLoss:    out.TrainLoss,
-		}); err != nil {
-			return err
-		}
-	}
 }

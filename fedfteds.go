@@ -21,6 +21,7 @@ import (
 	"fedfteds/internal/data"
 	"fedfteds/internal/device"
 	"fedfteds/internal/experiments"
+	"fedfteds/internal/federation"
 	"fedfteds/internal/fleet"
 	"fedfteds/internal/metrics"
 	"fedfteds/internal/models"
@@ -296,6 +297,26 @@ type (
 	Welcome = comm.Welcome
 )
 
+// The distributed round, written once (internal/federation): the server loop
+// cmd/fedserver runs and the client round cmd/fedclient answers it with,
+// over any Listener/Conn — TCP, or in-process pipes.
+type (
+	// ServerConfig is one server run: rounds, quorum, cohort, strategy, and
+	// the relay/async/tier/codec modes.
+	ServerConfig = federation.Config
+	// ParticipantConfig is one client's local configuration.
+	ParticipantConfig = federation.ClientConfig
+)
+
+var (
+	// ServeFederation accepts the participants and drives every round to
+	// completion, returning the run's History.
+	ServeFederation = federation.Serve
+	// JoinParticipant registers a client; its Run answers every round until
+	// the server shuts the session down.
+	JoinParticipant = federation.Join
+)
+
 // Uplink codecs (internal/comm): pluggable wire encodings for client
 // updates, negotiated at Hello time (the server advertises, the client
 // adopts or pins). The identity codec is bit-identical to legacy frames;
@@ -362,8 +383,6 @@ type (
 	AsyncEngine = comm.AsyncEngine
 	// AsyncEngineConfig tunes the buffered-async engine.
 	AsyncEngineConfig = comm.AsyncConfig
-	// AggOutcome reports one asynchronous aggregation's participation.
-	AggOutcome = comm.AggOutcome
 	// Admitter re-admits reconnecting peers at round boundaries.
 	Admitter = comm.Admitter
 	// StalenessWeigher discounts an update by its staleness in versions.

@@ -131,30 +131,6 @@ func (e *AsyncEngine) Buffered() []ClientUpdate {
 	return append([]ClientUpdate(nil), e.buffer...)
 }
 
-// AggOutcome reports one buffered aggregation, the asynchronous analogue of
-// RoundOutcome.
-type AggOutcome struct {
-	// Agg is the 1-based aggregation index (the async "round").
-	Agg int
-	// Version is the model version after this aggregation.
-	Version int
-	// Reported lists the clients whose updates were folded, ascending. A
-	// client restored from a checkpointed buffer can coincide with a live
-	// update of the same client within one aggregation, so entries may
-	// repeat.
-	Reported []int
-	// Staleness maps each folded client to the staleness of its (latest)
-	// folded update.
-	Staleness map[int]int
-	// Discarded counts updates rejected as too stale this aggregation.
-	Discarded int
-	// Dropped lists clients removed from the federation (dead connection or
-	// protocol violation), ascending.
-	Dropped []int
-	// Failures maps each dropped client to its error.
-	Failures map[int]error
-}
-
 // RunAggregation performs one buffered aggregation: it dispatches rs
 // (stamped with the current model version) to every idle client, then folds
 // buffered and arriving updates — each weighted by λ(staleness) — until
@@ -163,8 +139,8 @@ type AggOutcome struct {
 // aggregation (the fold must leave the aggregate untouched on error, as
 // StreamAggregator.Add guarantees). The engine advances its version only
 // after the buffer goal was met.
-func (e *AsyncEngine) RunAggregation(agg int, rs RoundStart, fold func(u ClientUpdate, lambda float64) error) (AggOutcome, error) {
-	out := AggOutcome{Agg: agg, Version: e.version, Staleness: make(map[int]int), Failures: make(map[int]error)}
+func (e *AsyncEngine) RunAggregation(agg int, rs RoundStart, fold func(u ClientUpdate, lambda float64) error) (RoundOutcome, error) {
+	out := RoundOutcome{Round: agg, Version: e.version, Staleness: make(map[int]int), Failures: make(map[int]error)}
 	if !e.started {
 		// The engine owns every connection's receive side from the first
 		// aggregation on: one long-lived reader per client.
@@ -251,7 +227,7 @@ func (e *AsyncEngine) RunAggregation(agg int, rs RoundStart, fold func(u ClientU
 // foldOne weighs one buffered update by its staleness and folds it.
 // Too-stale updates are counted and discarded; a fold error drops the
 // client. Reports whether the update was folded.
-func (e *AsyncEngine) foldOne(out *AggOutcome, u ClientUpdate, fold func(ClientUpdate, float64) error) bool {
+func (e *AsyncEngine) foldOne(out *RoundOutcome, u ClientUpdate, fold func(ClientUpdate, float64) error) bool {
 	s := e.version - u.Version
 	if s < 0 {
 		e.drop(out, u.ClientID, fmt.Errorf("%w: client %d update from future version %d (current %d)",
@@ -291,7 +267,7 @@ func (e *AsyncEngine) capacity() int {
 
 // drop removes a client from the federation, mirroring the synchronous
 // engine's crash class.
-func (e *AsyncEngine) drop(out *AggOutcome, id int, err error) {
+func (e *AsyncEngine) drop(out *RoundOutcome, id int, err error) {
 	if _, live := e.sess.conns[id]; live {
 		_ = e.sess.conns[id].Close()
 		delete(e.sess.conns, id)
@@ -305,7 +281,7 @@ func (e *AsyncEngine) drop(out *AggOutcome, id int, err error) {
 }
 
 // fail finalizes a failed aggregation's outcome.
-func (e *AsyncEngine) fail(out AggOutcome, err error) (AggOutcome, error) {
+func (e *AsyncEngine) fail(out RoundOutcome, err error) (RoundOutcome, error) {
 	sort.Ints(out.Reported)
 	sort.Ints(out.Dropped)
 	errs := []error{err}

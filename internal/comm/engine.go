@@ -83,24 +83,36 @@ func NewRoundEngine(sess *ServerSession, cfg EngineConfig) (*RoundEngine, error)
 	return &RoundEngine{sess: sess, cfg: cfg}, nil
 }
 
-// RoundOutcome reports one round's participation, the distributed analogue
-// of the simulator's per-round participant count.
+// RoundOutcome reports one round's participation — a synchronous round of
+// the RoundEngine or one buffered aggregation of the AsyncEngine — the
+// distributed analogue of the simulator's per-round participant count.
 type RoundOutcome struct {
-	// Round is the 1-based round index.
+	// Round is the 1-based round (or aggregation) index.
 	Round int
-	// Reported lists the clients whose updates were folded, ascending.
+	// Reported lists the clients whose updates were folded, ascending. In an
+	// aggregation, a client restored from a checkpointed buffer can coincide
+	// with a live update of the same client, so entries may repeat.
 	Reported []int
 	// TimedOut lists clients dropped at the deadline; they stay registered
-	// and may rejoin at the next round.
+	// and may rejoin at the next round. The async engine has no timeout
+	// class: a slow client goes stale instead.
 	TimedOut []int
 	// Dropped lists clients removed from the federation (dead connection,
 	// protocol violation, or a rejected update).
 	Dropped []int
 	// LateDiscarded counts stale updates from earlier rounds that were
-	// received and discarded during this round.
+	// received and discarded during this synchronous round.
 	LateDiscarded int
 	// Failures maps each failed client to its error.
 	Failures map[int]error
+	// Version is the model version after an aggregation; synchronous rounds
+	// leave it zero.
+	Version int
+	// Staleness maps each client folded by an aggregation to the staleness
+	// of its (latest) folded update; nil in synchronous rounds.
+	Staleness map[int]int
+	// Discarded counts updates an aggregation rejected as too stale.
+	Discarded int
 }
 
 // RunRound executes one round against every live client: concurrent

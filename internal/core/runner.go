@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -375,41 +376,46 @@ func (r *Runner) setupTiers() error {
 		return nil
 	}
 	r.tiers = r.cfg.TierDist.Assign(r.src.NumClients(), r.cfg.Seed)
-	perGroup, _ := r.global.GroupFLOPs()
-	names := models.GroupNames()
 	r.tierMasks = make(map[string][]string, len(r.cfg.TierDist.Tiers()))
 	for _, tier := range r.cfg.TierDist.Tiers() {
-		prof, err := device.Lookup(tier)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrConfig, err)
+		if r.tierMasks[tier], err = TierMask(r.global, tier, r.commGroups); err != nil {
+			return err
 		}
-		mask, err := prof.MaskFor(names, perGroup)
-		if err != nil {
-			return fmt.Errorf("core: tier %s: %w", tier, err)
-		}
-		// Both the profile mask and the communicated groups are top suffixes
-		// of the canonical group list, so the intersection is the shorter
-		// suffix — never empty (both always contain the classifier).
-		mask = intersectGroups(mask, r.commGroups)
-		if len(mask) == 0 {
-			return fmt.Errorf("%w: tier %s affords none of the communicated groups %v",
-				ErrConfig, tier, r.commGroups)
-		}
-		r.tierMasks[tier] = mask
 	}
 	return nil
+}
+
+// TierMask resolves a capability tier to the layer groups a client of that
+// tier trains and ships: the profile's affordable top suffix of the model's
+// groups, by per-group training FLOPs, narrowed to the groups the server
+// communicates. Both are top suffixes of the canonical group list, so the
+// result is the shorter suffix, in bottom-to-top order, and never empty
+// (both always contain the classifier). The simulator and the distributed
+// client derive their masks here, so a client and its simulated twin agree.
+func TierMask(global *models.Model, tier string, commGroups []string) ([]string, error) {
+	prof, err := device.Lookup(tier)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+	}
+	perGroup, _ := global.GroupFLOPs()
+	mask, err := prof.MaskFor(models.GroupNames(), perGroup)
+	if err != nil {
+		return nil, fmt.Errorf("core: tier %s: %w", tier, err)
+	}
+	mask = intersectGroups(mask, commGroups)
+	if len(mask) == 0 {
+		return nil, fmt.Errorf("%w: tier %s affords none of the communicated groups %v",
+			ErrConfig, tier, commGroups)
+	}
+	return mask, nil
 }
 
 // intersectGroups filters want down to the members of have, preserving
 // want's order.
 func intersectGroups(want, have []string) []string {
-	set := make(map[string]bool, len(have))
-	for _, g := range have {
-		set[g] = true
-	}
 	out := make([]string, 0, len(want))
 	for _, g := range want {
-		if set[g] {
+		if slices.Contains(have, g) {
 			out = append(out, g)
 		}
 	}

@@ -1,0 +1,197 @@
+package federation
+
+import (
+	"errors"
+	"math"
+	"sync"
+	"testing"
+
+	"fedfteds/internal/comm"
+	"fedfteds/internal/core"
+	"fedfteds/internal/experiments"
+	"fedfteds/internal/strategy"
+)
+
+// testWorld is the seed-1 four-client world every test here shares.
+var testWorld = sync.OnceValues(func() (*experiments.World, error) {
+	return experiments.NewWorld(1, 4)
+})
+
+// testConfig is a flat synchronous fedavg federation over testWorld.
+func testConfig(rounds int) Config {
+	return Config{NumClients: 4, Rounds: rounds, Fraction: 0.5, Epochs: 1, Seed: 1,
+		Quorum: 1, SchedName: "uniform", Strat: strategy.FedAvg(), MaxStaleness: -1}
+}
+
+// honest runs the real client round for id on conn; with dieAfter > 0 it
+// crashes on the first RoundStart past that round.
+func honest(w *experiments.World, conn comm.Conn, id, dieAfter int) error {
+	model, err := w.Global.Clone()
+	if err != nil {
+		return err
+	}
+	c, err := Join(conn, ClientConfig{ID: id, NumClients: 4, Seed: 1, Temperature: 0.1}, model, w.Clients[id])
+	if err != nil {
+		return err
+	}
+	return c.Run(func(rs comm.RoundStart) error {
+		if dieAfter > 0 && rs.Round > dieAfter {
+			return errors.New("crash")
+		}
+		return nil
+	}, nil)
+}
+
+// servePipes runs cfg over in-process pipes against one client function per
+// ID and returns Serve's results once every client has exited.
+func servePipes(t *testing.T, w *experiments.World, cfg Config, client func(conn comm.Conn, id int) error) (core.History, error) {
+	t.Helper()
+	global, err := w.Global.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := comm.NewPipeListener(cfg.NumClients)
+	var wg sync.WaitGroup
+	for id := 0; id < cfg.NumClients; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			if err := client(l.ClientSide(id), id); err != nil {
+				t.Logf("client %d: %v", id, err)
+			}
+		}(id)
+	}
+	hist, err := Serve(cfg, l, global, w.Test)
+	wg.Wait()
+	return hist, err
+}
+
+func TestCheckMetadata(t *testing.T) {
+	ok := comm.ClientUpdate{NumSelected: 10, TrainSeconds: 0.5, TrainLoss: 1.2, MeanEntropy: 0.7}
+	for _, tt := range []struct {
+		name   string
+		edit   func(*comm.ClientUpdate)
+		reject bool
+	}{
+		{"honest", func(*comm.ClientUpdate) {}, false},
+		{"zero seconds", func(u *comm.ClientUpdate) { u.TrainSeconds = 0 }, false},
+		{"no entropy signal", func(u *comm.ClientUpdate) { u.MeanEntropy = math.NaN() }, false},
+		{"infinite seconds", func(u *comm.ClientUpdate) { u.TrainSeconds = math.Inf(1) }, true},
+		{"NaN seconds", func(u *comm.ClientUpdate) { u.TrainSeconds = math.NaN() }, true},
+		{"negative seconds", func(u *comm.ClientUpdate) { u.TrainSeconds = -1 }, true},
+		{"NaN loss", func(u *comm.ClientUpdate) { u.TrainLoss = math.NaN() }, true},
+		{"infinite loss", func(u *comm.ClientUpdate) { u.TrainLoss = math.Inf(-1) }, true},
+		{"infinite entropy", func(u *comm.ClientUpdate) { u.MeanEntropy = math.Inf(1) }, true},
+	} {
+		u := ok
+		tt.edit(&u)
+		err := checkMetadata(u)
+		if (err != nil) != tt.reject {
+			t.Errorf("%s: err %v, want rejection %v", tt.name, err, tt.reject)
+		}
+		if err != nil && !errors.Is(err, comm.ErrProtocol) {
+			t.Errorf("%s: %v is not a protocol error", tt.name, err)
+		}
+	}
+}
+
+// TestServeDropsLyingClient: one client among four answers every round with
+// a well-formed state but hostile metadata. The fold rejects the update as
+// that client's failure — the same atomic-reject contract as a malformed
+// tensor — so at quorum 0.5 the rounds complete on the three honest clients
+// and nothing non-finite reaches the history.
+func TestServeDropsLyingClient(t *testing.T) {
+	w, err := testWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const liar = 2
+	cfg := testConfig(3)
+	cfg.Quorum = 0.5
+	hist, err := servePipes(t, w, cfg, func(conn comm.Conn, id int) error {
+		if id != liar {
+			return honest(w, conn, id, 0)
+		}
+		sess, _, err := comm.Join(conn, id, w.Clients[id].Data.Len())
+		if err != nil {
+			return err
+		}
+		for {
+			rs, ok, err := sess.NextRound()
+			if err != nil || !ok {
+				return err
+			}
+			// The broadcast echoed back is a valid state; only the numbers lie.
+			if err := sess.SendUpdate(comm.ClientUpdate{ClientID: id, Round: rs.Round, State: rs.State,
+				NumSelected: 1000, TrainSeconds: math.Inf(1), TrainLoss: math.NaN(), MeanEntropy: math.Inf(1)}); err != nil {
+				return err
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("federation with one liar failed: %v", err)
+	}
+	if len(hist.Records) != cfg.Rounds {
+		t.Fatalf("%d records, want %d", len(hist.Records), cfg.Rounds)
+	}
+	for _, rec := range hist.Records {
+		if rec.Participants != 3 {
+			t.Errorf("round %d folded %d updates, want the 3 honest ones", rec.Round, rec.Participants)
+		}
+		for name, v := range map[string]float64{"accuracy": rec.TestAccuracy, "loss": rec.MeanTrainLoss, "seconds": rec.CumTrainSeconds} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Errorf("round %d: %s is %v", rec.Round, name, v)
+			}
+		}
+	}
+	if math.IsInf(hist.TotalTrainSeconds, 0) || math.IsNaN(hist.TotalTrainSeconds) || hist.TotalTrainSeconds <= 0 {
+		t.Errorf("total train seconds %v", hist.TotalTrainSeconds)
+	}
+}
+
+// TestServeAccountsTraffic: a distributed run's History carries the traffic
+// and compute totals its simulated twin would, and they live in the
+// checkpoint — a server crashed after round 2 and resumed ends with exactly
+// the totals of an uninterrupted one.
+func TestServeAccountsTraffic(t *testing.T) {
+	w, err := testWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(dir string, dieAfter int) (core.History, error) {
+		cfg := testConfig(4)
+		cfg.CkptDir = dir
+		return servePipes(t, w, cfg, func(conn comm.Conn, id int) error { return honest(w, conn, id, dieAfter) })
+	}
+	ref, err := run(t.TempDir(), 0)
+	if err != nil {
+		t.Fatalf("uninterrupted federation: %v", err)
+	}
+	crashDir := t.TempDir()
+	if _, err := run(crashDir, 2); err == nil {
+		t.Fatal("server survived losing every client")
+	}
+	resumed, err := run(crashDir, 0)
+	if err != nil {
+		t.Fatalf("resumed federation: %v", err)
+	}
+
+	if ref.TotalUplinkBytes <= 0 || ref.TotalDownlinkBytes <= 0 || ref.TotalTrainSeconds <= 0 {
+		t.Fatalf("uninterrupted totals: %d up, %d down, %v s", ref.TotalUplinkBytes, ref.TotalDownlinkBytes, ref.TotalTrainSeconds)
+	}
+	if ref.TotalUplinkBytes != resumed.TotalUplinkBytes || ref.TotalDownlinkBytes != resumed.TotalDownlinkBytes {
+		t.Fatalf("resumed traffic %d up / %d down, uninterrupted %d / %d",
+			resumed.TotalUplinkBytes, resumed.TotalDownlinkBytes, ref.TotalUplinkBytes, ref.TotalDownlinkBytes)
+	}
+	// Identity frames: every client ships the state it was sent.
+	if ref.TotalUplinkBytes != ref.TotalDownlinkBytes {
+		t.Fatalf("identity uplink %d differs from downlink %d", ref.TotalUplinkBytes, ref.TotalDownlinkBytes)
+	}
+	last := ref.Records[len(ref.Records)-1]
+	if last.CumUplinkBytes != ref.TotalUplinkBytes || last.CumTrainSeconds != ref.TotalTrainSeconds {
+		t.Fatalf("last record %+v disagrees with totals %d / %v", last, ref.TotalUplinkBytes, ref.TotalTrainSeconds)
+	}
+	if math.Abs(ref.TotalTrainSeconds-resumed.TotalTrainSeconds) > 1e-9*ref.TotalTrainSeconds {
+		t.Fatalf("resumed train seconds %v, uninterrupted %v", resumed.TotalTrainSeconds, ref.TotalTrainSeconds)
+	}
+}
