@@ -4,16 +4,16 @@
 // headline numbers are attached as custom metrics. Paper-scale runs come
 // from `go run ./cmd/fedsim -scale full`.
 //
-// The trailing kernel benchmarks time the substrate primitives (matmul,
-// conv, one federated round) at realistic sizes.
+// The trailing kernel benchmarks time substrate primitives (matmul, one MLP
+// training step, entropy selection) at realistic sizes; the first two back
+// CI's zero-allocation guard. Whole rounds, the WRN forward pass and the
+// server fold are measured by the performance ledger (bench/, BENCHMARK.json).
 package fedfteds_test
 
 import (
 	"math/rand"
 	"testing"
 
-	"fedfteds"
-	"fedfteds/internal/comm"
 	"fedfteds/internal/experiments"
 	"fedfteds/internal/models"
 	"fedfteds/internal/nn"
@@ -297,27 +297,6 @@ func BenchmarkKernelMatMul256(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelWRNForward(b *testing.B) {
-	m, err := models.Build(models.Spec{
-		Arch:        models.ArchWRN,
-		InputShape:  []int{3, 16, 16},
-		NumClasses:  10,
-		Depth:       16,
-		WidthFactor: 1,
-		InitSeed:    1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	x := tensor.New(8, 3, 16, 16)
-	x.FillNormal(rng, 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Forward(x, false)
-	}
-}
-
 func BenchmarkKernelMLPTrainStep(b *testing.B) {
 	m, err := models.Build(models.Spec{
 		Arch:       models.ArchMLP,
@@ -373,134 +352,6 @@ func BenchmarkKernelEntropySelection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sel.Select(model, fed.Clients[0].Data, 0.5, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKernelFederatedRound(b *testing.B) {
-	env := benchEnv(b)
-	fed, err := env.BuildFederation(env.Suite.Target10, 8, 0.5, 998)
-	if err != nil {
-		b.Fatal(err)
-	}
-	global, err := env.FreshModel(env.Suite.Target10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		m, err := global.Clone()
-		if err != nil {
-			b.Fatal(err)
-		}
-		runner, err := fedfteds.NewRunner(fedfteds.Config{
-			Rounds:         1,
-			LocalEpochs:    2,
-			LR:             0.05,
-			Momentum:       0.5,
-			FinetunePart:   fedfteds.FinetuneModerate,
-			Selector:       fedfteds.EntropySelector{Temperature: 0.1},
-			SelectFraction: 0.5,
-			Seed:           int64(i),
-		}, m, fed.Clients, fed.Test)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := runner.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// aggBenchSetup builds the shared fixture of the aggregation benchmarks: a
-// WRN model, its full communicated group list and per-tensor layout, the
-// encoded full-state blob, and an encoded partial blob holding only the top
-// two groups (a low-tier client's wire payload).
-func aggBenchSetup(b *testing.B) (groups, layout []string, full []*tensor.Tensor, fullBlob, partBlob []byte) {
-	b.Helper()
-	m, err := models.Build(models.Spec{
-		Arch:        models.ArchWRN,
-		InputShape:  []int{3, 16, 16},
-		NumClasses:  10,
-		Depth:       10,
-		WidthFactor: 1,
-		InitSeed:    7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	groups = models.GroupNames()
-	layout, err = m.GroupStateLayout(groups)
-	if err != nil {
-		b.Fatal(err)
-	}
-	full, err = m.GroupStateTensors(groups)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fullBlob, err = comm.EncodeTensors(full)
-	if err != nil {
-		b.Fatal(err)
-	}
-	part, err := m.GroupStateTensors(groups[len(groups)-2:])
-	if err != nil {
-		b.Fatal(err)
-	}
-	partBlob, err = comm.EncodeTensors(part)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return groups, layout, full, fullBlob, partBlob
-}
-
-// BenchmarkKernelStreamAggregation is the whole-state server fold on a fresh
-// aggregator: 8 whole-state client updates streamed into the
-// selected-size-weighted average.
-func BenchmarkKernelStreamAggregation(b *testing.B) {
-	_, _, _, fullBlob, _ := aggBenchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg := comm.NewWeightedStreamAggregator(nil)
-		for c := 0; c < 8; c++ {
-			if err := agg.Add(comm.ClientUpdate{ClientID: c, State: fullBlob, NumSelected: 10 + c}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := agg.Finish(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKernelMaskedAggregation is the tiered server fold over the same 8
-// clients on a reused aggregator: half ship the whole state, half only the
-// top two groups, and each tensor is averaged over exactly the clients that
-// covered it. The perf gate (BENCH_perf.json) holds this within 2.5x of the
-// recorded baseline.
-func BenchmarkKernelMaskedAggregation(b *testing.B) {
-	groups, layout, full, fullBlob, partBlob := aggBenchSetup(b)
-	agg, err := comm.NewMaskedStreamAggregator(nil, groups, layout)
-	if err != nil {
-		b.Fatal(err)
-	}
-	agg.SetCodec(nil, full)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for c := 0; c < 8; c++ {
-			u := comm.ClientUpdate{ClientID: c, State: fullBlob, Groups: groups, NumSelected: 10 + c}
-			if c%2 == 1 {
-				u.State, u.Groups = partBlob, groups[len(groups)-2:]
-			}
-			if err := agg.Add(u); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := agg.Finish(); err != nil {
 			b.Fatal(err)
 		}
 	}

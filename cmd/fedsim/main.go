@@ -75,12 +75,8 @@ import (
 	"strings"
 	"time"
 
-	"fedfteds/internal/comm"
-	"fedfteds/internal/device"
 	"fedfteds/internal/experiments"
 	"fedfteds/internal/fleet"
-	"fedfteds/internal/sched"
-	"fedfteds/internal/strategy"
 )
 
 func main() {
@@ -95,14 +91,15 @@ func run(args []string) error {
 	expFlag := fs.String("exp", "all", "experiment id (table1..table4, fig1..fig10c, ablations, sched, strategies, tiers, async, codecs, fleet, fleetday, all)")
 	scaleFlag := fs.String("scale", "fast", "experiment scale: smoke, fast or full")
 	seedFlag := fs.Int64("seed", 1, "run seed")
-	schedFlag := fs.String("sched", "all", "sched experiment: one policy (uniform, size, entropy, powerd, avail:<inner>, cluster:<inner>) or all; also the fleetday cohort policy")
+	// Each comparison axis brings its own narrowing flag (-sched, -strategy,
+	// -tier-dist, -staleness, -codec): "all" runs the axis's lineup.
+	only := make(map[string]*string, len(experiments.Axes))
+	for _, axis := range experiments.Axes {
+		only[axis.ID] = fs.String(axis.Flag, "all", axis.Usage)
+	}
 	cohortFlag := fs.Int("cohort", 0, "sched experiment: cohort size K, 0 = scale default")
 	bufferFlag := fs.Int("buffer", 0, "async experiment: aggregation buffer M, 0 = scale default (about a third of the pool)")
 	maxStaleFlag := fs.Int("max-staleness", -1, "async experiment: discard updates staler than this many versions (negative keeps all)")
-	stalenessFlag := fs.String("staleness", "all", "async experiment: one staleness weigher ("+strings.Join(strategy.StalenessNames(), ", ")+", with optional parameters) or all")
-	strategyFlag := fs.String("strategy", "all", "strategies experiment: one strategy spec (fedavg, fedprox, fedavgm, fedadam, fedyogi, with optional parameters) or all")
-	tierDistFlag := fs.String("tier-dist", "all", "tiers experiment: one tier distribution spec (\"tier:weight,...\" over "+strings.Join(device.TierNames(), "/")+") or all")
-	codecFlag := fs.String("codec", "all", "codecs experiment: one uplink codec spec ("+strings.Join(comm.CodecNames(), ", ")+") or all")
 	clientsFlag := fs.Int("clients", 0, "fleet experiments: virtual fleet population (0 = scale default)")
 	fleetFlag := fs.Bool("fleet", false, "run the virtual-fleet simulated day (O(cohort) memory; default experiment becomes fleetday)")
 	traceFlag := fs.String("trace", "", "fleet experiments: replay availability from a fleettrace v1 file (default: built-in diurnal trace)")
@@ -160,46 +157,22 @@ func run(args []string) error {
 	}
 	// Fail on a bad policy name, cohort or strategy spec now, whatever
 	// experiments run.
-	schedOpts := schedOptions{cohort: *cohortFlag}
-	if *schedFlag != "all" {
-		if _, err := sched.Parse(*schedFlag); err != nil {
-			return err
+	opts := options{sweep: experiments.SweepOptions{
+		Only: map[string]string{}, Cohort: *cohortFlag, Buffer: *bufferFlag, MaxStaleness: *maxStaleFlag,
+	}}
+	for _, axis := range experiments.Axes {
+		if spec := *only[axis.ID]; spec != "all" {
+			if err := axis.Validate(spec); err != nil {
+				return err
+			}
+			opts.sweep.Only[axis.ID] = spec
 		}
-		schedOpts.policies = []string{*schedFlag}
 	}
 	if *cohortFlag < 0 {
 		return fmt.Errorf("-cohort %d is negative", *cohortFlag)
 	}
-	asyncOpts := asyncOptions{buffer: *bufferFlag, maxStaleness: *maxStaleFlag}
 	if *bufferFlag < 0 {
 		return fmt.Errorf("-buffer %d is negative", *bufferFlag)
-	}
-	if *stalenessFlag != "all" {
-		if _, err := strategy.ParseStaleness(*stalenessFlag); err != nil {
-			return err
-		}
-		asyncOpts.weighers = []string{*stalenessFlag}
-	}
-	var strategySpecs []string
-	if *strategyFlag != "all" {
-		if _, err := strategy.Parse(*strategyFlag); err != nil {
-			return err
-		}
-		strategySpecs = []string{*strategyFlag}
-	}
-	var tierSpecs []string
-	if *tierDistFlag != "all" {
-		if _, err := device.ParseDistribution(*tierDistFlag); err != nil {
-			return err
-		}
-		tierSpecs = []string{*tierDistFlag}
-	}
-	var codecSpecs []string
-	if *codecFlag != "all" {
-		if _, err := comm.ParseCodec(*codecFlag); err != nil {
-			return err
-		}
-		codecSpecs = []string{*codecFlag}
 	}
 	if *clientsFlag < 0 {
 		return fmt.Errorf("-clients %d is negative", *clientsFlag)
@@ -220,12 +193,10 @@ func run(args []string) error {
 				*clientsFlag, float64(est)/(1<<30), eagerClientBudget>>30)
 		}
 	}
-	fleetOpts := experiments.FleetOptions{
+	opts.fleet = experiments.FleetOptions{
 		Clients: *clientsFlag, Cohort: *cohortFlag, TracePath: *traceFlag,
 		Buffer: *bufferFlag, MaxStaleness: *maxStaleFlag, Eager: !*fleetFlag,
-	}
-	if *schedFlag != "all" {
-		fleetOpts.Policy = *schedFlag
+		Policy: opts.sweep.Only["sched"],
 	}
 	env, err := experiments.NewEnv(scale, *seedFlag)
 	if err != nil {
@@ -252,7 +223,7 @@ func run(args []string) error {
 	}
 	for _, id := range ids {
 		start := time.Now()
-		out, err := runExperiment(env, strings.TrimSpace(id), schedOpts, asyncOpts, strategySpecs, tierSpecs, codecSpecs, fleetOpts)
+		out, err := runExperiment(env, strings.TrimSpace(id), opts)
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", id, err)
 		}
@@ -262,226 +233,116 @@ func run(args []string) error {
 	return nil
 }
 
-// schedOptions parameterizes the scheduler-comparison experiment.
-type schedOptions struct {
-	// policies narrows the comparison; nil runs the standard lineup.
-	policies []string
-	// cohort is K; 0 picks the scale default.
-	cohort int
+// options is what the flags say about how experiments run.
+type options struct {
+	// sweep narrows and sizes the comparison axes.
+	sweep experiments.SweepOptions
+	// fleet parameterizes the fleet and fleetday experiments.
+	fleet experiments.FleetOptions
 }
 
-// asyncOptions parameterizes the buffered-async comparison experiment.
-type asyncOptions struct {
-	// buffer is the aggregation trigger M; 0 picks the scale default.
-	buffer int
-	// maxStaleness is the discard cap; negative keeps every update.
-	maxStaleness int
-	// weighers narrows the comparison; nil runs the standard lineup.
-	weighers []string
+// render is the tail every experiment shares: the result's text, or the
+// run's error.
+func render[R interface{ Render() string }](res R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return res.Render(), nil
 }
 
-// runExperiment dispatches one experiment id. Figure ids that share a run
-// with a table (fig5..fig9) re-run the underlying table at this scale.
-func runExperiment(env *experiments.Env, id string, schedOpts schedOptions, asyncOpts asyncOptions, strategySpecs, tierSpecs, codecSpecs []string, fleetOpts experiments.FleetOptions) (string, error) {
+// figures renders the given per-(dataset, alpha) figures of one table run
+// for both close-domain datasets and both Dirichlet concentrations.
+func figures(env *experiments.Env, renders ...func(dataset string, alpha float64) string) string {
+	var b strings.Builder
+	for _, ds := range resultDatasets(env) {
+		for _, alpha := range []float64{0.1, 0.5} {
+			for _, fig := range renders {
+				b.WriteString(fig(ds, alpha))
+				b.WriteByte('\n')
+			}
+		}
+	}
+	return b.String()
+}
+
+// runExperiment dispatches one experiment id: a comparison axis by its
+// table entry, anything else by name. Figure ids that share a run with a
+// table (fig5..fig9) re-run the underlying table at this scale; the
+// composite ids table2+figs and table3+figs run it once for every artifact.
+func runExperiment(env *experiments.Env, id string, opts options) (string, error) {
+	if axis := experiments.AxisByID(id); axis != nil {
+		return render(experiments.RunSweep(env, axis, opts.sweep))
+	}
 	switch id {
 	case "fleet":
 		// The policy sweep is always fleet-backed (the eager baseline is
 		// fleetday's job) and sized by scale unless -clients overrides.
-		opts := fleetOpts
-		opts.Eager = false
-		res, err := experiments.RunFleetCompare(env, opts)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
+		fleetOpts := opts.fleet
+		fleetOpts.Eager = false
+		return render(experiments.RunFleetCompare(env, fleetOpts))
 	case "fleetday":
-		res, err := experiments.RunFleetDay(env, fleetOpts)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	case "codecs":
-		res, err := experiments.RunCodecs(env, codecSpecs)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	case "sched":
-		res, err := experiments.RunSchedCompare(env, schedOpts.policies, schedOpts.cohort)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	case "async":
-		res, err := experiments.RunAsyncCompare(env, asyncOpts.buffer, asyncOpts.maxStaleness, asyncOpts.weighers)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	case "strategies":
-		res, err := experiments.RunStrategyCompare(env, strategySpecs)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	case "tiers":
-		res, err := experiments.RunTiers(env, tierSpecs)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	case "table2+figs":
+		return render(experiments.RunFleetDay(env, opts.fleet))
+	case "table2", "table2+figs", "fig5", "fig6":
 		res, err := experiments.RunTable2(env)
 		if err != nil {
 			return "", err
 		}
-		var b strings.Builder
-		b.WriteString(res.Render())
-		b.WriteByte('\n')
-		for _, ds := range resultDatasets(env) {
-			for _, alpha := range []float64{0.1, 0.5} {
-				b.WriteString(res.RenderFigure5(ds, alpha))
-				b.WriteByte('\n')
-				b.WriteString(res.RenderFigure6(ds, alpha))
-				b.WriteByte('\n')
-			}
+		switch id {
+		case "table2":
+			return res.Render(), nil
+		case "fig5":
+			return figures(env, res.RenderFigure5), nil
+		case "fig6":
+			return figures(env, res.RenderFigure6), nil
 		}
-		return b.String(), nil
-	case "table3+figs":
+		return res.Render() + "\n" + figures(env, res.RenderFigure5, res.RenderFigure6), nil
+	case "table3", "table3+figs", "fig7", "fig8", "fig9":
 		res, err := experiments.RunTable3(env)
 		if err != nil {
 			return "", err
 		}
-		var b strings.Builder
-		b.WriteString(res.Render())
-		b.WriteByte('\n')
-		for _, ds := range resultDatasets(env) {
-			for _, alpha := range []float64{0.1, 0.5} {
-				b.WriteString(res.RenderFigure7(ds, alpha))
-				b.WriteByte('\n')
-				b.WriteString(res.RenderFigure8(ds, alpha))
-				b.WriteByte('\n')
-				b.WriteString(res.RenderFigure9(ds, alpha))
-				b.WriteByte('\n')
-			}
+		switch id {
+		case "table3":
+			return res.Render(), nil
+		case "fig7":
+			return figures(env, res.RenderFigure7), nil
+		case "fig8":
+			return figures(env, res.RenderFigure8), nil
+		case "fig9":
+			return figures(env, res.RenderFigure9), nil
 		}
-		return b.String(), nil
+		return res.Render() + "\n" + figures(env, res.RenderFigure7, res.RenderFigure8, res.RenderFigure9), nil
 	case "table1":
-		res, err := experiments.RunTable1(env)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	case "table2":
-		res, err := experiments.RunTable2(env)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	case "fig5", "fig6":
-		res, err := experiments.RunTable2(env)
-		if err != nil {
-			return "", err
-		}
-		var b strings.Builder
-		for _, ds := range []string{"synthc10", env.Suite.Target100.Spec.Name} {
-			for _, alpha := range []float64{0.1, 0.5} {
-				if id == "fig5" {
-					b.WriteString(res.RenderFigure5(dsName(env, ds), alpha))
-				} else {
-					b.WriteString(res.RenderFigure6(dsName(env, ds), alpha))
-				}
-				b.WriteByte('\n')
-			}
-		}
-		return b.String(), nil
-	case "table3":
-		res, err := experiments.RunTable3(env)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	case "fig7", "fig8", "fig9":
-		res, err := experiments.RunTable3(env)
-		if err != nil {
-			return "", err
-		}
-		var b strings.Builder
-		for _, ds := range []string{"synthc10", env.Suite.Target100.Spec.Name} {
-			for _, alpha := range []float64{0.1, 0.5} {
-				switch id {
-				case "fig7":
-					b.WriteString(res.RenderFigure7(dsName(env, ds), alpha))
-				case "fig8":
-					b.WriteString(res.RenderFigure8(dsName(env, ds), alpha))
-				case "fig9":
-					b.WriteString(res.RenderFigure9(dsName(env, ds), alpha))
-				}
-				b.WriteByte('\n')
-			}
-		}
-		return b.String(), nil
+		return render(experiments.RunTable1(env))
 	case "table4":
-		res, err := experiments.RunTable4(env)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
+		return render(experiments.RunTable4(env))
 	case "fig1":
-		res, err := experiments.RunFig1(env)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
+		return render(experiments.RunFig1(env))
 	case "fig2", "fig4":
-		res, err := experiments.RunCKA(env, 0.1)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
+		return render(experiments.RunCKA(env, 0.1))
 	case "fig3":
-		res, err := experiments.RunCKA(env, 0.5)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
+		return render(experiments.RunCKA(env, 0.5))
 	case "fig10a":
-		res, err := experiments.RunFig10a(env)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
+		return render(experiments.RunFig10a(env))
 	case "fig10a-indomain":
-		res, err := experiments.RunFig10aInDomain(env)
-		if err != nil {
-			return "", err
-		}
-		return "[in-domain pretraining variant]\n" + res.Render(), nil
+		out, err := render(experiments.RunFig10aInDomain(env))
+		return "[in-domain pretraining variant]\n" + out, err
 	case "fig10b":
-		res, err := experiments.RunFig10b(env)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
+		return render(experiments.RunFig10b(env))
 	case "fig10c":
-		res, err := experiments.RunFig10c(env)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
+		return render(experiments.RunFig10c(env))
 	case "ablations":
 		var b strings.Builder
-		for _, fn := range []func(*experiments.Env) (*experiments.AblationResult, error){
+		for _, run := range []func(*experiments.Env) (*experiments.AblationResult, error){
 			experiments.RunAblationBatchEntropy,
 			experiments.RunAblationAggWeighting,
 			experiments.RunAblationAcquisition,
 		} {
-			res, err := fn(env)
+			out, err := render(run(env))
 			if err != nil {
 				return "", err
 			}
-			b.WriteString(res.Render())
-			b.WriteByte('\n')
+			b.WriteString(out + "\n")
 		}
 		return b.String(), nil
 	default:

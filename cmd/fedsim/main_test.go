@@ -35,7 +35,7 @@ func TestRunExperimentDispatch(t *testing.T) {
 		{id: "strategies", want: "Strategy comparison"},
 	} {
 		t.Run(tt.id, func(t *testing.T) {
-			out, err := runExperiment(env, tt.id, schedOptions{}, asyncOptions{}, nil, nil, nil, experiments.FleetOptions{})
+			out, err := runExperiment(env, tt.id, options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,7 +48,7 @@ func TestRunExperimentDispatch(t *testing.T) {
 
 func TestRunExperimentUnknownID(t *testing.T) {
 	env := testEnv(t)
-	if _, err := runExperiment(env, "table99", schedOptions{}, asyncOptions{}, nil, nil, nil, experiments.FleetOptions{}); err == nil {
+	if _, err := runExperiment(env, "table99", options{}); err == nil {
 		t.Fatal("expected error for unknown experiment id")
 	}
 }

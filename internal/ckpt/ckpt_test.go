@@ -340,8 +340,8 @@ func TestDecoderCorruption(t *testing.T) {
 	if v := d.Uint64(); v != 0 {
 		t.Fatalf("truncated Uint64 returned %d", v)
 	}
-	if !errors.Is(d.Err(), ErrCorrupt) {
-		t.Fatalf("err %v", d.Err())
+	if !errors.Is(d.Done(), ErrCorrupt) {
+		t.Fatalf("err %v", d.Done())
 	}
 	// Sticky: further reads keep returning zero values.
 	if d.Int() != 0 || d.String() != "" || d.Tensor() != nil {
@@ -351,8 +351,8 @@ func TestDecoderCorruption(t *testing.T) {
 	// Invalid bool byte.
 	d = NewDecoder([]byte{7})
 	d.Bool()
-	if !errors.Is(d.Err(), ErrCorrupt) {
-		t.Fatalf("bad bool: %v", d.Err())
+	if !errors.Is(d.Done(), ErrCorrupt) {
+		t.Fatalf("bad bool: %v", d.Done())
 	}
 
 	// Huge claimed tensor count must not allocate.
@@ -360,8 +360,8 @@ func TestDecoderCorruption(t *testing.T) {
 	e.PutUint64(1 << 60)
 	d = NewDecoder(e.Bytes())
 	d.Tensors()
-	if !errors.Is(d.Err(), ErrCorrupt) {
-		t.Fatalf("huge tensor count: %v", d.Err())
+	if !errors.Is(d.Done(), ErrCorrupt) {
+		t.Fatalf("huge tensor count: %v", d.Done())
 	}
 
 	// Trailing bytes fail Done.

@@ -98,8 +98,8 @@ func (e *Encoder) PutFloat64Map(m map[int]float64) {
 }
 
 // Decoder reads a section body written by Encoder. Errors are sticky: after
-// the first failure every getter returns a zero value, and Err (or Done)
-// reports the failure, which always wraps ErrCorrupt.
+// the first failure every getter returns a zero value, and Done reports the
+// failure, which always wraps ErrCorrupt.
 type Decoder struct {
 	b   []byte
 	off int
@@ -129,9 +129,6 @@ func (d *Decoder) take(n int) []byte {
 	d.off += n
 	return out
 }
-
-// Err returns the first decode error, if any.
-func (d *Decoder) Err() error { return d.err }
 
 // Done asserts the body was fully consumed and returns the first error.
 func (d *Decoder) Done() error {
@@ -199,15 +196,16 @@ func (d *Decoder) Bytes() []byte {
 	return append([]byte(nil), d.take(int(n))...)
 }
 
-// Tensor reads one tensor in the library wire format.
+// Tensor reads one tensor in the library wire format. The declared volume is
+// checked against the bytes that remain before any storage is sized, so a
+// corrupt shape cannot trigger an enormous allocation.
 func (d *Decoder) Tensor() *tensor.Tensor {
 	if d.err != nil {
 		return nil
 	}
-	r := bytes.NewReader(d.b[d.off:])
 	var t tensor.Tensor
-	n, err := t.ReadFrom(r)
-	d.off += int(n)
+	n, err := t.DecodeFrom(d.b[d.off:])
+	d.off += n
 	if err != nil {
 		d.fail("tensor: %v", err)
 		return nil

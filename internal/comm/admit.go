@@ -2,6 +2,7 @@ package comm
 
 import (
 	"log"
+	"sort"
 )
 
 // admission is one completed Hello/Welcome handshake waiting to be drained
@@ -21,16 +22,11 @@ type Admitter struct {
 	welcome Envelope
 }
 
-// NewAdmitter starts accepting re-registrations on l. numClients and rounds
-// fill the Welcome frame (matching the initial AcceptClients handshake).
-// Closing the listener stops the background acceptor.
-func NewAdmitter(l Listener, numClients, rounds int) (*Admitter, error) {
-	return NewAdmitterCodec(l, numClients, rounds, "")
-}
-
-// NewAdmitterCodec is NewAdmitter with an uplink-codec advertisement, so a
-// re-registering peer negotiates the same session codec the initial accept
-// phase advertised.
+// NewAdmitterCodec starts accepting re-registrations on l. numClients and
+// rounds fill the Welcome frame and codec its uplink-codec advertisement
+// (matching the initial AcceptClientsCodec handshake, so a re-registering
+// peer negotiates the same session codec). Closing the listener stops the
+// background acceptor.
 func NewAdmitterCodec(l Listener, numClients, rounds int, codec string) (*Admitter, error) {
 	welcome, err := EncodeBody(MsgWelcome, Welcome{NumClients: numClients, Rounds: rounds, Codecs: advertiseCodecs(codec)})
 	if err != nil {
@@ -77,21 +73,42 @@ func (a *Admitter) handshake(conn Conn) {
 	}
 }
 
-// Drain folds every queued re-registration into the session and returns the
-// re-admitted IDs. Non-blocking; call it at a round boundary. A duplicate
-// of a still-live ID is rejected and its connection closed.
+// Drain folds the queued re-registrations into the session and returns the
+// re-admitted IDs, ascending. Non-blocking; call it at a round boundary.
+//
+// A re-registration whose ID is still registered is parked, not refused: a
+// peer restarted faster than the server noticed its crash completes the
+// handshake while its dead connection still holds the ID, and would
+// otherwise be turned away for good. The round that follows drops the dead
+// connection, and the Drain after it admits the parked one. Two connections
+// are never registered under one ID, so an impostor of a live peer simply
+// stays parked until Shutdown closes it.
 func (a *Admitter) Drain(s *ServerSession) []int {
-	var ids []int
 	for {
 		select {
 		case adm := <-a.ch:
-			if err := s.Admit(adm.hello, adm.conn); err != nil {
-				log.Printf("comm: rejecting re-registration of client %d: %v", adm.hello.ClientID, err)
-				_ = adm.conn.Close()
-				continue
+			id := adm.hello.ClientID
+			if old, ok := s.parked[id]; ok {
+				// The peer restarted again; the older connection's far end is gone.
+				_ = old.conn.Close()
 			}
-			ids = append(ids, adm.hello.ClientID)
+			if _, live := s.conns[id]; live {
+				log.Printf("comm: parking re-registration of client %d until its registered connection is dropped", id)
+			}
+			if s.parked == nil {
+				s.parked = make(map[int]admission)
+			}
+			s.parked[id] = adm
 		default:
+			var ids []int
+			for id, adm := range s.parked {
+				if _, live := s.conns[id]; !live {
+					s.admit(adm.hello, adm.conn)
+					delete(s.parked, id)
+					ids = append(ids, id)
+				}
+			}
+			sort.Ints(ids)
 			return ids
 		}
 	}

@@ -19,11 +19,11 @@ func TestAdmitterReadmitsDroppedClient(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	sess, err := AcceptClients(lst, 1, 7)
+	sess, err := AcceptClientsCodec(lst, 1, 7, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	adm, err := NewAdmitter(lst, 1, 7)
+	adm, err := NewAdmitterCodec(lst, 1, 7, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,60 +70,109 @@ func TestAdmitterReadmitsDroppedClient(t *testing.T) {
 	}
 }
 
-// TestAdmitterRejectsLiveDuplicate: an impostor registering under a
-// still-connected ID is refused at Drain and its connection closed; the
-// original connection stays in the session.
-func TestAdmitterRejectsLiveDuplicate(t *testing.T) {
-	lst := NewPipeListener(2)
+// parkDuplicate registers client 0, starts an Admitter, registers a second
+// peer under the same ID and drains until that re-registration is parked.
+func parkDuplicate(t *testing.T, spare int) (*PipeListener, *ServerSession, *Admitter, *ClientSession) {
+	t.Helper()
+	lst := NewPipeListener(2 + spare)
 	go func() {
 		if _, _, err := Join(lst.ClientSide(0), 0, 5); err != nil {
 			t.Error(err)
 		}
 	}()
-	sess, err := AcceptClients(lst, 1, 3)
+	sess, err := AcceptClientsCodec(lst, 1, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	adm, err := NewAdmitter(lst, 1, 3)
+	adm, err := NewAdmitterCodec(lst, 1, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	original := sess.conns[0]
-
 	// The duplicate handshake itself succeeds (the Admitter cannot know
-	// liveness); rejection happens at Drain, which closes the connection.
+	// liveness); Drain is where it is held back.
 	dup, _, err := Join(lst.ClientSide(1), 0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(sess.parked) == 0 {
+		if ids := adm.Drain(sess); len(ids) != 0 {
+			t.Fatalf("live duplicate admitted: %v", ids)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("duplicate re-registration never reached Drain")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return lst, sess, adm, dup
+}
+
+// TestAdmitterRejectsLiveDuplicate: a peer registering under a
+// still-connected ID is never admitted beside it — it is parked, the
+// original connection stays in the session, a second duplicate supersedes
+// the first, and Shutdown closes what is still parked.
+func TestAdmitterRejectsLiveDuplicate(t *testing.T) {
+	lst, sess, adm, dup := parkDuplicate(t, 1)
+	original := sess.conns[0]
+	for i := 0; i < 3; i++ {
+		if ids := adm.Drain(sess); len(ids) != 0 {
+			t.Fatalf("live duplicate admitted: %v", ids)
+		}
+	}
+	if sess.conns[0] != original || sess.LocalSize(0) != 5 {
+		t.Fatal("original registration replaced by the duplicate")
+	}
+
 	closed := make(chan error, 1)
 	go func() {
 		_, _, err := dup.NextRound()
 		closed <- err
 	}()
+	second, _, err := Join(lst.ClientSide(2), 0, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for {
+	for sess.parked[0].hello.LocalSize != 11 {
 		if ids := adm.Drain(sess); len(ids) != 0 {
 			t.Fatalf("live duplicate admitted: %v", ids)
 		}
-		select {
-		case err := <-closed:
-			if err == nil {
-				t.Fatal("duplicate connection served a round instead of closing")
-			}
-			if sess.conns[0] != original {
-				t.Fatal("original connection replaced by the duplicate")
-			}
-			if err := sess.Shutdown("done"); err != nil {
-				t.Fatal(err)
-			}
-			return
-		default:
-		}
 		if time.Now().After(deadline) {
-			t.Fatal("duplicate connection never closed")
+			t.Fatal("second duplicate never superseded the first")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if err := <-closed; err == nil {
+		t.Fatal("superseded duplicate served a round instead of closing")
+	}
+
+	if err := sess.Shutdown("done"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := second.NextRound(); ok || err == nil {
+		t.Fatalf("parked duplicate after Shutdown: ok=%v err=%v, want a closed connection", ok, err)
+	}
+}
+
+// TestAdmitterAdmitsParkedDuplicateOnceVacated is the fast-restart case: a
+// relay that re-registers before the server has noticed its crash is parked
+// at one round boundary and admitted at the first one after the dead
+// connection is dropped, with the new registration's metadata.
+func TestAdmitterAdmitsParkedDuplicateOnceVacated(t *testing.T) {
+	_, sess, adm, _ := parkDuplicate(t, 0)
+
+	// The round in between notices the crash and drops the old connection.
+	_ = sess.conns[0].Close()
+	delete(sess.conns, 0)
+
+	if ids := adm.Drain(sess); !reflect.DeepEqual(ids, []int{0}) {
+		t.Fatalf("drained %v after the ID was vacated, want [0]", ids)
+	}
+	if len(sess.parked) != 0 || sess.LocalSize(0) != 9 {
+		t.Fatalf("parked %d, local size %d; want the restarted peer registered", len(sess.parked), sess.LocalSize(0))
+	}
+	if err := sess.Shutdown("done"); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestAsyncEngineFullBufferIsSyncRound(t *testing.T) {
 	for i := 0; i < numClients; i++ {
 		go asyncEchoClient(lst.ClientSide(i), i, nil)
 	}
-	sess, err := AcceptClients(lst, numClients, 2)
+	sess, err := AcceptClientsCodec(lst, numClients, 2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestAsyncEngineStaleUpdateDiscounted(t *testing.T) {
 	t.Cleanup(func() { close(hold1) })
 	go asyncEchoClient(lst.ClientSide(0), 0, map[int]chan struct{}{2: gate0})
 	go asyncEchoClient(lst.ClientSide(1), 1, map[int]chan struct{}{1: gate1, 2: hold1})
-	sess, err := AcceptClients(lst, 2, 3)
+	sess, err := AcceptClientsCodec(lst, 2, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestAsyncEngineStaleUpdateDiscounted(t *testing.T) {
 func TestAsyncEngineMaxStalenessDiscards(t *testing.T) {
 	lst := NewPipeListener(1)
 	go asyncEchoClient(lst.ClientSide(0), 0, nil)
-	sess, err := AcceptClients(lst, 1, 1)
+	sess, err := AcceptClientsCodec(lst, 1, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestAsyncEngineRestoreRoundTrip(t *testing.T) {
 			}
 		}
 	}()
-	sess, err := AcceptClients(lst, 1, 1)
+	sess, err := AcceptClientsCodec(lst, 1, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestAsyncEngineDropsWrongVersionEcho(t *testing.T) {
 			_ = sess.SendUpdate(ClientUpdate{ClientID: 0, Round: rs.Round, Version: rs.Version + 41, NumSelected: 1})
 		}
 	}()
-	sess, err := AcceptClients(lst, 1, 1)
+	sess, err := AcceptClientsCodec(lst, 1, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestAsyncEngineDeadline(t *testing.T) {
 			}
 		}
 	}()
-	sess, err := AcceptClients(lst, 1, 1)
+	sess, err := AcceptClientsCodec(lst, 1, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestAsyncEngineDeadline(t *testing.T) {
 func TestAsyncEngineConfigRejections(t *testing.T) {
 	lst := NewPipeListener(1)
 	go asyncEchoClient(lst.ClientSide(0), 0, nil)
-	sess, err := AcceptClients(lst, 1, 1)
+	sess, err := AcceptClientsCodec(lst, 1, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}

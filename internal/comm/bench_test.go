@@ -1,10 +1,9 @@
 package comm
 
-// StreamAggregator benchmark at a realistic federation round size: 32
-// client updates, each carrying an MLP-upper-part-sized state (~80k
-// parameters across 4 tensors). One iteration folds a full round and
-// normalizes, the aggregator's whole per-round life cycle. Results feed
-// BENCH_sched.json.
+// Relay-side benchmarks at a realistic region size: 32 leaf updates, each
+// carrying an MLP-upper-part-sized state (~80k parameters across 4 tensors).
+// The performance ledger (bench/, BENCHMARK.json) has no relay workload yet,
+// so these are the only numbers for the region fold and its upstream encode.
 
 import (
 	"math/rand"
@@ -12,40 +11,6 @@ import (
 
 	"fedfteds/internal/tensor"
 )
-
-func BenchmarkStreamAggregatorRound(b *testing.B) {
-	const numUpdates = 32
-	shapes := [][]int{{256, 256}, {256}, {256, 64}, {64}}
-	rng := rand.New(rand.NewSource(1))
-	updates := make([]ClientUpdate, numUpdates)
-	var bytes int64
-	for c := range updates {
-		ts := make([]*tensor.Tensor, len(shapes))
-		for i, sh := range shapes {
-			ts[i] = tensor.New(sh...)
-			ts[i].FillNormal(rng, 0, 1)
-		}
-		blob, err := EncodeTensors(ts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bytes += int64(len(blob))
-		updates[c] = ClientUpdate{ClientID: c, Round: 1, State: blob, NumSelected: 10 + c}
-	}
-	b.SetBytes(bytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg := NewStreamAggregator()
-		for _, u := range updates {
-			if err := agg.Add(u); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := agg.Finish(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // regionBenchUpdates builds a region's worth of leaf updates plus the
 // broadcast they answer, shared by the region-delta benchmarks.
@@ -85,7 +50,6 @@ func regionBenchUpdates(b *testing.B, numUpdates int) (RoundStart, []ClientUpdat
 // BenchmarkRegionDeltaFold measures the relay's per-round hot path: folding
 // a region of leaf updates into one weighted delta — the same
 // StreamAggregator life cycle a relay runs between NextRound and SendRegion.
-// Results feed BENCH_comm.json.
 func BenchmarkRegionDeltaFold(b *testing.B) {
 	_, updates, bytes := regionBenchUpdates(b, 32)
 	b.SetBytes(bytes)
@@ -105,8 +69,7 @@ func BenchmarkRegionDeltaFold(b *testing.B) {
 
 // BenchmarkRegionDeltaEncode measures the upstream half: packaging a folded
 // region state as the RegionUpdate wire frame (tensor encode plus envelope),
-// the bytes a relay pushes to the root each round. Results feed
-// BENCH_comm.json.
+// the bytes a relay pushes to the root each round.
 func BenchmarkRegionDeltaEncode(b *testing.B) {
 	_, updates, _ := regionBenchUpdates(b, 32)
 	agg := NewStreamAggregator()
@@ -137,79 +100,5 @@ func BenchmarkRegionDeltaEncode(b *testing.B) {
 			bytes = int64(len(env.Body))
 			b.SetBytes(bytes)
 		}
-	}
-}
-
-// codecBenchSpecs is the lineup the codec benchmarks and the
-// BENCH_comm.json regression gate cover.
-var codecBenchSpecs = []string{"identity", "float16", "int8", "topk:0.05"}
-
-// codecBenchState builds the ~80k-parameter state the other comm
-// benchmarks use, plus a broadcast reference for the delta codecs.
-func codecBenchState(b *testing.B) (ref, ts []*tensor.Tensor, denseBytes int64) {
-	b.Helper()
-	shapes := [][]int{{256, 256}, {256}, {256, 64}, {64}}
-	rng := rand.New(rand.NewSource(1))
-	for _, sh := range shapes {
-		r := tensor.New(sh...)
-		r.FillNormal(rng, 0, 1)
-		ref = append(ref, r)
-		t := tensor.New(sh...)
-		t.FillNormal(rng, 0, 1)
-		ts = append(ts, t)
-		denseBytes += int64(t.EncodedSize())
-	}
-	return ref, ts, denseBytes + 4
-}
-
-// BenchmarkCodecEncode measures one client's per-round uplink encode for
-// each codec on the standard ~80k-parameter state. SetBytes is the dense
-// state size, so mb_per_s reads as dense-state throughput and stays
-// comparable across codecs. Results feed BENCH_comm.json.
-func BenchmarkCodecEncode(b *testing.B) {
-	for _, spec := range codecBenchSpecs {
-		b.Run(spec, func(b *testing.B) {
-			c, err := ParseCodec(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ref, ts, denseBytes := codecBenchState(b)
-			b.SetBytes(denseBytes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Encode(ref, ts, uint64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCodecDecode measures the server's per-update decode for each
-// codec, scratch reused across iterations like the streaming aggregators
-// do. Results feed BENCH_comm.json.
-func BenchmarkCodecDecode(b *testing.B) {
-	for _, spec := range codecBenchSpecs {
-		b.Run(spec, func(b *testing.B) {
-			c, err := ParseCodec(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ref, ts, denseBytes := codecBenchState(b)
-			blob, err := c.Encode(ref, ts, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var scratch []*tensor.Tensor
-			b.SetBytes(denseBytes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dec, err := c.Decode(ref, scratch, blob)
-				if err != nil {
-					b.Fatal(err)
-				}
-				scratch = dec[:cap(dec)]
-			}
-		})
 	}
 }

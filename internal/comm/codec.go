@@ -174,20 +174,15 @@ func (identityCodec) Decode(_, scratch []*tensor.Tensor, b []byte) ([]*tensor.Te
 	return DecodeTensorsReuse(scratch, b)
 }
 
-// reuseTensorSlice sizes scratch to count tensors, reusing the slice and
-// any tensors it already holds, mirroring DecodeTensorsReuse's policy.
+// reuseTensorSlice sizes scratch to count slots, reusing the slice and any
+// tensors it already holds. New slots stay nil until a decoder has parsed
+// the tensor that fills them (tensor.Ensure and DecodeTensorsReuse both
+// allocate on nil), so a count costs one pointer per slot and nothing more.
 func reuseTensorSlice(scratch []*tensor.Tensor, count int) []*tensor.Tensor {
-	out := scratch
-	if cap(out) >= count {
-		out = out[:count]
-	} else {
-		out = make([]*tensor.Tensor, count)
-		copy(out, scratch)
+	if cap(scratch) >= count {
+		return scratch[:count]
 	}
-	for i := range out {
-		if out[i] == nil {
-			out[i] = new(tensor.Tensor)
-		}
-	}
+	out := make([]*tensor.Tensor, count)
+	copy(out, scratch)
 	return out
 }

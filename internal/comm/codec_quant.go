@@ -54,16 +54,34 @@ func readTensorHeader(b []byte) (shape []int, vol, n int, err error) {
 	return shape, vol, n, nil
 }
 
-// readBlobCount parses the 4-byte tensor count every codec blob leads with.
+// readBlobCount parses the 4-byte tensor count every tensor blob leads with.
+// A tensor occupies at least its rank byte, so a count beyond the bytes that
+// follow is rejected here, before anything is sized from it.
 func readBlobCount(b []byte) (int, error) {
 	if len(b) < 4 {
 		return 0, fmt.Errorf("%w: tensor blob too short", ErrProtocol)
 	}
 	count := int(binary.LittleEndian.Uint32(b))
-	if count > 1<<20 {
-		return 0, fmt.Errorf("%w: tensor count %d", ErrProtocol, count)
+	if count > len(b)-4 {
+		return 0, fmt.Errorf("%w: %d tensors declared in %d bytes", ErrProtocol, count, len(b)-4)
 	}
 	return count, nil
+}
+
+// shapeIs reports whether t has exactly the given shape. The delta codecs
+// hold each declared shape to the broadcast reference with it before sizing
+// anything, so a hostile header cannot allocate more than the reference
+// already occupies.
+func shapeIs(t *tensor.Tensor, shape []int) bool {
+	if t.Rank() != len(shape) {
+		return false
+	}
+	for i, d := range shape {
+		if t.Dim(i) != d {
+			return false
+		}
+	}
+	return true
 }
 
 // quantRNG is the deterministic stochastic-rounding stream: a Splitmix64
@@ -302,14 +320,14 @@ func (int8Codec) Decode(ref, scratch []*tensor.Tensor, b []byte) ([]*tensor.Tens
 			return nil, fmt.Errorf("comm: int8 decode tensor %d: %w", i, err)
 		}
 		off += n
+		if !shapeIs(ref[i], shape) {
+			return nil, fmt.Errorf("%w: int8 reference tensor %d shape mismatch", ErrProtocol, i)
+		}
 		blocks := (vol + int8BlockSize - 1) / int8BlockSize
 		if len(b) < off+4*blocks+vol {
 			return nil, fmt.Errorf("%w: int8 tensor %d truncated", ErrProtocol, i)
 		}
 		out[i] = tensor.Ensure(out[i], shape...)
-		if !out[i].SameShape(ref[i]) {
-			return nil, fmt.Errorf("%w: int8 reference tensor %d shape mismatch", ErrProtocol, i)
-		}
 		data, rdata := out[i].Data(), ref[i].Data()
 		for len(data) > 0 {
 			blk, rblk := data, rdata

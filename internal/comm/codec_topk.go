@@ -134,6 +134,11 @@ func (c *topKCodec) Decode(ref, scratch []*tensor.Tensor, b []byte) ([]*tensor.T
 			return nil, fmt.Errorf("comm: topk decode tensor %d: %w", i, err)
 		}
 		off += n
+		// k = 0 is legal, so nothing but the reference ties the declared
+		// volume to the payload: hold the shape to it before sizing anything.
+		if !shapeIs(ref[i], shape) {
+			return nil, fmt.Errorf("%w: topk reference tensor %d shape mismatch", ErrProtocol, i)
+		}
 		if len(b) < off+4 {
 			return nil, fmt.Errorf("%w: topk tensor %d truncated", ErrProtocol, i)
 		}
@@ -146,9 +151,6 @@ func (c *topKCodec) Decode(ref, scratch []*tensor.Tensor, b []byte) ([]*tensor.T
 			return nil, fmt.Errorf("%w: topk tensor %d truncated", ErrProtocol, i)
 		}
 		out[i] = tensor.Ensure(out[i], shape...)
-		if !out[i].SameShape(ref[i]) {
-			return nil, fmt.Errorf("%w: topk reference tensor %d shape mismatch", ErrProtocol, i)
-		}
 		if err := out[i].CopyFrom(ref[i]); err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -196,7 +197,7 @@ func TestServerClientSessionOverPipe(t *testing.T) {
 		}(i)
 	}
 
-	sess, err := AcceptClients(lst, numClients, 2)
+	sess, err := AcceptClientsCodec(lst, numClients, 2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +206,10 @@ func TestServerClientSessionOverPipe(t *testing.T) {
 		t.Fatalf("client ids %v", ids)
 	}
 	for round := 1; round <= 2; round++ {
-		updates, err := sess.RunRound(RoundStart{
+		updates, err := collectRound(sess, RoundStart{
 			Round: round, State: []byte{9}, Groups: []string{"up"},
 			SelectFraction: 0.5, LocalEpochs: 1,
-		}, ids)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,6 +231,24 @@ func TestServerClientSessionOverPipe(t *testing.T) {
 			t.Fatalf("client %d: %v", id, err)
 		}
 	}
+}
+
+// collectRound runs one fail-stop round (full quorum, no deadline) over every
+// live client through the RoundEngine and returns the updates by client ID.
+func collectRound(sess *ServerSession, rs RoundStart) ([]ClientUpdate, error) {
+	engine, err := NewRoundEngine(sess, EngineConfig{})
+	if err != nil {
+		return nil, err
+	}
+	var updates []ClientUpdate
+	if _, err := engine.RunRound(rs, func(u ClientUpdate) error {
+		updates = append(updates, u)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	sort.Slice(updates, func(a, b int) bool { return updates[a].ClientID < updates[b].ClientID })
+	return updates, nil
 }
 
 // runFakeClient joins, answers every round with a trivial update, and exits
@@ -290,7 +309,7 @@ func TestAcceptClientsRejectsDuplicateIDs(t *testing.T) {
 		env2, _ := EncodeBody(MsgHello, Hello{ClientID: 3})
 		_ = cB.Send(env2)
 	}()
-	if _, err := AcceptClients(lst, 2, 1); !errors.Is(err, ErrProtocol) {
+	if _, err := AcceptClientsCodec(lst, 2, 1, ""); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("expected ErrProtocol for duplicate id, got %v", err)
 	}
 }
@@ -303,7 +322,7 @@ func TestRunRoundRejectsWrongRoundEcho(t *testing.T) {
 		env, _ := EncodeBody(MsgClientUpdate, ClientUpdate{ClientID: 0, Round: 99})
 		_ = cConn.Send(env)
 	}()
-	if _, err := sess.RunRound(RoundStart{Round: 1}, []int{0}); !errors.Is(err, ErrProtocol) {
+	if _, err := collectRound(sess, RoundStart{Round: 1}); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("expected ErrProtocol for wrong round, got %v", err)
 	}
 }

@@ -64,7 +64,7 @@ func TestJoinRejectsNonWelcomeReply(t *testing.T) {
 }
 
 func TestAcceptClientsValidation(t *testing.T) {
-	if _, err := AcceptClients(&staticListener{}, 0, 1); !errors.Is(err, ErrProtocol) {
+	if _, err := AcceptClientsCodec(&staticListener{}, 0, 1, ""); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("expected ErrProtocol for zero clients, got %v", err)
 	}
 }

@@ -23,8 +23,7 @@ type EngineConfig struct {
 	// and the update read must both finish inside it. A client that blows
 	// the deadline is dropped for the round but keeps its connection and
 	// may rejoin at the next round. Zero means no deadline: the engine
-	// waits indefinitely (a hung client then blocks the round, as the
-	// plain ServerSession.RunRound always did).
+	// waits indefinitely (a hung client then blocks the round).
 	RoundDeadline time.Duration
 	// Quorum is the fraction of the round's live clients, in (0, 1], whose
 	// updates must arrive for the round to succeed. Zero defaults to 1

@@ -58,7 +58,7 @@ func TestEngineQuorumSurvivesKilledClient(t *testing.T) {
 		}(i)
 	}
 
-	sess, err := AcceptClients(lst, numClients, 3)
+	sess, err := AcceptClientsCodec(lst, numClients, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestEngineCohortIdleClientsSurviveAndRejoin(t *testing.T) {
 		}(i)
 	}
 
-	sess, err := AcceptClients(lst, numClients, 3)
+	sess, err := AcceptClientsCodec(lst, numClients, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestEngineDeadlineDropsStalledClientThenRejoins(t *testing.T) {
 		}
 	}()
 
-	sess, err := AcceptClients(lst, 2, 2)
+	sess, err := AcceptClientsCodec(lst, 2, 2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestEngineDiscardsLateUpdate(t *testing.T) {
 		_, _, _ = sess.NextRound() // wait for shutdown
 	}()
 
-	sess, err := AcceptClients(lst, 1, 1)
+	sess, err := AcceptClientsCodec(lst, 1, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestEngineQuorumNotMet(t *testing.T) {
 			_ = sess.Close() // every client dies instead of reporting
 		}(i)
 	}
-	sess, err := AcceptClients(lst, 2, 1)
+	sess, err := AcceptClientsCodec(lst, 2, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +542,7 @@ func TestAcceptClientsClosesConnOnProtocolError(t *testing.T) {
 		env, _ := EncodeBody(MsgShutdown, Shutdown{Reason: "not a hello"})
 		_ = lst.ClientSide(0).Send(env)
 	}()
-	if _, err := AcceptClients(lst, 2, 1); !errors.Is(err, ErrProtocol) {
+	if _, err := AcceptClientsCodec(lst, 2, 1, ""); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("expected ErrProtocol, got %v", err)
 	}
 	// The mid-handshake connection was closed, which the client observes.

@@ -81,7 +81,7 @@ func TestAcceptClientsSurvivesNoise(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sess, err := AcceptClients(l, 2, 1)
+	sess, err := AcceptClientsCodec(l, 2, 1, "")
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestAdmitterSurvivesNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	adm, err := NewAdmitter(l, 1, 3)
+	adm, err := NewAdmitterCodec(l, 1, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,20 +229,11 @@ func DecodeTensors(b []byte) ([]*tensor.Tensor, error) {
 // steady-state folds allocate nothing. The returned tensors alias scratch's;
 // the caller owns both and must not use them past the next reuse.
 func DecodeTensorsReuse(scratch []*tensor.Tensor, b []byte) ([]*tensor.Tensor, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: tensor blob too short", ErrProtocol)
+	count, err := readBlobCount(b)
+	if err != nil {
+		return nil, err
 	}
-	count := int(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
-	if count > 1<<20 {
-		return nil, fmt.Errorf("%w: tensor count %d", ErrProtocol, count)
-	}
-	out := scratch
-	if cap(out) >= count {
-		out = out[:count]
-	} else {
-		out = make([]*tensor.Tensor, count)
-		copy(out, scratch)
-	}
+	out := reuseTensorSlice(scratch, count)
 	off := 4
 	for i := range out {
 		if out[i] == nil {

@@ -27,18 +27,16 @@ type ServerSession struct {
 	tiers  map[int]string // device tiers reported at Hello, by client ID
 	relays map[int]bool   // relay role reported at Hello, by client ID
 	leaves map[int]int    // downstream leaf counts reported at Hello, by client ID
+	// parked holds re-registrations under a still-registered ID until it is
+	// vacated (Admitter.Drain).
+	parked map[int]admission
 }
 
-// AcceptClients blocks until numClients clients have registered, answering
-// each Hello with a Welcome. On error every accepted connection — including
-// the one mid-handshake — is closed before returning, so no descriptor
-// leaks.
-func AcceptClients(l Listener, numClients, rounds int) (*ServerSession, error) {
-	return AcceptClientsCodec(l, numClients, rounds, "")
-}
-
-// AcceptClientsCodec is AcceptClients with an uplink-codec advertisement:
-// codec is the canonical name the Welcome carries (see advertiseCodecs).
+// AcceptClientsCodec blocks until numClients clients have registered,
+// answering each Hello with a Welcome that advertises codec as the session's
+// uplink codec (see advertiseCodecs). On error every accepted connection —
+// including the one mid-handshake — is closed before returning, so no
+// descriptor leaks.
 //
 // A connection that never delivers a well-framed first message within
 // handshakeTimeout — silence, a torn frame, a length prefix above
@@ -146,19 +144,6 @@ func (s *ServerSession) admit(hello Hello, conn Conn) {
 	s.leaves[hello.ClientID] = hello.Clients
 }
 
-// Admit registers a handshaked connection after the initial accept phase —
-// the re-admission path for a crashed-and-restarted relay or client. The
-// Welcome must already have been sent (the Admitter does). A duplicate of a
-// still-live ID is rejected; the caller keeps ownership of the rejected
-// connection.
-func (s *ServerSession) Admit(hello Hello, conn Conn) error {
-	if _, dup := s.conns[hello.ClientID]; dup {
-		return fmt.Errorf("%w: duplicate client id %d", ErrProtocol, hello.ClientID)
-	}
-	s.admit(hello, conn)
-	return nil
-}
-
 // LocalSize returns the local dataset size the client reported at
 // registration (zero for unknown clients) — the scheduler's |D_i| signal.
 func (s *ServerSession) LocalSize(id int) int { return s.sizes[id] }
@@ -186,26 +171,9 @@ func (s *ServerSession) ClientIDs() []int {
 	return ids
 }
 
-// RunRound broadcasts a RoundStart to the given clients and collects one
-// ClientUpdate from each. Updates return ordered by client ID. It is the
-// fail-stop special case of the RoundEngine: full quorum, no deadline, all
-// updates buffered — any client failure fails the round. Use a RoundEngine
-// for partial participation.
-func (s *ServerSession) RunRound(rs RoundStart, clientIDs []int) ([]ClientUpdate, error) {
-	var updates []ClientUpdate
-	_, err := s.runRound(rs, clientIDs, EngineConfig{}, func(u ClientUpdate) error {
-		updates = append(updates, u)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(updates, func(a, b int) bool { return updates[a].ClientID < updates[b].ClientID })
-	return updates, nil
-}
-
 // Shutdown notifies every client concurrently, closes every connection even
-// when sends fail, and returns the joined errors in client-ID order.
+// when sends fail (parked re-registrations are closed unnotified), and
+// returns the joined errors in client-ID order.
 func (s *ServerSession) Shutdown(reason string) error {
 	env, err := EncodeBody(MsgShutdown, Shutdown{Reason: reason})
 	if err != nil {
@@ -233,6 +201,10 @@ func (s *ServerSession) Shutdown(reason string) error {
 	}
 	wg.Wait()
 	clear(s.conns)
+	for _, adm := range s.parked {
+		_ = adm.conn.Close()
+	}
+	clear(s.parked)
 	return errors.Join(errs...)
 }
 

@@ -42,19 +42,18 @@ func TestManyClientManyRoundStress(t *testing.T) {
 		}(i)
 	}
 
-	sess, err := AcceptClients(lst, numClients, rounds)
+	sess, err := AcceptClientsCodec(lst, numClients, rounds, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := sess.ClientIDs()
 	for round := 1; round <= rounds; round++ {
-		updates, err := sess.RunRound(RoundStart{
+		updates, err := collectRound(sess, RoundStart{
 			Round:          round,
 			State:          stateBlob,
 			Groups:         []string{"up", "classifier"},
 			SelectFraction: 0.5,
 			LocalEpochs:    1,
-		}, ids)
+		})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

@@ -189,7 +189,11 @@ func TestResumeBitIdentical(t *testing.T) {
 			requireSameState(t, refModel, baseModel)
 
 			for _, r := range []int{1, st.rounds / 2, st.rounds - 1} {
-				state, err := LoadRunState(ckpt.Path(dir, r))
+				sections, err := ckpt.Load(ckpt.Path(dir, r))
+				if err != nil {
+					t.Fatalf("round %d: %v", r, err)
+				}
+				state, err := RunStateFromSections(sections)
 				if err != nil {
 					t.Fatalf("round %d: %v", r, err)
 				}

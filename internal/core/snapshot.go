@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
-	"sort"
 
 	"fedfteds/internal/ckpt"
 	"fedfteds/internal/comm"
@@ -20,43 +19,6 @@ import (
 // section, independent of the ckpt container version: the container framing
 // can stay stable while the section layout evolves.
 const schemaVersion = 1
-
-// Checkpoint section names. The sections and their layouts are specified in
-// DESIGN.md ("Checkpoint file format").
-const (
-	sectionMeta    = "meta"
-	sectionModel   = "model"
-	sectionHistory = "history"
-	sectionTracker = "tracker"
-	sectionSched   = "sched"
-	sectionOpt     = "opt"
-	// sectionStrategy is optional: it is written only when the run was
-	// configured with an explicit strategy, so checkpoints of legacy
-	// (nil-Strategy) runs keep their exact pre-strategy byte layout.
-	sectionStrategy = "strategy"
-	// sectionTiers is optional: it is written only for tiered runs
-	// (Config.TierDist set), so untiered checkpoints keep their exact
-	// pre-tier byte layout.
-	sectionTiers = "tiers"
-	// sectionAsync is optional: it is written only by buffered-asynchronous
-	// (FedBuff) servers, carrying the model version counter and the updates
-	// buffered but not yet aggregated, so a warm start resumes mid-buffer.
-	// Synchronous checkpoints keep their exact pre-async byte layout.
-	sectionAsync = "async"
-	// sectionCodec is optional: it is written only for runs with an uplink
-	// codec configured (Config.Codec / fedserver -codec), carrying the codec
-	// spec and any per-client error-feedback residuals (topk), so a resumed
-	// run continues the error-feedback chain bit for bit. Codec-free
-	// checkpoints keep their exact pre-codec byte layout.
-	sectionCodec = "codec"
-	// sectionFleet is optional: it is written only for fleet-backed runs
-	// (NewRunnerWithSource over a source with a non-empty Fingerprint),
-	// carrying the fleet's population fingerprint — seeds, sizes, device
-	// distribution, clustering — so a restore under an edited fleet (or under
-	// the eager path) is refused. Eager checkpoints keep their exact
-	// pre-fleet byte layout.
-	sectionFleet = "fleet"
-)
 
 // AsyncState is a buffered-asynchronous (FedBuff) server's resumable state
 // at a checkpoint boundary: the model version counter and the buffer of
@@ -484,327 +446,164 @@ func (s *RunState) RestoreInto(r *Runner) error {
 	return nil
 }
 
-// Sections encodes the state into checkpoint sections (see DESIGN.md for the
-// layout). Encoding is deterministic: identical state yields identical bytes.
+// runStateSections is the checkpoint's run-state layout, written once: the
+// sections in file order, each with its name, whether it is mandatory or
+// when it is written, and its field list. Sections and RunStateFromSections
+// both walk this table through a ckpt.Coder, so it is the normative
+// description of the format (DESIGN.md, "Checkpoint file format", gives the
+// reasons). Every optional section is absent unless its feature is
+// configured, which keeps checkpoints of runs without that feature — and the
+// committed golden fixtures — byte-identical to what was written before the
+// feature existed.
+var runStateSections = []struct {
+	name string
+	// present reports whether an optional section is written for a state;
+	// nil marks a mandatory one.
+	present func(*RunState) bool
+	fields  func(*ckpt.Coder, *RunState)
+}{
+	{name: "meta", fields: func(c *ckpt.Coder, s *RunState) {
+		v := uint64(schemaVersion)
+		c.Uint64(&v)
+		if v != schemaVersion {
+			c.Fail(fmt.Errorf("%w: run-state schema %d (supported: %d)", ckpt.ErrVersion, v, schemaVersion))
+		}
+		c.Int64(&s.Seed)
+		c.Uint64(&s.ConfigTag)
+		c.Int(&s.Round)
+		c.Float64(&s.Acct.SelectionSeconds)
+		c.Float64(&s.Acct.TrainSeconds)
+		c.Int64(&s.Acct.UplinkBytes)
+		c.Int64(&s.Acct.DownlinkBytes)
+	}},
+	{name: "model", fields: func(c *ckpt.Coder, s *RunState) { c.Tensors(&s.Model) }},
+	{name: "history", fields: func(c *ckpt.Coder, s *RunState) {
+		ckpt.List(c, &s.Hist.Records, func(c *ckpt.Coder, rec *RoundRecord) {
+			c.Int(&rec.Round)
+			c.Int(&rec.CohortSize)
+			c.String(&rec.SchedPolicy)
+			c.Int(&rec.Participants)
+			c.Float64(&rec.TestAccuracy)
+			c.Float64(&rec.MeanTrainLoss)
+			c.Float64(&rec.CumTrainSeconds)
+			c.Int64(&rec.CumUplinkBytes)
+		})
+		c.Float64(&s.Hist.BestAccuracy)
+		c.Float64(&s.Hist.FinalAccuracy)
+		c.Float64(&s.Hist.TotalTrainSeconds)
+		c.Int64(&s.Hist.TotalUplinkBytes)
+		c.Int64(&s.Hist.TotalDownlinkBytes)
+	}},
+	{name: "tracker", fields: func(c *ckpt.Coder, s *RunState) {
+		c.Float64Map(&s.TrackerUtil)
+		c.Float64Map(&s.TrackerSeconds)
+	}},
+	{name: "sched", fields: func(c *ckpt.Coder, s *RunState) {
+		c.String(&s.SchedName)
+		c.Bytes(&s.SchedState)
+	}},
+	{name: "opt", fields: func(c *ckpt.Coder, s *RunState) { c.TensorMap(&s.Opt) }},
+	// Written only for an explicitly configured strategy (nil-Strategy runs
+	// take the legacy default path).
+	{name: "strategy",
+		present: func(s *RunState) bool { return s.StratName != "" || len(s.StratState) > 0 },
+		fields: func(c *ckpt.Coder, s *RunState) {
+			c.String(&s.StratName)
+			c.Tensors(&s.StratState)
+		}},
+	// Written only for tiered runs (Config.TierDist set).
+	{name: "tiers",
+		present: func(s *RunState) bool { return s.TierSpec != "" },
+		fields:  func(c *ckpt.Coder, s *RunState) { c.String(&s.TierSpec) }},
+	// Written only by buffered-asynchronous (FedBuff) servers: the model
+	// version counter and the updates buffered but not yet aggregated, so a
+	// warm start resumes mid-buffer. An update's Codec echo is not stored;
+	// RunStateFromSections restores it from the codec section.
+	{name: "async",
+		present: func(s *RunState) bool { return s.Async != nil },
+		fields: func(c *ckpt.Coder, s *RunState) {
+			if s.Async == nil {
+				s.Async = &AsyncState{}
+			}
+			c.Int(&s.Async.Version)
+			ckpt.List(c, &s.Async.Buffer, func(c *ckpt.Coder, u *comm.ClientUpdate) {
+				c.Int(&u.ClientID)
+				c.Int(&u.Round)
+				c.Int(&u.Version)
+				c.Bytes(&u.State)
+				ckpt.List(c, &u.Groups, (*ckpt.Coder).String)
+				c.Int(&u.NumSelected)
+				c.Float64(&u.TrainSeconds)
+				c.Float64(&u.TrainLoss)
+				c.Float64(&u.MeanEntropy)
+			})
+		}},
+	// Written only for runs with an uplink codec configured (Config.Codec /
+	// fedserver -codec): the codec spec and any per-client error-feedback
+	// residuals (topk), so a resumed run continues the error-feedback chain
+	// bit for bit.
+	{name: "codec",
+		present: func(s *RunState) bool { return s.CodecName != "" || len(s.CodecResiduals) > 0 },
+		fields: func(c *ckpt.Coder, s *RunState) {
+			c.String(&s.CodecName)
+			c.TensorMap(&s.CodecResiduals)
+		}},
+	// Written only for fleet-backed runs (a ClientSource with a non-empty
+	// Fingerprint): the fingerprint pins the virtual population — seeds, size
+	// distribution, clustering — so a restore under an edited fleet (or under
+	// the eager path) is refused.
+	{name: "fleet",
+		present: func(s *RunState) bool { return s.FleetSpec != "" },
+		fields:  func(c *ckpt.Coder, s *RunState) { c.String(&s.FleetSpec) }},
+}
+
+// Sections encodes the state into checkpoint sections by walking
+// runStateSections. Encoding is deterministic: identical state yields
+// identical bytes.
 func (s *RunState) Sections() ([]ckpt.Section, error) {
-	var meta ckpt.Encoder
-	meta.PutUint64(schemaVersion)
-	meta.PutInt64(s.Seed)
-	meta.PutUint64(s.ConfigTag)
-	meta.PutInt(s.Round)
-	meta.PutFloat64(s.Acct.SelectionSeconds)
-	meta.PutFloat64(s.Acct.TrainSeconds)
-	meta.PutInt64(s.Acct.UplinkBytes)
-	meta.PutInt64(s.Acct.DownlinkBytes)
-
-	var model ckpt.Encoder
-	if err := model.PutTensors(s.Model); err != nil {
-		return nil, err
-	}
-
-	var hist ckpt.Encoder
-	hist.PutUint64(uint64(len(s.Hist.Records)))
-	for _, rec := range s.Hist.Records {
-		hist.PutInt(rec.Round)
-		hist.PutInt(rec.CohortSize)
-		hist.PutString(rec.SchedPolicy)
-		hist.PutInt(rec.Participants)
-		hist.PutFloat64(rec.TestAccuracy)
-		hist.PutFloat64(rec.MeanTrainLoss)
-		hist.PutFloat64(rec.CumTrainSeconds)
-		hist.PutInt64(rec.CumUplinkBytes)
-	}
-	hist.PutFloat64(s.Hist.BestAccuracy)
-	hist.PutFloat64(s.Hist.FinalAccuracy)
-	hist.PutFloat64(s.Hist.TotalTrainSeconds)
-	hist.PutInt64(s.Hist.TotalUplinkBytes)
-	hist.PutInt64(s.Hist.TotalDownlinkBytes)
-
-	var tracker ckpt.Encoder
-	tracker.PutFloat64Map(s.TrackerUtil)
-	tracker.PutFloat64Map(s.TrackerSeconds)
-
-	var schedEnc ckpt.Encoder
-	schedEnc.PutString(s.SchedName)
-	schedEnc.PutBytes(s.SchedState)
-
-	var opt ckpt.Encoder
-	ids := make([]int, 0, len(s.Opt))
-	for id := range s.Opt {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	opt.PutUint64(uint64(len(ids)))
-	for _, id := range ids {
-		opt.PutInt(id)
-		if err := opt.PutTensors(s.Opt[id]); err != nil {
-			return nil, err
+	var sections []ckpt.Section
+	for _, sec := range runStateSections {
+		if sec.present != nil && !sec.present(s) {
+			continue
 		}
-	}
-
-	sections := []ckpt.Section{
-		{Name: sectionMeta, Body: meta.Bytes()},
-		{Name: sectionModel, Body: model.Bytes()},
-		{Name: sectionHistory, Body: hist.Bytes()},
-		{Name: sectionTracker, Body: tracker.Bytes()},
-		{Name: sectionSched, Body: schedEnc.Bytes()},
-		{Name: sectionOpt, Body: opt.Bytes()},
-	}
-	// The strategy section is written only for explicitly configured
-	// strategies: legacy runs keep their exact pre-strategy byte layout, so
-	// committed fixtures and old checkpoints stay valid.
-	if s.StratName != "" || len(s.StratState) > 0 {
-		var strat ckpt.Encoder
-		strat.PutString(s.StratName)
-		if err := strat.PutTensors(s.StratState); err != nil {
-			return nil, err
+		body, err := ckpt.Encode(func(c *ckpt.Coder) { sec.fields(c, s) })
+		if err != nil {
+			return nil, fmt.Errorf("%s section: %w", sec.name, err)
 		}
-		sections = append(sections, ckpt.Section{Name: sectionStrategy, Body: strat.Bytes()})
-	}
-	// The tiers section is written only for tiered runs: untiered
-	// checkpoints keep their exact pre-tier byte layout.
-	if s.TierSpec != "" {
-		var tiers ckpt.Encoder
-		tiers.PutString(s.TierSpec)
-		sections = append(sections, ckpt.Section{Name: sectionTiers, Body: tiers.Bytes()})
-	}
-	// The async section is written only for buffered-asynchronous runs:
-	// synchronous checkpoints keep their exact pre-async byte layout.
-	if s.Async != nil {
-		var async ckpt.Encoder
-		async.PutInt(s.Async.Version)
-		async.PutUint64(uint64(len(s.Async.Buffer)))
-		for _, u := range s.Async.Buffer {
-			async.PutInt(u.ClientID)
-			async.PutInt(u.Round)
-			async.PutInt(u.Version)
-			async.PutBytes(u.State)
-			async.PutUint64(uint64(len(u.Groups)))
-			for _, g := range u.Groups {
-				async.PutString(g)
-			}
-			async.PutInt(u.NumSelected)
-			async.PutFloat64(u.TrainSeconds)
-			async.PutFloat64(u.TrainLoss)
-			async.PutFloat64(u.MeanEntropy)
-		}
-		sections = append(sections, ckpt.Section{Name: sectionAsync, Body: async.Bytes()})
-	}
-	// The codec section is written only for codec-configured runs:
-	// codec-free checkpoints keep their exact pre-codec byte layout.
-	// Residual clients are encoded in sorted ID order for determinism.
-	if s.CodecName != "" || len(s.CodecResiduals) > 0 {
-		var codec ckpt.Encoder
-		codec.PutString(s.CodecName)
-		resIDs := make([]int, 0, len(s.CodecResiduals))
-		for id := range s.CodecResiduals {
-			resIDs = append(resIDs, id)
-		}
-		sort.Ints(resIDs)
-		codec.PutUint64(uint64(len(resIDs)))
-		for _, id := range resIDs {
-			codec.PutInt(id)
-			if err := codec.PutTensors(s.CodecResiduals[id]); err != nil {
-				return nil, err
-			}
-		}
-		sections = append(sections, ckpt.Section{Name: sectionCodec, Body: codec.Bytes()})
-	}
-	// The fleet section is written only for fleet-backed runs: eager
-	// checkpoints keep their exact pre-fleet byte layout.
-	if s.FleetSpec != "" {
-		var fleet ckpt.Encoder
-		fleet.PutString(s.FleetSpec)
-		sections = append(sections, ckpt.Section{Name: sectionFleet, Body: fleet.Bytes()})
+		sections = append(sections, ckpt.Section{Name: sec.name, Body: body})
 	}
 	return sections, nil
 }
 
-// RunStateFromSections decodes checkpoint sections, reversing Sections.
-// Structural problems (missing sections, truncated bodies) report
-// ckpt.ErrCorrupt.
+// RunStateFromSections decodes checkpoint sections, reversing Sections over
+// the same table. Structural problems (missing sections, truncated bodies)
+// report ckpt.ErrCorrupt.
 func RunStateFromSections(sections []ckpt.Section) (*RunState, error) {
 	bodies := make(map[string][]byte, len(sections))
 	for _, sec := range sections {
 		bodies[sec.Name] = sec.Body
 	}
-	for _, name := range []string{sectionMeta, sectionModel, sectionHistory, sectionTracker, sectionSched, sectionOpt} {
-		if _, ok := bodies[name]; !ok {
-			return nil, fmt.Errorf("%w: missing %q section", ckpt.ErrCorrupt, name)
-		}
-	}
 	s := &RunState{}
-
-	meta := ckpt.NewDecoder(bodies[sectionMeta])
-	if v := meta.Uint64(); v != schemaVersion && meta.Err() == nil {
-		return nil, fmt.Errorf("%w: run-state schema %d (supported: %d)", ckpt.ErrVersion, v, schemaVersion)
-	}
-	s.Seed = meta.Int64()
-	s.ConfigTag = meta.Uint64()
-	s.Round = meta.Int()
-	s.Acct.SelectionSeconds = meta.Float64()
-	s.Acct.TrainSeconds = meta.Float64()
-	s.Acct.UplinkBytes = meta.Int64()
-	s.Acct.DownlinkBytes = meta.Int64()
-	if err := meta.Done(); err != nil {
-		return nil, fmt.Errorf("meta section: %w", err)
-	}
-
-	model := ckpt.NewDecoder(bodies[sectionModel])
-	s.Model = model.Tensors()
-	if err := model.Done(); err != nil {
-		return nil, fmt.Errorf("model section: %w", err)
-	}
-
-	hist := ckpt.NewDecoder(bodies[sectionHistory])
-	n := hist.Uint64()
-	if n > uint64(len(bodies[sectionHistory])) {
-		return nil, fmt.Errorf("%w: history claims %d records", ckpt.ErrCorrupt, n)
-	}
-	if n > 0 {
-		s.Hist.Records = make([]RoundRecord, 0, n)
-	}
-	for i := uint64(0); i < n && hist.Err() == nil; i++ {
-		s.Hist.Records = append(s.Hist.Records, RoundRecord{
-			Round:           hist.Int(),
-			CohortSize:      hist.Int(),
-			SchedPolicy:     hist.String(),
-			Participants:    hist.Int(),
-			TestAccuracy:    hist.Float64(),
-			MeanTrainLoss:   hist.Float64(),
-			CumTrainSeconds: hist.Float64(),
-			CumUplinkBytes:  hist.Int64(),
-		})
-	}
-	s.Hist.BestAccuracy = hist.Float64()
-	s.Hist.FinalAccuracy = hist.Float64()
-	s.Hist.TotalTrainSeconds = hist.Float64()
-	s.Hist.TotalUplinkBytes = hist.Int64()
-	s.Hist.TotalDownlinkBytes = hist.Int64()
-	if err := hist.Done(); err != nil {
-		return nil, fmt.Errorf("history section: %w", err)
-	}
-
-	tracker := ckpt.NewDecoder(bodies[sectionTracker])
-	s.TrackerUtil = tracker.Float64Map()
-	s.TrackerSeconds = tracker.Float64Map()
-	if err := tracker.Done(); err != nil {
-		return nil, fmt.Errorf("tracker section: %w", err)
-	}
-
-	schedDec := ckpt.NewDecoder(bodies[sectionSched])
-	s.SchedName = schedDec.String()
-	s.SchedState = schedDec.Bytes()
-	if err := schedDec.Done(); err != nil {
-		return nil, fmt.Errorf("sched section: %w", err)
-	}
-
-	opt := ckpt.NewDecoder(bodies[sectionOpt])
-	optN := opt.Uint64()
-	if optN > uint64(len(bodies[sectionOpt])) {
-		return nil, fmt.Errorf("%w: opt section claims %d clients", ckpt.ErrCorrupt, optN)
-	}
-	if optN > 0 {
-		s.Opt = make(map[int][]*tensor.Tensor, optN)
-	}
-	for i := uint64(0); i < optN && opt.Err() == nil; i++ {
-		id := opt.Int()
-		s.Opt[id] = opt.Tensors()
-	}
-	if err := opt.Done(); err != nil {
-		return nil, fmt.Errorf("opt section: %w", err)
-	}
-
-	// The strategy section is optional (absent for legacy runs).
-	if body, ok := bodies[sectionStrategy]; ok {
-		strat := ckpt.NewDecoder(body)
-		s.StratName = strat.String()
-		s.StratState = strat.Tensors()
-		if err := strat.Done(); err != nil {
-			return nil, fmt.Errorf("strategy section: %w", err)
-		}
-	}
-
-	// The tiers section is optional (absent for untiered runs).
-	if body, ok := bodies[sectionTiers]; ok {
-		tiers := ckpt.NewDecoder(body)
-		s.TierSpec = tiers.String()
-		if err := tiers.Done(); err != nil {
-			return nil, fmt.Errorf("tiers section: %w", err)
-		}
-	}
-
-	// The async section is optional (absent for synchronous runs).
-	if body, ok := bodies[sectionAsync]; ok {
-		async := ckpt.NewDecoder(body)
-		st := &AsyncState{Version: async.Int()}
-		n := async.Uint64()
-		if n > uint64(len(body)) {
-			return nil, fmt.Errorf("%w: async section claims %d buffered updates", ckpt.ErrCorrupt, n)
-		}
-		for i := uint64(0); i < n && async.Err() == nil; i++ {
-			u := comm.ClientUpdate{
-				ClientID: async.Int(),
-				Round:    async.Int(),
-				Version:  async.Int(),
-				State:    async.Bytes(),
+	for _, sec := range runStateSections {
+		body, ok := bodies[sec.name]
+		if !ok {
+			if sec.present == nil {
+				return nil, fmt.Errorf("%w: missing %q section", ckpt.ErrCorrupt, sec.name)
 			}
-			gn := async.Uint64()
-			if gn > uint64(len(body)) {
-				return nil, fmt.Errorf("%w: buffered update claims %d groups", ckpt.ErrCorrupt, gn)
-			}
-			for g := uint64(0); g < gn && async.Err() == nil; g++ {
-				u.Groups = append(u.Groups, async.String())
-			}
-			u.NumSelected = async.Int()
-			u.TrainSeconds = async.Float64()
-			u.TrainLoss = async.Float64()
-			u.MeanEntropy = async.Float64()
-			st.Buffer = append(st.Buffer, u)
+			continue
 		}
-		if err := async.Done(); err != nil {
-			return nil, fmt.Errorf("async section: %w", err)
-		}
-		s.Async = st
-	}
-
-	// The codec section is optional (absent for codec-free runs).
-	if body, ok := bodies[sectionCodec]; ok {
-		codec := ckpt.NewDecoder(body)
-		s.CodecName = codec.String()
-		n := codec.Uint64()
-		if n > uint64(len(body)) {
-			return nil, fmt.Errorf("%w: codec section claims %d residual clients", ckpt.ErrCorrupt, n)
-		}
-		if n > 0 {
-			s.CodecResiduals = make(map[int][]*tensor.Tensor, n)
-		}
-		for i := uint64(0); i < n && codec.Err() == nil; i++ {
-			id := codec.Int()
-			s.CodecResiduals[id] = codec.Tensors()
-		}
-		if err := codec.Done(); err != nil {
-			return nil, fmt.Errorf("codec section: %w", err)
+		if err := ckpt.Decode(body, func(c *ckpt.Coder) { sec.fields(c, s) }); err != nil {
+			return nil, fmt.Errorf("%s section: %w", sec.name, err)
 		}
 	}
-
-	// Buffered updates are stored without their codec echo: every one of them
-	// was accepted under the session codec the codec section names.
+	// The one cross-section step: buffered updates are stored without their
+	// codec echo, because every one of them was accepted under the session
+	// codec the codec section names.
 	if s.Async != nil {
 		for i := range s.Async.Buffer {
 			s.Async.Buffer[i].Codec = s.CodecName
 		}
 	}
-
-	// The fleet section is optional (absent for eager runs).
-	if body, ok := bodies[sectionFleet]; ok {
-		fleet := ckpt.NewDecoder(body)
-		s.FleetSpec = fleet.String()
-		if err := fleet.Done(); err != nil {
-			return nil, fmt.Errorf("fleet section: %w", err)
-		}
-	}
-
 	return s, nil
 }
 
@@ -815,15 +614,6 @@ func SaveRunState(path string, s *RunState) error {
 		return err
 	}
 	return ckpt.Save(path, sections)
-}
-
-// LoadRunState reads and decodes one checkpoint file.
-func LoadRunState(path string) (*RunState, error) {
-	sections, err := ckpt.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	return RunStateFromSections(sections)
 }
 
 // LoadLatestRunState loads the newest valid checkpoint in dir

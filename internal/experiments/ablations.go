@@ -91,17 +91,8 @@ func RunAblationAggWeighting(env *Env) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.Config{
-			Rounds:         env.Dims.Rounds,
-			LocalEpochs:    env.Dims.LocalEpochs,
-			LR:             paperLR,
-			Momentum:       paperMomentum,
-			FinetunePart:   models.FinetuneModerate,
-			Selector:       selection.Entropy{Temperature: paperTemperature},
-			SelectFraction: 0.5,
-			AggWeighting:   w,
-			Seed:           env.Seed + 21,
-		}
+		cfg := env.baseConfig(env.Seed + 21)
+		cfg.AggWeighting = w
 		hist, err := env.RunFL("ablation-aggweight-"+w.String(), cfg, global, fed.Clients, fed.Test)
 		if err != nil {
 			return nil, err

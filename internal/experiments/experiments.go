@@ -223,11 +223,20 @@ func sanitizeRunName(s string) string {
 // experiment launches its runs through this helper so the whole sweep shares
 // one resume discipline.
 func (e *Env) RunFL(runName string, cfg core.Config, global *models.Model, clients []*core.Client, test *data.Dataset) (core.History, error) {
+	return e.runFL(runName, cfg, func(cfg core.Config) (*core.Runner, error) {
+		return core.NewRunner(cfg, global, clients, test)
+	})
+}
+
+// runFL is the artifact-store discipline around one run, whatever its
+// clients come from: newRunner builds the runner once cfg carries the run's
+// checkpoint directory.
+func (e *Env) runFL(runName string, cfg core.Config, newRunner func(core.Config) (*core.Runner, error)) (core.History, error) {
 	if e.ckptPolicy.Dir != "" {
 		cfg.CheckpointDir = filepath.Join(e.ckptPolicy.Dir, sanitizeRunName(runName))
 		cfg.CheckpointEvery = e.ckptPolicy.Every
 	}
-	runner, err := core.NewRunner(cfg, global, clients, test)
+	runner, err := newRunner(cfg)
 	if err != nil {
 		return core.History{}, fmt.Errorf("experiments: %s: %w", runName, err)
 	}
@@ -447,18 +456,11 @@ func (e *Env) RunMethod(m Method, fed *Federation, target, source *data.Domain, 
 	if err != nil {
 		return core.History{}, fmt.Errorf("experiments: %s: model: %w", m.Name, err)
 	}
-	cfg := core.Config{
-		Rounds:         e.Dims.Rounds,
-		LocalEpochs:    e.Dims.LocalEpochs,
-		LR:             paperLR,
-		Momentum:       paperMomentum,
-		ProxMu:         m.ProxMu,
-		FinetunePart:   m.Part,
-		Selector:       m.Selector,
-		SelectFraction: m.Fraction,
-		Straggler:      m.Straggler,
-		Seed:           tensor.DeriveSeed(uint64(e.Seed), uint64(seedSalt), hashName(m.Name)),
-	}
+	cfg := e.baseConfig(tensor.DeriveSeed(uint64(e.Seed), uint64(seedSalt), hashName(m.Name)))
+	cfg.ProxMu = m.ProxMu
+	cfg.FinetunePart = m.Part
+	cfg.Selector, cfg.SelectFraction = m.Selector, m.Fraction
+	cfg.Straggler = m.Straggler
 	// The run name keys the checkpoint artifact store, so it carries every
 	// axis that distinguishes otherwise identically-seeded runs: target and
 	// source domains, federation shape, method and salt.

@@ -428,6 +428,7 @@ func TestTableRendering(t *testing.T) {
 // re-training them.
 func TestCheckpointArtifactStore(t *testing.T) {
 	dir := t.TempDir()
+	uniformK2 := SweepOptions{Only: map[string]string{"sched": "uniform"}, Cohort: 2}
 
 	env1, err := NewEnv(ScaleSmoke, 5)
 	if err != nil {
@@ -436,7 +437,7 @@ func TestCheckpointArtifactStore(t *testing.T) {
 	if err := env1.SetCheckpointPolicy(CheckpointPolicy{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	res1, err := RunSchedCompare(env1, []string{"uniform"}, 2)
+	res1, err := RunSweep(env1, AxisByID("sched"), uniformK2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +459,7 @@ func TestCheckpointArtifactStore(t *testing.T) {
 	if err := env2.SetCheckpointPolicy(CheckpointPolicy{Dir: dir, Resume: true}); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := RunSchedCompare(env2, []string{"uniform"}, 2)
+	res2, err := RunSweep(env2, AxisByID("sched"), uniformK2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,14 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 
-	"fedfteds/internal/ckpt"
 	"fedfteds/internal/core"
 	"fedfteds/internal/data"
 	"fedfteds/internal/fleet"
 	"fedfteds/internal/models"
 	"fedfteds/internal/sched"
-	"fedfteds/internal/selection"
 	"fedfteds/internal/tensor"
 )
 
@@ -33,24 +29,9 @@ const (
 // artifact-store and resume discipline, but clients come from a
 // core.ClientSource instead of a materialized slice.
 func (e *Env) RunFLSource(runName string, cfg core.Config, global *models.Model, src core.ClientSource, test *data.Dataset) (core.History, error) {
-	if e.ckptPolicy.Dir != "" {
-		cfg.CheckpointDir = filepath.Join(e.ckptPolicy.Dir, sanitizeRunName(runName))
-		cfg.CheckpointEvery = e.ckptPolicy.Every
-	}
-	runner, err := core.NewRunnerWithSource(cfg, global, src, test)
-	if err != nil {
-		return core.History{}, fmt.Errorf("experiments: %s: %w", runName, err)
-	}
-	if e.ckptPolicy.Resume && cfg.CheckpointDir != "" {
-		if _, err := runner.ResumeLatest(); err != nil && !errors.Is(err, ckpt.ErrNoCheckpoint) {
-			return core.History{}, fmt.Errorf("experiments: resume %s: %w", runName, err)
-		}
-	}
-	hist, err := runner.Run()
-	if err != nil {
-		return core.History{}, fmt.Errorf("experiments: %s: run: %w", runName, err)
-	}
-	return hist, nil
+	return e.runFL(runName, cfg, func(cfg core.Config) (*core.Runner, error) {
+		return core.NewRunnerWithSource(cfg, global, src, test)
+	})
 }
 
 // FleetOptions parameterizes the fleet experiments.
@@ -109,6 +90,16 @@ func (e *Env) fleetSpec(clients, cohort int) fleet.Spec {
 		MedianFLOPS: deviceMedianFLOPS, Sigma: deviceSigma,
 		Clusters: clusters, PoolSize: 2 * cohort,
 	}
+}
+
+// fleetConfig is the fleet experiments' run configuration: the baseline with
+// the whole model trained (a fleet starts from a fresh model, not a
+// pretrained extractor) and a cohort of the population scheduled per round.
+func (e *Env) fleetConfig(clients, cohort int, scheduler sched.Scheduler) core.Config {
+	cfg := e.baseConfig(tensor.DeriveSeed(uint64(e.Seed), uint64(clients), 0xF1EE7DA1))
+	cfg.FinetunePart = models.FinetuneFull
+	cfg.Scheduler, cfg.CohortSize = scheduler, cohort
+	return cfg
 }
 
 // fleetCohort derives the default cohort from the population.
@@ -202,18 +193,8 @@ func RunFleetDay(env *Env, opts FleetOptions) (*FleetDayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Config{
-		Rounds:         fleetDayRounds,
-		LocalEpochs:    env.Dims.LocalEpochs,
-		LR:             paperLR,
-		Momentum:       paperMomentum,
-		FinetunePart:   models.FinetuneFull,
-		Selector:       selection.Entropy{Temperature: paperTemperature},
-		SelectFraction: 0.5,
-		Scheduler:      scheduler,
-		CohortSize:     cohort,
-		Seed:           tensor.DeriveSeed(uint64(env.Seed), uint64(clients), 0xF1EE7DA1),
-	}
+	cfg := env.fleetConfig(clients, cohort, scheduler)
+	cfg.Rounds = fleetDayRounds
 
 	res := &FleetDayResult{
 		Clients: clients, Cohort: cohort, Policy: scheduler.Name(),
@@ -352,20 +333,8 @@ func RunFleetCompare(env *Env, opts FleetOptions) (*FleetCompareResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.Config{
-			Rounds:         env.Dims.Rounds,
-			LocalEpochs:    env.Dims.LocalEpochs,
-			LR:             paperLR,
-			Momentum:       paperMomentum,
-			FinetunePart:   models.FinetuneFull,
-			Selector:       selection.Entropy{Temperature: paperTemperature},
-			SelectFraction: 0.5,
-			Scheduler:      scheduler,
-			CohortSize:     cohort,
-			Seed:           tensor.DeriveSeed(uint64(env.Seed), uint64(clients), 0xF1EE7DA1),
-		}
 		hist, err := env.RunFLSource(fmt.Sprintf("fleet-%s-n%d-k%d", row.label, clients, cohort),
-			cfg, global, f, test)
+			env.fleetConfig(clients, cohort, scheduler), global, f, test)
 		if err != nil {
 			return nil, err
 		}

@@ -156,23 +156,17 @@ func Run(root comm.Conn, leafListener comm.Listener, cfg Config) error {
 	}
 }
 
-// FoldRound runs one downstream round — rebroadcast rs to every live leaf,
+// foldRound runs one downstream round — rebroadcast rs to every live leaf,
 // stream their updates into a weighted average — and packages the result as
 // the upstream RegionUpdate. Leaves are weighed by their selected sample
 // count (paper Eq. 5); strategy-level weighting applies upstream, at region
 // granularity. When rs carries a Layout the region aggregates per layer
 // (tiered leaves ship masked updates), with layers no leaf covered falling
 // back to the broadcast state, so the forwarded delta always covers the
-// full broadcast layout.
-func FoldRound(engine *comm.RoundEngine, relayID int, rs comm.RoundStart) (comm.RegionUpdate, comm.RoundOutcome, error) {
-	return foldRound(engine, relayID, rs, nil, nil)
-}
-
-// foldRound is FoldRound with the relay's codecs: leafCodec decodes the
-// region's leaf payloads, upCodec re-encodes the folded state for the root
-// (nil keeps the respective hop on legacy lossless frames). Both decode and
-// re-encode reference the round's broadcast state, which each hop's peer
-// holds by construction.
+// full broadcast layout. leafCodec decodes the region's leaf payloads,
+// upCodec re-encodes the folded state for the root (nil keeps the respective
+// hop on legacy lossless frames). Both decode and re-encode reference the
+// round's broadcast state, which each hop's peer holds by construction.
 func foldRound(engine *comm.RoundEngine, relayID int, rs comm.RoundStart, leafCodec, upCodec comm.Codec) (comm.RegionUpdate, comm.RoundOutcome, error) {
 	// The broadcast state is the codec reference on both hops, the shape
 	// every leaf update is validated against, and the fallback for layers no

@@ -129,7 +129,7 @@ func TestRelayTreeMatchesFlatFederationExactly(t *testing.T) {
 			})
 		}(r, leafLst)
 	}
-	sess, err := comm.AcceptClients(rootLst, relays, rounds)
+	sess, err := comm.AcceptClientsCodec(rootLst, relays, rounds, "")
 	if err != nil {
 		t.Fatal(err)
 	}

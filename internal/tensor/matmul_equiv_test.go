@@ -242,20 +242,11 @@ func TestEnsureReusesStorage(t *testing.T) {
 	}
 }
 
-func BenchmarkGemmRows128(b *testing.B) {
-	rng := rand.New(rand.NewSource(15))
-	a, bb := randT(rng, 128, 128), randT(rng, 128, 128)
-	dst := New(128, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gemmRows(dst.data, a.data, bb.data, 0, 128, 128, 128)
-	}
-}
-
 // BenchmarkGemmRowsParallel measures worker-pool scaling of a 256³ matmul
 // at 1/2/4/8 cores (GOMAXPROCS; on machines with fewer physical cores the
-// extra lanes oversubscribe and the curve flattens — the recorded multicore
-// table in BENCH_perf.json names the core count it was measured on).
+// extra lanes oversubscribe and the curve flattens, so a recorded curve must
+// name the core count it was measured on). The performance ledger has no
+// multicore row yet.
 func BenchmarkGemmRowsParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	a, bb := randT(rng, 256, 256), randT(rng, 256, 256)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 )
@@ -50,62 +49,12 @@ func (t *Tensor) AppendTo(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// WriteTo serializes t to w in the binary wire format.
-func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
-	b, err := t.AppendTo(make([]byte, 0, t.EncodedSize()))
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(b)
-	if err != nil {
-		return int64(n), fmt.Errorf("tensor: write: %w", err)
-	}
-	return int64(n), nil
-}
-
-// ReadFrom deserializes a tensor from r, replacing t's shape and storage.
-func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
-	var n int64
-	var rank uint8
-	if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
-		return n, fmt.Errorf("tensor: read rank: %w", err)
-	}
-	n++
-	shape := make([]int, rank)
-	vol := 1
-	for i := range shape {
-		var d uint32
-		if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-			return n, fmt.Errorf("tensor: read dim: %w", err)
-		}
-		n += 4
-		shape[i] = int(d)
-		vol *= int(d)
-		if vol > maxSerializedVolume {
-			return n, fmt.Errorf("%w: volume exceeds limit", ErrCorrupt)
-		}
-	}
-	buf := make([]byte, 4*vol)
-	rn, err := io.ReadFull(r, buf)
-	n += int64(rn)
-	if err != nil {
-		return n, fmt.Errorf("tensor: read data: %w", err)
-	}
-	data := make([]float32, vol)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	t.shape = shape
-	t.data = data
-	return n, nil
-}
-
 // DecodeFrom parses one wire-format tensor from the front of b into t,
 // reusing t's existing shape and data storage when large enough, and
-// returns the number of bytes consumed. It is the zero-allocation
-// steady-state decode used by the streaming aggregators: unlike ReadFrom it
-// needs no intermediate byte buffer and, after the first round, no fresh
-// tensor storage.
+// returns the number of bytes consumed. The declared volume is checked
+// against len(b) before any storage is sized. It is the zero-allocation
+// steady-state decode used by the streaming aggregators: after the first
+// round it needs no fresh tensor storage.
 func (t *Tensor) DecodeFrom(b []byte) (int, error) {
 	if len(b) < 1 {
 		return 0, fmt.Errorf("%w: missing rank", ErrCorrupt)
@@ -144,7 +93,7 @@ func (t *Tensor) DecodeFrom(b []byte) (int, error) {
 	return n + 4*vol, nil
 }
 
-// EncodedSize returns the number of bytes AppendTo and WriteTo produce.
+// EncodedSize returns the number of bytes AppendTo produces.
 func (t *Tensor) EncodedSize() int {
 	return 1 + 4*len(t.shape) + 4*len(t.data)
 }

@@ -311,17 +311,16 @@ func TestSerializeRoundTrip(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
 			x := New(tt.shape...)
 			x.FillNormal(rng, 0, 2)
-			var buf bytes.Buffer
-			n, err := x.WriteTo(&buf)
+			buf, err := x.AppendTo(nil)
 			if err != nil {
-				t.Fatalf("WriteTo: %v", err)
+				t.Fatalf("AppendTo: %v", err)
 			}
-			if int(n) != x.EncodedSize() {
-				t.Fatalf("wrote %d bytes, EncodedSize says %d", n, x.EncodedSize())
+			if len(buf) != x.EncodedSize() {
+				t.Fatalf("wrote %d bytes, EncodedSize says %d", len(buf), x.EncodedSize())
 			}
 			var y Tensor
-			if _, err := y.ReadFrom(&buf); err != nil {
-				t.Fatalf("ReadFrom: %v", err)
+			if n, err := y.DecodeFrom(buf); err != nil || n != len(buf) {
+				t.Fatalf("DecodeFrom consumed %d of %d bytes: %v", n, len(buf), err)
 			}
 			if !y.Equal(x) {
 				t.Fatal("round trip mismatch")
@@ -338,21 +337,19 @@ func TestReadFromRejectsHugeVolume(t *testing.T) {
 		buf.Write([]byte{0, 0, 16, 0}) // 1<<20 little endian
 	}
 	var y Tensor
-	if _, err := y.ReadFrom(&buf); !errors.Is(err, ErrCorrupt) {
+	if _, err := y.DecodeFrom(buf.Bytes()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("expected ErrCorrupt, got %v", err)
 	}
 }
 
 func TestReadFromTruncated(t *testing.T) {
-	x := New(3, 3)
-	var buf bytes.Buffer
-	if _, err := x.WriteTo(&buf); err != nil {
+	buf, err := New(3, 3).AppendTo(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()-2]
 	var y Tensor
-	if _, err := y.ReadFrom(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("expected error on truncated stream")
+	if _, err := y.DecodeFrom(buf[:len(buf)-2]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated blob: err %v, want ErrCorrupt", err)
 	}
 }
 
@@ -435,12 +432,12 @@ func TestQuickAddCommutes(t *testing.T) {
 func TestQuickSerializeRoundTrip(t *testing.T) {
 	f := func(vals []float32) bool {
 		x := MustFromSlice(vals, len(vals))
-		var buf bytes.Buffer
-		if _, err := x.WriteTo(&buf); err != nil {
+		buf, err := x.AppendTo(nil)
+		if err != nil {
 			return false
 		}
 		var y Tensor
-		if _, err := y.ReadFrom(&buf); err != nil {
+		if _, err := y.DecodeFrom(buf); err != nil {
 			return false
 		}
 		if len(vals) == 0 {
