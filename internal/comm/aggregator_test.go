@@ -194,6 +194,24 @@ func TestStreamAggregatorRejectsAtomically(t *testing.T) {
 		u.NumSelected = 0
 		return u
 	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	// The int8 rows fold deltas against a broadcast whose last tensor is
+	// (9, 9): an update equal to it decodes exactly, and an Inf weight leaves
+	// the quantiser as NaN or Inf whatever the rounding does.
+	int8Ref := func() []*tensor.Tensor { return []*tensor.Tensor{vec(1, 1), vec(2, 2), vec(9, 9)} }
+	int8Layout := func(t *testing.T) *StreamAggregator {
+		agg, _ := newLayoutAggregator(t)
+		agg.SetCodec(int8Codec{}, int8Ref())
+		return agg
+	}
+	int8Update := func(t *testing.T, id int, groups []string, ref []*tensor.Tensor, ts ...*tensor.Tensor) ClientUpdate {
+		t.Helper()
+		blob, err := int8Codec{}.Encode(ref, ts, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ClientUpdate{ClientID: id, Round: 1, State: blob, Groups: groups, NumSelected: 1, Codec: "int8"}
+	}
 	for _, tt := range []struct {
 		name    string
 		agg     func(*testing.T) *StreamAggregator
@@ -245,6 +263,25 @@ func TestStreamAggregatorRejectsAtomically(t *testing.T) {
 			func(t *testing.T) ClientUpdate {
 				return aggUpdate(t, 1, 5, aggGroups, vec(100, 0), vec(100, 0, 0), vec(100, 0))
 			}, ErrProtocol},
+		// Non-finite weights: well-formed in every other respect, and a single
+		// one would poison the sums, the global model and every checkpoint.
+		{"whole state: NaN value", whole(nil),
+			func(t *testing.T) ClientUpdate { return aggUpdate(t, 0, 4, nil, vec(9, 9, 9)) },
+			func(t *testing.T) ClientUpdate { return aggUpdate(t, 1, 4, nil, vec(1, nan, 1)) }, ErrProtocol},
+		{"whole state: Inf in a later tensor", whole(nil),
+			func(t *testing.T) ClientUpdate { return aggUpdate(t, 0, 4, nil, vec(1), vec(9)) },
+			func(t *testing.T) ClientUpdate { return aggUpdate(t, 1, 4, nil, vec(1), vec(-inf)) }, ErrProtocol},
+		{"layout: Inf in a masked update", layout,
+			func(t *testing.T) ClientUpdate { return aggUpdate(t, 0, 1, head, vec(9, 0)) },
+			func(t *testing.T) ClientUpdate { return aggUpdate(t, 1, 1, []string{"up"}, vec(1, 0), vec(0, inf)) }, ErrProtocol},
+		{"int8: Inf in a whole-state update", int8Layout,
+			func(t *testing.T) ClientUpdate { return int8Update(t, 0, nil, int8Ref(), int8Ref()...) },
+			func(t *testing.T) ClientUpdate {
+				return int8Update(t, 1, nil, int8Ref(), vec(1, 1), vec(2, inf), vec(9, 9))
+			}, ErrProtocol},
+		{"int8: Inf in a masked update", int8Layout,
+			func(t *testing.T) ClientUpdate { return int8Update(t, 0, head, int8Ref()[2:], vec(9, 9)) },
+			func(t *testing.T) ClientUpdate { return int8Update(t, 1, head, int8Ref()[2:], vec(-inf, 9)) }, ErrProtocol},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			agg := tt.agg(t)

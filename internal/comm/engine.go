@@ -483,11 +483,11 @@ func (a *StreamAggregator) covers(ti int) bool { return a.full || a.covered[a.tg
 
 // Add decodes one update and folds its covered tensors into the per-tensor
 // sums under the aggregator's weighting. The fold is atomic: every
-// validation (weight, group declaration, codec echo, tensor count, shapes)
-// happens before any sum is touched, so on error the aggregate is unchanged
-// and the caller can drop the client yet keep the round. Decoding reuses the
-// aggregator's scratch tensors, so a warmed-up aggregator folds without
-// allocating.
+// validation (weight, group declaration, codec echo, tensor count, shapes,
+// finite values) happens before any sum is touched, so on error the
+// aggregate is unchanged and the caller can drop the client yet keep the
+// round. Decoding reuses the aggregator's scratch tensors, so a warmed-up
+// aggregator folds without allocating.
 func (a *StreamAggregator) Add(u ClientUpdate) error {
 	if u.NumSelected <= 0 {
 		return fmt.Errorf("%w: client %d reports %d selected samples", ErrProtocol, u.ClientID, u.NumSelected)
@@ -545,8 +545,11 @@ func (a *StreamAggregator) Add(u ClientUpdate) error {
 		return fmt.Errorf("%w: client %d sent %d tensors for groups %v, want %d",
 			ErrProtocol, u.ClientID, len(ts), u.Groups, wantN)
 	}
-	// Validate every shape before folding anything: against the broadcast
-	// reference when there is one, else against what earlier updates set.
+	// Validate every shape and value before folding anything: shapes against
+	// the broadcast reference when there is one, else against what earlier
+	// updates set; values for NaN and Inf, one of which would otherwise
+	// spread through the sums into the global model and every checkpoint
+	// after it.
 	ci := 0
 	for ti := 0; ti < n; ti++ {
 		if !a.covers(ti) {
@@ -560,6 +563,9 @@ func (a *StreamAggregator) Add(u ClientUpdate) error {
 		}
 		if want != nil && !want.SameShape(ts[ci]) {
 			return fmt.Errorf("%w: client %d tensor %d shape mismatch", ErrProtocol, u.ClientID, ti)
+		}
+		if !ts[ci].IsFinite() {
+			return fmt.Errorf("%w: client %d tensor %d holds NaN or Inf", ErrProtocol, u.ClientID, ti)
 		}
 		ci++
 	}

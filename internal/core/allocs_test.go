@@ -34,17 +34,19 @@ func newWarmRunner(t *testing.T, cfg Config) (*Runner, []*tensor.Tensor) {
 }
 
 // TestScheduledSamplingSteadyStateAllocs guards the satellite perf fix: the
-// per-round candidate slice, cohort times, and participant list are runner
-// scratch, so a scheduled round's sampling allocates only what the policy
-// itself draws (its rng and cohort slices), independent of the pool size.
+// candidate slice, cohort times, seen-set and participant list are runner and
+// loop scratch, so admitting a scheduled cohort (pick, validate, straggler
+// policy, acquire) allocates only what the policy itself draws (its rng and
+// cohort slices), independent of the pool size.
 func TestScheduledSamplingSteadyStateAllocs(t *testing.T) {
 	r, _ := newWarmRunner(t, Config{
 		Rounds: 2, LocalEpochs: 1, BatchSize: 16, LR: 0.1,
 		Selector: selection.Entropy{Temperature: 0.1}, SelectFraction: 0.5,
 		CohortSize: 3, EvalEvery: 10, Parallelism: 2, Seed: 5,
 	})
+	l := r.newLoop()
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, _, err := r.sampleParticipants(1); err != nil {
+		if _, _, err := l.admit(l.pick(1, l.window), 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -90,13 +92,13 @@ func TestAggregateSteadyStateAllocs(t *testing.T) {
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			r, commState := newWarmRunner(t, tt.cfg)
-			participants, _, _, err := r.sampleParticipants(1)
-			if err != nil {
+			l := r.newLoop()
+			if err := l.dispatch(l.pick(1, l.window), 1); err != nil {
 				t.Fatal(err)
 			}
-			results, err := r.trainParticipants(participants, 1)
-			if err != nil {
-				t.Fatal(err)
+			var results []clientResult
+			for pos := 0; pos < r.src.NumClients(); pos++ {
+				results = append(results, l.pend[pos].res)
 			}
 			allocs := testing.AllocsPerRun(20, func() {
 				if err := r.aggregate(results, commState, nil); err != nil {

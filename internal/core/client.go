@@ -42,8 +42,13 @@ type LocalOutcome struct {
 
 // clientResult carries one client's round outcome back to the server.
 type clientResult struct {
-	clientID    int
-	state       []*tensor.Tensor
+	clientID int
+	state    []*tensor.Tensor
+	// cover maps every communicated tensor to its index in state, -1 where
+	// the client's layer mask excludes it; nil when state is the whole
+	// communicated state. uplink is the update's size on the wire.
+	cover       []int
+	uplink      int64
 	numSelected int
 	localSize   int
 	cost        simtime.RoundCost

@@ -8,7 +8,7 @@ import (
 )
 
 // The simulator's codec wire simulation: when Config.Codec is set, every
-// participant's trained state makes the same journey it would in the
+// update's trained state makes the same journey it would in the
 // distributed deployment — encoded under the session codec (against the
 // broadcast reference the client trained from), then decoded server-side —
 // before aggregation sees it. Quantization noise, topk's error-feedback
@@ -16,12 +16,6 @@ import (
 // as fedclient/fedserver would produce them, with per-client codec
 // instances keyed by client ID so residual state follows the client across
 // cohorts and checkpoints.
-
-// codecActive reports whether the codec wire simulation is on. An empty
-// Config.Codec keeps the legacy lossless path bit-identical to runs
-// predating codecs; "identity" runs the (lossless) round-trip and charges
-// honest wire bytes.
-func (r *Runner) codecActive() bool { return r.cfg.Codec != "" }
 
 // codecFor returns the client's codec instance, creating it on first use.
 // Instances are per client ID, never shared: topk carries error-feedback
@@ -41,58 +35,48 @@ func (r *Runner) codecFor(clientID int) (comm.Codec, error) {
 	return c, nil
 }
 
-// codecRoundTrip encodes and decodes every result's state through the
-// session codec, replacing res.state with what the server would decode and
-// recording the encoded payload size for the uplink accounting. The
-// reference is the live broadcast state (commState) — still holding the
-// broadcast values, because aggregation has not run yet — filtered to the
-// participant's covered tensors on masked rounds, exactly the subset the
-// client encoded against. The stochastic-rounding seed derives from (run
-// seed, round, client ID), the same derivation fedclient uses, so
-// simulated and distributed runs quantize identically.
-func (r *Runner) codecRoundTrip(results []clientResult, round int) error {
-	if !r.codecActive() {
+// codecRoundTrip encodes and decodes one just-trained update through the
+// session codec, replacing its state with what the server would decode (in
+// the flight's own decode tensors) and its uplink size with the encoded
+// payload's. An empty Config.Codec keeps the lossless path bit-identical to
+// runs predating codecs; "identity" runs the (lossless) round trip and
+// charges honest wire bytes. The reference is the live broadcast state
+// (commState) — the values the client trained from, because nothing is
+// aggregated during a dispatch — filtered to the update's covered tensors
+// when it is masked, exactly the subset the client encoded against. The
+// stochastic-rounding seed derives from (run seed, round, client ID), the
+// same derivation fedclient uses, so simulated and distributed runs quantize
+// identically.
+func (r *Runner) codecRoundTrip(fl *flight, round int) error {
+	if r.cfg.Codec == "" {
 		return nil
 	}
-	n := len(results)
-	if cap(r.codecUplink) < n {
-		r.codecUplink = make([]int64, n)
+	res := &fl.res
+	c, err := r.codecFor(res.clientID)
+	if err != nil {
+		return err
 	}
-	r.codecUplink = r.codecUplink[:n]
-	if cap(r.codecDec) < n {
-		r.codecDec = append(r.codecDec[:len(r.codecDec)], make([][]*tensor.Tensor, n-len(r.codecDec))...)
+	ref := r.commState
+	if res.cover != nil {
+		ref = r.coveredState(res.cover)
 	}
-	dec := r.codecDec[:n]
-	for i := range results {
-		res := &results[i]
-		c, err := r.codecFor(res.clientID)
-		if err != nil {
-			return err
-		}
-		ref := r.commState
-		if r.maskActive {
-			ref = r.coveredState(r.coverScratch[i])
-		}
-		seed := comm.CodecSeed(uint64(r.cfg.Seed), round, res.clientID)
-		blob, err := c.Encode(ref, res.state, seed)
-		if err != nil {
-			return fmt.Errorf("core: round %d: encoding client %d under %s: %w",
-				round, res.clientID, c.Name(), err)
-		}
-		out, err := c.Decode(ref, dec[i], blob)
-		if err != nil {
-			return fmt.Errorf("core: round %d: decoding client %d under %s: %w",
-				round, res.clientID, c.Name(), err)
-		}
-		dec[i] = out[:cap(out)]
-		res.state = out
-		r.codecUplink[i] = int64(len(blob))
+	blob, err := c.Encode(ref, res.state, comm.CodecSeed(uint64(r.cfg.Seed), round, res.clientID))
+	if err != nil {
+		return fmt.Errorf("core: round %d: encoding client %d under %s: %w",
+			round, res.clientID, c.Name(), err)
 	}
+	out, err := c.Decode(ref, fl.decBuf, blob)
+	if err != nil {
+		return fmt.Errorf("core: round %d: decoding client %d under %s: %w",
+			round, res.clientID, c.Name(), err)
+	}
+	fl.decBuf = out[:cap(out)]
+	res.state, res.uplink = out, int64(len(blob))
 	return nil
 }
 
-// coveredState filters the live broadcast tensors down to the ones a
-// participant's cover map ships, in shipped order — the masked codec
+// coveredState filters the live broadcast tensors down to the ones an
+// update's cover map ships, in shipped order — the masked codec
 // reference. The slice is runner scratch, valid until the next call.
 func (r *Runner) coveredState(cover []int) []*tensor.Tensor {
 	if cap(r.codecRefScratch) < len(r.commState) {

@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fedfteds/internal/data"
 	"fedfteds/internal/models"
+	"fedfteds/internal/sched"
 	"fedfteds/internal/selection"
 	"fedfteds/internal/simtime"
 )
@@ -65,6 +67,87 @@ func TestRunFailsWhenNoParticipants(t *testing.T) {
 	if _, err := r.Run(); err == nil {
 		t.Fatal("expected error when the straggler policy drops everyone")
 	}
+}
+
+// fixedScheduler and fixedStraggler answer every call with the same
+// positions, whatever they were offered: broken plug-ins.
+type fixedScheduler []int
+
+func (fixedScheduler) Name() string { return "fixed" }
+func (s fixedScheduler) Schedule(int, []sched.Candidate, int, *rand.Rand) []int {
+	return append([]int(nil), s...)
+}
+
+type fixedStraggler []int
+
+func (s fixedStraggler) Complete([]int, []float64, *rand.Rand) []int { return append([]int(nil), s...) }
+
+// TestDispatchRejectsBrokenPlugins: a scheduler or straggler policy that
+// hands the loop a repeated, in-flight or out-of-range position fails the run
+// with ErrConfig naming the plug-in, on the synchronous and the buffered
+// setting alike, before anybody trains (the selector would fail the run
+// differently). At the parent commit the repeated position made Run train and
+// weigh client 1 twice and made the buffered loop dereference a nil flight.
+func TestDispatchRejectsBrokenPlugins(t *testing.T) {
+	for _, tt := range []struct {
+		name   string
+		mutate func(*Config)
+		buffer int
+		names  string
+	}{
+		{name: "scheduler repeats a position", names: `scheduler "fixed"`, buffer: 2,
+			mutate: func(c *Config) { c.Scheduler, c.CohortSize = fixedScheduler{1, 1, 2}, 3 }},
+		{name: "scheduler out of range", names: `scheduler "fixed"`, buffer: 2,
+			mutate: func(c *Config) { c.Scheduler, c.CohortSize = fixedScheduler{0, 1, 6}, 3 }},
+		{name: "straggler outside its cohort", names: "straggler policy core.fixedStraggler", buffer: 2,
+			mutate: func(c *Config) {
+				c.Scheduler, c.CohortSize, c.Straggler = fixedScheduler{0, 1, 2}, 3, fixedStraggler{1, 5}
+			}},
+		{name: "straggler repeats a position", names: "straggler policy core.fixedStraggler", buffer: 4,
+			mutate: func(c *Config) { c.Straggler = fixedStraggler{4, 4} }},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			clients, _, test, spec := testFederation(t, 6, 0.5)
+			cfg := Config{Rounds: 3, LocalEpochs: 1, LR: 0.1, Selector: failingSelector{}, Seed: 1}
+			tt.mutate(&cfg)
+			for _, run := range []func(*Runner) (History, error){
+				(*Runner).Run,
+				func(r *Runner) (History, error) { return r.RunAsync(AsyncConfig{Buffer: tt.buffer, MaxStaleness: -1}) },
+			} {
+				m, err := models.Build(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := NewRunner(cfg, m, clients, test)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = run(r)
+				if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), tt.names) {
+					t.Fatalf("err %v, want ErrConfig naming the %s", err, tt.names)
+				}
+			}
+		})
+	}
+
+	// In flight: with a buffer of 1 under a window of 3, the second refill
+	// asks for one client and is handed three, two of them still training.
+	t.Run("scheduler picks a client in flight", func(t *testing.T) {
+		clients, _, test, spec := testFederation(t, 6, 0.5)
+		m, err := models.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRunner(Config{Rounds: 3, LocalEpochs: 1, LR: 0.1, Seed: 1,
+			Scheduler: fixedScheduler{0, 1, 2}, CohortSize: 3}, m, clients, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist, err := r.RunAsync(AsyncConfig{Buffer: 1, MaxStaleness: -1})
+		if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), "already in flight") || len(hist.Records) != 1 {
+			t.Fatalf("err %v after %d rounds, want ErrConfig in the second refill", err, len(hist.Records))
+		}
+	})
 }
 
 func TestRunnerRejectsClientWithoutDevice(t *testing.T) {

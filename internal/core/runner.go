@@ -80,7 +80,7 @@ type Runner struct {
 	// clients is the legacy eager pool; nil on fleet-backed runners
 	// (NewRunnerWithSource), whose clients come from src on demand. src is
 	// always set: NewRunner wraps the eager pool in an eagerSource so the
-	// synchronous round loop has exactly one client-access path.
+	// round loop has exactly one client-access path.
 	clients []*Client
 	src     ClientSource
 	test    *data.Dataset
@@ -95,19 +95,12 @@ type Runner struct {
 
 	// projCost caches each client's projected round cost. Model shape,
 	// device rate and dataset size never change during a run, so the costs
-	// are computed once (in Run, after the finetune part is applied) instead
-	// of once per client per round. timesScratch is the reused per-round
-	// copy handed to the straggler policy, which must not be able to mutate
-	// the cache.
-	projCost     []float64
-	timesScratch []float64
-	// allIDs is the cached identity cohort [0..N), built alongside projCost;
-	// idsScratch is its reused per-round copy (see timesScratch).
-	allIDs     []int
-	idsScratch []int
+	// are computed once (in prepareRun, after the finetune part is applied)
+	// instead of once per client per round.
+	projCost []float64
 	// candScratch is the reused per-round candidate slice handed to the
 	// scheduler, and partScratch the reused participant list — both rebuilt
-	// in place every round so steady-state scheduling allocates nothing
+	// in place every dispatch so steady-state scheduling allocates nothing
 	// beyond what the policy itself draws.
 	candScratch []sched.Candidate
 	partScratch []*Client
@@ -120,48 +113,34 @@ type Runner struct {
 	// replicas are the per-worker reusable client-training contexts,
 	// created lazily on first use and kept across rounds.
 	replicas []*replica
-	// stateBufs holds per-result-slot reused state snapshot tensors, and
-	// results/errs are the per-round result buffers — reused across rounds
-	// so the orchestrator's per-round allocations shrink to a handful of
-	// small slices (cohort/participant lists).
-	stateBufs [][]*tensor.Tensor
-	results   []clientResult
-	errs      []error
 
-	// Partial-training state (nil/false on untiered runs, whose code paths
-	// stay byte-for-byte identical to the pre-tier engine). tiers assigns a
-	// device tier to every pool position, drawn once per federation;
+	// The communicated state, resolved once per run: commGroups names the
+	// groups that train and travel, commState holds their live tensors in the
+	// global model and stateSize their wire size.
+	commGroups []string
+	commState  []*tensor.Tensor
+	stateSize  int64
+	// Partial-training state (nil on untiered runs without a mask provider,
+	// where every update covers the whole communicated state). tiers assigns
+	// a device tier to every pool position, drawn once per federation;
 	// tierMasks maps each tier to its layer-group mask (the profile's
 	// affordable top suffix intersected with the communicated groups).
-	// commGroups/commLayout/commState describe the communicated state,
-	// resolved once per Run. maskActive marks that the current round's
-	// participants carry per-client masks: maskScratch[i] is participant i's
-	// group mask, coverScratch[i] maps every communicated tensor to its index
-	// in that participant's shipped state (-1 when masked out), and
-	// bytesScratch[i] is the participant's masked uplink size. coverCache and
-	// bytesCache memoize cover maps per distinct mask.
-	tiers        []string
-	tierMasks    map[string][]string
-	commGroups   []string
-	commIndex    map[string]int
-	commLayout   []string
-	commState    []*tensor.Tensor
-	maskActive   bool
-	maskScratch  [][]string
-	coverScratch [][]int
-	bytesScratch []int64
-	coverCache   map[string][]int
-	bytesCache   map[string]int64
+	// commIndex/commLayout map groups and tensors of the communicated state;
+	// coverCache and bytesCache memoize, per distinct mask, the cover map an
+	// update carries and its masked uplink size.
+	tiers      []string
+	tierMasks  map[string][]string
+	commIndex  map[string]int
+	commLayout []string
+	coverCache map[string][]int
+	bytesCache map[string]int64
 
 	// Uplink-codec wire simulation (cfg.Codec non-empty; see codec.go).
 	// codecs holds one codec instance per client ID so topk's error-feedback
-	// residuals stay per-client; codecDec is per-result-slot decode scratch,
-	// codecRefScratch the reused masked-reference subset, and codecUplink the
-	// per-slot encoded payload sizes the accountant charges.
+	// residuals stay per-client; codecRefScratch is the reused masked
+	// reference subset.
 	codecs          map[int]comm.Codec
-	codecDec        [][]*tensor.Tensor
 	codecRefScratch []*tensor.Tensor
-	codecUplink     []int64
 
 	// hist and acct live on the runner (not in Run) so that a checkpoint
 	// taken mid-run captures them and a restored runner continues them.
@@ -195,57 +174,11 @@ func NewRunner(cfg Config, global *models.Model, clients []*Client, test *data.D
 // GlobalModel returns the (live) global model.
 func (r *Runner) GlobalModel() *models.Model { return r.global }
 
-// Run executes the configured number of rounds and returns the history. On a
-// runner restored from a checkpoint (RestoreInto), Run continues after the
-// checkpointed round instead of starting over; the resulting History and
-// final global state are bit-identical to an uninterrupted run's. When
-// Config.CheckpointDir is set, a checkpoint is written every
-// Config.CheckpointEvery rounds and always after the final round.
-func (r *Runner) Run() (History, error) {
-	stateSize, err := r.prepareRun()
-	if err != nil {
-		return r.hist, err
-	}
-	for round := r.startRound + 1; round <= r.cfg.Rounds; round++ {
-		participants, positions, cohortSize, err := r.sampleParticipants(round)
-		if err != nil {
-			return r.hist, err
-		}
-		if err := r.prepareRoundMasks(participants, positions, round); err != nil {
-			return r.hist, err
-		}
-		results, err := r.trainParticipants(participants, round)
-		if err != nil {
-			return r.hist, err
-		}
-		if err := r.codecRoundTrip(results, round); err != nil {
-			return r.hist, err
-		}
-		if err := r.aggregate(results, r.commState, nil); err != nil {
-			return r.hist, err
-		}
-		// Training is done and results hold runner-owned state copies: the
-		// participants' datasets are no longer needed, so a lazy source can
-		// reclaim them — this is what keeps fleet runs O(cohort) resident.
-		r.src.Release(participants)
-		if err := r.recordRound(round, cohortSize, results, positions, stateSize); err != nil {
-			return r.hist, err
-		}
-		if r.cfg.CheckpointEvery > 0 && (round%r.cfg.CheckpointEvery == 0 || round == r.cfg.Rounds) {
-			if _, err := r.SaveCheckpoint(r.cfg.CheckpointDir); err != nil {
-				return r.hist, fmt.Errorf("core: checkpoint round %d: %w", round, err)
-			}
-		}
-	}
-	return r.finishRun(), nil
-}
-
-// prepareRun is the preamble every engine shares: reset the per-run state
-// (unless RestoreInto armed a continuation), freeze the non-finetuned part,
-// resolve the communicated groups and tensors once, set up tiers, and project
-// every client's round cost from descriptors alone. It returns the wire size
-// of the communicated state.
-func (r *Runner) prepareRun() (int64, error) {
+// prepareRun is the loop's preamble: reset the per-run state (unless
+// RestoreInto armed a continuation), freeze the non-finetuned part, resolve
+// the communicated groups, tensors and wire size once, set up tiers, and
+// project every client's round cost from descriptors alone.
+func (r *Runner) prepareRun() error {
 	if r.restored {
 		// RestoreInto armed this run to continue after startRound; consume
 		// the arming so any later run on the same runner starts fresh (the
@@ -259,7 +192,7 @@ func (r *Runner) prepareRun() (int64, error) {
 	// The paper's FedFT freezes the lower part on the *server's* model too:
 	// group states that never train are never communicated.
 	if err := r.global.SetFinetunePart(r.cfg.FinetunePart); err != nil {
-		return 0, err
+		return err
 	}
 	r.commGroups = r.global.TrainableGroupNames()
 	// The communicated tensors are live views into the global model and the
@@ -267,35 +200,27 @@ func (r *Runner) prepareRun() (int64, error) {
 	// instead of once per round in aggregate.
 	commState, err := r.global.GroupStateTensors(r.commGroups)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	r.commState = commState
-	var stateSize int64
+	r.commState, r.stateSize = commState, 0
 	for _, t := range commState {
-		stateSize += int64(t.EncodedSize())
+		r.stateSize += int64(t.EncodedSize())
 	}
 	if err := r.setupTiers(); err != nil {
-		return 0, err
+		return err
 	}
-	return stateSize, r.cacheProjectedCosts()
+	return r.cacheProjectedCosts()
 }
 
-// recordRound closes one round (or buffered aggregation): it charges the
-// folded updates to the accountant, feeds the scheduler's utility tracker,
-// evaluates on the EvalEvery cadence and appends the round's record.
-// positions is parallel to results.
-func (r *Runner) recordRound(round, cohortSize int, results []clientResult, positions []int, stateSize int64) error {
+// recordRound closes one round: it charges the folded updates to the
+// accountant, feeds the scheduler's utility tracker, evaluates on the
+// EvalEvery cadence and appends the round's record. positions is parallel to
+// results.
+func (r *Runner) recordRound(round, cohortSize int, results []clientResult, positions []int) error {
 	var lossSum float64
 	for i, res := range results {
-		uplink := stateSize
-		if r.maskActive {
-			uplink = r.bytesScratch[i]
-		}
-		if r.codecActive() {
-			uplink = r.codecUplink[i]
-		}
 		r.acct.AddRound(res.cost)
-		r.acct.AddCommunication(uplink, stateSize)
+		r.acct.AddCommunication(res.uplink, r.stateSize)
 		lossSum += res.trainLoss
 		r.utility.ObserveUpdate(positions[i], res.meanEntropy, res.trainLoss, res.cost.Total())
 	}
@@ -307,9 +232,7 @@ func (r *Runner) recordRound(round, cohortSize int, results []clientResult, posi
 		MeanTrainLoss:   lossSum / float64(len(results)),
 		CumTrainSeconds: r.acct.TotalSeconds(),
 		CumUplinkBytes:  r.acct.UplinkBytes(),
-	}
-	if r.cfg.Scheduler != nil {
-		rec.SchedPolicy = r.cfg.Scheduler.Name()
+		SchedPolicy:     r.schedName(),
 	}
 	if r.cfg.EvalEvery > 0 && (round%r.cfg.EvalEvery == 0 || round == r.cfg.Rounds) {
 		acc, err := metrics.Accuracy(r.global, r.test)
@@ -325,6 +248,14 @@ func (r *Runner) recordRound(round, cohortSize int, results []clientResult, posi
 	r.hist.Records = append(r.hist.Records, rec)
 	r.doneRound = round
 	return nil
+}
+
+// schedName names the configured cohort scheduler; empty without one.
+func (r *Runner) schedName() string {
+	if r.cfg.Scheduler == nil {
+		return ""
+	}
+	return r.cfg.Scheduler.Name()
 }
 
 // finishRun closes the history's totals once the last round is recorded.
@@ -356,7 +287,6 @@ func (r *Runner) maskProvider() strategy.MaskProvider {
 func (r *Runner) setupTiers() error {
 	r.tiers, r.tierMasks, r.commLayout, r.commIndex = nil, nil, nil, nil
 	r.coverCache, r.bytesCache = nil, nil
-	r.maskActive = false
 	mp := r.maskProvider()
 	if r.cfg.TierDist == nil && mp == nil {
 		return nil
@@ -466,57 +396,41 @@ func (r *Runner) coverFor(mask []string) ([]int, int64, error) {
 	return cover, bytes, nil
 }
 
-// prepareRoundMasks resolves each participant's layer mask for the round: the
-// tier's mask by default, optionally overridden per client by the strategy's
-// MaskProvider hook. On untiered runs without a provider there are no masks:
-// every participant trains and ships the whole communicated state.
-func (r *Runner) prepareRoundMasks(participants []*Client, positions []int, round int) error {
+// resolveMask settles, before a participant trains, what its update will
+// carry: the layer mask it trains under (the tier's, optionally overridden per
+// client by the strategy's MaskProvider hook), the cover map of that mask and
+// its uplink size. On untiered runs without a provider there is no mask: the
+// client trains and ships the whole communicated state (nil cover).
+func (r *Runner) resolveMask(fl *flight, cl *Client, pos, round int) error {
+	fl.mask, fl.res.cover, fl.res.uplink = nil, nil, r.stateSize
 	if r.commLayout == nil {
-		r.maskActive = false
 		return nil
 	}
-	n := len(participants)
-	if cap(r.maskScratch) < n {
-		r.maskScratch = make([][]string, n)
-		r.coverScratch = make([][]int, n)
-		r.bytesScratch = make([]int64, n)
+	mask := r.commGroups
+	if r.tiers != nil {
+		mask = r.tierMasks[r.tiers[pos]]
 	}
-	r.maskScratch = r.maskScratch[:n]
-	r.coverScratch = r.coverScratch[:n]
-	r.bytesScratch = r.bytesScratch[:n]
-	mp := r.maskProvider()
-	for i, cl := range participants {
-		mask := r.commGroups
-		if r.tiers != nil {
-			mask = r.tierMasks[r.tiers[positions[i]]]
+	if mp := r.maskProvider(); mp != nil {
+		if custom := mp.MaskFor(round, cl.ID, mask); custom != nil {
+			mask = custom
 		}
-		if mp != nil {
-			if custom := mp.MaskFor(round, cl.ID, mask); custom != nil {
-				mask = custom
-			}
-		}
-		cover, bytes, err := r.coverFor(mask)
-		if err != nil {
-			return fmt.Errorf("core: round %d client %d: %w", round, cl.ID, err)
-		}
-		r.maskScratch[i], r.coverScratch[i], r.bytesScratch[i] = mask, cover, bytes
 	}
-	r.maskActive = true
+	cover, bytes, err := r.coverFor(mask)
+	if err != nil {
+		return fmt.Errorf("core: round %d client %d: %w", round, cl.ID, err)
+	}
+	fl.mask, fl.res.cover, fl.res.uplink = mask, cover, bytes
 	return nil
 }
 
 // cacheProjectedCosts fills projCost with each client's projected round
-// cost. Called once per Run, after SetFinetunePart and setupTiers (the cost
+// cost. Called once per run, after SetFinetunePart and setupTiers (the cost
 // depends on which groups the client's mask lets train). Costs are computed
 // from descriptors alone — the source contract pins Describe to what Acquire
 // materializes, so the eager and fleet paths project identical costs.
 func (r *Runner) cacheProjectedCosts() error {
 	n := r.src.NumClients()
 	r.projCost = make([]float64, n)
-	r.allIDs = make([]int, n)
-	for i := range r.allIDs {
-		r.allIDs[i] = i
-	}
 	for i := 0; i < n; i++ {
 		d := r.src.Describe(i)
 		var (
@@ -538,64 +452,6 @@ func (r *Runner) cacheProjectedCosts() error {
 		r.projCost[i] = cost.Total()
 	}
 	return nil
-}
-
-// sampleParticipants picks the round's cohort with the configured scheduler
-// (the whole pool when none is set) and then applies the straggler policy
-// within it. It returns the participants, their pool positions (parallel),
-// and the cohort size the scheduler admitted.
-func (r *Runner) sampleParticipants(round int) ([]*Client, []int, int, error) {
-	ids := r.allIDs
-	times := r.projCost
-
-	cohort, cohortTimes := ids, times
-	if r.cfg.Scheduler != nil {
-		cohort = r.schedule(round, r.cfg.CohortSize, nil)
-		if len(cohort) == 0 {
-			return nil, nil, 0, fmt.Errorf("core: scheduler %s returned an empty cohort in round %d",
-				r.cfg.Scheduler.Name(), round)
-		}
-		if cap(r.timesScratch) < len(cohort) {
-			r.timesScratch = make([]float64, len(cohort))
-		}
-		cohortTimes = r.timesScratch[:len(cohort)]
-		for i, idx := range cohort {
-			if idx < 0 || idx >= r.src.NumClients() {
-				return nil, nil, 0, fmt.Errorf("core: scheduler %s returned unknown client %d in round %d",
-					r.cfg.Scheduler.Name(), idx, round)
-			}
-			cohortTimes[i] = times[idx]
-		}
-	}
-
-	if r.cfg.Scheduler == nil {
-		// cohort and cohortTimes still alias the allIDs/projCost caches
-		// here; hand the straggler policy reused copies so an
-		// implementation that mutates its arguments cannot corrupt them.
-		if cap(r.timesScratch) < len(cohortTimes) {
-			r.timesScratch = make([]float64, len(cohortTimes))
-		}
-		if cap(r.idsScratch) < len(cohort) {
-			r.idsScratch = make([]int, len(cohort))
-		}
-		r.timesScratch = r.timesScratch[:len(cohortTimes)]
-		copy(r.timesScratch, cohortTimes)
-		cohortTimes = r.timesScratch
-		r.idsScratch = r.idsScratch[:len(cohort)]
-		copy(r.idsScratch, cohort)
-		cohort = r.idsScratch
-	}
-	rng := tensor.NewRand(uint64(r.cfg.Seed), uint64(round), 0xFACADE)
-	chosen := r.cfg.Straggler.Complete(cohort, cohortTimes, rng)
-	if len(chosen) == 0 {
-		return nil, nil, 0, fmt.Errorf("core: straggler policy left no participants in round %d", round)
-	}
-	out, err := r.src.Acquire(chosen, r.partScratch)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("core: acquiring round %d participants: %w", round, err)
-	}
-	r.partScratch = out
-	return out, chosen, len(cohort), nil
 }
 
 // schedule asks the configured scheduler for k of the pool positions not
@@ -647,40 +503,22 @@ func projectedSelected(n int, fraction float64) int {
 	return k
 }
 
-// slotMask returns participant slot's layer mask for the current round (nil
-// on whole-state rounds).
-func (r *Runner) slotMask(slot int) []string {
-	if !r.maskActive {
-		return nil
+// trainFlights runs one dispatch's local rounds on a bounded worker pool of
+// reusable client replicas, each update landing in its flight (parallel to
+// participants and their pool positions). Which worker trains which client
+// does not matter: each replica is rebound bit-identically per client.
+func (r *Runner) trainFlights(participants []*Client, positions []int, flights []*flight, round int) error {
+	for i, fl := range flights {
+		if err := r.resolveMask(fl, participants[i], positions[i], round); err != nil {
+			return err
+		}
 	}
-	return r.maskScratch[slot]
-}
-
-// trainParticipants runs the participants' local rounds on a bounded worker
-// pool of reusable client replicas. Results are ordered by participant
-// position, so aggregation is deterministic regardless of scheduling; each
-// replica is rebound bit-identically per client, so which worker trains
-// which client does not matter either.
-func (r *Runner) trainParticipants(participants []*Client, round int) ([]clientResult, error) {
 	n := len(participants)
-	if cap(r.results) < n {
-		r.results = make([]clientResult, n)
-		r.errs = make([]error, n)
-	}
-	results, errs := r.results[:n], r.errs[:n]
-	if cap(r.stateBufs) < n {
-		r.stateBufs = append(r.stateBufs[:len(r.stateBufs)], make([][]*tensor.Tensor, n-len(r.stateBufs))...)
-	}
-	stateBufs := r.stateBufs[:n]
-
-	workers := r.cfg.Parallelism
-	if workers > n {
-		workers = n
-	}
+	workers := min(r.cfg.Parallelism, n)
 	for len(r.replicas) < workers {
 		rep, err := newReplica(r.global, r.cfg, nil)
 		if err != nil {
-			return nil, fmt.Errorf("core: replica: %w", err)
+			return fmt.Errorf("core: replica: %w", err)
 		}
 		r.replicas = append(r.replicas, rep)
 	}
@@ -696,33 +534,37 @@ func (r *Runner) trainParticipants(participants []*Client, round int) ([]clientR
 				if slot >= n {
 					return
 				}
-				results[slot], errs[slot] = r.trainClient(rep, participants[slot], round, r.slotMask(slot), &stateBufs[slot])
+				flights[slot].err = r.trainClient(rep, participants[slot], round, flights[slot])
 			}
 		}(r.replicas[w])
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for _, fl := range flights {
+		if fl.err != nil {
+			return fl.err
 		}
 	}
-	return results, nil
+	return nil
 }
 
 // trainClient runs one participant's local round on the worker's pooled
 // replica, rebound to the client (or, under the reuseReplicas test hook, on a
-// fresh one-shot replica — the same loop either way).
-func (r *Runner) trainClient(rep *replica, cl *Client, round int, mask []string, stateBuf *[]*tensor.Tensor) (clientResult, error) {
+// fresh one-shot replica — the same loop either way). The outcome fills the
+// flight; the cover and wire size resolved at admission stay.
+func (r *Runner) trainClient(rep *replica, cl *Client, round int, fl *flight) error {
 	var err error
 	if reuseReplicas {
-		err = rep.rebind(r.global, mask)
+		err = rep.rebind(r.global, fl.mask)
 	} else {
-		rep, err = newReplica(r.global, r.cfg, mask)
+		rep, err = newReplica(r.global, r.cfg, fl.mask)
 	}
 	if err != nil {
-		return clientResult{}, fmt.Errorf("core: client %d: %w", cl.ID, err)
+		return fmt.Errorf("core: client %d: %w", cl.ID, err)
 	}
-	return rep.train(r.cfg, cl, round, stateBuf)
+	res, err := rep.train(r.cfg, cl, round, &fl.stateBuf)
+	res.cover, res.uplink = fl.res.cover, fl.res.uplink
+	fl.res = res
+	return err
 }
 
 // aggregate fuses client states into the weighted average of paper Eq. 5 —
@@ -733,9 +575,8 @@ func (r *Runner) trainClient(rep *replica, cl *Client, round int, mask []string,
 // reused runner scratch tensors in participant order, so the arithmetic —
 // and therefore every result bit — is independent of the strategy applying
 // it. globalState holds the live communicated tensors, resolved once per
-// Run. lambdas, when non-nil, multiplies each strategy weight by that
-// update's staleness discount (buffered-async runs); nil keeps the
-// synchronous arithmetic untouched.
+// run. lambdas, when non-nil, multiplies each strategy weight by that
+// update's staleness discount (exactly 1 for an update that is not stale).
 func (r *Runner) aggregate(results []clientResult, globalState []*tensor.Tensor, lambdas []float64) error {
 	if len(results) == 0 {
 		return fmt.Errorf("core: aggregate with no results")
@@ -793,7 +634,7 @@ func (r *Runner) aggregate(results []clientResult, globalState []*tensor.Tensor,
 		acc := avg[ti]
 		var total float64
 		for ri := range results {
-			if r.coverIndex(ri, ti) >= 0 {
+			if results[ri].coverIndex(ti) >= 0 {
 				total += weights[ri]
 			}
 		}
@@ -804,8 +645,9 @@ func (r *Runner) aggregate(results []clientResult, globalState []*tensor.Tensor,
 			continue
 		}
 		acc.Zero()
-		for ri, res := range results {
-			ci := r.coverIndex(ri, ti)
+		for ri := range results {
+			res := &results[ri]
+			ci := res.coverIndex(ti)
 			if ci < 0 {
 				continue
 			}
@@ -824,12 +666,12 @@ func (r *Runner) aggregate(results []clientResult, globalState []*tensor.Tensor,
 	return nil
 }
 
-// coverIndex maps communicated tensor ti to its index in participant ri's
-// shipped state: the identity on unmasked rounds, the round's cover map (-1
-// when the participant's mask excludes the tensor) on masked ones.
-func (r *Runner) coverIndex(ri, ti int) int {
-	if !r.maskActive {
+// coverIndex maps communicated tensor ti to its index in the update's shipped
+// state: the identity for a whole-state update, the cover map (-1 when the
+// update's mask excludes the tensor) for a masked one.
+func (res *clientResult) coverIndex(ti int) int {
+	if res.cover == nil {
 		return ti
 	}
-	return r.coverScratch[ri][ti]
+	return res.cover[ti]
 }

@@ -85,11 +85,11 @@ func (s eagerSource) Release([]*Client) {}
 func (s eagerSource) Fingerprint() string { return "" }
 
 // NewRunnerWithSource constructs a runner whose clients come from a
-// ClientSource instead of an in-memory slice. Synchronous Run acquires each
-// round's participants from the source and releases them after aggregation,
-// so resident client memory is bounded by the cohort and the source's reuse
-// pool. RunAsync requires the eager pool (its in-flight set is the whole
-// population's worst case); fleet-backed overlapping rounds use RunFleetAsync.
+// ClientSource instead of an in-memory slice. Every dispatch acquires its
+// participants from the source and releases them as soon as they have
+// trained, so resident client memory is bounded by the dispatch (at most the
+// window: Config.CohortSize under a scheduler, the population without one)
+// and the source's reuse pool, for Run and RunAsync alike.
 func NewRunnerWithSource(cfg Config, global *models.Model, src ClientSource, test *data.Dataset) (*Runner, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {

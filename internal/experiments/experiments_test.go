@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 
+	"fedfteds/internal/core"
 	"fedfteds/internal/models"
 	"fedfteds/internal/selection"
 )
@@ -178,6 +180,61 @@ func TestRunTable2Structure(t *testing.T) {
 		if render == "" {
 			t.Fatal("empty render")
 		}
+	}
+}
+
+// TestFedFTEDSEfficiencyGate pins the part of the paper's claim that is
+// robust in this reproduction: on the (synthc10, Diri(0.1)) cell of Table II
+// at ScaleFast, FedFT-EDS (10%) buys its accuracy with at most a third of
+// FedAvg's client compute and reaches at least three times its learning
+// efficiency (best accuracy per client-second, Fig. 6; the paper's "up to 3
+// times"). Measured 5.2x-8.1x over seeds 1-3 and all four cells; see
+// EXPERIMENTS.md. Neither accuracy ordering is asserted: at this scale
+// FedFT-EDS does not beat FedAvg on accuracy, and EDS against RDS flips with
+// the seed. The runs go through Runner.Run, the accountant and the round
+// records, so a change to the round loop that loses or double-counts client
+// work fails here.
+func TestFedFTEDSEfficiencyGate(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			env, err := NewEnv(ScaleFast, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// RunTable2's federation and seed salt for its first cell.
+			fed, err := env.BuildFederation(env.Suite.Target10, env.Dims.SmallClients, 0.1, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hists := map[string]core.History{}
+			for _, m := range standardMethods(table2Pds) {
+				if m.Name != "FedAvg" && m.Name != "FedFT-EDS (10%)" {
+					continue
+				}
+				if hists[m.Name], err = env.RunMethod(m, fed, env.Suite.Target10, env.Suite.Source, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			avg, eds := hists["FedAvg"], hists["FedFT-EDS (10%)"]
+			avgEff, err := avg.LearningEfficiency()
+			if err != nil {
+				t.Fatal(err)
+			}
+			edsEff, err := eds.LearningEfficiency()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("efficiency %.1f vs %.1f %%/s, client-seconds %.2f vs %.2f", edsEff, avgEff,
+				eds.TotalTrainSeconds, avg.TotalTrainSeconds)
+			if edsEff < 3*avgEff {
+				t.Errorf("FedFT-EDS efficiency %.1f %%/s is under 3x FedAvg's %.1f", edsEff, avgEff)
+			}
+			if eds.TotalTrainSeconds > avg.TotalTrainSeconds/3 {
+				t.Errorf("FedFT-EDS spent %.2f client-seconds, over a third of FedAvg's %.2f",
+					eds.TotalTrainSeconds, avg.TotalTrainSeconds)
+			}
+		})
 	}
 }
 

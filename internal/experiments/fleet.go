@@ -25,11 +25,12 @@ const (
 	fleetDayRounds = 24
 )
 
-// RunFLSource is RunFL for source-backed (virtual fleet) runs: the same
+// runFLSource is RunFL for source-backed (virtual fleet) runs: the same
 // artifact-store and resume discipline, but clients come from a
-// core.ClientSource instead of a materialized slice.
-func (e *Env) RunFLSource(runName string, cfg core.Config, global *models.Model, src core.ClientSource, test *data.Dataset) (core.History, error) {
-	return e.runFL(runName, cfg, func(cfg core.Config) (*core.Runner, error) {
+// core.ClientSource instead of a materialized slice, and a non-nil async
+// overlaps the rounds.
+func (e *Env) runFLSource(runName string, cfg core.Config, async *core.AsyncConfig, global *models.Model, src core.ClientSource, test *data.Dataset) (core.History, error) {
+	return e.runFL(runName, cfg, async, func(cfg core.Config) (*core.Runner, error) {
 		return core.NewRunnerWithSource(cfg, global, src, test)
 	})
 }
@@ -218,19 +219,12 @@ func RunFleetDay(env *Env, opts FleetOptions) (*FleetDayResult, error) {
 		if err != nil {
 			return nil, err
 		}
-	case opts.Buffer > 0:
-		runner, err := core.NewRunnerWithSource(cfg, global, f, test)
-		if err != nil {
-			return nil, err
-		}
-		res.Hist, err = runner.RunFleetAsync(core.FleetAsyncConfig{
-			AsyncConfig: core.AsyncConfig{Buffer: opts.Buffer, MaxStaleness: opts.MaxStaleness},
-		})
-		if err != nil {
-			return nil, err
-		}
 	default:
-		res.Hist, err = env.RunFLSource(runName, cfg, global, f, test)
+		var async *core.AsyncConfig
+		if opts.Buffer > 0 {
+			async = &core.AsyncConfig{Buffer: opts.Buffer, MaxStaleness: opts.MaxStaleness}
+		}
+		res.Hist, err = env.runFLSource(runName, cfg, async, global, f, test)
 		if err != nil {
 			return nil, err
 		}
@@ -333,8 +327,8 @@ func RunFleetCompare(env *Env, opts FleetOptions) (*FleetCompareResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		hist, err := env.RunFLSource(fmt.Sprintf("fleet-%s-n%d-k%d", row.label, clients, cohort),
-			env.fleetConfig(clients, cohort, scheduler), global, f, test)
+		hist, err := env.runFLSource(fmt.Sprintf("fleet-%s-n%d-k%d", row.label, clients, cohort),
+			env.fleetConfig(clients, cohort, scheduler), nil, global, f, test)
 		if err != nil {
 			return nil, err
 		}

@@ -95,8 +95,8 @@ type variant struct {
 	// apply edits the row's configuration and (for tiers) its freshly built
 	// federation; nil changes nothing.
 	apply func(*core.Config, *Federation) error
-	// async runs the row on the buffered-asynchronous engine, which does
-	// not checkpoint: the artifact-store policy skips such rows.
+	// async overlaps the row's rounds (core.Runner.RunAsync); runFL keeps
+	// such rows outside the checkpoint policy.
 	async *core.AsyncConfig
 }
 
@@ -393,31 +393,15 @@ func RunSweep(env *Env, a *Axis, opts SweepOptions) (*SweepResult, error) {
 			v.run = v.label
 		}
 		name := fmt.Sprintf("%s-%s-c%d", a.run, v.run, n)
-		var hist core.History
-		if v.async != nil {
-			hist, err = runAsync(name, cfg, *v.async, global, fed)
-		} else {
-			hist, err = env.RunFL(name, cfg, global, fed.Clients, fed.Test)
-		}
+		hist, err := env.runFL(name, cfg, v.async, func(cfg core.Config) (*core.Runner, error) {
+			return core.NewRunner(cfg, global, fed.Clients, fed.Test)
+		})
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, SweepRow{Label: v.label, Size: v.size, Mix: v.mix, Hist: hist})
 	}
 	return res, nil
-}
-
-// runAsync is RunFL for the buffered-asynchronous engine.
-func runAsync(name string, cfg core.Config, acfg core.AsyncConfig, global *models.Model, fed *Federation) (core.History, error) {
-	runner, err := core.NewRunner(cfg, global, fed.Clients, fed.Test)
-	if err != nil {
-		return core.History{}, fmt.Errorf("experiments: %s: %w", name, err)
-	}
-	hist, err := runner.RunAsync(acfg)
-	if err != nil {
-		return core.History{}, fmt.Errorf("experiments: %s: run: %w", name, err)
-	}
-	return hist, nil
 }
 
 // column is one table column: its header, its width (negative left-aligns)

@@ -9,6 +9,7 @@ import (
 	"fedfteds/internal/comm"
 	"fedfteds/internal/core"
 	"fedfteds/internal/experiments"
+	"fedfteds/internal/models"
 	"fedfteds/internal/strategy"
 )
 
@@ -43,8 +44,9 @@ func honest(w *experiments.World, conn comm.Conn, id, dieAfter int) error {
 }
 
 // servePipes runs cfg over in-process pipes against one client function per
-// ID and returns Serve's results once every client has exited.
-func servePipes(t *testing.T, w *experiments.World, cfg Config, client func(conn comm.Conn, id int) error) (core.History, error) {
+// ID and returns Serve's results, trained model included, once every client
+// has exited.
+func servePipes(t *testing.T, w *experiments.World, cfg Config, client func(conn comm.Conn, id int) error) (core.History, *models.Model, error) {
 	t.Helper()
 	global, err := w.Global.Clone()
 	if err != nil {
@@ -63,7 +65,7 @@ func servePipes(t *testing.T, w *experiments.World, cfg Config, client func(conn
 	}
 	hist, err := Serve(cfg, l, global, w.Test)
 	wg.Wait()
-	return hist, err
+	return hist, global, err
 }
 
 func TestCheckMetadata(t *testing.T) {
@@ -96,56 +98,88 @@ func TestCheckMetadata(t *testing.T) {
 }
 
 // TestServeDropsLyingClient: one client among four answers every round with
-// a well-formed state but hostile metadata. The fold rejects the update as
-// that client's failure — the same atomic-reject contract as a malformed
-// tensor — so at quorum 0.5 the rounds complete on the three honest clients
-// and nothing non-finite reaches the history.
+// an update that is well formed but hostile — lying metadata around an honest
+// state, or honest metadata around a state with one Inf weight in it. The
+// fold rejects the update as that client's failure, atomically, so at quorum
+// 0.5 the rounds complete on the three honest clients and nothing non-finite
+// reaches the history or the model.
 func TestServeDropsLyingClient(t *testing.T) {
 	w, err := testWorld()
 	if err != nil {
 		t.Fatal(err)
 	}
 	const liar = 2
-	cfg := testConfig(3)
-	cfg.Quorum = 0.5
-	hist, err := servePipes(t, w, cfg, func(conn comm.Conn, id int) error {
-		if id != liar {
-			return honest(w, conn, id, 0)
-		}
-		sess, _, err := comm.Join(conn, id, w.Clients[id].Data.Len())
-		if err != nil {
-			return err
-		}
-		for {
-			rs, ok, err := sess.NextRound()
-			if err != nil || !ok {
-				return err
+	for _, tt := range []struct {
+		name string
+		lie  func(rs comm.RoundStart) (comm.ClientUpdate, error)
+	}{
+		// The broadcast echoed back is a valid state; only the numbers lie.
+		{"metadata", func(rs comm.RoundStart) (comm.ClientUpdate, error) {
+			return comm.ClientUpdate{State: rs.State, NumSelected: 1000,
+				TrainSeconds: math.Inf(1), TrainLoss: math.NaN(), MeanEntropy: math.Inf(1)}, nil
+		}},
+		{"one Inf weight", func(rs comm.RoundStart) (comm.ClientUpdate, error) {
+			ts, err := comm.DecodeTensors(rs.State)
+			if err != nil {
+				return comm.ClientUpdate{}, err
 			}
-			// The broadcast echoed back is a valid state; only the numbers lie.
-			if err := sess.SendUpdate(comm.ClientUpdate{ClientID: id, Round: rs.Round, State: rs.State,
-				NumSelected: 1000, TrainSeconds: math.Inf(1), TrainLoss: math.NaN(), MeanEntropy: math.Inf(1)}); err != nil {
-				return err
+			last := ts[len(ts)-1].Data()
+			last[len(last)-1] = float32(math.Inf(-1))
+			blob, err := comm.EncodeTensors(ts)
+			return comm.ClientUpdate{State: blob, NumSelected: 10, TrainSeconds: 0.5, TrainLoss: 1}, err
+		}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := testConfig(3)
+			cfg.Quorum = 0.5
+			hist, global, err := servePipes(t, w, cfg, func(conn comm.Conn, id int) error {
+				if id != liar {
+					return honest(w, conn, id, 0)
+				}
+				sess, _, err := comm.Join(conn, id, w.Clients[id].Data.Len())
+				if err != nil {
+					return err
+				}
+				for {
+					rs, ok, err := sess.NextRound()
+					if err != nil || !ok {
+						return err
+					}
+					u, err := tt.lie(rs)
+					if err != nil {
+						return err
+					}
+					u.ClientID, u.Round = id, rs.Round
+					if err := sess.SendUpdate(u); err != nil {
+						return err
+					}
+				}
+			})
+			if err != nil {
+				t.Fatalf("federation with one liar failed: %v", err)
 			}
-		}
-	})
-	if err != nil {
-		t.Fatalf("federation with one liar failed: %v", err)
-	}
-	if len(hist.Records) != cfg.Rounds {
-		t.Fatalf("%d records, want %d", len(hist.Records), cfg.Rounds)
-	}
-	for _, rec := range hist.Records {
-		if rec.Participants != 3 {
-			t.Errorf("round %d folded %d updates, want the 3 honest ones", rec.Round, rec.Participants)
-		}
-		for name, v := range map[string]float64{"accuracy": rec.TestAccuracy, "loss": rec.MeanTrainLoss, "seconds": rec.CumTrainSeconds} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Errorf("round %d: %s is %v", rec.Round, name, v)
+			if len(hist.Records) != cfg.Rounds {
+				t.Fatalf("%d records, want %d", len(hist.Records), cfg.Rounds)
 			}
-		}
-	}
-	if math.IsInf(hist.TotalTrainSeconds, 0) || math.IsNaN(hist.TotalTrainSeconds) || hist.TotalTrainSeconds <= 0 {
-		t.Errorf("total train seconds %v", hist.TotalTrainSeconds)
+			for _, rec := range hist.Records {
+				if rec.Participants != 3 {
+					t.Errorf("round %d folded %d updates, want the 3 honest ones", rec.Round, rec.Participants)
+				}
+				for name, v := range map[string]float64{"accuracy": rec.TestAccuracy, "loss": rec.MeanTrainLoss, "seconds": rec.CumTrainSeconds} {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Errorf("round %d: %s is %v", rec.Round, name, v)
+					}
+				}
+			}
+			if math.IsInf(hist.TotalTrainSeconds, 0) || math.IsNaN(hist.TotalTrainSeconds) || hist.TotalTrainSeconds <= 0 {
+				t.Errorf("total train seconds %v", hist.TotalTrainSeconds)
+			}
+			for i, ts := range global.StateTensors() {
+				if !ts.IsFinite() {
+					t.Errorf("state tensor %d of the trained model holds NaN or Inf", i)
+				}
+			}
+		})
 	}
 }
 
@@ -161,7 +195,8 @@ func TestServeAccountsTraffic(t *testing.T) {
 	run := func(dir string, dieAfter int) (core.History, error) {
 		cfg := testConfig(4)
 		cfg.CkptDir = dir
-		return servePipes(t, w, cfg, func(conn comm.Conn, id int) error { return honest(w, conn, id, dieAfter) })
+		hist, _, err := servePipes(t, w, cfg, func(conn comm.Conn, id int) error { return honest(w, conn, id, dieAfter) })
+		return hist, err
 	}
 	ref, err := run(t.TempDir(), 0)
 	if err != nil {

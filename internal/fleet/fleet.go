@@ -319,6 +319,8 @@ func (f *Fleet) Acquire(positions []int, dst []*core.Client) ([]*core.Client, er
 		if pos < 0 || pos >= f.spec.Clients {
 			return nil, fmt.Errorf("fleet: acquire position %d outside population of %d", pos, f.spec.Clients)
 		}
+	}
+	for _, pos := range positions {
 		f.clock++
 		e, ok := f.pool[pos]
 		if ok {
@@ -326,6 +328,13 @@ func (f *Fleet) Acquire(positions []int, dst []*core.Client) ([]*core.Client, er
 		} else {
 			cl, err := f.materialize(pos)
 			if err != nil {
+				// The caller gets no clients, so it will release none: unpin
+				// what this call pinned, or those entries could never be
+				// evicted again.
+				for _, pinned := range dst {
+					f.pool[pinned.ID].pins--
+				}
+				f.evictLocked()
 				return nil, err
 			}
 			e = &entry{cl: cl}

@@ -181,6 +181,30 @@ func TestPoolBounds(t *testing.T) {
 	}
 }
 
+// TestFailedAcquireLeavesNothingPinned: an Acquire that fails returns no
+// clients, so nothing will ever release what it touched. At the parent commit
+// the three positions before the bad one stayed pinned for good — resident
+// beyond PoolSize with no evictable slot.
+func TestFailedAcquireLeavesNothingPinned(t *testing.T) {
+	spec := testSpec(t, 50)
+	spec.PoolSize = 2
+	f, err := New(spec)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := f.Acquire([]int{0, 1, 2, 50}, nil); err == nil {
+		t.Fatal("acquire of position 50 in a 50-client fleet succeeded")
+	}
+	got, err := f.Acquire([]int{3, 4}, nil)
+	if err != nil {
+		t.Fatalf("clean acquire: %v", err)
+	}
+	f.Release(got)
+	if r := f.Resident(); r > spec.PoolSize {
+		t.Fatalf("resident %d exceeds pool size %d after a failed acquire and a clean round", r, spec.PoolSize)
+	}
+}
+
 func uniq(ids []int) map[int]bool {
 	m := make(map[int]bool, len(ids))
 	for _, id := range ids {

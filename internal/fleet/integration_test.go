@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -294,8 +295,8 @@ func TestFleetFingerprintMismatchRefused(t *testing.T) {
 
 // TestFleetAsyncFullBufferMatchesRun pins the async engine's baseline: with
 // Buffer = CohortSize, no staleness and no departures, every aggregation
-// folds exactly its dispatched window, so RunFleetAsync replays the
-// synchronous engine bit for bit.
+// folds exactly its dispatched window, so the explicit buffer replays Run —
+// the same loop asked to await its window — bit for bit.
 func TestFleetAsyncFullBufferMatchesRun(t *testing.T) {
 	spec, test, build := fixture(t, 12)
 
@@ -322,9 +323,7 @@ func TestFleetAsyncFullBufferMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asyncHist, err := asyncRunner.RunFleetAsync(core.FleetAsyncConfig{
-		AsyncConfig: core.AsyncConfig{Buffer: 4, MaxStaleness: -1},
-	})
+	asyncHist, err := asyncRunner.RunAsync(core.AsyncConfig{Buffer: 4, MaxStaleness: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,10 +356,8 @@ func TestFleetAsyncTraceDepartures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hist, err := r.RunFleetAsync(core.FleetAsyncConfig{
-			AsyncConfig: core.AsyncConfig{Buffer: 3, MaxStaleness: 2},
-			Departed:    func(round, clientID int) bool { return round == 3 && clientID%5 == 2 },
-		})
+		hist, err := r.RunAsync(core.AsyncConfig{Buffer: 3, MaxStaleness: 2,
+			Departed: func(round, clientID int) bool { return round == 3 && clientID%5 == 2 }})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,64 +386,57 @@ func TestFleetAsyncTraceDepartures(t *testing.T) {
 	}
 }
 
-// TestRunFleetAsyncValidation pins the mode's fail-fast surface, including
-// the complementary guard: RunAsync's O(pool) engine refuses fleet-backed
-// runners outright.
+// TestRunFleetAsyncValidation pins what overlapping rounds over a fleet still
+// refuse — a buffer outside [1, window] — and that the rest of the old
+// fail-fast surface now runs: a fleet source without a scheduler (the window
+// is then the fleet), a cohort larger than the fleet (clamped, as Run always
+// did) and an uplink codec.
 func TestRunFleetAsyncValidation(t *testing.T) {
 	spec, test, build := fixture(t, 8)
 
-	newRunner := func(mutate func(*core.Config)) *core.Runner {
-		f, err := fleet.New(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := fleetCfg(2, 4)
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		r, err := core.NewRunnerWithSource(cfg, build(), f, test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	acfg := func(buffer int) core.FleetAsyncConfig {
-		return core.FleetAsyncConfig{AsyncConfig: core.AsyncConfig{Buffer: buffer, MaxStaleness: -1}}
-	}
-
+	acfg := func(buffer int) core.AsyncConfig { return core.AsyncConfig{Buffer: buffer, MaxStaleness: -1} }
 	cases := []struct {
-		name   string
-		mutate func(*core.Config)
-		acfg   core.FleetAsyncConfig
+		name    string
+		mutate  func(*core.Config)
+		acfg    core.AsyncConfig
+		refused bool
 	}{
-		{"no scheduler", func(c *core.Config) { c.Scheduler, c.CohortSize = nil, 0 }, acfg(1)},
-		{"zero buffer", nil, acfg(0)},
-		{"buffer exceeds window", nil, acfg(5)},
-		{"window exceeds fleet", func(c *core.Config) { c.CohortSize = 9 }, acfg(1)},
-		{"codec", func(c *core.Config) { c.Codec = "float16" }, acfg(2)},
+		{"zero buffer", nil, acfg(0), true},
+		{"buffer exceeds window", nil, acfg(5), true},
+		{"no scheduler", func(c *core.Config) { c.Scheduler, c.CohortSize = nil, 0 }, acfg(5), false},
+		{"window exceeds fleet", func(c *core.Config) { c.CohortSize = 9 }, acfg(8), false},
+		{"codec", func(c *core.Config) { c.Codec = "float16" }, acfg(2), false},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := newRunner(tt.mutate).RunFleetAsync(tt.acfg); err == nil {
-				t.Fatal("accepted")
+			f, err := fleet.New(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := fleetCfg(2, 4)
+			if tt.mutate != nil {
+				tt.mutate(&cfg)
+			}
+			r, err := core.NewRunnerWithSource(cfg, build(), f, test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hist, err := r.RunAsync(tt.acfg)
+			switch {
+			case tt.refused && !errors.Is(err, core.ErrConfig):
+				t.Fatalf("err %v, want ErrConfig", err)
+			case !tt.refused && (err != nil || len(hist.Records) != 2):
+				t.Fatalf("err %v after %d records, want 2 clean rounds", err, len(hist.Records))
 			}
 		})
 	}
-
-	t.Run("runasync refuses fleet source", func(t *testing.T) {
-		r := newRunner(func(c *core.Config) { c.Scheduler, c.CohortSize = nil, 0 })
-		_, err := r.RunAsync(core.AsyncConfig{Buffer: 2, MaxStaleness: -1})
-		if err == nil || !strings.Contains(err.Error(), "RunFleetAsync") {
-			t.Fatalf("err %v, want RunFleetAsync redirect", err)
-		}
-	})
 }
 
 // TestFleetAsyncPartialBufferDigests pins the windowed buffered loop bit for
 // bit where Buffer < CohortSize: trace availability, staleness discards with
 // immediate re-dispatch, and departures that vacate window slots. The digest
-// (History %+v plus every final state float's bits) was captured before
-// RunAsync and RunFleetAsync were folded onto one loop.
+// (History %+v plus every final state float's bits) was captured from
+// RunFleetAsync's own loop, two merges ago.
 func TestFleetAsyncPartialBufferDigests(t *testing.T) {
 	for _, tt := range []struct {
 		name         string
@@ -477,10 +467,8 @@ func TestFleetAsyncPartialBufferDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hist, err := r.RunFleetAsync(core.FleetAsyncConfig{
-				AsyncConfig: core.AsyncConfig{Buffer: 3, MaxStaleness: tt.maxStaleness, Weigher: strategy.InvSqrtStaleness()},
-				Departed:    tt.departed,
-			})
+			hist, err := r.RunAsync(core.AsyncConfig{Buffer: 3, MaxStaleness: tt.maxStaleness,
+				Weigher: strategy.InvSqrtStaleness(), Departed: tt.departed})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -366,6 +366,23 @@ func TestIsFinite(t *testing.T) {
 	if x.IsFinite() {
 		t.Fatal("Inf not detected")
 	}
+	// Every position of the unrolled body and of the tail, every kind of
+	// non-finite value; the largest finite values stay finite.
+	big := New(37)
+	big.Fill(math.MaxFloat32)
+	big.Set(-math.MaxFloat32, 1)
+	if !big.IsFinite() {
+		t.Fatal("MaxFloat32 reported non-finite")
+	}
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		for i := 0; i < 37; i++ {
+			big.Set(bad, i)
+			if big.IsFinite() {
+				t.Fatalf("%v at element %d not detected", bad, i)
+			}
+			big.Set(1, i)
+		}
+	}
 }
 
 func TestClampAndApply(t *testing.T) {
