@@ -161,8 +161,9 @@ func allocFederation(t *testing.T, clients int) ([]*core.Client, *data.Dataset) 
 // fedclient primitive: a fresh replica must not pay the pool's rebind (no
 // state copy straight after the clone, no optimizer cache), and a masked
 // call builds exactly one SGD at the mask. Each budget is the count measured
-// on this federation once the replica's own state tensors became the result
-// (no snapshot clone: 676/665/469 before); most of it is the model clone.
+// on this federation once the model memoised its state list and FLOP counts
+// (614/603/461 while every CopyStateFrom and cost projection re-derived
+// them); most of what is left is the model clone.
 func TestLocalUpdateAllocBudget(t *testing.T) {
 	clients, _ := allocFederation(t, 8)
 	m, err := models.Build(models.Spec{
@@ -186,9 +187,9 @@ func TestLocalUpdateAllocBudget(t *testing.T) {
 		cfg    core.Config
 		budget float64
 	}{
-		{"entropy selection", eds, 614},
-		{"all samples", all, 603},
-		{"classifier-only mask", masked, 461},
+		{"entropy selection", eds, 523},
+		{"all samples", all, 513},
+		{"classifier-only mask", masked, 409},
 	} {
 		cfg, err := core.NewLocalConfig(tt.cfg)
 		if err != nil {

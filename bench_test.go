@@ -5,20 +5,25 @@
 // from `go run ./cmd/fedsim -scale full`.
 //
 // The trailing kernel benchmarks time substrate primitives (matmul, one MLP
-// training step, entropy selection) at realistic sizes; the first two back
-// CI's zero-allocation guard. Whole rounds, the WRN forward pass and the
+// training step, the ReLU loops, one FedFT-EDS client round, entropy
+// selection) at realistic sizes; matmul, the training step and the client
+// round back CI's allocation guard. Whole rounds, the WRN forward pass and the
 // server fold are measured by the performance ledger (bench/, BENCHMARK.json).
 package fedfteds_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"fedfteds/internal/core"
 	"fedfteds/internal/experiments"
 	"fedfteds/internal/models"
 	"fedfteds/internal/nn"
 	"fedfteds/internal/opt"
 	"fedfteds/internal/selection"
+	"fedfteds/internal/simtime"
 	"fedfteds/internal/tensor"
 )
 
@@ -334,6 +339,69 @@ func BenchmarkKernelMLPTrainStep(b *testing.B) {
 		}
 		m.Backward(dl)
 		sgd.Step()
+	}
+}
+
+// BenchmarkKernelReLU times the element-wise activation on sign-random inputs
+// (the case a data-dependent branch mispredicts half the time), forward plus
+// backward, at a dense and a convolutional shape, in both modes — the layer
+// has one rule, so train and eval must cost the same.
+func BenchmarkKernelReLU(b *testing.B) {
+	for _, shape := range [][]int{{64, 64}, {16, 16, 8, 8}} {
+		for _, train := range []bool{true, false} {
+			b.Run(fmt.Sprintf("%v/train=%v", shape, train), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(3))
+				x, dy := tensor.New(shape...), tensor.New(shape...)
+				x.FillNormal(rng, 0, 1)
+				dy.FillNormal(rng, 0, 1)
+				r := nn.NewReLU("relu")
+				b.SetBytes(int64(4 * x.Len()))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r.Forward(x, train)
+					r.Backward(dy, true)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkKernelClientRoundEDS times the paper's client round on a pooled
+// replica — FedFT-EDS(50%, moderate), E = 5, one 56-sample client — through
+// the only door to the pool, a Runner round: rebind, one frozen-prefix pass,
+// entropy selection on the features, five epochs on the selected half, the
+// fold of that one update. What it allocates per round is the selector's
+// scoring buffers and the round's bookkeeping; the feature pass and the
+// epochs themselves are pinned to zero by internal/core's AllocsPerRun test.
+func BenchmarkKernelClientRoundEDS(b *testing.B) {
+	env := benchEnv(b)
+	rng := rand.New(rand.NewSource(5))
+	local, err := env.Suite.Target10.GenerateBalanced(56, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	test, err := env.Suite.Target10.GenerateBalanced(10, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := env.FreshModel(env.Suite.Target10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	clients := []*core.Client{{ID: 0, Data: local, Device: simtime.Device{FLOPSRate: 1e9}}}
+	runner, err := core.NewRunner(core.Config{
+		Rounds: b.N, LocalEpochs: 5, BatchSize: 16, LR: 0.05, Momentum: 0.5,
+		FinetunePart: models.FinetuneModerate, Selector: selection.Entropy{Temperature: 0.1},
+		SelectFraction: 0.5, EvalEvery: math.MaxInt32, Parallelism: 1, Seed: 6,
+	}, model, clients, test)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := runner.Run(); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -36,6 +36,13 @@ var reuseReplicas = true
 // streams, and the optimizer resets its velocity and proximal anchor.
 type replica struct {
 	model *models.Model
+	// depth is P, the number of leading groups the bound mask freezes, and
+	// head is model entered at group P (model itself when P is 0): what
+	// selection, the epochs and Backward run, on feats' view of the client's
+	// data. Both follow the mask (enter).
+	depth int
+	head  *models.Model
+	feats features
 	sgd   *opt.SGD
 	iter  data.BatchIter
 	loss  nn.LossScratch
@@ -85,7 +92,16 @@ func newReplica(global *models.Model, cfg Config, mask []string) (*replica, erro
 	if err != nil {
 		return nil, err
 	}
-	return &replica{model: m, sgd: sgd, hook: hook, sgdCfg: sgdCfg}, nil
+	rep := &replica{model: m, sgd: sgd, hook: hook, sgdCfg: sgdCfg}
+	rep.enter()
+	return rep, nil
+}
+
+// enter points the replica's head at the lowest group its model's current
+// mask trains.
+func (rep *replica) enter() {
+	rep.depth = rep.model.FrozenDepth()
+	rep.head = rep.model.From(rep.depth)
 }
 
 // rebind points a pooled replica at its next client: the global state copied
@@ -132,7 +148,55 @@ func (rep *replica) bindMask(mask []string) error {
 		rep.sgds[key] = sgd
 	}
 	rep.sgd, rep.maskKey = sgd, key
+	rep.enter()
 	return nil
+}
+
+// featureBatch is how many samples one step of a frozen-prefix pass pushes
+// through the prefix; the kernels work row by row, so it shapes nothing but
+// the size of the gather buffer.
+const featureBatch = 64
+
+// features holds one dataset as a model's first live group sees it: the
+// frozen prefix's activations for every sample, computed in one pass into a
+// buffer that is reused for the next dataset. The frozen groups are the same
+// for scoring, for every epoch and for evaluation, so they run once here
+// instead of once per use.
+type features struct {
+	iter  data.BatchIter // gathers the raw batches
+	shape []int
+	ds    data.Dataset
+}
+
+// of returns ds as group p of m sees it — ds.X through m's groups [0, p), the
+// labels untouched. With no frozen prefix that is ds itself and nothing is
+// copied. The result is valid until the next call.
+func (f *features) of(m *models.Model, p int, ds *data.Dataset) (*data.Dataset, error) {
+	if p == 0 || ds.Len() == 0 {
+		return ds, nil
+	}
+	if err := f.iter.Bind(ds, nil, featureBatch); err != nil {
+		return nil, err
+	}
+	f.iter.Reset(nil)
+	for done := 0; ; {
+		b, ok := f.iter.Next()
+		if !ok {
+			break
+		}
+		// Layer outputs are workspaces: copy each batch out before the next.
+		out := m.ForwardPrefix(b.X, p)
+		if done == 0 {
+			f.shape = append(f.shape[:0], ds.Len())
+			for d := 1; d < out.Rank(); d++ {
+				f.shape = append(f.shape, out.Dim(d))
+			}
+			f.ds.X = tensor.Ensure(f.ds.X, f.shape...)
+		}
+		done += copy(f.ds.X.Data()[done:], out.Data())
+	}
+	f.ds.Y, f.ds.NumClasses = ds.Y, ds.NumClasses
+	return &f.ds, nil
 }
 
 // train executes one client's local round on a freshly built or rebound
@@ -143,21 +207,26 @@ func (rep *replica) bindMask(mask []string) error {
 // again.
 func (rep *replica) train(cfg Config, cl *Client, round int, stateBuf *[]*tensor.Tensor) (clientResult, error) {
 	rng := seeds.ClientRound(cfg.Seed, round, cl.ID)
+	// One pass through the frozen prefix serves the scoring pass and every
+	// epoch: from here on the client's data is what the head sees of it.
+	local, err := rep.feats.of(rep.model, rep.depth, cl.Data)
+	if err != nil {
+		return clientResult{}, fmt.Errorf("core: client %d: features: %w", cl.ID, err)
+	}
 
 	var (
 		selIdx      []int
 		meanEntropy = math.NaN()
-		err         error
 	)
 	if us, ok := cfg.Selector.(selection.UtilityScorer); ok {
-		selIdx, meanEntropy, err = us.SelectWithUtility(rep.model, cl.Data, cfg.SelectFraction, rng)
+		selIdx, meanEntropy, err = us.SelectWithUtility(rep.head, local, cfg.SelectFraction, rng)
 	} else {
-		selIdx, err = cfg.Selector.Select(rep.model, cl.Data, cfg.SelectFraction, rng)
+		selIdx, err = cfg.Selector.Select(rep.head, local, cfg.SelectFraction, rng)
 	}
 	if err != nil {
 		return clientResult{}, fmt.Errorf("core: client %d: selection: %w", cl.ID, err)
 	}
-	if err := rep.iter.Bind(cl.Data, selIdx, cfg.BatchSize); err != nil {
+	if err := rep.iter.Bind(local, selIdx, cfg.BatchSize); err != nil {
 		return clientResult{}, fmt.Errorf("core: client %d: batches: %w", cl.ID, err)
 	}
 	if rep.hook != nil {
@@ -169,7 +238,7 @@ func (rep *replica) train(cfg Config, cl *Client, round int, stateBuf *[]*tensor
 	numSelected := rep.iter.Len()
 	var lastLoss float64
 	for epoch := 0; epoch < cfg.LocalEpochs; epoch++ {
-		epochLoss, err := trainEpoch(rep.model, rep.sgd, &rep.iter, &rep.loss, rng)
+		epochLoss, err := trainEpoch(rep.head, rep.sgd, &rep.iter, &rep.loss, rng)
 		if err != nil {
 			return clientResult{}, fmt.Errorf("core: client %d: loss: %w", cl.ID, err)
 		}

@@ -113,6 +113,15 @@ type Runner struct {
 	// replicas are the per-worker reusable client-training contexts,
 	// created lazily on first use and kept across rounds.
 	replicas []*replica
+	// evalSet is the test set as evalHead — the global model entered at its
+	// first communicated group — sees it. Groups below the finetune part are
+	// never communicated, so nothing a run does can write them and one pass
+	// through them lasts the run. A caller can, between runs: prepareRun and
+	// RestoreInto drop evalSet and the next evaluation rebuilds it. It is
+	// never checkpointed.
+	evalHead  *models.Model
+	evalSet   *data.Dataset
+	testFeats features
 
 	// The communicated state, resolved once per run: commGroups names the
 	// groups that train and travel, commState holds their live tensors in the
@@ -189,6 +198,7 @@ func (r *Runner) prepareRun() error {
 		r.acct = simtime.Accountant{}
 		r.startRound, r.doneRound = 0, 0
 	}
+	r.evalSet = nil
 	// The paper's FedFT freezes the lower part on the *server's* model too:
 	// group states that never train are never communicated.
 	if err := r.global.SetFinetunePart(r.cfg.FinetunePart); err != nil {
@@ -235,7 +245,7 @@ func (r *Runner) recordRound(round, cohortSize int, results []clientResult, posi
 		SchedPolicy:     r.schedName(),
 	}
 	if r.cfg.EvalEvery > 0 && (round%r.cfg.EvalEvery == 0 || round == r.cfg.Rounds) {
-		acc, err := metrics.Accuracy(r.global, r.test)
+		acc, err := r.evaluate()
 		if err != nil {
 			return fmt.Errorf("core: eval round %d: %w", round, err)
 		}
@@ -248,6 +258,20 @@ func (r *Runner) recordRound(round, cohortSize int, results []clientResult, posi
 	r.hist.Records = append(r.hist.Records, rec)
 	r.doneRound = round
 	return nil
+}
+
+// evaluate returns the global model's test accuracy, running the test set
+// through the frozen prefix only on the run's first evaluation.
+func (r *Runner) evaluate() (float64, error) {
+	if r.evalSet == nil {
+		p := r.global.FrozenDepth()
+		set, err := r.testFeats.of(r.global, p, r.test)
+		if err != nil {
+			return 0, err
+		}
+		r.evalHead, r.evalSet = r.global.From(p), set
+	}
+	return metrics.Accuracy(r.evalHead, r.evalSet)
 }
 
 // schedName names the configured cohort scheduler; empty without one.

@@ -413,6 +413,7 @@ func (s *RunState) RestoreInto(r *Runner) error {
 	if err := RestoreModelState(r.global, s.Model); err != nil {
 		return err
 	}
+	r.evalSet = nil // derived from the weights just replaced
 	r.utility.Restore(s.TrackerUtil, s.TrackerSeconds)
 	r.acct.Restore(s.Acct)
 	r.hist = copyHistory(s.Hist)

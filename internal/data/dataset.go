@@ -195,12 +195,11 @@ func (it *BatchIter) Bind(ds *Dataset, indices []int, size int) error {
 	it.indices = indices
 	it.size = size
 	it.stride = 1
-	sample := ds.SampleShape()
-	for _, dim := range sample {
-		it.stride *= dim
-	}
 	it.shape = append(it.shape[:0], 0)
-	it.shape = append(it.shape, sample...)
+	for d := 1; d < ds.X.Rank(); d++ {
+		it.stride *= ds.X.Dim(d)
+		it.shape = append(it.shape, ds.X.Dim(d))
+	}
 	m := n
 	if indices != nil {
 		m = len(indices)

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"fedfteds/internal/nn"
 	"fedfteds/internal/tensor"
@@ -118,6 +119,17 @@ type Model struct {
 	groups []*nn.Sequential // parallel to groupOrder
 	part   FinetunePart
 	mask   []string // trainable groups, canonical order; mirrors frozen state
+	// first is the group Forward enters at: 0 for a built model, p for the
+	// view From(p) returns.
+	first int
+
+	// Derived once by build from the layer structure, which never changes
+	// afterwards (views share them read-only): the whole state in
+	// StateTensors order, the group each of its tensors belongs to, and each
+	// group's forward FLOPs per sample.
+	state      []*tensor.Tensor
+	stateGroup []int
+	flops      []int64
 }
 
 // Build constructs a model from its spec with deterministic initialization.
@@ -149,9 +161,22 @@ func build(spec Spec, rng *rand.Rand) (*Model, error) {
 		return nil, err
 	}
 	m := &Model{spec: spec, groups: groups, part: FinetuneFull, mask: GroupNames()}
-	// Validate the chain end to end.
+	// Validate the chain end to end before walking it for the FLOP counts.
 	if _, err := m.OutputShape(); err != nil {
 		return nil, err
+	}
+	in := spec.InputShape
+	for i, g := range groups {
+		for _, p := range g.Params() {
+			m.state, m.stateGroup = append(m.state, p.W), append(m.stateGroup, i)
+		}
+		m.flops = append(m.flops, g.FLOPsPerSample(in))
+		in, _ = g.OutputShape(in)
+	}
+	for i, g := range groups {
+		for _, b := range g.Buffers() {
+			m.state, m.stateGroup = append(m.state, b), append(m.stateGroup, i)
+		}
 	}
 	return m, nil
 }
@@ -172,12 +197,55 @@ func (m *Model) Group(name string) (*nn.Sequential, error) {
 // GroupNames returns the canonical group ordering.
 func GroupNames() []string { return append([]string(nil), groupOrder...) }
 
-// Forward runs the full network on a batch.
+// Forward runs the network on a batch: the whole of it, or, on a view, from
+// the view's first group up.
 func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, g := range m.groups {
+	for _, g := range m.groups[m.first:] {
 		x = g.Forward(x, train)
 	}
 	return x
+}
+
+// FrozenDepth returns P, the number of leading frozen groups — the index of
+// the lowest trainable group, or the group count when nothing trains.
+// Backward stops above them, so no training step can change what they
+// compute.
+func (m *Model) FrozenDepth() int {
+	for i, g := range m.groups {
+		if !g.Frozen() {
+			return i
+		}
+	}
+	return len(m.groups)
+}
+
+// ForwardPrefix runs x through groups [0, p) only, in evaluation mode, and
+// returns the input of group p. When those groups are frozen the mode is
+// immaterial (a frozen layer normalizes with running statistics, drops
+// nothing, and ReLU has one rule) and every kernel works row by row, so
+// From(p).Forward(ForwardPrefix(x, p), train) has the bits of
+// Forward(x, train) however the rows are batched.
+func (m *Model) ForwardPrefix(x *tensor.Tensor, p int) *tensor.Tensor {
+	for _, g := range m.groups[:p] {
+		x = g.Forward(x, false)
+	}
+	return x
+}
+
+// From returns a view of m entered at group p: Forward takes the input of
+// group p (ForwardPrefix's output) and Backward stops there. The view shares
+// m's layers — weights, frozen flags, workspaces — so it is the same network,
+// not a copy, and like m it serves one goroutine at a time. Everything else
+// (state, masks, FLOPs, Spec) still describes the whole network; take the
+// view after binding the mask it should report, it does not follow later
+// SetTrainableGroups calls on m. From(0) is m itself.
+func (m *Model) From(p int) *Model {
+	if p == m.first {
+		return m
+	}
+	v := *m
+	v.first = p
+	return &v
 }
 
 // ForwardCollectGroups runs a forward pass and returns the activation after
@@ -211,15 +279,9 @@ func (m *Model) ResetTransientRNGs() {
 // Backward backpropagates dlogits through the network, honouring frozen
 // groups (backprop stops below the lowest trainable group).
 func (m *Model) Backward(dlogits *tensor.Tensor) {
-	lowest := len(m.groups)
-	for i, g := range m.groups {
-		if !g.Frozen() {
-			lowest = i
-			break
-		}
-	}
+	lowest := m.FrozenDepth()
 	dy := dlogits
-	for i := len(m.groups) - 1; i >= 0; i-- {
+	for i := len(m.groups) - 1; i >= m.first; i-- {
 		need := i > lowest
 		dy = m.groups[i].Backward(dy, need)
 		if !need {
@@ -317,42 +379,21 @@ func (m *Model) ZeroGrads() {
 
 // StateTensors returns the full model state — every parameter followed by
 // every buffer, in deterministic bottom-to-top order. The returned tensors
-// are the live ones; callers clone if they need snapshots.
+// are the live ones; callers clone if they need snapshots. The slice is the
+// caller's own.
 func (m *Model) StateTensors() []*tensor.Tensor {
-	var ts []*tensor.Tensor
-	for _, g := range m.groups {
-		for _, p := range g.Params() {
-			ts = append(ts, p.W)
-		}
-	}
-	for _, g := range m.groups {
-		ts = append(ts, g.Buffers()...)
-	}
-	return ts
+	return append([]*tensor.Tensor(nil), m.state...)
 }
 
 // GroupStateTensors returns the live state tensors (params then buffers) of
 // the named groups only, in canonical order. This is what FedFT ships over
 // the wire: only the trainable upper part.
 func (m *Model) GroupStateTensors(names []string) ([]*tensor.Tensor, error) {
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
-	var ts []*tensor.Tensor
-	for i, name := range groupOrder {
-		if !want[name] {
-			continue
+	ts := make([]*tensor.Tensor, 0, len(m.state))
+	for i, t := range m.state {
+		if slices.Contains(names, groupOrder[m.stateGroup[i]]) {
+			ts = append(ts, t)
 		}
-		for _, p := range m.groups[i].Params() {
-			ts = append(ts, p.W)
-		}
-	}
-	for i, name := range groupOrder {
-		if !want[name] {
-			continue
-		}
-		ts = append(ts, m.groups[i].Buffers()...)
 	}
 	if len(names) > 0 && len(ts) == 0 {
 		return nil, fmt.Errorf("models: no state for groups %v", names)
@@ -376,20 +417,9 @@ func (m *Model) GroupStateLayout(names []string) ([]string, error) {
 		return nil, err
 	}
 	var layout []string
-	for i, name := range groupOrder {
-		if !want[name] {
-			continue
-		}
-		for range m.groups[i].Params() {
-			layout = append(layout, name)
-		}
-	}
-	for i, name := range groupOrder {
-		if !want[name] {
-			continue
-		}
-		for range m.groups[i].Buffers() {
-			layout = append(layout, name)
+	for _, g := range m.stateGroup {
+		if want[groupOrder[g]] {
+			layout = append(layout, groupOrder[g])
 		}
 	}
 	if len(layout) == 0 {
@@ -401,8 +431,7 @@ func (m *Model) GroupStateLayout(names []string) ([]string, error) {
 // CopyStateFrom copies all state tensors from src into m. The models must
 // share a spec.
 func (m *Model) CopyStateFrom(src *Model) error {
-	dst := m.StateTensors()
-	srcTs := src.StateTensors()
+	dst, srcTs := m.state, src.state
 	if len(dst) != len(srcTs) {
 		return fmt.Errorf("models: state mismatch: %d vs %d tensors", len(dst), len(srcTs))
 	}
@@ -491,26 +520,17 @@ func (m *Model) TrainableParamCount() int {
 }
 
 // GroupFLOPs returns the forward FLOPs per sample of each group, in group
-// order, plus the total.
+// order (a slice the caller owns), plus the total.
 func (m *Model) GroupFLOPs() (perGroup []int64, total int64) {
-	in := m.spec.InputShape
-	perGroup = make([]int64, len(m.groups))
-	for i, g := range m.groups {
-		f := g.FLOPsPerSample(in)
-		perGroup[i] = f
-		total += f
-		next, err := g.OutputShape(in)
-		if err != nil {
-			panic(err) // validated at Build time
-		}
-		in = next
-	}
-	return perGroup, total
+	return append([]int64(nil), m.flops...), m.ForwardFLOPsPerSample()
 }
 
 // ForwardFLOPsPerSample returns the forward cost of the full network.
 func (m *Model) ForwardFLOPsPerSample() int64 {
-	_, total := m.GroupFLOPs()
+	var total int64
+	for _, f := range m.flops {
+		total += f
+	}
 	return total
 }
 
@@ -519,15 +539,7 @@ func (m *Model) ForwardFLOPsPerSample() int64 {
 // group (backward ≈ 2× forward for the traversed region). This is the
 // quantity the paper's partial fine-tuning reduces.
 func (m *Model) TrainFLOPsPerSample() int64 {
-	perGroup, total := m.GroupFLOPs()
-	lowest := len(m.groups)
-	for i, g := range m.groups {
-		if !g.Frozen() {
-			lowest = i
-			break
-		}
-	}
-	return total + backFLOPs(perGroup, lowest)
+	return m.ForwardFLOPsPerSample() + backFLOPs(m.flops, m.FrozenDepth())
 }
 
 // TrainFLOPsPerSampleFor models a training step with the given group mask
@@ -540,7 +552,6 @@ func (m *Model) TrainFLOPsPerSampleFor(names []string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	perGroup, total := m.GroupFLOPs()
 	lowest := len(m.groups)
 	for i, name := range groupOrder {
 		if want[name] {
@@ -548,7 +559,7 @@ func (m *Model) TrainFLOPsPerSampleFor(names []string) (int64, error) {
 			break
 		}
 	}
-	return total + backFLOPs(perGroup, lowest), nil
+	return m.ForwardFLOPsPerSample() + backFLOPs(m.flops, lowest), nil
 }
 
 // backFLOPs models the backward cost over groups lowest..top as 2× their

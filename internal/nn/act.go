@@ -6,12 +6,19 @@ import (
 	"fedfteds/internal/tensor"
 )
 
-// ReLU is the rectified linear activation, applied element-wise.
+// ReLU is the rectified linear activation, applied element-wise. It has one
+// value rule in both modes — y = 0 where x < 0, else x — so NaN and -0 pass
+// through unchanged: a diverged activation reaches the loss instead of being
+// zeroed, and a frozen ReLU returns the same bits whether it is scored,
+// trained through or evaluated. Both loops are integer selects on the float's
+// bits, because the sign of an activation is a coin flip to a branch
+// predictor.
 type ReLU struct {
 	base
-	mask []bool // true where input > 0, cached for backward
 
 	// Cached workspaces, reused across steps (see the package aliasing rule).
+	// Backward reads y for the gradient mask (y > 0): no layer mutates its
+	// input, so y is intact until this layer's next Forward.
 	y, dx *tensor.Tensor
 	shape []int
 }
@@ -24,32 +31,18 @@ func NewReLU(name string) *ReLU {
 }
 
 // Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	r.shape = captureShape(r.shape, x)
 	r.y = tensor.Ensure(r.y, r.shape...)
-	xd, yd := x.Data(), r.y.Data()
-	if train {
-		if cap(r.mask) < len(yd) {
-			r.mask = make([]bool, len(yd))
-		}
-		r.mask = r.mask[:len(yd)]
-		for i, v := range xd {
-			if v > 0 {
-				r.mask[i] = true
-				yd[i] = v
-			} else {
-				r.mask[i] = false
-				yd[i] = 0
-			}
-		}
-	} else {
-		for i, v := range xd {
-			if v < 0 {
-				yd[i] = 0
-			} else {
-				yd[i] = v
-			}
-		}
+	xd := x.Data()
+	yd := r.y.Data()[:len(xd)]
+	for i, v := range xd {
+		b := math.Float32bits(v)
+		// x < 0 exactly when the bits lie in (0x80000000, 0xFF800000]: past
+		// -0, up to -Inf, short of the negative NaNs. The 64-bit subtraction
+		// borrows on that range and the shift smears the borrow into a mask.
+		neg := uint32(int64(uint64(b-0x80000001)-0x7F800000) >> 63)
+		yd[i] = math.Float32frombits(b &^ neg)
 	}
 	return r.y
 }
@@ -59,17 +52,17 @@ func (r *ReLU) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 	if !needDx {
 		return nil
 	}
-	if len(r.mask) != dy.Len() {
-		panic("nn: relu " + r.name + ": Backward without train Forward")
+	if r.y == nil || r.y.Len() != dy.Len() {
+		panic("nn: relu " + r.name + ": Backward without Forward")
 	}
 	r.dx = tensor.Ensure(r.dx, r.shape...)
-	dyd, dxd := dy.Data(), r.dx.Data()
+	dyd := dy.Data()
+	yd, dxd := r.y.Data()[:len(dyd)], r.dx.Data()[:len(dyd)]
 	for i, v := range dyd {
-		if r.mask[i] {
-			dxd[i] = v
-		} else {
-			dxd[i] = 0
-		}
+		// y > 0 exactly when its bits lie in [1, 0x7F800000]: past +0, up to
+		// +Inf, short of the positive NaNs.
+		pos := uint32(int64(uint64(math.Float32bits(yd[i])-1)-0x7F800000) >> 63)
+		dxd[i] = math.Float32frombits(math.Float32bits(v) & pos)
 	}
 	return r.dx
 }

@@ -40,6 +40,7 @@ type BatchNorm struct {
 	y, dx          *tensor.Tensor
 	mean, variance []float64
 	dgamma, dbeta  []float64
+	scale          []float64 // backward's per-channel γ·invStd/m on rank-2 inputs
 }
 
 var _ Layer = (*BatchNorm)(nil)
@@ -102,6 +103,7 @@ func (bn *BatchNorm) ensureChannelBufs() {
 		bn.invStd = make([]float64, bn.channels)
 		bn.dgamma = make([]float64, bn.channels)
 		bn.dbeta = make([]float64, bn.channels)
+		bn.scale = make([]float64, bn.channels)
 	}
 }
 
@@ -126,6 +128,12 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		// float64, matching the original closure-based implementation term
 		// for term.
 		for i := 0; i < n; i++ {
+			if spatial == 1 {
+				for ch, v := range xd[i*cc : (i+1)*cc] {
+					mean[ch] += float64(v)
+				}
+				continue
+			}
 			for ch := 0; ch < cc; ch++ {
 				off := (i*cc + ch) * spatial
 				var s float64
@@ -140,6 +148,13 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			mean[c] /= m
 		}
 		for i := 0; i < n; i++ {
+			if spatial == 1 {
+				for ch, v := range xd[i*cc : (i+1)*cc] {
+					d := float64(v) - mean[ch]
+					variance[ch] += float64(d * d)
+				}
+				continue
+			}
 			for ch := 0; ch < cc; ch++ {
 				off := (i*cc + ch) * spatial
 				var s float64
@@ -166,6 +181,13 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		bn.xhat = tensor.Ensure(bn.xhat, bn.inShape...)
 		xh := bn.xhat.Data()
 		for i := 0; i < n; i++ {
+			if spatial == 1 {
+				xhr := xh[i*cc : (i+1)*cc]
+				for ch, v := range xd[i*cc : (i+1)*cc] {
+					xhr[ch] = float32((float64(v) - mean[ch]) * invStd[ch])
+				}
+				continue
+			}
 			for ch := 0; ch < cc; ch++ {
 				off := (i*cc + ch) * spatial
 				mu, is := mean[ch], invStd[ch]
@@ -175,6 +197,13 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 		for i := 0; i < n; i++ {
+			if spatial == 1 {
+				yr := yd[i*cc : (i+1)*cc]
+				for ch, v := range xh[i*cc : (i+1)*cc] {
+					yr[ch] = gd[ch]*v + bd[ch]
+				}
+				continue
+			}
 			for ch := 0; ch < cc; ch++ {
 				off := (i*cc + ch) * spatial
 				g, b := gd[ch], bd[ch]
@@ -203,6 +232,14 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	trainDegenerate := train && !bn.frozen
 	rm := bn.runMean.Data()
 	for i := 0; i < n; i++ {
+		if spatial == 1 {
+			yr := yd[i*cc : (i+1)*cc]
+			for ch, v := range xd[i*cc : (i+1)*cc] {
+				xh := (float64(v) - float64(rm[ch])) * invStd[ch]
+				yr[ch] = float32(float64(gd[ch])*xh + float64(bd[ch]))
+			}
+			continue
+		}
 		for ch := 0; ch < cc; ch++ {
 			off := (i*cc + ch) * spatial
 			mu, is := float64(rm[ch]), invStd[ch]
@@ -248,26 +285,7 @@ func (bn *BatchNorm) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 		// the batch, so dx decouples to dy·γ·invStd; dγ/dβ accumulate from
 		// the cached xhat when the layer is trainable.
 		if !bn.frozen && bn.xhat != nil {
-			dgamma, dbeta := bn.dgamma, bn.dbeta
-			for c := range dgamma {
-				dgamma[c] = 0
-				dbeta[c] = 0
-			}
-			xh := bn.xhat.Data()
-			for i := 0; i < n; i++ {
-				for ch := 0; ch < cc; ch++ {
-					off := (i*cc + ch) * spatial
-					for s := off; s < off+spatial; s++ {
-						dgamma[ch] += float64(dyd[s]) * float64(xh[s])
-						dbeta[ch] += float64(dyd[s])
-					}
-				}
-			}
-			gg, bg := bn.gamma.G.Data(), bn.beta.G.Data()
-			for c := 0; c < cc; c++ {
-				gg[c] += float32(dgamma[c])
-				bg[c] += float32(dbeta[c])
-			}
+			bn.paramGrads(dyd, bn.xhat.Data(), n, spatial)
 		}
 		if !needDx {
 			return nil
@@ -275,6 +293,13 @@ func (bn *BatchNorm) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 		bn.dx = tensor.Ensure(bn.dx, bn.inShape...)
 		dxd := bn.dx.Data()
 		for i := 0; i < n; i++ {
+			if spatial == 1 {
+				dxr := dxd[i*cc : (i+1)*cc]
+				for ch, v := range dyd[i*cc : (i+1)*cc] {
+					dxr[ch] = float32(float64(v) * float64(gd[ch]) * bn.invStd[ch])
+				}
+				continue
+			}
 			for ch := 0; ch < cc; ch++ {
 				off := (i*cc + ch) * spatial
 				g, is := float64(gd[ch]), bn.invStd[ch]
@@ -287,36 +312,29 @@ func (bn *BatchNorm) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 		return bn.dx
 	}
 
-	// dgamma_c = Σ dy*xhat ; dbeta_c = Σ dy (over batch+spatial).
-	dgamma, dbeta := bn.dgamma, bn.dbeta
-	for c := range dgamma {
-		dgamma[c] = 0
-		dbeta[c] = 0
-	}
 	xh := bn.xhat.Data()
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < cc; ch++ {
-			off := (i*cc + ch) * spatial
-			for s := off; s < off+spatial; s++ {
-				dgamma[ch] += float64(dyd[s]) * float64(xh[s])
-				dbeta[ch] += float64(dyd[s])
-			}
-		}
-	}
-	if !bn.frozen {
-		gg, bg := bn.gamma.G.Data(), bn.beta.G.Data()
-		for c := 0; c < cc; c++ {
-			gg[c] += float32(dgamma[c])
-			bg[c] += float32(dbeta[c])
-		}
-	}
+	bn.paramGrads(dyd, xh, n, spatial)
 	if !needDx {
 		return nil
 	}
 	// dx = gamma*invStd/m * (m*dy - dbeta - xhat*dgamma)
+	dgamma, dbeta := bn.dgamma, bn.dbeta
 	bn.dx = tensor.Ensure(bn.dx, bn.inShape...)
 	dxd := bn.dx.Data()
+	if spatial == 1 {
+		// The per-channel factor, once per channel instead of once per element.
+		for ch := range bn.scale {
+			bn.scale[ch] = float64(gd[ch]) * bn.invStd[ch] / m
+		}
+	}
 	for i := 0; i < n; i++ {
+		if spatial == 1 {
+			xhr, dxr := xh[i*cc:(i+1)*cc], dxd[i*cc:(i+1)*cc]
+			for ch, v := range dyd[i*cc : (i+1)*cc] {
+				dxr[ch] = float32(bn.scale[ch] * (m*float64(v) - dbeta[ch] - float64(xhr[ch])*dgamma[ch]))
+			}
+			continue
+		}
 		for ch := 0; ch < cc; ch++ {
 			off := (i*cc + ch) * spatial
 			g := float64(gd[ch]) * bn.invStd[ch] / m
@@ -327,6 +345,43 @@ func (bn *BatchNorm) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 		}
 	}
 	return bn.dx
+}
+
+// paramGrads sums dγ_c = Σ dy·xhat and dβ_c = Σ dy over batch and space into
+// the float64 scratch and, unless the layer is frozen, adds them to the
+// parameter gradients.
+func (bn *BatchNorm) paramGrads(dyd, xh []float32, n, spatial int) {
+	cc := bn.channels
+	dgamma, dbeta := bn.dgamma, bn.dbeta
+	for c := range dgamma {
+		dgamma[c] = 0
+		dbeta[c] = 0
+	}
+	for i := 0; i < n; i++ {
+		if spatial == 1 {
+			xhr := xh[i*cc : (i+1)*cc]
+			for ch, v := range dyd[i*cc : (i+1)*cc] {
+				dgamma[ch] += float64(v) * float64(xhr[ch])
+				dbeta[ch] += float64(v)
+			}
+			continue
+		}
+		for ch := 0; ch < cc; ch++ {
+			off := (i*cc + ch) * spatial
+			for s := off; s < off+spatial; s++ {
+				dgamma[ch] += float64(dyd[s]) * float64(xh[s])
+				dbeta[ch] += float64(dyd[s])
+			}
+		}
+	}
+	if bn.frozen {
+		return
+	}
+	gg, bg := bn.gamma.G.Data(), bn.beta.G.Data()
+	for c := 0; c < cc; c++ {
+		gg[c] += float32(dgamma[c])
+		bg[c] += float32(dbeta[c])
+	}
 }
 
 // OutputShape implements Layer.

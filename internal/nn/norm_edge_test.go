@@ -190,3 +190,51 @@ func TestNewConvRejectsBadOpts(t *testing.T) {
 		t.Fatal("expected error for negative stride")
 	}
 }
+
+// TestBatchNormDenseLoopsMatchSpatialLoops pins the channel-innermost loops a
+// rank-2 input takes to the (batch, channel, spatial) loops a rank-4 input
+// takes: the same values as (N, C) and as (N, C, 1, 1) must give the same
+// bits — outputs, input gradients, parameter gradients and running
+// statistics — in training, evaluation and frozen mode.
+func TestBatchNormDenseLoopsMatchSpatialLoops(t *testing.T) {
+	const n, c = 13, 7
+	for _, mode := range []struct {
+		name          string
+		train, frozen bool
+	}{{"train", true, false}, {"eval", false, false}, {"frozen", true, true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(4))
+			x, dy := tensor.New(n, c), tensor.New(n, c)
+			x.FillNormal(rng, 1, 3)
+			dy.FillNormal(rng, 0, 1)
+			var layers [2]*BatchNorm
+			var outs [2][]*tensor.Tensor
+			for li, shape := range [][]int{{n, c}, {n, c, 1, 1}} {
+				bn, err := NewBatchNorm("bn", c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				layers[li] = bn
+				bn.gamma.W.FillNormal(rand.New(rand.NewSource(5)), 1, 0.5)
+				bn.beta.W.FillNormal(rand.New(rand.NewSource(6)), 0, 0.5)
+				bn.runMean.FillNormal(rand.New(rand.NewSource(7)), 1, 1)
+				bn.SetFrozen(mode.frozen)
+				for step := 0; step < 2; step++ {
+					y := bn.Forward(x.MustReshape(shape...), mode.train)
+					dx := bn.Backward(dy.MustReshape(shape...), true)
+					outs[li] = append(outs[li], y.Clone(), dx.Clone())
+				}
+				outs[li] = append(outs[li], bn.gamma.G, bn.beta.G, bn.runMean, bn.runVar)
+			}
+			for i := range outs[0] {
+				a, b := outs[0][i].Data(), outs[1][i].Data()
+				for j := range a {
+					if math.Float32bits(a[j]) != math.Float32bits(b[j]) {
+						t.Fatalf("tensor %d element %d: rank-2 %08x, rank-4 %08x",
+							i, j, math.Float32bits(a[j]), math.Float32bits(b[j]))
+					}
+				}
+			}
+		})
+	}
+}

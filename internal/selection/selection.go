@@ -28,6 +28,12 @@ const scoreBatchSize = 64
 // Selector picks the subset of a client's local data used for this round's
 // update. Implementations must be deterministic given the model, dataset and
 // rng.
+//
+// ds is the input of m's first live group: raw samples under full training,
+// frozen-prefix features under partial training (m is then the model entered
+// at that group; see DESIGN.md, "What a client round computes").
+// m.Forward on rows of ds.X is always valid; ds.Y and the indices are the
+// client's.
 type Selector interface {
 	// Name returns a short identifier used in reports ("eds", "rds", ...).
 	Name() string
