@@ -72,7 +72,7 @@ func parseFlags(args []string) (relayConfig, error) {
 	fs.IntVar(&cfg.relayID, "relay-id", 0, "this relay's identity in the root's ID space")
 	fs.IntVar(&cfg.leaves, "leaves", 2, "leaf clients to wait for before joining the root")
 	fs.IntVar(&cfg.rounds, "rounds", 10, "communication rounds, must match the root's -rounds")
-	fs.DurationVar(&cfg.deadline, "round-deadline", 0, "per-round deadline for the region's leaves; hung leaves are dropped at expiry (0 = wait forever)")
+	fs.DurationVar(&cfg.deadline, "round-deadline", 0, "bound on one dispatch to one peer, send and reply; a slower peer is timed out of the round and dispatched again at the next (0 = wait forever)")
 	fs.Float64Var(&cfg.quorum, "quorum", 1, "leaf updates a region round needs to succeed, as a fraction of the round's leaves in (0, 1]")
 	fs.DurationVar(&cfg.timeout, "timeout", 10*time.Second, "root dial timeout")
 	fs.IntVar(&cfg.dialRetries, "dial-retries", 0, "re-dial a refused or timed-out root connection this many times with exponential backoff, so the tree can start in any order")

@@ -1,15 +1,18 @@
 // Command fedserver runs a real distributed FedFT-EDS server over TCP: it
 // waits for the expected number of fedclient processes to register, then
-// drives the configured number of communication rounds through the
-// fault-tolerant round engine, streaming each client's update into the
-// selected-size-weighted aggregate as it arrives, and evaluates the global
-// model after every round.
+// drives the configured number of communication rounds through the one
+// fault-tolerant round engine (comm.RoundEngine), streaming each client's
+// update into the selected-size-weighted aggregate as it arrives, and
+// evaluates the global model after every round. -cohort, -quorum,
+// -round-deadline and -buffer are four answers to one question — which of the
+// updates a round dispatched get folded — and the flags below set them.
 //
 // The engine makes the federation survive real-world client behavior: a
 // crashed client is dropped and the round completes as long as -quorum of
 // the round's clients report, and a hung client is cut off at
-// -round-deadline instead of blocking the server forever (it may rejoin at
-// the next round).
+// -round-deadline, which bounds one dispatch to one client in every mode,
+// instead of blocking the server forever (it is dispatched again at the next
+// round).
 //
 // With -cohort K the server additionally schedules: each round only K of
 // the live clients are contacted (policy chosen by -sched — uniform, size,
@@ -57,14 +60,15 @@
 // buffered client may encode against a model version the server has already
 // replaced).
 //
-// With -buffer M the server switches from synchronous rounds to buffered
-// asynchronous (FedBuff-style) aggregation: clients train continuously
-// against the newest model they have seen, and the server aggregates as soon
-// as M version-tagged updates arrive, discounting each by the -staleness
-// weigher (default invsqrt, λ(s) = 1/sqrt(1+s)) and discarding updates
-// staler than -max-staleness. -rounds then counts aggregations, and
-// -round-deadline bounds each aggregation's wait. -buffer equal to -clients
-// with -staleness identity reproduces the synchronous server exactly.
+// With -buffer M a round stops awaiting everything it dispatched (buffered
+// asynchronous, FedBuff-style aggregation): it closes as soon as M updates
+// were folded, the clients still training keep their dispatch and fold in a
+// later round, each update discounted by the -staleness weigher (default
+// invsqrt, λ(s) = 1/sqrt(1+s)) of the versions the model advanced meanwhile
+// and discarded when staler than -max-staleness. -rounds then counts
+// aggregations, and a round fails when what is still in flight can no longer
+// fill the buffer. -buffer equal to -clients with -staleness identity
+// reproduces the synchronous server exactly.
 //
 // Clients regenerate their local partitions deterministically from the
 // shared -seed, so server and clients agree on data without moving it —
@@ -128,7 +132,7 @@ func parseFlags(args []string) (serverConfig, error) {
 	fs.Float64Var(&cfg.Fraction, "fraction", 0.5, "selection fraction P_ds")
 	fs.IntVar(&cfg.Epochs, "epochs", 5, "local epochs E")
 	fs.Int64Var(&cfg.Seed, "seed", 1, "shared federation seed")
-	fs.DurationVar(&cfg.RoundDeadline, "round-deadline", 0, "per-round deadline; hung clients are dropped at expiry (0 = wait forever)")
+	fs.DurationVar(&cfg.RoundDeadline, "round-deadline", 0, "bound on one dispatch to one peer, send and reply; a slower peer is timed out of the round and dispatched again at the next (0 = wait forever)")
 	fs.Float64Var(&cfg.Quorum, "quorum", 1, "updates a round needs to succeed: a fraction of the round's clients in (0, 1], or an absolute count when above 1")
 	fs.IntVar(&cfg.Cohort, "cohort", 0, "clients scheduled per round, 0 = the whole federation")
 	fs.StringVar(&cfg.SchedName, "sched", "uniform", "cohort scheduling policy: uniform, size, entropy, powerd, tier, avail:<inner>")

@@ -2,7 +2,9 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"math"
 	"os"
 	"reflect"
@@ -930,59 +932,81 @@ func TestConfigTagPinned(t *testing.T) {
 }
 
 // TestServeModesEndToEnd drives the modes no other test takes through the
-// whole server loop — cohort scheduling, a lossy codec, and the tiered
-// client's covered-subset codec reference — over in-process pipes with the
-// real client round: every round folds, the history stays finite, and a
-// second run reproduces the final global state bit for bit.
+// whole server loop — the plain round, a full buffer, quorum under a deadline,
+// cohort scheduling, a lossy codec, and the tiered client's covered-subset
+// codec reference — over in-process pipes with the real client round: every
+// round folds, the history stays finite, and the run ends on the final global
+// state and the History recorded at the commit before the two round engines
+// were merged (every row folds two updates per round, so arrival order cannot
+// move a bit). The constants are the reference; there is no second engine
+// left to compare against.
 func TestServeModesEndToEnd(t *testing.T) {
 	for _, tt := range []struct {
 		flags      string
 		numClients int
-		folds      int  // updates every round must fold
-		lossy      bool // the codec must shrink the uplink below the downlink
+		folds      int    // updates every round must fold
+		lossy      bool   // the codec must shrink the uplink below the downlink
+		crc        uint32 // CRC-32C of the final trainable state, recorded at the parent commit
+		hist       string // historyDigest of the run, recorded at the parent commit
 	}{
-		{"-clients 4 -cohort 2 -sched entropy", 4, 2, false},
-		{"-clients 2 -codec int8", 2, 2, true},
-		{"-clients 2 -tier-dist low:1,full:1 -codec float16", 2, 2, true},
+		{"-clients 2", 2, 2, false, 0x5190ea46, "50b0a5bf5af5d354"},
+		{"-clients 2 -buffer 2 -staleness identity", 2, 2, false, 0x5190ea46, "50b0a5bf5af5d354"},
+		{"-clients 2 -quorum 0.5 -round-deadline 30s", 2, 2, false, 0x5190ea46, "50b0a5bf5af5d354"},
+		{"-clients 4 -cohort 2 -sched entropy", 4, 2, false, 0x384589a4, "243961c5fa655ec9"},
+		{"-clients 2 -codec int8", 2, 2, true, 0xfd57a0de, "ac9a660715c95a5d"},
+		{"-clients 2 -tier-dist low:1,full:1 -codec float16", 2, 2, true, 0xa6d589b5, "5ceaa1aebc0a7ad2"},
 	} {
 		t.Run(tt.flags, func(t *testing.T) {
 			w := testWorld(t, tt.numClients)
 			args := append(strings.Fields(tt.flags), "-rounds", "3", "-epochs", "1", "-seed", "1")
-			run := func() uint32 {
-				l := comm.NewPipeListener(tt.numClients)
-				global, hist, err := federate(t, w, args, l, func(id int) (comm.Conn, error) {
-					return l.ClientSide(id), nil
-				}, 0)
-				if err != nil {
-					t.Fatalf("federation: %v", err)
-				}
-				if len(hist.Records) != 3 {
-					t.Fatalf("%d records, want 3", len(hist.Records))
-				}
-				for _, rec := range hist.Records {
-					if rec.Participants != tt.folds || rec.CohortSize != tt.folds {
-						t.Errorf("round %d: cohort %d, %d folded, want %d", rec.Round, rec.CohortSize, rec.Participants, tt.folds)
-					}
-					if math.IsNaN(rec.TestAccuracy) || math.IsInf(rec.MeanTrainLoss, 0) || math.IsNaN(rec.MeanTrainLoss) {
-						t.Errorf("round %d: accuracy %v, loss %v", rec.Round, rec.TestAccuracy, rec.MeanTrainLoss)
-					}
-				}
-				if up, down := hist.TotalUplinkBytes, hist.TotalDownlinkBytes; up <= 0 || tt.lossy && up >= down {
-					t.Errorf("uplink %d bytes against downlink %d", up, down)
-				}
-				stateTs, err := global.GroupStateTensors(global.TrainableGroupNames())
-				if err != nil {
-					t.Fatal(err)
-				}
-				blob, err := comm.EncodeTensors(stateTs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return crc32.Checksum(blob, crc32.MakeTable(crc32.Castagnoli))
+			l := comm.NewPipeListener(tt.numClients)
+			global, hist, err := federate(t, w, args, l, func(id int) (comm.Conn, error) {
+				return l.ClientSide(id), nil
+			}, 0)
+			if err != nil {
+				t.Fatalf("federation: %v", err)
 			}
-			if first, second := run(), run(); first != second {
-				t.Fatalf("final state CRC %08x, second run %08x", first, second)
+			if len(hist.Records) != 3 {
+				t.Fatalf("%d records, want 3", len(hist.Records))
+			}
+			for _, rec := range hist.Records {
+				if rec.Participants != tt.folds || rec.CohortSize != tt.folds {
+					t.Errorf("round %d: cohort %d, %d folded, want %d", rec.Round, rec.CohortSize, rec.Participants, tt.folds)
+				}
+				if math.IsNaN(rec.TestAccuracy) || math.IsInf(rec.MeanTrainLoss, 0) || math.IsNaN(rec.MeanTrainLoss) {
+					t.Errorf("round %d: accuracy %v, loss %v", rec.Round, rec.TestAccuracy, rec.MeanTrainLoss)
+				}
+			}
+			if up, down := hist.TotalUplinkBytes, hist.TotalDownlinkBytes; up <= 0 || tt.lossy && up >= down {
+				t.Errorf("uplink %d bytes against downlink %d", up, down)
+			}
+			stateTs, err := global.GroupStateTensors(global.TrainableGroupNames())
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := comm.EncodeTensors(stateTs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := crc32.Checksum(blob, crc32.MakeTable(crc32.Castagnoli)); got != tt.crc {
+				t.Errorf("final state CRC %08x, parent commit %08x", got, tt.crc)
+			}
+			if got := historyDigest(hist); got != tt.hist {
+				t.Errorf("history digest %s, parent commit %s", got, tt.hist)
 			}
 		})
 	}
+}
+
+// historyDigest hashes every field of a History, floats by their bits.
+func historyDigest(h core.History) string {
+	d := fnv.New64a()
+	bits := math.Float64bits
+	for _, r := range h.Records {
+		fmt.Fprintf(d, "%d %d %q %d %016x %016x %016x %d\n", r.Round, r.CohortSize, r.SchedPolicy, r.Participants,
+			bits(r.TestAccuracy), bits(r.MeanTrainLoss), bits(r.CumTrainSeconds), r.CumUplinkBytes)
+	}
+	fmt.Fprintf(d, "%016x %016x %016x %d %d", bits(h.BestAccuracy), bits(h.FinalAccuracy), bits(h.TotalTrainSeconds),
+		h.TotalUplinkBytes, h.TotalDownlinkBytes)
+	return fmt.Sprintf("%016x", d.Sum64())
 }

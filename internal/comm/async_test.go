@@ -2,7 +2,6 @@ package comm
 
 import (
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -39,7 +38,7 @@ func asyncEchoClient(conn Conn, id int, gates map[int]chan struct{}) {
 // TestAsyncEngineFullBufferIsSyncRound pins the degenerate case the
 // equivalence gates build on: with Buffer equal to the federation size and no
 // weigher, every aggregation folds exactly one fresh update per client at
-// lambda 1, and the version counter advances one per aggregation — the
+// staleness 0, and the version counter advances one per aggregation — the
 // synchronous round loop in async clothing.
 func TestAsyncEngineFullBufferIsSyncRound(t *testing.T) {
 	const numClients = 3
@@ -51,14 +50,14 @@ func TestAsyncEngineFullBufferIsSyncRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewAsyncEngine(sess, AsyncConfig{Buffer: numClients})
+	eng, err := NewRoundEngine(sess, EngineConfig{Buffer: numClients})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for agg := 1; agg <= 2; agg++ {
-		var lambdas []float64
-		out, err := eng.RunAggregation(agg, RoundStart{}, func(u ClientUpdate, lambda float64) error {
-			lambdas = append(lambdas, lambda)
+		var staleness []int
+		out, err := eng.RunRound(RoundStart{Round: agg}, func(u ClientUpdate) error {
+			staleness = append(staleness, eng.Version()-u.Version)
 			return nil
 		})
 		if err != nil {
@@ -70,14 +69,9 @@ func TestAsyncEngineFullBufferIsSyncRound(t *testing.T) {
 		if out.Version != agg {
 			t.Fatalf("aggregation %d advanced to version %d", agg, out.Version)
 		}
-		for id, s := range out.Staleness {
+		for _, s := range staleness {
 			if s != 0 {
-				t.Fatalf("aggregation %d: client %d staleness %d, want 0", agg, id, s)
-			}
-		}
-		for _, l := range lambdas {
-			if l != 1.0 {
-				t.Fatalf("aggregation %d: lambda %v, want exactly 1", agg, l)
+				t.Fatalf("aggregation %d: staleness %d, want 0", agg, s)
 			}
 		}
 	}
@@ -88,8 +82,7 @@ func TestAsyncEngineFullBufferIsSyncRound(t *testing.T) {
 
 // TestAsyncEngineStaleUpdateDiscounted drives the FedBuff semantics: a
 // client that trained against version v and reports after the model advanced
-// to v+1 is folded at staleness 1 with the weigher's discount, not dropped
-// and not awaited.
+// to v+1 is folded at staleness 1, not dropped and not awaited.
 func TestAsyncEngineStaleUpdateDiscounted(t *testing.T) {
 	lst := NewPipeListener(2)
 	gate0 := make(chan struct{}) // holds client 0's second reply
@@ -102,56 +95,47 @@ func TestAsyncEngineStaleUpdateDiscounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewAsyncEngine(sess, AsyncConfig{
-		Buffer:       1,
-		MaxStaleness: -1,
-		Weigh:        func(s int) float64 { return 1 / math.Sqrt(1+float64(s)) },
-	})
+	eng, err := NewRoundEngine(sess, EngineConfig{Buffer: 1, MaxStaleness: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fold := func(lambdas *[]float64) func(ClientUpdate, float64) error {
-		return func(u ClientUpdate, lambda float64) error {
-			*lambdas = append(*lambdas, lambda)
-			return nil
-		}
+	// Staleness is read where the server reads it to weigh the update: inside
+	// the fold, against the version the engine dispatched.
+	var staleness []int
+	fold := func(u ClientUpdate) error {
+		staleness = append(staleness, eng.Version()-u.Version)
+		return nil
 	}
 
 	// Aggregation 1: both clients get version 0; only client 0 replies.
-	var l1 []float64
-	out, err := eng.RunAggregation(1, RoundStart{}, fold(&l1))
+	out, err := eng.RunRound(RoundStart{Round: 1}, fold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.Reported, []int{0}) || out.Staleness[0] != 0 || l1[0] != 1.0 {
-		t.Fatalf("aggregation 1: %+v lambdas %v", out, l1)
+	if !reflect.DeepEqual(out.Reported, []int{0}) || !reflect.DeepEqual(staleness, []int{0}) {
+		t.Fatalf("aggregation 1: %+v staleness %v", out, staleness)
 	}
 
 	// Aggregation 2: client 0 is re-dispatched version 1 but gated; client 1's
 	// version-0 update arrives one aggregation late — folded at staleness 1.
 	close(gate1)
-	var l2 []float64
-	out, err = eng.RunAggregation(2, RoundStart{}, fold(&l2))
+	out, err = eng.RunRound(RoundStart{Round: 2}, fold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.Reported, []int{1}) || out.Staleness[1] != 1 {
-		t.Fatalf("aggregation 2: %+v", out)
-	}
-	if want := 1 / math.Sqrt(2); l2[0] != want {
-		t.Fatalf("aggregation 2: lambda %v, want %v", l2[0], want)
+	if !reflect.DeepEqual(out.Reported, []int{1}) || !reflect.DeepEqual(staleness, []int{0, 1}) {
+		t.Fatalf("aggregation 2: %+v staleness %v", out, staleness)
 	}
 
 	// Aggregation 3: releasing client 0 delivers its version-1 update while
 	// the model sits at version 2 — staleness 1 again.
 	close(gate0)
-	var l3 []float64
-	out, err = eng.RunAggregation(3, RoundStart{}, fold(&l3))
+	out, err = eng.RunRound(RoundStart{Round: 3}, fold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.Reported, []int{0}) || out.Staleness[0] != 1 {
-		t.Fatalf("aggregation 3: %+v", out)
+	if !reflect.DeepEqual(out.Reported, []int{0}) || !reflect.DeepEqual(staleness, []int{0, 1, 1}) {
+		t.Fatalf("aggregation 3: %+v staleness %v", out, staleness)
 	}
 	if err := sess.Shutdown("done"); err != nil {
 		t.Fatal(err)
@@ -170,7 +154,7 @@ func TestAsyncEngineMaxStalenessDiscards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewAsyncEngine(sess, AsyncConfig{Buffer: 1, MaxStaleness: 1})
+	eng, err := NewRoundEngine(sess, EngineConfig{Buffer: 1, MaxStaleness: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,15 +163,19 @@ func TestAsyncEngineMaxStalenessDiscards(t *testing.T) {
 	if err := eng.Restore(5, []ClientUpdate{{ClientID: 9, Round: 1, Version: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := eng.RunAggregation(1, RoundStart{}, func(ClientUpdate, float64) error { return nil })
+	var staleness []int
+	out, err := eng.RunRound(RoundStart{Round: 1}, func(u ClientUpdate) error {
+		staleness = append(staleness, eng.Version()-u.Version)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Discarded != 1 {
 		t.Fatalf("discarded %d, want 1", out.Discarded)
 	}
-	if !reflect.DeepEqual(out.Reported, []int{0}) || out.Staleness[0] != 0 || len(out.Dropped) != 0 {
-		t.Fatalf("outcome %+v", out)
+	if !reflect.DeepEqual(out.Reported, []int{0}) || !reflect.DeepEqual(staleness, []int{0}) || len(out.Dropped) != 0 {
+		t.Fatalf("outcome %+v staleness %v", out, staleness)
 	}
 	if out.Version != 6 {
 		t.Fatalf("version %d, want 6", out.Version)
@@ -218,7 +206,7 @@ func TestAsyncEngineRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewAsyncEngine(sess, AsyncConfig{Buffer: 1, MaxStaleness: -1})
+	eng, err := NewRoundEngine(sess, EngineConfig{Buffer: 1, MaxStaleness: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,12 +221,16 @@ func TestAsyncEngineRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("buffered %+v", got)
 	}
 
-	out, err := eng.RunAggregation(1, RoundStart{}, func(ClientUpdate, float64) error { return nil })
+	staleness := -1
+	out, err := eng.RunRound(RoundStart{Round: 1}, func(u ClientUpdate) error {
+		staleness = eng.Version() - u.Version
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.Reported, []int{7}) || out.Staleness[7] != 2 || out.Version != 6 {
-		t.Fatalf("restored aggregation: %+v", out)
+	if !reflect.DeepEqual(out.Reported, []int{7}) || staleness != 2 || out.Version != 6 {
+		t.Fatalf("restored aggregation: %+v staleness %d", out, staleness)
 	}
 	if err := eng.Restore(9, nil); err == nil {
 		t.Fatal("restore after first aggregation accepted")
@@ -248,13 +240,19 @@ func TestAsyncEngineRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAsyncEngineDropsWrongVersionEcho: a client answering with a version it
-// was never dispatched is a protocol violation — dropped, and with no client
-// left the aggregation fails loudly instead of hanging.
-func TestAsyncEngineDropsWrongVersionEcho(t *testing.T) {
-	lst := NewPipeListener(1)
+// TestAsyncEngineIgnoresLyingVersionEcho: a lying Version echo cannot change
+// the staleness an update folds at. A reply is matched to its dispatch by
+// Round, and its version is the one the engine recorded when it dispatched —
+// client 1 claims a version from the future for an update that is one
+// aggregation stale, and folds at staleness 1 all the same.
+func TestAsyncEngineIgnoresLyingVersionEcho(t *testing.T) {
+	lst := NewPipeListener(2)
+	gate0 := make(chan struct{}) // holds client 0's second reply for good
+	gate1 := make(chan struct{}) // holds the liar's first reply
+	t.Cleanup(func() { close(gate0) })
+	go asyncEchoClient(lst.ClientSide(0), 0, map[int]chan struct{}{2: gate0})
 	go func() {
-		sess, _, err := Join(lst.ClientSide(0), 0, 10)
+		sess, _, err := Join(lst.ClientSide(1), 1, 10)
 		if err != nil {
 			return
 		}
@@ -263,23 +261,40 @@ func TestAsyncEngineDropsWrongVersionEcho(t *testing.T) {
 			if err != nil || !ok {
 				return
 			}
-			_ = sess.SendUpdate(ClientUpdate{ClientID: 0, Round: rs.Round, Version: rs.Version + 41, NumSelected: 1})
+			<-gate1
+			_ = sess.SendUpdate(ClientUpdate{ClientID: 1, Round: rs.Round, Version: rs.Version + 41, NumSelected: 1})
 		}
 	}()
-	sess, err := AcceptClientsCodec(lst, 1, 1, "")
+	sess, err := AcceptClientsCodec(lst, 2, 2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewAsyncEngine(sess, AsyncConfig{Buffer: 1})
+	eng, err := NewRoundEngine(sess, EngineConfig{Buffer: 1, MaxStaleness: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := eng.RunAggregation(1, RoundStart{}, func(ClientUpdate, float64) error { return nil })
-	if err == nil || !errors.Is(err, ErrQuorum) {
-		t.Fatalf("expected quorum failure after the drop, got %v", err)
+	var versions, staleness []int
+	fold := func(u ClientUpdate) error {
+		versions = append(versions, u.Version)
+		staleness = append(staleness, eng.Version()-u.Version)
+		return nil
 	}
-	if !reflect.DeepEqual(out.Dropped, []int{0}) || !errors.Is(out.Failures[0], ErrProtocol) {
+	if _, err := eng.RunRound(RoundStart{Round: 1}, fold); err != nil {
+		t.Fatal(err)
+	}
+	close(gate1)
+	out, err := eng.RunRound(RoundStart{Round: 2}, fold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Reported, []int{1}) || len(out.Dropped) != 0 {
 		t.Fatalf("outcome %+v", out)
+	}
+	if !reflect.DeepEqual(versions, []int{0, 0}) || !reflect.DeepEqual(staleness, []int{0, 1}) {
+		t.Fatalf("folded versions %v at staleness %v, want [0 0] at [0 1]", versions, staleness)
+	}
+	if err := sess.Shutdown("done"); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -302,11 +317,11 @@ func TestAsyncEngineDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewAsyncEngine(sess, AsyncConfig{Buffer: 1, AggDeadline: 50 * time.Millisecond})
+	eng, err := NewRoundEngine(sess, EngineConfig{Buffer: 1, RoundDeadline: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.RunAggregation(1, RoundStart{}, func(ClientUpdate, float64) error { return nil }); !errors.Is(err, ErrQuorum) {
+	if _, err := eng.RunRound(RoundStart{Round: 1}, func(ClientUpdate) error { return nil }); !errors.Is(err, ErrQuorum) {
 		t.Fatalf("expected deadline quorum failure, got %v", err)
 	}
 }
@@ -319,16 +334,16 @@ func TestAsyncEngineConfigRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewAsyncEngine(nil, AsyncConfig{Buffer: 1}); err == nil {
+	if _, err := NewRoundEngine(nil, EngineConfig{Buffer: 1}); err == nil {
 		t.Fatal("nil session accepted")
 	}
-	if _, err := NewAsyncEngine(sess, AsyncConfig{Buffer: 0}); err == nil {
-		t.Fatal("zero buffer accepted")
+	if _, err := NewRoundEngine(sess, EngineConfig{Buffer: -1}); err == nil {
+		t.Fatal("negative buffer accepted")
 	}
-	if _, err := NewAsyncEngine(sess, AsyncConfig{Buffer: 1, AggDeadline: -time.Second}); err == nil {
+	if _, err := NewRoundEngine(sess, EngineConfig{Buffer: 1, RoundDeadline: -time.Second}); err == nil {
 		t.Fatal("negative deadline accepted")
 	}
-	eng, err := NewAsyncEngine(sess, AsyncConfig{Buffer: 1})
+	eng, err := NewRoundEngine(sess, EngineConfig{Buffer: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"fedfteds/internal/tensor"
@@ -17,17 +16,19 @@ import (
 // the configured quorum requires.
 var ErrQuorum = errors.New("comm: quorum not met")
 
-// EngineConfig tunes the fault tolerance of a RoundEngine.
+// EngineConfig tunes which of the updates a round dispatched get folded. The
+// zero value is the fail-stop synchronous round: every client must report and
+// the engine waits for them indefinitely.
 type EngineConfig struct {
-	// RoundDeadline bounds one full round per client: the broadcast write
-	// and the update read must both finish inside it. A client that blows
-	// the deadline is dropped for the round but keeps its connection and
-	// may rejoin at the next round. Zero means no deadline: the engine
-	// waits indefinitely (a hung client then blocks the round).
+	// RoundDeadline bounds one dispatch per peer: the broadcast write and the
+	// update read must both finish inside it. A peer that blows the deadline
+	// is timed out for the round but keeps its connection and is dispatched
+	// again at the next round. Zero means no deadline: the engine waits
+	// indefinitely (a hung peer then blocks a round that awaits it).
 	RoundDeadline time.Duration
-	// Quorum is the fraction of the round's live clients, in (0, 1], whose
+	// Quorum is the fraction of the round's cohort, in (0, 1], whose
 	// updates must arrive for the round to succeed. Zero defaults to 1
-	// (every live client must report) unless MinUpdates is set, in which
+	// (every cohort member must report) unless MinUpdates is set, in which
 	// case the absolute floor alone is the requirement. At least one update
 	// is always required.
 	Quorum float64
@@ -38,6 +39,17 @@ type EngineConfig struct {
 	// round explicitly instead of silently deadlining forever, and fedserver
 	// rejects such configurations at startup.
 	MinUpdates int
+	// Buffer is M, the FedBuff aggregation goal. Zero is the synchronous
+	// round: it awaits every dispatch and succeeds on the quorum. A positive
+	// Buffer closes the round as soon as M updates were folded and replaces
+	// the quorum (the round fails when what is in flight can no longer fill
+	// it); the remaining dispatches stay in flight across rounds and fold
+	// later, stale.
+	Buffer int
+	// MaxStaleness discards updates whose staleness exceeds it; the sender
+	// stays registered and receives the fresh model at its next dispatch.
+	// Negative means no limit. Nothing is ever stale in a synchronous round.
+	MaxStaleness int
 }
 
 // Validate checks the configuration bounds.
@@ -51,24 +63,54 @@ func (c EngineConfig) Validate() error {
 	if c.RoundDeadline < 0 {
 		return fmt.Errorf("%w: negative round deadline %v", ErrProtocol, c.RoundDeadline)
 	}
+	if c.Buffer < 0 {
+		return fmt.Errorf("%w: negative buffer %d", ErrProtocol, c.Buffer)
+	}
 	return nil
 }
 
+// flightResult is how one dispatch ended: the peer's update for the
+// dispatched round, or the error that ended the wait for it.
+type flightResult struct {
+	id   int
+	u    ClientUpdate
+	late int // replies to earlier rounds read and discarded on the way
+	err  error
+}
+
 // RoundEngine drives fault-tolerant federated rounds over a ServerSession.
-// It broadcasts concurrently, bounds each round with a deadline, folds
-// updates into the caller's aggregate as they arrive (O(state) server
-// memory, decode overlapped with network wait), and completes the round as
-// long as a quorum of clients reported.
+// A round dispatches the model concurrently to the cohort members that have
+// no dispatch outstanding, folds updates into the caller's aggregate as they
+// arrive (O(state) server memory, decode overlapped with network wait), and
+// closes when its goal was folded or what is still in flight can no longer
+// reach what it needs. The synchronous round is the one that awaits
+// everything it dispatched and needs a quorum of it; the buffered (FedBuff)
+// round stops at Buffer updates, and what it leaves in flight folds in a
+// later round at staleness Version() minus the version it was dispatched.
 //
-// Failed clients fall in two classes, mirroring the straggler semantics of
+// Failed peers fall in two classes, mirroring the straggler semantics of
 // the in-process simulator (internal/simtime): a deadline timeout is a
-// straggler — it is dropped for the round but stays registered and may
-// rejoin at the next round (its stale update is discarded by the round
-// check) — while a connection or protocol error is a crash: the connection
-// is closed and the client leaves the federation for good.
+// straggler — it is dropped for the round but stays registered and is
+// dispatched again at the next round (its late reply is discarded by the
+// round check) — while a connection or protocol error is a crash: the
+// connection is closed and the peer leaves the federation for good.
 type RoundEngine struct {
-	sess *ServerSession
-	cfg  EngineConfig
+	sess    *ServerSession
+	cfg     EngineConfig
+	version int
+	// flights maps each peer with a dispatch outstanding to the version it
+	// was dispatched. Every result on the results channel belongs to exactly
+	// one entry, which is removed when the result is read; peers absent from
+	// it are idle.
+	flights map[int]int
+	// results has room for one result per registered peer, so a flight that
+	// outlives the last round still delivers and exits when Shutdown closes
+	// its connection.
+	results chan flightResult
+	// buffer holds checkpoint-restored updates not yet folded.
+	buffer []ClientUpdate
+	// cohort is the duplicate check's scratch.
+	cohort map[int]bool
 }
 
 // NewRoundEngine validates the configuration and wraps a session.
@@ -79,226 +121,183 @@ func NewRoundEngine(sess *ServerSession, cfg EngineConfig) (*RoundEngine, error)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &RoundEngine{sess: sess, cfg: cfg}, nil
+	return &RoundEngine{sess: sess, cfg: cfg, flights: make(map[int]int), cohort: make(map[int]bool)}, nil
 }
 
-// RoundOutcome reports one round's participation — a synchronous round of
-// the RoundEngine or one buffered aggregation of the AsyncEngine — the
-// distributed analogue of the simulator's per-round participant count.
+// Restore warm-starts the engine from checkpointed state: the model version
+// counter and any updates that had arrived but were not yet aggregated when
+// the checkpoint was taken. Restored updates keep their version tags, so
+// their staleness is re-measured against the current version at fold time.
+// Must be called before the first round.
+func (e *RoundEngine) Restore(version int, buffered []ClientUpdate) error {
+	if e.results != nil { // allocated by the first round
+		return fmt.Errorf("%w: restore after the first round", ErrProtocol)
+	}
+	if version < 0 {
+		return fmt.Errorf("%w: negative model version %d", ErrProtocol, version)
+	}
+	for _, u := range buffered {
+		if u.Version > version {
+			return fmt.Errorf("%w: restored update of client %d from future version %d (current %d)",
+				ErrProtocol, u.ClientID, u.Version, version)
+		}
+	}
+	e.version = version
+	e.buffer = append([]ClientUpdate(nil), buffered...)
+	return nil
+}
+
+// Version returns the current model version — the number of rounds completed
+// since version zero (checkpoints preserve the counter).
+func (e *RoundEngine) Version() int { return e.version }
+
+// Buffered returns a copy of the restored updates not yet folded, in order,
+// for checkpointing mid-buffer.
+func (e *RoundEngine) Buffered() []ClientUpdate {
+	return append([]ClientUpdate(nil), e.buffer...)
+}
+
+// RoundOutcome reports one round's participation, the distributed analogue
+// of the simulator's per-round participant count. Every dispatch that ended
+// during the round appears in exactly one of Reported, Discarded, TimedOut
+// and Dropped.
 type RoundOutcome struct {
-	// Round is the 1-based round (or aggregation) index.
+	// Round is the 1-based round index.
 	Round int
-	// Reported lists the clients whose updates were folded, ascending. In an
-	// aggregation, a client restored from a checkpointed buffer can coincide
-	// with a live update of the same client, so entries may repeat.
+	// Reported lists the clients whose updates were folded, ascending. A
+	// client restored from a checkpointed buffer can coincide with a live
+	// update of the same client, so entries may repeat.
 	Reported []int
 	// TimedOut lists clients dropped at the deadline; they stay registered
-	// and may rejoin at the next round. The async engine has no timeout
-	// class: a slow client goes stale instead.
+	// and are dispatched again at the next round.
 	TimedOut []int
 	// Dropped lists clients removed from the federation (dead connection,
 	// protocol violation, or a rejected update).
 	Dropped []int
-	// LateDiscarded counts stale updates from earlier rounds that were
-	// received and discarded during this synchronous round.
+	// LateDiscarded counts replies to earlier rounds — from clients that had
+	// timed out of them — received and discarded during this round.
 	LateDiscarded int
 	// Failures maps each failed client to its error.
 	Failures map[int]error
-	// Version is the model version after an aggregation; synchronous rounds
-	// leave it zero.
+	// Version is the model version after the round.
 	Version int
-	// Staleness maps each client folded by an aggregation to the staleness
-	// of its (latest) folded update; nil in synchronous rounds.
-	Staleness map[int]int
-	// Discarded counts updates an aggregation rejected as too stale.
+	// Discarded counts updates rejected as staler than MaxStaleness.
 	Discarded int
 }
 
-// RunRound executes one round against every live client: concurrent
-// broadcast of rs, then one update per client, each folded via fold as it
-// arrives. fold is called from a single goroutine, never concurrently. A
-// fold error counts as that client's failure (the fold must then have left
-// the aggregate untouched, as StreamAggregator.Add guarantees), so one bad
-// update cannot poison the round.
-//
-// The round succeeds when at least quorum·(live clients) updates were
-// folded; otherwise the joined per-client errors are returned.
+// RunRound executes one round against every live client; see RunCohort.
 func (e *RoundEngine) RunRound(rs RoundStart, fold func(ClientUpdate) error) (RoundOutcome, error) {
-	return e.sess.runRound(rs, e.sess.ClientIDs(), e.cfg, fold)
+	return e.RunCohort(rs, e.sess.ClientIDs(), fold)
 }
 
-// RunCohort executes one round against only the scheduled cohort (a subset
-// of the live client IDs). Clients outside the cohort are not contacted at
-// all: no broadcast reaches them, their connections stay registered and
-// deadline-free, and they simply block waiting for the next RoundStart —
-// rejoining whenever a later cohort includes them. Quorum applies to the
-// cohort, not the full federation.
+// RunCohort executes one round against the scheduled cohort (a subset of
+// the live client IDs): rs, stamped with the current model version, goes to
+// each cohort member without a dispatch outstanding, and updates — restored
+// ones first, then arrivals in order — are folded via fold until the round
+// closes. Clients outside the cohort are not contacted at all: no broadcast
+// reaches them, their connections stay registered and deadline-free, and
+// they simply block waiting for the next RoundStart. rs.Round must differ
+// from every earlier round's: it is what matches a reply to its dispatch.
+//
+// fold is called from the caller's goroutine, never concurrently, and sees
+// each update's Version set to the version the engine dispatched it (the
+// peer's echo is not trusted). A fold error counts as that client's failure
+// (the fold must then have left the aggregate untouched, as
+// StreamAggregator.Add guarantees), so one bad update cannot poison the
+// round.
+//
+// The round succeeds, and the version advances, when the quorum of the
+// cohort — or Buffer updates — was folded; otherwise the joined per-client
+// errors are returned.
 func (e *RoundEngine) RunCohort(rs RoundStart, cohort []int, fold func(ClientUpdate) error) (RoundOutcome, error) {
-	return e.sess.runRound(rs, cohort, e.cfg, fold)
-}
-
-// RunRegionRound executes one round against mid-tier relays instead of leaf
-// clients: the broadcast is identical, but each participant answers with a
-// pre-folded RegionUpdate rather than a ClientUpdate. Straggler and crash
-// semantics match RunRound, with quorum counted over regions.
-func (e *RoundEngine) RunRegionRound(rs RoundStart, relayIDs []int, fold func(RegionUpdate) error) (RoundOutcome, error) {
-	return runEngineRound(e.sess, rs, relayIDs, e.cfg, MsgRegionUpdate, fold)
-}
-
-// roundReply is implemented by the per-round answer frames — ClientUpdate
-// from leaf clients, RegionUpdate from relays — so one engine core drives
-// both tiers of a relay tree.
-type roundReply interface {
-	senderID() int
-	roundIndex() int
-}
-
-func (u ClientUpdate) senderID() int   { return u.ClientID }
-func (u ClientUpdate) roundIndex() int { return u.Round }
-func (u RegionUpdate) senderID() int   { return u.RelayID }
-func (u RegionUpdate) roundIndex() int { return u.Round }
-
-// runRound is the shared engine core; see RoundEngine.RunRound.
-func (s *ServerSession) runRound(rs RoundStart, clientIDs []int, cfg EngineConfig, fold func(ClientUpdate) error) (RoundOutcome, error) {
-	return runEngineRound(s, rs, clientIDs, cfg, MsgClientUpdate, fold)
-}
-
-// runEngineRound is the message-type-generic engine core; see
-// RoundEngine.RunRound for the contract.
-func runEngineRound[T roundReply](s *ServerSession, rs RoundStart, clientIDs []int, cfg EngineConfig, expect MsgType, fold func(T) error) (RoundOutcome, error) {
-	out := RoundOutcome{Round: rs.Round, Failures: make(map[int]error)}
-	if len(clientIDs) == 0 {
+	out := RoundOutcome{Round: rs.Round, Version: e.version, Failures: make(map[int]error)}
+	if len(cohort) == 0 {
 		return out, fmt.Errorf("%w: round %d: no clients remain", ErrQuorum, rs.Round)
 	}
-	conns := make(map[int]Conn, len(clientIDs))
-	for _, id := range clientIDs {
-		conn, ok := s.conns[id]
-		if !ok {
+	clear(e.cohort)
+	for _, id := range cohort {
+		if _, ok := e.sess.conns[id]; !ok {
 			return out, fmt.Errorf("%w: unknown client %d", ErrProtocol, id)
 		}
-		if _, dup := conns[id]; dup {
+		if e.cohort[id] {
 			// A duplicated cohort entry would silently inflate the quorum
 			// denominator; reject it instead.
 			return out, fmt.Errorf("%w: duplicate client %d in cohort", ErrProtocol, id)
 		}
-		conns[id] = conn
+		e.cohort[id] = true
 	}
+	rs.Version = e.version
 	env, err := EncodeBody(MsgRoundStart, rs)
 	if err != nil {
 		return out, err
 	}
-
-	// Arm (or clear) every connection's deadline for the whole round.
-	var deadline time.Time
-	if cfg.RoundDeadline > 0 {
-		deadline = time.Now().Add(cfg.RoundDeadline)
+	if len(e.flights) == 0 && cap(e.results) < len(e.sess.conns) {
+		// No flight holds the channel, so it can follow a session that
+		// re-admissions grew.
+		e.results = make(chan flightResult, len(e.sess.conns))
 	}
-	for _, conn := range conns {
-		if dc, ok := conn.(DeadlineConn); ok {
-			_ = dc.SetDeadline(deadline)
+
+	// The buffered round stops at, and needs, the buffer; the synchronous one
+	// awaits everything in flight and needs the quorum of its cohort.
+	goal, need := e.cfg.Buffer, e.cfg.Buffer
+	if goal == 0 {
+		goal = math.MaxInt
+		need = quorumCount(e.cfg.Quorum, len(cohort))
+		if e.cfg.Quorum == 0 && e.cfg.MinUpdates > 0 {
+			// An explicit absolute floor with no fraction set is the requirement
+			// itself; the zero-quorum default (all clients) would swallow it.
+			need = e.cfg.MinUpdates
+		} else if e.cfg.MinUpdates > need {
+			need = e.cfg.MinUpdates
 		}
 	}
-
-	// One goroutine per client sends the broadcast and reads the reply, so
-	// broadcast wall time is the slowest single send, not the sum, and slow
-	// clients never delay fast ones. Goroutines only touch their captured
-	// conn — the conns map stays single-writer (this goroutine).
-	type result struct {
-		id  int
-		u   T
-		err error
-	}
-	results := make(chan result, len(conns))
-	var late atomic.Int64
-	for id, conn := range conns {
-		go func(id int, conn Conn) {
-			if err := conn.Send(env); err != nil {
-				results <- result{id: id, err: fmt.Errorf("comm: round %d to client %d: %w", rs.Round, id, err)}
-				return
-			}
-			for {
-				env, err := conn.Recv()
-				if err != nil {
-					results <- result{id: id, err: fmt.Errorf("comm: update from client %d: %w", id, err)}
-					return
-				}
-				if env.Type != expect {
-					results <- result{id: id, err: fmt.Errorf("%w: expected %v from %d, got %v", ErrProtocol, expect, id, env.Type)}
-					return
-				}
-				var u T
-				if err := DecodeBody(env, &u); err != nil {
-					results <- result{id: id, err: err}
-					return
-				}
-				if u.roundIndex() < rs.Round {
-					// Stale work from a round this client missed: discard
-					// it and keep waiting for the current round's update.
-					late.Add(1)
-					continue
-				}
-				if u.roundIndex() != rs.Round || u.senderID() != id {
-					results <- result{id: id, err: fmt.Errorf("%w: client %d answered round %d as client %d during round %d",
-						ErrProtocol, id, u.roundIndex(), u.senderID(), rs.Round)}
-					return
-				}
-				results <- result{id: id, u: u}
-				return
-			}
-		}(id, conn)
-	}
-
-	// Fold updates in arrival order: the aggregate stays O(state) and each
-	// decode overlaps the remaining clients' network wait.
-	for range conns {
-		r := <-results
-		if r.err == nil {
-			if err := fold(r.u); err != nil {
-				r.err = fmt.Errorf("comm: folding update from client %d: %w", r.id, err)
-			}
+	// Restored updates fold before anything is dispatched, so a peer is only
+	// ever dropped with no flight of its own outstanding.
+	folded := 0
+	for len(e.buffer) > 0 && folded < goal {
+		u := e.buffer[0]
+		e.buffer = e.buffer[1:]
+		if e.foldOne(&out, u, fold) {
+			folded++
 		}
-		if r.err != nil {
-			out.Failures[r.id] = r.err
-			if isTimeout(r.err) {
-				out.TimedOut = append(out.TimedOut, r.id)
-			} else {
-				out.Dropped = append(out.Dropped, r.id)
-				_ = conns[r.id].Close()
-				delete(s.conns, r.id)
-			}
+	}
+	for _, id := range cohort {
+		conn, live := e.sess.conns[id]
+		if _, busy := e.flights[id]; busy || !live {
 			continue
 		}
-		out.Reported = append(out.Reported, r.id)
+		e.flights[id] = e.version
+		// One goroutine per dispatch sends the broadcast and reads the reply,
+		// so broadcast wall time is the slowest single send, not the sum, and
+		// slow peers never delay fast ones. It touches only what it is handed
+		// — the session's maps stay single-writer (this goroutine).
+		go e.dispatch(id, conn, e.sess.relays[id], env, rs.Round)
 	}
-	out.LateDiscarded = int(late.Load())
+
+	// Fold in arrival order: the aggregate stays O(state) and each decode
+	// overlaps the remaining peers' network wait. The round closes at its
+	// goal, when nothing is left in flight, or when what is can no longer
+	// reach what the round needs.
+	for folded < goal && len(e.flights) > 0 && folded+len(e.flights) >= need {
+		r := <-e.results
+		version := e.flights[r.id]
+		delete(e.flights, r.id)
+		out.LateDiscarded += r.late
+		if r.err != nil {
+			e.fail(&out, r.id, r.err)
+			continue
+		}
+		r.u.Version = version
+		if e.foldOne(&out, r.u, fold) {
+			folded++
+		}
+	}
 	sort.Ints(out.Reported)
 	sort.Ints(out.TimedOut)
 	sort.Ints(out.Dropped)
-
-	// Disarm the round deadline on surviving connections so the gap before
-	// the next round (or the shutdown frames) is not bounded by this one.
-	if !deadline.IsZero() {
-		for id, conn := range conns {
-			if _, alive := s.conns[id]; !alive {
-				continue
-			}
-			if dc, ok := conn.(DeadlineConn); ok {
-				_ = dc.SetDeadline(time.Time{})
-			}
-		}
-	}
-
-	need := quorumCount(cfg.Quorum, len(clientIDs))
-	if cfg.Quorum == 0 && cfg.MinUpdates > 0 {
-		// An explicit absolute floor with no fraction set is the requirement
-		// itself; the zero-quorum default (all clients) would swallow it.
-		need = cfg.MinUpdates
-	} else if cfg.MinUpdates > need {
-		need = cfg.MinUpdates
-	}
-	if len(out.Reported) < need {
-		errs := []error{fmt.Errorf("%w: round %d: %d of %d clients reported, need %d",
-			ErrQuorum, rs.Round, len(out.Reported), len(clientIDs), need)}
+	if folded < need {
+		errs := []error{fmt.Errorf("%w: round %d: %d of %d clients reported, need %d, %d still in flight",
+			ErrQuorum, rs.Round, folded, len(cohort), need, len(e.flights))}
 		for _, id := range out.TimedOut {
 			errs = append(errs, out.Failures[id])
 		}
@@ -307,7 +306,124 @@ func runEngineRound[T roundReply](s *ServerSession, rs RoundStart, clientIDs []i
 		}
 		return out, errors.Join(errs...)
 	}
+	e.version++
+	out.Version = e.version
 	return out, nil
+}
+
+// dispatch is one flight: send the round to one peer and read its reply,
+// both under RoundDeadline. The deadline is armed here because a pipe fixes
+// its expiry when Send or Recv is entered, and disarmed before the result is
+// reported because the peer's next dispatch may follow the result at once —
+// so the gap before it (or the shutdown frames) is never bounded by this one.
+func (e *RoundEngine) dispatch(id int, conn Conn, relay bool, env Envelope, round int) {
+	var dc DeadlineConn
+	if e.cfg.RoundDeadline > 0 {
+		dc, _ = conn.(DeadlineConn)
+	}
+	if dc != nil {
+		_ = dc.SetDeadline(time.Now().Add(e.cfg.RoundDeadline))
+	}
+	r := flightResult{id: id}
+	r.u, r.late, r.err = exchange(id, conn, relay, env, round)
+	if dc != nil {
+		_ = dc.SetDeadline(time.Time{})
+	}
+	e.results <- r
+}
+
+// exchange sends env and reads until the peer's update for round arrives,
+// counting the replies to earlier rounds it discards on the way. A relay
+// answers with a RegionUpdate, reshaped here into the ClientUpdate everything
+// downstream understands.
+func exchange(id int, conn Conn, relay bool, env Envelope, round int) (u ClientUpdate, late int, err error) {
+	if err := conn.Send(env); err != nil {
+		return u, 0, fmt.Errorf("comm: round %d to client %d: %w", round, id, err)
+	}
+	expect := MsgClientUpdate
+	if relay {
+		expect = MsgRegionUpdate
+	}
+	for {
+		env, err := conn.Recv()
+		if err != nil {
+			return u, late, fmt.Errorf("comm: update from client %d: %w", id, err)
+		}
+		if env.Type != expect {
+			return u, late, fmt.Errorf("%w: expected %v from %d, got %v", ErrProtocol, expect, id, env.Type)
+		}
+		if relay {
+			var ru RegionUpdate
+			err = DecodeBody(env, &ru)
+			u = regionAsUpdate(ru)
+		} else {
+			err = DecodeBody(env, &u)
+		}
+		if err != nil {
+			return u, late, err
+		}
+		if u.Round < round {
+			// Stale work from a round this client timed out of: discard it
+			// and keep waiting for the current round's update.
+			late++
+			continue
+		}
+		if u.Round != round || u.ClientID != id {
+			return u, late, fmt.Errorf("%w: client %d answered round %d as client %d during round %d",
+				ErrProtocol, id, u.Round, u.ClientID, round)
+		}
+		return u, late, nil
+	}
+}
+
+// regionAsUpdate reshapes a relay's folded delta into the ClientUpdate the
+// aggregation and strategy layers already understand: the region is one
+// heavyweight participant whose selected-sample mass is the sum over its
+// reporting leaves, which reproduces the flat federation's weighted average
+// exactly under the default selected-size weighting.
+func regionAsUpdate(ru RegionUpdate) ClientUpdate {
+	return ClientUpdate{
+		ClientID:     ru.RelayID,
+		Round:        ru.Round,
+		Version:      ru.Version,
+		State:        ru.State,
+		Codec:        ru.Codec,
+		NumSelected:  ru.NumSelected,
+		TrainSeconds: ru.TrainSeconds,
+		TrainLoss:    ru.TrainLoss,
+		MeanEntropy:  ru.MeanEntropy,
+	}
+}
+
+// foldOne folds one update unless it is too stale, which is counted and
+// costs its sender nothing. A fold error is its sender's failure. Reports
+// whether the update was folded.
+func (e *RoundEngine) foldOne(out *RoundOutcome, u ClientUpdate, fold func(ClientUpdate) error) bool {
+	if e.cfg.MaxStaleness >= 0 && e.version-u.Version > e.cfg.MaxStaleness {
+		out.Discarded++
+		return false
+	}
+	if err := fold(u); err != nil {
+		e.fail(out, u.ClientID, fmt.Errorf("comm: folding update from client %d: %w", u.ClientID, err))
+		return false
+	}
+	out.Reported = append(out.Reported, u.ClientID)
+	return true
+}
+
+// fail records one peer's failure: a timeout keeps the peer, anything else
+// closes its connection and removes it from the session.
+func (e *RoundEngine) fail(out *RoundOutcome, id int, err error) {
+	out.Failures[id] = err
+	if isTimeout(err) {
+		out.TimedOut = append(out.TimedOut, id)
+		return
+	}
+	out.Dropped = append(out.Dropped, id)
+	if conn, live := e.sess.conns[id]; live {
+		_ = conn.Close()
+		delete(e.sess.conns, id)
+	}
 }
 
 // quorumCount converts a quorum fraction into a required update count.

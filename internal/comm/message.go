@@ -104,10 +104,9 @@ type RoundStart struct {
 	SelectFraction float64
 	// LocalEpochs is E.
 	LocalEpochs int
-	// Version stamps the global model state with the number of aggregations
-	// applied since run start. Synchronous servers leave it zero; the
-	// buffered asynchronous engine uses the echo to measure an update's
-	// staleness.
+	// Version stamps the global model state with the number of rounds the
+	// engine completed (RoundEngine.Version at dispatch). The engine keeps
+	// its own record of it per dispatch to measure the update's staleness.
 	Version int
 	// Layout names, per tensor of State, the group it belongs to (the
 	// models.GroupStateLayout of the broadcast). The root sets it in relay
@@ -142,10 +141,10 @@ type ClientUpdate struct {
 	// dataset (NaN when the client's selector has no utility signal). The
 	// server feeds it to the cohort scheduler as the client-level utility.
 	MeanEntropy float64
-	// Version echoes RoundStart.Version — the model version this update was
-	// trained against. The buffered asynchronous engine discounts the update
-	// by its staleness (current version minus Version); synchronous peers
-	// leave it zero.
+	// Version is the model version this update was trained against. On the
+	// wire it echoes RoundStart.Version and is not trusted: the engine
+	// overwrites it with the version it dispatched before the fold, which
+	// discounts the update by its staleness (current version minus Version).
 	Version int
 	// Codec names the codec State is encoded with, echoing the session
 	// codec negotiated at Hello/Welcome. Empty means identity. The server's

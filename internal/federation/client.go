@@ -211,9 +211,8 @@ func (c *Client) round(rs comm.RoundStart) (comm.ClientUpdate, error) {
 	return comm.ClientUpdate{
 		ClientID: c.cfg.ID,
 		Round:    rs.Round,
-		// Version echoes the model version of an async server's dispatch,
-		// letting it measure this update's staleness; synchronous servers
-		// send the zero value and ignore the echo.
+		// Version echoes the dispatch's model version; the server measures
+		// staleness from its own record of it, not from the echo.
 		Version:      rs.Version,
 		State:        blob,
 		Codec:        codecEcho,

@@ -3,8 +3,10 @@ package federation
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"fedfteds/internal/comm"
 	"fedfteds/internal/core"
@@ -27,6 +29,16 @@ func testConfig(rounds int) Config {
 // honest runs the real client round for id on conn; with dieAfter > 0 it
 // crashes on the first RoundStart past that round.
 func honest(w *experiments.World, conn comm.Conn, id, dieAfter int) error {
+	return honestWith(w, conn, id, func(rs comm.RoundStart) error {
+		if dieAfter > 0 && rs.Round > dieAfter {
+			return errors.New("crash")
+		}
+		return nil
+	})
+}
+
+// honestWith runs the real client round for id on conn under a before hook.
+func honestWith(w *experiments.World, conn comm.Conn, id int, before func(comm.RoundStart) error) error {
 	model, err := w.Global.Clone()
 	if err != nil {
 		return err
@@ -35,12 +47,7 @@ func honest(w *experiments.World, conn comm.Conn, id, dieAfter int) error {
 	if err != nil {
 		return err
 	}
-	return c.Run(func(rs comm.RoundStart) error {
-		if dieAfter > 0 && rs.Round > dieAfter {
-			return errors.New("crash")
-		}
-		return nil
-	}, nil)
+	return c.Run(before, nil)
 }
 
 // servePipes runs cfg over in-process pipes against one client function per
@@ -228,5 +235,114 @@ func TestServeAccountsTraffic(t *testing.T) {
 	}
 	if math.Abs(ref.TotalTrainSeconds-resumed.TotalTrainSeconds) > 1e-9*ref.TotalTrainSeconds {
 		t.Fatalf("resumed train seconds %v, uninterrupted %v", resumed.TotalTrainSeconds, ref.TotalTrainSeconds)
+	}
+}
+
+// TestNothingOutlivesServe: the engine's flights persist across rounds, so
+// Serve's return is where a goroutine could be left behind. After it returns
+// and every client has exited, the goroutine count settles back to what it
+// was before — with a client still in flight under a buffer, after a client
+// timed out of a synchronous round, and after a run that ended in ErrQuorum.
+func TestNothingOutlivesServe(t *testing.T) {
+	w, err := testWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		name    string
+		edit    func(*Config)
+		before  func(id int, rs comm.RoundStart, served <-chan struct{}) error
+		wantErr error
+	}{
+		{"buffered run ends with a client in flight", func(c *Config) {
+			c.Buffer, c.Weigher = 3, strategy.IdentityStaleness()
+		}, func(id int, rs comm.RoundStart, served <-chan struct{}) error {
+			if id == 3 {
+				<-served // never answers while the server runs
+			}
+			return nil
+		}, nil},
+		{"synchronous run with a timed-out client", func(c *Config) {
+			c.Quorum, c.RoundDeadline = 0.5, 100*time.Millisecond
+		}, func(id int, rs comm.RoundStart, served <-chan struct{}) error {
+			if id == 3 && rs.Round == 1 {
+				time.Sleep(300 * time.Millisecond)
+			}
+			return nil
+		}, nil},
+		{"run ends in ErrQuorum", func(*Config) {}, func(id int, rs comm.RoundStart, served <-chan struct{}) error {
+			if id == 3 && rs.Round == 2 {
+				return errors.New("crash")
+			}
+			return nil
+		}, comm.ErrQuorum},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := testConfig(3)
+			tt.edit(&cfg)
+			baseline := runtime.NumGoroutine()
+			served := make(chan struct{})
+			global, err := w.Global.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := comm.NewPipeListener(cfg.NumClients)
+			var wg sync.WaitGroup
+			for id := 0; id < cfg.NumClients; id++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					// A client the server gave up on ends on a closed connection.
+					_ = honestWith(w, l.ClientSide(id), id, func(rs comm.RoundStart) error { return tt.before(id, rs, served) })
+				}(id)
+			}
+			_, err = Serve(cfg, l, global, w.Test)
+			close(served)
+			wg.Wait()
+			if !errors.Is(err, tt.wantErr) {
+				t.Fatalf("Serve returned %v, want %v", err, tt.wantErr)
+			}
+			deadline := time.Now().Add(time.Second)
+			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > baseline {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines after Serve, %d before:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
+			}
+		})
+	}
+}
+
+// TestServeRecordsEndedDispatchesAsCohort pins what a buffered round records
+// as its cohort: every dispatch that ended in it — folded, discarded, timed
+// out or dropped — so a client that crashes shows up in exactly one record's
+// CohortSize and in no record's Participants.
+func TestServeRecordsEndedDispatchesAsCohort(t *testing.T) {
+	w, err := testWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(6)
+	cfg.Buffer, cfg.Weigher = 2, strategy.IdentityStaleness()
+	hist, _, err := servePipes(t, w, cfg, func(conn comm.Conn, id int) error {
+		dieAfter := 0
+		if id == 3 {
+			dieAfter = 1
+		}
+		return honest(w, conn, id, dieAfter)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, rec := range hist.Records {
+		if rec.Participants != cfg.Buffer || rec.CohortSize < rec.Participants {
+			t.Errorf("round %d: cohort %d, %d folded under buffer %d", rec.Round, rec.CohortSize, rec.Participants, cfg.Buffer)
+		}
+		failed += rec.CohortSize - rec.Participants
+	}
+	if failed != 1 {
+		t.Errorf("records count %d failed dispatches, want the one crashed client: %+v", failed, hist.Records)
 	}
 }

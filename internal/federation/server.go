@@ -124,16 +124,6 @@ type progress struct {
 	tracker *sched.Tracker
 }
 
-// foldFunc folds one admitted update into the round's aggregate under its
-// staleness discount lambda (1 in synchronous rounds).
-type foldFunc func(u comm.ClientUpdate, lambda float64) error
-
-// roundFunc is the one step the modes disagree on — who is contacted and
-// which of their updates are admitted to the fold — and therefore the seam
-// where merging the two engines would land. It reports the outcome, how many
-// peers the round was open to and how many were connected.
-type roundFunc func(round int, rs comm.RoundStart, fold foldFunc) (out comm.RoundOutcome, cohort, live int, err error)
-
 // Serve drives one federation on an established listener: it accepts the
 // configured participants, then for every round broadcasts the global
 // model's trainable groups, streams the admitted updates into the
@@ -178,26 +168,45 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	log.Printf("federation ready: clients %v, strategy %s, codec %s",
 		sess.ClientIDs(), cfg.Strat.Fingerprint(), cmp.Or(cfg.CodecName, comm.CodecIdentity))
 
-	// asyncState is the engine state a checkpoint carries; nil (synchronous)
-	// keeps the checkpoint bytes identical to pre-async servers.
-	var run roundFunc
-	asyncState := func() *core.AsyncState { return nil }
-	if cfg.Buffer > 0 {
-		run, asyncState, err = asyncRounds(cfg, sess, restored)
-	} else {
-		run, err = syncRounds(cfg, l, sess, st.tracker)
-	}
+	// One engine runs every mode: cohort, quorum, deadline and buffer are its
+	// answers to which of a round's dispatches get folded. restored, from a
+	// checkpoint, carries its version counter and the updates that had arrived
+	// but were not aggregated, so a restarted buffered server resumes without
+	// losing them.
+	engine, err := comm.NewRoundEngine(sess, comm.EngineConfig{
+		RoundDeadline: cfg.RoundDeadline, Quorum: cfg.Quorum, MinUpdates: cfg.MinUpdates,
+		Buffer: cfg.Buffer, MaxStaleness: cfg.MaxStaleness})
 	if err != nil {
 		return st.hist, err
+	}
+	if restored != nil {
+		if err := engine.Restore(restored.Version, restored.Buffer); err != nil {
+			return st.hist, err
+		}
+	}
+	if cfg.Buffer > 0 {
+		log.Printf("async: buffer %d, staleness %s, model v%d, %d buffered updates",
+			cfg.Buffer, cfg.Weigher.Name(), engine.Version(), len(engine.Buffered()))
+	}
+	// A relay region is a process worth restarting: keep the listener
+	// admitting behind the round loop so a crashed relay re-registers and
+	// rejoins at the next round boundary instead of shrinking the tree for
+	// good.
+	var admitter *comm.Admitter
+	if cfg.Relays > 0 {
+		if admitter, err = comm.NewAdmitterCodec(l, cfg.Relays, cfg.Rounds, cfg.CodecName); err != nil {
+			return st.hist, err
+		}
 	}
 
 	// The strategy weighs each streamed update (absorbing the fixed
 	// selected-size weighting) and later applies the weighted average to the
-	// global model through its server optimizer. lambda is set by the fold
-	// immediately before the aggregator calls the weigher (both run on this
-	// goroutine, never concurrently). A fresh update's lambda is exactly 1.0,
-	// so the multiplication is a float no-op and a full-buffer identity-weighed
-	// async run stays bit-identical to the synchronous one.
+	// global model through its server optimizer. lambda, the staleness
+	// discount, is set by the fold immediately before the aggregator calls the
+	// weigher (both run on this goroutine, never concurrently). A fresh
+	// update's lambda is exactly 1.0, so the multiplication is a float no-op
+	// and a full-buffer identity-weighed run stays bit-identical to the
+	// synchronous one.
 	lambda := 1.0
 	weigh := updateWeigher(cfg.Strat, sess, &lambda)
 
@@ -249,14 +258,20 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		// of arrival order, which keeps resumed and uninterrupted histories
 		// bit-identical.
 		var roundSeconds, lossSum float64
-		fold := func(u comm.ClientUpdate, l float64) error {
+		fold := func(u comm.ClientUpdate) error {
 			// A rejected update is that client's failure and must leave
 			// aggregate, history and scheduler untouched: every check runs
 			// before the first side effect.
 			if err := checkMetadata(u); err != nil {
 				return err
 			}
-			lambda = l
+			if cfg.Buffer > 0 {
+				s := engine.Version() - u.Version
+				lambda = cfg.Weigher.Weight(s)
+				if lambda <= 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+					return fmt.Errorf("%w: staleness weigher produced %v for staleness %d", comm.ErrProtocol, lambda, s)
+				}
+			}
 			if err := agg.Add(u); err != nil {
 				return err
 			}
@@ -267,14 +282,33 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 			st.tracker.ObserveUpdate(u.ClientID, u.MeanEntropy, u.TrainLoss, u.TrainSeconds)
 			return nil
 		}
-		out, cohort, live, err := run(round, comm.RoundStart{
+		// Fold in crashed-and-restarted relays at the round boundary, never
+		// mid-round: the session map stays single-writer.
+		if admitter != nil {
+			if ids := admitter.Drain(sess); len(ids) > 0 {
+				log.Printf("round %d: re-admitted relays %v", round, ids)
+			}
+		}
+		// Schedule the round's cohort from the live participants; without a
+		// scheduler the whole federation trains.
+		live := sess.ClientIDs()
+		cohort := live
+		if cfg.Scheduler != nil {
+			cohort = scheduleCohort(cfg, st.tracker, sess, round, live)
+		}
+		out, err := engine.RunCohort(comm.RoundStart{
 			Round:          round,
 			State:          blob,
 			Groups:         commGroups,
 			SelectFraction: cfg.Fraction,
 			LocalEpochs:    cfg.Epochs,
 			Layout:         bcastLayout,
-		}, fold)
+		}, cohort, fold)
+		// A timed-out client took at least the whole deadline; record that so
+		// time-driven policies stop treating a hung client as instant.
+		for _, id := range out.TimedOut {
+			st.tracker.ObserveTimeout(id, cfg.RoundDeadline.Seconds())
+		}
 		logFailures(out)
 		if err != nil {
 			return st.hist, err
@@ -295,9 +329,12 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 			return st.hist, err
 		}
 		st.acct.TrainSeconds += roundSeconds
+		// The recorded cohort is every dispatch that ended in the round: the
+		// scheduled cohort when the round awaited it all, fewer under a buffer.
+		ended := len(out.Reported) + out.Discarded + len(out.TimedOut) + len(out.Dropped)
 		st.hist.Records = append(st.hist.Records, core.RoundRecord{
 			Round:           round,
-			CohortSize:      cohort,
+			CohortSize:      ended,
 			SchedPolicy:     policy,
 			Participants:    len(out.Reported),
 			TestAccuracy:    acc,
@@ -310,11 +347,17 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		}
 		st.hist.FinalAccuracy = acc
 		log.Printf("round %d/%d: cohort %d/%d, %d reported (%d timed out, %d dropped, %d late, %d stale), test accuracy %.2f%%",
-			round, cfg.Rounds, cohort, live, len(out.Reported), len(out.TimedOut), len(out.Dropped),
+			round, cfg.Rounds, ended, len(live), len(out.Reported), len(out.TimedOut), len(out.Dropped),
 			out.LateDiscarded, out.Discarded, 100*acc)
 
 		if cfg.CkptDir != "" {
-			if err := snapshot(cfg, round, global, st, asyncState()); err != nil {
+			// Only a buffered run carries engine state: without it the
+			// checkpoint bytes stay identical to pre-async servers.
+			var async *core.AsyncState
+			if cfg.Buffer > 0 {
+				async = &core.AsyncState{Version: engine.Version(), Buffer: engine.Buffered()}
+			}
+			if err := snapshot(cfg, round, global, st, async); err != nil {
 				return st.hist, fmt.Errorf("checkpoint round %d: %w", round, err)
 			}
 		}
@@ -352,58 +395,6 @@ func checkMetadata(u comm.ClientUpdate) error {
 	return nil
 }
 
-// syncRounds admits by cohort, quorum and deadline: each round the scheduler
-// picks a cohort of the live participants (leaf clients, or relay regions in
-// hierarchical mode) and the RoundEngine completes it once a quorum reported.
-func syncRounds(cfg Config, l comm.Listener, sess *comm.ServerSession, tracker *sched.Tracker) (roundFunc, error) {
-	engine, err := comm.NewRoundEngine(sess, comm.EngineConfig{
-		RoundDeadline: cfg.RoundDeadline, Quorum: cfg.Quorum, MinUpdates: cfg.MinUpdates})
-	if err != nil {
-		return nil, err
-	}
-	// A relay region is a process worth restarting: keep the listener
-	// admitting behind the round loop so a crashed relay re-registers and
-	// rejoins at the next round boundary instead of shrinking the tree for
-	// good.
-	var admitter *comm.Admitter
-	if cfg.Relays > 0 {
-		if admitter, err = comm.NewAdmitterCodec(l, cfg.Relays, cfg.Rounds, cfg.CodecName); err != nil {
-			return nil, err
-		}
-	}
-	return func(round int, rs comm.RoundStart, fold foldFunc) (comm.RoundOutcome, int, int, error) {
-		// Fold in crashed-and-restarted relays at the round boundary, never
-		// mid-round: the session map stays single-writer.
-		if admitter != nil {
-			if ids := admitter.Drain(sess); len(ids) > 0 {
-				log.Printf("round %d: re-admitted relays %v", round, ids)
-			}
-		}
-		// Schedule the round's cohort from the live clients; without a
-		// scheduler the whole federation trains.
-		live := sess.ClientIDs()
-		cohort := live
-		if cfg.Scheduler != nil {
-			cohort = scheduleCohort(cfg, tracker, sess, round, live)
-		}
-		var out comm.RoundOutcome
-		var err error
-		if cfg.Relays > 0 {
-			out, err = engine.RunRegionRound(rs, cohort, func(ru comm.RegionUpdate) error {
-				return fold(regionAsUpdate(ru), 1)
-			})
-		} else {
-			out, err = engine.RunCohort(rs, cohort, func(u comm.ClientUpdate) error { return fold(u, 1) })
-		}
-		// A timed-out client took at least the whole deadline; record that so
-		// time-driven policies stop treating a hung client as instant.
-		for _, id := range out.TimedOut {
-			tracker.ObserveTimeout(id, cfg.RoundDeadline.Seconds())
-		}
-		return out, len(cohort), len(live), err
-	}, nil
-}
-
 // scheduleCohort builds the candidate descriptors for the live clients and
 // asks the policy for this round's cohort. The candidate's projected time is
 // the client's last reported round seconds (zero before first contact), its
@@ -425,64 +416,9 @@ func scheduleCohort(cfg Config, tracker *sched.Tracker, sess *comm.ServerSession
 	return cfg.Scheduler.Schedule(round, cands, min(cfg.Cohort, len(live)), rng)
 }
 
-// regionAsUpdate reshapes a relay's folded delta into the ClientUpdate the
-// aggregation and strategy layers already understand: the region is one
-// heavyweight participant whose selected-sample mass is the sum over its
-// reporting leaves, which reproduces the flat federation's weighted average
-// exactly under the default selected-size weighting.
-func regionAsUpdate(ru comm.RegionUpdate) comm.ClientUpdate {
-	return comm.ClientUpdate{
-		ClientID:     ru.RelayID,
-		Round:        ru.Round,
-		Version:      ru.Version,
-		State:        ru.State,
-		Codec:        ru.Codec,
-		NumSelected:  ru.NumSelected,
-		TrainSeconds: ru.TrainSeconds,
-		TrainLoss:    ru.TrainLoss,
-		MeanEntropy:  ru.MeanEntropy,
-	}
-}
-
-// asyncRounds admits by buffer (FedBuff): every client trains continuously
-// against the newest model it has seen, a round is one aggregation of Buffer
-// updates, and stale contributions are discounted by the staleness weigher
-// or discarded past MaxStaleness; RoundDeadline bounds each aggregation's
-// wait. With Buffer equal to NumClients and the identity weigher it
-// reproduces syncRounds' arithmetic exactly. restored, from a checkpoint,
-// carries the engine's version counter and mid-buffer updates, so a
-// restarted server resumes without losing work that had already arrived.
-func asyncRounds(cfg Config, sess *comm.ServerSession, restored *core.AsyncState) (roundFunc, func() *core.AsyncState, error) {
-	engine, err := comm.NewAsyncEngine(sess, comm.AsyncConfig{
-		Buffer:       cfg.Buffer,
-		MaxStaleness: cfg.MaxStaleness,
-		Weigh:        cfg.Weigher.Weight,
-		AggDeadline:  cfg.RoundDeadline,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if restored != nil {
-		if err := engine.Restore(restored.Version, restored.Buffer); err != nil {
-			return nil, nil, err
-		}
-	}
-	log.Printf("async: buffer %d, staleness %s, model v%d, %d buffered updates",
-		cfg.Buffer, cfg.Weigher.Name(), engine.Version(), len(engine.Buffered()))
-	run := func(round int, rs comm.RoundStart, fold foldFunc) (comm.RoundOutcome, int, int, error) {
-		live := len(sess.ClientIDs())
-		out, err := engine.RunAggregation(round, rs, fold)
-		return out, len(out.Reported) + out.Discarded, live, err
-	}
-	state := func() *core.AsyncState {
-		return &core.AsyncState{Version: engine.Version(), Buffer: engine.Buffered()}
-	}
-	return run, state, nil
-}
-
 // updateWeigher routes the strategy's WeighUpdates rule into the streaming
-// fold, one update at a time, multiplying *lambda on top — the async engine's
-// staleness discount for the update being folded, 1 in synchronous rounds.
+// fold, one update at a time, multiplying *lambda on top — the staleness
+// discount of the update being folded, 1 when nothing can be stale.
 // The one-element scratch keeps the streaming path allocation-light.
 func updateWeigher(strat strategy.Strategy, sess *comm.ServerSession, lambda *float64) comm.WeightFunc {
 	var (
@@ -516,8 +452,8 @@ func logFailures(out comm.RoundOutcome) {
 
 // restore warm-starts the server from the newest checkpoint in cfg.CkptDir,
 // installing the saved global model, history, accounting and scheduler
-// feedback. It returns the last completed round plus the saved async engine
-// state (nil outside buffered mode), or 0 (and no changes) when the
+// feedback. It returns the last completed round plus the saved engine state
+// (nil outside buffered mode), or 0 (and no changes) when the
 // directory holds no checkpoint yet. Validation is the shared core.RunState
 // rule set, so the server refuses exactly what the simulator refuses: wrong
 // seed, different configuration, a round beyond Rounds, an inconsistent

@@ -116,6 +116,7 @@ func TestRelayTreeMatchesFlatFederationExactly(t *testing.T) {
 
 	// The tree: two relay.Run processes over pipe transports, a manual root.
 	rootLst := comm.NewPipeListener(relays)
+	sent := make(chan comm.RegionUpdate, relays) // the frames the relays put on the wire
 	relayErr := make(chan error, relays)
 	for r := 0; r < relays; r++ {
 		leafLst := comm.NewPipeListener(leavesPer)
@@ -123,7 +124,7 @@ func TestRelayTreeMatchesFlatFederationExactly(t *testing.T) {
 			go runLeaf(leafLst.ClientSide(i), r*leavesPer+i)
 		}
 		go func(r int, leafLst *comm.PipeListener) {
-			relayErr <- Run(rootLst.ClientSide(r), leafLst, Config{
+			relayErr <- Run(frameTap{rootLst.ClientSide(r), sent}, leafLst, Config{
 				RelayID: r, Leaves: leavesPer, Rounds: rounds,
 				Engine: comm.EngineConfig{Quorum: 1},
 			})
@@ -142,14 +143,10 @@ func TestRelayTreeMatchesFlatFederationExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The engine reads a registered relay's RegionUpdate and hands the fold
+	// the ClientUpdate it reshapes it into.
 	rootAgg := comm.NewStreamAggregator()
-	regions := make(map[int]comm.RegionUpdate, relays)
-	out, err := engine.RunRegionRound(rs, []int{0, 1}, func(ru comm.RegionUpdate) error {
-		regions[ru.RelayID] = ru
-		return rootAgg.Add(comm.ClientUpdate{
-			ClientID: ru.RelayID, Round: ru.Round, State: ru.State, NumSelected: ru.NumSelected,
-		})
-	})
+	out, err := engine.RunCohort(rs, []int{0, 1}, rootAgg.Add)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +178,11 @@ func TestRelayTreeMatchesFlatFederationExactly(t *testing.T) {
 
 	// Region metadata: relay 0 folded leaves 0 (entropy 1, loss 0.5) and 1
 	// (entropy NaN, loss 1.0), 16 selected samples each.
+	regions := make(map[int]comm.RegionUpdate, relays)
+	for r := 0; r < relays; r++ {
+		ru := <-sent
+		regions[ru.RelayID] = ru
+	}
 	ru := regions[0]
 	if ru.Weight != 32 || ru.NumSelected != 32 || ru.Clients != 2 {
 		t.Fatalf("region 0 mass: %+v", ru)
@@ -198,6 +200,24 @@ func TestRelayTreeMatchesFlatFederationExactly(t *testing.T) {
 	if ru.Version != globalVersion || ru.Round != 1 {
 		t.Fatalf("region 0 stamps: %+v", ru)
 	}
+}
+
+// frameTap is a relay's root connection that also hands the test every
+// RegionUpdate frame the relay sends.
+type frameTap struct {
+	comm.Conn
+	sent chan<- comm.RegionUpdate
+}
+
+func (c frameTap) Send(env comm.Envelope) error {
+	if env.Type == comm.MsgRegionUpdate {
+		var ru comm.RegionUpdate
+		if err := comm.DecodeBody(env, &ru); err != nil {
+			return err
+		}
+		c.sent <- ru
+	}
+	return c.Conn.Send(env)
 }
 
 // TestConfigValidate pins the fail-fast surface.
