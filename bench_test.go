@@ -5,10 +5,11 @@
 // from `go run ./cmd/fedsim -scale full`.
 //
 // The trailing kernel benchmarks time substrate primitives (matmul, one MLP
-// training step, the ReLU loops, one FedFT-EDS client round, entropy
-// selection) at realistic sizes; matmul, the training step and the client
-// round back CI's allocation guard. Whole rounds, the WRN forward pass and the
-// server fold are measured by the performance ledger (bench/, BENCHMARK.json).
+// training step, the convolution layer, the ReLU loops, one FedFT-EDS client
+// round, entropy selection) at realistic sizes; matmul, the training step,
+// the convolution and the client round back CI's allocation guard. Whole
+// rounds, the WRN forward pass and the server fold are measured by the
+// performance ledger (bench/, BENCHMARK.json).
 package fedfteds_test
 
 import (
@@ -339,6 +340,54 @@ func BenchmarkKernelMLPTrainStep(b *testing.B) {
 		}
 		m.Backward(dl)
 		sgd.Step()
+	}
+}
+
+// BenchmarkKernelConvStep times the convolution layer at every shape WRN-16-1
+// gives it — the 3x3 body convolution of each stage, the stride-2 3x3 and the
+// 1x1 projection of a stage transition — one operation being, per shape, a
+// training forward + backward at the training batch of 16 and an evaluation
+// forward at the evaluation batch of 128 on a layer that only ever evaluates,
+// as the global model does. Allocation-free in steady state (CI's kernel
+// alloc guard watches it).
+func BenchmarkKernelConvStep(b *testing.B) {
+	type step struct {
+		layer *nn.Conv2D
+		x, dy *tensor.Tensor
+	}
+	rng := rand.New(rand.NewSource(9))
+	var train, eval []step
+	for _, s := range []struct{ inC, outC, k, stride, size int }{
+		{16, 16, 3, 1, 8}, {32, 32, 3, 1, 4}, {64, 64, 3, 1, 2}, {16, 32, 3, 2, 8}, {16, 32, 1, 2, 8},
+	} {
+		for _, n := range []int{16, 128} {
+			c, err := nn.NewConv2D("c", s.inC, s.outC, s.k, nn.ConvOpts{Stride: s.stride, Padding: s.k / 2, NoBias: true}, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			x := tensor.New(n, s.inC, s.size, s.size)
+			x.FillNormal(rng, 0, 1)
+			if n == 128 {
+				eval = append(eval, step{layer: c, x: x})
+				continue
+			}
+			dy := tensor.New(c.Forward(x, true).Shape()...)
+			dy.FillNormal(rng, 0, 1)
+			train = append(train, step{layer: c, x: x, dy: dy})
+		}
+	}
+	b.ReportAllocs()
+	for i := -1; i < b.N; i++ {
+		if i == 0 {
+			b.ResetTimer() // pass -1 sized every workspace
+		}
+		for _, s := range train {
+			s.layer.Forward(s.x, true)
+			s.layer.Backward(s.dy, true)
+		}
+		for _, s := range eval {
+			s.layer.Forward(s.x, false)
+		}
 	}
 }
 

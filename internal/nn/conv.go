@@ -3,12 +3,18 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"fedfteds/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over (N, C, H, W) inputs implemented with
-// im2col and the tensor package's parallel matmul.
+// Conv2D is a 2-D convolution over (N, C, H, W) inputs: im2col and the
+// tensor package's row kernel, one sample at a time. Each direction is one
+// tensor.ParallelFor over samples; a sample's planes are copied once into a
+// zero-bordered staging plane so every window is interior, its OH*OW window
+// rows are unpacked, multiplied while hot and transposed straight into the
+// NCHW result. Samples are independent and each keeps the serial operation
+// order, so results are identical at any worker count.
 type Conv2D struct {
 	base
 	inC, outC       int
@@ -19,23 +25,31 @@ type Conv2D struct {
 	weight *Param // (outC, inC*kernel*kernel)
 	bias   *Param // (outC), nil when useBias is false
 
-	cols      *tensor.Tensor // im2col workspace (N*OH*OW, inC*K*K)
-	colsValid bool           // cols holds the last training forward's unpacking
-	inShape   []int          // cached input shape (reused buffer)
+	// cols (N*OH*OW, inC*K*K) is the unpacked batch, written only by a
+	// training forward of an unfrozen layer, whose backward reads it for dW.
+	// A forward that keeps nothing unpacks into the chunk's tile instead.
+	cols      *tensor.Tensor
+	colsValid bool  // cols holds the last training forward's unpacking
+	inShape   []int // cached input shape (reused buffer)
 
 	// Cached workspaces, reused across steps (see the package aliasing rule).
-	out, y, dout, dw, db, dcols, dx *tensor.Tensor
+	wt, y, doutT, dw, db, dx *tensor.Tensor
 
-	// Batch-parallel loop plumbing: the unpack/reorder/scatter loops run
-	// over samples through tensor.ParallelFor. Per-call arguments are staged
-	// in fields and the closures cached once per layer, so steady-state
-	// dispatch allocates nothing. Partitioning is by sample and every loop
-	// writes disjoint per-sample regions (col2im's += only touches its own
-	// sample's dx), so results are identical at any worker count.
+	// scratch is the per-chunk working set, owned by the layer so steady
+	// state allocates nothing: chunk lo/chunk of a dispatch has the staging
+	// plane (inC, H+2p, W+2p), a window tile (OH*OW, inC*K*K) and an output
+	// tile (OH*OW, outC) at scratch[(lo/chunk)*perChunk:]. Chunks are at
+	// least chunk samples long, so concurrent chunks never share an index.
+	scratch         []float32
+	chunk, perChunk int
+
+	// Per-call arguments staged for the cached closures and cleared after
+	// the dispatch, so the layer never keeps its caller's batch reachable.
 	px, pdy          []float32
 	ph, pw, poh, pow int
+	needDx           bool
 
-	im2colFn, fwdReorderFn, bwdReorderFn, col2imFn func(lo, hi int)
+	fwdFn, bwdFn func(lo, hi int)
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -99,6 +113,27 @@ func (c *Conv2D) outDims(h, w int) (oh, ow int) {
 	return oh, ow
 }
 
+// stage sizes the per-chunk scratch for a batch of n samples of h×w planes
+// and records the dims the cached closures read.
+func (c *Conv2D) stage(n, h, w, oh, ow int) {
+	c.ph, c.pw, c.poh, c.pow = h, w, oh, ow
+	slots := 4 * runtime.GOMAXPROCS(0) // ParallelFor's own default split
+	c.chunk = max(1, (n+slots-1)/slots)
+	c.perChunk = oh*ow*(c.inC*c.kernel*c.kernel+c.outC) + c.inC*(h+2*c.padding)*(w+2*c.padding)
+	if need := (n + c.chunk - 1) / c.chunk * c.perChunk; len(c.scratch) < need {
+		c.scratch = make([]float32, need)
+	}
+}
+
+// chunkScratch returns the staging plane, window tile and output tile of the
+// chunk starting at sample lo.
+func (c *Conv2D) chunkScratch(lo int) (plane, tile, out []float32) {
+	s := c.scratch[lo/c.chunk*c.perChunk:][:c.perChunk]
+	nOut := c.poh * c.pow * c.outC
+	nTile := c.poh * c.pow * c.inC * c.kernel * c.kernel
+	return s[nTile+nOut:], s[:nTile], s[nTile : nTile+nOut]
+}
+
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(1) != c.inC {
@@ -110,47 +145,50 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(shapeErr("conv "+c.name, "positive output dims", x.Shape()))
 	}
 	ck := c.inC * c.kernel * c.kernel
-	c.cols = tensor.Ensure(c.cols, n*oh*ow, ck)
-	c.px, c.ph, c.pw, c.poh, c.pow = x.Data(), h, w, oh, ow
-	if c.im2colFn == nil {
-		c.im2colFn = func(lo, hi int) {
-			im2colRange(c.px, c.cols.Data(), lo, hi, c.inC, c.ph, c.pw, c.kernel, c.stride, c.padding, c.poh, c.pow)
-		}
+	c.colsValid = train && !c.frozen
+	if c.colsValid {
+		c.cols = tensor.Ensure(c.cols, n*oh*ow, ck)
 	}
-	tensor.ParallelFor(n, 1, c.im2colFn)
-
-	// out (N*OH*OW, outC) = cols @ Wᵀ.
-	c.out = tensor.Ensure(c.out, n*oh*ow, c.outC)
-	if err := tensor.MatMulTransB(c.out, c.cols, c.weight.W); err != nil {
-		panic(err)
-	}
-	if c.useBias {
-		if err := c.out.AddRowVector(c.bias.W); err != nil {
-			panic(err)
-		}
-	}
-
-	// Reorder rows (n, oh, ow) × outC to (N, outC, OH, OW).
+	// Wᵀ (inC*K*K, outC), packed once per call: the row kernel streams it.
+	c.wt = tensor.Ensure(c.wt, ck, c.outC)
+	tensor.PackTranspose(c.wt.Data(), c.weight.W.Data(), c.outC, ck)
 	c.y = tensor.Ensure(c.y, n, c.outC, oh, ow)
-	if c.fwdReorderFn == nil {
-		c.fwdReorderFn = func(lo, hi int) {
-			od, yd := c.out.Data(), c.y.Data()
-			sp := c.poh * c.pow
-			for i := lo; i < hi; i++ {
-				for s := 0; s < sp; s++ {
-					row := od[(i*sp+s)*c.outC : (i*sp+s+1)*c.outC]
-					for oc := 0; oc < c.outC; oc++ {
-						yd[(i*c.outC+oc)*sp+s] = row[oc]
-					}
+	c.stage(n, h, w, oh, ow)
+	if c.fwdFn == nil {
+		c.fwdFn = c.forwardRange
+	}
+	c.px = x.Data()
+	tensor.ParallelFor(n, c.chunk, c.fwdFn)
+	c.px = nil
+	c.inShape = captureShape(c.inShape, x)
+	return c.y
+}
+
+// forwardRange computes y for samples [lo, hi): per sample, out (OH*OW, outC)
+// = windows @ Wᵀ (+ bias), transposed into y[i] (outC, OH, OW).
+func (c *Conv2D) forwardRange(lo, hi int) {
+	sp, ck := c.poh*c.pow, c.inC*c.kernel*c.kernel
+	chw := c.inC * c.ph * c.pw
+	plane, rows, out := c.chunkScratch(lo)
+	clear(plane) // the border stays zero while the samples overwrite the interior
+	yd, wt := c.y.Data(), c.wt.Data()
+	for i := lo; i < hi; i++ {
+		padPlanes(plane, c.px[i*chw:(i+1)*chw], c.inC, c.ph, c.pw, c.padding)
+		if c.colsValid {
+			rows = c.cols.Data()[i*sp*ck : (i+1)*sp*ck]
+		}
+		im2col(plane, rows, c.inC, c.ph+2*c.padding, c.pw+2*c.padding, c.kernel, c.stride, c.poh, c.pow)
+		tensor.GemmRows(out, rows, wt, sp, c.outC, ck)
+		if c.useBias {
+			bias := c.bias.W.Data()
+			for s := 0; s < sp; s++ {
+				for oc, b := range bias {
+					out[s*c.outC+oc] += b
 				}
 			}
 		}
+		tensor.PackTranspose(yd[i*c.outC*sp:(i+1)*c.outC*sp], out, sp, c.outC)
 	}
-	tensor.ParallelFor(n, 1, c.fwdReorderFn)
-
-	c.colsValid = train && !c.frozen
-	c.inShape = captureShape(c.inShape, x)
-	return c.y
 }
 
 // Backward implements Layer.
@@ -158,35 +196,30 @@ func (c *Conv2D) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 	if dy.Rank() != 4 || dy.Dim(1) != c.outC {
 		panic(shapeErr("conv "+c.name+" backward", []int{-1, c.outC, -1, -1}, dy.Shape()))
 	}
-	n, oh, ow := dy.Dim(0), dy.Dim(2), dy.Dim(3)
-	sp := oh * ow
-	ck := c.inC * c.kernel * c.kernel
-
-	// dOut (N*OH*OW, outC): reorder from (N, outC, OH, OW).
-	c.dout = tensor.Ensure(c.dout, n*sp, c.outC)
-	c.pdy, c.poh, c.pow = dy.Data(), oh, ow
-	if c.bwdReorderFn == nil {
-		c.bwdReorderFn = func(lo, hi int) {
-			dd, spp := c.dout.Data(), c.poh*c.pow
-			for i := lo; i < hi; i++ {
-				for oc := 0; oc < c.outC; oc++ {
-					src := c.pdy[(i*c.outC+oc)*spp : (i*c.outC+oc+1)*spp]
-					for s, v := range src {
-						dd[(i*spp+s)*c.outC+oc] = v
-					}
-				}
-			}
-		}
+	if !c.frozen && !c.colsValid {
+		panic("nn: conv " + c.name + ": Backward without train Forward")
 	}
-	tensor.ParallelFor(n, 1, c.bwdReorderFn)
+	n, oh, ow := dy.Dim(0), dy.Dim(2), dy.Dim(3)
+	h, w := c.inShape[2], c.inShape[3]
+	if !c.frozen {
+		c.doutT = tensor.Ensure(c.doutT, c.outC, n*oh*ow)
+	}
+	if needDx {
+		c.dx = tensor.Ensure(c.dx, n, c.inC, h, w)
+	}
+	c.stage(n, h, w, oh, ow)
+	if c.bwdFn == nil {
+		c.bwdFn = c.backwardRange
+	}
+	c.pdy, c.needDx = dy.Data(), needDx
+	tensor.ParallelFor(n, c.chunk, c.bwdFn)
+	c.pdy = nil
 
 	if !c.frozen {
-		if !c.colsValid {
-			panic("nn: conv " + c.name + ": Backward without train Forward")
-		}
-		// dW += dOutᵀ @ cols ; db += column sums of dOut.
-		c.dw = tensor.Ensure(c.dw, c.outC, ck)
-		if err := tensor.MatMulTransA(c.dw, c.dout, c.cols); err != nil {
+		// dW += dOutᵀ @ cols ; db += row sums of dOutᵀ. Both stay one
+		// batch-wide reduction, ascending (n, s), whatever the partition.
+		c.dw = tensor.Ensure(c.dw, c.outC, c.inC*c.kernel*c.kernel)
+		if err := tensor.MatMul(c.dw, c.doutT, c.cols); err != nil {
 			panic(err)
 		}
 		if err := c.weight.G.Add(c.dw); err != nil {
@@ -194,8 +227,13 @@ func (c *Conv2D) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 		}
 		if c.useBias {
 			c.db = tensor.Ensure(c.db, c.outC)
-			if err := c.dout.SumRows(c.db); err != nil {
-				panic(err)
+			db, dt := c.db.Data(), c.doutT.Data()
+			for oc := range db {
+				var sum float32
+				for _, v := range dt[oc*n*oh*ow : (oc+1)*n*oh*ow] {
+					sum += v
+				}
+				db[oc] = sum
 			}
 			if err := c.bias.G.Add(c.db); err != nil {
 				panic(err)
@@ -205,22 +243,40 @@ func (c *Conv2D) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 	if !needDx {
 		return nil
 	}
-	// dcols = dOut @ W, then scatter back with col2im.
-	c.dcols = tensor.Ensure(c.dcols, n*sp, ck)
-	if err := tensor.MatMul(c.dcols, c.dout, c.weight.W); err != nil {
-		panic(err)
-	}
-	h, w := c.inShape[2], c.inShape[3]
-	c.dx = tensor.Ensure(c.dx, n, c.inC, h, w)
-	c.dx.Zero()
-	c.ph, c.pw = h, w
-	if c.col2imFn == nil {
-		c.col2imFn = func(lo, hi int) {
-			col2imRange(c.dcols.Data(), c.dx.Data(), lo, hi, c.inC, c.ph, c.pw, c.kernel, c.stride, c.padding, c.poh, c.pow)
-		}
-	}
-	tensor.ParallelFor(n, 1, c.col2imFn)
 	return c.dx
+}
+
+// backwardRange handles samples [lo, hi) of dy (N, outC, OH, OW). A layer
+// that trains files dy[i]'s planes into dOutᵀ (outC, N*OH*OW), which is the
+// layout dW's reduction runs over, so nothing is transposed for it. When dx
+// is wanted, dy[i] is transposed into the chunk's dOut tile (OH*OW, outC),
+// the sample's dcols tile = dOut @ W is computed while both are hot, and
+// scatter-added into dx[i] through the staging plane.
+func (c *Conv2D) backwardRange(lo, hi int) {
+	sp, ck, chw := c.poh*c.pow, c.inC*c.kernel*c.kernel, c.inC*c.ph*c.pw
+	plane, tile, dout := c.chunkScratch(lo)
+	wd := c.weight.W.Data()
+	var dt []float32 // dOutᵀ, nil when the layer does not train
+	if !c.frozen {
+		dt = c.doutT.Data()
+	}
+	nsp := len(dt) / c.outC
+	for i := lo; i < hi; i++ {
+		dy := c.pdy[i*sp*c.outC : (i+1)*sp*c.outC]
+		if dt != nil {
+			for oc := 0; oc < c.outC; oc++ {
+				copy(dt[oc*nsp+i*sp:oc*nsp+(i+1)*sp], dy[oc*sp:(oc+1)*sp])
+			}
+		}
+		if !c.needDx {
+			continue
+		}
+		tensor.PackTranspose(dout, dy, c.outC, sp)
+		tensor.GemmRows(tile, dout, wd, sp, ck, c.outC)
+		clear(plane)
+		col2im(tile, plane, c.inC, c.ph+2*c.padding, c.pw+2*c.padding, c.kernel, c.stride, c.poh, c.pow)
+		unpadPlanes(c.dx.Data()[i*chw:(i+1)*chw], plane, c.inC, c.ph, c.pw, c.padding)
+	}
 }
 
 // OutputShape implements Layer.
@@ -241,75 +297,58 @@ func (c *Conv2D) FLOPsPerSample(in []int) int64 {
 	return 2 * int64(c.inC*c.kernel*c.kernel) * int64(c.outC) * int64(oh*ow)
 }
 
-// im2colRange unpacks convolution windows of samples [lo, hi) of x
-// (N,C,H,W) into rows of cols ((N*OH*OW) × (C*K*K)), zero-padding
-// out-of-range positions. Samples are independent, so the batch can be
-// partitioned freely across workers. A window row whose k source pixels
-// are all in bounds — every row of every interior pixel, the vast
-// majority — is one contiguous copy; only edge pixels take the scalar
-// bounds-checked path.
-func im2colRange(x, cols []float32, lo, hi, ch, h, w, k, stride, pad, oh, ow int) {
-	ck := ch * k * k
-	kk := k * k
-	for i := lo; i < hi; i++ {
-		rowOff := i * oh * ow * ck
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*stride - pad
-			inY := iy0 >= 0 && iy0+k <= h
-			for ox := 0; ox < ow; ox++ {
-				row := cols[rowOff : rowOff+ck]
-				rowOff += ck
-				ix0 := ox*stride - pad
-				if inY && ix0 >= 0 && ix0+k <= w {
-					switch k {
-					case 3: // the dominant conv shape: nine direct moves
-						for cc := 0; cc < ch; cc++ {
-							p := (i*ch+cc)*h*w + iy0*w + ix0
-							s0 := x[p : p+3]
-							s1 := x[p+w : p+w+3]
-							s2 := x[p+2*w : p+2*w+3]
-							d := row[cc*9 : cc*9+9]
-							d[0], d[1], d[2] = s0[0], s0[1], s0[2]
-							d[3], d[4], d[5] = s1[0], s1[1], s1[2]
-							d[6], d[7], d[8] = s2[0], s2[1], s2[2]
-						}
-					case 1: // 1×1 shortcut convs: a channel gather
-						for cc := 0; cc < ch; cc++ {
-							row[cc] = x[(i*ch+cc)*h*w+iy0*w+ix0]
-						}
-					default:
-						for cc := 0; cc < ch; cc++ {
-							p := (i*ch+cc)*h*w + iy0*w + ix0
-							d := row[cc*kk : (cc+1)*kk]
-							for ky := 0; ky < k; ky++ {
-								copy(d[ky*k:ky*k+k], x[p+ky*w:p+ky*w+k])
-							}
-						}
-					}
-					continue
+// padPlanes copies ch planes of h×w into the interiors of ch planes of
+// (h+2p)×(w+2p), leaving the borders as they are.
+func padPlanes(dst, src []float32, ch, h, w, p int) {
+	wp := w + 2*p
+	for c, off := 0, p*wp+p; c < ch; c, off = c+1, off+2*p*wp {
+		for y := 0; y < h; y, off = y+1, off+wp {
+			copy(dst[off:off+w], src[(c*h+y)*w:(c*h+y+1)*w])
+		}
+	}
+}
+
+// unpadPlanes is padPlanes backwards: the interiors of src into dst.
+func unpadPlanes(dst, src []float32, ch, h, w, p int) {
+	wp := w + 2*p
+	for c, off := 0, p*wp+p; c < ch; c, off = c+1, off+2*p*wp {
+		for y := 0; y < h; y, off = y+1, off+wp {
+			copy(dst[(c*h+y)*w:(c*h+y+1)*w], src[off:off+w])
+		}
+	}
+}
+
+// im2col unpacks the oh×ow convolution windows of one sample's planes
+// (ch, h, w) into rows of cols (oh*ow, ch*k*k). The planes already carry
+// their padding, so every window is in bounds: padding is data (zeros that
+// are multiplied like any value), never a branch.
+func im2col(x, cols []float32, ch, h, w, k, stride, oh, ow int) {
+	kk, hw := k*k, h*w
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			row := cols[:ch*kk]
+			cols = cols[ch*kk:]
+			p := oy*stride*w + ox*stride
+			switch k {
+			case 3: // the dominant conv shape: nine direct moves
+				for cc := 0; cc < ch; cc, p = cc+1, p+hw {
+					s0 := x[p : p+3]
+					s1 := x[p+w : p+w+3]
+					s2 := x[p+2*w : p+2*w+3]
+					d := row[cc*9 : cc*9+9]
+					d[0], d[1], d[2] = s0[0], s0[1], s0[2]
+					d[3], d[4], d[5] = s1[0], s1[1], s1[2]
+					d[6], d[7], d[8] = s2[0], s2[1], s2[2]
 				}
-				// Edge pixel: scalar taps with zero padding.
-				for cc := 0; cc < ch; cc++ {
-					base := (i*ch + cc) * h * w
-					dst := row[cc*kk : (cc+1)*kk]
+			case 1: // 1×1 shortcut convs: a channel gather
+				for cc := range row {
+					row[cc] = x[p+cc*hw]
+				}
+			default:
+				for cc := 0; cc < ch; cc, p = cc+1, p+hw {
+					d := row[cc*kk : (cc+1)*kk]
 					for ky := 0; ky < k; ky++ {
-						iy := iy0 + ky
-						d := dst[ky*k : ky*k+k]
-						if iy < 0 || iy >= h {
-							for j := range d {
-								d[j] = 0
-							}
-							continue
-						}
-						src := x[base+iy*w : base+iy*w+w]
-						for kx := 0; kx < k; kx++ {
-							ix := ix0 + kx
-							var v float32
-							if ix >= 0 && ix < w {
-								v = src[ix]
-							}
-							d[kx] = v
-						}
+						copy(d[ky*k:ky*k+k], x[p+ky*w:p+ky*w+k])
 					}
 				}
 			}
@@ -317,30 +356,34 @@ func im2colRange(x, cols []float32, lo, hi, ch, h, w, k, stride, pad, oh, ow int
 	}
 }
 
-// col2imRange scatter-adds gradient columns of samples [lo, hi) back into
-// dx (N,C,H,W). Each sample's windows only touch that sample's dx plane and
-// the within-sample accumulation order is the serial one, so batch
-// partitioning changes no result bit.
-func col2imRange(cols, dx []float32, lo, hi, ch, h, w, k, stride, pad, oh, ow int) {
-	ck := ch * k * k
-	for i := lo; i < hi; i++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				row := cols[((i*oh+oy)*ow+ox)*ck:]
-				for cc := 0; cc < ch; cc++ {
-					base := (i*ch + cc) * h * w
-					for ky := 0; ky < k; ky++ {
-						iy := oy*stride - pad + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*stride - pad + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							dx[base+iy*w+ix] += row[(cc*k+ky)*k+kx]
-						}
+// col2im scatter-adds one sample's gradient columns (oh*ow, ch*k*k) into its
+// padded planes dx (ch, h, w), windows in ascending (oy, ox) order — the order
+// each dx element receives its addends in. What lands in the border is
+// dropped when the interior is copied out.
+func col2im(cols, dx []float32, ch, h, w, k, stride, oh, ow int) {
+	kk, hw := k*k, h*w
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			row := cols[:ch*kk]
+			cols = cols[ch*kk:]
+			p := oy*stride*w + ox*stride
+			if k == 3 { // im2col's nine moves, as nine adds
+				for cc := 0; cc < ch; cc, p = cc+1, p+hw {
+					d0 := dx[p : p+3]
+					d1 := dx[p+w : p+w+3]
+					d2 := dx[p+2*w : p+2*w+3]
+					s := row[cc*9 : cc*9+9]
+					d0[0], d0[1], d0[2] = d0[0]+s[0], d0[1]+s[1], d0[2]+s[2]
+					d1[0], d1[1], d1[2] = d1[0]+s[3], d1[1]+s[4], d1[2]+s[5]
+					d2[0], d2[1], d2[2] = d2[0]+s[6], d2[1]+s[7], d2[2]+s[8]
+				}
+				continue
+			}
+			for cc := 0; cc < ch; cc, p = cc+1, p+hw {
+				for ky := 0; ky < k; ky++ {
+					d := dx[p+ky*w : p+ky*w+k]
+					for kx, v := range row[(cc*k+ky)*k : (cc*k+ky)*k+k] {
+						d[kx] += v
 					}
 				}
 			}

@@ -59,7 +59,7 @@ func MatMulTransA(dst, a, b *Tensor) error {
 		return fmt.Errorf("%w: matmulTA %v @ %v -> %v", ErrShape, a.shape, b.shape, dst.shape)
 	}
 	at := getScratch(k * m)
-	packTranspose(*at, a.data, k, m)
+	PackTranspose(*at, a.data, k, m)
 	runGemm(dst.data, *at, b.data, m, n, k)
 	putScratch(at)
 	return nil
@@ -77,7 +77,7 @@ func MatMulTransB(dst, a, b *Tensor) error {
 		return fmt.Errorf("%w: matmulTB %v @ %v -> %v", ErrShape, a.shape, b.shape, dst.shape)
 	}
 	bt := getScratch(k * n)
-	packTranspose(*bt, b.data, n, k)
+	PackTranspose(*bt, b.data, n, k)
 	runGemm(dst.data, a.data, *bt, m, n, k)
 	putScratch(bt)
 	return nil
@@ -153,17 +153,17 @@ func gemmBlocked(dd, ad, bd []float32, m, n, k int) {
 	putScratch(sp)
 }
 
-// gemmRows clears and computes rows [lo, hi) of dst (M, N) = a (M, K) @
-// b (K, N), all row-major and contiguous, through the active dispatch tier.
-func gemmRows(dd, ad, bd []float32, lo, hi, n, k int) {
-	if n == 0 || hi <= lo {
+// GemmRows computes dst (rows, n) = a (rows, k) @ b (k, n), all row-major and
+// contiguous, serially on the calling goroutine through the active dispatch
+// tier: the entry for code that is itself running inside ParallelFor (conv's
+// per-sample tiles), where MatMul's own fan-out is not allowed. Same
+// arithmetic as MatMul, so the same bits.
+func GemmRows(dst, a, b []float32, rows, n, k int) {
+	clear(dst[:rows*n])
+	if rows == 0 || n == 0 || k == 0 {
 		return
 	}
-	clear(dd[lo*n : hi*n])
-	if k == 0 {
-		return
-	}
-	gemmAccImpl(dd[lo*n:], ad[lo*k:], bd, hi-lo, n, n, k)
+	gemmAccImpl(dst, a, b, rows, n, n, k)
 }
 
 // gemmRowGo is the portable row kernel: dst[j] += Σ_p a[p]·b[p*n+j], the
@@ -180,8 +180,8 @@ func gemmRowGo(dst, a, b []float32, k, n int) {
 	}
 }
 
-// packTranspose writes the transpose of src (rows, cols) into dst (cols, rows).
-func packTranspose(dst, src []float32, rows, cols int) {
+// PackTranspose writes the transpose of src (rows, cols) into dst (cols, rows).
+func PackTranspose(dst, src []float32, rows, cols int) {
 	for r := 0; r < rows; r++ {
 		row := src[r*cols : r*cols+cols]
 		for c, v := range row {
@@ -197,6 +197,6 @@ func (t *Tensor) Transpose() (*Tensor, error) {
 	}
 	m, n := t.shape[0], t.shape[1]
 	out := New(n, m)
-	packTranspose(out.data, t.data, m, n)
+	PackTranspose(out.data, t.data, m, n)
 	return out, nil
 }
