@@ -5,11 +5,11 @@
 // from `go run ./cmd/fedsim -scale full`.
 //
 // The trailing kernel benchmarks time substrate primitives (matmul, one MLP
-// training step, the convolution layer, the ReLU loops, one FedFT-EDS client
-// round, entropy selection) at realistic sizes; matmul, the training step,
-// the convolution and the client round back CI's allocation guard. Whole
-// rounds, the WRN forward pass and the server fold are measured by the
-// performance ledger (bench/, BENCHMARK.json).
+// training step, the 512-wide dense step, the convolution layer, the ReLU
+// loops, one FedFT-EDS client round, entropy selection) at realistic sizes;
+// matmul, the two training steps, the convolution and the client round back
+// CI's allocation guard. Whole rounds, the WRN forward pass and the server
+// fold are measured by the performance ledger (bench/, BENCHMARK.json).
 package fedfteds_test
 
 import (
@@ -340,6 +340,57 @@ func BenchmarkKernelMLPTrainStep(b *testing.B) {
 		}
 		m.Backward(dl)
 		sgd.Step()
+	}
+}
+
+// BenchmarkKernelDenseStep times the dense layers at the width the TCP
+// federation trains — the Hidden: 512 MLP, 567k parameters — one operation
+// being what a fedclient round and the server's evaluation make of them: a
+// training forward + backward + SGD step at batch 16, and an evaluation
+// forward at 64 and at 128 on a model that only ever evaluates. Every
+// MatMulTransB here is on the transposed-batch side of its orientation rule
+// except the classifier's and the stem's at the evaluation batches.
+// Allocation-free in steady state (CI's kernel alloc guard watches it).
+func BenchmarkKernelDenseStep(b *testing.B) {
+	spec := models.Spec{Arch: models.ArchMLP, InputShape: []int{64}, NumClasses: 10, Hidden: 512, InitSeed: 1}
+	m, err := models.Build(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	global, err := models.Build(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	batch := func(n int) *tensor.Tensor {
+		x := tensor.New(n, 64)
+		x.FillNormal(rng, 0, 1)
+		return x
+	}
+	x16, x64, x128 := batch(16), batch(64), batch(128)
+	labels := make([]int, 16)
+	for i := range labels {
+		labels[i] = i % 10
+	}
+	sgd, err := opt.NewSGD(opt.SGDConfig{LR: 0.05, Momentum: 0.5}, m.TrainableParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	loss := nn.SoftmaxCrossEntropy{}
+	var ls nn.LossScratch
+	b.ReportAllocs()
+	for i := -1; i < b.N; i++ {
+		if i == 0 {
+			b.ResetTimer() // pass -1 sized every workspace
+		}
+		_, dl, err := loss.LossInto(&ls, m.Forward(x16, true), labels)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Backward(dl)
+		sgd.Step()
+		global.Forward(x64, false)
+		global.Forward(x128, false)
 	}
 }
 

@@ -15,10 +15,13 @@ var fuzzCodecSpecs = []string{"float16", "int8", "topk:0.5"}
 // Hostile codec payloads, each a few bytes that used to cost the server
 // hundreds of megabytes before it rejected them: a topk tensor declaring
 // [1<<26] entries of which it keeps none (count 1, rank 1, dim, k = 0), and
-// a float16 blob declaring 0xfffff tensors and holding none.
+// a float16 blob declaring 0xfffff tensors and holding none. The third costs
+// nothing where int is 64 bits and used to panic where it is 32: one rank-1
+// tensor whose dim, 0xFFFFFFFF, is -1 as a 32-bit int.
 var (
 	hostileTopKVolume   = []byte{1, 0, 0, 0, 1, 0, 0, 0, 4, 0, 0, 0, 0}
 	hostileFloat16Count = []byte{0xff, 0xff, 0x0f, 0}
+	hostileDimOverflow  = []byte{1, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0}
 )
 
 // fuzzCodecRef is the fixed broadcast reference payloads decode against.
@@ -95,6 +98,7 @@ func FuzzCodecDecode(f *testing.F) {
 		f.Add(uint8(i), payload)
 		f.Add(uint8(i), hostileTopKVolume)
 		f.Add(uint8(i), hostileFloat16Count)
+		f.Add(uint8(i), hostileDimOverflow)
 	}
 	f.Fuzz(func(t *testing.T, codec uint8, payload []byte) {
 		checkCodecDecode(t, fuzzCodecSpecs[int(codec)%len(fuzzCodecSpecs)], ref, payload)

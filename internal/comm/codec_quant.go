@@ -31,7 +31,8 @@ func appendTensorHeader(buf []byte, t *tensor.Tensor) ([]byte, error) {
 
 // readTensorHeader parses a u8 rank + u32 dims header from the front of b,
 // returning the shape, its volume and the bytes consumed. It enforces the
-// same volume cap as the tensor wire format.
+// same caps as the tensor wire format, the same way: on each dim while it is
+// a uint32 and on the product in 64 bits, so a 32-bit peer never sees -1.
 func readTensorHeader(b []byte) (shape []int, vol, n int, err error) {
 	if len(b) < 1 {
 		return nil, 0, 0, fmt.Errorf("%w: missing tensor rank", ErrProtocol)
@@ -42,16 +43,16 @@ func readTensorHeader(b []byte) (shape []int, vol, n int, err error) {
 		return nil, 0, n, fmt.Errorf("%w: truncated tensor dims", ErrProtocol)
 	}
 	shape = make([]int, rank)
-	vol = 1
+	vol64 := uint64(1)
 	for i := range shape {
-		shape[i] = int(binary.LittleEndian.Uint32(b[n:]))
+		d := binary.LittleEndian.Uint32(b[n:])
 		n += 4
-		vol *= shape[i]
-		if vol > 1<<28 {
+		if vol64 *= uint64(d); d > 1<<28 || vol64 > 1<<28 {
 			return nil, 0, n, fmt.Errorf("%w: tensor volume exceeds limit", ErrProtocol)
 		}
+		shape[i] = int(d)
 	}
-	return shape, vol, n, nil
+	return shape, int(vol64), n, nil
 }
 
 // readBlobCount parses the 4-byte tensor count every tensor blob leads with.

@@ -9,13 +9,15 @@ const matmulParallelThreshold = 64 * 64
 
 // All three multiplies reduce to one row kernel: dst[i, 0:n] = Σ_p A'[i,p] ·
 // B'[p, 0:n], where A' (M, K) is row-major with contiguous reduction axis and
-// B' (K, N) is row-major with contiguous output axis. Operands that do not
-// already have the required layout are transposed into pooled scratch first
-// (pure data movement). The kernel vectorizes across output lanes j, never
-// across the reduction: every output element accumulates its K terms strictly
-// in ascending-p order with one rounding per multiply-add, so results are
-// bit-identical to the straightforward triple loop, to the pre-SIMD kernels,
-// and to any level of row-partitioned parallelism.
+// B' (K, N) is row-major with contiguous output axis. An operand that lacks
+// the required layout is transposed into pooled scratch first (pure data
+// movement); a @ bᵀ with a big b and a small batch instead runs as (b @ aᵀ)ᵀ,
+// transposing the batch and the result (MatMulTransB has the rule). The
+// kernel vectorizes across output lanes j, never across the reduction: every
+// output element accumulates its K terms strictly in ascending-p order with
+// one rounding per multiply-add, so results are bit-identical to the
+// straightforward triple loop, to the pre-SIMD kernels, and to any level of
+// row-partitioned parallelism.
 
 // MatMul computes dst = a @ b for rank-2 tensors a (M, K) and b (K, N),
 // writing into dst (M, N). dst must not alias a or b. Large products are
@@ -66,7 +68,18 @@ func MatMulTransA(dst, a, b *Tensor) error {
 }
 
 // MatMulTransB computes dst = a @ bᵀ for a (M, K) and b (N, K) into dst (M, N).
-// b is transposed into pooled scratch so the kernel streams contiguous rows.
+// One operand has to be transposed into pooled scratch. By default it is b,
+// so the kernel streams its rows. When b no longer sits in L1 beside the
+// batch (over 8192 values; below that neither side wins consistently) and
+// transposing a and the result instead at least halves the values moved
+// (2·M·(K+N) <= N·K) — a dense layer's forward, a 512x512 weight against a
+// batch of 16 — it computes dstᵀ (N, M) = b @ aᵀ, reading b where it lies,
+// and transposes the small result into dst; EXPERIMENTS.md ("Where a TCP
+// round's time goes") has the shape sweep behind both constants. Same bits
+// either way: element (i, j) is the same K products (factors swapped; IEEE
+// multiplication commutes) summed in the same ascending-p order by the same
+// row kernel over independent lanes. Only the payload a NaN·NaN product keeps
+// follows operand order, and that is not arithmetic: a NaN is a NaN in both.
 func MatMulTransB(dst, a, b *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
 		return fmt.Errorf("%w: matmulTB wants rank-2, got %v,%v,%v", ErrShape, a.shape, b.shape, dst.shape)
@@ -75,6 +88,15 @@ func MatMulTransB(dst, a, b *Tensor) error {
 	n, k2 := b.shape[0], b.shape[1]
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		return fmt.Errorf("%w: matmulTB %v @ %v -> %v", ErrShape, a.shape, b.shape, dst.shape)
+	}
+	if n*k > 8192 && 2*m*(k+n) <= n*k {
+		sp := getScratch(k*m + n*m)
+		at, dt := (*sp)[:k*m], (*sp)[k*m:]
+		PackTranspose(at, a.data, m, k)
+		runGemm(dt, b.data, at, n, m, k)
+		PackTranspose(dst.data, dt, n, m)
+		putScratch(sp)
+		return nil
 	}
 	bt := getScratch(k * n)
 	PackTranspose(*bt, b.data, n, k)
