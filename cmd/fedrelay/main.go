@@ -3,8 +3,9 @@
 // same session machinery fedserver uses, joins the root fedserver at -addr
 // as one relay (declaring the region's summed dataset size and leaf count),
 // and then, for every round the root starts, rebroadcasts it to the region,
-// folds the leaf updates into a single weighted delta, and forwards that
-// delta upstream as one RegionUpdate frame. The root composes region deltas
+// folds the leaf updates into a single weighted average, and answers the
+// root with it as one ClientUpdate: to the root a relay is a client whose
+// selected-sample count is its region's. The root composes region averages
 // through its strategy exactly as it composes client updates, so stacking
 // relays between clients and server changes where aggregation happens — not
 // what it computes.
@@ -38,7 +39,7 @@ import (
 	"time"
 
 	"fedfteds/internal/comm"
-	"fedfteds/internal/relay"
+	"fedfteds/internal/federation"
 )
 
 func main() {
@@ -120,8 +121,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer root.Close()
-	return relay.Run(root, l, relay.Config{
+	return federation.Relay(root, l, federation.RelayConfig{
 		RelayID:   cfg.relayID,
 		Leaves:    cfg.leaves,
 		Rounds:    cfg.rounds,

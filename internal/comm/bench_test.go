@@ -49,7 +49,7 @@ func regionBenchUpdates(b *testing.B, numUpdates int) (RoundStart, []ClientUpdat
 
 // BenchmarkRegionDeltaFold measures the relay's per-round hot path: folding
 // a region of leaf updates into one weighted delta — the same
-// StreamAggregator life cycle a relay runs between NextRound and SendRegion.
+// StreamAggregator life cycle a relay runs between NextRound and SendUpdate.
 func BenchmarkRegionDeltaFold(b *testing.B) {
 	_, updates, bytes := regionBenchUpdates(b, 32)
 	b.SetBytes(bytes)
@@ -68,7 +68,7 @@ func BenchmarkRegionDeltaFold(b *testing.B) {
 }
 
 // BenchmarkRegionDeltaEncode measures the upstream half: packaging a folded
-// region state as the RegionUpdate wire frame (tensor encode plus envelope),
+// region state as the ClientUpdate wire frame (tensor encode plus envelope),
 // the bytes a relay pushes to the root each round.
 func BenchmarkRegionDeltaEncode(b *testing.B) {
 	_, updates, _ := regionBenchUpdates(b, 32)
@@ -89,10 +89,7 @@ func BenchmarkRegionDeltaEncode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		env, err := EncodeBody(MsgRegionUpdate, RegionUpdate{
-			RelayID: 0, Round: 1, State: blob, Weight: agg.Total(),
-			Clients: len(updates), NumSelected: 32 * 16,
-		})
+		env, err := EncodeBody(MsgClientUpdate, ClientUpdate{ClientID: 0, Round: 1, State: blob, NumSelected: 32 * 16})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -271,7 +271,7 @@ func (e *RoundEngine) RunCohort(rs RoundStart, cohort []int, fold func(ClientUpd
 		// so broadcast wall time is the slowest single send, not the sum, and
 		// slow peers never delay fast ones. It touches only what it is handed
 		// — the session's maps stay single-writer (this goroutine).
-		go e.dispatch(id, conn, e.sess.relays[id], env, rs.Round)
+		go e.dispatch(id, conn, env, rs.Round)
 	}
 
 	// Fold in arrival order: the aggregate stays O(state) and each decode
@@ -316,7 +316,7 @@ func (e *RoundEngine) RunCohort(rs RoundStart, cohort []int, fold func(ClientUpd
 // its expiry when Send or Recv is entered, and disarmed before the result is
 // reported because the peer's next dispatch may follow the result at once —
 // so the gap before it (or the shutdown frames) is never bounded by this one.
-func (e *RoundEngine) dispatch(id int, conn Conn, relay bool, env Envelope, round int) {
+func (e *RoundEngine) dispatch(id int, conn Conn, env Envelope, round int) {
 	var dc DeadlineConn
 	if e.cfg.RoundDeadline > 0 {
 		dc, _ = conn.(DeadlineConn)
@@ -325,7 +325,7 @@ func (e *RoundEngine) dispatch(id int, conn Conn, relay bool, env Envelope, roun
 		_ = dc.SetDeadline(time.Now().Add(e.cfg.RoundDeadline))
 	}
 	r := flightResult{id: id}
-	r.u, r.late, r.err = exchange(id, conn, relay, env, round)
+	r.u, r.late, r.err = exchange(id, conn, env, round)
 	if dc != nil {
 		_ = dc.SetDeadline(time.Time{})
 	}
@@ -333,33 +333,21 @@ func (e *RoundEngine) dispatch(id int, conn Conn, relay bool, env Envelope, roun
 }
 
 // exchange sends env and reads until the peer's update for round arrives,
-// counting the replies to earlier rounds it discards on the way. A relay
-// answers with a RegionUpdate, reshaped here into the ClientUpdate everything
-// downstream understands.
-func exchange(id int, conn Conn, relay bool, env Envelope, round int) (u ClientUpdate, late int, err error) {
+// counting the replies to earlier rounds it discards on the way. Every peer,
+// relay or client, answers with a ClientUpdate.
+func exchange(id int, conn Conn, env Envelope, round int) (u ClientUpdate, late int, err error) {
 	if err := conn.Send(env); err != nil {
 		return u, 0, fmt.Errorf("comm: round %d to client %d: %w", round, id, err)
-	}
-	expect := MsgClientUpdate
-	if relay {
-		expect = MsgRegionUpdate
 	}
 	for {
 		env, err := conn.Recv()
 		if err != nil {
 			return u, late, fmt.Errorf("comm: update from client %d: %w", id, err)
 		}
-		if env.Type != expect {
-			return u, late, fmt.Errorf("%w: expected %v from %d, got %v", ErrProtocol, expect, id, env.Type)
+		if env.Type != MsgClientUpdate {
+			return u, late, fmt.Errorf("%w: expected %v from %d, got %v", ErrProtocol, MsgClientUpdate, id, env.Type)
 		}
-		if relay {
-			var ru RegionUpdate
-			err = DecodeBody(env, &ru)
-			u = regionAsUpdate(ru)
-		} else {
-			err = DecodeBody(env, &u)
-		}
-		if err != nil {
+		if err := DecodeBody(env, &u); err != nil {
 			return u, late, err
 		}
 		if u.Round < round {
@@ -373,25 +361,6 @@ func exchange(id int, conn Conn, relay bool, env Envelope, round int) (u ClientU
 				ErrProtocol, id, u.Round, u.ClientID, round)
 		}
 		return u, late, nil
-	}
-}
-
-// regionAsUpdate reshapes a relay's folded delta into the ClientUpdate the
-// aggregation and strategy layers already understand: the region is one
-// heavyweight participant whose selected-sample mass is the sum over its
-// reporting leaves, which reproduces the flat federation's weighted average
-// exactly under the default selected-size weighting.
-func regionAsUpdate(ru RegionUpdate) ClientUpdate {
-	return ClientUpdate{
-		ClientID:     ru.RelayID,
-		Round:        ru.Round,
-		Version:      ru.Version,
-		State:        ru.State,
-		Codec:        ru.Codec,
-		NumSelected:  ru.NumSelected,
-		TrainSeconds: ru.TrainSeconds,
-		TrainLoss:    ru.TrainLoss,
-		MeanEntropy:  ru.MeanEntropy,
 	}
 }
 
@@ -478,7 +447,6 @@ type StreamAggregator struct {
 	tgroup []int          // canonical group position of each layout tensor; nil without a layout
 	acc    []*tensor.Tensor
 	totals []float64
-	sumW   float64
 	count  int
 
 	covered []bool           // per-group coverage of the update being folded
@@ -714,7 +682,6 @@ func (a *StreamAggregator) Add(u ClientUpdate) error {
 		a.totals[ti] += w64
 		ci++
 	}
-	a.sumW += w64
 	a.count++
 	return nil
 }
@@ -758,12 +725,6 @@ func checkCodecEcho(codec Codec, echo string, clientID int) error {
 // Updates returns how many updates have been folded so far.
 func (a *StreamAggregator) Updates() int { return a.count }
 
-// Total returns the summed per-client aggregation weight folded so far
-// (each client counted once, regardless of how many layers it covered). A
-// relay reads it before Finish to stamp the outgoing RegionUpdate with the
-// region's weight mass.
-func (a *StreamAggregator) Total() float64 { return a.sumW }
-
 // Finish normalizes each tensor by its own weight total and resets the
 // aggregator for the next round. Tensors no folded update covered fall back
 // to a copy of the broadcast state — averaging nothing leaves the layer
@@ -797,6 +758,6 @@ func (a *StreamAggregator) Finish() ([]*tensor.Tensor, error) {
 		}
 		out[ti] = a.fb[ti]
 	}
-	a.sumW, a.count = 0, 0
+	a.count = 0
 	return out, nil
 }

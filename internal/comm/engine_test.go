@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -286,6 +287,59 @@ func TestEngineDiscardsLateUpdate(t *testing.T) {
 	}
 	if folded != 1 || !reflect.DeepEqual(out.Reported, []int{0}) {
 		t.Fatalf("folded %d, reported %v", folded, out.Reported)
+	}
+	if err := sess.Shutdown("done"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEngineDropsVersion2RegionFrame: a relay of wire-protocol version 2
+// answered rounds with a frame of type 6, a message this protocol does not
+// have. Should one reach exchange, which expects exactly one type, it is
+// that peer's protocol error: the peer is dropped without a panic and the
+// round folds the other client.
+func TestEngineDropsVersion2RegionFrame(t *testing.T) {
+	lst := NewPipeListener(2)
+	go echoClient(lst.ClientSide(0), 0)
+	go func() {
+		conn := lst.ClientSide(1)
+		sess, _, err := Join(conn, 1, 10)
+		if err != nil {
+			return
+		}
+		rs, ok, err := sess.NextRound()
+		if err != nil || !ok {
+			return
+		}
+		// Version 2's region update for this round: relay ID, round, then
+		// version, leaf count, selected count, four floats, codec and state,
+		// all zero.
+		body := binary.LittleEndian.AppendUint64(nil, 1)
+		body = binary.LittleEndian.AppendUint64(body, uint64(rs.Round))
+		body = append(body, make([]byte, 3*8+4*8+2+4)...)
+		_ = conn.Send(Envelope{Type: MsgType(6), Body: body})
+		_, _, _ = sess.NextRound()
+	}()
+	sess, err := AcceptClientsCodec(lst, 2, 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewRoundEngine(sess, EngineConfig{Quorum: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := eng.RunRound(RoundStart{Round: 1}, func(ClientUpdate) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Reported, []int{0}) || !reflect.DeepEqual(out.Dropped, []int{1}) {
+		t.Fatalf("reported %v dropped %v, want [0] and [1]", out.Reported, out.Dropped)
+	}
+	if err := out.Failures[1]; !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "got MsgType(6)") {
+		t.Fatalf("peer 1 failed with %v, want a protocol error naming MsgType(6)", err)
+	}
+	if ids := sess.ClientIDs(); !reflect.DeepEqual(ids, []int{0}) {
+		t.Fatalf("session keeps %v, want [0]", ids)
 	}
 	if err := sess.Shutdown("done"); err != nil {
 		t.Fatal(err)

@@ -122,8 +122,7 @@ func TestAdmitterSurvivesNoise(t *testing.T) {
 	if err := <-joinOverTCP(l.Addr(), 1); err != nil {
 		t.Fatalf("rejoin: %v", err)
 	}
-	sess := &ServerSession{conns: map[int]Conn{}, sizes: map[int]int{}, tiers: map[int]string{},
-		relays: map[int]bool{}, leaves: map[int]int{}}
+	sess := &ServerSession{conns: map[int]Conn{}, sizes: map[int]int{}, tiers: map[int]string{}, leaves: map[int]int{}}
 	deadline := time.Now().Add(5 * time.Second)
 	var ids []int
 	for len(ids) == 0 {
@@ -205,7 +204,7 @@ func TestTCPFrameLengthCorruptionRejected(t *testing.T) {
 	defer server.Close()
 	go func() {
 		// 5-byte header: little-endian length (cap + 1), then the type tag.
-		header := []byte{0x01, 0x00, 0x00, 0x04, byte(MsgRegionUpdate)}
+		header := []byte{0x01, 0x00, 0x00, 0x04, byte(MsgClientUpdate)}
 		_, _ = client.Write(header)
 	}()
 	if _, err := NewTCPConn(server).Recv(); !errors.Is(err, ErrProtocol) {

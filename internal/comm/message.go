@@ -34,8 +34,6 @@ const (
 	MsgClientUpdate
 	// MsgShutdown ends the session.
 	MsgShutdown
-	// MsgRegionUpdate carries a relay's folded regional delta upstream.
-	MsgRegionUpdate
 )
 
 // String implements fmt.Stringer.
@@ -51,8 +49,6 @@ func (t MsgType) String() string {
 		return "client-update"
 	case MsgShutdown:
 		return "shutdown"
-	case MsgRegionUpdate:
-		return "region-update"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
@@ -67,13 +63,11 @@ type Hello struct {
 	// Tier names the client's device capability tier (see internal/device);
 	// empty on untiered federations.
 	Tier string
-	// Relay marks a mid-tier aggregator registering on behalf of a region
-	// rather than a single device. Relays answer RoundStarts with
-	// RegionUpdate frames instead of ClientUpdates.
-	Relay bool
 	// Clients is the number of downstream leaf clients a relay speaks for
-	// (zero for plain clients). The root's scheduler uses it to weigh a
-	// region candidate by its population rather than as a single device.
+	// (zero for plain clients). It is the peer's whole role: a relay answers
+	// RoundStarts with ClientUpdates like any client, and the root's
+	// scheduler uses the count to weigh a region candidate by its population
+	// rather than as a single device.
 	Clients int
 }
 
@@ -115,7 +109,10 @@ type RoundStart struct {
 	Layout []string
 }
 
-// ClientUpdate returns a client's trained state.
+// ClientUpdate returns a client's trained state. A relay answers its root
+// with one too: the weighted average over its region's reporting leaves,
+// covering the whole broadcast, with NumSelected and TrainSeconds summed
+// over those leaves.
 type ClientUpdate struct {
 	// ClientID identifies the sender.
 	ClientID int
@@ -150,46 +147,6 @@ type ClientUpdate struct {
 	// codec negotiated at Hello/Welcome. Empty means identity. The server's
 	// aggregators reject an echo that disagrees with the session codec
 	// before touching State.
-	Codec string
-}
-
-// RegionUpdate is a relay's pre-folded aggregate of its region's client
-// updates, sent upstream in place of the individual ClientUpdates. The root
-// treats a region like one heavyweight client: State already holds the
-// weighted average over the region's reporting leaves, and the summary
-// fields let the root's strategy weigh the region by its population.
-type RegionUpdate struct {
-	// RelayID identifies the sending relay in the root's ID space.
-	RelayID int
-	// Round echoes the round index.
-	Round int
-	// Version echoes RoundStart.Version (see ClientUpdate.Version).
-	Version int
-	// State is the encoded weighted-average state over the region's
-	// reporting leaves, covering every group the root broadcast (a relay
-	// resolves leaf layer masks locally, falling back to the broadcast
-	// state for uncovered layers). Decoded, it aliases the received
-	// Envelope.Body: read-only.
-	State []byte
-	// Weight is the summed aggregation weight the relay folded, so the root
-	// can reproduce the flat federation's arithmetic exactly:
-	// sum_r W_r * regionAvg_r / sum_r W_r == the flat weighted average.
-	Weight float64
-	// Clients is how many leaf clients reported into this delta.
-	Clients int
-	// NumSelected is the summed |D_select| over reporting leaves; under the
-	// default selected-size weighting it equals Weight.
-	NumSelected int
-	// TrainSeconds is the summed local compute time across the region.
-	TrainSeconds float64
-	// TrainLoss is the weight-averaged training loss across the region.
-	TrainLoss float64
-	// MeanEntropy is the weight-averaged EDS entropy over the leaves that
-	// reported one (NaN when none did), the region-level scheduler utility.
-	MeanEntropy float64
-	// Codec names the codec State is encoded with on the upstream leg
-	// (the root's session codec, which may differ from the codec the
-	// relay negotiated with its leaves). Empty means identity.
 	Codec string
 }
 

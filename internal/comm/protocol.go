@@ -25,7 +25,6 @@ type ServerSession struct {
 	conns  map[int]Conn   // by client ID
 	sizes  map[int]int    // local dataset sizes reported at Hello, by client ID
 	tiers  map[int]string // device tiers reported at Hello, by client ID
-	relays map[int]bool   // relay role reported at Hello, by client ID
 	leaves map[int]int    // downstream leaf counts reported at Hello, by client ID
 	// parked holds re-registrations under a still-registered ID until it is
 	// vacated (Admitter.Drain).
@@ -56,7 +55,6 @@ func AcceptClientsCodec(l Listener, numClients, rounds int, codec string) (*Serv
 		conns:  make(map[int]Conn, numClients),
 		sizes:  make(map[int]int, numClients),
 		tiers:  make(map[int]string, numClients),
-		relays: make(map[int]bool, numClients),
 		leaves: make(map[int]int, numClients),
 	}
 	fail := func(conn Conn, err error) (*ServerSession, error) {
@@ -140,7 +138,6 @@ func (s *ServerSession) admit(hello Hello, conn Conn) {
 	s.conns[hello.ClientID] = conn
 	s.sizes[hello.ClientID] = hello.LocalSize
 	s.tiers[hello.ClientID] = hello.Tier
-	s.relays[hello.ClientID] = hello.Relay
 	s.leaves[hello.ClientID] = hello.Clients
 }
 
@@ -151,10 +148,6 @@ func (s *ServerSession) LocalSize(id int) int { return s.sizes[id] }
 // Tier returns the device tier the client reported at registration (empty
 // for untiered or unknown clients) — the scheduler's tier signal.
 func (s *ServerSession) Tier(id int) string { return s.tiers[id] }
-
-// IsRelay reports whether the registered peer declared itself a mid-tier
-// relay (it answers rounds with RegionUpdate frames).
-func (s *ServerSession) IsRelay(id int) bool { return s.relays[id] }
 
 // DownstreamClients returns the number of leaf clients a registered relay
 // speaks for (zero for plain clients and unknown IDs) — the scheduler's
@@ -230,9 +223,10 @@ func JoinTiered(conn Conn, clientID, localSize int, tier string) (*ClientSession
 
 // JoinRelay registers a mid-tier relay with the root: localSize is the
 // summed leaf dataset size and clients the region's leaf count, so the root
-// can schedule and weigh the region by its population.
+// can schedule and weigh the region by its population. The session is an
+// ordinary client session; only the declared count tells the root apart.
 func JoinRelay(conn Conn, relayID, localSize, clients int) (*ClientSession, Welcome, error) {
-	return join(conn, Hello{ClientID: relayID, LocalSize: localSize, Relay: true, Clients: clients})
+	return join(conn, Hello{ClientID: relayID, LocalSize: localSize, Clients: clients})
 }
 
 // join performs the Hello/Welcome handshake for any registration role.
@@ -281,15 +275,6 @@ func (c *ClientSession) NextRound() (rs RoundStart, ok bool, err error) {
 // SendUpdate returns the client's trained state to the server.
 func (c *ClientSession) SendUpdate(u ClientUpdate) error {
 	env, err := EncodeBody(MsgClientUpdate, u)
-	if err != nil {
-		return err
-	}
-	return c.conn.Send(env)
-}
-
-// SendRegion returns a relay's folded regional delta to the root.
-func (c *ClientSession) SendRegion(ru RegionUpdate) error {
-	env, err := EncodeBody(MsgRegionUpdate, ru)
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,6 @@ import (
 //
 //	int     i64            every Go int field
 //	float   u64            the exact IEEE-754 float64 bits, NaN payloads kept
-//	bool    u8             0 or 1, nothing else
 //	string  u16 n, n bytes
 //	list    u16 count, count strings
 //	state   u32 n, n bytes always the last field, and must end the body
@@ -25,12 +24,14 @@ import (
 // protocolVersion is the wire-protocol revision this build speaks. It is the
 // first field of every Hello, so a peer from another revision is refused by
 // name at registration instead of failing somewhere inside a later decode.
-// Version 1 is retroactively the gob-bodied protocol, which never sent one.
-const protocolVersion = 2
+// Version 1 is retroactively the gob-bodied protocol, which never sent one;
+// version 2 had a relay-only update message and a role byte in the Hello.
+const protocolVersion = 3
 
-// maxHelloBytes bounds an encoded Hello. The 29 fixed bytes leave four
-// kilobytes for the tier name, and a server refuses a connection's first
-// frame above it before allocating anything.
+// maxHelloBytes bounds an encoded Hello. Its 26 bytes of fixed fields and
+// the tier's 2-byte length leave four kilobytes for the tier name, and a
+// server refuses a connection's first frame above it before allocating
+// anything.
 const maxHelloBytes = 4 << 10
 
 const (
@@ -61,9 +62,6 @@ func EncodeBody(t MsgType, v any) (Envelope, error) {
 		body, err = m.encode()
 	case Shutdown:
 		want = MsgShutdown
-		body, err = m.encode()
-	case RegionUpdate:
-		want = MsgRegionUpdate
 		body, err = m.encode()
 	default:
 		// v stays out of the message: formatting it would move every
@@ -104,9 +102,6 @@ func DecodeBody(e Envelope, v any) error {
 	case *Shutdown:
 		want = MsgShutdown
 		m.decode(&r)
-	case *RegionUpdate:
-		want = MsgRegionUpdate
-		m.decode(&r)
 	default:
 		return fmt.Errorf("comm: decode %v: destination is not a pointer to a message struct", e.Type)
 	}
@@ -126,7 +121,7 @@ func (m *Hello) encode() ([]byte, error) {
 	if err := checkStrings(m.Tier); err != nil {
 		return nil, err
 	}
-	size := 2 + 8 + 8 + 1 + 8 + sizeString(m.Tier)
+	size := 2 + 8 + 8 + 8 + sizeString(m.Tier)
 	if size > maxHelloBytes {
 		return nil, fmt.Errorf("hello of %d bytes exceeds the %d-byte handshake limit", size, maxHelloBytes)
 	}
@@ -134,7 +129,6 @@ func (m *Hello) encode() ([]byte, error) {
 	b = binary.LittleEndian.AppendUint16(b, protocolVersion)
 	b = appendInt(b, m.ClientID)
 	b = appendInt(b, m.LocalSize)
-	b = appendBool(b, m.Relay)
 	b = appendInt(b, m.Clients)
 	return appendString(b, m.Tier), nil
 }
@@ -148,7 +142,7 @@ func (m *Hello) decode(r *bodyReader) {
 		r.fail("peer speaks wire-protocol version %d, this build speaks version %d", v, protocolVersion)
 		return
 	}
-	*m = Hello{ClientID: r.int(), LocalSize: r.int(), Relay: r.bool(), Clients: r.int(), Tier: r.str()}
+	*m = Hello{ClientID: r.int(), LocalSize: r.int(), Clients: r.int(), Tier: r.str()}
 }
 
 func (m *Welcome) encode() ([]byte, error) {
@@ -216,30 +210,6 @@ func (m *Shutdown) encode() ([]byte, error) {
 
 func (m *Shutdown) decode(r *bodyReader) { *m = Shutdown{Reason: r.str()} }
 
-func (m *RegionUpdate) encode() ([]byte, error) {
-	if err := checkState(m.State, []string{m.Codec}); err != nil {
-		return nil, err
-	}
-	b := make([]byte, 0, 5*8+4*8+sizeString(m.Codec)+sizeState(m.State))
-	b = appendInt(b, m.RelayID)
-	b = appendInt(b, m.Round)
-	b = appendInt(b, m.Version)
-	b = appendInt(b, m.Clients)
-	b = appendInt(b, m.NumSelected)
-	b = appendFloat(b, m.Weight)
-	b = appendFloat(b, m.TrainSeconds)
-	b = appendFloat(b, m.TrainLoss)
-	b = appendFloat(b, m.MeanEntropy)
-	b = appendString(b, m.Codec)
-	return appendState(b, m.State), nil
-}
-
-func (m *RegionUpdate) decode(r *bodyReader) {
-	*m = RegionUpdate{RelayID: r.int(), Round: r.int(), Version: r.int(), Clients: r.int(), NumSelected: r.int(),
-		Weight: r.float(), TrainSeconds: r.float(), TrainLoss: r.float(), MeanEntropy: r.float(),
-		Codec: r.str(), State: r.state()}
-}
-
 // checkStrings refuses strings and lists the u16 prefixes cannot describe.
 func checkStrings(ss ...string) error {
 	if len(ss) > maxListEntries {
@@ -282,13 +252,6 @@ func appendInt(b []byte, v int) []byte { return binary.LittleEndian.AppendUint64
 
 func appendFloat(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
 }
 
 func appendString(b []byte, s string) []byte {
@@ -359,17 +322,6 @@ func (r *bodyReader) int() int {
 }
 
 func (r *bodyReader) float() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *bodyReader) bool() bool {
-	p := r.take(1)
-	if p == nil {
-		return false
-	}
-	if p[0] > 1 {
-		r.fail("bool byte %#x", p[0])
-	}
-	return p[0] == 1
-}
 
 func (r *bodyReader) str() string { return string(r.take(int(r.u16()))) }
 

@@ -26,9 +26,9 @@ var goldenBodies = []struct {
 	hex  string
 }{
 	{"hello, plain client", MsgHello, Hello{ClientID: 7, LocalSize: 100},
-		"0200" + "0700000000000000" + "6400000000000000" + "00" + "0000000000000000" + "0000"},
-	{"hello, tiered relay", MsgHello, Hello{ClientID: 2, LocalSize: 480, Tier: "low", Relay: true, Clients: 3},
-		"0200" + "0200000000000000" + "e001000000000000" + "01" + "0300000000000000" + "03006c6f77"},
+		"0300" + "0700000000000000" + "6400000000000000" + "0000000000000000" + "0000"},
+	{"hello, tiered relay", MsgHello, Hello{ClientID: 2, LocalSize: 480, Tier: "low", Clients: 3},
+		"0300" + "0200000000000000" + "e001000000000000" + "0300000000000000" + "03006c6f77"},
 	{"welcome, identity", MsgWelcome, Welcome{NumClients: 4, Rounds: 10},
 		"0400000000000000" + "0a00000000000000" + "0000"},
 	{"welcome, codec advertised", MsgWelcome, Welcome{NumClients: 4, Rounds: 10, Codecs: []string{"int8"}},
@@ -54,16 +54,19 @@ var goldenBodies = []struct {
 			"0400696e7438" + "0100" + "0a00636c6173736966696572" + "00000000"},
 	{"shutdown", MsgShutdown, Shutdown{Reason: "done"}, "0400646f6e65"},
 	{"shutdown, no reason", MsgShutdown, Shutdown{}, "0000"},
-	{"region-update, codec echo, NaN entropy", MsgRegionUpdate,
-		RegionUpdate{RelayID: 1, Round: 3, Version: 2, State: goldenState, Weight: 32, Clients: 4, NumSelected: 32,
+	// A relay's region update is a ClientUpdate: the whole broadcast (no
+	// group declaration), the region's summed selected count, the upstream
+	// codec's echo.
+	{"region-update, codec echo, NaN entropy", MsgClientUpdate,
+		ClientUpdate{ClientID: 1, Round: 3, Version: 2, State: goldenState, NumSelected: 32,
 			TrainSeconds: 1.5, TrainLoss: 0.75, MeanEntropy: math.NaN(), Codec: "float16"},
-		"0100000000000000" + "0300000000000000" + "0200000000000000" + "0400000000000000" + "2000000000000000" +
-			"0000000000004040" + "000000000000f83f" + "000000000000e83f" + "010000000000f87f" +
-			"0700666c6f61743136" + "11000000" + "0100000001020000000000000000000000"},
-	{"region-update, no state", MsgRegionUpdate, RegionUpdate{RelayID: 1, Round: 3, Weight: 0.5, MeanEntropy: 1.25},
-		"0100000000000000" + "0300000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" +
-			"000000000000e03f" + "0000000000000000" + "0000000000000000" + "000000000000f43f" +
-			"0000" + "00000000"},
+		"0100000000000000" + "0300000000000000" + "0200000000000000" + "2000000000000000" +
+			"000000000000f83f" + "000000000000e83f" + "010000000000f87f" +
+			"0700666c6f61743136" + "0000" + "11000000" + "0100000001020000000000000000000000"},
+	{"region-update, no state", MsgClientUpdate, ClientUpdate{ClientID: 1, Round: 3, MeanEntropy: 1.25},
+		"0100000000000000" + "0300000000000000" + "0000000000000000" + "0000000000000000" +
+			"0000000000000000" + "0000000000000000" + "000000000000f43f" +
+			"0000" + "0000" + "00000000"},
 }
 
 func mustHex(s string) []byte {
@@ -89,8 +92,6 @@ func decodeAs(typ MsgType, body []byte) (any, error) {
 		return decodeInto[ClientUpdate](env)
 	case MsgShutdown:
 		return decodeInto[Shutdown](env)
-	case MsgRegionUpdate:
-		return decodeInto[RegionUpdate](env)
 	}
 	return nil, errors.New("not a message type")
 }
@@ -107,8 +108,6 @@ func stateOf(msg any) []byte {
 	case RoundStart:
 		return m.State
 	case ClientUpdate:
-		return m.State
-	case RegionUpdate:
 		return m.State
 	}
 	return nil
@@ -170,7 +169,7 @@ func TestGoldenBodies(t *testing.T) {
 			}
 		})
 	}
-	for typ := MsgHello; typ <= MsgRegionUpdate; typ++ {
+	for typ := MsgHello; typ <= MsgShutdown; typ++ {
 		if !seen[typ] {
 			t.Errorf("no golden body for %v", typ)
 		}
@@ -199,12 +198,11 @@ func TestBodyRoundTripRandomFields(t *testing.T) {
 	}
 	for trial := 0; trial < 200; trial++ {
 		msgs := map[MsgType]any{
-			MsgHello:        Hello{ClientID: num(), LocalSize: num(), Tier: str(), Relay: rng.Intn(2) == 1, Clients: num()},
+			MsgHello:        Hello{ClientID: num(), LocalSize: num(), Tier: str(), Clients: num()},
 			MsgWelcome:      Welcome{NumClients: num(), Rounds: num(), Codecs: list()},
 			MsgRoundStart:   RoundStart{Round: num(), State: state(), Groups: list(), SelectFraction: flt(), LocalEpochs: num(), Version: num(), Layout: list()},
 			MsgClientUpdate: ClientUpdate{ClientID: num(), Round: num(), State: state(), Groups: list(), NumSelected: num(), TrainSeconds: flt(), TrainLoss: flt(), MeanEntropy: flt(), Version: num(), Codec: str()},
 			MsgShutdown:     Shutdown{Reason: str()},
-			MsgRegionUpdate: RegionUpdate{RelayID: num(), Round: num(), Version: num(), State: state(), Weight: flt(), Clients: num(), NumSelected: num(), TrainSeconds: flt(), TrainLoss: flt(), MeanEntropy: flt(), Codec: str()},
 		}
 		for typ, msg := range msgs {
 			env, err := EncodeBody(typ, msg)
@@ -278,7 +276,7 @@ func checkDecode(t *testing.T, typ MsgType, body []byte) bool {
 	return true
 }
 
-// FuzzDecodeBody is the one decoder fuzz target, over all six message types:
+// FuzzDecodeBody is the one decoder fuzz target, over all five message types:
 // no input panics, over-allocates or is accepted without being the canonical
 // encoding of what it decoded to (checkDecode), and every accepted body stops
 // being accepted when torn at cut or extended by a byte.
@@ -290,10 +288,10 @@ func FuzzDecodeBody(f *testing.F) {
 	// more than the body holds.
 	f.Add(uint8(MsgWelcome), mustHex("0400000000000000"+"0a00000000000000"+"ffff"), 0)
 	f.Add(uint8(MsgShutdown), mustHex("ffff41"), 0)
-	f.Add(uint8(MsgRegionUpdate), append(make([]byte, 74), mustHex("ffffffff00")...), 0)
+	f.Add(uint8(MsgClientUpdate), append(make([]byte, 60), mustHex("ffffffff00")...), 0)
 
 	f.Fuzz(func(t *testing.T, typ uint8, body []byte, cut int) {
-		mt := MsgType(typ%uint8(MsgRegionUpdate)) + 1
+		mt := MsgType(typ%uint8(MsgShutdown)) + 1
 		if !checkDecode(t, mt, body) {
 			return
 		}
@@ -329,9 +327,10 @@ func TestDecodeBodyTornAndTrailing(t *testing.T) {
 func TestDecodeBodyRejects(t *testing.T) {
 	hello := mustHex(goldenBodies[0].hex)
 	stale := append([]byte(nil), hello...)
-	binary.LittleEndian.PutUint16(stale, protocolVersion-1)
-	badBool := append([]byte(nil), hello...)
-	badBool[18] = 2
+	binary.LittleEndian.PutUint16(stale, 1)
+	// The plain client's Hello as a version-2 peer sends it: the role byte
+	// after LocalSize is what version 3 dropped.
+	v2 := mustHex("0200" + "0700000000000000" + "6400000000000000" + "00" + "0000000000000000" + "0000")
 	for _, tt := range []struct {
 		name string
 		typ  MsgType
@@ -339,12 +338,12 @@ func TestDecodeBodyRejects(t *testing.T) {
 		want string
 	}{
 		{"garbage", MsgHello, []byte{0xde, 0xad, 0xbe, 0xef}, "version"},
-		{"another protocol version", MsgHello, stale, "peer speaks wire-protocol version 1, this build speaks version 2"},
+		{"another protocol version", MsgHello, stale, "peer speaks wire-protocol version 1, this build speaks version 3"},
+		{"version-2 hello", MsgHello, v2, "peer speaks wire-protocol version 2"},
 		{"hello above the handshake limit", MsgHello, append(hello, make([]byte, maxHelloBytes)...), "handshake limit"},
-		{"bool byte that is neither 0 nor 1", MsgHello, badBool, "bool"},
 		{"list longer than the body", MsgWelcome, mustHex("0400000000000000" + "0a00000000000000" + "ffff" + "0000"), "list of 65535 strings ends inside entry 1"},
-		{"state longer than the body", MsgRegionUpdate, append(make([]byte, 74), mustHex("ffffffff00")...), "state declares 4294967295 bytes, 1 remain"},
-		{"state shorter than the body", MsgRegionUpdate, append(make([]byte, 74), mustHex("0100000000ff")...), "state declares 1 bytes, 2 remain"},
+		{"state longer than the body", MsgClientUpdate, append(make([]byte, 60), mustHex("ffffffff00")...), "state declares 4294967295 bytes, 1 remain"},
+		{"state shorter than the body", MsgClientUpdate, append(make([]byte, 60), mustHex("0100000000ff")...), "state declares 1 bytes, 2 remain"},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			if checkDecode(t, tt.typ, tt.body) {
@@ -380,14 +379,14 @@ func TestEncodeBodyRejects(t *testing.T) {
 		{"list past the u16 count", MsgRoundStart, RoundStart{Layout: make([]string, maxListEntries+1)}},
 		{"list entry past the u16 prefix", MsgClientUpdate, ClientUpdate{Groups: []string{long}}},
 		{"hello above the handshake limit", MsgHello, Hello{Tier: strings.Repeat("t", maxHelloBytes)}},
-		{"state above the frame limit", MsgRegionUpdate, RegionUpdate{State: make([]byte, maxFrameBytes+1)}},
+		{"state above the frame limit", MsgClientUpdate, ClientUpdate{State: make([]byte, maxFrameBytes+1)}},
 	} {
 		if _, err := EncodeBody(tt.typ, tt.msg); err == nil {
 			t.Errorf("%s: encoded", tt.name)
 		}
 	}
 	// The largest Hello that encodes is exactly the largest a server reads.
-	env, err := EncodeBody(MsgHello, Hello{Tier: strings.Repeat("t", maxHelloBytes-29)})
+	env, err := EncodeBody(MsgHello, Hello{Tier: strings.Repeat("t", maxHelloBytes-28)})
 	if err != nil || len(env.Body) != maxHelloBytes {
 		t.Fatalf("largest hello: %d bytes, %v", len(env.Body), err)
 	}

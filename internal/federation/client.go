@@ -10,6 +10,7 @@ import (
 	"fedfteds/internal/models"
 	"fedfteds/internal/selection"
 	"fedfteds/internal/strategy"
+	"fedfteds/internal/tensor"
 )
 
 // ClientConfig is one participant's local configuration, as cmd/fedclient's
@@ -90,12 +91,7 @@ func Join(conn comm.Conn, cfg ClientConfig, model *models.Model, me *core.Client
 	if err != nil {
 		return nil, err
 	}
-	// Identity stays nil so the legacy encode path (and its exact wire
-	// bytes) is untouched.
-	if codec.Name() != comm.CodecIdentity {
-		c.codec = codec
-	}
-	c.sess, c.rounds = sess, welcome.Rounds
+	c.codec, c.sess, c.rounds = wireCodec(codec), sess, welcome.Rounds
 	log.Printf("client %d: %d local samples, joined federation of %d for %d rounds (codec %s)",
 		cfg.ID, me.Data.Len(), welcome.NumClients, welcome.Rounds, codec.Name())
 	return c, nil
@@ -184,27 +180,20 @@ func (c *Client) round(rs comm.RoundStart) (comm.ClientUpdate, error) {
 		return comm.ClientUpdate{}, err
 	}
 
-	var blob []byte
-	codecEcho := ""
-	if c.codec == nil {
-		blob, err = comm.EncodeTensors(out.State)
-	} else {
-		// Encode against the broadcast reference this round trained from.
-		// LocalUpdate trained a clone, so the model still holds the installed
-		// broadcast values: its tensors for the shipped groups are exactly
-		// the covered subset, in broadcast order, that the server's
-		// aggregator rebuilds to decode against. The seed derivation matches
-		// the simulator's, so a distributed client and its simulated twin
-		// quantize identically.
-		ref := dst
-		if mask != nil {
-			if ref, err = c.model.GroupStateTensors(mask); err != nil {
-				return comm.ClientUpdate{}, err
-			}
+	// Encode against the broadcast reference this round trained from.
+	// LocalUpdate trained a clone, so the model still holds the installed
+	// broadcast values: its tensors for the shipped groups are exactly the
+	// covered subset, in broadcast order, that the server's aggregator
+	// rebuilds to decode against. The seed derivation matches the
+	// simulator's, so a distributed client and its simulated twin quantize
+	// identically.
+	ref := dst
+	if mask != nil {
+		if ref, err = c.model.GroupStateTensors(mask); err != nil {
+			return comm.ClientUpdate{}, err
 		}
-		codecEcho = c.codec.Name()
-		blob, err = c.codec.Encode(ref, out.State, comm.CodecSeed(uint64(c.cfg.Seed), rs.Round, c.cfg.ID))
 	}
+	blob, codecEcho, err := encodeState(c.codec, ref, out.State, comm.CodecSeed(uint64(c.cfg.Seed), rs.Round, c.cfg.ID))
 	if err != nil {
 		return comm.ClientUpdate{}, err
 	}
@@ -222,4 +211,26 @@ func (c *Client) round(rs comm.RoundStart) (comm.ClientUpdate, error) {
 		TrainLoss:    out.TrainLoss,
 		MeanEntropy:  out.MeanEntropy,
 	}, nil
+}
+
+// wireCodec is a negotiated codec as the encode and decode paths take it:
+// identity is nil, so its updates keep the legacy frames, byte for byte.
+func wireCodec(c comm.Codec) comm.Codec {
+	if c.Name() == comm.CodecIdentity {
+		return nil
+	}
+	return c
+}
+
+// encodeState encodes a trained state for the uplink and returns it with the
+// codec echo its update carries: a nil codec writes the legacy tensor blob
+// with no echo, anything else encodes against ref — the broadcast values the
+// receiver decodes against — under seed.
+func encodeState(codec comm.Codec, ref, state []*tensor.Tensor, seed uint64) ([]byte, string, error) {
+	if codec == nil {
+		blob, err := comm.EncodeTensors(state)
+		return blob, "", err
+	}
+	blob, err := codec.Encode(ref, state, seed)
+	return blob, codec.Name(), err
 }

@@ -75,24 +75,32 @@ func servePipes(t *testing.T, w *experiments.World, cfg Config, client func(conn
 	return hist, global, err
 }
 
+// honestMetadata is an update whose self-reported numbers checkMetadata
+// accepts.
+var honestMetadata = comm.ClientUpdate{NumSelected: 10, TrainSeconds: 0.5, TrainLoss: 1.2, MeanEntropy: 0.7}
+
+// metadataCases edit honestMetadata; reject marks the edits checkMetadata
+// must refuse. TestCheckMetadata runs them against the check itself and
+// TestRelayTreeDropsLyingLeaf runs the refused ones through a relay tree.
+var metadataCases = []struct {
+	name   string
+	edit   func(*comm.ClientUpdate)
+	reject bool
+}{
+	{"honest", func(*comm.ClientUpdate) {}, false},
+	{"zero seconds", func(u *comm.ClientUpdate) { u.TrainSeconds = 0 }, false},
+	{"no entropy signal", func(u *comm.ClientUpdate) { u.MeanEntropy = math.NaN() }, false},
+	{"infinite seconds", func(u *comm.ClientUpdate) { u.TrainSeconds = math.Inf(1) }, true},
+	{"NaN seconds", func(u *comm.ClientUpdate) { u.TrainSeconds = math.NaN() }, true},
+	{"negative seconds", func(u *comm.ClientUpdate) { u.TrainSeconds = -1 }, true},
+	{"NaN loss", func(u *comm.ClientUpdate) { u.TrainLoss = math.NaN() }, true},
+	{"infinite loss", func(u *comm.ClientUpdate) { u.TrainLoss = math.Inf(-1) }, true},
+	{"infinite entropy", func(u *comm.ClientUpdate) { u.MeanEntropy = math.Inf(1) }, true},
+}
+
 func TestCheckMetadata(t *testing.T) {
-	ok := comm.ClientUpdate{NumSelected: 10, TrainSeconds: 0.5, TrainLoss: 1.2, MeanEntropy: 0.7}
-	for _, tt := range []struct {
-		name   string
-		edit   func(*comm.ClientUpdate)
-		reject bool
-	}{
-		{"honest", func(*comm.ClientUpdate) {}, false},
-		{"zero seconds", func(u *comm.ClientUpdate) { u.TrainSeconds = 0 }, false},
-		{"no entropy signal", func(u *comm.ClientUpdate) { u.MeanEntropy = math.NaN() }, false},
-		{"infinite seconds", func(u *comm.ClientUpdate) { u.TrainSeconds = math.Inf(1) }, true},
-		{"NaN seconds", func(u *comm.ClientUpdate) { u.TrainSeconds = math.NaN() }, true},
-		{"negative seconds", func(u *comm.ClientUpdate) { u.TrainSeconds = -1 }, true},
-		{"NaN loss", func(u *comm.ClientUpdate) { u.TrainLoss = math.NaN() }, true},
-		{"infinite loss", func(u *comm.ClientUpdate) { u.TrainLoss = math.Inf(-1) }, true},
-		{"infinite entropy", func(u *comm.ClientUpdate) { u.MeanEntropy = math.Inf(1) }, true},
-	} {
-		u := ok
+	for _, tt := range metadataCases {
+		u := honestMetadata
 		tt.edit(&u)
 		err := checkMetadata(u)
 		if (err != nil) != tt.reject {

@@ -2,8 +2,9 @@
 // is the server loop cmd/fedserver runs (synchronous rounds, relay regions
 // and buffered-asynchronous aggregation are admission rules of the same
 // loop), and Client.Run is the client round cmd/fedclient answers it with.
-// Examples and end-to-end tests call the same two entry points, so what they
-// exercise is what the binaries ship.
+// Relay, which cmd/fedrelay runs, is the two halves stacked: a server to its
+// leaves and a client of its root. Examples and end-to-end tests call the
+// same entry points, so what they exercise is what the binaries ship.
 package federation
 
 import (
@@ -214,10 +215,9 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	// clients ship only the groups their capability affords, so it is built
 	// over the layout and averages each tensor over exactly the clients that
 	// covered it, uncovered tensors falling back to the current global state;
-	// untiered updates cover everything. In relay mode the per-layer work
-	// happens one tier down: each relay resolves its region's masks against
-	// the broadcast Layout and forwards a full-layout delta, so the root
-	// composes whole states even when the leaves are tiered.
+	// untiered clients and relays cover everything. A relay does its region's
+	// per-layer work one tier down, against the Layout broadcast in relay
+	// mode, and answers with the whole state like an untiered client.
 	agg := comm.NewWeightedStreamAggregator(weigh)
 	var bcastLayout []string
 	if cfg.TierDist != nil {
@@ -225,10 +225,11 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		if err != nil {
 			return st.hist, err
 		}
+		if agg, err = comm.NewMaskedStreamAggregator(weigh, commGroups, layout); err != nil {
+			return st.hist, err
+		}
 		if cfg.Relays > 0 {
 			bcastLayout = layout
-		} else if agg, err = comm.NewMaskedStreamAggregator(weigh, commGroups, layout); err != nil {
-			return st.hist, err
 		}
 	}
 	policy := ""
