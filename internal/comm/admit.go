@@ -3,6 +3,7 @@ package comm
 import (
 	"log"
 	"sort"
+	"time"
 )
 
 // admission is one completed Hello/Welcome handshake waiting to be drained
@@ -20,6 +21,7 @@ type admission struct {
 type Admitter struct {
 	ch      chan admission
 	welcome Envelope
+	timeout time.Duration // handshakeTimeout when the Admitter was built
 }
 
 // NewAdmitterCodec starts accepting re-registrations on l. numClients and
@@ -32,7 +34,7 @@ func NewAdmitterCodec(l Listener, numClients, rounds int, codec string) (*Admitt
 	if err != nil {
 		return nil, err
 	}
-	a := &Admitter{ch: make(chan admission, 64), welcome: welcome}
+	a := &Admitter{ch: make(chan admission, 64), welcome: welcome, timeout: handshakeTimeout}
 	go a.acceptLoop(l)
 	return a, nil
 }
@@ -50,12 +52,12 @@ func (a *Admitter) acceptLoop(l Listener) {
 }
 
 // handshake performs the server half of the registration exchange, bounded
-// by handshakeTimeout, and queues the connection for the next Drain. On any
-// error, or when the queue is full, the connection is closed — the peer
+// by the Admitter's timeout, and queues the connection for the next Drain. On
+// any error, or when the queue is full, the connection is closed — the peer
 // retries with its usual backoff.
 func (a *Admitter) handshake(conn Conn) {
 	var hello Hello
-	env, err := firstFrame(conn)
+	env, err := firstFrame(conn, a.timeout)
 	if err == nil {
 		hello, err = helloFrom(env)
 	}

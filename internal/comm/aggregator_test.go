@@ -52,13 +52,22 @@ func newLayoutAggregator(t *testing.T) (*StreamAggregator, []*tensor.Tensor) {
 	return agg, bcast
 }
 
+// wholeAggregator is the whole-state aggregator under weigh: no layout.
+func wholeAggregator(weigh WeightFunc) *StreamAggregator {
+	agg, err := NewMaskedStreamAggregator(weigh, nil, nil)
+	if err != nil {
+		panic(err)
+	}
+	return agg
+}
+
 // TestStreamAggregatorAverages folds each row's updates into one aggregator
 // and checks the first element of every averaged tensor.
 func TestStreamAggregatorAverages(t *testing.T) {
 	uniform := func(ClientUpdate) (float64, error) { return 1, nil }
 	bySelected := func(u ClientUpdate) (float64, error) { return float64(u.NumSelected), nil }
 	whole := func(weigh WeightFunc) func(*testing.T) *StreamAggregator {
-		return func(*testing.T) *StreamAggregator { return NewWeightedStreamAggregator(weigh) }
+		return func(*testing.T) *StreamAggregator { return wholeAggregator(weigh) }
 	}
 	layout := func(t *testing.T) *StreamAggregator {
 		agg, _ := newLayoutAggregator(t)
@@ -183,7 +192,7 @@ func TestStreamAggregatorRejectsAtomically(t *testing.T) {
 		return 1, nil
 	}
 	whole := func(weigh WeightFunc) func(*testing.T) *StreamAggregator {
-		return func(*testing.T) *StreamAggregator { return NewWeightedStreamAggregator(weigh) }
+		return func(*testing.T) *StreamAggregator { return wholeAggregator(weigh) }
 	}
 	layout := func(t *testing.T) *StreamAggregator {
 		agg, _ := newLayoutAggregator(t)
@@ -363,8 +372,8 @@ func TestStreamAggregatorRejectsMalformedFirstUpdate(t *testing.T) {
 }
 
 func TestNewMaskedStreamAggregatorValidation(t *testing.T) {
-	if _, err := NewMaskedStreamAggregator(nil, nil, nil); err == nil {
-		t.Fatal("empty construction accepted")
+	if _, err := NewMaskedStreamAggregator(nil, nil, []string{"a"}); err == nil {
+		t.Fatal("layout without groups accepted")
 	}
 	if _, err := NewMaskedStreamAggregator(nil, []string{"a", "a"}, []string{"a"}); err == nil {
 		t.Fatal("duplicate group accepted")
@@ -395,5 +404,130 @@ func TestNewMaskedStreamAggregatorValidation(t *testing.T) {
 	}
 	if _, err := bare.Finish(); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("uncovered tensor without a broadcast state: got %v, want ErrProtocol", err)
+	}
+}
+
+// honestMetadata is an update whose self-reported numbers checkMetadata
+// accepts.
+var honestMetadata = ClientUpdate{NumSelected: 10, TrainSeconds: 0.5, TrainLoss: 1.2, MeanEntropy: 0.7}
+
+// metadataCases edit honestMetadata; reject marks the edits checkMetadata
+// must refuse. TestCheckMetadata runs them against the check itself and
+// TestStreamAggregatorRefusesLyingMetadata through Add.
+var metadataCases = []struct {
+	name   string
+	edit   func(*ClientUpdate)
+	reject bool
+}{
+	{"honest", func(*ClientUpdate) {}, false},
+	{"zero seconds", func(u *ClientUpdate) { u.TrainSeconds = 0 }, false},
+	{"no entropy signal", func(u *ClientUpdate) { u.MeanEntropy = math.NaN() }, false},
+	{"zero selected", func(u *ClientUpdate) { u.NumSelected = 0 }, true},
+	{"infinite seconds", func(u *ClientUpdate) { u.TrainSeconds = math.Inf(1) }, true},
+	{"NaN seconds", func(u *ClientUpdate) { u.TrainSeconds = math.NaN() }, true},
+	{"negative seconds", func(u *ClientUpdate) { u.TrainSeconds = -1 }, true},
+	{"NaN loss", func(u *ClientUpdate) { u.TrainLoss = math.NaN() }, true},
+	{"infinite loss", func(u *ClientUpdate) { u.TrainLoss = math.Inf(-1) }, true},
+	{"infinite entropy", func(u *ClientUpdate) { u.MeanEntropy = math.Inf(1) }, true},
+}
+
+func TestCheckMetadata(t *testing.T) {
+	for _, tt := range metadataCases {
+		u := honestMetadata
+		tt.edit(&u)
+		err := checkMetadata(u)
+		if (err != nil) != tt.reject {
+			t.Errorf("%s: err %v, want rejection %v", tt.name, err, tt.reject)
+		}
+		if err != nil && !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: %v is not a protocol error", tt.name, err)
+		}
+	}
+}
+
+// TestStreamAggregatorRefusesLyingMetadata: Add runs checkMetadata before it
+// touches anything, so a lying update around a valid state leaves Updates,
+// Sum and the aggregate as they were, and an honest update folded after it
+// finishes on the same bits as a fold that never saw the liar.
+func TestStreamAggregatorRefusesLyingMetadata(t *testing.T) {
+	meta := func(u ClientUpdate, edit func(*ClientUpdate)) ClientUpdate {
+		m := honestMetadata
+		edit(&m)
+		u.NumSelected, u.TrainSeconds, u.TrainLoss, u.MeanEntropy = m.NumSelected, m.TrainSeconds, m.TrainLoss, m.MeanEntropy
+		return u
+	}
+	first := meta(aggUpdate(t, 0, 0, nil, vec(1, 3), vec(2, 5), vec(3, 7)), func(*ClientUpdate) {})
+	last := meta(aggUpdate(t, 2, 0, nil, vec(0.3, 1), vec(0.7, 2), vec(0.9, 3)), func(u *ClientUpdate) { u.NumSelected = 3 })
+	ref, _ := newLayoutAggregator(t)
+	for _, u := range []ClientUpdate{first, last} {
+		if err := ref.Add(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantSum := ref.Sum()
+	want, err := ref.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range metadataCases {
+		if !tt.reject {
+			continue
+		}
+		t.Run(tt.name, func(t *testing.T) {
+			agg, _ := newLayoutAggregator(t)
+			if err := agg.Add(first); err != nil {
+				t.Fatal(err)
+			}
+			before := agg.Sum()
+			liar := meta(aggUpdate(t, 1, 0, nil, vec(50, 50), vec(50, 50), vec(50, 50)), tt.edit)
+			if err := agg.Add(liar); !errors.Is(err, ErrProtocol) {
+				t.Fatalf("lying update: got %v, want ErrProtocol", err)
+			}
+			if agg.Updates() != 1 || agg.Sum() != before {
+				t.Fatalf("refused add moved the fold: %d updates, sum %+v, want 1 and %+v", agg.Updates(), agg.Sum(), before)
+			}
+			if err := agg.Add(last); err != nil {
+				t.Fatal(err)
+			}
+			if agg.Sum() != wantSum {
+				t.Fatalf("sum %+v, want the honest fold's %+v", agg.Sum(), wantSum)
+			}
+			got, err := agg.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("tensor %d: %v, want the honest fold's %v", i, got[i].Data(), want[i].Data())
+				}
+			}
+		})
+	}
+}
+
+// TestStreamAggregatorSumsMetadata: Sum is the round's fold-order sums of
+// what the folded updates reported — entropy only over the updates that
+// reported one — and Finish starts the next round's from zero.
+func TestStreamAggregatorSumsMetadata(t *testing.T) {
+	agg := NewStreamAggregator()
+	a := aggUpdate(t, 0, 2, nil, vec(1))
+	a.TrainSeconds, a.TrainLoss, a.MeanEntropy = 0.5, 1, 3
+	b := aggUpdate(t, 1, 6, nil, vec(2))
+	b.TrainSeconds, b.TrainLoss, b.MeanEntropy = 0.25, 2, math.NaN()
+	for _, u := range []ClientUpdate{a, b} {
+		if err := agg.Add(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := RoundSum{Updates: 2, NumSelected: 8, TrainSeconds: 0.75, LossSum: 3, WeightedLoss: 2*1 + 6*2,
+		EntropySum: 2 * 3, EntropyWeight: 2, UplinkBytes: int64(len(a.State) + len(b.State))}
+	if got := agg.Sum(); got != want {
+		t.Fatalf("sum %+v, want %+v", got, want)
+	}
+	if _, err := agg.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if got := agg.Sum(); got != (RoundSum{}) {
+		t.Fatalf("sum after Finish %+v, want zero", got)
 	}
 }

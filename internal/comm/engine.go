@@ -440,14 +440,15 @@ type WeightFunc func(ClientUpdate) (float64, error)
 // result slice all persist. Consequently the tensors Finish returns are
 // owned by the aggregator and stay valid only until the next Add — callers
 // copy them into the model (or encode them onto the wire) before starting
-// the next round.
+// the next round. It is also the one place an update is checked and
+// counted: Add refuses hostile metadata as atomically as a malformed tensor.
 type StreamAggregator struct {
 	weigh  WeightFunc
 	gIndex map[string]int // group name → canonical position; nil without a layout
 	tgroup []int          // canonical group position of each layout tensor; nil without a layout
 	acc    []*tensor.Tensor
 	totals []float64
-	count  int
+	sum    RoundSum
 
 	covered []bool           // per-group coverage of the update being folded
 	full    bool             // the update being folded covers every tensor
@@ -460,27 +461,35 @@ type StreamAggregator struct {
 	refScratch []*tensor.Tensor // covered subset of ref, rebuilt per Add without allocating
 }
 
+// RoundSum is what a round's folded updates reported about themselves,
+// summed in fold order from zero at the round's first Add.
+type RoundSum struct {
+	Updates, NumSelected  int
+	TrainSeconds, LossSum float64 // Σ TrainSeconds, Σ TrainLoss
+	WeightedLoss          float64 // Σ NumSelected · TrainLoss
+	// Σ NumSelected · MeanEntropy and Σ NumSelected over the updates that
+	// reported an entropy (not NaN).
+	EntropySum, EntropyWeight float64
+	UplinkBytes               int64 // Σ len(State)
+}
+
 // NewStreamAggregator returns an empty whole-state aggregator with the
 // default selected-size weighting.
 func NewStreamAggregator() *StreamAggregator { return &StreamAggregator{} }
 
-// NewWeightedStreamAggregator returns an empty whole-state aggregator whose
-// per-update weights come from weigh (nil falls back to selected-size
-// weighting). The strategy layer uses this to route its WeighUpdates rule
-// into the streaming path.
-func NewWeightedStreamAggregator(weigh WeightFunc) *StreamAggregator {
-	return &StreamAggregator{weigh: weigh}
-}
-
-// NewMaskedStreamAggregator builds an aggregator that also accepts
-// partially-trained updates over the given full communicated layout: groups
-// is the canonical communicated group list (RoundStart.Groups) and layout
-// names, per tensor of the full state blob, the group it belongs to
-// (models.GroupStateLayout). weigh may be nil for the default selected-size
-// weighting.
+// NewMaskedStreamAggregator builds an aggregator whose per-update weights
+// come from weigh (nil for the default selected-size weighting). Without a
+// layout it is the whole-state aggregator. With one it also accepts
+// partially-trained updates over the full communicated layout: groups is the
+// canonical communicated group list (RoundStart.Groups) and layout names,
+// per tensor of the full state blob, the group it belongs to
+// (models.GroupStateLayout).
 func NewMaskedStreamAggregator(weigh WeightFunc, groups, layout []string) (*StreamAggregator, error) {
-	if len(groups) == 0 || len(layout) == 0 {
-		return nil, fmt.Errorf("%w: masked aggregator needs groups and a layout", ErrProtocol)
+	if len(layout) == 0 {
+		return &StreamAggregator{weigh: weigh}, nil
+	}
+	if len(groups) == 0 {
+		return nil, fmt.Errorf("%w: masked aggregator needs groups for its layout", ErrProtocol)
 	}
 	gIndex := make(map[string]int, len(groups))
 	for i, g := range groups {
@@ -566,15 +575,15 @@ func (a *StreamAggregator) setCovered(clientID int, declared []string) error {
 func (a *StreamAggregator) covers(ti int) bool { return a.full || a.covered[a.tgroup[ti]] }
 
 // Add decodes one update and folds its covered tensors into the per-tensor
-// sums under the aggregator's weighting. The fold is atomic: every
-// validation (weight, group declaration, codec echo, tensor count, shapes,
-// finite values) happens before any sum is touched, so on error the
-// aggregate is unchanged and the caller can drop the client yet keep the
-// round. Decoding reuses the aggregator's scratch tensors, so a warmed-up
-// aggregator folds without allocating.
+// sums under the aggregator's weighting, and its metadata into Sum. The fold
+// is atomic: every validation (metadata, weight, group declaration, codec
+// echo, tensor count, shapes, finite values) happens before any sum is
+// touched, so on error the aggregate and Sum are unchanged and the caller
+// can drop the client yet keep the round. Decoding reuses the aggregator's
+// scratch tensors, so a warmed-up aggregator folds without allocating.
 func (a *StreamAggregator) Add(u ClientUpdate) error {
-	if u.NumSelected <= 0 {
-		return fmt.Errorf("%w: client %d reports %d selected samples", ErrProtocol, u.ClientID, u.NumSelected)
+	if err := checkMetadata(u); err != nil {
+		return err
 	}
 	w64 := float64(u.NumSelected)
 	if a.weigh != nil {
@@ -682,7 +691,36 @@ func (a *StreamAggregator) Add(u ClientUpdate) error {
 		a.totals[ti] += w64
 		ci++
 	}
-	a.count++
+	s, n64 := &a.sum, float64(u.NumSelected)
+	s.Updates++
+	s.NumSelected += u.NumSelected
+	s.TrainSeconds += u.TrainSeconds
+	s.LossSum += u.TrainLoss
+	s.WeightedLoss += n64 * u.TrainLoss
+	if !math.IsNaN(u.MeanEntropy) {
+		s.EntropySum += n64 * u.MeanEntropy
+		s.EntropyWeight += n64
+	}
+	s.UplinkBytes += int64(len(u.State))
+	return nil
+}
+
+// checkMetadata rejects an update whose self-reported numbers would poison
+// what outlives the round: the fold weight, the history and checkpoints its
+// sums enter, or the entropy scheduler, which would pick a client with an
+// infinite MeanEntropy forever. NaN entropy is the legal "no utility signal".
+func checkMetadata(u ClientUpdate) error {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	switch {
+	case u.NumSelected <= 0:
+		return fmt.Errorf("%w: client %d reports %d selected samples", ErrProtocol, u.ClientID, u.NumSelected)
+	case !finite(u.TrainSeconds) || u.TrainSeconds < 0:
+		return fmt.Errorf("%w: client %d reports %v train seconds", ErrProtocol, u.ClientID, u.TrainSeconds)
+	case !finite(u.TrainLoss):
+		return fmt.Errorf("%w: client %d reports train loss %v", ErrProtocol, u.ClientID, u.TrainLoss)
+	case math.IsInf(u.MeanEntropy, 0):
+		return fmt.Errorf("%w: client %d reports mean entropy %v", ErrProtocol, u.ClientID, u.MeanEntropy)
+	}
 	return nil
 }
 
@@ -723,15 +761,18 @@ func checkCodecEcho(codec Codec, echo string, clientID int) error {
 }
 
 // Updates returns how many updates have been folded so far.
-func (a *StreamAggregator) Updates() int { return a.count }
+func (a *StreamAggregator) Updates() int { return a.sum.Updates }
+
+// Sum returns the metadata of the updates folded since the last Finish.
+func (a *StreamAggregator) Sum() RoundSum { return a.sum }
 
 // Finish normalizes each tensor by its own weight total and resets the
-// aggregator for the next round. Tensors no folded update covered fall back
-// to a copy of the broadcast state — averaging nothing leaves the layer
-// where it was. It fails when no update at all was folded. The returned
+// aggregator and Sum for the next round. Tensors no folded update covered
+// fall back to a copy of the broadcast state — averaging nothing leaves the
+// layer where it was. It fails when no update at all was folded. The returned
 // tensors are owned by the aggregator and valid only until the next Add.
 func (a *StreamAggregator) Finish() ([]*tensor.Tensor, error) {
-	if a.count == 0 {
+	if a.sum.Updates == 0 {
 		return nil, fmt.Errorf("comm: aggregate: no client updates")
 	}
 	if cap(a.out) < len(a.acc) {
@@ -758,6 +799,6 @@ func (a *StreamAggregator) Finish() ([]*tensor.Tensor, error) {
 		}
 		out[ti] = a.fb[ti]
 	}
-	a.count = 0
+	a.sum = RoundSum{}
 	return out, nil
 }

@@ -71,7 +71,7 @@ func AcceptClientsCodec(l Listener, numClients, rounds int, codec string) (*Serv
 		if err != nil {
 			return fail(nil, fmt.Errorf("comm: accepting client %d of %d: %w", len(s.conns)+1, numClients, err))
 		}
-		env, err := firstFrame(conn)
+		env, err := firstFrame(conn, handshakeTimeout)
 		if err != nil {
 			log.Printf("comm: dropping connection before hello: %v", err)
 			_ = conn.Close()
@@ -93,10 +93,10 @@ func AcceptClientsCodec(l Listener, numClients, rounds int, codec string) (*Serv
 }
 
 // firstFrame reads a fresh connection's first frame under the handshake
-// deadline, which stays armed until sendWelcome clears it.
-func firstFrame(conn Conn) (Envelope, error) {
+// deadline timeout, which stays armed until sendWelcome clears it.
+func firstFrame(conn Conn, timeout time.Duration) (Envelope, error) {
 	if dc, ok := conn.(DeadlineConn); ok {
-		_ = dc.SetDeadline(time.Now().Add(handshakeTimeout))
+		_ = dc.SetDeadline(time.Now().Add(timeout))
 	}
 	return conn.Recv()
 }

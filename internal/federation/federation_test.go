@@ -75,13 +75,13 @@ func servePipes(t *testing.T, w *experiments.World, cfg Config, client func(conn
 	return hist, global, err
 }
 
-// honestMetadata is an update whose self-reported numbers checkMetadata
-// accepts.
+// honestMetadata is an update whose self-reported numbers the fold accepts.
 var honestMetadata = comm.ClientUpdate{NumSelected: 10, TrainSeconds: 0.5, TrainLoss: 1.2, MeanEntropy: 0.7}
 
-// metadataCases edit honestMetadata; reject marks the edits checkMetadata
-// must refuse. TestCheckMetadata runs them against the check itself and
-// TestRelayTreeDropsLyingLeaf runs the refused ones through a relay tree.
+// metadataCases edit honestMetadata; reject marks the edits the fold must
+// refuse. They copy internal/comm's table, which pins the check itself in
+// StreamAggregator.Add; TestRelayTreeDropsLyingLeaf runs the refused ones
+// through a relay tree.
 var metadataCases = []struct {
 	name   string
 	edit   func(*comm.ClientUpdate)
@@ -90,26 +90,13 @@ var metadataCases = []struct {
 	{"honest", func(*comm.ClientUpdate) {}, false},
 	{"zero seconds", func(u *comm.ClientUpdate) { u.TrainSeconds = 0 }, false},
 	{"no entropy signal", func(u *comm.ClientUpdate) { u.MeanEntropy = math.NaN() }, false},
+	{"zero selected", func(u *comm.ClientUpdate) { u.NumSelected = 0 }, true},
 	{"infinite seconds", func(u *comm.ClientUpdate) { u.TrainSeconds = math.Inf(1) }, true},
 	{"NaN seconds", func(u *comm.ClientUpdate) { u.TrainSeconds = math.NaN() }, true},
 	{"negative seconds", func(u *comm.ClientUpdate) { u.TrainSeconds = -1 }, true},
 	{"NaN loss", func(u *comm.ClientUpdate) { u.TrainLoss = math.NaN() }, true},
 	{"infinite loss", func(u *comm.ClientUpdate) { u.TrainLoss = math.Inf(-1) }, true},
 	{"infinite entropy", func(u *comm.ClientUpdate) { u.MeanEntropy = math.Inf(1) }, true},
-}
-
-func TestCheckMetadata(t *testing.T) {
-	for _, tt := range metadataCases {
-		u := honestMetadata
-		tt.edit(&u)
-		err := checkMetadata(u)
-		if (err != nil) != tt.reject {
-			t.Errorf("%s: err %v, want rejection %v", tt.name, err, tt.reject)
-		}
-		if err != nil && !errors.Is(err, comm.ErrProtocol) {
-			t.Errorf("%s: %v is not a protocol error", tt.name, err)
-		}
-	}
 }
 
 // TestServeDropsLyingClient: one client among four answers every round with

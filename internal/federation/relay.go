@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"slices"
 
 	"fedfteds/internal/comm"
+	"fedfteds/internal/tensor"
 )
 
 // RelayConfig shapes one relay process, as cmd/fedrelay's flags validate it.
@@ -53,9 +55,10 @@ func (c RelayConfig) Validate() error {
 // declaring the region's summed dataset size and leaf count, then answers
 // every round the root starts as a client does, with one ClientUpdate — the
 // region's weighted average over its leaves (relayRound). It returns nil on a
-// clean root-initiated shutdown. Whatever it returns, the leaf federation is
-// shut down and root is closed, so neither the leaves nor the root wait on a
-// dead region.
+// clean root-initiated shutdown, and comm.ErrProtocol when the root changes
+// its broadcast Groups or Layout mid-run. Whatever it returns, the leaf
+// federation is shut down and root is closed, so neither the leaves nor the
+// root wait on a dead region.
 func Relay(root comm.Conn, leafListener comm.Listener, cfg RelayConfig) error {
 	defer root.Close()
 	if err := cfg.Validate(); err != nil {
@@ -105,8 +108,14 @@ func Relay(root comm.Conn, leafListener comm.Listener, cfg RelayConfig) error {
 	log.Printf("relay %d: region ready, %d leaves (size %d), root planned %d rounds, codecs leaf=%s up=%s",
 		cfg.RelayID, cfg.Leaves, size, welcome.Rounds, leafPick.Name(), upPick.Name())
 	leafCodec, upCodec := wireCodec(leafPick), wireCodec(upPick)
-	for {
-		rs, ok, err := cs.NextRound()
+	// One region aggregator and one broadcast decode buffer serve the run:
+	// the aggregator is built over the first round's Groups and Layout, which
+	// every later round must repeat.
+	rs, ok, err := cs.NextRound()
+	groups, layout := rs.Groups, rs.Layout
+	agg, aggErr := comm.NewMaskedStreamAggregator(nil, groups, layout)
+	var bcast []*tensor.Tensor
+	for ; ; rs, ok, err = cs.NextRound() {
 		if err != nil {
 			shutdown("root connection lost")
 			return fmt.Errorf("relay %d: %w", cfg.RelayID, err)
@@ -115,7 +124,19 @@ func Relay(root comm.Conn, leafListener comm.Listener, cfg RelayConfig) error {
 			shutdown("root shut the federation down")
 			return nil
 		}
-		u, out, err := relayRound(engine, cfg.RelayID, rs, leafCodec, upCodec)
+		err = aggErr
+		if !slices.Equal(rs.Groups, groups) || !slices.Equal(rs.Layout, layout) {
+			err = fmt.Errorf("%w: root broadcasts groups %v layout %v, the run started with %v %v",
+				comm.ErrProtocol, rs.Groups, rs.Layout, groups, layout)
+		}
+		if err == nil {
+			bcast, err = comm.DecodeTensorsReuse(bcast, rs.State)
+		}
+		if err != nil {
+			shutdown("root broadcast a round the region cannot fold")
+			return fmt.Errorf("relay %d: round %d: %w", cfg.RelayID, rs.Round, err)
+		}
+		u, out, err := relayRound(engine, agg, bcast, cfg.RelayID, rs, leafCodec, upCodec)
 		if err != nil {
 			shutdown("region round failed")
 			return fmt.Errorf("relay %d: round %d: %w", cfg.RelayID, rs.Round, err)
@@ -130,62 +151,22 @@ func Relay(root comm.Conn, leafListener comm.Listener, cfg RelayConfig) error {
 }
 
 // relayRound runs one downstream round — rebroadcast rs to every live leaf,
-// stream their updates into a weighted average — and packages the result as
-// the region's update for the root. Each leaf update passes the checkMetadata
-// Serve runs before it is folded, so a lying leaf costs the region that leaf,
-// not the round. Leaves are weighed by their selected sample count (paper
-// Eq. 5), and the update declares the region's summed count, so the root's
-// fold of region averages is the flat federation's weighted average;
-// strategy-level weighting applies at the root, at region granularity. When
-// rs carries a Layout the region aggregates per layer (tiered leaves ship
-// masked updates), with layers no leaf covered falling back to the broadcast
-// state, so the update always covers the whole broadcast. leafCodec decodes
-// the region's leaf payloads, upCodec re-encodes the folded state for the
-// root (nil keeps the respective hop on legacy lossless frames); both
-// reference the round's broadcast state, which each hop's peer holds.
-func relayRound(engine *comm.RoundEngine, relayID int, rs comm.RoundStart, leafCodec, upCodec comm.Codec) (comm.ClientUpdate, comm.RoundOutcome, error) {
-	// The broadcast state is the codec reference on both hops, the shape
-	// every leaf update is validated against, and the fallback for layers no
-	// leaf covered.
-	bcast, err := comm.DecodeTensors(rs.State)
-	if err != nil {
-		return comm.ClientUpdate{}, comm.RoundOutcome{}, fmt.Errorf("relay %d: decoding broadcast: %w", relayID, err)
-	}
-	agg := comm.NewStreamAggregator()
-	if len(rs.Layout) > 0 {
-		if agg, err = comm.NewMaskedStreamAggregator(nil, rs.Groups, rs.Layout); err != nil {
-			return comm.ClientUpdate{}, comm.RoundOutcome{}, err
-		}
-	}
+// stream their updates into agg, which checks each as Serve's does — and
+// packages the result as the region's update for the root. Leaves are
+// weighed by their selected sample count (paper Eq. 5), and the update
+// declares the region's summed count, so the root's fold of region averages
+// is the flat federation's weighted average. Over a Layout, layers no leaf
+// covered fall back to bcast, so the update always covers the whole
+// broadcast. bcast, the round's decoded broadcast, is also the codec
+// reference on both hops: leafCodec decodes leaf payloads, upCodec
+// re-encodes the folded state (nil keeps a hop on legacy lossless frames).
+func relayRound(engine *comm.RoundEngine, agg *comm.StreamAggregator, bcast []*tensor.Tensor, relayID int, rs comm.RoundStart, leafCodec, upCodec comm.Codec) (comm.ClientUpdate, comm.RoundOutcome, error) {
 	agg.SetCodec(leafCodec, bcast)
-
-	var (
-		numSelected  int
-		trainSeconds float64
-		lossSum      float64
-		entropySum   float64
-		entropyW     float64
-	)
-	out, err := engine.RunRound(rs, func(u comm.ClientUpdate) error {
-		if err := checkMetadata(u); err != nil {
-			return err
-		}
-		if err := agg.Add(u); err != nil {
-			return err
-		}
-		w := float64(u.NumSelected)
-		numSelected += u.NumSelected
-		trainSeconds += u.TrainSeconds
-		lossSum += w * u.TrainLoss
-		if !math.IsNaN(u.MeanEntropy) {
-			entropySum += w * u.MeanEntropy
-			entropyW += w
-		}
-		return nil
-	})
+	out, err := engine.RunRound(rs, agg.Add)
 	if err != nil {
 		return comm.ClientUpdate{}, out, err
 	}
+	sum := agg.Sum()
 	fused, err := agg.Finish()
 	if err != nil {
 		return comm.ClientUpdate{}, out, err
@@ -198,10 +179,10 @@ func relayRound(engine *comm.RoundEngine, relayID int, rs comm.RoundStart, leafC
 		return comm.ClientUpdate{}, out, err
 	}
 	entropy := math.NaN()
-	if entropyW > 0 {
-		entropy = entropySum / entropyW
+	if sum.EntropyWeight > 0 {
+		entropy = sum.EntropySum / sum.EntropyWeight
 	}
-	// numSelected is positive: the round folded at least one update, and
+	// NumSelected is positive: the round folded at least one update, and
 	// Add refuses a count below one.
 	return comm.ClientUpdate{
 		ClientID:     relayID,
@@ -209,9 +190,9 @@ func relayRound(engine *comm.RoundEngine, relayID int, rs comm.RoundStart, leafC
 		Version:      rs.Version,
 		State:        blob,
 		Codec:        codecEcho,
-		NumSelected:  numSelected,
-		TrainSeconds: trainSeconds,
-		TrainLoss:    lossSum / float64(numSelected),
+		NumSelected:  sum.NumSelected,
+		TrainSeconds: sum.TrainSeconds,
+		TrainLoss:    sum.WeightedLoss / float64(sum.NumSelected),
 		MeanEntropy:  entropy,
 	}, out, nil
 }

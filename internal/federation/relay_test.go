@@ -1,6 +1,8 @@
 package federation
 
 import (
+	"errors"
+	"hash/crc32"
 	"math"
 	"sync"
 	"testing"
@@ -416,6 +418,200 @@ func TestRelayFailureReleasesRoot(t *testing.T) {
 			for _, rec := range res.hist.Records {
 				if rec.Participants != 1 {
 					t.Errorf("round %d folded %d regions, want the healthy one", rec.Round, rec.Participants)
+				}
+			}
+		})
+	}
+}
+
+// codecLeaf joins a region and answers every round with a dyadic state
+// derived from (round, id), int8-encoded against the broadcast under the
+// region's codec: leaf 1 always, and every leaf in round 3, declares only
+// the "up" group, so round 3's "low" tensors fall back to the broadcast.
+func codecLeaf(conn comm.Conn, id int) {
+	sess, welcome, err := comm.Join(conn, id, 10+id)
+	if err != nil {
+		return
+	}
+	defer sess.Close()
+	codec, err := comm.PickCodec(welcome.Codecs, "auto")
+	if err != nil {
+		return
+	}
+	for {
+		rs, ok, err := sess.NextRound()
+		if err != nil || !ok {
+			return
+		}
+		ref, err := comm.DecodeTensors(rs.State)
+		if err != nil {
+			return
+		}
+		groups, ts := testGroups, dyadicTensors(int64(10*rs.Round+id), testShapes)
+		if id == 1 || rs.Round == 3 {
+			groups, ts, ref = []string{"up"}, ts[2:], ref[2:]
+		}
+		blob, err := codec.Encode(ref, ts, comm.CodecSeed(1, rs.Round, id))
+		if err != nil {
+			return
+		}
+		_ = sess.SendUpdate(comm.ClientUpdate{ClientID: id, Round: rs.Round, Version: rs.Version,
+			State: blob, Codec: codec.Name(), Groups: groups, NumSelected: 8 * (id + 1),
+			TrainSeconds: 0.125 * float64(rs.Round+id), TrainLoss: 0.25 * float64(rs.Round*(id+1)),
+			MeanEntropy: 0.5 * float64(id+rs.Round)})
+	}
+}
+
+// TestRelayRegionUpdatesMatchParent: a relay keeps one region aggregator and
+// one broadcast decode buffer for the whole run. Over three rounds with a
+// new broadcast each round, masked int8 leaves and a float16 upstream, the
+// region's ClientUpdate bodies carry the CRCs recorded at the commit before,
+// whose relay built a fresh aggregator and decoded a fresh broadcast every
+// round. Two leaves at power-of-two weights keep every sum exact, so arrival
+// order cannot move a bit.
+func TestRelayRegionUpdatesMatchParent(t *testing.T) {
+	const rounds = 3
+	want := [rounds]uint32{0x937f331d, 0xf586a3b3, 0xa72dc714}
+	rootLst, leafLst := comm.NewPipeListener(1), comm.NewPipeListener(2)
+	for id := range 2 {
+		go codecLeaf(leafLst.ClientSide(id), id)
+	}
+	sent := make(chan comm.ClientUpdate, rounds)
+	relayErr := make(chan error, 1)
+	go func() {
+		relayErr <- Relay(frameTap{rootLst.ClientSide(0), sent}, leafLst, RelayConfig{
+			RelayID: 0, Leaves: 2, Rounds: rounds, Engine: comm.EngineConfig{Quorum: 1}, LeafCodec: "int8"})
+	}()
+	sess, err := comm.AcceptClientsCodec(rootLst, 1, rounds, "float16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := comm.NewRoundEngine(sess, comm.EngineConfig{Quorum: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= rounds; round++ {
+		blob, err := comm.EncodeTensors(dyadicTensors(int64(100+round), testShapes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := engine.RunRound(comm.RoundStart{Round: round, State: blob, Groups: testGroups,
+			SelectFraction: 1, LocalEpochs: 1, Layout: testLayout}, func(comm.ClientUpdate) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		env, err := comm.EncodeBody(comm.MsgClientUpdate, <-sent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := crc32.ChecksumIEEE(env.Body); got != want[round-1] {
+			t.Errorf("round %d: region update CRC %08x, parent %08x", round, got, want[round-1])
+		}
+	}
+	if err := sess.Shutdown("done"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-relayErr; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// closeTap is a relay's root connection that reports its Close.
+type closeTap struct {
+	comm.Conn
+	closed chan<- struct{}
+}
+
+func (c closeTap) Close() error {
+	select {
+	case c.closed <- struct{}{}:
+	default:
+	}
+	return c.Conn.Close()
+}
+
+// TestRelayRefusesMidRunLayoutChange: the region aggregator is built over
+// the first round's Groups and Layout, so a root that broadcasts different
+// ones in round 2 is refused with ErrProtocol — and, like every failure, the
+// relay shuts its leaves down and closes its root connection.
+func TestRelayRefusesMidRunLayoutChange(t *testing.T) {
+	for _, tt := range []struct {
+		name           string
+		groups, layout []string
+	}{
+		{"layout", testGroups, []string{"low", "up", "up"}},
+		{"groups", []string{"up", "low"}, testLayout},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			rootLst, leafLst := comm.NewPipeListener(1), comm.NewPipeListener(2)
+			leafEnd := make(chan error, 2)
+			for id := range 2 {
+				go func() {
+					leafEnd <- func() error {
+						sess, _, err := comm.Join(leafLst.ClientSide(id), id, 10)
+						if err != nil {
+							return err
+						}
+						for {
+							rs, ok, err := sess.NextRound()
+							if err != nil || !ok {
+								return err
+							}
+							if err := sess.SendUpdate(leafUpdate(id, rs.Round, rs.Version)); err != nil {
+								return err
+							}
+						}
+					}()
+				}()
+			}
+			closed := make(chan struct{}, 1)
+			relayErr := make(chan error, 1)
+			go func() {
+				relayErr <- Relay(closeTap{rootLst.ClientSide(0), closed}, leafLst, RelayConfig{
+					RelayID: 0, Leaves: 2, Rounds: 2, Engine: comm.EngineConfig{Quorum: 1}})
+			}()
+			sess, err := comm.AcceptClientsCodec(rootLst, 1, 2, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Shutdown("done")
+			engine, err := comm.NewRoundEngine(sess, comm.EngineConfig{Quorum: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := comm.EncodeTensors(dyadicTensors(99, testShapes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs := comm.RoundStart{Round: 1, State: blob, Groups: testGroups, SelectFraction: 1, LocalEpochs: 1, Layout: testLayout}
+			if _, err := engine.RunRound(rs, func(comm.ClientUpdate) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			rs.Round, rs.Groups, rs.Layout = 2, tt.groups, tt.layout
+			if _, err := engine.RunRound(rs, func(comm.ClientUpdate) error { return nil }); err == nil {
+				t.Fatal("root round 2 succeeded on a relay that must refuse it")
+			}
+			timeout := time.After(10 * time.Second)
+			select {
+			case err := <-relayErr:
+				if !errors.Is(err, comm.ErrProtocol) {
+					t.Fatalf("relay returned %v, want ErrProtocol", err)
+				}
+			case <-timeout:
+				t.Fatal("relay still running 10s after the changed broadcast")
+			}
+			select {
+			case <-closed:
+			case <-timeout:
+				t.Fatal("relay returned without closing its root connection")
+			}
+			for range 2 {
+				select {
+				case err := <-leafEnd:
+					if err != nil {
+						t.Fatalf("leaf ended with %v, want a shutdown", err)
+					}
+				case <-timeout:
+					t.Fatal("a leaf was never shut down")
 				}
 			}
 		})

@@ -200,37 +200,26 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		}
 	}
 
-	// The strategy weighs each streamed update (absorbing the fixed
-	// selected-size weighting) and later applies the weighted average to the
-	// global model through its server optimizer. lambda, the staleness
-	// discount, is set by the fold immediately before the aggregator calls the
-	// weigher (both run on this goroutine, never concurrently). A fresh
-	// update's lambda is exactly 1.0, so the multiplication is a float no-op
-	// and a full-buffer identity-weighed run stays bit-identical to the
-	// synchronous one.
-	lambda := 1.0
-	weigh := updateWeigher(cfg.Strat, sess, &lambda)
-
-	// One aggregator serves every round (Finish resets it). In tier mode
-	// clients ship only the groups their capability affords, so it is built
-	// over the layout and averages each tensor over exactly the clients that
-	// covered it, uncovered tensors falling back to the current global state;
-	// untiered clients and relays cover everything. A relay does its region's
-	// per-layer work one tier down, against the Layout broadcast in relay
-	// mode, and answers with the whole state like an untiered client.
-	agg := comm.NewWeightedStreamAggregator(weigh)
-	var bcastLayout []string
+	// One aggregator serves every round (Finish resets it), weighing each
+	// update by the strategy and the staleness discount (updateWeigher). In
+	// tier mode clients ship only the groups their capability affords, so it
+	// is built over the layout and averages each tensor over exactly the
+	// clients that covered it, uncovered tensors falling back to the current
+	// global state; untiered clients and relays cover everything. A relay does
+	// its region's per-layer work one tier down, against the Layout broadcast
+	// in relay mode, and answers with the whole state like an untiered client.
+	var layout, bcastLayout []string
 	if cfg.TierDist != nil {
-		layout, err := global.GroupStateLayout(commGroups)
-		if err != nil {
+		if layout, err = global.GroupStateLayout(commGroups); err != nil {
 			return st.hist, err
 		}
-		if agg, err = comm.NewMaskedStreamAggregator(weigh, commGroups, layout); err != nil {
-			return st.hist, err
-		}
-		if cfg.Relays > 0 {
-			bcastLayout = layout
-		}
+	}
+	if cfg.Relays > 0 {
+		bcastLayout = layout
+	}
+	agg, err := comm.NewMaskedStreamAggregator(updateWeigher(cfg, sess, engine), commGroups, layout)
+	if err != nil {
+		return st.hist, err
 	}
 	policy := ""
 	if cfg.Scheduler != nil {
@@ -254,32 +243,12 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		// uncovered tensors fall back to. Only reference-free codecs reach
 		// async mode, so a stale update never decodes against them.
 		agg.SetCodec(cfg.Codec, stateTs)
-		// Seconds and loss are summed per round, from zero, before they join
-		// the running totals: with two reporters the sum is then independent
-		// of arrival order, which keeps resumed and uninterrupted histories
-		// bit-identical.
-		var roundSeconds, lossSum float64
+		// A rejected update is that client's failure and leaves aggregate,
+		// history and scheduler untouched: Add checks before it sums.
 		fold := func(u comm.ClientUpdate) error {
-			// A rejected update is that client's failure and must leave
-			// aggregate, history and scheduler untouched: every check runs
-			// before the first side effect.
-			if err := checkMetadata(u); err != nil {
-				return err
-			}
-			if cfg.Buffer > 0 {
-				s := engine.Version() - u.Version
-				lambda = cfg.Weigher.Weight(s)
-				if lambda <= 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
-					return fmt.Errorf("%w: staleness weigher produced %v for staleness %d", comm.ErrProtocol, lambda, s)
-				}
-			}
 			if err := agg.Add(u); err != nil {
 				return err
 			}
-			roundSeconds += u.TrainSeconds
-			st.acct.UplinkBytes += int64(len(u.State))
-			st.acct.DownlinkBytes += int64(len(blob))
-			lossSum += u.TrainLoss
 			st.tracker.ObserveUpdate(u.ClientID, u.MeanEntropy, u.TrainLoss, u.TrainSeconds)
 			return nil
 		}
@@ -314,6 +283,10 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		if err != nil {
 			return st.hist, err
 		}
+		// The round's sums start from zero before they join the running totals:
+		// with two reporters they are then independent of arrival order, which
+		// keeps resumed and uninterrupted histories bit-identical.
+		sum := agg.Sum()
 		fused, err := agg.Finish()
 		if err != nil {
 			return st.hist, err
@@ -329,7 +302,9 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		if err != nil {
 			return st.hist, err
 		}
-		st.acct.TrainSeconds += roundSeconds
+		st.acct.TrainSeconds += sum.TrainSeconds
+		st.acct.UplinkBytes += sum.UplinkBytes
+		st.acct.DownlinkBytes += int64(sum.Updates) * int64(len(blob))
 		// The recorded cohort is every dispatch that ended in the round: the
 		// scheduled cohort when the round awaited it all, fewer under a buffer.
 		ended := len(out.Reported) + out.Discarded + len(out.TimedOut) + len(out.Dropped)
@@ -339,7 +314,7 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 			SchedPolicy:     policy,
 			Participants:    len(out.Reported),
 			TestAccuracy:    acc,
-			MeanTrainLoss:   lossSum / float64(len(out.Reported)),
+			MeanTrainLoss:   sum.LossSum / float64(sum.Updates),
 			CumTrainSeconds: st.acct.TrainSeconds,
 			CumUplinkBytes:  st.acct.UplinkBytes,
 		})
@@ -378,24 +353,6 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	return hist, nil
 }
 
-// checkMetadata rejects an update whose self-reported numbers would poison
-// what outlives the round: TrainSeconds and TrainLoss are summed into the
-// history (and every checkpoint after it), and an infinite MeanEntropy would
-// make the entropy scheduler pick that client forever. NaN entropy is the
-// legal "no utility signal".
-func checkMetadata(u comm.ClientUpdate) error {
-	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-	switch {
-	case !finite(u.TrainSeconds) || u.TrainSeconds < 0:
-		return fmt.Errorf("%w: client %d reports %v train seconds", comm.ErrProtocol, u.ClientID, u.TrainSeconds)
-	case !finite(u.TrainLoss):
-		return fmt.Errorf("%w: client %d reports train loss %v", comm.ErrProtocol, u.ClientID, u.TrainLoss)
-	case math.IsInf(u.MeanEntropy, 0):
-		return fmt.Errorf("%w: client %d reports mean entropy %v", comm.ErrProtocol, u.ClientID, u.MeanEntropy)
-	}
-	return nil
-}
-
 // scheduleCohort builds the candidate descriptors for the live clients and
 // asks the policy for this round's cohort. The candidate's projected time is
 // the client's last reported round seconds (zero before first contact), its
@@ -418,24 +375,34 @@ func scheduleCohort(cfg Config, tracker *sched.Tracker, sess *comm.ServerSession
 }
 
 // updateWeigher routes the strategy's WeighUpdates rule into the streaming
-// fold, one update at a time, multiplying *lambda on top — the staleness
-// discount of the update being folded, 1 when nothing can be stale.
-// The one-element scratch keeps the streaming path allocation-light.
-func updateWeigher(strat strategy.Strategy, sess *comm.ServerSession, lambda *float64) comm.WeightFunc {
+// fold, one update at a time, times the staleness discount λ =
+// Weigher.Weight(engine.Version() − u.Version) under a buffer. A fresh
+// update's λ is exactly 1.0, a float no-op, so a full-buffer identity-weighed
+// run stays bit-identical to the synchronous one. The one-element scratch
+// keeps the streaming path allocation-light.
+func updateWeigher(cfg Config, sess *comm.ServerSession, engine *comm.RoundEngine) comm.WeightFunc {
 	var (
 		upScratch [1]strategy.Update
 		wScratch  [1]float64
 	)
 	return func(u comm.ClientUpdate) (float64, error) {
+		lambda := 1.0
+		if cfg.Buffer > 0 {
+			s := engine.Version() - u.Version
+			lambda = cfg.Weigher.Weight(s)
+			if lambda <= 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+				return 0, fmt.Errorf("%w: staleness weigher produced %v for staleness %d", comm.ErrProtocol, lambda, s)
+			}
+		}
 		upScratch[0] = strategy.Update{
 			ClientID:    u.ClientID,
 			NumSelected: u.NumSelected,
 			LocalSize:   sess.LocalSize(u.ClientID),
 		}
-		if err := strat.WeighUpdates(upScratch[:], wScratch[:]); err != nil {
+		if err := cfg.Strat.WeighUpdates(upScratch[:], wScratch[:]); err != nil {
 			return 0, err
 		}
-		return wScratch[0] * *lambda, nil
+		return wScratch[0] * lambda, nil
 	}
 }
 
