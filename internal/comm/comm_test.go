@@ -38,6 +38,41 @@ func TestEncodeDecodeTensors(t *testing.T) {
 	}
 }
 
+// TestAppendTensors: a blob appended after a prefix is EncodeTensors' blob
+// byte for byte, the prefix untouched, and a buffer with the room is reused
+// without allocating.
+func TestAppendTensors(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	ts := []*tensor.Tensor{tensor.New(5, 3), tensor.New(4), tensor.New(2, 1, 3)}
+	for _, x := range ts {
+		x.FillNormal(rng, 0, 1)
+	}
+	want, err := EncodeTensors(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != cap(want) {
+		t.Fatalf("EncodeTensors blob of %d bytes has capacity %d, want exact", len(want), cap(want))
+	}
+	prefix := []byte("prefix")
+	got, err := AppendTensors(append([]byte(nil), prefix...), ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got[:len(prefix)]) != string(prefix) || string(got[len(prefix):]) != string(want) {
+		t.Fatalf("appended blob differs from EncodeTensors'")
+	}
+	buf := got
+	allocs := testing.AllocsPerRun(20, func() {
+		if buf, err = AppendTensors(buf[:0], ts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || string(buf) != string(want) {
+		t.Fatalf("warm AppendTensors allocated %v times (want 0), blob equal: %v", allocs, string(buf) == string(want))
+	}
+}
+
 func TestDecodeTensorsRejectsGarbage(t *testing.T) {
 	if _, err := DecodeTensors([]byte{1, 2}); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("expected ErrProtocol, got %v", err)

@@ -160,11 +160,21 @@ type Shutdown struct {
 // format, prefixed with a count. The buffer is allocated once at its exact
 // size, 4 + Σ EncodedSize, and every tensor is written into it in place.
 func EncodeTensors(ts []*tensor.Tensor) ([]byte, error) {
+	return AppendTensors(nil, ts)
+}
+
+// AppendTensors appends EncodeTensors' blob to b and returns the extended
+// slice. b grows at most once, to exactly the room the blob needs, so a
+// buffer that already has it is reused without allocating.
+func AppendTensors(b []byte, ts []*tensor.Tensor) ([]byte, error) {
 	size := 4
 	for _, t := range ts {
 		size += t.EncodedSize()
 	}
-	b := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(ts)))
+	if cap(b)-len(b) < size {
+		b = append(make([]byte, 0, len(b)+size), b...)
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ts)))
 	for i, t := range ts {
 		var err error
 		if b, err = t.AppendTo(b); err != nil {

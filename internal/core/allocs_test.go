@@ -6,13 +6,11 @@ import (
 	"fedfteds/internal/models"
 	"fedfteds/internal/selection"
 	"fedfteds/internal/strategy"
-	"fedfteds/internal/tensor"
 )
 
-// newWarmRunner builds a runner, runs it once to warm every scratch buffer
-// (replicas, candidate/weight/average scratch, state buffers), and returns
-// it with the live communicated tensors.
-func newWarmRunner(t *testing.T, cfg Config) (*Runner, []*tensor.Tensor) {
+// newWarmRunner builds a runner and runs it once to warm every scratch buffer
+// (replicas, candidate scratch, state buffers, the fold buffer).
+func newWarmRunner(t *testing.T, cfg Config) *Runner {
 	t.Helper()
 	clients, _, test, spec := testFederation(t, 6, 0.5)
 	m, err := models.Build(spec)
@@ -26,11 +24,7 @@ func newWarmRunner(t *testing.T, cfg Config) (*Runner, []*tensor.Tensor) {
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
-	commState, err := r.global.GroupStateTensors(r.global.TrainableGroupNames())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, commState
+	return r
 }
 
 // TestScheduledSamplingSteadyStateAllocs guards the satellite perf fix: the
@@ -39,7 +33,7 @@ func newWarmRunner(t *testing.T, cfg Config) (*Runner, []*tensor.Tensor) {
 // policy, acquire) allocates only what the policy itself draws (its rng and
 // cohort slices), independent of the pool size.
 func TestScheduledSamplingSteadyStateAllocs(t *testing.T) {
-	r, _ := newWarmRunner(t, Config{
+	r := newWarmRunner(t, Config{
 		Rounds: 2, LocalEpochs: 1, BatchSize: 16, LR: 0.1,
 		Selector: selection.Entropy{Temperature: 0.1}, SelectFraction: 0.5,
 		CohortSize: 3, EvalEvery: 10, Parallelism: 2, Seed: 5,
@@ -59,9 +53,10 @@ func TestScheduledSamplingSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestAggregateSteadyStateAllocs: once the weight/update/average scratch and
-// the server-optimizer state are warm, aggregation must not allocate — for
-// the bit-identical fedavg path and for a stateful server optimizer alike.
+// TestAggregateSteadyStateAllocs: once the aggregator, the fold buffer and
+// the server-optimizer state are warm, a fold — every update encoded and
+// added, Finish, ApplyAggregate — must not allocate, for the bit-identical
+// fedavg path and for a stateful server optimizer alike.
 func TestAggregateSteadyStateAllocs(t *testing.T) {
 	for _, tt := range []struct {
 		name string
@@ -91,22 +86,30 @@ func TestAggregateSteadyStateAllocs(t *testing.T) {
 		},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			r, commState := newWarmRunner(t, tt.cfg)
+			r := newWarmRunner(t, tt.cfg)
 			l := r.newLoop()
+			if err := l.newFold(nil); err != nil {
+				t.Fatal(err)
+			}
 			if err := l.dispatch(l.pick(1, l.window), 1); err != nil {
 				t.Fatal(err)
 			}
-			var results []clientResult
-			for pos := 0; pos < r.src.NumClients(); pos++ {
-				results = append(results, l.pend[pos].res)
-			}
 			allocs := testing.AllocsPerRun(20, func() {
-				if err := r.aggregate(results, commState, nil); err != nil {
+				for pos := 0; pos < r.src.NumClients(); pos++ {
+					if err := l.add(pos); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fused, err := l.agg.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.strat.ApplyAggregate(r.commState, fused); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs > 0 {
-				t.Fatalf("aggregate allocates %v times in steady state, want 0", allocs)
+				t.Fatalf("a warm fold allocates %v times, want 0", allocs)
 			}
 		})
 	}

@@ -315,16 +315,16 @@ func TestAsyncPartialBufferDigests(t *testing.T) {
 		mutate       func(*Config)
 		want         string
 	}{
-		{name: "mixed/buffer3/unlimited", mixed: true, buffer: 3, maxStaleness: -1, want: "b85866991f365d7f"},
-		{name: "mixed/buffer2/stale1", mixed: true, buffer: 2, maxStaleness: 1, want: "b50dcd99d23a6a00"},
-		{name: "mixed/buffer1/stale0", mixed: true, buffer: 1, maxStaleness: 0, want: "958bb8c75b49360f"},
-		{name: "uniform/buffer2/stale1", buffer: 2, maxStaleness: 1, want: "05dc5fb5d0db1f01"},
+		{name: "mixed/buffer3/unlimited", mixed: true, buffer: 3, maxStaleness: -1, want: "d6f0c6754ab0b99b"},
+		{name: "mixed/buffer2/stale1", mixed: true, buffer: 2, maxStaleness: 1, want: "4e93ade5dc3ccf32"},
+		{name: "mixed/buffer1/stale0", mixed: true, buffer: 1, maxStaleness: 0, want: "dc0d6757bde8e560"},
+		{name: "uniform/buffer2/stale1", buffer: 2, maxStaleness: 1, want: "fb8edb5937ba3403"},
 		{name: "mixed/buffer2/stale1/fraction straggler", mixed: true, buffer: 2, maxStaleness: 1,
-			mutate: func(c *Config) { c.Straggler = simtime.FractionParticipation{Fraction: 0.7} }, want: "9ea536570c6ecb40"},
+			mutate: func(c *Config) { c.Straggler = simtime.FractionParticipation{Fraction: 0.7} }, want: "7dab6e59d4b48d33"},
 		{name: "mixed/buffer3/unlimited/tiers", mixed: true, buffer: 3, maxStaleness: -1,
-			mutate: func(c *Config) { c.TierDist = mustDist(t, "low:1,mid:1,full:1") }, want: "d2066253fbc6d7fe"},
+			mutate: func(c *Config) { c.TierDist = mustDist(t, "low:1,mid:1,full:1") }, want: "94849b722f21d295"},
 		{name: "mixed/buffer2/stale1/topk codec", mixed: true, buffer: 2, maxStaleness: 1,
-			mutate: func(c *Config) { c.Codec = "topk:0.05" }, want: "f456950dfdab01f1"},
+			mutate: func(c *Config) { c.Codec = "topk:0.05" }, want: "9df552125a5f172e"},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			clients, _, test, spec := testFederation(t, 6, 0.5)

@@ -301,88 +301,63 @@ func TestStragglerFractionReducesParticipants(t *testing.T) {
 	}
 }
 
+// TestAggregateWeighting is a white-box test of the weighted fusion through
+// the simulator's fold: two clients with states 0 and 1 and selected counts 1
+// and 3 fuse to 0.75 under the default selected-size weighting, and to 0.5
+// under uniform weighting.
 func TestAggregateWeighting(t *testing.T) {
-	// White-box test of the weighted fusion: two clients with states 0 and 1
-	// and selected sizes 1 and 3 must fuse to 0.75.
-	clients, _, test, spec := testFederation(t, 2, 0.5)
-	m, err := models.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(Config{Rounds: 1, LocalEpochs: 1, LR: 0.1, Seed: 3}, m, clients, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := models.GroupNames()
-	mk := func(fill float32, nsel int) clientResult {
-		st, err := m.GroupStateTensors(groups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cloned := make([]*tensor.Tensor, len(st))
-		for i, ts := range st {
-			c := tensor.New(ts.Shape()...)
-			c.Fill(fill)
-			cloned[i] = c
-		}
-		return clientResult{state: cloned, numSelected: nsel, localSize: nsel * 2}
-	}
-	live, err := m.GroupStateTensors(groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.aggregate([]clientResult{mk(0, 1), mk(1, 3)}, live, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, ts := range live {
-		for _, v := range ts.Data() {
-			if math.Abs(float64(v)-0.75) > 1e-6 {
-				t.Fatalf("aggregated value %v, want 0.75", v)
+	for _, tt := range []struct {
+		name      string
+		weighting AggWeighting
+		want      float64
+	}{
+		{"selected", WeightBySelected, 0.75},
+		{"uniform", WeightUniform, 0.5},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			clients, _, test, spec := testFederation(t, 2, 0.5)
+			m, err := models.Build(spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-}
-
-func TestAggregateUniformWeighting(t *testing.T) {
-	clients, _, test, spec := testFederation(t, 2, 0.5)
-	m, err := models.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(Config{
-		Rounds: 1, LocalEpochs: 1, LR: 0.1, Seed: 3,
-		AggWeighting: WeightUniform,
-	}, m, clients, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := models.GroupNames()
-	mk := func(fill float32, nsel int) clientResult {
-		st, err := m.GroupStateTensors(groups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cloned := make([]*tensor.Tensor, len(st))
-		for i, ts := range st {
-			c := tensor.New(ts.Shape()...)
-			c.Fill(fill)
-			cloned[i] = c
-		}
-		return clientResult{state: cloned, numSelected: nsel}
-	}
-	live, err := m.GroupStateTensors(groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.aggregate([]clientResult{mk(0, 1), mk(1, 3)}, live, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, ts := range live {
-		for _, v := range ts.Data() {
-			if math.Abs(float64(v)-0.5) > 1e-6 {
-				t.Fatalf("uniform aggregated value %v, want 0.5", v)
+			r, err := NewRunner(Config{Rounds: 1, LocalEpochs: 1, LR: 0.1, Seed: 3, AggWeighting: tt.weighting},
+				m, clients, test)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if err := r.prepareRun(); err != nil {
+				t.Fatal(err)
+			}
+			l := r.newLoop()
+			if err := l.newFold(nil); err != nil {
+				t.Fatal(err)
+			}
+			for pos, nsel := range []int{1, 3} {
+				state := make([]*tensor.Tensor, len(r.commState))
+				for i, ts := range r.commState {
+					state[i] = tensor.New(ts.Shape()...)
+					state[i].Fill(float32(pos))
+				}
+				l.pend[pos] = &flight{res: clientResult{state: state, numSelected: nsel, localSize: 2 * nsel}}
+				if err := l.add(pos); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fused, err := l.agg.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.strat.ApplyAggregate(r.commState, fused); err != nil {
+				t.Fatal(err)
+			}
+			for _, ts := range r.commState {
+				for _, v := range ts.Data() {
+					if math.Abs(float64(v)-tt.want) > 1e-6 {
+						t.Fatalf("aggregated value %v, want %v", v, tt.want)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -66,6 +67,59 @@ func TestRunFailsWhenNoParticipants(t *testing.T) {
 	}
 	if _, err := r.Run(); err == nil {
 		t.Fatal("expected error when the straggler policy drops everyone")
+	}
+}
+
+// TestRunRefusesDivergedClient: a client with an Inf in its features trains to
+// a non-finite loss. The fold refuses its update — charged, counted in the
+// cohort, neither folded nor fed to the tracker — so the run completes on the
+// other two and the global model stays finite. When every client diverges
+// nothing folds, and the round fails naming the refusals.
+func TestRunRefusesDivergedClient(t *testing.T) {
+	for _, tt := range []struct {
+		name     string
+		diverged []int
+	}{
+		{"one of three", []int{1}},
+		{"all three", []int{0, 1, 2}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			clients, _, test, spec := testFederation(t, 3, 0.5)
+			for _, pos := range tt.diverged {
+				clients[pos].Data.X.Data()[0] = float32(math.Inf(1))
+			}
+			m, err := models.Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewRunner(Config{
+				Rounds: 2, LocalEpochs: 1, LR: 0.1, Selector: selection.All{}, EvalEvery: 1, Seed: 1,
+			}, m, clients, test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hist, err := r.Run()
+			if len(tt.diverged) == len(clients) {
+				if err == nil || !strings.Contains(err.Error(), "no update arrived to fold") ||
+					!strings.Contains(err.Error(), "train loss") {
+					t.Fatalf("run with every client diverged returned %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range hist.Records {
+				if rec.Participants != 2 || rec.CohortSize != 3 {
+					t.Errorf("round %d: %d folded of a cohort of %d, want 2 of 3", rec.Round, rec.Participants, rec.CohortSize)
+				}
+			}
+			for i, ts := range m.StateTensors() {
+				if !ts.IsFinite() {
+					t.Errorf("global state tensor %d holds NaN or Inf", i)
+				}
+			}
+		})
 	}
 }
 
@@ -171,44 +225,6 @@ func TestRunnerRejectsClientWithEmptyData(t *testing.T) {
 	}
 	if _, err := NewRunner(Config{Rounds: 1, LocalEpochs: 1, LR: 0.1}, m, clients, test); !errors.Is(err, ErrConfig) {
 		t.Fatalf("expected ErrConfig, got %v", err)
-	}
-}
-
-func TestAggregateRejectsShortClientState(t *testing.T) {
-	clients, _, test, spec := testFederation(t, 2, 0.5)
-	m, err := models.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(Config{Rounds: 1, LocalEpochs: 1, LR: 0.1, Seed: 1}, m, clients, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := m.GroupStateTensors(models.GroupNames())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.aggregate([]clientResult{{state: nil, numSelected: 1}}, live, nil); err == nil {
-		t.Fatal("expected error for truncated client state")
-	}
-}
-
-func TestAggregateRejectsZeroWeights(t *testing.T) {
-	clients, _, test, spec := testFederation(t, 2, 0.5)
-	m, err := models.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(Config{Rounds: 1, LocalEpochs: 1, LR: 0.1, Seed: 1}, m, clients, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := m.GroupStateTensors(models.GroupNames())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.aggregate([]clientResult{{numSelected: 0}}, live, nil); err == nil {
-		t.Fatal("expected error for zero total weight")
 	}
 }
 

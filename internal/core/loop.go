@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 
+	"fedfteds/internal/comm"
 	"fedfteds/internal/simtime"
 	"fedfteds/internal/strategy"
 	"fedfteds/internal/tensor"
@@ -66,10 +68,10 @@ func (r *Runner) window() int {
 }
 
 // flight is one dispatched update, from admission until its round ends (it is
-// folded, discarded as stale, or its client departs). It owns the tensors the
-// training worker snapshots into and the codec decodes into, so an update
-// outlives the dispatch that produced it without a copy; retired flights are
-// reused with their tensors.
+// folded, discarded as stale, refused, or its client departs). It owns the
+// tensors the training worker snapshots into and the codec decodes into, so an
+// update outlives the dispatch that produced it without a copy; retired
+// flights are reused with their tensors.
 type flight struct {
 	res clientResult
 	// version is the model version the client trained against.
@@ -95,8 +97,12 @@ type roundLoop struct {
 	now     float64
 	version int
 	// ended counts the updates whose round ended without a fold since the
-	// last record: straggler-dropped, stale-discarded, departed.
+	// last record: straggler-dropped, stale-discarded, departed, refused.
 	ended int
+	// agg is the run's one fold, the aggregator Serve folds through, and
+	// refused what it turned down since the last record.
+	agg     *comm.StreamAggregator
+	refused []error
 	// Scratch, rebuilt in place: the cohort the loop builds itself, the
 	// cohort's projected times, the flights of the current dispatch, and the
 	// positions a dispatch has seen (true once the straggler policy kept it).
@@ -133,19 +139,14 @@ func (r *Runner) runRounds(acfg AsyncConfig) (History, error) {
 			"aggregation and the checkpoint format has no section for them; checkpointed and resumed "+
 			"runs await the whole window", ErrConfig, acfg.Buffer, l.window)
 	}
-	weigher := acfg.Weigher
-	if weigher == nil {
-		weigher = strategy.IdentityStaleness()
-	}
 	if err := r.prepareRun(); err != nil {
 		return r.hist, err
 	}
+	if err := l.newFold(acfg.Weigher); err != nil {
+		return r.hist, err
+	}
 
-	var (
-		folded []int
-		aggRes []clientResult
-		aggLam []float64
-	)
+	var arrived []int
 	for round := r.startRound + 1; round <= r.cfg.Rounds; round++ {
 		// Refill the window — through the scheduler, which is where trace
 		// availability decides who is reachable and cluster sampling keeps
@@ -155,8 +156,8 @@ func (r *Runner) runRounds(acfg AsyncConfig) (History, error) {
 				return r.hist, err
 			}
 		}
-		folded = folded[:0]
-		for len(folded) < acfg.Buffer {
+		arrived = arrived[:0]
+		for len(arrived) < acfg.Buffer {
 			ev, ok := l.q.Pop()
 			if !ok {
 				break
@@ -182,41 +183,46 @@ func (r *Runner) runRounds(acfg AsyncConfig) (History, error) {
 					return r.hist, err
 				}
 			default:
-				folded = append(folded, ev.ID)
+				arrived = append(arrived, ev.ID)
 			}
-		}
-		if len(folded) == 0 {
-			return r.hist, fmt.Errorf("core: round %d: no update arrived to fold and none is in flight "+
-				"(%d ended unfolded: straggler-dropped, stale or departed)", round, l.ended)
 		}
 
 		// Fold in ascending position, not arrival order, so the result does
 		// not depend on device speeds or on the order a policy listed its
-		// cohort in.
-		slices.Sort(folded)
-		aggRes, aggLam = aggRes[:0], aggLam[:0]
-		for _, pos := range folded {
+		// cohort in. Every arrived update was computed and uplinked; one the
+		// fold refuses (a diverged client's non-finite state or loss) ends its
+		// round unfolded and stays out of the scheduler's feedback.
+		slices.Sort(arrived)
+		for _, pos := range arrived {
 			fl := l.pend[pos]
-			s := l.version - fl.version
-			lam := weigher.Weight(s)
-			if lam <= 0 || math.IsNaN(lam) || math.IsInf(lam, 0) {
-				return r.hist, fmt.Errorf("core: staleness weigher %s returned %v for staleness %d",
-					weigher.Name(), lam, s)
+			r.acct.AddRound(fl.res.cost)
+			r.acct.AddCommunication(fl.res.uplink, r.stateSize)
+			if err := l.add(pos); err != nil {
+				l.ended++
+				l.refused = append(l.refused, err)
+			} else {
+				r.utility.ObserveUpdate(pos, fl.res.meanEntropy, fl.res.trainLoss, fl.res.cost.Total())
 			}
-			aggRes = append(aggRes, fl.res)
-			aggLam = append(aggLam, lam)
-		}
-		if err := r.aggregate(aggRes, r.commState, aggLam); err != nil {
-			return r.hist, err
-		}
-		l.version++
-		for _, pos := range folded {
 			l.retire(pos)
 		}
-		if err := r.recordRound(round, len(aggRes)+l.ended, aggRes, folded); err != nil {
+		sum := l.agg.Sum()
+		if sum.Updates == 0 {
+			return r.hist, errors.Join(append([]error{fmt.Errorf("core: round %d: no update arrived to fold "+
+				"and none is in flight (%d ended unfolded: straggler-dropped, stale, departed or refused)",
+				round, l.ended)}, l.refused...)...)
+		}
+		fused, err := l.agg.Finish()
+		if err != nil {
 			return r.hist, err
 		}
-		l.ended = 0
+		if err := r.strat.ApplyAggregate(r.commState, fused); err != nil {
+			return r.hist, fmt.Errorf("core: strategy %s: %w", r.strat.Name(), err)
+		}
+		l.version++
+		if err := r.recordRound(round, sum.Updates+l.ended, sum); err != nil {
+			return r.hist, err
+		}
+		l.ended, l.refused = 0, l.refused[:0]
 		if r.cfg.CheckpointEvery > 0 && (round%r.cfg.CheckpointEvery == 0 || round == r.cfg.Rounds) {
 			if _, err := r.SaveCheckpoint(r.cfg.CheckpointDir); err != nil {
 				return r.hist, fmt.Errorf("core: checkpoint round %d: %w", round, err)
@@ -318,8 +324,78 @@ func (l *roundLoop) dispatch(cohort []int, round int) error {
 	return nil
 }
 
-// retire ends an in-flight update's round — folded, stale or departed — and
-// keeps its flight, tensors included, for the next dispatch.
+// newFold builds the run's aggregator over the communicated layout (nil
+// layout: every update ships the whole state), weighing each update exactly as
+// Serve does. Its reference is the live global state: every update is checked
+// against its shapes, and a tensor no update covered keeps its value. The
+// codec round trip already happened at dispatch, against the broadcast each
+// update trained from, so the fold decodes plain blobs.
+func (l *roundLoop) newFold(stale strategy.StalenessWeigher) error {
+	if stale == nil {
+		stale = strategy.IdentityStaleness()
+	}
+	weigh := UpdateWeigher(l.r.strat, stale, func() int { return l.version },
+		func(pos int) int { return l.pend[pos].res.localSize })
+	agg, err := comm.NewMaskedStreamAggregator(weigh, l.r.commGroups, l.r.commLayout)
+	if err != nil {
+		return err
+	}
+	agg.SetCodec(nil, l.r.commState)
+	l.agg = agg
+	return nil
+}
+
+// add folds the in-flight update at pos: its state is encoded into the
+// runner's one fold buffer (Add keeps none of it) and handed to the
+// aggregator as the update its client would send, keyed by pool position.
+func (l *roundLoop) add(pos int) error {
+	r, fl := l.r, l.pend[pos]
+	buf, err := comm.AppendTensors(r.foldBuf[:0], fl.res.state)
+	if err != nil {
+		return err
+	}
+	r.foldBuf = buf
+	return l.agg.Add(comm.ClientUpdate{
+		ClientID:     pos,
+		Version:      fl.version,
+		Groups:       fl.mask,
+		State:        buf,
+		NumSelected:  fl.res.numSelected,
+		TrainSeconds: fl.res.cost.Total(),
+		TrainLoss:    fl.res.trainLoss,
+		MeanEntropy:  fl.res.meanEntropy,
+	})
+}
+
+// UpdateWeigher is the fold weight of both runtimes: the strategy's
+// WeighUpdates rule for one update, times the staleness discount
+// λ(version() − u.Version). localSize reports |D_k| of the update's sender.
+// Under strategy.IdentityStaleness λ is exactly 1.0, a float no-op, so a
+// synchronous fold's weights are the strategy's bit for bit. The one-element
+// scratch keeps the fold allocation-free.
+func UpdateWeigher(strat strategy.Strategy, stale strategy.StalenessWeigher, version func() int,
+	localSize func(clientID int) int) comm.WeightFunc {
+	var (
+		up [1]strategy.Update
+		w  [1]float64
+	)
+	return func(u comm.ClientUpdate) (float64, error) {
+		s := version() - u.Version
+		lambda := stale.Weight(s)
+		if lambda <= 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+			return 0, fmt.Errorf("%w: staleness weigher %s produced %v for staleness %d",
+				comm.ErrProtocol, stale.Name(), lambda, s)
+		}
+		up[0] = strategy.Update{ClientID: u.ClientID, NumSelected: u.NumSelected, LocalSize: localSize(u.ClientID)}
+		if err := strat.WeighUpdates(up[:], w[:]); err != nil {
+			return 0, err
+		}
+		return w[0] * lambda, nil
+	}
+}
+
+// retire ends an in-flight update's round — folded, stale, departed or
+// refused — and keeps its flight, tensors included, for the next dispatch.
 func (l *roundLoop) retire(pos int) {
 	l.free = append(l.free, l.pend[pos])
 	delete(l.pend, pos)

@@ -63,31 +63,31 @@ func TestParentCommitDigests(t *testing.T) {
 		async    bool
 		want     string
 	}{
-		{name: "mlp/full/eds", part: models.FinetuneFull, selector: eds, want: "6006618f62810d93"},
-		{name: "mlp/full/all", part: models.FinetuneFull, selector: selection.All{}, want: "e26fc352b14e4a04"},
-		{name: "mlp/large/eds", part: models.FinetuneLarge, selector: eds, want: "29716fed6a009959"},
-		{name: "mlp/large/gradnorm", part: models.FinetuneLarge, selector: selection.GradNorm{}, want: "4835b8d7b99e334e"},
-		{name: "mlp/moderate/eds", part: models.FinetuneModerate, selector: eds, want: "1bb542f40961d378"},
-		{name: "mlp/moderate/all", part: models.FinetuneModerate, selector: selection.All{}, want: "8b15e8278aaa5380"},
-		{name: "mlp/moderate/rds", part: models.FinetuneModerate, selector: selection.Random{}, want: "1d7ccb799ac57aa9"},
-		{name: "mlp/moderate/gradnorm", part: models.FinetuneModerate, selector: selection.GradNorm{}, want: "c4f65248956e52d0"},
-		{name: "mlp/moderate/batch-eds", part: models.FinetuneModerate, selector: selection.BatchEntropy{Temperature: 0.1, BatchSize: 8}, want: "807957533956d47d"},
-		{name: "mlp/classifier/eds", part: models.FinetuneClassifier, selector: eds, want: "566512a9b0a7f8c5"},
-		{name: "mlp/classifier/rds", part: models.FinetuneClassifier, selector: selection.Random{}, want: "695c9fda536a1aec"},
-		{name: "mlp/full/rds/dropout", part: models.FinetuneFull, selector: selection.Random{}, dropout: 0.3, want: "05111cff4bf63707"},
-		{name: "mlp/large/eds/dropout", part: models.FinetuneLarge, selector: eds, dropout: 0.3, want: "d1042df3a015eb73"},
-		{name: "mlp/moderate/eds/dropout", part: models.FinetuneModerate, selector: eds, dropout: 0.3, want: "f81c24b44698a3fe"},
-		{name: "mlp/classifier/all/dropout", part: models.FinetuneClassifier, selector: selection.All{}, dropout: 0.3, want: "4db356e44204d6c1"},
+		{name: "mlp/full/eds", part: models.FinetuneFull, selector: eds, want: "f86493a435fd0a18"},
+		{name: "mlp/full/all", part: models.FinetuneFull, selector: selection.All{}, want: "aba2a58392fe106e"},
+		{name: "mlp/large/eds", part: models.FinetuneLarge, selector: eds, want: "e31ebd6aac9f158b"},
+		{name: "mlp/large/gradnorm", part: models.FinetuneLarge, selector: selection.GradNorm{}, want: "822cc44adc568f23"},
+		{name: "mlp/moderate/eds", part: models.FinetuneModerate, selector: eds, want: "89b8b6da65e7b09e"},
+		{name: "mlp/moderate/all", part: models.FinetuneModerate, selector: selection.All{}, want: "d8b13ca4835a0898"},
+		{name: "mlp/moderate/rds", part: models.FinetuneModerate, selector: selection.Random{}, want: "9797e32257e93a5b"},
+		{name: "mlp/moderate/gradnorm", part: models.FinetuneModerate, selector: selection.GradNorm{}, want: "bf769457b3f02740"},
+		{name: "mlp/moderate/batch-eds", part: models.FinetuneModerate, selector: selection.BatchEntropy{Temperature: 0.1, BatchSize: 8}, want: "dbfb32600c70a5f8"},
+		{name: "mlp/classifier/eds", part: models.FinetuneClassifier, selector: eds, want: "c724a84b919975cd"},
+		{name: "mlp/classifier/rds", part: models.FinetuneClassifier, selector: selection.Random{}, want: "3b126687cf3bff42"},
+		{name: "mlp/full/rds/dropout", part: models.FinetuneFull, selector: selection.Random{}, dropout: 0.3, want: "8c0daab5139dab7e"},
+		{name: "mlp/large/eds/dropout", part: models.FinetuneLarge, selector: eds, dropout: 0.3, want: "55377c9f783cbc8d"},
+		{name: "mlp/moderate/eds/dropout", part: models.FinetuneModerate, selector: eds, dropout: 0.3, want: "12fc3db44da4035e"},
+		{name: "mlp/classifier/all/dropout", part: models.FinetuneClassifier, selector: selection.All{}, dropout: 0.3, want: "1cfdea13373d274d"},
 		{name: "mlp/large/eds/tiers on one worker", part: models.FinetuneLarge, selector: eds,
-			mutate: func(c *Config) { c.TierDist, c.Parallelism = mustDist(t, "low:1,mid:1,full:1"), 1 }, want: "42fe06d912396d79"},
-		{name: "mlp/moderate/eds/async buffer 2", part: models.FinetuneModerate, selector: eds, async: true, want: "f30df4a75fb06923"},
-		{name: "wrn/full/all", wrn: true, part: models.FinetuneFull, selector: selection.All{}, want: "afb19f59ac4cda8b"},
-		{name: "wrn/large/eds", wrn: true, part: models.FinetuneLarge, selector: eds, want: "bb991f1cfed117a8"},
-		{name: "wrn/moderate/eds", wrn: true, part: models.FinetuneModerate, selector: eds, want: "48fd8fcfbd22712c"},
-		{name: "wrn/moderate/batch-eds", wrn: true, part: models.FinetuneModerate, selector: selection.BatchEntropy{Temperature: 0.1, BatchSize: 8}, want: "a490b51c37a87bd3"},
-		{name: "wrn/classifier/gradnorm", wrn: true, part: models.FinetuneClassifier, selector: selection.GradNorm{}, want: "1d785f4aab8b41a8"},
-		{name: "wrn/moderate/eds/dropout", wrn: true, part: models.FinetuneModerate, selector: eds, dropout: 0.3, want: "0c4fa598dcb966c5"},
-		{name: "wrn/classifier/rds/dropout", wrn: true, part: models.FinetuneClassifier, selector: selection.Random{}, dropout: 0.3, want: "e51aeea657687ed4"},
+			mutate: func(c *Config) { c.TierDist, c.Parallelism = mustDist(t, "low:1,mid:1,full:1"), 1 }, want: "7c4c489e1c901d79"},
+		{name: "mlp/moderate/eds/async buffer 2", part: models.FinetuneModerate, selector: eds, async: true, want: "6491d9f214dd8bb7"},
+		{name: "wrn/full/all", wrn: true, part: models.FinetuneFull, selector: selection.All{}, want: "18a21bb92de7cfb0"},
+		{name: "wrn/large/eds", wrn: true, part: models.FinetuneLarge, selector: eds, want: "3dc46834f45622a3"},
+		{name: "wrn/moderate/eds", wrn: true, part: models.FinetuneModerate, selector: eds, want: "33cdfce1a7e08f78"},
+		{name: "wrn/moderate/batch-eds", wrn: true, part: models.FinetuneModerate, selector: selection.BatchEntropy{Temperature: 0.1, BatchSize: 8}, want: "5c3399d0de34fc92"},
+		{name: "wrn/classifier/gradnorm", wrn: true, part: models.FinetuneClassifier, selector: selection.GradNorm{}, want: "57b9cfdf3e2f0350"},
+		{name: "wrn/moderate/eds/dropout", wrn: true, part: models.FinetuneModerate, selector: eds, dropout: 0.3, want: "3d70ab65373dde0f"},
+		{name: "wrn/classifier/rds/dropout", wrn: true, part: models.FinetuneClassifier, selector: selection.Random{}, dropout: 0.3, want: "9af00e1674856d39"},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			clients, _, test, spec := testFederation(t, 6, 0.5)

@@ -104,12 +104,9 @@ type Runner struct {
 	// beyond what the policy itself draws.
 	candScratch []sched.Candidate
 	partScratch []*Client
-	// updScratch/weightScratch/avgScratch are the aggregation scratch: the
-	// per-update weighting descriptors, their weights, and the weighted
-	// client average handed to the strategy's server optimizer.
-	updScratch    []strategy.Update
-	weightScratch []float64
-	avgScratch    []*tensor.Tensor
+	// foldBuf is the one blob every folded update is encoded into on its way
+	// to the aggregator, reused from update to update and run to run.
+	foldBuf []byte
 	// replicas are the per-worker reusable client-training contexts,
 	// created lazily on first use and kept across rounds.
 	replicas []*replica
@@ -207,7 +204,7 @@ func (r *Runner) prepareRun() error {
 	r.commGroups = r.global.TrainableGroupNames()
 	// The communicated tensors are live views into the global model and the
 	// groups never change during a run, so they are resolved once here
-	// instead of once per round in aggregate.
+	// instead of once per round in the fold.
 	commState, err := r.global.GroupStateTensors(r.commGroups)
 	if err != nil {
 		return err
@@ -222,24 +219,15 @@ func (r *Runner) prepareRun() error {
 	return r.cacheProjectedCosts()
 }
 
-// recordRound closes one round: it charges the folded updates to the
-// accountant, feeds the scheduler's utility tracker, evaluates on the
-// EvalEvery cadence and appends the round's record. positions is parallel to
-// results.
-func (r *Runner) recordRound(round, cohortSize int, results []clientResult, positions []int) error {
-	var lossSum float64
-	for i, res := range results {
-		r.acct.AddRound(res.cost)
-		r.acct.AddCommunication(res.uplink, r.stateSize)
-		lossSum += res.trainLoss
-		r.utility.ObserveUpdate(positions[i], res.meanEntropy, res.trainLoss, res.cost.Total())
-	}
+// recordRound closes one round from what its folded updates reported: it
+// evaluates on the EvalEvery cadence and appends the round's record.
+func (r *Runner) recordRound(round, cohortSize int, sum comm.RoundSum) error {
 	rec := RoundRecord{
 		Round:           round,
 		CohortSize:      cohortSize,
-		Participants:    len(results),
+		Participants:    sum.Updates,
 		TestAccuracy:    math.NaN(),
-		MeanTrainLoss:   lossSum / float64(len(results)),
+		MeanTrainLoss:   sum.LossSum / float64(sum.Updates),
 		CumTrainSeconds: r.acct.TotalSeconds(),
 		CumUplinkBytes:  r.acct.UplinkBytes(),
 		SchedPolicy:     r.schedName(),
@@ -589,113 +577,4 @@ func (r *Runner) trainClient(rep *replica, cl *Client, round int, fl *flight) er
 	res.cover, res.uplink = fl.res.cover, fl.res.uplink
 	fl.res = res
 	return err
-}
-
-// aggregate fuses client states into the weighted average of paper Eq. 5 —
-// weighted by the strategy's WeighUpdates rule — and hands it to the
-// strategy's server optimizer, which folds it into the global model's
-// communicated groups (the default fedavg strategy overwrites, reproducing
-// the pre-strategy engine bit for bit). The weighted average accumulates in
-// reused runner scratch tensors in participant order, so the arithmetic —
-// and therefore every result bit — is independent of the strategy applying
-// it. globalState holds the live communicated tensors, resolved once per
-// run. lambdas, when non-nil, multiplies each strategy weight by that
-// update's staleness discount (exactly 1 for an update that is not stale).
-func (r *Runner) aggregate(results []clientResult, globalState []*tensor.Tensor, lambdas []float64) error {
-	if len(results) == 0 {
-		return fmt.Errorf("core: aggregate with no results")
-	}
-	n := len(results)
-	if cap(r.updScratch) < n {
-		r.updScratch = make([]strategy.Update, n)
-		r.weightScratch = make([]float64, n)
-	}
-	ups, weights := r.updScratch[:n], r.weightScratch[:n]
-	for i, res := range results {
-		ups[i] = strategy.Update{
-			ClientID:    res.clientID,
-			NumSelected: res.numSelected,
-			LocalSize:   res.localSize,
-		}
-	}
-	if err := r.strat.WeighUpdates(ups, weights); err != nil {
-		return fmt.Errorf("core: weighting updates: %w", err)
-	}
-	if lambdas != nil {
-		if len(lambdas) != n {
-			return fmt.Errorf("core: %d staleness discounts for %d updates", len(lambdas), n)
-		}
-		for i := range weights {
-			weights[i] *= lambdas[i]
-		}
-	}
-	var sum float64
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return fmt.Errorf("core: strategy %s weighed client %d with %v", r.strat.Name(), ups[i].ClientID, w)
-		}
-		sum += w
-	}
-	if sum <= 0 {
-		return fmt.Errorf("core: aggregate weights sum to %v", sum)
-	}
-
-	if len(r.avgScratch) < len(globalState) {
-		r.avgScratch = append(r.avgScratch, make([]*tensor.Tensor, len(globalState)-len(r.avgScratch))...)
-	}
-	avg := r.avgScratch[:len(globalState)]
-	// Every communicated tensor is averaged, with its own weight total, over
-	// the participants whose mask covered it (all of them on unmasked rounds);
-	// a tensor nobody covered keeps the global value — its "average" is the
-	// current state, so a strategy's server optimizer sees a zero delta. When
-	// every participant covers every group the per-tensor totals accumulate
-	// the same weights in the same order as one global total would, so a
-	// full-mask tiered run is bit-identical to an untiered one.
-	for ti, dst := range globalState {
-		if avg[ti] == nil || !avg[ti].SameShape(dst) {
-			avg[ti] = tensor.Ensure(avg[ti], dst.Shape()...)
-		}
-		acc := avg[ti]
-		var total float64
-		for ri := range results {
-			if results[ri].coverIndex(ti) >= 0 {
-				total += weights[ri]
-			}
-		}
-		if total <= 0 {
-			if err := acc.CopyFrom(dst); err != nil {
-				return fmt.Errorf("core: carrying uncovered tensor %d: %w", ti, err)
-			}
-			continue
-		}
-		acc.Zero()
-		for ri := range results {
-			res := &results[ri]
-			ci := res.coverIndex(ti)
-			if ci < 0 {
-				continue
-			}
-			if ci >= len(res.state) {
-				return fmt.Errorf("core: client %d returned %d state tensors, want ≥%d",
-					res.clientID, len(res.state), ci+1)
-			}
-			if err := acc.Axpy(float32(weights[ri]/total), res.state[ci]); err != nil {
-				return fmt.Errorf("core: aggregating tensor %d from client %d: %w", ti, res.clientID, err)
-			}
-		}
-	}
-	if err := r.strat.ApplyAggregate(globalState, avg); err != nil {
-		return fmt.Errorf("core: strategy %s: %w", r.strat.Name(), err)
-	}
-	return nil
-}
-
-// coverIndex maps communicated tensor ti to its index in the update's shipped
-// state: the identity for a whole-state update, the cover map (-1 when the
-// update's mask excludes the tensor) for a masked one.
-func (res *clientResult) coverIndex(ti int) int {
-	if res.cover == nil {
-		return ti
-	}
-	return res.cover[ti]
 }

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"sort"
 	"time"
 
@@ -201,7 +200,8 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	}
 
 	// One aggregator serves every round (Finish resets it), weighing each
-	// update by the strategy and the staleness discount (updateWeigher). In
+	// update by the strategy and the staleness discount (core.UpdateWeigher,
+	// the simulator's weight too; λ is exactly 1 without a buffer). In
 	// tier mode clients ship only the groups their capability affords, so it
 	// is built over the layout and averages each tensor over exactly the
 	// clients that covered it, uncovered tensors falling back to the current
@@ -217,7 +217,12 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	if cfg.Relays > 0 {
 		bcastLayout = layout
 	}
-	agg, err := comm.NewMaskedStreamAggregator(updateWeigher(cfg, sess, engine), commGroups, layout)
+	stale := cfg.Weigher
+	if cfg.Buffer == 0 {
+		stale = strategy.IdentityStaleness()
+	}
+	agg, err := comm.NewMaskedStreamAggregator(
+		core.UpdateWeigher(cfg.Strat, stale, engine.Version, sess.LocalSize), commGroups, layout)
 	if err != nil {
 		return st.hist, err
 	}
@@ -372,38 +377,6 @@ func scheduleCohort(cfg Config, tracker *sched.Tracker, sess *comm.ServerSession
 	tracker.Stamp(cands)
 	rng := tensor.NewRand(uint64(cfg.Seed), uint64(round), sched.StreamTag)
 	return cfg.Scheduler.Schedule(round, cands, min(cfg.Cohort, len(live)), rng)
-}
-
-// updateWeigher routes the strategy's WeighUpdates rule into the streaming
-// fold, one update at a time, times the staleness discount λ =
-// Weigher.Weight(engine.Version() − u.Version) under a buffer. A fresh
-// update's λ is exactly 1.0, a float no-op, so a full-buffer identity-weighed
-// run stays bit-identical to the synchronous one. The one-element scratch
-// keeps the streaming path allocation-light.
-func updateWeigher(cfg Config, sess *comm.ServerSession, engine *comm.RoundEngine) comm.WeightFunc {
-	var (
-		upScratch [1]strategy.Update
-		wScratch  [1]float64
-	)
-	return func(u comm.ClientUpdate) (float64, error) {
-		lambda := 1.0
-		if cfg.Buffer > 0 {
-			s := engine.Version() - u.Version
-			lambda = cfg.Weigher.Weight(s)
-			if lambda <= 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
-				return 0, fmt.Errorf("%w: staleness weigher produced %v for staleness %d", comm.ErrProtocol, lambda, s)
-			}
-		}
-		upScratch[0] = strategy.Update{
-			ClientID:    u.ClientID,
-			NumSelected: u.NumSelected,
-			LocalSize:   sess.LocalSize(u.ClientID),
-		}
-		if err := cfg.Strat.WeighUpdates(upScratch[:], wScratch[:]); err != nil {
-			return 0, err
-		}
-		return wScratch[0] * lambda, nil
-	}
 }
 
 // logFailures reports a round's failed clients in deterministic order.

@@ -446,9 +446,9 @@ func TestFleetAsyncPartialBufferDigests(t *testing.T) {
 		want         string
 	}{
 		{name: "discards", rounds: 6, maxStaleness: 2,
-			departed: func(round, clientID int) bool { return round == 3 && clientID%5 == 2 }, want: "1166fc6c5898c496"},
+			departed: func(round, clientID int) bool { return round == 3 && clientID%5 == 2 }, want: "17eba846bab9b0e8"},
 		{name: "departures", rounds: 10, maxStaleness: 1,
-			departed: func(round, clientID int) bool { return round%2 == 0 && clientID%3 == 0 }, want: "9d7845dd4af77ce1"},
+			departed: func(round, clientID int) bool { return round%2 == 0 && clientID%3 == 0 }, want: "5ae2241915831e35"},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			spec, test, build := fixture(t, 18)
