@@ -12,7 +12,9 @@
 // then device rate) before materialization continues the same stream into
 // label assignment and data generation. Acquiring a client twice — or
 // acquiring it lazily versus building the whole population eagerly — yields
-// bit-identical datasets, which TestLazyMatchesEager pins.
+// bit-identical datasets, which TestLazyMatchesEager pins. Registration runs
+// on the kernel worker pool; since no client reads another's stream or rows,
+// the split across workers cannot change a bit.
 package fleet
 
 import (
@@ -26,6 +28,7 @@ import (
 	"fedfteds/internal/data"
 	"fedfteds/internal/seeds"
 	"fedfteds/internal/simtime"
+	"fedfteds/internal/tensor"
 )
 
 // ErrFleet reports an invalid fleet configuration or operation.
@@ -143,9 +146,13 @@ type Fleet struct {
 
 var _ core.ClientSource = (*Fleet)(nil)
 
-// New registers a fleet: one pass deriving every client's descriptor from its
-// seed stream, then (when Spec.Clusters > 1) a deterministic k-means over the
-// label-distribution sketches. No datasets are generated.
+// registerChunk is the fewest clients one pool task registers: a few
+// milliseconds of draws, so small fleets register inline.
+const registerChunk = 1024
+
+// New registers a fleet: one parallel pass deriving every client's descriptor
+// from its seed stream, then (when Spec.Clusters > 1) a deterministic k-means
+// over the label-distribution sketches. No datasets are generated.
 func New(spec Spec) (*Fleet, error) {
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
@@ -161,25 +168,29 @@ func New(spec Spec) (*Fleet, error) {
 		dim:    classes + 1,
 		pool:   make(map[int]*entry),
 	}
-	props := make([]float64, classes)
-	for id := 0; id < n; id++ {
-		rng := seeds.FleetClient(spec.Seed, id)
-		size, rate := f.drawPrefix(rng, props)
-		f.sizes[id] = int32(size)
-		f.flops[id] = rate
-		row := f.sketch[id*f.dim : (id+1)*f.dim]
-		var h float64
-		for c, p := range props {
-			row[c] = float32(p)
-			if p > 0 {
-				h -= p * math.Log(p)
+	// A chunk reseeds one stream per client rather than allocating one each.
+	tensor.ParallelFor(n, registerChunk, func(lo, hi int) {
+		rng := seeds.Source(0)
+		props := make([]float64, classes)
+		for id := lo; id < hi; id++ {
+			rng.Seed(seeds.FleetClientSeed(spec.Seed, id))
+			size, rate := f.drawPrefix(rng, props)
+			f.sizes[id] = int32(size)
+			f.flops[id] = rate
+			row := f.sketch[id*f.dim : (id+1)*f.dim]
+			var h float64
+			for c, p := range props {
+				row[c] = float32(p)
+				if p > 0 {
+					h -= p * math.Log(p)
+				}
 			}
+			// Normalized label entropy: 1 for a uniform client, → 0 for a
+			// single-class one. It gives the sketch a "how non-IID" axis on
+			// top of "which classes".
+			row[classes] = float32(h / math.Log(float64(classes)))
 		}
-		// Normalized label entropy: 1 for a uniform client, → 0 for a
-		// single-class one. It gives the sketch a "how non-IID" axis on top
-		// of "which classes".
-		row[classes] = float32(h / math.Log(float64(classes)))
-	}
+	})
 	if spec.Clusters > 1 {
 		f.clusters = kmeans(f.sketch, n, f.dim, spec.Clusters)
 		h := fnv.New64a()

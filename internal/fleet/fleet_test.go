@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"fedfteds/internal/data"
+	"fedfteds/internal/seeds"
 )
 
 func testDomain(t *testing.T) *data.Domain {
@@ -245,6 +247,49 @@ func TestClusterDeterminism(t *testing.T) {
 	}
 	if d := a.Describe(0); d.Cluster != a.Cluster(0) {
 		t.Errorf("Describe cluster %d vs Cluster() %d", d.Cluster, a.Cluster(0))
+	}
+}
+
+// TestRegistrationIndependentOfWorkers: a fleet several registration chunks
+// long registers to the same descriptors, sketches, clusters and fingerprint
+// on one worker and on four, and each client's descriptor is what its own
+// fresh stream draws.
+func TestRegistrationIndependentOfWorkers(t *testing.T) {
+	spec := testSpec(t, 5000)
+	spec.Clusters = 8
+	build := func(procs int) *Fleet {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		f, err := New(spec)
+		if err != nil {
+			t.Fatalf("New at GOMAXPROCS %d: %v", procs, err)
+		}
+		return f
+	}
+	serial, parallel := build(1), build(4)
+	if serial.Fingerprint() != parallel.Fingerprint() {
+		t.Fatalf("fingerprint %s on one worker, %s on four", serial.Fingerprint(), parallel.Fingerprint())
+	}
+	props := make([]float64, serial.dim-1)
+	for id := range spec.Clients {
+		if a, b := serial.Describe(id), parallel.Describe(id); a != b {
+			t.Fatalf("client %d: descriptor %+v on one worker, %+v on four", id, a, b)
+		}
+		if a, b := serial.Cluster(id), parallel.Cluster(id); a != b {
+			t.Fatalf("client %d: cluster %d on one worker, %d on four", id, a, b)
+		}
+		size, rate := serial.drawPrefix(seeds.FleetClient(spec.Seed, id), props)
+		if d := parallel.Describe(id); d.DataSize != size || d.Device.FLOPSRate != rate {
+			t.Fatalf("client %d: registered size %d rate %v, its stream draws %d and %v", id, d.DataSize, d.Device.FLOPSRate, size, rate)
+		}
+		row := parallel.sketch[id*parallel.dim : (id+1)*parallel.dim]
+		for c, p := range props {
+			if row[c] != float32(p) || serial.sketch[id*serial.dim+c] != row[c] {
+				t.Fatalf("client %d: sketch entry %d is %v (one worker %v), its stream draws %v", id, c, row[c], serial.sketch[id*serial.dim+c], float32(p))
+			}
+		}
+		if e := serial.sketch[(id+1)*serial.dim-1]; e != row[len(row)-1] {
+			t.Fatalf("client %d: sketch entropy %v on one worker, %v on four", id, e, row[len(row)-1])
+		}
 	}
 }
 

@@ -134,7 +134,7 @@ type Model struct {
 
 // Build constructs a model from its spec with deterministic initialization.
 func Build(spec Spec) (*Model, error) {
-	return build(spec, rand.New(rand.NewSource(spec.InitSeed)))
+	return build(spec, rand.New(tensor.NewSource(spec.InitSeed)))
 }
 
 // build constructs the model, drawing weight initializations from rng. A nil

@@ -508,3 +508,33 @@ func TestCloneSkipsInitBitIdentical(t *testing.T) {
 		equalStates("after one training step")
 	}
 }
+
+// TestResetTransientRNGsRedrawsFreshMasks: a dropout model that has drawn
+// masks and is then rewound draws exactly the masks of a freshly built one,
+// and the rewind reseeds each layer's stream in place, allocating nothing.
+func TestResetTransientRNGsRedrawsFreshMasks(t *testing.T) {
+	spec := mlpSpec()
+	spec.DropoutRate = 0.3
+	used, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(8, 16)
+	x.FillNormal(tensor.NewRand(5), 0, 1)
+	for range 3 {
+		used.Forward(x, true)
+	}
+	used.ResetTransientRNGs()
+	fresh, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := range 3 {
+		if got, want := used.Forward(x, true).Clone(), fresh.Forward(x, true); !got.Equal(want) {
+			t.Fatalf("pass %d after the rewind: logits differ from a fresh model's", pass)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, used.ResetTransientRNGs); allocs != 0 {
+		t.Errorf("ResetTransientRNGs allocates %v times, want 0", allocs)
+	}
+}

@@ -86,21 +86,21 @@ func NewDropout(name string, rate float64, seed int64) (*Dropout, error) {
 		base: base{name: name},
 		rate: rate,
 		seed: seed,
-		rng:  rand.New(rand.NewSource(seed)),
+		rng:  rand.New(tensor.NewSource(seed)),
 	}, nil
 }
 
-// Reseed replaces the dropout RNG; used when cloning models so clones draw
-// independent masks.
+// Reseed restarts the dropout RNG from a new seed, in place; used when
+// cloning models so clones draw independent masks.
 func (d *Dropout) Reseed(seed int64) {
 	d.seed = seed
-	d.rng = rand.New(rand.NewSource(seed))
+	d.rng.Seed(seed)
 }
 
-// ResetRNG rewinds the dropout RNG to its seed, restoring the mask stream a
-// freshly built layer would draw. Pooled model replicas call this between
-// clients so reuse stays bit-identical to cloning.
-func (d *Dropout) ResetRNG() { d.rng = rand.New(rand.NewSource(d.seed)) }
+// ResetRNG rewinds the dropout RNG to its seed, in place, restoring the mask
+// stream a freshly built layer would draw. Pooled model replicas call this
+// between clients so reuse stays bit-identical to cloning.
+func (d *Dropout) ResetRNG() { d.rng.Seed(d.seed) }
 
 // Forward implements Layer.
 func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {

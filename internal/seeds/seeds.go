@@ -44,12 +44,12 @@ func Derive(parts ...uint64) int64 { return tensor.DeriveSeed(parts...) }
 // variables...) and get an independent sequence.
 func Stream(parts ...uint64) *rand.Rand { return tensor.NewRand(parts...) }
 
-// Source returns a *rand.Rand seeded directly with seed, without mixing —
-// the legacy construction (rand.New(rand.NewSource(seed))) used by the
-// synthetic-data universes and the experiment harness's federation builder.
-// New code should prefer Stream; Source exists so those call sites share one
-// spelling while staying bit-identical to their recorded histories.
-func Source(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+// Source returns a *rand.Rand seeded directly with seed, without mixing: the
+// stream math/rand's own source draws for seed, used by the synthetic-data
+// universes and the experiment harness's federation builder. New code should
+// prefer Stream; Source exists so those call sites share one spelling while
+// staying bit-identical to their recorded histories.
+func Source(seed int64) *rand.Rand { return rand.New(tensor.NewSource(seed)) }
 
 // Chain folds parts into base with the raw Splitmix64 chain
 // x = Splitmix64(x ^ part) and returns the final 64-bit value. Unlike
@@ -77,5 +77,11 @@ func ClientRound(runSeed int64, round, clientID int) *rand.Rand {
 // same stream on materialization, so the descriptor and the lazily generated
 // dataset always agree.
 func FleetClient(fleetSeed int64, clientID int) *rand.Rand {
-	return tensor.NewRand(uint64(fleetSeed), TagFleetClient, uint64(clientID))
+	return Source(FleetClientSeed(fleetSeed, clientID))
+}
+
+// FleetClientSeed is the seed of FleetClient's stream, for callers that
+// reseed one *rand.Rand per client instead of building a stream each.
+func FleetClientSeed(fleetSeed int64, clientID int) int64 {
+	return Derive(uint64(fleetSeed), TagFleetClient, uint64(clientID))
 }

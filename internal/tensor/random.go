@@ -60,5 +60,5 @@ func DeriveSeed(parts ...uint64) int64 {
 
 // NewRand returns a deterministic *rand.Rand derived from parts.
 func NewRand(parts ...uint64) *rand.Rand {
-	return rand.New(rand.NewSource(DeriveSeed(parts...)))
+	return rand.New(NewSource(DeriveSeed(parts...)))
 }
