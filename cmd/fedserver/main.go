@@ -68,8 +68,12 @@
 // invsqrt, λ(s) = 1/sqrt(1+s)) of the versions the model advanced meanwhile
 // and discarded when staler than -max-staleness. -rounds then counts
 // aggregations, and a round fails when what is still in flight can no longer
-// fill the buffer. -buffer equal to -clients with -staleness identity
-// reproduces the synchronous server exactly.
+// fill the buffer. -buffer equal to the peers a round contacts (-clients, or
+// -relays) with -staleness identity reproduces the synchronous server exactly.
+// -buffer composes with -tiers, whose masked updates are weighed by staleness
+// like any other, and with -relays, where M counts region updates and a
+// region is one more peer that may answer late. It still refuses -cohort, the
+// reference codecs (int8, topk) and -quorum.
 //
 // Clients regenerate their local partitions deterministically from the
 // shared -seed, so server and clients agree on data without moving it —
@@ -194,10 +198,9 @@ func parseFlags(args []string) (serverConfig, error) {
 	if cfg.Buffer < 0 {
 		return serverConfig{}, fmt.Errorf("-buffer %d is negative", cfg.Buffer)
 	}
-	if cfg.Relays > 0 && cfg.Buffer > 0 {
-		return serverConfig{}, fmt.Errorf("-relays %d and -buffer %d are mutually exclusive: "+
-			"a relay tree runs synchronous region rounds; run the buffered-async server flat", cfg.Relays, cfg.Buffer)
-	}
+	// The peers a round can contact: the relay regions in hierarchical mode,
+	// the clients otherwise, narrowed by -cohort below.
+	peers := cfg.NumClients
 	if cfg.Relays > 0 {
 		if cfg.Relays > cfg.NumClients {
 			return serverConfig{}, fmt.Errorf("-relays %d exceeds -clients %d: every region needs at least one leaf client",
@@ -206,18 +209,17 @@ func parseFlags(args []string) (serverConfig, error) {
 		if cfg.Cohort > cfg.Relays {
 			return serverConfig{}, fmt.Errorf("-cohort %d exceeds the %d relay regions a round can contact", cfg.Cohort, cfg.Relays)
 		}
+		peers = cfg.Relays
 	}
 	if cfg.Buffer > 0 {
-		if cfg.Buffer > cfg.NumClients {
-			return serverConfig{}, fmt.Errorf("-buffer %d exceeds -clients %d: each client holds at most one "+
-				"outstanding update, so the buffer could never fill", cfg.Buffer, cfg.NumClients)
+		if cfg.Buffer > peers {
+			return serverConfig{}, fmt.Errorf("-buffer %d exceeds the %d peers a round can contact (-relays %d, -clients %d): "+
+				"each holds at most one outstanding update, so the buffer could never fill",
+				cfg.Buffer, peers, cfg.Relays, cfg.NumClients)
 		}
 		if cfg.Cohort > 0 {
 			return serverConfig{}, fmt.Errorf("-cohort %d schedules synchronous rounds and cannot combine with -buffer %d: "+
 				"the async engine dispatches to every idle client at each aggregation; drop -cohort or -buffer", cfg.Cohort, cfg.Buffer)
-		}
-		if cfg.tiers || cfg.tierDistSpec != "" {
-			return serverConfig{}, fmt.Errorf("-tiers cannot combine with -buffer: masked per-layer aggregation assumes synchronous rounds")
 		}
 	}
 	if cfg.MaxStaleness >= 0 && cfg.Buffer == 0 {
@@ -259,10 +261,7 @@ func parseFlags(args []string) (serverConfig, error) {
 			return serverConfig{}, fmt.Errorf("-quorum %v: values above 1 are absolute update counts and must be integers", cfg.Quorum)
 		}
 		cfg.MinUpdates, cfg.Quorum = int(cfg.Quorum), 0
-		roundSize := cfg.NumClients
-		if cfg.Relays > 0 {
-			roundSize = cfg.Relays
-		}
+		roundSize := peers
 		if cfg.Cohort > 0 {
 			roundSize = cfg.Cohort
 		}

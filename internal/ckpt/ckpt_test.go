@@ -279,8 +279,6 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	e.PutUint64(1 << 63)
 	e.PutFloat64(math.Copysign(0, -1))
 	e.PutFloat64(math.NaN())
-	e.PutBool(true)
-	e.PutBool(false)
 	e.PutString("héllo")
 	e.PutBytes([]byte{9, 8, 7})
 	if err := e.PutTensors(ts); err != nil {
@@ -300,9 +298,6 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	}
 	if v := d.Float64(); !math.IsNaN(v) {
 		t.Fatalf("NaN lost: %v", v)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Fatal("bools differ")
 	}
 	if s := d.String(); s != "héllo" {
 		t.Fatalf("String %q", s)
@@ -346,13 +341,6 @@ func TestDecoderCorruption(t *testing.T) {
 	// Sticky: further reads keep returning zero values.
 	if d.Int() != 0 || d.String() != "" || d.Tensor() != nil {
 		t.Fatal("decoder not sticky after error")
-	}
-
-	// Invalid bool byte.
-	d = NewDecoder([]byte{7})
-	d.Bool()
-	if !errors.Is(d.Done(), ErrCorrupt) {
-		t.Fatalf("bad bool: %v", d.Done())
 	}
 
 	// Huge claimed tensor count must not allocate.

@@ -37,15 +37,6 @@ func (e *Encoder) PutInt(v int) { e.PutInt64(int64(v)) }
 // PutFloat64 appends v's exact IEEE-754 bit pattern.
 func (e *Encoder) PutFloat64(v float64) { e.PutUint64(math.Float64bits(v)) }
 
-// PutBool appends v as one byte.
-func (e *Encoder) PutBool(v bool) {
-	var b byte
-	if v {
-		b = 1
-	}
-	e.buf.WriteByte(b)
-}
-
 // PutString appends a length-prefixed string.
 func (e *Encoder) PutString(s string) {
 	e.PutUint64(uint64(len(s)))
@@ -158,23 +149,6 @@ func (d *Decoder) Int() int { return int(d.Int64()) }
 
 // Float64 reads one float64 bit pattern.
 func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }
-
-// Bool reads one byte as a bool; any value other than 0 or 1 is corruption.
-func (d *Decoder) Bool() bool {
-	b := d.take(1)
-	if b == nil {
-		return false
-	}
-	switch b[0] {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail("invalid bool byte %d", b[0])
-		return false
-	}
-}
 
 // String reads one length-prefixed string.
 func (d *Decoder) String() string {

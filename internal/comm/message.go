@@ -64,10 +64,9 @@ type Hello struct {
 	// empty on untiered federations.
 	Tier string
 	// Clients is the number of downstream leaf clients a relay speaks for
-	// (zero for plain clients). It is the peer's whole role: a relay answers
-	// RoundStarts with ClientUpdates like any client, and the root's
-	// scheduler uses the count to weigh a region candidate by its population
-	// rather than as a single device.
+	// (zero for plain clients). It is carried and unread: a relay answers
+	// RoundStarts with ClientUpdates like any client, and the root weighs a
+	// region by its updates' NumSelected, the region's summed selected count.
 	Clients int
 }
 

@@ -22,10 +22,9 @@ var handshakeTimeout = 10 * time.Second
 // ServerSession coordinates a registered set of federated clients over any
 // Transport. It implements the server half of the wire protocol.
 type ServerSession struct {
-	conns  map[int]Conn   // by client ID
-	sizes  map[int]int    // local dataset sizes reported at Hello, by client ID
-	tiers  map[int]string // device tiers reported at Hello, by client ID
-	leaves map[int]int    // downstream leaf counts reported at Hello, by client ID
+	conns map[int]Conn   // by client ID
+	sizes map[int]int    // local dataset sizes reported at Hello, by client ID
+	tiers map[int]string // device tiers reported at Hello, by client ID
 	// parked holds re-registrations under a still-registered ID until it is
 	// vacated (Admitter.Drain).
 	parked map[int]admission
@@ -52,10 +51,9 @@ func AcceptClientsCodec(l Listener, numClients, rounds int, codec string) (*Serv
 		return nil, err
 	}
 	s := &ServerSession{
-		conns:  make(map[int]Conn, numClients),
-		sizes:  make(map[int]int, numClients),
-		tiers:  make(map[int]string, numClients),
-		leaves: make(map[int]int, numClients),
+		conns: make(map[int]Conn, numClients),
+		sizes: make(map[int]int, numClients),
+		tiers: make(map[int]string, numClients),
 	}
 	fail := func(conn Conn, err error) (*ServerSession, error) {
 		if conn != nil {
@@ -138,7 +136,6 @@ func (s *ServerSession) admit(hello Hello, conn Conn) {
 	s.conns[hello.ClientID] = conn
 	s.sizes[hello.ClientID] = hello.LocalSize
 	s.tiers[hello.ClientID] = hello.Tier
-	s.leaves[hello.ClientID] = hello.Clients
 }
 
 // LocalSize returns the local dataset size the client reported at
@@ -148,11 +145,6 @@ func (s *ServerSession) LocalSize(id int) int { return s.sizes[id] }
 // Tier returns the device tier the client reported at registration (empty
 // for untiered or unknown clients) — the scheduler's tier signal.
 func (s *ServerSession) Tier(id int) string { return s.tiers[id] }
-
-// DownstreamClients returns the number of leaf clients a registered relay
-// speaks for (zero for plain clients and unknown IDs) — the scheduler's
-// region-population signal.
-func (s *ServerSession) DownstreamClients(id int) int { return s.leaves[id] }
 
 // ClientIDs returns the registered client IDs in ascending order.
 func (s *ServerSession) ClientIDs() []int {
@@ -222,9 +214,9 @@ func JoinTiered(conn Conn, clientID, localSize int, tier string) (*ClientSession
 }
 
 // JoinRelay registers a mid-tier relay with the root: localSize is the
-// summed leaf dataset size and clients the region's leaf count, so the root
-// can schedule and weigh the region by its population. The session is an
-// ordinary client session; only the declared count tells the root apart.
+// summed leaf dataset size and clients the region's leaf count, which the
+// Hello carries and the root does not read. The session is an ordinary
+// client session.
 func JoinRelay(conn Conn, relayID, localSize, clients int) (*ClientSession, Welcome, error) {
 	return join(conn, Hello{ClientID: relayID, LocalSize: localSize, Clients: clients})
 }

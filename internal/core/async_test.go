@@ -228,9 +228,6 @@ func TestAsyncConfigRejections(t *testing.T) {
 		}, acfg: partial},
 		{name: "tiers", mutate: func(c *Config) { c.TierDist = mustDist(t, "low:1,full:1") }, acfg: partial},
 		{name: "codec", mutate: func(c *Config) { c.Codec = "int8" }, acfg: partial},
-		{name: "mask provider", mutate: func(c *Config) {
-			c.Strategy = strategy.FedAvg().WithMaskProvider(classifierOnlyMasks{})
-		}, acfg: partial},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

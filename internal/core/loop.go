@@ -31,11 +31,6 @@ type AsyncConfig struct {
 	// Weigher maps staleness to the discount multiplied into the strategy's
 	// aggregation weight. Nil means identity (no discount).
 	Weigher strategy.StalenessWeigher
-	// Departed, when non-nil, reports that a client left before its update
-	// for the given aggregation arrived. The update is dropped — its compute
-	// is accounted (the client did train) but nothing is uplinked — and the
-	// vacated slot is refilled at the next aggregation boundary.
-	Departed func(round, clientID int) bool
 }
 
 // Run executes the configured number of synchronous rounds and returns the
@@ -68,10 +63,10 @@ func (r *Runner) window() int {
 }
 
 // flight is one dispatched update, from admission until its round ends (it is
-// folded, discarded as stale, refused, or its client departs). It owns the
-// tensors the training worker snapshots into and the codec decodes into, so an
-// update outlives the dispatch that produced it without a copy; retired
-// flights are reused with their tensors.
+// folded, discarded as stale, or refused). It owns the tensors the training
+// worker snapshots into and the codec decodes into, so an update outlives the
+// dispatch that produced it without a copy; retired flights are reused with
+// their tensors.
 type flight struct {
 	res clientResult
 	// version is the model version the client trained against.
@@ -97,7 +92,7 @@ type roundLoop struct {
 	now     float64
 	version int
 	// ended counts the updates whose round ended without a fold since the
-	// last record: straggler-dropped, stale-discarded, departed, refused.
+	// last record: straggler-dropped, stale-discarded, refused.
 	ended int
 	// agg is the run's one fold, the aggregator Serve folds through, and
 	// refused what it turned down since the last record.
@@ -165,12 +160,6 @@ func (r *Runner) runRounds(acfg AsyncConfig) (History, error) {
 			l.now = ev.Time
 			fl := l.pend[ev.ID]
 			switch {
-			case acfg.Departed != nil && acfg.Departed(round, fl.res.clientID):
-				// The client trained but left before uploading: account the
-				// compute, drop the update, free the slot for the next refill.
-				r.acct.AddRound(fl.res.cost)
-				l.retire(ev.ID)
-				l.ended++
 			case acfg.MaxStaleness >= 0 && l.version-fl.version > acfg.MaxStaleness:
 				// Computed and uplinked regardless; count the work, drop the
 				// update, and hand the client the current model right away.
@@ -208,7 +197,7 @@ func (r *Runner) runRounds(acfg AsyncConfig) (History, error) {
 		sum := l.agg.Sum()
 		if sum.Updates == 0 {
 			return r.hist, errors.Join(append([]error{fmt.Errorf("core: round %d: no update arrived to fold "+
-				"and none is in flight (%d ended unfolded: straggler-dropped, stale, departed or refused)",
+				"and none is in flight (%d ended unfolded: straggler-dropped, stale or refused)",
 				round, l.ended)}, l.refused...)...)
 		}
 		fused, err := l.agg.Finish()
@@ -394,8 +383,8 @@ func UpdateWeigher(strat strategy.Strategy, stale strategy.StalenessWeigher, ver
 	}
 }
 
-// retire ends an in-flight update's round — folded, stale, departed or
-// refused — and keeps its flight, tensors included, for the next dispatch.
+// retire ends an in-flight update's round — folded, stale or refused —
+// and keeps its flight, tensors included, for the next dispatch.
 func (l *roundLoop) retire(pos int) {
 	l.free = append(l.free, l.pend[pos])
 	delete(l.pend, pos)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -126,20 +125,13 @@ type Runner struct {
 	commGroups []string
 	commState  []*tensor.Tensor
 	stateSize  int64
-	// Partial-training state (nil on untiered runs without a mask provider,
-	// where every update covers the whole communicated state). tiers assigns
-	// a device tier to every pool position, drawn once per federation;
-	// tierMasks maps each tier to its layer-group mask (the profile's
-	// affordable top suffix intersected with the communicated groups).
-	// commIndex/commLayout map groups and tensors of the communicated state;
-	// coverCache and bytesCache memoize, per distinct mask, the cover map an
-	// update carries and its masked uplink size.
+	// Partial-training state (nil on untiered runs, where every update covers
+	// the whole communicated state). tiers assigns a device tier to every pool
+	// position, drawn once per federation; tierMasks maps each tier to its
+	// mask; commLayout names each communicated tensor's group.
 	tiers      []string
-	tierMasks  map[string][]string
-	commIndex  map[string]int
+	tierMasks  map[string]tierMask
 	commLayout []string
-	coverCache map[string][]int
-	bytesCache map[string]int64
 
 	// Uplink-codec wire simulation (cfg.Codec non-empty; see codec.go).
 	// codecs holds one codec instance per client ID so topk's error-feedback
@@ -278,29 +270,24 @@ func (r *Runner) finishRun() History {
 	return r.hist
 }
 
-// maskProvider returns the strategy's per-client mask hook when one is
-// actually configured (strategy.Composite always implements the interface but
-// reports an empty MaskName when no provider is attached).
-func (r *Runner) maskProvider() strategy.MaskProvider {
-	mp, ok := r.strat.(strategy.MaskProvider)
-	if !ok || mp.MaskName() == "" {
-		return nil
-	}
-	return mp
+// tierMask is one tier's partial-training mask, resolved once per run: the
+// layer groups it trains, per communicated tensor the index into the masked
+// state a client ships (-1 outside the mask), and that state's wire size.
+type tierMask struct {
+	groups []string
+	cover  []int
+	uplink int64
 }
 
 // setupTiers resolves the run's partial-training state: the per-pool-position
-// tier assignment, each tier's layer mask (the profile's affordable top
-// suffix, by per-group FLOP cost, intersected with the communicated groups),
-// and the tensor→group layout the per-layer aggregation filters by. Untiered
-// runs without a mask provider clear everything: every update then covers
-// every communicated tensor.
+// tier assignment, each tier's mask (TierMask's groups and their cover of the
+// communicated state), and the tensor→group layout the per-layer aggregation
+// filters by. Untiered runs clear everything: every update then covers every
+// communicated tensor.
 // Called once per Run, after the finetune part is applied.
 func (r *Runner) setupTiers() error {
-	r.tiers, r.tierMasks, r.commLayout, r.commIndex = nil, nil, nil, nil
-	r.coverCache, r.bytesCache = nil, nil
-	mp := r.maskProvider()
-	if r.cfg.TierDist == nil && mp == nil {
+	r.tiers, r.tierMasks, r.commLayout = nil, nil, nil
+	if r.cfg.TierDist == nil {
 		return nil
 	}
 	layout, err := r.global.GroupStateLayout(r.commGroups)
@@ -308,21 +295,24 @@ func (r *Runner) setupTiers() error {
 		return err
 	}
 	r.commLayout = layout
-	r.commIndex = make(map[string]int, len(r.commGroups))
-	for i, g := range r.commGroups {
-		r.commIndex[g] = i
-	}
-	r.coverCache = make(map[string][]int)
-	r.bytesCache = make(map[string]int64)
-	if r.cfg.TierDist == nil {
-		return nil
-	}
 	r.tiers = r.cfg.TierDist.Assign(r.src.NumClients(), r.cfg.Seed)
-	r.tierMasks = make(map[string][]string, len(r.cfg.TierDist.Tiers()))
+	r.tierMasks = make(map[string]tierMask, len(r.cfg.TierDist.Tiers()))
 	for _, tier := range r.cfg.TierDist.Tiers() {
-		if r.tierMasks[tier], err = TierMask(r.global, tier, r.commGroups); err != nil {
+		groups, err := TierMask(r.global, tier, r.commGroups)
+		if err != nil {
 			return err
 		}
+		tm := tierMask{groups: groups, cover: make([]int, len(layout))}
+		ci := 0
+		for ti, g := range layout {
+			tm.cover[ti] = -1
+			if slices.Contains(groups, g) {
+				tm.cover[ti] = ci
+				ci++
+				tm.uplink += int64(r.commState[ti].EncodedSize())
+			}
+		}
+		r.tierMasks[tier] = tm
 	}
 	return nil
 }
@@ -364,75 +354,16 @@ func intersectGroups(want, have []string) []string {
 	return out
 }
 
-// coverFor validates a mask against the communicated groups (known names, no
-// duplicates, canonical order) and returns its cover map — per communicated
-// tensor, the index into the masked state a client ships, or -1 when the
-// tensor's group is outside the mask — plus the masked uplink size. Results
-// are memoized per distinct mask.
-func (r *Runner) coverFor(mask []string) ([]int, int64, error) {
-	key := strings.Join(mask, ",")
-	if cover, ok := r.coverCache[key]; ok {
-		return cover, r.bytesCache[key], nil
-	}
-	set := make(map[string]bool, len(mask))
-	prev := -1
-	for _, g := range mask {
-		gi, ok := r.commIndex[g]
-		if !ok {
-			return nil, 0, fmt.Errorf("%w: mask group %q is not communicated (groups %v)",
-				ErrConfig, g, r.commGroups)
-		}
-		if set[g] {
-			return nil, 0, fmt.Errorf("%w: mask declares group %q twice", ErrConfig, g)
-		}
-		if gi <= prev {
-			return nil, 0, fmt.Errorf("%w: mask %v not in canonical group order", ErrConfig, mask)
-		}
-		prev, set[g] = gi, true
-	}
-	cover := make([]int, len(r.commLayout))
-	ci, bytes := 0, int64(0)
-	for ti, g := range r.commLayout {
-		if set[g] {
-			cover[ti] = ci
-			ci++
-			bytes += int64(r.commState[ti].EncodedSize())
-		} else {
-			cover[ti] = -1
-		}
-	}
-	if ci == 0 {
-		return nil, 0, fmt.Errorf("%w: mask %v covers no communicated tensors", ErrConfig, mask)
-	}
-	r.coverCache[key], r.bytesCache[key] = cover, bytes
-	return cover, bytes, nil
-}
-
 // resolveMask settles, before a participant trains, what its update will
-// carry: the layer mask it trains under (the tier's, optionally overridden per
-// client by the strategy's MaskProvider hook), the cover map of that mask and
-// its uplink size. On untiered runs without a provider there is no mask: the
-// client trains and ships the whole communicated state (nil cover).
-func (r *Runner) resolveMask(fl *flight, cl *Client, pos, round int) error {
+// carry: its tier's layer mask, the cover map of that mask and its uplink
+// size. On untiered runs there is no mask: the client trains and ships the
+// whole communicated state (nil cover).
+func (r *Runner) resolveMask(fl *flight, pos int) {
 	fl.mask, fl.res.cover, fl.res.uplink = nil, nil, r.stateSize
-	if r.commLayout == nil {
-		return nil
-	}
-	mask := r.commGroups
 	if r.tiers != nil {
-		mask = r.tierMasks[r.tiers[pos]]
+		tm := r.tierMasks[r.tiers[pos]]
+		fl.mask, fl.res.cover, fl.res.uplink = tm.groups, tm.cover, tm.uplink
 	}
-	if mp := r.maskProvider(); mp != nil {
-		if custom := mp.MaskFor(round, cl.ID, mask); custom != nil {
-			mask = custom
-		}
-	}
-	cover, bytes, err := r.coverFor(mask)
-	if err != nil {
-		return fmt.Errorf("core: round %d client %d: %w", round, cl.ID, err)
-	}
-	fl.mask, fl.res.cover, fl.res.uplink = mask, cover, bytes
-	return nil
 }
 
 // cacheProjectedCosts fills projCost with each client's projected round
@@ -450,7 +381,7 @@ func (r *Runner) cacheProjectedCosts() error {
 			err  error
 		)
 		if r.tiers != nil {
-			cost, err = simtime.ClientRoundCostFor(r.global, r.tierMasks[r.tiers[i]], d.Device,
+			cost, err = simtime.ClientRoundCostFor(r.global, r.tierMasks[r.tiers[i]].groups, d.Device,
 				d.DataSize, projectedSelected(d.DataSize, r.cfg.SelectFraction),
 				r.cfg.LocalEpochs, r.cfg.Selector.ScoringPasses())
 		} else {
@@ -521,9 +452,7 @@ func projectedSelected(n int, fraction float64) int {
 // does not matter: each replica is rebound bit-identically per client.
 func (r *Runner) trainFlights(participants []*Client, positions []int, flights []*flight, round int) error {
 	for i, fl := range flights {
-		if err := r.resolveMask(fl, participants[i], positions[i], round); err != nil {
-			return err
-		}
+		r.resolveMask(fl, positions[i])
 	}
 	n := len(participants)
 	workers := min(r.cfg.Parallelism, n)

@@ -7,7 +7,6 @@ import (
 
 	"fedfteds/internal/device"
 	"fedfteds/internal/models"
-	"fedfteds/internal/strategy"
 )
 
 func mustDist(t *testing.T, spec string) *device.Distribution {
@@ -106,61 +105,6 @@ func TestTieredRunTrainsAndSavesUplink(t *testing.T) {
 	// Lower-capability tiers must also cost less simulated compute.
 	if mixed.TotalTrainSeconds >= full.TotalTrainSeconds {
 		t.Fatalf("mixed-tier train time %v >= full-tier %v", mixed.TotalTrainSeconds, full.TotalTrainSeconds)
-	}
-}
-
-// maskEverythingButClassifier is a strategy MaskProvider that narrows every
-// client's proposal to the classifier group alone.
-type classifierOnlyMasks struct{}
-
-func (classifierOnlyMasks) MaskName() string { return "classifier-only" }
-func (classifierOnlyMasks) MaskFor(round, clientID int, proposed []string) []string {
-	return proposed[len(proposed)-1:]
-}
-
-// TestStrategyMaskProviderOverridesMasks exercises the strategy hook on an
-// untiered run: the provider narrows every mask to the classifier, so uplink
-// must shrink accordingly and lower groups must stay at initialization.
-func TestStrategyMaskProviderOverridesMasks(t *testing.T) {
-	clients, _, test, spec := testFederation(t, 3, 0.5)
-	m, err := models.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := models.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strat := strategy.FedAvg().WithMaskProvider(classifierOnlyMasks{})
-	r, err := NewRunner(Config{
-		Rounds: 2, LocalEpochs: 1, LR: 0.1, Momentum: 0.5,
-		Strategy: strat, Seed: 9,
-	}, m, clients, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hist.TotalUplinkBytes <= 0 {
-		t.Fatal("no uplink accounted")
-	}
-	groups := models.GroupNames()
-	for _, g := range groups[:len(groups)-1] {
-		want, err := before.GroupStateTensors([]string{g})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := m.GroupStateTensors([]string{g})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if !want[i].Equal(got[i]) {
-				t.Fatalf("group %q tensor %d changed despite classifier-only masks", g, i)
-			}
-		}
 	}
 }
 

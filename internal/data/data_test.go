@@ -117,22 +117,6 @@ func TestBatchesCoverAll(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := testDataset(t, 4, 3, 2)
-	b := testDataset(t, 6, 3, 2)
-	c, err := Concat(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 10 {
-		t.Fatalf("concat len %d", c.Len())
-	}
-	bad := testDataset(t, 2, 5, 2)
-	if _, err := Concat(a, bad); !errors.Is(err, ErrData) {
-		t.Fatalf("expected ErrData on shape mismatch, got %v", err)
-	}
-}
-
 func TestUniverseValidation(t *testing.T) {
 	if _, err := NewUniverse(1, 8, 1); !errors.Is(err, ErrData) {
 		t.Fatalf("expected ErrData, got %v", err)

@@ -258,38 +258,3 @@ func (it *BatchIter) Next() (b Batch, ok bool) {
 	it.pos = hi
 	return Batch{X: it.x, Y: it.y}, true
 }
-
-// Concat concatenates datasets with identical sample shapes and class counts.
-func Concat(parts ...*Dataset) (*Dataset, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("%w: concat of nothing", ErrData)
-	}
-	total := 0
-	shape := parts[0].SampleShape()
-	nc := parts[0].NumClasses
-	for _, p := range parts {
-		if p.NumClasses != nc {
-			return nil, fmt.Errorf("%w: class count mismatch %d vs %d", ErrData, p.NumClasses, nc)
-		}
-		ps := p.SampleShape()
-		if len(ps) != len(shape) {
-			return nil, fmt.Errorf("%w: sample shape mismatch %v vs %v", ErrData, ps, shape)
-		}
-		for i := range ps {
-			if ps[i] != shape[i] {
-				return nil, fmt.Errorf("%w: sample shape mismatch %v vs %v", ErrData, ps, shape)
-			}
-		}
-		total += p.Len()
-	}
-	outShape := append([]int{total}, shape...)
-	x := tensor.New(outShape...)
-	y := make([]int, 0, total)
-	off := 0
-	for _, p := range parts {
-		copy(x.Data()[off:], p.X.Data())
-		off += p.X.Len()
-		y = append(y, p.Y...)
-	}
-	return &Dataset{X: x, Y: y, NumClasses: nc}, nil
-}

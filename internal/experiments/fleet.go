@@ -163,7 +163,8 @@ type FleetDayResult struct {
 // exist as seeds until scheduled; resident memory stays O(cohort) however
 // large N is. With Buffer > 0 the day runs on the event-driven buffered-async
 // engine (rounds overlap); otherwise the synchronous engine runs and the
-// day is checkpointable/resumable under the environment's policy.
+// day is checkpointable/resumable under the environment's policy. Eager runs
+// the same day, buffered or not, over every client materialized up front.
 func RunFleetDay(env *Env, opts FleetOptions) (*FleetDayResult, error) {
 	clients := opts.Clients
 	if clients <= 0 {
@@ -204,10 +205,14 @@ func RunFleetDay(env *Env, opts FleetOptions) (*FleetDayResult, error) {
 		EagerBytes:  fleet.EstimateEagerBytes(clients, spec.MinSamples, spec.MaxSamples, env.Suite.Universe.ObsDim),
 	}
 	runName := fmt.Sprintf("fleetday-n%d-k%d-%s", clients, cohort, scheduler.Name())
-	switch {
-	case opts.Eager && opts.Buffer > 0:
-		return nil, fmt.Errorf("%w: the eager baseline runs the synchronous engine only", ErrExperiment)
-	case opts.Eager:
+	var async *core.AsyncConfig
+	if opts.Buffer > 0 {
+		async = &core.AsyncConfig{Buffer: opts.Buffer, MaxStaleness: opts.MaxStaleness}
+	}
+	newRunner := func(cfg core.Config) (*core.Runner, error) {
+		return core.NewRunnerWithSource(cfg, global, f, test)
+	}
+	if opts.Eager {
 		// The O(N) baseline: every virtual client materialized up front. A
 		// fleet-backed run over the same spec is bit-identical (the sources
 		// agree client for client), so this row exists for the memory contrast.
@@ -215,19 +220,13 @@ func RunFleetDay(env *Env, opts FleetOptions) (*FleetDayResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Hist, err = env.RunFL(runName+"-eager", cfg, global, eager, test)
-		if err != nil {
-			return nil, err
+		runName += "-eager"
+		newRunner = func(cfg core.Config) (*core.Runner, error) {
+			return core.NewRunner(cfg, global, eager, test)
 		}
-	default:
-		var async *core.AsyncConfig
-		if opts.Buffer > 0 {
-			async = &core.AsyncConfig{Buffer: opts.Buffer, MaxStaleness: opts.MaxStaleness}
-		}
-		res.Hist, err = env.runFLSource(runName, cfg, async, global, f, test)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if res.Hist, err = env.runFL(runName, cfg, async, newRunner); err != nil {
+		return nil, err
 	}
 	res.Stats = f.Stats()
 	return res, nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -97,7 +98,8 @@ func TestRunFleetDayAsync(t *testing.T) {
 }
 
 // TestRunFleetDayEagerMatchesLazy pins the CLI-facing contrast pair: the
-// eager baseline and the fleet-backed day produce identical histories.
+// eager baseline and the fleet-backed day produce identical histories, on
+// the synchronous engine and under a buffer.
 func TestRunFleetDayEagerMatchesLazy(t *testing.T) {
 	env, err := NewEnv(ScaleSmoke, 1)
 	if err != nil {
@@ -116,6 +118,20 @@ func TestRunFleetDayEagerMatchesLazy(t *testing.T) {
 		lazy.Hist.TotalUplinkBytes != eager.Hist.TotalUplinkBytes {
 		t.Fatalf("eager baseline diverged from fleet-backed day:\nlazy:  %+v\neager: %+v",
 			lazy.Hist, eager.Hist)
+	}
+
+	buffered := FleetOptions{Clients: 48, Cohort: 4, Buffer: 2, MaxStaleness: -1}
+	lazy, err = RunFleetDay(env, buffered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buffered.Eager = true
+	eager, err = RunFleetDay(env, buffered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l, e := fmt.Sprintf("%+v", lazy.Hist), fmt.Sprintf("%+v", eager.Hist); l != e {
+		t.Fatalf("buffered eager day diverged from fleet-backed day:\nlazy:  %s\neager: %s", l, e)
 	}
 }
 

@@ -140,11 +140,6 @@ func TestRelayTreeMatchesFlatFederationExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := 0; r < relays; r++ {
-		if sess.DownstreamClients(r) != leavesPer {
-			t.Fatalf("relay %d registered with %d leaves", r, sess.DownstreamClients(r))
-		}
-	}
 	engine, err := comm.NewRoundEngine(sess, comm.EngineConfig{Quorum: 1})
 	if err != nil {
 		t.Fatal(err)

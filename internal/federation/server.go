@@ -371,7 +371,6 @@ func scheduleCohort(cfg Config, tracker *sched.Tracker, sess *comm.ServerSession
 			ProjectedSeconds: tracker.Seconds(id),
 			Available:        true,
 			Tier:             sess.Tier(id),
-			Clients:          sess.DownstreamClients(id),
 		}
 	}
 	tracker.Stamp(cands)

@@ -294,7 +294,7 @@ func TestFleetFingerprintMismatchRefused(t *testing.T) {
 }
 
 // TestFleetAsyncFullBufferMatchesRun pins the async engine's baseline: with
-// Buffer = CohortSize, no staleness and no departures, every aggregation
+// Buffer = CohortSize and no staleness, every aggregation
 // folds exactly its dispatched window, so the explicit buffer replays Run —
 // the same loop asked to await its window — bit for bit.
 func TestFleetAsyncFullBufferMatchesRun(t *testing.T) {
@@ -334,10 +334,10 @@ func TestFleetAsyncFullBufferMatchesRun(t *testing.T) {
 	requireSameState(t, syncModel, asyncModel)
 }
 
-// TestFleetAsyncTraceDepartures drives the event-driven engine with replayed
-// trace availability, a partial buffer, and mid-flight departures — and pins
-// that the whole composition is deterministic.
-func TestFleetAsyncTraceDepartures(t *testing.T) {
+// TestFleetAsyncTraceDeterministic drives the event-driven engine with
+// replayed trace availability, a partial buffer and staleness discards — and
+// pins that the whole composition is deterministic.
+func TestFleetAsyncTraceDeterministic(t *testing.T) {
 	spec, test, build := fixture(t, 18)
 
 	run := func() (core.History, *models.Model) {
@@ -356,8 +356,7 @@ func TestFleetAsyncTraceDepartures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hist, err := r.RunAsync(core.AsyncConfig{Buffer: 3, MaxStaleness: 2,
-			Departed: func(round, clientID int) bool { return round == 3 && clientID%5 == 2 }})
+		hist, err := r.RunAsync(core.AsyncConfig{Buffer: 3, MaxStaleness: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,22 +432,19 @@ func TestRunFleetAsyncValidation(t *testing.T) {
 }
 
 // TestFleetAsyncPartialBufferDigests pins the windowed buffered loop bit for
-// bit where Buffer < CohortSize: trace availability, staleness discards with
-// immediate re-dispatch, and departures that vacate window slots. The digest
-// (History %+v plus every final state float's bits) was captured from
-// RunFleetAsync's own loop, two merges ago.
+// bit where Buffer < CohortSize: trace availability and staleness discards with
+// immediate re-dispatch. The digest is the History %+v plus every final state
+// float's bits. The "departures" row is named for the client departures it
+// once injected; it now pins a tighter staleness bound over ten rounds.
 func TestFleetAsyncPartialBufferDigests(t *testing.T) {
 	for _, tt := range []struct {
 		name         string
 		rounds       int
 		maxStaleness int
-		departed     func(round, clientID int) bool
 		want         string
 	}{
-		{name: "discards", rounds: 6, maxStaleness: 2,
-			departed: func(round, clientID int) bool { return round == 3 && clientID%5 == 2 }, want: "17eba846bab9b0e8"},
-		{name: "departures", rounds: 10, maxStaleness: 1,
-			departed: func(round, clientID int) bool { return round%2 == 0 && clientID%3 == 0 }, want: "5ae2241915831e35"},
+		{name: "discards", rounds: 6, maxStaleness: 2, want: "17eba846bab9b0e8"},
+		{name: "departures", rounds: 10, maxStaleness: 1, want: "4cb080be8e9796c5"},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			spec, test, build := fixture(t, 18)
@@ -468,7 +464,7 @@ func TestFleetAsyncPartialBufferDigests(t *testing.T) {
 				t.Fatal(err)
 			}
 			hist, err := r.RunAsync(core.AsyncConfig{Buffer: 3, MaxStaleness: tt.maxStaleness,
-				Weigher: strategy.InvSqrtStaleness(), Departed: tt.departed})
+				Weigher: strategy.InvSqrtStaleness()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -70,30 +70,6 @@ func TopKAccuracy(m *models.Model, ds *data.Dataset, k int) (float64, error) {
 	return float64(correct) / float64(ds.Len()), nil
 }
 
-// ConfusionMatrix returns counts[trueClass][predictedClass].
-func ConfusionMatrix(m *models.Model, ds *data.Dataset) ([][]int, error) {
-	if ds.Len() == 0 {
-		return nil, fmt.Errorf("%w: empty dataset", ErrMetrics)
-	}
-	cm := make([][]int, ds.NumClasses)
-	for i := range cm {
-		cm[i] = make([]int, ds.NumClasses)
-	}
-	batches, err := ds.Batches(evalBatchSize, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, b := range batches {
-		logits := m.Forward(b.X, false)
-		n := logits.Dim(0)
-		for i := 0; i < n; i++ {
-			pred, _ := logits.Row(i).MaxIndex()
-			cm[b.Y[i]][pred]++
-		}
-	}
-	return cm, nil
-}
-
 // LinearCKA computes the linear Centered Kernel Alignment between two
 // representation matrices X (n×p) and Y (n×q) over the same n examples
 // (Kornblith et al. 2019):

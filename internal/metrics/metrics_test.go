@@ -88,25 +88,6 @@ func TestTopKValidation(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrixRowSums(t *testing.T) {
-	m := testModel(t, 4)
-	ds := testDataset(t, 30)
-	cm, err := ConfusionMatrix(m, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist := ds.ClassHistogram()
-	for c, row := range cm {
-		var sum int
-		for _, v := range row {
-			sum += v
-		}
-		if sum != hist[c] {
-			t.Fatalf("confusion row %d sums to %d, want %d", c, sum, hist[c])
-		}
-	}
-}
-
 func TestCKASelfSimilarityIsOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := tensor.New(20, 8)

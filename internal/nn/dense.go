@@ -44,12 +44,6 @@ func NewDense(name string, in, out int, rng *rand.Rand) (*Dense, error) {
 	}, nil
 }
 
-// InFeatures returns the input width.
-func (d *Dense) InFeatures() int { return d.in }
-
-// OutFeatures returns the output width.
-func (d *Dense) OutFeatures() int { return d.out }
-
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.weight, d.bias} }
 

@@ -90,13 +90,6 @@ func NewDropout(name string, rate float64, seed int64) (*Dropout, error) {
 	}, nil
 }
 
-// Reseed restarts the dropout RNG from a new seed, in place; used when
-// cloning models so clones draw independent masks.
-func (d *Dropout) Reseed(seed int64) {
-	d.seed = seed
-	d.rng.Seed(seed)
-}
-
 // ResetRNG rewinds the dropout RNG to its seed, in place, restoring the mask
 // stream a freshly built layer would draw. Pooled model replicas call this
 // between clients so reuse stays bit-identical to cloning.

@@ -262,38 +262,6 @@ func TestConvOutputShapePadding(t *testing.T) {
 	}
 }
 
-func TestMaxPoolForwardBackward(t *testing.T) {
-	p, err := NewMaxPool2D("p", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.MustFromSlice([]float32{
-		1, 2, 5, 6,
-		3, 4, 7, 8,
-		9, 1, 2, 3,
-		1, 1, 4, 1,
-	}, 1, 1, 4, 4)
-	y := p.Forward(x, true)
-	want := []float32{4, 8, 9, 4}
-	for i, w := range want {
-		if y.Data()[i] != w {
-			t.Fatalf("pool[%d] = %v, want %v", i, y.Data()[i], w)
-		}
-	}
-	dy := tensor.MustFromSlice([]float32{1, 1, 1, 1}, 1, 1, 2, 2)
-	dx := p.Backward(dy, true)
-	// Gradient flows only to argmax positions.
-	var nz int
-	for _, v := range dx.Data() {
-		if v != 0 {
-			nz++
-		}
-	}
-	if nz != 4 {
-		t.Fatalf("pool backward: %d nonzero entries, want 4", nz)
-	}
-}
-
 func TestGlobalAvgPool(t *testing.T) {
 	g := NewGlobalAvgPool("g")
 	x := tensor.MustFromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)

@@ -6,107 +6,6 @@ import (
 	"fedfteds/internal/tensor"
 )
 
-// MaxPool2D is a max pooling layer with square window and equal stride.
-type MaxPool2D struct {
-	base
-	window int
-
-	argmax   []int // flat input index of each output element
-	argValid bool  // argmax holds the last training forward's indices
-	inShape  []int
-
-	// Cached workspaces, reused across steps (see the package aliasing rule).
-	y, dx *tensor.Tensor
-}
-
-var _ Layer = (*MaxPool2D)(nil)
-
-// NewMaxPool2D constructs a window×window max pool with stride = window.
-func NewMaxPool2D(name string, window int) (*MaxPool2D, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("nn: maxpool %q: invalid window %d", name, window)
-	}
-	return &MaxPool2D{base: base{name: name}, window: window}, nil
-}
-
-// Forward implements Layer.
-func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 4 {
-		panic(shapeErr("maxpool "+p.name, "rank 4", x.Shape()))
-	}
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh, ow := h/p.window, w/p.window
-	if oh == 0 || ow == 0 {
-		panic(shapeErr("maxpool "+p.name, "input >= window", x.Shape()))
-	}
-	p.y = tensor.Ensure(p.y, n, c, oh, ow)
-	y := p.y
-	if cap(p.argmax) < n*c*oh*ow {
-		p.argmax = make([]int, n*c*oh*ow)
-	}
-	p.argmax = p.argmax[:n*c*oh*ow]
-	arg := p.argmax
-	xd, yd := x.Data(), y.Data()
-	for i := 0; i < n*c; i++ {
-		in := xd[i*h*w : (i+1)*h*w]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				bi := (i*oh+oy)*ow + ox
-				best := in[oy*p.window*w+ox*p.window]
-				bestIdx := i*h*w + oy*p.window*w + ox*p.window
-				for ky := 0; ky < p.window; ky++ {
-					for kx := 0; kx < p.window; kx++ {
-						idx := (oy*p.window+ky)*w + ox*p.window + kx
-						if in[idx] > best {
-							best = in[idx]
-							bestIdx = i*h*w + idx
-						}
-					}
-				}
-				yd[bi] = best
-				arg[bi] = bestIdx
-			}
-		}
-	}
-	if train {
-		p.inShape = captureShape(p.inShape, x)
-	}
-	p.argValid = train
-	return y
-}
-
-// Backward implements Layer.
-func (p *MaxPool2D) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
-	if !needDx {
-		return nil
-	}
-	if !p.argValid {
-		panic("nn: maxpool " + p.name + ": Backward without train Forward")
-	}
-	p.dx = tensor.Ensure(p.dx, p.inShape...)
-	p.dx.Zero()
-	dxd := p.dx.Data()
-	for bi, src := range p.argmax {
-		dxd[src] += dy.Data()[bi]
-	}
-	return p.dx
-}
-
-// OutputShape implements Layer.
-func (p *MaxPool2D) OutputShape(in []int) ([]int, error) {
-	if len(in) != 3 {
-		return nil, fmt.Errorf("nn: maxpool %q: per-sample input %v", p.name, in)
-	}
-	oh, ow := in[1]/p.window, in[2]/p.window
-	if oh == 0 || ow == 0 {
-		return nil, fmt.Errorf("nn: maxpool %q: input %v smaller than window %d", p.name, in, p.window)
-	}
-	return []int{in[0], oh, ow}, nil
-}
-
-// FLOPsPerSample implements Layer.
-func (p *MaxPool2D) FLOPsPerSample(in []int) int64 { return int64(tensor.Volume(in)) }
-
 // GlobalAvgPool averages each channel's spatial plane, mapping (N, C, H, W)
 // to (N, C). It is the head pooling of the Wide ResNet.
 type GlobalAvgPool struct {

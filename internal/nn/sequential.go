@@ -26,28 +26,12 @@ func (s *Sequential) Name() string { return s.name }
 // Layers returns the contained layers. The slice is owned by the container.
 func (s *Sequential) Layers() []Layer { return s.layers }
 
-// Append adds layers to the end of the chain.
-func (s *Sequential) Append(layers ...Layer) { s.layers = append(s.layers, layers...) }
-
 // Forward implements Layer.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for _, l := range s.layers {
 		x = l.Forward(x, train)
 	}
 	return x
-}
-
-// ForwardCollect runs a forward pass returning the output of every direct
-// child layer; used to extract intermediate representations for CKA. The
-// returned tensors are snapshots (clones), so they stay valid across further
-// forward passes despite the layer workspace reuse.
-func (s *Sequential) ForwardCollect(x *tensor.Tensor, train bool) []*tensor.Tensor {
-	outs := make([]*tensor.Tensor, 0, len(s.layers))
-	for _, l := range s.layers {
-		x = l.Forward(x, train)
-		outs = append(outs, x.Clone())
-	}
-	return outs
 }
 
 // VisitLayers calls f for every leaf layer under s in depth-first order,

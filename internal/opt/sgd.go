@@ -27,7 +27,8 @@ type SGDConfig struct {
 	// Nesterov enables Nesterov momentum.
 	Nesterov bool
 	// ProxMu is the FedProx proximal coefficient μ; when positive, Step adds
-	// μ(w - w_global) to each gradient. The anchor is set with SetProxAnchor.
+	// μ(w - w_global) to each gradient. The anchor is set with
+	// SnapshotProxAnchor.
 	ProxMu float64
 }
 
@@ -63,27 +64,8 @@ func NewSGD(cfg SGDConfig, params []*nn.Param) (*SGD, error) {
 	return &SGD{cfg: cfg, params: params, velocity: vel}, nil
 }
 
-// SetProxAnchor records the global-model snapshot w_global used by the
-// FedProx proximal term. The tensors are cloned. Anchors must match the
-// optimizer's parameters element for element.
-func (s *SGD) SetProxAnchor(anchor []*tensor.Tensor) error {
-	if len(anchor) != len(s.params) {
-		return fmt.Errorf("%w: %d anchors for %d params", ErrConfig, len(anchor), len(s.params))
-	}
-	s.anchor = make([]*tensor.Tensor, len(anchor))
-	for i, a := range anchor {
-		if !a.SameShape(s.params[i].W) {
-			return fmt.Errorf("%w: anchor %d shape %v vs param %v", ErrConfig, i, a.Shape(), s.params[i].W.Shape())
-		}
-		s.anchor[i] = a.Clone()
-	}
-	return nil
-}
-
 // SnapshotProxAnchor records the optimizer's current parameter values as the
-// proximal anchor, reusing previously allocated anchor storage. It is the
-// allocation-free equivalent of SetProxAnchor(clones of current weights) used
-// by the pooled client-replica engine.
+// proximal anchor w_global, reusing previously allocated anchor storage.
 func (s *SGD) SnapshotProxAnchor() {
 	if s.anchorBuf == nil {
 		s.anchorBuf = make([]*tensor.Tensor, len(s.params))
@@ -155,69 +137,3 @@ func (s *SGD) Step() {
 		g.Zero()
 	}
 }
-
-// StateTensors returns the optimizer's live auxiliary state: every velocity
-// buffer, followed by the proximal anchor tensors when an anchor is set. The
-// returned tensors are the live ones (callers clone for snapshots). This is
-// what a checkpoint must carry to resume an optimizer mid-stream — note that
-// both federated engines in this repo reset client optimizers at every round
-// boundary (see SGD.Reset), so round-boundary checkpoints have no live
-// optimizer state to save; the accessor exists for callers that checkpoint
-// inside a local round (e.g. centralized pretraining extensions).
-func (s *SGD) StateTensors() []*tensor.Tensor {
-	out := make([]*tensor.Tensor, 0, len(s.velocity)+len(s.anchor))
-	out = append(out, s.velocity...)
-	out = append(out, s.anchor...)
-	return out
-}
-
-// RestoreStateTensors copies a StateTensors snapshot back into the optimizer:
-// len(params) tensors restore velocity only (and drop any anchor, matching a
-// Reset-then-trained state), 2·len(params) restore velocity and the proximal
-// anchor. Shapes must match the optimizer's parameters element for element;
-// every shape is validated before anything is applied, so a rejected restore
-// leaves the optimizer exactly as it was.
-func (s *SGD) RestoreStateTensors(ts []*tensor.Tensor) error {
-	n := len(s.params)
-	if len(ts) != n && len(ts) != 2*n {
-		return fmt.Errorf("%w: %d state tensors for %d params (want %d or %d)",
-			ErrConfig, len(ts), n, n, 2*n)
-	}
-	for i, p := range s.params {
-		if !ts[i].SameShape(p.W) {
-			return fmt.Errorf("%w: velocity %d shape %v vs param %v",
-				ErrConfig, i, ts[i].Shape(), p.W.Shape())
-		}
-		if len(ts) == 2*n && !ts[n+i].SameShape(p.W) {
-			return fmt.Errorf("%w: anchor %d shape %v vs param %v",
-				ErrConfig, i, ts[n+i].Shape(), p.W.Shape())
-		}
-	}
-	for i, v := range s.velocity {
-		if err := v.CopyFrom(ts[i]); err != nil {
-			return fmt.Errorf("%w: velocity %d: %v", ErrConfig, i, err)
-		}
-	}
-	if len(ts) == n {
-		s.anchor = nil
-		return nil
-	}
-	anchor := make([]*tensor.Tensor, n)
-	for i := 0; i < n; i++ {
-		anchor[i] = ts[n+i].Clone()
-	}
-	s.anchor = anchor
-	return nil
-}
-
-// SetLR replaces the learning rate, e.g. from a schedule.
-func (s *SGD) SetLR(lr float64) error {
-	if lr <= 0 {
-		return fmt.Errorf("%w: LR %v must be positive", ErrConfig, lr)
-	}
-	s.cfg.LR = lr
-	return nil
-}
-
-// LR returns the current learning rate.
-func (s *SGD) LR() float64 { return s.cfg.LR }

@@ -101,36 +101,19 @@ func TestSGDNoDecayRespected(t *testing.T) {
 }
 
 func TestSGDProximalPullsTowardAnchor(t *testing.T) {
-	p := quadParam(5)
+	p := quadParam(0)
 	s, err := NewSGD(SGDConfig{LR: 0.1, ProxMu: 1.0}, []*nn.Param{p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	anchor := tensor.MustFromSlice([]float32{0}, 1)
-	if err := s.SetProxAnchor([]*tensor.Tensor{anchor}); err != nil {
-		t.Fatal(err)
-	}
+	s.SnapshotProxAnchor() // anchor at w = 0
+	p.W.Data()[0] = 5
 	// Zero task gradient: proximal term alone pulls w toward 0.
 	for i := 0; i < 100; i++ {
 		s.Step()
 	}
 	if got := p.W.Data()[0]; math.Abs(float64(got)) > 1e-3 {
 		t.Fatalf("w = %v, want ~0 under proximal pull", got)
-	}
-}
-
-func TestSGDProximalAnchorShapeMismatch(t *testing.T) {
-	p := quadParam(1)
-	s, err := NewSGD(SGDConfig{LR: 0.1, ProxMu: 1}, []*nn.Param{p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := tensor.New(2)
-	if err := s.SetProxAnchor([]*tensor.Tensor{bad}); !errors.Is(err, ErrConfig) {
-		t.Fatalf("expected ErrConfig, got %v", err)
-	}
-	if err := s.SetProxAnchor(nil); !errors.Is(err, ErrConfig) {
-		t.Fatalf("expected ErrConfig for count mismatch, got %v", err)
 	}
 }
 
@@ -206,120 +189,5 @@ func TestSGDTrainsRealModel(t *testing.T) {
 	}
 	if last > 0.1 {
 		t.Fatalf("final loss %v, want < 0.1 on separable data", last)
-	}
-}
-
-func TestSchedules(t *testing.T) {
-	tests := []struct {
-		name string
-		s    Schedule
-		t    int
-		want float64
-	}{
-		{name: "constant", s: ConstantSchedule{LR: 0.1}, t: 100, want: 0.1},
-		{name: "step at 0", s: StepSchedule{Base: 1, Every: 10, Gamma: 0.5}, t: 9, want: 1},
-		{name: "step after decay", s: StepSchedule{Base: 1, Every: 10, Gamma: 0.5}, t: 10, want: 0.5},
-		{name: "step two decays", s: StepSchedule{Base: 1, Every: 10, Gamma: 0.5}, t: 25, want: 0.25},
-		{name: "cosine start", s: CosineSchedule{Base: 1, Floor: 0, Horizon: 10}, t: 0, want: 1},
-		{name: "cosine end", s: CosineSchedule{Base: 1, Floor: 0.1, Horizon: 10}, t: 10, want: 0.1},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.s.At(tt.t); math.Abs(got-tt.want) > 1e-9 {
-				t.Fatalf("At(%d) = %v, want %v", tt.t, got, tt.want)
-			}
-		})
-	}
-}
-
-func TestCosineMidpoint(t *testing.T) {
-	s := CosineSchedule{Base: 1, Floor: 0, Horizon: 10}
-	if got := s.At(5); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("cosine midpoint = %v, want 0.5", got)
-	}
-}
-
-func TestValidateSchedules(t *testing.T) {
-	if err := Validate(ConstantSchedule{LR: -1}); err == nil {
-		t.Fatal("expected error for negative constant LR")
-	}
-	if err := Validate(StepSchedule{Base: 1, Every: 0, Gamma: 0.5}); err == nil {
-		t.Fatal("expected error for zero period")
-	}
-	if err := Validate(CosineSchedule{Base: 1, Floor: 2, Horizon: 5}); err == nil {
-		t.Fatal("expected error for floor above base")
-	}
-	if err := Validate(ConstantSchedule{LR: 0.1}); err != nil {
-		t.Fatalf("valid schedule rejected: %v", err)
-	}
-}
-
-// TestStateTensorsRoundTrip pins the optimizer checkpoint accessors:
-// velocity (and the proximal anchor when set) survive a snapshot/restore
-// cycle, and a restored optimizer steps identically to the original.
-func TestStateTensorsRoundTrip(t *testing.T) {
-	build := func() ([]*nn.Param, *SGD) {
-		w := &nn.Param{Name: "w", W: tensor.MustFromSlice([]float32{1, 2, 3, 4}, 2, 2), G: tensor.New(2, 2)}
-		s, err := NewSGD(SGDConfig{LR: 0.1, Momentum: 0.9, ProxMu: 0.01}, []*nn.Param{w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []*nn.Param{w}, s
-	}
-	step := func(params []*nn.Param, s *SGD, g float32) {
-		for _, p := range params {
-			p.G.Fill(g)
-		}
-		s.Step()
-	}
-
-	paramsA, a := build()
-	a.SnapshotProxAnchor()
-	step(paramsA, a, 0.5)
-	step(paramsA, a, -0.25)
-
-	st := a.StateTensors()
-	if len(st) != 2 { // velocity + anchor
-		t.Fatalf("state tensors %d, want 2", len(st))
-	}
-	snapshot := make([]*tensor.Tensor, len(st))
-	for i, ts := range st {
-		snapshot[i] = ts.Clone()
-	}
-
-	paramsB, b := build()
-	b.SnapshotProxAnchor()
-	step(paramsB, b, 0.5)
-	step(paramsB, b, -0.25)
-	// Desync b, then restore it from a's snapshot (weights must match too).
-	step(paramsB, b, 1)
-	if err := paramsB[0].W.CopyFrom(paramsA[0].W); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.RestoreStateTensors(snapshot); err != nil {
-		t.Fatal(err)
-	}
-
-	step(paramsA, a, 0.125)
-	step(paramsB, b, 0.125)
-	if !paramsA[0].W.Equal(paramsB[0].W) {
-		t.Fatal("restored optimizer diverged from original")
-	}
-
-	// Velocity-only restore drops the anchor.
-	if err := b.RestoreStateTensors(snapshot[:1]); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.StateTensors(); len(got) != 1 {
-		t.Fatalf("velocity-only restore kept %d state tensors, want 1", len(got))
-	}
-
-	// Wrong counts and shapes are rejected.
-	if err := b.RestoreStateTensors(nil); err == nil {
-		t.Fatal("empty restore accepted")
-	}
-	bad := []*tensor.Tensor{tensor.New(3)}
-	if err := b.RestoreStateTensors(bad); err == nil {
-		t.Fatal("shape-mismatched restore accepted")
 	}
 }

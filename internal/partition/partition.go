@@ -1,7 +1,6 @@
 // Package partition splits a dataset's sample indices across federated
 // clients. It implements the Dirichlet non-IID partitioner used throughout
-// the paper (Diri(α), after Hsu et al.), plus IID and shard partitioners and
-// heterogeneity statistics.
+// the paper (Diri(α), after Hsu et al.) and heterogeneity statistics.
 package partition
 
 import (
@@ -18,20 +17,6 @@ var ErrPartition = errors.New("partition: invalid request")
 // maxDirichletRetries bounds the resampling loop that enforces the minimum
 // per-client size.
 const maxDirichletRetries = 200
-
-// IID splits n sample indices uniformly at random across numClients.
-func IID(n, numClients int, rng *rand.Rand) ([][]int, error) {
-	if n <= 0 || numClients <= 0 || numClients > n {
-		return nil, fmt.Errorf("%w: IID n=%d clients=%d", ErrPartition, n, numClients)
-	}
-	perm := rng.Perm(n)
-	out := make([][]int, numClients)
-	for i, idx := range perm {
-		c := i % numClients
-		out[c] = append(out[c], idx)
-	}
-	return out, nil
-}
 
 // Dirichlet partitions samples across clients with label-distribution skew:
 // for each class, client shares are drawn from Dir(alpha). Smaller alpha
@@ -156,45 +141,6 @@ func gammaSample(shape float64, rng *rand.Rand) float64 {
 			return d * v
 		}
 	}
-}
-
-// Shards assigns each client shardsPerClient contiguous label-sorted shards
-// (the McMahan et al. pathological non-IID split).
-func Shards(labels []int, numClients, shardsPerClient int, rng *rand.Rand) ([][]int, error) {
-	n := len(labels)
-	if n == 0 || numClients <= 0 || shardsPerClient <= 0 {
-		return nil, fmt.Errorf("%w: shards n=%d clients=%d spc=%d", ErrPartition, n, numClients, shardsPerClient)
-	}
-	numShards := numClients * shardsPerClient
-	if numShards > n {
-		return nil, fmt.Errorf("%w: %d shards for %d samples", ErrPartition, numShards, n)
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if labels[idx[a]] != labels[idx[b]] {
-			return labels[idx[a]] < labels[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	shardSize := n / numShards
-	order := rng.Perm(numShards)
-	out := make([][]int, numClients)
-	for s, shard := range order {
-		client := s / shardsPerClient
-		lo := shard * shardSize
-		hi := lo + shardSize
-		if shard == numShards-1 {
-			hi = n
-		}
-		out[client] = append(out[client], idx[lo:hi]...)
-	}
-	for _, part := range out {
-		sort.Ints(part)
-	}
-	return out, nil
 }
 
 // Stats summarizes the heterogeneity of a partition.

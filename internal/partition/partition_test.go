@@ -38,33 +38,6 @@ func assertExactCover(t *testing.T, parts [][]int, n int) {
 	}
 }
 
-func TestIIDCoversAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	parts, err := IID(103, 10, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 10 {
-		t.Fatalf("%d parts", len(parts))
-	}
-	assertExactCover(t, parts, 103)
-	for _, p := range parts {
-		if len(p) < 10 || len(p) > 11 {
-			t.Fatalf("IID part size %d", len(p))
-		}
-	}
-}
-
-func TestIIDValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := IID(5, 10, rng); !errors.Is(err, ErrPartition) {
-		t.Fatalf("expected ErrPartition, got %v", err)
-	}
-	if _, err := IID(0, 1, rng); !errors.Is(err, ErrPartition) {
-		t.Fatalf("expected ErrPartition, got %v", err)
-	}
-}
-
 func TestDirichletCoversAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	labels := balancedLabels(500, 10)
@@ -149,29 +122,6 @@ func TestDirichletDeterministic(t *testing.T) {
 				t.Fatalf("client %d index %d differs", c, i)
 			}
 		}
-	}
-}
-
-func TestShardsCoverAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	labels := balancedLabels(200, 10)
-	parts, err := Shards(labels, 10, 2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertExactCover(t, parts, 200)
-	// Shard partition is pathologically non-IID: each client should hold few
-	// classes.
-	st := ComputeStats(labels, parts, 10)
-	if st.MeanMaxClassShare < 0.4 {
-		t.Fatalf("shard partition too uniform: %v", st.MeanMaxClassShare)
-	}
-}
-
-func TestShardsValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	if _, err := Shards(balancedLabels(10, 2), 5, 4, rng); !errors.Is(err, ErrPartition) {
-		t.Fatalf("expected ErrPartition, got %v", err)
 	}
 }
 

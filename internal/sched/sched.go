@@ -55,26 +55,11 @@ type Candidate struct {
 	// empty when the federation is untiered. Tier-aware policies use it to
 	// balance cohorts across capability classes.
 	Tier string
-	// Clients is how many leaf devices this candidate speaks for: 1 (or 0,
-	// treated as 1) for a plain client, the region's population when the
-	// candidate is a mid-tier relay. A hierarchical root schedules regions,
-	// so population-sensitive decisions read this instead of assuming one
-	// device per candidate.
-	Clients int
 	// Cluster is the client's similarity-cluster index (see internal/fleet:
 	// clients are grouped at registration by their label-distribution /
 	// entropy sketches). Zero for unclustered federations, where
 	// ClusterSampling degenerates to its inner policy (single stratum).
 	Cluster int
-}
-
-// Population returns the number of leaf devices the candidate represents,
-// treating the zero value (a plain client that never set the field) as 1.
-func (c Candidate) Population() int {
-	if c.Clients <= 0 {
-		return 1
-	}
-	return c.Clients
 }
 
 // Scheduler picks the per-round cohort.

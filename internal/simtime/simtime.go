@@ -24,18 +24,6 @@ type Device struct {
 	FLOPSRate float64
 }
 
-// NewHomogeneousDevices returns n identical devices.
-func NewHomogeneousDevices(n int, flopsRate float64) ([]Device, error) {
-	if n <= 0 || flopsRate <= 0 {
-		return nil, fmt.Errorf("%w: n=%d rate=%v", ErrSim, n, flopsRate)
-	}
-	out := make([]Device, n)
-	for i := range out {
-		out[i] = Device{FLOPSRate: flopsRate}
-	}
-	return out, nil
-}
-
 // NewHeterogeneousDevices draws n device speeds from a lognormal
 // distribution with the given median FLOP/s and log-space sigma — the usual
 // model for consumer-device populations. sigma 0 yields identical devices.

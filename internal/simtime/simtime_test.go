@@ -25,16 +25,6 @@ func testModel(t *testing.T) *models.Model {
 }
 
 func TestNewDevices(t *testing.T) {
-	devs, err := NewHomogeneousDevices(5, 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(devs) != 5 || devs[3].FLOPSRate != 1e9 {
-		t.Fatalf("devices %+v", devs)
-	}
-	if _, err := NewHomogeneousDevices(0, 1e9); !errors.Is(err, ErrSim) {
-		t.Fatalf("expected ErrSim, got %v", err)
-	}
 	if _, err := NewHeterogeneousDevices(3, -1, 0.5, rand.New(rand.NewSource(1))); !errors.Is(err, ErrSim) {
 		t.Fatalf("expected ErrSim, got %v", err)
 	}

@@ -108,22 +108,6 @@ type Strategy interface {
 	LocalHook() LocalHook
 }
 
-// MaskProvider is the optional strategy hook for per-client partial
-// training: before each local round the engine proposes the layer mask a
-// client's device tier affords, and the strategy may narrow or replace it.
-// The engine aggregates each group only over the clients whose final mask
-// contained it.
-type MaskProvider interface {
-	// MaskName renders the provider canonically for fingerprints; a strategy
-	// with a provider refuses to resume checkpoints taken without one.
-	MaskName() string
-	// MaskFor returns the layer mask client clientID trains in round round,
-	// given the engine's tier-derived proposal (bottom-to-top group order).
-	// Returning nil keeps the proposal. A returned mask must be a non-empty
-	// subset of the model's groups; implementations must be deterministic.
-	MaskFor(round, clientID int, proposed []string) []string
-}
-
 // Stateful is implemented by strategies whose ApplyAggregate evolves
 // server-optimizer state across rounds (FedAvgM's velocity, FedAdam's
 // moments). A run checkpoint captures this state so a resumed run applies
@@ -146,7 +130,6 @@ type Composite struct {
 	weighting Weighting
 	server    opt.ServerOpt
 	hook      LocalHook
-	masks     MaskProvider
 }
 
 var _ Stateful = (*Composite)(nil)
@@ -170,44 +153,14 @@ func New(name string, weighting Weighting, server opt.ServerOpt, hook LocalHook)
 // Name implements Strategy.
 func (c *Composite) Name() string { return c.name }
 
-// Fingerprint implements Strategy. The mask-provider part is appended only
-// when one is set, so every pre-existing fingerprint (and the checkpoints
-// hashing it) stays byte-identical.
+// Fingerprint implements Strategy.
 func (c *Composite) Fingerprint() string {
 	hook := ""
 	if c.hook != nil {
 		hook = c.hook.Name()
 	}
-	fp := fmt.Sprintf("%s{server=%s(%s),weight=%s,hook=%s}",
+	return fmt.Sprintf("%s{server=%s(%s),weight=%s,hook=%s}",
 		c.name, c.server.Name(), c.server.Params(), c.weighting, hook)
-	if c.masks != nil {
-		fp += fmt.Sprintf("{masks=%s}", c.masks.MaskName())
-	}
-	return fp
-}
-
-// WithMaskProvider attaches a per-client mask hook, returning c for
-// chaining.
-func (c *Composite) WithMaskProvider(mp MaskProvider) *Composite {
-	c.masks = mp
-	return c
-}
-
-// MaskFor implements MaskProvider, delegating to the attached provider; with
-// none attached the engine's tier proposal stands.
-func (c *Composite) MaskFor(round, clientID int, proposed []string) []string {
-	if c.masks == nil {
-		return nil
-	}
-	return c.masks.MaskFor(round, clientID, proposed)
-}
-
-// MaskName implements MaskProvider.
-func (c *Composite) MaskName() string {
-	if c.masks == nil {
-		return ""
-	}
-	return c.masks.MaskName()
 }
 
 // WeighUpdates implements Strategy, absorbing the legacy AggWeighting switch.

@@ -27,17 +27,6 @@ func (t *Tensor) Sub(o *Tensor) error {
 	return nil
 }
 
-// Mul computes t *= o element-wise (Hadamard product).
-func (t *Tensor) Mul(o *Tensor) error {
-	if len(t.data) != len(o.data) {
-		return fmt.Errorf("%w: mul %v with %v", ErrShape, o.shape, t.shape)
-	}
-	for i, v := range o.data {
-		t.data[i] *= v
-	}
-	return nil
-}
-
 // Scale computes t *= a.
 func (t *Tensor) Scale(a float32) {
 	for i := range t.data {
@@ -76,30 +65,6 @@ func (t *Tensor) Axpy(a float32, x *Tensor) error {
 	return nil
 }
 
-// Lerp computes t = (1-a)*t + a*x element-wise (linear interpolation).
-func (t *Tensor) Lerp(a float32, x *Tensor) error {
-	if len(t.data) != len(x.data) {
-		return fmt.Errorf("%w: lerp %v into %v", ErrShape, x.shape, t.shape)
-	}
-	for i, v := range x.data {
-		t.data[i] = (1-a)*t.data[i] + a*v
-	}
-	return nil
-}
-
-// Dot returns the inner product of t and o viewed as flat vectors,
-// accumulated in float64 for stability.
-func (t *Tensor) Dot(o *Tensor) (float64, error) {
-	if len(t.data) != len(o.data) {
-		return 0, fmt.Errorf("%w: dot %v with %v", ErrShape, o.shape, t.shape)
-	}
-	var s float64
-	for i, v := range o.data {
-		s += float64(t.data[i]) * float64(v)
-	}
-	return s, nil
-}
-
 // Sum returns the sum of all elements, accumulated in float64.
 func (t *Tensor) Sum() float64 {
 	var s float64
@@ -107,14 +72,6 @@ func (t *Tensor) Sum() float64 {
 		s += float64(v)
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.data))
 }
 
 // Norm2 returns the Euclidean norm of the flattened tensor.
@@ -145,17 +102,6 @@ func (t *Tensor) MaxIndex() (int, float32) {
 func (t *Tensor) Apply(f func(float32) float32) {
 	for i, v := range t.data {
 		t.data[i] = f(v)
-	}
-}
-
-// Clamp limits every element to [lo, hi].
-func (t *Tensor) Clamp(lo, hi float32) {
-	for i, v := range t.data {
-		if v < lo {
-			t.data[i] = lo
-		} else if v > hi {
-			t.data[i] = hi
-		}
 	}
 }
 

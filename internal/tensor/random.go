@@ -30,16 +30,6 @@ func (t *Tensor) FillKaiming(rng *rand.Rand, fanIn int) {
 	t.FillNormal(rng, 0, std)
 }
 
-// FillXavier fills t with Glorot-uniform initialization:
-// U[-sqrt(6/(fanIn+fanOut)), +sqrt(6/(fanIn+fanOut))].
-func (t *Tensor) FillXavier(rng *rand.Rand, fanIn, fanOut int) {
-	if fanIn+fanOut <= 0 {
-		fanIn, fanOut = 1, 1
-	}
-	bound := float32(math.Sqrt(6.0 / float64(fanIn+fanOut)))
-	t.FillUniform(rng, -bound, bound)
-}
-
 // Splitmix64 derives a well-mixed 64-bit value from a seed, suitable for
 // building independent rand.Source seeds from (run, round, client) tuples.
 func Splitmix64(x uint64) uint64 {

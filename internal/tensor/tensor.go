@@ -127,15 +127,8 @@ func (t *Tensor) Rank() int { return len(t.shape) }
 func (t *Tensor) Len() int { return len(t.data) }
 
 // Data returns the backing slice. Mutating it mutates the tensor; callers at
-// package boundaries should copy (see CopyData).
+// package boundaries should copy (see Clone).
 func (t *Tensor) Data() []float32 { return t.data }
-
-// CopyData returns a copy of the backing slice.
-func (t *Tensor) CopyData() []float32 {
-	out := make([]float32, len(t.data))
-	copy(out, t.data)
-	return out
-}
 
 // Clone returns a deep copy of t.
 func (t *Tensor) Clone() *Tensor {

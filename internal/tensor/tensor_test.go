@@ -126,15 +126,9 @@ func TestElementwiseOps(t *testing.T) {
 	if a.At(0) != 1 || a.At(2) != 3 {
 		t.Fatalf("Sub did not invert Add: %v", a.Data())
 	}
-	if err := a.Mul(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.At(1) != 10 {
-		t.Fatalf("Mul: got %v, want 10", a.At(1))
-	}
 	a.Scale(0.5)
-	if a.At(1) != 5 {
-		t.Fatalf("Scale: got %v, want 5", a.At(1))
+	if a.At(1) != 1 {
+		t.Fatalf("Scale: got %v, want 1", a.At(1))
 	}
 	c := New(2)
 	if err := a.Add(c); !errors.Is(err, ErrShape) {
@@ -151,13 +145,6 @@ func TestAxpyAndLerp(t *testing.T) {
 	if a.At(0) != 2 || a.At(1) != 3 {
 		t.Fatalf("Axpy: %v", a.Data())
 	}
-	b := MustFromSlice([]float32{0, 0}, 2)
-	if err := b.Lerp(0.25, x); err != nil {
-		t.Fatal(err)
-	}
-	if b.At(0) != 0.5 || b.At(1) != 1 {
-		t.Fatalf("Lerp: %v", b.Data())
-	}
 }
 
 func TestReductions(t *testing.T) {
@@ -165,16 +152,9 @@ func TestReductions(t *testing.T) {
 	if got := x.Sum(); got != 7 {
 		t.Fatalf("Sum = %v", got)
 	}
-	if got := x.Mean(); got != 1.75 {
-		t.Fatalf("Mean = %v", got)
-	}
 	idx, v := x.MaxIndex()
 	if idx != 2 || v != 4 {
 		t.Fatalf("MaxIndex = %d,%v", idx, v)
-	}
-	d, err := x.Dot(x)
-	if err != nil || d != 27 {
-		t.Fatalf("Dot = %v, %v", d, err)
 	}
 	if got := x.Norm2(); math.Abs(got-math.Sqrt(27)) > 1e-12 {
 		t.Fatalf("Norm2 = %v", got)
@@ -387,12 +367,8 @@ func TestIsFinite(t *testing.T) {
 
 func TestClampAndApply(t *testing.T) {
 	x := MustFromSlice([]float32{-2, 0.5, 3}, 3)
-	x.Clamp(-1, 1)
-	if x.At(0) != -1 || x.At(1) != 0.5 || x.At(2) != 1 {
-		t.Fatalf("Clamp: %v", x.Data())
-	}
 	x.Apply(func(v float32) float32 { return v * v })
-	if x.At(0) != 1 || x.At(2) != 1 || x.At(1) != 0.25 {
+	if x.At(0) != 4 || x.At(2) != 9 || x.At(1) != 0.25 {
 		t.Fatalf("Apply: %v", x.Data())
 	}
 }
