@@ -105,14 +105,12 @@ type roundLoop struct {
 	times  []float64
 	batch  []*flight
 	seen   map[int]bool
-	busy   func(pos int) bool
 }
 
 func (r *Runner) newLoop() *roundLoop {
 	l := &roundLoop{r: r, window: r.window()}
 	l.pend = make(map[int]*flight, l.window)
 	l.seen = make(map[int]bool, l.window)
-	l.busy = func(pos int) bool { return l.pend[pos] != nil }
 	return l
 }
 
@@ -191,6 +189,9 @@ func (r *Runner) runRounds(acfg AsyncConfig) (History, error) {
 				l.refused = append(l.refused, err)
 			} else {
 				r.utility.ObserveUpdate(pos, fl.res.meanEntropy, fl.res.trainLoss, fl.res.cost.Total())
+				if r.cands != nil {
+					r.utility.Stamp(r.cands[pos : pos+1])
+				}
 			}
 			l.retire(pos)
 		}
@@ -223,13 +224,28 @@ func (r *Runner) runRounds(acfg AsyncConfig) (History, error) {
 
 // pick chooses up to k clients among those not in flight: the scheduler's
 // cohort when one is configured, else every idle client (k is then exactly
-// their number, because the window is the whole pool).
+// their number, because the window is the whole pool). With nothing in
+// flight — every synchronous round — the scheduler reads the run's candidate
+// table as it is. A buffered round copies the idle rows out instead: in-flight
+// clients are left out, not flagged unavailable, because Markov churn draws
+// once per candidate it is handed.
 func (l *roundLoop) pick(round, k int) []int {
-	if l.r.cfg.Scheduler != nil {
-		return l.r.schedule(round, k, l.busy)
+	r := l.r
+	if r.cfg.Scheduler != nil {
+		if len(l.pend) == 0 {
+			return r.schedule(round, k, r.cands)
+		}
+		idle := r.candScratch[:0]
+		for pos := range r.cands {
+			if l.pend[pos] == nil {
+				idle = append(idle, r.cands[pos])
+			}
+		}
+		r.candScratch = idle
+		return r.schedule(round, k, idle)
 	}
 	l.cohort = l.cohort[:0]
-	for pos, n := 0, l.r.src.NumClients(); pos < n; pos++ {
+	for pos, n := 0, r.src.NumClients(); pos < n; pos++ {
 		if l.pend[pos] == nil {
 			l.cohort = append(l.cohort, pos)
 		}

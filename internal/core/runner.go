@@ -97,12 +97,15 @@ type Runner struct {
 	// are computed once (in prepareRun, after the finetune part is applied)
 	// instead of once per client per round.
 	projCost []float64
-	// candScratch is the reused per-round candidate slice handed to the
-	// scheduler, and partScratch the reused participant list — both rebuilt
-	// in place every dispatch so steady-state scheduling allocates nothing
-	// beyond what the policy itself draws.
-	candScratch []sched.Candidate
-	partScratch []*Client
+	// cands is the run's candidate table, one row per pool position (nil
+	// without a scheduler). prepareRun builds it from the descriptors and
+	// projected costs and stamps it from the utility tracker; after that the
+	// loop re-stamps only the row of an update it folded. A round with nothing
+	// in flight hands the table itself to the scheduler; a buffered round
+	// copies the idle rows into candScratch. partScratch is the reused
+	// participant list.
+	cands, candScratch []sched.Candidate
+	partScratch        []*Client
 	// foldBuf is the one blob every folded update is encoded into on its way
 	// to the aggregator, reused from update to update and run to run.
 	foldBuf []byte
@@ -175,7 +178,7 @@ func (r *Runner) GlobalModel() *models.Model { return r.global }
 // prepareRun is the loop's preamble: reset the per-run state (unless
 // RestoreInto armed a continuation), freeze the non-finetuned part, resolve
 // the communicated groups, tensors and wire size once, set up tiers, and
-// project every client's round cost from descriptors alone.
+// project every client's round cost and candidate row from descriptors alone.
 func (r *Runner) prepareRun() error {
 	if r.restored {
 		// RestoreInto armed this run to continue after startRound; consume
@@ -366,14 +369,22 @@ func (r *Runner) resolveMask(fl *flight, pos int) {
 	}
 }
 
-// cacheProjectedCosts fills projCost with each client's projected round
-// cost. Called once per run, after SetFinetunePart and setupTiers (the cost
-// depends on which groups the client's mask lets train). Costs are computed
-// from descriptors alone — the source contract pins Describe to what Acquire
+// cacheProjectedCosts fills projCost with each client's projected round cost
+// and, with a scheduler, the run's candidate table (Runner.cands), stamped
+// from the utility tracker — which a resumed run has already restored.
+// Called once per run, after SetFinetunePart and setupTiers (the cost
+// depends on which groups the client's mask lets train). Both come from
+// descriptors alone — the source contract pins Describe to what Acquire
 // materializes, so the eager and fleet paths project identical costs.
+// Candidates are keyed by pool position, the key the straggler policy and
+// the tracker use.
 func (r *Runner) cacheProjectedCosts() error {
 	n := r.src.NumClients()
 	r.projCost = make([]float64, n)
+	r.cands = nil
+	if r.cfg.Scheduler != nil {
+		r.cands = make([]sched.Candidate, n)
+	}
 	for i := 0; i < n; i++ {
 		d := r.src.Describe(i)
 		var (
@@ -393,43 +404,31 @@ func (r *Runner) cacheProjectedCosts() error {
 			return fmt.Errorf("core: projecting cost for client %d: %w", i, err)
 		}
 		r.projCost[i] = cost.Total()
+		if r.cands != nil {
+			r.cands[i] = sched.Candidate{
+				ClientID:         i,
+				DataSize:         d.DataSize,
+				ProjectedSeconds: r.projCost[i],
+				Available:        true,
+				Cluster:          d.Cluster,
+			}
+			if r.tiers != nil {
+				r.cands[i].Tier = r.tiers[i]
+			}
+		}
+	}
+	if r.cands != nil {
+		r.utility.Stamp(r.cands)
 	}
 	return nil
 }
 
-// schedule asks the configured scheduler for k of the pool positions not
-// marked busy (nil: none are). Candidates are keyed by pool position, the
-// same key the straggler policy and the utility tracker use. Busy positions
-// are excluded from the candidate set itself, not just flagged: availability
-// wrappers overwrite the Available flag from their own churn state. The
-// slice is runner scratch, rebuilt in place every call.
-func (r *Runner) schedule(round, k int, busy func(pos int) bool) []int {
-	n := r.src.NumClients()
-	if cap(r.candScratch) < n {
-		r.candScratch = make([]sched.Candidate, 0, n)
-	}
-	cands := r.candScratch[:0]
-	for i := 0; i < n; i++ {
-		if busy != nil && busy(i) {
-			continue
-		}
-		d := r.src.Describe(i)
-		c := sched.Candidate{
-			ClientID:         i,
-			DataSize:         d.DataSize,
-			ProjectedSeconds: r.projCost[i],
-			Available:        true,
-			Cluster:          d.Cluster,
-		}
-		if r.tiers != nil {
-			c.Tier = r.tiers[i]
-		}
-		cands = append(cands, c)
-	}
+// schedule asks the configured scheduler for k of cands, which it must not
+// write (see sched.Scheduler).
+func (r *Runner) schedule(round, k int, cands []sched.Candidate) []int {
 	if len(cands) == 0 {
 		return nil
 	}
-	r.utility.Stamp(cands)
 	srng := tensor.NewRand(uint64(r.cfg.Seed), uint64(round), sched.StreamTag)
 	return r.cfg.Scheduler.Schedule(round, cands, k, srng)
 }

@@ -12,9 +12,10 @@
 // then device rate) before materialization continues the same stream into
 // label assignment and data generation. Acquiring a client twice — or
 // acquiring it lazily versus building the whole population eagerly — yields
-// bit-identical datasets, which TestLazyMatchesEager pins. Registration runs
-// on the kernel worker pool; since no client reads another's stream or rows,
-// the split across workers cannot change a bit.
+// bit-identical datasets, which TestLazyMatchesEager pins. Registration and
+// an Acquire call's materializations run on the kernel worker pool; since no
+// client reads another's stream or rows, the split across workers cannot
+// change a bit.
 package fleet
 
 import (
@@ -321,7 +322,10 @@ func (f *Fleet) Cluster(pos int) int {
 
 // Acquire implements core.ClientSource: each position is served from the
 // resident pool when cached, materialized otherwise, and pinned until the
-// matching Release.
+// matching Release. The call's misses are materialized first, on the kernel
+// worker pool — each client reads only its own stream — and the pool's
+// bookkeeping (clock, pins, stats, eviction) then runs in call order, so the
+// outcome does not depend on the worker count.
 func (f *Fleet) Acquire(positions []int, dst []*core.Client) ([]*core.Client, error) {
 	dst = dst[:0]
 	f.mu.Lock()
@@ -331,14 +335,14 @@ func (f *Fleet) Acquire(positions []int, dst []*core.Client) ([]*core.Client, er
 			return nil, fmt.Errorf("fleet: acquire position %d outside population of %d", pos, f.spec.Clients)
 		}
 	}
-	for _, pos := range positions {
+	made, errs := f.materializeMisses(positions)
+	for i, pos := range positions {
 		f.clock++
 		e, ok := f.pool[pos]
 		if ok {
 			f.stats.Hits++
 		} else {
-			cl, err := f.materialize(pos)
-			if err != nil {
+			if errs[i] != nil {
 				// The caller gets no clients, so it will release none: unpin
 				// what this call pinned, or those entries could never be
 				// evicted again.
@@ -346,9 +350,9 @@ func (f *Fleet) Acquire(positions []int, dst []*core.Client) ([]*core.Client, er
 					f.pool[pinned.ID].pins--
 				}
 				f.evictLocked()
-				return nil, err
+				return nil, errs[i]
 			}
-			e = &entry{cl: cl}
+			e = &entry{cl: made[i]}
 			f.pool[pos] = e
 			f.stats.Materializations++
 			if len(f.pool) > f.stats.PeakResident {
@@ -361,6 +365,30 @@ func (f *Fleet) Acquire(positions []int, dst []*core.Client) ([]*core.Client, er
 	}
 	f.evictLocked()
 	return dst, nil
+}
+
+// materializeMisses materializes, on the kernel worker pool, the first
+// occurrence of each position of an Acquire call that is not resident;
+// made[i] and errs[i] belong to positions[i]. A repeat is served from the pool
+// once the in-order walk has inserted its first occurrence. Called with f.mu
+// held; only the walk writes the pool.
+func (f *Fleet) materializeMisses(positions []int) (made []*core.Client, errs []error) {
+	made = make([]*core.Client, len(positions))
+	errs = make([]error, len(positions))
+	var misses []int
+	listed := make(map[int]bool, len(positions))
+	for i, pos := range positions {
+		if _, resident := f.pool[pos]; !resident && !listed[pos] {
+			listed[pos] = true
+			misses = append(misses, i)
+		}
+	}
+	tensor.ParallelFor(len(misses), 1, func(lo, hi int) {
+		for _, i := range misses[lo:hi] {
+			made[i], errs[i] = f.materialize(positions[i])
+		}
+	})
+	return made, errs
 }
 
 // Release implements core.ClientSource: unpin the clients and shrink the pool

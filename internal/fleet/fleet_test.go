@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
+	"fedfteds/internal/core"
 	"fedfteds/internal/data"
 	"fedfteds/internal/seeds"
 )
@@ -289,6 +291,64 @@ func TestRegistrationIndependentOfWorkers(t *testing.T) {
 		}
 		if e := serial.sketch[(id+1)*serial.dim-1]; e != row[len(row)-1] {
 			t.Fatalf("client %d: sketch entropy %v on one worker, %v on four", id, e, row[len(row)-1])
+		}
+	}
+}
+
+// TestAcquireIndependentOfWorkers: the same Acquire/Release sequence — a
+// position repeated within one call, pool hits, evictions, a rematerialized
+// client — yields bit-identical datasets and equal pool stats on one worker
+// and on four, each dataset what its client's own stream materializes.
+func TestAcquireIndependentOfWorkers(t *testing.T) {
+	spec := testSpec(t, 200)
+	spec.PoolSize = 4
+	calls := [][]int{
+		{5, 9, 5, 12},          // 5 repeats within the call
+		{9, 30, 31, 32, 33, 9}, // 9 hits; the misses push 5 and 12 out
+		{5, 40, 41, 42, 43, 44, 45, 46, 47, 48},
+	}
+	run := func(procs int) ([][]*core.Client, Stats) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		f, err := New(spec)
+		if err != nil {
+			t.Fatalf("New at GOMAXPROCS %d: %v", procs, err)
+		}
+		var got [][]*core.Client
+		for _, call := range calls {
+			cls, err := f.Acquire(call, nil)
+			if err != nil {
+				t.Fatalf("Acquire(%v) at GOMAXPROCS %d: %v", call, procs, err)
+			}
+			got = append(got, cls)
+			f.Release(cls)
+		}
+		return got, f.Stats()
+	}
+	serial, serialStats := run(1)
+	parallel, parallelStats := run(4)
+	if serialStats != parallelStats {
+		t.Fatalf("stats %+v on one worker, %+v on four", serialStats, parallelStats)
+	}
+	if serialStats.Hits < 2 || serialStats.Evictions == 0 || serialStats.Materializations != 17 {
+		t.Fatalf("stats %+v: the sequence must hit, evict and rematerialize (17 materializations)", serialStats)
+	}
+	ref, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, call := range calls {
+		for i, pos := range call {
+			a, b := serial[c][i], parallel[c][i]
+			want, err := ref.materialize(pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.ID != pos || b.ID != pos || a.Device != b.Device || a.Device != want.Device {
+				t.Fatalf("call %d slot %d: clients %d/%d, want %d with the same device", c, i, a.ID, b.ID, pos)
+			}
+			label := fmt.Sprintf("call %d slot %d (client %d)", c, i, pos)
+			sameClient(t, label, a.Data, b.Data, a.Data.X.Data(), b.Data.X.Data(), a.Data.Y, b.Data.Y)
+			sameClient(t, label, a.Data, want.Data, a.Data.X.Data(), want.Data.X.Data(), a.Data.Y, want.Data.Y)
 		}
 	}
 }

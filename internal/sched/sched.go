@@ -57,7 +57,8 @@ type Candidate struct {
 	Tier string
 	// Cluster is the client's similarity-cluster index (see internal/fleet:
 	// clients are grouped at registration by their label-distribution /
-	// entropy sketches). Zero for unclustered federations, where
+	// entropy sketches), numbered 0..C-1 (ClusterSampling indexes a table by
+	// it, so it must not be negative). Zero for unclustered federations, where
 	// ClusterSampling degenerates to its inner policy (single stratum).
 	Cluster int
 }
@@ -69,6 +70,11 @@ type Scheduler interface {
 	// Schedule returns at most k client IDs drawn from the available
 	// candidates, ascending. Implementations must be deterministic given
 	// cands and rng; round lets stateful policies (churn models) evolve.
+	// Schedule must not write cands: the simulator hands every round the
+	// same run-long candidate table. A policy used as a wrapper's Inner is
+	// handed a copy holding only the candidates still available, so its
+	// cohort must depend on those alone — as every shipped stateless
+	// policy's does.
 	Schedule(round int, cands []Candidate, k int, rng *rand.Rand) []int
 }
 
@@ -94,15 +100,45 @@ func clampK(k, n int) int {
 	return k
 }
 
-// availableSet returns the indices of the available candidates.
+// availableSet returns the indices of the available candidates, ascending.
 func availableSet(cands []Candidate) []int {
 	out := make([]int, 0, len(cands))
-	for i, c := range cands {
-		if c.Available {
+	for i := range cands {
+		if cands[i].Available {
 			out = append(out, i)
 		}
 	}
 	return out
+}
+
+// picker is the call behind every shipped policy's Schedule: pick schedules
+// at most k of the candidates whose indices avail lists (ascending, each one
+// available), reading cands and writing nothing. Schedule is pick over the
+// available candidates, and the wrappers hand their inner policy index
+// subsets through it, so no Candidate is copied between policies.
+type picker interface {
+	pick(round int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int
+}
+
+// asPicker returns s's index-subset call. A Scheduler from outside this
+// package has none, so it is handed a copy of the candidates avail lists.
+func asPicker(s Scheduler) picker {
+	if p, ok := s.(picker); ok {
+		return p
+	}
+	return copied{s}
+}
+
+// copied is the one place a candidate is still copied: it runs a Scheduler
+// over a sub-slice holding exactly the candidates avail lists.
+type copied struct{ Scheduler }
+
+func (c copied) pick(round int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int {
+	sub := make([]Candidate, len(avail))
+	for i, idx := range avail {
+		sub[i] = cands[idx]
+	}
+	return c.Schedule(round, sub, k, rng)
 }
 
 // selectTopK returns the indices 0..n-1 of the k best items under better —
@@ -169,6 +205,46 @@ func finishCohort(cands []Candidate, chosen []int) []int {
 	return ids
 }
 
+// apportion splits k cohort slots over strata of the given sizes (summing to
+// total) in proportion to their size, by largest remainder with ties to the
+// earlier stratum, never giving a stratum more slots than members.
+func apportion(k int, sizes []int, total int) []int {
+	counts := make([]int, len(sizes))
+	rems := make([]float64, len(sizes))
+	assigned := 0
+	for i, n := range sizes {
+		exact := float64(k) * float64(n) / float64(total)
+		counts[i] = int(exact)
+		if counts[i] > n {
+			counts[i] = n
+		}
+		rems[i] = exact - float64(counts[i])
+		assigned += counts[i]
+	}
+	order := make([]int, len(sizes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return rems[order[a]] > rems[order[b]] })
+	for assigned < k {
+		grew := false
+		for _, i := range order {
+			if assigned >= k {
+				break
+			}
+			if counts[i] < sizes[i] {
+				counts[i]++
+				assigned++
+				grew = true
+			}
+		}
+		if !grew {
+			break
+		}
+	}
+	return counts
+}
+
 // UniformRandom samples the cohort uniformly without replacement — the
 // classical FedAvg client sampling and the baseline every other policy is
 // judged against.
@@ -180,8 +256,11 @@ var _ Scheduler = UniformRandom{}
 func (UniformRandom) Name() string { return "uniform" }
 
 // Schedule implements Scheduler.
-func (UniformRandom) Schedule(_ int, cands []Candidate, k int, rng *rand.Rand) []int {
-	avail := availableSet(cands)
+func (u UniformRandom) Schedule(round int, cands []Candidate, k int, rng *rand.Rand) []int {
+	return u.pick(round, cands, availableSet(cands), k, rng)
+}
+
+func (UniformRandom) pick(_ int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int {
 	k = clampK(k, len(avail))
 	perm := rng.Perm(len(avail))
 	chosen := make([]int, 0, k)
@@ -203,8 +282,11 @@ var _ Scheduler = SizeWeighted{}
 func (SizeWeighted) Name() string { return "size" }
 
 // Schedule implements Scheduler.
-func (SizeWeighted) Schedule(_ int, cands []Candidate, k int, rng *rand.Rand) []int {
-	avail := availableSet(cands)
+func (s SizeWeighted) Schedule(round int, cands []Candidate, k int, rng *rand.Rand) []int {
+	return s.pick(round, cands, availableSet(cands), k, rng)
+}
+
+func (SizeWeighted) pick(_ int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int {
 	k = clampK(k, len(avail))
 	keys := make([]float64, len(avail))
 	for i, idx := range avail {
@@ -248,12 +330,15 @@ const DefaultEpsilon = 0.1
 func (EntropyUtility) Name() string { return "entropy" }
 
 // Schedule implements Scheduler.
-func (e EntropyUtility) Schedule(_ int, cands []Candidate, k int, rng *rand.Rand) []int {
+func (e EntropyUtility) Schedule(round int, cands []Candidate, k int, rng *rand.Rand) []int {
+	return e.pick(round, cands, availableSet(cands), k, rng)
+}
+
+func (e EntropyUtility) pick(_ int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int {
 	eps := e.Epsilon
 	if eps == 0 {
 		eps = DefaultEpsilon
 	}
-	avail := availableSet(cands)
 	k = clampK(k, len(avail))
 	nExplore := int(math.Round(eps * float64(k)))
 	if nExplore < 0 {
@@ -333,12 +418,15 @@ const DefaultD = 2
 func (PowerOfD) Name() string { return "powerd" }
 
 // Schedule implements Scheduler.
-func (p PowerOfD) Schedule(_ int, cands []Candidate, k int, rng *rand.Rand) []int {
+func (p PowerOfD) Schedule(round int, cands []Candidate, k int, rng *rand.Rand) []int {
+	return p.pick(round, cands, availableSet(cands), k, rng)
+}
+
+func (p PowerOfD) pick(_ int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int {
 	d := p.D
 	if d <= 0 {
 		d = DefaultD
 	}
-	avail := availableSet(cands)
 	k = clampK(k, len(avail))
 	pool := d * k
 	if pool > len(avail) {
@@ -378,8 +466,11 @@ func (TierBalanced) Name() string { return "tier" }
 
 // Schedule implements Scheduler. Tiers draw from rng in ascending tier-name
 // order, so the cohort is reproducible from the seed.
-func (TierBalanced) Schedule(_ int, cands []Candidate, k int, rng *rand.Rand) []int {
-	avail := availableSet(cands)
+func (t TierBalanced) Schedule(round int, cands []Candidate, k int, rng *rand.Rand) []int {
+	return t.pick(round, cands, availableSet(cands), k, rng)
+}
+
+func (TierBalanced) pick(_ int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int {
 	k = clampK(k, len(avail))
 	byTier := make(map[string][]int)
 	for _, idx := range avail {
@@ -391,41 +482,11 @@ func (TierBalanced) Schedule(_ int, cands []Candidate, k int, rng *rand.Rand) []
 		tiers = append(tiers, t)
 	}
 	sort.Strings(tiers)
-
-	// Proportional slots per tier by largest remainder.
-	counts := make([]int, len(tiers))
-	rems := make([]float64, len(tiers))
-	assigned := 0
+	sizes := make([]int, len(tiers))
 	for i, t := range tiers {
-		exact := float64(k) * float64(len(byTier[t])) / float64(len(avail))
-		counts[i] = int(exact)
-		if counts[i] > len(byTier[t]) {
-			counts[i] = len(byTier[t])
-		}
-		rems[i] = exact - float64(counts[i])
-		assigned += counts[i]
+		sizes[i] = len(byTier[t])
 	}
-	order := make([]int, len(tiers))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return rems[order[a]] > rems[order[b]] })
-	for assigned < k {
-		grew := false
-		for _, i := range order {
-			if assigned >= k {
-				break
-			}
-			if counts[i] < len(byTier[tiers[i]]) {
-				counts[i]++
-				assigned++
-				grew = true
-			}
-		}
-		if !grew {
-			break
-		}
-	}
+	counts := apportion(k, sizes, len(avail))
 
 	chosen := make([]int, 0, k)
 	for i, t := range tiers {
@@ -474,75 +535,68 @@ func (c ClusterSampling) inner() Scheduler {
 // order (one inner call per cluster), so cohorts are reproducible from the
 // seed.
 func (c ClusterSampling) Schedule(round int, cands []Candidate, k int, rng *rand.Rand) []int {
-	avail := availableSet(cands)
-	k = clampK(k, len(avail))
-	byCluster := make(map[int][]int)
-	for _, idx := range avail {
-		cl := cands[idx].Cluster
-		byCluster[cl] = append(byCluster[cl], idx)
-	}
-	if len(byCluster) <= 1 {
-		return c.inner().Schedule(round, cands, k, rng)
-	}
-	clusters := make([]int, 0, len(byCluster))
-	for cl := range byCluster {
-		clusters = append(clusters, cl)
-	}
-	sort.Ints(clusters)
+	return c.pick(round, cands, availableSet(cands), k, rng)
+}
 
-	// Proportional slots per cluster by largest remainder, ties to the lower
-	// cluster index (sort.SliceStable over the ascending cluster order).
-	counts := make([]int, len(clusters))
-	rems := make([]float64, len(clusters))
-	assigned := 0
-	for i, cl := range clusters {
-		exact := float64(k) * float64(len(byCluster[cl])) / float64(len(avail))
-		counts[i] = int(exact)
-		if counts[i] > len(byCluster[cl]) {
-			counts[i] = len(byCluster[cl])
-		}
-		rems[i] = exact - float64(counts[i])
-		assigned += counts[i]
+func (c ClusterSampling) pick(round int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int {
+	k = clampK(k, len(avail))
+	members, sizes := groupByCluster(cands, avail)
+	if len(sizes) <= 1 {
+		return asPicker(c.inner()).pick(round, cands, avail, k, rng)
 	}
-	order := make([]int, len(clusters))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return rems[order[a]] > rems[order[b]] })
-	for assigned < k {
-		grew := false
-		for _, i := range order {
-			if assigned >= k {
-				break
-			}
-			if counts[i] < len(byCluster[clusters[i]]) {
-				counts[i]++
-				assigned++
-				grew = true
-			}
-		}
-		if !grew {
-			break
-		}
-	}
+	counts := apportion(k, sizes, len(avail))
 
 	// Each cluster's slots are filled by the inner policy over that
-	// cluster's candidates only. The sub-slice preserves global ClientIDs,
-	// so the inner cohort needs no re-mapping.
+	// cluster's rows only; cohorts come back as global ClientIDs. A stateful
+	// inner (constructed directly; Parse refuses it) steps its state over
+	// exactly the candidates it is handed, so it gets each cluster's copy.
+	inner := asPicker(c.inner())
+	if _, stateful := c.inner().(Stateful); stateful {
+		inner = copied{c.inner()}
+	}
 	ids := make([]int, 0, k)
-	sub := make([]Candidate, 0, 64)
-	for i, cl := range clusters {
-		if counts[i] == 0 {
-			continue
+	for i, size := range sizes {
+		rows := members[:size]
+		members = members[size:]
+		if counts[i] > 0 {
+			ids = append(ids, inner.pick(round, cands, rows, counts[i], rng)...)
 		}
-		sub = sub[:0]
-		for _, idx := range byCluster[cl] {
-			sub = append(sub, cands[idx])
-		}
-		ids = append(ids, c.inner().Schedule(round, sub, counts[i], rng)...)
 	}
 	sort.Ints(ids)
 	return ids
+}
+
+// groupByCluster lists the avail rows cluster by cluster, in ascending
+// cluster order and ascending within a cluster, and returns each cluster's
+// size. Clusters are numbered 0..C-1, so a counting sort by index does it in
+// two passes.
+func groupByCluster(cands []Candidate, avail []int) (members, sizes []int) {
+	var next []int // per cluster index: its size, then its next slot
+	for _, idx := range avail {
+		cl := cands[idx].Cluster
+		if cl >= len(next) {
+			next = append(next, make([]int, cl+1-len(next))...)
+		}
+		next[cl]++
+	}
+	slot := 0
+	for cl, n := range next {
+		next[cl] = slot
+		slot += n
+		if n > 0 {
+			sizes = append(sizes, n)
+		}
+	}
+	if len(sizes) <= 1 {
+		return avail, sizes
+	}
+	members = make([]int, len(avail))
+	for _, idx := range avail {
+		cl := cands[idx].Cluster
+		members[next[cl]] = idx
+		next[cl]++
+	}
+	return members, sizes
 }
 
 // Availability composes any inner policy with client churn: each client is
@@ -574,7 +628,8 @@ type Availability struct {
 	// scheduler change gets.
 	TraceName string
 
-	up map[int]bool // Markov state; clients start up
+	up  map[int]bool // Markov state; clients start up
+	idx []int        // the surviving rows, reused from round to round
 }
 
 var _ Scheduler = (*Availability)(nil)
@@ -652,14 +707,23 @@ func (a *Availability) inner() Scheduler {
 // inner policy does, in ascending candidate order, so a run is reproducible
 // from its seed.
 func (a *Availability) Schedule(round int, cands []Candidate, k int, rng *rand.Rand) []int {
+	return a.pick(round, cands, availableSet(cands), k, rng)
+}
+
+// pick steps every candidate's churn state — the rows avail does not offer
+// too, which stay unschedulable — and hands the inner policy the offered rows
+// that are up.
+func (a *Availability) pick(round int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int {
 	if a.up == nil {
 		a.up = make(map[int]bool, len(cands))
 	}
-	masked := make([]Candidate, len(cands))
-	copy(masked, cands)
-	anyUp := false
-	for i := range masked {
-		id := masked[i].ClientID
+	out, next := a.idx[:0], 0
+	for i := range cands {
+		offered := next < len(avail) && avail[next] == i
+		if offered {
+			next++
+		}
+		id := cands[i].ClientID
 		var up bool
 		if a.Trace != nil {
 			up = a.Trace(round, id)
@@ -675,26 +739,26 @@ func (a *Availability) Schedule(round int, cands []Candidate, k int, rng *rand.R
 			}
 			a.up[id] = up
 		}
-		masked[i].Available = masked[i].Available && up
-		if masked[i].Available {
-			anyUp = true
+		if offered && up {
+			out = append(out, i)
 		}
 	}
-	if !anyUp {
+	if len(out) == 0 {
 		// Churn took the whole pool down: force the lowest-ID candidate back
-		// up — but only among those the *caller* considered available; a
-		// candidate the caller marked unreachable must never be scheduled.
+		// up — but only among those the *caller* offered; a candidate the
+		// caller marked unreachable must never be scheduled.
 		lowest := -1
-		for i := range masked {
-			if cands[i].Available && (lowest < 0 || masked[i].ClientID < masked[lowest].ClientID) {
+		for _, i := range avail {
+			if lowest < 0 || cands[i].ClientID < cands[lowest].ClientID {
 				lowest = i
 			}
 		}
 		if lowest >= 0 {
-			masked[lowest].Available = true
+			out = append(out, lowest)
 		}
 	}
-	return a.inner().Schedule(round, masked, k, rng)
+	a.idx = out
+	return asPicker(a.inner()).pick(round, cands, out, k, rng)
 }
 
 // PolicyNames lists the identifiers Parse accepts, in display order.
