@@ -1,29 +1,24 @@
 // Command fedclient is one federated participant in the distributed mode:
 // it regenerates its local non-IID partition deterministically from the
-// shared -seed and its -id, connects to a fedserver, and answers each round
-// with a FedFT-EDS local update (entropy-selected subset, partial
-// fine-tuning, only the upper model part on the wire) plus its mean EDS
-// entropy, the utility signal the server's cohort scheduler exploits.
+// shared -seed, -clients and its -id, connects to a fedserver, and answers
+// each round with the local update the round's RoundStart describes — the
+// client recipe: E, P_ds, learning rate, momentum, the data selector and its
+// temperature, FedProx's proximal μ, and the groups to train (fedserver's
+// default is FedFT-EDS: an entropy-selected subset, partial fine-tuning, only
+// the upper model part on the wire) — plus its mean EDS entropy, the utility
+// signal the server's cohort scheduler exploits.
 //
 // When the server schedules cohorts (-cohort on fedserver), rounds this
 // client is not part of are invisible here: the client simply blocks until
 // a cohort includes it again.
 //
-// -strategy applies a strategy's client-side hook to the local objective
-// (fedprox:mu=0.1 adds the proximal term); server-side optimizers
-// (fedavgm/fedadam/fedyogi) run on fedserver and need nothing here. Like
-// -seed and -temperature, the hook is client-local configuration the wire
-// never carries: keep it consistent across restarts of a checkpointed
-// federation, or the resumed rounds train a different local objective.
-//
-// With -tiers (and the same -tier-dist as the server) the client derives its
-// device-capability tier deterministically from the shared seed and its -id:
-// it declares the tier at join, trains only the layer groups the tier
-// affords, and ships only those groups' tensors — a masked layer costs zero
-// uplink bytes. Its simulated compute rate is scaled down accordingly, so
-// low-tier clients report realistically longer round times. All fleet
-// members and the server must agree on -tiers/-tier-dist, exactly like
-// -seed.
+// When the server runs device tiers (-tiers/-tier-dist on fedserver), the
+// RoundStart carries the tier distribution, and the client derives its
+// device-capability tier from it, the shared seed and its -id: it trains
+// only the layer groups the tier affords and ships only those groups'
+// tensors — a masked layer costs zero uplink bytes. Its simulated compute
+// rate is scaled down accordingly, so low-tier clients report realistically
+// longer round times.
 //
 // -codec selects the uplink codec. The default "auto" adopts whatever the
 // server's Welcome advertises (identity when it advertises nothing), so an
@@ -57,10 +52,8 @@ import (
 	"time"
 
 	"fedfteds/internal/comm"
-	"fedfteds/internal/device"
 	"fedfteds/internal/experiments"
 	"fedfteds/internal/federation"
-	"fedfteds/internal/strategy"
 )
 
 // exitEvicted is the exit status after a crash-class removal by the server,
@@ -86,12 +79,9 @@ func main() {
 // clientConfig is the validated flag set of one fedclient run.
 type clientConfig struct {
 	federation.ClientConfig
-	addr         string
-	timeout      time.Duration
-	dialRetries  int
-	stratSpec    string
-	tiers        bool
-	tierDistSpec string
+	addr        string
+	timeout     time.Duration
+	dialRetries int
 }
 
 // parseFlags parses and fail-fast validates the command line.
@@ -102,12 +92,8 @@ func parseFlags(args []string) (clientConfig, error) {
 	fs.IntVar(&cfg.ID, "id", 0, "this client's federation index")
 	fs.IntVar(&cfg.NumClients, "clients", 2, "federation size (must match the server)")
 	fs.Int64Var(&cfg.Seed, "seed", 1, "shared federation seed (must match the server)")
-	fs.Float64Var(&cfg.Temperature, "temperature", 0.1, "hardened-softmax temperature ρ")
 	fs.DurationVar(&cfg.timeout, "timeout", 10*time.Second, "dial timeout")
 	fs.IntVar(&cfg.dialRetries, "dial-retries", 0, "re-dial a refused or timed-out connection this many times with exponential backoff, so a fleet can start before its server")
-	fs.StringVar(&cfg.stratSpec, "strategy", "fedavg", "federated-optimization strategy; only its client-side hook applies here (fedprox:mu=0.1 adds the proximal term), server optimizers run on fedserver")
-	fs.BoolVar(&cfg.tiers, "tiers", false, "device-tier mode: derive this client's capability tier from the shared seed, train and ship only the layer groups it affords (must match the server)")
-	fs.StringVar(&cfg.tierDistSpec, "tier-dist", "", "tier distribution \"tier:weight,...\" over "+strings.Join(device.TierNames(), "/")+" (implies -tiers; default "+federation.DefaultTierSpec+"; must match the server)")
 	fs.StringVar(&cfg.CodecSpec, "codec", "auto", "uplink codec: auto (adopt the server's advertisement), or pin one of "+strings.Join(comm.CodecNames(), ", ")+" and fail fast on a mismatch")
 	if err := fs.Parse(args); err != nil {
 		return clientConfig{}, err
@@ -119,22 +105,11 @@ func parseFlags(args []string) (clientConfig, error) {
 			return clientConfig{}, fmt.Errorf("-codec: %w", err)
 		}
 	}
-	strat, err := strategy.Parse(cfg.stratSpec)
-	if err != nil {
-		return clientConfig{}, err
-	}
-	cfg.Strat = strat
-	if cfg.TierDist, err = federation.TierFlags(cfg.tiers, cfg.tierDistSpec); err != nil {
-		return clientConfig{}, err
-	}
 	if cfg.NumClients <= 0 {
 		return clientConfig{}, fmt.Errorf("-clients %d must be positive", cfg.NumClients)
 	}
 	if cfg.ID < 0 || cfg.ID >= cfg.NumClients {
 		return clientConfig{}, fmt.Errorf("-id %d outside [0, %d)", cfg.ID, cfg.NumClients)
-	}
-	if cfg.Temperature <= 0 {
-		return clientConfig{}, fmt.Errorf("-temperature %v must be positive", cfg.Temperature)
 	}
 	if cfg.timeout <= 0 {
 		return clientConfig{}, fmt.Errorf("-timeout %v must be positive", cfg.timeout)
@@ -211,8 +186,8 @@ func run(args []string) error {
 		return nil
 	}, func(u comm.ClientUpdate) {
 		pending = u.Round + 1
-		log.Printf("round %d: trained on %d selected samples (loss %.3f, mean entropy %.3f)",
-			u.Round, u.NumSelected, u.TrainLoss, u.MeanEntropy)
+		log.Printf("round %d: trained on %d selected samples (loss %.3f, mean entropy %.3f, tier groups %v)",
+			u.Round, u.NumSelected, u.TrainLoss, u.MeanEntropy, u.Groups)
 	})
 	return classifyDrop(pending, cfg.ID, err)
 }

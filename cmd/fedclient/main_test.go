@@ -19,23 +19,8 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ID != 0 || cfg.NumClients != 2 || cfg.Temperature != 0.1 || cfg.timeout != 10*time.Second {
+	if cfg.ID != 0 || cfg.NumClients != 2 || cfg.Seed != 1 || cfg.CodecSpec != "auto" || cfg.timeout != 10*time.Second {
 		t.Fatalf("unexpected defaults: %+v", cfg)
-	}
-	if cfg.Strat == nil || cfg.Strat.Name() != "fedavg" || cfg.Strat.LocalHook() != nil {
-		t.Fatalf("strategy must default to plain fedavg: %+v", cfg.Strat)
-	}
-}
-
-// TestParseFlagsStrategyHook: the client accepts the shared strategy
-// vocabulary; fedprox carries the proximal local hook into local updates.
-func TestParseFlagsStrategyHook(t *testing.T) {
-	cfg, err := parseFlags([]string{"-strategy", "fedprox:mu=0.05"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Strat.LocalHook() == nil {
-		t.Fatal("fedprox lost its local hook")
 	}
 }
 
@@ -48,10 +33,9 @@ func TestParseFlagsFailFast(t *testing.T) {
 		{"negative id", []string{"-id", "-1"}, "-id"},
 		{"id beyond federation", []string{"-id", "2", "-clients", "2"}, "-id"},
 		{"zero clients", []string{"-clients", "0"}, "-clients"},
-		{"zero temperature", []string{"-temperature", "0"}, "-temperature"},
 		{"negative timeout", []string{"-timeout", "-1s"}, "-timeout"},
-		{"unknown strategy", []string{"-strategy", "sgd"}, "unknown strategy"},
-		{"bad strategy parameter", []string{"-strategy", "fedprox:mu=0"}, "mu"},
+		// The recipe is the server's: a client that restates it is refused.
+		{"recipe flag", []string{"-strategy", "fedprox:mu=0.1"}, "-strategy"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

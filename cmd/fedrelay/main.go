@@ -1,14 +1,14 @@
 // Command fedrelay runs the mid-tier aggregator of a hierarchical
 // federation: it accepts a region's fedclient leaves on -listen with the
 // same session machinery fedserver uses, joins the root fedserver at -addr
-// as one relay (declaring the region's summed dataset size and leaf count),
-// and then, for every round the root starts, rebroadcasts it to the region,
-// folds the leaf updates into a single weighted average, and answers the
-// root with it as one ClientUpdate: to the root a relay is a client whose
-// selected-sample count is its region's. The root composes region averages
-// through its strategy exactly as it composes client updates, so stacking
-// relays between clients and server changes where aggregation happens — not
-// what it computes.
+// as one relay (declaring the region's summed dataset size), and then, for
+// every round the root starts, rebroadcasts it — client recipe and all — to
+// the region, folds the leaf updates into a single weighted average, and
+// answers the root with it as one ClientUpdate: to the root a relay is a
+// client whose selected-sample count is its region's. The root composes
+// region averages through its strategy exactly as it composes client
+// updates, so stacking relays between clients and server changes where
+// aggregation happens — not what it computes.
 //
 // The relay's leaf side exposes the same fault-tolerance knobs as fedserver:
 // -round-deadline drops hung leaves at expiry, -quorum lets a region's round
@@ -49,55 +49,36 @@ func main() {
 	}
 }
 
-// relayConfig is the validated flag set of one fedrelay run.
+// relayConfig is the validated flag set of one fedrelay run: the relay it
+// runs plus the addresses and dialing it runs it over.
 type relayConfig struct {
+	federation.RelayConfig
 	addr        string
 	listen      string
-	relayID     int
-	leaves      int
-	rounds      int
-	deadline    time.Duration
-	quorum      float64
 	timeout     time.Duration
 	dialRetries int
-	codecSpec   string
 }
 
-// parseFlags parses and fail-fast validates the command line, mirroring the
-// validation order of the other binaries.
+// parseFlags parses and fail-fast validates the command line: the relay's
+// own checks (RelayConfig.Validate), then the dialing.
 func parseFlags(args []string) (relayConfig, error) {
 	var cfg relayConfig
 	fs := flag.NewFlagSet("fedrelay", flag.ContinueOnError)
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:7070", "root fedserver address")
 	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:7171", "listen address for the region's leaf clients")
-	fs.IntVar(&cfg.relayID, "relay-id", 0, "this relay's identity in the root's ID space")
-	fs.IntVar(&cfg.leaves, "leaves", 2, "leaf clients to wait for before joining the root")
-	fs.IntVar(&cfg.rounds, "rounds", 10, "communication rounds, must match the root's -rounds")
-	fs.DurationVar(&cfg.deadline, "round-deadline", 0, "bound on one dispatch to one peer, send and reply; a slower peer is timed out of the round and dispatched again at the next (0 = wait forever)")
-	fs.Float64Var(&cfg.quorum, "quorum", 1, "leaf updates a region round needs to succeed, as a fraction of the round's leaves in (0, 1]")
+	fs.IntVar(&cfg.RelayID, "relay-id", 0, "this relay's identity in the root's ID space")
+	fs.IntVar(&cfg.Leaves, "leaves", 2, "leaf clients to wait for before joining the root")
+	fs.IntVar(&cfg.Rounds, "rounds", 10, "communication rounds, must match the root's -rounds")
+	fs.DurationVar(&cfg.Engine.RoundDeadline, "round-deadline", 0, "bound on one dispatch to one peer, send and reply; a slower peer is timed out of the round and dispatched again at the next (0 = wait forever)")
+	fs.Float64Var(&cfg.Engine.Quorum, "quorum", 1, "leaf updates a region round needs to succeed, as a fraction of the round's leaves in (0, 1]")
 	fs.DurationVar(&cfg.timeout, "timeout", 10*time.Second, "root dial timeout")
 	fs.IntVar(&cfg.dialRetries, "dial-retries", 0, "re-dial a refused or timed-out root connection this many times with exponential backoff, so the tree can start in any order")
-	fs.StringVar(&cfg.codecSpec, "codec", "identity", "uplink codec advertised to this region's leaves: "+strings.Join(comm.CodecNames(), ", ")+" (the upstream hop adopts the root's advertisement instead)")
+	fs.StringVar(&cfg.LeafCodec, "codec", "identity", "uplink codec advertised to this region's leaves: "+strings.Join(comm.CodecNames(), ", ")+" (the upstream hop adopts the root's advertisement instead)")
 	if err := fs.Parse(args); err != nil {
 		return relayConfig{}, err
 	}
-	if _, err := comm.ParseCodec(cfg.codecSpec); err != nil {
-		return relayConfig{}, fmt.Errorf("-codec: %w", err)
-	}
-	if cfg.relayID < 0 {
-		return relayConfig{}, fmt.Errorf("-relay-id %d is negative", cfg.relayID)
-	}
-	if cfg.leaves <= 0 {
-		return relayConfig{}, fmt.Errorf("-leaves %d must be positive", cfg.leaves)
-	}
-	if cfg.rounds <= 0 {
-		return relayConfig{}, fmt.Errorf("-rounds %d must be positive", cfg.rounds)
-	}
-	if cfg.quorum <= 0 || cfg.quorum > 1 {
-		return relayConfig{}, fmt.Errorf("-quorum %v outside (0, 1]", cfg.quorum)
-	}
-	if cfg.deadline < 0 {
-		return relayConfig{}, fmt.Errorf("-round-deadline %v is negative", cfg.deadline)
+	if err := cfg.RelayConfig.Validate(); err != nil {
+		return relayConfig{}, err
 	}
 	if cfg.dialRetries < 0 {
 		return relayConfig{}, fmt.Errorf("-dial-retries %d is negative", cfg.dialRetries)
@@ -121,11 +102,5 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	return federation.Relay(root, l, federation.RelayConfig{
-		RelayID:   cfg.relayID,
-		Leaves:    cfg.leaves,
-		Rounds:    cfg.rounds,
-		Engine:    comm.EngineConfig{RoundDeadline: cfg.deadline, Quorum: cfg.quorum},
-		LeafCodec: cfg.codecSpec,
-	})
+	return federation.Relay(root, l, cfg.RelayConfig)
 }

@@ -11,10 +11,10 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.relayID != 0 || cfg.leaves != 2 || cfg.rounds != 10 {
+	if cfg.RelayID != 0 || cfg.Leaves != 2 || cfg.Rounds != 10 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
-	if cfg.quorum != 1 || cfg.deadline != 0 || cfg.dialRetries != 0 {
+	if cfg.Engine.Quorum != 1 || cfg.Engine.RoundDeadline != 0 || cfg.dialRetries != 0 {
 		t.Fatalf("fault-tolerance knobs must default off: %+v", cfg)
 	}
 	if cfg.timeout != 10*time.Second {
@@ -32,10 +32,10 @@ func TestParseFlagsFullSet(t *testing.T) {
 	if cfg.addr != "127.0.0.1:9000" || cfg.listen != "127.0.0.1:9001" {
 		t.Fatalf("addresses: %+v", cfg)
 	}
-	if cfg.relayID != 3 || cfg.leaves != 4 || cfg.rounds != 7 {
+	if cfg.RelayID != 3 || cfg.Leaves != 4 || cfg.Rounds != 7 {
 		t.Fatalf("topology flags: %+v", cfg)
 	}
-	if cfg.deadline != 90*time.Second || cfg.quorum != 0.5 || cfg.timeout != 5*time.Second || cfg.dialRetries != 6 {
+	if cfg.Engine.RoundDeadline != 90*time.Second || cfg.Engine.Quorum != 0.5 || cfg.timeout != 5*time.Second || cfg.dialRetries != 6 {
 		t.Fatalf("engine flags: %+v", cfg)
 	}
 }

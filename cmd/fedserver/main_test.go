@@ -19,6 +19,7 @@ import (
 	"fedfteds/internal/experiments"
 	"fedfteds/internal/federation"
 	"fedfteds/internal/models"
+	"fedfteds/internal/selection"
 	"fedfteds/internal/strategy"
 )
 
@@ -27,17 +28,17 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.NumClients != 2 || cfg.Rounds != 10 || cfg.Quorum != 1 || cfg.RoundDeadline != 0 {
+	if cfg.NumClients != 2 || cfg.Run.Rounds != 10 || cfg.Quorum != 1 || cfg.RoundDeadline != 0 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
-	if cfg.Cohort != 0 || cfg.Scheduler != nil {
+	if cfg.Run.CohortSize != 0 || cfg.Run.Scheduler != nil {
 		t.Fatalf("scheduling must default off: %+v", cfg)
 	}
 	if cfg.SchedName != "uniform" {
 		t.Fatalf("default policy %q", cfg.SchedName)
 	}
-	if cfg.Strat == nil || !strategy.IsDefault(cfg.Strat) {
-		t.Fatalf("strategy must default to fedavg: %+v", cfg.Strat)
+	if cfg.Run.Strategy == nil || !strategy.IsDefault(cfg.Run.Strategy) {
+		t.Fatalf("strategy must default to fedavg: %+v", cfg.Run.Strategy)
 	}
 	if cfg.TaggedStrategy() != nil {
 		t.Fatal("default strategy must stay out of the checkpoint tag")
@@ -51,8 +52,8 @@ func TestParseFlagsStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Strat.Name() != "fedadam" {
-		t.Fatalf("strategy name %q", cfg.Strat.Name())
+	if cfg.Run.Strategy.Name() != "fedadam" {
+		t.Fatalf("strategy name %q", cfg.Run.Strategy.Name())
 	}
 	if cfg.TaggedStrategy() == nil {
 		t.Fatal("non-default strategy missing from the checkpoint tag")
@@ -84,7 +85,7 @@ func TestParseFlagsSchedulingOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Cohort != 3 || cfg.Scheduler == nil || cfg.Scheduler.Name() != "avail:entropy" {
+	if cfg.Run.CohortSize != 3 || cfg.Run.Scheduler == nil || cfg.Run.Scheduler.Name() != "avail:entropy" {
 		t.Fatalf("scheduling config: %+v", cfg)
 	}
 	if cfg.RoundDeadline != 90*time.Second || cfg.Quorum != 0.5 {
@@ -106,6 +107,8 @@ func TestParseFlagsFailFast(t *testing.T) {
 		{"zero fraction", []string{"-fraction", "0"}, "-fraction"},
 		{"fraction above one", []string{"-fraction", "1.5"}, "-fraction"},
 		{"zero epochs", []string{"-epochs", "0"}, "-epochs"},
+		{"zero temperature", []string{"-temperature", "0"}, "-temperature"},
+		{"negative temperature", []string{"-temperature", "-0.1"}, "-temperature"},
 		{"zero rounds", []string{"-rounds", "0"}, "-rounds"},
 		{"negative cohort", []string{"-cohort", "-1"}, "-cohort"},
 		{"cohort beyond pool", []string{"-clients", "3", "-cohort", "4"}, "-cohort"},
@@ -145,8 +148,8 @@ func TestParseFlagsCheckpointDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.CkptDir != dir {
-		t.Fatalf("ckptDir %q", cfg.CkptDir)
+	if cfg.Run.CheckpointDir != dir {
+		t.Fatalf("ckptDir %q", cfg.Run.CheckpointDir)
 	}
 	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
 		t.Fatalf("checkpoint dir not created: %v", err)
@@ -194,9 +197,8 @@ func testClient(w *experiments.World, conn comm.Conn, id int, cfg serverConfig, 
 	if err != nil {
 		return err
 	}
-	client, err := federation.Join(conn, federation.ClientConfig{
-		ID: id, NumClients: cfg.NumClients, Seed: cfg.Seed, Temperature: 0.1, TierDist: cfg.TierDist,
-	}, model, w.Clients[id])
+	client, err := federation.Join(conn, federation.ClientConfig{ID: id, NumClients: cfg.NumClients, Seed: cfg.Run.Seed},
+		model, w.Clients[id])
 	if err != nil {
 		return err
 	}
@@ -244,7 +246,7 @@ func federate(t *testing.T, w *experiments.World, args []string, l comm.Listener
 			clientErr <- testClient(w, conn, id, cfg, dieAfter)
 		}(id)
 	}
-	partial := cfg.Buffer > 0 && cfg.Buffer < cfg.NumClients
+	partial := cfg.Async.Buffer > 0 && cfg.Async.Buffer < cfg.NumClients
 	for i := 0; i < cfg.NumClients; i++ {
 		if err := <-clientErr; err != nil && dieAfter == 0 && !partial {
 			t.Fatalf("client: %v", err)
@@ -486,21 +488,21 @@ func TestParseFlagsTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.TierDist == nil || cfg.TierDist.String() != "full:1,low:1,mid:2" {
-		t.Fatalf("default tier distribution: %+v", cfg.TierDist)
+	if cfg.Run.TierDist == nil || cfg.Run.TierDist.String() != "full:1,low:1,mid:2" {
+		t.Fatalf("default tier distribution: %+v", cfg.Run.TierDist)
 	}
 	implied, err := parseFlags([]string{"-tier-dist", "low:1,full:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !implied.tiers || implied.TierSpec() != "full:1,low:1" {
+	if !implied.tiers || implied.Run.TierSpec() != "full:1,low:1" {
 		t.Fatalf("-tier-dist did not imply tiers: %+v", implied)
 	}
 	base, err := parseFlags(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.TierDist != nil || base.TierSpec() != "" {
+	if base.Run.TierDist != nil || base.Run.TierSpec() != "" {
 		t.Fatalf("tiers must default off: %+v", base)
 	}
 	if cfg.ConfigTag() == base.ConfigTag() || cfg.ConfigTag() == implied.ConfigTag() {
@@ -565,11 +567,11 @@ func TestParseFlagsAsyncAndRelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if async.Buffer != 2 || async.Weigher == nil || async.Weigher.Name() != "invsqrt" {
-		t.Fatalf("async defaults: buffer %d, weigher %+v", async.Buffer, async.Weigher)
+	if async.Async.Buffer != 2 || async.Async.Weigher == nil || async.Async.Weigher.Name() != "invsqrt" {
+		t.Fatalf("async defaults: buffer %d, weigher %+v", async.Async.Buffer, async.Async.Weigher)
 	}
-	if async.MaxStaleness != -1 {
-		t.Fatalf("max staleness default %d, want -1 (keep all)", async.MaxStaleness)
+	if async.Async.MaxStaleness != -1 {
+		t.Fatalf("max staleness default %d, want -1 (keep all)", async.Async.MaxStaleness)
 	}
 	identity, err := parseFlags([]string{"-clients", "4", "-buffer", "2", "-staleness", "identity"})
 	if err != nil {
@@ -701,7 +703,7 @@ func startRegion(t *testing.T, w *experiments.World, cfg serverConfig, rootAddr 
 	leafDone = make(chan error, 1)
 	go func() {
 		relayDone <- federation.Relay(rootConn, leafL, federation.RelayConfig{
-			RelayID: relayID, Leaves: 1, Rounds: cfg.Rounds,
+			RelayID: relayID, Leaves: 1, Rounds: cfg.Run.Rounds,
 			Engine: comm.EngineConfig{Quorum: 1},
 		})
 	}()
@@ -866,7 +868,14 @@ func TestServerAsyncWarmStartMidBuffer(t *testing.T) {
 	// had arrived but was not yet aggregated when the snapshot was taken
 	// (the live engine checkpoints at aggregation boundaries, so a non-empty
 	// buffer only occurs through the restore path — construct it directly).
-	stateTs, err := w.Global.GroupStateTensors(w.Global.TrainableGroupNames())
+	graft, err := w.Global.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graft.SetFinetunePart(models.FinetuneModerate); err != nil {
+		t.Fatal(err)
+	}
+	stateTs, err := graft.GroupStateTensors(graft.TrainableGroupNames())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -934,6 +943,40 @@ func TestConfigTagPinned(t *testing.T) {
 	}
 }
 
+// TestConfigTagRecipe: the client recipe enters the config tag, so a
+// checkpoint is not continued under another one, but only where it departs
+// from federation.DefaultRecipe — the pinned tags above are the default's.
+func TestConfigTagRecipe(t *testing.T) {
+	base, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := parseFlags([]string{"-temperature", "0.5"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hot.Run.Selector != (selection.Entropy{Temperature: 0.5}) {
+		t.Fatalf("-temperature 0.5 selector %#v", hot.Run.Selector)
+	}
+	if hot.ConfigTag() == base.ConfigTag() {
+		t.Fatal("-temperature 0.5 shares the default recipe's config tag")
+	}
+	tags := map[uint64]string{base.ConfigTag(): "default", hot.ConfigTag(): "-temperature 0.5"}
+	for name, edit := range map[string]func(*federation.Config){
+		"lr":       func(c *federation.Config) { c.Run.LR = 0.1 },
+		"momentum": func(c *federation.Config) { c.Run.Momentum = 0 },
+		"part":     func(c *federation.Config) { c.Run.FinetunePart = models.FinetuneFull },
+		"selector": func(c *federation.Config) { c.Run.Selector = selection.Random{} },
+	} {
+		cfg := base.Config
+		edit(&cfg)
+		if prev, dup := tags[cfg.ConfigTag()]; dup {
+			t.Errorf("recipe edit %s shares a config tag with %s", name, prev)
+		}
+		tags[cfg.ConfigTag()] = name
+	}
+}
+
 // TestServeModesEndToEnd drives the modes no other test takes through the
 // whole server loop — the plain round, a full buffer, quorum under a deadline,
 // cohort scheduling, a lossy codec, and the tiered client's covered-subset
@@ -960,6 +1003,11 @@ func TestServeModesEndToEnd(t *testing.T) {
 		{"-clients 4 -cohort 2 -sched entropy", 4, 2, false, 0x384589a4, "243961c5fa655ec9"},
 		{"-clients 2 -codec int8", 2, 2, true, 0xfd57a0de, "ac9a660715c95a5d"},
 		{"-clients 2 -tier-dist low:1,full:1 -codec float16", 2, 2, true, 0xa6d589b5, "5ceaa1aebc0a7ad2"},
+		// The clients know only -id, -clients and -seed: the proximal μ and the
+		// tier distribution reach them in the RoundStart. Before they did, both
+		// runs ended on plain FedAvg's bits, the "-clients 2" row's.
+		{"-clients 2 -strategy fedprox:mu=0.5", 2, 2, false, 0x4b8335d2, "48fdf2ab034bee3a"},
+		{"-clients 2 -tier-dist low:1,full:1", 2, 2, false, 0x50a076ca, "f0fe8862a5c4cbae"},
 		{"-clients 2 -buffer 2 -staleness identity -tier-dist low:1,full:1 -codec float16", 2, 2, true, 0xa6d589b5, "5ceaa1aebc0a7ad2"},
 		{"-clients 4 -buffer 2 -tier-dist low:1,full:1 -codec float16", 4, 2, true, 0, ""},
 	} {
@@ -1055,7 +1103,7 @@ func TestServeRelayTreeEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			partial := cfg.Buffer > 0 && cfg.Buffer < len(tt.peers)
+			partial := cfg.Async.Buffer > 0 && cfg.Async.Buffer < len(tt.peers)
 			var wg sync.WaitGroup
 			run := func(what string, f func() error) {
 				wg.Add(1)
@@ -1078,7 +1126,7 @@ func TestServeRelayTreeEndToEnd(t *testing.T) {
 				}
 				run("relay", func() error {
 					return federation.Relay(l.ClientSide(slot), leafL, federation.RelayConfig{
-						RelayID: p.id, Leaves: len(p.leaves), Rounds: cfg.Rounds,
+						RelayID: p.id, Leaves: len(p.leaves), Rounds: cfg.Run.Rounds,
 						Engine: comm.EngineConfig{Quorum: 1}, LeafCodec: tt.leafCodec,
 					})
 				})
@@ -1092,8 +1140,8 @@ func TestServeRelayTreeEndToEnd(t *testing.T) {
 				t.Fatalf("%d records, want 3", len(hist.Records))
 			}
 			folds := len(tt.peers)
-			if cfg.Buffer > 0 {
-				folds = cfg.Buffer
+			if cfg.Async.Buffer > 0 {
+				folds = cfg.Async.Buffer
 			}
 			for _, rec := range hist.Records {
 				if rec.Participants != folds || rec.CohortSize != folds {

@@ -106,12 +106,8 @@ func run() error {
 			selector: fedfteds.EntropySelector{Temperature: 0.1}, fraction: 0.5},
 	}
 
-	simulate := func(sc scenario) (fedfteds.History, error) {
-		global, err := pretrained.Clone()
-		if err != nil {
-			return fedfteds.History{}, err
-		}
-		runner, err := fedfteds.NewRunner(fedfteds.Config{
+	config := func(sc scenario) fedfteds.Config {
+		return fedfteds.Config{
 			Rounds:         12,
 			LocalEpochs:    5,
 			LR:             0.05,
@@ -121,7 +117,15 @@ func run() error {
 			SelectFraction: sc.fraction,
 			Straggler:      sc.straggler,
 			Seed:           seed,
-		}, global, clients, test)
+			Strategy:       fedfteds.FedAvgStrategy(),
+		}
+	}
+	simulate := func(sc scenario) (fedfteds.History, error) {
+		global, err := pretrained.Clone()
+		if err != nil {
+			return fedfteds.History{}, err
+		}
+		runner, err := fedfteds.NewRunner(config(sc), global, clients, test)
 		if err != nil {
 			return fedfteds.History{}, err
 		}
@@ -166,15 +170,17 @@ func run() error {
 			sc.name, 100*hist.BestAccuracy, avgParticipants, numClients)
 	}
 
-	return runDistributed(pretrained, clients, test, seed)
+	// The distributed run serves the FedFT-EDS scenario's own Config.
+	return runDistributed(pretrained, clients, test, config(scenarios[3]))
 }
 
 // runDistributed replays the straggler story on the real wire protocol: the
 // server loop and client round cmd/fedserver and cmd/fedclient run, here
 // in-process over pipe transports, where client 2 crashes while a round is in
 // flight. The quorum-based round engine drops it and the remaining clients
-// finish the run; the server logs one line per round.
-func runDistributed(pretrained *fedfteds.Model, clients []*fedfteds.Client, test *fedfteds.Dataset, seed int64) error {
+// finish the run; the server logs one line per round. run is the simulated
+// scenario's Config: the server sends its client recipe in every RoundStart.
+func runDistributed(pretrained *fedfteds.Model, clients []*fedfteds.Client, test *fedfteds.Dataset, run fedfteds.Config) error {
 	const (
 		distClients = 6
 		distRounds  = 6
@@ -191,9 +197,6 @@ func runDistributed(pretrained *fedfteds.Model, clients []*fedfteds.Client, test
 	if err != nil {
 		return err
 	}
-	if err := global.SetFinetunePart(fedfteds.FinetuneModerate); err != nil {
-		return err
-	}
 	lst := fedfteds.NewPipeListener(distClients)
 	var wg sync.WaitGroup
 	for i := 0; i < distClients; i++ {
@@ -205,7 +208,7 @@ func runDistributed(pretrained *fedfteds.Model, clients []*fedfteds.Client, test
 		go func(id int) {
 			defer wg.Done()
 			client, err := fedfteds.JoinParticipant(lst.ClientSide(id), fedfteds.ParticipantConfig{
-				ID: id, NumClients: distClients, Seed: seed, Temperature: 0.1,
+				ID: id, NumClients: distClients, Seed: run.Seed,
 			}, replica, clients[id])
 			if err == nil {
 				err = client.Run(func(rs fedfteds.RoundStart) error {
@@ -221,15 +224,12 @@ func runDistributed(pretrained *fedfteds.Model, clients []*fedfteds.Client, test
 		}(i)
 	}
 
+	run.Rounds, run.LocalEpochs = distRounds, 2
 	hist, err := fedfteds.ServeFederation(fedfteds.ServerConfig{
+		Run:           run,
 		NumClients:    distClients,
-		Rounds:        distRounds,
-		Fraction:      0.5,
-		Epochs:        2,
-		Seed:          seed,
 		Quorum:        0.5,
 		RoundDeadline: 30 * time.Second, // safety net; the crash is what this demo exercises
-		Strat:         fedfteds.FedAvgStrategy(),
 	}, lst, global, test)
 	if err != nil {
 		return err

@@ -152,10 +152,13 @@ var PretrainTransfer = core.PretrainTransfer
 // cmd/fedserver runs and the client round cmd/fedclient answers it with,
 // over TCP or in-process pipes.
 type (
-	// ServerConfig is one server run: rounds, quorum, cohort, strategy, and
-	// the relay/async/tier/codec modes.
+	// ServerConfig is one server run: the run itself as a Config (the same
+	// value NewRunner takes, the clients' recipe included), its async mode,
+	// and the server-only quorum, deadline and relay settings.
 	ServerConfig = federation.Config
-	// ParticipantConfig is one client's local configuration.
+	// ParticipantConfig is one client's identity and the world it rebuilds
+	// (ID, federation size, seed, codec): what it trains each round arrives
+	// from the server.
 	ParticipantConfig = federation.ClientConfig
 	// RoundStart instructs a client to run one local round.
 	RoundStart = comm.RoundStart

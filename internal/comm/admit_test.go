@@ -32,10 +32,11 @@ func TestAdmitterReadmitsDroppedClient(t *testing.T) {
 	_ = sess.conns[0].Close()
 	delete(sess.conns, 0)
 
-	// The peer comes back as a relay this time, on a fresh connection.
+	// The peer comes back as a relay this time, declaring its region's summed
+	// size, on a fresh connection.
 	joined := make(chan error, 1)
 	go func() {
-		_, w, err := JoinRelay(lst.ClientSide(1), 0, 40, 4)
+		_, w, err := Join(lst.ClientSide(1), 0, 40)
 		if err == nil && w.Rounds != 7 {
 			t.Errorf("re-admission welcome advertises %d rounds, want 7", w.Rounds)
 		}

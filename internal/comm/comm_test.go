@@ -353,7 +353,7 @@ func TestRunRoundRejectsWrongRoundEcho(t *testing.T) {
 	sConn, cConn := Pipe()
 	sess := &ServerSession{conns: map[int]Conn{0: sConn}}
 	go func() {
-		_, _, _ = (&ClientSession{conn: cConn, ID: 0}).NextRound()
+		_, _, _ = (&ClientSession{conn: cConn}).NextRound()
 		env, _ := EncodeBody(MsgClientUpdate, ClientUpdate{ClientID: 0, Round: 99})
 		_ = cConn.Send(env)
 	}()

@@ -71,7 +71,7 @@ func TestAcceptClientsValidation(t *testing.T) {
 
 func TestClientSessionUnexpectedMessage(t *testing.T) {
 	server, client := Pipe()
-	sess := &ClientSession{conn: client, ID: 0}
+	sess := &ClientSession{conn: client}
 	go func() {
 		env, _ := EncodeBody(MsgWelcome, Welcome{})
 		_ = server.Send(env)

@@ -122,7 +122,7 @@ func TestAdmitterSurvivesNoise(t *testing.T) {
 	if err := <-joinOverTCP(l.Addr(), 1); err != nil {
 		t.Fatalf("rejoin: %v", err)
 	}
-	sess := &ServerSession{conns: map[int]Conn{}, sizes: map[int]int{}, tiers: map[int]string{}}
+	sess := &ServerSession{conns: map[int]Conn{}, sizes: map[int]int{}}
 	deadline := time.Now().Add(5 * time.Second)
 	var ids []int
 	for len(ids) == 0 {

@@ -58,16 +58,9 @@ func (t MsgType) String() string {
 type Hello struct {
 	// ClientID is the federation index the client claims.
 	ClientID int
-	// LocalSize is the client's local dataset size.
+	// LocalSize is the client's local dataset size (a relay's is its
+	// region's summed size).
 	LocalSize int
-	// Tier names the client's device capability tier (see internal/device);
-	// empty on untiered federations.
-	Tier string
-	// Clients is the number of downstream leaf clients a relay speaks for
-	// (zero for plain clients). It is carried and unread: a relay answers
-	// RoundStarts with ClientUpdates like any client, and the root weighs a
-	// region by its updates' NumSelected, the region's summed selected count.
-	Clients int
 }
 
 // Welcome acknowledges registration and shares run parameters.
@@ -97,6 +90,15 @@ type RoundStart struct {
 	SelectFraction float64
 	// LocalEpochs is E.
 	LocalEpochs int
+	// LR and Momentum configure the client's SGD, and ProxMu is the μ of
+	// its local hook (FedProx, the only one); zero trains the plain objective.
+	LR, Momentum, ProxMu float64
+	// Selector is the data selector as a selection.Spec ("eds:temperature=0.1").
+	Selector string
+	// TierDist is the device-tier distribution (a device.ParseDistribution
+	// spec) each client derives its tier from with the shared seed, then
+	// trains and ships only the Groups the tier affords; empty when untiered.
+	TierDist string
 	// Version stamps the global model state with the number of rounds the
 	// engine completed (RoundEngine.Version at dispatch). The engine keeps
 	// its own record of it per dispatch to measure the update's staleness.

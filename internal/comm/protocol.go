@@ -22,9 +22,8 @@ var handshakeTimeout = 10 * time.Second
 // ServerSession coordinates a registered set of federated clients over any
 // Transport. It implements the server half of the wire protocol.
 type ServerSession struct {
-	conns map[int]Conn   // by client ID
-	sizes map[int]int    // local dataset sizes reported at Hello, by client ID
-	tiers map[int]string // device tiers reported at Hello, by client ID
+	conns map[int]Conn // by client ID
+	sizes map[int]int  // local dataset sizes reported at Hello, by client ID
 	// parked holds re-registrations under a still-registered ID until it is
 	// vacated (Admitter.Drain).
 	parked map[int]admission
@@ -53,7 +52,6 @@ func AcceptClientsCodec(l Listener, numClients, rounds int, codec string) (*Serv
 	s := &ServerSession{
 		conns: make(map[int]Conn, numClients),
 		sizes: make(map[int]int, numClients),
-		tiers: make(map[int]string, numClients),
 	}
 	fail := func(conn Conn, err error) (*ServerSession, error) {
 		if conn != nil {
@@ -135,16 +133,11 @@ func advertiseCodecs(codec string) []string {
 func (s *ServerSession) admit(hello Hello, conn Conn) {
 	s.conns[hello.ClientID] = conn
 	s.sizes[hello.ClientID] = hello.LocalSize
-	s.tiers[hello.ClientID] = hello.Tier
 }
 
 // LocalSize returns the local dataset size the client reported at
 // registration (zero for unknown clients) — the scheduler's |D_i| signal.
 func (s *ServerSession) LocalSize(id int) int { return s.sizes[id] }
-
-// Tier returns the device tier the client reported at registration (empty
-// for untiered or unknown clients) — the scheduler's tier signal.
-func (s *ServerSession) Tier(id int) string { return s.tiers[id] }
 
 // ClientIDs returns the registered client IDs in ascending order.
 func (s *ServerSession) ClientIDs() []int {
@@ -196,34 +189,13 @@ func (s *ServerSession) Shutdown(reason string) error {
 // ClientSession is the client half of the wire protocol.
 type ClientSession struct {
 	conn Conn
-	// ID is the client's federation index.
-	ID int
 }
 
 // Join registers with the server and returns the session plus the server's
-// Welcome.
+// Welcome. A relay joins its root the same way, declaring its region's
+// summed dataset size.
 func Join(conn Conn, clientID, localSize int) (*ClientSession, Welcome, error) {
-	return JoinTiered(conn, clientID, localSize, "")
-}
-
-// JoinTiered is Join with a device-tier declaration; tiered clients report
-// their capability class so the server can balance cohorts and expect
-// masked updates.
-func JoinTiered(conn Conn, clientID, localSize int, tier string) (*ClientSession, Welcome, error) {
-	return join(conn, Hello{ClientID: clientID, LocalSize: localSize, Tier: tier})
-}
-
-// JoinRelay registers a mid-tier relay with the root: localSize is the
-// summed leaf dataset size and clients the region's leaf count, which the
-// Hello carries and the root does not read. The session is an ordinary
-// client session.
-func JoinRelay(conn Conn, relayID, localSize, clients int) (*ClientSession, Welcome, error) {
-	return join(conn, Hello{ClientID: relayID, LocalSize: localSize, Clients: clients})
-}
-
-// join performs the Hello/Welcome handshake for any registration role.
-func join(conn Conn, hello Hello) (*ClientSession, Welcome, error) {
-	env, err := EncodeBody(MsgHello, hello)
+	env, err := EncodeBody(MsgHello, Hello{ClientID: clientID, LocalSize: localSize})
 	if err != nil {
 		return nil, Welcome{}, err
 	}
@@ -241,7 +213,7 @@ func join(conn Conn, hello Hello) (*ClientSession, Welcome, error) {
 	if err := DecodeBody(reply, &w); err != nil {
 		return nil, Welcome{}, err
 	}
-	return &ClientSession{conn: conn, ID: hello.ClientID}, w, nil
+	return &ClientSession{conn: conn}, w, nil
 }
 
 // NextRound blocks for the next instruction. ok is false when the server

@@ -25,13 +25,15 @@ import (
 // first field of every Hello, so a peer from another revision is refused by
 // name at registration instead of failing somewhere inside a later decode.
 // Version 1 is retroactively the gob-bodied protocol, which never sent one;
-// version 2 had a relay-only update message and a role byte in the Hello.
-const protocolVersion = 3
+// version 2 had a relay-only update message and a role byte in the Hello;
+// version 3 declared a tier and a relay's leaf count in the Hello, and its
+// RoundStart carried only E and P_ds of the client recipe.
+const protocolVersion = 4
 
-// maxHelloBytes bounds an encoded Hello. Its 26 bytes of fixed fields and
-// the tier's 2-byte length leave four kilobytes for the tier name, and a
-// server refuses a connection's first frame above it before allocating
-// anything.
+// maxHelloBytes bounds a connection's first frame, which a server refuses
+// above it before allocating anything. A Hello is 18 bytes; the room above
+// them lets the longer Hello of another revision be read and refused by its
+// version.
 const maxHelloBytes = 4 << 10
 
 const (
@@ -118,19 +120,9 @@ func DecodeBody(e Envelope, v any) error {
 }
 
 func (m *Hello) encode() ([]byte, error) {
-	if err := checkStrings(m.Tier); err != nil {
-		return nil, err
-	}
-	size := 2 + 8 + 8 + 8 + sizeString(m.Tier)
-	if size > maxHelloBytes {
-		return nil, fmt.Errorf("hello of %d bytes exceeds the %d-byte handshake limit", size, maxHelloBytes)
-	}
-	b := make([]byte, 0, size)
-	b = binary.LittleEndian.AppendUint16(b, protocolVersion)
+	b := binary.LittleEndian.AppendUint16(make([]byte, 0, 2+8+8), protocolVersion)
 	b = appendInt(b, m.ClientID)
-	b = appendInt(b, m.LocalSize)
-	b = appendInt(b, m.Clients)
-	return appendString(b, m.Tier), nil
+	return appendInt(b, m.LocalSize), nil
 }
 
 func (m *Hello) decode(r *bodyReader) {
@@ -142,7 +134,7 @@ func (m *Hello) decode(r *bodyReader) {
 		r.fail("peer speaks wire-protocol version %d, this build speaks version %d", v, protocolVersion)
 		return
 	}
-	*m = Hello{ClientID: r.int(), LocalSize: r.int(), Clients: r.int(), Tier: r.str()}
+	*m = Hello{ClientID: r.int(), LocalSize: r.int()}
 }
 
 func (m *Welcome) encode() ([]byte, error) {
@@ -160,14 +152,20 @@ func (m *Welcome) decode(r *bodyReader) {
 }
 
 func (m *RoundStart) encode() ([]byte, error) {
-	if err := checkState(m.State, m.Groups, m.Layout); err != nil {
+	if err := checkState(m.State, m.Groups, m.Layout, []string{m.Selector, m.TierDist}); err != nil {
 		return nil, err
 	}
-	b := make([]byte, 0, 8+8+8+8+sizeStrings(m.Groups)+sizeStrings(m.Layout)+sizeState(m.State))
+	b := make([]byte, 0, 3*8+4*8+sizeString(m.Selector)+sizeString(m.TierDist)+
+		sizeStrings(m.Groups)+sizeStrings(m.Layout)+sizeState(m.State))
 	b = appendInt(b, m.Round)
 	b = appendInt(b, m.LocalEpochs)
 	b = appendInt(b, m.Version)
 	b = appendFloat(b, m.SelectFraction)
+	b = appendFloat(b, m.LR)
+	b = appendFloat(b, m.Momentum)
+	b = appendFloat(b, m.ProxMu)
+	b = appendString(b, m.Selector)
+	b = appendString(b, m.TierDist)
 	b = appendStrings(b, m.Groups)
 	b = appendStrings(b, m.Layout)
 	return appendState(b, m.State), nil
@@ -175,6 +173,7 @@ func (m *RoundStart) encode() ([]byte, error) {
 
 func (m *RoundStart) decode(r *bodyReader) {
 	*m = RoundStart{Round: r.int(), LocalEpochs: r.int(), Version: r.int(), SelectFraction: r.float(),
+		LR: r.float(), Momentum: r.float(), ProxMu: r.float(), Selector: r.str(), TierDist: r.str(),
 		Groups: r.strs(), Layout: r.strs(), State: r.state()}
 }
 

@@ -26,21 +26,29 @@ var goldenBodies = []struct {
 	hex  string
 }{
 	{"hello, plain client", MsgHello, Hello{ClientID: 7, LocalSize: 100},
-		"0300" + "0700000000000000" + "6400000000000000" + "0000000000000000" + "0000"},
-	{"hello, tiered relay", MsgHello, Hello{ClientID: 2, LocalSize: 480, Tier: "low", Clients: 3},
-		"0300" + "0200000000000000" + "e001000000000000" + "0300000000000000" + "03006c6f77"},
+		"0400" + "0700000000000000" + "6400000000000000"},
+	// A relay joins its root like a client, declaring its region's summed
+	// dataset size.
+	{"hello, relay region", MsgHello, Hello{ClientID: 2, LocalSize: 480},
+		"0400" + "0200000000000000" + "e001000000000000"},
 	{"welcome, identity", MsgWelcome, Welcome{NumClients: 4, Rounds: 10},
 		"0400000000000000" + "0a00000000000000" + "0000"},
 	{"welcome, codec advertised", MsgWelcome, Welcome{NumClients: 4, Rounds: 10, Codecs: []string{"int8"}},
 		"0400000000000000" + "0a00000000000000" + "0100" + "0400696e7438"},
+	// Every recipe field set: what a tiered FedProx server at the default
+	// client recipe sends.
 	{"round-start, sync", MsgRoundStart,
-		RoundStart{Round: 1, State: goldenState, Groups: []string{"up", "classifier"}, SelectFraction: 0.5, LocalEpochs: 5},
+		RoundStart{Round: 1, State: goldenState, Groups: []string{"up", "classifier"}, SelectFraction: 0.5, LocalEpochs: 5,
+			LR: 0.05, Momentum: 0.5, ProxMu: 0.1, Selector: "eds:temperature=0.1", TierDist: "full:1,low:1"},
 		"0100000000000000" + "0500000000000000" + "0000000000000000" + "000000000000e03f" +
+			"9a9999999999a93f" + "000000000000e03f" + "9a9999999999b93f" +
+			"1300" + "6564733a74656d70657261747572653d302e31" + "0c00" + "66756c6c3a312c6c6f773a31" +
 			"0200" + "02007570" + "0a00636c6173736966696572" + "0000" +
 			"11000000" + "0100000001020000000000000000000000"},
 	{"round-start, relay layout, async version, no state", MsgRoundStart,
 		RoundStart{Round: 9, SelectFraction: 0.25, LocalEpochs: 1, Version: 8, Layout: []string{"up", "up"}},
 		"0900000000000000" + "0100000000000000" + "0800000000000000" + "000000000000d03f" +
+			"0000000000000000" + "0000000000000000" + "0000000000000000" + "0000" + "0000" +
 			"0000" + "0200" + "02007570" + "02007570" + "00000000"},
 	{"client-update, whole state, NaN entropy", MsgClientUpdate,
 		ClientUpdate{ClientID: 3, Round: 2, State: goldenState, NumSelected: 16, TrainSeconds: 0.5, TrainLoss: 1.25, MeanEntropy: math.NaN()},
@@ -198,9 +206,10 @@ func TestBodyRoundTripRandomFields(t *testing.T) {
 	}
 	for trial := 0; trial < 200; trial++ {
 		msgs := map[MsgType]any{
-			MsgHello:        Hello{ClientID: num(), LocalSize: num(), Tier: str(), Clients: num()},
-			MsgWelcome:      Welcome{NumClients: num(), Rounds: num(), Codecs: list()},
-			MsgRoundStart:   RoundStart{Round: num(), State: state(), Groups: list(), SelectFraction: flt(), LocalEpochs: num(), Version: num(), Layout: list()},
+			MsgHello:   Hello{ClientID: num(), LocalSize: num()},
+			MsgWelcome: Welcome{NumClients: num(), Rounds: num(), Codecs: list()},
+			MsgRoundStart: RoundStart{Round: num(), State: state(), Groups: list(), SelectFraction: flt(), LocalEpochs: num(),
+				LR: flt(), Momentum: flt(), ProxMu: flt(), Selector: str(), TierDist: str(), Version: num(), Layout: list()},
 			MsgClientUpdate: ClientUpdate{ClientID: num(), Round: num(), State: state(), Groups: list(), NumSelected: num(), TrainSeconds: flt(), TrainLoss: flt(), MeanEntropy: flt(), Version: num(), Codec: str()},
 			MsgShutdown:     Shutdown{Reason: str()},
 		}
@@ -329,8 +338,10 @@ func TestDecodeBodyRejects(t *testing.T) {
 	stale := append([]byte(nil), hello...)
 	binary.LittleEndian.PutUint16(stale, 1)
 	// The plain client's Hello as a version-2 peer sends it: the role byte
-	// after LocalSize is what version 3 dropped.
+	// after LocalSize is what version 3 dropped. Version 3 kept a relay's
+	// leaf count and a tier name after LocalSize, which version 4 dropped.
 	v2 := mustHex("0200" + "0700000000000000" + "6400000000000000" + "00" + "0000000000000000" + "0000")
+	v3 := mustHex("0300" + "0700000000000000" + "6400000000000000" + "0000000000000000" + "0000")
 	for _, tt := range []struct {
 		name string
 		typ  MsgType
@@ -338,8 +349,9 @@ func TestDecodeBodyRejects(t *testing.T) {
 		want string
 	}{
 		{"garbage", MsgHello, []byte{0xde, 0xad, 0xbe, 0xef}, "version"},
-		{"another protocol version", MsgHello, stale, "peer speaks wire-protocol version 1, this build speaks version 3"},
+		{"another protocol version", MsgHello, stale, "peer speaks wire-protocol version 1, this build speaks version 4"},
 		{"version-2 hello", MsgHello, v2, "peer speaks wire-protocol version 2"},
+		{"version-3 hello", MsgHello, v3, "peer speaks wire-protocol version 3"},
 		{"hello above the handshake limit", MsgHello, append(hello, make([]byte, maxHelloBytes)...), "handshake limit"},
 		{"list longer than the body", MsgWelcome, mustHex("0400000000000000" + "0a00000000000000" + "ffff" + "0000"), "list of 65535 strings ends inside entry 1"},
 		{"state longer than the body", MsgClientUpdate, append(make([]byte, 60), mustHex("ffffffff00")...), "state declares 4294967295 bytes, 1 remain"},
@@ -378,20 +390,11 @@ func TestEncodeBodyRejects(t *testing.T) {
 		{"string past the u16 prefix", MsgShutdown, Shutdown{Reason: long}},
 		{"list past the u16 count", MsgRoundStart, RoundStart{Layout: make([]string, maxListEntries+1)}},
 		{"list entry past the u16 prefix", MsgClientUpdate, ClientUpdate{Groups: []string{long}}},
-		{"hello above the handshake limit", MsgHello, Hello{Tier: strings.Repeat("t", maxHelloBytes)}},
 		{"state above the frame limit", MsgClientUpdate, ClientUpdate{State: make([]byte, maxFrameBytes+1)}},
 	} {
 		if _, err := EncodeBody(tt.typ, tt.msg); err == nil {
 			t.Errorf("%s: encoded", tt.name)
 		}
-	}
-	// The largest Hello that encodes is exactly the largest a server reads.
-	env, err := EncodeBody(MsgHello, Hello{Tier: strings.Repeat("t", maxHelloBytes-28)})
-	if err != nil || len(env.Body) != maxHelloBytes {
-		t.Fatalf("largest hello: %d bytes, %v", len(env.Body), err)
-	}
-	if _, err := decodeAs(MsgHello, env.Body); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -416,7 +419,7 @@ func TestSharedBroadcastBodyStaysUnmodified(t *testing.T) {
 	for id := 0; id < clients; id++ {
 		server, client := Pipe()
 		go func(id int) {
-			sess := &ClientSession{conn: client, ID: id}
+			sess := &ClientSession{conn: client}
 			rs, ok, err := sess.NextRound()
 			if err != nil || !ok {
 				t.Errorf("client %d: next round: %v", id, err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fedfteds/internal/data"
+	"fedfteds/internal/device"
 	"fedfteds/internal/models"
 	"fedfteds/internal/simtime"
 	"fedfteds/internal/tensor"
@@ -20,6 +21,20 @@ type Client struct {
 	// Cluster is the client's similarity-cluster index (0 when unclustered),
 	// surfaced to cluster-stratified schedulers via ClientSource.Describe.
 	Cluster int
+}
+
+// TierClient returns a copy of cl computing at its capability tier's rate:
+// the FLOPS rate scaled by the tier's FLOPSFactor, as a served client charges
+// its rounds. The Runner charges a tier at the client's own rate, so a
+// simulation that should agree with a served one scales its pool here.
+func TierClient(cl *Client, tier string) (*Client, error) {
+	prof, err := device.Lookup(tier)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+	}
+	scaled := *cl
+	scaled.Device.FLOPSRate *= prof.FLOPSFactor
+	return &scaled, nil
 }
 
 // LocalOutcome is the result of one client-side local round.

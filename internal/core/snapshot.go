@@ -190,9 +190,10 @@ func (c Config) trainingTag() uint64 {
 	return TagConfig(parts...)
 }
 
-// tierSpec is the config's canonical tier-distribution rendering (empty when
-// untiered) — what checkpoints record and restores compare.
-func (c Config) tierSpec() string {
+// TierSpec is the config's canonical tier-distribution rendering (empty when
+// untiered) — what checkpoints record and restores compare, and what a
+// served RoundStart carries.
+func (c Config) TierSpec() string {
 	if c.TierDist == nil {
 		return ""
 	}
@@ -275,7 +276,7 @@ func (r *Runner) Snapshot() (*RunState, error) {
 		return nil, err
 	}
 	s.CaptureStrategy(r.cfg.Strategy)
-	s.TierSpec = r.cfg.tierSpec()
+	s.TierSpec = r.cfg.TierSpec()
 	s.CodecName = r.cfg.Codec
 	s.CodecResiduals = r.codecResiduals()
 	s.FleetSpec = r.src.Fingerprint()
@@ -398,7 +399,7 @@ func (s *RunState) RestoreStrategy(strat strategy.Strategy) error {
 // Run continues after s.Round and reproduces the uninterrupted run bit for
 // bit. Call before Run.
 func (s *RunState) RestoreInto(r *Runner) error {
-	if err := s.ValidateFor(r.cfg.Seed, r.cfg.Rounds, r.runTag(), r.cfg.Scheduler, r.cfg.Strategy, r.cfg.tierSpec(), r.cfg.Codec, r.src.Fingerprint()); err != nil {
+	if err := s.ValidateFor(r.cfg.Seed, r.cfg.Rounds, r.runTag(), r.cfg.Scheduler, r.cfg.Strategy, r.cfg.TierSpec(), r.cfg.Codec, r.src.Fingerprint()); err != nil {
 		return err
 	}
 	if err := s.RestoreScheduler(r.cfg.Scheduler); err != nil {

@@ -216,20 +216,18 @@ var Axes = []*Axis{
 			if err != nil {
 				return variant{}, err
 			}
-			// The Runner derives this same deterministic assignment; scaling
-			// each client's simulated compute rate by its tier's factor makes
-			// low tiers slow as well as partially trained, the heterogeneity
-			// per-layer aggregation is for.
+			// The Runner derives this same deterministic assignment; charging
+			// each client at its tier's rate (core.TierClient, as a served
+			// client charges itself) makes low tiers slow as well as
+			// partially trained, the heterogeneity per-layer aggregation is for.
 			assign := dist.Assign(n, seed)
 			return variant{label: dist.String(), mix: renderMix(assign),
-				apply: func(cfg *core.Config, fed *Federation) error {
+				apply: func(cfg *core.Config, fed *Federation) (err error) {
 					cfg.TierDist = dist
 					for i, cl := range fed.Clients {
-						prof, err := device.Lookup(assign[i])
-						if err != nil {
+						if fed.Clients[i], err = core.TierClient(cl, assign[i]); err != nil {
 							return err
 						}
-						cl.Device.FLOPSRate *= prof.FLOPSFactor
 					}
 					return nil
 				}}, nil

@@ -11,8 +11,9 @@ import (
 // federation seed, so server and clients agree on model and data without
 // moving either.
 type World struct {
-	// Global is the source-pretrained global model with the paper's moderate
-	// finetune part set. Each participant trains its own Clone.
+	// Global is the source-pretrained global model; a run's finetune part is
+	// the server's to apply (federation.Serve, like the Runner, sets
+	// Run.FinetunePart). Each participant trains its own Clone.
 	Global *models.Model
 	// Test is the held-out evaluation set.
 	Test *data.Dataset
@@ -35,9 +36,6 @@ func NewWorld(seed int64, numClients int) (*World, error) {
 	}
 	global, err := env.PretrainedModel(env.Suite.Target10, env.Suite.Source)
 	if err != nil {
-		return nil, err
-	}
-	if err := global.SetFinetunePart(models.FinetuneModerate); err != nil {
 		return nil, err
 	}
 	return &World{Global: global, Test: fed.Test, Clients: fed.Clients}, nil

@@ -9,81 +9,37 @@ import (
 	"fedfteds/internal/device"
 	"fedfteds/internal/models"
 	"fedfteds/internal/selection"
-	"fedfteds/internal/strategy"
 	"fedfteds/internal/tensor"
 )
 
-// ClientConfig is one participant's local configuration, as cmd/fedclient's
-// flags validate it. None of it travels on the wire: Seed, TierDist and
-// NumClients must match the server's, exactly like the data partition.
+// ClientConfig is one participant: its identity and the world it rebuilds.
+// None of it travels on the wire — Seed and NumClients must match the
+// server's, exactly like the data partition, from which the client also
+// derives its device tier — and what it trains each round arrives in the
+// RoundStart.
 type ClientConfig struct {
-	ID          int
-	NumClients  int
-	Seed        int64
-	Temperature float64              // hardened-softmax temperature ρ
-	Strat       strategy.Strategy    // only its client-side hook applies (fedprox); nil is plain fedavg
-	TierDist    *device.Distribution // nil when untiered
-	CodecSpec   string               // "auto" (or empty) adopts the server's advertisement; a name pins it
-}
-
-// DefaultTierSpec is the tier distribution -tiers means when -tier-dist is
-// not given: a paper-style mix of constrained, moderate and full devices.
-const DefaultTierSpec = "low:1,mid:2,full:1"
-
-// TierFlags resolves the -tiers/-tier-dist pair fedserver and fedclient both
-// take — one resolution, because the two must derive identical tier
-// assignments from the shared seed. A spec implies tier mode, tier mode
-// without a spec means DefaultTierSpec, neither is untiered (nil).
-func TierFlags(tiers bool, spec string) (*device.Distribution, error) {
-	if spec == "" {
-		if !tiers {
-			return nil, nil
-		}
-		spec = DefaultTierSpec
-	}
-	dist, err := device.ParseDistribution(spec)
-	if err != nil {
-		return nil, fmt.Errorf("-tier-dist: %w", err)
-	}
-	return dist, nil
+	ID         int
+	NumClients int
+	Seed       int64
+	CodecSpec  string // "auto" (or empty) adopts the server's advertisement; a name pins it
 }
 
 // Client is one participant that has joined a federation.
 type Client struct {
-	cfg    ClientConfig
-	sess   *comm.ClientSession
-	rounds int // the server's planned round count
-	model  *models.Model
-	data   *core.Client
-	tier   string     // "" when untiered
-	codec  comm.Codec // negotiated uplink codec; nil is identity (legacy frames)
+	cfg   ClientConfig
+	sess  *comm.ClientSession
+	model *models.Model
+	data  *core.Client
+	codec comm.Codec // negotiated uplink codec; nil is identity (legacy frames)
 }
 
 // Join registers a participant with the server (or relay) behind conn.
 // model is the participant's own replica of the shared pretrained model —
 // each round installs the broadcast state into it — and me its local data
-// and device. In tier mode the capability tier falls out of the shared seed
-// (the same derivation on every fleet member and the server), is declared at
-// join, and scales the simulated compute rate. The uplink codec is negotiated
-// against the server's advertisement.
+// and device. The uplink codec is negotiated against the server's
+// advertisement.
 func Join(conn comm.Conn, cfg ClientConfig, model *models.Model, me *core.Client) (*Client, error) {
-	c := &Client{cfg: cfg, model: model, data: me}
-	if cfg.TierDist != nil {
-		c.tier = cfg.TierDist.Assign(cfg.NumClients, cfg.Seed)[cfg.ID]
-		prof, err := device.Lookup(c.tier)
-		if err != nil {
-			return nil, err
-		}
-		scaled := *me // me may be shared with the caller's world: scale a copy
-		scaled.Device.FLOPSRate *= prof.FLOPSFactor
-		c.data = &scaled
-		mask, err := core.TierMask(model, c.tier, model.TrainableGroupNames())
-		if err != nil {
-			return nil, err
-		}
-		log.Printf("client %d: tier %s, trainable groups %v", cfg.ID, c.tier, mask)
-	}
-	sess, welcome, err := comm.JoinTiered(conn, cfg.ID, me.Data.Len(), c.tier)
+	sess, welcome, err := comm.Join(conn, cfg.ID, me.Data.Len())
 	if err != nil {
 		return nil, err
 	}
@@ -91,10 +47,9 @@ func Join(conn comm.Conn, cfg ClientConfig, model *models.Model, me *core.Client
 	if err != nil {
 		return nil, err
 	}
-	c.codec, c.sess, c.rounds = wireCodec(codec), sess, welcome.Rounds
 	log.Printf("client %d: %d local samples, joined federation of %d for %d rounds (codec %s)",
 		cfg.ID, me.Data.Len(), welcome.NumClients, welcome.Rounds, codec.Name())
-	return c, nil
+	return &Client{cfg: cfg, sess: sess, model: model, data: me, codec: wireCodec(codec)}, nil
 }
 
 // Run answers every round the server starts until it shuts the session
@@ -131,8 +86,9 @@ func (c *Client) Run(before func(comm.RoundStart) error, after func(comm.ClientU
 }
 
 // round is the client's half of one round: install the broadcast state,
-// fine-tune the partial model on the entropy-selected subset, and encode the
-// trained groups for the wire.
+// train what the RoundStart's recipe describes on the groups it broadcast
+// (narrowed to what this client's tier affords), and encode the trained
+// groups for the wire.
 func (c *Client) round(rs comm.RoundStart) (comm.ClientUpdate, error) {
 	stateTs, err := comm.DecodeTensors(rs.State)
 	if err != nil {
@@ -151,31 +107,44 @@ func (c *Client) round(rs comm.RoundStart) (comm.ClientUpdate, error) {
 		}
 	}
 
-	// The wire mask is the tier mask narrowed to the groups the server
-	// actually communicates this round; nil (untiered) trains and ships them
-	// all.
-	var mask []string
-	if c.tier != "" {
-		if mask, err = core.TierMask(c.model, c.tier, rs.Groups); err != nil {
+	// In a tiered federation this client's tier falls out of the shared seed,
+	// as it does on the server and every other client. The wire mask is the
+	// tier mask narrowed to the groups the server actually communicates this
+	// round, and the tier sets the rate the round's compute is charged at;
+	// untiered (a nil mask) trains and ships them all.
+	mask, train, me := []string(nil), rs.Groups, c.data
+	if rs.TierDist != "" {
+		dist, err := device.ParseDistribution(rs.TierDist)
+		if err != nil {
 			return comm.ClientUpdate{}, err
 		}
+		tier := dist.Assign(c.cfg.NumClients, c.cfg.Seed)[c.cfg.ID]
+		if mask, err = core.TierMask(c.model, tier, rs.Groups); err != nil {
+			return comm.ClientUpdate{}, err
+		}
+		if me, err = core.TierClient(c.data, tier); err != nil {
+			return comm.ClientUpdate{}, err
+		}
+		train = mask
+	}
+	sel, err := selection.Parse(rs.Selector)
+	if err != nil {
+		return comm.ClientUpdate{}, err
 	}
 	localCfg, err := core.NewLocalConfig(core.Config{
-		Rounds:         c.rounds,
 		LocalEpochs:    rs.LocalEpochs,
-		LR:             0.05,
-		Momentum:       0.5,
-		FinetunePart:   models.FinetuneModerate,
-		TrainGroups:    mask,
-		Selector:       selection.Entropy{Temperature: c.cfg.Temperature},
+		LR:             rs.LR,
+		Momentum:       rs.Momentum,
+		ProxMu:         rs.ProxMu,
+		TrainGroups:    train,
+		Selector:       sel,
 		SelectFraction: rs.SelectFraction,
-		Strategy:       c.cfg.Strat,
 		Seed:           c.cfg.Seed,
 	})
 	if err != nil {
 		return comm.ClientUpdate{}, err
 	}
-	out, err := core.LocalUpdate(localCfg, c.model, c.data, rs.Round)
+	out, err := core.LocalUpdate(localCfg, c.model, me, rs.Round)
 	if err != nil {
 		return comm.ClientUpdate{}, err
 	}

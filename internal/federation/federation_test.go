@@ -22,8 +22,9 @@ var testWorld = sync.OnceValues(func() (*experiments.World, error) {
 
 // testConfig is a flat synchronous fedavg federation over testWorld.
 func testConfig(rounds int) Config {
-	return Config{NumClients: 4, Rounds: rounds, Fraction: 0.5, Epochs: 1, Seed: 1,
-		Quorum: 1, SchedName: "uniform", Strat: strategy.FedAvg(), MaxStaleness: -1}
+	run := DefaultRecipe()
+	run.Rounds, run.SelectFraction, run.LocalEpochs, run.Seed, run.Strategy = rounds, 0.5, 1, 1, strategy.FedAvg()
+	return Config{Run: run, NumClients: 4, Quorum: 1, SchedName: "uniform", Async: core.AsyncConfig{MaxStaleness: -1}}
 }
 
 // honest runs the real client round for id on conn; with dieAfter > 0 it
@@ -43,7 +44,7 @@ func honestWith(w *experiments.World, conn comm.Conn, id int, before func(comm.R
 	if err != nil {
 		return err
 	}
-	c, err := Join(conn, ClientConfig{ID: id, NumClients: 4, Seed: 1, Temperature: 0.1}, model, w.Clients[id])
+	c, err := Join(conn, ClientConfig{ID: id, NumClients: 4, Seed: 1}, model, w.Clients[id])
 	if err != nil {
 		return err
 	}
@@ -160,8 +161,8 @@ func TestServeDropsLyingClient(t *testing.T) {
 			if err != nil {
 				t.Fatalf("federation with one liar failed: %v", err)
 			}
-			if len(hist.Records) != cfg.Rounds {
-				t.Fatalf("%d records, want %d", len(hist.Records), cfg.Rounds)
+			if len(hist.Records) != cfg.Run.Rounds {
+				t.Fatalf("%d records, want %d", len(hist.Records), cfg.Run.Rounds)
 			}
 			for _, rec := range hist.Records {
 				if rec.Participants != 3 {
@@ -196,7 +197,7 @@ func TestServeAccountsTraffic(t *testing.T) {
 	}
 	run := func(dir string, dieAfter int) (core.History, error) {
 		cfg := testConfig(4)
-		cfg.CkptDir = dir
+		cfg.Run.CheckpointDir = dir
 		hist, _, err := servePipes(t, w, cfg, func(conn comm.Conn, id int) error { return honest(w, conn, id, dieAfter) })
 		return hist, err
 	}
@@ -250,7 +251,7 @@ func TestNothingOutlivesServe(t *testing.T) {
 		wantErr error
 	}{
 		{"buffered run ends with a client in flight", func(c *Config) {
-			c.Buffer, c.Weigher = 3, strategy.IdentityStaleness()
+			c.Async.Buffer, c.Async.Weigher = 3, strategy.IdentityStaleness()
 		}, func(id int, rs comm.RoundStart, served <-chan struct{}) error {
 			if id == 3 {
 				<-served // never answers while the server runs
@@ -319,7 +320,7 @@ func TestServeRecordsEndedDispatchesAsCohort(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(6)
-	cfg.Buffer, cfg.Weigher = 2, strategy.IdentityStaleness()
+	cfg.Async.Buffer, cfg.Async.Weigher = 2, strategy.IdentityStaleness()
 	hist, _, err := servePipes(t, w, cfg, func(conn comm.Conn, id int) error {
 		dieAfter := 0
 		if id == 3 {
@@ -332,8 +333,8 @@ func TestServeRecordsEndedDispatchesAsCohort(t *testing.T) {
 	}
 	failed := 0
 	for _, rec := range hist.Records {
-		if rec.Participants != cfg.Buffer || rec.CohortSize < rec.Participants {
-			t.Errorf("round %d: cohort %d, %d folded under buffer %d", rec.Round, rec.CohortSize, rec.Participants, cfg.Buffer)
+		if rec.Participants != cfg.Async.Buffer || rec.CohortSize < rec.Participants {
+			t.Errorf("round %d: cohort %d, %d folded under buffer %d", rec.Round, rec.CohortSize, rec.Participants, cfg.Async.Buffer)
 		}
 		failed += rec.CohortSize - rec.Participants
 	}

@@ -33,30 +33,39 @@ type RelayConfig struct {
 	LeafCodec string
 }
 
-// Validate checks the configuration bounds.
+// Validate checks the configuration bounds, for Relay and for cmd/fedrelay's
+// flags alike, so each message names the flag its field comes from. A
+// region round needs a fractional quorum in (0, 1].
 func (c RelayConfig) Validate() error {
+	if _, err := comm.ParseCodec(c.LeafCodec); err != nil {
+		return fmt.Errorf("relay: -codec: %w", err)
+	}
 	if c.RelayID < 0 {
-		return fmt.Errorf("relay: negative relay id %d", c.RelayID)
+		return fmt.Errorf("relay: -relay-id %d is negative", c.RelayID)
 	}
 	if c.Leaves <= 0 {
-		return fmt.Errorf("relay: %d leaves, need at least 1", c.Leaves)
+		return fmt.Errorf("relay: -leaves %d must be positive", c.Leaves)
 	}
 	if c.Rounds <= 0 {
-		return fmt.Errorf("relay: %d rounds, need at least 1", c.Rounds)
+		return fmt.Errorf("relay: -rounds %d must be positive", c.Rounds)
 	}
-	if _, err := comm.ParseCodec(c.LeafCodec); err != nil {
-		return fmt.Errorf("relay: leaf codec: %w", err)
+	if c.Engine.Quorum <= 0 || c.Engine.Quorum > 1 {
+		return fmt.Errorf("relay: -quorum %v outside (0, 1]", c.Engine.Quorum)
+	}
+	if c.Engine.RoundDeadline < 0 {
+		return fmt.Errorf("relay: -round-deadline %v is negative", c.Engine.RoundDeadline)
 	}
 	return c.Engine.Validate()
 }
 
 // Relay drives one relay to completion. A relay is a server to its leaves and
 // a client of its root: it accepts Leaves leaf registrations, joins the root
-// declaring the region's summed dataset size and leaf count, then answers
-// every round the root starts as a client does, with one ClientUpdate — the
-// region's weighted average over its leaves (relayRound). It returns nil on a
-// clean root-initiated shutdown, and comm.ErrProtocol when the root changes
-// its broadcast Groups or Layout mid-run. Whatever it returns, the leaf
+// declaring the region's summed dataset size, then answers every round the
+// root starts as a client does, with one ClientUpdate — the region's weighted
+// average over its leaves (relayRound). The RoundStart reaches the leaves as
+// the root sent it, client recipe and all. It returns nil on a clean
+// root-initiated shutdown, and comm.ErrProtocol when the root changes its
+// broadcast Groups or Layout mid-run. Whatever it returns, the leaf
 // federation is shut down and root is closed, so neither the leaves nor the
 // root wait on a dead region.
 func Relay(root comm.Conn, leafListener comm.Listener, cfg RelayConfig) error {
@@ -80,7 +89,7 @@ func Relay(root comm.Conn, leafListener comm.Listener, cfg RelayConfig) error {
 	for _, id := range sess.ClientIDs() {
 		size += sess.LocalSize(id)
 	}
-	cs, welcome, err := comm.JoinRelay(root, cfg.RelayID, size, cfg.Leaves)
+	cs, welcome, err := comm.Join(root, cfg.RelayID, size)
 	if err != nil {
 		shutdown("relay failed to join root")
 		return err

@@ -287,7 +287,7 @@ func serveTree(t *testing.T, w *experiments.World, cfg Config, region comm.Engin
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			relayErrs[r] = Relay(l.ClientSide(r), leafL, RelayConfig{RelayID: r, Leaves: 2, Rounds: cfg.Rounds, Engine: region})
+			relayErrs[r] = Relay(l.ClientSide(r), leafL, RelayConfig{RelayID: r, Leaves: 2, Rounds: cfg.Run.Rounds, Engine: region})
 		}()
 	}
 	hist, err := Serve(cfg, l, global, w.Test)
@@ -334,8 +334,8 @@ func TestRelayTreeDropsLyingLeaf(t *testing.T) {
 					t.Errorf("relay %d exited with %v", r, err)
 				}
 			}
-			if len(hist.Records) != cfg.Rounds {
-				t.Fatalf("%d records, want %d", len(hist.Records), cfg.Rounds)
+			if len(hist.Records) != cfg.Run.Rounds {
+				t.Fatalf("%d records, want %d", len(hist.Records), cfg.Run.Rounds)
 			}
 			for _, rec := range hist.Records {
 				if rec.Participants != cfg.Relays {
@@ -407,8 +407,8 @@ func TestRelayFailureReleasesRoot(t *testing.T) {
 			if res.relayErrs[0] != nil || res.relayErrs[1] == nil {
 				t.Fatalf("relay errors %v, want only relay 1's region quorum failure", res.relayErrs)
 			}
-			if len(res.hist.Records) != cfg.Rounds {
-				t.Fatalf("%d records, want %d", len(res.hist.Records), cfg.Rounds)
+			if len(res.hist.Records) != cfg.Run.Rounds {
+				t.Fatalf("%d records, want %d", len(res.hist.Records), cfg.Run.Rounds)
 			}
 			for _, rec := range res.hist.Records {
 				if rec.Participants != 1 {

@@ -19,56 +19,85 @@ import (
 	"fedfteds/internal/comm"
 	"fedfteds/internal/core"
 	"fedfteds/internal/data"
-	"fedfteds/internal/device"
 	"fedfteds/internal/metrics"
 	"fedfteds/internal/models"
 	"fedfteds/internal/sched"
+	"fedfteds/internal/selection"
 	"fedfteds/internal/simtime"
 	"fedfteds/internal/strategy"
 	"fedfteds/internal/tensor"
 )
 
-// Config is one server run, as cmd/fedserver's flags validate it.
+// Config is one server run: Run is the value a core.Runner would take for
+// it (Serve's doc names the fields it reads), Async its buffered mode
+// (Buffer 0 is synchronous), and the rest exists only on a server.
 type Config struct {
+	Run           core.Config
+	Async         core.AsyncConfig
 	NumClients    int
-	Rounds        int
-	Fraction      float64 // selection fraction P_ds
-	Epochs        int     // local epochs E
-	Seed          int64
 	RoundDeadline time.Duration
 	Quorum        float64 // fraction of a round's clients in (0, 1]; 0 when MinUpdates rules
 	MinUpdates    int     // absolute quorum; 0 in fractional mode
-	Cohort        int
-	Scheduler     sched.Scheduler // nil when Cohort is 0 (full pool)
-	SchedName     string
-	CkptDir       string
-	Strat         strategy.Strategy
-	TierDist      *device.Distribution // nil when untiered
-	Relays        int                  // hierarchical mode: regions to accept; 0 = flat
-	Buffer        int                  // async mode: aggregation buffer M; 0 = synchronous
-	MaxStaleness  int
-	Weigher       strategy.StalenessWeigher // nil outside async mode
-	CodecName     string                    // canonical codec spec; "" for identity (legacy frames)
-	Codec         comm.Codec                // decode instance; nil for identity
+	Relays        int     // hierarchical mode: regions to accept; 0 = flat
+	SchedName     string  // the -sched name, tagged even when no scheduler runs
 }
 
-// TierSpec is the canonical tier-distribution rendering checkpoints record
-// (empty when untiered).
-func (c Config) TierSpec() string {
-	if c.TierDist == nil {
-		return ""
-	}
-	return c.TierDist.String()
+// DefaultRecipe is the client recipe fedserver sends, and the one every
+// client trained under before the recipe crossed the wire: FedFT-EDS at
+// ρ 0.1 with moderate fine-tuning, LR 0.05 and momentum 0.5. ConfigTag
+// appends a recipe part only where a run departs from it.
+func DefaultRecipe() core.Config {
+	return core.Config{LR: 0.05, Momentum: 0.5, FinetunePart: models.FinetuneModerate,
+		Selector: selection.Entropy{Temperature: 0.1}}
 }
 
 // TaggedStrategy returns the strategy as checkpoints see it: nil for the
 // default fedavg composition (whose checkpoints stay interchangeable with
 // pre-strategy servers), the configured strategy otherwise.
 func (c Config) TaggedStrategy() strategy.Strategy {
-	if strategy.IsDefault(c.Strat) {
+	if strategy.IsDefault(c.Run.Strategy) {
 		return nil
 	}
-	return c.Strat
+	return c.Run.Strategy
+}
+
+// codec parses Run.Codec into the instance Serve decodes with and the
+// canonical name sessions advertise and checkpoints record; both are empty
+// for identity, whose frames stay the legacy ones.
+func (c Config) codec() (comm.Codec, string, error) {
+	codec, err := comm.ParseCodec(c.Run.Codec)
+	if err != nil || codec.Name() == comm.CodecIdentity {
+		return nil, "", err
+	}
+	return codec, codec.Name(), nil
+}
+
+// recipe returns what every RoundStart of the run tells a client to train
+// — Run's client half, defaulted and checked as core.LocalUpdate will check
+// it — and the finetune part the server's own model takes. Prox is the only
+// local hook, so the hook travels as its μ.
+func (c Config) recipe() (comm.RoundStart, models.FinetunePart, error) {
+	if c.Run.Strategy == nil {
+		return comm.RoundStart{}, 0, errors.New("federation: Run.Strategy is unset (strategy.FedAvg() is plain FedAvg)")
+	}
+	run, err := core.NewLocalConfig(c.Run)
+	if err != nil {
+		return comm.RoundStart{}, 0, err
+	}
+	sel, err := selection.Spec(run.Selector)
+	if err != nil {
+		return comm.RoundStart{}, 0, err
+	}
+	rs := comm.RoundStart{LocalEpochs: run.LocalEpochs, SelectFraction: run.SelectFraction,
+		LR: run.LR, Momentum: run.Momentum, Selector: sel, TierDist: c.Run.TierSpec()}
+	switch h := run.Strategy.LocalHook().(type) {
+	case nil:
+	case strategy.Prox:
+		rs.ProxMu = h.Mu
+	default:
+		return comm.RoundStart{}, 0, fmt.Errorf("federation: local hook %s cannot travel in a RoundStart", h.Name())
+	}
+	return rs, run.FinetunePart, nil
 }
 
 // ConfigTag fingerprints the settings that shape the federation's training
@@ -79,9 +108,9 @@ func (c Config) TaggedStrategy() strategy.Strategy {
 // default fedavg contributes nothing, keeping pre-strategy checkpoints
 // resumable). The checkpoint directory stays out — where the federation
 // stores cannot change what it computes. TagConfig hashes each part's type
-// and value, so the field types here are part of the checkpoint format.
+// and value, so the part types here are part of the checkpoint format.
 func (c Config) ConfigTag() uint64 {
-	parts := []any{c.NumClients, c.Fraction, c.Epochs, c.Cohort, c.SchedName,
+	parts := []any{c.NumClients, c.Run.SelectFraction, c.Run.LocalEpochs, c.Run.CohortSize, c.SchedName,
 		c.Quorum, c.RoundDeadline}
 	if s := c.TaggedStrategy(); s != nil {
 		parts = append(parts, s.Fingerprint())
@@ -92,8 +121,8 @@ func (c Config) ConfigTag() uint64 {
 	if c.MinUpdates > 0 {
 		parts = append(parts, fmt.Sprintf("minupdates:%d", c.MinUpdates))
 	}
-	if c.TierDist != nil {
-		parts = append(parts, "tiers:"+c.TierDist.String())
+	if c.Run.TierDist != nil {
+		parts = append(parts, "tiers:"+c.Run.TierDist.String())
 	}
 	// Hierarchical and async parts follow the same append-only rule: a relay
 	// tree changes which peers the round contacts, and buffer/staleness decide
@@ -102,16 +131,25 @@ func (c Config) ConfigTag() uint64 {
 	if c.Relays > 0 {
 		parts = append(parts, fmt.Sprintf("relays:%d", c.Relays))
 	}
-	if c.Buffer > 0 {
-		parts = append(parts, fmt.Sprintf("buffer:%d", c.Buffer), "staleness:"+c.Weigher.Name())
-		if c.MaxStaleness >= 0 {
-			parts = append(parts, fmt.Sprintf("maxstale:%d", c.MaxStaleness))
+	if c.Async.Buffer > 0 {
+		parts = append(parts, fmt.Sprintf("buffer:%d", c.Async.Buffer), "staleness:"+c.Async.Weigher.Name())
+		if c.Async.MaxStaleness >= 0 {
+			parts = append(parts, fmt.Sprintf("maxstale:%d", c.Async.MaxStaleness))
 		}
 	}
 	// A lossy codec changes every update that enters the aggregate; identity
 	// contributes nothing, so pre-codec checkpoints stay resumable.
-	if c.CodecName != "" {
-		parts = append(parts, "codec:"+c.CodecName)
+	if _, name, _ := c.codec(); name != "" {
+		parts = append(parts, "codec:"+name)
+	}
+	// So does a client recipe that departs from DefaultRecipe; the local
+	// hook is already in the strategy's fingerprint.
+	def := DefaultRecipe()
+	sel, _ := selection.Spec(c.Run.Selector)
+	if defSel, _ := selection.Spec(def.Selector); c.Run.LR != def.LR || c.Run.Momentum != def.Momentum ||
+		c.Run.FinetunePart != def.FinetunePart || sel != defSel {
+		parts = append(parts, fmt.Sprintf("recipe:lr=%v,momentum=%v,part=%v,selector=%s",
+			c.Run.LR, c.Run.Momentum, c.Run.FinetunePart, sel))
 	}
 	return core.TagConfig(parts...)
 }
@@ -129,23 +167,42 @@ type progress struct {
 // model's trainable groups, streams the admitted updates into the
 // strategy-weighted aggregate, applies it, evaluates on test and records the
 // round in the History the in-process simulator also produces, so distributed
-// and simulated runs are directly comparable. global must have its finetune
-// part set. With CkptDir it snapshots after every round and warm-starts from
+// and simulated runs are directly comparable.
+//
+// Serve reads Run's Rounds, Seed, Strategy (which must be set:
+// strategy.FedAvg() is plain FedAvg), FinetunePart (applied to global, as the
+// Runner applies it), CohortSize and Scheduler, CheckpointDir and Codec, and
+// the client recipe every RoundStart carries: LocalEpochs, SelectFraction,
+// LR, Momentum, Selector, TierDist and the Strategy's local hook. Clients
+// train at core's BatchSize and WeightDecay defaults.
+//
+// With Run.CheckpointDir it snapshots after every round and warm-starts from
 // the latest checkpoint, so a crashed-and-restarted server resumes the
 // federation where it stopped (clients reconnect and follow the server's
 // round numbering).
 func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset) (core.History, error) {
-	commGroups := global.TrainableGroupNames()
 	st := &progress{tracker: sched.NewTracker()}
+	start, part, err := cfg.recipe()
+	if err != nil {
+		return st.hist, err
+	}
+	codec, codecName, err := cfg.codec()
+	if err != nil {
+		return st.hist, err
+	}
+	// Groups that never train are never communicated.
+	if err := global.SetFinetunePart(part); err != nil {
+		return st.hist, err
+	}
+	commGroups := global.TrainableGroupNames()
 	startRound := 0
 	var restored *core.AsyncState
-	if cfg.CkptDir != "" {
-		var err error
+	if dir := cfg.Run.CheckpointDir; dir != "" {
 		if startRound, restored, err = restore(cfg, global, st); err != nil {
-			return st.hist, fmt.Errorf("warm-start from %s: %w", cfg.CkptDir, err)
+			return st.hist, fmt.Errorf("warm-start from %s: %w", dir, err)
 		}
 		if startRound > 0 {
-			log.Printf("warm-start: resuming after round %d from %s", startRound, cfg.CkptDir)
+			log.Printf("warm-start: resuming after round %d from %s", startRound, dir)
 		}
 	}
 
@@ -156,7 +213,7 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		participants, kind = cfg.Relays, fmt.Sprintf("relay regions covering %d clients", cfg.NumClients)
 	}
 	log.Printf("listening on %s, waiting for %d %s", l.Addr(), participants, kind)
-	sess, err := comm.AcceptClientsCodec(l, participants, cfg.Rounds, cfg.CodecName)
+	sess, err := comm.AcceptClientsCodec(l, participants, cfg.Run.Rounds, codecName)
 	if err != nil {
 		return st.hist, err
 	}
@@ -166,7 +223,7 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		}
 	}()
 	log.Printf("federation ready: clients %v, strategy %s, codec %s",
-		sess.ClientIDs(), cfg.Strat.Fingerprint(), cmp.Or(cfg.CodecName, comm.CodecIdentity))
+		sess.ClientIDs(), cfg.Run.Strategy.Fingerprint(), cmp.Or(codecName, comm.CodecIdentity))
 
 	// One engine runs every mode: cohort, quorum, deadline and buffer are its
 	// answers to which of a round's dispatches get folded. restored, from a
@@ -175,7 +232,7 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	// losing them.
 	engine, err := comm.NewRoundEngine(sess, comm.EngineConfig{
 		RoundDeadline: cfg.RoundDeadline, Quorum: cfg.Quorum, MinUpdates: cfg.MinUpdates,
-		Buffer: cfg.Buffer, MaxStaleness: cfg.MaxStaleness})
+		Buffer: cfg.Async.Buffer, MaxStaleness: cfg.Async.MaxStaleness})
 	if err != nil {
 		return st.hist, err
 	}
@@ -184,9 +241,9 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 			return st.hist, err
 		}
 	}
-	if cfg.Buffer > 0 {
+	if cfg.Async.Buffer > 0 {
 		log.Printf("async: buffer %d, staleness %s, model v%d, %d buffered updates",
-			cfg.Buffer, cfg.Weigher.Name(), engine.Version(), len(engine.Buffered()))
+			cfg.Async.Buffer, cfg.Async.Weigher.Name(), engine.Version(), len(engine.Buffered()))
 	}
 	// A relay region is a process worth restarting: keep the listener
 	// admitting behind the round loop so a crashed relay re-registers and
@@ -194,7 +251,7 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	// good.
 	var admitter *comm.Admitter
 	if cfg.Relays > 0 {
-		if admitter, err = comm.NewAdmitterCodec(l, cfg.Relays, cfg.Rounds, cfg.CodecName); err != nil {
+		if admitter, err = comm.NewAdmitterCodec(l, cfg.Relays, cfg.Run.Rounds, codecName); err != nil {
 			return st.hist, err
 		}
 	}
@@ -209,7 +266,7 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	// its region's per-layer work one tier down, against the Layout broadcast
 	// in relay mode, and answers with the whole state like an untiered client.
 	var layout, bcastLayout []string
-	if cfg.TierDist != nil {
+	if cfg.Run.TierDist != nil {
 		if layout, err = global.GroupStateLayout(commGroups); err != nil {
 			return st.hist, err
 		}
@@ -217,21 +274,27 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	if cfg.Relays > 0 {
 		bcastLayout = layout
 	}
-	stale := cfg.Weigher
-	if cfg.Buffer == 0 {
+	stale := cfg.Async.Weigher
+	if cfg.Async.Buffer == 0 {
 		stale = strategy.IdentityStaleness()
 	}
 	agg, err := comm.NewMaskedStreamAggregator(
-		core.UpdateWeigher(cfg.Strat, stale, engine.Version, sess.LocalSize), commGroups, layout)
+		core.UpdateWeigher(cfg.Run.Strategy, stale, engine.Version, sess.LocalSize), commGroups, layout)
 	if err != nil {
 		return st.hist, err
 	}
 	policy := ""
-	if cfg.Scheduler != nil {
-		policy = cfg.Scheduler.Name()
+	if cfg.Run.Scheduler != nil {
+		policy = cfg.Run.Scheduler.Name()
+	}
+	// A client's tier is the one it derives itself, from the same assignment;
+	// relay regions have none.
+	var tiers []string
+	if cfg.Run.TierDist != nil && cfg.Relays == 0 {
+		tiers = cfg.Run.TierDist.Assign(cfg.NumClients, cfg.Run.Seed)
 	}
 
-	for round := startRound + 1; round <= cfg.Rounds; round++ {
+	for round := startRound + 1; round <= cfg.Run.Rounds; round++ {
 		stateTs, err := global.GroupStateTensors(commGroups)
 		if err != nil {
 			return st.hist, err
@@ -247,7 +310,7 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		// validated against, what a lossy codec decodes against, and what
 		// uncovered tensors fall back to. Only reference-free codecs reach
 		// async mode, so a stale update never decodes against them.
-		agg.SetCodec(cfg.Codec, stateTs)
+		agg.SetCodec(codec, stateTs)
 		// A rejected update is that client's failure and leaves aggregate,
 		// history and scheduler untouched: Add checks before it sums.
 		fold := func(u comm.ClientUpdate) error {
@@ -268,17 +331,12 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		// scheduler the whole federation trains.
 		live := sess.ClientIDs()
 		cohort := live
-		if cfg.Scheduler != nil {
-			cohort = scheduleCohort(cfg, st.tracker, sess, round, live)
+		if cfg.Run.Scheduler != nil {
+			cohort = scheduleCohort(cfg, st.tracker, sess, tiers, round, live)
 		}
-		out, err := engine.RunCohort(comm.RoundStart{
-			Round:          round,
-			State:          blob,
-			Groups:         commGroups,
-			SelectFraction: cfg.Fraction,
-			LocalEpochs:    cfg.Epochs,
-			Layout:         bcastLayout,
-		}, cohort, fold)
+		rs := start
+		rs.Round, rs.State, rs.Groups, rs.Layout = round, blob, commGroups, bcastLayout
+		out, err := engine.RunCohort(rs, cohort, fold)
 		// A timed-out client took at least the whole deadline; record that so
 		// time-driven policies stop treating a hung client as instant.
 		for _, id := range out.TimedOut {
@@ -299,8 +357,8 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		// stateTs are live views of the global model's groups — the
 		// strategy's server optimizer folds the weighted average into them
 		// (fedavg overwrites, exactly the pre-strategy behavior).
-		if err := cfg.Strat.ApplyAggregate(stateTs, fused); err != nil {
-			return st.hist, fmt.Errorf("strategy %s: round %d: %w", cfg.Strat.Name(), round, err)
+		if err := cfg.Run.Strategy.ApplyAggregate(stateTs, fused); err != nil {
+			return st.hist, fmt.Errorf("strategy %s: round %d: %w", cfg.Run.Strategy.Name(), round, err)
 		}
 
 		acc, err := metrics.Accuracy(global, test)
@@ -328,14 +386,14 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		}
 		st.hist.FinalAccuracy = acc
 		log.Printf("round %d/%d: cohort %d/%d, %d reported (%d timed out, %d dropped, %d late, %d stale), test accuracy %.2f%%",
-			round, cfg.Rounds, ended, len(live), len(out.Reported), len(out.TimedOut), len(out.Dropped),
+			round, cfg.Run.Rounds, ended, len(live), len(out.Reported), len(out.TimedOut), len(out.Dropped),
 			out.LateDiscarded, out.Discarded, 100*acc)
 
-		if cfg.CkptDir != "" {
+		if cfg.Run.CheckpointDir != "" {
 			// Only a buffered run carries engine state: without it the
 			// checkpoint bytes stay identical to pre-async servers.
 			var async *core.AsyncState
-			if cfg.Buffer > 0 {
+			if cfg.Async.Buffer > 0 {
 				async = &core.AsyncState{Version: engine.Version(), Buffer: engine.Buffered()}
 			}
 			if err := snapshot(cfg, round, global, st, async); err != nil {
@@ -361,8 +419,9 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 // scheduleCohort builds the candidate descriptors for the live clients and
 // asks the policy for this round's cohort. The candidate's projected time is
 // the client's last reported round seconds (zero before first contact), its
-// size the Hello-reported |D_i|, and its utility the tracker's latest value.
-func scheduleCohort(cfg Config, tracker *sched.Tracker, sess *comm.ServerSession, round int, live []int) []int {
+// size the Hello-reported |D_i|, its tier its entry in tiers (none outside
+// it), and its utility the tracker's latest value.
+func scheduleCohort(cfg Config, tracker *sched.Tracker, sess *comm.ServerSession, tiers []string, round int, live []int) []int {
 	cands := make([]sched.Candidate, len(live))
 	for i, id := range live {
 		cands[i] = sched.Candidate{
@@ -370,12 +429,14 @@ func scheduleCohort(cfg Config, tracker *sched.Tracker, sess *comm.ServerSession
 			DataSize:         sess.LocalSize(id),
 			ProjectedSeconds: tracker.Seconds(id),
 			Available:        true,
-			Tier:             sess.Tier(id),
+		}
+		if id >= 0 && id < len(tiers) {
+			cands[i].Tier = tiers[id]
 		}
 	}
 	tracker.Stamp(cands)
-	rng := tensor.NewRand(uint64(cfg.Seed), uint64(round), sched.StreamTag)
-	return cfg.Scheduler.Schedule(round, cands, min(cfg.Cohort, len(live)), rng)
+	rng := tensor.NewRand(uint64(cfg.Run.Seed), uint64(round), sched.StreamTag)
+	return cfg.Run.Scheduler.Schedule(round, cands, min(cfg.Run.CohortSize, len(live)), rng)
 }
 
 // logFailures reports a round's failed clients in deterministic order.
@@ -390,7 +451,7 @@ func logFailures(out comm.RoundOutcome) {
 	}
 }
 
-// restore warm-starts the server from the newest checkpoint in cfg.CkptDir,
+// restore warm-starts the server from the newest checkpoint in Run.CheckpointDir,
 // installing the saved global model, history, accounting and scheduler
 // feedback. It returns the last completed round plus the saved engine state
 // (nil outside buffered mode), or 0 (and no changes) when the
@@ -399,17 +460,18 @@ func logFailures(out comm.RoundOutcome) {
 // seed, different configuration, a round beyond Rounds, an inconsistent
 // history, or a mismatched scheduler.
 func restore(cfg Config, global *models.Model, st *progress) (int, *core.AsyncState, error) {
-	snap, err := core.LoadLatestRunState(cfg.CkptDir)
+	snap, err := core.LoadLatestRunState(cfg.Run.CheckpointDir)
 	if errors.Is(err, ckpt.ErrNoCheckpoint) {
 		return 0, nil, nil
 	}
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := snap.ValidateFor(cfg.Seed, cfg.Rounds, cfg.ConfigTag(), cfg.Scheduler, cfg.TaggedStrategy(), cfg.TierSpec(), cfg.CodecName, ""); err != nil {
+	_, codecName, _ := cfg.codec()
+	if err := snap.ValidateFor(cfg.Run.Seed, cfg.Run.Rounds, cfg.ConfigTag(), cfg.Run.Scheduler, cfg.TaggedStrategy(), cfg.Run.TierSpec(), codecName, ""); err != nil {
 		return 0, nil, err
 	}
-	if err := snap.RestoreScheduler(cfg.Scheduler); err != nil {
+	if err := snap.RestoreScheduler(cfg.Run.Scheduler); err != nil {
 		return 0, nil, err
 	}
 	if err := snap.RestoreStrategy(cfg.TaggedStrategy()); err != nil {
@@ -423,12 +485,12 @@ func restore(cfg Config, global *models.Model, st *progress) (int, *core.AsyncSt
 	return snap.Round, snap.Async, nil
 }
 
-// snapshot writes the post-aggregation state of one round into cfg.CkptDir,
+// snapshot writes the post-aggregation state of one round into Run.CheckpointDir,
 // so a crashed server warm-starts from here instead of discarding the
 // federation's progress.
 func snapshot(cfg Config, round int, global *models.Model, st *progress, async *core.AsyncState) error {
 	snap := &core.RunState{
-		Seed:      cfg.Seed,
+		Seed:      cfg.Run.Seed,
 		ConfigTag: cfg.ConfigTag(),
 		Round:     round,
 		Model:     core.SnapshotModelState(global),
@@ -437,13 +499,13 @@ func snapshot(cfg Config, round int, global *models.Model, st *progress, async *
 		Async:     async,
 	}
 	snap.TrackerUtil, snap.TrackerSeconds = st.tracker.Export()
-	if err := snap.CaptureScheduler(cfg.Scheduler); err != nil {
+	if err := snap.CaptureScheduler(cfg.Run.Scheduler); err != nil {
 		return err
 	}
 	snap.CaptureStrategy(cfg.TaggedStrategy())
-	snap.TierSpec = cfg.TierSpec()
+	snap.TierSpec = cfg.Run.TierSpec()
 	// The server never holds error-feedback residuals (they live client-side),
 	// so the codec section carries only the spec.
-	snap.CodecName = cfg.CodecName
-	return core.SaveRunState(ckpt.Path(cfg.CkptDir, round), snap)
+	_, snap.CodecName, _ = cfg.codec()
+	return core.SaveRunState(ckpt.Path(cfg.Run.CheckpointDir, round), snap)
 }

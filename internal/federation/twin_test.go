@@ -30,53 +30,63 @@ func stateCRC(m *models.Model) uint32 {
 // TestSimulatorMatchesLoopbackFederation is the twin gate: a simulated
 // federation and the same federation served over pipes to honest clients end
 // in the same bits, because both fold through StreamAggregator.Add with the
-// same weights — the two updates of a round sum the same in either order. The
-// server CRCs were recorded at the commit before the simulator folded
-// through Add, so Serve did not move either.
+// same weights — the two updates of a round sum the same in either order —
+// and the clients train the recipe the server's RoundStart carries. Each row
+// is one core.Config, handed as it is to core.NewRunner and, as Config.Run,
+// to Serve. The first four rows' CRCs were recorded at the commit before the
+// simulator folded through Add, so Serve did not move either; the paper-arm
+// rows' CRCs come from the simulator side.
 //
-// Two counts differ on purpose. The simulator charges a tier's compute at the
-// client's own rate, so its clients get the FLOPS scaling Join applies. And the
-// server counts the broadcast blob's 4-byte tensor count in every downlink,
-// which the simulator's state size leaves out.
+// Two counts differ on purpose. The Runner charges a tier's compute at the
+// client's own rate, so its clients get the FLOPS scaling the served client
+// applies (core.TierClient). And the server counts the broadcast blob's
+// 4-byte tensor count in every downlink, which the simulator's state size
+// leaves out.
 func TestSimulatorMatchesLoopbackFederation(t *testing.T) {
 	const numClients, rounds = 2, 3
 	w, err := experiments.NewWorld(1, numClients)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fedprox, err := strategy.FedProx(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eds, moderate := selection.Entropy{Temperature: 0.1}, models.FinetuneModerate
 	for _, tt := range []struct {
 		name, codec, tiers string
+		part               models.FinetunePart
+		sel                selection.Selector
+		pds                float64
+		strat              strategy.Strategy
 		crc                uint32
 	}{
-		{"identity", "identity", "", 0x78d104b6},
-		{"tiers", "identity", "low:1,full:1", 0xce686593},
-		{"int8", "int8", "", 0x0289bd19},
-		{"tiers/topk", "topk:0.1", "low:1,full:1", 0x901ea32f},
+		{"identity", "identity", "", moderate, eds, 0.5, strategy.FedAvg(), 0x78d104b6},
+		{"tiers", "identity", "low:1,full:1", moderate, eds, 0.5, strategy.FedAvg(), 0xce686593},
+		{"int8", "int8", "", moderate, eds, 0.5, strategy.FedAvg(), 0x0289bd19},
+		{"tiers/topk", "topk:0.1", "low:1,full:1", moderate, eds, 0.5, strategy.FedAvg(), 0x901ea32f},
+		{"fedavg", "identity", "", models.FinetuneFull, selection.All{}, 1, strategy.FedAvg(), 0x7bff5897},
+		{"fedft-rds", "identity", "", moderate, selection.Random{}, 0.5, strategy.FedAvg(), 0xbe35ad4a},
+		{"fedprox", "identity", "", moderate, eds, 0.5, fedprox, 0x1598ee8d},
+		{"eds/rho=0.5", "identity", "", moderate, selection.Entropy{Temperature: 0.5}, 0.5, strategy.FedAvg(), 0xee333d45},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			var dist *device.Distribution
+			run := core.Config{Rounds: rounds, LocalEpochs: 1, LR: 0.05, Momentum: 0.5, FinetunePart: tt.part,
+				Selector: tt.sel, SelectFraction: tt.pds, Seed: 1, Strategy: tt.strat, EvalEvery: 1,
+				Parallelism: 1, Codec: tt.codec}
 			if tt.tiers != "" {
-				if dist, err = device.ParseDistribution(tt.tiers); err != nil {
+				if run.TierDist, err = device.ParseDistribution(tt.tiers); err != nil {
 					t.Fatal(err)
 				}
 			}
-			codec, err := comm.ParseCodec(tt.codec)
-			if err != nil {
-				t.Fatal(err)
-			}
 
-			cfg := Config{NumClients: numClients, Rounds: rounds, Fraction: 0.5, Epochs: 1, Seed: 1,
-				Quorum: 1, Strat: strategy.FedAvg(), TierDist: dist, MaxStaleness: -1}
-			if codec.Name() != comm.CodecIdentity {
-				cfg.Codec, cfg.CodecName = codec, codec.Name()
-			}
+			cfg := Config{Run: run, NumClients: numClients, Quorum: 1, Async: core.AsyncConfig{MaxStaleness: -1}}
 			served, servedModel, err := servePipes(t, w, cfg, func(conn comm.Conn, id int) error {
 				model, err := w.Global.Clone()
 				if err != nil {
 					return err
 				}
-				c, err := Join(conn, ClientConfig{ID: id, NumClients: numClients, Seed: 1, Temperature: 0.1,
-					TierDist: dist}, model, w.Clients[id])
+				c, err := Join(conn, ClientConfig{ID: id, NumClients: numClients, Seed: 1}, model, w.Clients[id])
 				if err != nil {
 					return err
 				}
@@ -86,26 +96,20 @@ func TestSimulatorMatchesLoopbackFederation(t *testing.T) {
 				t.Fatalf("federation: %v", err)
 			}
 
-			clients := make([]*core.Client, numClients)
-			for i, cl := range w.Clients {
-				scaled := *cl
-				if dist != nil {
-					prof, err := device.Lookup(dist.Assign(numClients, 1)[i])
-					if err != nil {
+			clients := w.Clients
+			if run.TierDist != nil {
+				clients = make([]*core.Client, numClients)
+				for i, tier := range run.TierDist.Assign(numClients, run.Seed) {
+					if clients[i], err = core.TierClient(w.Clients[i], tier); err != nil {
 						t.Fatal(err)
 					}
-					scaled.Device.FLOPSRate *= prof.FLOPSFactor
 				}
-				clients[i] = &scaled
 			}
 			simModel, err := w.Global.Clone()
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := core.NewRunner(core.Config{Rounds: rounds, LocalEpochs: 1, LR: 0.05, Momentum: 0.5,
-				FinetunePart: models.FinetuneModerate, Selector: selection.Entropy{Temperature: 0.1},
-				SelectFraction: 0.5, Seed: 1, Strategy: strategy.FedAvg(), TierDist: dist, EvalEvery: 1,
-				Parallelism: 1, Codec: tt.codec}, simModel, clients, w.Test)
+			r, err := core.NewRunner(run, simModel, clients, w.Test)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +119,7 @@ func TestSimulatorMatchesLoopbackFederation(t *testing.T) {
 			}
 
 			if got, sim := stateCRC(servedModel), stateCRC(simModel); got != tt.crc || sim != tt.crc {
-				t.Errorf("final state CRC: served %08x, simulated %08x, parent server %08x", got, sim, tt.crc)
+				t.Errorf("final state CRC: served %08x, simulated %08x, want %08x", got, sim, tt.crc)
 			}
 			if len(served.Records) != rounds || len(sim.Records) != rounds {
 				t.Fatalf("%d served and %d simulated records, want %d", len(served.Records), len(sim.Records), rounds)
