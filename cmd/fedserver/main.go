@@ -92,14 +92,13 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"fedfteds/internal/comm"
 	"fedfteds/internal/device"
 	"fedfteds/internal/experiments"
 	"fedfteds/internal/federation"
+	"fedfteds/internal/profile"
 	"fedfteds/internal/sched"
 	"fedfteds/internal/selection"
 	"fedfteds/internal/strategy"
@@ -324,32 +323,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Profiling mirrors fedsim: CPU profile over the whole serve, heap
-	// profile of the steady state at exit.
-	if cfg.cpuProfile != "" {
-		f, err := os.Create(cfg.cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := profile.Start("fedserver", cfg.cpuProfile, cfg.memProfile)
+	if err != nil {
+		return err
 	}
-	if cfg.memProfile != "" {
-		f, err := os.Create(cfg.memProfile)
-		if err != nil {
-			return fmt.Errorf("memprofile: %w", err)
-		}
-		defer func() {
-			runtime.GC() // materialize the steady-state heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "fedserver: memprofile:", err)
-			}
-			f.Close()
-		}()
-	}
+	defer stopProfiles()
 	l, err := comm.ListenTCP(cfg.addr)
 	if err != nil {
 		return err

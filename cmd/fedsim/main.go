@@ -70,13 +70,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"fedfteds/internal/experiments"
 	"fedfteds/internal/fleet"
+	"fedfteds/internal/profile"
 )
 
 func main() {
@@ -127,30 +126,11 @@ func run(args []string) error {
 			return fmt.Errorf("-ckpt-dir: %w", err)
 		}
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := profile.Start("fedsim", *cpuProfile, *memProfile)
+	if err != nil {
+		return err
 	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			return fmt.Errorf("memprofile: %w", err)
-		}
-		defer func() {
-			runtime.GC() // materialize the steady-state heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "fedsim: memprofile:", err)
-			}
-			f.Close()
-		}()
-	}
+	defer stopProfiles()
 	scale, err := experiments.ParseScale(*scaleFlag)
 	if err != nil {
 		return err

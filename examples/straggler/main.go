@@ -117,7 +117,6 @@ func run() error {
 			SelectFraction: sc.fraction,
 			Straggler:      sc.straggler,
 			Seed:           seed,
-			Strategy:       fedfteds.FedAvgStrategy(),
 		}
 	}
 	simulate := func(sc scenario) (fedfteds.History, error) {

@@ -94,13 +94,6 @@ type (
 	CentralConfig = core.CentralConfig
 )
 
-// Aggregation weighting constants (paper Eq. 5 uses WeightBySelected).
-const (
-	WeightBySelected  = core.WeightBySelected
-	WeightByLocalSize = core.WeightByLocalSize
-	WeightUniform     = core.WeightUniform
-)
-
 // Federated-optimization strategies (internal/strategy): a strategy owns
 // the aggregation weighting, the server-side optimizer that applies the
 // weighted client average, and an optional client-side objective hook. Set
@@ -109,8 +102,6 @@ var (
 	// ParseStrategy maps a CLI spec ("fedadam:lr=0.05,beta1=0.9") to a
 	// fresh strategy; the names are shared by fedsim and fedserver.
 	ParseStrategy = strategy.Parse
-	// FedAvgStrategy is the default: selected-size weighting, overwrite.
-	FedAvgStrategy = strategy.FedAvg
 )
 
 // NewRunner validates a configuration and builds a runner over an in-memory

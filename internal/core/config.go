@@ -11,6 +11,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 
 	"fedfteds/internal/comm"
@@ -24,33 +25,6 @@ import (
 
 // ErrConfig reports an invalid federated-learning configuration.
 var ErrConfig = errors.New("core: invalid configuration")
-
-// AggWeighting selects the aggregation weights p_k.
-type AggWeighting int
-
-const (
-	// WeightBySelected weights each client by |D_select| (paper Eq. 5).
-	WeightBySelected AggWeighting = iota + 1
-	// WeightByLocalSize weights each client by its full |D_k| regardless of
-	// how many samples it trained on (ablation).
-	WeightByLocalSize
-	// WeightUniform gives every participating client equal weight (ablation).
-	WeightUniform
-)
-
-// String implements fmt.Stringer.
-func (w AggWeighting) String() string {
-	switch w {
-	case WeightBySelected:
-		return "selected"
-	case WeightByLocalSize:
-		return "local-size"
-	case WeightUniform:
-		return "uniform"
-	default:
-		return fmt.Sprintf("AggWeighting(%d)", int(w))
-	}
-}
 
 // Config describes one federated-learning run.
 type Config struct {
@@ -66,17 +40,13 @@ type Config struct {
 	Momentum float64
 	// WeightDecay for client SGD (paper: none; available for extensions).
 	WeightDecay float64
-	// ProxMu enables FedProx when positive: the proximal coefficient μ. It
-	// configures the default strategy's prox hook and must not be combined
-	// with an explicit Strategy (set the hook through the strategy instead).
-	ProxMu float64
 	// Strategy selects the federated-optimization strategy: the aggregation
 	// weighting, the server-side optimizer applied to the weighted client
-	// average, and an optional client-side objective hook. Nil composes the
-	// legacy behavior from AggWeighting and ProxMu (FedAvg overwrite, pinned
-	// bit-identical to runs predating the strategy layer). Stateful
-	// strategies must not be shared across runs — construct one per Runner
-	// (strategy.Parse always returns a fresh instance).
+	// average, and an optional client-side objective hook (FedProx's
+	// proximal term). Nil means strategy.FedAvg(), bit-identical to runs
+	// predating the strategy layer. Stateful strategies must not be shared
+	// across runs — construct one per Runner (strategy.Parse always returns
+	// a fresh instance).
 	Strategy strategy.Strategy
 	// FinetunePart controls partial training: FinetuneFull is FedAvg-style
 	// whole-model training; FinetuneModerate is the paper's FedFT default.
@@ -118,8 +88,6 @@ type Config struct {
 	// accounting then includes the blob's 4-byte count header that the
 	// legacy path's per-tensor sum omits.
 	Codec string
-	// AggWeighting selects the aggregation weights (default WeightBySelected).
-	AggWeighting AggWeighting
 	// EvalEvery evaluates the global model on the test set every this many
 	// rounds (default 1); the final round is always evaluated.
 	EvalEvery int
@@ -148,11 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CohortSize > 0 && c.Scheduler == nil {
 		c.Scheduler = sched.UniformRandom{}
-	}
-	if c.AggWeighting == 0 && c.Strategy == nil {
-		// With an explicit Strategy the weighting lives in the strategy; the
-		// field is left untouched so validate can refuse a conflicting set.
-		c.AggWeighting = WeightBySelected
 	}
 	if c.EvalEvery == 0 {
 		c.EvalEvery = 1
@@ -184,15 +147,14 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: local epochs %d", ErrConfig, c.LocalEpochs)
 	case c.BatchSize <= 0:
 		return fmt.Errorf("%w: batch size %d", ErrConfig, c.BatchSize)
-	case c.LR <= 0:
+	// NaN fails every comparison, so each range is written to fail on it.
+	case !(c.LR > 0) || math.IsInf(c.LR, 1):
 		return fmt.Errorf("%w: learning rate %v", ErrConfig, c.LR)
-	case c.Momentum < 0 || c.Momentum >= 1:
+	case !(c.Momentum >= 0 && c.Momentum < 1):
 		return fmt.Errorf("%w: momentum %v", ErrConfig, c.Momentum)
-	case c.WeightDecay < 0:
+	case !(c.WeightDecay >= 0) || math.IsInf(c.WeightDecay, 1):
 		return fmt.Errorf("%w: weight decay %v", ErrConfig, c.WeightDecay)
-	case c.ProxMu < 0:
-		return fmt.Errorf("%w: proximal mu %v", ErrConfig, c.ProxMu)
-	case c.SelectFraction <= 0 || c.SelectFraction > 1:
+	case !(c.SelectFraction > 0 && c.SelectFraction <= 1):
 		return fmt.Errorf("%w: select fraction %v", ErrConfig, c.SelectFraction)
 	case c.CohortSize < 0:
 		return fmt.Errorf("%w: cohort size %d", ErrConfig, c.CohortSize)
@@ -204,12 +166,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: checkpoint every %d", ErrConfig, c.CheckpointEvery)
 	case c.CheckpointEvery > 0 && c.CheckpointDir == "":
 		return fmt.Errorf("%w: checkpoint interval without a checkpoint directory", ErrConfig)
-	case c.Strategy != nil && c.ProxMu > 0:
-		return fmt.Errorf("%w: ProxMu together with an explicit Strategy — configure the proximal "+
-			"term through the strategy's local hook instead", ErrConfig)
-	case c.Strategy != nil && c.AggWeighting != 0:
-		return fmt.Errorf("%w: AggWeighting together with an explicit Strategy — the strategy owns "+
-			"the aggregation weighting", ErrConfig)
 	case c.TierDist != nil && len(c.TrainGroups) > 0:
 		return fmt.Errorf("%w: TrainGroups together with TierDist — tiered runs derive each "+
 			"client's mask from its tier", ErrConfig)
@@ -218,43 +174,6 @@ func (c Config) validate() error {
 		if _, err := comm.ParseCodec(c.Codec); err != nil {
 			return fmt.Errorf("%w: codec %q: %v", ErrConfig, c.Codec, err)
 		}
-	}
-	return nil
-}
-
-// resolveStrategy returns the effective strategy of a defaulted config:
-// cfg.Strategy when set, otherwise the legacy composition of AggWeighting
-// and ProxMu over the default FedAvg overwrite.
-func (c Config) resolveStrategy() (strategy.Strategy, error) {
-	if c.Strategy != nil {
-		return c.Strategy, nil
-	}
-	var w strategy.Weighting
-	switch c.AggWeighting {
-	case WeightBySelected:
-		w = strategy.WeightBySelected
-	case WeightByLocalSize:
-		w = strategy.WeightByLocalSize
-	case WeightUniform:
-		w = strategy.WeightUniform
-	default:
-		return nil, fmt.Errorf("%w: aggregation weighting %v", ErrConfig, c.AggWeighting)
-	}
-	s, err := strategy.FedAvgWith(w, c.localHook())
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
-	}
-	return s, nil
-}
-
-// localHook returns the client-side hook of the effective strategy: the
-// explicit strategy's hook, or the legacy ProxMu mapping.
-func (c Config) localHook() strategy.LocalHook {
-	if c.Strategy != nil {
-		return c.Strategy.LocalHook()
-	}
-	if c.ProxMu > 0 {
-		return strategy.Prox{Mu: c.ProxMu}
 	}
 	return nil
 }

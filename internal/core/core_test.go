@@ -12,6 +12,7 @@ import (
 	"fedfteds/internal/partition"
 	"fedfteds/internal/selection"
 	"fedfteds/internal/simtime"
+	"fedfteds/internal/strategy"
 	"fedfteds/internal/tensor"
 )
 
@@ -54,6 +55,15 @@ func testFederation(t *testing.T, numClients int, alpha float64) ([]*Client, *da
 	return clients, pool, test, spec
 }
 
+// mustFedProx is strategy.FedProx for a μ the test knows to be valid.
+func mustFedProx(mu float64) strategy.Strategy {
+	s, err := strategy.FedProx(mu)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func TestNewRunnerValidation(t *testing.T) {
 	clients, _, test, spec := testFederation(t, 3, 0.5)
 	m, err := models.Build(spec)
@@ -74,7 +84,12 @@ func TestNewRunnerValidation(t *testing.T) {
 		{name: "zero lr", mutate: func(c *Config) { c.LR = 0 }, global: m, clients: clients, test: test},
 		{name: "bad momentum", mutate: func(c *Config) { c.Momentum = 1 }, global: m, clients: clients, test: test},
 		{name: "bad fraction", mutate: func(c *Config) { c.SelectFraction = 2 }, global: m, clients: clients, test: test},
-		{name: "negative mu", mutate: func(c *Config) { c.ProxMu = -1 }, global: m, clients: clients, test: test},
+		{name: "nan lr", mutate: func(c *Config) { c.LR = math.NaN() }, global: m, clients: clients, test: test},
+		{name: "inf lr", mutate: func(c *Config) { c.LR = math.Inf(1) }, global: m, clients: clients, test: test},
+		{name: "nan momentum", mutate: func(c *Config) { c.Momentum = math.NaN() }, global: m, clients: clients, test: test},
+		{name: "nan weight decay", mutate: func(c *Config) { c.WeightDecay = math.NaN() }, global: m, clients: clients, test: test},
+		{name: "inf weight decay", mutate: func(c *Config) { c.WeightDecay = math.Inf(1) }, global: m, clients: clients, test: test},
+		{name: "nan fraction", mutate: func(c *Config) { c.SelectFraction = math.NaN() }, global: m, clients: clients, test: test},
 		{name: "nil model", mutate: func(c *Config) {}, global: nil, clients: clients, test: test},
 		{name: "no clients", mutate: func(c *Config) {}, global: m, clients: nil, test: test},
 		{name: "nil test", mutate: func(c *Config) {}, global: m, clients: clients, test: nil},
@@ -207,7 +222,7 @@ func TestFedFTCommunicatesLessAndKeepsLowerFrozen(t *testing.T) {
 func TestFedProxRunsAndStaysCloserToGlobal(t *testing.T) {
 	clients, _, test, spec := testFederation(t, 4, 0.1)
 
-	drift := func(mu float64) float64 {
+	drift := func(strat strategy.Strategy) float64 {
 		m, err := models.Build(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -218,7 +233,7 @@ func TestFedProxRunsAndStaysCloserToGlobal(t *testing.T) {
 		}
 		r, err := NewRunner(Config{
 			Rounds: 2, LocalEpochs: 3, LR: 0.1, Momentum: 0.5,
-			ProxMu: mu, Seed: 7,
+			Strategy: strat, Seed: 7,
 		}, m, clients, test)
 		if err != nil {
 			t.Fatal(err)
@@ -236,8 +251,8 @@ func TestFedProxRunsAndStaysCloserToGlobal(t *testing.T) {
 		}
 		return d
 	}
-	plain := drift(0)
-	prox := drift(1.0)
+	plain := drift(nil)
+	prox := drift(mustFedProx(1.0))
 	if prox >= plain {
 		t.Fatalf("FedProx drift %v >= FedAvg drift %v", prox, plain)
 	}
@@ -308,11 +323,11 @@ func TestStragglerFractionReducesParticipants(t *testing.T) {
 func TestAggregateWeighting(t *testing.T) {
 	for _, tt := range []struct {
 		name      string
-		weighting AggWeighting
+		weighting strategy.Weighting
 		want      float64
 	}{
-		{"selected", WeightBySelected, 0.75},
-		{"uniform", WeightUniform, 0.5},
+		{"selected", strategy.WeightBySelected, 0.75},
+		{"uniform", strategy.WeightUniform, 0.5},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			clients, _, test, spec := testFederation(t, 2, 0.5)
@@ -320,7 +335,11 @@ func TestAggregateWeighting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := NewRunner(Config{Rounds: 1, LocalEpochs: 1, LR: 0.1, Seed: 3, AggWeighting: tt.weighting},
+			strat, err := strategy.FedAvgWith(tt.weighting, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewRunner(Config{Rounds: 1, LocalEpochs: 1, LR: 0.1, Seed: 3, Strategy: strat},
 				m, clients, test)
 			if err != nil {
 				t.Fatal(err)

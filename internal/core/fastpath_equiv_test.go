@@ -48,7 +48,7 @@ func TestReplicaPathBitIdenticalToLegacy(t *testing.T) {
 				BatchSize:      8,
 				LR:             0.05,
 				Momentum:       0.9,
-				ProxMu:         0.01,
+				Strategy:       mustFedProx(0.01),
 				WeightDecay:    1e-4,
 				FinetunePart:   models.FinetuneFull,
 				Selector:       selection.Random{},

@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"fedfteds/internal/ckpt"
+	"fedfteds/internal/device"
 	"fedfteds/internal/models"
 	"fedfteds/internal/sched"
 	"fedfteds/internal/selection"
+	"fedfteds/internal/simtime"
 	"fedfteds/internal/strategy"
 )
 
@@ -290,5 +292,44 @@ func TestGoldenCheckpointFedAdam(t *testing.T) {
 	if !histEqual(wantHist, hist) {
 		t.Fatalf("resuming from the golden fedadam checkpoint diverged from the committed history:\nwant: %+v\ngot:  %+v",
 			wantHist, hist)
+	}
+}
+
+// TestTrainingTagPinned holds runTag to values recorded before the strategy
+// became the config's only name for the weighting and the local objective:
+// every checkpoint a default or explicit-strategy run wrote then must still
+// resume, so each config here renders to the same tag it did.
+func TestTrainingTagPinned(t *testing.T) {
+	tiers, err := device.ParseDistribution("low:1,full:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		clients int
+		cfg     Config
+		want    uint64
+	}{
+		{"golden", 6, goldenConfig(), 0x5e0ff0d3316932f7},
+		{"golden fedadam", 6, goldenStratConfig(t), 0x6703613b62ba9f2},
+		{"golden async", 4, goldenAsyncConfig(), 0x785692c32b556358},
+		{"tiers codec scheduler", 4, Config{Rounds: 2, LocalEpochs: 1, LR: 0.1, Momentum: 0.5,
+			TierDist: tiers, Codec: "int8", Scheduler: sched.EntropyUtility{}, CohortSize: 2, Seed: 5}, 0xc1e196f544595dc},
+		{"straggler cohort", 5, Config{Rounds: 2, LocalEpochs: 2, LR: 0.05,
+			FinetunePart: models.FinetuneModerate, Selector: selection.Random{}, SelectFraction: 0.25,
+			Straggler: simtime.DeadlineStraggler{DeadlineSeconds: 3}, CohortSize: 3, Seed: 9}, 0x1db267f314510374},
+	} {
+		clients, _, test, spec := testFederation(t, tc.clients, 0.5)
+		m, err := models.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRunner(tc.cfg, m, clients, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.runTag(); got != tc.want {
+			t.Errorf("%s: runTag %#x, want %#x", tc.name, got, tc.want)
+		}
 	}
 }

@@ -78,15 +78,18 @@ func newReplica(global *models.Model, cfg Config, mask []string) (*replica, erro
 	}
 	// The strategy's local hook carries the per-round objective twist
 	// (FedProx tunes μ into the optimizer and snapshots the proximal anchor
-	// at bind time); plain strategies leave the optimizer untouched.
-	hook := cfg.localHook()
+	// at bind time); plain strategies, and a nil Strategy, leave the
+	// optimizer untouched.
 	sgdCfg := opt.SGDConfig{
 		LR:          cfg.LR,
 		Momentum:    cfg.Momentum,
 		WeightDecay: cfg.WeightDecay,
 	}
-	if hook != nil {
-		hook.TuneSGD(&sgdCfg)
+	var hook strategy.LocalHook
+	if cfg.Strategy != nil {
+		if hook = cfg.Strategy.LocalHook(); hook != nil {
+			hook.TuneSGD(&sgdCfg)
+		}
 	}
 	sgd, err := opt.NewSGD(sgdCfg, m.TrainableParams())
 	if err != nil {

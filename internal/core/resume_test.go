@@ -45,7 +45,7 @@ var resumeStrategies = []struct {
 		newCfg: func(rounds int) Config {
 			return Config{
 				Rounds: rounds, LocalEpochs: 2, BatchSize: 8, LR: 0.05, Momentum: 0.9,
-				ProxMu: 0.01, WeightDecay: 1e-4,
+				Strategy: mustFedProx(0.01), WeightDecay: 1e-4,
 				FinetunePart: models.FinetuneFull, Selector: selection.Random{}, SelectFraction: 0.7,
 				Straggler:   simtime.FractionParticipation{Fraction: 0.8},
 				Parallelism: 3, Seed: 7,

@@ -87,7 +87,7 @@ type Runner struct {
 	// as a fallback) from each round back into the cohort scheduler.
 	utility *sched.Tracker
 	// strat is the resolved federated-optimization strategy (cfg.Strategy,
-	// or the legacy FedAvg composition when none is set). It owns the
+	// or strategy.FedAvg() when none is set). It owns the
 	// aggregation weighting and how the weighted client average moves the
 	// global model.
 	strat strategy.Strategy

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 
@@ -147,14 +148,22 @@ func copyHistory(h History) History {
 // run-configuration fingerprint: checkpoint writers record it and restores
 // compare it, so state trained under one configuration is never silently
 // continued under another. Values must render deterministically under
-// fmt's %+v (plain structs and scalars do).
+// fmt's %+v (plain structs and scalars do); a tagText part is hashed as its
+// raw text.
 func TagConfig(parts ...any) uint64 {
 	h := fnv.New64a()
 	for _, p := range parts {
+		if text, ok := p.(tagText); ok {
+			io.WriteString(h, string(text))
+			continue
+		}
 		fmt.Fprintf(h, "%T:%+v;", p, p)
 	}
 	return h.Sum64()
 }
+
+// tagText is a TagConfig part hashed verbatim.
+type tagText string
 
 // trainingTag fingerprints every configuration field that shapes the
 // training trajectory or the history's shape. Rounds is deliberately
@@ -163,11 +172,17 @@ func TagConfig(parts ...any) uint64 {
 // checkpoint/parallelism knobs (they must not affect results at all). An
 // explicit strategy contributes its Fingerprint; a nil Strategy contributes
 // nothing, keeping legacy configs' tags — and therefore their committed
-// checkpoints — stable across the strategy redesign.
+// checkpoints — stable across the strategy redesign. The Strategy absorbed
+// two fields whose renderings stay: 0.0 for the FedProx μ, and the text the
+// aggregation weighting rendered beside a nil or an explicit Strategy.
 func (c Config) trainingTag() uint64 {
+	weighting := tagText("core.AggWeighting:selected;")
+	if c.Strategy != nil {
+		weighting = "core.AggWeighting:AggWeighting(0);"
+	}
 	parts := []any{c.LocalEpochs, c.BatchSize, c.LR, c.Momentum, c.WeightDecay,
-		c.ProxMu, c.FinetunePart, c.Selector, c.SelectFraction, c.CohortSize,
-		c.Straggler, c.AggWeighting, c.EvalEvery}
+		0.0, c.FinetunePart, c.Selector, c.SelectFraction, c.CohortSize,
+		c.Straggler, weighting, c.EvalEvery}
 	if c.Strategy != nil {
 		parts = append(parts, c.Strategy.Fingerprint())
 	}

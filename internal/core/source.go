@@ -1,12 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"fedfteds/internal/data"
 	"fedfteds/internal/models"
 	"fedfteds/internal/sched"
 	"fedfteds/internal/simtime"
+	"fedfteds/internal/strategy"
 )
 
 // ClientDesc is the cheap per-client metadata a ClientSource exposes without
@@ -120,10 +122,6 @@ func NewRunnerWithSource(cfg Config, global *models.Model, src ClientSource, tes
 			return nil, fmt.Errorf("%w: client %d device rate %v", ErrConfig, pos, d.Device.FLOPSRate)
 		}
 	}
-	strat, err := cfg.resolveStrategy()
-	if err != nil {
-		return nil, err
-	}
-	return &Runner{cfg: cfg, global: global, src: src, test: test,
-		utility: sched.NewTracker(), strat: strat}, nil
+	return &Runner{cfg: cfg, global: global, src: src, test: test, utility: sched.NewTracker(),
+		strat: cmp.Or[strategy.Strategy](cfg.Strategy, strategy.FedAvg())}, nil
 }

@@ -56,51 +56,6 @@ func TestExplicitFedAvgBitIdenticalToLegacy(t *testing.T) {
 	}
 }
 
-// TestExplicitProxStrategyMatchesLegacyProxMu pins the hook migration: the
-// fedprox strategy reproduces the legacy Config.ProxMu path bit for bit.
-func TestExplicitProxStrategyMatchesLegacyProxMu(t *testing.T) {
-	clients, _, test, spec := testFederation(t, 4, 0.5)
-	newCfg := func() Config {
-		return Config{
-			Rounds: 2, LocalEpochs: 2, BatchSize: 8, LR: 0.05, Momentum: 0.9,
-			WeightDecay: 1e-4, Selector: selection.Random{}, SelectFraction: 0.7,
-			Parallelism: 2, Seed: 7,
-		}
-	}
-	run := func(t *testing.T, cfg Config) (History, *models.Model) {
-		t.Helper()
-		m, err := models.Build(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewRunner(cfg, m, clients, test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hist, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hist, m
-	}
-	legacyCfg := newCfg()
-	legacyCfg.ProxMu = 0.01
-	legacyHist, legacyModel := run(t, legacyCfg)
-
-	stratCfg := newCfg()
-	prox, err := strategy.FedProx(0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stratCfg.Strategy = prox
-	stratHist, stratModel := run(t, stratCfg)
-
-	if !reflect.DeepEqual(legacyHist, stratHist) {
-		t.Fatalf("histories differ:\nProxMu:  %+v\nfedprox: %+v", legacyHist, stratHist)
-	}
-	requireSameState(t, legacyModel, stratModel)
-}
-
 // TestServerOptStrategiesLearnEndToEnd: every FedOpt strategy completes a
 // full run through the simulator engine and still learns.
 func TestServerOptStrategiesLearnEndToEnd(t *testing.T) {
@@ -130,31 +85,6 @@ func TestServerOptStrategiesLearnEndToEnd(t *testing.T) {
 				t.Fatalf("%s did not learn: best accuracy %v", spec2, hist.BestAccuracy)
 			}
 		})
-	}
-}
-
-// TestStrategyConfigConflicts: the legacy knobs and an explicit strategy
-// cannot be combined — the strategy owns weighting and the local objective.
-func TestStrategyConfigConflicts(t *testing.T) {
-	clients, _, test, spec := testFederation(t, 3, 0.5)
-	m, err := models.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Config{Rounds: 1, LocalEpochs: 1, LR: 0.1, Seed: 1, Strategy: strategy.FedAvg()}
-
-	bad := base
-	bad.ProxMu = 0.1
-	if _, err := NewRunner(bad, m, clients, test); !errors.Is(err, ErrConfig) {
-		t.Fatalf("ProxMu + Strategy: %v", err)
-	}
-	bad = base
-	bad.AggWeighting = WeightUniform
-	if _, err := NewRunner(bad, m, clients, test); !errors.Is(err, ErrConfig) {
-		t.Fatalf("AggWeighting + Strategy: %v", err)
-	}
-	if _, err := NewRunner(base, m, clients, test); err != nil {
-		t.Fatalf("plain explicit strategy rejected: %v", err)
 	}
 }
 

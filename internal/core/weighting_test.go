@@ -6,6 +6,7 @@ import (
 
 	"fedfteds/internal/models"
 	"fedfteds/internal/selection"
+	"fedfteds/internal/strategy"
 )
 
 func TestWeightByLocalSizeEndToEnd(t *testing.T) {
@@ -16,10 +17,14 @@ func TestWeightByLocalSizeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	strat, err := strategy.FedAvgWith(strategy.WeightByLocalSize, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, err := NewRunner(Config{
 		Rounds: 4, LocalEpochs: 2, LR: 0.1, Momentum: 0.5,
 		Selector: selection.Random{}, SelectFraction: 0.5,
-		AggWeighting: WeightByLocalSize, Seed: 31,
+		Strategy: strat, Seed: 31,
 	}, m, clients, test)
 	if err != nil {
 		t.Fatal(err)
@@ -59,19 +64,6 @@ func TestFinalRoundAlwaysEvaluated(t *testing.T) {
 	}
 	if hist.FinalAccuracy != curve[2] {
 		t.Fatalf("FinalAccuracy %v != last curve point %v", hist.FinalAccuracy, curve[2])
-	}
-}
-
-func TestAggWeightingStrings(t *testing.T) {
-	for w, want := range map[AggWeighting]string{
-		WeightBySelected:  "selected",
-		WeightByLocalSize: "local-size",
-		WeightUniform:     "uniform",
-		AggWeighting(9):   "AggWeighting(9)",
-	} {
-		if got := w.String(); got != want {
-			t.Fatalf("String(%d) = %q, want %q", w, got, want)
-		}
 	}
 }
 

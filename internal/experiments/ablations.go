@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"fedfteds/internal/core"
 	"fedfteds/internal/models"
 	"fedfteds/internal/selection"
+	"fedfteds/internal/strategy"
 )
 
 // The ablation experiments cover the design decisions DESIGN.md calls out
@@ -86,13 +86,15 @@ func RunAblationAggWeighting(env *Env) (*AblationResult, error) {
 		return nil, err
 	}
 	res := &AblationResult{Title: "Ablation — aggregation weighting p_k (FedFT-EDS 50%, Diri(0.1))"}
-	for _, w := range []core.AggWeighting{core.WeightBySelected, core.WeightByLocalSize, core.WeightUniform} {
+	for _, w := range []strategy.Weighting{strategy.WeightBySelected, strategy.WeightByLocalSize, strategy.WeightUniform} {
 		global, err := env.PretrainedModel(target, env.Suite.Source)
 		if err != nil {
 			return nil, err
 		}
 		cfg := env.baseConfig(env.Seed + 21)
-		cfg.AggWeighting = w
+		if cfg.Strategy, err = strategy.FedAvgWith(w, nil); err != nil {
+			return nil, err
+		}
 		hist, err := env.RunFL("ablation-aggweight-"+w.String(), cfg, global, fed.Clients, fed.Test)
 		if err != nil {
 			return nil, err

@@ -22,6 +22,7 @@ import (
 	"fedfteds/internal/seeds"
 	"fedfteds/internal/selection"
 	"fedfteds/internal/simtime"
+	"fedfteds/internal/strategy"
 	"fedfteds/internal/tensor"
 )
 
@@ -430,7 +431,7 @@ type Method struct {
 	Selector selection.Selector
 	// Fraction is P_ds.
 	Fraction float64
-	// ProxMu enables FedProx when positive.
+	// ProxMu, when positive, runs the arm under strategy.FedProx(ProxMu).
 	ProxMu float64
 	// Straggler overrides full participation when non-nil.
 	Straggler simtime.StragglerPolicy
@@ -464,7 +465,11 @@ func (e *Env) RunMethod(m Method, fed *Federation, target, source *data.Domain, 
 		return core.History{}, fmt.Errorf("experiments: %s: model: %w", m.Name, err)
 	}
 	cfg := e.baseConfig(tensor.DeriveSeed(uint64(e.Seed), uint64(seedSalt), hashName(m.Name)))
-	cfg.ProxMu = m.ProxMu
+	if m.ProxMu > 0 {
+		if cfg.Strategy, err = strategy.FedProx(m.ProxMu); err != nil {
+			return core.History{}, fmt.Errorf("experiments: %s: %w", m.Name, err)
+		}
+	}
 	cfg.FinetunePart = m.Part
 	cfg.Selector, cfg.SelectFraction = m.Selector, m.Fraction
 	cfg.Straggler = m.Straggler

@@ -9,6 +9,7 @@ import (
 	"fedfteds/internal/device"
 	"fedfteds/internal/models"
 	"fedfteds/internal/selection"
+	"fedfteds/internal/strategy"
 	"fedfteds/internal/tensor"
 )
 
@@ -131,11 +132,18 @@ func (c *Client) round(rs comm.RoundStart) (comm.ClientUpdate, error) {
 	if err != nil {
 		return comm.ClientUpdate{}, err
 	}
+	// The hook travels as its μ; FedProx refuses a negative or non-finite one.
+	var strat strategy.Strategy
+	if rs.ProxMu != 0 {
+		if strat, err = strategy.FedProx(rs.ProxMu); err != nil {
+			return comm.ClientUpdate{}, err
+		}
+	}
 	localCfg, err := core.NewLocalConfig(core.Config{
 		LocalEpochs:    rs.LocalEpochs,
 		LR:             rs.LR,
 		Momentum:       rs.Momentum,
-		ProxMu:         rs.ProxMu,
+		Strategy:       strat,
 		TrainGroups:    train,
 		Selector:       sel,
 		SelectFraction: rs.SelectFraction,

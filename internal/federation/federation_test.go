@@ -106,6 +106,22 @@ var metadataCases = []struct {
 // fold rejects the update as that client's failure, atomically, so at quorum
 // 0.5 the rounds complete on the three honest clients and nothing non-finite
 // reaches the history or the model.
+// TestServeRefusesRecipeItCannotSend: a RoundStart carries no batch size or
+// weight decay, so a Run asking for other than the clients' defaults is
+// refused before Serve listens, instead of being served at the defaults.
+func TestServeRefusesRecipeItCannotSend(t *testing.T) {
+	for name, mutate := range map[string]func(*core.Config){
+		"batch size 8": func(c *core.Config) { c.BatchSize = 8 },
+		"weight decay": func(c *core.Config) { c.WeightDecay = 1e-4 },
+	} {
+		cfg := testConfig(1)
+		mutate(&cfg.Run)
+		if _, err := Serve(cfg, nil, nil, nil); err == nil {
+			t.Errorf("%s: Serve accepted a recipe its clients cannot receive", name)
+		}
+	}
+}
+
 func TestServeDropsLyingClient(t *testing.T) {
 	w, err := testWorld()
 	if err != nil {

@@ -75,14 +75,17 @@ func (c Config) codec() (comm.Codec, string, error) {
 // recipe returns what every RoundStart of the run tells a client to train
 // — Run's client half, defaulted and checked as core.LocalUpdate will check
 // it — and the finetune part the server's own model takes. Prox is the only
-// local hook, so the hook travels as its μ.
+// local hook of the (by now non-nil) Strategy, so it travels as its μ. A
+// RoundStart carries no batch size or weight decay: a run asking for other
+// than core's defaults (32, none) is refused rather than served at them.
 func (c Config) recipe() (comm.RoundStart, models.FinetunePart, error) {
-	if c.Run.Strategy == nil {
-		return comm.RoundStart{}, 0, errors.New("federation: Run.Strategy is unset (strategy.FedAvg() is plain FedAvg)")
-	}
 	run, err := core.NewLocalConfig(c.Run)
 	if err != nil {
 		return comm.RoundStart{}, 0, err
+	}
+	if run.BatchSize != 32 || run.WeightDecay != 0 {
+		return comm.RoundStart{}, 0, fmt.Errorf("federation: batch size %d and weight decay %v cannot "+
+			"travel in a RoundStart (clients train at batch size 32 without weight decay)", run.BatchSize, run.WeightDecay)
 	}
 	sel, err := selection.Spec(run.Selector)
 	if err != nil {
@@ -169,12 +172,13 @@ type progress struct {
 // round in the History the in-process simulator also produces, so distributed
 // and simulated runs are directly comparable.
 //
-// Serve reads Run's Rounds, Seed, Strategy (which must be set:
-// strategy.FedAvg() is plain FedAvg), FinetunePart (applied to global, as the
-// Runner applies it), CohortSize and Scheduler, CheckpointDir and Codec, and
-// the client recipe every RoundStart carries: LocalEpochs, SelectFraction,
-// LR, Momentum, Selector, TierDist and the Strategy's local hook. Clients
-// train at core's BatchSize and WeightDecay defaults.
+// Serve reads Run's Rounds, Seed, Strategy (nil is strategy.FedAvg(), as for
+// the Runner), FinetunePart (applied to global, as the Runner applies it),
+// CohortSize and Scheduler, CheckpointDir and Codec, and the client recipe
+// every RoundStart carries: LocalEpochs, SelectFraction, LR, Momentum,
+// Selector, TierDist and the Strategy's local hook. Clients train at core's
+// BatchSize and WeightDecay defaults, and Serve refuses a Run that sets
+// others.
 //
 // With Run.CheckpointDir it snapshots after every round and warm-starts from
 // the latest checkpoint, so a crashed-and-restarted server resumes the
@@ -182,6 +186,7 @@ type progress struct {
 // round numbering).
 func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset) (core.History, error) {
 	st := &progress{tracker: sched.NewTracker()}
+	cfg.Run.Strategy = cmp.Or[strategy.Strategy](cfg.Run.Strategy, strategy.FedAvg())
 	start, part, err := cfg.recipe()
 	if err != nil {
 		return st.hist, err

@@ -69,6 +69,7 @@ func TestSimulatorMatchesLoopbackFederation(t *testing.T) {
 		{"fedft-rds", "identity", "", moderate, selection.Random{}, 0.5, strategy.FedAvg(), 0xbe35ad4a},
 		{"fedprox", "identity", "", moderate, eds, 0.5, fedprox, 0x1598ee8d},
 		{"eds/rho=0.5", "identity", "", moderate, selection.Entropy{Temperature: 0.5}, 0.5, strategy.FedAvg(), 0xee333d45},
+		{"nil strategy", "identity", "", moderate, eds, 0.5, nil, 0x78d104b6},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			run := core.Config{Rounds: rounds, LocalEpochs: 1, LR: 0.05, Momentum: 0.5, FinetunePart: tt.part,

@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -78,8 +79,8 @@ func parseParams(name, rest string) (*params, error) {
 				ErrStrategy, name, kv)
 		}
 		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: strategy %s: parameter %s=%q is not a number",
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, fmt.Errorf("%w: strategy %s: parameter %s=%q is not a finite number",
 				ErrStrategy, name, key, val)
 		}
 		if _, dup := p.values[key]; dup {

@@ -4,13 +4,13 @@
 // rounds without hardcoding any particular algorithm.
 //
 // Server side, a Strategy owns how client updates are weighted
-// (WeighUpdates, the former core.AggWeighting switch) and how their
-// weighted average moves the global model (ApplyAggregate, delegating to a
-// pluggable opt.ServerOpt — overwrite for FedAvg, momentum for FedAvgM,
-// adaptive moments for FedAdam/FedYogi). Client side, an optional LocalHook
-// carries the per-round local-objective twist (FedProx's proximal anchor)
-// into the shared local-update primitive. Server optimizers live entirely
-// on the server, so strategies change nothing on the wire.
+// (WeighUpdates) and how their weighted average moves the global model
+// (ApplyAggregate, delegating to a pluggable opt.ServerOpt — overwrite for
+// FedAvg, momentum for FedAvgM, adaptive moments for FedAdam/FedYogi).
+// Client side, an optional LocalHook carries the per-round local-objective
+// twist (FedProx's proximal anchor) into the shared local-update primitive.
+// Server optimizers live entirely on the server, so strategies change
+// nothing on the wire.
 //
 // Strategies are named and flag-constructible ("fedadam:lr=0.05,beta1=0.9",
 // see Parse), deterministic, and checkpointable: stateful strategies expose
@@ -22,6 +22,7 @@ package strategy
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fedfteds/internal/opt"
 	"fedfteds/internal/tensor"
@@ -42,8 +43,7 @@ type Update struct {
 	LocalSize int
 }
 
-// Weighting selects the aggregation weights p_k, mirroring the legacy
-// core.AggWeighting values.
+// Weighting selects the aggregation weights p_k.
 type Weighting int
 
 const (
@@ -163,7 +163,7 @@ func (c *Composite) Fingerprint() string {
 		c.name, c.server.Name(), c.server.Params(), c.weighting, hook)
 }
 
-// WeighUpdates implements Strategy, absorbing the legacy AggWeighting switch.
+// WeighUpdates implements Strategy.
 func (c *Composite) WeighUpdates(ups []Update, w []float64) error {
 	if len(w) != len(ups) {
 		return fmt.Errorf("%w: %d weights for %d updates", ErrStrategy, len(w), len(ups))
@@ -201,8 +201,7 @@ func (c *Composite) RestoreStateTensors(ts []*tensor.Tensor) error {
 
 // Prox is the FedProx local hook: it sets the client optimizer's proximal
 // coefficient μ and snapshots the received global state as the proximal
-// anchor at every local-round bind, exactly what the pre-strategy engine
-// hardcoded behind Config.ProxMu.
+// anchor at every local-round bind.
 type Prox struct {
 	// Mu is the proximal coefficient μ; must be positive.
 	Mu float64
@@ -249,16 +248,17 @@ func FedAvg() *Composite {
 	return s
 }
 
-// FedAvgWith is FedAvg with an explicit weighting and local hook — the
-// composition core.Config's legacy AggWeighting/ProxMu fields map onto.
+// FedAvgWith is FedAvg with an explicit weighting and local hook: the
+// aggregation-weighting ablation's strategies (FedAvgWith(WeightUniform,
+// nil) averages every client equally).
 func FedAvgWith(weighting Weighting, hook LocalHook) (*Composite, error) {
 	return New("fedavg", weighting, opt.Overwrite{}, hook)
 }
 
 // FedProx returns FedAvg with the proximal local hook.
 func FedProx(mu float64) (*Composite, error) {
-	if mu <= 0 {
-		return nil, fmt.Errorf("%w: fedprox mu %v must be positive", ErrStrategy, mu)
+	if !(mu > 0) || math.IsInf(mu, 1) {
+		return nil, fmt.Errorf("%w: fedprox mu %v must be positive and finite", ErrStrategy, mu)
 	}
 	return New("fedprox", WeightBySelected, opt.Overwrite{}, Prox{Mu: mu})
 }

@@ -99,6 +99,11 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"fedavg:lr=1",
 		"fedprox:mu=0",
 		"fedprox:mu=-1",
+		"fedprox:mu=NaN",
+		"fedprox:mu=+Inf",
+		"fedadam:lr=NaN",
+		"fedavgm:beta1=nan",
+		"fedyogi:tau=-Inf",
 		"fedavgm:lr=0",
 		"fedavgm:beta1=1",
 		"fedadam:beta2=1.5",
@@ -106,6 +111,29 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 	} {
 		if _, err := Parse(spec); !errors.Is(err, ErrStrategy) {
 			t.Fatalf("spec %q: got %v, want ErrStrategy", spec, err)
+		}
+	}
+}
+
+// TestFedProxRefusesNonFiniteMu: μ reaches FedProx from a spec and from a
+// RoundStart off the wire; neither may carry NaN or an infinity through.
+func TestFedProxRefusesNonFiniteMu(t *testing.T) {
+	for _, mu := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := FedProx(mu); !errors.Is(err, ErrStrategy) {
+			t.Fatalf("FedProx(%v): got %v, want ErrStrategy", mu, err)
+		}
+	}
+}
+
+func TestWeightingStrings(t *testing.T) {
+	for w, want := range map[Weighting]string{
+		WeightBySelected:  "selected",
+		WeightByLocalSize: "local-size",
+		WeightUniform:     "uniform",
+		Weighting(9):      "Weighting(9)",
+	} {
+		if got := w.String(); got != want {
+			t.Fatalf("String(%d) = %q, want %q", w, got, want)
 		}
 	}
 }
@@ -135,8 +163,7 @@ func TestIsDefault(t *testing.T) {
 	}
 }
 
-// TestWeighUpdates pins the weighting rules the legacy AggWeighting switch
-// implemented.
+// TestWeighUpdates pins the weighting rules.
 func TestWeighUpdates(t *testing.T) {
 	ups := []Update{
 		{ClientID: 0, NumSelected: 3, LocalSize: 10},
