@@ -16,8 +16,9 @@
 //
 // With -cohort K the server additionally schedules: each round only K of
 // the live clients are contacted (policy chosen by -sched — uniform, size,
-// entropy, powerd, or avail:<inner>; the same names fedsim accepts), the
-// rest idle on their open connections until a later cohort includes them.
+// entropy, powerd, tier, cluster:<inner> or avail:<inner>; the same names
+// fedsim accepts), the rest idle on their open connections until a later
+// cohort includes them.
 // The entropy policy closes a feedback loop over the wire: clients report
 // their mean EDS entropy with every update, and the scheduler exploits the
 // most uncertain clients with ε-greedy exploration.
@@ -39,7 +40,11 @@
 // -quorum accepts either a fraction of the round's clients in (0, 1] or,
 // when given a value above 1, an absolute number of updates; an absolute
 // quorum larger than the clients a round can contact (-cohort, or -clients)
-// is rejected at startup, since no round could ever succeed.
+// is rejected at startup, since no round could ever succeed. Every such rule
+// about a run lives in federation.Config.Validate, which Serve applies to
+// any caller; the flags add only rules about themselves: -temperature,
+// -staleness and -max-staleness needing -buffer, a creatable -ckpt-dir, and
+// the specs each flag parses.
 //
 // With -relays R the federation is hierarchical: R fedrelay processes join
 // in place of leaf clients, each folding its own region's updates into one
@@ -90,7 +95,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 
@@ -127,10 +131,10 @@ type serverConfig struct {
 	memProfile    string
 }
 
-// parseFlags parses and fail-fast validates the command line: bad -quorum,
-// -round-deadline, -cohort or -sched values are rejected here, before any
-// client has a chance to join a doomed federation. The client recipe not
-// set by a flag is federation.DefaultRecipe's.
+// parseFlags parses the command line and fail-fast validates it with
+// federation.Config.Validate, before any client has a chance to join a
+// doomed federation; it keeps only the rules about flags themselves. The
+// client recipe not set by a flag is federation.DefaultRecipe's.
 func parseFlags(args []string) (serverConfig, error) {
 	cfg := serverConfig{Config: federation.Config{Run: federation.DefaultRecipe()}}
 	fs := flag.NewFlagSet("fedserver", flag.ContinueOnError)
@@ -144,14 +148,14 @@ func parseFlags(args []string) (serverConfig, error) {
 	fs.DurationVar(&cfg.RoundDeadline, "round-deadline", 0, "bound on one dispatch to one peer, send and reply; a slower peer is timed out of the round and dispatched again at the next (0 = wait forever)")
 	fs.Float64Var(&cfg.Quorum, "quorum", 1, "updates a round needs to succeed: a fraction of the round's clients in (0, 1], or an absolute count when above 1")
 	fs.IntVar(&cfg.Run.CohortSize, "cohort", 0, "clients scheduled per round, 0 = the whole federation")
-	fs.StringVar(&cfg.SchedName, "sched", "uniform", "cohort scheduling policy: uniform, size, entropy, powerd, tier, avail:<inner>")
+	fs.StringVar(&cfg.SchedName, "sched", "uniform", "cohort scheduling policy: "+strings.Join(sched.PolicyNames(), ", "))
 	fs.StringVar(&cfg.Run.CheckpointDir, "ckpt-dir", "", "snapshot the federation after every round and warm-start from this directory's latest checkpoint")
 	fs.StringVar(&cfg.stratSpec, "strategy", "fedavg", "federated-optimization strategy: fedavg, fedprox, fedavgm, fedadam, fedyogi, with optional parameters (fedadam:lr=0.05,beta1=0.9)")
 	fs.BoolVar(&cfg.tiers, "tiers", false, "device-tier mode: clients train and ship only the layer groups their capability tier affords, aggregated per layer")
 	fs.StringVar(&cfg.tierDistSpec, "tier-dist", "", "tier distribution \"tier:weight,...\" over "+strings.Join(device.TierNames(), "/")+" (implies -tiers; default "+defaultTierSpec+")")
 	fs.IntVar(&cfg.Relays, "relays", 0, "hierarchical mode: this many fedrelay regions join instead of leaf clients (-clients still names the total leaf count the regions cover)")
-	fs.IntVar(&cfg.Async.Buffer, "buffer", 0, "buffered-async (FedBuff) mode: aggregate as soon as this many updates arrive instead of running synchronous rounds")
-	fs.IntVar(&cfg.Async.MaxStaleness, "max-staleness", -1, "async mode: discard updates staler than this many model versions (negative keeps all; needs -buffer)")
+	fs.IntVar(&cfg.Run.Async.Buffer, "buffer", 0, "buffered-async (FedBuff) mode: aggregate as soon as this many updates arrive instead of running synchronous rounds")
+	fs.IntVar(&cfg.Run.Async.MaxStaleness, "max-staleness", -1, "async mode: discard updates staler than this many model versions (negative keeps all; needs -buffer)")
 	fs.StringVar(&cfg.stalenessSpec, "staleness", "", "async mode: staleness discount "+strings.Join(strategy.StalenessNames(), "/")+" with optional parameters, e.g. poly:alpha=1 (default invsqrt; needs -buffer)")
 	fs.StringVar(&cfg.codecSpec, "codec", "identity", "uplink codec advertised to clients: "+strings.Join(comm.CodecNames(), ", ")+" (identity ships legacy bit-identical frames)")
 	fs.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -168,129 +172,26 @@ func parseFlags(args []string) (serverConfig, error) {
 		return serverConfig{}, fmt.Errorf("-temperature %v must be positive", cfg.temperature)
 	}
 	cfg.Run.Selector = selection.Entropy{Temperature: cfg.temperature}
-	if cfg.Run.CheckpointDir != "" {
-		// Fail fast on an unusable checkpoint directory: a server that can
-		// train but not checkpoint would lose the federation it promised to
-		// preserve.
-		if err := os.MkdirAll(cfg.Run.CheckpointDir, 0o755); err != nil {
-			return serverConfig{}, fmt.Errorf("-ckpt-dir: %w", err)
-		}
+	if cfg.Run.Async.MaxStaleness >= 0 && cfg.Run.Async.Buffer == 0 {
+		return serverConfig{}, fmt.Errorf("-max-staleness %d needs -buffer: staleness only exists in buffered-async mode", cfg.Run.Async.MaxStaleness)
 	}
-	if cfg.Quorum <= 0 {
-		return serverConfig{}, fmt.Errorf("-quorum %v must be positive", cfg.Quorum)
-	}
-	if cfg.RoundDeadline < 0 {
-		return serverConfig{}, fmt.Errorf("-round-deadline %v is negative", cfg.RoundDeadline)
-	}
-	if cfg.NumClients <= 0 {
-		return serverConfig{}, fmt.Errorf("-clients %d must be positive", cfg.NumClients)
-	}
-	if cfg.Run.SelectFraction <= 0 || cfg.Run.SelectFraction > 1 {
-		return serverConfig{}, fmt.Errorf("-fraction %v outside (0, 1]", cfg.Run.SelectFraction)
-	}
-	if cfg.Run.LocalEpochs <= 0 {
-		return serverConfig{}, fmt.Errorf("-epochs %d must be positive", cfg.Run.LocalEpochs)
-	}
-	if cfg.Run.Rounds <= 0 {
-		return serverConfig{}, fmt.Errorf("-rounds %d must be positive", cfg.Run.Rounds)
-	}
-	if cfg.Run.CohortSize < 0 {
-		return serverConfig{}, fmt.Errorf("-cohort %d is negative", cfg.Run.CohortSize)
-	}
-	if cfg.Run.CohortSize > cfg.NumClients {
-		return serverConfig{}, fmt.Errorf("-cohort %d exceeds the federation size %d", cfg.Run.CohortSize, cfg.NumClients)
-	}
-	if cfg.Relays < 0 {
-		return serverConfig{}, fmt.Errorf("-relays %d is negative", cfg.Relays)
-	}
-	if cfg.Async.Buffer < 0 {
-		return serverConfig{}, fmt.Errorf("-buffer %d is negative", cfg.Async.Buffer)
-	}
-	// The peers a round can contact: the relay regions in hierarchical mode,
-	// the clients otherwise, narrowed by -cohort below.
-	peers := cfg.NumClients
-	if cfg.Relays > 0 {
-		if cfg.Relays > cfg.NumClients {
-			return serverConfig{}, fmt.Errorf("-relays %d exceeds -clients %d: every region needs at least one leaf client",
-				cfg.Relays, cfg.NumClients)
-		}
-		if cfg.Run.CohortSize > cfg.Relays {
-			return serverConfig{}, fmt.Errorf("-cohort %d exceeds the %d relay regions a round can contact", cfg.Run.CohortSize, cfg.Relays)
-		}
-		peers = cfg.Relays
-	}
-	if cfg.Async.Buffer > 0 {
-		if cfg.Async.Buffer > peers {
-			return serverConfig{}, fmt.Errorf("-buffer %d exceeds the %d peers a round can contact (-relays %d, -clients %d): "+
-				"each holds at most one outstanding update, so the buffer could never fill",
-				cfg.Async.Buffer, peers, cfg.Relays, cfg.NumClients)
-		}
-		if cfg.Run.CohortSize > 0 {
-			return serverConfig{}, fmt.Errorf("-cohort %d schedules synchronous rounds and cannot combine with -buffer %d: "+
-				"the async engine dispatches to every idle client at each aggregation; drop -cohort or -buffer", cfg.Run.CohortSize, cfg.Async.Buffer)
-		}
-	}
-	if cfg.Async.MaxStaleness >= 0 && cfg.Async.Buffer == 0 {
-		return serverConfig{}, fmt.Errorf("-max-staleness %d needs -buffer: staleness only exists in buffered-async mode", cfg.Async.MaxStaleness)
-	}
-	if cfg.stalenessSpec != "" && cfg.Async.Buffer == 0 {
+	if cfg.stalenessSpec != "" && cfg.Run.Async.Buffer == 0 {
 		return serverConfig{}, fmt.Errorf("-staleness %q needs -buffer: staleness only exists in buffered-async mode", cfg.stalenessSpec)
 	}
-	if cfg.Async.Buffer > 0 {
-		weigher, err := strategy.ParseStaleness(cfg.stalenessSpec)
-		if err != nil {
+	if cfg.Run.Async.Buffer > 0 {
+		if cfg.Run.Async.Weigher, err = strategy.ParseStaleness(cfg.stalenessSpec); err != nil {
 			return serverConfig{}, fmt.Errorf("-staleness: %w", err)
 		}
-		cfg.Async.Weigher = weigher
 	}
-	// The codec spec is validated here so a typo surfaces before any client
+	// The codec spec is parsed here so a typo surfaces before any client
 	// joins; identity (the default) stays empty and keeps the legacy wire
-	// paths untouched. Reference-needing codecs (int8, topk) are refused in
-	// async mode: a buffered client may encode against a model version the
-	// server has already replaced, so the two sides would decode against
-	// different references.
+	// paths untouched.
 	codec, err := comm.ParseCodec(cfg.codecSpec)
 	if err != nil {
 		return serverConfig{}, fmt.Errorf("-codec: %w", err)
 	}
 	if codec.Name() != comm.CodecIdentity {
 		cfg.Run.Codec = codec.Name()
-	}
-	if codec.NeedsReference() && cfg.Async.Buffer > 0 {
-		return serverConfig{}, fmt.Errorf("-codec %s cannot combine with -buffer: the codec decodes against "+
-			"the round's broadcast reference, which buffered-async clients no longer share; use float16", cfg.Run.Codec)
-	}
-	// A -quorum above 1 is an absolute update count. It must be an integer,
-	// and it must be reachable: a quorum no round can ever meet — more
-	// updates than the clients a round contacts — is rejected now, not
-	// discovered as an eternal ErrQuorum at round 1.
-	if cfg.Quorum > 1 {
-		if cfg.Quorum != math.Trunc(cfg.Quorum) {
-			return serverConfig{}, fmt.Errorf("-quorum %v: values above 1 are absolute update counts and must be integers", cfg.Quorum)
-		}
-		cfg.MinUpdates, cfg.Quorum = int(cfg.Quorum), 0
-		roundSize := peers
-		if cfg.Run.CohortSize > 0 {
-			roundSize = cfg.Run.CohortSize
-		}
-		if cfg.MinUpdates > roundSize {
-			return serverConfig{}, fmt.Errorf("-quorum %d exceeds the %d participants a round can contact "+
-				"(-cohort %d, -relays %d, -clients %d): no round could ever succeed",
-				cfg.MinUpdates, roundSize, cfg.Run.CohortSize, cfg.Relays, cfg.NumClients)
-		}
-	}
-	// In async mode there is no round for a quorum to gate: admission is the
-	// buffer itself. Any explicit quorum alongside -buffer is a configuration
-	// contradiction, named as such.
-	if cfg.Async.Buffer > 0 && (cfg.MinUpdates > 0 || cfg.Quorum != 1) {
-		if cfg.MinUpdates > 0 {
-			return serverConfig{}, fmt.Errorf("-quorum %d is an absolute synchronous-round update count and -buffer %d "+
-				"is the async aggregation trigger: the two admission rules are mutually exclusive; drop -quorum "+
-				"(async aggregates whenever -buffer updates arrive) or -buffer (synchronous rounds gate on -quorum)",
-				cfg.MinUpdates, cfg.Async.Buffer)
-		}
-		return serverConfig{}, fmt.Errorf("-quorum %v gates synchronous rounds and cannot combine with -buffer %d: "+
-			"async aggregation triggers on the buffer itself; drop -quorum or -buffer", cfg.Quorum, cfg.Async.Buffer)
 	}
 	// -tier-dist implies -tiers, and -tiers alone means defaultTierSpec.
 	if cfg.tiers && cfg.tierDistSpec == "" {
@@ -310,6 +211,17 @@ func parseFlags(args []string) (serverConfig, error) {
 	}
 	if cfg.Run.CohortSize > 0 {
 		cfg.Run.Scheduler = scheduler
+	}
+	if err := cfg.Validate(); err != nil {
+		return serverConfig{}, err
+	}
+	if cfg.Run.CheckpointDir != "" {
+		// Fail fast on an unusable checkpoint directory: a server that can
+		// train but not checkpoint would lose the federation it promised to
+		// preserve.
+		if err := os.MkdirAll(cfg.Run.CheckpointDir, 0o755); err != nil {
+			return serverConfig{}, fmt.Errorf("-ckpt-dir: %w", err)
+		}
 	}
 	return cfg, nil
 }

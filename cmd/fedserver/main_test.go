@@ -246,7 +246,7 @@ func federate(t *testing.T, w *experiments.World, args []string, l comm.Listener
 			clientErr <- testClient(w, conn, id, cfg, dieAfter)
 		}(id)
 	}
-	partial := cfg.Async.Buffer > 0 && cfg.Async.Buffer < cfg.NumClients
+	partial := cfg.Run.Async.Buffer > 0 && cfg.Run.Async.Buffer < cfg.NumClients
 	for i := 0; i < cfg.NumClients; i++ {
 		if err := <-clientErr; err != nil && dieAfter == 0 && !partial {
 			t.Fatalf("client: %v", err)
@@ -453,8 +453,8 @@ func TestParseFlagsQuorumAbsolute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.MinUpdates != 3 || cfg.Quorum != 0 {
-		t.Fatalf("absolute quorum not converted: minUpdates %d, quorum %v", cfg.MinUpdates, cfg.Quorum)
+	if cfg.Quorum != 3 {
+		t.Fatalf("absolute quorum %v, want 3", cfg.Quorum)
 	}
 	// The absolute count enters the config tag, so a checkpoint cannot be
 	// silently continued under an edited quorum mode.
@@ -567,11 +567,11 @@ func TestParseFlagsAsyncAndRelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if async.Async.Buffer != 2 || async.Async.Weigher == nil || async.Async.Weigher.Name() != "invsqrt" {
-		t.Fatalf("async defaults: buffer %d, weigher %+v", async.Async.Buffer, async.Async.Weigher)
+	if async.Run.Async.Buffer != 2 || async.Run.Async.Weigher == nil || async.Run.Async.Weigher.Name() != "invsqrt" {
+		t.Fatalf("async defaults: buffer %d, weigher %+v", async.Run.Async.Buffer, async.Run.Async.Weigher)
 	}
-	if async.Async.MaxStaleness != -1 {
-		t.Fatalf("max staleness default %d, want -1 (keep all)", async.Async.MaxStaleness)
+	if async.Run.Async.MaxStaleness != -1 {
+		t.Fatalf("max staleness default %d, want -1 (keep all)", async.Run.Async.MaxStaleness)
 	}
 	identity, err := parseFlags([]string{"-clients", "4", "-buffer", "2", "-staleness", "identity"})
 	if err != nil {
@@ -1103,7 +1103,7 @@ func TestServeRelayTreeEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			partial := cfg.Async.Buffer > 0 && cfg.Async.Buffer < len(tt.peers)
+			partial := cfg.Run.Async.Buffer > 0 && cfg.Run.Async.Buffer < len(tt.peers)
 			var wg sync.WaitGroup
 			run := func(what string, f func() error) {
 				wg.Add(1)
@@ -1140,8 +1140,8 @@ func TestServeRelayTreeEndToEnd(t *testing.T) {
 				t.Fatalf("%d records, want 3", len(hist.Records))
 			}
 			folds := len(tt.peers)
-			if cfg.Async.Buffer > 0 {
-				folds = cfg.Async.Buffer
+			if cfg.Run.Async.Buffer > 0 {
+				folds = cfg.Run.Async.Buffer
 			}
 			for _, rec := range hist.Records {
 				if rec.Participants != folds || rec.CohortSize != folds {

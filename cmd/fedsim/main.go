@@ -20,8 +20,8 @@
 // The sched experiment compares cohort-scheduling policies (accuracy vs
 // cumulative client-seconds at a fixed cohort size K). -sched narrows it to
 // one policy — the names are the same ones fedserver accepts (uniform,
-// size, entropy, powerd, avail:<inner>) — and -cohort sets K (0 picks a
-// scale-appropriate default).
+// size, entropy, powerd, tier, cluster:<inner>, avail:<inner>) — and
+// -cohort sets K (0 picks a scale-appropriate default).
 //
 // The strategies experiment compares federated-optimization strategies
 // (fedavg, fedprox, fedavgm, fedadam, fedyogi) on one federation; -strategy

@@ -144,8 +144,9 @@ var PretrainTransfer = core.PretrainTransfer
 // over TCP or in-process pipes.
 type (
 	// ServerConfig is one server run: the run itself as a Config (the same
-	// value NewRunner takes, the clients' recipe included), its async mode,
-	// and the server-only quorum, deadline and relay settings.
+	// value NewRunner takes, the clients' recipe and the buffer included)
+	// and the server-only quorum, deadline and relay settings. Its Validate
+	// is the rulebook ServeFederation applies before it listens.
 	ServerConfig = federation.Config
 	// ParticipantConfig is one client's identity and the world it rebuilds
 	// (ID, federation size, seed, codec): what it trains each round arrives

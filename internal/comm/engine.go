@@ -26,19 +26,14 @@ type EngineConfig struct {
 	// again at the next round. Zero means no deadline: the engine waits
 	// indefinitely (a hung peer then blocks a round that awaits it).
 	RoundDeadline time.Duration
-	// Quorum is the fraction of the round's cohort, in (0, 1], whose
-	// updates must arrive for the round to succeed. Zero defaults to 1
-	// (every cohort member must report) unless MinUpdates is set, in which
-	// case the absolute floor alone is the requirement. At least one update
-	// is always required.
+	// Quorum is how many of the round's cohort must report for the round to
+	// succeed: a fraction in (0, 1], or an integer above 1 as an absolute
+	// count. Zero means every cohort member, and at least one update is
+	// always required. Unlike the fraction, an absolute count is NOT clamped
+	// to the cohort: a count the cohort can never meet fails the round
+	// explicitly instead of silently deadlining forever, and
+	// federation.Config.Validate refuses such configurations up front.
 	Quorum float64
-	// MinUpdates is an absolute floor on folded updates per round: alone
-	// (Quorum zero) it is the requirement itself, otherwise it compounds the
-	// fractional Quorum. Unlike the fraction it is NOT clamped to the
-	// round's client count: a floor the cohort can never meet fails the
-	// round explicitly instead of silently deadlining forever, and fedserver
-	// rejects such configurations at startup.
-	MinUpdates int
 	// Buffer is M, the FedBuff aggregation goal. Zero is the synchronous
 	// round: it awaits every dispatch and succeeds on the quorum. A positive
 	// Buffer closes the round as soon as M updates were folded and replaces
@@ -54,11 +49,8 @@ type EngineConfig struct {
 
 // Validate checks the configuration bounds.
 func (c EngineConfig) Validate() error {
-	if c.Quorum < 0 || c.Quorum > 1 {
-		return fmt.Errorf("%w: quorum %v outside [0, 1]", ErrProtocol, c.Quorum)
-	}
-	if c.MinUpdates < 0 {
-		return fmt.Errorf("%w: negative min updates %d", ErrProtocol, c.MinUpdates)
+	if !(c.Quorum >= 0) || (c.Quorum > 1 && (c.Quorum != math.Trunc(c.Quorum) || c.Quorum > math.MaxInt32)) {
+		return fmt.Errorf("%w: quorum %v is neither a fraction in [0, 1] nor a whole count", ErrProtocol, c.Quorum)
 	}
 	if c.RoundDeadline < 0 {
 		return fmt.Errorf("%w: negative round deadline %v", ErrProtocol, c.RoundDeadline)
@@ -243,13 +235,6 @@ func (e *RoundEngine) RunCohort(rs RoundStart, cohort []int, fold func(ClientUpd
 	if goal == 0 {
 		goal = math.MaxInt
 		need = quorumCount(e.cfg.Quorum, len(cohort))
-		if e.cfg.Quorum == 0 && e.cfg.MinUpdates > 0 {
-			// An explicit absolute floor with no fraction set is the requirement
-			// itself; the zero-quorum default (all clients) would swallow it.
-			need = e.cfg.MinUpdates
-		} else if e.cfg.MinUpdates > need {
-			need = e.cfg.MinUpdates
-		}
 	}
 	// Restored updates fold before anything is dispatched, so a peer is only
 	// ever dropped with no flight of its own outstanding.
@@ -395,8 +380,12 @@ func (e *RoundEngine) fail(out *RoundOutcome, id int, err error) {
 	}
 }
 
-// quorumCount converts a quorum fraction into a required update count.
+// quorumCount converts a quorum into a required update count: an absolute
+// count as it is, a fraction of the n cohort members rounded up.
 func quorumCount(q float64, n int) int {
+	if q > 1 {
+		return int(q)
+	}
 	if q <= 0 {
 		q = 1
 	}

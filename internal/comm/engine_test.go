@@ -3,6 +3,7 @@ package comm
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -372,6 +373,31 @@ func TestEngineQuorumNotMet(t *testing.T) {
 	}
 	if len(out.Reported) != 0 || len(out.Dropped) != 2 {
 		t.Fatalf("reported %v dropped %v", out.Reported, out.Dropped)
+	}
+}
+
+// TestEngineQuorumReadings pins Quorum's two readings: a fraction of the
+// cohort rounded up (zero meaning all of it), or an integer above 1 as an
+// absolute count that is not clamped to the cohort; anything else is refused.
+func TestEngineQuorumReadings(t *testing.T) {
+	for _, tt := range []struct {
+		q    float64
+		n    int
+		want int
+	}{
+		{0, 4, 4}, {0.1, 4, 1}, {0.5, 4, 2}, {0.6, 4, 3}, {1, 4, 4}, {3, 4, 3}, {5, 4, 5},
+	} {
+		if err := (EngineConfig{Quorum: tt.q}).Validate(); err != nil {
+			t.Errorf("quorum %v refused: %v", tt.q, err)
+		}
+		if got := quorumCount(tt.q, tt.n); got != tt.want {
+			t.Errorf("quorum %v of %d: need %d, want %d", tt.q, tt.n, got, tt.want)
+		}
+	}
+	for _, q := range []float64{-0.5, 1.5, math.NaN(), math.Inf(1)} {
+		if err := (EngineConfig{Quorum: q}).Validate(); !errors.Is(err, ErrProtocol) {
+			t.Errorf("quorum %v: err %v, want ErrProtocol", q, err)
+		}
 	}
 }
 

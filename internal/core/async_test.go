@@ -45,8 +45,8 @@ func TestAsyncFullBufferBitIdenticalToSync(t *testing.T) {
 		{name: "topk codec", mutate: func(c *Config, _ []*Client) { c.Codec = "topk:0.05" }},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			build := func() (*Runner, *models.Model) {
-				cfg := Config{Rounds: 4, LocalEpochs: 1, LR: 0.1, Momentum: 0.5, Seed: 33}
+			build := func(async AsyncConfig) (*Runner, *models.Model) {
+				cfg := Config{Rounds: 4, LocalEpochs: 1, LR: 0.1, Momentum: 0.5, Seed: 33, Async: async}
 				clients, _, test, spec := testFederation(t, 5, 0.5)
 				tt.mutate(&cfg, clients)
 				m, err := models.Build(spec)
@@ -60,17 +60,13 @@ func TestAsyncFullBufferBitIdenticalToSync(t *testing.T) {
 				return r, m
 			}
 
-			rs, ms := build()
+			rs, ms := build(AsyncConfig{})
 			syncHist, err := rs.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			ra, ma := build()
-			asyncHist, err := ra.RunAsync(AsyncConfig{
-				Buffer:       5,
-				MaxStaleness: -1,
-				Weigher:      strategy.IdentityStaleness(),
-			})
+			ra, ma := build(AsyncConfig{Buffer: 5, MaxStaleness: -1, Weigher: strategy.IdentityStaleness()})
+			asyncHist, err := ra.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,11 +105,12 @@ func TestAsyncPartialBufferAggregatesStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(Config{Rounds: 8, LocalEpochs: 1, LR: 0.1, Momentum: 0.5, Seed: 7}, m, clients, test)
+	r, err := NewRunner(Config{Rounds: 8, LocalEpochs: 1, LR: 0.1, Momentum: 0.5, Seed: 7,
+		Async: AsyncConfig{Buffer: 3, MaxStaleness: -1, Weigher: strategy.InvSqrtStaleness()}}, m, clients, test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, err := r.RunAsync(AsyncConfig{Buffer: 3, MaxStaleness: -1, Weigher: strategy.InvSqrtStaleness()})
+	hist, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +138,12 @@ func TestAsyncMaxStalenessDiscards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(Config{Rounds: 10, LocalEpochs: 1, LR: 0.1, Momentum: 0.5, Seed: 9}, m, clients, test)
+	r, err := NewRunner(Config{Rounds: 10, LocalEpochs: 1, LR: 0.1, Momentum: 0.5, Seed: 9,
+		Async: AsyncConfig{Buffer: 2, MaxStaleness: 0, Weigher: strategy.IdentityStaleness()}}, m, clients, test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, err := r.RunAsync(AsyncConfig{Buffer: 2, MaxStaleness: 0, Weigher: strategy.IdentityStaleness()})
+	hist, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +171,12 @@ func TestAsyncDeterministicAcrossParallelism(t *testing.T) {
 		}
 		r, err := NewRunner(Config{
 			Rounds: 4, LocalEpochs: 1, LR: 0.1, Momentum: 0.5, Seed: 42, Parallelism: par,
+			Async: AsyncConfig{Buffer: 2, MaxStaleness: -1, Weigher: strategy.InvSqrtStaleness()},
 		}, m, clients, test)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := r.RunAsync(AsyncConfig{Buffer: 2, MaxStaleness: -1, Weigher: strategy.InvSqrtStaleness()})
+		h, err := r.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,9 +195,9 @@ func TestAsyncDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestAsyncConfigRejections pins the loop's two refusals — a buffer outside
-// [1, window], and checkpoint or resume while updates stay in flight — and,
+// [0, window], and checkpoint or resume while updates stay in flight — and,
 // one case each, that what the buffered loop used to refuse on top of them
-// now runs.
+// now runs. Buffer 0 is the synchronous run.
 func TestAsyncConfigRejections(t *testing.T) {
 	base := Config{Rounds: 2, LocalEpochs: 1, LR: 0.1, Seed: 1}
 	partial := AsyncConfig{Buffer: 2, MaxStaleness: -1}
@@ -211,7 +210,8 @@ func TestAsyncConfigRejections(t *testing.T) {
 		resume  bool
 		refused bool
 	}{
-		{name: "zero buffer", acfg: AsyncConfig{Buffer: 0}, refused: true},
+		{name: "negative buffer", acfg: AsyncConfig{Buffer: -1}, refused: true},
+		{name: "zero buffer", acfg: AsyncConfig{Buffer: 0}},
 		{name: "buffer exceeds pool", acfg: AsyncConfig{Buffer: 4}, refused: true},
 		{name: "buffer exceeds cohort", mutate: func(c *Config) { c.CohortSize = 2 }, acfg: full, refused: true},
 		{name: "checkpointing", mutate: func(c *Config) {
@@ -236,21 +236,21 @@ func TestAsyncConfigRejections(t *testing.T) {
 			if tt.mutate != nil {
 				tt.mutate(&cfg)
 			}
-			newRunner := func(rounds int) *Runner {
+			newRunner := func(rounds int, async AsyncConfig) *Runner {
 				m, err := models.Build(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.Rounds = rounds
+				cfg.Rounds, cfg.Async = rounds, async
 				r, err := NewRunner(cfg, m, clients, test)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return r
 			}
-			r := newRunner(2)
+			r := newRunner(2, tt.acfg)
 			if tt.resume {
-				first := newRunner(1)
+				first := newRunner(1, AsyncConfig{})
 				if _, err := first.Run(); err != nil {
 					t.Fatal(err)
 				}
@@ -262,7 +262,7 @@ func TestAsyncConfigRejections(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			hist, err := r.RunAsync(tt.acfg)
+			hist, err := r.Run()
 			if tt.refused {
 				if !errors.Is(err, ErrConfig) {
 					t.Fatalf("expected ErrConfig, got %v", err)
@@ -300,7 +300,7 @@ func runDigest(hist History, m *models.Model) string {
 // TestAsyncPartialBufferDigests pins the genuinely asynchronous regime bit
 // for bit: buffers smaller than the pool, staleness discounts, discards and
 // immediate re-dispatch. The first four digests were captured from the
-// standalone RunAsync loop, two merges ago; the rows with a mutate are the
+// standalone buffered loop, two merges ago; the rows with a mutate are the
 // combinations the one loop newly admits (a straggler policy, device tiers,
 // an uplink codec under overlapping rounds), recorded when it did.
 func TestAsyncPartialBufferDigests(t *testing.T) {
@@ -334,7 +334,8 @@ func TestAsyncPartialBufferDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{Rounds: 8, LocalEpochs: 1, LR: 0.1, Momentum: 0.5, EvalEvery: 3, Seed: 7}
+			cfg := Config{Rounds: 8, LocalEpochs: 1, LR: 0.1, Momentum: 0.5, EvalEvery: 3, Seed: 7,
+				Async: AsyncConfig{Buffer: tt.buffer, MaxStaleness: tt.maxStaleness, Weigher: strategy.InvSqrtStaleness()}}
 			if tt.mutate != nil {
 				tt.mutate(&cfg)
 			}
@@ -342,7 +343,7 @@ func TestAsyncPartialBufferDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hist, err := r.RunAsync(AsyncConfig{Buffer: tt.buffer, MaxStaleness: tt.maxStaleness, Weigher: strategy.InvSqrtStaleness()})
+			hist, err := r.Run()
 			if err != nil {
 				t.Fatal(err)
 			}

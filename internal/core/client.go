@@ -98,15 +98,17 @@ func LocalUpdate(cfg Config, global *models.Model, cl *Client, round int) (Local
 
 // NewLocalConfig applies defaults and validates a config for standalone
 // LocalUpdate use (the distributed fedclient path, where no Runner exists).
-// Cohort scheduling and the uplink codec are server-side concerns, so any
-// CohortSize/Scheduler/Codec settings are stripped rather than defaulted: a
-// standalone client must not silently grow a scheduler it can never invoke,
-// and it encodes its wire update itself (the negotiated codec lives in the
-// transport layer, not in the local-training config).
+// Cohort scheduling, the buffer and the uplink codec are server-side
+// concerns, so any CohortSize/Scheduler/Async/Codec settings are stripped
+// rather than defaulted: a standalone client must not silently grow a
+// scheduler it can never invoke, and it encodes its wire update itself (the
+// negotiated codec lives in the transport layer, not in the local-training
+// config).
 func NewLocalConfig(cfg Config) (Config, error) {
 	cfg.CohortSize = 0
 	cfg.Scheduler = nil
 	cfg.Codec = ""
+	cfg.Async = AsyncConfig{}
 	cfg = cfg.withDefaults()
 	if cfg.Rounds == 0 {
 		cfg.Rounds = 1 // standalone clients do not drive the round count

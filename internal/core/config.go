@@ -78,6 +78,9 @@ type Config struct {
 	CohortSize int
 	// Straggler decides which clients complete each round.
 	Straggler simtime.StragglerPolicy
+	// Async lets rounds overlap (buffered asynchronous, FedBuff-style
+	// aggregation). Its zero value, Buffer 0, is the synchronous round.
+	Async AsyncConfig
 	// Codec, when set, simulates the distributed deployment's uplink codec
 	// (comm.ParseCodec spec, e.g. "int8" or "topk:0.05"): every client's
 	// trained state is encoded and decoded through the codec before

@@ -164,19 +164,17 @@ func TestDispatchRejectsBrokenPlugins(t *testing.T) {
 			clients, _, test, spec := testFederation(t, 6, 0.5)
 			cfg := Config{Rounds: 3, LocalEpochs: 1, LR: 0.1, Selector: failingSelector{}, Seed: 1}
 			tt.mutate(&cfg)
-			for _, run := range []func(*Runner) (History, error){
-				(*Runner).Run,
-				func(r *Runner) (History, error) { return r.RunAsync(AsyncConfig{Buffer: tt.buffer, MaxStaleness: -1}) },
-			} {
+			for _, async := range []AsyncConfig{{}, {Buffer: tt.buffer, MaxStaleness: -1}} {
 				m, err := models.Build(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
+				cfg.Async = async
 				r, err := NewRunner(cfg, m, clients, test)
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, err = run(r)
+				_, err = r.Run()
 				if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), tt.names) {
 					t.Fatalf("err %v, want ErrConfig naming the %s", err, tt.names)
 				}
@@ -193,11 +191,11 @@ func TestDispatchRejectsBrokenPlugins(t *testing.T) {
 			t.Fatal(err)
 		}
 		r, err := NewRunner(Config{Rounds: 3, LocalEpochs: 1, LR: 0.1, Seed: 1,
-			Scheduler: fixedScheduler{0, 1, 2}, CohortSize: 3}, m, clients, test)
+			Scheduler: fixedScheduler{0, 1, 2}, CohortSize: 3, Async: AsyncConfig{Buffer: 1, MaxStaleness: -1}}, m, clients, test)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hist, err := r.RunAsync(AsyncConfig{Buffer: 1, MaxStaleness: -1})
+		hist, err := r.Run()
 		if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), "already in flight") || len(hist.Records) != 1 {
 			t.Fatalf("err %v after %d rounds, want ErrConfig in the second refill", err, len(hist.Records))
 		}

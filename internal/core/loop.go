@@ -20,37 +20,41 @@ import (
 // global model advanced since the update was dispatched).
 type AsyncConfig struct {
 	// Buffer is M, the number of arrived updates that triggers an
-	// aggregation, in [1, window]; the window is Config.CohortSize when a
-	// scheduler picks the cohort and the whole pool otherwise. Buffer equal
-	// to the window is the synchronous round: nothing stays in flight.
+	// aggregation, in [0, window]; the window is Config.CohortSize when a
+	// scheduler picks the cohort and the whole pool otherwise. Zero is the
+	// synchronous round, and so is Buffer equal to the window: nothing stays
+	// in flight.
 	Buffer int
 	// MaxStaleness discards updates staler than this many versions instead
 	// of folding them; the discarded client immediately receives the current
-	// model. Negative means unlimited (nothing is discarded).
+	// model. Negative means unlimited (nothing is discarded). A synchronous
+	// run ignores it.
 	MaxStaleness int
 	// Weigher maps staleness to the discount multiplied into the strategy's
-	// aggregation weight. Nil means identity (no discount).
+	// aggregation weight. Nil means identity (no discount), as does a
+	// synchronous run.
 	Weigher strategy.StalenessWeigher
 }
 
-// Run executes the configured number of synchronous rounds and returns the
-// history: the simulator loop with every dispatched client awaited before
-// each aggregation. On a runner restored from a checkpoint (RestoreInto), Run
+// Run executes Config.Rounds aggregations of the simulator loop and returns
+// the history, one record per aggregation. Without Config.Async's buffer
+// every dispatched client is awaited before each aggregation. With a buffer
+// below the window clients overlap: an update that arrives after the model
+// has moved on folds with a staleness discount (or is discarded past
+// MaxStaleness), and the slots an aggregation vacated are refilled at its
+// boundary. On a runner restored from a checkpoint (RestoreInto), Run
 // continues after the checkpointed round instead of starting over; the
 // resulting History and final global state are bit-identical to an
 // uninterrupted run's. When Config.CheckpointDir is set, a checkpoint is
 // written every Config.CheckpointEvery rounds and always after the final
 // round.
 func (r *Runner) Run() (History, error) {
-	return r.runRounds(AsyncConfig{Buffer: r.window(), MaxStaleness: -1})
+	acfg := r.cfg.Async
+	if acfg.Buffer == 0 {
+		acfg = AsyncConfig{Buffer: r.window(), MaxStaleness: -1}
+	}
+	return r.runRounds(acfg)
 }
-
-// RunAsync executes Config.Rounds buffered aggregations of the same loop and
-// returns the history, one record per aggregation. With Buffer below the
-// window clients overlap: an update that arrives after the model has moved on
-// folds with a staleness discount (or is discarded past MaxStaleness), and
-// the slots an aggregation vacated are refilled at its boundary.
-func (r *Runner) RunAsync(acfg AsyncConfig) (History, error) { return r.runRounds(acfg) }
 
 // window is how many clients the loop keeps in flight: the cohort when a
 // scheduler picks one, else the whole pool.
@@ -125,7 +129,7 @@ func (r *Runner) runRounds(acfg AsyncConfig) (History, error) {
 	l := r.newLoop()
 	switch {
 	case acfg.Buffer < 1 || acfg.Buffer > l.window:
-		return History{}, fmt.Errorf("%w: buffer %d must lie in [1, %d] — a larger buffer could "+
+		return History{}, fmt.Errorf("%w: buffer %d must lie in [0, %d] — a larger buffer could "+
 			"never fill from the clients in flight", ErrConfig, acfg.Buffer, l.window)
 	case acfg.Buffer < l.window && (r.restored || r.cfg.CheckpointEvery > 0):
 		return History{}, fmt.Errorf("%w: buffer %d of a window of %d leaves updates in flight at every "+

@@ -101,6 +101,9 @@ func TestParentCommitDigests(t *testing.T) {
 			if tt.mutate != nil {
 				tt.mutate(&cfg)
 			}
+			if tt.async {
+				cfg.Async = AsyncConfig{Buffer: 2, MaxStaleness: 2, Weigher: strategy.InvSqrtStaleness()}
+			}
 			m, err := models.Build(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -109,12 +112,7 @@ func TestParentCommitDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var hist History
-			if tt.async {
-				hist, err = r.RunAsync(AsyncConfig{Buffer: 2, MaxStaleness: 2, Weigher: strategy.InvSqrtStaleness()})
-			} else {
-				hist, err = r.Run()
-			}
+			hist, err := r.Run()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -91,7 +91,7 @@ func (s eagerSource) Fingerprint() string { return "" }
 // participants from the source and releases them as soon as they have
 // trained, so resident client memory is bounded by the dispatch (at most the
 // window: Config.CohortSize under a scheduler, the population without one)
-// and the source's reuse pool, for Run and RunAsync alike.
+// and the source's reuse pool, for synchronous and buffered runs alike.
 func NewRunnerWithSource(cfg Config, global *models.Model, src ClientSource, test *data.Dataset) (*Runner, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {

@@ -224,7 +224,7 @@ func sanitizeRunName(s string) string {
 // experiment launches its runs through this helper so the whole sweep shares
 // one resume discipline.
 func (e *Env) RunFL(runName string, cfg core.Config, global *models.Model, clients []*core.Client, test *data.Dataset) (core.History, error) {
-	return e.runFL(runName, cfg, nil, func(cfg core.Config) (*core.Runner, error) {
+	return e.runFL(runName, cfg, func(cfg core.Config) (*core.Runner, error) {
 		return core.NewRunner(cfg, global, clients, test)
 	})
 }
@@ -232,10 +232,10 @@ func (e *Env) RunFL(runName string, cfg core.Config, global *models.Model, clien
 // runFL is the artifact-store discipline around one run, whatever its
 // clients come from and however far its rounds overlap: newRunner builds the
 // runner once cfg carries the run's checkpoint directory. A buffered run
-// (async non-nil) keeps updates in flight across aggregations, which the
-// checkpoint format cannot hold, so it runs outside the checkpoint policy.
-func (e *Env) runFL(runName string, cfg core.Config, async *core.AsyncConfig, newRunner func(core.Config) (*core.Runner, error)) (core.History, error) {
-	if e.ckptPolicy.Dir != "" && async == nil {
+// (cfg.Async.Buffer set) keeps updates in flight across aggregations, which
+// the checkpoint format cannot hold, so it runs outside the checkpoint policy.
+func (e *Env) runFL(runName string, cfg core.Config, newRunner func(core.Config) (*core.Runner, error)) (core.History, error) {
+	if e.ckptPolicy.Dir != "" && cfg.Async.Buffer == 0 {
 		cfg.CheckpointDir = filepath.Join(e.ckptPolicy.Dir, sanitizeRunName(runName))
 		cfg.CheckpointEvery = e.ckptPolicy.Every
 	}
@@ -248,12 +248,7 @@ func (e *Env) runFL(runName string, cfg core.Config, async *core.AsyncConfig, ne
 			return core.History{}, fmt.Errorf("experiments: resume %s: %w", runName, err)
 		}
 	}
-	var hist core.History
-	if async != nil {
-		hist, err = runner.RunAsync(*async)
-	} else {
-		hist, err = runner.Run()
-	}
+	hist, err := runner.Run()
 	if err != nil {
 		return core.History{}, fmt.Errorf("experiments: %s: run: %w", runName, err)
 	}

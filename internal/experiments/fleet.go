@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"fedfteds/internal/core"
-	"fedfteds/internal/data"
 	"fedfteds/internal/fleet"
 	"fedfteds/internal/models"
 	"fedfteds/internal/sched"
@@ -24,16 +23,6 @@ const (
 	// fleetDayRounds is one simulated day at one aggregation per hour.
 	fleetDayRounds = 24
 )
-
-// runFLSource is RunFL for source-backed (virtual fleet) runs: the same
-// artifact-store and resume discipline, but clients come from a
-// core.ClientSource instead of a materialized slice, and a non-nil async
-// overlaps the rounds.
-func (e *Env) runFLSource(runName string, cfg core.Config, async *core.AsyncConfig, global *models.Model, src core.ClientSource, test *data.Dataset) (core.History, error) {
-	return e.runFL(runName, cfg, async, func(cfg core.Config) (*core.Runner, error) {
-		return core.NewRunnerWithSource(cfg, global, src, test)
-	})
-}
 
 // FleetOptions parameterizes the fleet experiments.
 type FleetOptions struct {
@@ -205,9 +194,8 @@ func RunFleetDay(env *Env, opts FleetOptions) (*FleetDayResult, error) {
 		EagerBytes:  fleet.EstimateEagerBytes(clients, spec.MinSamples, spec.MaxSamples, env.Suite.Universe.ObsDim),
 	}
 	runName := fmt.Sprintf("fleetday-n%d-k%d-%s", clients, cohort, scheduler.Name())
-	var async *core.AsyncConfig
 	if opts.Buffer > 0 {
-		async = &core.AsyncConfig{Buffer: opts.Buffer, MaxStaleness: opts.MaxStaleness}
+		cfg.Async = core.AsyncConfig{Buffer: opts.Buffer, MaxStaleness: opts.MaxStaleness}
 	}
 	newRunner := func(cfg core.Config) (*core.Runner, error) {
 		return core.NewRunnerWithSource(cfg, global, f, test)
@@ -225,7 +213,7 @@ func RunFleetDay(env *Env, opts FleetOptions) (*FleetDayResult, error) {
 			return core.NewRunner(cfg, global, eager, test)
 		}
 	}
-	if res.Hist, err = env.runFL(runName, cfg, async, newRunner); err != nil {
+	if res.Hist, err = env.runFL(runName, cfg, newRunner); err != nil {
 		return nil, err
 	}
 	res.Stats = f.Stats()
@@ -326,8 +314,10 @@ func RunFleetCompare(env *Env, opts FleetOptions) (*FleetCompareResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		hist, err := env.runFLSource(fmt.Sprintf("fleet-%s-n%d-k%d", row.label, clients, cohort),
-			env.fleetConfig(clients, cohort, scheduler), nil, global, f, test)
+		hist, err := env.runFL(fmt.Sprintf("fleet-%s-n%d-k%d", row.label, clients, cohort),
+			env.fleetConfig(clients, cohort, scheduler), func(cfg core.Config) (*core.Runner, error) {
+				return core.NewRunnerWithSource(cfg, global, f, test)
+			})
 		if err != nil {
 			return nil, err
 		}

@@ -95,9 +95,6 @@ type variant struct {
 	// apply edits the row's configuration and (for tiers) its freshly built
 	// federation; nil changes nothing.
 	apply func(*core.Config, *Federation) error
-	// async overlaps the row's rounds (core.Runner.RunAsync); runFL keeps
-	// such rows outside the checkpoint policy.
-	async *core.AsyncConfig
 }
 
 // Axis is one comparison experiment: the core.Config axis it varies, its
@@ -158,7 +155,7 @@ func thirdOfPool(v, n int) int {
 var Axes = []*Axis{
 	{
 		ID: "sched", Flag: "sched",
-		Usage:  "sched experiment: one policy (uniform, size, entropy, powerd, avail:<inner>, cluster:<inner>) or all; also the fleetday cohort policy",
+		Usage:  "sched experiment: one policy (" + strings.Join(sched.PolicyNames(), ", ") + ") or all; also the fleetday cohort policy",
 		Lineup: []string{"uniform", "size", "entropy", "powerd", "avail:uniform"},
 		run:    "sched", largePool: true, salt: 4242, seedTag: sched.StreamTag,
 		parse: func(spec string, n int, _ int64, opts SweepOptions) (variant, error) {
@@ -250,8 +247,10 @@ var Axes = []*Axis{
 				return variant{}, err
 			}
 			m := thirdOfPool(opts.Buffer, n)
-			return variant{label: weigher.Name(), size: m,
-				async: &core.AsyncConfig{Buffer: m, MaxStaleness: opts.MaxStaleness, Weigher: weigher}}, nil
+			return variant{label: weigher.Name(), size: m, apply: func(c *core.Config, _ *Federation) error {
+				c.Async = core.AsyncConfig{Buffer: m, MaxStaleness: opts.MaxStaleness, Weigher: weigher}
+				return nil
+			}}, nil
 		},
 		title: "Buffered-async comparison: %d clients",
 		titleNote: func(opts SweepOptions) string {
@@ -391,7 +390,7 @@ func RunSweep(env *Env, a *Axis, opts SweepOptions) (*SweepResult, error) {
 			v.run = v.label
 		}
 		name := fmt.Sprintf("%s-%s-c%d", a.run, v.run, n)
-		hist, err := env.runFL(name, cfg, v.async, func(cfg core.Config) (*core.Runner, error) {
+		hist, err := env.runFL(name, cfg, func(cfg core.Config) (*core.Runner, error) {
 			return core.NewRunner(cfg, global, fed.Clients, fed.Test)
 		})
 		if err != nil {

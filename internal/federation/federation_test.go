@@ -24,7 +24,8 @@ var testWorld = sync.OnceValues(func() (*experiments.World, error) {
 func testConfig(rounds int) Config {
 	run := DefaultRecipe()
 	run.Rounds, run.SelectFraction, run.LocalEpochs, run.Seed, run.Strategy = rounds, 0.5, 1, 1, strategy.FedAvg()
-	return Config{Run: run, NumClients: 4, Quorum: 1, SchedName: "uniform", Async: core.AsyncConfig{MaxStaleness: -1}}
+	run.Async.MaxStaleness = -1
+	return Config{Run: run, NumClients: 4, Quorum: 1, SchedName: "uniform"}
 }
 
 // honest runs the real client round for id on conn; with dieAfter > 0 it
@@ -100,28 +101,73 @@ var metadataCases = []struct {
 	{"infinite entropy", func(u *comm.ClientUpdate) { u.MeanEntropy = math.Inf(1) }, true},
 }
 
+// TestServeRefusesRecipeItCannotSend: a RoundStart carries no batch size or
+// weight decay, so a Run asking for other than the clients' defaults is
+// refused before Serve listens, instead of being served at the defaults; so
+// is every run Config.Validate refuses, the nil listener, model and test set
+// proving that Serve touches none of them first.
+func TestServeRefusesRecipeItCannotSend(t *testing.T) {
+	for name, mutate := range map[string]func(*Config){
+		"batch size 8":         func(c *Config) { c.Run.BatchSize = 8 },
+		"weight decay":         func(c *Config) { c.Run.WeightDecay = 1e-4 },
+		"int8 under a buffer":  func(c *Config) { c.Run.Codec, c.Run.Async.Buffer = "int8", 2 },
+		"cohort with a buffer": func(c *Config) { c.Run.CohortSize, c.Run.Async.Buffer = 2, 2 },
+		"quorum 3 of 2":        func(c *Config) { c.NumClients, c.Quorum = 2, 3 },
+		"relays above clients": func(c *Config) { c.Relays = 5 },
+		"buffer above peers":   func(c *Config) { c.Run.Async.Buffer = 5 },
+	} {
+		cfg := testConfig(1)
+		mutate(&cfg)
+		if _, err := Serve(cfg, nil, nil, nil); err == nil {
+			t.Errorf("%s: Serve accepted a run it cannot serve", name)
+		}
+	}
+}
+
+// TestServeDefaultsLikeTheRunner: where core.Config documents a default for
+// a nil plug-in, Serve applies it too. A buffer without a staleness weigher
+// folds at identity (and tags as identity), and a cohort without a
+// scheduler samples uniformly.
+func TestServeDefaultsLikeTheRunner(t *testing.T) {
+	w, err := testWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := func(conn comm.Conn, id int) error { return honest(w, conn, id, 0) }
+	t.Run("nil weigher", func(t *testing.T) {
+		cfg := testConfig(3)
+		cfg.Run.Async.Buffer = 2
+		identity := cfg
+		identity.Run.Async.Weigher = strategy.IdentityStaleness()
+		if cfg.ConfigTag() != identity.ConfigTag() {
+			t.Error("a nil weigher does not tag as identity")
+		}
+		hist, _, err := servePipes(t, w, cfg, client)
+		if err != nil || len(hist.Records) != 3 {
+			t.Fatalf("err %v after %d records, want 3 rounds", err, len(hist.Records))
+		}
+	})
+	t.Run("nil scheduler", func(t *testing.T) {
+		cfg := testConfig(3)
+		cfg.Run.CohortSize = 2
+		hist, _, err := servePipes(t, w, cfg, client)
+		if err != nil || len(hist.Records) != 3 {
+			t.Fatalf("err %v after %d records, want 3 rounds", err, len(hist.Records))
+		}
+		for _, rec := range hist.Records {
+			if rec.CohortSize != 2 || rec.SchedPolicy != "uniform" {
+				t.Errorf("round %d: cohort %d under policy %q, want 2 under uniform", rec.Round, rec.CohortSize, rec.SchedPolicy)
+			}
+		}
+	})
+}
+
 // TestServeDropsLyingClient: one client among four answers every round with
 // an update that is well formed but hostile — lying metadata around an honest
 // state, or honest metadata around a state with one Inf weight in it. The
 // fold rejects the update as that client's failure, atomically, so at quorum
 // 0.5 the rounds complete on the three honest clients and nothing non-finite
 // reaches the history or the model.
-// TestServeRefusesRecipeItCannotSend: a RoundStart carries no batch size or
-// weight decay, so a Run asking for other than the clients' defaults is
-// refused before Serve listens, instead of being served at the defaults.
-func TestServeRefusesRecipeItCannotSend(t *testing.T) {
-	for name, mutate := range map[string]func(*core.Config){
-		"batch size 8": func(c *core.Config) { c.BatchSize = 8 },
-		"weight decay": func(c *core.Config) { c.WeightDecay = 1e-4 },
-	} {
-		cfg := testConfig(1)
-		mutate(&cfg.Run)
-		if _, err := Serve(cfg, nil, nil, nil); err == nil {
-			t.Errorf("%s: Serve accepted a recipe its clients cannot receive", name)
-		}
-	}
-}
-
 func TestServeDropsLyingClient(t *testing.T) {
 	w, err := testWorld()
 	if err != nil {
@@ -267,7 +313,7 @@ func TestNothingOutlivesServe(t *testing.T) {
 		wantErr error
 	}{
 		{"buffered run ends with a client in flight", func(c *Config) {
-			c.Async.Buffer, c.Async.Weigher = 3, strategy.IdentityStaleness()
+			c.Run.Async.Buffer, c.Run.Async.Weigher = 3, strategy.IdentityStaleness()
 		}, func(id int, rs comm.RoundStart, served <-chan struct{}) error {
 			if id == 3 {
 				<-served // never answers while the server runs
@@ -336,7 +382,7 @@ func TestServeRecordsEndedDispatchesAsCohort(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(6)
-	cfg.Async.Buffer, cfg.Async.Weigher = 2, strategy.IdentityStaleness()
+	cfg.Run.Async.Buffer, cfg.Run.Async.Weigher = 2, strategy.IdentityStaleness()
 	hist, _, err := servePipes(t, w, cfg, func(conn comm.Conn, id int) error {
 		dieAfter := 0
 		if id == 3 {
@@ -349,8 +395,8 @@ func TestServeRecordsEndedDispatchesAsCohort(t *testing.T) {
 	}
 	failed := 0
 	for _, rec := range hist.Records {
-		if rec.Participants != cfg.Async.Buffer || rec.CohortSize < rec.Participants {
-			t.Errorf("round %d: cohort %d, %d folded under buffer %d", rec.Round, rec.CohortSize, rec.Participants, cfg.Async.Buffer)
+		if rec.Participants != cfg.Run.Async.Buffer || rec.CohortSize < rec.Participants {
+			t.Errorf("round %d: cohort %d, %d folded under buffer %d", rec.Round, rec.CohortSize, rec.Participants, cfg.Run.Async.Buffer)
 		}
 		failed += rec.CohortSize - rec.Participants
 	}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"sort"
 	"time"
 
@@ -29,17 +30,90 @@ import (
 )
 
 // Config is one server run: Run is the value a core.Runner would take for
-// it (Serve's doc names the fields it reads), Async its buffered mode
-// (Buffer 0 is synchronous), and the rest exists only on a server.
+// it (Serve's doc names the fields it reads; Run.Async's Buffer 0 is
+// synchronous), and the rest exists only on a server.
 type Config struct {
 	Run           core.Config
-	Async         core.AsyncConfig
 	NumClients    int
 	RoundDeadline time.Duration
-	Quorum        float64 // fraction of a round's clients in (0, 1]; 0 when MinUpdates rules
-	MinUpdates    int     // absolute quorum; 0 in fractional mode
+	Quorum        float64 // a fraction of a round's peers in (0, 1], or an absolute count above 1
 	Relays        int     // hierarchical mode: regions to accept; 0 = flat
 	SchedName     string  // the -sched name, tagged even when no scheduler runs
+}
+
+// Validate is the rulebook of a served run, for Serve and for
+// cmd/fedserver's flags alike, so each message names the flag its field
+// comes from. The peers a round can contact are the relay regions in
+// hierarchical mode and the clients otherwise; a quorum, a cohort and a
+// buffer must each be reachable from them, since no round could otherwise
+// succeed. A buffer replaces the synchronous round's admission rules (the
+// cohort, the quorum) and refuses the codecs that decode against the
+// round's broadcast, which buffered clients no longer share.
+func (c Config) Validate() error {
+	run := c.Run
+	peers := c.NumClients
+	if c.Relays > 0 {
+		peers = c.Relays
+	}
+	roundSize := peers
+	if run.CohortSize > 0 {
+		roundSize = run.CohortSize
+	}
+	codec, _, err := c.codec()
+	switch {
+	case c.NumClients <= 0:
+		return fmt.Errorf("-clients %d must be positive", c.NumClients)
+	case run.Rounds <= 0:
+		return fmt.Errorf("-rounds %d must be positive", run.Rounds)
+	case run.LocalEpochs <= 0:
+		return fmt.Errorf("-epochs %d must be positive", run.LocalEpochs)
+	case !(run.SelectFraction > 0 && run.SelectFraction <= 1):
+		return fmt.Errorf("-fraction %v outside (0, 1]", run.SelectFraction)
+	case err != nil:
+		return fmt.Errorf("-codec: %w", err)
+	case !(c.Quorum > 0):
+		return fmt.Errorf("-quorum %v must be positive", c.Quorum)
+	case c.RoundDeadline < 0:
+		return fmt.Errorf("-round-deadline %v is negative", c.RoundDeadline)
+	case c.Relays < 0 || c.Relays > c.NumClients:
+		return fmt.Errorf("-relays %d outside [0, %d], the -clients count: every region needs at least one leaf client",
+			c.Relays, c.NumClients)
+	case run.CohortSize < 0 || run.CohortSize > peers:
+		return fmt.Errorf("-cohort %d outside [0, %d], the peers a round can contact (-relays %d, -clients %d)",
+			run.CohortSize, peers, c.Relays, c.NumClients)
+	case c.Quorum > 1 && c.Quorum != math.Trunc(c.Quorum):
+		return fmt.Errorf("-quorum %v: values above 1 are absolute update counts and must be integers", c.Quorum)
+	case c.Quorum > float64(roundSize):
+		return fmt.Errorf("-quorum %v exceeds the %d participants a round can contact "+
+			"(-cohort %d, -relays %d, -clients %d): no round could ever succeed",
+			c.Quorum, roundSize, run.CohortSize, c.Relays, c.NumClients)
+	case run.Async.Buffer < 0 || run.Async.Buffer > peers:
+		return fmt.Errorf("-buffer %d outside [0, %d], the peers a round can contact (-relays %d, -clients %d): "+
+			"each holds at most one outstanding update, so the buffer could never fill",
+			run.Async.Buffer, peers, c.Relays, c.NumClients)
+	case run.Async.Buffer == 0:
+		return nil
+	case run.CohortSize > 0:
+		return fmt.Errorf("-cohort %d schedules synchronous rounds and cannot combine with -buffer %d: "+
+			"the async engine dispatches to every idle client at each aggregation; drop -cohort or -buffer",
+			run.CohortSize, run.Async.Buffer)
+	case c.Quorum != 1:
+		return fmt.Errorf("-quorum %v gates synchronous rounds and -buffer %d is the async aggregation trigger: "+
+			"the two admission rules are mutually exclusive; drop -quorum or -buffer", c.Quorum, run.Async.Buffer)
+	case codec != nil && codec.NeedsReference():
+		return fmt.Errorf("-codec %s cannot combine with -buffer: the codec decodes against "+
+			"the round's broadcast reference, which buffered-async clients no longer share; use float16", codec.Name())
+	}
+	return nil
+}
+
+// staleness is the discount a buffered run weighs updates by: identity for a
+// synchronous run or a nil Run.Async.Weigher, as for the Runner.
+func (c Config) staleness() strategy.StalenessWeigher {
+	if c.Run.Async.Buffer == 0 || c.Run.Async.Weigher == nil {
+		return strategy.IdentityStaleness()
+	}
+	return c.Run.Async.Weigher
 }
 
 // DefaultRecipe is the client recipe fedserver sends, and the one every
@@ -113,16 +187,21 @@ func (c Config) recipe() (comm.RoundStart, models.FinetunePart, error) {
 // stores cannot change what it computes. TagConfig hashes each part's type
 // and value, so the part types here are part of the checkpoint format.
 func (c Config) ConfigTag() uint64 {
+	// An absolute quorum keeps the tag it had as its own field: 0.0 in the
+	// quorum slot and an appended part. Like the tier distribution it is
+	// appended only when set, so untiered fractional-quorum servers keep their
+	// pre-tier tags — and their committed checkpoints — unchanged.
+	quorum, absolute := c.Quorum, 0
+	if quorum > 1 {
+		quorum, absolute = 0, int(c.Quorum)
+	}
 	parts := []any{c.NumClients, c.Run.SelectFraction, c.Run.LocalEpochs, c.Run.CohortSize, c.SchedName,
-		c.Quorum, c.RoundDeadline}
+		quorum, c.RoundDeadline}
 	if s := c.TaggedStrategy(); s != nil {
 		parts = append(parts, s.Fingerprint())
 	}
-	// Absolute quorum and tier distribution are appended only when set, so
-	// untiered fractional-quorum servers keep their pre-tier tags — and
-	// their committed checkpoints — unchanged.
-	if c.MinUpdates > 0 {
-		parts = append(parts, fmt.Sprintf("minupdates:%d", c.MinUpdates))
+	if absolute > 0 {
+		parts = append(parts, fmt.Sprintf("minupdates:%d", absolute))
 	}
 	if c.Run.TierDist != nil {
 		parts = append(parts, "tiers:"+c.Run.TierDist.String())
@@ -134,10 +213,10 @@ func (c Config) ConfigTag() uint64 {
 	if c.Relays > 0 {
 		parts = append(parts, fmt.Sprintf("relays:%d", c.Relays))
 	}
-	if c.Async.Buffer > 0 {
-		parts = append(parts, fmt.Sprintf("buffer:%d", c.Async.Buffer), "staleness:"+c.Async.Weigher.Name())
-		if c.Async.MaxStaleness >= 0 {
-			parts = append(parts, fmt.Sprintf("maxstale:%d", c.Async.MaxStaleness))
+	if async := c.Run.Async; async.Buffer > 0 {
+		parts = append(parts, fmt.Sprintf("buffer:%d", async.Buffer), "staleness:"+c.staleness().Name())
+		if async.MaxStaleness >= 0 {
+			parts = append(parts, fmt.Sprintf("maxstale:%d", async.MaxStaleness))
 		}
 	}
 	// A lossy codec changes every update that enters the aggregate; identity
@@ -174,11 +253,13 @@ type progress struct {
 //
 // Serve reads Run's Rounds, Seed, Strategy (nil is strategy.FedAvg(), as for
 // the Runner), FinetunePart (applied to global, as the Runner applies it),
-// CohortSize and Scheduler, CheckpointDir and Codec, and the client recipe
-// every RoundStart carries: LocalEpochs, SelectFraction, LR, Momentum,
-// Selector, TierDist and the Strategy's local hook. Clients train at core's
-// BatchSize and WeightDecay defaults, and Serve refuses a Run that sets
-// others.
+// CohortSize and Scheduler (nil samples uniformly, as for the Runner), Async,
+// CheckpointDir and Codec, and the client recipe every RoundStart carries:
+// LocalEpochs, SelectFraction, LR, Momentum, Selector, TierDist and the
+// Strategy's local hook. Clients train at core's BatchSize and WeightDecay
+// defaults, and Serve refuses a Run that sets others. It returns
+// Config.Validate's error before it touches the listener, the model or the
+// test set.
 //
 // With Run.CheckpointDir it snapshots after every round and warm-starts from
 // the latest checkpoint, so a crashed-and-restarted server resumes the
@@ -186,7 +267,13 @@ type progress struct {
 // round numbering).
 func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset) (core.History, error) {
 	st := &progress{tracker: sched.NewTracker()}
+	if err := cfg.Validate(); err != nil {
+		return st.hist, err
+	}
 	cfg.Run.Strategy = cmp.Or[strategy.Strategy](cfg.Run.Strategy, strategy.FedAvg())
+	if cfg.Run.CohortSize > 0 {
+		cfg.Run.Scheduler = cmp.Or[sched.Scheduler](cfg.Run.Scheduler, sched.UniformRandom{})
+	}
 	start, part, err := cfg.recipe()
 	if err != nil {
 		return st.hist, err
@@ -236,8 +323,8 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	// but were not aggregated, so a restarted buffered server resumes without
 	// losing them.
 	engine, err := comm.NewRoundEngine(sess, comm.EngineConfig{
-		RoundDeadline: cfg.RoundDeadline, Quorum: cfg.Quorum, MinUpdates: cfg.MinUpdates,
-		Buffer: cfg.Async.Buffer, MaxStaleness: cfg.Async.MaxStaleness})
+		RoundDeadline: cfg.RoundDeadline, Quorum: cfg.Quorum,
+		Buffer: cfg.Run.Async.Buffer, MaxStaleness: cfg.Run.Async.MaxStaleness})
 	if err != nil {
 		return st.hist, err
 	}
@@ -246,9 +333,9 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 			return st.hist, err
 		}
 	}
-	if cfg.Async.Buffer > 0 {
+	if cfg.Run.Async.Buffer > 0 {
 		log.Printf("async: buffer %d, staleness %s, model v%d, %d buffered updates",
-			cfg.Async.Buffer, cfg.Async.Weigher.Name(), engine.Version(), len(engine.Buffered()))
+			cfg.Run.Async.Buffer, cfg.staleness().Name(), engine.Version(), len(engine.Buffered()))
 	}
 	// A relay region is a process worth restarting: keep the listener
 	// admitting behind the round loop so a crashed relay re-registers and
@@ -279,12 +366,8 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	if cfg.Relays > 0 {
 		bcastLayout = layout
 	}
-	stale := cfg.Async.Weigher
-	if cfg.Async.Buffer == 0 {
-		stale = strategy.IdentityStaleness()
-	}
 	agg, err := comm.NewMaskedStreamAggregator(
-		core.UpdateWeigher(cfg.Run.Strategy, stale, engine.Version, sess.LocalSize), commGroups, layout)
+		core.UpdateWeigher(cfg.Run.Strategy, cfg.staleness(), engine.Version, sess.LocalSize), commGroups, layout)
 	if err != nil {
 		return st.hist, err
 	}
@@ -398,7 +481,7 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 			// Only a buffered run carries engine state: without it the
 			// checkpoint bytes stay identical to pre-async servers.
 			var async *core.AsyncState
-			if cfg.Async.Buffer > 0 {
+			if cfg.Run.Async.Buffer > 0 {
 				async = &core.AsyncState{Version: engine.Version(), Buffer: engine.Buffered()}
 			}
 			if err := snapshot(cfg, round, global, st, async); err != nil {

@@ -81,7 +81,7 @@ func TestSimulatorMatchesLoopbackFederation(t *testing.T) {
 				}
 			}
 
-			cfg := Config{Run: run, NumClients: numClients, Quorum: 1, Async: core.AsyncConfig{MaxStaleness: -1}}
+			cfg := Config{Run: run, NumClients: numClients, Quorum: 1}
 			served, servedModel, err := servePipes(t, w, cfg, func(conn comm.Conn, id int) error {
 				model, err := w.Global.Clone()
 				if err != nil {

@@ -319,11 +319,13 @@ func TestFleetAsyncFullBufferMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	asyncModel := build()
-	asyncRunner, err := core.NewRunnerWithSource(fleetCfg(4, 4), asyncModel, f2, test)
+	asyncCfg := fleetCfg(4, 4)
+	asyncCfg.Async = core.AsyncConfig{Buffer: 4, MaxStaleness: -1}
+	asyncRunner, err := core.NewRunnerWithSource(asyncCfg, asyncModel, f2, test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	asyncHist, err := asyncRunner.RunAsync(core.AsyncConfig{Buffer: 4, MaxStaleness: -1})
+	asyncHist, err := asyncRunner.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,12 +353,13 @@ func TestFleetAsyncTraceDeterministic(t *testing.T) {
 		}
 		cfg := fleetCfg(6, 6)
 		cfg.Scheduler = tr.Scheduler(sched.UniformRandom{})
+		cfg.Async = core.AsyncConfig{Buffer: 3, MaxStaleness: 2}
 		m := build()
 		r, err := core.NewRunnerWithSource(cfg, m, f, test)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hist, err := r.RunAsync(core.AsyncConfig{Buffer: 3, MaxStaleness: 2})
+		hist, err := r.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,10 +389,11 @@ func TestFleetAsyncTraceDeterministic(t *testing.T) {
 }
 
 // TestRunFleetAsyncValidation pins what overlapping rounds over a fleet still
-// refuse — a buffer outside [1, window] — and that the rest of the old
-// fail-fast surface now runs: a fleet source without a scheduler (the window
-// is then the fleet), a cohort larger than the fleet (clamped, as Run always
-// did) and an uplink codec.
+// refuse — a buffer outside [0, window] — and that the rest of the old
+// fail-fast surface now runs: a zero buffer (the synchronous run), a fleet
+// source without a scheduler (the window is then the fleet), a cohort larger
+// than the fleet (clamped, as synchronous runs always were) and an uplink
+// codec.
 func TestRunFleetAsyncValidation(t *testing.T) {
 	spec, test, build := fixture(t, 8)
 
@@ -400,7 +404,8 @@ func TestRunFleetAsyncValidation(t *testing.T) {
 		acfg    core.AsyncConfig
 		refused bool
 	}{
-		{"zero buffer", nil, acfg(0), true},
+		{"negative buffer", nil, acfg(-1), true},
+		{"zero buffer", nil, acfg(0), false},
 		{"buffer exceeds window", nil, acfg(5), true},
 		{"no scheduler", func(c *core.Config) { c.Scheduler, c.CohortSize = nil, 0 }, acfg(5), false},
 		{"window exceeds fleet", func(c *core.Config) { c.CohortSize = 9 }, acfg(8), false},
@@ -416,11 +421,12 @@ func TestRunFleetAsyncValidation(t *testing.T) {
 			if tt.mutate != nil {
 				tt.mutate(&cfg)
 			}
+			cfg.Async = tt.acfg
 			r, err := core.NewRunnerWithSource(cfg, build(), f, test)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hist, err := r.RunAsync(tt.acfg)
+			hist, err := r.Run()
 			switch {
 			case tt.refused && !errors.Is(err, core.ErrConfig):
 				t.Fatalf("err %v, want ErrConfig", err)
@@ -458,13 +464,13 @@ func TestFleetAsyncPartialBufferDigests(t *testing.T) {
 			}
 			cfg := fleetCfg(tt.rounds, 6)
 			cfg.Scheduler = tr.Scheduler(sched.UniformRandom{})
+			cfg.Async = core.AsyncConfig{Buffer: 3, MaxStaleness: tt.maxStaleness, Weigher: strategy.InvSqrtStaleness()}
 			m := build()
 			r, err := core.NewRunnerWithSource(cfg, m, f, test)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hist, err := r.RunAsync(core.AsyncConfig{Buffer: 3, MaxStaleness: tt.maxStaleness,
-				Weigher: strategy.InvSqrtStaleness()})
+			hist, err := r.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
