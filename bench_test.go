@@ -45,8 +45,9 @@ func BenchmarkTable1Pretraining(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(100*res.Rows[0].AccAlpha01, "nopt_acc01_%")
-		b.ReportMetric(100*res.Rows[2].AccAlpha01, "broadpt_acc01_%")
+		// Cells run alpha-major: none, close source, broad source at Diri(0.1) first.
+		b.ReportMetric(100*res.Cells[0].Hist.BestAccuracy, "nopt_acc01_%")
+		b.ReportMetric(100*res.Cells[2].Hist.BestAccuracy, "broadpt_acc01_%")
 	}
 }
 
@@ -58,10 +59,10 @@ func BenchmarkTable2CloseDomain(b *testing.B) {
 			b.Fatal(err)
 		}
 		if eds, ok := res.Get("FedFT-EDS (10%)", "synthc10", 0.1); ok {
-			b.ReportMetric(100*eds.BestAccuracy, "eds10_acc_%")
+			b.ReportMetric(100*eds.Hist.BestAccuracy, "eds10_acc_%")
 		}
 		if avg, ok := res.Get("FedAvg", "synthc10", 0.1); ok {
-			b.ReportMetric(100*avg.BestAccuracy, "fedavg_acc_%")
+			b.ReportMetric(100*avg.Hist.BestAccuracy, "fedavg_acc_%")
 		}
 	}
 }
@@ -91,8 +92,10 @@ func BenchmarkFigure6LearningEfficiency(b *testing.B) {
 		if !ok1 || !ok2 {
 			b.Fatal("missing cells")
 		}
-		if avg.Efficiency > 0 {
-			b.ReportMetric(eds.Efficiency/avg.Efficiency, "eds_vs_fedavg_efficiency_x")
+		edsEff, err1 := eds.Hist.LearningEfficiency()
+		avgEff, err2 := avg.Hist.LearningEfficiency()
+		if err1 == nil && err2 == nil && avgEff > 0 {
+			b.ReportMetric(edsEff/avgEff, "eds_vs_fedavg_efficiency_x")
 		}
 	}
 }
@@ -105,10 +108,10 @@ func BenchmarkTable3Stragglers(b *testing.B) {
 			b.Fatal(err)
 		}
 		if eds, ok := res.Get("FedFT-EDS (50%)", "synthc10", 0.1); ok {
-			b.ReportMetric(100*eds.BestAccuracy, "eds50_acc_%")
+			b.ReportMetric(100*eds.Hist.BestAccuracy, "eds50_acc_%")
 		}
 		if ten, ok := res.Get("FedAvg 10% c.p.", "synthc10", 0.1); ok {
-			b.ReportMetric(100*ten.BestAccuracy, "fedavg10cp_acc_%")
+			b.ReportMetric(100*ten.Hist.BestAccuracy, "fedavg10cp_acc_%")
 		}
 	}
 }
@@ -159,8 +162,8 @@ func BenchmarkTable4CrossDomain(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if row, ok := res.Get("FedFT-EDS (50%)"); ok {
-			b.ReportMetric(100*row.Accuracy, "eds50_far_acc_%")
+		if row, ok := res.Get("FedFT-EDS (50%)", env.Suite.Far.Spec.Name, 0.1); ok {
+			b.ReportMetric(100*row.Hist.BestAccuracy, "eds50_far_acc_%")
 		}
 	}
 }
@@ -218,8 +221,9 @@ func BenchmarkFigure10aFinetunePart(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(100*res.EDS[3], "classifier_eds_acc_%")
-		b.ReportMetric(100*res.EDS[0], "full_eds_acc_%")
+		// EDS and RDS alternate per part: full, large, moderate, classifier.
+		b.ReportMetric(100*res.Cells[6].Hist.BestAccuracy, "classifier_eds_acc_%")
+		b.ReportMetric(100*res.Cells[0].Hist.BestAccuracy, "full_eds_acc_%")
 	}
 }
 
@@ -230,8 +234,9 @@ func BenchmarkFigure10bHeterogeneity(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(100*res.EDS[0], "eds_alpha001_acc_%")
-		b.ReportMetric(100*res.EDS[4], "eds_alpha1_acc_%")
+		// EDS and RDS per alpha: 0.01, 0.05, 0.1, 0.5, 1.
+		b.ReportMetric(100*res.Cells[0].Hist.BestAccuracy, "eds_alpha001_acc_%")
+		b.ReportMetric(100*res.Cells[8].Hist.BestAccuracy, "eds_alpha1_acc_%")
 	}
 }
 
@@ -242,8 +247,9 @@ func BenchmarkFigure10cTemperature(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(100*res.EDS[1], "eds_rho01_acc_%")
-		b.ReportMetric(100*res.RDSBaseline, "rds_acc_%")
+		// The RDS baseline, then EDS at ρ = 0.01, 0.1, ...
+		b.ReportMetric(100*res.Cells[2].Hist.BestAccuracy, "eds_rho01_acc_%")
+		b.ReportMetric(100*res.Cells[0].Hist.BestAccuracy, "rds_acc_%")
 	}
 }
 
@@ -254,8 +260,8 @@ func BenchmarkAblationBatchEntropy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if row, ok := res.Get("sample-level EDS"); ok {
-			b.ReportMetric(100*row.BestAccuracy, "sample_eds_acc_%")
+		if row, ok := res.Get("sample-level EDS", "synthc10", 0.1); ok {
+			b.ReportMetric(100*row.Hist.BestAccuracy, "sample_eds_acc_%")
 		}
 	}
 }
@@ -267,8 +273,8 @@ func BenchmarkAblationAggWeighting(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if row, ok := res.Get("selected"); ok {
-			b.ReportMetric(100*row.BestAccuracy, "selected_weighting_acc_%")
+		if row, ok := res.Get("selected", "synthc10", 0.1); ok {
+			b.ReportMetric(100*row.Hist.BestAccuracy, "selected_weighting_acc_%")
 		}
 	}
 }
@@ -280,8 +286,8 @@ func BenchmarkAblationAcquisition(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if row, ok := res.Get("entropy (hardened ρ=0.1)"); ok {
-			b.ReportMetric(100*row.BestAccuracy, "hardened_entropy_acc_%")
+		if row, ok := res.Get("entropy (hardened ρ=0.1)", "synthc10", 0.1); ok {
+			b.ReportMetric(100*row.Hist.BestAccuracy, "hardened_entropy_acc_%")
 		}
 	}
 }

@@ -14,8 +14,10 @@
 // runs continue mid-run, bit-identical to an uninterrupted sweep.
 //
 // Experiment ids: table1 table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6
-// fig7 fig8 fig9 fig10a fig10b fig10c ablations sched strategies tiers async
-// codecs fleet fleetday all. See DESIGN.md for the experiment index.
+// fig7 fig8 fig9 fig10a fig10a-indomain fig10b fig10c ablations sched
+// strategies tiers async codecs fleet fleetday all (fig10a-indomain, Fig. 10a
+// with in-domain pretraining, runs only when named). See DESIGN.md for the
+// experiment index.
 //
 // The sched experiment compares cohort-scheduling policies (accuracy vs
 // cumulative client-seconds at a fixed cohort size K). -sched narrows it to
@@ -87,7 +89,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("fedsim", flag.ContinueOnError)
-	expFlag := fs.String("exp", "all", "experiment id (table1..table4, fig1..fig10c, ablations, sched, strategies, tiers, async, codecs, fleet, fleetday, all)")
+	expFlag := fs.String("exp", "all", "experiment id (table1..table4, fig1..fig10c, fig10a-indomain, ablations, sched, strategies, tiers, async, codecs, fleet, fleetday, all)")
 	scaleFlag := fs.String("scale", "fast", "experiment scale: smoke, fast or full")
 	seedFlag := fs.Int64("seed", 1, "run seed")
 	// Each comparison axis brings its own narrowing flag (-sched, -strategy,
@@ -231,10 +233,10 @@ func render[R interface{ Render() string }](res R, err error) (string, error) {
 }
 
 // figures renders the given per-(dataset, alpha) figures of one table run
-// for both close-domain datasets and both Dirichlet concentrations.
-func figures(env *experiments.Env, renders ...func(dataset string, alpha float64) string) string {
+// for each of its datasets and both Dirichlet concentrations.
+func figures(res *experiments.Result, renders ...func(dataset string, alpha float64) string) string {
 	var b strings.Builder
-	for _, ds := range resultDatasets(env) {
+	for _, ds := range res.Datasets() {
 		for _, alpha := range []float64{0.1, 0.5} {
 			for _, fig := range renders {
 				b.WriteString(fig(ds, alpha))
@@ -271,11 +273,11 @@ func runExperiment(env *experiments.Env, id string, opts options) (string, error
 		case "table2":
 			return res.Render(), nil
 		case "fig5":
-			return figures(env, res.RenderFigure5), nil
+			return figures(res, res.RenderFigure5), nil
 		case "fig6":
-			return figures(env, res.RenderFigure6), nil
+			return figures(res, res.RenderFigure6), nil
 		}
-		return res.Render() + "\n" + figures(env, res.RenderFigure5, res.RenderFigure6), nil
+		return res.Render() + "\n" + figures(res, res.RenderFigure5, res.RenderFigure6), nil
 	case "table3", "table3+figs", "fig7", "fig8", "fig9":
 		res, err := experiments.RunTable3(env)
 		if err != nil {
@@ -285,13 +287,13 @@ func runExperiment(env *experiments.Env, id string, opts options) (string, error
 		case "table3":
 			return res.Render(), nil
 		case "fig7":
-			return figures(env, res.RenderFigure7), nil
+			return figures(res, res.RenderFigure7), nil
 		case "fig8":
-			return figures(env, res.RenderFigure8), nil
+			return figures(res, res.RenderFigure8), nil
 		case "fig9":
-			return figures(env, res.RenderFigure9), nil
+			return figures(res, res.RenderFigure9), nil
 		}
-		return res.Render() + "\n" + figures(env, res.RenderFigure7, res.RenderFigure8, res.RenderFigure9), nil
+		return res.Render() + "\n" + figures(res, res.RenderFigure7, res.RenderFigure8, res.RenderFigure9), nil
 	case "table1":
 		return render(experiments.RunTable1(env))
 	case "table4":
@@ -313,7 +315,7 @@ func runExperiment(env *experiments.Env, id string, opts options) (string, error
 		return render(experiments.RunFig10c(env))
 	case "ablations":
 		var b strings.Builder
-		for _, run := range []func(*experiments.Env) (*experiments.AblationResult, error){
+		for _, run := range []func(*experiments.Env) (*experiments.Result, error){
 			experiments.RunAblationBatchEntropy,
 			experiments.RunAblationAggWeighting,
 			experiments.RunAblationAcquisition,
@@ -328,21 +330,4 @@ func runExperiment(env *experiments.Env, id string, opts options) (string, error
 	default:
 		return "", fmt.Errorf("unknown experiment id %q", id)
 	}
-}
-
-// dsName maps the canonical id to the scale-specific target-100 name.
-func dsName(env *experiments.Env, id string) string {
-	if id == "synthc10" {
-		return "synthc10"
-	}
-	t100, err := env.Target100()
-	if err != nil {
-		return id
-	}
-	return t100.Spec.Name
-}
-
-// resultDatasets lists the two close-domain dataset names at this scale.
-func resultDatasets(env *experiments.Env) []string {
-	return []string{"synthc10", dsName(env, "synthc100")}
 }

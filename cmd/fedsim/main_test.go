@@ -1,7 +1,11 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -201,5 +205,87 @@ func TestRunWithCheckpointResume(t *testing.T) {
 	}
 	if err := run(append(args, "-resume")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what it printed.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	err = func() error {
+		defer func() { os.Stdout = stdout }()
+		return f()
+	}()
+	w.Close()
+	out := <-printed
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestExpAllDigest is CI's simulator output gate for the whole sweep: every
+// table, figure, ablation and comparison at smoke scale, seed 1, as printed
+// without its timing lines (`fedsim -exp all -scale smoke -seed 1 | grep -v
+// 'completed in' | sha256sum`). Any change to what an experiment computes or
+// prints fails here.
+func TestExpAllDigest(t *testing.T) {
+	const want = "d9d02080b863e1467d7732864cd89bd8ced401f58d6fba545e5d06415ebc6d55"
+	out := captureStdout(t, func() error { return run([]string{"-exp", "all", "-scale", "smoke", "-seed", "1"}) })
+	var kept strings.Builder
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if !strings.Contains(line, "completed in") {
+			kept.WriteString(line)
+		}
+	}
+	sum := sha256.Sum256([]byte(kept.String()))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("fedsim -exp all digest %s, want %s", got, want)
+	}
+}
+
+// TestRunNamesPinned: a run's name keys its directory in the artifact store,
+// so renaming a run orphans its stored checkpoints. testdata/run-names.txt
+// lists the directories every -exp all run and fig10a-indomain leave at
+// smoke scale, seed 1.
+func TestRunNamesPinned(t *testing.T) {
+	dir := t.TempDir()
+	for _, exp := range []string{"all", "fig10a-indomain"} {
+		captureStdout(t, func() error {
+			return run([]string{"-exp", exp, "-scale", "smoke", "-seed", "1", "-ckpt-dir", dir})
+		})
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	pinned, err := os.ReadFile("testdata/run-names.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(string(pinned))
+	for _, name := range want {
+		if !slices.Contains(got, name) {
+			t.Errorf("run %s is gone", name)
+		}
+	}
+	for _, name := range got {
+		if !slices.Contains(want, name) {
+			t.Errorf("run %s is new", name)
+		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package experiments assembles the paper's evaluation: one constructor per
 // table and figure, sized by a fast/full Scale, all deterministic from a
-// single seed. Each experiment returns a typed result with both the raw
-// numbers (consumed by tests and benches) and a Render method that prints
+// single seed. Every experiment that compares training configurations is one
+// Grid of federations × arms (grid.go); it returns a Result holding one Cell
+// per run (consumed by tests and benches) and a Render method that prints
 // rows shaped like the paper's artifact.
 //
 // The per-experiment index lives in DESIGN.md; paper-vs-measured shape checks
@@ -20,10 +21,7 @@ import (
 	"fedfteds/internal/models"
 	"fedfteds/internal/partition"
 	"fedfteds/internal/seeds"
-	"fedfteds/internal/selection"
 	"fedfteds/internal/simtime"
-	"fedfteds/internal/strategy"
-	"fedfteds/internal/tensor"
 )
 
 // ErrExperiment reports an invalid experiment configuration.
@@ -172,7 +170,7 @@ type Env struct {
 
 	pretrained map[string]*models.Model // cached source-pretrained models, by domain name
 	target100  *data.Domain             // scale-sized "CIFAR-100" analogue, lazily built
-	ckptPolicy CheckpointPolicy         // artifact-store policy applied to every RunFL
+	ckptPolicy CheckpointPolicy         // artifact-store policy applied to every run
 }
 
 // CheckpointPolicy turns the experiment harness's checkpoint directory into
@@ -218,20 +216,10 @@ func sanitizeRunName(s string) string {
 	}, s)
 }
 
-// RunFL builds a runner for one federated configuration and executes it
-// under the environment's checkpoint policy. runName must uniquely identify
-// the run within a sweep (it keys the run's artifact subdirectory); every
-// experiment launches its runs through this helper so the whole sweep shares
-// one resume discipline.
-func (e *Env) RunFL(runName string, cfg core.Config, global *models.Model, clients []*core.Client, test *data.Dataset) (core.History, error) {
-	return e.runFL(runName, cfg, func(cfg core.Config) (*core.Runner, error) {
-		return core.NewRunner(cfg, global, clients, test)
-	})
-}
-
-// runFL is the artifact-store discipline around one run, whatever its
-// clients come from and however far its rounds overlap: newRunner builds the
-// runner once cfg carries the run's checkpoint directory. A buffered run
+// runFL is the artifact-store discipline around one run, runGrid's and the
+// fleet experiments' alike, whatever its clients come from and however far
+// its rounds overlap: newRunner builds the runner once cfg carries the run's
+// checkpoint directory. A buffered run
 // (cfg.Async.Buffer set) keeps updates in flight across aggregations, which
 // the checkpoint format cannot hold, so it runs outside the checkpoint policy.
 func (e *Env) runFL(runName string, cfg core.Config, newRunner func(core.Config) (*core.Runner, error)) (core.History, error) {
@@ -411,88 +399,6 @@ func (e *Env) BuildFederationSized(domain *data.Domain, numClients, samplesPerCl
 		clients[i] = &core.Client{ID: i, Data: ds, Device: devices[i]}
 	}
 	return &Federation{Clients: clients, Pool: pool, Test: test, Alpha: alpha}, nil
-}
-
-// Method describes one named FL configuration of the paper's comparison.
-type Method struct {
-	// Name is the paper's label, e.g. "FedFT-EDS (10%)".
-	Name string
-	// Pretrained selects whether the global model starts from the pretrained
-	// feature extractor.
-	Pretrained bool
-	// Part is the partial-training setting.
-	Part models.FinetunePart
-	// Selector and Fraction define the data selection.
-	Selector selection.Selector
-	// Fraction is P_ds.
-	Fraction float64
-	// ProxMu, when positive, runs the arm under strategy.FedProx(ProxMu).
-	ProxMu float64
-	// Straggler overrides full participation when non-nil.
-	Straggler simtime.StragglerPolicy
-}
-
-// standardMethods returns the paper's Table II method list.
-func standardMethods(pds float64) []Method {
-	return []Method{
-		{Name: "FedAvg w/o pt", Pretrained: false, Part: models.FinetuneFull, Selector: selection.All{}, Fraction: 1},
-		{Name: "FedAvg", Pretrained: true, Part: models.FinetuneFull, Selector: selection.All{}, Fraction: 1},
-		{Name: fmt.Sprintf("FedAvg-RDS (%.0f%%)", pds*100), Pretrained: true, Part: models.FinetuneFull, Selector: selection.Random{}, Fraction: pds},
-		{Name: "FedProx", Pretrained: true, Part: models.FinetuneFull, Selector: selection.All{}, Fraction: 1, ProxMu: paperProxMu},
-		{Name: fmt.Sprintf("FedProx-RDS (%.0f%%)", pds*100), Pretrained: true, Part: models.FinetuneFull, Selector: selection.Random{}, Fraction: pds, ProxMu: paperProxMu},
-		{Name: fmt.Sprintf("FedFT-RDS (%.0f%%)", pds*100), Pretrained: true, Part: models.FinetuneModerate, Selector: selection.Random{}, Fraction: pds},
-		{Name: fmt.Sprintf("FedFT-EDS (%.0f%%)", pds*100), Pretrained: true, Part: models.FinetuneModerate, Selector: selection.Entropy{Temperature: paperTemperature}, Fraction: pds},
-	}
-}
-
-// RunMethod executes one method on a federation and returns its history.
-func (e *Env) RunMethod(m Method, fed *Federation, target, source *data.Domain, seedSalt int64) (core.History, error) {
-	var (
-		global *models.Model
-		err    error
-	)
-	if m.Pretrained {
-		global, err = e.PretrainedModel(target, source)
-	} else {
-		global, err = e.FreshModel(target)
-	}
-	if err != nil {
-		return core.History{}, fmt.Errorf("experiments: %s: model: %w", m.Name, err)
-	}
-	cfg := e.baseConfig(tensor.DeriveSeed(uint64(e.Seed), uint64(seedSalt), hashName(m.Name)))
-	if m.ProxMu > 0 {
-		if cfg.Strategy, err = strategy.FedProx(m.ProxMu); err != nil {
-			return core.History{}, fmt.Errorf("experiments: %s: %w", m.Name, err)
-		}
-	}
-	cfg.FinetunePart = m.Part
-	cfg.Selector, cfg.SelectFraction = m.Selector, m.Fraction
-	cfg.Straggler = m.Straggler
-	// The run name keys the checkpoint artifact store, so it carries every
-	// axis that distinguishes otherwise identically-seeded runs: target and
-	// source domains, federation shape, method and salt.
-	runName := fmt.Sprintf("%s-from-%s-a%g-c%d-n%d-%s-s%d",
-		target.Spec.Name, source.Spec.Name, fed.Alpha, len(fed.Clients), fed.Pool.Len(), m.Name, seedSalt)
-	return e.RunFL(runName, cfg, global, fed.Clients, fed.Test)
-}
-
-// RunCentralized trains the centralized upper bound on the federation pool.
-func (e *Env) RunCentralized(fed *Federation, target, source *data.Domain) (core.CentralHistory, error) {
-	global, err := e.PretrainedModel(target, source)
-	if err != nil {
-		return core.CentralHistory{}, err
-	}
-	// The centralized baseline trains the full model on all pooled data for
-	// as many epochs as the federated runs take rounds.
-	if err := global.SetFinetunePart(models.FinetuneFull); err != nil {
-		return core.CentralHistory{}, err
-	}
-	return core.TrainCentralized(global, fed.Pool, fed.Test, core.CentralConfig{
-		Epochs:   e.Dims.Rounds,
-		LR:       paperLR,
-		Momentum: paperMomentum,
-		Seed:     e.Seed + 31,
-	})
 }
 
 // hashName derives a stable salt from a method name.

@@ -9,9 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"fedfteds/internal/core"
 	"fedfteds/internal/models"
-	"fedfteds/internal/selection"
 )
 
 // smokeEnv returns a shared tiny environment. Experiments under ScaleSmoke
@@ -130,12 +128,12 @@ func TestRunTable1Structure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(res.Rows))
+	// Three pretraining regimes under two alphas.
+	if len(res.Cells) != 3*2 {
+		t.Fatalf("%d cells, want 6", len(res.Cells))
 	}
-	for _, row := range res.Rows {
-		assertAcc(t, row.Pretraining, row.AccAlpha01)
-		assertAcc(t, row.Pretraining, row.AccAlpha05)
+	for _, c := range res.Cells {
+		assertAcc(t, c.Arm.Label, c.Hist.BestAccuracy)
 	}
 	out := res.Render()
 	if !strings.Contains(out, "Diri(0.1)") || !strings.Contains(out, "none") {
@@ -154,9 +152,9 @@ func TestRunTable2Structure(t *testing.T) {
 		t.Fatalf("%d cells, want 32", len(res.Cells))
 	}
 	for _, c := range res.Cells {
-		assertAcc(t, c.Method, c.BestAccuracy)
-		if c.Method != "Centralised" && len(c.Curve) != env.Dims.Rounds {
-			t.Fatalf("%s: curve length %d", c.Method, len(c.Curve))
+		assertAcc(t, c.Arm.Label, c.Hist.BestAccuracy)
+		if c.Arm.Label != "Centralised" && len(c.Hist.Curve()) != env.Dims.Rounds {
+			t.Fatalf("%s: curve length %d", c.Arm.Label, len(c.Hist.Curve()))
 		}
 	}
 	if _, ok := res.Get("FedFT-EDS (10%)", "synthc10", 0.1); !ok {
@@ -165,12 +163,12 @@ func TestRunTable2Structure(t *testing.T) {
 	// FedFT must communicate less than FedAvg.
 	eds, _ := res.Get("FedFT-EDS (10%)", "synthc10", 0.1)
 	avg, _ := res.Get("FedAvg", "synthc10", 0.1)
-	if eds.UplinkBytes >= avg.UplinkBytes {
-		t.Fatalf("FedFT uplink %d >= FedAvg %d", eds.UplinkBytes, avg.UplinkBytes)
+	if eds.Hist.TotalUplinkBytes >= avg.Hist.TotalUplinkBytes {
+		t.Fatalf("FedFT uplink %d >= FedAvg %d", eds.Hist.TotalUplinkBytes, avg.Hist.TotalUplinkBytes)
 	}
 	// And train for far less simulated time.
-	if eds.TrainSeconds >= avg.TrainSeconds {
-		t.Fatalf("FedFT train seconds %v >= FedAvg %v", eds.TrainSeconds, avg.TrainSeconds)
+	if eds.Hist.TotalTrainSeconds >= avg.Hist.TotalTrainSeconds {
+		t.Fatalf("FedFT train seconds %v >= FedAvg %v", eds.Hist.TotalTrainSeconds, avg.Hist.TotalTrainSeconds)
 	}
 	for _, render := range []string{
 		res.Render(),
@@ -202,21 +200,19 @@ func TestFedFTEDSEfficiencyGate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// RunTable2's federation and seed salt for its first cell.
-			fed, err := env.BuildFederation(env.Suite.Target10, env.Dims.SmallClients, 0.1, 10)
+			// RunTable2's first federation and run salt, two of its arms.
+			var arms []Arm
+			for _, a := range table2Arms() {
+				if a.Label == "FedAvg" || a.Label == "FedFT-EDS (10%)" {
+					arms = append(arms, a)
+				}
+			}
+			res, err := env.runGrid(Grid{Arms: arms, Source: env.Suite.Source, Salt: 2, Feds: []FedSpec{
+				{Target: env.Suite.Target10, Clients: env.Dims.SmallClients, Alpha: 0.1, Salt: 10}}}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hists := map[string]core.History{}
-			for _, m := range standardMethods(table2Pds) {
-				if m.Name != "FedAvg" && m.Name != "FedFT-EDS (10%)" {
-					continue
-				}
-				if hists[m.Name], err = env.RunMethod(m, fed, env.Suite.Target10, env.Suite.Source, 2); err != nil {
-					t.Fatal(err)
-				}
-			}
-			avg, eds := hists["FedAvg"], hists["FedFT-EDS (10%)"]
+			avg, eds := res.Cells[0].Hist, res.Cells[1].Hist
 			avgEff, err := avg.LearningEfficiency()
 			if err != nil {
 				t.Fatal(err)
@@ -254,8 +250,8 @@ func TestRunTable3Structure(t *testing.T) {
 	if !ok1 || !ok2 {
 		t.Fatal("missing FedAvg rows")
 	}
-	if ten.TrainSeconds >= full.TrainSeconds {
-		t.Fatalf("10%% participation time %v >= 100%% time %v", ten.TrainSeconds, full.TrainSeconds)
+	if ten.Hist.TotalTrainSeconds >= full.Hist.TotalTrainSeconds {
+		t.Fatalf("10%% participation time %v >= 100%% time %v", ten.Hist.TotalTrainSeconds, full.Hist.TotalTrainSeconds)
 	}
 	for _, render := range []string{
 		res.Render(),
@@ -275,13 +271,13 @@ func TestRunTable4Structure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 7 {
-		t.Fatalf("%d rows, want 7", len(res.Rows))
+	if len(res.Cells) != 7 {
+		t.Fatalf("%d cells, want 7", len(res.Cells))
 	}
-	for _, row := range res.Rows {
-		assertAcc(t, row.Method, row.Accuracy)
+	for _, c := range res.Cells {
+		assertAcc(t, c.Arm.Label, c.Hist.BestAccuracy)
 	}
-	if _, ok := res.Get("Centralised"); !ok {
+	if _, ok := res.Get("Centralised", env.Suite.Far.Spec.Name, 0.1); !ok {
 		t.Fatal("missing centralized row")
 	}
 	if out := res.Render(); !strings.Contains(out, "FedFT-EDS") {
@@ -362,12 +358,12 @@ func TestRunFig10aStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Parts) != 4 || len(res.EDS) != 4 || len(res.RDS) != 4 {
-		t.Fatalf("parts %v", res.Parts)
+	// EDS and RDS at each of four trainable parts.
+	if len(res.Cells) != 4*2 {
+		t.Fatalf("%d cells, want 8", len(res.Cells))
 	}
-	for i := range res.Parts {
-		assertAcc(t, res.Parts[i].String(), res.EDS[i])
-		assertAcc(t, res.Parts[i].String(), res.RDS[i])
+	for _, c := range res.Cells {
+		assertAcc(t, c.Arm.Label, c.Hist.BestAccuracy)
 	}
 	if out := res.Render(); !strings.Contains(out, "classifier") {
 		t.Fatalf("render:\n%s", out)
@@ -380,12 +376,12 @@ func TestRunFig10bStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Alphas) != 5 {
-		t.Fatalf("alphas %v", res.Alphas)
+	// EDS and RDS under five alphas.
+	if len(res.Cells) != 5*2 {
+		t.Fatalf("%d cells, want 10", len(res.Cells))
 	}
-	for i := range res.Alphas {
-		assertAcc(t, "eds", res.EDS[i])
-		assertAcc(t, "rds", res.RDS[i])
+	for _, c := range res.Cells {
+		assertAcc(t, c.Arm.Label, c.Hist.BestAccuracy)
 	}
 }
 
@@ -395,10 +391,13 @@ func TestRunFig10cStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Temperatures) != 7 || len(res.EDS) != 7 {
-		t.Fatalf("temperatures %v", res.Temperatures)
+	// The RDS baseline and EDS at seven temperatures.
+	if len(res.Cells) != 1+7 {
+		t.Fatalf("%d cells, want 8", len(res.Cells))
 	}
-	assertAcc(t, "rds baseline", res.RDSBaseline)
+	for _, c := range res.Cells {
+		assertAcc(t, c.Arm.Label, c.Hist.BestAccuracy)
+	}
 	if out := res.Render(); !strings.Contains(out, "ρ") {
 		t.Fatalf("render:\n%s", out)
 	}
@@ -408,7 +407,7 @@ func TestRunAblations(t *testing.T) {
 	env := smokeEnv(t)
 	for _, run := range []struct {
 		name string
-		fn   func(*Env) (*AblationResult, error)
+		fn   func(*Env) (*Result, error)
 		rows int
 	}{
 		{name: "batch-entropy", fn: RunAblationBatchEntropy, rows: 3},
@@ -420,11 +419,11 @@ func TestRunAblations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Rows) != run.rows {
-				t.Fatalf("%d rows, want %d", len(res.Rows), run.rows)
+			if len(res.Cells) != run.rows {
+				t.Fatalf("%d rows, want %d", len(res.Cells), run.rows)
 			}
-			for _, row := range res.Rows {
-				assertAcc(t, row.Name, row.BestAccuracy)
+			for _, c := range res.Cells {
+				assertAcc(t, c.Arm.Label, c.Hist.BestAccuracy)
 			}
 			if res.Render() == "" {
 				t.Fatal("empty render")
@@ -437,22 +436,14 @@ func TestRunMethodSelectionOverheadAccounted(t *testing.T) {
 	// EDS must cost more simulated time than RDS at equal fraction: the
 	// scoring pass is charged. Robust at any scale.
 	env := smokeEnv(t)
-	fed, err := env.BuildFederation(env.Suite.Target10, 4, 0.5, 900)
+	res, err := env.runGrid(Grid{Salt: 91, Source: env.Suite.Source,
+		Feds: []FedSpec{{Target: env.Suite.Target10, Clients: 4, Alpha: 0.5, Salt: 900}},
+		Arms: []Arm{{Label: "eds", Fresh: true, Edit: eds(0.5)}, {Label: "rds", Fresh: true, Edit: rds(0.5)}},
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eds := Method{Name: "eds", Pretrained: false, Part: models.FinetuneModerate,
-		Selector: selection.Entropy{Temperature: 0.1}, Fraction: 0.5}
-	rds := Method{Name: "rds", Pretrained: false, Part: models.FinetuneModerate,
-		Selector: selection.Random{}, Fraction: 0.5}
-	he, err := env.RunMethod(eds, fed, env.Suite.Target10, env.Suite.Source, 91)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr, err := env.RunMethod(rds, fed, env.Suite.Target10, env.Suite.Source, 91)
-	if err != nil {
-		t.Fatal(err)
-	}
+	he, hr := res.Cells[0].Hist, res.Cells[1].Hist
 	if he.TotalTrainSeconds <= hr.TotalTrainSeconds {
 		t.Fatalf("EDS time %v <= RDS time %v: scoring pass not charged",
 			he.TotalTrainSeconds, hr.TotalTrainSeconds)
@@ -471,9 +462,6 @@ func TestTableRendering(t *testing.T) {
 		t.Fatal("Pct formatting")
 	}
 	s := Series{Name: "x", Values: []float64{math.NaN(), 0.25}}
-	if s.LastFinite() != 0.25 {
-		t.Fatal("LastFinite")
-	}
 	if RenderCurves("c", []Series{s}) == "" {
 		t.Fatal("empty curves")
 	}
@@ -520,8 +508,48 @@ func TestCheckpointArtifactStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res1.Rows, res2.Rows) {
-		t.Fatalf("resumed sweep differs:\nfirst:   %+v\nresumed: %+v", res1.Rows, res2.Rows)
+	if !reflect.DeepEqual(res1.Cells[0].Hist, res2.Cells[0].Hist) {
+		t.Fatalf("resumed sweep differs:\nfirst:   %+v\nresumed: %+v", res1.Cells[0].Hist, res2.Cells[0].Hist)
+	}
+}
+
+// TestTable1ResumesItsOwnRows: every run of a grid has a directory of its
+// own in the artifact store, so a resumed Table I reads back the rows a
+// fresh one printed. Its untrained row once shared the broad-source row's
+// run name and, resumed, reported that row's numbers.
+func TestTable1ResumesItsOwnRows(t *testing.T) {
+	dir := t.TempDir()
+	var renders []string
+	for _, resume := range []bool{false, true} {
+		env := smokeEnv(t)
+		if err := env.SetCheckpointPolicy(CheckpointPolicy{Dir: dir, Resume: resume}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunTable1(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		renders = append(renders, res.Render())
+	}
+	if renders[0] != renders[1] {
+		t.Fatalf("resumed Table I differs:\nfresh:\n%s\nresumed:\n%s", renders[0], renders[1])
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 6 {
+		t.Fatalf("%d run directories (%v), want one per run: 6", len(entries), err)
+	}
+}
+
+// TestRunGridRefusesDuplicateRunNames: two runs of one grid may not share
+// an artifact-store directory, even when their names differ only in
+// characters the directory name cannot hold.
+func TestRunGridRefusesDuplicateRunNames(t *testing.T) {
+	env := smokeEnv(t)
+	_, err := env.runGrid(Grid{Source: env.Suite.Source, Salt: 1,
+		Feds: []FedSpec{{Target: env.Suite.Target10, Clients: 2, Alpha: 0.5, Salt: 1}},
+		Arms: []Arm{{Label: "EDS (50%)", Edit: eds(0.5)}, {Label: "EDS [50%]", Edit: rds(0.5)}},
+	}, nil)
+	if !errors.Is(err, ErrExperiment) || !strings.Contains(err.Error(), "EDS--50--") {
+		t.Fatalf("duplicate run name: err %v, want ErrExperiment naming EDS--50--", err)
 	}
 }
 

@@ -94,16 +94,6 @@ type Series struct {
 	Values []float64
 }
 
-// LastFinite returns the last non-NaN value (or NaN if none).
-func (s Series) LastFinite() float64 {
-	for i := len(s.Values) - 1; i >= 0; i-- {
-		if !math.IsNaN(s.Values[i]) {
-			return s.Values[i]
-		}
-	}
-	return math.NaN()
-}
-
 // RenderCurves prints one column per series, one row per round, with NaN
 // rows skipped — enough to re-plot the paper's figures from stdout.
 func RenderCurves(title string, series []Series) string {

@@ -7,9 +7,7 @@ import (
 	"fedfteds/internal/comm"
 	"fedfteds/internal/core"
 	"fedfteds/internal/device"
-	"fedfteds/internal/models"
 	"fedfteds/internal/sched"
-	"fedfteds/internal/selection"
 	"fedfteds/internal/strategy"
 	"fedfteds/internal/tensor"
 )
@@ -20,23 +18,7 @@ import (
 // federation, one core.Config axis varied per row, every row under the same
 // clients, model initialization and seed so the comparison isolates the axis
 // and not the run randomness. An Axis describes what varies and which
-// columns its table prints; RunSweep is the program.
-
-// baseConfig is the FedFT-EDS(50%, moderate) run configuration every
-// comparison starts from; callers overwrite the fields their experiment
-// varies.
-func (e *Env) baseConfig(seed int64) core.Config {
-	return core.Config{
-		Rounds:         e.Dims.Rounds,
-		LocalEpochs:    e.Dims.LocalEpochs,
-		LR:             paperLR,
-		Momentum:       paperMomentum,
-		FinetunePart:   models.FinetuneModerate,
-		Selector:       selection.Entropy{Temperature: paperTemperature},
-		SelectFraction: 0.5,
-		Seed:           seed,
-	}
-}
+// columns its table prints; RunSweep declares its grid.
 
 // SweepOptions narrows and sizes a sweep; the zero value runs every axis's
 // standard lineup at scale defaults (with a staleness cap of zero — pass a
@@ -54,47 +36,6 @@ type SweepOptions struct {
 	// MaxStaleness is the async axis's discard cap; negative keeps every
 	// update.
 	MaxStaleness int
-}
-
-// SweepRow is one configuration's outcome.
-type SweepRow struct {
-	// Label is the spec the row ran under, in the axis's canonical form
-	// ("sync" for the async axis's synchronous baseline).
-	Label string
-	// Size is the cohort size K (sched axis) or aggregation buffer M (async
-	// axis, 0 on its synchronous baseline) the row ran with.
-	Size int
-	// Mix renders the realized tier assignment, e.g. "low×2 mid×1 full×1"
-	// (tiers axis).
-	Mix string
-	// Hist is the row's full run history. TotalUplinkBytes counts real
-	// encoded payload sizes, so rows are directly comparable.
-	Hist core.History
-}
-
-// SweepResult is one axis's rows, in lineup order, with its rendering.
-type SweepResult struct {
-	// Rows holds one entry per configuration.
-	Rows []SweepRow
-	// NumClients is the federation size.
-	NumClients int
-
-	axis  *Axis
-	title string
-}
-
-// variant is one parsed spec of an axis: how its row is labelled and what it
-// changes about the baseline run.
-type variant struct {
-	label string
-	// run is the spec's part of the run name, which keys the checkpoint
-	// artifact store; empty means the label says enough.
-	run  string
-	size int
-	mix  string
-	// apply edits the row's configuration and (for tiers) its freshly built
-	// federation; nil changes nothing.
-	apply func(*core.Config, *Federation) error
 }
 
 // Axis is one comparison experiment: the core.Config axis it varies, its
@@ -116,9 +57,9 @@ type Axis struct {
 	salt    int64
 	seedTag uint64
 	// first is a row that runs ahead of the lineup, however narrowed.
-	first *variant
-	// parse turns one spec into its variant for an n-client pool.
-	parse func(spec string, n int, seed int64, opts SweepOptions) (variant, error)
+	first *Arm
+	// parse turns one spec into its arm for an n-client pool.
+	parse func(spec string, n int, seed int64, opts SweepOptions) (Arm, error)
 	// title is the table's first line, a format over the pool size;
 	// titleNote, when set, appends what the options contribute to it.
 	title     string
@@ -158,23 +99,23 @@ var Axes = []*Axis{
 		Usage:  "sched experiment: one policy (" + strings.Join(sched.PolicyNames(), ", ") + ") or all; also the fleetday cohort policy",
 		Lineup: []string{"uniform", "size", "entropy", "powerd", "avail:uniform"},
 		run:    "sched", largePool: true, salt: 4242, seedTag: sched.StreamTag,
-		parse: func(spec string, n int, _ int64, opts SweepOptions) (variant, error) {
+		parse: func(spec string, n int, _ int64, opts SweepOptions) (Arm, error) {
 			policy, err := sched.Parse(spec)
 			if err != nil {
-				return variant{}, err
+				return Arm{}, err
 			}
 			k := thirdOfPool(opts.Cohort, n)
-			return variant{label: spec, run: fmt.Sprintf("%s-k%d", spec, k), size: k,
-				apply: func(cfg *core.Config, _ *Federation) error {
+			return Arm{Label: spec, Run: fmt.Sprintf("%s-k%d", spec, k), Size: k,
+				Edit: func(cfg *core.Config, _ *Federation) error {
 					cfg.Scheduler, cfg.CohortSize = policy, k
 					return nil
 				}}, nil
 		},
 		title: "Scheduler comparison: cohort K of %d clients, FedFT-EDS locals",
 		columns: []column{colLabel("policy", -14),
-			{"K", 3, func(r, _ *SweepRow) string { return fmt.Sprint(r.Size) }},
+			{"K", 3, func(r, _ *Cell) string { return fmt.Sprint(r.Arm.Size) }},
 			colBest, colFinal, colSeconds("client-seconds", 14),
-			{"participants", 13, func(r, _ *SweepRow) string {
+			{"participants", 13, func(r, _ *Cell) string {
 				var sum float64
 				for _, rec := range r.Hist.Records {
 					sum += float64(rec.Participants)
@@ -187,14 +128,14 @@ var Axes = []*Axis{
 		Usage:  "strategies experiment: one strategy spec (fedavg, fedprox, fedavgm, fedadam, fedyogi, with optional parameters) or all",
 		Lineup: strategy.Names(),
 		run:    "strategy", salt: 6464, seedTag: 0x57A7,
-		parse: func(spec string, _ int, _ int64, _ SweepOptions) (variant, error) {
+		parse: func(spec string, _ int, _ int64, _ SweepOptions) (Arm, error) {
 			// Parsed afresh per row, so a stateful server optimizer never
 			// leaks across rows.
 			strat, err := strategy.Parse(spec)
 			if err != nil {
-				return variant{}, err
+				return Arm{}, err
 			}
-			return variant{label: spec, apply: func(cfg *core.Config, _ *Federation) error {
+			return Arm{Label: spec, Edit: func(cfg *core.Config, _ *Federation) error {
 				cfg.Strategy = strat
 				return nil
 			}}, nil
@@ -208,18 +149,18 @@ var Axes = []*Axis{
 		Usage:  "tiers experiment: one tier distribution spec (\"tier:weight,...\" over " + strings.Join(device.TierNames(), "/") + ") or all",
 		Lineup: []string{"full:1", "high:1", "mid:1", "low:1", "low:1,mid:2,full:1"},
 		run:    "tiers", salt: 7272, seedTag: 0x71E5,
-		parse: func(spec string, n int, seed int64, _ SweepOptions) (variant, error) {
+		parse: func(spec string, n int, seed int64, _ SweepOptions) (Arm, error) {
 			dist, err := device.ParseDistribution(spec)
 			if err != nil {
-				return variant{}, err
+				return Arm{}, err
 			}
 			// The Runner derives this same deterministic assignment; charging
 			// each client at its tier's rate (core.TierClient, as a served
 			// client charges itself) makes low tiers slow as well as
 			// partially trained, the heterogeneity per-layer aggregation is for.
 			assign := dist.Assign(n, seed)
-			return variant{label: dist.String(), mix: renderMix(assign),
-				apply: func(cfg *core.Config, fed *Federation) (err error) {
+			return Arm{Label: dist.String(), Mix: renderMix(assign),
+				Edit: func(cfg *core.Config, fed *Federation) (err error) {
 					cfg.TierDist = dist
 					for i, cl := range fed.Clients {
 						if fed.Clients[i], err = core.TierClient(cl, assign[i]); err != nil {
@@ -232,7 +173,7 @@ var Axes = []*Axis{
 		title:    "Tier sweep: %d clients, FedFT-EDS locals, per-layer aggregation",
 		baseline: "full:1",
 		columns: []column{colLabel("distribution", -20),
-			{"mix", -22, func(r, _ *SweepRow) string { return r.Mix }},
+			{"mix", -22, func(r, _ *Cell) string { return r.Arm.Mix }},
 			colBest, colFinal, colSeconds("client-s", 11), colUplinkKB, colSaved},
 	},
 	{
@@ -240,14 +181,14 @@ var Axes = []*Axis{
 		Usage:  "async experiment: one staleness weigher (" + strings.Join(strategy.StalenessNames(), ", ") + ", with optional parameters) or all",
 		Lineup: []string{"identity", "invsqrt", "poly:alpha=1"},
 		run:    "async", largePool: true, salt: 6464, seedTag: 0xA21C,
-		first: &variant{label: "sync"},
-		parse: func(spec string, n int, _ int64, opts SweepOptions) (variant, error) {
+		first: &Arm{Label: "sync"},
+		parse: func(spec string, n int, _ int64, opts SweepOptions) (Arm, error) {
 			weigher, err := strategy.ParseStaleness(spec)
 			if err != nil {
-				return variant{}, err
+				return Arm{}, err
 			}
 			m := thirdOfPool(opts.Buffer, n)
-			return variant{label: weigher.Name(), size: m, apply: func(c *core.Config, _ *Federation) error {
+			return Arm{Label: weigher.Name(), Size: m, Edit: func(c *core.Config, _ *Federation) error {
 				c.Async = core.AsyncConfig{Buffer: m, MaxStaleness: opts.MaxStaleness, Weigher: weigher}
 				return nil
 			}}, nil
@@ -260,18 +201,18 @@ var Axes = []*Axis{
 			return fmt.Sprintf(", staleness cap %d", opts.MaxStaleness)
 		},
 		columns: []column{colLabel("mode", -14),
-			{"buffer", 6, func(r, _ *SweepRow) string {
-				if r.Size == 0 {
+			{"buffer", 6, func(r, _ *Cell) string {
+				if r.Arm.Size == 0 {
 					return "-"
 				}
-				return fmt.Sprint(r.Size)
+				return fmt.Sprint(r.Arm.Size)
 			}},
 			colBest, colFinal, colSeconds("client-seconds", 14), colEfficiency("efficiency", 11),
 			// An async record's cohort is the updates that arrived for the
 			// aggregation, its participants the ones within the staleness cap.
-			{"discarded", 9, func(r, _ *SweepRow) string {
+			{"discarded", 9, func(r, _ *Cell) string {
 				discarded := 0
-				if r.Size > 0 {
+				if r.Arm.Size > 0 {
 					for _, rec := range r.Hist.Records {
 						discarded += rec.CohortSize - rec.Participants
 					}
@@ -284,12 +225,12 @@ var Axes = []*Axis{
 		Usage:  "codecs experiment: one uplink codec spec (" + strings.Join(comm.CodecNames(), ", ") + ") or all",
 		Lineup: []string{"identity", "float16", "int8", "topk:0.05"},
 		run:    "codec", salt: 7272, seedTag: 0xC0DEC,
-		parse: func(spec string, _ int, _ int64, _ SweepOptions) (variant, error) {
+		parse: func(spec string, _ int, _ int64, _ SweepOptions) (Arm, error) {
 			codec, err := comm.ParseCodec(spec)
 			if err != nil {
-				return variant{}, err
+				return Arm{}, err
 			}
-			return variant{label: codec.Name(), apply: func(cfg *core.Config, _ *Federation) error {
+			return Arm{Label: codec.Name(), Edit: func(cfg *core.Config, _ *Federation) error {
 				cfg.Codec = codec.Name()
 				return nil
 			}}, nil
@@ -300,14 +241,14 @@ var Axes = []*Axis{
 		// not accounting drift.
 		baseline: comm.CodecIdentity,
 		columns: []column{colLabel("codec", -12),
-			{"ratio", 8, func(r, base *SweepRow) string {
+			{"ratio", 8, func(r, base *Cell) string {
 				if base == nil || r.Hist.TotalUplinkBytes <= 0 {
 					return "n/a"
 				}
 				return fmt.Sprintf("%.2fx", float64(base.Hist.TotalUplinkBytes)/float64(r.Hist.TotalUplinkBytes))
 			}},
 			colUplinkKB, colSaved, colBest, colFinal,
-			{"Δfinal", 10, func(r, base *SweepRow) string {
+			{"Δfinal", 10, func(r, base *Cell) string {
 				if base == nil {
 					return "n/a"
 				}
@@ -342,10 +283,9 @@ func renderMix(assign []string) string {
 }
 
 // RunSweep runs one axis: its leading baseline row if it has one, then one
-// row per spec (opts.Only's entry for the axis, else the standard lineup).
-// Every row gets a freshly built — and therefore identical — federation and
-// pretrained model, so no row can see another's edits.
-func RunSweep(env *Env, a *Axis, opts SweepOptions) (*SweepResult, error) {
+// row per spec (opts.Only's entry for the axis, else the standard lineup),
+// every row on the same federation and pretrained model under one seed.
+func RunSweep(env *Env, a *Axis, opts SweepOptions) (*Result, error) {
 	n := env.Dims.SmallClients
 	if a.largePool {
 		n = env.Dims.LargeClients
@@ -355,50 +295,28 @@ func RunSweep(env *Env, a *Axis, opts SweepOptions) (*SweepResult, error) {
 	if only := opts.Only[a.ID]; only != "" {
 		specs = []string{only}
 	}
-	var variants []variant
+	var arms []Arm
 	if a.first != nil {
-		variants = append(variants, *a.first)
+		arms = append(arms, *a.first)
 	}
 	for _, spec := range specs {
-		v, err := a.parse(spec, n, seed, opts)
+		arm, err := a.parse(spec, n, seed, opts)
 		if err != nil {
 			return nil, err
 		}
-		variants = append(variants, v)
+		arms = append(arms, arm)
 	}
-
-	res := &SweepResult{NumClients: n, axis: a, title: fmt.Sprintf(a.title, n)}
+	title := fmt.Sprintf(a.title, n)
 	if a.titleNote != nil {
-		res.title += a.titleNote(opts)
+		title += a.titleNote(opts)
 	}
-	for _, v := range variants {
-		fed, err := env.BuildFederation(env.Suite.Target10, n, 0.1, a.salt)
-		if err != nil {
-			return nil, err
-		}
-		global, err := env.PretrainedModel(env.Suite.Target10, env.Suite.Source)
-		if err != nil {
-			return nil, err
-		}
-		cfg := env.baseConfig(seed)
-		if v.apply != nil {
-			if err := v.apply(&cfg, fed); err != nil {
-				return nil, err
-			}
-		}
-		if v.run == "" {
-			v.run = v.label
-		}
-		name := fmt.Sprintf("%s-%s-c%d", a.run, v.run, n)
-		hist, err := env.runFL(name, cfg, func(cfg core.Config) (*core.Runner, error) {
-			return core.NewRunner(cfg, global, fed.Clients, fed.Test)
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, SweepRow{Label: v.label, Size: v.size, Mix: v.mix, Hist: hist})
-	}
-	return res, nil
+	return env.runGrid(Grid{
+		Feds:    []FedSpec{{Target: env.Suite.Target10, Clients: n, Alpha: 0.1, Salt: a.salt}},
+		Arms:    arms,
+		Source:  env.Suite.Source,
+		RunName: fmt.Sprintf("%s-%%s-c%d", a.run, n),
+		Seed:    seed,
+	}, func(r *Result) string { return a.render(title, r) })
 }
 
 // column is one table column: its header, its width (negative left-aligns)
@@ -407,7 +325,7 @@ func RunSweep(env *Env, a *Axis, opts SweepOptions) (*SweepResult, error) {
 type column struct {
 	head  string
 	width int
-	cell  func(row, base *SweepRow) string
+	cell  func(row, base *Cell) string
 }
 
 // The cells every table shares are defined once: accuracy in percent,
@@ -415,16 +333,16 @@ type column struct {
 // in percent per client-second, as History.LearningEfficiency returns it),
 // uplink traffic and the share of it saved against the baseline row.
 var (
-	colBest = column{"best acc", 9, func(r, _ *SweepRow) string {
+	colBest = column{"best acc", 9, func(r, _ *Cell) string {
 		return fmt.Sprintf("%.2f%%", 100*r.Hist.BestAccuracy)
 	}}
-	colFinal = column{"final acc", 9, func(r, _ *SweepRow) string {
+	colFinal = column{"final acc", 9, func(r, _ *Cell) string {
 		return fmt.Sprintf("%.2f%%", 100*r.Hist.FinalAccuracy)
 	}}
-	colUplinkKB = column{"uplink KB", 11, func(r, _ *SweepRow) string {
+	colUplinkKB = column{"uplink KB", 11, func(r, _ *Cell) string {
 		return fmt.Sprintf("%.1f", float64(r.Hist.TotalUplinkBytes)/1024)
 	}}
-	colSaved = column{"saved", 9, func(r, base *SweepRow) string {
+	colSaved = column{"saved", 9, func(r, base *Cell) string {
 		if base == nil || base.Hist.TotalUplinkBytes <= 0 {
 			return "n/a"
 		}
@@ -433,17 +351,17 @@ var (
 )
 
 func colLabel(head string, width int) column {
-	return column{head, width, func(r, _ *SweepRow) string { return r.Label }}
+	return column{head, width, func(r, _ *Cell) string { return r.Arm.Label }}
 }
 
 func colSeconds(head string, width int) column {
-	return column{head, width, func(r, _ *SweepRow) string {
+	return column{head, width, func(r, _ *Cell) string {
 		return fmt.Sprintf("%.4g", r.Hist.TotalTrainSeconds)
 	}}
 }
 
 func colEfficiency(head string, width int) column {
-	return column{head, width, func(r, _ *SweepRow) string {
+	return column{head, width, func(r, _ *Cell) string {
 		eff, err := r.Hist.LearningEfficiency()
 		if err != nil {
 			return "n/a"
@@ -452,28 +370,28 @@ func colEfficiency(head string, width int) column {
 	}}
 }
 
-// Render prints the sweep as a table: the title, the axis's column headers,
+// render prints a sweep as a table: the title, the axis's column headers,
 // one line per row.
-func (r *SweepResult) Render() string {
-	var base *SweepRow
-	for i := range r.Rows {
-		if r.Rows[i].Label == r.axis.baseline {
-			base = &r.Rows[i]
+func (a *Axis) render(title string, r *Result) string {
+	var base *Cell
+	for i := range r.Cells {
+		if r.Cells[i].Arm.Label == a.baseline {
+			base = &r.Cells[i]
 			break
 		}
 	}
 	var b strings.Builder
-	b.WriteString(r.title)
+	b.WriteString(title)
 	line := func(cell func(column) string) {
 		sep := "\n"
-		for _, col := range r.axis.columns {
+		for _, col := range a.columns {
 			fmt.Fprintf(&b, "%s%*s", sep, col.width, cell(col))
 			sep = " "
 		}
 	}
 	line(func(col column) string { return col.head })
-	for i := range r.Rows {
-		line(func(col column) string { return col.cell(&r.Rows[i], base) })
+	for i := range r.Cells {
+		line(func(col column) string { return col.cell(&r.Cells[i], base) })
 	}
 	b.WriteByte('\n')
 	return b.String()

@@ -21,34 +21,34 @@ func TestRunSchedCompareSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(axis.Lineup) {
-		t.Fatalf("%d rows, want %d", len(res.Rows), len(axis.Lineup))
+	if len(res.Cells) != len(axis.Lineup) {
+		t.Fatalf("%d rows, want %d", len(res.Cells), len(axis.Lineup))
 	}
-	for i, row := range res.Rows {
-		if row.Label != axis.Lineup[i] || row.Size != 3 {
-			t.Fatalf("row %d is policy %q at K=%d, want %q at K=3", i, row.Label, row.Size, axis.Lineup[i])
+	for i, row := range res.Cells {
+		if row.Arm.Label != axis.Lineup[i] || row.Arm.Size != 3 {
+			t.Fatalf("row %d is policy %q at K=%d, want %q at K=3", i, row.Arm.Label, row.Arm.Size, axis.Lineup[i])
 		}
 		if len(row.Hist.Records) != env.Dims.Rounds {
-			t.Fatalf("%s: %d records, want %d", row.Label, len(row.Hist.Records), env.Dims.Rounds)
+			t.Fatalf("%s: %d records, want %d", row.Arm.Label, len(row.Hist.Records), env.Dims.Rounds)
 		}
 		prevCum := 0.0
 		for _, rec := range row.Hist.Records {
-			if rec.SchedPolicy != row.Label {
-				t.Fatalf("%s round %d: record policy %q", row.Label, rec.Round, rec.SchedPolicy)
+			if rec.SchedPolicy != row.Arm.Label {
+				t.Fatalf("%s round %d: record policy %q", row.Arm.Label, rec.Round, rec.SchedPolicy)
 			}
 			if rec.CohortSize < 1 || rec.CohortSize > 3 {
-				t.Fatalf("%s round %d: cohort size %d, want 1..3", row.Label, rec.Round, rec.CohortSize)
+				t.Fatalf("%s round %d: cohort size %d, want 1..3", row.Arm.Label, rec.Round, rec.CohortSize)
 			}
 			if rec.Participants < 1 || rec.Participants > rec.CohortSize {
-				t.Fatalf("%s round %d: %d participants of cohort %d", row.Label, rec.Round, rec.Participants, rec.CohortSize)
+				t.Fatalf("%s round %d: %d participants of cohort %d", row.Arm.Label, rec.Round, rec.Participants, rec.CohortSize)
 			}
 			if rec.CumTrainSeconds < prevCum {
-				t.Fatalf("%s round %d: cumulative seconds decreased", row.Label, rec.Round)
+				t.Fatalf("%s round %d: cumulative seconds decreased", row.Arm.Label, rec.Round)
 			}
 			prevCum = rec.CumTrainSeconds
 		}
 		if math.IsNaN(row.Hist.FinalAccuracy) || row.Hist.FinalAccuracy <= 0 {
-			t.Fatalf("%s: final accuracy %v", row.Label, row.Hist.FinalAccuracy)
+			t.Fatalf("%s: final accuracy %v", row.Arm.Label, row.Hist.FinalAccuracy)
 		}
 	}
 	if out := res.Render(); len(out) == 0 {
@@ -66,18 +66,18 @@ func TestRunStrategyCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(axis.Lineup) {
-		t.Fatalf("%d rows, want %d", len(res.Rows), len(axis.Lineup))
+	if len(res.Cells) != len(axis.Lineup) {
+		t.Fatalf("%d rows, want %d", len(res.Cells), len(axis.Lineup))
 	}
-	for i, row := range res.Rows {
-		if row.Label != axis.Lineup[i] {
-			t.Fatalf("row %d is %q, want %q", i, row.Label, axis.Lineup[i])
+	for i, row := range res.Cells {
+		if row.Arm.Label != axis.Lineup[i] {
+			t.Fatalf("row %d is %q, want %q", i, row.Arm.Label, axis.Lineup[i])
 		}
 		if len(row.Hist.Records) != env.Dims.Rounds {
-			t.Fatalf("%s ran %d rounds, want %d", row.Label, len(row.Hist.Records), env.Dims.Rounds)
+			t.Fatalf("%s ran %d rounds, want %d", row.Arm.Label, len(row.Hist.Records), env.Dims.Rounds)
 		}
 		if row.Hist.TotalTrainSeconds <= 0 {
-			t.Fatalf("%s has no cost accounting", row.Label)
+			t.Fatalf("%s has no cost accounting", row.Arm.Label)
 		}
 	}
 	out := res.Render()
@@ -97,8 +97,8 @@ func TestRunStrategyCompareParameterized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0].Label != "fedadam:lr=0.05,beta1=0.8" {
-		t.Fatalf("unexpected rows: %+v", res.Rows)
+	if len(res.Cells) != 1 || res.Cells[0].Arm.Label != "fedadam:lr=0.05,beta1=0.8" {
+		t.Fatalf("unexpected rows: %+v", res.Cells)
 	}
 	if _, err := RunSweep(env, axis, SweepOptions{Only: map[string]string{"strategies": "nope"}}); err == nil {
 		t.Fatal("unknown strategy spec accepted")
@@ -110,7 +110,7 @@ func TestRunStrategyCompareParameterized(t *testing.T) {
 // digits, the percent-per-second History.LearningEfficiency returns (the
 // strategies table once printed it a hundred times too large).
 func TestSweepEfficiencyColumnShared(t *testing.T) {
-	row := SweepRow{Label: "x", Hist: core.History{BestAccuracy: 0.4613, TotalTrainSeconds: 0.0005}}
+	row := Cell{Arm: &Arm{Label: "x"}, Hist: core.History{BestAccuracy: 0.4613, TotalTrainSeconds: 0.0005}}
 	var cells []string
 	for _, id := range []string{"strategies", "async"} {
 		for _, col := range AxisByID(id).columns {

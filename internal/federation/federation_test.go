@@ -12,6 +12,7 @@ import (
 	"fedfteds/internal/core"
 	"fedfteds/internal/experiments"
 	"fedfteds/internal/models"
+	"fedfteds/internal/simtime"
 	"fedfteds/internal/strategy"
 )
 
@@ -115,6 +116,9 @@ func TestServeRefusesRecipeItCannotSend(t *testing.T) {
 		"quorum 3 of 2":        func(c *Config) { c.NumClients, c.Quorum = 2, 3 },
 		"relays above clients": func(c *Config) { c.Relays = 5 },
 		"buffer above peers":   func(c *Config) { c.Run.Async.Buffer = 5 },
+		"straggler policy":     func(c *Config) { c.Run.Straggler = simtime.FractionParticipation{Fraction: 0.5} },
+		"eval every 2 rounds":  func(c *Config) { c.Run.EvalEvery = 2 },
+		"checkpoint every 2":   func(c *Config) { c.Run.CheckpointEvery = 2 },
 	} {
 		cfg := testConfig(1)
 		mutate(&cfg)

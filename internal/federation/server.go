@@ -48,7 +48,9 @@ type Config struct {
 // buffer must each be reachable from them, since no round could otherwise
 // succeed. A buffer replaces the synchronous round's admission rules (the
 // cohort, the quorum) and refuses the codecs that decode against the
-// round's broadcast, which buffered clients no longer share.
+// round's broadcast, which buffered clients no longer share. The Run fields
+// Serve does not read — a straggler policy, an evaluation or checkpoint
+// interval above one round — are refused by name rather than dropped.
 func (c Config) Validate() error {
 	run := c.Run
 	peers := c.NumClients
@@ -91,6 +93,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("-buffer %d outside [0, %d], the peers a round can contact (-relays %d, -clients %d): "+
 			"each holds at most one outstanding update, so the buffer could never fill",
 			run.Async.Buffer, peers, c.Relays, c.NumClients)
+	case run.Straggler != nil:
+		return fmt.Errorf("federation: straggler policy %T is simulated only: a served round admits "+
+			"by -quorum and -round-deadline", run.Straggler)
+	case run.EvalEvery > 1:
+		return fmt.Errorf("federation: EvalEvery %d: a served run evaluates every round", run.EvalEvery)
+	case run.CheckpointEvery > 1:
+		return fmt.Errorf("federation: CheckpointEvery %d: a served run checkpoints every round", run.CheckpointEvery)
 	case run.Async.Buffer == 0:
 		return nil
 	case run.CohortSize > 0:
