@@ -99,3 +99,92 @@ func BenchmarkRegionDeltaEncode(b *testing.B) {
 		}
 	}
 }
+
+// codecBenchShapes is the state a TCP workload's client ships each round
+// (bench/tcp.go): the 64-input, 512-hidden, 10-class MLP's trainable
+// tensors, 569,866 parameters in 20 tensors.
+var codecBenchShapes = [][]int{
+	{512, 64}, {512}, {512}, {512}, {512, 512}, {512}, {512}, {512},
+	{512, 512}, {512}, {512}, {512}, {10, 512}, {10}, {512}, {512}, {512}, {512}, {512}, {512},
+}
+
+// codecBenchState builds a broadcast reference at codecBenchShapes and a
+// trained state a small delta away from it, as one local round leaves it.
+func codecBenchState() (ref, ts []*tensor.Tensor) {
+	rng := rand.New(rand.NewSource(38))
+	for _, sh := range codecBenchShapes {
+		r, x := tensor.New(sh...), tensor.New(sh...)
+		r.FillNormal(rng, 0, 0.05)
+		for i := range x.Data() {
+			x.Data()[i] = r.Data()[i] + 1e-3*float32(rng.NormFloat64())
+		}
+		ref, ts = append(ref, r), append(ts, x)
+	}
+	return ref, ts
+}
+
+// codecBenchBytes is the float32 size of ts, the unit of the codec
+// benchmarks' MB/s.
+func codecBenchBytes(ts []*tensor.Tensor) int64 {
+	var n int64
+	for _, t := range ts {
+		n += 4 * int64(t.Len())
+	}
+	return n
+}
+
+// codecBenchSpecs are the codecs the codec benchmarks compare.
+var codecBenchSpecs = []string{"identity", "float16", "int8", "topk:0.05"}
+
+// codecBenchSink keeps the benchmarked calls' results alive.
+var codecBenchSink []byte
+
+// BenchmarkCodecEncode measures each codec's Encode on the TCP workloads'
+// state; MB/s is float32 state bytes encoded per second.
+func BenchmarkCodecEncode(b *testing.B) {
+	ref, ts := codecBenchState()
+	for _, spec := range codecBenchSpecs {
+		b.Run(spec, func(b *testing.B) {
+			codec, err := ParseCodec(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(codecBenchBytes(ts))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if codecBenchSink, err = codec.Encode(ref, ts, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCodecDecode measures each codec's Decode of that state's payload
+// into reused scratch, as the server's fold does; MB/s is float32 state
+// bytes decoded per second.
+func BenchmarkCodecDecode(b *testing.B) {
+	ref, ts := codecBenchState()
+	for _, spec := range codecBenchSpecs {
+		b.Run(spec, func(b *testing.B) {
+			codec, err := ParseCodec(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			blob, err := codec.Encode(ref, ts, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var scratch []*tensor.Tensor
+			b.SetBytes(codecBenchBytes(ts))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if scratch, err = codec.Decode(ref, scratch, blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -257,6 +257,7 @@ func (int8Codec) Encode(ref, ts []*tensor.Tensor, seed uint64) ([]byte, error) {
 	}
 	buf := make([]byte, 0, size)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ts)))
+	var delta [int8BlockSize]float32
 	for ti, t := range ts {
 		if !ref[ti].SameShape(t) {
 			return nil, fmt.Errorf("%w: int8 reference tensor %d shape mismatch", ErrProtocol, ti)
@@ -268,40 +269,62 @@ func (int8Codec) Encode(ref, ts []*tensor.Tensor, seed uint64) ([]byte, error) {
 		rng := newQuantRNG(seed, ti)
 		data, rdata := t.Data(), ref[ti].Data()
 		for len(data) > 0 {
-			blk, rblk := data, rdata
-			if len(blk) > int8BlockSize {
-				blk, rblk = blk[:int8BlockSize], rblk[:int8BlockSize]
-			}
-			data, rdata = data[len(blk):], rdata[len(blk):]
-			var maxAbs float32
-			for j, v := range blk {
-				if a := float32(math.Abs(float64(v - rblk[j]))); a > maxAbs {
-					maxAbs = a
-				}
-			}
-			scale := maxAbs / 127
+			n := min(len(data), int8BlockSize)
+			scale := int8BlockDeltas(delta[:n], data[:n], rdata[:n])
+			data, rdata = data[n:], rdata[n:]
 			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(scale))
+			out := buf[len(buf) : len(buf)+n]
+			buf = buf[:len(buf)+n]
 			if scale == 0 {
-				buf = append(buf, make([]byte, len(blk))...)
+				clear(out)
 				continue
 			}
-			inv := 1 / float64(scale)
-			for j, v := range blk {
-				q := float64(v-rblk[j]) * inv
-				lo := math.Floor(q)
-				if float64(rng.next32()) < (q-lo)*4294967296.0 {
-					lo++
-				}
-				if lo > 127 {
-					lo = 127
-				} else if lo < -127 {
-					lo = -127
-				}
-				buf = append(buf, byte(int8(lo)))
-			}
+			rng.int8Block(out, delta[:n], 1/float64(scale))
 		}
 	}
 	return buf, nil
+}
+
+// int8BlockDeltas writes blk - rblk into delta and returns the block's
+// scale, maxabs/127 over the deltas. A NaN delta does not count towards the
+// maximum, and an Inf delta makes the scale +Inf, which quantizes every
+// element of the block to 0. Both are written to delta as 0, so they
+// quantize to 0 themselves and int8Block never sees a non-finite value.
+// The masks come from the magnitude's bits without a branch: the bits of
+// non-negative floats order like their values, with the NaNs above +Inf.
+func int8BlockDeltas(delta, blk, rblk []float32) float32 {
+	blk, rblk = blk[:len(delta)], rblk[:len(delta)]
+	var maxBits uint32
+	for j := range delta {
+		bits := math.Float32bits(blk[j] - rblk[j])
+		abs := bits &^ (1 << 31)
+		nan := uint32(int32(0x7f800000-abs) >> 31)       // all ones when abs > +Inf
+		nonFinite := uint32(int32(0x7f7fffff-abs) >> 31) // all ones when abs > MaxFloat32
+		maxBits = max(maxBits, abs&^nan)
+		delta[j] = math.Float32frombits(bits &^ nonFinite)
+	}
+	return math.Float32frombits(maxBits) / 127
+}
+
+// int8Block quantizes one block's finite deltas into out, one draw per
+// element in element order: q = delta·inv rounds up from floor(q) when the
+// draw u is below t, the fraction q - floor(q) scaled to 2^32. The float64
+// difference u - t has the sign of the exact one and is never -0 (x - x is
+// +0), so its sign bit is the comparison u < t without a branch. Under a
+// subnormal scale |q| can pass 127 but stays below 191, so the int32
+// conversion is exact before the clamp to ±127.
+func (r *quantRNG) int8Block(out []byte, delta []float32, inv float64) {
+	out = out[:len(delta)]
+	state := r.state
+	for j, d := range delta {
+		state = tensor.Splitmix64(state)
+		q := float64(d) * inv
+		lo := math.Floor(q)
+		t := (q - lo) * 4294967296.0
+		up := int32(math.Float64bits(float64(uint32(state>>32))-t) >> 63)
+		out[j] = byte(int8(min(max(int32(lo)+up, -127), 127)))
+	}
+	r.state = state
 }
 
 func (int8Codec) Decode(ref, scratch []*tensor.Tensor, b []byte) ([]*tensor.Tensor, error) {

@@ -119,6 +119,7 @@ func TestServeRefusesRecipeItCannotSend(t *testing.T) {
 		"straggler policy":     func(c *Config) { c.Run.Straggler = simtime.FractionParticipation{Fraction: 0.5} },
 		"eval every 2 rounds":  func(c *Config) { c.Run.EvalEvery = 2 },
 		"checkpoint every 2":   func(c *Config) { c.Run.CheckpointEvery = 2 },
+		"train groups mask":    func(c *Config) { c.Run.TrainGroups = []string{models.GroupClassifier} },
 	} {
 		cfg := testConfig(1)
 		mutate(&cfg)

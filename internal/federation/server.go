@@ -50,7 +50,8 @@ type Config struct {
 // cohort, the quorum) and refuses the codecs that decode against the
 // round's broadcast, which buffered clients no longer share. The Run fields
 // Serve does not read — a straggler policy, an evaluation or checkpoint
-// interval above one round — are refused by name rather than dropped.
+// interval above one round, a standalone client's TrainGroups mask — are
+// refused by name rather than dropped (DESIGN.md tabulates every field).
 func (c Config) Validate() error {
 	run := c.Run
 	peers := c.NumClients
@@ -96,6 +97,9 @@ func (c Config) Validate() error {
 	case run.Straggler != nil:
 		return fmt.Errorf("federation: straggler policy %T is simulated only: a served round admits "+
 			"by -quorum and -round-deadline", run.Straggler)
+	case len(run.TrainGroups) > 0:
+		return fmt.Errorf("federation: TrainGroups %v is a standalone client's mask: a served run masks "+
+			"clients by -tier-dist", run.TrainGroups)
 	case run.EvalEvery > 1:
 		return fmt.Errorf("federation: EvalEvery %d: a served run evaluates every round", run.EvalEvery)
 	case run.CheckpointEvery > 1:
