@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"fedfteds/internal/core"
+	"fedfteds/internal/data"
 	"fedfteds/internal/experiments"
 	"fedfteds/internal/models"
 	"fedfteds/internal/nn"
@@ -508,6 +509,41 @@ func BenchmarkKernelClientRoundEDS(b *testing.B) {
 	b.ResetTimer()
 	if _, err := runner.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkKernelLocalUpdate times the fedclient primitive in the shape of
+// the ledger's TCP client: core.LocalUpdate on a 512-wide MLP, one 16-sample
+// client, all samples, E = 1, called again and again on the same model as a
+// served client calls it every round. From the second call on it rebinds the
+// replica LocalUpdate keeps for the model, so what it allocates per call is
+// the round's rng and state list (CI's kernel alloc guard watches it).
+func BenchmarkKernelLocalUpdate(b *testing.B) {
+	suite, err := data.NewStandardSuite(11)
+	if err != nil {
+		b.Fatal(err)
+	}
+	local, err := suite.Target10.GenerateBalanced(16, rand.New(rand.NewSource(7)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	global, err := models.Build(models.Spec{Arch: models.ArchMLP, InputShape: []int{64}, NumClasses: 10, Hidden: 512, InitSeed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl := &core.Client{ID: 0, Data: local, Device: simtime.Device{FLOPSRate: 1e9}}
+	cfg, err := core.NewLocalConfig(core.Config{LocalEpochs: 1, LR: 0.05, Momentum: 0.5, Selector: selection.All{}, Seed: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := -1; i < b.N; i++ {
+		if i == 0 {
+			b.ResetTimer() // pass -1 built the kept replica
+		}
+		if _, err := core.LocalUpdate(cfg, global, cl, i+2); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"weak"
 
 	"fedfteds/internal/data"
 	"fedfteds/internal/device"
@@ -39,8 +42,10 @@ func TierClient(cl *Client, tier string) (*Client, error) {
 
 // LocalOutcome is the result of one client-side local round.
 type LocalOutcome struct {
-	// State is the updated state of the trainable groups: the tensors of the
-	// one-shot replica the round trained, which nothing else references.
+	// State is the updated state of the trainable groups: the live tensors
+	// of the replica the round trained, which LocalUpdate keeps for the
+	// model it was called on. It is valid until the next LocalUpdate on the
+	// same model begins; a caller that needs it longer copies it.
 	State []*tensor.Tensor
 	// NumSelected is |D_select|, the number of samples trained on.
 	NumSelected int
@@ -71,15 +76,21 @@ type clientResult struct {
 	meanEntropy float64
 }
 
-// LocalUpdate executes one local round on a clone of the global model: data
-// selection, E epochs of SGD on the selected subset, and cost accounting —
-// the Runner's training loop on a fresh one-shot replica. It is the
-// client-side primitive of the distributed fedclient binary, whose layer mask
-// (cfg.TrainGroups) narrows both what trains and what State returns. cfg must
-// already have defaults applied when called outside the Runner;
-// NewLocalConfig does that.
+// LocalUpdate executes one local round on a replica of the global model:
+// data selection, E epochs of SGD on the selected subset, and cost
+// accounting — the Runner's training loop. It is the client-side primitive of
+// the distributed fedclient binary, whose layer mask (cfg.TrainGroups)
+// narrows both what trains and what State returns. cfg must already have
+// defaults applied when called outside the Runner; NewLocalConfig does that.
+//
+// The first call on a model clones it into a replica; later calls rebind
+// that replica (the global state copied in, optimizer and RNGs rewound),
+// which is bit-identical to a fresh clone and allocates no model-sized
+// memory. A call whose finetune part or tuned optimizer differs from the
+// kept replica's builds a fresh one that replaces it. Concurrent calls on
+// one model each train their own replica.
 func LocalUpdate(cfg Config, global *models.Model, cl *Client, round int) (LocalOutcome, error) {
-	rep, err := newReplica(global, cfg, cfg.TrainGroups)
+	rep, err := takeReplica(cfg, global)
 	if err != nil {
 		return LocalOutcome{}, fmt.Errorf("core: client %d: %w", cl.ID, err)
 	}
@@ -87,6 +98,7 @@ func LocalUpdate(cfg Config, global *models.Model, cl *Client, round int) (Local
 	if err != nil {
 		return LocalOutcome{}, err
 	}
+	keepReplica(global, rep)
 	return LocalOutcome{
 		State:       res.state,
 		NumSelected: res.numSelected,
@@ -94,6 +106,63 @@ func LocalUpdate(cfg Config, global *models.Model, cl *Client, round int) (Local
 		TrainLoss:   res.trainLoss,
 		MeanEntropy: res.meanEntropy,
 	}, nil
+}
+
+// kept holds the replica LocalUpdate last trained for each model, keyed
+// weakly so an entry goes when its model does. A call takes its model's
+// replica out for its duration (the entry stays, nil, so the model's cleanup
+// is registered once) and puts it back at the end, replacing whatever a
+// concurrent call put there first.
+var kept = struct {
+	sync.Mutex
+	reps map[weak.Pointer[models.Model]]*replica
+}{reps: map[weak.Pointer[models.Model]]*replica{}}
+
+// takeReplica returns global's kept replica rebound for cfg when it was built
+// for the same finetune part and tuned optimizer, and a fresh replica
+// otherwise.
+func takeReplica(cfg Config, global *models.Model) (*replica, error) {
+	if !reuseReplicas {
+		return newReplica(global, cfg, cfg.TrainGroups)
+	}
+	key := weak.Make(global)
+	kept.Lock()
+	rep := kept.reps[key]
+	if rep != nil {
+		kept.reps[key] = nil
+	}
+	kept.Unlock()
+	sgdCfg, hook := localSGD(cfg)
+	if rep == nil || rep.model.FinetunePart() != cfg.FinetunePart || rep.sgdCfg != sgdCfg {
+		return newReplica(global, cfg, cfg.TrainGroups)
+	}
+	mask := cfg.TrainGroups
+	if len(mask) == 0 {
+		mask = rep.partGroups
+	}
+	if err := rep.rebind(global, mask); err != nil {
+		return nil, err
+	}
+	rep.hook = hook
+	return rep, nil
+}
+
+// keepReplica stores rep as global's kept replica.
+func keepReplica(global *models.Model, rep *replica) {
+	if !reuseReplicas {
+		return
+	}
+	key := weak.Make(global)
+	kept.Lock()
+	defer kept.Unlock()
+	if _, ok := kept.reps[key]; !ok {
+		runtime.AddCleanup(global, func(key weak.Pointer[models.Model]) {
+			kept.Lock()
+			delete(kept.reps, key)
+			kept.Unlock()
+		}, key)
+	}
+	kept.reps[key] = rep
 }
 
 // NewLocalConfig applies defaults and validates a config for standalone

@@ -12,9 +12,8 @@ import (
 // TestReplicaPathBitIdenticalToLegacy pins the replica pool's invariant:
 // training on reused replicas (model, optimizer, batch iterator and state
 // buffers rebound per client) produces byte-for-byte the same History and
-// final global model as giving every client-round a fresh one-shot replica —
-// what LocalUpdate does — so reuse leaks no state from one client into the
-// next. It runs across selectors, momentum, FedProx and dropout, and with
+// final global model as giving every client-round a fresh one-shot replica,
+// so reuse leaks no state from one client into the next. It runs across selectors, momentum, FedProx and dropout, and with
 // more clients than workers so replicas are rebound mid-round.
 func TestReplicaPathBitIdenticalToLegacy(t *testing.T) {
 	clients, _, test, spec := testFederation(t, 6, 0.5)

@@ -123,9 +123,26 @@ func TestParentCommitDigests(t *testing.T) {
 	}
 }
 
+// outcomeDigest hashes everything a LocalOutcome reports, State bits
+// included; withState false leaves State out, for callers that may no longer
+// read it.
+func outcomeDigest(out LocalOutcome, withState bool) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d %+v %016x %016x", out.NumSelected, out.Cost,
+		math.Float64bits(out.TrainLoss), math.Float64bits(out.MeanEntropy))
+	if withState {
+		for _, ts := range out.State {
+			for _, v := range ts.Data() {
+				fmt.Fprintf(h, "%08x", math.Float32bits(v))
+			}
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
 // TestParentCommitLocalUpdateDigest is the same pin for the standalone client
-// round under a layer mask (what fedclient runs): a one-shot replica with
-// three frozen groups, recorded at the same commit.
+// round under a layer mask (what fedclient runs): a first call, on a freshly
+// built replica, with three frozen groups, recorded at the same commit.
 func TestParentCommitLocalUpdateDigest(t *testing.T) {
 	clients, _, _, spec := testFederation(t, 6, 0.5)
 	m, err := models.Build(spec)
@@ -142,16 +159,8 @@ func TestParentCommitLocalUpdateDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d %+v %016x %016x", out.NumSelected, out.Cost,
-		math.Float64bits(out.TrainLoss), math.Float64bits(out.MeanEntropy))
-	for _, ts := range out.State {
-		for _, v := range ts.Data() {
-			fmt.Fprintf(h, "%08x", math.Float32bits(v))
-		}
-	}
 	const want = "746a8470a3c80068"
-	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+	if got := outcomeDigest(out, true); got != want {
 		t.Errorf("digest %s, want %s", got, want)
 	}
 }

@@ -18,9 +18,10 @@ import (
 )
 
 // reuseReplicas is a test hook. Production runs always train on the Runner's
-// pooled replicas; the equivalence tests flip it to give every client-round a
-// fresh one-shot replica instead (what LocalUpdate does), pinning that reuse
-// leaks no state from one client into the next.
+// pooled replicas and on the replica LocalUpdate keeps per model; the
+// equivalence tests flip it to give every client-round a fresh one-shot
+// replica instead, pinning that reuse leaks no state from one client into
+// the next.
 var reuseReplicas = true
 
 // replica is a client-training context: a model clone, an SGD over its
@@ -28,7 +29,7 @@ var reuseReplicas = true
 // The Runner keeps one per worker and rebinds it per client (instead of a
 // full Clone per client-round), which together with the per-layer workspace
 // caches makes the steady-state training loop allocation-free; LocalUpdate
-// builds one, trains once, and drops it.
+// keeps one per model it is called on and rebinds it per call (kept).
 //
 // A replica belongs to exactly one worker goroutine at a time. Rebinding is
 // bit-identical to cloning: the full model state (params and buffers) is
@@ -48,13 +49,18 @@ type replica struct {
 	loss  nn.LossScratch
 	// hook is the strategy's client-side objective twist, bound per round.
 	hook strategy.LocalHook
+	// partGroups are the groups the construction-time finetune part trains:
+	// the mask LocalUpdate rebinds when a call names none.
+	partGroups []string
 	// maskKey names the layer mask the model is currently set to, and sgds
 	// caches one optimizer per distinct mask (each mask has its own
 	// trainable-parameter set): tiered runs rebind masks per client without
-	// re-allocating velocity buffers. sgdCfg rebuilds optimizers for masks
-	// first seen mid-run. Both are filled on the first masked rebind: the
-	// untiered path and one-shot replicas never leave the construction-time
-	// model/optimizer pair and never pay for the cache.
+	// re-allocating velocity buffers. Both are filled on the first masked
+	// rebind: the Runner's untiered path and one-shot replicas never leave
+	// the construction-time model/optimizer pair and never pay for the
+	// cache. sgdCfg, the tuned optimizer config the replica was built with,
+	// rebuilds optimizers for masks first seen mid-run and tells LocalUpdate
+	// whether a call may reuse the replica.
 	maskKey string
 	sgds    map[string]*opt.SGD
 	sgdCfg  opt.SGDConfig
@@ -71,15 +77,27 @@ func newReplica(global *models.Model, cfg Config, mask []string) (*replica, erro
 	if err := m.SetFinetunePart(cfg.FinetunePart); err != nil {
 		return nil, err
 	}
+	partGroups := m.TrainableGroupNames()
 	if len(mask) > 0 {
 		if err := m.SetTrainableGroups(mask); err != nil {
 			return nil, fmt.Errorf("mask: %w", err)
 		}
 	}
-	// The strategy's local hook carries the per-round objective twist
-	// (FedProx tunes μ into the optimizer and snapshots the proximal anchor
-	// at bind time); plain strategies, and a nil Strategy, leave the
-	// optimizer untouched.
+	sgdCfg, hook := localSGD(cfg)
+	sgd, err := opt.NewSGD(sgdCfg, m.TrainableParams())
+	if err != nil {
+		return nil, err
+	}
+	rep := &replica{model: m, sgd: sgd, hook: hook, partGroups: partGroups, sgdCfg: sgdCfg}
+	rep.enter()
+	return rep, nil
+}
+
+// localSGD is the client optimizer cfg asks for, and the strategy's local
+// hook. The hook carries the per-round objective twist (FedProx tunes μ into
+// the optimizer and snapshots the proximal anchor at bind time); plain
+// strategies, and a nil Strategy, leave the optimizer untouched.
+func localSGD(cfg Config) (opt.SGDConfig, strategy.LocalHook) {
 	sgdCfg := opt.SGDConfig{
 		LR:          cfg.LR,
 		Momentum:    cfg.Momentum,
@@ -88,16 +106,13 @@ func newReplica(global *models.Model, cfg Config, mask []string) (*replica, erro
 	var hook strategy.LocalHook
 	if cfg.Strategy != nil {
 		if hook = cfg.Strategy.LocalHook(); hook != nil {
-			hook.TuneSGD(&sgdCfg)
+			// The hook's copy escapes; a plain call's config stays on the stack.
+			tuned := sgdCfg
+			hook.TuneSGD(&tuned)
+			sgdCfg = tuned
 		}
 	}
-	sgd, err := opt.NewSGD(sgdCfg, m.TrainableParams())
-	if err != nil {
-		return nil, err
-	}
-	rep := &replica{model: m, sgd: sgd, hook: hook, sgdCfg: sgdCfg}
-	rep.enter()
-	return rep, nil
+	return sgdCfg, hook
 }
 
 // enter points the replica's head at the lowest group its model's current
@@ -135,10 +150,10 @@ func (rep *replica) bindMask(mask []string) error {
 		rep.maskKey = strings.Join(rep.model.TrainableGroupNames(), ",")
 		rep.sgds = map[string]*opt.SGD{rep.maskKey: rep.sgd}
 	}
-	key := strings.Join(mask, ",")
-	if key == rep.maskKey {
+	if sameMask(mask, rep.maskKey) {
 		return nil
 	}
+	key := strings.Join(mask, ",")
 	if err := rep.model.SetTrainableGroups(mask); err != nil {
 		return err
 	}
@@ -153,6 +168,24 @@ func (rep *replica) bindMask(mask []string) error {
 	rep.sgd, rep.maskKey = sgd, key
 	rep.enter()
 	return nil
+}
+
+// sameMask reports whether mask joined by commas is key, without building
+// the join: a replica rebound to the mask it already has allocates nothing.
+func sameMask(mask []string, key string) bool {
+	for i, g := range mask {
+		if i > 0 {
+			if !strings.HasPrefix(key, ",") {
+				return false
+			}
+			key = key[1:]
+		}
+		if !strings.HasPrefix(key, g) {
+			return false
+		}
+		key = key[len(g):]
+	}
+	return key == ""
 }
 
 // featureBatch is how many samples one step of a frozen-prefix pass pushes
@@ -206,8 +239,7 @@ func (f *features) of(m *models.Model, p int, ds *data.Dataset) (*data.Dataset, 
 // replica: data selection, E epochs of SGD on the selected subset, and cost
 // accounting. The trained state of the trainable groups is copied into
 // stateBuf's reused tensors, which the caller owns; a nil stateBuf returns
-// the replica's live tensors instead, for a one-shot replica nobody trains
-// again.
+// the replica's live tensors instead, valid until the replica is rebound.
 func (rep *replica) train(cfg Config, cl *Client, round int, stateBuf *[]*tensor.Tensor) (clientResult, error) {
 	rng := seeds.ClientRound(cfg.Seed, round, cl.ID)
 	// One pass through the frozen prefix serves the scoring pass and every

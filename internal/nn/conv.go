@@ -33,7 +33,7 @@ type Conv2D struct {
 	inShape   []int // cached input shape (reused buffer)
 
 	// Cached workspaces, reused across steps (see the package aliasing rule).
-	wt, y, doutT, dw, db, dx *tensor.Tensor
+	wt, y, doutT, dx *tensor.Tensor
 
 	// scratch is the per-chunk working set, owned by the layer so steady
 	// state allocates nothing: chunk lo/chunk of a dispatch has the staging
@@ -216,27 +216,20 @@ func (c *Conv2D) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 	c.pdy = nil
 
 	if !c.frozen {
-		// dW += dOutᵀ @ cols ; db += row sums of dOutᵀ. Both stay one
-		// batch-wide reduction, ascending (n, s), whatever the partition.
-		c.dw = tensor.Ensure(c.dw, c.outC, c.inC*c.kernel*c.kernel)
-		if err := tensor.MatMul(c.dw, c.doutT, c.cols); err != nil {
-			panic(err)
-		}
-		if err := c.weight.G.Add(c.dw); err != nil {
+		// dW += dOutᵀ @ cols ; db += row sums of dOutᵀ, straight into G.
+		// Each stays one batch-wide reduction, ascending (n, s), whatever
+		// the partition.
+		if err := tensor.MatMulAdd(c.weight.Grad(), c.doutT, c.cols); err != nil {
 			panic(err)
 		}
 		if c.useBias {
-			c.db = tensor.Ensure(c.db, c.outC)
-			db, dt := c.db.Data(), c.doutT.Data()
+			db, dt := c.bias.Grad().Data(), c.doutT.Data()
 			for oc := range db {
 				var sum float32
 				for _, v := range dt[oc*n*oh*ow : (oc+1)*n*oh*ow] {
 					sum += v
 				}
-				db[oc] = sum
-			}
-			if err := c.bias.G.Add(c.db); err != nil {
-				panic(err)
+				db[oc] += sum
 			}
 		}
 	}

@@ -197,12 +197,12 @@ func checkConvAgainstDirect(t *testing.T, n, inC, h, w, outC, k, stride, pad int
 		ref.gw = make([]float32, len(ref.gw)) // a frozen layer accumulates nothing
 		ref.gb = make([]float32, len(ref.gb))
 	}
-	if i := diffBits(c.weight.G.Data(), ref.gw); i >= 0 {
-		t.Fatalf("dW[%d] = %x, want %x", i, math.Float32bits(c.weight.G.Data()[i]), math.Float32bits(ref.gw[i]))
+	if i := diffBits(c.weight.Grad().Data(), ref.gw); i >= 0 {
+		t.Fatalf("dW[%d] = %x, want %x", i, math.Float32bits(c.weight.Grad().Data()[i]), math.Float32bits(ref.gw[i]))
 	}
 	if useBias {
-		if i := diffBits(c.bias.G.Data(), ref.gb); i >= 0 {
-			t.Fatalf("db[%d] = %x, want %x", i, math.Float32bits(c.bias.G.Data()[i]), math.Float32bits(ref.gb[i]))
+		if i := diffBits(c.bias.Grad().Data(), ref.gb); i >= 0 {
+			t.Fatalf("db[%d] = %x, want %x", i, math.Float32bits(c.bias.Grad().Data()[i]), math.Float32bits(ref.gb[i]))
 		}
 	}
 }
@@ -250,7 +250,7 @@ func TestConvParentDigest(t *testing.T) {
 				dy := tensor.New(y.Shape()...)
 				dy.FillNormal(rng, 0, 1)
 				hash(c.Backward(dy, true))
-				hash(c.weight.G)
+				hash(c.weight.Grad())
 			}
 			x := tensor.New(37, tt.inC, tt.size, tt.size)
 			x.FillNormal(rng, 0, 1)

@@ -108,10 +108,10 @@ func trainBlockForTest(blk *Residual, seed int64, steps int) []uint32 {
 			bits = append(float32Bits(y.Data()), float32Bits(dx.Data())...)
 		}
 		for _, p := range blk.Params() {
-			if err := p.W.Axpy(-0.05, p.G); err != nil {
+			if err := p.W.Axpy(-0.05, p.Grad()); err != nil {
 				panic(err)
 			}
-			p.G.Zero()
+			p.Grad().Zero()
 		}
 	}
 	for _, p := range blk.Params() {

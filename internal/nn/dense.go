@@ -18,7 +18,7 @@ type Dense struct {
 	x *tensor.Tensor // cached input for backward (owned by the upstream layer)
 
 	// Cached workspaces, reused across steps (see the package aliasing rule).
-	y, dw, db, dx *tensor.Tensor
+	y, dx *tensor.Tensor
 }
 
 var _ Layer = (*Dense)(nil)
@@ -77,19 +77,11 @@ func (d *Dense) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 		if d.x == nil {
 			panic("nn: dense " + d.name + ": Backward without train Forward")
 		}
-		// dW += dyᵀ x ; db += column sums of dy.
-		d.dw = tensor.Ensure(d.dw, d.out, d.in)
-		if err := tensor.MatMulTransA(d.dw, dy, d.x); err != nil {
+		// dW += dyᵀ x ; db += column sums of dy, both straight into G.
+		if err := tensor.MatMulTransAAdd(d.weight.Grad(), dy, d.x); err != nil {
 			panic(err)
 		}
-		if err := d.weight.G.Add(d.dw); err != nil {
-			panic(err)
-		}
-		d.db = tensor.Ensure(d.db, d.out)
-		if err := dy.SumRows(d.db); err != nil {
-			panic(err)
-		}
-		if err := d.bias.G.Add(d.db); err != nil {
+		if err := dy.SumRowsAdd(d.bias.Grad()); err != nil {
 			panic(err)
 		}
 	}

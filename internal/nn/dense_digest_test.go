@@ -71,7 +71,7 @@ func TestDenseParentDigest(t *testing.T) {
 			hash(dy)
 		}
 		for _, p := range m.Params() {
-			hash(p.G)
+			hash(p.Grad())
 		}
 		sgd.Step()
 		for _, p := range m.Params() {

@@ -43,7 +43,7 @@ func gradCheck(t *testing.T, model *Sequential, x *tensor.Tensor, labels []int) 
 			down := lossAt()
 			p.W.Data()[i] = orig
 			numeric := (up - down) / (2 * eps)
-			analytic := float64(p.G.Data()[i])
+			analytic := float64(p.Grad().Data()[i])
 			diff := math.Abs(numeric - analytic)
 			scale := math.Max(1, math.Max(math.Abs(numeric), math.Abs(analytic)))
 			checked++
@@ -220,7 +220,7 @@ func TestGradCheckTemperatureLoss(t *testing.T) {
 		down, _ := loss.Value(model.Forward(x, true), labels)
 		p.W.Data()[i] = orig
 		numeric := (up - down) / (2 * eps)
-		analytic := float64(p.G.Data()[i])
+		analytic := float64(p.Grad().Data()[i])
 		if math.Abs(numeric-analytic) > 5e-2*math.Max(1, math.Abs(numeric)) {
 			t.Fatalf("temp loss grad[%d]: analytic %.5f numeric %.5f", i, analytic, numeric)
 		}

@@ -36,17 +36,27 @@ type Param struct {
 	Name string
 	// W holds the parameter values.
 	W *tensor.Tensor
-	// G accumulates the gradient of the loss with respect to W. It has the
-	// same shape as W and is owned by the layer.
+	// G accumulates the gradient of the loss with respect to W, in W's shape.
+	// It is nil until the parameter first receives a gradient (Grad), so a
+	// model that never trains — a server's global, a client's install target
+	// — carries none; nil reads as zero.
 	G *tensor.Tensor
 	// NoDecay marks parameters exempt from weight decay (biases, batch-norm
 	// scale/shift).
 	NoDecay bool
 }
 
-// newParam allocates a parameter and its zeroed gradient.
+// Grad returns the gradient accumulator, allocating it zeroed on first use.
+func (p *Param) Grad() *tensor.Tensor {
+	if p.G == nil {
+		p.G = tensor.New(p.W.Shape()...)
+	}
+	return p.G
+}
+
+// newParam wraps a parameter tensor; its gradient is allocated by Grad.
 func newParam(name string, w *tensor.Tensor, noDecay bool) *Param {
-	return &Param{Name: name, W: w, G: tensor.New(w.Shape()...), NoDecay: noDecay}
+	return &Param{Name: name, W: w, NoDecay: noDecay}
 }
 
 // Layer is a differentiable module with explicit forward and backward passes.
@@ -59,7 +69,8 @@ type Layer interface {
 	// frozen.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes the gradient with respect to the layer output,
-	// accumulates parameter gradients (unless frozen), and, when needDx is
+	// accumulates parameter gradients straight into each Param's Grad
+	// (unless frozen; no per-layer gradient workspace), and, when needDx is
 	// true, returns the gradient with respect to the layer input. When needDx
 	// is false the return value may be nil.
 	Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor

@@ -360,12 +360,12 @@ func TestSequentialFreezePartial(t *testing.T) {
 
 	// Frozen layer accumulated no gradient.
 	for _, p := range d1.Params() {
-		if p.G.Norm2() != 0 {
-			t.Fatalf("frozen param %q has gradient norm %v", p.Name, p.G.Norm2())
+		if p.Grad().Norm2() != 0 {
+			t.Fatalf("frozen param %q has gradient norm %v", p.Name, p.Grad().Norm2())
 		}
 	}
 	// Trainable layer did.
-	if model.Params()[2].G.Norm2() == 0 {
+	if model.Params()[2].Grad().Norm2() == 0 {
 		t.Fatal("trainable layer has zero gradient")
 	}
 }

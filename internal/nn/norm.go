@@ -377,7 +377,7 @@ func (bn *BatchNorm) paramGrads(dyd, xh []float32, n, spatial int) {
 	if bn.frozen {
 		return
 	}
-	gg, bg := bn.gamma.G.Data(), bn.beta.G.Data()
+	gg, bg := bn.gamma.Grad().Data(), bn.beta.Grad().Data()
 	for c := 0; c < cc; c++ {
 		gg[c] += float32(dgamma[c])
 		bg[c] += float32(dbeta[c])

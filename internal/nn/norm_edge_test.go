@@ -41,7 +41,7 @@ func TestBatchNormDegenerateBatchOfOne(t *testing.T) {
 		t.Fatal("degenerate batch backward not finite")
 	}
 	// Gamma gradient accumulated (layer is trainable).
-	if bn.gamma.G.Norm2() == 0 {
+	if bn.gamma.Grad().Norm2() == 0 {
 		t.Fatal("no gamma gradient from degenerate-batch backward")
 	}
 }
@@ -154,7 +154,7 @@ func TestResidualFrozenNoGrads(t *testing.T) {
 		t.Fatal("frozen residual should still pass dx when requested")
 	}
 	for _, p := range res.Params() {
-		if p.G.Norm2() != 0 {
+		if p.Grad().Norm2() != 0 {
 			t.Fatalf("frozen residual accumulated gradient on %q", p.Name)
 		}
 	}
@@ -224,7 +224,7 @@ func TestBatchNormDenseLoopsMatchSpatialLoops(t *testing.T) {
 					dx := bn.Backward(dy.MustReshape(shape...), true)
 					outs[li] = append(outs[li], y.Clone(), dx.Clone())
 				}
-				outs[li] = append(outs[li], bn.gamma.G, bn.beta.G, bn.runMean, bn.runVar)
+				outs[li] = append(outs[li], bn.gamma.Grad(), bn.beta.Grad(), bn.runMean, bn.runVar)
 			}
 			for i := range outs[0] {
 				a, b := outs[0][i].Data(), outs[1][i].Data()

@@ -163,10 +163,12 @@ func (s *Sequential) SetFrozen(f bool) {
 // Frozen implements Layer: true when every child is frozen.
 func (s *Sequential) Frozen() bool { return layerFullyFrozen(s) }
 
-// ZeroGrads zeroes all parameter gradients.
+// ZeroGrads zeroes all parameter gradients; one never allocated is zero.
 func (s *Sequential) ZeroGrads() {
 	for _, p := range s.Params() {
-		p.G.Zero()
+		if p.G != nil {
+			p.G.Zero()
+		}
 	}
 }
 

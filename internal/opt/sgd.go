@@ -91,49 +91,70 @@ func (s *SGD) Reset() {
 }
 
 // Step applies one update to every parameter from its accumulated gradient,
-// then zeroes the gradients.
+// then zeroes the gradients, in one pass over each parameter: element j goes
+// through weight decay g += wd·w, the proximal term g += μ(w - w_global), the
+// velocity v = mom·v + g, the weight update and g = 0, in that order and with
+// the expression shapes of the separate passes these replace, so each
+// element's bits are theirs on every target. The modes are separate loops,
+// decided once per parameter: a branch per element costs more than the
+// passes it saves.
 func (s *SGD) Step() {
 	lr := float32(s.cfg.LR)
+	nlr := -lr
 	mom := float32(s.cfg.Momentum)
 	wd := float32(s.cfg.WeightDecay)
 	mu := float32(s.cfg.ProxMu)
 	for i, p := range s.params {
-		g := p.G
-		if wd > 0 && !p.NoDecay {
-			if err := g.Axpy(wd, p.W); err != nil {
-				panic(err)
+		w := p.W.Data()
+		g := p.Grad().Data()[:len(w)]
+		v := s.velocity[i].Data()[:len(w)]
+		decay := wd > 0 && !p.NoDecay
+		prox := mu > 0 && s.anchor != nil
+		switch {
+		case decay || prox || (mom > 0 && s.cfg.Nesterov):
+			var a []float32
+			if prox {
+				a = s.anchor[i].Data()[:len(w)]
+			}
+			stepGeneral(w, g, v, a, lr, mom, wd, mu, decay, s.cfg.Nesterov)
+		case mom > 0:
+			for j, gj := range g {
+				v[j] = mom*v[j] + gj
+				w[j] += nlr * v[j]
+				g[j] = 0
+			}
+		default:
+			for j, gj := range g {
+				w[j] += nlr * gj
+				g[j] = 0
 			}
 		}
-		if mu > 0 && s.anchor != nil {
-			// g += μ (w - w_global)
-			gd, wv, av := g.Data(), p.W.Data(), s.anchor[i].Data()
-			for j := range gd {
-				gd[j] += mu * (wv[j] - av[j])
-			}
+	}
+}
+
+// stepGeneral is Step's loop for the modes that amend the gradient (weight
+// decay, the proximal term toward a, whose nil means none) or look ahead
+// (Nesterov).
+func stepGeneral(w, g, v, a []float32, lr, mom, wd, mu float32, decay, nesterov bool) {
+	nlr := -lr
+	for j := range w {
+		gj := g[j]
+		if decay {
+			gj += wd * w[j]
 		}
-		v := s.velocity[i]
-		if mom > 0 {
-			// v = mom*v + g
-			vd, gd := v.Data(), g.Data()
-			for j := range vd {
-				vd[j] = mom*vd[j] + gd[j]
-			}
-			if s.cfg.Nesterov {
-				// w -= lr * (g + mom*v)
-				wv := p.W.Data()
-				for j := range wv {
-					wv[j] -= lr * (gd[j] + mom*vd[j])
-				}
-			} else {
-				if err := p.W.Axpy(-lr, v); err != nil {
-					panic(err)
-				}
-			}
-		} else {
-			if err := p.W.Axpy(-lr, g); err != nil {
-				panic(err)
-			}
+		if a != nil {
+			gj += mu * (w[j] - a[j])
 		}
-		g.Zero()
+		switch {
+		case mom > 0 && nesterov:
+			v[j] = mom*v[j] + gj
+			w[j] -= lr * (gj + mom*v[j])
+		case mom > 0:
+			v[j] = mom*v[j] + gj
+			w[j] += nlr * v[j]
+		default:
+			w[j] += nlr * gj
+		}
+		g[j] = 0
 	}
 }

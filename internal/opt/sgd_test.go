@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -190,4 +191,162 @@ func TestSGDTrainsRealModel(t *testing.T) {
 	if last > 0.1 {
 		t.Fatalf("final loss %v, want < 0.1 on separable data", last)
 	}
+}
+
+// referenceStep is SGD.Step as it stood before the one-pass rewrite — a pass
+// per operation over each parameter — kept verbatim as the oracle the fused
+// loop must match bit for bit. It reads p.G directly, so every reference
+// parameter carries an allocated gradient.
+func referenceStep(s *SGD) {
+	lr := float32(s.cfg.LR)
+	mom := float32(s.cfg.Momentum)
+	wd := float32(s.cfg.WeightDecay)
+	mu := float32(s.cfg.ProxMu)
+	for i, p := range s.params {
+		g := p.G
+		if wd > 0 && !p.NoDecay {
+			if err := g.Axpy(wd, p.W); err != nil {
+				panic(err)
+			}
+		}
+		if mu > 0 && s.anchor != nil {
+			// g += μ (w - w_global)
+			gd, wv, av := g.Data(), p.W.Data(), s.anchor[i].Data()
+			for j := range gd {
+				gd[j] += mu * (wv[j] - av[j])
+			}
+		}
+		v := s.velocity[i]
+		if mom > 0 {
+			// v = mom*v + g
+			vd, gd := v.Data(), g.Data()
+			for j := range vd {
+				vd[j] = mom*vd[j] + gd[j]
+			}
+			if s.cfg.Nesterov {
+				// w -= lr * (g + mom*v)
+				wv := p.W.Data()
+				for j := range wv {
+					wv[j] -= lr * (gd[j] + mom*vd[j])
+				}
+			} else {
+				if err := p.W.Axpy(-lr, v); err != nil {
+					panic(err)
+				}
+			}
+		} else {
+			if err := p.W.Axpy(-lr, g); err != nil {
+				panic(err)
+			}
+		}
+		g.Zero()
+	}
+}
+
+// fuzzFloats reads n float32 bit patterns from data, cycling through it (all
+// zero when data is empty), so NaN payloads, infinities, -0 and subnormals
+// reach the step exactly as the fuzzer writes them.
+func fuzzFloats(data []byte, off, n int) []float32 {
+	out := make([]float32, n)
+	if len(data) < 4 {
+		return out
+	}
+	for i := range out {
+		var b [4]byte
+		for k := range b {
+			b[k] = data[(off+4*i+k)%len(data)]
+		}
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[:]))
+	}
+	return out
+}
+
+// FuzzSGDStepMatchesReference holds the one-pass Step to referenceStep over
+// three steps of two parameters (one exempt from decay): weights, velocities
+// and the zeroed gradients must agree bit for bit, for momentum zero and
+// positive, heavy-ball and Nesterov, with and without weight decay and a
+// proximal anchor. A NaN matches any NaN: which operand's payload an x86 add
+// keeps follows the compiler's operand order, not the arithmetic. The seeds
+// plant NaN, ±Inf, -0 and subnormals; lazyG leaves the fused side's first
+// gradient unallocated, which must read as zero.
+func FuzzSGDStepMatchesReference(f *testing.F) {
+	special := func(vs ...float32) []byte {
+		b := make([]byte, 0, 4*len(vs))
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
+		return b
+	}
+	negZero := float32(math.Copysign(0, -1))
+	sub := math.Float32frombits(1)
+	inf := float32(math.Inf(1))
+	nan := float32(math.NaN())
+	f.Add(special(1, -2, 0.5, 3), 0.1, 0.5, 0.0, 0.0, false, false, false)
+	f.Add(special(2, -1, 0.25, sub), 0.1, 0.0, 0.0, 0.0, false, false, true)
+	f.Add(special(negZero, sub, -sub, 1e-30, -1e-30, 7), 0.1, 0.9, 0.01, 0.5, true, true, true)
+	f.Add(special(nan, inf, -inf, negZero, 1, sub), 0.5, 0.0, 0.1, 1.0, false, true, false)
+	f.Add(special(3e38, -3e38, 1e-38, negZero, 0, 2), 1e-3, 0.99, 5e-4, 0.01, true, false, true)
+	f.Fuzz(func(t *testing.T, data []byte, lr, mom, wd, mu float64, nesterov, anchor, lazyG bool) {
+		cfg := SGDConfig{LR: lr, Momentum: mom, WeightDecay: wd, Nesterov: nesterov, ProxMu: mu}
+		if !(lr > 0) || !(mom >= 0 && mom < 1) || !(wd >= 0) || !(mu >= 0) {
+			t.Skip("configuration NewSGD refuses")
+		}
+		shapes := [][]int{{3, 5}, {4}}
+		build := func(lazy bool) (*SGD, []*nn.Param) {
+			ps := make([]*nn.Param, len(shapes))
+			for i, sh := range shapes {
+				n := tensor.Volume(sh)
+				ps[i] = &nn.Param{Name: "p", W: tensor.MustFromSlice(fuzzFloats(data, 16*i, n), sh...), NoDecay: i == 1}
+				if !lazy || i != 0 {
+					ps[i].G = tensor.MustFromSlice(fuzzFloats(data, 16*i+5, n), sh...)
+				}
+			}
+			s, err := NewSGD(cfg, ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range s.velocity {
+				copy(v.Data(), fuzzFloats(data, 16*i+9, v.Len()))
+			}
+			if anchor {
+				s.SnapshotProxAnchor()
+				for i, a := range s.anchor {
+					copy(a.Data(), fuzzFloats(data, 16*i+13, a.Len()))
+				}
+			}
+			return s, ps
+		}
+		fused, got := build(lazyG)
+		ref, want := build(false)
+		if lazyG {
+			want[0].G.Zero()
+		}
+		same := func(what string, step int, a, b *tensor.Tensor) {
+			for j, x := range a.Data() {
+				y := b.Data()[j]
+				if x != x && y != y {
+					continue // NaN either way; which payload survives follows operand order, not arithmetic
+				}
+				if math.Float32bits(x) != math.Float32bits(y) {
+					t.Fatalf("step %d: %s[%d] = %08x, reference %08x", step, what, j, math.Float32bits(x), math.Float32bits(y))
+				}
+			}
+		}
+		for step := 0; step < 3; step++ {
+			if step > 0 {
+				for i := range got {
+					g := fuzzFloats(data, 7*step+3*i, got[i].W.Len())
+					copy(got[i].G.Data(), g)
+					copy(want[i].G.Data(), g)
+				}
+			}
+			fused.Step()
+			referenceStep(ref)
+			for i := range got {
+				same("w", step, got[i].W, want[i].W)
+				same("v", step, fused.velocity[i], ref.velocity[i])
+				same("g", step, got[i].G, want[i].G)
+			}
+		}
+	})
 }

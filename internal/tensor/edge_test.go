@@ -71,7 +71,7 @@ func TestMatMulTransShapeErrors(t *testing.T) {
 	a := New(3, 2)
 	b := New(4, 5)
 	dst := New(2, 5)
-	if err := MatMulTransA(dst, a, b); !errors.Is(err, ErrShape) {
+	if err := MatMulTransAAdd(dst, a, b); !errors.Is(err, ErrShape) {
 		t.Fatalf("TransA: expected ErrShape, got %v", err)
 	}
 	if err := MatMulTransB(dst, a, b); !errors.Is(err, ErrShape) {

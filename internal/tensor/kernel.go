@@ -14,8 +14,8 @@ import (
 //
 // Every tier obeys the accumulation-order contract (see matmul.go): SIMD
 // only across independent output lanes j, each output element accumulating
-// its K terms in ascending-p order with one multiply rounding and one add
-// rounding per term. In particular the AVX2/AVX-512 kernels deliberately do
+// its K terms from +0 in ascending-p order with one multiply rounding and
+// one add rounding per term, then adding the sum to dst once. In particular the AVX2/AVX-512 kernels deliberately do
 // NOT use fused multiply-add: a single-rounding VFMADD would produce
 // different bits than the portable kernel and break every cross-tier
 // bit-identity gate (golden checkpoints, resume, relay-vs-flat). The win of

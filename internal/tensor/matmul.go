@@ -7,17 +7,19 @@ import "fmt"
 // overhead dominates.
 const matmulParallelThreshold = 64 * 64
 
-// All three multiplies reduce to one row kernel: dst[i, 0:n] = Σ_p A'[i,p] ·
-// B'[p, 0:n], where A' (M, K) is row-major with contiguous reduction axis and
-// B' (K, N) is row-major with contiguous output axis. An operand that lacks
-// the required layout is transposed into pooled scratch first (pure data
-// movement); a @ bᵀ with a big b and a small batch instead runs as (b @ aᵀ)ᵀ,
-// transposing the batch and the result (MatMulTransB has the rule). The
-// kernel vectorizes across output lanes j, never across the reduction: every
-// output element accumulates its K terms strictly in ascending-p order with
-// one rounding per multiply-add, so results are bit-identical to the
-// straightforward triple loop, to the pre-SIMD kernels, and to any level of
-// row-partitioned parallelism.
+// Every multiply reduces to one row kernel: dst[i, 0:n] += Σ_p A'[i,p] ·
+// B'[p, 0:n], onto a cleared dst or, for the accumulating MatMulAdd and
+// MatMulTransAAdd, onto dst's own values. A' (M, K) is row-major with
+// contiguous reduction axis and B' (K, N) is row-major with contiguous output
+// axis. An operand that lacks the required layout is transposed into pooled
+// scratch first (pure data movement); a @ bᵀ with a big b and a small batch
+// instead runs as (b @ aᵀ)ᵀ, transposing the batch and the result
+// (MatMulTransB has the rule). The kernel vectorizes across output lanes j,
+// never across the reduction: every output element accumulates its K terms
+// from +0 strictly in ascending-p order with one rounding per multiply and
+// per add, and the finished sum is added to dst once, so results are
+// bit-identical to the straightforward triple loop (plus that one add), to
+// the pre-SIMD kernels, and to any level of row-partitioned parallelism.
 
 // MatMul computes dst = a @ b for rank-2 tensors a (M, K) and b (K, N),
 // writing into dst (M, N). dst must not alias a or b. Large products are
@@ -48,10 +50,29 @@ func MatMulNew(a, b *Tensor) (*Tensor, error) {
 	return dst, nil
 }
 
-// MatMulTransA computes dst = aᵀ @ b for a (K, M) and b (K, N) into dst (M, N).
-// Used by backward passes to avoid materializing transposes. a's columns are
-// packed into pooled scratch so the kernel reduces over contiguous memory.
-func MatMulTransA(dst, a, b *Tensor) error {
+// MatMulAdd computes dst += a @ b for a (M, K) and b (K, N) into dst (M, N):
+// each element's product sum is formed as MatMul forms it and added to dst
+// once, so the result is a product into a workspace followed by Tensor.Add,
+// bit for bit, without the workspace. Backward passes use it to land weight
+// gradients straight in the gradient accumulator.
+func MatMulAdd(dst, a, b *Tensor) error {
+	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
+		return fmt.Errorf("%w: matmul wants rank-2, got %v @ %v -> %v", ErrShape, a.shape, b.shape, dst.shape)
+	}
+	m, k := a.shape[0], a.shape[1]
+	k2, n := b.shape[0], b.shape[1]
+	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
+		return fmt.Errorf("%w: matmul %v @ %v -> %v", ErrShape, a.shape, b.shape, dst.shape)
+	}
+	gemmAcc(dst.data, a.data, b.data, m, n, k)
+	return nil
+}
+
+// MatMulTransAAdd computes dst += aᵀ @ b for a (K, M) and b (K, N) into dst
+// (M, N), the MatMulAdd contract without materializing the transpose for
+// the caller: a's columns are packed into pooled scratch so the kernel
+// reduces over contiguous memory.
+func MatMulTransAAdd(dst, a, b *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
 		return fmt.Errorf("%w: matmulTA wants rank-2, got %v,%v,%v", ErrShape, a.shape, b.shape, dst.shape)
 	}
@@ -62,7 +83,7 @@ func MatMulTransA(dst, a, b *Tensor) error {
 	}
 	at := getScratch(k * m)
 	PackTranspose(*at, a.data, k, m)
-	runGemm(dst.data, *at, b.data, m, n, k)
+	gemmAcc(dst.data, *at, b.data, m, n, k)
 	putScratch(at)
 	return nil
 }
@@ -107,7 +128,7 @@ func MatMulTransB(dst, a, b *Tensor) error {
 
 // Cache blocking: when B (K, N) is far larger than a core's L2, the row
 // kernels re-stream it from L3/DRAM for every block of output rows. Past
-// gemmBlockBytes, runGemm instead packs B into column panels of at most
+// gemmBlockBytes, gemmAcc instead packs B into column panels of at most
 // gemmPanelBytes (sized to sit in L2 with room for A rows and dst) and
 // reuses each packed panel across every output row before moving on.
 // Panels split only the output columns j — each dst element still
@@ -132,14 +153,17 @@ func gemmPanelCols(n, k int) int {
 	return nc
 }
 
-// runGemm computes dst (m, n) = a (m, k) @ b (k, n), picking between the
-// flat path (serial or row-parallel) and the cache-blocked panel path.
+// runGemm computes dst (m, n) = a (m, k) @ b (k, n): dst cleared, then the
+// accumulating path.
 func runGemm(dd, ad, bd []float32, m, n, k int) {
-	if n == 0 || m == 0 {
-		return
-	}
 	clear(dd[: m*n : m*n])
-	if k == 0 {
+	gemmAcc(dd, ad, bd, m, n, k)
+}
+
+// gemmAcc accumulates dst (m, n) += a (m, k) @ b (k, n), picking between the
+// flat path (serial or row-parallel) and the cache-blocked panel path.
+func gemmAcc(dd, ad, bd []float32, m, n, k int) {
+	if n == 0 || m == 0 || k == 0 {
 		return
 	}
 	if 4*k*n > gemmBlockBytes && n > gemmPanelCols(n, k) {
@@ -153,7 +177,7 @@ func runGemm(dd, ad, bd []float32, m, n, k int) {
 	gemmAccImpl(dd, ad, bd, m, n, n, k)
 }
 
-// gemmBlocked is the panel path of runGemm: dst is already cleared, k >= 1.
+// gemmBlocked is the panel path of gemmAcc: k >= 1.
 func gemmBlocked(dd, ad, bd []float32, m, n, k int) {
 	nc := gemmPanelCols(n, k)
 	sp := getScratch(k * nc)
@@ -189,15 +213,26 @@ func GemmRows(dst, a, b []float32, rows, n, k int) {
 }
 
 // gemmRowGo is the portable row kernel: dst[j] += Σ_p a[p]·b[p*n+j], the
-// reference the assembly kernels must match bit for bit. Every term is
+// reference the assembly kernels must match bit for bit. Each element's sum
+// is formed from +0 in ascending p, in a chunk of accumulators as the
+// assembly keeps it in registers, and only then added to dst[j]: one more
+// rounding, so from a cleared dst it is the sum itself (a sum begun at +0
+// never reaches -0), and onto a gradient it is exactly G + dW. Every term is
 // accumulated — no zero-multiplier shortcut — so amd64 and non-amd64 produce
 // identical bits even on non-finite data (0·Inf must yield NaN on both).
 func gemmRowGo(dst, a, b []float32, k, n int) {
-	for p := 0; p < k; p++ {
-		av := a[p]
-		brow := b[p*n : p*n+n]
-		for j, bv := range brow {
-			dst[j] += av * bv
+	var acc [16]float32
+	for j0 := 0; j0 < n; j0 += len(acc) {
+		s := acc[:min(len(acc), n-j0)]
+		clear(s)
+		for p := 0; p < k; p++ {
+			av := a[p]
+			for j, bv := range b[p*n+j0 : p*n+j0+len(s)] {
+				s[j] += av * bv
+			}
+		}
+		for j, v := range s {
+			dst[j0+j] += v
 		}
 	}
 }

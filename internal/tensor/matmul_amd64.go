@@ -6,9 +6,10 @@ import "os"
 
 // The amd64 tier implementations. All of them honour the accumulation-order
 // contract: lanes are independent output elements j, each accumulating its
-// K terms in ascending-p order with exactly one multiply rounding and one
-// add rounding per term — the same float32 operation sequence as the
-// portable kernel, so all tiers produce identical bits.
+// K terms from +0 in ascending-p order with exactly one multiply rounding and
+// one add rounding per term, then added to dst once — the same float32
+// operation sequence as the portable kernel, so all tiers produce identical
+// bits.
 
 func init() {
 	detectedFeatures = detectCPU()

@@ -7,15 +7,18 @@
 // dst[j] += sum over p in [0,k) of a[p] * b[p*n + j], for j in [0,n).
 //
 // The output row is processed in chunks of 16, 4 and 1 lanes. For each chunk
-// the accumulators live in XMM registers across the whole reduction loop, so
-// the only streaming traffic is a[p] (broadcast) and the b rows. Lanes are
-// independent output elements: each accumulates its K terms in ascending-p
-// order with one MULPS/ADDPS rounding pair per term, bit-identical to the
-// scalar kernel. SSE only (amd64 baseline); unaligned loads throughout.
+// the accumulators start at zero and live in XMM registers across the whole
+// reduction loop, so the only streaming traffic is a[p] (broadcast) and the
+// b rows; the finished sums are added to dst as the chunk is stored. Lanes
+// are independent output elements: each accumulates its K terms in
+// ascending-p order with one MULPS/ADDPS rounding pair per term,
+// bit-identical to the scalar kernel. SSE only (amd64 baseline); unaligned
+// loads throughout.
 //
 // Register use: DI=dst, SI=a, DX=b, CX=k, R8=n, R9=row stride in bytes,
 // R10=jj (current lane index), AX=lanes remaining, BX=dst chunk pointer,
-// R11=b chunk pointer, R12=p countdown, R13=a cursor.
+// R11=b chunk pointer, R12=p countdown, R13=a cursor, X9=dst chunk at the
+// store.
 TEXT ·gemmRowSSE(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -35,10 +38,10 @@ chunk16:
 	CMPQ AX, $16
 	JLT  chunk4
 	LEAQ (DI)(R10*4), BX
-	MOVUPS 0(BX), X1
-	MOVUPS 16(BX), X2
-	MOVUPS 32(BX), X3
-	MOVUPS 48(BX), X4
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORPS X4, X4
 	LEAQ (DX)(R10*4), R11
 	MOVQ CX, R12
 	MOVQ SI, R13
@@ -63,9 +66,17 @@ ploop16:
 	DECQ   R12
 	JNZ    ploop16
 
+	MOVUPS 0(BX), X9
+	ADDPS  X9, X1
 	MOVUPS X1, 0(BX)
+	MOVUPS 16(BX), X9
+	ADDPS  X9, X2
 	MOVUPS X2, 16(BX)
+	MOVUPS 32(BX), X9
+	ADDPS  X9, X3
 	MOVUPS X3, 32(BX)
+	MOVUPS 48(BX), X9
+	ADDPS  X9, X4
 	MOVUPS X4, 48(BX)
 	ADDQ   $16, R10
 	JMP    chunk16
@@ -74,7 +85,7 @@ chunk4:
 	CMPQ AX, $4
 	JLT  scalar
 	LEAQ (DI)(R10*4), BX
-	MOVUPS (BX), X1
+	XORPS X1, X1
 	LEAQ (DX)(R10*4), R11
 	MOVQ CX, R12
 	MOVQ SI, R13
@@ -90,6 +101,8 @@ ploop4:
 	DECQ   R12
 	JNZ    ploop4
 
+	MOVUPS (BX), X9
+	ADDPS  X9, X1
 	MOVUPS X1, (BX)
 	ADDQ   $4, R10
 	SUBQ   $4, AX
@@ -99,7 +112,7 @@ scalar:
 	TESTQ AX, AX
 	JZ    done
 	LEAQ  (DI)(R10*4), BX
-	MOVSS (BX), X1
+	XORPS X1, X1
 	LEAQ  (DX)(R10*4), R11
 	MOVQ  CX, R12
 	MOVQ  SI, R13
@@ -113,6 +126,7 @@ ploop1:
 	DECQ  R12
 	JNZ   ploop1
 
+	ADDSS (BX), X1
 	MOVSS X1, (BX)
 	ADDQ  $1, R10
 	DECQ  AX

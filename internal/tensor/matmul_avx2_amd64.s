@@ -10,9 +10,10 @@
 // Four output rows are accumulated together so that even for narrow n the
 // multiply/add ports see 4x the independent work — a single row's
 // accumulator chain is latency-bound below ~32 lanes. Lanes are independent
-// output elements and every element accumulates its K terms in ascending-p
-// order with one VMULPS and one VADDPS rounding per term: bit-identical to
-// the scalar kernel. Deliberately no VFMADD — fusing would single-round the
+// output elements and every element accumulates its K terms from zero in
+// ascending-p order with one VMULPS and one VADDPS rounding per term, the
+// sum added to dst as the chunk is stored: bit-identical to the scalar
+// kernel. Deliberately no VFMADD — fusing would single-round the
 // multiply-add and break cross-tier bit-identity (see kernel.go).
 //
 // The output row is processed in chunks of 16, 8, 4 and 1 lanes. Register
@@ -42,18 +43,14 @@ chunk16:
 	SUBQ R10, AX      // lanes remaining
 	CMPQ AX, $16
 	JLT  chunk8
-	LEAQ (DI)(R10*4), BX
-	VMOVUPS (BX), Y0
-	VMOVUPS 32(BX), Y1
-	ADDQ R14, BX
-	VMOVUPS (BX), Y2
-	VMOVUPS 32(BX), Y3
-	ADDQ R14, BX
-	VMOVUPS (BX), Y4
-	VMOVUPS 32(BX), Y5
-	ADDQ R14, BX
-	VMOVUPS (BX), Y6
-	VMOVUPS 32(BX), Y7
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
 	LEAQ (DX)(R10*4), R11
 	MOVQ CX, R12
 	MOVQ SI, R15
@@ -90,16 +87,24 @@ ploop16:
 	JNZ  ploop16
 
 	LEAQ (DI)(R10*4), BX
+	VADDPS (BX), Y0, Y0
 	VMOVUPS Y0, (BX)
+	VADDPS 32(BX), Y1, Y1
 	VMOVUPS Y1, 32(BX)
 	ADDQ R14, BX
+	VADDPS (BX), Y2, Y2
 	VMOVUPS Y2, (BX)
+	VADDPS 32(BX), Y3, Y3
 	VMOVUPS Y3, 32(BX)
 	ADDQ R14, BX
+	VADDPS (BX), Y4, Y4
 	VMOVUPS Y4, (BX)
+	VADDPS 32(BX), Y5, Y5
 	VMOVUPS Y5, 32(BX)
 	ADDQ R14, BX
+	VADDPS (BX), Y6, Y6
 	VMOVUPS Y6, (BX)
+	VADDPS 32(BX), Y7, Y7
 	VMOVUPS Y7, 32(BX)
 	ADDQ $16, R10
 	JMP  chunk16
@@ -107,14 +112,10 @@ ploop16:
 chunk8:
 	CMPQ AX, $8
 	JLT  chunk4
-	LEAQ (DI)(R10*4), BX
-	VMOVUPS (BX), Y0
-	ADDQ R14, BX
-	VMOVUPS (BX), Y1
-	ADDQ R14, BX
-	VMOVUPS (BX), Y2
-	ADDQ R14, BX
-	VMOVUPS (BX), Y3
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
 	LEAQ (DX)(R10*4), R11
 	MOVQ CX, R12
 	MOVQ SI, R15
@@ -142,12 +143,16 @@ ploop8:
 	JNZ  ploop8
 
 	LEAQ (DI)(R10*4), BX
+	VADDPS (BX), Y0, Y0
 	VMOVUPS Y0, (BX)
 	ADDQ R14, BX
+	VADDPS (BX), Y1, Y1
 	VMOVUPS Y1, (BX)
 	ADDQ R14, BX
+	VADDPS (BX), Y2, Y2
 	VMOVUPS Y2, (BX)
 	ADDQ R14, BX
+	VADDPS (BX), Y3, Y3
 	VMOVUPS Y3, (BX)
 	ADDQ $8, R10
 	SUBQ $8, AX
@@ -156,14 +161,10 @@ ploop8:
 chunk4:
 	CMPQ AX, $4
 	JLT  scalar
-	LEAQ (DI)(R10*4), BX
-	VMOVUPS (BX), X0
-	ADDQ R14, BX
-	VMOVUPS (BX), X1
-	ADDQ R14, BX
-	VMOVUPS (BX), X2
-	ADDQ R14, BX
-	VMOVUPS (BX), X3
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
 	LEAQ (DX)(R10*4), R11
 	MOVQ CX, R12
 	MOVQ SI, R15
@@ -191,12 +192,16 @@ ploop4:
 	JNZ  ploop4
 
 	LEAQ (DI)(R10*4), BX
+	VADDPS (BX), X0, X0
 	VMOVUPS X0, (BX)
 	ADDQ R14, BX
+	VADDPS (BX), X1, X1
 	VMOVUPS X1, (BX)
 	ADDQ R14, BX
+	VADDPS (BX), X2, X2
 	VMOVUPS X2, (BX)
 	ADDQ R14, BX
+	VADDPS (BX), X3, X3
 	VMOVUPS X3, (BX)
 	ADDQ $4, R10
 	SUBQ $4, AX
@@ -205,14 +210,10 @@ ploop4:
 scalar:
 	TESTQ AX, AX
 	JZ    done
-	LEAQ  (DI)(R10*4), BX
-	VMOVSS (BX), X0
-	ADDQ  R14, BX
-	VMOVSS (BX), X1
-	ADDQ  R14, BX
-	VMOVSS (BX), X2
-	ADDQ  R14, BX
-	VMOVSS (BX), X3
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
 	LEAQ  (DX)(R10*4), R11
 	MOVQ  CX, R12
 	MOVQ  SI, R15
@@ -240,12 +241,16 @@ ploop1:
 	JNZ   ploop1
 
 	LEAQ  (DI)(R10*4), BX
+	VADDSS (BX), X0, X0
 	VMOVSS X0, (BX)
 	ADDQ  R14, BX
+	VADDSS (BX), X1, X1
 	VMOVSS X1, (BX)
 	ADDQ  R14, BX
+	VADDSS (BX), X2, X2
 	VMOVSS X2, (BX)
 	ADDQ  R14, BX
+	VADDSS (BX), X3, X3
 	VMOVSS X3, (BX)
 	ADDQ  $1, R10
 	DECQ  AX

@@ -24,7 +24,7 @@ func refMatMul(dst, a, b *Tensor) {
 	}
 }
 
-func refMatMulTransA(dst, a, b *Tensor) {
+func refMatMulTransAAdd(dst, a, b *Tensor) {
 	k, m := a.shape[0], a.shape[1]
 	n := b.shape[1]
 	for i := 0; i < m; i++ {
@@ -108,12 +108,58 @@ func TestMatMulTransABitIdenticalToReference(t *testing.T) {
 			m, k, n := d[0], d[1], d[2]
 			a, b := randT(rng, k, m), randT(rng, k, n)
 			got, want := New(m, n), New(m, n)
-			if err := MatMulTransA(got, a, b); err != nil {
+			if err := MatMulTransAAdd(got, a, b); err != nil {
 				t.Fatal(err)
 			}
-			refMatMulTransA(want, a, b)
+			refMatMulTransAAdd(want, a, b)
 			if !got.Equal(want) {
 				t.Fatalf("MatMulTransA %dx%dx%d differs from reference", m, k, n)
+			}
+		}
+	})
+}
+
+// TestMatMulAddAddsProductToDst holds the accumulating forms to the triple
+// loop's sum, begun at +0, added to dst's own value: exactly what a product
+// into a workspace followed by Tensor.Add gives, on the flat paths and on the
+// cache-blocked panel path (forced on small shapes).
+func TestMatMulAddAddsProductToDst(t *testing.T) {
+	origBlock, origPanel := gemmBlockBytes, gemmPanelBytes
+	defer func() { gemmBlockBytes, gemmPanelBytes = origBlock, origPanel }()
+	forEachTier(t, func(t *testing.T) {
+		for _, blocked := range []bool{false, true} {
+			gemmBlockBytes, gemmPanelBytes = origBlock, origPanel
+			if blocked {
+				gemmBlockBytes, gemmPanelBytes = 1<<10, 2400
+			}
+			rng := rand.New(rand.NewSource(14))
+			for _, d := range equivDims {
+				m, k, n := d[0], d[1], d[2]
+				a, at, b := randT(rng, m, k), New(k, m), randT(rng, k, n)
+				PackTranspose(at.data, a.data, m, k)
+				start := randT(rng, m, n)
+				want := New(m, n)
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						var s float32
+						for p := 0; p < k; p++ {
+							s += a.data[i*k+p] * b.data[p*n+j]
+						}
+						want.data[i*n+j] = start.data[i*n+j] + s
+					}
+				}
+				for name, mul := range map[string]func(dst *Tensor) error{
+					"MatMulAdd":       func(dst *Tensor) error { return MatMulAdd(dst, a, b) },
+					"MatMulTransAAdd": func(dst *Tensor) error { return MatMulTransAAdd(dst, at, b) },
+				} {
+					got := start.Clone()
+					if err := mul(got); err != nil {
+						t.Fatal(err)
+					}
+					if !got.Equal(want) {
+						t.Fatalf("%s %dx%dx%d (blocked %v) differs from dst + reference product", name, m, k, n, blocked)
+					}
+				}
 			}
 		}
 	})

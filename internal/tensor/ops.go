@@ -123,21 +123,24 @@ func (t *Tensor) AddRowVector(v *Tensor) error {
 	return nil
 }
 
-// SumRows writes the column-wise sum of a (N, C) tensor into dst (length C).
-func (t *Tensor) SumRows(dst *Tensor) error {
+// SumRowsAdd adds the column-wise sum of a (N, C) tensor to dst (length C):
+// each column's sum is formed from +0 down the rows and added to dst once,
+// so the result is a sum into a workspace followed by Tensor.Add, bit for
+// bit, without the workspace.
+func (t *Tensor) SumRowsAdd(dst *Tensor) error {
 	if len(t.shape) != 2 {
-		return fmt.Errorf("%w: SumRows on rank-%d tensor", ErrShape, len(t.shape))
+		return fmt.Errorf("%w: SumRowsAdd on rank-%d tensor", ErrShape, len(t.shape))
 	}
-	n, c := t.shape[0], t.shape[1]
+	c := t.shape[1]
 	if len(dst.data) != c {
 		return fmt.Errorf("%w: dst %v for matrix %v", ErrShape, dst.shape, t.shape)
 	}
-	dst.Zero()
-	for i := 0; i < n; i++ {
-		row := t.data[i*c : (i+1)*c]
-		for j := range row {
-			dst.data[j] += row[j]
+	for j := range dst.data {
+		var sum float32
+		for i := j; i < len(t.data); i += c {
+			sum += t.data[i]
 		}
+		dst.data[j] += sum
 	}
 	return nil
 }

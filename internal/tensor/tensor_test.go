@@ -174,11 +174,11 @@ func TestRowVectorOps(t *testing.T) {
 		}
 	}
 	sum := New(2)
-	if err := m.SumRows(sum); err != nil {
+	if err := m.SumRowsAdd(sum); err != nil {
 		t.Fatal(err)
 	}
 	if sum.At(0) != 24 || sum.At(1) != 46 {
-		t.Fatalf("SumRows = %v", sum.Data())
+		t.Fatalf("SumRowsAdd = %v", sum.Data())
 	}
 }
 
@@ -238,11 +238,11 @@ func TestMatMulTransposedVariantsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	gotTA := New(4, 5)
-	if err := MatMulTransA(gotTA, at, b); err != nil {
+	if err := MatMulTransAAdd(gotTA, at, b); err != nil {
 		t.Fatal(err)
 	}
 	if !gotTA.AllClose(want, 1e-4) {
-		t.Fatal("MatMulTransA(aᵀ, b) != a @ b")
+		t.Fatal("MatMulTransAAdd(aᵀ, b) != a @ b")
 	}
 
 	bt, err := b.Transpose()
