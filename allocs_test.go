@@ -12,6 +12,7 @@ import (
 	"fedfteds/internal/core"
 	"fedfteds/internal/data"
 	"fedfteds/internal/device"
+	"fedfteds/internal/experiments"
 	"fedfteds/internal/fleet"
 	"fedfteds/internal/models"
 	"fedfteds/internal/nn"
@@ -71,6 +72,43 @@ func TestMLPTrainStepZeroAllocs(t *testing.T) {
 	}
 	if allocs := trainStepAllocs(t, spec, []int{32, 64}); allocs > 0 {
 		t.Fatalf("MLP train step allocates %v times in steady state, want 0", allocs)
+	}
+}
+
+// TestMLPInferencePassesZeroAllocs guards the passes that run no backward on
+// the experiment MLP: an evaluation-mode Forward and the frozen-prefix
+// ForwardPrefix a FedFT-EDS client scores its data with allocate nothing
+// once their workspaces are warm — BatchNorm's float64 copies of the running
+// mean, γ and β live in its per-channel scratch.
+func TestMLPInferencePassesZeroAllocs(t *testing.T) {
+	env, err := experiments.NewEnv(experiments.ScaleSmoke, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := env.FreshModel(env.Suite.Target10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetFinetunePart(models.FinetuneModerate); err != nil {
+		t.Fatal(err)
+	}
+	p := m.FrozenDepth()
+	if p == 0 {
+		t.Fatal("moderate fine-tuning froze no group")
+	}
+	x := tensor.New(32, env.Suite.Universe.ObsDim)
+	x.FillNormal(rand.New(rand.NewSource(19)), 0, 1)
+	for _, tt := range []struct {
+		name string
+		pass func()
+	}{
+		{"eval-mode Forward", func() { m.Forward(x, false) }},
+		{"frozen-prefix ForwardPrefix", func() { m.ForwardPrefix(x, p) }},
+	} {
+		tt.pass()
+		if allocs := testing.AllocsPerRun(20, tt.pass); allocs != 0 {
+			t.Errorf("%s allocates %v times in steady state, want 0", tt.name, allocs)
+		}
 	}
 }
 

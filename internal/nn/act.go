@@ -10,9 +10,9 @@ import (
 // value rule in both modes — y = 0 where x < 0, else x — so NaN and -0 pass
 // through unchanged: a diverged activation reaches the loss instead of being
 // zeroed, and a frozen ReLU returns the same bits whether it is scored,
-// trained through or evaluated. Both loops are integer selects on the float's
-// bits, because the sign of an activation is a coin flip to a branch
-// predictor.
+// trained through or evaluated. Both passes are lane selects on the float's
+// bits (tensor.ReLU, tensor.ReLUGrad), because the sign of an activation is
+// a coin flip to a branch predictor.
 type ReLU struct {
 	base
 
@@ -34,16 +34,7 @@ func NewReLU(name string) *ReLU {
 func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	r.shape = captureShape(r.shape, x)
 	r.y = tensor.Ensure(r.y, r.shape...)
-	xd := x.Data()
-	yd := r.y.Data()[:len(xd)]
-	for i, v := range xd {
-		b := math.Float32bits(v)
-		// x < 0 exactly when the bits lie in (0x80000000, 0xFF800000]: past
-		// -0, up to -Inf, short of the negative NaNs. The 64-bit subtraction
-		// borrows on that range and the shift smears the borrow into a mask.
-		neg := uint32(int64(uint64(b-0x80000001)-0x7F800000) >> 63)
-		yd[i] = math.Float32frombits(b &^ neg)
-	}
+	tensor.ReLU(r.y.Data(), x.Data())
 	return r.y
 }
 
@@ -56,14 +47,7 @@ func (r *ReLU) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 		panic("nn: relu " + r.name + ": Backward without Forward")
 	}
 	r.dx = tensor.Ensure(r.dx, r.shape...)
-	dyd := dy.Data()
-	yd, dxd := r.y.Data()[:len(dyd)], r.dx.Data()[:len(dyd)]
-	for i, v := range dyd {
-		// y > 0 exactly when its bits lie in [1, 0x7F800000]: past +0, up to
-		// +Inf, short of the positive NaNs.
-		pos := uint32(int64(uint64(math.Float32bits(yd[i])-1)-0x7F800000) >> 63)
-		dxd[i] = math.Float32frombits(math.Float32bits(v) & pos)
-	}
+	tensor.ReLUGrad(r.dx.Data(), dy.Data(), r.y.Data())
 	return r.dx
 }
 

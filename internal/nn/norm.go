@@ -37,10 +37,14 @@ type BatchNorm struct {
 	evalBackward bool
 
 	// Cached workspaces, reused across steps (see the package aliasing rule).
-	y, dx          *tensor.Tensor
-	mean, variance []float64
-	dgamma, dbeta  []float64
-	scale          []float64 // backward's per-channel γ·invStd/m on rank-2 inputs
+	// mean holds the batch mean in training and the running mean in
+	// evaluation, both in float64; gamma64 and beta64 are γ and β widened
+	// for the running-statistics normalization.
+	y, dx           *tensor.Tensor
+	mean, variance  []float64
+	gamma64, beta64 []float64
+	dgamma, dbeta   []float64
+	scale           []float64 // backward's per-channel γ·invStd/m
 }
 
 var _ Layer = (*BatchNorm)(nil)
@@ -101,13 +105,16 @@ func (bn *BatchNorm) ensureChannelBufs() {
 		bn.mean = make([]float64, bn.channels)
 		bn.variance = make([]float64, bn.channels)
 		bn.invStd = make([]float64, bn.channels)
+		bn.gamma64 = make([]float64, bn.channels)
+		bn.beta64 = make([]float64, bn.channels)
 		bn.dgamma = make([]float64, bn.channels)
 		bn.dbeta = make([]float64, bn.channels)
 		bn.scale = make([]float64, bn.channels)
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Only the per-element passes differ by rank:
+// tensor lane kernels on (N, C), (sample, channel, spatial) loops on rank 4.
 func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, spatial := bn.geometry(x)
 	cc := bn.channels
@@ -116,99 +123,68 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	bn.y = tensor.Ensure(bn.y, bn.inShape...)
 	xd, yd := x.Data(), bn.y.Data()
 	gd, bd := bn.gamma.W.Data(), bn.beta.W.Data()
-	useBatchStats := train && !bn.frozen && n*spatial > 1
+	rm, rv := bn.runMean.Data(), bn.runVar.Data()
+	mean, invStd := bn.mean, bn.invStd
 
-	if useBatchStats {
-		mean, variance := bn.mean, bn.variance
-		for c := range mean {
-			mean[c] = 0
-			variance[c] = 0
-		}
+	if train && !bn.frozen && n*spatial > 1 {
+		variance := bn.variance
+		clear(mean)
+		clear(variance)
 		// Two-pass statistics, accumulated per (sample, channel) run in
 		// float64, matching the original closure-based implementation term
 		// for term.
-		for i := 0; i < n; i++ {
-			if spatial == 1 {
-				for ch, v := range xd[i*cc : (i+1)*cc] {
-					mean[ch] += float64(v)
+		if spatial == 1 {
+			tensor.BNColSum(mean, xd)
+		} else {
+			for i := 0; i < n; i++ {
+				for ch := 0; ch < cc; ch++ {
+					off := (i*cc + ch) * spatial
+					var s float64
+					for _, v := range xd[off : off+spatial] {
+						s += float64(v)
+					}
+					mean[ch] += s
 				}
-				continue
-			}
-			for ch := 0; ch < cc; ch++ {
-				off := (i*cc + ch) * spatial
-				var s float64
-				for _, v := range xd[off : off+spatial] {
-					s += float64(v)
-				}
-				mean[ch] += s
 			}
 		}
 		m := float64(n * spatial)
 		for c := range mean {
 			mean[c] /= m
 		}
-		for i := 0; i < n; i++ {
-			if spatial == 1 {
-				for ch, v := range xd[i*cc : (i+1)*cc] {
-					d := float64(v) - mean[ch]
-					variance[ch] += float64(d * d)
+		if spatial == 1 {
+			tensor.BNColSqDev(variance, mean, xd)
+		} else {
+			for i := 0; i < n; i++ {
+				for ch := 0; ch < cc; ch++ {
+					off := (i*cc + ch) * spatial
+					var s float64
+					for _, v := range xd[off : off+spatial] {
+						d := float64(v) - mean[ch]
+						s += d * d
+					}
+					variance[ch] += s
 				}
-				continue
-			}
-			for ch := 0; ch < cc; ch++ {
-				off := (i*cc + ch) * spatial
-				var s float64
-				for _, v := range xd[off : off+spatial] {
-					d := float64(v) - mean[ch]
-					s += d * d
-				}
-				variance[ch] += s
 			}
 		}
 		for c := range variance {
 			variance[c] /= m
-		}
-		// Update running statistics.
-		rm, rv := bn.runMean.Data(), bn.runVar.Data()
-		for c := 0; c < cc; c++ {
 			rm[c] = float32((1-bn.momentum)*float64(rm[c]) + bn.momentum*mean[c])
 			rv[c] = float32((1-bn.momentum)*float64(rv[c]) + bn.momentum*variance[c])
-		}
-		invStd := bn.invStd
-		for c := range invStd {
 			invStd[c] = 1.0 / math.Sqrt(variance[c]+bn.eps)
 		}
 		bn.xhat = tensor.Ensure(bn.xhat, bn.inShape...)
 		xh := bn.xhat.Data()
-		for i := 0; i < n; i++ {
-			if spatial == 1 {
-				xhr := xh[i*cc : (i+1)*cc]
-				for ch, v := range xd[i*cc : (i+1)*cc] {
-					xhr[ch] = float32((float64(v) - mean[ch]) * invStd[ch])
-				}
-				continue
-			}
-			for ch := 0; ch < cc; ch++ {
-				off := (i*cc + ch) * spatial
-				mu, is := mean[ch], invStd[ch]
-				for s := off; s < off+spatial; s++ {
-					xh[s] = float32((float64(xd[s]) - mu) * is)
-				}
-			}
-		}
-		for i := 0; i < n; i++ {
-			if spatial == 1 {
-				yr := yd[i*cc : (i+1)*cc]
-				for ch, v := range xh[i*cc : (i+1)*cc] {
-					yr[ch] = gd[ch]*v + bd[ch]
-				}
-				continue
-			}
-			for ch := 0; ch < cc; ch++ {
-				off := (i*cc + ch) * spatial
-				g, b := gd[ch], bd[ch]
-				for s := off; s < off+spatial; s++ {
-					yd[s] = g*xh[s] + b
+		if spatial == 1 {
+			tensor.BNNormalize(xh, yd, xd, mean, invStd, gd, bd)
+		} else {
+			for i := 0; i < n; i++ {
+				for ch := 0; ch < cc; ch++ {
+					off := (i*cc + ch) * spatial
+					mu, is, g, b := mean[ch], invStd[ch], gd[ch], bd[ch]
+					for s := off; s < off+spatial; s++ {
+						xh[s] = float32((float64(xd[s]) - mu) * is)
+						yd[s] = g*xh[s] + b
+					}
 				}
 			}
 		}
@@ -219,8 +195,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	// Evaluation / frozen path: use running statistics. A training-mode call
 	// lands here only for a degenerate batch (one value per channel), where
 	// batch statistics are undefined; it keeps a cache so Backward works.
-	invStd := bn.invStd
-	rv := bn.runVar.Data()
+	g64, b64 := bn.gamma64, bn.beta64
 	for c := range invStd {
 		// Aggregation noise (lossy uplink codecs, federated averaging of
 		// freshly restored buffers) can push a running variance slightly
@@ -228,35 +203,29 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		// downstream activation with NaN. Locally computed variances are
 		// non-negative, so this never changes a lossless run.
 		invStd[c] = 1.0 / math.Sqrt(math.Max(float64(rv[c]), 0)+bn.eps)
+		mean[c], g64[c], b64[c] = float64(rm[c]), float64(gd[c]), float64(bd[c])
 	}
-	trainDegenerate := train && !bn.frozen
-	rm := bn.runMean.Data()
-	for i := 0; i < n; i++ {
-		if spatial == 1 {
-			yr := yd[i*cc : (i+1)*cc]
-			for ch, v := range xd[i*cc : (i+1)*cc] {
-				xh := (float64(v) - float64(rm[ch])) * invStd[ch]
-				yr[ch] = float32(float64(gd[ch])*xh + float64(bd[ch]))
-			}
-			continue
-		}
-		for ch := 0; ch < cc; ch++ {
-			off := (i*cc + ch) * spatial
-			mu, is := float64(rm[ch]), invStd[ch]
-			g, b := float64(gd[ch]), float64(bd[ch])
-			for s := off; s < off+spatial; s++ {
-				xh := (float64(xd[s]) - mu) * is
-				yd[s] = float32(g*xh + b)
+	if spatial == 1 {
+		tensor.BNNormalizeRunning(yd, xd, mean, invStd, g64, b64)
+	} else {
+		for i := 0; i < n; i++ {
+			for ch := 0; ch < cc; ch++ {
+				off := (i*cc + ch) * spatial
+				mu, is, g, b := mean[ch], invStd[ch], g64[ch], b64[ch]
+				for s := off; s < off+spatial; s++ {
+					xh := (float64(xd[s]) - mu) * is
+					yd[s] = float32(g*xh + b)
+				}
 			}
 		}
 	}
-	if trainDegenerate {
+	if train && !bn.frozen {
 		bn.xhat = tensor.Ensure(bn.xhat, bn.inShape...)
 		xh := bn.xhat.Data()
 		for i := 0; i < n; i++ {
 			for ch := 0; ch < cc; ch++ {
 				off := (i*cc + ch) * spatial
-				mu, is := float64(rm[ch]), invStd[ch]
+				mu, is := mean[ch], invStd[ch]
 				for s := off; s < off+spatial; s++ {
 					xh[s] = float32((float64(xd[s]) - mu) * is)
 				}
@@ -293,13 +262,6 @@ func (bn *BatchNorm) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 		bn.dx = tensor.Ensure(bn.dx, bn.inShape...)
 		dxd := bn.dx.Data()
 		for i := 0; i < n; i++ {
-			if spatial == 1 {
-				dxr := dxd[i*cc : (i+1)*cc]
-				for ch, v := range dyd[i*cc : (i+1)*cc] {
-					dxr[ch] = float32(float64(v) * float64(gd[ch]) * bn.invStd[ch])
-				}
-				continue
-			}
 			for ch := 0; ch < cc; ch++ {
 				off := (i*cc + ch) * spatial
 				g, is := float64(gd[ch]), bn.invStd[ch]
@@ -317,28 +279,22 @@ func (bn *BatchNorm) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 	if !needDx {
 		return nil
 	}
-	// dx = gamma*invStd/m * (m*dy - dbeta - xhat*dgamma)
-	dgamma, dbeta := bn.dgamma, bn.dbeta
+	// dx = gamma*invStd/m * (m*dy - dbeta - xhat*dgamma), the per-channel
+	// factor once per channel instead of once per element.
+	dgamma, dbeta, scale := bn.dgamma, bn.dbeta, bn.scale
+	for ch := range scale {
+		scale[ch] = float64(gd[ch]) * bn.invStd[ch] / m
+	}
 	bn.dx = tensor.Ensure(bn.dx, bn.inShape...)
 	dxd := bn.dx.Data()
 	if spatial == 1 {
-		// The per-channel factor, once per channel instead of once per element.
-		for ch := range bn.scale {
-			bn.scale[ch] = float64(gd[ch]) * bn.invStd[ch] / m
-		}
+		tensor.BNInputGrad(dxd, dyd, xh, scale, dbeta, dgamma, m)
+		return bn.dx
 	}
 	for i := 0; i < n; i++ {
-		if spatial == 1 {
-			xhr, dxr := xh[i*cc:(i+1)*cc], dxd[i*cc:(i+1)*cc]
-			for ch, v := range dyd[i*cc : (i+1)*cc] {
-				dxr[ch] = float32(bn.scale[ch] * (m*float64(v) - dbeta[ch] - float64(xhr[ch])*dgamma[ch]))
-			}
-			continue
-		}
 		for ch := 0; ch < cc; ch++ {
 			off := (i*cc + ch) * spatial
-			g := float64(gd[ch]) * bn.invStd[ch] / m
-			dg, db := dgamma[ch], dbeta[ch]
+			g, dg, db := scale[ch], dgamma[ch], dbeta[ch]
 			for s := off; s < off+spatial; s++ {
 				dxd[s] = float32(g * (m*float64(dyd[s]) - db - float64(xh[s])*dg))
 			}
@@ -353,24 +309,18 @@ func (bn *BatchNorm) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 func (bn *BatchNorm) paramGrads(dyd, xh []float32, n, spatial int) {
 	cc := bn.channels
 	dgamma, dbeta := bn.dgamma, bn.dbeta
-	for c := range dgamma {
-		dgamma[c] = 0
-		dbeta[c] = 0
-	}
-	for i := 0; i < n; i++ {
-		if spatial == 1 {
-			xhr := xh[i*cc : (i+1)*cc]
-			for ch, v := range dyd[i*cc : (i+1)*cc] {
-				dgamma[ch] += float64(v) * float64(xhr[ch])
-				dbeta[ch] += float64(v)
-			}
-			continue
-		}
-		for ch := 0; ch < cc; ch++ {
-			off := (i*cc + ch) * spatial
-			for s := off; s < off+spatial; s++ {
-				dgamma[ch] += float64(dyd[s]) * float64(xh[s])
-				dbeta[ch] += float64(dyd[s])
+	clear(dgamma)
+	clear(dbeta)
+	if spatial == 1 {
+		tensor.BNParamGrads(dgamma, dbeta, dyd, xh)
+	} else {
+		for i := 0; i < n; i++ {
+			for ch := 0; ch < cc; ch++ {
+				off := (i*cc + ch) * spatial
+				for s := off; s < off+spatial; s++ {
+					dgamma[ch] += float64(dyd[s]) * float64(xh[s])
+					dbeta[ch] += float64(dyd[s])
+				}
 			}
 		}
 	}

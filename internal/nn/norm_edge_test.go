@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -191,50 +192,62 @@ func TestNewConvRejectsBadOpts(t *testing.T) {
 	}
 }
 
-// TestBatchNormDenseLoopsMatchSpatialLoops pins the channel-innermost loops a
-// rank-2 input takes to the (batch, channel, spatial) loops a rank-4 input
-// takes: the same values as (N, C) and as (N, C, 1, 1) must give the same
-// bits — outputs, input gradients, parameter gradients and running
-// statistics — in training, evaluation and frozen mode.
+// TestBatchNormDenseLoopsMatchSpatialLoops pins the lane kernels a rank-2
+// input runs to the (batch, channel, spatial) loops a rank-4 input runs,
+// which stay the scalar oracle: the same values as (N, C) and as
+// (N, C, 1, 1) must give the same bits — outputs, input gradients,
+// parameter gradients and running statistics — in training, evaluation and
+// frozen mode. The channel counts leave a tail after a whole 8-lane chunk,
+// fill none and fill eight exactly.
 func TestBatchNormDenseLoopsMatchSpatialLoops(t *testing.T) {
-	const n, c = 13, 7
 	for _, mode := range []struct {
 		name          string
 		train, frozen bool
 	}{{"train", true, false}, {"eval", false, false}, {"frozen", true, true}} {
 		t.Run(mode.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(4))
-			x, dy := tensor.New(n, c), tensor.New(n, c)
-			x.FillNormal(rng, 1, 3)
-			dy.FillNormal(rng, 0, 1)
-			var layers [2]*BatchNorm
-			var outs [2][]*tensor.Tensor
-			for li, shape := range [][]int{{n, c}, {n, c, 1, 1}} {
-				bn, err := NewBatchNorm("bn", c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				layers[li] = bn
-				bn.gamma.W.FillNormal(rand.New(rand.NewSource(5)), 1, 0.5)
-				bn.beta.W.FillNormal(rand.New(rand.NewSource(6)), 0, 0.5)
-				bn.runMean.FillNormal(rand.New(rand.NewSource(7)), 1, 1)
-				bn.SetFrozen(mode.frozen)
-				for step := 0; step < 2; step++ {
-					y := bn.Forward(x.MustReshape(shape...), mode.train)
-					dx := bn.Backward(dy.MustReshape(shape...), true)
-					outs[li] = append(outs[li], y.Clone(), dx.Clone())
-				}
-				outs[li] = append(outs[li], bn.gamma.Grad(), bn.beta.Grad(), bn.runMean, bn.runVar)
-			}
-			for i := range outs[0] {
-				a, b := outs[0][i].Data(), outs[1][i].Data()
-				for j := range a {
-					if math.Float32bits(a[j]) != math.Float32bits(b[j]) {
-						t.Fatalf("tensor %d element %d: rank-2 %08x, rank-4 %08x",
-							i, j, math.Float32bits(a[j]), math.Float32bits(b[j]))
-					}
+			for _, c := range []int{7, 13, 64} {
+				for _, n := range []int{13, 32} {
+					t.Run(fmt.Sprintf("c=%d,n=%d", c, n), func(t *testing.T) {
+						checkBatchNormRanksAgree(t, n, c, mode.train, mode.frozen)
+					})
 				}
 			}
 		})
+	}
+}
+
+// checkBatchNormRanksAgree runs two steps of one BatchNorm on (n, c) and on
+// (n, c, 1, 1) and compares every output bit for bit.
+func checkBatchNormRanksAgree(t *testing.T, n, c int, train, frozen bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(4))
+	x, dy := tensor.New(n, c), tensor.New(n, c)
+	x.FillNormal(rng, 1, 3)
+	dy.FillNormal(rng, 0, 1)
+	var outs [2][]*tensor.Tensor
+	for li, shape := range [][]int{{n, c}, {n, c, 1, 1}} {
+		bn, err := NewBatchNorm("bn", c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bn.gamma.W.FillNormal(rand.New(rand.NewSource(5)), 1, 0.5)
+		bn.beta.W.FillNormal(rand.New(rand.NewSource(6)), 0, 0.5)
+		bn.runMean.FillNormal(rand.New(rand.NewSource(7)), 1, 1)
+		bn.SetFrozen(frozen)
+		for step := 0; step < 2; step++ {
+			y := bn.Forward(x.MustReshape(shape...), train)
+			dx := bn.Backward(dy.MustReshape(shape...), true)
+			outs[li] = append(outs[li], y.Clone(), dx.Clone())
+		}
+		outs[li] = append(outs[li], bn.gamma.Grad(), bn.beta.Grad(), bn.runMean, bn.runVar)
+	}
+	for i := range outs[0] {
+		a, b := outs[0][i].Data(), outs[1][i].Data()
+		for j := range a {
+			if math.Float32bits(a[j]) != math.Float32bits(b[j]) {
+				t.Fatalf("tensor %d element %d: rank-2 %08x, rank-4 %08x",
+					i, j, math.Float32bits(a[j]), math.Float32bits(b[j]))
+			}
+		}
 	}
 }

@@ -1,0 +1,17 @@
+//go:build !amd64 || noasm
+
+package tensor
+
+// Without the assembly kernels every lane runs the portable reference.
+
+func reluVec(_, _ []float32) int                                           { return 0 }
+func reluGradVec(_, _, _ []float32) int                                    { return 0 }
+func addVec(_, _ []float32) int                                            { return 0 }
+func addRowVec(_, _ []float32) int                                         { return 0 }
+func sumRowsVec(_, _ []float32) int                                        { return 0 }
+func bnColSumVec(_ []float64, _ []float32) int                             { return 0 }
+func bnColSqDevVec(_, _ []float64, _ []float32) int                        { return 0 }
+func bnNormalizeVec(_, _, _ []float32, _, _ []float64, _, _ []float32) int { return 0 }
+func bnNormalizeRunningVec(_, _ []float32, _, _, _, _ []float64) int       { return 0 }
+func bnParamGradsVec(_, _ []float64, _, _ []float32) int                   { return 0 }
+func bnInputGradVec(_, _, _ []float32, _, _, _ []float64, _ float64) int   { return 0 }

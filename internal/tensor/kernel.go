@@ -21,6 +21,18 @@ import (
 // bit-identity gate (golden checkpoints, resume, relay-vs-flat). The win of
 // the wide tiers comes from lane width and 4-row register blocking, not
 // from fusing.
+//
+// The tiers also dispatch the element-wise lane kernels (elem.go): ReLU, the
+// bias and residual adds, the bias-gradient column sum and BatchNorm's rank-2
+// passes. The avx2 and avx512 tiers run them in AVX2 assembly
+// (elem_avx2_amd64.s) over whole 8-lane chunks and finish the tail in the
+// portable Go reference; the sse and portable tiers run the reference alone.
+// The lane contract: each lane performs the reference's float operations in
+// the reference's order, with the same first operand and one rounding each —
+// again no VFMADD — and float32 values widen to float64 through VCVTPS2PD
+// and narrow through VCVTPD2PS, which under Go's default MXCSR (round to
+// nearest even, no FTZ/DAZ) is what Go's conversions do. Only a NaN's
+// payload may differ, where both operands of one operation were NaN.
 
 // KernelTier identifies one row-kernel implementation tier.
 type KernelTier int
@@ -110,6 +122,9 @@ var detectedFeatures cpuFeatures
 // activeTier is the tier gemmAcc currently dispatches to.
 var activeTier = TierPortable
 
+// elemAVX2 turns on the lane kernels' bodies in elem_avx2_amd64.s.
+var elemAVX2 bool
+
 // gemmAccImpl accumulates dst[r*dstStride+j] += Σ_p a[r*k+p]·b[p*n+j] for
 // r in [0,rows), j in [0,n); b rows are contiguous with stride n (the full
 // B when n is the output width, or a packed panel). Rebound by setTier.
@@ -135,6 +150,7 @@ func AvailableKernels() []string {
 func setTier(t KernelTier) {
 	activeTier = t
 	gemmAccImpl = gemmAccForTier(t)
+	elemAVX2 = t >= TierAVX2
 }
 
 // gemmAccGo is the portable tier: every row through the reference kernel.

@@ -10,9 +10,7 @@ func (t *Tensor) Add(o *Tensor) error {
 	if len(t.data) != len(o.data) {
 		return fmt.Errorf("%w: add %v to %v", ErrShape, o.shape, t.shape)
 	}
-	for i, v := range o.data {
-		t.data[i] += v
-	}
+	addGo(t.data, o.data, addVec(t.data, o.data))
 	return nil
 }
 
@@ -110,16 +108,10 @@ func (t *Tensor) AddRowVector(v *Tensor) error {
 	if len(t.shape) != 2 {
 		return fmt.Errorf("%w: AddRowVector on rank-%d tensor", ErrShape, len(t.shape))
 	}
-	n, c := t.shape[0], t.shape[1]
-	if len(v.data) != c {
+	if len(v.data) != t.shape[1] {
 		return fmt.Errorf("%w: row vector %v for matrix %v", ErrShape, v.shape, t.shape)
 	}
-	for i := 0; i < n; i++ {
-		row := t.data[i*c : (i+1)*c]
-		for j := range row {
-			row[j] += v.data[j]
-		}
-	}
+	addRowGo(t.data, v.data, addRowVec(t.data, v.data))
 	return nil
 }
 
@@ -131,17 +123,10 @@ func (t *Tensor) SumRowsAdd(dst *Tensor) error {
 	if len(t.shape) != 2 {
 		return fmt.Errorf("%w: SumRowsAdd on rank-%d tensor", ErrShape, len(t.shape))
 	}
-	c := t.shape[1]
-	if len(dst.data) != c {
+	if len(dst.data) != t.shape[1] {
 		return fmt.Errorf("%w: dst %v for matrix %v", ErrShape, dst.shape, t.shape)
 	}
-	for j := range dst.data {
-		var sum float32
-		for i := j; i < len(t.data); i += c {
-			sum += t.data[i]
-		}
-		dst.data[j] += sum
-	}
+	sumRowsGo(dst.data, t.data, sumRowsVec(dst.data, t.data))
 	return nil
 }
 
