@@ -95,12 +95,11 @@ func (s *SGD) Reset() {
 // through weight decay g += wd·w, the proximal term g += μ(w - w_global), the
 // velocity v = mom·v + g, the weight update and g = 0, in that order and with
 // the expression shapes of the separate passes these replace, so each
-// element's bits are theirs on every target. The modes are separate loops,
-// decided once per parameter: a branch per element costs more than the
-// passes it saves.
+// element's bits are theirs on every target. The passes are tensor's SGD
+// lane kernels, one per mode, decided once per parameter: a branch per
+// element costs more than the passes it saves.
 func (s *SGD) Step() {
 	lr := float32(s.cfg.LR)
-	nlr := -lr
 	mom := float32(s.cfg.Momentum)
 	wd := float32(s.cfg.WeightDecay)
 	mu := float32(s.cfg.ProxMu)
@@ -116,45 +115,11 @@ func (s *SGD) Step() {
 			if prox {
 				a = s.anchor[i].Data()[:len(w)]
 			}
-			stepGeneral(w, g, v, a, lr, mom, wd, mu, decay, s.cfg.Nesterov)
+			tensor.SGDGeneral(w, g, v, a, lr, mom, wd, mu, decay, s.cfg.Nesterov)
 		case mom > 0:
-			for j, gj := range g {
-				v[j] = mom*v[j] + gj
-				w[j] += nlr * v[j]
-				g[j] = 0
-			}
+			tensor.SGDMomentum(w, g, v, lr, mom)
 		default:
-			for j, gj := range g {
-				w[j] += nlr * gj
-				g[j] = 0
-			}
+			tensor.SGDPlain(w, g, lr)
 		}
-	}
-}
-
-// stepGeneral is Step's loop for the modes that amend the gradient (weight
-// decay, the proximal term toward a, whose nil means none) or look ahead
-// (Nesterov).
-func stepGeneral(w, g, v, a []float32, lr, mom, wd, mu float32, decay, nesterov bool) {
-	nlr := -lr
-	for j := range w {
-		gj := g[j]
-		if decay {
-			gj += wd * w[j]
-		}
-		if a != nil {
-			gj += mu * (w[j] - a[j])
-		}
-		switch {
-		case mom > 0 && nesterov:
-			v[j] = mom*v[j] + gj
-			w[j] -= lr * (gj + mom*v[j])
-		case mom > 0:
-			v[j] = mom*v[j] + gj
-			w[j] += nlr * v[j]
-		default:
-			w[j] += nlr * gj
-		}
-		g[j] = 0
 	}
 }

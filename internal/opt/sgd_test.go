@@ -3,10 +3,12 @@ package opt
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"fedfteds/internal/models"
 	"fedfteds/internal/nn"
 	"fedfteds/internal/tensor"
 )
@@ -194,9 +196,10 @@ func TestSGDTrainsRealModel(t *testing.T) {
 }
 
 // referenceStep is SGD.Step as it stood before the one-pass rewrite — a pass
-// per operation over each parameter — kept verbatim as the oracle the fused
-// loop must match bit for bit. It reads p.G directly, so every reference
-// parameter carries an allocated gradient.
+// per operation over each parameter — kept as the oracle the fused loop must
+// match bit for bit, with each product that feeds an add written
+// float32(a*b) as in the kernels, so no target fuses it. It reads p.G
+// directly, so every reference parameter carries an allocated gradient.
 func referenceStep(s *SGD) {
 	lr := float32(s.cfg.LR)
 	mom := float32(s.cfg.Momentum)
@@ -213,7 +216,7 @@ func referenceStep(s *SGD) {
 			// g += μ (w - w_global)
 			gd, wv, av := g.Data(), p.W.Data(), s.anchor[i].Data()
 			for j := range gd {
-				gd[j] += mu * (wv[j] - av[j])
+				gd[j] += float32(mu * (wv[j] - av[j]))
 			}
 		}
 		v := s.velocity[i]
@@ -221,13 +224,13 @@ func referenceStep(s *SGD) {
 			// v = mom*v + g
 			vd, gd := v.Data(), g.Data()
 			for j := range vd {
-				vd[j] = mom*vd[j] + gd[j]
+				vd[j] = float32(mom*vd[j]) + gd[j]
 			}
 			if s.cfg.Nesterov {
 				// w -= lr * (g + mom*v)
 				wv := p.W.Data()
 				for j := range wv {
-					wv[j] -= lr * (gd[j] + mom*vd[j])
+					wv[j] -= float32(lr * (gd[j] + float32(mom*vd[j])))
 				}
 			} else {
 				if err := p.W.Axpy(-lr, v); err != nil {
@@ -262,7 +265,9 @@ func fuzzFloats(data []byte, off, n int) []float32 {
 }
 
 // FuzzSGDStepMatchesReference holds the one-pass Step to referenceStep over
-// three steps of two parameters (one exempt from decay): weights, velocities
+// three steps of ten parameters (every other one exempt from decay), whose
+// sizes give the lane kernels' 8-lane body and every tail length, 0-7, to
+// run: weights, velocities
 // and the zeroed gradients must agree bit for bit, for momentum zero and
 // positive, heavy-ball and Nesterov, with and without weight decay and a
 // proximal anchor. A NaN matches any NaN: which operand's payload an x86 add
@@ -286,17 +291,18 @@ func FuzzSGDStepMatchesReference(f *testing.F) {
 	f.Add(special(negZero, sub, -sub, 1e-30, -1e-30, 7), 0.1, 0.9, 0.01, 0.5, true, true, true)
 	f.Add(special(nan, inf, -inf, negZero, 1, sub), 0.5, 0.0, 0.1, 1.0, false, true, false)
 	f.Add(special(3e38, -3e38, 1e-38, negZero, 0, 2), 1e-3, 0.99, 5e-4, 0.01, true, false, true)
+	f.Add(special(1.1, -2.3, 0.7, 3.9, 1e-3, -5), 0.1, 0.9, 0.0, 0.0, false, false, false)
 	f.Fuzz(func(t *testing.T, data []byte, lr, mom, wd, mu float64, nesterov, anchor, lazyG bool) {
 		cfg := SGDConfig{LR: lr, Momentum: mom, WeightDecay: wd, Nesterov: nesterov, ProxMu: mu}
 		if !(lr > 0) || !(mom >= 0 && mom < 1) || !(wd >= 0) || !(mu >= 0) {
 			t.Skip("configuration NewSGD refuses")
 		}
-		shapes := [][]int{{3, 5}, {4}}
+		shapes := [][]int{{3, 5}, {4}, {3, 21}, {37}, {2, 8}, {17}, {2, 9}, {19}, {4, 5}, {22}}
 		build := func(lazy bool) (*SGD, []*nn.Param) {
 			ps := make([]*nn.Param, len(shapes))
 			for i, sh := range shapes {
 				n := tensor.Volume(sh)
-				ps[i] = &nn.Param{Name: "p", W: tensor.MustFromSlice(fuzzFloats(data, 16*i, n), sh...), NoDecay: i == 1}
+				ps[i] = &nn.Param{Name: "p", W: tensor.MustFromSlice(fuzzFloats(data, 16*i, n), sh...), NoDecay: i%2 == 1}
 				if !lazy || i != 0 {
 					ps[i].G = tensor.MustFromSlice(fuzzFloats(data, 16*i+5, n), sh...)
 				}
@@ -349,4 +355,48 @@ func FuzzSGDStepMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkSGDStep times one Step over every trainable parameter of the
+// 64-wide and the 512-wide experiment MLP in each optimizer mode. Bytes
+// count the weight, gradient and velocity streams read and written, and the
+// anchor read.
+func BenchmarkSGDStep(b *testing.B) {
+	modes := []struct {
+		name    string
+		cfg     SGDConfig
+		streams int
+	}{
+		{"plain", SGDConfig{LR: 0.05}, 4},
+		{"momentum", SGDConfig{LR: 0.05, Momentum: 0.5}, 6},
+		{"nesterov", SGDConfig{LR: 0.05, Momentum: 0.5, Nesterov: true}, 6},
+		{"decay", SGDConfig{LR: 0.05, Momentum: 0.5, WeightDecay: 5e-4}, 6},
+		{"prox", SGDConfig{LR: 0.05, Momentum: 0.5, ProxMu: 0.01}, 7},
+	}
+	for _, hidden := range []int{64, 512} {
+		m, err := models.Build(models.Spec{Arch: models.ArchMLP, InputShape: []int{64}, NumClasses: 10, Hidden: hidden, InitSeed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		params := m.TrainableParams()
+		n := 0
+		for _, p := range params {
+			n += p.W.Len()
+		}
+		for _, mode := range modes {
+			b.Run(fmt.Sprintf("%s/hidden%d", mode.name, hidden), func(b *testing.B) {
+				s, err := NewSGD(mode.cfg, params)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.SnapshotProxAnchor()
+				b.SetBytes(int64(4 * mode.streams * n))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.Step()
+				}
+			})
+		}
+	}
 }

@@ -2,13 +2,16 @@ package tensor
 
 import "math"
 
-// Lane kernels: the element-wise loops of a training step. A lane is one
-// element, or one column (channel) of a row-major matrix whose column count
-// is the length of its per-channel operands; the BN kernels work in float64.
-// Each kernel runs its vector body (elem_avx2_amd64.s on the avx2 and avx512
-// tiers, whole 8-lane chunks) and then the portable reference below from
-// the first lane the body left: lane 0 on the sse and portable tiers, the
-// tail elsewhere. kernel.go states the lane contract the bodies keep.
+// Lane kernels: the element-wise loops of a training step, its optimizer
+// step and the server's fold. A lane is one element, or one column (channel)
+// of a row-major matrix whose column count is the length of its per-channel
+// operands; the BN kernels work in float64. Each kernel runs its vector body
+// (elem_avx2_amd64.s on the avx2 and avx512 tiers, whole 8-lane chunks) and
+// then the portable reference below from the first lane the body left: lane
+// 0 on the sse and portable tiers, the tail elsewhere. kernel.go states the
+// lane contract the bodies keep. PackTranspose (matmul.go) runs its whole
+// 8×8 blocks the same way and finishes the right and bottom strips in
+// packTransposeGo.
 
 // ReLU writes x to dst with every lane x < 0 replaced by +0; NaN and -0 pass.
 func ReLU(dst, x []float32) { reluGo(dst, x, reluVec(dst, x)) }
@@ -47,8 +50,122 @@ func BNInputGrad(dx, dy, xhat []float32, scale, dbeta, dgamma []float64, m float
 		bnInputGradVec(dx, dy, xhat, scale, dbeta, dgamma, m))
 }
 
+// SGDPlain takes one plain SGD step, w += -lr·g, and zeroes g.
+func SGDPlain(w, g []float32, lr float32) { sgdPlainGo(w, g, lr, sgdPlainVec(w, g, lr)) }
+
+// SGDMomentum takes one heavy-ball step, v = mom·v + g then w += -lr·v, and
+// zeroes g.
+func SGDMomentum(w, g, v []float32, lr, mom float32) {
+	sgdMomentumGo(w, g, v, lr, mom, sgdMomentumVec(w, g, v, lr, mom))
+}
+
+// SGDGeneral takes one step in the modes that amend the gradient — weight
+// decay g += wd·w when decay is set, the proximal term g += mu·(w - a) when
+// a is not nil — or look ahead (Nesterov, when mom > 0), and zeroes g.
+func SGDGeneral(w, g, v, a []float32, lr, mom, wd, mu float32, decay, nesterov bool) {
+	sgdGeneralGo(w, g, v, a, lr, mom, wd, mu, decay, nesterov,
+		sgdGeneralVec(w, g, v, a, lr, mom, wd, mu, decay, mom > 0, nesterov))
+}
+
 // The portable references. Each starts at element or column from; the
 // column kernels take the column count from their first per-channel operand.
+// The optimizer and fold references write a product that feeds an add as
+// float32(a*b), which no target may fuse into one rounding with the add.
+
+// packTransposeGo writes the transpose of src (rows, cols) into dst (cols,
+// rows), skipping the whole 8×8 blocks of the first done rows: those rows
+// start at column cols&^7, the others at 0.
+func packTransposeGo(dst, src []float32, rows, cols, done int) {
+	for r := 0; r < rows; r++ {
+		from := 0
+		if r < done {
+			from = cols &^ 7
+		}
+		for c, v := range src[r*cols+from : r*cols+cols] {
+			dst[(from+c)*rows+r] = v
+		}
+	}
+}
+
+func scaleFromGo(dst, x []float32, a float32, from int) {
+	dst = dst[:len(x)]
+	for i := from; i < len(x); i++ {
+		dst[i] = x[i] * a
+	}
+}
+
+func axpyGo(dst, x []float32, a float32, from int) {
+	dst = dst[:len(x)]
+	for i := from; i < len(x); i++ {
+		dst[i] += float32(a * x[i])
+	}
+}
+
+// isFiniteGo reports whether x[from:] holds no NaN or Inf. v-v is 0 for a
+// finite v and NaN otherwise, and NaN survives every later addition, so the
+// scan is eight independent running sums and one comparison.
+func isFiniteGo(x []float32, from int) bool {
+	var a0, a1, a2, a3, a4, a5, a6, a7 float32
+	d := x[from:]
+	for ; len(d) >= 8; d = d[8:] {
+		a0 += d[0] - d[0]
+		a1 += d[1] - d[1]
+		a2 += d[2] - d[2]
+		a3 += d[3] - d[3]
+		a4 += d[4] - d[4]
+		a5 += d[5] - d[5]
+		a6 += d[6] - d[6]
+		a7 += d[7] - d[7]
+	}
+	for _, v := range d {
+		a0 += v - v
+	}
+	s := a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7
+	return s == s
+}
+
+func sgdPlainGo(w, g []float32, lr float32, from int) {
+	nlr := -lr
+	g = g[:len(w)]
+	for j := from; j < len(w); j++ {
+		w[j] += float32(nlr * g[j])
+		g[j] = 0
+	}
+}
+
+func sgdMomentumGo(w, g, v []float32, lr, mom float32, from int) {
+	nlr := -lr
+	g, v = g[:len(w)], v[:len(w)]
+	for j := from; j < len(w); j++ {
+		v[j] = float32(mom*v[j]) + g[j]
+		w[j] += float32(nlr * v[j])
+		g[j] = 0
+	}
+}
+
+func sgdGeneralGo(w, g, v, a []float32, lr, mom, wd, mu float32, decay, nesterov bool, from int) {
+	nlr := -lr
+	for j := from; j < len(w); j++ {
+		gj := g[j]
+		if decay {
+			gj += float32(wd * w[j])
+		}
+		if a != nil {
+			gj += float32(mu * (w[j] - a[j]))
+		}
+		switch {
+		case mom > 0 && nesterov:
+			v[j] = float32(mom*v[j]) + gj
+			w[j] -= float32(lr * (gj + float32(mom*v[j])))
+		case mom > 0:
+			v[j] = float32(mom*v[j]) + gj
+			w[j] += float32(nlr * v[j])
+		default:
+			w[j] += float32(nlr * gj)
+		}
+		g[j] = 0
+	}
+}
 
 func reluGo(dst, x []float32, from int) {
 	dst = dst[:len(x)]

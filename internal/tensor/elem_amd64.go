@@ -4,6 +4,9 @@ package tensor
 
 // The lane kernels' vector bodies (elem_avx2_amd64.s). Each returns the
 // first lane it left to the portable reference: 0 unless elemAVX2 is set.
+// packTransposeVec returns the rows whose whole 8×8 blocks it wrote, and
+// isFiniteVec 0 when its chunks hold a NaN or an Inf, leaving the verdict
+// to the reference.
 
 //go:noescape
 func reluVec(dst, x []float32) int
@@ -37,3 +40,24 @@ func bnParamGradsVec(dgamma, dbeta []float64, dy, xhat []float32) int
 
 //go:noescape
 func bnInputGradVec(dx, dy, xhat []float32, scale, dbeta, dgamma []float64, m float64) int
+
+//go:noescape
+func packTransposeVec(dst, src []float32, rows, cols int) int
+
+//go:noescape
+func scaleFromVec(dst, x []float32, a float32) int
+
+//go:noescape
+func axpyVec(dst, x []float32, a float32) int
+
+//go:noescape
+func isFiniteVec(x []float32) int
+
+//go:noescape
+func sgdPlainVec(w, g []float32, lr float32) int
+
+//go:noescape
+func sgdMomentumVec(w, g, v []float32, lr, mom float32) int
+
+//go:noescape
+func sgdGeneralVec(w, g, v, a []float32, lr, mom, wd, mu float32, decay, heavy, nesterov bool) int

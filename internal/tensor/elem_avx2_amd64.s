@@ -548,3 +548,370 @@ done:
 
 none:
 	RET
+
+// func packTransposeVec(dst, src []float32, rows, cols int) int
+//
+// Data movement only: every whole 8×8 block of src, in row-block order,
+// goes through eight YMM registers and lands transposed in dst. The low
+// halves hold columns 0-3 and the high halves columns 4-7 of rows r and
+// r+4 (VINSERTF128 crosses the 128-bit lanes at the load), so VUNPCKLPS/
+// VUNPCKHPS and VSHUFPS finish the transpose within lanes. Register use:
+// SI = source block, DX = its row 4, DI = destination block, AX = its row 4,
+// R8/R13 = destination row stride ×1/×3 in bytes, R9/R12 = source row
+// stride ×1/×3, R10 = block rows, R11 = block columns, CX = row, BX = column.
+TEXT ·packTransposeVec(SB), NOSPLIT, $0-72
+	MOVQ $0, ret+64(FP)
+	CMPB ·elemAVX2(SB), $0
+	JEQ  none
+	MOVQ rows+48(FP), R8
+	MOVQ cols+56(FP), R9
+	MOVQ R8, AX
+	IMULQ R9, AX
+	CMPQ dst_len+8(FP), AX
+	JLT  none
+	CMPQ src_len+32(FP), AX
+	JLT  none
+	MOVQ R8, R10
+	ANDQ $-8, R10
+	JZ   none
+	MOVQ R9, R11
+	ANDQ $-8, R11
+	JZ   none
+	SHLQ $2, R8
+	SHLQ $2, R9
+	LEAQ (R9)(R9*2), R12
+	LEAQ (R8)(R8*2), R13
+	XORQ CX, CX
+
+rowblk:
+	MOVQ  CX, SI
+	IMULQ R9, SI
+	ADDQ  src_base+24(FP), SI
+	MOVQ  dst_base+0(FP), DI
+	LEAQ  (DI)(CX*4), DI
+	XORQ  BX, BX
+
+colblk:
+	LEAQ        (SI)(R9*4), DX
+	VMOVUPS     (SI), X0
+	VINSERTF128 $1, (DX), Y0, Y0          // a0-3 | e0-3
+	VMOVUPS     (SI)(R9*1), X1
+	VINSERTF128 $1, (DX)(R9*1), Y1, Y1    // b0-3 | f0-3
+	VMOVUPS     (SI)(R9*2), X2
+	VINSERTF128 $1, (DX)(R9*2), Y2, Y2    // c0-3 | g0-3
+	VMOVUPS     (SI)(R12*1), X3
+	VINSERTF128 $1, (DX)(R12*1), Y3, Y3   // d0-3 | h0-3
+	VMOVUPS     16(SI), X4
+	VINSERTF128 $1, 16(DX), Y4, Y4        // a4-7 | e4-7
+	VMOVUPS     16(SI)(R9*1), X5
+	VINSERTF128 $1, 16(DX)(R9*1), Y5, Y5
+	VMOVUPS     16(SI)(R9*2), X6
+	VINSERTF128 $1, 16(DX)(R9*2), Y6, Y6
+	VMOVUPS     16(SI)(R12*1), X7
+	VINSERTF128 $1, 16(DX)(R12*1), Y7, Y7
+	VUNPCKLPS   Y1, Y0, Y8                // a0 b0 a1 b1 | e0 f0 e1 f1
+	VUNPCKHPS   Y1, Y0, Y9                // a2 b2 a3 b3 | e2 f2 e3 f3
+	VUNPCKLPS   Y3, Y2, Y10               // c0 d0 c1 d1 | g0 h0 g1 h1
+	VUNPCKHPS   Y3, Y2, Y11               // c2 d2 c3 d3 | g2 h2 g3 h3
+	VUNPCKLPS   Y5, Y4, Y12
+	VUNPCKHPS   Y5, Y4, Y13
+	VUNPCKLPS   Y7, Y6, Y14
+	VUNPCKHPS   Y7, Y6, Y15
+	VSHUFPS     $0x44, Y10, Y8, Y0        // column 0: a0 b0 c0 d0 | e0 f0 g0 h0
+	VSHUFPS     $0xEE, Y10, Y8, Y1        // column 1
+	VSHUFPS     $0x44, Y11, Y9, Y2        // column 2
+	VSHUFPS     $0xEE, Y11, Y9, Y3        // column 3
+	VSHUFPS     $0x44, Y14, Y12, Y4       // column 4
+	VSHUFPS     $0xEE, Y14, Y12, Y5
+	VSHUFPS     $0x44, Y15, Y13, Y6
+	VSHUFPS     $0xEE, Y15, Y13, Y7
+	LEAQ        (DI)(R8*4), AX
+	VMOVUPS     Y0, (DI)
+	VMOVUPS     Y1, (DI)(R8*1)
+	VMOVUPS     Y2, (DI)(R8*2)
+	VMOVUPS     Y3, (DI)(R13*1)
+	VMOVUPS     Y4, (AX)
+	VMOVUPS     Y5, (AX)(R8*1)
+	VMOVUPS     Y6, (AX)(R8*2)
+	VMOVUPS     Y7, (AX)(R13*1)
+	ADDQ        $32, SI
+	LEAQ        (DI)(R8*8), DI
+	ADDQ        $8, BX
+	CMPQ        BX, R11
+	JLT         colblk
+	ADDQ        $8, CX
+	CMPQ        CX, R10
+	JLT         rowblk
+	VZEROUPPER
+	MOVQ        R10, ret+64(FP)
+
+none:
+	RET
+
+// func scaleFromVec(dst, x []float32, a float32) int
+TEXT ·scaleFromVec(SB), NOSPLIT, $0-64
+	MOVQ $0, ret+56(FP)
+	CMPB ·elemAVX2(SB), $0
+	JEQ  none
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	CMPQ dst_len+8(FP), CX
+	JLT  none
+	ANDQ $-8, CX
+	XORQ AX, AX
+	VBROADCASTSS a+48(FP), Y15
+	JMP  test
+
+loop:
+	VMOVUPS (SI)(AX*4), Y0
+	VMULPS  Y15, Y0, Y0 // x·a
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+
+test:
+	CMPQ AX, CX
+	JLT  loop
+	VZEROUPPER
+	MOVQ CX, ret+56(FP)
+
+none:
+	RET
+
+// func axpyVec(dst, x []float32, a float32) int
+TEXT ·axpyVec(SB), NOSPLIT, $0-64
+	MOVQ $0, ret+56(FP)
+	CMPB ·elemAVX2(SB), $0
+	JEQ  none
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	CMPQ dst_len+8(FP), CX
+	JLT  none
+	ANDQ $-8, CX
+	XORQ AX, AX
+	VBROADCASTSS a+48(FP), Y15
+	JMP  test
+
+loop:
+	VMULPS  (SI)(AX*4), Y15, Y0 // a·x
+	VMOVUPS (DI)(AX*4), Y1
+	VADDPS  Y0, Y1, Y1          // dst + a·x
+	VMOVUPS Y1, (DI)(AX*4)
+	ADDQ    $8, AX
+
+test:
+	CMPQ AX, CX
+	JLT  loop
+	VZEROUPPER
+	MOVQ CX, ret+56(FP)
+
+none:
+	RET
+
+// func isFiniteVec(x []float32) int
+//
+// x - x is +0 for a finite x and NaN otherwise; the bits of every such
+// difference are ORed together, and the chunks are finite exactly when the
+// result is all zero. Otherwise it returns 0 and the reference decides.
+TEXT ·isFiniteVec(SB), NOSPLIT, $0-32
+	MOVQ $0, ret+24(FP)
+	CMPB ·elemAVX2(SB), $0
+	JEQ  none
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	ANDQ $-8, CX
+	XORQ AX, AX
+	VXORPS Y0, Y0, Y0
+	JMP  test
+
+loop:
+	VMOVUPS (SI)(AX*4), Y1
+	VSUBPS  Y1, Y1, Y1 // x - x
+	VORPS   Y1, Y0, Y0
+	ADDQ    $8, AX
+
+test:
+	CMPQ  AX, CX
+	JLT   loop
+	VPTEST Y0, Y0
+	VZEROUPPER
+	JNE   none
+	MOVQ  CX, ret+24(FP)
+
+none:
+	RET
+
+// The SGD steps keep Go's operand order: lr·g and mom·v with the scalar
+// first, w + Δ with the weight first, and -lr as lr with its sign bit
+// flipped, as Go negates.
+
+// func sgdPlainVec(w, g []float32, lr float32) int
+TEXT ·sgdPlainVec(SB), NOSPLIT, $0-64
+	MOVQ $0, ret+56(FP)
+	CMPB ·elemAVX2(SB), $0
+	JEQ  none
+	MOVQ w_base+0(FP), DI
+	MOVQ w_len+8(FP), CX
+	MOVQ g_base+24(FP), SI
+	CMPQ g_len+32(FP), CX
+	JLT  none
+	ANDQ $-8, CX
+	XORQ AX, AX
+	VBROADCASTSS lr+48(FP), Y15
+	VPCMPEQD     Y14, Y14, Y14
+	VPSLLD       $31, Y14, Y14
+	VXORPS       Y14, Y15, Y15 // -lr
+	VXORPS       Y14, Y14, Y14 // +0
+	JMP          test
+
+loop:
+	VMULPS  (SI)(AX*4), Y15, Y0 // -lr·g
+	VMOVUPS (DI)(AX*4), Y1
+	VADDPS  Y0, Y1, Y1          // w + -lr·g
+	VMOVUPS Y1, (DI)(AX*4)
+	VMOVUPS Y14, (SI)(AX*4)     // g = 0
+	ADDQ    $8, AX
+
+test:
+	CMPQ AX, CX
+	JLT  loop
+	VZEROUPPER
+	MOVQ CX, ret+56(FP)
+
+none:
+	RET
+
+// func sgdMomentumVec(w, g, v []float32, lr, mom float32) int
+TEXT ·sgdMomentumVec(SB), NOSPLIT, $0-88
+	MOVQ $0, ret+80(FP)
+	CMPB ·elemAVX2(SB), $0
+	JEQ  none
+	MOVQ w_base+0(FP), DI
+	MOVQ w_len+8(FP), CX
+	MOVQ g_base+24(FP), SI
+	CMPQ g_len+32(FP), CX
+	JLT  none
+	MOVQ v_base+48(FP), DX
+	CMPQ v_len+56(FP), CX
+	JLT  none
+	ANDQ $-8, CX
+	XORQ AX, AX
+	VBROADCASTSS lr+72(FP), Y15
+	VBROADCASTSS mom+76(FP), Y13
+	VPCMPEQD     Y14, Y14, Y14
+	VPSLLD       $31, Y14, Y14
+	VXORPS       Y14, Y15, Y15 // -lr
+	VXORPS       Y14, Y14, Y14 // +0
+	JMP          test
+
+loop:
+	VMULPS  (DX)(AX*4), Y13, Y0 // mom·v
+	VADDPS  (SI)(AX*4), Y0, Y0  // v = mom·v + g
+	VMOVUPS Y0, (DX)(AX*4)
+	VMULPS  Y0, Y15, Y0         // -lr·v
+	VMOVUPS (DI)(AX*4), Y1
+	VADDPS  Y0, Y1, Y1          // w + -lr·v
+	VMOVUPS Y1, (DI)(AX*4)
+	VMOVUPS Y14, (SI)(AX*4)     // g = 0
+	ADDQ    $8, AX
+
+test:
+	CMPQ AX, CX
+	JLT  loop
+	VZEROUPPER
+	MOVQ CX, ret+80(FP)
+
+none:
+	RET
+
+// func sgdGeneralVec(w, g, v, a []float32, lr, mom, wd, mu float32, decay, heavy, nesterov bool) int
+//
+// heavy is mom > 0. The mode branches test flags held in registers (R10
+// decay, R8 the anchor's base, R11 heavy, R12 nesterov) and go the same way
+// for every chunk.
+TEXT ·sgdGeneralVec(SB), NOSPLIT, $0-128
+	MOVQ $0, ret+120(FP)
+	CMPB ·elemAVX2(SB), $0
+	JEQ  none
+	MOVQ w_base+0(FP), DI
+	MOVQ w_len+8(FP), CX
+	MOVQ g_base+24(FP), SI
+	CMPQ g_len+32(FP), CX
+	JLT  none
+	MOVQ v_base+48(FP), DX
+	CMPQ v_len+56(FP), CX
+	JLT  none
+	MOVQ a_base+72(FP), R8
+	TESTQ R8, R8
+	JZ   flags
+	CMPQ a_len+80(FP), CX
+	JLT  none
+
+flags:
+	MOVBQZX decay+112(FP), R10
+	MOVBQZX heavy+113(FP), R11
+	MOVBQZX nesterov+114(FP), R12
+	ANDQ    $-8, CX
+	XORQ    AX, AX
+	VBROADCASTSS lr+96(FP), Y12
+	VBROADCASTSS mom+100(FP), Y13
+	VBROADCASTSS wd+104(FP), Y14
+	VBROADCASTSS mu+108(FP), Y15
+	VPCMPEQD     Y10, Y10, Y10
+	VPSLLD       $31, Y10, Y10
+	VXORPS       Y10, Y12, Y11 // -lr
+	VXORPS       Y10, Y10, Y10 // +0
+	JMP          test
+
+loop:
+	VMOVUPS (SI)(AX*4), Y0 // gj
+	VMOVUPS (DI)(AX*4), Y1 // w
+	TESTQ   R10, R10
+	JZ      prox
+	VMULPS  Y1, Y14, Y2    // wd·w
+	VADDPS  Y2, Y0, Y0     // gj + wd·w
+
+prox:
+	TESTQ  R8, R8
+	JZ     mode
+	VSUBPS (R8)(AX*4), Y1, Y2 // w - a
+	VMULPS Y2, Y15, Y2        // mu·(w - a)
+	VADDPS Y2, Y0, Y0         // gj + mu·(w - a)
+
+mode:
+	TESTQ   R11, R11
+	JZ      plain
+	VMULPS  (DX)(AX*4), Y13, Y3 // mom·v
+	VADDPS  Y0, Y3, Y3          // v = mom·v + gj
+	VMOVUPS Y3, (DX)(AX*4)
+	TESTQ   R12, R12
+	JZ      heavyball
+	VMULPS  Y3, Y13, Y4         // mom·v
+	VADDPS  Y4, Y0, Y4          // gj + mom·v
+	VMULPS  Y4, Y12, Y4         // lr·(gj + mom·v)
+	VSUBPS  Y4, Y1, Y1          // w - lr·(gj + mom·v)
+	JMP     store
+
+heavyball:
+	VMULPS Y3, Y11, Y4 // -lr·v
+	VADDPS Y4, Y1, Y1  // w + -lr·v
+	JMP    store
+
+plain:
+	VMULPS Y0, Y11, Y4 // -lr·gj
+	VADDPS Y4, Y1, Y1  // w + -lr·gj
+
+store:
+	VMOVUPS Y1, (DI)(AX*4)
+	VMOVUPS Y10, (SI)(AX*4) // g = 0
+	ADDQ    $8, AX
+
+test:
+	CMPQ AX, CX
+	JLT  loop
+	VZEROUPPER
+	MOVQ CX, ret+120(FP)
+
+none:
+	RET

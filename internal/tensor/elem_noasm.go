@@ -15,3 +15,11 @@ func bnNormalizeVec(_, _, _ []float32, _, _ []float64, _, _ []float32) int { ret
 func bnNormalizeRunningVec(_, _ []float32, _, _, _, _ []float64) int       { return 0 }
 func bnParamGradsVec(_, _ []float64, _, _ []float32) int                   { return 0 }
 func bnInputGradVec(_, _, _ []float32, _, _, _ []float64, _ float64) int   { return 0 }
+
+func packTransposeVec(_, _ []float32, _, _ int) int                            { return 0 }
+func scaleFromVec(_, _ []float32, _ float32) int                               { return 0 }
+func axpyVec(_, _ []float32, _ float32) int                                    { return 0 }
+func isFiniteVec(_ []float32) int                                              { return 0 }
+func sgdPlainVec(_, _ []float32, _ float32) int                                { return 0 }
+func sgdMomentumVec(_, _, _ []float32, _, _ float32) int                       { return 0 }
+func sgdGeneralVec(_, _, _, _ []float32, _, _, _, _ float32, _, _, _ bool) int { return 0 }

@@ -4,20 +4,23 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// elemIn holds one draw of every operand the lane kernels take: x and y are
-// rows×c matrices (or flat vectors of rows·c elements), u and w per-channel
-// float32 vectors, a..d per-channel float64 vectors, and acc1/acc2 the
-// float64 accumulators' starting values. tx, ty and tu are x, y and u as
-// tensors.
+// elemIn holds one draw of every operand the lane kernels take: x, y and z
+// are rows×c matrices (or flat vectors of rows·c elements), u and w
+// per-channel float32 vectors, a..d per-channel float64 vectors, acc1/acc2
+// the float64 accumulators' starting values, and s a float32 scalar. tx, ty
+// and tu are x, y and u as tensors.
 type elemIn struct {
 	rows, c     int
-	x, y, u, w  []float32
+	x, y, z     []float32
+	u, w        []float32
 	a, b, cc, d []float64
 	acc1, acc2  []float64
 	m           float64
+	s           float32
 	tx, ty, tu  *Tensor
 }
 
@@ -65,23 +68,24 @@ func newElemIn(rows, c int, seed int64, plant uint8) *elemIn {
 		acc1: f64(c), acc2: f64(c),
 		m: float64(rows) + rng.Float64(),
 	}
+	in.z, in.s = f32(rows*c), f32(1)[0]
 	in.tx, in.ty, in.tu = tensorOf(in.x, rows, c), tensorOf(in.y, rows, c), tensorOf(in.u, c)
 	return in
 }
 
 // elemOut holds the output operands, each starting as a copy of an input:
-// m32 of x, m32b of y, v32 of u, acc1 and acc2 of theirs. tm32 and tv32 are
-// m32 and v32 as tensors.
+// m32 of x, m32b of y, m32c of z, v32 of u, acc1 and acc2 of theirs. tm32
+// and tv32 are m32 and v32 as tensors.
 type elemOut struct {
-	m32, m32b, v32 []float32
-	acc1, acc2     []float64
-	tm32, tv32     *Tensor
+	m32, m32b, m32c, v32 []float32
+	acc1, acc2           []float64
+	tm32, tv32           *Tensor
 }
 
 func newElemOut(in *elemIn) *elemOut {
 	c32 := func(s []float32) []float32 { return append([]float32(nil), s...) }
 	c64 := func(s []float64) []float64 { return append([]float64(nil), s...) }
-	o := &elemOut{m32: c32(in.x), m32b: c32(in.y), v32: c32(in.u), acc1: c64(in.acc1), acc2: c64(in.acc2)}
+	o := &elemOut{m32: c32(in.x), m32b: c32(in.y), m32c: c32(in.z), v32: c32(in.u), acc1: c64(in.acc1), acc2: c64(in.acc2)}
 	o.tm32, o.tv32 = tensorOf(o.m32, in.rows, in.c), tensorOf(o.v32, in.c)
 	return o
 }
@@ -118,7 +122,94 @@ func must(err error) {
 
 func tensorOf(data []float32, shape ...int) *Tensor { return &Tensor{shape: shape, data: data} }
 
-var elemKernels = []elemKernel{
+// splat is n copies of the scalar v, as a lane reads it.
+func splat(v float32, n int) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// elemKernels are every lane kernel: the layers', the fold's, the weight
+// pack and the optimizer's.
+var elemKernels = slices.Concat(layerKernels, foldKernels, []elemKernel{packKernel}, sgdKernels)
+
+// packKernel is the weight pack. It moves data, so no lane may differ and
+// nothing it reads excuses a NaN's payload.
+var packKernel = elemKernel{"pack-transpose", false, func(in *elemIn, o *elemOut, ref bool) {
+	if ref {
+		packTransposeGo(o.m32, in.x, in.rows, in.c, 0)
+	} else {
+		PackTranspose(o.m32, in.x, in.rows, in.c)
+	}
+}, func(in *elemIn) [][]float64 { return nil }}
+
+// foldKernels are the fold's element-wise kernels, at the drawn scalar.
+var foldKernels = []elemKernel{
+	{"scale", true, func(in *elemIn, o *elemOut, ref bool) {
+		if ref {
+			scaleFromGo(o.m32, o.m32, in.s, 0)
+		} else {
+			o.tm32.Scale(in.s)
+		}
+	}, func(in *elemIn) [][]float64 { return w64(in.x, splat(in.s, len(in.x))) }},
+	{"scale-from", true, func(in *elemIn, o *elemOut, ref bool) {
+		if ref {
+			scaleFromGo(o.m32, in.y, in.s, 0)
+		} else {
+			must(o.tm32.ScaleFrom(in.s, in.ty))
+		}
+	}, func(in *elemIn) [][]float64 { return w64(in.y, splat(in.s, len(in.y))) }},
+	{"axpy", true, func(in *elemIn, o *elemOut, ref bool) {
+		if ref {
+			axpyGo(o.m32, in.y, in.s, 0)
+		} else {
+			must(o.tm32.Axpy(in.s, in.ty))
+		}
+	}, func(in *elemIn) [][]float64 { return w64(in.x, in.y, splat(in.s, len(in.y))) }},
+}
+
+// sgdKernels run every optimizer mode with w in m32, g in m32b, v in m32c
+// and the anchor in y.
+var sgdKernels = []elemKernel{
+	{"sgd-plain", true, func(in *elemIn, o *elemOut, ref bool) {
+		if ref {
+			sgdPlainGo(o.m32, o.m32b, 0.1, 0)
+		} else {
+			SGDPlain(o.m32, o.m32b, 0.1)
+		}
+	}, func(in *elemIn) [][]float64 { return w64(in.x, in.y) }},
+	{"sgd-momentum", true, func(in *elemIn, o *elemOut, ref bool) {
+		if ref {
+			sgdMomentumGo(o.m32, o.m32b, o.m32c, 0.1, 0.9, 0)
+		} else {
+			SGDMomentum(o.m32, o.m32b, o.m32c, 0.1, 0.9)
+		}
+	}, func(in *elemIn) [][]float64 { return w64(in.x, in.y, in.z) }},
+	sgdGeneralKernel("sgd-decay-prox", 0.1, 0.9, 5e-4, 0.01, true, false, true),
+	sgdGeneralKernel("sgd-nesterov-decay", 0.05, 0.9, 5e-4, 0, true, true, false),
+	sgdGeneralKernel("sgd-nesterov-prox", 0.1, 0.5, 0, 0.5, false, true, true),
+	sgdGeneralKernel("sgd-prox-plain", 0.1, 0, 0, 0.5, false, false, true),
+	sgdGeneralKernel("sgd-decay-plain", 0.1, 0, 1e-3, 0, true, true, false),
+}
+
+func sgdGeneralKernel(name string, lr, mom, wd, mu float32, decay, nesterov, anchor bool) elemKernel {
+	return elemKernel{name, true, func(in *elemIn, o *elemOut, ref bool) {
+		var a []float32
+		if anchor {
+			a = in.y
+		}
+		if ref {
+			sgdGeneralGo(o.m32, o.m32b, o.m32c, a, lr, mom, wd, mu, decay, nesterov, 0)
+		} else {
+			SGDGeneral(o.m32, o.m32b, o.m32c, a, lr, mom, wd, mu, decay, nesterov)
+		}
+	}, func(in *elemIn) [][]float64 { return w64(in.x, in.y, in.z) }}
+}
+
+// layerKernels are the element-wise layers' kernels.
+var layerKernels = []elemKernel{
 	{"relu", true, func(in *elemIn, o *elemOut, ref bool) {
 		if ref {
 			reluGo(o.m32, in.y, 0)
@@ -241,10 +332,10 @@ func checkElemKernel(t *testing.T, k elemKernel, in *elemIn) {
 		}
 		return out
 	}
-	gs := [][]uint64{bits32(got.m32), bits32(got.m32b), bits32(got.v32), bits64(got.acc1), bits64(got.acc2)}
-	ws := [][]uint64{bits32(want.m32), bits32(want.m32b), bits32(want.v32), bits64(want.acc1), bits64(want.acc2)}
+	gs := [][]uint64{bits32(got.m32), bits32(got.m32b), bits32(got.m32c), bits32(got.v32), bits64(got.acc1), bits64(got.acc2)}
+	ws := [][]uint64{bits32(want.m32), bits32(want.m32b), bits32(want.m32c), bits32(want.v32), bits64(want.acc1), bits64(want.acc2)}
 	isNaN := func(o int, b uint64) bool {
-		if o < 3 {
+		if o < 4 {
 			return math.IsNaN(float64(math.Float32frombits(uint32(b))))
 		}
 		return math.IsNaN(math.Float64frombits(b))
@@ -281,10 +372,46 @@ func FuzzElementwiseMatchesPortable(f *testing.F) {
 	})
 }
 
+// checkIsFinite holds IsFinite to the reference on x, on x with its
+// non-finite values replaced by 1, and on that finite copy with a NaN
+// (quiet, signalling, negative) or an infinity planted at every position.
+func checkIsFinite(t *testing.T, x []float32) {
+	t.Helper()
+	tx := tensorOf(x, len(x))
+	if got, want := tx.IsFinite(), isFiniteGo(x, 0); got != want {
+		t.Fatalf("n=%d tier=%v: IsFinite %v, portable %v", len(x), activeTier, got, want)
+	}
+	f := append([]float32(nil), x...)
+	for i, v := range f {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			f[i] = 1
+		}
+	}
+	tf := tensorOf(f, len(f))
+	if !tf.IsFinite() || !isFiniteGo(f, 0) {
+		t.Fatalf("n=%d tier=%v: finite data reads as non-finite", len(f), activeTier)
+	}
+	planted := []float32{
+		math.Float32frombits(0x7FC00000), math.Float32frombits(0xFF800ABC),
+		math.Float32frombits(0x7F800001), float32(math.Inf(1)), float32(math.Inf(-1)),
+	}
+	for i := range f {
+		keep := f[i]
+		for _, v := range planted {
+			f[i] = v
+			if tf.IsFinite() || isFiniteGo(f, 0) {
+				t.Fatalf("n=%d tier=%v: %#x at %d reads as finite", len(f), activeTier, math.Float32bits(v), i)
+			}
+		}
+		f[i] = keep
+	}
+}
+
 // TestElementwiseMatchesPortableEveryTier runs every lane kernel on every
 // tier this machine offers, over every column count through 70 and row
-// counts around the shapes a training step uses, and checks that the vector
-// bodies run on the tiers that have them.
+// counts around the shapes a training step uses, holds IsFinite to the
+// reference with a non-finite value at every position, and checks that the
+// vector bodies run on the tiers that have them.
 func TestElementwiseMatchesPortableEveryTier(t *testing.T) {
 	orig := activeTier
 	defer setTier(orig)
@@ -313,18 +440,111 @@ func TestElementwiseMatchesPortableEveryTier(t *testing.T) {
 				if body != want {
 					t.Fatalf("tier %v: column body ran %d of %d columns, want %d", tier, body, c, want)
 				}
+				if body, want = sgdMomentumVec(o.m32, o.m32b, o.m32c, 0.1, 0.5), 0; tier >= TierAVX2 {
+					want = rows * c &^ 7
+				}
+				if body != want {
+					t.Fatalf("tier %v: SGD body ran %d of %d lanes, want %d", tier, body, rows*c, want)
+				}
+				if body, want = isFiniteVec(in.x), 0; tier >= TierAVX2 {
+					want = rows * c &^ 7
+				}
+				if body != want {
+					t.Fatalf("tier %v: IsFinite body ran %d of %d lanes, want %d", tier, body, rows*c, want)
+				}
+				if body, want = packTransposeVec(o.m32, in.x, rows, c), 0; tier >= TierAVX2 && c >= 8 {
+					want = rows &^ 7
+				}
+				if body != want {
+					t.Fatalf("tier %v: pack body ran %d of %d rows (c=%d), want %d", tier, body, rows, c, want)
+				}
+				if rows <= 3 {
+					checkIsFinite(t, newElemIn(rows, c, int64(c), 64).x)
+				}
 			}
 		}
 	}
 }
 
+// FuzzFoldMatchesPortable holds the fold's kernels — Scale, ScaleFrom and
+// Axpy at a drawn scalar — to the portable reference on 0-299 elements,
+// NaN, ±Inf, ±0, subnormals and ±MaxFloat32 planted, and IsFinite to it with
+// a NaN or an infinity planted at every position.
+func FuzzFoldMatchesPortable(f *testing.F) {
+	f.Add(uint16(64), int64(1), uint8(0))
+	f.Add(uint16(37), int64(2), uint8(40))
+	f.Add(uint16(7), int64(3), uint8(255))
+	f.Add(uint16(0), int64(4), uint8(128))
+	f.Fuzz(func(t *testing.T, n uint16, seed int64, plant uint8) {
+		in := newElemIn(1, int(n)%300, seed, plant)
+		for _, k := range foldKernels {
+			checkElemKernel(t, k, in)
+		}
+		checkIsFinite(t, in.x)
+	})
+}
+
+// FuzzPackTransposeMatchesPortable holds PackTranspose to the portable
+// reference byte for byte, on 0-40 rows and columns of random bit patterns.
+func FuzzPackTransposeMatchesPortable(f *testing.F) {
+	f.Add(uint8(64), uint8(64), int64(1))
+	f.Add(uint8(10), uint8(64), int64(2))
+	f.Add(uint8(17), uint8(23), int64(3))
+	f.Add(uint8(8), uint8(0), int64(4))
+	f.Fuzz(func(t *testing.T, rows, cols uint8, seed int64) {
+		r, c := int(rows)%41, int(cols)%41
+		rng := rand.New(rand.NewSource(seed))
+		src := make([]float32, r*c)
+		for i := range src {
+			src[i] = math.Float32frombits(rng.Uint32())
+		}
+		got, want := make([]float32, r*c), make([]float32, r*c)
+		for i := range got {
+			got[i] = math.Float32frombits(0xDEADBEEF)
+			want[i] = got[i]
+		}
+		PackTranspose(got, src, r, c)
+		packTransposeGo(want, src, r, c, 0)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%dx%d tier=%v: element %d = %#x, portable %#x",
+					r, c, activeTier, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	})
+}
+
+// BenchmarkPackTranspose times the weight pack on the active tier at the
+// shapes of the 64-wide MLP's hidden weight (64×64), its classifier weight
+// (10×64), a 16-sample batch of its activations (16×64), and the 512-wide
+// MLP's hidden weight (512×512). Bytes count one read and one write of each
+// value.
+func BenchmarkPackTranspose(b *testing.B) {
+	for _, shape := range [][2]int{{64, 64}, {10, 64}, {16, 64}, {512, 512}} {
+		rows, cols := shape[0], shape[1]
+		b.Run(fmt.Sprintf("%dx%d", rows, cols), func(b *testing.B) {
+			src, dst := make([]float32, rows*cols), make([]float32, rows*cols)
+			for i := range src {
+				src[i] = float32(i)
+			}
+			b.SetBytes(int64(8 * rows * cols))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				PackTranspose(dst, src, rows, cols)
+			}
+		})
+	}
+}
+
 // BenchmarkElementwise times each lane kernel on the active tier at the
 // shapes of the experiment MLP's hidden (32×64) and classifier (32×10)
-// layers.
+// layers. The SGD kernels are BenchmarkSGDStep's (internal/opt): stepped
+// again and again on one draw, their velocities decay into subnormals.
 func BenchmarkElementwise(b *testing.B) {
 	for _, shape := range [][2]int{{32, 64}, {32, 10}} {
 		in := newElemIn(shape[0], shape[1], 1, 0)
-		for _, k := range elemKernels {
+		for _, k := range slices.Concat(layerKernels, foldKernels, []elemKernel{packKernel}) {
 			b.Run(fmt.Sprintf("%s/%dx%d", k.name, shape[0], shape[1]), func(b *testing.B) {
 				o := newElemOut(in)
 				b.ReportAllocs()

@@ -22,17 +22,23 @@ import (
 // the wide tiers comes from lane width and 4-row register blocking, not
 // from fusing.
 //
-// The tiers also dispatch the element-wise lane kernels (elem.go): ReLU, the
-// bias and residual adds, the bias-gradient column sum and BatchNorm's rank-2
-// passes. The avx2 and avx512 tiers run them in AVX2 assembly
-// (elem_avx2_amd64.s) over whole 8-lane chunks and finish the tail in the
-// portable Go reference; the sse and portable tiers run the reference alone.
-// The lane contract: each lane performs the reference's float operations in
-// the reference's order, with the same first operand and one rounding each —
-// again no VFMADD — and float32 values widen to float64 through VCVTPS2PD
-// and narrow through VCVTPD2PS, which under Go's default MXCSR (round to
-// nearest even, no FTZ/DAZ) is what Go's conversions do. Only a NaN's
-// payload may differ, where both operands of one operation were NaN.
+// The tiers also dispatch the lane kernels (elem.go): ReLU, the bias and
+// residual adds, the bias-gradient column sum and BatchNorm's rank-2 passes;
+// the SGD step in its plain, heavy-ball and general (decay, proximal,
+// Nesterov) modes; the fold's Scale, ScaleFrom, Axpy and IsFinite; and the
+// weight pack, PackTranspose. The avx2 and avx512 tiers run them in AVX2
+// assembly (elem_avx2_amd64.s) over whole 8-lane chunks, or whole 8×8 blocks
+// for the pack, and finish the rest in the portable Go reference; the sse
+// and portable tiers run the reference alone. The lane contract: each lane
+// performs the reference's float operations in the reference's order, with
+// the same first operand and one rounding each — again no VFMADD; the SGD
+// and fold references write each product that feeds an add as float32(a*b)
+// so no target fuses them either — and float32 values widen to float64
+// through VCVTPS2PD and narrow through VCVTPD2PS, which under Go's default
+// MXCSR (round to nearest even, no FTZ/DAZ) is what Go's conversions do.
+// Only a NaN's payload may differ, where both operands of one operation were
+// NaN. The pack computes nothing: its contract is the reference's bytes.
+// IsFinite's body ORs the bits of x - x, so it answers as the reference does.
 
 // KernelTier identifies one row-kernel implementation tier.
 type KernelTier int

@@ -237,14 +237,12 @@ func gemmRowGo(dst, a, b []float32, k, n int) {
 	}
 }
 
-// PackTranspose writes the transpose of src (rows, cols) into dst (cols, rows).
+// PackTranspose writes the transpose of src (rows, cols) into dst (cols,
+// rows); dst must not overlap src. It moves data and computes nothing, so
+// every tier writes the same bytes: the vector body transposes each whole
+// 8×8 block in registers and packTransposeGo the strips it leaves.
 func PackTranspose(dst, src []float32, rows, cols int) {
-	for r := 0; r < rows; r++ {
-		row := src[r*cols : r*cols+cols]
-		for c, v := range row {
-			dst[c*rows+r] = v
-		}
-	}
+	packTransposeGo(dst, src, rows, cols, packTransposeVec(dst, src, rows, cols))
 }
 
 // Transpose returns a new tensor that is the transpose of a rank-2 tensor.

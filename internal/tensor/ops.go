@@ -27,9 +27,7 @@ func (t *Tensor) Sub(o *Tensor) error {
 
 // Scale computes t *= a.
 func (t *Tensor) Scale(a float32) {
-	for i := range t.data {
-		t.data[i] *= a
-	}
+	scaleFromGo(t.data, t.data, a, scaleFromVec(t.data, t.data, a))
 }
 
 // ScaleFrom sets t = x*a element-wise, overwriting t. The multiplication
@@ -39,9 +37,7 @@ func (t *Tensor) ScaleFrom(a float32, x *Tensor) error {
 	if len(t.data) != len(x.data) {
 		return fmt.Errorf("%w: scale %v into %v", ErrShape, x.shape, t.shape)
 	}
-	for i, v := range x.data {
-		t.data[i] = v * a
-	}
+	scaleFromGo(t.data, x.data, a, scaleFromVec(t.data, x.data, a))
 	return nil
 }
 
@@ -57,9 +53,7 @@ func (t *Tensor) Axpy(a float32, x *Tensor) error {
 	if len(t.data) != len(x.data) {
 		return fmt.Errorf("%w: axpy %v into %v", ErrShape, x.shape, t.shape)
 	}
-	for i, v := range x.data {
-		t.data[i] += a * v
-	}
+	axpyGo(t.data, x.data, a, axpyVec(t.data, x.data, a))
 	return nil
 }
 
