@@ -13,19 +13,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"fedfteds"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	const (
 		seed       = 7
 		numClients = 8
@@ -67,7 +69,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("pretrained the global model on", suite.Source.Spec.Name)
+	fmt.Fprintln(w, "pretrained the global model on", suite.Source.Spec.Name)
 
 	// 3. Partition the target data across clients with Dirichlet label skew
 	// and attach heterogeneous device speeds.
@@ -86,7 +88,7 @@ func run() error {
 			return err
 		}
 		clients[i] = &fedfteds.Client{ID: i, Data: local, Device: devices[i]}
-		fmt.Printf("client %d: %d samples, label histogram %v\n", i, local.Len(), local.ClassHistogram())
+		fmt.Fprintf(w, "client %d: %d samples, label histogram %v\n", i, local.Len(), local.ClassHistogram())
 	}
 
 	// 4. Run FedFT-EDS: partial fine-tuning from the "up" group, entropy
@@ -110,13 +112,13 @@ func run() error {
 	}
 
 	for _, rec := range hist.Records {
-		fmt.Printf("round %2d: accuracy %5.2f%%  (cumulative client time %6.1fs, uplink %d KiB)\n",
+		fmt.Fprintf(w, "round %2d: accuracy %5.2f%%  (cumulative client time %6.1fs, uplink %d KiB)\n",
 			rec.Round, 100*rec.TestAccuracy, rec.CumTrainSeconds, rec.CumUplinkBytes/1024)
 	}
 	eff, err := hist.LearningEfficiency()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nbest accuracy %.2f%%, learning efficiency %.2f %%/s\n", 100*hist.BestAccuracy, eff)
+	fmt.Fprintf(w, "\nbest accuracy %.2f%%, learning efficiency %.2f %%/s\n", 100*hist.BestAccuracy, eff)
 	return nil
 }

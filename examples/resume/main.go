@@ -16,6 +16,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
@@ -25,7 +26,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -80,7 +81,7 @@ func buildWorld(seed int64, numClients int) (*fedfteds.Model, []*fedfteds.Client
 	return global, clients, test, nil
 }
 
-func run() error {
+func run(w io.Writer) error {
 	const (
 		seed       = 7
 		numClients = 8
@@ -113,7 +114,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("uninterrupted run: %d rounds, best accuracy %.2f%%\n", rounds, 100*full.BestAccuracy)
+	fmt.Fprintf(w, "uninterrupted run: %d rounds, best accuracy %.2f%%\n", rounds, 100*full.BestAccuracy)
 
 	// "Process one": checkpoints every round, killed after round 4.
 	dir, err := os.MkdirTemp("", "fedfteds-resume-*")
@@ -135,7 +136,7 @@ func run() error {
 	if _, err := runner1.Run(); err != nil {
 		return err
 	}
-	fmt.Printf("interrupted after round %d; checkpoints in %s\n", killAfter, dir)
+	fmt.Fprintf(w, "interrupted after round %d; checkpoints in %s\n", killAfter, dir)
 
 	// "Process two": a fresh world, resumed from the latest checkpoint.
 	resumedCfg := cfg
@@ -152,7 +153,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("resumed from round %d, finishing rounds %d-%d\n", at, at+1, rounds)
+	fmt.Fprintf(w, "resumed from round %d, finishing rounds %d-%d\n", at, at+1, rounds)
 	resumed, err := runner2.Run()
 	if err != nil {
 		return err
@@ -166,7 +167,7 @@ func run() error {
 			math.Float64bits(rec.MeanTrainLoss) != math.Float64bits(r2.MeanTrainLoss) {
 			marker = "!! DIVERGED"
 		}
-		fmt.Printf("round %2d: accuracy %5.2f%% / %5.2f%%  loss %.4f / %.4f  %s\n",
+		fmt.Fprintf(w, "round %2d: accuracy %5.2f%% / %5.2f%%  loss %.4f / %.4f  %s\n",
 			rec.Round, 100*rec.TestAccuracy, 100*r2.TestAccuracy,
 			rec.MeanTrainLoss, r2.MeanTrainLoss, marker)
 	}
@@ -184,6 +185,6 @@ func run() error {
 	if !identical {
 		return fmt.Errorf("resumed run diverged from the uninterrupted run")
 	}
-	fmt.Println("\nresumed history and final model state are bit-identical to the uninterrupted run")
+	fmt.Fprintln(w, "\nresumed history and final model state are bit-identical to the uninterrupted run")
 	return nil
 }

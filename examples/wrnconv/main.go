@@ -14,19 +14,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"fedfteds"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	const seed = 13
 	suite, err := fedfteds.NewDomainSuite(seed)
 	if err != nil {
@@ -63,7 +65,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("WRN-16-1: %d parameters, %d forward FLOPs per sample\n",
+	fmt.Fprintf(w, "WRN-16-1: %d parameters, %d forward FLOPs per sample\n",
 		model.ParamCount(), model.ForwardFLOPsPerSample())
 
 	hist, err := fedfteds.TrainCentralized(model, train, test, fedfteds.CentralConfig{
@@ -72,14 +74,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("after full training:       accuracy %.2f%%\n", 100*hist.BestAccuracy)
+	fmt.Fprintf(w, "after full training:       accuracy %.2f%%\n", 100*hist.BestAccuracy)
 
 	// Partial fine-tuning on the conv path: freeze low+mid (the paper's
 	// "fine-tuned from layer 3") and continue.
 	if err := model.SetFinetunePart(fedfteds.FinetuneModerate); err != nil {
 		return err
 	}
-	fmt.Printf("trainable after freezing:  %d of %d parameters, train FLOPs %d/sample\n",
+	fmt.Fprintf(w, "trainable after freezing:  %d of %d parameters, train FLOPs %d/sample\n",
 		model.TrainableParamCount(), model.ParamCount(), model.TrainFLOPsPerSample())
 	hist2, err := fedfteds.TrainCentralized(model, train, test, fedfteds.CentralConfig{
 		Epochs: 2, BatchSize: 16, LR: 0.05, Momentum: 0.5, Seed: seed + 1,
@@ -87,6 +89,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("after partial fine-tuning: accuracy %.2f%%\n", 100*hist2.BestAccuracy)
+	fmt.Fprintf(w, "after partial fine-tuning: accuracy %.2f%%\n", 100*hist2.BestAccuracy)
 	return nil
 }

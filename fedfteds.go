@@ -19,12 +19,10 @@ package fedfteds
 
 import (
 	"fedfteds/internal/ckpt"
-	"fedfteds/internal/comm"
 	"fedfteds/internal/core"
 	"fedfteds/internal/data"
 	"fedfteds/internal/device"
 	"fedfteds/internal/experiments"
-	"fedfteds/internal/federation"
 	"fedfteds/internal/fleet"
 	"fedfteds/internal/metrics"
 	"fedfteds/internal/models"
@@ -41,8 +39,6 @@ type (
 	Model = models.Model
 	// ModelSpec fully determines a model build.
 	ModelSpec = models.Spec
-	// FinetunePart selects the trainable portion of the model.
-	FinetunePart = models.FinetunePart
 )
 
 // Model architecture and finetune-part constants.
@@ -70,17 +66,8 @@ var NewDomainSuite = data.NewStandardSuite
 // label skew, guaranteeing at least minSize samples per client.
 var DirichletPartition = partition.Dirichlet
 
-// Data selection.
-type (
-	// Selector picks each client's per-round training subset.
-	Selector = selection.Selector
-	// EntropySelector is the paper's EDS with hardened softmax.
-	EntropySelector = selection.Entropy
-	// RandomSelector is the RDS baseline.
-	RandomSelector = selection.Random
-	// AllSelector uses every local sample.
-	AllSelector = selection.All
-)
+// EntropySelector is the paper's data selection (EDS) with hardened softmax.
+type EntropySelector = selection.Entropy
 
 // Federated engine.
 type (
@@ -88,8 +75,6 @@ type (
 	Config = core.Config
 	// Client is one federated participant.
 	Client = core.Client
-	// History is a run's outcome.
-	History = core.History
 	// CentralConfig configures centralized training / pretraining.
 	CentralConfig = core.CentralConfig
 )
@@ -139,62 +124,11 @@ var TrainCentralized = core.TrainCentralized
 // extractor into a fresh model for the target label space.
 var PretrainTransfer = core.PretrainTransfer
 
-// The distributed round, written once (internal/federation): the server loop
-// cmd/fedserver runs and the client round cmd/fedclient answers it with,
-// over TCP or in-process pipes.
-type (
-	// ServerConfig is one server run: the run itself as a Config (the same
-	// value NewRunner takes, the clients' recipe and the buffer included)
-	// and the server-only quorum, deadline and relay settings. Its Validate
-	// is the rulebook ServeFederation applies before it listens.
-	ServerConfig = federation.Config
-	// ParticipantConfig is one client's identity and the world it rebuilds
-	// (ID, federation size, seed, codec): what it trains each round arrives
-	// from the server.
-	ParticipantConfig = federation.ClientConfig
-	// RoundStart instructs a client to run one local round.
-	RoundStart = comm.RoundStart
-)
-
-var (
-	// ServeFederation accepts the participants and drives every round to
-	// completion, returning the run's History.
-	ServeFederation = federation.Serve
-	// JoinParticipant registers a client; its Run answers every round until
-	// the server shuts the session down.
-	JoinParticipant = federation.Join
-	// NewPipeListener creates n in-process protocol pipe pairs.
-	NewPipeListener = comm.NewPipeListener
-)
-
-// Cohort scheduling (internal/sched): per round the server samples K
-// clients from the pool; straggler and fault-tolerance policies then apply
-// within the cohort. Set Config.Scheduler/Config.CohortSize in the
-// simulator, or `-sched`/`-cohort` on fedserver.
-type (
-	// Scheduler samples the per-round client cohort.
-	Scheduler = sched.Scheduler
-	// UniformRandom samples the cohort uniformly (FedAvg-style).
-	UniformRandom = sched.UniformRandom
-	// EntropyUtility exploits high mean-EDS-entropy clients with ε-greedy
-	// exploration.
-	EntropyUtility = sched.EntropyUtility
-	// Availability composes any inner policy with client churn (Markov
-	// on/off process or replayed trace).
-	Availability = sched.Availability
-)
-
-// Devices and stragglers.
-type (
-	// Device models a client's compute speed.
-	Device = simtime.Device
-	// StragglerPolicy decides which sampled clients complete a round.
-	StragglerPolicy = simtime.StragglerPolicy
-	// FractionParticipation keeps a random client fraction per round.
-	FractionParticipation = simtime.FractionParticipation
-	// DeadlineStraggler drops clients that exceed a round deadline.
-	DeadlineStraggler = simtime.DeadlineStraggler
-)
+// EntropyUtility is a cohort scheduler (internal/sched): it exploits
+// clients with a high mean EDS entropy, with ε-greedy exploration. Set
+// Config.Scheduler and Config.CohortSize in the simulator, or
+// `-sched`/`-cohort` on fedserver.
+type EntropyUtility = sched.EntropyUtility
 
 // NewHeterogeneousDevices draws a lognormal device population.
 var NewHeterogeneousDevices = simtime.NewHeterogeneousDevices

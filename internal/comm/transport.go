@@ -369,7 +369,7 @@ func (p *pipeConn) Close() error {
 
 // PipeListener serves the server halves of pre-created in-process pipe
 // pairs, so a ServerSession and its clients can run the full wire protocol
-// inside one process (tests and the examples/straggler distributed demo).
+// inside one process (the tests' in-process federations).
 type PipeListener struct {
 	mu     sync.Mutex
 	server []Conn

@@ -79,8 +79,9 @@ type clientResult struct {
 // LocalUpdate executes one local round on a replica of the global model:
 // data selection, E epochs of SGD on the selected subset, and cost
 // accounting — the Runner's training loop. It is the client-side primitive of
-// the distributed fedclient binary, whose layer mask (cfg.TrainGroups)
-// narrows both what trains and what State returns. cfg must already have
+// the distributed fedclient binary, whose tier's layer mask, passed as mask,
+// narrows both what trains and what State returns below what cfg's finetune
+// part allows; no mask trains the whole finetune part. cfg must already have
 // defaults applied when called outside the Runner; NewLocalConfig does that.
 //
 // The first call on a model clones it into a replica; later calls rebind
@@ -89,8 +90,8 @@ type clientResult struct {
 // memory. A call whose finetune part or tuned optimizer differs from the
 // kept replica's builds a fresh one that replaces it. Concurrent calls on
 // one model each train their own replica.
-func LocalUpdate(cfg Config, global *models.Model, cl *Client, round int) (LocalOutcome, error) {
-	rep, err := takeReplica(cfg, global)
+func LocalUpdate(cfg Config, global *models.Model, cl *Client, round int, mask ...string) (LocalOutcome, error) {
+	rep, err := takeReplica(cfg, global, mask)
 	if err != nil {
 		return LocalOutcome{}, fmt.Errorf("core: client %d: %w", cl.ID, err)
 	}
@@ -118,12 +119,12 @@ var kept = struct {
 	reps map[weak.Pointer[models.Model]]*replica
 }{reps: map[weak.Pointer[models.Model]]*replica{}}
 
-// takeReplica returns global's kept replica rebound for cfg when it was built
-// for the same finetune part and tuned optimizer, and a fresh replica
-// otherwise.
-func takeReplica(cfg Config, global *models.Model) (*replica, error) {
+// takeReplica returns global's kept replica rebound for cfg and mask when it
+// was built for the same finetune part and tuned optimizer, and a fresh
+// replica otherwise.
+func takeReplica(cfg Config, global *models.Model, mask []string) (*replica, error) {
 	if !reuseReplicas {
-		return newReplica(global, cfg, cfg.TrainGroups)
+		return newReplica(global, cfg, mask)
 	}
 	key := weak.Make(global)
 	kept.Lock()
@@ -134,9 +135,8 @@ func takeReplica(cfg Config, global *models.Model) (*replica, error) {
 	kept.Unlock()
 	sgdCfg, hook := localSGD(cfg)
 	if rep == nil || rep.model.FinetunePart() != cfg.FinetunePart || rep.sgdCfg != sgdCfg {
-		return newReplica(global, cfg, cfg.TrainGroups)
+		return newReplica(global, cfg, mask)
 	}
-	mask := cfg.TrainGroups
 	if len(mask) == 0 {
 		mask = rep.partGroups
 	}

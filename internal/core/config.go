@@ -58,11 +58,6 @@ type Config struct {
 	// group over the clients that covered it. Nil keeps the uniform
 	// FinetunePart behavior, bit-identical to untiered runs.
 	TierDist *device.Distribution
-	// TrainGroups narrows the trainable groups below what FinetunePart
-	// allows — the per-client layer mask of the standalone fedclient path
-	// (LocalUpdate applies it after the finetune part). In-process runs
-	// configure masks through TierDist instead; NewRunner refuses the field.
-	TrainGroups []string
 	// Selector picks each client's training subset per round.
 	Selector selection.Selector
 	// SelectFraction is P_ds, the share of local data selected (0, 1].
@@ -169,9 +164,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: checkpoint every %d", ErrConfig, c.CheckpointEvery)
 	case c.CheckpointEvery > 0 && c.CheckpointDir == "":
 		return fmt.Errorf("%w: checkpoint interval without a checkpoint directory", ErrConfig)
-	case c.TierDist != nil && len(c.TrainGroups) > 0:
-		return fmt.Errorf("%w: TrainGroups together with TierDist — tiered runs derive each "+
-			"client's mask from its tier", ErrConfig)
 	}
 	if c.Codec != "" {
 		if _, err := comm.ParseCodec(c.Codec); err != nil {

@@ -29,8 +29,6 @@ func keptReplica(m *models.Model) *replica {
 func TestLocalUpdateKeptReplicaMatchesFresh(t *testing.T) {
 	clients, _, _, spec := testFederation(t, 6, 0.5)
 	base := Config{LocalEpochs: 2, BatchSize: 8, LR: 0.1, Momentum: 0.5, Selector: selection.All{}, Seed: 5}
-	masked := base
-	masked.TrainGroups = []string{models.GroupUp, models.GroupClassifier}
 	lr := base
 	lr.LR = 0.05
 	prox := base
@@ -40,18 +38,19 @@ func TestLocalUpdateKeptReplicaMatchesFresh(t *testing.T) {
 	steps := []struct {
 		name  string
 		cfg   Config
+		mask  []string
 		reuse bool // the kept replica of the step before serves this one
 	}{
-		{"round 1", base, false},
-		{"round 2", base, true},
-		{"round 3", base, true},
-		{"mask", masked, true},
-		{"mask lifted", base, true},
-		{"changed lr", lr, false},
-		{"fedprox", prox, false},
-		{"fedprox again", prox, true},
-		{"moderate eds", eds, false},
-		{"first config again", base, false},
+		{"round 1", base, nil, false},
+		{"round 2", base, nil, true},
+		{"round 3", base, nil, true},
+		{"mask", base, []string{models.GroupUp, models.GroupClassifier}, true},
+		{"mask lifted", base, nil, true},
+		{"changed lr", lr, nil, false},
+		{"fedprox", prox, nil, false},
+		{"fedprox again", prox, nil, true},
+		{"moderate eds", eds, nil, false},
+		{"first config again", base, nil, false},
 	}
 	run := func(pooled bool) []string {
 		prev := reuseReplicas
@@ -74,7 +73,7 @@ func TestLocalUpdateKeptReplicaMatchesFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := keptReplica(m)
-			out, err := LocalUpdate(cfg, m, clients[i%len(clients)], i+1)
+			out, err := LocalUpdate(cfg, m, clients[i%len(clients)], i+1, st.mask...)
 			if err != nil {
 				t.Fatalf("%s: %v", st.name, err)
 			}

@@ -150,12 +150,11 @@ func TestParentCommitLocalUpdateDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, err := NewLocalConfig(Config{LocalEpochs: 2, BatchSize: 8, LR: 0.1, Momentum: 0.5,
-		Selector: selection.Entropy{Temperature: 0.1}, SelectFraction: 0.5, Seed: 21,
-		TrainGroups: []string{models.GroupClassifier}})
+		Selector: selection.Entropy{Temperature: 0.1}, SelectFraction: 0.5, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := LocalUpdate(cfg, m, clients[2], 4)
+	out, err := LocalUpdate(cfg, m, clients[2], 4, models.GroupClassifier)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,14 +186,11 @@ func (c Config) trainingTag() uint64 {
 	if c.Strategy != nil {
 		parts = append(parts, c.Strategy.Fingerprint())
 	}
-	// The tier distribution and a standalone layer mask are appended only
-	// when configured, keeping untiered configs' tags — and their committed
-	// checkpoints — stable across the partial-training refactor.
+	// The tier distribution is appended only when configured, keeping
+	// untiered configs' tags — and their committed checkpoints — stable
+	// across the partial-training refactor.
 	if c.TierDist != nil {
 		parts = append(parts, "tiers:"+c.TierDist.String())
-	}
-	if len(c.TrainGroups) > 0 {
-		parts = append(parts, fmt.Sprintf("mask:%v", c.TrainGroups))
 	}
 	// The codec is appended only when configured, keeping codec-free
 	// configs' tags — and their committed checkpoints — stable. "identity"

@@ -109,10 +109,6 @@ func NewRunnerWithSource(cfg Config, global *models.Model, src ClientSource, tes
 	if test == nil || test.Len() == 0 {
 		return nil, fmt.Errorf("%w: empty test set", ErrConfig)
 	}
-	if len(cfg.TrainGroups) > 0 {
-		return nil, fmt.Errorf("%w: TrainGroups is a standalone-client setting; in-process runs "+
-			"derive per-client masks from TierDist", ErrConfig)
-	}
 	for pos := 0; pos < src.NumClients(); pos++ {
 		d := src.Describe(pos)
 		if d.DataSize <= 0 {

@@ -71,7 +71,7 @@ func TestSubsetCopiesData(t *testing.T) {
 	}
 }
 
-func TestSplitAndShuffle(t *testing.T) {
+func TestSplit(t *testing.T) {
 	ds := testDataset(t, 10, 2, 2)
 	head, tail, err := ds.Split(4)
 	if err != nil {
@@ -82,17 +82,6 @@ func TestSplitAndShuffle(t *testing.T) {
 	}
 	if _, _, err := ds.Split(11); !errors.Is(err, ErrData) {
 		t.Fatalf("expected ErrData, got %v", err)
-	}
-	sh, err := ds.Shuffled(rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.Len() != ds.Len() {
-		t.Fatal("shuffle changed length")
-	}
-	// Same multiset of labels.
-	if got, want := sh.ClassHistogram(), ds.ClassHistogram(); got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("shuffle changed histogram %v vs %v", got, want)
 	}
 }
 

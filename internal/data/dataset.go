@@ -83,12 +83,6 @@ func (d *Dataset) Split(n int) (*Dataset, *Dataset, error) {
 	return head, tail, nil
 }
 
-// Shuffled returns a copy of the dataset with samples permuted by rng.
-func (d *Dataset) Shuffled(rng *rand.Rand) (*Dataset, error) {
-	perm := rng.Perm(d.Len())
-	return d.Subset(perm)
-}
-
 // ClassHistogram returns per-class sample counts.
 func (d *Dataset) ClassHistogram() []int {
 	h := make([]int, d.NumClasses)

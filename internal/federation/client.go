@@ -144,7 +144,6 @@ func (c *Client) round(rs comm.RoundStart) (comm.ClientUpdate, error) {
 		LR:             rs.LR,
 		Momentum:       rs.Momentum,
 		Strategy:       strat,
-		TrainGroups:    train,
 		Selector:       sel,
 		SelectFraction: rs.SelectFraction,
 		Seed:           c.cfg.Seed,
@@ -152,7 +151,7 @@ func (c *Client) round(rs comm.RoundStart) (comm.ClientUpdate, error) {
 	if err != nil {
 		return comm.ClientUpdate{}, err
 	}
-	out, err := core.LocalUpdate(localCfg, c.model, me, rs.Round)
+	out, err := core.LocalUpdate(localCfg, c.model, me, rs.Round, train...)
 	if err != nil {
 		return comm.ClientUpdate{}, err
 	}

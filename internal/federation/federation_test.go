@@ -119,7 +119,6 @@ func TestServeRefusesRecipeItCannotSend(t *testing.T) {
 		"straggler policy":     func(c *Config) { c.Run.Straggler = simtime.FractionParticipation{Fraction: 0.5} },
 		"eval every 2 rounds":  func(c *Config) { c.Run.EvalEvery = 2 },
 		"checkpoint every 2":   func(c *Config) { c.Run.CheckpointEvery = 2 },
-		"train groups mask":    func(c *Config) { c.Run.TrainGroups = []string{models.GroupClassifier} },
 	} {
 		cfg := testConfig(1)
 		mutate(&cfg)
@@ -377,35 +376,54 @@ func TestNothingOutlivesServe(t *testing.T) {
 	}
 }
 
-// TestServeRecordsEndedDispatchesAsCohort pins what a buffered round records
-// as its cohort: every dispatch that ended in it — folded, discarded, timed
-// out or dropped — so a client that crashes shows up in exactly one record's
-// CohortSize and in no record's Participants.
+// TestServeRecordsEndedDispatchesAsCohort pins what a round records as its
+// cohort: every dispatch that ended in it — folded, discarded, timed out or
+// dropped — so a client that crashes after round 1 shows up in exactly one
+// record's CohortSize and in no record's Participants. Under a buffer every
+// record folds the buffer's worth; a synchronous round under quorum 0.5 loses
+// the crashed client and the run still completes every round.
 func TestServeRecordsEndedDispatchesAsCohort(t *testing.T) {
 	w, err := testWorld()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(6)
-	cfg.Run.Async.Buffer, cfg.Run.Async.Weigher = 2, strategy.IdentityStaleness()
-	hist, _, err := servePipes(t, w, cfg, func(conn comm.Conn, id int) error {
-		dieAfter := 0
-		if id == 3 {
-			dieAfter = 1
-		}
-		return honest(w, conn, id, dieAfter)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	failed := 0
-	for _, rec := range hist.Records {
-		if rec.Participants != cfg.Run.Async.Buffer || rec.CohortSize < rec.Participants {
-			t.Errorf("round %d: cohort %d, %d folded under buffer %d", rec.Round, rec.CohortSize, rec.Participants, cfg.Run.Async.Buffer)
-		}
-		failed += rec.CohortSize - rec.Participants
-	}
-	if failed != 1 {
-		t.Errorf("records count %d failed dispatches, want the one crashed client: %+v", failed, hist.Records)
+	for _, tt := range []struct {
+		name   string
+		edit   func(*Config)
+		folded func(rec core.RoundRecord) bool
+	}{
+		{"buffered", func(c *Config) {
+			c.Run.Async.Buffer, c.Run.Async.Weigher = 2, strategy.IdentityStaleness()
+		}, func(rec core.RoundRecord) bool { return rec.Participants == 2 }},
+		{"synchronous under quorum 0.5", func(c *Config) { c.Quorum = 0.5 },
+			func(rec core.RoundRecord) bool { return rec.Participants >= 2 }},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := testConfig(6)
+			tt.edit(&cfg)
+			hist, _, err := servePipes(t, w, cfg, func(conn comm.Conn, id int) error {
+				dieAfter := 0
+				if id == 3 {
+					dieAfter = 1
+				}
+				return honest(w, conn, id, dieAfter)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(hist.Records) != cfg.Run.Rounds {
+				t.Fatalf("%d rounds recorded, want %d", len(hist.Records), cfg.Run.Rounds)
+			}
+			failed := 0
+			for _, rec := range hist.Records {
+				if !tt.folded(rec) || rec.CohortSize < rec.Participants {
+					t.Errorf("round %d: cohort %d, %d folded", rec.Round, rec.CohortSize, rec.Participants)
+				}
+				failed += rec.CohortSize - rec.Participants
+			}
+			if failed != 1 {
+				t.Errorf("records count %d failed dispatches, want the one crashed client: %+v", failed, hist.Records)
+			}
+		})
 	}
 }

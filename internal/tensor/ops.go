@@ -90,13 +90,6 @@ func (t *Tensor) MaxIndex() (int, float32) {
 	return best, bv
 }
 
-// Apply replaces each element x with f(x).
-func (t *Tensor) Apply(f func(float32) float32) {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-}
-
 // AddRowVector adds vector v (length C) to every row of a (N, C) tensor.
 func (t *Tensor) AddRowVector(v *Tensor) error {
 	if len(t.shape) != 2 {

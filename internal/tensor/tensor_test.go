@@ -365,14 +365,6 @@ func TestIsFinite(t *testing.T) {
 	}
 }
 
-func TestClampAndApply(t *testing.T) {
-	x := MustFromSlice([]float32{-2, 0.5, 3}, 3)
-	x.Apply(func(v float32) float32 { return v * v })
-	if x.At(0) != 4 || x.At(2) != 9 || x.At(1) != 0.25 {
-		t.Fatalf("Apply: %v", x.Data())
-	}
-}
-
 func TestDeriveSeedDistinct(t *testing.T) {
 	seen := map[int64]bool{}
 	for run := uint64(0); run < 4; run++ {
