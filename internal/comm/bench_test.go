@@ -188,3 +188,61 @@ func BenchmarkCodecDecode(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSplitmixStreams runs the quantizing encoders' Splitmix64 chains
+// alone over codecBenchShapes, a draw per element in int8BlockSize batches:
+// "serial" steps each tensor's chain to its end before the next starts, as
+// the encoders did before their two streams; "two-streams" steps the chains
+// on the encoders' schedule, two at a time while either stream has blocks
+// left. It is the floor under BenchmarkCodecEncode/int8 and /float16 while
+// the draws keep their order.
+func BenchmarkSplitmixStreams(b *testing.B) {
+	_, ts := codecBenchState()
+	var u, v [int8BlockSize]uint32
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for ti, t := range ts {
+				rng := newQuantRNG(uint64(i), ti)
+				for n := 0; n < t.Len(); n += int8BlockSize {
+					for j := range u {
+						rng.state = tensor.Splitmix64(rng.state)
+						u[j] = uint32(rng.state >> 32)
+					}
+				}
+			}
+		}
+	})
+	b.Run("two-streams", func(b *testing.B) {
+		blob := make([]byte, 4+(1+4*2)*len(ts)+int(codecBenchBytes(ts))/2)
+		jobs, err := quantSchedule(nil, blob, ts, 2, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Each stream's chain, the blocks left in its tensor, and its
+			// next job.
+			var rng [2]quantRNG
+			var left, next [2]int
+			start := func(s int) bool {
+				for ; next[s] < len(jobs); next[s]++ {
+					if j := jobs[next[s]]; j.stream == s && ts[j.ti].Len() > 0 {
+						rng[s], left[s] = newQuantRNG(uint64(i), j.ti), (ts[j.ti].Len()+int8BlockSize-1)/int8BlockSize
+						next[s]++
+						return true
+					}
+				}
+				return false
+			}
+			ok := [2]bool{start(0), start(1)}
+			for ok[0] || ok[1] {
+				tensor.SplitmixDrawsPair(u[:], v[:], &rng[0].state, &rng[1].state)
+				for s := range ok {
+					if left[s]--; ok[s] && left[s] == 0 {
+						ok[s] = start(s)
+					}
+				}
+			}
+		}
+	})
+}

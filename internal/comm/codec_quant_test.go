@@ -12,6 +12,37 @@ import (
 	"fedfteds/internal/tensor"
 )
 
+// next32 steps the chain once and returns the draw's top 32 bits: the
+// references' one draw per element.
+func (r *quantRNG) next32() uint32 {
+	r.state = tensor.Splitmix64(r.state)
+	return uint32(r.state >> 32)
+}
+
+// float16EncodeReference is float16Codec.Encode as it was before its draws
+// went through the two-stream schedule, kept as the oracle
+// FuzzFloat16EncodeMatchesReference holds the shipped encoder to: each
+// tensor's chain stepped alone, one draw and one append per element.
+func float16EncodeReference(ts []*tensor.Tensor, seed uint64) ([]byte, error) {
+	size := 4
+	for _, t := range ts {
+		size += 1 + 4*len(t.Shape()) + 2*t.Len()
+	}
+	buf := make([]byte, 0, size)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ts)))
+	for ti, t := range ts {
+		var err error
+		if buf, err = appendTensorHeader(buf, t); err != nil {
+			return nil, err
+		}
+		rng := newQuantRNG(seed, ti)
+		for _, v := range t.Data() {
+			buf = binary.LittleEndian.AppendUint16(buf, f16FromF32Stoch(v, rng.next32()))
+		}
+	}
+	return buf, nil
+}
+
 // int8EncodeReference is int8Codec.Encode as it was before its inner loop
 // went branch-free, kept verbatim as the oracle the differential fuzz holds
 // the shipped encoder to: a float64 block max, math.Floor, a branch on the
@@ -76,8 +107,9 @@ func int8EncodeReference(ref, ts []*tensor.Tensor, seed uint64) ([]byte, error) 
 }
 
 // int8FuzzInput builds a state and its reference from a generator seed and
-// an injection list. The generator draws one to three tensors of rank 0 to
-// 3 (a dim may be 0, and most volumes end in a partial int8 block), a
+// an injection list. The generator draws one to eight tensors, so that the
+// encoders' two streams get uneven loads, of rank 0 to 3 (a dim may be 0,
+// and most volumes end in a partial int8 block), a
 // reference of magnitude 1 or 0 and a delta magnitude per tensor: ordinary,
 // tiny enough that the block scale is subnormal or zero (against a zero
 // reference, where such deltas survive the subtraction), or large. Each
@@ -90,7 +122,7 @@ func int8FuzzInput(gen int64, inject []byte) (ref, ts []*tensor.Tensor) {
 	maxDim := []int{0, 300, 40, 14}
 	mags := []float32{1, 1e-3, 1e-37, 1e-42, 1e-43, 1e37}
 	var flat, rflat [][]float32
-	for n := 1 + rng.Intn(3); n > 0; n-- {
+	for n := 1 + rng.Intn(8); n > 0; n-- {
 		rank := rng.Intn(4)
 		shape := make([]int, rank)
 		for d := range shape {
@@ -165,13 +197,110 @@ func FuzzInt8EncodeMatchesReference(f *testing.F) {
 			t.Fatalf("error %v, reference error %v", err, wantErr)
 		}
 		if !bytes.Equal(got, want) {
-			i := 0
-			for i < min(len(got), len(want)) && got[i] == want[i] {
-				i++
-			}
-			t.Fatalf("payload differs from the reference at byte %d of %d (reference length %d)", i, len(got), len(want))
+			t.Fatalf("payload differs from the reference at byte %d of %d (reference length %d)", firstDiff(got, want), len(got), len(want))
 		}
 	})
+}
+
+// FuzzFloat16EncodeMatchesReference holds the float16 encoder, which draws
+// on the two-stream schedule, to the per-tensor loop it replaced, byte for
+// byte, on int8FuzzInput's states: NaN, ±Inf, subnormal, zero and
+// near-MaxFloat32 values planted in one to eight tensors of random shapes.
+func FuzzFloat16EncodeMatchesReference(f *testing.F) {
+	f.Add(uint64(7), int64(1), []byte{})
+	f.Add(uint64(1), int64(2), []byte{0, 0, 0, 70, 0, 2, 130, 0, 4, 200, 0, 5, 10, 1, 6, 140, 1, 8})
+	f.Add(uint64(3), int64(5), []byte{5, 0, 1, 90, 0, 3, 1, 1, 7})
+	f.Fuzz(func(t *testing.T, seed uint64, gen int64, inject []byte) {
+		_, ts := int8FuzzInput(gen, inject)
+		want, wantErr := float16EncodeReference(ts, seed)
+		got, err := float16Codec{}.Encode(nil, ts, seed)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("error %v, reference error %v", err, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("payload differs from the reference at byte %d of %d (reference length %d)", firstDiff(got, want), len(got), len(want))
+		}
+	})
+}
+
+// firstDiff is the index of the first byte where a and b differ.
+func firstDiff(a, b []byte) int {
+	i := 0
+	for i < min(len(a), len(b)) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// streamLayouts are the tensor layouts TestInt8EncodeStreamsMatchReference
+// runs the two streams over: a lone tensor (one stream idle), two equal ones
+// (the streams in lockstep), the TCP workloads' 20-tensor MLP state, a large
+// tensor beside many scalars (one stream takes the scalars), lengths off the
+// 64-element block, and empty tensors among full ones.
+var streamLayouts = map[string][][]int{
+	"one tensor":         {{300, 7}},
+	"two equal tensors":  {{64, 40}, {64, 40}},
+	"codec bench shapes": codecBenchShapes,
+	"large and scalars":  {{}, {}, {257, 31}, {}, {1}, {}, {}, {2}, {}, {}, {}},
+	"partial blocks":     {{63}, {65}, {1}, {129}, {191, 3}, {7, 9}, {127}},
+	"empty tensors":      {{0}, {100}, {3, 0}, {0, 0, 5}, {64}, {0}},
+}
+
+// TestInt8EncodeStreamsMatchReference holds the int8 encoder to the
+// per-tensor loop it replaced, byte for byte, on layouts chosen to exercise
+// the stream schedule, with deltas of about a thousandth of the weights and
+// then with blocks planted whose scale is 0, +Inf or set by NaNs alone.
+func TestInt8EncodeStreamsMatchReference(t *testing.T) {
+	for name, shapes := range streamLayouts {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(45))
+			var ref, ts []*tensor.Tensor
+			for _, sh := range shapes {
+				r, x := tensor.New(sh...), tensor.New(sh...)
+				r.FillNormal(rng, 0, 0.05)
+				for i := range x.Data() {
+					x.Data()[i] = r.Data()[i] + 1e-3*float32(rng.NormFloat64())
+				}
+				ref, ts = append(ref, r), append(ts, x)
+			}
+			check := func(what string) {
+				t.Helper()
+				for _, seed := range []uint64{1, 0x5eed, math.MaxUint64} {
+					want, err := int8EncodeReference(ref, ts, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := int8Codec{}.Encode(ref, ts, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s, seed %#x: payload differs from the reference at byte %d of %d", what, seed, firstDiff(got, want), len(got))
+					}
+				}
+			}
+			check("ordinary deltas")
+			// Every third block of each tensor gets a zero, a NaN-only or an
+			// Inf-bearing delta, in turn.
+			for ti, x := range ts {
+				xd, rd := x.Data(), ref[ti].Data()
+				for b := 0; b*int8BlockSize < len(xd); b += 3 {
+					blk := xd[b*int8BlockSize : min((b+1)*int8BlockSize, len(xd))]
+					switch (ti + b/3) % 3 {
+					case 0:
+						copy(blk, rd[b*int8BlockSize:])
+					case 1:
+						for i := range blk {
+							blk[i] = float32(math.NaN())
+						}
+					case 2:
+						blk[len(blk)/2] = float32(math.Inf(1))
+					}
+				}
+			}
+			check("zero, NaN-only and +Inf blocks")
+		})
+	}
 }
 
 // pinnedCodecInput is the fixed state and reference TestCodecPayloadPinned

@@ -129,14 +129,14 @@ func (c *topKCodec) Decode(ref, scratch []*tensor.Tensor, b []byte) ([]*tensor.T
 	out := reuseTensorSlice(scratch, count)
 	off := 4
 	for i := range out {
-		shape, vol, n, err := readTensorHeader(b[off:])
+		dims, vol, n, err := readTensorHeader(b[off:])
 		if err != nil {
 			return nil, fmt.Errorf("comm: topk decode tensor %d: %w", i, err)
 		}
 		off += n
 		// k = 0 is legal, so nothing but the reference ties the declared
 		// volume to the payload: hold the shape to it before sizing anything.
-		if !shapeIs(ref[i], shape) {
+		if !headerShapeIs(ref[i], dims) {
 			return nil, fmt.Errorf("%w: topk reference tensor %d shape mismatch", ErrProtocol, i)
 		}
 		if len(b) < off+4 {
@@ -150,7 +150,7 @@ func (c *topKCodec) Decode(ref, scratch []*tensor.Tensor, b []byte) ([]*tensor.T
 		if len(b) < off+8*k {
 			return nil, fmt.Errorf("%w: topk tensor %d truncated", ErrProtocol, i)
 		}
-		out[i] = tensor.Ensure(out[i], shape...)
+		out[i] = ensureHeaderShape(out[i], dims)
 		if err := out[i].CopyFrom(ref[i]); err != nil {
 			return nil, err
 		}

@@ -11,7 +11,8 @@ import "math"
 // 0 on the sse and portable tiers, the tail elsewhere. kernel.go states the
 // lane contract the bodies keep. PackTranspose (matmul.go) runs its whole
 // 8×8 blocks the same way and finishes the right and bottom strips in
-// packTransposeGo.
+// packTransposeGo. The int8 codec's kernels are lane kernels too; a lane of
+// QuantizeInt8Pair is an element of either block.
 
 // ReLU writes x to dst with every lane x < 0 replaced by +0; NaN and -0 pass.
 func ReLU(dst, x []float32) { reluGo(dst, x, reluVec(dst, x)) }
@@ -67,10 +68,44 @@ func SGDGeneral(w, g, v, a []float32, lr, mom, wd, mu float32, decay, nesterov b
 		sgdGeneralVec(w, g, v, a, lr, mom, wd, mu, decay, mom > 0, nesterov))
 }
 
+// DeltaMaxAbs writes x - ref into delta, every NaN and ±Inf difference as
+// +0, and returns the largest magnitude among the differences, NaNs left out
+// and infinities counted: a quantizing codec's block scale before its
+// divisor. delta sets the length.
+func DeltaMaxAbs(delta, x, ref []float32) float32 {
+	from, maxBits := deltaMaxAbsVec(delta, x, ref)
+	return deltaMaxAbsGo(delta, x, ref, from, maxBits)
+}
+
+// QuantBlock is the block length of QuantizeInt8Pair: the int8 codec's
+// scale group.
+const QuantBlock = 64
+
+// QuantizeInt8Pair quantizes two blocks of deltas, each with the next
+// QuantBlock draws of its own Splitmix64 chain, and advances both chains. A
+// draw u is the top 32 bits of the state after a step (state =
+// Splitmix64(state)), and each finite delta·inv rounds stochastically to an
+// int8 in [-127, 127]: up from its floor when u is below the fraction scaled
+// to 2^32. Every lane is quantized: lanes past the end of a shorter block
+// are the caller's to ignore. The vector body interleaves the quantizing
+// with the two chains' steps, whose latency leaves the core mostly idle, two
+// groups of eight lanes behind them.
+func QuantizeInt8Pair(qa, qb *[QuantBlock]byte, da, db *[QuantBlock]float32, inva, invb float64, sa, sb *uint64) {
+	if quantizeInt8PairVec(qa, qb, da, db, inva, invb, sa, sb) == 0 {
+		quantizeInt8PairGo(qa, qb, da, db, inva, invb, sa, sb)
+	}
+}
+
+// DequantizeInt8 writes dst = ref + scale·float32(int8(q)). q sets the length.
+func DequantizeInt8(dst, ref []float32, q []byte, scale float32) {
+	dequantizeInt8Go(dst, ref, q, scale, dequantizeInt8Vec(dst, ref, q, scale))
+}
+
 // The portable references. Each starts at element or column from; the
 // column kernels take the column count from their first per-channel operand.
-// The optimizer and fold references write a product that feeds an add as
-// float32(a*b), which no target may fuse into one rounding with the add.
+// The optimizer, fold and codec references write a product that feeds an
+// add or a subtraction as float32(a*b) or float64(a*b), which no target may
+// fuse into one rounding with it.
 
 // packTransposeGo writes the transpose of src (rows, cols) into dst (cols,
 // rows), skipping the whole 8×8 blocks of the first done rows: those rows
@@ -122,6 +157,55 @@ func isFiniteGo(x []float32, from int) bool {
 	}
 	s := a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7
 	return s == s
+}
+
+// deltaMaxAbsGo continues DeltaMaxAbs from element from with the body's
+// maximum magnitude bits. The masks come from the magnitude's bits without a
+// branch: the bits of non-negative floats order like their values, with the
+// NaNs above +Inf.
+func deltaMaxAbsGo(delta, x, ref []float32, from int, maxBits uint32) float32 {
+	x, ref = x[:len(delta)], ref[:len(delta)]
+	for j := from; j < len(delta); j++ {
+		bits := math.Float32bits(x[j] - ref[j])
+		abs := bits &^ (1 << 31)
+		nan := uint32(int32(0x7f800000-abs) >> 31)       // all ones when abs > +Inf
+		nonFinite := uint32(int32(0x7f7fffff-abs) >> 31) // all ones when abs > MaxFloat32
+		maxBits = max(maxBits, abs&^nan)
+		delta[j] = math.Float32frombits(bits &^ nonFinite)
+	}
+	return math.Float32frombits(maxBits)
+}
+
+// quantizeInt8Go is QuantizeInt8Pair's quantizing, on one block and its
+// draws. It takes q = delta·inv up from floor(q) when the draw is below
+// t, the fraction q - floor(q) scaled to 2^32. The float64 difference u - t
+// has the sign of the exact one and is never -0 (x - x is +0), so its sign
+// bit is the comparison u < t without a branch. Under a subnormal scale |q|
+// can pass 127 but stays below 191, so the int32 conversion is exact before
+// the clamp to ±127.
+func quantizeInt8Go(dst []byte, delta []float32, u []uint32, inv float64) {
+	dst, u = dst[:len(delta)], u[:len(delta)]
+	for j := range delta {
+		q := float64(float64(delta[j]) * inv)
+		lo := math.Floor(q)
+		t := float64((q - lo) * 4294967296.0)
+		up := int32(math.Float64bits(float64(u[j])-t) >> 63)
+		dst[j] = byte(int8(min(max(int32(lo)+up, -127), 127)))
+	}
+}
+
+func quantizeInt8PairGo(qa, qb *[QuantBlock]byte, da, db *[QuantBlock]float32, inva, invb float64, sa, sb *uint64) {
+	var ua, ub [QuantBlock]uint32
+	SplitmixDrawsPair(ua[:], ub[:], sa, sb)
+	quantizeInt8Go(qa[:], da[:], ua[:], inva)
+	quantizeInt8Go(qb[:], db[:], ub[:], invb)
+}
+
+func dequantizeInt8Go(dst, ref []float32, q []byte, scale float32, from int) {
+	dst, ref = dst[:len(q)], ref[:len(q)]
+	for j := from; j < len(q); j++ {
+		dst[j] = ref[j] + float32(scale*float32(int8(q[j])))
+	}
 }
 
 func sgdPlainGo(w, g []float32, lr float32, from int) {

@@ -4,9 +4,10 @@ package tensor
 
 // The lane kernels' vector bodies (elem_avx2_amd64.s). Each returns the
 // first lane it left to the portable reference: 0 unless elemAVX2 is set.
-// packTransposeVec returns the rows whose whole 8×8 blocks it wrote, and
+// packTransposeVec returns the rows whose whole 8×8 blocks it wrote,
 // isFiniteVec 0 when its chunks hold a NaN or an Inf, leaving the verdict
-// to the reference.
+// to the reference, deltaMaxAbsVec also the largest magnitude bits of the
+// lanes it did, and quantizeInt8PairVec all QuantBlock lanes or none.
 
 //go:noescape
 func reluVec(dst, x []float32) int
@@ -61,3 +62,12 @@ func sgdMomentumVec(w, g, v []float32, lr, mom float32) int
 
 //go:noescape
 func sgdGeneralVec(w, g, v, a []float32, lr, mom, wd, mu float32, decay, heavy, nesterov bool) int
+
+//go:noescape
+func deltaMaxAbsVec(delta, x, ref []float32) (n int, maxBits uint32)
+
+//go:noescape
+func dequantizeInt8Vec(dst, ref []float32, q []byte, scale float32) int
+
+//go:noescape
+func quantizeInt8PairVec(qa, qb *[QuantBlock]byte, da, db *[QuantBlock]float32, inva, invb float64, sa, sb *uint64) int

@@ -20,6 +20,82 @@
 // Register use in them: AX = column index, BX = body columns, CX = row
 // stride in bytes, R8 = end of x, R9 = end of the current row.
 
+// The macros of quantizeInt8PairVec, defined before every TEXT so that vet
+// reads their frame offsets as no function's.
+
+// SPLITMIX steps the chain in x to Splitmix64(x), with t as scratch, SI
+// holding the increment and DI and R8 the two multipliers.
+#define SPLITMIX(x, t) \
+	ADDQ  SI, x;  \
+	MOVQ  x, t;   \
+	SHRQ  $30, t; \
+	XORQ  t, x;   \
+	IMULQ DI, x;  \
+	MOVQ  x, t;   \
+	SHRQ  $27, t; \
+	XORQ  t, x;   \
+	IMULQ R8, x;  \
+	MOVQ  x, t;   \
+	SHRQ  $31, t; \
+	XORQ  t, x
+
+// DRAWS8 steps chain a (AX) and chain b (BX) eight times each and keeps the
+// states for lanes R13 to R13+7 in the frame: a's lane l at 8l(SP), b's at
+// 512+8l(SP).
+#define DRAWS8 \
+	SPLITMIX(AX, CX); SPLITMIX(BX, DX); MOVQ AX, 0(SP)(R13*8); MOVQ BX, 512(SP)(R13*8);   \
+	SPLITMIX(AX, CX); SPLITMIX(BX, DX); MOVQ AX, 8(SP)(R13*8); MOVQ BX, 520(SP)(R13*8);   \
+	SPLITMIX(AX, CX); SPLITMIX(BX, DX); MOVQ AX, 16(SP)(R13*8); MOVQ BX, 528(SP)(R13*8);  \
+	SPLITMIX(AX, CX); SPLITMIX(BX, DX); MOVQ AX, 24(SP)(R13*8); MOVQ BX, 536(SP)(R13*8);  \
+	SPLITMIX(AX, CX); SPLITMIX(BX, DX); MOVQ AX, 32(SP)(R13*8); MOVQ BX, 544(SP)(R13*8);  \
+	SPLITMIX(AX, CX); SPLITMIX(BX, DX); MOVQ AX, 40(SP)(R13*8); MOVQ BX, 552(SP)(R13*8);  \
+	SPLITMIX(AX, CX); SPLITMIX(BX, DX); MOVQ AX, 48(SP)(R13*8); MOVQ BX, 560(SP)(R13*8);  \
+	SPLITMIX(AX, CX); SPLITMIX(BX, DX); MOVQ AX, 56(SP)(R13*8); MOVQ BX, 568(SP)(R13*8)
+
+// QUANT8 quantizes lanes R13-16 to R13-9 of the block at d into the bytes at
+// q, at the inverse scale in inv, with the draws the top halves of their
+// states, kept in the frame from st(SP)(R13*8) on, two groups behind the
+// steps. The eight lanes run as two float64 halves. A draw shifted down in its 64-bit lane, ORed into
+// the bits of 2^52 and less 2^52, is float64(u) exactly. The coin adds one to
+// floor(q) where the sign bit of u - t is set (VBLENDVPD selects on it),
+// exactly, before the conversion to int32; VCVTTPD2DQ answers 0x80000000 out
+// of range as Go's conversion does on amd64, so even there the sum is
+// int32(lo) + up as the reference wraps it. The clamp to ±127 runs on
+// int16s: saturating int32 to int16 keeps each value's side of ±127, and the
+// narrowing to bytes saturates nothing.
+#define QUANT8(st, inv, d, q) \
+	VMOVDQU     st(SP)(R13*8), Y4;    \
+	VMOVDQU     st+32(SP)(R13*8), Y5; \
+	VPSRLQ      $32, Y4, Y4;          \
+	VPSRLQ      $32, Y5, Y5;          \
+	VCVTPS2PD   -64(d)(R13*4), Y0;    \
+	VCVTPS2PD   -48(d)(R13*4), Y1;    \
+	VMULPD      inv, Y0, Y0;          \
+	VMULPD      inv, Y1, Y1;          \
+	VROUNDPD    $1, Y0, Y2;           \
+	VROUNDPD    $1, Y1, Y3;           \
+	VSUBPD      Y2, Y0, Y0;           \
+	VSUBPD      Y3, Y1, Y1;           \
+	VMULPD      Y13, Y0, Y0;          \
+	VMULPD      Y13, Y1, Y1;          \
+	VPOR        Y12, Y4, Y4;          \
+	VPOR        Y12, Y5, Y5;          \
+	VSUBPD      Y12, Y4, Y4;          \
+	VSUBPD      Y12, Y5, Y5;          \
+	VSUBPD      Y0, Y4, Y4;           \
+	VSUBPD      Y1, Y5, Y5;           \
+	VADDPD      Y11, Y2, Y6;          \
+	VADDPD      Y11, Y3, Y7;          \
+	VBLENDVPD   Y4, Y6, Y2, Y2;       \
+	VBLENDVPD   Y5, Y7, Y3, Y3;       \
+	VCVTTPD2DQY Y2, X2;               \
+	VCVTTPD2DQY Y3, X3;               \
+	VPACKSSDW   X3, X2, X2;           \
+	VPMINSW     X10, X2, X2;          \
+	VPMAXSW     X9, X2, X2;           \
+	VPACKSSWB   X2, X2, X2;           \
+	VMOVQ       X2, -16(q)(R13*1)
+
 // func reluVec(dst, x []float32) int
 TEXT ·reluVec(SB), NOSPLIT, $0-56
 	MOVQ $0, ret+48(FP)
@@ -912,6 +988,172 @@ test:
 	JLT  loop
 	VZEROUPPER
 	MOVQ CX, ret+120(FP)
+
+none:
+	RET
+
+// The int8 codec's kernels. deltaMaxAbsVec takes the largest magnitude on
+// the bits, as its reference does, and reduces its eight lanes at the end:
+// an unsigned maximum does not depend on the order it is taken in.
+
+// func deltaMaxAbsVec(delta, x, ref []float32) (n int, maxBits uint32)
+TEXT ·deltaMaxAbsVec(SB), NOSPLIT, $0-84
+	MOVQ $0, n+72(FP)
+	MOVL $0, maxBits+80(FP)
+	CMPB ·elemAVX2(SB), $0
+	JEQ  none
+	MOVQ delta_base+0(FP), DI
+	MOVQ delta_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVQ ref_base+48(FP), DX
+	CMPQ x_len+32(FP), CX
+	JLT  none
+	CMPQ ref_len+56(FP), CX
+	JLT  none
+	ANDQ $-8, CX
+	XORQ AX, AX
+	VPXOR        Y0, Y0, Y0   // running maximum of the magnitude bits, NaNs as 0
+	VPCMPEQD     Y15, Y15, Y15
+	VPSRLD       $1, Y15, Y15 // 0x7fffffff: all but the sign
+	MOVL         $0x7f7fffff, R10
+	VMOVD        R10, X14
+	VPBROADCASTD X14, Y14     // MaxFloat32
+	MOVL         $0x7f800000, R10
+	VMOVD        R10, X13
+	VPBROADCASTD X13, Y13     // +Inf
+	JMP          test
+
+loop:
+	VMOVUPS  (SI)(AX*4), Y1
+	VSUBPS   (DX)(AX*4), Y1, Y1 // x - ref
+	VPAND    Y15, Y1, Y2        // magnitude bits
+	VPCMPGTD Y14, Y2, Y3        // above MaxFloat32: not finite
+	VPANDN   Y1, Y3, Y1         // delta, +0 where not finite
+	VMOVUPS  Y1, (DI)(AX*4)
+	VPCMPGTD Y13, Y2, Y3        // above +Inf: NaN
+	VPANDN   Y2, Y3, Y2
+	VPMAXUD  Y2, Y0, Y0
+	ADDQ     $8, AX
+
+test:
+	CMPQ         AX, CX
+	JLT          loop
+	VEXTRACTI128 $1, Y0, X1
+	VPMAXUD      X1, X0, X0
+	VPSHUFD      $0x4e, X0, X1
+	VPMAXUD      X1, X0, X0
+	VPSHUFD      $0xb1, X0, X1
+	VPMAXUD      X1, X0, X0
+	VMOVD        X0, R10
+	MOVL         R10, maxBits+80(FP)
+	VZEROUPPER
+	MOVQ         CX, n+72(FP)
+
+none:
+	RET
+
+// func dequantizeInt8Vec(dst, ref []float32, q []byte, scale float32) int
+//
+// The body adds in the reference's written order, ref first, so where a NaN
+// ref meets a NaN product the lane keeps ref's NaN, quieted. The compiled
+// reference may keep either, as its operands fall; the fold refuses both.
+TEXT ·dequantizeInt8Vec(SB), NOSPLIT, $0-88
+	MOVQ $0, ret+80(FP)
+	CMPB ·elemAVX2(SB), $0
+	JEQ  none
+	MOVQ dst_base+0(FP), DI
+	MOVQ ref_base+24(FP), DX
+	MOVQ q_base+48(FP), SI
+	MOVQ q_len+56(FP), CX
+	CMPQ dst_len+8(FP), CX
+	JLT  none
+	CMPQ ref_len+32(FP), CX
+	JLT  none
+	ANDQ $-8, CX
+	XORQ AX, AX
+	VBROADCASTSS scale+72(FP), Y15
+	JMP  test
+
+loop:
+	VPMOVSXBD (SI)(AX*1), Y0
+	VCVTDQ2PS Y0, Y0            // float32(int8(q)), exact
+	VMULPS    Y0, Y15, Y0       // scale·q
+	VMOVUPS   (DX)(AX*4), Y1
+	VADDPS    Y0, Y1, Y1        // ref + scale·q
+	VMOVUPS   Y1, (DI)(AX*4)
+	ADDQ      $8, AX
+
+test:
+	CMPQ AX, CX
+	JLT  loop
+	VZEROUPPER
+	MOVQ CX, ret+80(FP)
+
+none:
+	RET
+
+// func quantizeInt8PairVec(qa, qb *[QuantBlock]byte, da, db *[QuantBlock]float32, inva, invb float64, sa, sb *uint64) int
+//
+// Both chains step eight times per group, and the group drawn two groups
+// before is quantized behind them from the states the frame keeps: the
+// quantizing needs no result of the steps beside it, so it runs in their
+// latency. R13 is the first lane of the group being drawn.
+TEXT ·quantizeInt8PairVec(SB), $1024-72
+	MOVQ $0, ret+64(FP)
+	CMPB ·elemAVX2(SB), $0
+	JEQ  none
+	MOVQ qa+0(FP), R9
+	MOVQ qb+8(FP), R10
+	MOVQ da+16(FP), R11
+	MOVQ db+24(FP), R12
+	VBROADCASTSD inva+32(FP), Y15
+	VBROADCASTSD invb+40(FP), Y14
+	MOVQ         $0x41f0000000000000, CX
+	VMOVQ        CX, X13
+	VPBROADCASTQ X13, Y13     // 2^32
+	MOVQ         $0x4330000000000000, CX
+	VMOVQ        CX, X12
+	VPBROADCASTQ X12, Y12     // 2^52
+	MOVQ         $0x3ff0000000000000, CX
+	VMOVQ        CX, X11
+	VPBROADCASTQ X11, Y11     // 1
+	MOVL         $127, CX
+	VMOVD        CX, X10
+	VPBROADCASTW X10, X10     // 127 as int16s
+	MOVL         $-127, CX
+	VMOVD        CX, X9
+	VPBROADCASTW X9, X9       // -127 as int16s
+	MOVQ         sa+48(FP), AX
+	MOVQ         (AX), AX
+	MOVQ         sb+56(FP), BX
+	MOVQ         (BX), BX
+	MOVQ         $0x9e3779b97f4a7c15, SI
+	MOVQ         $0xbf58476d1ce4e5b9, DI
+	MOVQ         $0x94d049bb133111eb, R8
+	XORQ         R13, R13
+	DRAWS8
+	ADDQ         $8, R13
+	DRAWS8
+
+loop:
+	ADDQ   $8, R13
+	DRAWS8
+	QUANT8(-128, Y15, R11, R9)
+	QUANT8(384, Y14, R12, R10)
+	CMPQ   R13, $56
+	JLT    loop
+	ADDQ   $8, R13
+	QUANT8(-128, Y15, R11, R9)
+	QUANT8(384, Y14, R12, R10)
+	ADDQ   $8, R13
+	QUANT8(-128, Y15, R11, R9)
+	QUANT8(384, Y14, R12, R10)
+	MOVQ   sa+48(FP), CX
+	MOVQ   AX, (CX)
+	MOVQ   sb+56(FP), DX
+	MOVQ   BX, (DX)
+	VZEROUPPER
+	MOVQ   $64, ret+64(FP)
 
 none:
 	RET

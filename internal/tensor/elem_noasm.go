@@ -23,3 +23,10 @@ func isFiniteVec(_ []float32) int                                              {
 func sgdPlainVec(_, _ []float32, _ float32) int                                { return 0 }
 func sgdMomentumVec(_, _, _ []float32, _, _ float32) int                       { return 0 }
 func sgdGeneralVec(_, _, _, _ []float32, _, _, _, _ float32, _, _, _ bool) int { return 0 }
+
+func deltaMaxAbsVec(_, _, _ []float32) (int, uint32)            { return 0, 0 }
+func dequantizeInt8Vec(_, _ []float32, _ []byte, _ float32) int { return 0 }
+
+func quantizeInt8PairVec(_, _ *[QuantBlock]byte, _, _ *[QuantBlock]float32, _, _ float64, _, _ *uint64) int {
+	return 0
+}

@@ -39,6 +39,22 @@ func Splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// SplitmixDrawsPair steps two Splitmix64 chains len(ua) times each, state =
+// Splitmix64(state), and writes each step's top 32 bits into ua and ub. A
+// step waits on the one before it (an add, two multiplies and three
+// shift-xors), so one chain leaves the core mostly idle, and stepping two in
+// one loop takes little longer than stepping one.
+func SplitmixDrawsPair(ua, ub []uint32, sa, sb *uint64) {
+	ub = ub[:len(ua)]
+	x, y := *sa, *sb
+	for j := range ua {
+		x = Splitmix64(x)
+		y = Splitmix64(y)
+		ua[j], ub[j] = uint32(x>>32), uint32(y>>32)
+	}
+	*sa, *sb = x, y
+}
+
 // DeriveSeed mixes parts into a single deterministic int64 seed.
 func DeriveSeed(parts ...uint64) int64 {
 	acc := uint64(0x243f6a8885a308d3)
