@@ -183,7 +183,7 @@ func New(spec Spec) (*Fleet, error) {
 			for c, p := range props {
 				row[c] = float32(p)
 				if p > 0 {
-					h -= p * math.Log(p)
+					h -= float64(p * math.Log(p))
 				}
 			}
 			// Normalized label entropy: 1 for a uniform client, → 0 for a
@@ -241,7 +241,10 @@ func dirichlet(rng *rand.Rand, alpha float64, props []float64) {
 }
 
 // gammaDraw samples Gamma(a, 1) with the Marsaglia–Tsang method; shapes below
-// 1 use the boosting identity Gamma(a) = Gamma(a+1) · U^(1/a).
+// 1 use the boosting identity Gamma(a) = Gamma(a+1) · U^(1/a). Every product
+// that feeds an addition or a subtraction is an explicit conversion, here and
+// in New's entropy, so that no target fuses them into one rounding and the
+// sketches do not depend on the host.
 func gammaDraw(rng *rand.Rand, a float64) float64 {
 	if a < 1 {
 		u := rng.Float64()
@@ -251,16 +254,16 @@ func gammaDraw(rng *rand.Rand, a float64) float64 {
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := rng.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}

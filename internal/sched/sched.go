@@ -262,12 +262,31 @@ func (u UniformRandom) Schedule(round int, cands []Candidate, k int, rng *rand.R
 
 func (UniformRandom) pick(_ int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int {
 	k = clampK(k, len(avail))
-	perm := rng.Perm(len(avail))
-	chosen := make([]int, 0, k)
-	for _, p := range perm[:k] {
-		chosen = append(chosen, avail[p])
+	chosen := permPrefix(rng, len(avail), k)
+	for i, p := range chosen {
+		chosen[i] = avail[p]
 	}
 	return finishCohort(cands, chosen)
+}
+
+// permPrefix returns rng.Perm(n)[:k] from the same draws in the same order,
+// keeping only the k slots it returns. Perm's inside-out shuffle sets m[i] =
+// m[j] and then m[j] = i at step i (j = Intn(i+1)), so a slot below k only
+// ever takes a value from another slot below k or a step's own index: a
+// step past k writes its index into slot j when j < k, and the rest of the
+// n-int permutation is never read.
+func permPrefix(rng *rand.Rand, n, k int) []int {
+	m := make([]int, k)
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		if i < k {
+			m[i] = m[j]
+			m[j] = i
+		} else if j < k {
+			m[j] = i
+		}
+	}
+	return m
 }
 
 // SizeWeighted samples the cohort without replacement with probability
@@ -389,11 +408,7 @@ func (e EntropyUtility) pick(_ int, cands []Candidate, avail []int, k int, rng *
 			rest = append(rest, idx)
 		}
 	}
-	perm := rng.Perm(len(rest))
-	for _, p := range perm {
-		if len(chosen) >= k {
-			break
-		}
+	for _, p := range permPrefix(rng, len(rest), min(k-len(chosen), len(rest))) {
 		chosen = append(chosen, rest[p])
 	}
 	return finishCohort(cands, chosen)
@@ -432,10 +447,9 @@ func (p PowerOfD) pick(_ int, cands []Candidate, avail []int, k int, rng *rand.R
 	if pool > len(avail) {
 		pool = len(avail)
 	}
-	perm := rng.Perm(len(avail))
-	sampled := make([]int, 0, pool)
-	for _, pi := range perm[:pool] {
-		sampled = append(sampled, avail[pi])
+	sampled := permPrefix(rng, len(avail), pool)
+	for i, pi := range sampled {
+		sampled[i] = avail[pi]
 	}
 	sort.SliceStable(sampled, func(a, b int) bool {
 		ta, tb := cands[sampled[a]].ProjectedSeconds, cands[sampled[b]].ProjectedSeconds
@@ -491,8 +505,7 @@ func (TierBalanced) pick(_ int, cands []Candidate, avail []int, k int, rng *rand
 	chosen := make([]int, 0, k)
 	for i, t := range tiers {
 		pool := byTier[t]
-		perm := rng.Perm(len(pool))
-		for _, p := range perm[:counts[i]] {
+		for _, p := range permPrefix(rng, len(pool), counts[i]) {
 			chosen = append(chosen, pool[p])
 		}
 	}

@@ -524,3 +524,21 @@ func TestTrackerExportRestore(t *testing.T) {
 		t.Fatal("Restore(nil, nil) did not clear")
 	}
 }
+
+// TestPermPrefixMatchesRandPerm: permPrefix(n, k) is rand.Perm(n)[:k] from
+// the same stream, and leaves the stream where Perm does.
+func TestPermPrefixMatchesRandPerm(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 1000, 77_000} {
+		for _, k := range []int{1, n / 2, n} {
+			seed := int64(n*31 + k)
+			a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			want, got := a.Perm(n)[:k], permPrefix(b, n, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d k=%d: prefix %v, rand.Perm's %v", n, k, got[:min(k, 8)], want[:min(k, 8)])
+			}
+			if x, y := b.Int63(), a.Int63(); x != y {
+				t.Fatalf("n=%d k=%d: next draw %d after the prefix, %d after rand.Perm", n, k, x, y)
+			}
+		}
+	}
+}

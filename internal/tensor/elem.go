@@ -12,7 +12,10 @@ import "math"
 // lane contract the bodies keep. PackTranspose (matmul.go) runs its whole
 // 8×8 blocks the same way and finishes the right and bottom strips in
 // packTransposeGo. The int8 codec's kernels are lane kernels too; a lane of
-// QuantizeInt8Pair is an element of either block.
+// QuantizeInt8Pair is an element of either block. So are k-means' distance
+// pass, CenterDistances, whose lane is one center, its nearest-center pick,
+// NearestLanes, which reduces a row's lanes, and its center update,
+// SumRowsByGroup, whose lane is one column of one group.
 
 // ReLU writes x to dst with every lane x < 0 replaced by +0; NaN and -0 pass.
 func ReLU(dst, x []float32) { reluGo(dst, x, reluVec(dst, x)) }
@@ -101,11 +104,57 @@ func DequantizeInt8(dst, ref []float32, q []byte, scale float32) {
 	dequantizeInt8Go(dst, ref, q, scale, dequantizeInt8Vec(dst, ref, q, scale))
 }
 
+// CenterDistances writes the squared Euclidean distance from every row of x
+// (dim values each, dim > 0) to every center into dist, row r's distance to
+// center c at dist[r·kp+c], where kp is len(ct)/dim: ct holds the centers
+// transposed, dimension j of center c at ct[j·kp+c]. A lane is one center,
+// and its sum starts from +0 and adds float64(e·e), e = float64(x) - c, one
+// dimension after another. The vector body runs every row when kp is a
+// multiple of 4 (four float64 lanes per register, so callers pad the
+// centers), and none otherwise.
+func CenterDistances(dist []float64, x []float32, ct []float64, dim int) {
+	kp, rows := len(ct)/dim, len(x)/dim
+	dist, x, ct = dist[:rows*kp], x[:rows*dim], ct[:kp*dim]
+	centerDistancesGo(dist, x, ct, dim, centerDistancesVec(dist, x, ct, dim, kp))
+}
+
+// NearestLanes writes into dst[r] the lane of row r of dist (len(dist) /
+// len(dst) lanes a row) that holds the smallest distance, under k-means'
+// serial rule: the first strictly smaller value wins, so ties go to the lower
+// lane, a NaN never wins and a NaN in lane 0 keeps 0. The values must be
+// distances, +0 to +Inf or NaN; padding lanes that hold NaN, as
+// CenterDistances gives under NaN centers, are therefore never chosen. The
+// vector body runs every row when the lane count is a multiple of 4, and
+// none otherwise.
+func NearestLanes(dst []int32, dist []float64) {
+	if len(dst) == 0 {
+		return
+	}
+	kp := len(dist) / len(dst)
+	dist = dist[:len(dst)*kp]
+	nearestLanesGo(dst, dist, nearestLanesVec(dst, dist, kp))
+}
+
+// SumRowsByGroup adds, one row after another, the first w values of each row
+// of x (rows start stride values apart) to the row of sum that group names:
+// row i to sum[group[i]·w : group[i]·w+w], lane j taking float64(x) in row
+// order, as a k-means center update sums its clusters' members. group sets
+// the row count. The vector body does whole 4-lane chunks of a row and the
+// rest lane by lane; it stops at a group outside sum, where the reference
+// panics.
+func SumRowsByGroup(sum []float64, x []float32, group []int32, w, stride int) {
+	if len(group) == 0 || w == 0 {
+		return
+	}
+	x = x[:(len(group)-1)*stride+w]
+	sumRowsByGroupGo(sum, x, group, w, stride, sumRowsByGroupVec(sum, x, group, w, stride))
+}
+
 // The portable references. Each starts at element or column from; the
 // column kernels take the column count from their first per-channel operand.
-// The optimizer, fold and codec references write a product that feeds an
-// add or a subtraction as float32(a*b) or float64(a*b), which no target may
-// fuse into one rounding with it.
+// The optimizer, fold, codec and k-means references write a product that
+// feeds an add or a subtraction as float32(a*b) or float64(a*b), which no
+// target may fuse into one rounding with it.
 
 // packTransposeGo writes the transpose of src (rows, cols) into dst (cols,
 // rows), skipping the whole 8×8 blocks of the first done rows: those rows
@@ -118,6 +167,54 @@ func packTransposeGo(dst, src []float32, rows, cols, done int) {
 		}
 		for c, v := range src[r*cols+from : r*cols+cols] {
 			dst[(from+c)*rows+r] = v
+		}
+	}
+}
+
+// centerDistancesGo continues CenterDistances from row from.
+func centerDistancesGo(dist []float64, x []float32, ct []float64, dim, from int) {
+	kp := len(ct) / dim
+	for r := from; r < len(x)/dim; r++ {
+		row := x[r*dim : (r+1)*dim]
+		for c := range kp {
+			var d float64
+			for j, v := range row {
+				e := float64(v) - ct[j*kp+c]
+				d += float64(e * e)
+			}
+			dist[r*kp+c] = d
+		}
+	}
+}
+
+// nearestLanesGo continues NearestLanes from row from. The bits of the
+// non-negative distances order like their values, with every NaN, either
+// sign, above +Inf once the sign bit is cleared; so after lane 0 is known
+// not to be NaN, comparing those bits is comparing the distances under the
+// rule, and the comparison compiles to conditional moves, not a branch the
+// predictor cannot learn.
+func nearestLanesGo(dst []int32, dist []float64, from int) {
+	kp := len(dist) / len(dst)
+	for r := from; r < len(dst); r++ {
+		d := dist[r*kp : (r+1)*kp]
+		best, bestBits := 0, math.Float64bits(d[0])&^(1<<63)
+		if bestBits <= 0x7FF0000000000000 {
+			for c := 1; c < len(d); c++ {
+				if b := math.Float64bits(d[c]) &^ (1 << 63); b < bestBits {
+					best, bestBits = c, b
+				}
+			}
+		}
+		dst[r] = int32(best)
+	}
+}
+
+// sumRowsByGroupGo continues SumRowsByGroup from row from.
+func sumRowsByGroupGo(sum []float64, x []float32, group []int32, w, stride, from int) {
+	for i := from; i < len(group); i++ {
+		s := sum[int(group[i])*w:][:w]
+		for j, v := range x[i*stride:][:w] {
+			s[j] += float64(v)
 		}
 	}
 }

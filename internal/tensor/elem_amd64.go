@@ -7,7 +7,9 @@ package tensor
 // packTransposeVec returns the rows whose whole 8×8 blocks it wrote,
 // isFiniteVec 0 when its chunks hold a NaN or an Inf, leaving the verdict
 // to the reference, deltaMaxAbsVec also the largest magnitude bits of the
-// lanes it did, and quantizeInt8PairVec all QuantBlock lanes or none.
+// lanes it did, quantizeInt8PairVec all QuantBlock lanes or none, and
+// centerDistancesVec and nearestLanesVec all rows or none, and
+// sumRowsByGroupVec the rows before the first whose group lies outside sum.
 
 //go:noescape
 func reluVec(dst, x []float32) int
@@ -71,3 +73,12 @@ func dequantizeInt8Vec(dst, ref []float32, q []byte, scale float32) int
 
 //go:noescape
 func quantizeInt8PairVec(qa, qb *[QuantBlock]byte, da, db *[QuantBlock]float32, inva, invb float64, sa, sb *uint64) int
+
+//go:noescape
+func centerDistancesVec(dist []float64, x []float32, ct []float64, dim, kp int) int
+
+//go:noescape
+func nearestLanesVec(dst []int32, dist []float64, kp int) int
+
+//go:noescape
+func sumRowsByGroupVec(sum []float64, x []float32, group []int32, w, stride int) int

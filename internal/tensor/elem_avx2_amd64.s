@@ -1157,3 +1157,350 @@ loop:
 
 none:
 	RET
+
+// func centerDistancesVec(dist []float64, x []float32, ct []float64, dim, kp int) int
+//
+// Two rows at a time, then the last one alone; within a row, eight lanes
+// (two accumulators) at a time while eight are left, then four. A lane's sum
+// starts from +0 in a register and takes the row's dimensions in order, each
+// x widened and broadcast to every lane; two rows share each load of the
+// centers and keep four chains of additions in flight. The wrapper sizes the
+// operands: rows·dim values of x, rows·kp distances and dim·kp centers.
+// Register use: SI = row of x, DI = its distances, R14 = the second row's
+// distances, DX = ct, R8 = dim, CX = a ct row (kp float64s) in bytes, R9 =
+// end of x, R13 = a row of x in bytes, BX = lane offset in bytes, R10 = ct
+// at the lanes' dimension, R12 = x at it, R11 = dimensions left, AX = rows
+// done.
+TEXT ·centerDistancesVec(SB), NOSPLIT, $0-96
+	MOVQ  $0, ret+88(FP)
+	CMPB  ·elemAVX2(SB), $0
+	JEQ   none
+	MOVQ  kp+80(FP), CX
+	TESTQ $3, CX
+	JNZ   none
+	TESTQ CX, CX
+	JZ    none
+	MOVQ  dim+72(FP), R8
+	TESTQ R8, R8
+	JLE   none
+	MOVQ  dist_base+0(FP), DI
+	MOVQ  x_base+24(FP), SI
+	MOVQ  x_len+32(FP), R9
+	LEAQ  (SI)(R9*4), R9
+	MOVQ  ct_base+48(FP), DX
+	SHLQ  $3, CX
+	MOVQ  R8, R13
+	SHLQ  $2, R13
+	XORQ  AX, AX
+
+pair:
+	LEAQ (SI)(R13*2), R12
+	CMPQ R12, R9
+	JHI  row
+	LEAQ (DI)(CX*1), R14
+	XORQ BX, BX
+
+pair8:
+	LEAQ   64(BX), R10
+	CMPQ   R10, CX
+	JHI    pair4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	LEAQ   (DX)(BX*1), R10
+	MOVQ   SI, R12
+	MOVQ   R8, R11
+
+pairdim8:
+	VBROADCASTSS (R12), X4
+	VBROADCASTSS (R12)(R13*1), X5
+	VCVTPS2PD    X4, Y4
+	VCVTPS2PD    X5, Y5
+	VMOVUPD      (R10), Y6
+	VMOVUPD      32(R10), Y7
+	VSUBPD       Y6, Y4, Y8      // e = x - c
+	VSUBPD       Y7, Y4, Y9
+	VSUBPD       Y6, Y5, Y10
+	VSUBPD       Y7, Y5, Y11
+	VMULPD       Y8, Y8, Y8      // e·e
+	VMULPD       Y9, Y9, Y9
+	VMULPD       Y10, Y10, Y10
+	VMULPD       Y11, Y11, Y11
+	VADDPD       Y8, Y0, Y0      // d + e·e
+	VADDPD       Y9, Y1, Y1
+	VADDPD       Y10, Y2, Y2
+	VADDPD       Y11, Y3, Y3
+	ADDQ         $4, R12
+	ADDQ         CX, R10
+	DECQ         R11
+	JNZ          pairdim8
+	VMOVUPD      Y0, (DI)(BX*1)
+	VMOVUPD      Y1, 32(DI)(BX*1)
+	VMOVUPD      Y2, (R14)(BX*1)
+	VMOVUPD      Y3, 32(R14)(BX*1)
+	ADDQ         $64, BX
+	JMP          pair8
+
+pair4:
+	CMPQ   BX, CX
+	JAE    pairnext
+	VXORPD Y0, Y0, Y0
+	VXORPD Y2, Y2, Y2
+	LEAQ   (DX)(BX*1), R10
+	MOVQ   SI, R12
+	MOVQ   R8, R11
+
+pairdim4:
+	VBROADCASTSS (R12), X4
+	VBROADCASTSS (R12)(R13*1), X5
+	VCVTPS2PD    X4, Y4
+	VCVTPS2PD    X5, Y5
+	VMOVUPD      (R10), Y6
+	VSUBPD       Y6, Y4, Y8
+	VSUBPD       Y6, Y5, Y10
+	VMULPD       Y8, Y8, Y8
+	VMULPD       Y10, Y10, Y10
+	VADDPD       Y8, Y0, Y0
+	VADDPD       Y10, Y2, Y2
+	ADDQ         $4, R12
+	ADDQ         CX, R10
+	DECQ         R11
+	JNZ          pairdim4
+	VMOVUPD      Y0, (DI)(BX*1)
+	VMOVUPD      Y2, (R14)(BX*1)
+
+pairnext:
+	LEAQ (SI)(R13*2), SI
+	LEAQ (R14)(CX*1), DI
+	ADDQ $2, AX
+	JMP  pair
+
+row:
+	LEAQ (SI)(R13*1), R12
+	CMPQ R12, R9
+	JHI  done
+	XORQ BX, BX
+
+lanes8:
+	LEAQ   64(BX), R10
+	CMPQ   R10, CX
+	JHI    lanes4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	LEAQ   (DX)(BX*1), R10
+	MOVQ   SI, R12
+	MOVQ   R8, R11
+
+dim8:
+	VBROADCASTSS (R12), X4
+	VCVTPS2PD    X4, Y4
+	VSUBPD       (R10), Y4, Y2
+	VSUBPD       32(R10), Y4, Y3
+	VMULPD       Y2, Y2, Y2
+	VMULPD       Y3, Y3, Y3
+	VADDPD       Y2, Y0, Y0
+	VADDPD       Y3, Y1, Y1
+	ADDQ         $4, R12
+	ADDQ         CX, R10
+	DECQ         R11
+	JNZ          dim8
+	VMOVUPD      Y0, (DI)(BX*1)
+	VMOVUPD      Y1, 32(DI)(BX*1)
+	ADDQ         $64, BX
+	JMP          lanes8
+
+lanes4:
+	CMPQ   BX, CX
+	JAE    next
+	VXORPD Y0, Y0, Y0
+	LEAQ   (DX)(BX*1), R10
+	MOVQ   SI, R12
+	MOVQ   R8, R11
+
+dim4:
+	VBROADCASTSS (R12), X4
+	VCVTPS2PD    X4, Y4
+	VSUBPD       (R10), Y4, Y2
+	VMULPD       Y2, Y2, Y2
+	VADDPD       Y2, Y0, Y0
+	ADDQ         $4, R12
+	ADDQ         CX, R10
+	DECQ         R11
+	JNZ          dim4
+	VMOVUPD      Y0, (DI)(BX*1)
+
+next:
+	ADDQ R13, SI
+	ADDQ CX, DI
+	INCQ AX
+	JMP  row
+
+done:
+	VZEROUPPER
+	MOVQ AX, ret+88(FP)
+
+none:
+	RET
+
+// func nearestLanesVec(dst []int32, dist []float64, kp int) int
+//
+// Row by row: a NaN in lane 0 answers 0 at once. Otherwise each lane's key is
+// its bits with the sign cleared, which as signed integers order like the
+// distances with every NaN above +Inf; the keys' minimum comes from a
+// running VPCMPGTQ/VBLENDVPD over the 4-lane groups, then across the
+// register, and the answer is the first lane whose key equals it: the groups
+// are scanned last to first, each one holding the minimum overwriting the
+// answer by a conditional move, since a branch on where the minimum lies is
+// one the predictor cannot learn. Register use: SI = row of dist, DI = dst,
+// CX = a row in bytes, R9 = rows, DX = row, BX = group offset in bytes, R10 =
+// +Inf's bits, R11 = the answer, Y7 = the sign-clearing mask, Y0 = the
+// minimum.
+TEXT ·nearestLanesVec(SB), NOSPLIT, $0-64
+	MOVQ  $0, ret+56(FP)
+	CMPB  ·elemAVX2(SB), $0
+	JEQ   none
+	MOVQ  kp+48(FP), CX
+	TESTQ $3, CX
+	JNZ   none
+	TESTQ CX, CX
+	JZ    none
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  dst_len+8(FP), R9
+	MOVQ  dist_base+24(FP), SI
+	SHLQ  $3, CX
+	MOVQ  $0x7fffffffffffffff, AX
+	VMOVQ AX, X7
+	VPBROADCASTQ X7, Y7
+	MOVQ  $0x7ff0000000000000, R10
+	XORQ  DX, DX
+
+row:
+	CMPQ DX, R9
+	JAE  done
+	MOVQ (SI), AX
+	BTRQ $63, AX
+	CMPQ AX, R10
+	JHI  first      // lane 0 is NaN
+	VPAND (SI), Y7, Y0
+	MOVQ  $32, BX
+
+group:
+	CMPQ      BX, CX
+	JAE       across
+	VPAND     (SI)(BX*1), Y7, Y1
+	VPCMPGTQ  Y1, Y0, Y2      // min > key
+	VBLENDVPD Y2, Y1, Y0, Y0
+	ADDQ      $32, BX
+	JMP       group
+
+across:
+	VEXTRACTI128 $1, Y0, X1
+	VPCMPGTQ     X1, X0, X2
+	VBLENDVPD    X2, X1, X0, X0
+	VPSHUFD      $0x4e, X0, X1
+	VPCMPGTQ     X1, X0, X2
+	VBLENDVPD    X2, X1, X0, X0
+	VPBROADCASTQ X0, Y0
+	MOVQ         CX, BX
+
+find:
+	SUBQ      $32, BX
+	MOVQ      BX, R12
+	SHRQ      $3, R12
+	VPAND     (SI)(BX*1), Y7, Y1
+	VPCMPEQQ  Y0, Y1, Y1
+	VMOVMSKPD Y1, AX
+	BSFL      AX, AX         // ZF when no lane of the group holds it
+	LEAQ      (R12)(AX*1), R12
+	CMOVQNE   R12, R11
+	TESTQ     BX, BX
+	JNZ       find
+	MOVL      R11, (DI)(DX*4)
+	JMP       next
+
+first:
+	MOVL $0, (DI)(DX*4)
+
+next:
+	ADDQ CX, SI
+	INCQ DX
+	JMP  row
+
+done:
+	VZEROUPPER
+	MOVQ R9, ret+56(FP)
+
+none:
+	RET
+
+// func sumRowsByGroupVec(sum []float64, x []float32, group []int32, w, stride int) int
+//
+// Row by row, in order: the row's group, checked against the rows of sum
+// (unsigned, so a negative one fails too), picks its row of sum; whole
+// 4-lane chunks widen four x values with VCVTPS2PD and add them to sum's, and
+// the last w&3 lanes go one at a time. Register use: SI = row of x, DI = sum,
+// DX = group, R8 = w, R9 = rows, R10 = sum's rows, R11 = x's row stride in
+// bytes, CX = row, AX = the group's row of sum, BX = lane.
+TEXT ·sumRowsByGroupVec(SB), NOSPLIT, $0-96
+	MOVQ  $0, ret+88(FP)
+	CMPB  ·elemAVX2(SB), $0
+	JEQ   none
+	MOVQ  w+72(FP), R8
+	TESTQ R8, R8
+	JLE   none
+	MOVQ  sum_base+0(FP), DI
+	MOVQ  sum_len+8(FP), AX
+	XORQ  DX, DX
+	DIVQ  R8
+	MOVQ  AX, R10
+	MOVQ  x_base+24(FP), SI
+	MOVQ  group_base+48(FP), DX
+	MOVQ  group_len+56(FP), R9
+	MOVQ  stride+80(FP), R11
+	SHLQ  $2, R11
+	XORQ  CX, CX
+
+row:
+	CMPQ    CX, R9
+	JAE     done
+	MOVLQSX (DX)(CX*4), AX
+	CMPQ    AX, R10
+	JAE     done
+	IMULQ   R8, AX
+	LEAQ    (DI)(AX*8), AX
+	XORQ    BX, BX
+
+chunk:
+	LEAQ      4(BX), R12
+	CMPQ      R12, R8
+	JHI       lane
+	VCVTPS2PD (SI)(BX*4), Y1
+	VMOVUPD   (AX)(BX*8), Y0
+	VADDPD    Y1, Y0, Y0        // sum + x
+	VMOVUPD   Y0, (AX)(BX*8)
+	MOVQ      R12, BX
+	JMP       chunk
+
+lane:
+	CMPQ     BX, R8
+	JAE      next
+	VMOVSS    (SI)(BX*4), X1   // a load, so no chain through X1
+	VCVTSS2SD X1, X1, X1
+	VMOVSD    (AX)(BX*8), X0
+	VADDSD    X1, X0, X0
+	VMOVSD    X0, (AX)(BX*8)
+	INCQ      BX
+	JMP       lane
+
+next:
+	ADDQ R11, SI
+	INCQ CX
+	JMP  row
+
+done:
+	VZEROUPPER
+	MOVQ CX, ret+88(FP)
+
+none:
+	RET

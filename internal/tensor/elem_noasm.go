@@ -30,3 +30,7 @@ func dequantizeInt8Vec(_, _ []float32, _ []byte, _ float32) int { return 0 }
 func quantizeInt8PairVec(_, _ *[QuantBlock]byte, _, _ *[QuantBlock]float32, _, _ float64, _, _ *uint64) int {
 	return 0
 }
+
+func centerDistancesVec(_ []float64, _ []float32, _ []float64, _, _ int) int { return 0 }
+func nearestLanesVec(_ []int32, _ []float64, _ int) int                      { return 0 }
+func sumRowsByGroupVec(_ []float64, _ []float32, _ []int32, _, _ int) int    { return 0 }

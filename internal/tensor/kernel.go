@@ -26,15 +26,17 @@ import (
 // residual adds, the bias-gradient column sum and BatchNorm's rank-2 passes;
 // the SGD step in its plain, heavy-ball and general (decay, proximal,
 // Nesterov) modes; the fold's Scale, ScaleFrom, Axpy and IsFinite; the
-// weight pack, PackTranspose; and the int8 codec's DeltaMaxAbs,
-// QuantizeInt8Pair and DequantizeInt8. The avx2 and avx512 tiers run them in
+// weight pack, PackTranspose; the int8 codec's DeltaMaxAbs,
+// QuantizeInt8Pair and DequantizeInt8; and fleet k-means' CenterDistances,
+// NearestLanes and SumRowsByGroup. The avx2 and avx512 tiers run them in
 // AVX2 assembly (elem_avx2_amd64.s) over whole 8-lane chunks, whole 8×8
-// blocks for the pack or whole block pairs for QuantizeInt8Pair, and finish
-// the rest in the portable Go reference; the sse and portable tiers run the
-// reference alone. The lane contract: each lane performs the reference's
-// float operations in the reference's order, with the same first operand
-// and one rounding each — again no VFMADD; the SGD, fold and codec
-// references write each product that feeds an add or a subtraction as
+// blocks for the pack, whole block pairs for QuantizeInt8Pair or whole rows
+// for the k-means kernels, and finish the rest in the portable Go
+// reference; the sse and portable tiers run the reference alone. The lane
+// contract: each lane performs the reference's float operations in the
+// reference's order, with the same first operand and one rounding each —
+// again no VFMADD; the SGD, fold, codec and k-means references write each
+// product that feeds an add or a subtraction as
 // float32(a*b) or float64(a*b) so no target fuses them either — and float32
 // values widen to float64 through VCVTPS2PD and narrow through VCVTPD2PS,
 // which under Go's default MXCSR (round to nearest even, no FTZ/DAZ) is what
