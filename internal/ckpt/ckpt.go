@@ -155,9 +155,10 @@ func Path(dir string, round int) string {
 }
 
 // Save marshals sections and writes them to path atomically: the bytes land
-// in a temporary file in the same directory first and are renamed into place,
-// so a crash mid-write can never leave a truncated checkpoint under the
-// final name.
+// in a temporary file in the same directory first, synced, and are renamed
+// into place, so a crash mid-write can never leave a truncated checkpoint
+// under the final name; the directory is synced after the rename, so the
+// published name survives a power loss too.
 func Save(path string, sections []Section) error {
 	blob, err := Marshal(sections)
 	if err != nil {
@@ -188,6 +189,17 @@ func Save(path string, sections []Section) error {
 	if err := os.Rename(tmpName, path); err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("ckpt: save: %w", err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("ckpt: save: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("ckpt: save: sync %s: %w", dir, err)
 	}
 	return nil
 }

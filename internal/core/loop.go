@@ -137,10 +137,10 @@ func (r *Runner) runRounds(acfg AsyncConfig) (History, error) {
 			"runs await the whole window", ErrConfig, acfg.Buffer, l.window)
 	}
 	if err := r.prepareRun(); err != nil {
-		return r.hist, err
+		return r.prog.Hist, err
 	}
 	if err := l.newFold(acfg.Weigher); err != nil {
-		return r.hist, err
+		return r.prog.Hist, err
 	}
 
 	var arrived []int
@@ -150,7 +150,7 @@ func (r *Runner) runRounds(acfg AsyncConfig) (History, error) {
 		// the mix stratified.
 		if need := l.window - len(l.pend); need > 0 {
 			if err := l.dispatch(l.pick(round, need), round); err != nil {
-				return r.hist, err
+				return r.prog.Hist, err
 			}
 		}
 		arrived = arrived[:0]
@@ -165,13 +165,13 @@ func (r *Runner) runRounds(acfg AsyncConfig) (History, error) {
 			case acfg.MaxStaleness >= 0 && l.version-fl.version > acfg.MaxStaleness:
 				// Computed and uplinked regardless; count the work, drop the
 				// update, and hand the client the current model right away.
-				r.acct.AddRound(fl.res.cost)
-				r.acct.AddCommunication(fl.res.uplink, r.stateSize)
+				r.prog.Acct.AddRound(fl.res.cost)
+				r.prog.Acct.AddCommunication(fl.res.uplink, r.stateSize)
 				l.retire(ev.ID)
 				l.ended++
 				l.cohort = append(l.cohort[:0], ev.ID)
 				if err := l.dispatch(l.cohort, round); err != nil {
-					return r.hist, err
+					return r.prog.Hist, err
 				}
 			default:
 				arrived = append(arrived, ev.ID)
@@ -186,44 +186,44 @@ func (r *Runner) runRounds(acfg AsyncConfig) (History, error) {
 		slices.Sort(arrived)
 		for _, pos := range arrived {
 			fl := l.pend[pos]
-			r.acct.AddRound(fl.res.cost)
-			r.acct.AddCommunication(fl.res.uplink, r.stateSize)
+			r.prog.Acct.AddRound(fl.res.cost)
+			r.prog.Acct.AddCommunication(fl.res.uplink, r.stateSize)
 			if err := l.add(pos); err != nil {
 				l.ended++
 				l.refused = append(l.refused, err)
 			} else {
-				r.utility.ObserveUpdate(pos, fl.res.meanEntropy, fl.res.trainLoss, fl.res.cost.Total())
+				r.prog.Tracker.ObserveUpdate(pos, fl.res.meanEntropy, fl.res.trainLoss, fl.res.cost.Total())
 				if r.cands != nil {
-					r.utility.Stamp(r.cands[pos : pos+1])
+					r.prog.Tracker.Stamp(r.cands[pos : pos+1])
 				}
 			}
 			l.retire(pos)
 		}
 		sum := l.agg.Sum()
 		if sum.Updates == 0 {
-			return r.hist, errors.Join(append([]error{fmt.Errorf("core: round %d: no update arrived to fold "+
+			return r.prog.Hist, errors.Join(append([]error{fmt.Errorf("core: round %d: no update arrived to fold "+
 				"and none is in flight (%d ended unfolded: straggler-dropped, stale or refused)",
 				round, l.ended)}, l.refused...)...)
 		}
 		fused, err := l.agg.Finish()
 		if err != nil {
-			return r.hist, err
+			return r.prog.Hist, err
 		}
 		if err := r.strat.ApplyAggregate(r.commState, fused); err != nil {
-			return r.hist, fmt.Errorf("core: strategy %s: %w", r.strat.Name(), err)
+			return r.prog.Hist, fmt.Errorf("core: strategy %s: %w", r.strat.Name(), err)
 		}
 		l.version++
 		if err := r.recordRound(round, sum.Updates+l.ended, sum); err != nil {
-			return r.hist, err
+			return r.prog.Hist, err
 		}
 		l.ended, l.refused = 0, l.refused[:0]
 		if r.cfg.CheckpointEvery > 0 && (round%r.cfg.CheckpointEvery == 0 || round == r.cfg.Rounds) {
 			if _, err := r.SaveCheckpoint(r.cfg.CheckpointDir); err != nil {
-				return r.hist, fmt.Errorf("core: checkpoint round %d: %w", round, err)
+				return r.prog.Hist, fmt.Errorf("core: checkpoint round %d: %w", round, err)
 			}
 		}
 	}
-	return r.finishRun(), nil
+	return r.prog.Finish(), nil
 }
 
 // pick chooses up to k clients among those not in flight: the scheduler's

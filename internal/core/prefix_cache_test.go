@@ -94,10 +94,10 @@ func TestTestSetFeaturesDieWithTheirWeights(t *testing.T) {
 	spy.requireDirect(hist, 1)
 }
 
-// TestRestoreIntoUsedRunnerDropsTestSetFeatures: ValidateFor does not compare
-// weights, so a checkpoint of a differently initialised model restores into a
-// runner that has already evaluated, and RestoreModelState rewrites the
-// frozen prefix under the features that runner derived from its own. The
+// TestRestoreIntoUsedRunnerDropsTestSetFeatures: RunIdentity.Restore does
+// not compare weights, so a checkpoint of a differently initialised model
+// restores into a runner that has already evaluated, and rewrites the frozen
+// prefix under the features that runner derived from its own. The
 // continued run must evaluate the restored weights: its accuracies equal
 // direct evaluation, and its history the uninterrupted run's.
 func TestRestoreIntoUsedRunnerDropsTestSetFeatures(t *testing.T) {

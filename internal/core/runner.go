@@ -72,6 +72,39 @@ func (h History) LearningEfficiency() (float64, error) {
 	return metrics.LearningEfficiency(h.BestAccuracy, h.TotalTrainSeconds)
 }
 
+// Progress is what a run carries from one round to the next besides the
+// model: the History, the cost accounting and the scheduler's feedback store.
+// The Runner and federation.Serve each hold one; Record and Finish are the
+// only writers of a round's record and of the run's totals, and
+// RunIdentity.Capture and Restore carry it across a checkpoint.
+type Progress struct {
+	Hist    History
+	Acct    simtime.Accountant
+	Tracker *sched.Tracker
+}
+
+// Record appends one round's record, filling its Cum* fields from the
+// accounting; an evaluated round (TestAccuracy not NaN) also updates the
+// best and final accuracy.
+func (p *Progress) Record(rec RoundRecord) {
+	rec.CumTrainSeconds, rec.CumUplinkBytes = p.Acct.TotalSeconds(), p.Acct.UplinkBytes()
+	if acc := rec.TestAccuracy; !math.IsNaN(acc) {
+		if acc > p.Hist.BestAccuracy {
+			p.Hist.BestAccuracy = acc
+		}
+		p.Hist.FinalAccuracy = acc
+	}
+	p.Hist.Records = append(p.Hist.Records, rec)
+}
+
+// Finish closes the history's totals from the accounting and returns it.
+func (p *Progress) Finish() History {
+	p.Hist.TotalTrainSeconds = p.Acct.TotalSeconds()
+	p.Hist.TotalUplinkBytes = p.Acct.UplinkBytes()
+	p.Hist.TotalDownlinkBytes = p.Acct.DownlinkBytes()
+	return p.Hist
+}
+
 // Runner orchestrates a federated-learning run.
 type Runner struct {
 	cfg    Config
@@ -83,9 +116,6 @@ type Runner struct {
 	clients []*Client
 	src     ClientSource
 	test    *data.Dataset
-	// utility feeds client-level feedback (mean EDS entropy, or train loss
-	// as a fallback) from each round back into the cohort scheduler.
-	utility *sched.Tracker
 	// strat is the resolved federated-optimization strategy (cfg.Strategy,
 	// or strategy.FedAvg() when none is set). It owns the
 	// aggregation weighting and how the weighted client average moves the
@@ -143,10 +173,11 @@ type Runner struct {
 	codecs          map[int]comm.Codec
 	codecRefScratch []*tensor.Tensor
 
-	// hist and acct live on the runner (not in Run) so that a checkpoint
-	// taken mid-run captures them and a restored runner continues them.
-	hist History
-	acct simtime.Accountant
+	// prog lives on the runner (not in Run) so that a checkpoint taken
+	// mid-run captures it and a restored runner continues it. Its tracker
+	// feeds client-level feedback (mean EDS entropy, or train loss as a
+	// fallback) from each round back into the cohort scheduler.
+	prog Progress
 	// startRound is the last completed round a restored runner resumes
 	// after; 0 for a fresh run. doneRound tracks the last completed round
 	// while Run executes (what Snapshot reports). restored marks that
@@ -186,8 +217,7 @@ func (r *Runner) prepareRun() error {
 		// legacy re-run semantics) instead of appending duplicate rounds.
 		r.restored = false
 	} else {
-		r.hist = History{}
-		r.acct = simtime.Accountant{}
+		r.prog.Hist, r.prog.Acct = History{}, simtime.Accountant{}
 		r.startRound, r.doneRound = 0, 0
 	}
 	r.evalSet = nil
@@ -215,17 +245,15 @@ func (r *Runner) prepareRun() error {
 }
 
 // recordRound closes one round from what its folded updates reported: it
-// evaluates on the EvalEvery cadence and appends the round's record.
+// evaluates on the EvalEvery cadence and records the round.
 func (r *Runner) recordRound(round, cohortSize int, sum comm.RoundSum) error {
 	rec := RoundRecord{
-		Round:           round,
-		CohortSize:      cohortSize,
-		Participants:    sum.Updates,
-		TestAccuracy:    math.NaN(),
-		MeanTrainLoss:   sum.LossSum / float64(sum.Updates),
-		CumTrainSeconds: r.acct.TotalSeconds(),
-		CumUplinkBytes:  r.acct.UplinkBytes(),
-		SchedPolicy:     r.schedName(),
+		Round:         round,
+		CohortSize:    cohortSize,
+		Participants:  sum.Updates,
+		TestAccuracy:  math.NaN(),
+		MeanTrainLoss: sum.LossSum / float64(sum.Updates),
+		SchedPolicy:   r.schedName(),
 	}
 	if r.cfg.EvalEvery > 0 && (round%r.cfg.EvalEvery == 0 || round == r.cfg.Rounds) {
 		acc, err := r.evaluate()
@@ -233,12 +261,8 @@ func (r *Runner) recordRound(round, cohortSize int, sum comm.RoundSum) error {
 			return fmt.Errorf("core: eval round %d: %w", round, err)
 		}
 		rec.TestAccuracy = acc
-		if acc > r.hist.BestAccuracy {
-			r.hist.BestAccuracy = acc
-		}
-		r.hist.FinalAccuracy = acc
 	}
-	r.hist.Records = append(r.hist.Records, rec)
+	r.prog.Record(rec)
 	r.doneRound = round
 	return nil
 }
@@ -263,14 +287,6 @@ func (r *Runner) schedName() string {
 		return ""
 	}
 	return r.cfg.Scheduler.Name()
-}
-
-// finishRun closes the history's totals once the last round is recorded.
-func (r *Runner) finishRun() History {
-	r.hist.TotalTrainSeconds = r.acct.TotalSeconds()
-	r.hist.TotalUplinkBytes = r.acct.UplinkBytes()
-	r.hist.TotalDownlinkBytes = r.acct.DownlinkBytes()
-	return r.hist
 }
 
 // tierMask is one tier's partial-training mask, resolved once per run: the
@@ -418,7 +434,7 @@ func (r *Runner) cacheProjectedCosts() error {
 		}
 	}
 	if r.cands != nil {
-		r.utility.Stamp(r.cands)
+		r.prog.Tracker.Stamp(r.cands)
 	}
 	return nil
 }

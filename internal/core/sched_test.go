@@ -150,7 +150,7 @@ func TestEntropyUtilityFeedbackLoop(t *testing.T) {
 	}
 	scored := 0
 	for i := range clients {
-		if u, ok := runner.utility.Utility(i); ok {
+		if u, ok := runner.prog.Tracker.Utility(i); ok {
 			if math.IsNaN(u) || math.IsInf(u, 0) {
 				t.Fatalf("client %d: utility %v", i, u)
 			}

@@ -92,8 +92,8 @@ type RunState struct {
 	TierSpec string
 	// Async is the buffered-asynchronous server state (nil for synchronous
 	// runs). The async mode contributes its buffer/staleness flags to the
-	// config tag, so ValidateFor already refuses crossing a checkpoint
-	// between the two modes.
+	// config tag, so Restore already refuses crossing a checkpoint between
+	// the two modes.
 	Async *AsyncState
 	// CodecName is the uplink-codec spec the state was produced under
 	// (comm.ParseCodec form; empty for codec-free runs). Restore refuses a
@@ -111,9 +111,9 @@ type RunState struct {
 	FleetSpec string
 }
 
-// SnapshotModelState clones a model's full state tensors (params and buffers
+// snapshotModelState clones a model's full state tensors (params and buffers
 // of every group) in their canonical order.
-func SnapshotModelState(m *models.Model) []*tensor.Tensor {
+func snapshotModelState(m *models.Model) []*tensor.Tensor {
 	live := m.StateTensors()
 	out := make([]*tensor.Tensor, len(live))
 	for i, t := range live {
@@ -122,8 +122,8 @@ func SnapshotModelState(m *models.Model) []*tensor.Tensor {
 	return out
 }
 
-// RestoreModelState copies a SnapshotModelState snapshot back into a model.
-func RestoreModelState(m *models.Model, ts []*tensor.Tensor) error {
+// restoreModelState copies a snapshotModelState snapshot back into a model.
+func restoreModelState(m *models.Model, ts []*tensor.Tensor) error {
 	dst := m.StateTensors()
 	if len(dst) != len(ts) {
 		return fmt.Errorf("core: restore: %d state tensors for a model with %d", len(ts), len(dst))
@@ -232,108 +232,127 @@ func (r *Runner) runTag() uint64 {
 	return TagConfig(parts...)
 }
 
-// CaptureScheduler fills the state's SchedName/SchedState from a scheduler
-// (clearing both for nil). It is the single serialization point for
-// scheduler state, shared by Runner.Snapshot and fedserver's per-round
-// snapshot so the two engines' checkpoints cannot drift apart.
-func (s *RunState) CaptureScheduler(scheduler sched.Scheduler) error {
-	s.SchedName, s.SchedState = "", nil
-	if scheduler == nil {
-		return nil
-	}
-	s.SchedName = scheduler.Name()
-	if st, ok := scheduler.(sched.Stateful); ok {
-		blob, err := st.SnapshotState()
-		if err != nil {
-			return fmt.Errorf("core: snapshot scheduler %s: %w", s.SchedName, err)
-		}
-		s.SchedState = blob
-	}
-	return nil
+// RunIdentity is what a checkpoint must have been written under to be
+// resumed: the run's seed, round budget and configuration tag, and the
+// plug-ins and specs whose state or meaning a checkpoint carries. Each
+// runtime describes itself once — Runner.identity, and Serve from its
+// federation.Config — and reaches checkpoints only through Capture and
+// Restore, so the two runtimes' checkpoints and refusal rules cannot drift
+// apart.
+type RunIdentity struct {
+	Seed   int64
+	Rounds int
+	// ConfigTag is the runtime's configuration fingerprint: the Runner's
+	// runTag, federation.Config.ConfigTag.
+	ConfigTag uint64
+	// Scheduler is the cohort scheduler, nil without one; a stateful one's
+	// state travels in the checkpoint.
+	Scheduler sched.Scheduler
+	// Strategy is the explicitly configured strategy, nil for the legacy
+	// default path; a stateful one's server-optimizer state travels.
+	Strategy strategy.Strategy
+	// TierSpec is the device-tier distribution's canonical String, CodecName
+	// the uplink codec's comm.ParseCodec spec and FleetSpec the client
+	// source's Fingerprint; each is empty when the run has none.
+	TierSpec, CodecName, FleetSpec string
 }
 
-// CaptureStrategy fills the state's StratName/StratState from an explicitly
-// configured strategy (clearing both for nil, the legacy default path). It
-// is the single serialization point for strategy state, shared by
-// Runner.Snapshot and fedserver's per-round snapshot.
-func (s *RunState) CaptureStrategy(strat strategy.Strategy) {
-	s.StratName, s.StratState = "", nil
-	if strat == nil {
-		return
-	}
-	s.StratName = strat.Fingerprint()
-	if st, ok := strat.(strategy.Stateful); ok {
-		for _, t := range st.StateTensors() {
-			s.StratState = append(s.StratState, t.Clone())
-		}
-	}
-}
-
-// Snapshot captures the runner's complete resumable state after the last
-// completed round. The returned state is independent of the runner: tensors
-// are cloned and maps copied.
-func (r *Runner) Snapshot() (*RunState, error) {
-	util, seconds := r.utility.Export()
+// Capture snapshots a run at the boundary after round: the global model's
+// full state, the progress and the scheduler's and strategy's state, under
+// the identity's names. The returned state is independent of the run:
+// tensors are cloned and maps and records copied.
+func (id RunIdentity) Capture(round int, global *models.Model, p *Progress) (*RunState, error) {
 	s := &RunState{
-		Seed:           r.cfg.Seed,
-		ConfigTag:      r.runTag(),
-		Round:          r.doneRound,
-		Model:          SnapshotModelState(r.global),
-		Hist:           copyHistory(r.hist),
-		Acct:           r.acct.State(),
-		TrackerUtil:    util,
-		TrackerSeconds: seconds,
+		Seed:      id.Seed,
+		ConfigTag: id.ConfigTag,
+		Round:     round,
+		Model:     snapshotModelState(global),
+		Hist:      copyHistory(p.Hist),
+		Acct:      p.Acct.State(),
+		TierSpec:  id.TierSpec,
+		CodecName: id.CodecName,
+		FleetSpec: id.FleetSpec,
 	}
-	if err := s.CaptureScheduler(r.cfg.Scheduler); err != nil {
-		return nil, err
+	s.TrackerUtil, s.TrackerSeconds = p.Tracker.Export()
+	if id.Scheduler != nil {
+		s.SchedName = id.Scheduler.Name()
+		if st, ok := id.Scheduler.(sched.Stateful); ok {
+			blob, err := st.SnapshotState()
+			if err != nil {
+				return nil, fmt.Errorf("core: snapshot scheduler %s: %w", s.SchedName, err)
+			}
+			s.SchedState = blob
+		}
 	}
-	s.CaptureStrategy(r.cfg.Strategy)
-	s.TierSpec = r.cfg.TierSpec()
-	s.CodecName = r.cfg.Codec
-	s.CodecResiduals = r.codecResiduals()
-	s.FleetSpec = r.src.Fingerprint()
+	if id.Strategy != nil {
+		s.StratName = id.Strategy.Fingerprint()
+		if st, ok := id.Strategy.(strategy.Stateful); ok {
+			for _, t := range st.StateTensors() {
+				s.StratState = append(s.StratState, t.Clone())
+			}
+		}
+	}
 	return s, nil
 }
 
-// ValidateFor checks that the state belongs to the run described by the
-// given parameters — same seed, same training configuration (TagConfig
-// fingerprint), a round within the budget, a self-consistent history, a
-// matching scheduler, a matching strategy (nil strat means the legacy
-// default path; pass the explicitly configured strategy otherwise), and a
-// matching device-tier distribution (tierSpec is the configured
-// distribution's canonical String, empty for untiered runs), a matching
-// uplink codec (codecName is the configured comm.ParseCodec spec, empty for
-// codec-free runs), and a matching fleet fingerprint (fleetSpec is the client
-// source's Fingerprint, empty for the legacy eager pool). Both engines
-// (Runner.RestoreInto and fedserver's warm-start) share this check so their
-// refusal rules cannot drift.
-func (s *RunState) ValidateFor(seed int64, rounds int, configTag uint64, scheduler sched.Scheduler, strat strategy.Strategy, tierSpec, codecName, fleetSpec string) error {
-	if s.Seed != seed {
-		return fmt.Errorf("%w: checkpoint seed %d does not match configured seed %d",
-			ErrConfig, s.Seed, seed)
+// Restore installs a checkpointed state into a run, reversing Capture: it
+// refuses a state written under another identity (check), then restores the
+// scheduler's and strategy's state, the global model and the progress.
+func (id RunIdentity) Restore(s *RunState, global *models.Model, p *Progress) error {
+	if err := id.check(s); err != nil {
+		return err
 	}
-	if s.ConfigTag != configTag {
+	if st, ok := id.Scheduler.(sched.Stateful); ok {
+		if err := st.RestoreState(s.SchedState); err != nil {
+			return fmt.Errorf("core: restore scheduler %s: %w", id.Scheduler.Name(), err)
+		}
+	}
+	// A nil or stateless strategy carries no state: check refused any.
+	if st, ok := id.Strategy.(strategy.Stateful); ok {
+		if err := st.RestoreStateTensors(s.StratState); err != nil {
+			return fmt.Errorf("core: restore strategy %s: %w", id.Strategy.Name(), err)
+		}
+	}
+	if err := restoreModelState(global, s.Model); err != nil {
+		return err
+	}
+	p.Tracker.Restore(s.TrackerUtil, s.TrackerSeconds)
+	p.Acct.Restore(s.Acct)
+	p.Hist = copyHistory(s.Hist)
+	return nil
+}
+
+// check refuses a state that does not belong to the run the identity
+// describes: another seed or configuration tag, a round beyond the budget, a
+// history that does not match its round, or another scheduler, strategy,
+// tier distribution, codec or fleet.
+func (id RunIdentity) check(s *RunState) error {
+	if s.Seed != id.Seed {
+		return fmt.Errorf("%w: checkpoint seed %d does not match configured seed %d",
+			ErrConfig, s.Seed, id.Seed)
+	}
+	if s.ConfigTag != id.ConfigTag {
 		return fmt.Errorf("%w: checkpoint was written under a different training configuration "+
 			"(tag %#x vs %#x); resuming would silently blend two regimes",
-			ErrConfig, s.ConfigTag, configTag)
+			ErrConfig, s.ConfigTag, id.ConfigTag)
 	}
-	if s.Round < 0 || s.Round > rounds {
+	if s.Round < 0 || s.Round > id.Rounds {
 		return fmt.Errorf("%w: checkpoint round %d outside configured run of %d rounds",
-			ErrConfig, s.Round, rounds)
+			ErrConfig, s.Round, id.Rounds)
 	}
 	if len(s.Hist.Records) != s.Round {
 		return fmt.Errorf("%w: checkpoint has %d history records for round %d",
 			ErrConfig, len(s.Hist.Records), s.Round)
 	}
 	cfgSched := ""
-	if scheduler != nil {
-		cfgSched = scheduler.Name()
+	if id.Scheduler != nil {
+		cfgSched = id.Scheduler.Name()
 	}
 	if s.SchedName != cfgSched {
 		return fmt.Errorf("%w: checkpoint scheduler %q does not match configured %q",
 			ErrConfig, s.SchedName, cfgSched)
 	}
-	if _, ok := scheduler.(sched.Stateful); ok {
+	if _, ok := id.Scheduler.(sched.Stateful); ok {
 		if len(s.SchedState) == 0 {
 			return fmt.Errorf("%w: stateful scheduler %s but checkpoint carries no scheduler state",
 				ErrConfig, cfgSched)
@@ -343,8 +362,8 @@ func (s *RunState) ValidateFor(seed int64, rounds int, configTag uint64, schedul
 			ErrConfig, cfgSched)
 	}
 	cfgStrat := ""
-	if strat != nil {
-		cfgStrat = strat.Fingerprint()
+	if id.Strategy != nil {
+		cfgStrat = id.Strategy.Fingerprint()
 	}
 	if s.StratName != cfgStrat {
 		return fmt.Errorf("%w: checkpoint strategy %q does not match configured %q; resuming under "+
@@ -352,57 +371,49 @@ func (s *RunState) ValidateFor(seed int64, rounds int, configTag uint64, schedul
 			ErrConfig, s.StratName, cfgStrat)
 	}
 	if len(s.StratState) > 0 {
-		if _, ok := strat.(strategy.Stateful); !ok {
+		if _, ok := id.Strategy.(strategy.Stateful); !ok {
 			return fmt.Errorf("%w: checkpoint carries strategy state but %q cannot hold it",
 				ErrConfig, cfgStrat)
 		}
 	}
-	if s.TierSpec != tierSpec {
+	if s.TierSpec != id.TierSpec {
 		return fmt.Errorf("%w: checkpoint tier distribution %q does not match configured %q; resuming "+
 			"under an edited tier mix would silently change every client's layer mask",
-			ErrConfig, s.TierSpec, tierSpec)
+			ErrConfig, s.TierSpec, id.TierSpec)
 	}
-	if s.CodecName != codecName {
+	if s.CodecName != id.CodecName {
 		return fmt.Errorf("%w: checkpoint codec %q does not match configured %q; resuming under an "+
 			"edited codec would silently change every subsequent update's wire encoding",
-			ErrConfig, s.CodecName, codecName)
+			ErrConfig, s.CodecName, id.CodecName)
 	}
-	if len(s.CodecResiduals) > 0 && codecName == "" {
+	if len(s.CodecResiduals) > 0 && id.CodecName == "" {
 		return fmt.Errorf("%w: checkpoint carries codec residuals but no codec is configured", ErrConfig)
 	}
-	if s.FleetSpec != fleetSpec {
+	if s.FleetSpec != id.FleetSpec {
 		return fmt.Errorf("%w: checkpoint fleet fingerprint %q does not match configured %q; resuming "+
 			"under an edited fleet would silently re-derive every virtual client",
-			ErrConfig, s.FleetSpec, fleetSpec)
+			ErrConfig, s.FleetSpec, id.FleetSpec)
 	}
 	return nil
 }
 
-// RestoreScheduler installs the state's serialized scheduler state into a
-// stateful scheduler (no-op for stateless ones). Call after ValidateFor.
-func (s *RunState) RestoreScheduler(scheduler sched.Scheduler) error {
-	st, ok := scheduler.(sched.Stateful)
-	if !ok {
-		return nil
-	}
-	if err := st.RestoreState(s.SchedState); err != nil {
-		return fmt.Errorf("core: restore scheduler %s: %w", scheduler.Name(), err)
-	}
-	return nil
+// identity is the Runner's RunIdentity. Its tag is runTag, which also pins
+// the client pool.
+func (r *Runner) identity() RunIdentity {
+	return RunIdentity{Seed: r.cfg.Seed, Rounds: r.cfg.Rounds, ConfigTag: r.runTag(), Scheduler: r.cfg.Scheduler,
+		Strategy: r.cfg.Strategy, TierSpec: r.cfg.TierSpec(), CodecName: r.cfg.Codec, FleetSpec: r.src.Fingerprint()}
 }
 
-// RestoreStrategy installs the state's server-optimizer tensors into a
-// stateful strategy (no-op for nil or stateless ones, which ValidateFor has
-// already confirmed carry no state). Call after ValidateFor.
-func (s *RunState) RestoreStrategy(strat strategy.Strategy) error {
-	st, ok := strat.(strategy.Stateful)
-	if !ok {
-		return nil
+// Snapshot captures the runner's complete resumable state after the last
+// completed round, the codec's per-client residuals included. The returned
+// state is independent of the runner.
+func (r *Runner) Snapshot() (*RunState, error) {
+	s, err := r.identity().Capture(r.doneRound, r.global, &r.prog)
+	if err != nil {
+		return nil, err
 	}
-	if err := st.RestoreStateTensors(s.StratState); err != nil {
-		return fmt.Errorf("core: restore strategy %s: %w", strat.Name(), err)
-	}
-	return nil
+	s.CodecResiduals = r.codecResiduals()
+	return s, nil
 }
 
 // RestoreInto installs the state into a freshly constructed runner, which
@@ -411,25 +422,13 @@ func (s *RunState) RestoreStrategy(strat strategy.Strategy) error {
 // Run continues after s.Round and reproduces the uninterrupted run bit for
 // bit. Call before Run.
 func (s *RunState) RestoreInto(r *Runner) error {
-	if err := s.ValidateFor(r.cfg.Seed, r.cfg.Rounds, r.runTag(), r.cfg.Scheduler, r.cfg.Strategy, r.cfg.TierSpec(), r.cfg.Codec, r.src.Fingerprint()); err != nil {
-		return err
-	}
-	if err := s.RestoreScheduler(r.cfg.Scheduler); err != nil {
-		return err
-	}
-	if err := s.RestoreStrategy(r.cfg.Strategy); err != nil {
+	if err := r.identity().Restore(s, r.global, &r.prog); err != nil {
 		return err
 	}
 	if err := r.restoreCodecResiduals(s.CodecResiduals); err != nil {
 		return err
 	}
-	if err := RestoreModelState(r.global, s.Model); err != nil {
-		return err
-	}
 	r.evalSet = nil // derived from the weights just replaced
-	r.utility.Restore(s.TrackerUtil, s.TrackerSeconds)
-	r.acct.Restore(s.Acct)
-	r.hist = copyHistory(s.Hist)
 
 	// Extending a finished run: that run force-evaluated its final round
 	// (Run always evaluates round == Rounds), which a longer run would skip
@@ -437,12 +436,13 @@ func (s *RunState) RestoreInto(r *Runner) error {
 	// training state, so only the history needs repair: un-evaluate the
 	// record and recompute the accuracy aggregates, keeping the extension
 	// bit-identical to a from-scratch longer run.
+	hist := &r.prog.Hist
 	if s.Round > 0 && s.Round < r.cfg.Rounds && s.Round%r.cfg.EvalEvery != 0 {
-		rec := &r.hist.Records[s.Round-1]
+		rec := &hist.Records[s.Round-1]
 		if !math.IsNaN(rec.TestAccuracy) {
 			rec.TestAccuracy = math.NaN()
 			var best, final float64
-			for _, rr := range r.hist.Records {
+			for _, rr := range hist.Records {
 				if !math.IsNaN(rr.TestAccuracy) {
 					if rr.TestAccuracy > best {
 						best = rr.TestAccuracy
@@ -450,7 +450,7 @@ func (s *RunState) RestoreInto(r *Runner) error {
 					final = rr.TestAccuracy
 				}
 			}
-			r.hist.BestAccuracy, r.hist.FinalAccuracy = best, final
+			hist.BestAccuracy, hist.FinalAccuracy = best, final
 		}
 	}
 

@@ -118,6 +118,6 @@ func NewRunnerWithSource(cfg Config, global *models.Model, src ClientSource, tes
 			return nil, fmt.Errorf("%w: client %d device rate %v", ErrConfig, pos, d.Device.FLOPSRate)
 		}
 	}
-	return &Runner{cfg: cfg, global: global, src: src, test: test, utility: sched.NewTracker(),
+	return &Runner{cfg: cfg, global: global, src: src, test: test, prog: Progress{Tracker: sched.NewTracker()},
 		strat: cmp.Or[strategy.Strategy](cfg.Strategy, strategy.FedAvg())}, nil
 }

@@ -205,9 +205,9 @@ func TestTierResumeRefusedUnderEditedDistribution(t *testing.T) {
 	// Same rule set as strategy edits: even with an identical config tag the
 	// explicit tier-spec comparison must refuse a drifted distribution.
 	same := build("low:1,full:1")
-	if err := snap.ValidateFor(same.cfg.Seed, same.cfg.Rounds, same.runTag(),
-		same.cfg.Scheduler, same.cfg.Strategy, "full:2,low:1", "", ""); err == nil ||
-		!strings.Contains(err.Error(), "tier distribution") {
+	drifted := same.identity()
+	drifted.TierSpec = "full:2,low:1"
+	if err := drifted.check(snap); err == nil || !strings.Contains(err.Error(), "tier distribution") {
 		t.Fatalf("tier-spec mismatch not refused explicitly: %v", err)
 	}
 	// And the happy path restores.

@@ -3,6 +3,7 @@ package federation
 import (
 	"errors"
 	"math"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -297,6 +298,36 @@ func TestServeAccountsTraffic(t *testing.T) {
 	}
 	if math.Abs(ref.TotalTrainSeconds-resumed.TotalTrainSeconds) > 1e-9*ref.TotalTrainSeconds {
 		t.Fatalf("resumed train seconds %v, uninterrupted %v", resumed.TotalTrainSeconds, ref.TotalTrainSeconds)
+	}
+}
+
+// TestServeCreatesCheckpointDir: Serve creates Run.CheckpointDir before any
+// client joins — a nested, missing one included — instead of training a
+// round and failing to save it.
+func TestServeCreatesCheckpointDir(t *testing.T) {
+	w, err := testWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct{ name, sub string }{
+		{"existing", ""},
+		{"nested, missing", filepath.Join("not", "yet")},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := testConfig(2)
+			cfg.Run.CheckpointDir = filepath.Join(t.TempDir(), tt.sub)
+			hist, _, err := servePipes(t, w, cfg, func(conn comm.Conn, id int) error { return honest(w, conn, id, 0) })
+			if err != nil {
+				t.Fatalf("federation: %v", err)
+			}
+			snap, err := core.LoadLatestRunState(cfg.Run.CheckpointDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Round != 2 || len(hist.Records) != 2 {
+				t.Fatalf("checkpoint at round %d, %d records; want 2 and 2", snap.Round, len(hist.Records))
+			}
+		})
 	}
 }
 

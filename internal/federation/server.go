@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"os"
 	"sort"
 	"time"
 
@@ -246,14 +247,6 @@ func (c Config) ConfigTag() uint64 {
 	return core.TagConfig(parts...)
 }
 
-// progress is what survives from one round to the next besides the model:
-// the history, the cost accounting and the scheduler's feedback store.
-type progress struct {
-	hist    core.History
-	acct    simtime.AccountantState
-	tracker *sched.Tracker
-}
-
 // Serve drives one federation on an established listener: it accepts the
 // configured participants, then for every round broadcasts the global
 // model's trainable groups, streams the admitted updates into the
@@ -271,14 +264,17 @@ type progress struct {
 // Config.Validate's error before it touches the listener, the model or the
 // test set.
 //
-// With Run.CheckpointDir it snapshots after every round and warm-starts from
-// the latest checkpoint, so a crashed-and-restarted server resumes the
-// federation where it stopped (clients reconnect and follow the server's
-// round numbering).
+// With Run.CheckpointDir it creates the directory, warm-starts from its
+// latest checkpoint and checkpoints after every round, so a
+// crashed-and-restarted server resumes the federation where it stopped
+// (clients reconnect and follow the server's round numbering). The run's
+// progress is a core.Progress and crosses checkpoints through
+// core.RunIdentity's Capture and Restore, as the Runner's does: the server
+// refuses exactly the checkpoints the simulator refuses.
 func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset) (core.History, error) {
-	st := &progress{tracker: sched.NewTracker()}
+	prog := core.Progress{Tracker: sched.NewTracker()}
 	if err := cfg.Validate(); err != nil {
-		return st.hist, err
+		return prog.Hist, err
 	}
 	cfg.Run.Strategy = cmp.Or[strategy.Strategy](cfg.Run.Strategy, strategy.FedAvg())
 	if cfg.Run.CohortSize > 0 {
@@ -286,24 +282,42 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	}
 	start, part, err := cfg.recipe()
 	if err != nil {
-		return st.hist, err
+		return prog.Hist, err
 	}
 	codec, codecName, err := cfg.codec()
 	if err != nil {
-		return st.hist, err
+		return prog.Hist, err
 	}
 	// Groups that never train are never communicated.
 	if err := global.SetFinetunePart(part); err != nil {
-		return st.hist, err
+		return prog.Hist, err
 	}
 	commGroups := global.TrainableGroupNames()
+	// What a checkpoint of this run must match; the default fedavg counts as
+	// no strategy (TaggedStrategy), and a server has no fleet. Nor does it
+	// hold codec residuals (they live client-side), so its codec section
+	// carries only the spec.
+	id := core.RunIdentity{Seed: cfg.Run.Seed, Rounds: cfg.Run.Rounds, ConfigTag: cfg.ConfigTag(),
+		Scheduler: cfg.Run.Scheduler, Strategy: cfg.TaggedStrategy(), TierSpec: cfg.Run.TierSpec(), CodecName: codecName}
 	startRound := 0
 	var restored *core.AsyncState
 	if dir := cfg.Run.CheckpointDir; dir != "" {
-		if startRound, restored, err = restore(cfg, global, st); err != nil {
-			return st.hist, fmt.Errorf("warm-start from %s: %w", dir, err)
+		// Before any client joins: a server that can train but not checkpoint
+		// would lose the federation it promised to preserve.
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return prog.Hist, fmt.Errorf("checkpoint dir: %w", err)
 		}
-		if startRound > 0 {
+		snap, err := core.LoadLatestRunState(dir)
+		if err == nil {
+			err = id.Restore(snap, global, &prog)
+		}
+		switch {
+		case errors.Is(err, ckpt.ErrNoCheckpoint):
+		case err != nil:
+			return prog.Hist, fmt.Errorf("warm-start from %s: %w", dir, err)
+		default:
+			// The engine state rides along (nil outside buffered mode).
+			startRound, restored = snap.Round, snap.Async
 			log.Printf("warm-start: resuming after round %d from %s", startRound, dir)
 		}
 	}
@@ -317,7 +331,7 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	log.Printf("listening on %s, waiting for %d %s", l.Addr(), participants, kind)
 	sess, err := comm.AcceptClientsCodec(l, participants, cfg.Run.Rounds, codecName)
 	if err != nil {
-		return st.hist, err
+		return prog.Hist, err
 	}
 	defer func() {
 		if err := sess.Shutdown("done"); err != nil {
@@ -336,11 +350,11 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		RoundDeadline: cfg.RoundDeadline, Quorum: cfg.Quorum,
 		Buffer: cfg.Run.Async.Buffer, MaxStaleness: cfg.Run.Async.MaxStaleness})
 	if err != nil {
-		return st.hist, err
+		return prog.Hist, err
 	}
 	if restored != nil {
 		if err := engine.Restore(restored.Version, restored.Buffer); err != nil {
-			return st.hist, err
+			return prog.Hist, err
 		}
 	}
 	if cfg.Run.Async.Buffer > 0 {
@@ -354,7 +368,7 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	var admitter *comm.Admitter
 	if cfg.Relays > 0 {
 		if admitter, err = comm.NewAdmitterCodec(l, cfg.Relays, cfg.Run.Rounds, codecName); err != nil {
-			return st.hist, err
+			return prog.Hist, err
 		}
 	}
 
@@ -370,7 +384,7 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	var layout, bcastLayout []string
 	if cfg.Run.TierDist != nil {
 		if layout, err = global.GroupStateLayout(commGroups); err != nil {
-			return st.hist, err
+			return prog.Hist, err
 		}
 	}
 	if cfg.Relays > 0 {
@@ -379,7 +393,7 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	agg, err := comm.NewMaskedStreamAggregator(
 		core.UpdateWeigher(cfg.Run.Strategy, cfg.staleness(), engine.Version, sess.LocalSize), commGroups, layout)
 	if err != nil {
-		return st.hist, err
+		return prog.Hist, err
 	}
 	policy := ""
 	if cfg.Run.Scheduler != nil {
@@ -395,11 +409,11 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	for round := startRound + 1; round <= cfg.Run.Rounds; round++ {
 		stateTs, err := global.GroupStateTensors(commGroups)
 		if err != nil {
-			return st.hist, err
+			return prog.Hist, err
 		}
 		blob, err := comm.EncodeTensors(stateTs)
 		if err != nil {
-			return st.hist, err
+			return prog.Hist, err
 		}
 		// Stream each update into the weighted sum as it arrives: the
 		// server holds one decoded state at a time, O(state) not O(N·state).
@@ -415,7 +429,7 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 			if err := agg.Add(u); err != nil {
 				return err
 			}
-			st.tracker.ObserveUpdate(u.ClientID, u.MeanEntropy, u.TrainLoss, u.TrainSeconds)
+			prog.Tracker.ObserveUpdate(u.ClientID, u.MeanEntropy, u.TrainLoss, u.TrainSeconds)
 			return nil
 		}
 		// Fold in crashed-and-restarted relays at the round boundary, never
@@ -430,7 +444,7 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		live := sess.ClientIDs()
 		cohort := live
 		if cfg.Run.Scheduler != nil {
-			cohort = scheduleCohort(cfg, st.tracker, sess, tiers, round, live)
+			cohort = scheduleCohort(cfg, prog.Tracker, sess, tiers, round, live)
 		}
 		rs := start
 		rs.Round, rs.State, rs.Groups, rs.Layout = round, blob, commGroups, bcastLayout
@@ -438,11 +452,11 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		// A timed-out client took at least the whole deadline; record that so
 		// time-driven policies stop treating a hung client as instant.
 		for _, id := range out.TimedOut {
-			st.tracker.ObserveTimeout(id, cfg.RoundDeadline.Seconds())
+			prog.Tracker.ObserveTimeout(id, cfg.RoundDeadline.Seconds())
 		}
 		logFailures(out)
 		if err != nil {
-			return st.hist, err
+			return prog.Hist, err
 		}
 		// The round's sums start from zero before they join the running totals:
 		// with two reporters they are then independent of arrival order, which
@@ -450,61 +464,47 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		sum := agg.Sum()
 		fused, err := agg.Finish()
 		if err != nil {
-			return st.hist, err
+			return prog.Hist, err
 		}
 		// stateTs are live views of the global model's groups — the
 		// strategy's server optimizer folds the weighted average into them
 		// (fedavg overwrites, exactly the pre-strategy behavior).
 		if err := cfg.Run.Strategy.ApplyAggregate(stateTs, fused); err != nil {
-			return st.hist, fmt.Errorf("strategy %s: round %d: %w", cfg.Run.Strategy.Name(), round, err)
+			return prog.Hist, fmt.Errorf("strategy %s: round %d: %w", cfg.Run.Strategy.Name(), round, err)
 		}
 
 		acc, err := metrics.Accuracy(global, test)
 		if err != nil {
-			return st.hist, err
+			return prog.Hist, err
 		}
-		st.acct.TrainSeconds += sum.TrainSeconds
-		st.acct.UplinkBytes += sum.UplinkBytes
-		st.acct.DownlinkBytes += int64(sum.Updates) * int64(len(blob))
+		prog.Acct.AddRound(simtime.RoundCost{TrainSeconds: sum.TrainSeconds})
+		prog.Acct.AddCommunication(sum.UplinkBytes, int64(sum.Updates)*int64(len(blob)))
 		// The recorded cohort is every dispatch that ended in the round: the
 		// scheduled cohort when the round awaited it all, fewer under a buffer.
 		ended := len(out.Reported) + out.Discarded + len(out.TimedOut) + len(out.Dropped)
-		st.hist.Records = append(st.hist.Records, core.RoundRecord{
-			Round:           round,
-			CohortSize:      ended,
-			SchedPolicy:     policy,
-			Participants:    len(out.Reported),
-			TestAccuracy:    acc,
-			MeanTrainLoss:   sum.LossSum / float64(sum.Updates),
-			CumTrainSeconds: st.acct.TrainSeconds,
-			CumUplinkBytes:  st.acct.UplinkBytes,
-		})
-		if acc > st.hist.BestAccuracy {
-			st.hist.BestAccuracy = acc
-		}
-		st.hist.FinalAccuracy = acc
+		prog.Record(core.RoundRecord{Round: round, CohortSize: ended, SchedPolicy: policy,
+			Participants: len(out.Reported), TestAccuracy: acc, MeanTrainLoss: sum.LossSum / float64(sum.Updates)})
 		log.Printf("round %d/%d: cohort %d/%d, %d reported (%d timed out, %d dropped, %d late, %d stale), test accuracy %.2f%%",
 			round, cfg.Run.Rounds, ended, len(live), len(out.Reported), len(out.TimedOut), len(out.Dropped),
 			out.LateDiscarded, out.Discarded, 100*acc)
 
-		if cfg.Run.CheckpointDir != "" {
-			// Only a buffered run carries engine state: without it the
-			// checkpoint bytes stay identical to pre-async servers.
-			var async *core.AsyncState
-			if cfg.Run.Async.Buffer > 0 {
-				async = &core.AsyncState{Version: engine.Version(), Buffer: engine.Buffered()}
+		if dir := cfg.Run.CheckpointDir; dir != "" {
+			snap, err := id.Capture(round, global, &prog)
+			if err == nil {
+				// Only a buffered run carries engine state: without it the
+				// checkpoint bytes stay identical to pre-async servers.
+				if cfg.Run.Async.Buffer > 0 {
+					snap.Async = &core.AsyncState{Version: engine.Version(), Buffer: engine.Buffered()}
+				}
+				err = core.SaveRunState(ckpt.Path(dir, round), snap)
 			}
-			if err := snapshot(cfg, round, global, st, async); err != nil {
-				return st.hist, fmt.Errorf("checkpoint round %d: %w", round, err)
+			if err != nil {
+				return prog.Hist, fmt.Errorf("checkpoint round %d: %w", round, err)
 			}
 		}
 	}
 
-	// Close the history's totals the way Runner.finishRun does.
-	hist := st.hist
-	hist.TotalTrainSeconds = st.acct.TrainSeconds
-	hist.TotalUplinkBytes = st.acct.UplinkBytes
-	hist.TotalDownlinkBytes = st.acct.DownlinkBytes
+	hist := prog.Finish()
 	if eff, err := hist.LearningEfficiency(); err == nil {
 		log.Printf("run complete: best accuracy %.2f%%, total client time %.1fs, learning efficiency %.2f %%/s",
 			100*hist.BestAccuracy, hist.TotalTrainSeconds, eff)
@@ -547,63 +547,4 @@ func logFailures(out comm.RoundOutcome) {
 	for _, id := range ids {
 		log.Printf("round %d: client %d: %v", out.Round, id, out.Failures[id])
 	}
-}
-
-// restore warm-starts the server from the newest checkpoint in Run.CheckpointDir,
-// installing the saved global model, history, accounting and scheduler
-// feedback. It returns the last completed round plus the saved engine state
-// (nil outside buffered mode), or 0 (and no changes) when the
-// directory holds no checkpoint yet. Validation is the shared core.RunState
-// rule set, so the server refuses exactly what the simulator refuses: wrong
-// seed, different configuration, a round beyond Rounds, an inconsistent
-// history, or a mismatched scheduler.
-func restore(cfg Config, global *models.Model, st *progress) (int, *core.AsyncState, error) {
-	snap, err := core.LoadLatestRunState(cfg.Run.CheckpointDir)
-	if errors.Is(err, ckpt.ErrNoCheckpoint) {
-		return 0, nil, nil
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	_, codecName, _ := cfg.codec()
-	if err := snap.ValidateFor(cfg.Run.Seed, cfg.Run.Rounds, cfg.ConfigTag(), cfg.Run.Scheduler, cfg.TaggedStrategy(), cfg.Run.TierSpec(), codecName, ""); err != nil {
-		return 0, nil, err
-	}
-	if err := snap.RestoreScheduler(cfg.Run.Scheduler); err != nil {
-		return 0, nil, err
-	}
-	if err := snap.RestoreStrategy(cfg.TaggedStrategy()); err != nil {
-		return 0, nil, err
-	}
-	if err := core.RestoreModelState(global, snap.Model); err != nil {
-		return 0, nil, err
-	}
-	st.hist, st.acct = snap.Hist, snap.Acct
-	st.tracker.Restore(snap.TrackerUtil, snap.TrackerSeconds)
-	return snap.Round, snap.Async, nil
-}
-
-// snapshot writes the post-aggregation state of one round into Run.CheckpointDir,
-// so a crashed server warm-starts from here instead of discarding the
-// federation's progress.
-func snapshot(cfg Config, round int, global *models.Model, st *progress, async *core.AsyncState) error {
-	snap := &core.RunState{
-		Seed:      cfg.Run.Seed,
-		ConfigTag: cfg.ConfigTag(),
-		Round:     round,
-		Model:     core.SnapshotModelState(global),
-		Hist:      st.hist,
-		Acct:      st.acct,
-		Async:     async,
-	}
-	snap.TrackerUtil, snap.TrackerSeconds = st.tracker.Export()
-	if err := snap.CaptureScheduler(cfg.Run.Scheduler); err != nil {
-		return err
-	}
-	snap.CaptureStrategy(cfg.TaggedStrategy())
-	snap.TierSpec = cfg.Run.TierSpec()
-	// The server never holds error-feedback residuals (they live client-side),
-	// so the codec section carries only the spec.
-	_, snap.CodecName, _ = cfg.codec()
-	return core.SaveRunState(ckpt.Path(cfg.Run.CheckpointDir, round), snap)
 }

@@ -129,12 +129,22 @@ func TestSimulatorMatchesLoopbackFederation(t *testing.T) {
 				m := sim.Records[i]
 				if s.TestAccuracy != m.TestAccuracy || s.MeanTrainLoss != m.MeanTrainLoss ||
 					s.Participants != m.Participants || s.CohortSize != m.CohortSize ||
-					s.CumUplinkBytes != m.CumUplinkBytes {
+					s.CumUplinkBytes != m.CumUplinkBytes || s.SchedPolicy != m.SchedPolicy {
 					t.Errorf("round %d: served %+v, simulated %+v", s.Round, s, m)
 				}
 				if math.Abs(s.CumTrainSeconds-m.CumTrainSeconds) > 1e-12*s.CumTrainSeconds {
 					t.Errorf("round %d: %v served train seconds, %v simulated", s.Round, s.CumTrainSeconds, m.CumTrainSeconds)
 				}
+			}
+			// Both runtimes close their history through core.Progress.
+			if served.BestAccuracy != sim.BestAccuracy || served.FinalAccuracy != sim.FinalAccuracy ||
+				served.TotalUplinkBytes != sim.TotalUplinkBytes {
+				t.Errorf("closing values: served best %v final %v uplink %d, simulated best %v final %v uplink %d",
+					served.BestAccuracy, served.FinalAccuracy, served.TotalUplinkBytes,
+					sim.BestAccuracy, sim.FinalAccuracy, sim.TotalUplinkBytes)
+			}
+			if math.Abs(served.TotalTrainSeconds-sim.TotalTrainSeconds) > 1e-12*served.TotalTrainSeconds {
+				t.Errorf("total train seconds: served %v, simulated %v", served.TotalTrainSeconds, sim.TotalTrainSeconds)
 			}
 			if diff, want := served.TotalDownlinkBytes-sim.TotalDownlinkBytes, int64(4*numClients*rounds); diff != want {
 				t.Errorf("downlink: served %d bytes, simulated %d; want the %d count-header bytes apart",
