@@ -126,7 +126,6 @@ type serverConfig struct {
 	tierDistSpec  string
 	temperature   float64
 	stalenessSpec string
-	codecSpec     string
 	cpuProfile    string
 	memProfile    string
 }
@@ -157,7 +156,7 @@ func parseFlags(args []string) (serverConfig, error) {
 	fs.IntVar(&cfg.Run.Async.Buffer, "buffer", 0, "buffered-async (FedBuff) mode: aggregate as soon as this many updates arrive instead of running synchronous rounds")
 	fs.IntVar(&cfg.Run.Async.MaxStaleness, "max-staleness", -1, "async mode: discard updates staler than this many model versions (negative keeps all; needs -buffer)")
 	fs.StringVar(&cfg.stalenessSpec, "staleness", "", "async mode: staleness discount "+strings.Join(strategy.StalenessNames(), "/")+" with optional parameters, e.g. poly:alpha=1 (default invsqrt; needs -buffer)")
-	fs.StringVar(&cfg.codecSpec, "codec", "identity", "uplink codec advertised to clients: "+strings.Join(comm.CodecNames(), ", ")+" (identity ships legacy bit-identical frames)")
+	fs.StringVar(&cfg.Run.Codec, "codec", comm.CodecIdentity, "uplink codec advertised to clients: "+strings.Join(comm.CodecNames(), ", ")+" (identity is advertised as no codec at all, so its frames are those of servers that predate codecs)")
 	fs.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&cfg.memProfile, "memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -182,16 +181,6 @@ func parseFlags(args []string) (serverConfig, error) {
 		if cfg.Run.Async.Weigher, err = strategy.ParseStaleness(cfg.stalenessSpec); err != nil {
 			return serverConfig{}, fmt.Errorf("-staleness: %w", err)
 		}
-	}
-	// The codec spec is parsed here so a typo surfaces before any client
-	// joins; identity (the default) stays empty and keeps the legacy wire
-	// paths untouched.
-	codec, err := comm.ParseCodec(cfg.codecSpec)
-	if err != nil {
-		return serverConfig{}, fmt.Errorf("-codec: %w", err)
-	}
-	if codec.Name() != comm.CodecIdentity {
-		cfg.Run.Codec = codec.Name()
 	}
 	// -tier-dist implies -tiers, and -tiers alone means defaultTierSpec.
 	if cfg.tiers && cfg.tierDistSpec == "" {

@@ -2,8 +2,8 @@
 // runs resumable: a versioned, checksummed binary section file plus atomic
 // file helpers. The container carries named opaque sections; the run-state
 // schema (which sections exist and what they hold) lives with the types that
-// own the state (internal/core), encoded through this package's Encoder and
-// Decoder primitives.
+// own the state (internal/core), each section body written and read by one
+// field list run through this package's Coder.
 //
 // File format (all integers little endian):
 //

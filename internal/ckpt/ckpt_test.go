@@ -264,8 +264,8 @@ func TestLoadLatest(t *testing.T) {
 	}
 }
 
-// TestEncoderDecoderRoundTrip covers every primitive, including exact NaN
-// and signed-zero float bit patterns.
+// TestEncoderDecoderRoundTrip covers every Coder field kind in both
+// directions, including exact NaN and signed-zero float bit patterns.
 func TestEncoderDecoderRoundTrip(t *testing.T) {
 	ts := []*tensor.Tensor{
 		tensor.MustFromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3),
@@ -273,90 +273,128 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 		tensor.MustFromSlice([]float32{-0.5}, 1, 1, 1),
 	}
 	m := map[int]float64{3: 1.5, 1: math.NaN(), 2: math.Inf(-1), -7: 0.1}
-
-	var e Encoder
-	e.PutInt(-42)
-	e.PutUint64(1 << 63)
-	e.PutFloat64(math.Copysign(0, -1))
-	e.PutFloat64(math.NaN())
-	e.PutString("héllo")
-	e.PutBytes([]byte{9, 8, 7})
-	if err := e.PutTensors(ts); err != nil {
+	type fields struct {
+		i       int
+		u       uint64
+		negZero float64
+		nan     float64
+		yes, no bool
+		s       string
+		b       []byte
+		ts      []*tensor.Tensor
+		m       map[int]float64
+	}
+	code := func(c *Coder, f *fields) {
+		c.Int(&f.i)
+		c.Uint64(&f.u)
+		c.Float64(&f.negZero)
+		c.Float64(&f.nan)
+		c.Bool(&f.yes)
+		c.Bool(&f.no)
+		c.String(&f.s)
+		c.Bytes(&f.b)
+		c.Tensors(&f.ts)
+		c.Float64Map(&f.m)
+	}
+	in := fields{i: -42, u: 1 << 63, negZero: math.Copysign(0, -1), nan: math.NaN(), yes: true,
+		s: "héllo", b: []byte{9, 8, 7}, ts: ts, m: m}
+	body, err := Encode(func(c *Coder) { code(c, &in) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	e.PutFloat64Map(m)
-
-	d := NewDecoder(e.Bytes())
-	if v := d.Int(); v != -42 {
-		t.Fatalf("Int %d", v)
+	var d fields
+	if err := Decode(body, func(c *Coder) { code(c, &d) }); err != nil {
+		t.Fatal(err)
 	}
-	if v := d.Uint64(); v != 1<<63 {
-		t.Fatalf("Uint64 %d", v)
+	if d.i != -42 {
+		t.Fatalf("Int %d", d.i)
 	}
-	if v := d.Float64(); math.Float64bits(v) != math.Float64bits(math.Copysign(0, -1)) {
-		t.Fatalf("-0.0 bits lost: %v", v)
+	if d.u != 1<<63 {
+		t.Fatalf("Uint64 %d", d.u)
 	}
-	if v := d.Float64(); !math.IsNaN(v) {
-		t.Fatalf("NaN lost: %v", v)
+	if math.Float64bits(d.negZero) != math.Float64bits(math.Copysign(0, -1)) {
+		t.Fatalf("-0.0 bits lost: %v", d.negZero)
 	}
-	if s := d.String(); s != "héllo" {
-		t.Fatalf("String %q", s)
+	if !math.IsNaN(d.nan) {
+		t.Fatalf("NaN lost: %v", d.nan)
 	}
-	if b := d.Bytes(); !bytes.Equal(b, []byte{9, 8, 7}) {
-		t.Fatalf("Bytes %v", b)
+	if !d.yes || d.no {
+		t.Fatalf("Bool %v %v", d.yes, d.no)
 	}
-	got := d.Tensors()
-	if len(got) != len(ts) {
-		t.Fatalf("got %d tensors", len(got))
+	if d.s != "héllo" {
+		t.Fatalf("String %q", d.s)
+	}
+	if !bytes.Equal(d.b, []byte{9, 8, 7}) {
+		t.Fatalf("Bytes %v", d.b)
+	}
+	if len(d.ts) != len(ts) {
+		t.Fatalf("got %d tensors", len(d.ts))
 	}
 	for i := range ts {
-		if !got[i].Equal(ts[i]) {
+		if !d.ts[i].Equal(ts[i]) {
 			t.Fatalf("tensor %d differs", i)
 		}
 	}
-	gm := d.Float64Map()
-	if len(gm) != len(m) {
-		t.Fatalf("map size %d", len(gm))
+	if len(d.m) != len(m) {
+		t.Fatalf("map size %d", len(d.m))
 	}
 	for k, v := range m {
-		if math.Float64bits(gm[k]) != math.Float64bits(v) {
-			t.Fatalf("map[%d] = %v, want %v", k, gm[k], v)
+		if math.Float64bits(d.m[k]) != math.Float64bits(v) {
+			t.Fatalf("map[%d] = %v, want %v", k, d.m[k], v)
 		}
-	}
-	if err := d.Done(); err != nil {
-		t.Fatal(err)
 	}
 }
 
-// TestDecoderCorruption: every getter on truncated input reports ErrCorrupt
+// TestDecoderCorruption: every field on truncated input reports ErrCorrupt
 // and stays sticky.
 func TestDecoderCorruption(t *testing.T) {
-	d := NewDecoder([]byte{1, 2})
-	if v := d.Uint64(); v != 0 {
-		t.Fatalf("truncated Uint64 returned %d", v)
+	var (
+		u  uint64
+		i  int
+		s  string
+		ts []*tensor.Tensor
+	)
+	err := Decode([]byte{1, 2}, func(c *Coder) {
+		c.Uint64(&u)
+		if u != 0 {
+			t.Fatalf("truncated Uint64 returned %d", u)
+		}
+		// Sticky: further reads keep returning zero values.
+		i, s, ts = 5, "x", []*tensor.Tensor{tensor.New(1)}
+		c.Int(&i)
+		c.String(&s)
+		c.Tensors(&ts)
+	})
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err %v", err)
 	}
-	if !errors.Is(d.Done(), ErrCorrupt) {
-		t.Fatalf("err %v", d.Done())
-	}
-	// Sticky: further reads keep returning zero values.
-	if d.Int() != 0 || d.String() != "" || d.Tensor() != nil {
+	if i != 0 || s != "" || ts != nil {
 		t.Fatal("decoder not sticky after error")
 	}
 
 	// Huge claimed tensor count must not allocate.
-	var e Encoder
-	e.PutUint64(1 << 60)
-	d = NewDecoder(e.Bytes())
-	d.Tensors()
-	if !errors.Is(d.Done(), ErrCorrupt) {
-		t.Fatalf("huge tensor count: %v", d.Done())
+	huge, err := Encode(func(c *Coder) { n := uint64(1 << 60); c.Uint64(&n) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Decode(huge, func(c *Coder) { c.Tensors(&ts) }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("huge tensor count: %v", err)
 	}
 
-	// Trailing bytes fail Done.
-	d = NewDecoder([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1})
-	d.Uint64()
-	if err := d.Done(); !errors.Is(err, ErrCorrupt) {
+	// Trailing bytes fail.
+	if err := Decode([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1}, func(c *Coder) { c.Uint64(&u) }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing bytes: %v", err)
+	}
+
+	// A bool is one byte, 0 or 1; anything else is corruption.
+	var b bool
+	if err := Decode([]byte{2}, func(c *Coder) { c.Bool(&b) }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("bool byte 2: %v", err)
+	}
+
+	// Encoding a nil tensor fails without a panic.
+	if _, err := Encode(func(c *Coder) { c.Tensors(&[]*tensor.Tensor{nil}) }); err == nil {
+		t.Fatal("nil tensor encoded")
 	}
 }
 
@@ -377,11 +415,11 @@ func TestTensorRoundTripProperty(t *testing.T) {
 			ts[i] = tensor.New(shape...)
 			ts[i].FillNormal(rng, 0, 3)
 		}
-		var e Encoder
-		if err := e.PutTensors(ts); err != nil {
+		body, err := Encode(func(c *Coder) { c.Tensors(&ts) })
+		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := Marshal([]Section{{Name: "model", Body: e.Bytes()}})
+		blob, err := Marshal([]Section{{Name: "model", Body: body}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,9 +427,8 @@ func TestTensorRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := NewDecoder(sections[0].Body)
-		got := d.Tensors()
-		if err := d.Done(); err != nil {
+		var got []*tensor.Tensor
+		if err := Decode(sections[0].Body, func(c *Coder) { c.Tensors(&got) }); err != nil {
 			t.Fatal(err)
 		}
 		for i := range ts {

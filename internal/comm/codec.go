@@ -63,6 +63,18 @@ type ResidualCarrier interface {
 // CodecIdentity is the canonical name of the identity codec.
 const CodecIdentity = "identity"
 
+// WireName is how c appears on the wire, in the Welcome advertisement and in
+// every ClientUpdate's echo: its canonical name, except that identity is the
+// empty string, so a session that negotiates nothing ships exactly the frames
+// that predate codecs. An aggregator also accepts identity's canonical name as
+// an echo.
+func WireName(c Codec) string {
+	if c.Name() == CodecIdentity {
+		return ""
+	}
+	return c.Name()
+}
+
 // defaultTopKFraction is the fraction of entries topk keeps when the spec
 // names no parameter.
 const defaultTopKFraction = 0.05

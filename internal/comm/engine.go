@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -445,7 +446,7 @@ type StreamAggregator struct {
 	out     []*tensor.Tensor // Finish result slice, reused across rounds
 	fb      []*tensor.Tensor // fallback copies for uncovered tensors
 
-	codec      Codec            // session uplink codec; nil is the legacy identity path
+	codec      Codec            // session uplink codec; identity until SetCodec says otherwise
 	ref        []*tensor.Tensor // broadcast state, parallel to the full layout
 	refScratch []*tensor.Tensor // covered subset of ref, rebuilt per Add without allocating
 }
@@ -464,7 +465,7 @@ type RoundSum struct {
 
 // NewStreamAggregator returns an empty whole-state aggregator with the
 // default selected-size weighting.
-func NewStreamAggregator() *StreamAggregator { return &StreamAggregator{} }
+func NewStreamAggregator() *StreamAggregator { return &StreamAggregator{codec: identityCodec{}} }
 
 // NewMaskedStreamAggregator builds an aggregator whose per-update weights
 // come from weigh (nil for the default selected-size weighting). Without a
@@ -475,7 +476,7 @@ func NewStreamAggregator() *StreamAggregator { return &StreamAggregator{} }
 // (models.GroupStateLayout).
 func NewMaskedStreamAggregator(weigh WeightFunc, groups, layout []string) (*StreamAggregator, error) {
 	if len(layout) == 0 {
-		return &StreamAggregator{weigh: weigh}, nil
+		return &StreamAggregator{weigh: weigh, codec: identityCodec{}}, nil
 	}
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("%w: masked aggregator needs groups for its layout", ErrProtocol)
@@ -503,6 +504,7 @@ func NewMaskedStreamAggregator(weigh WeightFunc, groups, layout []string) (*Stre
 	}
 	return &StreamAggregator{
 		weigh:   weigh,
+		codec:   identityCodec{},
 		gIndex:  gIndex,
 		tgroup:  tgroup,
 		acc:     make([]*tensor.Tensor, len(layout)),
@@ -512,20 +514,19 @@ func NewMaskedStreamAggregator(weigh WeightFunc, groups, layout []string) (*Stre
 }
 
 // SetCodec installs the session's negotiated uplink codec and the round's
-// broadcast state. A nil codec is the legacy identity path, byte-for-byte
-// unchanged; an update whose codec echo disagrees with the session codec is
-// rejected before its bytes are touched. ref, tensor-parallel to the full
-// layout, serves three purposes at once: delta codecs decode each update
-// against the covered subset of it (the exact reference the client encoded
-// against), every update — the first included — is validated against its
-// tensor count and shapes before any sum is touched, and tensors no update
-// covered fall back to it in Finish. A nil ref keeps the reference-free
-// mode, where the first folded update defines count and shapes. Call before
-// the round's first Add; the ref tensors may be live views into the server's
-// model, which is safe because every consumer applies the aggregate only
-// after Finish.
+// broadcast state; a nil codec is identity. An update whose codec echo
+// disagrees with the session codec is rejected before its bytes are touched.
+// ref, tensor-parallel to the full layout, serves three purposes at once:
+// delta codecs decode each update against the covered subset of it (the
+// exact reference the client encoded against), every update — the first
+// included — is validated against its tensor count and shapes before any
+// sum is touched, and tensors no update covered fall back to it in Finish.
+// A nil ref keeps the reference-free mode, where the first folded update
+// defines count and shapes. Call before the round's first Add; the ref
+// tensors may be live views into the server's model, which is safe because
+// every consumer applies the aggregate only after Finish.
 func (a *StreamAggregator) SetCodec(c Codec, ref []*tensor.Tensor) {
-	a.codec, a.ref = c, ref
+	a.codec, a.ref = cmp.Or[Codec](c, identityCodec{}), ref
 }
 
 // setCovered records which tensors the update being folded covers. An empty
@@ -590,16 +591,10 @@ func (a *StreamAggregator) Add(u ClientUpdate) error {
 	if err := a.setCovered(u.ClientID, u.Groups); err != nil {
 		return err
 	}
-	if err := checkCodecEcho(a.codec, u.Codec, u.ClientID); err != nil {
-		return err
+	if u.Codec != WireName(a.codec) && u.Codec != a.codec.Name() {
+		return fmt.Errorf("%w: client %d sent codec %q, session runs %q", ErrProtocol, u.ClientID, u.Codec, a.codec.Name())
 	}
-	var ts []*tensor.Tensor
-	var err error
-	if a.codec != nil {
-		ts, err = a.codec.Decode(a.coveredRef(), a.scratch, u.State)
-	} else {
-		ts, err = DecodeTensorsReuse(a.scratch, u.State)
-	}
+	ts, err := a.codec.Decode(a.coveredRef(), a.scratch, u.State)
 	if err != nil {
 		return fmt.Errorf("comm: aggregate client %d: %w", u.ClientID, err)
 	}
@@ -728,25 +723,6 @@ func (a *StreamAggregator) coveredRef() []*tensor.Tensor {
 	}
 	a.refScratch = rs
 	return rs
-}
-
-// checkCodecEcho rejects an update whose codec echo disagrees with the
-// session codec, before any payload byte is interpreted. Empty echoes and
-// a nil session codec both mean identity, so pre-codec peers and codec-
-// aware ones running identity validate interchangeably.
-func checkCodecEcho(codec Codec, echo string, clientID int) error {
-	want := CodecIdentity
-	if codec != nil {
-		want = codec.Name()
-	}
-	got := echo
-	if got == "" {
-		got = CodecIdentity
-	}
-	if got != want {
-		return fmt.Errorf("%w: client %d sent codec %q, session runs %q", ErrProtocol, clientID, got, want)
-	}
-	return nil
 }
 
 // Updates returns how many updates have been folded so far.

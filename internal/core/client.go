@@ -64,10 +64,7 @@ type LocalOutcome struct {
 type clientResult struct {
 	clientID int
 	state    []*tensor.Tensor
-	// cover maps every communicated tensor to its index in state, -1 where
-	// the client's layer mask excludes it; nil when state is the whole
-	// communicated state. uplink is the update's size on the wire.
-	cover       []int
+	// uplink is the update's size on the wire.
 	uplink      int64
 	numSelected int
 	localSize   int

@@ -40,10 +40,9 @@ func (r *Runner) codecFor(clientID int) (comm.Codec, error) {
 // the flight's own decode tensors) and its uplink size with the encoded
 // payload's. An empty Config.Codec keeps the lossless path bit-identical to
 // runs predating codecs; "identity" runs the (lossless) round trip and
-// charges honest wire bytes. The reference is the live broadcast state
-// (commState) — the values the client trained from, because nothing is
-// aggregated during a dispatch — filtered to the update's covered tensors
-// when it is masked, exactly the subset the client encoded against. The
+// charges honest wire bytes. The reference is the flight's ref: the live
+// broadcast tensors of the groups the update ships — the values the client
+// trained from, because nothing is aggregated during a dispatch. The
 // stochastic-rounding seed derives from (run seed, round, client ID), the
 // same derivation fedclient uses, so simulated and distributed runs quantize
 // identically.
@@ -56,16 +55,12 @@ func (r *Runner) codecRoundTrip(fl *flight, round int) error {
 	if err != nil {
 		return err
 	}
-	ref := r.commState
-	if res.cover != nil {
-		ref = r.coveredState(res.cover)
-	}
-	blob, err := c.Encode(ref, res.state, comm.CodecSeed(uint64(r.cfg.Seed), round, res.clientID))
+	blob, err := c.Encode(fl.ref, res.state, comm.CodecSeed(uint64(r.cfg.Seed), round, res.clientID))
 	if err != nil {
 		return fmt.Errorf("core: round %d: encoding client %d under %s: %w",
 			round, res.clientID, c.Name(), err)
 	}
-	out, err := c.Decode(ref, fl.decBuf, blob)
+	out, err := c.Decode(fl.ref, fl.decBuf, blob)
 	if err != nil {
 		return fmt.Errorf("core: round %d: decoding client %d under %s: %w",
 			round, res.clientID, c.Name(), err)
@@ -73,23 +68,6 @@ func (r *Runner) codecRoundTrip(fl *flight, round int) error {
 	fl.decBuf = out[:cap(out)]
 	res.state, res.uplink = out, int64(len(blob))
 	return nil
-}
-
-// coveredState filters the live broadcast tensors down to the ones an
-// update's cover map ships, in shipped order — the masked codec
-// reference. The slice is runner scratch, valid until the next call.
-func (r *Runner) coveredState(cover []int) []*tensor.Tensor {
-	if cap(r.codecRefScratch) < len(r.commState) {
-		r.codecRefScratch = make([]*tensor.Tensor, 0, len(r.commState))
-	}
-	ref := r.codecRefScratch[:0]
-	for ti, ci := range cover {
-		if ci >= 0 {
-			ref = append(ref, r.commState[ti])
-		}
-	}
-	r.codecRefScratch = ref
-	return ref
 }
 
 // codecResiduals exports every client's carried error-feedback residuals

@@ -76,8 +76,10 @@ type flight struct {
 	// version is the model version the client trained against.
 	version int
 	// mask is the layer mask the client trains under; nil trains the whole
-	// communicated state.
+	// communicated state. ref holds the live broadcast tensors of the groups
+	// it ships, which its codec encodes against.
 	mask             []string
+	ref              []*tensor.Tensor
 	stateBuf, decBuf []*tensor.Tensor
 	err              error
 }

@@ -168,10 +168,8 @@ type Runner struct {
 
 	// Uplink-codec wire simulation (cfg.Codec non-empty; see codec.go).
 	// codecs holds one codec instance per client ID so topk's error-feedback
-	// residuals stay per-client; codecRefScratch is the reused masked
-	// reference subset.
-	codecs          map[int]comm.Codec
-	codecRefScratch []*tensor.Tensor
+	// residuals stay per-client.
+	codecs map[int]comm.Codec
 
 	// prog lives on the runner (not in Run) so that a checkpoint taken
 	// mid-run captures it and a restored runner continues it. Its tracker
@@ -217,7 +215,7 @@ func (r *Runner) prepareRun() error {
 		// legacy re-run semantics) instead of appending duplicate rounds.
 		r.restored = false
 	} else {
-		r.prog.Hist, r.prog.Acct = History{}, simtime.Accountant{}
+		r.prog = Progress{Tracker: sched.NewTracker()}
 		r.startRound, r.doneRound = 0, 0
 	}
 	r.evalSet = nil
@@ -290,19 +288,19 @@ func (r *Runner) schedName() string {
 }
 
 // tierMask is one tier's partial-training mask, resolved once per run: the
-// layer groups it trains, per communicated tensor the index into the masked
-// state a client ships (-1 outside the mask), and that state's wire size.
+// layer groups it trains, their live tensors in the global model — the
+// broadcast values a client of the tier encodes its update against, as
+// federation.Client does — and the wire size of the state it ships.
 type tierMask struct {
 	groups []string
-	cover  []int
+	ref    []*tensor.Tensor
 	uplink int64
 }
 
 // setupTiers resolves the run's partial-training state: the per-pool-position
-// tier assignment, each tier's mask (TierMask's groups and their cover of the
-// communicated state), and the tensor→group layout the per-layer aggregation
-// filters by. Untiered runs clear everything: every update then covers every
-// communicated tensor.
+// tier assignment, each tier's mask (TierMask's groups and their tensors), and
+// the tensor→group layout the per-layer aggregation filters by. Untiered runs
+// clear everything: every update then covers every communicated tensor.
 // Called once per Run, after the finetune part is applied.
 func (r *Runner) setupTiers() error {
 	r.tiers, r.tierMasks, r.commLayout = nil, nil, nil
@@ -321,15 +319,13 @@ func (r *Runner) setupTiers() error {
 		if err != nil {
 			return err
 		}
-		tm := tierMask{groups: groups, cover: make([]int, len(layout))}
-		ci := 0
-		for ti, g := range layout {
-			tm.cover[ti] = -1
-			if slices.Contains(groups, g) {
-				tm.cover[ti] = ci
-				ci++
-				tm.uplink += int64(r.commState[ti].EncodedSize())
-			}
+		ref, err := r.global.GroupStateTensors(groups)
+		if err != nil {
+			return err
+		}
+		tm := tierMask{groups: groups, ref: ref}
+		for _, t := range ref {
+			tm.uplink += int64(t.EncodedSize())
 		}
 		r.tierMasks[tier] = tm
 	}
@@ -374,14 +370,14 @@ func intersectGroups(want, have []string) []string {
 }
 
 // resolveMask settles, before a participant trains, what its update will
-// carry: its tier's layer mask, the cover map of that mask and its uplink
-// size. On untiered runs there is no mask: the client trains and ships the
-// whole communicated state (nil cover).
+// carry: its tier's layer mask, the broadcast tensors of that mask and its
+// uplink size. On untiered runs there is no mask: the client trains and ships
+// the whole communicated state.
 func (r *Runner) resolveMask(fl *flight, pos int) {
-	fl.mask, fl.res.cover, fl.res.uplink = nil, nil, r.stateSize
+	fl.mask, fl.ref, fl.res.uplink = nil, r.commState, r.stateSize
 	if r.tiers != nil {
 		tm := r.tierMasks[r.tiers[pos]]
-		fl.mask, fl.res.cover, fl.res.uplink = tm.groups, tm.cover, tm.uplink
+		fl.mask, fl.ref, fl.res.uplink = tm.groups, tm.ref, tm.uplink
 	}
 }
 
@@ -506,7 +502,7 @@ func (r *Runner) trainFlights(participants []*Client, positions []int, flights [
 // trainClient runs one participant's local round on the worker's pooled
 // replica, rebound to the client (or, under the reuseReplicas test hook, on a
 // fresh one-shot replica — the same loop either way). The outcome fills the
-// flight; the cover and wire size resolved at admission stay.
+// flight; the wire size resolved at admission stays.
 func (r *Runner) trainClient(rep *replica, cl *Client, round int, fl *flight) error {
 	var err error
 	if reuseReplicas {
@@ -518,7 +514,7 @@ func (r *Runner) trainClient(rep *replica, cl *Client, round int, fl *flight) er
 		return fmt.Errorf("core: client %d: %w", cl.ID, err)
 	}
 	res, err := rep.train(r.cfg, cl, round, &fl.stateBuf)
-	res.cover, res.uplink = fl.res.cover, fl.res.uplink
+	res.uplink = fl.res.uplink
 	fl.res = res
 	return err
 }

@@ -125,17 +125,7 @@ func TestEntropyUtilityFeedbackLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Rounds:         4,
-		LocalEpochs:    1,
-		LR:             0.1,
-		Selector:       selection.Entropy{Temperature: 0.1},
-		SelectFraction: 0.5,
-		Scheduler:      sched.EntropyUtility{Epsilon: 0.25},
-		CohortSize:     3,
-		Seed:           21,
-	}
-	runner, err := NewRunner(cfg, m, clients, test)
+	runner, err := NewRunner(entropyFeedbackConfig(), m, clients, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,4 +150,60 @@ func TestEntropyUtilityFeedbackLoop(t *testing.T) {
 	if scored < 3 {
 		t.Fatalf("only %d clients ever reported utility, want >= one full cohort", scored)
 	}
+}
+
+// entropyFeedbackConfig is a federation whose cohort scheduler reads the
+// utility its clients report.
+func entropyFeedbackConfig() Config {
+	return Config{
+		Rounds:         4,
+		LocalEpochs:    1,
+		LR:             0.1,
+		Selector:       selection.Entropy{Temperature: 0.1},
+		SelectFraction: 0.5,
+		Scheduler:      sched.EntropyUtility{Epsilon: 0.25},
+		CohortSize:     3,
+		Seed:           21,
+	}
+}
+
+// TestRerunStartsFresh: a second Run on one runner starts fresh, the
+// scheduler's utility feedback included, so on TestEntropyUtilityFeedbackLoop's
+// config it equals a fresh runner built over the weights the first run ended
+// at.
+func TestRerunStartsFresh(t *testing.T) {
+	clients, _, test, spec := testFederation(t, 6, 0.5)
+	m, err := models.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := entropyFeedbackConfig()
+	cfg.EvalEvery = 1
+	runner, err := NewRunner(cfg, m, clients, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runner.Run(); err != nil {
+		t.Fatal(err)
+	}
+	twin, err := m.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewRunner(cfg, twin, clients, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runner.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !histEqual(got, want) {
+		t.Fatalf("rerun history differs from a fresh runner's:\n got %+v\nwant %+v", got, want)
+	}
+	requireSameState(t, m, twin)
 }

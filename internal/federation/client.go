@@ -10,7 +10,6 @@ import (
 	"fedfteds/internal/models"
 	"fedfteds/internal/selection"
 	"fedfteds/internal/strategy"
-	"fedfteds/internal/tensor"
 )
 
 // ClientConfig is one participant: its identity and the world it rebuilds.
@@ -31,7 +30,7 @@ type Client struct {
 	sess  *comm.ClientSession
 	model *models.Model
 	data  *core.Client
-	codec comm.Codec // negotiated uplink codec; nil is identity (legacy frames)
+	codec comm.Codec // negotiated uplink codec
 }
 
 // Join registers a participant with the server (or relay) behind conn.
@@ -50,7 +49,7 @@ func Join(conn comm.Conn, cfg ClientConfig, model *models.Model, me *core.Client
 	}
 	log.Printf("client %d: %d local samples, joined federation of %d for %d rounds (codec %s)",
 		cfg.ID, me.Data.Len(), welcome.NumClients, welcome.Rounds, codec.Name())
-	return &Client{cfg: cfg, sess: sess, model: model, data: me, codec: wireCodec(codec)}, nil
+	return &Client{cfg: cfg, sess: sess, model: model, data: me, codec: codec}, nil
 }
 
 // Run answers every round the server starts until it shuts the session
@@ -169,7 +168,7 @@ func (c *Client) round(rs comm.RoundStart) (comm.ClientUpdate, error) {
 			return comm.ClientUpdate{}, err
 		}
 	}
-	blob, codecEcho, err := encodeState(c.codec, ref, out.State, comm.CodecSeed(uint64(c.cfg.Seed), rs.Round, c.cfg.ID))
+	blob, err := c.codec.Encode(ref, out.State, comm.CodecSeed(uint64(c.cfg.Seed), rs.Round, c.cfg.ID))
 	if err != nil {
 		return comm.ClientUpdate{}, err
 	}
@@ -180,33 +179,11 @@ func (c *Client) round(rs comm.RoundStart) (comm.ClientUpdate, error) {
 		// staleness from its own record of it, not from the echo.
 		Version:      rs.Version,
 		State:        blob,
-		Codec:        codecEcho,
+		Codec:        comm.WireName(c.codec),
 		Groups:       mask,
 		NumSelected:  out.NumSelected,
 		TrainSeconds: out.Cost.Total(),
 		TrainLoss:    out.TrainLoss,
 		MeanEntropy:  out.MeanEntropy,
 	}, nil
-}
-
-// wireCodec is a negotiated codec as the encode and decode paths take it:
-// identity is nil, so its updates keep the legacy frames, byte for byte.
-func wireCodec(c comm.Codec) comm.Codec {
-	if c.Name() == comm.CodecIdentity {
-		return nil
-	}
-	return c
-}
-
-// encodeState encodes a trained state for the uplink and returns it with the
-// codec echo its update carries: a nil codec writes the legacy tensor blob
-// with no echo, anything else encodes against ref — the broadcast values the
-// receiver decodes against — under seed.
-func encodeState(codec comm.Codec, ref, state []*tensor.Tensor, seed uint64) ([]byte, string, error) {
-	if codec == nil {
-		blob, err := comm.EncodeTensors(state)
-		return blob, "", err
-	}
-	blob, err := codec.Encode(ref, state, seed)
-	return blob, codec.Name(), err
 }

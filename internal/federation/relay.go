@@ -26,7 +26,7 @@ type RelayConfig struct {
 	// same knobs fedserver exposes for a flat federation.
 	Engine comm.EngineConfig
 	// LeafCodec is the uplink codec advertised to this region's leaves
-	// (comm.ParseCodec spec; empty or "identity" keeps legacy frames). It is
+	// (comm.ParseCodec spec; empty means identity). It is
 	// independent of the upstream codec, which the relay adopts from the
 	// root's Welcome: a relay can decode int8 leaf updates and forward the
 	// folded region under topk, or vice versa — each hop re-encodes.
@@ -79,7 +79,7 @@ func Relay(root comm.Conn, leafListener comm.Listener, cfg RelayConfig) error {
 	}
 	// Validate parsed the spec already; decoding is stateless, so one
 	// instance serves every leaf and every round.
-	leafPick, _ := comm.ParseCodec(cfg.LeafCodec)
+	leafCodec, _ := comm.ParseCodec(cfg.LeafCodec)
 	shutdown := func(reason string) {
 		if err := sess.Shutdown(reason); err != nil {
 			log.Printf("relay %d: leaf shutdown: %v", cfg.RelayID, err)
@@ -99,7 +99,7 @@ func Relay(root comm.Conn, leafListener comm.Listener, cfg RelayConfig) error {
 	// so the leaf and upstream hops compress independently. The instance
 	// lives for the whole session — topk carries the region's error-feedback
 	// residual across rounds, exactly like a client's.
-	upPick, err := comm.PickCodec(welcome.Codecs, "auto")
+	upCodec, err := comm.PickCodec(welcome.Codecs, "auto")
 	if err != nil {
 		shutdown("relay/root codec mismatch")
 		return fmt.Errorf("relay %d: %w", cfg.RelayID, err)
@@ -115,8 +115,7 @@ func Relay(root comm.Conn, leafListener comm.Listener, cfg RelayConfig) error {
 		return err
 	}
 	log.Printf("relay %d: region ready, %d leaves (size %d), root planned %d rounds, codecs leaf=%s up=%s",
-		cfg.RelayID, cfg.Leaves, size, welcome.Rounds, leafPick.Name(), upPick.Name())
-	leafCodec, upCodec := wireCodec(leafPick), wireCodec(upPick)
+		cfg.RelayID, cfg.Leaves, size, welcome.Rounds, leafCodec.Name(), upCodec.Name())
 	// One region aggregator and one broadcast decode buffer serve the run:
 	// the aggregator is built over the first round's Groups and Layout, which
 	// every later round must repeat.
@@ -168,7 +167,7 @@ func Relay(root comm.Conn, leafListener comm.Listener, cfg RelayConfig) error {
 // covered fall back to bcast, so the update always covers the whole
 // broadcast. bcast, the round's decoded broadcast, is also the codec
 // reference on both hops: leafCodec decodes leaf payloads, upCodec
-// re-encodes the folded state (nil keeps a hop on legacy lossless frames).
+// re-encodes the folded state.
 func relayRound(engine *comm.RoundEngine, agg *comm.StreamAggregator, bcast []*tensor.Tensor, relayID int, rs comm.RoundStart, leafCodec, upCodec comm.Codec) (comm.ClientUpdate, comm.RoundOutcome, error) {
 	agg.SetCodec(leafCodec, bcast)
 	out, err := engine.RunRound(rs, agg.Add)
@@ -183,7 +182,7 @@ func relayRound(engine *comm.RoundEngine, agg *comm.StreamAggregator, bcast []*t
 	// The upstream seed derives from (round, relay ID) alone — the relay has
 	// no federation seed flag, and the root never re-derives these bits, so
 	// determinism across relay restarts is all that matters.
-	blob, codecEcho, err := encodeState(upCodec, bcast, fused, comm.CodecSeed(0, rs.Round, relayID))
+	blob, err := upCodec.Encode(bcast, fused, comm.CodecSeed(0, rs.Round, relayID))
 	if err != nil {
 		return comm.ClientUpdate{}, out, err
 	}
@@ -198,7 +197,7 @@ func relayRound(engine *comm.RoundEngine, agg *comm.StreamAggregator, bcast []*t
 		Round:        rs.Round,
 		Version:      rs.Version,
 		State:        blob,
-		Codec:        codecEcho,
+		Codec:        comm.WireName(upCodec),
 		NumSelected:  sum.NumSelected,
 		TrainSeconds: sum.TrainSeconds,
 		TrainLoss:    sum.WeightedLoss / float64(sum.NumSelected),

@@ -63,7 +63,7 @@ func (c Config) Validate() error {
 	if run.CohortSize > 0 {
 		roundSize = run.CohortSize
 	}
-	codec, _, err := c.codec()
+	codec, err := comm.ParseCodec(run.Codec)
 	switch {
 	case c.NumClients <= 0:
 		return fmt.Errorf("-clients %d must be positive", c.NumClients)
@@ -111,7 +111,7 @@ func (c Config) Validate() error {
 	case c.Quorum != 1:
 		return fmt.Errorf("-quorum %v gates synchronous rounds and -buffer %d is the async aggregation trigger: "+
 			"the two admission rules are mutually exclusive; drop -quorum or -buffer", c.Quorum, run.Async.Buffer)
-	case codec != nil && codec.NeedsReference():
+	case codec.NeedsReference():
 		return fmt.Errorf("-codec %s cannot combine with -buffer: the codec decodes against "+
 			"the round's broadcast reference, which buffered-async clients no longer share; use float16", codec.Name())
 	}
@@ -144,17 +144,6 @@ func (c Config) TaggedStrategy() strategy.Strategy {
 		return nil
 	}
 	return c.Run.Strategy
-}
-
-// codec parses Run.Codec into the instance Serve decodes with and the
-// canonical name sessions advertise and checkpoints record; both are empty
-// for identity, whose frames stay the legacy ones.
-func (c Config) codec() (comm.Codec, string, error) {
-	codec, err := comm.ParseCodec(c.Run.Codec)
-	if err != nil || codec.Name() == comm.CodecIdentity {
-		return nil, "", err
-	}
-	return codec, codec.Name(), nil
 }
 
 // recipe returns what every RoundStart of the run tells a client to train
@@ -231,9 +220,10 @@ func (c Config) ConfigTag() uint64 {
 		}
 	}
 	// A lossy codec changes every update that enters the aggregate; identity
-	// contributes nothing, so pre-codec checkpoints stay resumable.
-	if _, name, _ := c.codec(); name != "" {
-		parts = append(parts, "codec:"+name)
+	// contributes nothing (its wire name is empty), so pre-codec checkpoints
+	// stay resumable.
+	if codec, err := comm.ParseCodec(c.Run.Codec); err == nil && comm.WireName(codec) != "" {
+		parts = append(parts, "codec:"+codec.Name())
 	}
 	// So does a client recipe that departs from DefaultRecipe; the local
 	// hook is already in the strategy's fingerprint.
@@ -284,10 +274,13 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	if err != nil {
 		return prog.Hist, err
 	}
-	codec, codecName, err := cfg.codec()
+	codec, err := comm.ParseCodec(cfg.Run.Codec)
 	if err != nil {
 		return prog.Hist, err
 	}
+	// The codec is advertised and recorded by its wire name: nothing for
+	// identity, as on servers that predate codecs.
+	codecName := comm.WireName(codec)
 	// Groups that never train are never communicated.
 	if err := global.SetFinetunePart(part); err != nil {
 		return prog.Hist, err
@@ -339,7 +332,7 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 		}
 	}()
 	log.Printf("federation ready: clients %v, strategy %s, codec %s",
-		sess.ClientIDs(), cfg.Run.Strategy.Fingerprint(), cmp.Or(codecName, comm.CodecIdentity))
+		sess.ClientIDs(), cfg.Run.Strategy.Fingerprint(), codec.Name())
 
 	// One engine runs every mode: cohort, quorum, deadline and buffer are its
 	// answers to which of a round's dispatches get folded. restored, from a

@@ -27,6 +27,7 @@ import (
 
 	"fedfteds/internal/core"
 	"fedfteds/internal/data"
+	"fedfteds/internal/partition"
 	"fedfteds/internal/seeds"
 	"fedfteds/internal/simtime"
 	"fedfteds/internal/tensor"
@@ -179,6 +180,9 @@ func New(spec Spec) (*Fleet, error) {
 			f.sizes[id] = int32(size)
 			f.flops[id] = rate
 			row := f.sketch[id*f.dim : (id+1)*f.dim]
+			// The product is an explicit conversion, as in
+			// partition.GammaSample, so no target fuses it into the
+			// subtraction.
 			var h float64
 			for c, p := range props {
 				row[c] = float32(p)
@@ -223,7 +227,7 @@ func (f *Fleet) drawPrefix(rng *rand.Rand, props []float64) (size int, flopsRate
 func dirichlet(rng *rand.Rand, alpha float64, props []float64) {
 	var sum float64
 	for i := range props {
-		g := gammaDraw(rng, alpha)
+		g := partition.GammaSample(alpha, rng)
 		props[i] = g
 		sum += g
 	}
@@ -237,35 +241,6 @@ func dirichlet(rng *rand.Rand, alpha float64, props []float64) {
 	}
 	for i := range props {
 		props[i] /= sum
-	}
-}
-
-// gammaDraw samples Gamma(a, 1) with the Marsaglia–Tsang method; shapes below
-// 1 use the boosting identity Gamma(a) = Gamma(a+1) · U^(1/a). Every product
-// that feeds an addition or a subtraction is an explicit conversion, here and
-// in New's entropy, so that no target fuses them into one rounding and the
-// sketches do not depend on the host.
-func gammaDraw(rng *rand.Rand, a float64) float64 {
-	if a < 1 {
-		u := rng.Float64()
-		return gammaDraw(rng, a+1) * math.Pow(u, 1/a)
-	}
-	d := a - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := rng.NormFloat64()
-		v := 1 + float64(c*x)
-		if v <= 0 {
-			continue
-		}
-		v = float64(v * v * v)
-		u := rng.Float64()
-		if u < 1-float64(0.0331*x*x*x*x) {
-			return d * v
-		}
-		if math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
-			return d * v
-		}
 	}
 }
 

@@ -98,7 +98,7 @@ func dirichletDraw(k int, alpha float64, rng *rand.Rand) []float64 {
 	out := make([]float64, k)
 	var sum float64
 	for i := range out {
-		g := gammaSample(alpha, rng)
+		g := GammaSample(alpha, rng)
 		out[i] = g
 		sum += g
 	}
@@ -114,30 +114,34 @@ func dirichletDraw(k int, alpha float64, rng *rand.Rand) []float64 {
 	return out
 }
 
-// gammaSample draws from Gamma(shape, 1) with the Marsaglia–Tsang method,
-// boosting shape < 1 via the standard power transform.
-func gammaSample(shape float64, rng *rand.Rand) float64 {
+// GammaSample draws from Gamma(shape, 1) with the Marsaglia–Tsang method;
+// shapes below 1 use the boosting identity Gamma(a) = Gamma(a+1) · U^(1/a).
+// It is the one Gamma draw of the repository: the Dirichlet splits here and
+// the virtual fleet's per-client class mixes both call it. Every product that
+// feeds an addition or a subtraction is an explicit conversion, so that no
+// target fuses it into one rounding and the draws do not depend on the host.
+func GammaSample(shape float64, rng *rand.Rand) float64 {
 	if shape < 1 {
 		u := rng.Float64()
 		for u == 0 {
 			u = rng.Float64()
 		}
-		return gammaSample(shape+1, rng) * math.Pow(u, 1/shape)
+		return GammaSample(shape+1, rng) * math.Pow(u, 1/shape)
 	}
 	d := shape - 1.0/3.0
-	c := 1.0 / math.Sqrt(9*d)
+	c := 1 / math.Sqrt(9*d)
 	for {
 		x := rng.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}

@@ -144,7 +144,7 @@ func TestGammaSampleMoments(t *testing.T) {
 		n := 20000
 		var sum, sq float64
 		for i := 0; i < n; i++ {
-			g := gammaSample(shape, rng)
+			g := GammaSample(shape, rng)
 			if g < 0 {
 				t.Fatalf("negative gamma sample %v at shape %v", g, shape)
 			}

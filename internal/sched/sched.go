@@ -13,13 +13,16 @@
 package sched
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
+
+	"fedfteds/internal/ckpt"
 )
 
 // ErrSched reports an invalid scheduling configuration.
@@ -662,50 +665,37 @@ func (a *Availability) Name() string {
 // ascending client-ID order (u64 count, then per client an i64 ID and one
 // status byte), so identical churn state always yields identical bytes.
 func (a *Availability) SnapshotState() ([]byte, error) {
-	ids := make([]int, 0, len(a.up))
-	for id := range a.up {
-		ids = append(ids, id)
+	ids := slices.Sorted(maps.Keys(a.up))
+	states := make([]clientUp, len(ids))
+	for i, id := range ids {
+		states[i] = clientUp{id, a.up[id]}
 	}
-	sort.Ints(ids)
-	buf := make([]byte, 0, 8+9*len(ids))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(ids)))
-	for _, id := range ids {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(id)))
-		var b byte
-		if a.up[id] {
-			b = 1
-		}
-		buf = append(buf, b)
-	}
-	return buf, nil
+	return ckpt.Encode(func(c *ckpt.Coder) { ckpt.List(c, &states, codeClientUp) })
 }
 
-// RestoreState implements Stateful, reversing SnapshotState.
+// RestoreState implements Stateful, reversing SnapshotState. A corrupt blob
+// leaves the churn state untouched.
 func (a *Availability) RestoreState(state []byte) error {
-	if len(state) < 8 {
-		return fmt.Errorf("%w: availability state truncated (%d bytes)", ErrSched, len(state))
+	var states []clientUp
+	if err := ckpt.Decode(state, func(c *ckpt.Coder) { ckpt.List(c, &states, codeClientUp) }); err != nil {
+		return fmt.Errorf("%w: availability state: %w", ErrSched, err)
 	}
-	n := binary.LittleEndian.Uint64(state)
-	rest := state[8:]
-	// The division guard comes first: checking 9*n alone would let a count
-	// near 2^64 overflow back into range and panic the decode loop below.
-	if n > uint64(len(rest))/9 || uint64(len(rest)) != 9*n {
-		return fmt.Errorf("%w: availability state claims %d clients in %d bytes", ErrSched, n, len(rest))
+	a.up = make(map[int]bool, len(states))
+	for _, s := range states {
+		a.up[s.id] = s.up
 	}
-	up := make(map[int]bool, n)
-	for i := uint64(0); i < n; i++ {
-		id := int(int64(binary.LittleEndian.Uint64(rest[9*i:])))
-		switch rest[9*i+8] {
-		case 0:
-			up[id] = false
-		case 1:
-			up[id] = true
-		default:
-			return fmt.Errorf("%w: availability state has invalid status byte %d", ErrSched, rest[9*i+8])
-		}
-	}
-	a.up = up
 	return nil
+}
+
+// clientUp is one client's churn state, as SnapshotState lays it out.
+type clientUp struct {
+	id int
+	up bool
+}
+
+func codeClientUp(c *ckpt.Coder, s *clientUp) {
+	c.Int(&s.id)
+	c.Bool(&s.up)
 }
 
 // inner returns the wrapped policy, defaulting to UniformRandom.
