@@ -119,7 +119,7 @@ func ParseCodec(spec string) (Codec, error) {
 			}
 			frac = f
 		}
-		return &topKCodec{frac: frac}, nil
+		return &topKCodec{frac: frac, name: fmt.Sprintf("topk:%g", frac)}, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown codec %q (known: %s)",
 			ErrProtocol, spec, strings.Join(CodecNames(), ", "))

@@ -25,12 +25,13 @@ import (
 // update's reference version is gone by the time it folds.
 type topKCodec struct {
 	frac float64
+	name string           // canonical spec, "topk:<frac>", formatted once at ParseCodec
 	res  []*tensor.Tensor // error-feedback residuals, parallel to ts
 	idx  []int32          // selection scratch, reused across tensors
 	d    []float32        // dense delta scratch, reused across tensors
 }
 
-func (c *topKCodec) Name() string         { return fmt.Sprintf("topk:%g", c.frac) }
+func (c *topKCodec) Name() string         { return c.name }
 func (c *topKCodec) NeedsReference() bool { return true }
 
 // ResidualState returns the carried error-feedback residuals (nil before

@@ -92,7 +92,7 @@ func LocalUpdate(cfg Config, global *models.Model, cl *Client, round int, mask .
 	if err != nil {
 		return LocalOutcome{}, fmt.Errorf("core: client %d: %w", cl.ID, err)
 	}
-	res, err := rep.train(cfg, cl, round, nil)
+	res, err := rep.train(cfg, cl, cl.Data, 0, round, nil)
 	if err != nil {
 		return LocalOutcome{}, err
 	}

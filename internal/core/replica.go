@@ -204,47 +204,62 @@ type features struct {
 	ds    data.Dataset
 }
 
-// of returns ds as group p of m sees it — ds.X through m's groups [0, p), the
-// labels untouched. With no frozen prefix that is ds itself and nothing is
-// copied. The result is valid until the next call.
-func (f *features) of(m *models.Model, p int, ds *data.Dataset) (*data.Dataset, error) {
-	if p == 0 || ds.Len() == 0 {
+// of returns ds — the input of m's group from — as group to sees it: ds.X
+// through m's groups [from, to), the labels untouched. With no group to run
+// that is ds itself and nothing is copied. The result is valid until the
+// next call.
+func (f *features) of(m *models.Model, from, to int, ds *data.Dataset) (*data.Dataset, error) {
+	if from == to || ds.Len() == 0 {
 		return ds, nil
 	}
+	x, err := f.pass(f.ds.X, m, from, to, ds)
+	if err != nil {
+		return nil, err
+	}
+	f.ds.X, f.ds.Y, f.ds.NumClasses = x, ds.Y, ds.NumClasses
+	return &f.ds, nil
+}
+
+// pass runs the rows of a non-empty ds.X through m's groups [from, to),
+// featureBatch rows at a time, into dst — reshaped by tensor.Ensure, so a nil
+// dst is allocated — and returns it.
+func (f *features) pass(dst *tensor.Tensor, m *models.Model, from, to int, ds *data.Dataset) (*tensor.Tensor, error) {
 	if err := f.iter.Bind(ds, nil, featureBatch); err != nil {
 		return nil, err
 	}
 	f.iter.Reset(nil)
+	view := m.From(from)
 	for done := 0; ; {
 		b, ok := f.iter.Next()
 		if !ok {
-			break
+			return dst, nil
 		}
 		// Layer outputs are workspaces: copy each batch out before the next.
-		out := m.ForwardPrefix(b.X, p)
+		out := view.ForwardPrefix(b.X, to)
 		if done == 0 {
 			f.shape = append(f.shape[:0], ds.Len())
 			for d := 1; d < out.Rank(); d++ {
 				f.shape = append(f.shape, out.Dim(d))
 			}
-			f.ds.X = tensor.Ensure(f.ds.X, f.shape...)
+			dst = tensor.Ensure(dst, f.shape...)
 		}
-		done += copy(f.ds.X.Data()[done:], out.Data())
+		done += copy(dst.Data()[done:], out.Data())
 	}
-	f.ds.Y, f.ds.NumClasses = ds.Y, ds.NumClasses
-	return &f.ds, nil
 }
 
 // train executes one client's local round on a freshly built or rebound
 // replica: data selection, E epochs of SGD on the selected subset, and cost
-// accounting. The trained state of the trainable groups is copied into
-// stateBuf's reused tensors, which the caller owns; a nil stateBuf returns
-// the replica's live tensors instead, valid until the replica is rebound.
-func (rep *replica) train(cfg Config, cl *Client, round int, stateBuf *[]*tensor.Tensor) (clientResult, error) {
+// accounting. in is the client's data as group from sees it — cl.Data at 0,
+// or features the caller kept, at most the replica's depth. The trained
+// state of the trainable groups is copied into stateBuf's reused tensors,
+// which the caller owns; a nil stateBuf returns the replica's live tensors
+// instead, valid until the replica is rebound.
+func (rep *replica) train(cfg Config, cl *Client, in *data.Dataset, from, round int, stateBuf *[]*tensor.Tensor) (clientResult, error) {
 	rng := seeds.ClientRound(cfg.Seed, round, cl.ID)
-	// One pass through the frozen prefix serves the scoring pass and every
-	// epoch: from here on the client's data is what the head sees of it.
-	local, err := rep.feats.of(rep.model, rep.depth, cl.Data)
+	// One pass through the frozen groups [from, P) serves the scoring pass
+	// and every epoch: from here on the client's data is what the head sees
+	// of it.
+	local, err := rep.feats.of(rep.model, from, rep.depth, in)
 	if err != nil {
 		return clientResult{}, fmt.Errorf("core: client %d: features: %w", cl.ID, err)
 	}

@@ -142,15 +142,21 @@ type Runner struct {
 	// replicas are the per-worker reusable client-training contexts,
 	// created lazily on first use and kept across rounds.
 	replicas []*replica
-	// evalSet is the test set as evalHead — the global model entered at its
-	// first communicated group — sees it. Groups below the finetune part are
-	// never communicated, so nothing a run does can write them and one pass
-	// through them lasts the run. A caller can, between runs: prepareRun and
-	// RestoreInto drop evalSet and the next evaluation rebuilds it. It is
-	// never checkpointed.
-	evalHead  *models.Model
-	evalSet   *data.Dataset
-	testFeats features
+	// eval is the test set as the global model's first communicated group
+	// sees it, and prefix the same for the eager pool's clients: entry pos,
+	// for pos below len(prefix), holds client pos's data as group
+	// prefixDepth — the global's FrozenDepth — sees it, filled by the first
+	// worker that trains the position (clientInput). Groups below the
+	// finetune part are never communicated, so nothing a run does can write
+	// them and one pass through them lasts the run. A caller can, between
+	// runs: prepareRun and RestoreInto drop both (dropFrozenViews) and they
+	// are rebuilt on first use. Neither is checkpointed; fleet-backed runners
+	// keep no prefix entries, so their memory stays O(cohort). prefixBytes
+	// is the budget sizePrefix fills: prefixBudget for an eager runner.
+	eval        *EvalView
+	prefix      []data.Dataset
+	prefixDepth int
+	prefixBytes int
 
 	// The communicated state, resolved once per run: commGroups names the
 	// groups that train and travel, commState holds their live tensors in the
@@ -197,7 +203,7 @@ func NewRunner(cfg Config, global *models.Model, clients []*Client, test *data.D
 	if err != nil {
 		return nil, err
 	}
-	r.clients = clients
+	r.clients, r.prefixBytes = clients, prefixBudget
 	return r, nil
 }
 
@@ -218,10 +224,13 @@ func (r *Runner) prepareRun() error {
 		r.prog = Progress{Tracker: sched.NewTracker()}
 		r.startRound, r.doneRound = 0, 0
 	}
-	r.evalSet = nil
 	// The paper's FedFT freezes the lower part on the *server's* model too:
 	// group states that never train are never communicated.
 	if err := r.global.SetFinetunePart(r.cfg.FinetunePart); err != nil {
+		return err
+	}
+	r.dropFrozenViews()
+	if err := r.sizePrefix(); err != nil {
 		return err
 	}
 	r.commGroups = r.global.TrainableGroupNames()
@@ -254,7 +263,7 @@ func (r *Runner) recordRound(round, cohortSize int, sum comm.RoundSum) error {
 		SchedPolicy:   r.schedName(),
 	}
 	if r.cfg.EvalEvery > 0 && (round%r.cfg.EvalEvery == 0 || round == r.cfg.Rounds) {
-		acc, err := r.evaluate()
+		acc, err := r.eval.Accuracy()
 		if err != nil {
 			return fmt.Errorf("core: eval round %d: %w", round, err)
 		}
@@ -265,19 +274,101 @@ func (r *Runner) recordRound(round, cohortSize int, sum comm.RoundSum) error {
 	return nil
 }
 
-// evaluate returns the global model's test accuracy, running the test set
-// through the frozen prefix only on the run's first evaluation.
-func (r *Runner) evaluate() (float64, error) {
-	if r.evalSet == nil {
-		p := r.global.FrozenDepth()
-		set, err := r.testFeats.of(r.global, p, r.test)
+// prefixBudget bounds the bytes a Runner's frozen-prefix entries hold: the
+// eager pool's leading positions whose features fit in it together get an
+// entry, and a position past them runs its frozen groups every round.
+// NewRunner gives each runner this budget (prefixBytes); only tests change it.
+const prefixBudget = 64 << 20
+
+// dropFrozenViews forgets what was derived from the frozen groups: the test
+// set's view and the clients' prefix entries.
+func (r *Runner) dropFrozenViews() {
+	r.eval.Reset()
+	r.prefix = nil
+}
+
+// sizePrefix makes the run's empty prefix entries, at the global model's
+// frozen depth, for the leading eager positions that fit in prefixBytes.
+func (r *Runner) sizePrefix() error {
+	r.prefixDepth = r.global.FrozenDepth()
+	if r.clients == nil || r.prefixDepth == 0 {
+		return nil
+	}
+	shape, err := r.global.PrefixShape(r.prefixDepth)
+	if err != nil {
+		return err
+	}
+	width := 4 * tensor.Volume(shape)
+	n, bytes := 0, 0
+	for _, cl := range r.clients {
+		if bytes += cl.Data.Len() * width; bytes > r.prefixBytes {
+			break
+		}
+		n++
+	}
+	r.prefix = make([]data.Dataset, n)
+	return nil
+}
+
+// clientInput returns the client at pool position pos as group from of the
+// global model sees it: its prefix entry at the global's frozen depth —
+// filled here, through rep's rebound model, on the position's first round
+// of the run — or, for a position without one or a client without data,
+// its own data at group 0.
+// The positions of one dispatch are distinct and a dispatch's workers are
+// awaited before the next, so an entry is written once and by one worker.
+func (r *Runner) clientInput(rep *replica, pos int, cl *Client) (in *data.Dataset, from int, err error) {
+	if pos >= len(r.prefix) || cl.Data.Len() == 0 {
+		return cl.Data, 0, nil
+	}
+	e := &r.prefix[pos]
+	if e.X == nil {
+		x, err := rep.feats.pass(nil, rep.model, 0, r.prefixDepth, cl.Data)
+		if err != nil {
+			return nil, 0, err
+		}
+		e.X, e.Y, e.NumClasses = x, cl.Data.Y, cl.Data.NumClasses
+	}
+	return e, r.prefixDepth, nil
+}
+
+// EvalView evaluates a global model on a test set the way a client's head
+// sees its data: the test set's frozen-prefix features, computed on the
+// first Accuracy, under the model entered at its FrozenDepth. Groups below
+// the finetune part are never communicated, so nothing a run does can write
+// them and one pass through them lasts the run; whoever writes them between
+// two uses calls Reset. The Runner and federation.Serve each keep one.
+type EvalView struct {
+	global *models.Model
+	test   *data.Dataset
+	head   *models.Model
+	set    *data.Dataset
+	feats  features
+}
+
+// NewEvalView returns global's view of test; nothing runs before the first
+// Accuracy.
+func NewEvalView(global *models.Model, test *data.Dataset) *EvalView {
+	return &EvalView{global: global, test: test}
+}
+
+// Accuracy returns the global model's test accuracy, bit for bit
+// metrics.Accuracy(global, test), running the test set through the frozen
+// prefix only on the first call after construction or Reset.
+func (v *EvalView) Accuracy() (float64, error) {
+	if v.set == nil {
+		p := v.global.FrozenDepth()
+		set, err := v.feats.of(v.global, 0, p, v.test)
 		if err != nil {
 			return 0, err
 		}
-		r.evalHead, r.evalSet = r.global.From(p), set
+		v.head, v.set = v.global.From(p), set
 	}
-	return metrics.Accuracy(r.evalHead, r.evalSet)
+	return metrics.Accuracy(v.head, v.set)
 }
+
+// Reset drops the features; the next Accuracy rebuilds them.
+func (v *EvalView) Reset() { v.set = nil }
 
 // schedName names the configured cohort scheduler; empty without one.
 func (r *Runner) schedName() string {
@@ -486,7 +577,7 @@ func (r *Runner) trainFlights(participants []*Client, positions []int, flights [
 				if slot >= n {
 					return
 				}
-				flights[slot].err = r.trainClient(rep, participants[slot], round, flights[slot])
+				flights[slot].err = r.trainClient(rep, participants[slot], positions[slot], round, flights[slot])
 			}
 		}(r.replicas[w])
 	}
@@ -499,11 +590,12 @@ func (r *Runner) trainFlights(participants []*Client, positions []int, flights [
 	return nil
 }
 
-// trainClient runs one participant's local round on the worker's pooled
-// replica, rebound to the client (or, under the reuseReplicas test hook, on a
-// fresh one-shot replica — the same loop either way). The outcome fills the
-// flight; the wire size resolved at admission stays.
-func (r *Runner) trainClient(rep *replica, cl *Client, round int, fl *flight) error {
+// trainClient runs the local round of the participant at pool position pos
+// on the worker's pooled replica, rebound to the client (or, under the
+// reuseReplicas test hook, on a fresh one-shot replica — the same loop either
+// way), starting from the client's prefix entry when it has one. The outcome
+// fills the flight; the wire size resolved at admission stays.
+func (r *Runner) trainClient(rep *replica, cl *Client, pos, round int, fl *flight) error {
 	var err error
 	if reuseReplicas {
 		err = rep.rebind(r.global, fl.mask)
@@ -513,7 +605,11 @@ func (r *Runner) trainClient(rep *replica, cl *Client, round int, fl *flight) er
 	if err != nil {
 		return fmt.Errorf("core: client %d: %w", cl.ID, err)
 	}
-	res, err := rep.train(r.cfg, cl, round, &fl.stateBuf)
+	in, from, err := r.clientInput(rep, pos, cl)
+	if err != nil {
+		return fmt.Errorf("core: client %d: features: %w", cl.ID, err)
+	}
+	res, err := rep.train(r.cfg, cl, in, from, round, &fl.stateBuf)
 	res.uplink = fl.res.uplink
 	fl.res = res
 	return err

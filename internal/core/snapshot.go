@@ -428,7 +428,7 @@ func (s *RunState) RestoreInto(r *Runner) error {
 	if err := r.restoreCodecResiduals(s.CodecResiduals); err != nil {
 		return err
 	}
-	r.evalSet = nil // derived from the weights just replaced
+	r.dropFrozenViews() // derived from the weights just replaced
 
 	// Extending a finished run: that run force-evaluated its final round
 	// (Run always evaluates round == Rounds), which a longer run would skip

@@ -119,5 +119,5 @@ func NewRunnerWithSource(cfg Config, global *models.Model, src ClientSource, tes
 		}
 	}
 	return &Runner{cfg: cfg, global: global, src: src, test: test, prog: Progress{Tracker: sched.NewTracker()},
-		strat: cmp.Or[strategy.Strategy](cfg.Strategy, strategy.FedAvg())}, nil
+		strat: cmp.Or[strategy.Strategy](cfg.Strategy, strategy.FedAvg()), eval: NewEvalView(global, test)}, nil
 }

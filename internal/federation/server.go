@@ -21,7 +21,6 @@ import (
 	"fedfteds/internal/comm"
 	"fedfteds/internal/core"
 	"fedfteds/internal/data"
-	"fedfteds/internal/metrics"
 	"fedfteds/internal/models"
 	"fedfteds/internal/sched"
 	"fedfteds/internal/selection"
@@ -398,6 +397,9 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 	if cfg.Run.TierDist != nil && cfg.Relays == 0 {
 		tiers = cfg.Run.TierDist.Assign(cfg.NumClients, cfg.Run.Seed)
 	}
+	// Built after the restore, over the groups no round writes: the test set
+	// goes through the frozen prefix once, on the first evaluation.
+	eval := core.NewEvalView(global, test)
 
 	for round := startRound + 1; round <= cfg.Run.Rounds; round++ {
 		stateTs, err := global.GroupStateTensors(commGroups)
@@ -466,7 +468,7 @@ func Serve(cfg Config, l comm.Listener, global *models.Model, test *data.Dataset
 			return prog.Hist, fmt.Errorf("strategy %s: round %d: %w", cfg.Run.Strategy.Name(), round, err)
 		}
 
-		acc, err := metrics.Accuracy(global, test)
+		acc, err := eval.Accuracy()
 		if err != nil {
 			return prog.Hist, err
 		}

@@ -219,14 +219,17 @@ func (m *Model) FrozenDepth() int {
 	return len(m.groups)
 }
 
-// ForwardPrefix runs x through groups [0, p) only, in evaluation mode, and
-// returns the input of group p. When those groups are frozen the mode is
-// immaterial (a frozen layer normalizes with running statistics, drops
-// nothing, and ReLU has one rule) and every kernel works row by row, so
+// ForwardPrefix runs x through groups [0, p) only — on a view, from the
+// view's first group to p — in evaluation mode, and returns the input of
+// group p. When those groups are frozen the mode is immaterial (a frozen
+// layer normalizes with running statistics, drops nothing, and ReLU has one
+// rule) and every kernel works row by row, so
 // From(p).Forward(ForwardPrefix(x, p), train) has the bits of
-// Forward(x, train) however the rows are batched.
+// Forward(x, train) however the rows are batched, and
+// From(q).ForwardPrefix(ForwardPrefix(x, q), p) the bits of
+// ForwardPrefix(x, p).
 func (m *Model) ForwardPrefix(x *tensor.Tensor, p int) *tensor.Tensor {
-	for _, g := range m.groups[:p] {
+	for _, g := range m.groups[m.first:p] {
 		x = g.Forward(x, false)
 	}
 	return x
@@ -489,10 +492,14 @@ func (m *Model) Clone() (*Model, error) {
 }
 
 // OutputShape returns the per-sample output shape.
-func (m *Model) OutputShape() ([]int, error) {
+func (m *Model) OutputShape() ([]int, error) { return m.PrefixShape(len(m.groups)) }
+
+// PrefixShape returns the per-sample shape of ForwardPrefix(x, p): the input
+// of group p.
+func (m *Model) PrefixShape(p int) ([]int, error) {
 	in := m.spec.InputShape
 	var err error
-	for i, g := range m.groups {
+	for i, g := range m.groups[:p] {
 		in, err = g.OutputShape(in)
 		if err != nil {
 			return nil, fmt.Errorf("models: group %q: %w", groupOrder[i], err)
