@@ -24,13 +24,8 @@ type CentralConfig struct {
 	LR float64
 	// Momentum for SGD.
 	Momentum float64
-	// WeightDecay is the optional L2 coefficient.
-	WeightDecay float64
 	// Seed drives batch shuffling.
 	Seed int64
-	// EvalEvery evaluates on the test set every this many epochs when a test
-	// set is provided (default 1).
-	EvalEvery int
 }
 
 // CentralHistory records centralized training progress.
@@ -45,28 +40,22 @@ type CentralHistory struct {
 	FinalAccuracy float64
 }
 
-// TrainCentralized trains m on train, optionally evaluating on test.
+// TrainCentralized trains m on train, evaluating on test after every epoch
+// when test is non-empty.
 // It honours the model's current finetune part (frozen groups stay fixed),
 // which is what Pretrain relies on to train the whole network.
 func TrainCentralized(m *models.Model, train, test *data.Dataset, cfg CentralConfig) (CentralHistory, error) {
 	var hist CentralHistory
-	if cfg.Epochs <= 0 || cfg.LR <= 0 {
+	if cfg.Epochs <= 0 || !(cfg.LR > 0) || math.IsInf(cfg.LR, 1) {
 		return hist, fmt.Errorf("%w: central epochs=%d lr=%v", ErrConfig, cfg.Epochs, cfg.LR)
 	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 64
 	}
-	if cfg.EvalEvery == 0 {
-		cfg.EvalEvery = 1
-	}
 	if train == nil || train.Len() == 0 {
 		return hist, fmt.Errorf("%w: empty training set", ErrConfig)
 	}
-	sgd, err := opt.NewSGD(opt.SGDConfig{
-		LR:          cfg.LR,
-		Momentum:    cfg.Momentum,
-		WeightDecay: cfg.WeightDecay,
-	}, m.TrainableParams())
+	sgd, err := opt.NewSGD(opt.SGDConfig{LR: cfg.LR, Momentum: cfg.Momentum}, m.TrainableParams())
 	if err != nil {
 		return hist, err
 	}
@@ -84,7 +73,7 @@ func TrainCentralized(m *models.Model, train, test *data.Dataset, cfg CentralCon
 		hist.EpochLosses = append(hist.EpochLosses, epochLoss/float64(train.Len()))
 
 		acc := math.NaN()
-		if test != nil && test.Len() > 0 && (epoch%cfg.EvalEvery == 0 || epoch == cfg.Epochs-1) {
+		if test != nil && test.Len() > 0 {
 			acc, err = metrics.Accuracy(m, test)
 			if err != nil {
 				return hist, err

@@ -36,10 +36,9 @@ type Config struct {
 	BatchSize int
 	// LR is the client learning rate (paper: 0.1).
 	LR float64
-	// Momentum for client SGD (paper: 0.5).
+	// Momentum is client SGD's heavy-ball coefficient (paper: 0.5). Clients
+	// train without weight decay, as the paper's do.
 	Momentum float64
-	// WeightDecay for client SGD (paper: none; available for extensions).
-	WeightDecay float64
 	// Strategy selects the federated-optimization strategy: the aggregation
 	// weighting, the server-side optimizer applied to the weighted client
 	// average, and an optional client-side objective hook (FedProx's
@@ -150,8 +149,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: learning rate %v", ErrConfig, c.LR)
 	case !(c.Momentum >= 0 && c.Momentum < 1):
 		return fmt.Errorf("%w: momentum %v", ErrConfig, c.Momentum)
-	case !(c.WeightDecay >= 0) || math.IsInf(c.WeightDecay, 1):
-		return fmt.Errorf("%w: weight decay %v", ErrConfig, c.WeightDecay)
 	case !(c.SelectFraction > 0 && c.SelectFraction <= 1):
 		return fmt.Errorf("%w: select fraction %v", ErrConfig, c.SelectFraction)
 	case c.CohortSize < 0:

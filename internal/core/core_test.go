@@ -87,8 +87,6 @@ func TestNewRunnerValidation(t *testing.T) {
 		{name: "nan lr", mutate: func(c *Config) { c.LR = math.NaN() }, global: m, clients: clients, test: test},
 		{name: "inf lr", mutate: func(c *Config) { c.LR = math.Inf(1) }, global: m, clients: clients, test: test},
 		{name: "nan momentum", mutate: func(c *Config) { c.Momentum = math.NaN() }, global: m, clients: clients, test: test},
-		{name: "nan weight decay", mutate: func(c *Config) { c.WeightDecay = math.NaN() }, global: m, clients: clients, test: test},
-		{name: "inf weight decay", mutate: func(c *Config) { c.WeightDecay = math.Inf(1) }, global: m, clients: clients, test: test},
 		{name: "nan fraction", mutate: func(c *Config) { c.SelectFraction = math.NaN() }, global: m, clients: clients, test: test},
 		{name: "nil model", mutate: func(c *Config) {}, global: nil, clients: clients, test: test},
 		{name: "no clients", mutate: func(c *Config) {}, global: m, clients: nil, test: test},
@@ -400,6 +398,26 @@ func TestTrainCentralizedLearns(t *testing.T) {
 	}
 	if hist.EpochLosses[5] >= hist.EpochLosses[0] {
 		t.Fatalf("loss did not decrease: %v", hist.EpochLosses)
+	}
+}
+
+// TestTrainCentralizedRejectsNonFiniteRates: NaN fails every comparison, so
+// a NaN or infinite learning rate, or a NaN momentum, must be refused rather
+// than trained into a NaN model.
+func TestTrainCentralizedRejectsNonFiniteRates(t *testing.T) {
+	_, pool, _, spec := testFederation(t, 3, 0.5)
+	m, err := models.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]CentralConfig{
+		"nan lr":       {Epochs: 1, LR: math.NaN()},
+		"inf lr":       {Epochs: 1, LR: math.Inf(1)},
+		"nan momentum": {Epochs: 1, LR: 0.1, Momentum: math.NaN()},
+	} {
+		if _, err := TrainCentralized(m, pool, nil, cfg); err == nil {
+			t.Errorf("%s: TrainCentralized accepted %+v", name, cfg)
+		}
 	}
 }
 

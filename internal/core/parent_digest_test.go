@@ -48,9 +48,8 @@ func wrnFederation(t *testing.T, numClients int) ([]*Client, *data.Dataset, mode
 // every epoch and in every evaluation. There is no switch to compare against;
 // the rows are the reference. They cover both architectures, every finetune
 // part (P = 0..3 frozen groups), selectors that score with the model and
-// selectors that do not, dropout inside frozen and live groups (a frozen
-// dropout must draw nothing), one worker serving tiers with different P back
-// to back, overlapping rounds, and the standalone LocalUpdate under a mask.
+// selectors that do not, one worker serving tiers with different P back to
+// back, overlapping rounds, and the standalone LocalUpdate under a mask.
 func TestParentCommitDigests(t *testing.T) {
 	eds := selection.Entropy{Temperature: 0.1}
 	for _, tt := range []struct {
@@ -58,7 +57,6 @@ func TestParentCommitDigests(t *testing.T) {
 		wrn      bool
 		part     models.FinetunePart
 		selector selection.Selector
-		dropout  float64
 		mutate   func(*Config)
 		async    bool
 		want     string
@@ -74,10 +72,6 @@ func TestParentCommitDigests(t *testing.T) {
 		{name: "mlp/moderate/batch-eds", part: models.FinetuneModerate, selector: selection.BatchEntropy{Temperature: 0.1, BatchSize: 8}, want: "dbfb32600c70a5f8"},
 		{name: "mlp/classifier/eds", part: models.FinetuneClassifier, selector: eds, want: "c724a84b919975cd"},
 		{name: "mlp/classifier/rds", part: models.FinetuneClassifier, selector: selection.Random{}, want: "3b126687cf3bff42"},
-		{name: "mlp/full/rds/dropout", part: models.FinetuneFull, selector: selection.Random{}, dropout: 0.3, want: "8c0daab5139dab7e"},
-		{name: "mlp/large/eds/dropout", part: models.FinetuneLarge, selector: eds, dropout: 0.3, want: "55377c9f783cbc8d"},
-		{name: "mlp/moderate/eds/dropout", part: models.FinetuneModerate, selector: eds, dropout: 0.3, want: "12fc3db44da4035e"},
-		{name: "mlp/classifier/all/dropout", part: models.FinetuneClassifier, selector: selection.All{}, dropout: 0.3, want: "1cfdea13373d274d"},
 		{name: "mlp/large/eds/tiers on one worker", part: models.FinetuneLarge, selector: eds,
 			mutate: func(c *Config) { c.TierDist, c.Parallelism = mustDist(t, "low:1,mid:1,full:1"), 1 }, want: "7c4c489e1c901d79"},
 		{name: "mlp/moderate/eds/async buffer 2", part: models.FinetuneModerate, selector: eds, async: true, want: "6491d9f214dd8bb7"},
@@ -86,8 +80,6 @@ func TestParentCommitDigests(t *testing.T) {
 		{name: "wrn/moderate/eds", wrn: true, part: models.FinetuneModerate, selector: eds, want: "33cdfce1a7e08f78"},
 		{name: "wrn/moderate/batch-eds", wrn: true, part: models.FinetuneModerate, selector: selection.BatchEntropy{Temperature: 0.1, BatchSize: 8}, want: "5c3399d0de34fc92"},
 		{name: "wrn/classifier/gradnorm", wrn: true, part: models.FinetuneClassifier, selector: selection.GradNorm{}, want: "57b9cfdf3e2f0350"},
-		{name: "wrn/moderate/eds/dropout", wrn: true, part: models.FinetuneModerate, selector: eds, dropout: 0.3, want: "3d70ab65373dde0f"},
-		{name: "wrn/classifier/rds/dropout", wrn: true, part: models.FinetuneClassifier, selector: selection.Random{}, dropout: 0.3, want: "9af00e1674856d39"},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			clients, _, test, spec := testFederation(t, 6, 0.5)
@@ -96,7 +88,6 @@ func TestParentCommitDigests(t *testing.T) {
 				clients, test, spec = wrnFederation(t, 3)
 				cfg.Rounds, cfg.LR = 2, 0.05
 			}
-			spec.DropoutRate = tt.dropout
 			cfg.FinetunePart, cfg.Selector, cfg.SelectFraction = tt.part, tt.selector, 0.5
 			if tt.mutate != nil {
 				tt.mutate(&cfg)

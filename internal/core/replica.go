@@ -33,8 +33,8 @@ var reuseReplicas = true
 //
 // A replica belongs to exactly one worker goroutine at a time. Rebinding is
 // bit-identical to cloning: the full model state (params and buffers) is
-// copied from the global model, dropout RNGs rewind to their build-time
-// streams, and the optimizer resets its velocity and proximal anchor.
+// copied from the global model and the optimizer resets its velocity and
+// proximal anchor.
 type replica struct {
 	model *models.Model
 	// depth is P, the number of leading groups the bound mask freezes, and
@@ -98,11 +98,7 @@ func newReplica(global *models.Model, cfg Config, mask []string) (*replica, erro
 // the optimizer and snapshots the proximal anchor at bind time); plain
 // strategies, and a nil Strategy, leave the optimizer untouched.
 func localSGD(cfg Config) (opt.SGDConfig, strategy.LocalHook) {
-	sgdCfg := opt.SGDConfig{
-		LR:          cfg.LR,
-		Momentum:    cfg.Momentum,
-		WeightDecay: cfg.WeightDecay,
-	}
+	sgdCfg := opt.SGDConfig{LR: cfg.LR, Momentum: cfg.Momentum}
 	var hook strategy.LocalHook
 	if cfg.Strategy != nil {
 		if hook = cfg.Strategy.LocalHook(); hook != nil {
@@ -123,8 +119,8 @@ func (rep *replica) enter() {
 }
 
 // rebind points a pooled replica at its next client: the global state copied
-// in, the client's layer mask bound, transient RNGs and optimizer state
-// rewound — everything a fresh newReplica would start from.
+// in, the client's layer mask bound and optimizer state rewound — everything
+// a fresh newReplica would start from.
 func (rep *replica) rebind(global *models.Model, mask []string) error {
 	if err := rep.model.CopyStateFrom(global); err != nil {
 		return fmt.Errorf("rebind replica: %w", err)
@@ -132,7 +128,6 @@ func (rep *replica) rebind(global *models.Model, mask []string) error {
 	if err := rep.bindMask(mask); err != nil {
 		return fmt.Errorf("mask: %w", err)
 	}
-	rep.model.ResetTransientRNGs()
 	rep.sgd.Reset()
 	return nil
 }

@@ -22,10 +22,9 @@ import (
 // are built per run by newCfg so stateful policies never share state across
 // the baseline and resumed runs.
 var resumeStrategies = []struct {
-	name    string
-	rounds  int
-	dropout float64
-	newCfg  func(rounds int) Config
+	name   string
+	rounds int
+	newCfg func(rounds int) Config
 }{
 	{
 		name:   "fedavg",
@@ -39,13 +38,12 @@ var resumeStrategies = []struct {
 		},
 	},
 	{
-		name:    "fedprox",
-		rounds:  5,
-		dropout: 0.2,
+		name:   "fedprox",
+		rounds: 5,
 		newCfg: func(rounds int) Config {
 			return Config{
 				Rounds: rounds, LocalEpochs: 2, BatchSize: 8, LR: 0.05, Momentum: 0.9,
-				Strategy: mustFedProx(0.01), WeightDecay: 1e-4,
+				Strategy:     mustFedProx(0.01),
 				FinetunePart: models.FinetuneFull, Selector: selection.Random{}, SelectFraction: 0.7,
 				Straggler:   simtime.FractionParticipation{Fraction: 0.8},
 				Parallelism: 3, Seed: 7,
@@ -148,10 +146,8 @@ func TestResumeBitIdentical(t *testing.T) {
 
 	for _, st := range resumeStrategies {
 		t.Run(st.name, func(t *testing.T) {
-			mspec := spec
-			mspec.DropoutRate = st.dropout
 			build := func() *models.Model {
-				m, err := models.Build(mspec)
+				m, err := models.Build(spec)
 				if err != nil {
 					t.Fatal(err)
 				}

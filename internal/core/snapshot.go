@@ -37,9 +37,8 @@ type AsyncState struct {
 // RunState is the complete resumable state of a federated run at a round
 // boundary: everything that survives from one round to the next. Per-round
 // randomness needs no cursors here — every RNG stream is derived statelessly
-// from (Seed, round, tag), so recording Seed and Round pins them all; the
-// only persistent RNG-bearing objects (dropout layers) are rewound on every
-// replica rebind by construction.
+// from (Seed, round, tag), so recording Seed and Round pins them all; no
+// layer holds an RNG of its own.
 type RunState struct {
 	// Seed is the run seed the state was produced under. Restoring into a
 	// runner with a different seed is refused: the resumed rounds would
@@ -172,15 +171,16 @@ type tagText string
 // checkpoint/parallelism knobs (they must not affect results at all). An
 // explicit strategy contributes its Fingerprint; a nil Strategy contributes
 // nothing, keeping legacy configs' tags — and therefore their committed
-// checkpoints — stable across the strategy redesign. The Strategy absorbed
-// two fields whose renderings stay: 0.0 for the FedProx μ, and the text the
+// checkpoints — stable across the strategy redesign. Three deleted fields
+// keep their renderings: 0.0 for the weight decay clients no longer take,
+// and, absorbed by the Strategy, 0.0 for the FedProx μ and the text the
 // aggregation weighting rendered beside a nil or an explicit Strategy.
 func (c Config) trainingTag() uint64 {
 	weighting := tagText("core.AggWeighting:selected;")
 	if c.Strategy != nil {
 		weighting = "core.AggWeighting:AggWeighting(0);"
 	}
-	parts := []any{c.LocalEpochs, c.BatchSize, c.LR, c.Momentum, c.WeightDecay,
+	parts := []any{c.LocalEpochs, c.BatchSize, c.LR, c.Momentum, 0.0,
 		0.0, c.FinetunePart, c.Selector, c.SelectFraction, c.CohortSize,
 		c.Straggler, weighting, c.EvalEvery}
 	if c.Strategy != nil {

@@ -134,9 +134,6 @@ func NewDomain(u *Universe, spec DomainSpec) (*Domain, error) {
 	return d, nil
 }
 
-// ObsShape returns the per-sample observation shape.
-func (d *Domain) ObsShape() []int { return []int{d.universe.ObsDim} }
-
 // GenerateBalanced draws n samples with (nearly) equal class counts.
 func (d *Domain) GenerateBalanced(n int, rng *rand.Rand) (*Dataset, error) {
 	labels := make([]int, n)

@@ -103,15 +103,14 @@ var metadataCases = []struct {
 	{"infinite entropy", func(u *comm.ClientUpdate) { u.MeanEntropy = math.Inf(1) }, true},
 }
 
-// TestServeRefusesRecipeItCannotSend: a RoundStart carries no batch size or
-// weight decay, so a Run asking for other than the clients' defaults is
-// refused before Serve listens, instead of being served at the defaults; so
+// TestServeRefusesRecipeItCannotSend: a RoundStart carries no batch size, so
+// a Run asking for other than the clients' default is refused before Serve
+// listens, instead of being served at the defaults; so
 // is every run Config.Validate refuses, the nil listener, model and test set
 // proving that Serve touches none of them first.
 func TestServeRefusesRecipeItCannotSend(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"batch size 8":         func(c *Config) { c.Run.BatchSize = 8 },
-		"weight decay":         func(c *Config) { c.Run.WeightDecay = 1e-4 },
 		"int8 under a buffer":  func(c *Config) { c.Run.Codec, c.Run.Async.Buffer = "int8", 2 },
 		"cohort with a buffer": func(c *Config) { c.Run.CohortSize, c.Run.Async.Buffer = 2, 2 },
 		"quorum 3 of 2":        func(c *Config) { c.NumClients, c.Quorum = 2, 3 },

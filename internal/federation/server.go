@@ -149,16 +149,16 @@ func (c Config) TaggedStrategy() strategy.Strategy {
 // — Run's client half, defaulted and checked as core.LocalUpdate will check
 // it — and the finetune part the server's own model takes. Prox is the only
 // local hook of the (by now non-nil) Strategy, so it travels as its μ. A
-// RoundStart carries no batch size or weight decay: a run asking for other
-// than core's defaults (32, none) is refused rather than served at them.
+// RoundStart carries no batch size: a run asking for other than core's
+// default, 32, is refused rather than served at it.
 func (c Config) recipe() (comm.RoundStart, models.FinetunePart, error) {
 	run, err := core.NewLocalConfig(c.Run)
 	if err != nil {
 		return comm.RoundStart{}, 0, err
 	}
-	if run.BatchSize != 32 || run.WeightDecay != 0 {
-		return comm.RoundStart{}, 0, fmt.Errorf("federation: batch size %d and weight decay %v cannot "+
-			"travel in a RoundStart (clients train at batch size 32 without weight decay)", run.BatchSize, run.WeightDecay)
+	if run.BatchSize != 32 {
+		return comm.RoundStart{}, 0, fmt.Errorf("federation: batch size %d cannot travel in a RoundStart "+
+			"(clients train at batch size 32)", run.BatchSize)
 	}
 	sel, err := selection.Spec(run.Selector)
 	if err != nil {
@@ -248,10 +248,9 @@ func (c Config) ConfigTag() uint64 {
 // CohortSize and Scheduler (nil samples uniformly, as for the Runner), Async,
 // CheckpointDir and Codec, and the client recipe every RoundStart carries:
 // LocalEpochs, SelectFraction, LR, Momentum, Selector, TierDist and the
-// Strategy's local hook. Clients train at core's BatchSize and WeightDecay
-// defaults, and Serve refuses a Run that sets others. It returns
-// Config.Validate's error before it touches the listener, the model or the
-// test set.
+// Strategy's local hook. Clients train at core's default BatchSize, and
+// Serve refuses a Run that sets another. It returns Config.Validate's error
+// before it touches the listener, the model or the test set.
 //
 // With Run.CheckpointDir it creates the directory, warm-starts from its
 // latest checkpoint and checkpoints after every round, so a

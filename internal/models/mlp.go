@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"fedfteds/internal/nn"
-	"fedfteds/internal/tensor"
 )
 
 // buildMLP constructs the block MLP: three hidden blocks (low, mid, up),
@@ -27,11 +26,11 @@ func buildMLP(spec Spec, rng *rand.Rand) ([]*nn.Sequential, error) {
 	if err != nil {
 		return nil, err
 	}
-	mid, err := mlpResBlock("mid", h, spec.DropoutRate, spec.InitSeed+1, rng)
+	mid, err := mlpResBlock("mid", h, rng)
 	if err != nil {
 		return nil, err
 	}
-	up, err := mlpResBlock("up", h, spec.DropoutRate, spec.InitSeed+2, rng)
+	up, err := mlpResBlock("up", h, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -60,9 +59,9 @@ func mlpStem(name string, in, h int, rng *rand.Rand) (*nn.Sequential, error) {
 	return nn.NewSequential(name, fc, bn, nn.NewReLU(name+".relu")), nil
 }
 
-// mlpResBlock is a residual block: x + (Dense→BN→ReLU[→Dropout])(x),
-// followed by a ReLU on the sum.
-func mlpResBlock(name string, h int, dropout float64, dropSeed int64, rng *rand.Rand) (*nn.Sequential, error) {
+// mlpResBlock is a residual block: x + (Dense→BN→ReLU)(x), followed by a
+// ReLU on the sum.
+func mlpResBlock(name string, h int, rng *rand.Rand) (*nn.Sequential, error) {
 	fc, err := nn.NewDense(name+".fc", h, h, rng)
 	if err != nil {
 		return nil, err
@@ -71,15 +70,7 @@ func mlpResBlock(name string, h int, dropout float64, dropSeed int64, rng *rand.
 	if err != nil {
 		return nil, err
 	}
-	layers := []nn.Layer{fc, bn, nn.NewReLU(name + ".relu")}
-	if dropout > 0 {
-		d, err := nn.NewDropout(name+".drop", dropout, tensor.DeriveSeed(uint64(dropSeed)))
-		if err != nil {
-			return nil, err
-		}
-		layers = append(layers, d)
-	}
-	body := nn.NewSequential(name+".body", layers...)
+	body := nn.NewSequential(name+".body", fc, bn, nn.NewReLU(name+".relu"))
 	res := nn.NewResidual(name+".res", body, nil)
 	return nn.NewSequential(name, res, nn.NewReLU(name+".out")), nil
 }

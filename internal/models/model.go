@@ -106,9 +106,6 @@ type Spec struct {
 	Depth int
 	// WidthFactor is the WRN width multiplier k.
 	WidthFactor int
-	// DropoutRate is the optional dropout inside WRN blocks / between MLP
-	// blocks; zero disables it.
-	DropoutRate float64
 	// InitSeed seeds weight initialization deterministically.
 	InitSeed int64
 }
@@ -139,8 +136,7 @@ func Build(spec Spec) (*Model, error) {
 
 // build constructs the model, drawing weight initializations from rng. A nil
 // rng builds the same layers with zero weights and no draws — Clone's
-// skeleton, whose state is copied in next. Dropout streams are seeded from
-// the spec, not from rng, so they are identical either way.
+// skeleton, whose state is copied in next.
 func build(spec Spec, rng *rand.Rand) (*Model, error) {
 	if spec.NumClasses <= 1 {
 		return nil, fmt.Errorf("%w: NumClasses %d", ErrSpec, spec.NumClasses)
@@ -263,20 +259,6 @@ func (m *Model) ForwardCollectGroups(x *tensor.Tensor, train bool) map[string]*t
 		outs[groupOrder[i]] = x.Clone().MustReshape(n, x.Len()/max(n, 1))
 	}
 	return outs
-}
-
-// ResetTransientRNGs rewinds every dropout layer's RNG to its build-time
-// seed, restoring the exact mask streams a freshly built model would draw.
-// The pooled client-replica engine calls this when rebinding a replica to a
-// client so that replica reuse stays bit-identical to cloning.
-func (m *Model) ResetTransientRNGs() {
-	for _, g := range m.groups {
-		g.VisitLayers(func(l nn.Layer) {
-			if d, ok := l.(*nn.Dropout); ok {
-				d.ResetRNG()
-			}
-		})
-	}
 }
 
 // Backward backpropagates dlogits through the network, honouring frozen

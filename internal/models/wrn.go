@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"fedfteds/internal/nn"
-	"fedfteds/internal/tensor"
 )
 
 // buildWRN constructs the Wide ResNet WRN-d-k of Zagoruyko & Komodakis with
@@ -41,19 +40,19 @@ func buildWRN(spec Spec, rng *rand.Rand) ([]*nn.Sequential, error) {
 		return nil, err
 	}
 
-	g1, err := wrnGroup("low.g1", n, widths[0], widths[1], 1, spec, rng)
+	g1, err := wrnGroup("low.g1", n, widths[0], widths[1], 1, rng)
 	if err != nil {
 		return nil, err
 	}
 	low := nn.NewSequential(GroupLow, append([]nn.Layer{stem}, g1...)...)
 
-	g2, err := wrnGroup("mid.g2", n, widths[1], widths[2], 2, spec, rng)
+	g2, err := wrnGroup("mid.g2", n, widths[1], widths[2], 2, rng)
 	if err != nil {
 		return nil, err
 	}
 	mid := nn.NewSequential(GroupMid, g2...)
 
-	g3, err := wrnGroup("up.g3", n, widths[2], widths[3], 2, spec, rng)
+	g3, err := wrnGroup("up.g3", n, widths[2], widths[3], 2, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -73,14 +72,14 @@ func buildWRN(spec Spec, rng *rand.Rand) ([]*nn.Sequential, error) {
 
 // wrnGroup builds n pre-activation residual blocks; the first may change
 // width/stride and then uses a 1×1 projection shortcut.
-func wrnGroup(name string, n, inC, outC, stride int, spec Spec, rng *rand.Rand) ([]nn.Layer, error) {
+func wrnGroup(name string, n, inC, outC, stride int, rng *rand.Rand) ([]nn.Layer, error) {
 	layers := make([]nn.Layer, 0, n)
 	for b := 0; b < n; b++ {
 		blkIn, blkStride := outC, 1
 		if b == 0 {
 			blkIn, blkStride = inC, stride
 		}
-		blk, err := wrnBlock(fmt.Sprintf("%s.b%d", name, b), blkIn, outC, blkStride, spec, rng)
+		blk, err := wrnBlock(fmt.Sprintf("%s.b%d", name, b), blkIn, outC, blkStride, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -90,8 +89,8 @@ func wrnGroup(name string, n, inC, outC, stride int, spec Spec, rng *rand.Rand) 
 }
 
 // wrnBlock is a pre-activation basic block:
-// BN-ReLU-conv3×3[-dropout]-BN-ReLU-conv3×3, plus identity or 1×1 projection.
-func wrnBlock(name string, inC, outC, stride int, spec Spec, rng *rand.Rand) (nn.Layer, error) {
+// BN-ReLU-conv3×3-BN-ReLU-conv3×3, plus identity or 1×1 projection.
+func wrnBlock(name string, inC, outC, stride int, rng *rand.Rand) (nn.Layer, error) {
 	bn1, err := nn.NewBatchNorm(name+".bn1", inC)
 	if err != nil {
 		return nil, err
@@ -108,16 +107,8 @@ func wrnBlock(name string, inC, outC, stride int, spec Spec, rng *rand.Rand) (nn
 	if err != nil {
 		return nil, err
 	}
-	bodyLayers := []nn.Layer{bn1, nn.NewReLU(name + ".relu1"), conv1}
-	if spec.DropoutRate > 0 {
-		d, err := nn.NewDropout(name+".drop", spec.DropoutRate, tensor.DeriveSeed(uint64(spec.InitSeed), uint64(len(name))))
-		if err != nil {
-			return nil, err
-		}
-		bodyLayers = append(bodyLayers, d)
-	}
-	bodyLayers = append(bodyLayers, bn2, nn.NewReLU(name+".relu2"), conv2)
-	body := nn.NewSequential(name+".body", bodyLayers...)
+	body := nn.NewSequential(name+".body", bn1, nn.NewReLU(name+".relu1"), conv1,
+		bn2, nn.NewReLU(name+".relu2"), conv2)
 
 	var shortcut *nn.Sequential
 	if inC != outC || stride != 1 {

@@ -7,25 +7,6 @@ import (
 	"fedfteds/internal/tensor"
 )
 
-func TestWRNWithDropoutBuildsAndRuns(t *testing.T) {
-	spec := wrnSpec()
-	spec.DropoutRate = 0.3
-	m, err := Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	x := tensor.New(2, 3, 8, 8)
-	x.FillNormal(rng, 0, 1)
-	// Train mode applies dropout; eval mode must be deterministic.
-	m.Forward(x, true)
-	y1 := m.Forward(x, false)
-	y2 := m.Forward(x, false)
-	if !y1.AllClose(y2, 1e-6) {
-		t.Fatal("eval-mode WRN with dropout not deterministic")
-	}
-}
-
 func TestWRNDeeperDepth(t *testing.T) {
 	// depth 22 = 6*3+4: three blocks per group.
 	m, err := Build(Spec{

@@ -90,10 +90,10 @@ func NewConv2D(name string, inC, outC, kernel int, opts ConvOpts, rng *rand.Rand
 		stride:  stride,
 		padding: opts.Padding,
 		useBias: !opts.NoBias,
-		weight:  newParam("weight", w, false),
+		weight:  &Param{Name: "weight", W: w},
 	}
 	if c.useBias {
-		c.bias = newParam("bias", tensor.New(outC), true)
+		c.bias = &Param{Name: "bias", W: tensor.New(outC)}
 	}
 	return c, nil
 }

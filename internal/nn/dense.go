@@ -39,8 +39,8 @@ func NewDense(name string, in, out int, rng *rand.Rand) (*Dense, error) {
 		base:   base{name: name},
 		in:     in,
 		out:    out,
-		weight: newParam("weight", w, false),
-		bias:   newParam("bias", b, true),
+		weight: &Param{Name: "weight", W: w},
+		bias:   &Param{Name: "bias", W: b},
 	}, nil
 }
 

@@ -1,6 +1,6 @@
 // Package nn implements a layer-based neural-network substrate with explicit
 // forward and backward passes: dense and convolutional layers, batch
-// normalization, activations, pooling, dropout, a temperature-scaled softmax
+// normalization, activations, pooling, a temperature-scaled softmax
 // cross-entropy loss, and a Sequential container with per-layer freezing and
 // FLOP accounting.
 //
@@ -19,9 +19,9 @@
 //   - Shape violations inside Forward/Backward are programmer errors and
 //     panic; constructors and container builders return errors.
 //   - Freezing a layer makes it behave as in evaluation mode (fixed batch-norm
-//     statistics, no dropout), skip its parameter gradients, and lets the
-//     Sequential container stop backpropagation below the lowest trainable
-//     layer — this is what makes the paper's partial fine-tuning cheap.
+//     statistics), skip its parameter gradients, and lets the Sequential
+//     container stop backpropagation below the lowest trainable layer —
+//     this is what makes the paper's partial fine-tuning cheap.
 package nn
 
 import (
@@ -41,9 +41,6 @@ type Param struct {
 	// model that never trains — a server's global, a client's install target
 	// — carries none; nil reads as zero.
 	G *tensor.Tensor
-	// NoDecay marks parameters exempt from weight decay (biases, batch-norm
-	// scale/shift).
-	NoDecay bool
 }
 
 // Grad returns the gradient accumulator, allocating it zeroed on first use.
@@ -54,19 +51,13 @@ func (p *Param) Grad() *tensor.Tensor {
 	return p.G
 }
 
-// newParam wraps a parameter tensor; its gradient is allocated by Grad.
-func newParam(name string, w *tensor.Tensor, noDecay bool) *Param {
-	return &Param{Name: name, W: w, NoDecay: noDecay}
-}
-
 // Layer is a differentiable module with explicit forward and backward passes.
 type Layer interface {
 	// Name returns the layer's human-readable identifier.
 	Name() string
 	// Forward computes the layer output for a batch-first input. When train
 	// is true, the layer caches whatever it needs for Backward and updates
-	// training-time state (batch-norm statistics, dropout masks) unless it is
-	// frozen.
+	// training-time state (batch-norm statistics) unless it is frozen.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes the gradient with respect to the layer output,
 	// accumulates parameter gradients straight into each Param's Grad

@@ -276,47 +276,6 @@ func TestGlobalAvgPool(t *testing.T) {
 	}
 }
 
-func TestDropoutTrainEval(t *testing.T) {
-	d, err := NewDropout("do", 0.5, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.New(1, 1000)
-	x.Fill(1)
-	y := d.Forward(x, true)
-	var zeros int
-	for _, v := range y.Data() {
-		if v == 0 {
-			zeros++
-		} else if v != 2 {
-			t.Fatalf("surviving element scaled to %v, want 2", v)
-		}
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Fatalf("dropped %d of 1000, want ~500", zeros)
-	}
-	// Eval mode is identity.
-	ye := d.Forward(x, false)
-	if !ye.Equal(x) {
-		t.Fatal("eval-mode dropout is not identity")
-	}
-	// Frozen in train mode is identity too.
-	d.SetFrozen(true)
-	yf := d.Forward(x, true)
-	if !yf.Equal(x) {
-		t.Fatal("frozen dropout is not identity")
-	}
-}
-
-func TestNewDropoutRejectsBadRate(t *testing.T) {
-	if _, err := NewDropout("do", 1.0, 1); err == nil {
-		t.Fatal("expected error for rate 1.0")
-	}
-	if _, err := NewDropout("do", -0.1, 1); err == nil {
-		t.Fatal("expected error for negative rate")
-	}
-}
-
 func TestFlattenRoundTrip(t *testing.T) {
 	f := NewFlatten("fl")
 	x := tensor.New(2, 3, 4, 5)

@@ -65,8 +65,8 @@ func NewBatchNorm(name string, channels int) (*BatchNorm, error) {
 		channels: channels,
 		eps:      1e-5,
 		momentum: 0.1,
-		gamma:    newParam("gamma", g, true),
-		beta:     newParam("beta", tensor.New(channels), true),
+		gamma:    &Param{Name: "gamma", W: g},
+		beta:     &Param{Name: "beta", W: tensor.New(channels)},
 		runMean:  tensor.New(channels),
 		runVar:   rv,
 	}, nil

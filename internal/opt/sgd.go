@@ -1,11 +1,12 @@
 // Package opt implements the optimizers used for local client updates:
-// stochastic gradient descent with momentum and weight decay, plus the
-// FedProx proximal term that penalizes drift from the global model.
+// stochastic gradient descent with heavy-ball momentum, plus the FedProx
+// proximal term that penalizes drift from the global model.
 package opt
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fedfteds/internal/nn"
 	"fedfteds/internal/tensor"
@@ -15,17 +16,13 @@ import (
 var ErrConfig = errors.New("opt: invalid configuration")
 
 // SGDConfig configures an SGD optimizer. The paper trains clients with
-// learning rate 0.1 and momentum 0.5.
+// learning rate 0.1 and heavy-ball momentum 0.5, without weight decay or
+// look-ahead momentum, which the optimizer therefore does not offer.
 type SGDConfig struct {
-	// LR is the learning rate; must be positive.
+	// LR is the learning rate; must be positive and finite.
 	LR float64
-	// Momentum in [0, 1).
+	// Momentum is the heavy-ball coefficient, in [0, 1).
 	Momentum float64
-	// WeightDecay is the L2 coefficient applied to parameters that are not
-	// marked NoDecay.
-	WeightDecay float64
-	// Nesterov enables Nesterov momentum.
-	Nesterov bool
 	// ProxMu is the FedProx proximal coefficient μ; when positive, Step adds
 	// μ(w - w_global) to each gradient. The anchor is set with
 	// SnapshotProxAnchor.
@@ -45,16 +42,14 @@ type SGD struct {
 
 // NewSGD constructs an optimizer over params.
 func NewSGD(cfg SGDConfig, params []*nn.Param) (*SGD, error) {
-	if cfg.LR <= 0 {
-		return nil, fmt.Errorf("%w: LR %v must be positive", ErrConfig, cfg.LR)
+	// NaN fails every comparison, so each range is written to fail on it.
+	if !(cfg.LR > 0) || math.IsInf(cfg.LR, 1) {
+		return nil, fmt.Errorf("%w: LR %v must be positive and finite", ErrConfig, cfg.LR)
 	}
-	if cfg.Momentum < 0 || cfg.Momentum >= 1 {
+	if !(cfg.Momentum >= 0 && cfg.Momentum < 1) {
 		return nil, fmt.Errorf("%w: momentum %v outside [0,1)", ErrConfig, cfg.Momentum)
 	}
-	if cfg.WeightDecay < 0 {
-		return nil, fmt.Errorf("%w: weight decay %v negative", ErrConfig, cfg.WeightDecay)
-	}
-	if cfg.ProxMu < 0 {
+	if !(cfg.ProxMu >= 0) {
 		return nil, fmt.Errorf("%w: proximal mu %v negative", ErrConfig, cfg.ProxMu)
 	}
 	vel := make([]*tensor.Tensor, len(params))
@@ -92,30 +87,23 @@ func (s *SGD) Reset() {
 
 // Step applies one update to every parameter from its accumulated gradient,
 // then zeroes the gradients, in one pass over each parameter: element j goes
-// through weight decay g += wd·w, the proximal term g += μ(w - w_global), the
-// velocity v = mom·v + g, the weight update and g = 0, in that order and with
-// the expression shapes of the separate passes these replace, so each
-// element's bits are theirs on every target. The passes are tensor's SGD
-// lane kernels, one per mode, decided once per parameter: a branch per
-// element costs more than the passes it saves.
+// through the proximal term g += μ(w - w_global), the velocity v = mom·v + g,
+// the weight update and g = 0, in that order and with the expression shapes
+// of the separate passes these replace, so each element's bits are theirs on
+// every target. The passes are tensor's SGD lane kernels, one per mode,
+// decided once per parameter: a branch per element costs more than the
+// passes it saves.
 func (s *SGD) Step() {
 	lr := float32(s.cfg.LR)
 	mom := float32(s.cfg.Momentum)
-	wd := float32(s.cfg.WeightDecay)
 	mu := float32(s.cfg.ProxMu)
 	for i, p := range s.params {
 		w := p.W.Data()
 		g := p.Grad().Data()[:len(w)]
 		v := s.velocity[i].Data()[:len(w)]
-		decay := wd > 0 && !p.NoDecay
-		prox := mu > 0 && s.anchor != nil
 		switch {
-		case decay || prox || (mom > 0 && s.cfg.Nesterov):
-			var a []float32
-			if prox {
-				a = s.anchor[i].Data()[:len(w)]
-			}
-			tensor.SGDGeneral(w, g, v, a, lr, mom, wd, mu, decay, s.cfg.Nesterov)
+		case mu > 0 && s.anchor != nil:
+			tensor.SGDProx(w, g, v, s.anchor[i].Data()[:len(w)], lr, mom, mu)
 		case mom > 0:
 			tensor.SGDMomentum(w, g, v, lr, mom)
 		default:

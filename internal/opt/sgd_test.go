@@ -27,9 +27,12 @@ func TestNewSGDValidation(t *testing.T) {
 	}{
 		{name: "zero lr", cfg: SGDConfig{LR: 0}},
 		{name: "negative lr", cfg: SGDConfig{LR: -1}},
+		{name: "nan lr", cfg: SGDConfig{LR: math.NaN()}},
+		{name: "inf lr", cfg: SGDConfig{LR: math.Inf(1)}},
 		{name: "momentum 1", cfg: SGDConfig{LR: 0.1, Momentum: 1}},
-		{name: "negative wd", cfg: SGDConfig{LR: 0.1, WeightDecay: -1}},
+		{name: "nan momentum", cfg: SGDConfig{LR: 0.1, Momentum: math.NaN()}},
 		{name: "negative mu", cfg: SGDConfig{LR: 0.1, ProxMu: -0.5}},
+		{name: "nan mu", cfg: SGDConfig{LR: 0.1, ProxMu: math.NaN()}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -77,32 +80,6 @@ func TestSGDMomentumMatchesManualUpdate(t *testing.T) {
 	}
 }
 
-func TestSGDWeightDecay(t *testing.T) {
-	p := quadParam(2)
-	s, err := NewSGD(SGDConfig{LR: 0.1, WeightDecay: 0.5}, []*nn.Param{p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Zero task gradient: w ← w - lr*wd*w = 2 - 0.1*0.5*2 = 1.9.
-	s.Step()
-	if got := p.W.Data()[0]; math.Abs(float64(got)-1.9) > 1e-6 {
-		t.Fatalf("w = %v, want 1.9", got)
-	}
-}
-
-func TestSGDNoDecayRespected(t *testing.T) {
-	p := quadParam(2)
-	p.NoDecay = true
-	s, err := NewSGD(SGDConfig{LR: 0.1, WeightDecay: 0.5}, []*nn.Param{p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Step()
-	if got := p.W.Data()[0]; got != 2 {
-		t.Fatalf("NoDecay param changed to %v", got)
-	}
-}
-
 func TestSGDProximalPullsTowardAnchor(t *testing.T) {
 	p := quadParam(0)
 	s, err := NewSGD(SGDConfig{LR: 0.1, ProxMu: 1.0}, []*nn.Param{p})
@@ -130,24 +107,6 @@ func TestSGDStepZeroesGradients(t *testing.T) {
 	s.Step()
 	if p.G.Data()[0] != 0 {
 		t.Fatal("Step did not zero gradients")
-	}
-}
-
-func TestSGDNesterovDiffersFromHeavyBall(t *testing.T) {
-	mk := func(nesterov bool) float32 {
-		p := quadParam(1)
-		s, err := NewSGD(SGDConfig{LR: 0.1, Momentum: 0.9, Nesterov: nesterov}, []*nn.Param{p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			p.G.Data()[0] = 1
-			s.Step()
-		}
-		return p.W.Data()[0]
-	}
-	if mk(true) == mk(false) {
-		t.Fatal("Nesterov and heavy-ball updates are identical")
 	}
 }
 
@@ -203,15 +162,9 @@ func TestSGDTrainsRealModel(t *testing.T) {
 func referenceStep(s *SGD) {
 	lr := float32(s.cfg.LR)
 	mom := float32(s.cfg.Momentum)
-	wd := float32(s.cfg.WeightDecay)
 	mu := float32(s.cfg.ProxMu)
 	for i, p := range s.params {
 		g := p.G
-		if wd > 0 && !p.NoDecay {
-			if err := g.Axpy(wd, p.W); err != nil {
-				panic(err)
-			}
-		}
 		if mu > 0 && s.anchor != nil {
 			// g += μ (w - w_global)
 			gd, wv, av := g.Data(), p.W.Data(), s.anchor[i].Data()
@@ -226,16 +179,8 @@ func referenceStep(s *SGD) {
 			for j := range vd {
 				vd[j] = float32(mom*vd[j]) + gd[j]
 			}
-			if s.cfg.Nesterov {
-				// w -= lr * (g + mom*v)
-				wv := p.W.Data()
-				for j := range wv {
-					wv[j] -= float32(lr * (gd[j] + float32(mom*vd[j])))
-				}
-			} else {
-				if err := p.W.Axpy(-lr, v); err != nil {
-					panic(err)
-				}
+			if err := p.W.Axpy(-lr, v); err != nil {
+				panic(err)
 			}
 		} else {
 			if err := p.W.Axpy(-lr, g); err != nil {
@@ -265,12 +210,10 @@ func fuzzFloats(data []byte, off, n int) []float32 {
 }
 
 // FuzzSGDStepMatchesReference holds the one-pass Step to referenceStep over
-// three steps of ten parameters (every other one exempt from decay), whose
-// sizes give the lane kernels' 8-lane body and every tail length, 0-7, to
-// run: weights, velocities
-// and the zeroed gradients must agree bit for bit, for momentum zero and
-// positive, heavy-ball and Nesterov, with and without weight decay and a
-// proximal anchor. A NaN matches any NaN: which operand's payload an x86 add
+// three steps of ten parameters, whose sizes give the lane kernels' 8-lane
+// body and every tail length, 0-7, to run: weights, velocities and the zeroed
+// gradients must agree bit for bit, for momentum zero and positive, with and
+// without a proximal anchor. A NaN matches any NaN: which operand's payload an x86 add
 // keeps follows the compiler's operand order, not the arithmetic. The seeds
 // plant NaN, ±Inf, -0 and subnormals; lazyG leaves the fused side's first
 // gradient unallocated, which must read as zero.
@@ -286,15 +229,15 @@ func FuzzSGDStepMatchesReference(f *testing.F) {
 	sub := math.Float32frombits(1)
 	inf := float32(math.Inf(1))
 	nan := float32(math.NaN())
-	f.Add(special(1, -2, 0.5, 3), 0.1, 0.5, 0.0, 0.0, false, false, false)
-	f.Add(special(2, -1, 0.25, sub), 0.1, 0.0, 0.0, 0.0, false, false, true)
-	f.Add(special(negZero, sub, -sub, 1e-30, -1e-30, 7), 0.1, 0.9, 0.01, 0.5, true, true, true)
-	f.Add(special(nan, inf, -inf, negZero, 1, sub), 0.5, 0.0, 0.1, 1.0, false, true, false)
-	f.Add(special(3e38, -3e38, 1e-38, negZero, 0, 2), 1e-3, 0.99, 5e-4, 0.01, true, false, true)
-	f.Add(special(1.1, -2.3, 0.7, 3.9, 1e-3, -5), 0.1, 0.9, 0.0, 0.0, false, false, false)
-	f.Fuzz(func(t *testing.T, data []byte, lr, mom, wd, mu float64, nesterov, anchor, lazyG bool) {
-		cfg := SGDConfig{LR: lr, Momentum: mom, WeightDecay: wd, Nesterov: nesterov, ProxMu: mu}
-		if !(lr > 0) || !(mom >= 0 && mom < 1) || !(wd >= 0) || !(mu >= 0) {
+	f.Add(special(1, -2, 0.5, 3), 0.1, 0.5, 0.0, false, false)
+	f.Add(special(2, -1, 0.25, sub), 0.1, 0.0, 0.0, false, true)
+	f.Add(special(negZero, sub, -sub, 1e-30, -1e-30, 7), 0.1, 0.9, 0.5, true, true)
+	f.Add(special(nan, inf, -inf, negZero, 1, sub), 0.5, 0.0, 1.0, true, false)
+	f.Add(special(3e38, -3e38, 1e-38, negZero, 0, 2), 1e-3, 0.99, 0.01, true, true)
+	f.Add(special(1.1, -2.3, 0.7, 3.9, 1e-3, -5), 0.1, 0.9, 0.0, false, false)
+	f.Fuzz(func(t *testing.T, data []byte, lr, mom, mu float64, anchor, lazyG bool) {
+		cfg := SGDConfig{LR: lr, Momentum: mom, ProxMu: mu}
+		if !(lr > 0) || math.IsInf(lr, 1) || !(mom >= 0 && mom < 1) || !(mu >= 0) {
 			t.Skip("configuration NewSGD refuses")
 		}
 		shapes := [][]int{{3, 5}, {4}, {3, 21}, {37}, {2, 8}, {17}, {2, 9}, {19}, {4, 5}, {22}}
@@ -302,7 +245,7 @@ func FuzzSGDStepMatchesReference(f *testing.F) {
 			ps := make([]*nn.Param, len(shapes))
 			for i, sh := range shapes {
 				n := tensor.Volume(sh)
-				ps[i] = &nn.Param{Name: "p", W: tensor.MustFromSlice(fuzzFloats(data, 16*i, n), sh...), NoDecay: i%2 == 1}
+				ps[i] = &nn.Param{Name: "p", W: tensor.MustFromSlice(fuzzFloats(data, 16*i, n), sh...)}
 				if !lazy || i != 0 {
 					ps[i].G = tensor.MustFromSlice(fuzzFloats(data, 16*i+5, n), sh...)
 				}
@@ -369,8 +312,6 @@ func BenchmarkSGDStep(b *testing.B) {
 	}{
 		{"plain", SGDConfig{LR: 0.05}, 4},
 		{"momentum", SGDConfig{LR: 0.05, Momentum: 0.5}, 6},
-		{"nesterov", SGDConfig{LR: 0.05, Momentum: 0.5, Nesterov: true}, 6},
-		{"decay", SGDConfig{LR: 0.05, Momentum: 0.5, WeightDecay: 5e-4}, 6},
 		{"prox", SGDConfig{LR: 0.05, Momentum: 0.5, ProxMu: 0.01}, 7},
 	}
 	for _, hidden := range []int{64, 512} {

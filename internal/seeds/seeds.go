@@ -64,7 +64,7 @@ func Chain(base uint64, parts ...uint64) uint64 {
 }
 
 // ClientRound returns the client-local training stream for one client in one
-// round: selection draws, batch shuffling and any dropout all come from it.
+// round: selection draws and batch shuffling both come from it.
 // Both the legacy clone-per-client path and the pooled replica path use this
 // derivation, which is why they are bit-identical.
 func ClientRound(runSeed int64, round, clientID int) *rand.Rand {

@@ -63,12 +63,11 @@ func SGDMomentum(w, g, v []float32, lr, mom float32) {
 	sgdMomentumGo(w, g, v, lr, mom, sgdMomentumVec(w, g, v, lr, mom))
 }
 
-// SGDGeneral takes one step in the modes that amend the gradient — weight
-// decay g += wd·w when decay is set, the proximal term g += mu·(w - a) when
-// a is not nil — or look ahead (Nesterov, when mom > 0), and zeroes g.
-func SGDGeneral(w, g, v, a []float32, lr, mom, wd, mu float32, decay, nesterov bool) {
-	sgdGeneralGo(w, g, v, a, lr, mom, wd, mu, decay, nesterov,
-		sgdGeneralVec(w, g, v, a, lr, mom, wd, mu, decay, mom > 0, nesterov))
+// SGDProx takes one FedProx step: the proximal term g += mu·(w - a), then a
+// heavy-ball step as SGDMomentum's when mom > 0 and a plain one as SGDPlain's
+// otherwise, and zeroes g.
+func SGDProx(w, g, v, a []float32, lr, mom, mu float32) {
+	sgdProxGo(w, g, v, a, lr, mom, mu, sgdProxVec(w, g, v, a, lr, mom, mu, mom > 0))
 }
 
 // DeltaMaxAbs writes x - ref into delta, every NaN and ±Inf difference as
@@ -324,26 +323,16 @@ func sgdMomentumGo(w, g, v []float32, lr, mom float32, from int) {
 	}
 }
 
-func sgdGeneralGo(w, g, v, a []float32, lr, mom, wd, mu float32, decay, nesterov bool, from int) {
+func sgdProxGo(w, g, v, a []float32, lr, mom, mu float32, from int) {
 	nlr := -lr
+	g, v, a = g[:len(w)], v[:len(w)], a[:len(w)]
 	for j := from; j < len(w); j++ {
-		gj := g[j]
-		if decay {
-			gj += float32(wd * w[j])
-		}
-		if a != nil {
-			gj += float32(mu * (w[j] - a[j]))
-		}
-		switch {
-		case mom > 0 && nesterov:
+		gj := g[j] + float32(mu*(w[j]-a[j]))
+		if mom > 0 {
 			v[j] = float32(mom*v[j]) + gj
-			w[j] -= float32(lr * (gj + float32(mom*v[j])))
-		case mom > 0:
-			v[j] = float32(mom*v[j]) + gj
-			w[j] += float32(nlr * v[j])
-		default:
-			w[j] += float32(nlr * gj)
+			gj = v[j]
 		}
+		w[j] += float32(nlr * gj)
 		g[j] = 0
 	}
 }

@@ -63,7 +63,7 @@ func sgdPlainVec(w, g []float32, lr float32) int
 func sgdMomentumVec(w, g, v []float32, lr, mom float32) int
 
 //go:noescape
-func sgdGeneralVec(w, g, v, a []float32, lr, mom, wd, mu float32, decay, heavy, nesterov bool) int
+func sgdProxVec(w, g, v, a []float32, lr, mom, mu float32, heavy bool) int
 
 //go:noescape
 func deltaMaxAbsVec(delta, x, ref []float32) (n int, maxBits uint32)

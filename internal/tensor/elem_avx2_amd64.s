@@ -901,13 +901,13 @@ test:
 none:
 	RET
 
-// func sgdGeneralVec(w, g, v, a []float32, lr, mom, wd, mu float32, decay, heavy, nesterov bool) int
+// func sgdProxVec(w, g, v, a []float32, lr, mom, mu float32, heavy bool) int
 //
-// heavy is mom > 0. The mode branches test flags held in registers (R10
-// decay, R8 the anchor's base, R11 heavy, R12 nesterov) and go the same way
-// for every chunk.
-TEXT ·sgdGeneralVec(SB), NOSPLIT, $0-128
-	MOVQ $0, ret+120(FP)
+// heavy is mom > 0. The mode branch tests it in R11 and goes the same way for
+// every chunk; the plain step multiplies -lr by gj and the heavy-ball step by
+// v, both held in Y0.
+TEXT ·sgdProxVec(SB), NOSPLIT, $0-120
+	MOVQ $0, ret+112(FP)
 	CMPB ·elemAVX2(SB), $0
 	JEQ  none
 	MOVQ w_base+0(FP), DI
@@ -919,66 +919,35 @@ TEXT ·sgdGeneralVec(SB), NOSPLIT, $0-128
 	CMPQ v_len+56(FP), CX
 	JLT  none
 	MOVQ a_base+72(FP), R8
-	TESTQ R8, R8
-	JZ   flags
 	CMPQ a_len+80(FP), CX
 	JLT  none
-
-flags:
-	MOVBQZX decay+112(FP), R10
-	MOVBQZX heavy+113(FP), R11
-	MOVBQZX nesterov+114(FP), R12
+	MOVBQZX heavy+108(FP), R11
 	ANDQ    $-8, CX
 	XORQ    AX, AX
-	VBROADCASTSS lr+96(FP), Y12
+	VBROADCASTSS lr+96(FP), Y11
 	VBROADCASTSS mom+100(FP), Y13
-	VBROADCASTSS wd+104(FP), Y14
-	VBROADCASTSS mu+108(FP), Y15
+	VBROADCASTSS mu+104(FP), Y15
 	VPCMPEQD     Y10, Y10, Y10
 	VPSLLD       $31, Y10, Y10
-	VXORPS       Y10, Y12, Y11 // -lr
+	VXORPS       Y10, Y11, Y11 // -lr
 	VXORPS       Y10, Y10, Y10 // +0
 	JMP          test
 
 loop:
-	VMOVUPS (SI)(AX*4), Y0 // gj
-	VMOVUPS (DI)(AX*4), Y1 // w
-	TESTQ   R10, R10
-	JZ      prox
-	VMULPS  Y1, Y14, Y2    // wd·w
-	VADDPS  Y2, Y0, Y0     // gj + wd·w
-
-prox:
-	TESTQ  R8, R8
-	JZ     mode
-	VSUBPS (R8)(AX*4), Y1, Y2 // w - a
-	VMULPS Y2, Y15, Y2        // mu·(w - a)
-	VADDPS Y2, Y0, Y0         // gj + mu·(w - a)
-
-mode:
+	VMOVUPS (SI)(AX*4), Y0     // gj
+	VMOVUPS (DI)(AX*4), Y1     // w
+	VSUBPS  (R8)(AX*4), Y1, Y2 // w - a
+	VMULPS  Y2, Y15, Y2        // mu·(w - a)
+	VADDPS  Y2, Y0, Y0         // gj + mu·(w - a)
 	TESTQ   R11, R11
-	JZ      plain
+	JZ      step
 	VMULPS  (DX)(AX*4), Y13, Y3 // mom·v
-	VADDPS  Y0, Y3, Y3          // v = mom·v + gj
-	VMOVUPS Y3, (DX)(AX*4)
-	TESTQ   R12, R12
-	JZ      heavyball
-	VMULPS  Y3, Y13, Y4         // mom·v
-	VADDPS  Y4, Y0, Y4          // gj + mom·v
-	VMULPS  Y4, Y12, Y4         // lr·(gj + mom·v)
-	VSUBPS  Y4, Y1, Y1          // w - lr·(gj + mom·v)
-	JMP     store
+	VADDPS  Y0, Y3, Y0          // v = mom·v + gj
+	VMOVUPS Y0, (DX)(AX*4)
 
-heavyball:
-	VMULPS Y3, Y11, Y4 // -lr·v
-	VADDPS Y4, Y1, Y1  // w + -lr·v
-	JMP    store
-
-plain:
-	VMULPS Y0, Y11, Y4 // -lr·gj
-	VADDPS Y4, Y1, Y1  // w + -lr·gj
-
-store:
+step:
+	VMULPS  Y0, Y11, Y4     // -lr·gj, or -lr·v
+	VADDPS  Y4, Y1, Y1      // w + -lr·gj
 	VMOVUPS Y1, (DI)(AX*4)
 	VMOVUPS Y10, (SI)(AX*4) // g = 0
 	ADDQ    $8, AX
@@ -987,7 +956,7 @@ test:
 	CMPQ AX, CX
 	JLT  loop
 	VZEROUPPER
-	MOVQ CX, ret+120(FP)
+	MOVQ CX, ret+112(FP)
 
 none:
 	RET

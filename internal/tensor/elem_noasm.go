@@ -16,13 +16,13 @@ func bnNormalizeRunningVec(_, _ []float32, _, _, _, _ []float64) int       { ret
 func bnParamGradsVec(_, _ []float64, _, _ []float32) int                   { return 0 }
 func bnInputGradVec(_, _, _ []float32, _, _, _ []float64, _ float64) int   { return 0 }
 
-func packTransposeVec(_, _ []float32, _, _ int) int                            { return 0 }
-func scaleFromVec(_, _ []float32, _ float32) int                               { return 0 }
-func axpyVec(_, _ []float32, _ float32) int                                    { return 0 }
-func isFiniteVec(_ []float32) int                                              { return 0 }
-func sgdPlainVec(_, _ []float32, _ float32) int                                { return 0 }
-func sgdMomentumVec(_, _, _ []float32, _, _ float32) int                       { return 0 }
-func sgdGeneralVec(_, _, _, _ []float32, _, _, _, _ float32, _, _, _ bool) int { return 0 }
+func packTransposeVec(_, _ []float32, _, _ int) int                { return 0 }
+func scaleFromVec(_, _ []float32, _ float32) int                   { return 0 }
+func axpyVec(_, _ []float32, _ float32) int                        { return 0 }
+func isFiniteVec(_ []float32) int                                  { return 0 }
+func sgdPlainVec(_, _ []float32, _ float32) int                    { return 0 }
+func sgdMomentumVec(_, _, _ []float32, _, _ float32) int           { return 0 }
+func sgdProxVec(_, _, _, _ []float32, _, _, _ float32, _ bool) int { return 0 }
 
 func deltaMaxAbsVec(_, _, _ []float32) (int, uint32)            { return 0, 0 }
 func dequantizeInt8Vec(_, _ []float32, _ []byte, _ float32) int { return 0 }

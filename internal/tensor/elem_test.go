@@ -187,23 +187,16 @@ var sgdKernels = []elemKernel{
 			SGDMomentum(o.m32, o.m32b, o.m32c, 0.1, 0.9)
 		}
 	}, func(in *elemIn) [][]float64 { return w64(in.x, in.y, in.z) }},
-	sgdGeneralKernel("sgd-decay-prox", 0.1, 0.9, 5e-4, 0.01, true, false, true),
-	sgdGeneralKernel("sgd-nesterov-decay", 0.05, 0.9, 5e-4, 0, true, true, false),
-	sgdGeneralKernel("sgd-nesterov-prox", 0.1, 0.5, 0, 0.5, false, true, true),
-	sgdGeneralKernel("sgd-prox-plain", 0.1, 0, 0, 0.5, false, false, true),
-	sgdGeneralKernel("sgd-decay-plain", 0.1, 0, 1e-3, 0, true, true, false),
+	sgdProxKernel("sgd-prox-momentum", 0.1, 0.9, 0.01),
+	sgdProxKernel("sgd-prox-plain", 0.1, 0, 0.5),
 }
 
-func sgdGeneralKernel(name string, lr, mom, wd, mu float32, decay, nesterov, anchor bool) elemKernel {
+func sgdProxKernel(name string, lr, mom, mu float32) elemKernel {
 	return elemKernel{name, true, func(in *elemIn, o *elemOut, ref bool) {
-		var a []float32
-		if anchor {
-			a = in.y
-		}
 		if ref {
-			sgdGeneralGo(o.m32, o.m32b, o.m32c, a, lr, mom, wd, mu, decay, nesterov, 0)
+			sgdProxGo(o.m32, o.m32b, o.m32c, in.y, lr, mom, mu, 0)
 		} else {
-			SGDGeneral(o.m32, o.m32b, o.m32c, a, lr, mom, wd, mu, decay, nesterov)
+			SGDProx(o.m32, o.m32b, o.m32c, in.y, lr, mom, mu)
 		}
 	}, func(in *elemIn) [][]float64 { return w64(in.x, in.y, in.z) }}
 }

@@ -24,8 +24,7 @@ import (
 //
 // The tiers also dispatch the lane kernels (elem.go): ReLU, the bias and
 // residual adds, the bias-gradient column sum and BatchNorm's rank-2 passes;
-// the SGD step in its plain, heavy-ball and general (decay, proximal,
-// Nesterov) modes; the fold's Scale, ScaleFrom, Axpy and IsFinite; the
+// the SGD step in its plain, heavy-ball and proximal modes; the fold's Scale, ScaleFrom, Axpy and IsFinite; the
 // weight pack, PackTranspose; the int8 codec's DeltaMaxAbs,
 // QuantizeInt8Pair and DequantizeInt8; and fleet k-means' CenterDistances,
 // NearestLanes and SumRowsByGroup. The avx2 and avx512 tiers run them in

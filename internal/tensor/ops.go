@@ -75,21 +75,6 @@ func (t *Tensor) Norm2() float64 {
 	return math.Sqrt(s)
 }
 
-// MaxIndex returns the index and value of the maximum element of a flat
-// tensor. Ties resolve to the lowest index. It panics on an empty tensor.
-func (t *Tensor) MaxIndex() (int, float32) {
-	if len(t.data) == 0 {
-		panic("tensor: MaxIndex on empty tensor")
-	}
-	best, bv := 0, t.data[0]
-	for i, v := range t.data[1:] {
-		if v > bv {
-			best, bv = i+1, v
-		}
-	}
-	return best, bv
-}
-
 // AddRowVector adds vector v (length C) to every row of a (N, C) tensor.
 func (t *Tensor) AddRowVector(v *Tensor) error {
 	if len(t.shape) != 2 {

@@ -152,10 +152,6 @@ func TestReductions(t *testing.T) {
 	if got := x.Sum(); got != 7 {
 		t.Fatalf("Sum = %v", got)
 	}
-	idx, v := x.MaxIndex()
-	if idx != 2 || v != 4 {
-		t.Fatalf("MaxIndex = %d,%v", idx, v)
-	}
 	if got := x.Norm2(); math.Abs(got-math.Sqrt(27)) > 1e-12 {
 		t.Fatalf("Norm2 = %v", got)
 	}
