@@ -89,6 +89,8 @@ type Config struct {
 	// rounds (default 1); the final round is always evaluated.
 	EvalEvery int
 	// Parallelism bounds concurrent client updates (default GOMAXPROCS).
+	// Each client in training occupies one kernel lane, so its kernels fan
+	// out only over the lanes the others leave free.
 	Parallelism int
 	// Seed drives all run randomness (client sampling, selection, batching).
 	Seed int64

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"fedfteds/internal/data"
@@ -12,6 +13,7 @@ import (
 	"fedfteds/internal/sched"
 	"fedfteds/internal/selection"
 	"fedfteds/internal/simtime"
+	"fedfteds/internal/tensor"
 )
 
 // failingSelector always errors, simulating a broken client-side component.
@@ -49,6 +51,65 @@ func TestRunPropagatesSelectorFailure(t *testing.T) {
 	}
 	if _, err := r.Run(); !errors.Is(err, errInjected) {
 		t.Fatalf("expected injected error to propagate, got %v", err)
+	}
+}
+
+// laneProbe selects every sample, records the most kernel lanes it saw
+// occupied, and fails its failOn-th call (never when failOn is 0).
+type laneProbe struct {
+	failOn       int32
+	calls, lanes *atomic.Int32
+}
+
+func (laneProbe) Name() string       { return "lane-probe" }
+func (laneProbe) ScoringPasses() int { return 0 }
+func (p laneProbe) Select(m *models.Model, ds *data.Dataset, f float64, rng *rand.Rand) ([]int, error) {
+	if n := int32(tensor.Occupied()); n > p.lanes.Load() {
+		p.lanes.Store(n)
+	}
+	if p.calls.Add(1) == p.failOn {
+		return nil, errInjected
+	}
+	return selection.All{}.Select(m, ds, f, rng)
+}
+
+// TestRunReleasesKernelLanes: each training worker holds a kernel lane while
+// it trains and frees it when it leaves the dispatch, on a clean run and on
+// one where a client's round fails mid-dispatch, so a failed round cannot
+// leave the rest of the process running its kernels inline.
+func TestRunReleasesKernelLanes(t *testing.T) {
+	for _, tt := range []struct {
+		name    string
+		failOn  int32
+		wantErr error
+	}{
+		{"clean", 0, nil},
+		{"client fails mid-dispatch", 2, errInjected},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			clients, _, test, spec := testFederation(t, 4, 0.5)
+			m, err := models.Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe := laneProbe{failOn: tt.failOn, calls: new(atomic.Int32), lanes: new(atomic.Int32)}
+			r, err := NewRunner(Config{
+				Rounds: 2, LocalEpochs: 1, LR: 0.1,
+				Selector: probe, Seed: 1, Parallelism: 3,
+			}, m, clients, test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Run(); !errors.Is(err, tt.wantErr) {
+				t.Fatalf("Run: %v, want %v", err, tt.wantErr)
+			}
+			if probe.lanes.Load() == 0 {
+				t.Fatal("no kernel lane occupied while clients trained")
+			}
+			if n := tensor.Occupied(); n != 0 {
+				t.Fatalf("%d kernel lanes still occupied after Run", n)
+			}
+		})
 	}
 }
 

@@ -568,10 +568,15 @@ func (r *Runner) trainFlights(participants []*Client, positions []int, flights [
 
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	// Each worker owns a kernel lane until it leaves its slot loop, so its
+	// kernels run inline while the others train and the last one still
+	// training fans out across the lanes they freed.
+	tensor.Occupy(workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(rep *replica) {
 			defer wg.Done()
+			defer tensor.Release(1)
 			for {
 				slot := int(next.Add(1)) - 1
 				if slot >= n {

@@ -114,10 +114,15 @@ func (c *Conv2D) outDims(h, w int) (oh, ow int) {
 }
 
 // stage sizes the per-chunk scratch for a batch of n samples of h×w planes
-// and records the dims the cached closures read.
+// and records the dims the cached closures read. It sizes for the most
+// chunks ParallelFor can make, its split over every GOMAXPROCS lane, and
+// passes c.chunk as ParallelFor's minimum: a call that gets fewer lanes
+// (others occupied, or a kernel-thread cap) splits into chunks of at least
+// c.chunk samples, so the chunk starting at lo still owns slot lo/c.chunk
+// alone and no two chunks share scratch.
 func (c *Conv2D) stage(n, h, w, oh, ow int) {
 	c.ph, c.pw, c.poh, c.pow = h, w, oh, ow
-	slots := 4 * runtime.GOMAXPROCS(0) // ParallelFor's own default split
+	slots := 4 * runtime.GOMAXPROCS(0)
 	c.chunk = max(1, (n+slots-1)/slots)
 	c.perChunk = oh*ow*(c.inC*c.kernel*c.kernel+c.outC) + c.inC*(h+2*c.padding)*(w+2*c.padding)
 	if need := (n + c.chunk - 1) / c.chunk * c.perChunk; len(c.scratch) < need {

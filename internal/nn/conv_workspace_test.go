@@ -121,11 +121,14 @@ func trainBlockForTest(blk *Residual, seed int64, steps int) []uint32 {
 }
 
 // TestConvConcurrentReplicasShareThePool trains two blocks at once, as two
-// client replicas do, with four workers: their ParallelFor chunks interleave
-// on the shared pool and on the goroutines that help drain it, each chunk
-// working in its layer's own scratch. Each replica must end in the bits of
-// the same training run made alone, and the race detector (CI runs this
-// package under it) must see no shared write.
+// client replicas do, with four workers. On an idle pool their ParallelFor
+// chunks interleave on the shared pool and on the goroutines that help drain
+// it, each chunk working in its layer's own scratch. With lanes occupied, as
+// the simulator's training workers hold them, a call fans out over fewer
+// lanes in chunks larger than the ones its layer staged scratch for, or runs
+// inline when none are left. Each replica must end in the bits of the same
+// training run made alone on an idle pool, and the race detector (CI runs
+// this package under it) must see no shared write.
 func TestConvConcurrentReplicasShareThePool(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const steps = 20
@@ -134,20 +137,24 @@ func TestConvConcurrentReplicasShareThePool(t *testing.T) {
 	for i, seed := range seeds {
 		want[i] = trainBlockForTest(wrnBlockForTest(t, seed), seed, steps)
 	}
-	got := make([][]uint32, len(seeds))
-	var wg sync.WaitGroup
-	for i, seed := range seeds {
-		blk := wrnBlockForTest(t, seed)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i] = trainBlockForTest(blk, seed, steps)
-		}()
-	}
-	wg.Wait()
-	for i := range seeds {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("replica %d trained beside another ends in different bits than trained alone", i)
+	for _, busy := range []int{0, 2, 4} {
+		got := make([][]uint32, len(seeds))
+		tensor.Occupy(busy)
+		var wg sync.WaitGroup
+		for i, seed := range seeds {
+			blk := wrnBlockForTest(t, seed)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = trainBlockForTest(blk, seed, steps)
+			}()
+		}
+		wg.Wait()
+		tensor.Release(busy)
+		for i := range seeds {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%d lanes occupied: replica %d trained beside another ends in different bits than trained alone", busy, i)
+			}
 		}
 	}
 }

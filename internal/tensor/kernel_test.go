@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -148,6 +149,80 @@ func TestParallelForRespectsMinChunk(t *testing.T) {
 		// than both minChunk and the remainder (100 = 2×40 + 20).
 		if min < 20 {
 			t.Fatalf("smallest chunk %d; minChunk 40 over total 100 allows no chunk under 20", min)
+		}
+	})
+}
+
+func TestOccupiedLanesLeaveTheRest(t *testing.T) {
+	withGOMAXPROCS(4, func() {
+		target := maxWorkers()
+		for _, busy := range []int{0, 1, 2, 3, 4, 6} {
+			Occupy(busy)
+			got := maxWorkers()
+			Release(busy)
+			want := target
+			if busy > 0 {
+				want = max(1, target-busy+1)
+			}
+			if got != want {
+				t.Errorf("target %d, %d lanes occupied: maxWorkers %d, want %d", target, busy, got, want)
+			}
+		}
+		if Occupied() != 0 {
+			t.Fatalf("%d lanes still occupied after matching releases", Occupied())
+		}
+	})
+}
+
+// poolRun is what one MatMul and one ParallelFor did: the tasks they handed
+// the pool, the ranges ParallelFor's callback saw, and whether the product
+// equals the reference bit for bit.
+type poolRun struct {
+	queued  int64
+	ranges  int
+	matches bool
+}
+
+func runOnPool(a, b, want *Tensor) poolRun {
+	before := tasksQueued.Load()
+	got := New(a.Dim(0), b.Dim(1))
+	if err := MatMul(got, a, b); err != nil {
+		panic(err)
+	}
+	var mu sync.Mutex
+	ranges := 0
+	ParallelFor(1000, 1, func(lo, hi int) {
+		mu.Lock()
+		ranges++
+		mu.Unlock()
+	})
+	return poolRun{queued: tasksQueued.Load() - before, ranges: ranges, matches: got.Equal(want)}
+}
+
+// With every lane occupied a kernel call past the parallel threshold hands
+// the pool nothing and runs whole on its caller; once the lanes are released
+// the fan-out returns. The bits are the reference's either way.
+func TestOccupiedLanesRunKernelsInline(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	a, b := randT(rng, 200, 150), randT(rng, 150, 180)
+	want := New(200, 180)
+	refMatMul(want, a, b)
+	withGOMAXPROCS(4, func() {
+		if maxWorkers() < 2 {
+			t.Skip("FEDFTEDS_KERNEL_THREADS caps the pool at one lane")
+		}
+		Occupy(4)
+		busy := runOnPool(a, b, want)
+		Release(4)
+		idle := runOnPool(a, b, want)
+		if busy.queued != 0 || busy.ranges != 1 {
+			t.Errorf("all lanes occupied: %d tasks queued, ParallelFor made %d ranges; want 0 and 1", busy.queued, busy.ranges)
+		}
+		if idle.queued == 0 || idle.ranges < 2 {
+			t.Errorf("lanes released: %d tasks queued, ParallelFor made %d ranges; want a fan-out", idle.queued, idle.ranges)
+		}
+		if !busy.matches || !idle.matches {
+			t.Errorf("MatMul differs from the reference (occupied: %v, released: %v)", !busy.matches, !idle.matches)
 		}
 	})
 }

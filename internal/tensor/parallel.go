@@ -11,24 +11,35 @@ import (
 
 // The kernel worker pool: long-lived goroutines that execute row-range
 // slices of the matmul kernels (and, via ParallelFor, other row-partitioned
-// hot loops such as conv's im2col). Three properties matter for the
+// hot loops such as conv's im2col). Four properties matter for the
 // training hot path:
 //
 //   - Steady-state dispatch is allocation-free: tasks are plain values on a
 //     buffered channel and completion WaitGroups come from a sync.Pool.
 //   - The pool never deadlocks and callers never idle: a caller runs its
 //     first chunk inline, enqueues the rest (running them inline itself when
-//     the queue is full), then helps drain the queue — executing anyone's
-//     queued tasks — until its own WaitGroup clears. Concurrent client
-//     replicas therefore share cores instead of convoying behind one
-//     caller's tasks on the global queue.
+//     the queue is full), then helps drain the queue until its own
+//     WaitGroup clears.
+//   - One level of parallelism: a goroutine that owns a core for a whole
+//     unit of outer work (the simulator's per-client training workers)
+//     marks its lane occupied with Occupy and frees it with Release. A
+//     dispatch fans out only across the lanes nobody occupies, the caller's
+//     own counted once, and runs inline when there are none, so concurrent
+//     client replicas each keep a core instead of queueing and
+//     help-draining each other's small chunks. The last client still
+//     training once the others have exited gets the freed lanes back.
 //   - Parallelism follows runtime.GOMAXPROCS(0) at every dispatch. Workers
 //     are started lazily up to the current target (they never exit; idle
 //     workers just block on the queue), so raising GOMAXPROCS mid-process —
 //     as the multicore benchmarks do — recruits more workers instead of
 //     being pinned to the value seen at first use. FEDFTEDS_KERNEL_THREADS
 //     overrides the target explicitly; it is read once, at the first
-//     parallel dispatch, and latched for the life of the process.
+//     parallel dispatch, and latched for the life of the process. The
+//     occupied-lane rule applies beneath it.
+//
+// Row partitioning never changes a per-element accumulation order and
+// ParallelFor's chunks write disjoint ranges, so the lane count a dispatch
+// sees changes its speed, never its bits.
 //
 // Work is split into roughly gemmChunksPerWorker chunks per worker (not one)
 // so an OS-preempted worker stalls one small chunk, not 1/Wth of the matmul.
@@ -71,6 +82,8 @@ const (
 var (
 	taskCh         = make(chan gemmTask, taskQueueLen)
 	workersStarted atomic.Int32
+	occupied       atomic.Int32 // lanes held by Occupy and not yet Released
+	tasksQueued    atomic.Int64 // tasks dispatch handed to the pool (tests read it)
 
 	threadsOnce sync.Once
 	threadsEnv  int // 0 = follow GOMAXPROCS
@@ -105,8 +118,21 @@ func parseKernelThreads(s string) (int, error) {
 	return v, nil
 }
 
+// Occupy marks n lanes as running outer work — one per goroutine that
+// trains a client — until a matching Release. Kernel calls made meanwhile
+// fan out only across the lanes left over.
+func Occupy(n int) { occupied.Add(int32(n)) }
+
+// Release frees n lanes taken by Occupy.
+func Release(n int) { occupied.Add(-int32(n)) }
+
+// Occupied reports how many lanes are held by Occupy right now.
+func Occupied() int { return int(occupied.Load()) }
+
 // maxWorkers returns the parallelism target for this dispatch: the latched
-// FEDFTEDS_KERNEL_THREADS override when set, else GOMAXPROCS right now.
+// FEDFTEDS_KERNEL_THREADS override when set, else GOMAXPROCS right now, less
+// the lanes other goroutines occupy (a caller on an occupied lane counts its
+// own lane once), and never under 1.
 func maxWorkers() int {
 	threadsOnce.Do(func() {
 		v, err := parseKernelThreads(os.Getenv("FEDFTEDS_KERNEL_THREADS"))
@@ -115,10 +141,14 @@ func maxWorkers() int {
 		}
 		threadsEnv = v
 	})
-	if threadsEnv > 0 {
-		return threadsEnv
+	target := threadsEnv
+	if target == 0 {
+		target = runtime.GOMAXPROCS(0)
 	}
-	return runtime.GOMAXPROCS(0)
+	if busy := int(occupied.Load()); busy > 0 {
+		return max(1, target-busy+1)
+	}
+	return target
 }
 
 // ensureWorkers lazily brings the started-worker count up to want.
@@ -144,6 +174,7 @@ func ensureWorkers(want int) {
 func dispatch(t gemmTask) {
 	select {
 	case taskCh <- t:
+		tasksQueued.Add(1)
 	default:
 		t.run()
 		t.wg.Done()
@@ -208,8 +239,8 @@ func parallelGemmAcc(dst, a, b []float32, rows, n, dstStride, k int) {
 // itself dispatch pool work (no nested ParallelFor or large matmuls).
 // Callers that need zero steady-state allocations should pass a cached
 // closure. Serial execution (one call covering everything) happens when
-// the pool has no parallelism or total is small; either way every index is
-// covered exactly once.
+// the call gets one lane (every other lane occupied, or no parallelism) or
+// total is small; either way every index is covered exactly once.
 func ParallelFor(total, minChunk int, fn func(lo, hi int)) {
 	if total <= 0 {
 		return
