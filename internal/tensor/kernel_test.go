@@ -153,19 +153,19 @@ func TestParallelForRespectsMinChunk(t *testing.T) {
 	})
 }
 
+// A caller on an occupied lane counts its own lane once: with four lanes
+// and k occupied, a kernel call gets 5 − k of them, and never fewer than one.
 func TestOccupiedLanesLeaveTheRest(t *testing.T) {
 	withGOMAXPROCS(4, func() {
-		target := maxWorkers()
-		for _, busy := range []int{0, 1, 2, 3, 4, 6} {
-			Occupy(busy)
+		if maxWorkers() != 4 {
+			t.Skip("FEDFTEDS_KERNEL_THREADS overrides the four-lane target")
+		}
+		for _, c := range []struct{ busy, want int }{{0, 4}, {1, 4}, {2, 3}, {3, 2}, {4, 1}, {6, 1}} {
+			Occupy(c.busy)
 			got := maxWorkers()
-			Release(busy)
-			want := target
-			if busy > 0 {
-				want = max(1, target-busy+1)
-			}
-			if got != want {
-				t.Errorf("target %d, %d lanes occupied: maxWorkers %d, want %d", target, busy, got, want)
+			Release(c.busy)
+			if got != c.want {
+				t.Errorf("%d of 4 lanes occupied: maxWorkers %d, want %d", c.busy, got, c.want)
 			}
 		}
 		if Occupied() != 0 {
@@ -208,12 +208,13 @@ func TestOccupiedLanesRunKernelsInline(t *testing.T) {
 	want := New(200, 180)
 	refMatMul(want, a, b)
 	withGOMAXPROCS(4, func() {
-		if maxWorkers() < 2 {
+		lanes := maxWorkers()
+		if lanes < 2 {
 			t.Skip("FEDFTEDS_KERNEL_THREADS caps the pool at one lane")
 		}
-		Occupy(4)
+		Occupy(lanes)
 		busy := runOnPool(a, b, want)
-		Release(4)
+		Release(lanes)
 		idle := runOnPool(a, b, want)
 		if busy.queued != 0 || busy.ranges != 1 {
 			t.Errorf("all lanes occupied: %d tasks queued, ParallelFor made %d ranges; want 0 and 1", busy.queued, busy.ranges)
