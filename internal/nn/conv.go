@@ -178,7 +178,7 @@ func (c *Conv2D) forwardRange(lo, hi int) {
 	clear(plane) // the border stays zero while the samples overwrite the interior
 	yd, wt := c.y.Data(), c.wt.Data()
 	for i := lo; i < hi; i++ {
-		padPlanes(plane, c.px[i*chw:(i+1)*chw], c.inC, c.ph, c.pw, c.padding)
+		tensor.PadPlanes(plane, c.px[i*chw:(i+1)*chw], c.inC, c.ph, c.pw, c.padding)
 		if c.colsValid {
 			rows = c.cols.Data()[i*sp*ck : (i+1)*sp*ck]
 		}
@@ -273,7 +273,7 @@ func (c *Conv2D) backwardRange(lo, hi int) {
 		tensor.GemmRows(tile, dout, wd, sp, ck, c.outC)
 		clear(plane)
 		col2im(tile, plane, c.inC, c.ph+2*c.padding, c.pw+2*c.padding, c.kernel, c.stride, c.poh, c.pow)
-		unpadPlanes(c.dx.Data()[i*chw:(i+1)*chw], plane, c.inC, c.ph, c.pw, c.padding)
+		tensor.UnpadPlanes(c.dx.Data()[i*chw:(i+1)*chw], plane, c.inC, c.ph, c.pw, c.padding)
 	}
 }
 
@@ -295,32 +295,16 @@ func (c *Conv2D) FLOPsPerSample(in []int) int64 {
 	return 2 * int64(c.inC*c.kernel*c.kernel) * int64(c.outC) * int64(oh*ow)
 }
 
-// padPlanes copies ch planes of h×w into the interiors of ch planes of
-// (h+2p)×(w+2p), leaving the borders as they are.
-func padPlanes(dst, src []float32, ch, h, w, p int) {
-	wp := w + 2*p
-	for c, off := 0, p*wp+p; c < ch; c, off = c+1, off+2*p*wp {
-		for y := 0; y < h; y, off = y+1, off+wp {
-			copy(dst[off:off+w], src[(c*h+y)*w:(c*h+y+1)*w])
-		}
-	}
-}
-
-// unpadPlanes is padPlanes backwards: the interiors of src into dst.
-func unpadPlanes(dst, src []float32, ch, h, w, p int) {
-	wp := w + 2*p
-	for c, off := 0, p*wp+p; c < ch; c, off = c+1, off+2*p*wp {
-		for y := 0; y < h; y, off = y+1, off+wp {
-			copy(dst[(c*h+y)*w:(c*h+y+1)*w], src[off:off+w])
-		}
-	}
-}
-
 // im2col unpacks the oh×ow convolution windows of one sample's planes
 // (ch, h, w) into rows of cols (oh*ow, ch*k*k). The planes already carry
 // their padding, so every window is in bounds: padding is data (zeros that
-// are multiplied like any value), never a branch.
+// are multiplied like any value), never a branch. The dominant 3×3 windows
+// are tensor.Unpack3x3's.
 func im2col(x, cols []float32, ch, h, w, k, stride, oh, ow int) {
+	if k == 3 {
+		tensor.Unpack3x3(cols, x, ch, h, w, stride)
+		return
+	}
 	kk, hw := k*k, h*w
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
@@ -328,16 +312,6 @@ func im2col(x, cols []float32, ch, h, w, k, stride, oh, ow int) {
 			cols = cols[ch*kk:]
 			p := oy*stride*w + ox*stride
 			switch k {
-			case 3: // the dominant conv shape: nine direct moves
-				for cc := 0; cc < ch; cc, p = cc+1, p+hw {
-					s0 := x[p : p+3]
-					s1 := x[p+w : p+w+3]
-					s2 := x[p+2*w : p+2*w+3]
-					d := row[cc*9 : cc*9+9]
-					d[0], d[1], d[2] = s0[0], s0[1], s0[2]
-					d[3], d[4], d[5] = s1[0], s1[1], s1[2]
-					d[6], d[7], d[8] = s2[0], s2[1], s2[2]
-				}
 			case 1: // 1×1 shortcut convs: a channel gather
 				for cc := range row {
 					row[cc] = x[p+cc*hw]
@@ -357,26 +331,19 @@ func im2col(x, cols []float32, ch, h, w, k, stride, oh, ow int) {
 // col2im scatter-adds one sample's gradient columns (oh*ow, ch*k*k) into its
 // padded planes dx (ch, h, w), windows in ascending (oy, ox) order — the order
 // each dx element receives its addends in. What lands in the border is
-// dropped when the interior is copied out.
+// dropped when the interior is copied out. The 3×3 windows are
+// tensor.ScatterAdd3x3's.
 func col2im(cols, dx []float32, ch, h, w, k, stride, oh, ow int) {
+	if k == 3 {
+		tensor.ScatterAdd3x3(dx, cols, ch, h, w, stride)
+		return
+	}
 	kk, hw := k*k, h*w
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
 			row := cols[:ch*kk]
 			cols = cols[ch*kk:]
 			p := oy*stride*w + ox*stride
-			if k == 3 { // im2col's nine moves, as nine adds
-				for cc := 0; cc < ch; cc, p = cc+1, p+hw {
-					d0 := dx[p : p+3]
-					d1 := dx[p+w : p+w+3]
-					d2 := dx[p+2*w : p+2*w+3]
-					s := row[cc*9 : cc*9+9]
-					d0[0], d0[1], d0[2] = d0[0]+s[0], d0[1]+s[1], d0[2]+s[2]
-					d1[0], d1[1], d1[2] = d1[0]+s[3], d1[1]+s[4], d1[2]+s[5]
-					d2[0], d2[1], d2[2] = d2[0]+s[6], d2[1]+s[7], d2[2]+s[8]
-				}
-				continue
-			}
 			for cc := 0; cc < ch; cc, p = cc+1, p+hw {
 				for ky := 0; ky < k; ky++ {
 					d := dx[p+ky*w : p+ky*w+k]

@@ -10,6 +10,8 @@ package tensor
 // lanes it did, quantizeInt8PairVec all QuantBlock lanes or none, and
 // centerDistancesVec and nearestLanesVec all rows or none, and
 // sumRowsByGroupVec the rows before the first whose group lies outside sum.
+// The conv staging bodies (stage_amd64.s) return the planes or windows they
+// did: all or none.
 
 //go:noescape
 func reluVec(dst, x []float32) int
@@ -82,3 +84,12 @@ func nearestLanesVec(dst []int32, dist []float64, kp int) int
 
 //go:noescape
 func sumRowsByGroupVec(sum []float64, x []float32, group []int32, w, stride int) int
+
+//go:noescape
+func copyPlanesVec(dst, src []float32, ch, h, w, dstRow, dstPlane, srcRow, srcPlane int) int
+
+//go:noescape
+func unpack3x3Vec(cols, x []float32, ch, h, w, stride, oh, ow int) int
+
+//go:noescape
+func scatterAdd3x3Vec(dx, cols []float32, ch, h, w, stride, oh, ow int) int

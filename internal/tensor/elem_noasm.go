@@ -34,3 +34,7 @@ func quantizeInt8PairVec(_, _ *[QuantBlock]byte, _, _ *[QuantBlock]float32, _, _
 func centerDistancesVec(_ []float64, _ []float32, _ []float64, _, _ int) int { return 0 }
 func nearestLanesVec(_ []int32, _ []float64, _ int) int                      { return 0 }
 func sumRowsByGroupVec(_ []float64, _ []float32, _ []int32, _, _ int) int    { return 0 }
+
+func copyPlanesVec(_, _ []float32, _, _, _, _, _, _, _ int) int { return 0 }
+func unpack3x3Vec(_, _ []float32, _, _, _, _, _, _ int) int     { return 0 }
+func scatterAdd3x3Vec(_, _ []float32, _, _, _, _, _, _ int) int { return 0 }

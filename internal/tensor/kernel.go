@@ -26,11 +26,13 @@ import (
 // residual adds, the bias-gradient column sum and BatchNorm's rank-2 passes;
 // the SGD step in its plain, heavy-ball and proximal modes; the fold's Scale, ScaleFrom, Axpy and IsFinite; the
 // weight pack, PackTranspose; the int8 codec's DeltaMaxAbs,
-// QuantizeInt8Pair and DequantizeInt8; and fleet k-means' CenterDistances,
-// NearestLanes and SumRowsByGroup. The avx2 and avx512 tiers run them in
-// AVX2 assembly (elem_avx2_amd64.s) over whole 8-lane chunks, whole 8×8
-// blocks for the pack, whole block pairs for QuantizeInt8Pair or whole rows
-// for the k-means kernels, and finish the rest in the portable Go
+// QuantizeInt8Pair and DequantizeInt8; fleet k-means' CenterDistances,
+// NearestLanes and SumRowsByGroup; and Conv2D's staging, PadPlanes,
+// UnpadPlanes, Unpack3x3 and ScatterAdd3x3 (stage.go). The avx2 and avx512
+// tiers run them in AVX2 assembly (elem_avx2_amd64.s, stage_amd64.s) over
+// whole 8-lane chunks, whole 8×8 blocks for the pack, whole block pairs for
+// QuantizeInt8Pair, whole rows for the k-means kernels or all planes and
+// windows for the staging, and finish the rest in the portable Go
 // reference; the sse and portable tiers run the reference alone. The lane
 // contract: each lane performs the reference's float operations in the
 // reference's order, with the same first operand and one rounding each —
@@ -41,7 +43,8 @@ import (
 // which under Go's default MXCSR (round to nearest even, no FTZ/DAZ) is what
 // Go's conversions do.
 // Only a NaN's payload may differ, where both operands of one operation were
-// NaN. The pack computes nothing: its contract is the reference's bytes.
+// NaN. The pack, the plane copies and the 3×3 unpack compute nothing: their
+// contract is the reference's bytes.
 // IsFinite's body ORs the bits of x - x, so it answers as the reference does.
 
 // KernelTier identifies one row-kernel implementation tier.

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -224,6 +225,48 @@ func TestOccupiedLanesRunKernelsInline(t *testing.T) {
 		}
 		if !busy.matches || !idle.matches {
 			t.Errorf("MatMul differs from the reference (occupied: %v, released: %v)", !busy.matches, !idle.matches)
+		}
+	})
+}
+
+// A fan-out right after two collections allocates nothing: the completion
+// WaitGroups live on a free list that a collection cannot empty, so the
+// allocations of a round do not depend on when the collector ran. The count
+// is testing.AllocsPerRun's, the mallocs of the runs over their number,
+// taken at two lanes: AllocsPerRun itself runs at GOMAXPROCS 1, where a call
+// never fans out, and switching back inside a run drops the runtime's
+// per-lane caches and allocates on its own.
+func TestFanOutAfterGCAllocatesNothing(t *testing.T) {
+	withGOMAXPROCS(2, func() {
+		if maxWorkers() < 2 {
+			t.Skip("FEDFTEDS_KERNEL_THREADS caps the pool at one lane")
+		}
+		const rows, n, k, runs = 64, 64, 64, 20
+		dst, a, b := make([]float32, rows*n), make([]float32, rows*k), make([]float32, k*n)
+		fn := func(lo, hi int) {}
+		for _, c := range []struct {
+			name string
+			call func()
+		}{
+			{"ParallelFor", func() { ParallelFor(rows, 1, fn) }},
+			{"parallelGemmAcc", func() { parallelGemmAcc(dst, a, b, rows, n, n, k) }},
+		} {
+			c.call() // start the workers
+			queued := tasksQueued.Load()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				runtime.GC()
+				runtime.GC()
+				c.call()
+			}
+			runtime.ReadMemStats(&after)
+			if tasksQueued.Load() == queued {
+				t.Fatalf("%s handed the pool no task", c.name)
+			}
+			if allocs := (after.Mallocs - before.Mallocs) / runs; allocs != 0 {
+				t.Errorf("%s after two collections: %d allocations per call, want 0", c.name, allocs)
+			}
 		}
 	})
 }

@@ -15,7 +15,8 @@ import (
 // training hot path:
 //
 //   - Steady-state dispatch is allocation-free: tasks are plain values on a
-//     buffered channel and completion WaitGroups come from a sync.Pool.
+//     buffered channel and completion WaitGroups come from a free list that,
+//     unlike a sync.Pool, a collection cannot empty.
 //   - The pool never deadlocks and callers never idle: a caller runs its
 //     first chunk inline, enqueues the rest (running them inline itself when
 //     the queue is full), then helps drain the queue until its own
@@ -89,7 +90,28 @@ var (
 	threadsEnv  int // 0 = follow GOMAXPROCS
 )
 
-var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+// wgFree holds the completion WaitGroups of finished fan-outs, so a fan-out
+// allocates one only when more fan-outs are in flight than ever before. The
+// capacity bounds what is kept, not what runs: fan-outs in flight at once
+// number at most the goroutines calling kernels, and a WaitGroup returned to
+// a full list is dropped.
+var wgFree = make(chan *sync.WaitGroup, taskQueueLen)
+
+func getWaitGroup() *sync.WaitGroup {
+	select {
+	case wg := <-wgFree:
+		return wg
+	default:
+		return new(sync.WaitGroup)
+	}
+}
+
+func putWaitGroup(wg *sync.WaitGroup) {
+	select {
+	case wgFree <- wg:
+	default:
+	}
+}
 
 // scratchPool recycles packing buffers (transposes, B panels).
 var scratchPool = sync.Pool{New: func() any { return new([]float32) }}
@@ -190,7 +212,7 @@ func helpUntilDone(wg *sync.WaitGroup) {
 			t.wg.Done()
 		default:
 			wg.Wait()
-			wgPool.Put(wg)
+			putWaitGroup(wg)
 			return
 		}
 	}
@@ -217,7 +239,7 @@ func parallelGemmAcc(dst, a, b []float32, rows, n, dstStride, k int) {
 		return
 	}
 	ensureWorkers(w - 1) // the caller is the w-th lane
-	wg := wgPool.Get().(*sync.WaitGroup)
+	wg := getWaitGroup()
 	for lo := chunk; lo < rows; lo += chunk {
 		hi := lo + chunk
 		if hi > rows {
@@ -258,7 +280,7 @@ func ParallelFor(total, minChunk int, fn func(lo, hi int)) {
 		return
 	}
 	ensureWorkers(w - 1)
-	wg := wgPool.Get().(*sync.WaitGroup)
+	wg := getWaitGroup()
 	for lo := chunk; lo < total; lo += chunk {
 		hi := lo + chunk
 		if hi > total {
