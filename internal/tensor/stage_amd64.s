@@ -54,15 +54,6 @@ TEXT ·copyPlanesVec(SB), NOSPLIT, $0-112
 	SUBQ  AX, R14
 	MOVQ  R8, ret+104(FP)
 
-	// A row of 8, 4 or 2 values, as in 8×8, 4×4 and 2×2 planes, is one move:
-	// those lengths run a loop of that move alone.
-	CMPQ R10, $32
-	JEQ  plane8
-	CMPQ R10, $16
-	JEQ  plane4
-	CMPQ R10, $8
-	JEQ  plane2
-
 plane:
 	MOVQ R9, AX
 
@@ -111,54 +102,6 @@ rowdone:
 	JNZ  plane
 	VZEROUPPER
 	RET
-
-plane8:
-	MOVQ R9, AX
-
-row8only:
-	VMOVUPS (SI), Y0
-	VMOVUPS Y0, (DI)
-	ADDQ    R11, DI
-	ADDQ    R13, SI
-	DECQ    AX
-	JNZ     row8only
-	ADDQ    R12, DI
-	ADDQ    R14, SI
-	DECQ    R8
-	JNZ     plane8
-	VZEROUPPER
-	RET
-
-plane4:
-	MOVQ R9, AX
-
-row4only:
-	VMOVUPS (SI), X0
-	VMOVUPS X0, (DI)
-	ADDQ    R11, DI
-	ADDQ    R13, SI
-	DECQ    AX
-	JNZ     row4only
-	ADDQ    R12, DI
-	ADDQ    R14, SI
-	DECQ    R8
-	JNZ     plane4
-	RET
-
-plane2:
-	MOVQ R9, AX
-
-row2only:
-	VMOVQ (SI), X0
-	VMOVQ X0, (DI)
-	ADDQ  R11, DI
-	ADDQ  R13, SI
-	DECQ  AX
-	JNZ   row2only
-	ADDQ  R12, DI
-	ADDQ  R14, SI
-	DECQ  R8
-	JNZ   plane2
 
 none:
 	RET

@@ -151,8 +151,9 @@ func checkStaging(t *testing.T, s stageShape, seed int64, plant uint8) {
 
 // TestConvStagingMatchesPortableEveryTier runs the staging kernels on every
 // tier this machine offers, at WRN-16-1's shapes and at ragged ones — 1-5
-// planes of 1×1 to 9×7, padding 0-2, strides 1-3 — and checks that the
-// vector bodies run on the tiers that have them.
+// planes of 1×1 to 9×7, padding 0-2, strides 1-3, and rows of 9 to 33
+// values, whose copy runs one to four 8-lane moves and a tail — and checks
+// that the vector bodies run on the tiers that have them.
 func TestConvStagingMatchesPortableEveryTier(t *testing.T) {
 	shapes := append([]stageShape(nil), wrnStageShapes...)
 	for ch := 1; ch <= 5; ch++ {
@@ -160,6 +161,11 @@ func TestConvStagingMatchesPortableEveryTier(t *testing.T) {
 			for w := 1; w <= 7; w++ {
 				shapes = append(shapes, stageShape{ch, h, w, 1 + (h+w)%3, (ch + h*w) % 3})
 			}
+		}
+	}
+	for _, w := range []int{9, 15, 16, 17, 24, 31, 33} {
+		for h := 1; h <= 3; h++ {
+			shapes = append(shapes, stageShape{1 + w%3, h, w, h, w % 3})
 		}
 	}
 	forEachTier(t, func(t *testing.T) {
@@ -223,7 +229,7 @@ func TestConvStagingPanicsOnShortSlices(t *testing.T) {
 }
 
 // FuzzConvStagingMatchesPortable holds the staging kernels on the active
-// tier to the portable reference on 1-8 planes of 1×1 to 12×12, padding 0-2
+// tier to the portable reference on 1-8 planes of 1×1 to 12×40, padding 0-2
 // and strides 1-3, with NaN, ±Inf, ±0, subnormals and ±MaxFloat32 planted,
 // under checkStaging's terms.
 func FuzzConvStagingMatchesPortable(f *testing.F) {
@@ -232,7 +238,7 @@ func FuzzConvStagingMatchesPortable(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(3), uint8(2), int64(3), uint8(255))
 	f.Add(uint8(5), uint8(12), uint8(2), uint8(2), uint8(0), int64(4), uint8(128))
 	f.Fuzz(func(t *testing.T, ch, h, w, stride, p uint8, seed int64, plant uint8) {
-		checkStaging(t, stageShape{1 + int(ch)%8, 1 + int(h)%12, 1 + int(w)%12, 1 + int(stride)%3, int(p) % 3}, seed, plant)
+		checkStaging(t, stageShape{1 + int(ch)%8, 1 + int(h)%12, 1 + int(w)%40, 1 + int(stride)%3, int(p) % 3}, seed, plant)
 	})
 }
 
