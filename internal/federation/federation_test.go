@@ -59,11 +59,23 @@ func honestWith(w *experiments.World, conn comm.Conn, id int, before func(comm.R
 // has exited.
 func servePipes(t *testing.T, w *experiments.World, cfg Config, client func(conn comm.Conn, id int) error) (core.History, *models.Model, error) {
 	t.Helper()
+	return servePipesVia(t, w, cfg, nil, client)
+}
+
+// servePipesVia is servePipes with Serve accepting through wrap(l), the
+// listener of the pipes' server halves, when wrap is not nil.
+func servePipesVia(t *testing.T, w *experiments.World, cfg Config, wrap func(comm.Listener) comm.Listener,
+	client func(conn comm.Conn, id int) error) (core.History, *models.Model, error) {
+	t.Helper()
 	global, err := w.Global.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := comm.NewPipeListener(cfg.NumClients)
+	var sl comm.Listener = l
+	if wrap != nil {
+		sl = wrap(l)
+	}
 	var wg sync.WaitGroup
 	for id := 0; id < cfg.NumClients; id++ {
 		wg.Add(1)
@@ -74,9 +86,40 @@ func servePipes(t *testing.T, w *experiments.World, cfg Config, client func(conn
 			}
 		}(id)
 	}
-	hist, err := Serve(cfg, l, global, w.Test)
+	hist, err := Serve(cfg, sl, global, w.Test)
 	wg.Wait()
 	return hist, global, err
+}
+
+// closeWatch accepts like the listener it wraps and closes closed once the
+// server closes the connection of the watch-th client accepted, the pipe of
+// client watch.
+type closeWatch struct {
+	comm.Listener
+	watch, accepted int
+	closed          chan struct{}
+}
+
+func (l *closeWatch) Accept() (comm.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil && l.accepted == l.watch {
+		c = &closeSignal{Conn: c, done: l.closed}
+	}
+	l.accepted++
+	return c, err
+}
+
+// closeSignal is a Conn that closes done once it is closed.
+type closeSignal struct {
+	comm.Conn
+	done chan struct{}
+	once sync.Once
+}
+
+func (c *closeSignal) Close() error {
+	err := c.Conn.Close()
+	c.once.Do(func() { close(c.done) })
+	return err
 }
 
 // honestMetadata is an update whose self-reported numbers the fold accepts.
@@ -412,6 +455,16 @@ func TestNothingOutlivesServe(t *testing.T) {
 // record's CohortSize and in no record's Participants. Under a buffer every
 // record folds the buffer's worth; a synchronous round under quorum 0.5 loses
 // the crashed client and the run still completes every round.
+//
+// A buffered round folds the first updates to arrive and leaves the rest in
+// flight, so a crash the server reads only after the last round's fold
+// belongs to no round — and a crash is read whenever the goroutine watching
+// that dispatch gets to run, which can be after clients that crash later.
+// The other clients therefore hold every RoundStart past round 1 until the
+// server has recorded the crash, which it does by closing client 3's
+// connection. Until then the buffered rounds can fold only round-1 updates,
+// so client 3, its own folded by round 2, is dispatched again by round 3
+// and its crash is what the round reads next.
 func TestServeRecordsEndedDispatchesAsCohort(t *testing.T) {
 	w, err := testWorld()
 	if err != nil {
@@ -431,12 +484,20 @@ func TestServeRecordsEndedDispatchesAsCohort(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := testConfig(6)
 			tt.edit(&cfg)
-			hist, _, err := servePipes(t, w, cfg, func(conn comm.Conn, id int) error {
-				dieAfter := 0
+			recorded := make(chan struct{})
+			watch := func(l comm.Listener) comm.Listener {
+				return &closeWatch{Listener: l, watch: 3, closed: recorded}
+			}
+			hist, _, err := servePipesVia(t, w, cfg, watch, func(conn comm.Conn, id int) error {
 				if id == 3 {
-					dieAfter = 1
+					return honest(w, conn, id, 1)
 				}
-				return honest(w, conn, id, dieAfter)
+				return honestWith(w, conn, id, func(rs comm.RoundStart) error {
+					if rs.Round > 1 {
+						<-recorded
+					}
+					return nil
+				})
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -10,11 +10,12 @@ import (
 
 // Conv2D is a 2-D convolution over (N, C, H, W) inputs: im2col and the
 // tensor package's row kernel, one sample at a time. Each direction is one
-// tensor.ParallelFor over samples; a sample's planes are copied once into a
-// zero-bordered staging plane so every window is interior, its OH*OW window
-// rows are unpacked, multiplied while hot and transposed straight into the
-// NCHW result. Samples are independent and each keeps the serial operation
-// order, so results are identical at any worker count.
+// tensor.ParallelFor over samples; a padded layer copies a sample's planes
+// once into a zero-bordered staging plane so every window is interior (an
+// unpadded one reads them where they lie), its OH*OW window rows are
+// unpacked, multiplied while hot and transposed straight into the NCHW
+// result. Samples are independent and each keeps the serial operation order,
+// so results are identical at any worker count.
 type Conv2D struct {
 	base
 	inC, outC       int
@@ -36,10 +37,11 @@ type Conv2D struct {
 	wt, y, doutT, dx *tensor.Tensor
 
 	// scratch is the per-chunk working set, owned by the layer so steady
-	// state allocates nothing: chunk lo/chunk of a dispatch has the staging
-	// plane (inC, H+2p, W+2p), a window tile (OH*OW, inC*K*K) and an output
-	// tile (OH*OW, outC) at scratch[(lo/chunk)*perChunk:]. Chunks are at
-	// least chunk samples long, so concurrent chunks never share an index.
+	// state allocates nothing: chunk lo/chunk of a dispatch has a window
+	// tile (OH*OW, inC*K*K), an output tile (OH*OW, outC) and, when p > 0,
+	// the staging plane (inC, H+2p, W+2p) at scratch[(lo/chunk)*perChunk:].
+	// Chunks are at least chunk samples long, so concurrent chunks never
+	// share an index.
 	scratch         []float32
 	chunk, perChunk int
 
@@ -124,14 +126,18 @@ func (c *Conv2D) stage(n, h, w, oh, ow int) {
 	c.ph, c.pw, c.poh, c.pow = h, w, oh, ow
 	slots := 4 * runtime.GOMAXPROCS(0)
 	c.chunk = max(1, (n+slots-1)/slots)
-	c.perChunk = oh*ow*(c.inC*c.kernel*c.kernel+c.outC) + c.inC*(h+2*c.padding)*(w+2*c.padding)
+	c.perChunk = oh * ow * (c.inC*c.kernel*c.kernel + c.outC)
+	if c.padding > 0 {
+		c.perChunk += c.inC * (h + 2*c.padding) * (w + 2*c.padding)
+	}
 	if need := (n + c.chunk - 1) / c.chunk * c.perChunk; len(c.scratch) < need {
 		c.scratch = make([]float32, need)
 	}
 }
 
 // chunkScratch returns the staging plane, window tile and output tile of the
-// chunk starting at sample lo.
+// chunk starting at sample lo. An unpadded layer has no staging plane: its
+// windows read the sample and its gradients scatter into dx directly.
 func (c *Conv2D) chunkScratch(lo int) (plane, tile, out []float32) {
 	s := c.scratch[lo/c.chunk*c.perChunk:][:c.perChunk]
 	nOut := c.poh * c.pow * c.outC
@@ -178,11 +184,15 @@ func (c *Conv2D) forwardRange(lo, hi int) {
 	clear(plane) // the border stays zero while the samples overwrite the interior
 	yd, wt := c.y.Data(), c.wt.Data()
 	for i := lo; i < hi; i++ {
-		tensor.PadPlanes(plane, c.px[i*chw:(i+1)*chw], c.inC, c.ph, c.pw, c.padding)
+		x := c.px[i*chw : (i+1)*chw]
+		if c.padding > 0 {
+			tensor.PadPlanes(plane, x, c.inC, c.ph, c.pw, c.padding)
+			x = plane
+		}
 		if c.colsValid {
 			rows = c.cols.Data()[i*sp*ck : (i+1)*sp*ck]
 		}
-		im2col(plane, rows, c.inC, c.ph+2*c.padding, c.pw+2*c.padding, c.kernel, c.stride, c.poh, c.pow)
+		im2col(x, rows, c.inC, c.ph+2*c.padding, c.pw+2*c.padding, c.kernel, c.stride, c.poh, c.pow)
 		tensor.GemmRows(out, rows, wt, sp, c.outC, ck)
 		if c.useBias {
 			bias := c.bias.W.Data()
@@ -249,7 +259,7 @@ func (c *Conv2D) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 // layout dW's reduction runs over, so nothing is transposed for it. When dx
 // is wanted, dy[i] is transposed into the chunk's dOut tile (OH*OW, outC),
 // the sample's dcols tile = dOut @ W is computed while both are hot, and
-// scatter-added into dx[i] through the staging plane.
+// scatter-added into dx[i], through the staging plane when the layer pads.
 func (c *Conv2D) backwardRange(lo, hi int) {
 	sp, ck, chw := c.poh*c.pow, c.inC*c.kernel*c.kernel, c.inC*c.ph*c.pw
 	plane, tile, dout := c.chunkScratch(lo)
@@ -271,9 +281,15 @@ func (c *Conv2D) backwardRange(lo, hi int) {
 		}
 		tensor.PackTranspose(dout, dy, c.outC, sp)
 		tensor.GemmRows(tile, dout, wd, sp, ck, c.outC)
-		clear(plane)
-		col2im(tile, plane, c.inC, c.ph+2*c.padding, c.pw+2*c.padding, c.kernel, c.stride, c.poh, c.pow)
-		tensor.UnpadPlanes(c.dx.Data()[i*chw:(i+1)*chw], plane, c.inC, c.ph, c.pw, c.padding)
+		dx, acc := c.dx.Data()[i*chw:(i+1)*chw], plane
+		if c.padding == 0 {
+			acc = dx
+		}
+		clear(acc)
+		col2im(tile, acc, c.inC, c.ph+2*c.padding, c.pw+2*c.padding, c.kernel, c.stride, c.poh, c.pow)
+		if c.padding > 0 {
+			tensor.UnpadPlanes(dx, plane, c.inC, c.ph, c.pw, c.padding)
+		}
 	}
 }
 

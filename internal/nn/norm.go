@@ -45,6 +45,11 @@ type BatchNorm struct {
 	gamma64, beta64 []float64
 	dgamma, dbeta   []float64
 	scale           []float64 // backward's per-channel γ·invStd/m
+
+	// lanes64 and lanes32 hold per-channel operands repeated across their
+	// planes (perLane), sized once per input geometry.
+	lanes64 [4][]float64
+	lanes32 [2][]float32
 }
 
 var _ Layer = (*BatchNorm)(nil)
@@ -113,11 +118,35 @@ func (bn *BatchNorm) ensureChannelBufs() {
 	}
 }
 
-// Forward implements Layer. Only the per-element passes differ by rank:
-// tensor lane kernels on (N, C), (sample, channel, spatial) loops on rank 4.
+// perLane returns v with each value repeated spatial times, in buf's
+// storage: the per-channel operand of the (N, C·spatial) view in which a
+// rank-4 input (N, C, H, W) is a rank-2 one, so both ranks run one lane
+// kernel per pass. At spatial 1 it is v itself.
+func perLane[T float32 | float64](buf *[]T, v []T, spatial int) []T {
+	if spatial == 1 {
+		return v
+	}
+	if len(*buf) != len(v)*spatial {
+		*buf = make([]T, len(v)*spatial)
+	}
+	out := *buf
+	for c, x := range v {
+		lane := out[c*spatial : (c+1)*spatial]
+		for ; len(lane) >= 4; lane = lane[4:] {
+			lane[0], lane[1], lane[2], lane[3] = x, x, x, x
+		}
+		for k := range lane {
+			lane[k] = x
+		}
+	}
+	return out
+}
+
+// Forward implements Layer. Each pass is one tensor kernel for both ranks:
+// the statistics are plane sums, and the per-element passes run the rank-2
+// kernels over the (N, C·spatial) view.
 func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, spatial := bn.geometry(x)
-	cc := bn.channels
 	bn.ensureChannelBufs()
 	bn.inShape = captureShape(bn.inShape, x)
 	bn.y = tensor.Ensure(bn.y, bn.inShape...)
@@ -125,47 +154,20 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	gd, bd := bn.gamma.W.Data(), bn.beta.W.Data()
 	rm, rv := bn.runMean.Data(), bn.runVar.Data()
 	mean, invStd := bn.mean, bn.invStd
+	l64, l32 := &bn.lanes64, &bn.lanes32
 
 	if train && !bn.frozen && n*spatial > 1 {
 		variance := bn.variance
 		clear(mean)
 		clear(variance)
-		// Two-pass statistics, accumulated per (sample, channel) run in
-		// float64, matching the original closure-based implementation term
-		// for term.
-		if spatial == 1 {
-			tensor.BNColSum(mean, xd)
-		} else {
-			for i := 0; i < n; i++ {
-				for ch := 0; ch < cc; ch++ {
-					off := (i*cc + ch) * spatial
-					var s float64
-					for _, v := range xd[off : off+spatial] {
-						s += float64(v)
-					}
-					mean[ch] += s
-				}
-			}
-		}
+		// Two-pass statistics in float64: each (sample, channel) plane sums
+		// from +0, and the plane sums add up per channel in sample order.
+		tensor.BNPlaneSum(mean, xd, spatial)
 		m := float64(n * spatial)
 		for c := range mean {
 			mean[c] /= m
 		}
-		if spatial == 1 {
-			tensor.BNColSqDev(variance, mean, xd)
-		} else {
-			for i := 0; i < n; i++ {
-				for ch := 0; ch < cc; ch++ {
-					off := (i*cc + ch) * spatial
-					var s float64
-					for _, v := range xd[off : off+spatial] {
-						d := float64(v) - mean[ch]
-						s += d * d
-					}
-					variance[ch] += s
-				}
-			}
-		}
+		tensor.BNPlaneSqDev(variance, mean, xd, spatial)
 		for c := range variance {
 			variance[c] /= m
 			rm[c] = float32((1-bn.momentum)*float64(rm[c]) + bn.momentum*mean[c])
@@ -173,21 +175,9 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			invStd[c] = 1.0 / math.Sqrt(variance[c]+bn.eps)
 		}
 		bn.xhat = tensor.Ensure(bn.xhat, bn.inShape...)
-		xh := bn.xhat.Data()
-		if spatial == 1 {
-			tensor.BNNormalize(xh, yd, xd, mean, invStd, gd, bd)
-		} else {
-			for i := 0; i < n; i++ {
-				for ch := 0; ch < cc; ch++ {
-					off := (i*cc + ch) * spatial
-					mu, is, g, b := mean[ch], invStd[ch], gd[ch], bd[ch]
-					for s := off; s < off+spatial; s++ {
-						xh[s] = float32((float64(xd[s]) - mu) * is)
-						yd[s] = g*xh[s] + b
-					}
-				}
-			}
-		}
+		tensor.BNNormalize(bn.xhat.Data(), yd, xd,
+			perLane(&l64[0], mean, spatial), perLane(&l64[1], invStd, spatial),
+			perLane(&l32[0], gd, spatial), perLane(&l32[1], bd, spatial))
 		bn.evalBackward = false
 		return bn.y
 	}
@@ -205,31 +195,15 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		invStd[c] = 1.0 / math.Sqrt(math.Max(float64(rv[c]), 0)+bn.eps)
 		mean[c], g64[c], b64[c] = float64(rm[c]), float64(gd[c]), float64(bd[c])
 	}
-	if spatial == 1 {
-		tensor.BNNormalizeRunning(yd, xd, mean, invStd, g64, b64)
-	} else {
-		for i := 0; i < n; i++ {
-			for ch := 0; ch < cc; ch++ {
-				off := (i*cc + ch) * spatial
-				mu, is, g, b := mean[ch], invStd[ch], g64[ch], b64[ch]
-				for s := off; s < off+spatial; s++ {
-					xh := (float64(xd[s]) - mu) * is
-					yd[s] = float32(g*xh + b)
-				}
-			}
-		}
-	}
+	tensor.BNNormalizeRunning(yd, xd,
+		perLane(&l64[0], mean, spatial), perLane(&l64[1], invStd, spatial),
+		perLane(&l64[2], g64, spatial), perLane(&l64[3], b64, spatial))
 	if train && !bn.frozen {
+		// n·spatial <= 1: at most one value per channel, value c channel c's.
 		bn.xhat = tensor.Ensure(bn.xhat, bn.inShape...)
 		xh := bn.xhat.Data()
-		for i := 0; i < n; i++ {
-			for ch := 0; ch < cc; ch++ {
-				off := (i*cc + ch) * spatial
-				mu, is := mean[ch], invStd[ch]
-				for s := off; s < off+spatial; s++ {
-					xh[s] = float32((float64(xd[s]) - mu) * is)
-				}
-			}
+		for c, v := range xd {
+			xh[c] = float32((float64(v) - mean[c]) * invStd[c])
 		}
 	} else {
 		bn.xhat = nil
@@ -241,10 +215,10 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer.
 func (bn *BatchNorm) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 	n, spatial := bn.geometry(dy)
-	cc := bn.channels
 	m := float64(n * spatial)
 	dyd := dy.Data()
 	gd := bn.gamma.W.Data()
+	l64 := &bn.lanes64
 
 	if bn.xhat == nil || bn.evalBackward {
 		if bn.invStd == nil {
@@ -254,81 +228,56 @@ func (bn *BatchNorm) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 		// the batch, so dx decouples to dy·γ·invStd; dγ/dβ accumulate from
 		// the cached xhat when the layer is trainable.
 		if !bn.frozen && bn.xhat != nil {
-			bn.paramGrads(dyd, bn.xhat.Data(), n, spatial)
+			bn.paramGrads(dyd, bn.xhat.Data(), spatial)
 		}
 		if !needDx {
 			return nil
 		}
 		bn.dx = tensor.Ensure(bn.dx, bn.inShape...)
 		dxd := bn.dx.Data()
-		for i := 0; i < n; i++ {
-			for ch := 0; ch < cc; ch++ {
-				off := (i*cc + ch) * spatial
-				g, is := float64(gd[ch]), bn.invStd[ch]
-				for s := off; s < off+spatial; s++ {
-					// Left-to-right as in the original formula dy·γ·invStd.
-					dxd[s] = float32(float64(dyd[s]) * g * is)
-				}
+		for c, v := range gd {
+			bn.gamma64[c] = float64(v)
+		}
+		g, is := perLane(&l64[0], bn.gamma64, spatial), perLane(&l64[1], bn.invStd, spatial)
+		for r := 0; r < len(dyd); r += len(g) {
+			for j, gj := range g {
+				// Left-to-right as in the original formula dy·γ·invStd.
+				dxd[r+j] = float32(float64(dyd[r+j]) * gj * is[j])
 			}
 		}
 		return bn.dx
 	}
 
 	xh := bn.xhat.Data()
-	bn.paramGrads(dyd, xh, n, spatial)
+	bn.paramGrads(dyd, xh, spatial)
 	if !needDx {
 		return nil
 	}
 	// dx = gamma*invStd/m * (m*dy - dbeta - xhat*dgamma), the per-channel
 	// factor once per channel instead of once per element.
-	dgamma, dbeta, scale := bn.dgamma, bn.dbeta, bn.scale
+	scale := bn.scale
 	for ch := range scale {
 		scale[ch] = float64(gd[ch]) * bn.invStd[ch] / m
 	}
 	bn.dx = tensor.Ensure(bn.dx, bn.inShape...)
-	dxd := bn.dx.Data()
-	if spatial == 1 {
-		tensor.BNInputGrad(dxd, dyd, xh, scale, dbeta, dgamma, m)
-		return bn.dx
-	}
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < cc; ch++ {
-			off := (i*cc + ch) * spatial
-			g, dg, db := scale[ch], dgamma[ch], dbeta[ch]
-			for s := off; s < off+spatial; s++ {
-				dxd[s] = float32(g * (m*float64(dyd[s]) - db - float64(xh[s])*dg))
-			}
-		}
-	}
+	tensor.BNInputGrad(bn.dx.Data(), dyd, xh, perLane(&l64[0], scale, spatial),
+		perLane(&l64[1], bn.dbeta, spatial), perLane(&l64[2], bn.dgamma, spatial), m)
 	return bn.dx
 }
 
 // paramGrads sums dγ_c = Σ dy·xhat and dβ_c = Σ dy over batch and space into
 // the float64 scratch and, unless the layer is frozen, adds them to the
 // parameter gradients.
-func (bn *BatchNorm) paramGrads(dyd, xh []float32, n, spatial int) {
-	cc := bn.channels
+func (bn *BatchNorm) paramGrads(dyd, xh []float32, spatial int) {
 	dgamma, dbeta := bn.dgamma, bn.dbeta
 	clear(dgamma)
 	clear(dbeta)
-	if spatial == 1 {
-		tensor.BNParamGrads(dgamma, dbeta, dyd, xh)
-	} else {
-		for i := 0; i < n; i++ {
-			for ch := 0; ch < cc; ch++ {
-				off := (i*cc + ch) * spatial
-				for s := off; s < off+spatial; s++ {
-					dgamma[ch] += float64(dyd[s]) * float64(xh[s])
-					dbeta[ch] += float64(dyd[s])
-				}
-			}
-		}
-	}
+	tensor.BNPlaneParamGrads(dgamma, dbeta, dyd, xh, spatial)
 	if bn.frozen {
 		return
 	}
 	gg, bg := bn.gamma.Grad().Data(), bn.beta.Grad().Data()
-	for c := 0; c < cc; c++ {
+	for c := range dgamma {
 		gg[c] += float32(dgamma[c])
 		bg[c] += float32(dbeta[c])
 	}

@@ -192,13 +192,13 @@ func TestNewConvRejectsBadOpts(t *testing.T) {
 	}
 }
 
-// TestBatchNormDenseLoopsMatchSpatialLoops pins the lane kernels a rank-2
-// input runs to the (batch, channel, spatial) loops a rank-4 input runs,
-// which stay the scalar oracle: the same values as (N, C) and as
-// (N, C, 1, 1) must give the same bits — outputs, input gradients,
-// parameter gradients and running statistics — in training, evaluation and
-// frozen mode. The channel counts leave a tail after a whole 8-lane chunk,
-// fill none and fill eight exactly.
+// TestBatchNormDenseLoopsMatchSpatialLoops pins the two ranks to each other
+// where they meet: the same values as (N, C) and as (N, C, 1, 1) must give
+// the same bits — outputs, input gradients, parameter gradients and running
+// statistics — in training, evaluation and frozen mode, a plane of one
+// value being the column it is at rank 2. TestBatchNormMatchesReference
+// holds both to the scalar loops. The channel counts leave a tail after a
+// whole 8-lane chunk, fill none and fill eight exactly.
 func TestBatchNormDenseLoopsMatchSpatialLoops(t *testing.T) {
 	for _, mode := range []struct {
 		name          string

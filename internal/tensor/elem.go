@@ -5,7 +5,9 @@ import "math"
 // Lane kernels: the element-wise loops of a training step, its optimizer
 // step and the server's fold. A lane is one element, or one column (channel)
 // of a row-major matrix whose column count is the length of its per-channel
-// operands; the BN kernels work in float64. Each kernel runs its vector body
+// operands; the BN kernels work in float64. BatchNorm's sums over a rank-4
+// input are plane kernels: a lane is a (sample, channel) plane of spatial
+// values, whose sum is one chain of its own. Each kernel runs its vector body
 // (elem_avx2_amd64.s on the avx2 and avx512 tiers, whole 8-lane chunks) and
 // then the portable reference below from the first lane the body left: lane
 // 0 on the sse and portable tiers, the tail elsewhere. kernel.go states the
@@ -23,12 +25,39 @@ func ReLU(dst, x []float32) { reluGo(dst, x, reluVec(dst, x)) }
 // ReLUGrad writes dy to dst where y > 0 and +0 elsewhere (NaN y included).
 func ReLUGrad(dst, dy, y []float32) { reluGradGo(dst, dy, y, reluGradVec(dst, dy, y)) }
 
-// BNColSum adds the columns of x to sum in float64, one row after another.
-func BNColSum(sum []float64, x []float32) { bnColSumGo(sum, x, bnColSumVec(sum, x)) }
+// BNPlaneSum adds the sums of x's planes to sum in float64. x holds whole
+// samples of len(sum) planes of spatial values each, channel after channel;
+// each plane sums its values from +0 in ascending order, and the plane sums
+// add to their channel's in ascending sample order. At spatial 1 a plane is
+// one value and the kernel is the column sum, one lane per channel.
+func BNPlaneSum(sum []float64, x []float32, spatial int) {
+	if spatial == 1 {
+		bnColSumGo(sum, x, bnColSumVec(sum, x))
+		return
+	}
+	bnPlaneSumGo(sum, x, spatial, bnPlaneSumVec(sum, x, spatial))
+}
 
-// BNColSqDev adds (x - mean)² to sq in float64, one row after another.
-func BNColSqDev(sq, mean []float64, x []float32) {
-	bnColSqDevGo(sq, mean, x, bnColSqDevVec(sq, mean, x))
+// BNPlaneSqDev is BNPlaneSum over float64(d*d), d = float64(x) - mean of
+// the plane's channel: it adds the squared deviations to sq.
+func BNPlaneSqDev(sq, mean []float64, x []float32, spatial int) {
+	if spatial == 1 {
+		bnColSqDevGo(sq, mean, x, bnColSqDevVec(sq, mean, x))
+		return
+	}
+	bnPlaneSqDevGo(sq, mean, x, spatial, bnPlaneSqDevVec(sq, mean, x, spatial))
+}
+
+// BNPlaneParamGrads adds dy·xhat to dgamma and dy to dbeta, each channel one
+// chain over its planes' values in (sample, spatial) order; dy and xhat are
+// laid out as BNPlaneSum's x.
+func BNPlaneParamGrads(dgamma, dbeta []float64, dy, xhat []float32, spatial int) {
+	if spatial == 1 {
+		bnParamGradsGo(dgamma, dbeta, dy, xhat, bnParamGradsVec(dgamma, dbeta, dy, xhat))
+		return
+	}
+	bnPlaneParamGradsGo(dgamma, dbeta, dy, xhat, spatial,
+		bnPlaneParamGradsVec(dgamma, dbeta, dy, xhat, spatial))
 }
 
 // BNNormalize writes xhat = float32((x - mean)·invStd) and y = γ·xhat + β.
@@ -41,11 +70,6 @@ func BNNormalize(xhat, y, x []float32, mean, invStd []float64, gamma, beta []flo
 func BNNormalizeRunning(y, x []float32, mean, invStd, gamma, beta []float64) {
 	bnNormalizeRunningGo(y, x, mean, invStd, gamma, beta,
 		bnNormalizeRunningVec(y, x, mean, invStd, gamma, beta))
-}
-
-// BNParamGrads adds dy·xhat to dgamma and dy to dbeta, one row after another.
-func BNParamGrads(dgamma, dbeta []float64, dy, xhat []float32) {
-	bnParamGradsGo(dgamma, dbeta, dy, xhat, bnParamGradsVec(dgamma, dbeta, dy, xhat))
 }
 
 // BNInputGrad writes dx = float32(scale·(m·dy - dbeta - xhat·dgamma)).
@@ -402,6 +426,52 @@ func bnColSqDevGo(sq, mean []float64, x []float32, from int) {
 	}
 }
 
+// The plane references continue from channel from: every sample's planes of
+// channels from and up, each plane's chain and each channel's adds in the
+// order the kernels state. A trailing part of a sample is left alone.
+
+func bnPlaneSumGo(sum []float64, x []float32, spatial, from int) {
+	cs := len(sum) * spatial
+	for i := 0; cs > 0 && i+cs <= len(x); i += cs {
+		for ch := from; ch < len(sum); ch++ {
+			var s float64
+			for _, v := range x[i+ch*spatial : i+(ch+1)*spatial] {
+				s += float64(v)
+			}
+			sum[ch] += s
+		}
+	}
+}
+
+func bnPlaneSqDevGo(sq, mean []float64, x []float32, spatial, from int) {
+	cs := len(sq) * spatial
+	for i := 0; cs > 0 && i+cs <= len(x); i += cs {
+		for ch := from; ch < len(sq); ch++ {
+			var s float64
+			for _, v := range x[i+ch*spatial : i+(ch+1)*spatial] {
+				d := float64(v) - mean[ch]
+				s += float64(d * d)
+			}
+			sq[ch] += s
+		}
+	}
+}
+
+func bnPlaneParamGradsGo(dgamma, dbeta []float64, dy, xhat []float32, spatial, from int) {
+	cs := len(dgamma) * spatial
+	for i := 0; cs > 0 && i+cs <= len(dy); i += cs {
+		for ch := from; ch < len(dgamma); ch++ {
+			g, b := dgamma[ch], dbeta[ch]
+			xh := xhat[i+ch*spatial : i+(ch+1)*spatial]
+			for k, v := range dy[i+ch*spatial : i+(ch+1)*spatial] {
+				g += float64(float64(v) * float64(xh[k]))
+				b += float64(v)
+			}
+			dgamma[ch], dbeta[ch] = g, b
+		}
+	}
+}
+
 func bnNormalizeGo(xhat, y, x []float32, mean, invStd []float64, gamma, beta []float32, from int) {
 	for i := 0; i < len(x); i += len(mean) {
 		for ch := from; ch < len(mean); ch++ {
@@ -424,7 +494,7 @@ func bnNormalizeRunningGo(y, x []float32, mean, invStd, gamma, beta []float64, f
 func bnParamGradsGo(dgamma, dbeta []float64, dy, xhat []float32, from int) {
 	for i := 0; i < len(dy); i += len(dgamma) {
 		for ch := from; ch < len(dgamma); ch++ {
-			dgamma[ch] += float64(dy[i+ch]) * float64(xhat[i+ch])
+			dgamma[ch] += float64(float64(dy[i+ch]) * float64(xhat[i+ch]))
 			dbeta[ch] += float64(dy[i+ch])
 		}
 	}

@@ -11,7 +11,8 @@ package tensor
 // centerDistancesVec and nearestLanesVec all rows or none, and
 // sumRowsByGroupVec the rows before the first whose group lies outside sum.
 // The conv staging bodies (stage_amd64.s) return the planes or windows they
-// did: all or none.
+// did, all or none, and BatchNorm's plane bodies (bnplane_amd64.s) the
+// channels they did, C&^3 or none.
 
 //go:noescape
 func reluVec(dst, x []float32) int
@@ -33,6 +34,15 @@ func bnColSumVec(sum []float64, x []float32) int
 
 //go:noescape
 func bnColSqDevVec(sq, mean []float64, x []float32) int
+
+//go:noescape
+func bnPlaneSumVec(sum []float64, x []float32, spatial int) int
+
+//go:noescape
+func bnPlaneSqDevVec(sq, mean []float64, x []float32, spatial int) int
+
+//go:noescape
+func bnPlaneParamGradsVec(dgamma, dbeta []float64, dy, xhat []float32, spatial int) int
 
 //go:noescape
 func bnNormalizeVec(xhat, y, x []float32, mean, invStd []float64, gamma, beta []float32) int

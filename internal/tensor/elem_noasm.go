@@ -11,6 +11,9 @@ func addRowVec(_, _ []float32) int                                         { ret
 func sumRowsVec(_, _ []float32) int                                        { return 0 }
 func bnColSumVec(_ []float64, _ []float32) int                             { return 0 }
 func bnColSqDevVec(_, _ []float64, _ []float32) int                        { return 0 }
+func bnPlaneSumVec(_ []float64, _ []float32, _ int) int                    { return 0 }
+func bnPlaneSqDevVec(_, _ []float64, _ []float32, _ int) int               { return 0 }
+func bnPlaneParamGradsVec(_, _ []float64, _, _ []float32, _ int) int       { return 0 }
 func bnNormalizeVec(_, _, _ []float32, _, _ []float64, _, _ []float32) int { return 0 }
 func bnNormalizeRunningVec(_, _ []float32, _, _, _, _ []float64) int       { return 0 }
 func bnParamGradsVec(_, _ []float64, _, _ []float32) int                   { return 0 }

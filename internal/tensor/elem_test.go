@@ -242,14 +242,14 @@ var layerKernels = []elemKernel{
 		if ref {
 			bnColSumGo(o.acc1, in.x, 0)
 		} else {
-			BNColSum(o.acc1, in.x)
+			BNPlaneSum(o.acc1, in.x, 1)
 		}
 	}, func(in *elemIn) [][]float64 { return append(w64(in.x), in.acc1) }},
 	{"bn-col-sq-dev", false, func(in *elemIn, o *elemOut, ref bool) {
 		if ref {
 			bnColSqDevGo(o.acc1, in.a, in.x, 0)
 		} else {
-			BNColSqDev(o.acc1, in.a, in.x)
+			BNPlaneSqDev(o.acc1, in.a, in.x, 1)
 		}
 	}, func(in *elemIn) [][]float64 { return append(w64(in.x), in.acc1, in.a) }},
 	{"bn-normalize", false, func(in *elemIn, o *elemOut, ref bool) {
@@ -270,7 +270,7 @@ var layerKernels = []elemKernel{
 		if ref {
 			bnParamGradsGo(o.acc1, o.acc2, in.x, in.y, 0)
 		} else {
-			BNParamGrads(o.acc1, o.acc2, in.x, in.y)
+			BNPlaneParamGrads(o.acc1, o.acc2, in.x, in.y, 1)
 		}
 	}, func(in *elemIn) [][]float64 { return append(w64(in.x, in.y), in.acc1, in.acc2) }},
 	{"bn-input-grad", false, func(in *elemIn, o *elemOut, ref bool) {

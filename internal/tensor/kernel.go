@@ -23,16 +23,18 @@ import (
 // from fusing.
 //
 // The tiers also dispatch the lane kernels (elem.go): ReLU, the bias and
-// residual adds, the bias-gradient column sum and BatchNorm's rank-2 passes;
+// residual adds, the bias-gradient column sum, BatchNorm's per-element
+// passes and its plane sums (BNPlaneSum, BNPlaneSqDev, BNPlaneParamGrads);
 // the SGD step in its plain, heavy-ball and proximal modes; the fold's Scale, ScaleFrom, Axpy and IsFinite; the
 // weight pack, PackTranspose; the int8 codec's DeltaMaxAbs,
 // QuantizeInt8Pair and DequantizeInt8; fleet k-means' CenterDistances,
 // NearestLanes and SumRowsByGroup; and Conv2D's staging, PadPlanes,
 // UnpadPlanes, Unpack3x3 and ScatterAdd3x3 (stage.go). The avx2 and avx512
-// tiers run them in AVX2 assembly (elem_avx2_amd64.s, stage_amd64.s) over
-// whole 8-lane chunks, whole 8×8 blocks for the pack, whole block pairs for
-// QuantizeInt8Pair, whole rows for the k-means kernels or all planes and
-// windows for the staging, and finish the rest in the portable Go
+// tiers run them in AVX2 assembly (elem_avx2_amd64.s, stage_amd64.s,
+// bnplane_amd64.s) over whole 8-lane chunks, whole 8×8 blocks for the pack,
+// whole block pairs for QuantizeInt8Pair, whole rows for the k-means
+// kernels, all planes and windows for the staging or whole 4-channel groups
+// for the plane sums, and finish the rest in the portable Go
 // reference; the sse and portable tiers run the reference alone. The lane
 // contract: each lane performs the reference's float operations in the
 // reference's order, with the same first operand and one rounding each —

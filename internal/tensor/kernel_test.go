@@ -244,12 +244,18 @@ func TestFanOutAfterGCAllocatesNothing(t *testing.T) {
 		const rows, n, k, runs = 64, 64, 64, 20
 		dst, a, b := make([]float32, rows*n), make([]float32, rows*k), make([]float32, k*n)
 		fn := func(lo, hi int) {}
+		// MatMulAdd fans out over a and b where they lie. MatMulTransB is
+		// not here: its packing buffer comes from a sync.Pool, which a
+		// collection empties (EXPERIMENTS.md, "Rank-4 BatchNorm on lane
+		// kernels", has the free lists tried in its place).
+		td, ta, tb := New(rows, n), New(rows, k), New(k, n)
 		for _, c := range []struct {
 			name string
 			call func()
 		}{
 			{"ParallelFor", func() { ParallelFor(rows, 1, fn) }},
 			{"parallelGemmAcc", func() { parallelGemmAcc(dst, a, b, rows, n, n, k) }},
+			{"MatMulAdd", func() { must(MatMulAdd(td, ta, tb)) }},
 		} {
 			c.call() // start the workers
 			queued := tasksQueued.Load()

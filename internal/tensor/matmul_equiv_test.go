@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -261,6 +262,48 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	if !par.Equal(ser) {
 		t.Fatal("parallel MatMul differs from serial reference")
 	}
+}
+
+// Goroutines that pack at once share the packing scratch: each call must
+// still get a buffer no other call holds. Eight callers run both
+// orientations of MatMulTransB, the second fanning out, and MatMulTransAAdd
+// on shapes of their own, against the references.
+func TestMatMulParallelCallersShareScratch(t *testing.T) {
+	withGOMAXPROCS(4, func() {
+		var wg sync.WaitGroup
+		for g := range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(30 + g)))
+				// The transposed-result orientation, then a fan-out.
+				for _, shape := range [][3]int{{8 + g, 128 + 8*g, 128}, {80 + g, 64, 64}} {
+					a, b := randT(rng, shape[0], shape[1]), randT(rng, shape[2], shape[1])
+					got, want := New(shape[0], shape[2]), New(shape[0], shape[2])
+					ga, wa := New(shape[1], shape[2]), New(shape[1], shape[2])
+					refMatMulTransB(want, a, b)
+					for range 20 {
+						if err := MatMulTransB(got, a, b); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					if !got.Equal(want) {
+						t.Errorf("caller %d %v: MatMulTransB differs from the reference", g, shape)
+					}
+					if err := MatMulTransAAdd(ga, a, got); err != nil {
+						t.Error(err)
+						return
+					}
+					refMatMulTransAAdd(wa, a, want)
+					if !ga.Equal(wa) {
+						t.Errorf("caller %d %v: MatMulTransAAdd differs from the reference", g, shape)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 func TestEnsureReusesStorage(t *testing.T) {
