@@ -10,14 +10,16 @@
 // whole sample and returns C&^3; the reference does the other channels.
 //
 // A pass takes four planes of one sample, channels g to g+3, as the four
-// float64 lanes of a YMM register. Four 16-byte loads give values k to k+3
-// of each plane; TRANSPOSE4 turns them into four registers, one per k, each
-// holding that value of the four planes; VCVTPS2PD widens each, and the
-// lanes add them in ascending k, so every plane's chain is the reference's
-// chain, one rounding per add. The sums keep a plane's chain from +0 in Y0
-// and add it to the channel's in Y8 after the plane; the γ/β gradients keep
-// each channel's two chains in Y8 and Y9 across every sample. No chain is
-// reordered: only independent chains run side by side.
+// float64 lanes of a YMM register. Four VCVTPS2PD loads widen values k to
+// k+3 of each plane (a third faster, at BenchmarkBNPlanes, than transposing
+// the float32 values and widening them in registers); TRANSPOSE4D turns
+// those rows into four registers, one per k, each holding that value of the
+// four planes; and the lanes add them in
+// ascending k, so every plane's chain is the reference's chain, one rounding
+// per add. The sums keep a plane's chain from +0 in Y0 and add it to the
+// channel's in Y8 after the plane; the γ/β gradients keep each channel's two
+// chains in Y8 and Y9 across every sample. No chain is reordered: only
+// independent chains run side by side.
 //
 // Register use: DI = the per-channel operand at channel g, SI = plane (0, g),
 // R8 = the pass's read pointer in plane (i, g), DX = the end of that plane,
@@ -25,25 +27,26 @@
 // sample length in bytes, R11 = samples, CX = samples left, R13 = g,
 // BX = C&^3, R14 = plane (i, g).
 
-// TRANSPOSE4 transposes four rows of four float32, r0 to r3, in place
-// through four scratch registers: afterwards r0 holds every row's value 0,
-// r1 value 1, r2 value 2 and r3 value 3, row j in lane j.
-#define TRANSPOSE4(r0, r1, r2, r3, t0, t1, t2, t3) \
-	VUNPCKLPS r1, r0, t0; \
-	VUNPCKLPS r3, r2, t1; \
-	VUNPCKHPS r1, r0, t2; \
-	VUNPCKHPS r3, r2, t3; \
-	VMOVLHPS  t1, t0, r0; \
-	VMOVHLPS  t0, t1, r1; \
-	VMOVLHPS  t3, t2, r2; \
-	VMOVHLPS  t2, t3, r3
+// TRANSPOSE4D transposes four rows of four float64, r0 to r3, through four
+// scratch registers: afterwards c0 holds every row's value 0, c1 value 1,
+// c2 value 2 and c3 value 3, row j in lane j. c0 to c3 may be r0 to r3.
+#define TRANSPOSE4D(r0, r1, r2, r3, t0, t1, t2, t3, c0, c1, c2, c3) \
+	VUNPCKLPD  r1, r0, t0;       \
+	VUNPCKHPD  r1, r0, t1;       \
+	VUNPCKLPD  r3, r2, t2;       \
+	VUNPCKHPD  r3, r2, t3;       \
+	VPERM2F128 $0x20, t2, t0, c0; \
+	VPERM2F128 $0x20, t3, t1, c1; \
+	VPERM2F128 $0x31, t2, t0, c2; \
+	VPERM2F128 $0x31, t3, t1, c3
 
-// LOAD4 loads values k to k+3 of the four planes at base into r0 to r3.
-#define LOAD4(base, r0, r1, r2, r3) \
-	VMOVUPS (base), r0;        \
-	VMOVUPS (base)(R9*1), r1;  \
-	VMOVUPS (base)(R9*2), r2;  \
-	VMOVUPS (base)(R12*1), r3
+// LOAD4D widens values k to k+3 of the four planes at base into r0 to r3,
+// one plane a register.
+#define LOAD4D(base, r0, r1, r2, r3) \
+	VCVTPS2PD (base), r0;        \
+	VCVTPS2PD (base)(R9*1), r1;  \
+	VCVTPS2PD (base)(R9*2), r2;  \
+	VCVTPS2PD (base)(R12*1), r3
 
 // PLANES sets up the walk shared by the three bodies from the plane length
 // in R9 and the channel count in CX, and jumps to none when the body does
@@ -92,12 +95,8 @@ plane:
 	LEAQ   (R14)(R9*1), DX
 
 sum4:
-	LOAD4(R8, X1, X2, X3, X4)
-	TRANSPOSE4(X1, X2, X3, X4, X5, X6, X7, X9)
-	VCVTPS2PD X1, Y1
-	VCVTPS2PD X2, Y2
-	VCVTPS2PD X3, Y3
-	VCVTPS2PD X4, Y4
+	LOAD4D(R8, Y1, Y2, Y3, Y4)
+	TRANSPOSE4D(Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y9, Y1, Y2, Y3, Y4)
 	VADDPD    Y1, Y0, Y0 // s + x, k
 	VADDPD    Y2, Y0, Y0 // k+1
 	VADDPD    Y3, Y0, Y0 // k+2
@@ -149,12 +148,8 @@ plane:
 	LEAQ   (R14)(R9*1), DX
 
 sq4:
-	LOAD4(R8, X1, X2, X3, X4)
-	TRANSPOSE4(X1, X2, X3, X4, X5, X6, X7, X9)
-	VCVTPS2PD X1, Y1
-	VCVTPS2PD X2, Y2
-	VCVTPS2PD X3, Y3
-	VCVTPS2PD X4, Y4
+	LOAD4D(R8, Y1, Y2, Y3, Y4)
+	TRANSPOSE4D(Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y9, Y1, Y2, Y3, Y4)
 	VSUBPD    Y10, Y1, Y1 // d = x - mean
 	VSUBPD    Y10, Y2, Y2
 	VSUBPD    Y10, Y3, Y3
@@ -220,29 +215,21 @@ plane:
 	LEAQ (R14)(R9*1), DX
 
 grad4:
-	LOAD4(R8, X0, X1, X2, X3)
-	TRANSPOSE4(X0, X1, X2, X3, X4, X5, X6, X7)
+	LOAD4D(R8, Y0, Y1, Y2, Y3)
+	TRANSPOSE4D(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y0, Y1, Y2, Y3)
 	LEAQ      (R8)(AX*1), R8
-	LOAD4(R8, X10, X11, X12, X13)
+	LOAD4D(R8, Y10, Y11, Y12, Y13)
 	SUBQ      AX, R8
-	TRANSPOSE4(X10, X11, X12, X13, X4, X5, X6, X7)
-	VCVTPS2PD X0, Y0
-	VCVTPS2PD X10, Y10
+	TRANSPOSE4D(Y10, Y11, Y12, Y13, Y4, Y5, Y6, Y7, Y10, Y11, Y12, Y13)
 	VMULPD    Y10, Y0, Y10 // dy·xhat
 	VADDPD    Y10, Y8, Y8  // dgamma + dy·xhat, k
 	VADDPD    Y0, Y9, Y9   // dbeta + dy, k
-	VCVTPS2PD X1, Y1
-	VCVTPS2PD X11, Y11
 	VMULPD    Y11, Y1, Y11
 	VADDPD    Y11, Y8, Y8  // k+1
 	VADDPD    Y1, Y9, Y9
-	VCVTPS2PD X2, Y2
-	VCVTPS2PD X12, Y12
 	VMULPD    Y12, Y2, Y12
 	VADDPD    Y12, Y8, Y8  // k+2
 	VADDPD    Y2, Y9, Y9
-	VCVTPS2PD X3, Y3
-	VCVTPS2PD X13, Y13
 	VMULPD    Y13, Y3, Y13
 	VADDPD    Y13, Y8, Y8  // k+3
 	VADDPD    Y3, Y9, Y9
