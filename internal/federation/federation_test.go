@@ -458,8 +458,8 @@ func TestNothingOutlivesServe(t *testing.T) {
 //
 // A buffered round folds the first updates to arrive and leaves the rest in
 // flight, so a crash the server reads only after the last round's fold
-// belongs to no round — and a crash is read whenever the goroutine watching
-// that dispatch gets to run, which can be after clients that crash later.
+// belongs to no round — and a crash is read only once the goroutine
+// watching that dispatch has run, which can be after that fold.
 // The other clients therefore hold every RoundStart past round 1 until the
 // server has recorded the crash, which it does by closing client 3's
 // connection. Until then the buffered rounds can fold only round-1 updates,
