@@ -214,11 +214,12 @@ func New(spec Spec) (*Fleet, error) {
 // count, device rate, in that fixed order — from a client's stream. It is the
 // shared prefix of registration and materialization: both call it on a fresh
 // seeds.FleetClient stream, so the dataset draws that follow during
-// materialization always see the same stream position.
+// materialization always see the same stream position. The rate's
+// exponential is tensor.Exp, so it does not depend on the host.
 func (f *Fleet) drawPrefix(rng *rand.Rand, props []float64) (size int, flopsRate float64) {
 	dirichlet(rng, f.spec.Alpha, props)
 	size = f.spec.MinSamples + rng.Intn(f.spec.MaxSamples-f.spec.MinSamples+1)
-	flopsRate = f.spec.MedianFLOPS * math.Exp(f.spec.Sigma*rng.NormFloat64())
+	flopsRate = f.spec.MedianFLOPS * tensor.Exp(f.spec.Sigma*rng.NormFloat64())
 	return size, flopsRate
 }
 

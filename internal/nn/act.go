@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"fedfteds/internal/tensor"
-)
+import "fedfteds/internal/tensor"
 
 // ReLU is the rectified linear activation, applied element-wise. It has one
 // value rule in both modes — y = 0 where x < 0, else x — so NaN and -0 pass
@@ -58,7 +54,8 @@ func (r *ReLU) OutputShape(in []int) ([]int, error) { return append([]int(nil), 
 func (r *ReLU) FLOPsPerSample(in []int) int64 { return int64(tensor.Volume(in)) }
 
 // Softmax computes the temperature-scaled softmax of each row of logits
-// (N, C) into a new tensor: p_j = exp(z_j/ρ) / Σ_k exp(z_k/ρ).
+// (N, C) into a new tensor: p_j = exp(z_j/ρ) / Σ_k exp(z_k/ρ), through
+// tensor.SoftmaxRows.
 //
 // Temperature ρ < 1 "hardens" the distribution (paper Eq. 6); ρ > 1 softens
 // it as in knowledge distillation. ρ must be positive.
@@ -69,52 +66,7 @@ func Softmax(logits *tensor.Tensor, temperature float64) *tensor.Tensor {
 	if temperature <= 0 {
 		panic("nn: softmax temperature must be positive")
 	}
-	n, c := logits.Dim(0), logits.Dim(1)
-	out := tensor.New(n, c)
-	for i := 0; i < n; i++ {
-		row := logits.Data()[i*c : (i+1)*c]
-		dst := out.Data()[i*c : (i+1)*c]
-		softmaxRow(dst, row, temperature)
-	}
+	out := tensor.New(logits.Dim(0), logits.Dim(1))
+	tensor.SoftmaxRows(&tensor.SoftmaxScratch{}, out.Data(), logits.Data(), logits.Dim(1), temperature)
 	return out
-}
-
-// softmaxRow writes the numerically stable temperature softmax of src into
-// dst.
-func softmaxRow(dst, src []float32, temperature float64) {
-	maxv := src[0]
-	for _, v := range src[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	for j, v := range src {
-		e := math.Exp(float64(v-maxv) / temperature)
-		dst[j] = float32(e)
-		sum += e
-	}
-	inv := float32(1.0 / sum)
-	for j := range dst {
-		dst[j] *= inv
-	}
-}
-
-// LogSoftmaxRow writes the numerically stable log-softmax of src into dst
-// (temperature 1).
-func LogSoftmaxRow(dst, src []float32) {
-	maxv := src[0]
-	for _, v := range src[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	for _, v := range src {
-		sum += math.Exp(float64(v - maxv))
-	}
-	lse := float32(math.Log(sum)) + maxv
-	for j, v := range src {
-		dst[j] = v - lse
-	}
 }

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"fedfteds/internal/tensor"
 )
@@ -23,6 +22,7 @@ type SoftmaxCrossEntropy struct {
 type LossScratch struct {
 	dlogits      *tensor.Tensor
 	scaled, logp []float32
+	softmax      tensor.SoftmaxScratch
 }
 
 // Loss returns the mean cross-entropy over the batch and the gradient of
@@ -34,106 +34,98 @@ func (l SoftmaxCrossEntropy) Loss(logits *tensor.Tensor, labels []int) (float64,
 	return l.LossInto(&LossScratch{}, logits, labels)
 }
 
-// LossInto is Loss computing into ws's reused buffers.
+// LossInto is Loss computing into ws's reused buffers: the batch's
+// log-softmax in one tensor.LogSoftmaxRows call and its gradient in one
+// tensor.CrossEntropyGrad call.
 func (l SoftmaxCrossEntropy) LossInto(ws *LossScratch, logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor, error) {
+	total, rho, err := l.logSoftmax(ws, logits, labels)
+	if err != nil {
+		return 0, nil, err
+	}
+	n, c := logits.Dim(0), logits.Dim(1)
+	ws.dlogits = tensor.Ensure(ws.dlogits, n, c)
+	tensor.CrossEntropyGrad(ws.dlogits.Data(), ws.logp[:n*c], labels, c, 1.0/(float64(n)*rho))
+	return total / float64(n), ws.dlogits, nil
+}
+
+// Value returns only the mean loss, without allocating gradients.
+func (l SoftmaxCrossEntropy) Value(logits *tensor.Tensor, labels []int) (float64, error) {
+	total, _, err := l.logSoftmax(&LossScratch{}, logits, labels)
+	if err != nil {
+		return 0, err
+	}
+	return total / float64(logits.Dim(0)), nil
+}
+
+// logSoftmax checks the batch, writes the log-softmax of logits/ρ into
+// ws.logp and returns the summed negative log-likelihood of the labels, in
+// batch order, and ρ.
+func (l SoftmaxCrossEntropy) logSoftmax(ws *LossScratch, logits *tensor.Tensor, labels []int) (float64, float64, error) {
 	if logits.Rank() != 2 {
-		return 0, nil, fmt.Errorf("nn: cross-entropy: logits rank %d, want 2", logits.Rank())
+		return 0, 0, fmt.Errorf("nn: cross-entropy: logits rank %d, want 2", logits.Rank())
 	}
 	n, c := logits.Dim(0), logits.Dim(1)
 	if len(labels) != n {
-		return 0, nil, fmt.Errorf("nn: cross-entropy: %d labels for batch %d", len(labels), n)
+		return 0, 0, fmt.Errorf("nn: cross-entropy: %d labels for batch %d", len(labels), n)
 	}
 	rho := l.Temperature
 	if rho == 0 {
 		rho = 1
 	}
 	if rho <= 0 {
-		return 0, nil, fmt.Errorf("nn: cross-entropy: temperature %v must be positive", rho)
+		return 0, 0, fmt.Errorf("nn: cross-entropy: temperature %v must be positive", rho)
 	}
-	ws.dlogits = tensor.Ensure(ws.dlogits, n, c)
-	dlogits := ws.dlogits
-	if cap(ws.scaled) < c {
-		ws.scaled = make([]float32, c)
-		ws.logp = make([]float32, c)
-	}
-	var total float64
-	scaled := ws.scaled[:c]
-	logp := ws.logp[:c]
-	for i := 0; i < n; i++ {
-		y := labels[i]
+	for _, y := range labels {
 		if y < 0 || y >= c {
-			return 0, nil, fmt.Errorf("nn: cross-entropy: label %d outside [0,%d)", y, c)
-		}
-		row := logits.Data()[i*c : (i+1)*c]
-		for j, v := range row {
-			scaled[j] = float32(float64(v) / rho)
-		}
-		LogSoftmaxRow(logp, scaled)
-		total -= float64(logp[y])
-		drow := dlogits.Data()[i*c : (i+1)*c]
-		invNRho := 1.0 / (float64(n) * rho)
-		for j := range drow {
-			p := math.Exp(float64(logp[j]))
-			ind := 0.0
-			if j == y {
-				ind = 1.0
-			}
-			drow[j] = float32((p - ind) * invNRho)
+			return 0, 0, fmt.Errorf("nn: cross-entropy: label %d outside [0,%d)", y, c)
 		}
 	}
-	return total / float64(n), dlogits, nil
-}
-
-// Value returns only the mean loss, without allocating gradients.
-func (l SoftmaxCrossEntropy) Value(logits *tensor.Tensor, labels []int) (float64, error) {
-	if logits.Rank() != 2 {
-		return 0, fmt.Errorf("nn: cross-entropy: logits rank %d, want 2", logits.Rank())
+	if cap(ws.logp) < n*c {
+		ws.logp = make([]float32, n*c)
 	}
-	n, c := logits.Dim(0), logits.Dim(1)
-	if len(labels) != n {
-		return 0, fmt.Errorf("nn: cross-entropy: %d labels for batch %d", len(labels), n)
+	// At ρ = 1, float32(float64(v)/ρ) is v, a signalling NaN quieted: every
+	// operation the log-softmax does on it quiets it the same way, so the
+	// logits go in as they are.
+	x, logp := logits.Data(), ws.logp[:n*c]
+	if rho != 1 {
+		if cap(ws.scaled) < n*c {
+			ws.scaled = make([]float32, n*c)
+		}
+		x = ws.scaled[:n*c]
+		for j, v := range logits.Data() {
+			x[j] = float32(float64(v) / rho)
+		}
 	}
-	rho := l.Temperature
-	if rho == 0 {
-		rho = 1
-	}
+	tensor.LogSoftmaxRows(&ws.softmax, logp, x, c)
 	var total float64
-	scaled := make([]float32, c)
-	logp := make([]float32, c)
-	for i := 0; i < n; i++ {
-		y := labels[i]
-		if y < 0 || y >= c {
-			return 0, fmt.Errorf("nn: cross-entropy: label %d outside [0,%d)", y, c)
-		}
-		row := logits.Data()[i*c : (i+1)*c]
-		for j, v := range row {
-			scaled[j] = float32(float64(v) / rho)
-		}
-		LogSoftmaxRow(logp, scaled)
-		total -= float64(logp[y])
+	for i, y := range labels {
+		total -= float64(logp[i*c+y])
 	}
-	return total / float64(n), nil
+	return total, rho, nil
 }
 
 // ShannonEntropyRows returns the Shannon entropy (natural log) of each row of
-// a row-stochastic matrix such as a Softmax output. Zero probabilities
-// contribute zero, matching the limit p·log p → 0.
+// a row-stochastic matrix such as a Softmax output, through
+// tensor.EntropyRows. Zero probabilities contribute zero, matching the limit
+// p·log p → 0.
 func ShannonEntropyRows(probs *tensor.Tensor) []float64 {
 	if probs.Rank() != 2 {
 		panic(shapeErr("entropy", "rank 2", probs.Shape()))
 	}
-	n, c := probs.Dim(0), probs.Dim(1)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := probs.Data()[i*c : (i+1)*c]
-		var h float64
-		for _, p := range row {
-			if p > 0 {
-				fp := float64(p)
-				h -= fp * math.Log(fp)
-			}
-		}
-		out[i] = h
-	}
+	out := make([]float64, probs.Dim(0))
+	tensor.EntropyRows(&tensor.SoftmaxScratch{}, out, probs.Data(), probs.Dim(1))
 	return out
+}
+
+// SoftmaxEntropies writes into h, one per row, ShannonEntropyRows of
+// Softmax(logits, temperature), without a probabilities tensor: the
+// probabilities stay in ws, which later calls reuse.
+func SoftmaxEntropies(h []float64, ws *tensor.SoftmaxScratch, logits *tensor.Tensor, temperature float64) {
+	if logits.Rank() != 2 {
+		panic(shapeErr("softmax entropy", "rank 2", logits.Shape()))
+	}
+	if temperature <= 0 {
+		panic("nn: softmax temperature must be positive")
+	}
+	tensor.SoftmaxEntropyRows(ws, h, logits.Data(), logits.Dim(1), temperature)
 }

@@ -27,10 +27,13 @@ type BatchNorm struct {
 	runMean *tensor.Tensor
 	runVar  *tensor.Tensor
 
-	// Cached state from the last training-mode forward.
-	xhat    *tensor.Tensor
-	invStd  []float64
-	inShape []int
+	// Cached state from the last training-mode forward. An evaluation
+	// forward keeps xhat's buffer for the next training forward and marks it
+	// stale: Backward then has no xhat and adds no γ/β gradient.
+	xhat      *tensor.Tensor
+	xhatStale bool
+	invStd    []float64
+	inShape   []int
 	// evalBackward marks that the last training forward normalized with
 	// running statistics (degenerate batch of one): Backward then uses the
 	// decoupled gradient dx = dy·γ·invStd instead of the batch-stat formula.
@@ -174,7 +177,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			rv[c] = float32((1-bn.momentum)*float64(rv[c]) + bn.momentum*variance[c])
 			invStd[c] = 1.0 / math.Sqrt(variance[c]+bn.eps)
 		}
-		bn.xhat = tensor.Ensure(bn.xhat, bn.inShape...)
+		bn.xhat, bn.xhatStale = tensor.Ensure(bn.xhat, bn.inShape...), false
 		tensor.BNNormalize(bn.xhat.Data(), yd, xd,
 			perLane(&l64[0], mean, spatial), perLane(&l64[1], invStd, spatial),
 			perLane(&l32[0], gd, spatial), perLane(&l32[1], bd, spatial))
@@ -200,13 +203,13 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		perLane(&l64[2], g64, spatial), perLane(&l64[3], b64, spatial))
 	if train && !bn.frozen {
 		// n·spatial <= 1: at most one value per channel, value c channel c's.
-		bn.xhat = tensor.Ensure(bn.xhat, bn.inShape...)
+		bn.xhat, bn.xhatStale = tensor.Ensure(bn.xhat, bn.inShape...), false
 		xh := bn.xhat.Data()
 		for c, v := range xd {
 			xh[c] = float32((float64(v) - mean[c]) * invStd[c])
 		}
 	} else {
-		bn.xhat = nil
+		bn.xhatStale = true
 	}
 	bn.evalBackward = true
 	return bn.y
@@ -220,14 +223,15 @@ func (bn *BatchNorm) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 	gd := bn.gamma.W.Data()
 	l64 := &bn.lanes64
 
-	if bn.xhat == nil || bn.evalBackward {
+	haveXhat := bn.xhat != nil && !bn.xhatStale
+	if !haveXhat || bn.evalBackward {
 		if bn.invStd == nil {
 			panic("nn: batchnorm " + bn.name + ": Backward without Forward")
 		}
 		// Running-statistics normalization: the statistics do not depend on
 		// the batch, so dx decouples to dy·γ·invStd; dγ/dβ accumulate from
 		// the cached xhat when the layer is trainable.
-		if !bn.frozen && bn.xhat != nil {
+		if !bn.frozen && haveXhat {
 			bn.paramGrads(dyd, bn.xhat.Data(), spatial)
 		}
 		if !needDx {

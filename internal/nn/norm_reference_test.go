@@ -306,6 +306,39 @@ func TestBatchNormRank4StepAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestBatchNormEvalKeepsWorkspace checks that evaluation forwards between
+// training steps, as EDS scoring runs on a kept replica before its local
+// epochs, allocate nothing at either rank, and that a Backward after an
+// evaluation forward of a trainable layer still adds no γ/β gradient.
+func TestBatchNormEvalKeepsWorkspace(t *testing.T) {
+	for _, shape := range [][]int{{16, 12}, {8, 16, 4, 4}} {
+		bn, err := NewBatchNorm("bn", shape[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, dy := tensor.New(shape...), tensor.New(shape...)
+		x.FillNormal(rand.New(rand.NewSource(3)), 1, 2)
+		dy.FillNormal(rand.New(rand.NewSource(4)), 0, 1)
+		step := func() { bn.Forward(x, false); bn.Forward(x, true); bn.Backward(dy, true) }
+		step()
+		if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+			t.Errorf("%v: evaluation forward then training step allocates %v times in steady state, want 0", shape, allocs)
+		}
+		for _, p := range bn.Params() {
+			clear(p.G.Data())
+		}
+		bn.Forward(x, false)
+		bn.Backward(dy, true)
+		for _, p := range bn.Params() {
+			for _, g := range p.G.Data() {
+				if g != 0 {
+					t.Fatalf("%v: Backward after an evaluation forward added to %s's gradient", shape, p.Name)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkBatchNormStep times one training forward and backward of
 // BatchNorm at WRN-16-1's rank-4 shapes, batch 16, and an evaluation
 // forward at batch 160.

@@ -17,6 +17,7 @@ import (
 	"fedfteds/internal/data"
 	"fedfteds/internal/models"
 	"fedfteds/internal/nn"
+	"fedfteds/internal/tensor"
 )
 
 // ErrSelection reports an invalid selection request.
@@ -170,17 +171,20 @@ func SampleEntropies(m *models.Model, ds *data.Dataset, temperature float64) ([]
 	if temperature <= 0 {
 		return nil, fmt.Errorf("%w: temperature %v must be positive", ErrSelection, temperature)
 	}
-	out := make([]float64, 0, ds.Len())
+	out := make([]float64, ds.Len())
 	batches, err := ds.Batches(scoreBatchSize, nil)
 	if err != nil {
 		return nil, err
 	}
+	var ws tensor.SoftmaxScratch
+	off := 0
 	for _, b := range batches {
 		logits := m.Forward(b.X, false)
-		probs := nn.Softmax(logits, temperature)
-		out = append(out, nn.ShannonEntropyRows(probs)...)
+		n := logits.Dim(0)
+		nn.SoftmaxEntropies(out[off:off+n], &ws, logits, temperature)
+		off += n
 	}
-	return out, nil
+	return out[:off], nil
 }
 
 // Margin selects samples with the smallest top-2 probability margin — the

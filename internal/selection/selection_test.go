@@ -9,6 +9,7 @@ import (
 
 	"fedfteds/internal/data"
 	"fedfteds/internal/models"
+	"fedfteds/internal/nn"
 	"fedfteds/internal/tensor"
 )
 
@@ -261,5 +262,44 @@ func TestTopKByScoreStableTies(t *testing.T) {
 	// Ties broken by lower index: picks 1 and 2.
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("topK = %v, want [1 2]", got)
+	}
+}
+
+// TestSampleEntropiesMatchSoftmaxEntropies holds the batch scoring, which
+// keeps its probabilities in a scratch, to nn.ShannonEntropyRows of
+// nn.Softmax batch by batch, bit for bit, and checks that the scoring adds
+// no allocation per batch: its count grows with the batches only by the
+// views ds.Batches makes.
+func TestSampleEntropiesMatchSoftmaxEntropies(t *testing.T) {
+	m := testModel(t)
+	allocs := map[int]float64{}
+	for _, n := range []int{scoreBatchSize, 6*scoreBatchSize + 5} {
+		ds := testDataset(t, n)
+		got, err := SampleEntropies(m, ds, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches, err := ds.Batches(scoreBatchSize, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []float64
+		for _, b := range batches {
+			want = append(want, nn.ShannonEntropyRows(nn.Softmax(m.Forward(b.X, false), 0.1))...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d samples: %d entropies, want %d", n, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d samples: entropy %d = %v, per-batch softmax %v", n, i, got[i], want[i])
+			}
+		}
+		allocs[len(batches)] = testing.AllocsPerRun(10, func() { SampleEntropies(m, ds, 0.1) }) -
+			testing.AllocsPerRun(10, func() { ds.Batches(scoreBatchSize, nil) })
+	}
+	if allocs[1] != allocs[7] {
+		t.Fatalf("SampleEntropies allocates %v times over 1 batch and %v over 7 beside its batch views, want the same",
+			allocs[1], allocs[7])
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 
 	"fedfteds/internal/models"
+	"fedfteds/internal/tensor"
 )
 
 // ErrSim reports an invalid simulation configuration.
@@ -27,13 +28,14 @@ type Device struct {
 // NewHeterogeneousDevices draws n device speeds from a lognormal
 // distribution with the given median FLOP/s and log-space sigma — the usual
 // model for consumer-device populations. sigma 0 yields identical devices.
+// The exponential is tensor.Exp, so the speeds do not depend on the host.
 func NewHeterogeneousDevices(n int, medianFLOPS, sigma float64, rng *rand.Rand) ([]Device, error) {
 	if n <= 0 || medianFLOPS <= 0 || sigma < 0 {
 		return nil, fmt.Errorf("%w: n=%d median=%v sigma=%v", ErrSim, n, medianFLOPS, sigma)
 	}
 	out := make([]Device, n)
 	for i := range out {
-		out[i] = Device{FLOPSRate: medianFLOPS * math.Exp(sigma*rng.NormFloat64())}
+		out[i] = Device{FLOPSRate: medianFLOPS * tensor.Exp(sigma*rng.NormFloat64())}
 	}
 	return out, nil
 }

@@ -10,6 +10,7 @@ func xgetbv0() (eax, edx uint32)
 
 // CPUID feature bits consulted by detectCPU.
 const (
+	cpuid1ECXFMA     = 1 << 12 // leaf 1 ECX: FMA3 instructions
 	cpuid1ECXOSXSAVE = 1 << 27 // leaf 1 ECX: OS uses XSAVE/XRSTOR
 	cpuid1ECXAVX     = 1 << 28 // leaf 1 ECX: AVX instructions
 	cpuid7EBXAVX2    = 1 << 5  // leaf 7 EBX: AVX2 instructions
@@ -33,6 +34,7 @@ func featuresFromCPUID(maxLeaf, ecx1, ebx7, xcr0 uint32) cpuFeatures {
 		return f
 	}
 	f.avx2 = ebx7&cpuid7EBXAVX2 != 0
+	f.fma = ecx1&cpuid1ECXFMA != 0
 	// AVX-512 additionally needs ZMM and opmask state enabled by the OS.
 	f.avx512 = ebx7&cpuid7EBXAVX512F != 0 && xcr0&xcr0AVX512 == xcr0AVX512
 	return f

@@ -9,7 +9,8 @@ import "testing"
 // host (e.g. AVX2 CPU with an OS that does not save YMM state).
 func TestFeaturesFromCPUID(t *testing.T) {
 	const (
-		ecxAVXOS = cpuid1ECXOSXSAVE | cpuid1ECXAVX
+		ecxAVXOS = cpuid1ECXOSXSAVE | cpuid1ECXAVX | cpuid1ECXFMA
+		ecxNoFMA = cpuid1ECXOSXSAVE | cpuid1ECXAVX
 		ebxBoth  = cpuid7EBXAVX2 | cpuid7EBXAVX512F
 		xcrFull  = xcr0SSEAVX | xcr0AVX512
 	)
@@ -20,20 +21,26 @@ func TestFeaturesFromCPUID(t *testing.T) {
 	}{
 		{"ancient cpu, no leaf 7", 1, ecxAVXOS, ebxBoth, xcrFull,
 			cpuFeatures{sse: true}},
-		{"no osxsave", 7, cpuid1ECXAVX, ebxBoth, xcrFull,
+		{"no osxsave", 7, cpuid1ECXAVX | cpuid1ECXFMA, ebxBoth, xcrFull,
 			cpuFeatures{sse: true}},
-		{"no avx bit", 7, cpuid1ECXOSXSAVE, ebxBoth, xcrFull,
+		{"no avx bit", 7, cpuid1ECXOSXSAVE | cpuid1ECXFMA, ebxBoth, xcrFull,
 			cpuFeatures{sse: true}},
 		{"os does not save ymm", 7, ecxAVXOS, ebxBoth, 0x1,
 			cpuFeatures{sse: true}},
 		{"avx os ok but no avx2 bit", 7, ecxAVXOS, cpuid7EBXAVX512F, xcrFull,
-			cpuFeatures{sse: true, avx512: true}},
+			cpuFeatures{sse: true, avx512: true, fma: true}},
 		{"avx2 only", 7, ecxAVXOS, cpuid7EBXAVX2, xcr0SSEAVX,
+			cpuFeatures{sse: true, avx2: true, fma: true}},
+		{"avx2 without fma", 7, ecxNoFMA, cpuid7EBXAVX2, xcr0SSEAVX,
 			cpuFeatures{sse: true, avx2: true}},
-		{"avx512 cpu, os saves only ymm", 7, ecxAVXOS, ebxBoth, xcr0SSEAVX,
-			cpuFeatures{sse: true, avx2: true}},
-		{"full avx512", 7, ecxAVXOS, ebxBoth, xcrFull,
+		{"avx512 without fma", 7, ecxNoFMA, ebxBoth, xcrFull,
 			cpuFeatures{sse: true, avx2: true, avx512: true}},
+		{"fma, os does not save ymm", 7, ecxAVXOS, cpuid7EBXAVX2, 0x1,
+			cpuFeatures{sse: true}},
+		{"avx512 cpu, os saves only ymm", 7, ecxAVXOS, ebxBoth, xcr0SSEAVX,
+			cpuFeatures{sse: true, avx2: true, fma: true}},
+		{"full avx512", 7, ecxAVXOS, ebxBoth, xcrFull,
+			cpuFeatures{sse: true, avx2: true, avx512: true, fma: true}},
 	}
 	for _, c := range cases {
 		if got := featuresFromCPUID(c.maxLeaf, c.ecx1, c.ebx7, c.xcr); got != c.want {

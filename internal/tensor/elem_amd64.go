@@ -12,7 +12,10 @@ package tensor
 // sumRowsByGroupVec the rows before the first whose group lies outside sum.
 // The conv staging bodies (stage_amd64.s) return the planes or windows they
 // did, all or none, and BatchNorm's plane bodies (bnplane_amd64.s) the
-// channels they did, C&^3 or none.
+// channels they did, C&^3 or none. The softmax bodies (softmax_amd64.s)
+// start at lane from, a group's first, and return the first lane of the
+// group they stopped at: the end of the lanes when no lane of theirs
+// reached a special case, from itself when they do not run.
 
 //go:noescape
 func reluVec(dst, x []float32) int
@@ -103,3 +106,15 @@ func unpack3x3Vec(cols, x []float32, ch, h, w, stride, oh, ow int) int
 
 //go:noescape
 func scatterAdd3x3Vec(dx, cols []float32, ch, h, w, stride, oh, ow int) int
+
+//go:noescape
+func softmaxExpVec(e []float64, x, top []float32, cols int, rho float64, from int) int
+
+//go:noescape
+func crossEntropyGradVec(d, logp []float32, labels []int, cols int, scale float64, from int) int
+
+//go:noescape
+func entropyTermsVec(t []float64, p []float32, from int) int
+
+//go:noescape
+func logVec(x []float64, from int) int

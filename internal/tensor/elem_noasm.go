@@ -41,3 +41,8 @@ func sumRowsByGroupVec(_ []float64, _ []float32, _ []int32, _, _ int) int    { r
 func copyPlanesVec(_, _ []float32, _, _, _, _, _, _, _ int) int { return 0 }
 func unpack3x3Vec(_, _ []float32, _, _, _, _, _, _ int) int     { return 0 }
 func scatterAdd3x3Vec(_, _ []float32, _, _, _, _, _, _ int) int { return 0 }
+
+func softmaxExpVec(_ []float64, _, _ []float32, _ int, _ float64, from int) int   { return from }
+func crossEntropyGradVec(_, _ []float32, _ []int, _ int, _ float64, from int) int { return from }
+func entropyTermsVec(_ []float64, _ []float32, from int) int                      { return from }
+func logVec(_ []float64, from int) int                                            { return from }

@@ -28,17 +28,24 @@ import (
 // the SGD step in its plain, heavy-ball and proximal modes; the fold's Scale, ScaleFrom, Axpy and IsFinite; the
 // weight pack, PackTranspose; the int8 codec's DeltaMaxAbs,
 // QuantizeInt8Pair and DequantizeInt8; fleet k-means' CenterDistances,
-// NearestLanes and SumRowsByGroup; and Conv2D's staging, PadPlanes,
-// UnpadPlanes, Unpack3x3 and ScatterAdd3x3 (stage.go). The avx2 and avx512
+// NearestLanes and SumRowsByGroup; Conv2D's staging, PadPlanes,
+// UnpadPlanes, Unpack3x3 and ScatterAdd3x3 (stage.go); and the softmax
+// passes' exponentials and logarithms, SoftmaxRows, LogSoftmaxRows,
+// CrossEntropyGrad and EntropyRows (softmax.go). The avx2 and avx512
 // tiers run them in AVX2 assembly (elem_avx2_amd64.s, stage_amd64.s,
-// bnplane_amd64.s) over whole 8-lane chunks, whole 8×8 blocks for the pack,
-// whole block pairs for QuantizeInt8Pair, whole rows for the k-means
-// kernels, all planes and windows for the staging or whole 4-channel groups
-// for the plane sums, and finish the rest in the portable Go
-// reference; the sse and portable tiers run the reference alone. The lane
+// bnplane_amd64.s, softmax_amd64.s) over whole 8-lane chunks, whole 8×8
+// blocks for the pack, whole block pairs for QuantizeInt8Pair, whole rows
+// for the k-means kernels, all planes and windows for the staging, whole
+// 4-channel groups for the plane sums or 4-lane groups for the softmax
+// passes, and finish the rest in the portable Go reference; the sse and
+// portable tiers run the reference alone. The softmax passes' exp bodies
+// also need FMA (expAVX2). The lane
 // contract: each lane performs the reference's float operations in the
 // reference's order, with the same first operand and one rounding each —
-// again no VFMADD; the SGD, fold, codec and k-means references write each
+// again no VFMADD, save where the reference itself calls math.FMA, which
+// only Exp (explog.go) does: there the body fuses the same operation, one
+// rounding as math.FMA rounds on every host; the SGD, fold, codec and
+// k-means references write each
 // product that feeds an add or a subtraction as
 // float32(a*b) or float64(a*b) so no target fuses them either — and float32
 // values widen to float64 through VCVTPS2PD and narrow through VCVTPD2PS,
@@ -84,6 +91,7 @@ type cpuFeatures struct {
 	sse    bool // amd64 baseline assembly compiled in
 	avx2   bool // AVX2 + OS YMM state support
 	avx512 bool // AVX-512F + OS ZMM/opmask state support
+	fma    bool // FMA3 + OS YMM state support: the exp bodies need it
 }
 
 // tiers returns the available tiers, best first. Portable is always last.
@@ -140,6 +148,11 @@ var activeTier = TierPortable
 // elemAVX2 turns on the lane kernels' bodies in elem_avx2_amd64.s.
 var elemAVX2 bool
 
+// expAVX2 turns on the bodies that evaluate Exp (softmax_amd64.s): the
+// avx2 and avx512 tiers on a CPU with FMA, since Exp's fused steps are
+// fused there too.
+var expAVX2 bool
+
 // gemmAccImpl accumulates dst[r*dstStride+j] += Σ_p a[r*k+p]·b[p*n+j] for
 // r in [0,rows), j in [0,n); b rows are contiguous with stride n (the full
 // B when n is the output width, or a packed panel). Rebound by setTier.
@@ -166,6 +179,7 @@ func setTier(t KernelTier) {
 	activeTier = t
 	gemmAccImpl = gemmAccForTier(t)
 	elemAVX2 = t >= TierAVX2
+	expAVX2 = elemAVX2 && detectedFeatures.fma
 }
 
 // gemmAccGo is the portable tier: every row through the reference kernel.
