@@ -60,13 +60,20 @@ func (r *ReLU) FLOPsPerSample(in []int) int64 { return int64(tensor.Volume(in)) 
 // Temperature ρ < 1 "hardens" the distribution (paper Eq. 6); ρ > 1 softens
 // it as in knowledge distillation. ρ must be positive.
 func Softmax(logits *tensor.Tensor, temperature float64) *tensor.Tensor {
+	return SoftmaxInto(&tensor.SoftmaxScratch{}, nil, logits, temperature)
+}
+
+// SoftmaxInto is Softmax computing into out, grown by tensor.Ensure and
+// returned, with ws's workspace: a scoring loop that passes back the
+// returned tensor and one scratch allocates nothing per batch.
+func SoftmaxInto(ws *tensor.SoftmaxScratch, out, logits *tensor.Tensor, temperature float64) *tensor.Tensor {
 	if logits.Rank() != 2 {
 		panic(shapeErr("softmax", "rank 2", logits.Shape()))
 	}
 	if temperature <= 0 {
 		panic("nn: softmax temperature must be positive")
 	}
-	out := tensor.New(logits.Dim(0), logits.Dim(1))
-	tensor.SoftmaxRows(&tensor.SoftmaxScratch{}, out.Data(), logits.Data(), logits.Dim(1), temperature)
+	out = tensor.Ensure(out, logits.Dim(0), logits.Dim(1))
+	tensor.SoftmaxRows(ws, out.Data(), logits.Data(), logits.Dim(1), temperature)
 	return out
 }

@@ -116,16 +116,3 @@ func ShannonEntropyRows(probs *tensor.Tensor) []float64 {
 	tensor.EntropyRows(&tensor.SoftmaxScratch{}, out, probs.Data(), probs.Dim(1))
 	return out
 }
-
-// SoftmaxEntropies writes into h, one per row, ShannonEntropyRows of
-// Softmax(logits, temperature), without a probabilities tensor: the
-// probabilities stay in ws, which later calls reuse.
-func SoftmaxEntropies(h []float64, ws *tensor.SoftmaxScratch, logits *tensor.Tensor, temperature float64) {
-	if logits.Rank() != 2 {
-		panic(shapeErr("softmax entropy", "rank 2", logits.Shape()))
-	}
-	if temperature <= 0 {
-		panic("nn: softmax temperature must be positive")
-	}
-	tensor.SoftmaxEntropyRows(ws, h, logits.Data(), logits.Dim(1), temperature)
-}

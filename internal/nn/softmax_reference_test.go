@@ -89,10 +89,11 @@ func refEntropyRows(probs []float32, c int) []float64 {
 	return out
 }
 
-// TestSoftmaxPassesMatchRowLoops holds Softmax, ShannonEntropyRows,
-// SoftmaxEntropies, Loss, LossInto and Value to the row loops above, bit
-// for bit, on batches with NaN of both signs, infinities, zeros, subnormals
-// and far-apart logits planted. A NaN's payload may differ only where two
+// TestSoftmaxPassesMatchRowLoops holds Softmax, SoftmaxInto (one output
+// tensor and scratch across batches of every shape), ShannonEntropyRows,
+// tensor.SoftmaxEntropyRows, Loss, LossInto and Value to the row loops
+// above, bit for bit, on batches with NaN of both signs, infinities, zeros,
+// subnormals and far-apart logits planted. A NaN's payload may differ only where two
 // NaNs can meet in one add: a row sum over two NaN or infinite logits, or
 // the loss over two such rows.
 func TestSoftmaxPassesMatchRowLoops(t *testing.T) {
@@ -100,6 +101,7 @@ func TestSoftmaxPassesMatchRowLoops(t *testing.T) {
 		float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1)), 1e-40, -800, 3e38}
 	rng := rand.New(rand.NewSource(55))
 	var ws LossScratch
+	var into *tensor.Tensor
 	for trial := 0; trial < 60; trial++ {
 		n, c := 1+rng.Intn(40), 1+rng.Intn(13)
 		logits := tensor.New(n, c)
@@ -169,11 +171,13 @@ func TestSoftmaxPassesMatchRowLoops(t *testing.T) {
 			refSoftmaxRow(probs[i*c:(i+1)*c], logits.Data()[i*c:(i+1)*c], rho)
 		}
 		same32("Softmax", Softmax(logits, rho).Data(), probs, c)
+		into = SoftmaxInto(&ws.softmax, into, logits, rho)
+		same32("SoftmaxInto", into.Data(), probs, c)
 		wantH := refEntropyRows(probs, c)
 		same64("ShannonEntropyRows", ShannonEntropyRows(Softmax(logits, rho)), wantH, 1)
 		h := make([]float64, n)
-		SoftmaxEntropies(h, &ws.softmax, logits, rho)
-		same64("SoftmaxEntropies", h, wantH, 1)
+		tensor.SoftmaxEntropyRows(&ws.softmax, h, logits.Data(), c, rho)
+		same64("SoftmaxEntropyRows", h, wantH, 1)
 
 		loss := SoftmaxCrossEntropy{Temperature: rho}
 		wantLoss, wantGrad := refLoss(logits.Data(), labels, c, rho)
@@ -197,7 +201,8 @@ func TestSoftmaxPassesMatchRowLoops(t *testing.T) {
 }
 
 // TestLossIntoAllocatesNothing checks that a warm LossInto, through one
-// scratch, allocates nothing at temperature 1 and at a hardened one.
+// scratch, allocates nothing at temperature 1 and at a hardened one, nor
+// does a warm SoftmaxInto given back its output tensor.
 func TestLossIntoAllocatesNothing(t *testing.T) {
 	logits := tensor.New(32, 10)
 	logits.FillNormal(rand.New(rand.NewSource(1)), 0, 3)
@@ -217,5 +222,10 @@ func TestLossIntoAllocatesNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
 			t.Errorf("temperature %v: LossInto allocates %v times in steady state, want 0", rho, allocs)
 		}
+	}
+	var ws tensor.SoftmaxScratch
+	probs := SoftmaxInto(&ws, nil, logits, 0.1)
+	if allocs := testing.AllocsPerRun(20, func() { probs = SoftmaxInto(&ws, probs, logits, 0.1) }); allocs != 0 {
+		t.Errorf("SoftmaxInto allocates %v times in steady state, want 0", allocs)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fedfteds/internal/data"
 	"fedfteds/internal/models"
 	"fedfteds/internal/nn"
+	"fedfteds/internal/tensor"
 )
 
 // GradNorm selects samples with the largest per-sample gradient-norm upper
@@ -41,9 +42,11 @@ func (GradNorm) Select(m *models.Model, ds *data.Dataset, fraction float64, rng 
 	if err != nil {
 		return nil, err
 	}
+	var ws tensor.SoftmaxScratch
+	var probs *tensor.Tensor
 	for _, b := range batches {
 		logits := m.Forward(b.X, false)
-		probs := nn.Softmax(logits, 1.0)
+		probs = nn.SoftmaxInto(&ws, probs, logits, 1.0)
 		n, c := probs.Dim(0), probs.Dim(1)
 		for i := 0; i < n; i++ {
 			row := probs.Data()[i*c : (i+1)*c]

@@ -181,7 +181,7 @@ func SampleEntropies(m *models.Model, ds *data.Dataset, temperature float64) ([]
 	for _, b := range batches {
 		logits := m.Forward(b.X, false)
 		n := logits.Dim(0)
-		nn.SoftmaxEntropies(out[off:off+n], &ws, logits, temperature)
+		tensor.SoftmaxEntropyRows(&ws, out[off:off+n], logits.Data(), logits.Dim(1), temperature)
 		off += n
 	}
 	return out[:off], nil
@@ -210,9 +210,11 @@ func (Margin) Select(m *models.Model, ds *data.Dataset, fraction float64, rng *r
 	if err != nil {
 		return nil, err
 	}
+	var ws tensor.SoftmaxScratch
+	var probs *tensor.Tensor
 	for _, b := range batches {
 		logits := m.Forward(b.X, false)
-		probs := nn.Softmax(logits, 1.0)
+		probs = nn.SoftmaxInto(&ws, probs, logits, 1.0)
 		n, c := probs.Dim(0), probs.Dim(1)
 		for i := 0; i < n; i++ {
 			row := probs.Data()[i*c : (i+1)*c]
@@ -254,9 +256,11 @@ func (LeastConfidence) Select(m *models.Model, ds *data.Dataset, fraction float6
 	if err != nil {
 		return nil, err
 	}
+	var ws tensor.SoftmaxScratch
+	var probs *tensor.Tensor
 	for _, b := range batches {
 		logits := m.Forward(b.X, false)
-		probs := nn.Softmax(logits, 1.0)
+		probs = nn.SoftmaxInto(&ws, probs, logits, 1.0)
 		n, c := probs.Dim(0), probs.Dim(1)
 		for i := 0; i < n; i++ {
 			row := probs.Data()[i*c : (i+1)*c]

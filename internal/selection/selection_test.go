@@ -303,3 +303,33 @@ func TestSampleEntropiesMatchSoftmaxEntropies(t *testing.T) {
 			allocs[1], allocs[7])
 	}
 }
+
+// TestProbabilitySelectorsAllocateNothingPerBatch checks that the margin,
+// least-confidence and gradient-norm scoring reuse one probabilities tensor
+// and scratch across batches: a selection's allocation count grows with
+// the batches only by the views ds.Batches makes.
+func TestProbabilitySelectorsAllocateNothingPerBatch(t *testing.T) {
+	m := testModel(t)
+	for _, sel := range []Selector{Margin{}, LeastConfidence{}, GradNorm{}} {
+		allocs := map[int]float64{}
+		for _, n := range []int{scoreBatchSize, 6*scoreBatchSize + 5} {
+			ds := testDataset(t, n)
+			batches, err := ds.Batches(scoreBatchSize, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() {
+				if _, err := sel.Select(m, ds, 0.5, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			allocs[len(batches)] = testing.AllocsPerRun(10, run) -
+				testing.AllocsPerRun(10, func() { ds.Batches(scoreBatchSize, nil) })
+		}
+		if allocs[1] != allocs[7] {
+			t.Errorf("%s allocates %v times over 1 batch and %v over 7 beside its batch views, want the same",
+				sel.Name(), allocs[1], allocs[7])
+		}
+	}
+}

@@ -115,6 +115,3 @@ func crossEntropyGradVec(d, logp []float32, labels []int, cols int, scale float6
 
 //go:noescape
 func entropyTermsVec(t []float64, p []float32, from int) int
-
-//go:noescape
-func logVec(x []float64, from int) int

@@ -45,4 +45,3 @@ func scatterAdd3x3Vec(_, _ []float32, _, _, _, _, _, _ int) int { return 0 }
 func softmaxExpVec(_ []float64, _, _ []float32, _ int, _ float64, from int) int   { return from }
 func crossEntropyGradVec(_, _ []float32, _ []int, _ int, _ float64, from int) int { return from }
 func entropyTermsVec(_ []float64, _ []float32, from int) int                      { return from }
-func logVec(_ []float64, from int) int                                            { return from }

@@ -20,11 +20,12 @@ import (
 // every lane.
 
 // SoftmaxScratch holds the workspace of the softmax kernels for one caller:
-// a float64 per value and a float32 per row, grown on first use and reused
-// after, so a training loop allocates nothing per step. The zero value is
-// ready to use; a scratch is not safe for concurrent use.
+// a float64 per value, a float32 per row and, for SoftmaxEntropyRows, a
+// float32 per value, grown on first use and reused after, so a training
+// loop allocates nothing per step. The zero value is ready to use; a
+// scratch is not safe for concurrent use.
 type SoftmaxScratch struct {
-	e, sum []float64
+	e      []float64
 	top, p []float32
 }
 
@@ -42,7 +43,6 @@ func (s *SoftmaxScratch) rows(op string, dst, x []float32, cols int) (e []float6
 	}
 	if n := len(x) / cols; cap(s.top) < n {
 		s.top = make([]float32, n)
-		s.sum = make([]float64, n)
 	}
 	return s.e[:len(x)], s.top[:len(x)/cols]
 }
@@ -76,17 +76,12 @@ func LogSoftmaxRows(ws *SoftmaxScratch, dst, x []float32, cols int) {
 	e, top := ws.rows("log-softmax", dst, x, cols)
 	rowMax(top, x, cols)
 	softmaxExp(e, x, top, cols, 1)
-	sums := ws.sum[:len(top)]
-	for i := range sums {
+	for i, m := range top {
 		var sum float64
 		for _, v := range e[i*cols : (i+1)*cols] {
 			sum += v
 		}
-		sums[i] = sum
-	}
-	logLanes(sums)
-	for i, m := range top {
-		lse := float32(sums[i]) + m
+		lse := float32(Log(sum)) + m
 		out := dst[i*cols : (i+1)*cols]
 		for j, v := range x[i*cols : (i+1)*cols] {
 			out[j] = v - lse
@@ -194,22 +189,6 @@ func entropyTerms(t []float64, p []float32) {
 		}
 		entropyTermsGo(t, p, k, end)
 		k = end
-	}
-}
-
-// logLanes writes x[k] = Log(x[k]) for every lane.
-func logLanes(x []float64) {
-	for k := 0; k < len(x); {
-		end := len(x)
-		if elemAVX2 {
-			if k = logVec(x, k); k == len(x) {
-				return
-			}
-			end = min(k+4, len(x))
-		}
-		for ; k < end; k++ {
-			x[k] = Log(x[k])
-		}
 	}
 }
 

@@ -3,11 +3,10 @@
 #include "textflag.h"
 
 // The vector bodies of the softmax kernels (softmax.go): the exponentials of
-// softmaxExp and CrossEntropyGrad, the terms of entropyTerms and the
-// logarithms of logLanes, four float64 lanes a YMM register. softmaxExpVec
-// and crossEntropyGradVec return at once with from unless expAVX2 is set (the
-// avx2 and avx512 tiers on a CPU with FMA), entropyTermsVec and logVec
-// unless elemAVX2 is. Each lane performs Exp's or
+// softmaxExp and CrossEntropyGrad and the terms of entropyTerms, four float64
+// lanes a YMM register. softmaxExpVec and crossEntropyGradVec return at once
+// with from unless expAVX2 is set (the avx2 and avx512 tiers on a CPU with
+// FMA), entropyTermsVec unless elemAVX2 is. Each lane performs Exp's or
 // Log's float operations (explog.go) in their order, VFMADD213PD and
 // VFNMADD231PD exactly where Exp calls math.FMA and nowhere else, VCVTPD2DQ
 // for Exp's rounding of its exponent to the nearest integer, ties to even,
@@ -412,51 +411,6 @@ test:
 special:
 	VZEROUPPER
 	MOVQ AX, ret+56(FP)
-
-none:
-	RET
-
-// func logVec(x []float64, from int) int
-//
-// x[k] = Log(x[k]) in place over whole groups of four lanes, each lane a
-// positive normal float64: a group with a zero, a negative value, a
-// subnormal, an infinity or a NaN returns to the reference. In int64 bits
-// those are the lanes not in [0x0010000000000000, 0x7FF0000000000000).
-// Register use: DI = x, CX = the end of the whole groups less 3, Y8 and Y9
-// the bounds less and more one.
-TEXT ·logVec(SB), NOSPLIT, $0-40
-	MOVQ from+24(FP), AX
-	MOVQ AX, ret+32(FP)
-	CMPB ·elemAVX2(SB), $0
-	JEQ  none
-	MOVQ x_base+0(FP), DI
-	MOVQ x_len+8(FP), CX
-	SUBQ $3, CX
-	VMOVDQU logMant<>(SB), Y8 // 0x000FFFFFFFFFFFFF
-	MOVQ    $0x7FF0000000000000, R11
-	VMOVQ   R11, X9
-	VPBROADCASTQ X9, Y9
-	JMP     test
-
-loop:
-	VMOVUPD   (DI)(AX*8), Y0
-	VPCMPGTQ  Y8, Y0, Y1 // at least the smallest normal
-	VPCMPGTQ  Y0, Y9, Y2 // below +Inf
-	VPAND     Y2, Y1, Y1
-	VMOVMSKPD Y1, R11
-	CMPL      R11, $15
-	JNE       special
-	LOG
-	VMOVUPD   Y0, (DI)(AX*8)
-	ADDQ      $4, AX
-
-test:
-	CMPQ AX, CX
-	JLT  loop
-
-special:
-	VZEROUPPER
-	MOVQ AX, ret+32(FP)
 
 none:
 	RET
