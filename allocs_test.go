@@ -337,7 +337,7 @@ func TestScheduledRoundAllocBudget(t *testing.T) {
 		runner, err := core.NewRunner(core.Config{
 			Rounds: rounds, LocalEpochs: 1, BatchSize: 16, LR: 0.1,
 			Selector: selection.Entropy{Temperature: 0.1}, SelectFraction: 0.5,
-			CohortSize: 3, EvalEvery: rounds, Parallelism: 1, Seed: 9,
+			CohortSize: 3, Parallelism: 1, Seed: 9,
 		}, m, cl, test)
 		if err != nil {
 			t.Fatal(err)
@@ -412,7 +412,7 @@ func TestFleetRoundMemoryBounded(t *testing.T) {
 	runner, err := core.NewRunnerWithSource(core.Config{
 		Rounds: 2, LocalEpochs: 1, BatchSize: 16, LR: 0.1, Momentum: 0.5,
 		Selector: selection.All{}, Scheduler: sched.UniformRandom{},
-		CohortSize: cohort, EvalEvery: 2, Parallelism: 1, Seed: 9,
+		CohortSize: cohort, Parallelism: 1, Seed: 9,
 	}, m, f, test)
 	if err != nil {
 		t.Fatal(err)
@@ -471,7 +471,7 @@ func TestTieredRoundAllocBudget(t *testing.T) {
 		runner, err := core.NewRunner(core.Config{
 			Rounds: rounds, LocalEpochs: 1, BatchSize: 16, LR: 0.1,
 			Selector: selection.Entropy{Temperature: 0.1}, SelectFraction: 0.5,
-			CohortSize: 3, TierDist: dist, EvalEvery: rounds, Parallelism: 1, Seed: 9,
+			CohortSize: 3, TierDist: dist, Parallelism: 1, Seed: 9,
 		}, m, cl, test)
 		if err != nil {
 			t.Fatal(err)

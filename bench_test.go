@@ -14,7 +14,6 @@ package fedfteds_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -478,7 +477,8 @@ func BenchmarkKernelReLU(b *testing.B) {
 // replica — FedFT-EDS(50%, moderate), E = 5, one 56-sample client — through
 // the only door to the pool, a Runner round: rebind, one frozen-prefix pass,
 // entropy selection on the features, five epochs on the selected half, the
-// fold of that one update. What it allocates per round is the selector's
+// fold of that one update and the evaluation of the new global model on a
+// 10-sample test set. What it allocates per round is the selector's
 // scoring buffers and the round's bookkeeping; the feature pass and the
 // epochs themselves are pinned to zero by internal/core's AllocsPerRun test.
 func BenchmarkKernelClientRoundEDS(b *testing.B) {
@@ -500,7 +500,7 @@ func BenchmarkKernelClientRoundEDS(b *testing.B) {
 	runner, err := core.NewRunner(core.Config{
 		Rounds: b.N, LocalEpochs: 5, BatchSize: 16, LR: 0.05, Momentum: 0.5,
 		FinetunePart: models.FinetuneModerate, Selector: selection.Entropy{Temperature: 0.1},
-		SelectFraction: 0.5, EvalEvery: math.MaxInt32, Parallelism: 1, Seed: 6,
+		SelectFraction: 0.5, Parallelism: 1, Seed: 6,
 	}, model, clients, test)
 	if err != nil {
 		b.Fatal(err)

@@ -36,7 +36,7 @@ func TestScheduledSamplingSteadyStateAllocs(t *testing.T) {
 	r := newWarmRunner(t, Config{
 		Rounds: 2, LocalEpochs: 1, BatchSize: 16, LR: 0.1,
 		Selector: selection.Entropy{Temperature: 0.1}, SelectFraction: 0.5,
-		CohortSize: 3, EvalEvery: 10, Parallelism: 2, Seed: 5,
+		CohortSize: 3, Parallelism: 2, Seed: 5,
 	})
 	l := r.newLoop()
 	allocs := testing.AllocsPerRun(50, func() {
@@ -67,7 +67,6 @@ func TestAggregateSteadyStateAllocs(t *testing.T) {
 			cfg: Config{
 				Rounds: 2, LocalEpochs: 1, BatchSize: 16, LR: 0.1,
 				Selector: selection.Entropy{Temperature: 0.1}, SelectFraction: 0.5,
-				EvalEvery: 10, Parallelism: 2, Seed: 6,
 			},
 		},
 		{
@@ -80,7 +79,7 @@ func TestAggregateSteadyStateAllocs(t *testing.T) {
 				return Config{
 					Rounds: 2, LocalEpochs: 1, BatchSize: 16, LR: 0.1,
 					Selector: selection.Entropy{Temperature: 0.1}, SelectFraction: 0.5,
-					Strategy: strat, EvalEvery: 10, Parallelism: 2, Seed: 6,
+					Strategy: strat, Parallelism: 2, Seed: 6,
 				}
 			}(),
 		},

@@ -85,9 +85,6 @@ type Config struct {
 	// accounting then includes the blob's 4-byte count header that the
 	// legacy path's per-tensor sum omits.
 	Codec string
-	// EvalEvery evaluates the global model on the test set every this many
-	// rounds (default 1); the final round is always evaluated.
-	EvalEvery int
 	// Parallelism bounds concurrent client updates (default GOMAXPROCS).
 	// Each client in training occupies one kernel lane, so its kernels fan
 	// out only over the lanes the others leave free.
@@ -115,9 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CohortSize > 0 && c.Scheduler == nil {
 		c.Scheduler = sched.UniformRandom{}
-	}
-	if c.EvalEvery == 0 {
-		c.EvalEvery = 1
 	}
 	if c.Parallelism == 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
@@ -155,8 +149,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: select fraction %v", ErrConfig, c.SelectFraction)
 	case c.CohortSize < 0:
 		return fmt.Errorf("%w: cohort size %d", ErrConfig, c.CohortSize)
-	case c.EvalEvery < 0:
-		return fmt.Errorf("%w: eval every %d", ErrConfig, c.EvalEvery)
 	case c.Parallelism < 1:
 		return fmt.Errorf("%w: parallelism %d", ErrConfig, c.Parallelism)
 	case c.CheckpointEvery < 0:

@@ -474,25 +474,3 @@ func TestPretrainTransferHelpsInitialAccuracy(t *testing.T) {
 		t.Fatalf("pretrained classifier tuning %.3f <= fresh %.3f", preAcc, freshAcc)
 	}
 }
-
-func TestHistoryCurveNaNForSkippedRounds(t *testing.T) {
-	clients, _, test, spec := testFederation(t, 3, 0.5)
-	m, err := models.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(Config{
-		Rounds: 4, LocalEpochs: 1, LR: 0.1, EvalEvery: 2, Seed: 10,
-	}, m, clients, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	curve := hist.Curve()
-	if !math.IsNaN(curve[0]) || math.IsNaN(curve[1]) || !math.IsNaN(curve[2]) || math.IsNaN(curve[3]) {
-		t.Fatalf("eval-every-2 curve pattern wrong: %v", curve)
-	}
-}

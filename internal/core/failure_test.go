@@ -154,7 +154,7 @@ func TestRunRefusesDivergedClient(t *testing.T) {
 				t.Fatal(err)
 			}
 			r, err := NewRunner(Config{
-				Rounds: 2, LocalEpochs: 1, LR: 0.1, Selector: selection.All{}, EvalEvery: 1, Seed: 1,
+				Rounds: 2, LocalEpochs: 1, LR: 0.1, Selector: selection.All{}, Seed: 1,
 			}, m, clients, test)
 			if err != nil {
 				t.Fatal(err)

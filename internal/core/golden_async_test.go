@@ -43,7 +43,6 @@ func goldenAsyncConfig() Config {
 		BatchSize:   16,
 		LR:          0.1,
 		Momentum:    0.5,
-		EvalEvery:   1,
 		Parallelism: 2,
 		Seed:        77,
 	}

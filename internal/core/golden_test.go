@@ -30,9 +30,9 @@ const (
 
 // goldenConfig is the fixed configuration behind the committed fixture. It
 // exercises the full FedFT-EDS stack: partial training, entropy selection,
-// and the utility-driven cohort scheduler. EvalEvery 1 keeps every float in
-// the history finite, so it survives a JSON round trip exactly (Go marshals
-// float64 with shortest-round-trip precision).
+// and the utility-driven cohort scheduler. Every round evaluates, so every
+// float in the history is finite and survives a JSON round trip exactly (Go
+// marshals float64 with shortest-round-trip precision).
 func goldenConfig() Config {
 	return Config{
 		Rounds:         goldenRounds,
@@ -45,7 +45,6 @@ func goldenConfig() Config {
 		SelectFraction: 0.5,
 		Scheduler:      sched.EntropyUtility{},
 		CohortSize:     3,
-		EvalEvery:      1,
 		Parallelism:    2,
 		Seed:           1234,
 	}
@@ -183,7 +182,6 @@ func goldenStratConfig(t *testing.T) Config {
 		Selector:       selection.Entropy{Temperature: 0.1},
 		SelectFraction: 0.5,
 		Strategy:       strat,
-		EvalEvery:      1,
 		Parallelism:    2,
 		Seed:           4321,
 	}

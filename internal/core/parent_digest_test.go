@@ -83,7 +83,7 @@ func TestParentCommitDigests(t *testing.T) {
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			clients, _, test, spec := testFederation(t, 6, 0.5)
-			cfg := Config{Rounds: 3, LocalEpochs: 2, BatchSize: 8, LR: 0.1, Momentum: 0.5, EvalEvery: 1, Seed: 21}
+			cfg := Config{Rounds: 3, LocalEpochs: 2, BatchSize: 8, LR: 0.1, Momentum: 0.5, Seed: 21}
 			if tt.wrn {
 				clients, test, spec = wrnFederation(t, 3)
 				cfg.Rounds, cfg.LR = 2, 0.05

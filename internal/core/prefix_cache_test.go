@@ -62,7 +62,7 @@ func (s *evalSpy) requireDirect(hist History, first int) {
 func partialEDSConfig(rounds int, spy *evalSpy) Config {
 	return Config{Rounds: rounds, LocalEpochs: 1, BatchSize: 16, LR: 0.1, Momentum: 0.5,
 		FinetunePart: models.FinetuneModerate, Selector: selection.Entropy{Temperature: 0.1},
-		SelectFraction: 0.5, EvalEvery: 1, Straggler: spy, Seed: 17}
+		SelectFraction: 0.5, Straggler: spy, Seed: 17}
 }
 
 // TestTestSetFeaturesDieWithTheirWeights: the test set's frozen-prefix pass
@@ -336,7 +336,7 @@ func TestPrefixRunsOncePerClientPerRun(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := Config{Rounds: 3, LocalEpochs: 2, BatchSize: 16, LR: 0.1, Momentum: 0.5,
 				FinetunePart: tt.part, Selector: selection.Entropy{Temperature: 0.1},
-				SelectFraction: 0.5, EvalEvery: 1, Seed: 23}
+				SelectFraction: 0.5, Seed: 23}
 			if tt.tiers != "" {
 				cfg.TierDist = mustDist(t, tt.tiers)
 			}

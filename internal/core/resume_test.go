@@ -59,7 +59,6 @@ var resumeStrategies = []struct {
 				FinetunePart: models.FinetuneModerate,
 				Selector:     selection.Entropy{Temperature: 0.1}, SelectFraction: 0.5,
 				Scheduler: sched.EntropyUtility{}, CohortSize: 3,
-				EvalEvery:   2, // leaves NaN records, exercising the NaN-exact comparison
 				Parallelism: 2, Seed: 99,
 			}
 		},
@@ -101,8 +100,7 @@ var resumeStrategies = []struct {
 	},
 }
 
-// histEqual compares histories with bitwise float semantics, so NaN records
-// (unevaluated rounds) compare equal when both runs left them NaN.
+// histEqual compares histories with bitwise float semantics.
 func histEqual(a, b History) bool {
 	f64 := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	if len(a.Records) != len(b.Records) ||
@@ -355,75 +353,6 @@ func TestExtendFinishedRun(t *testing.T) {
 		t.Fatalf("extension diverged:\nfresh:    %+v\nextended: %+v", uninterruptedHist, extHist)
 	}
 	requireSameState(t, uninterruptedModel, extModel)
-}
-
-// TestExtendFinishedRunSparseEval covers the subtle extension case: the
-// short run force-evaluated its final round (Run always evaluates
-// round == Rounds), which the longer run's EvalEvery cadence would skip.
-// RestoreInto must un-evaluate that record so the extension stays
-// bit-identical to a from-scratch longer run.
-func TestExtendFinishedRunSparseEval(t *testing.T) {
-	clients, _, test, spec := testFederation(t, 5, 0.5)
-	const short, long = 3, 5 // 3 % 2 != 0: the short run's final eval is off-cadence
-	newCfg := func(rounds int) Config {
-		cfg := resumeStrategies[0].newCfg(rounds)
-		cfg.EvalEvery = 2
-		return cfg
-	}
-	build := func() *models.Model {
-		m, err := models.Build(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-
-	dir := t.TempDir()
-	shortCfg := newCfg(short)
-	shortCfg.CheckpointDir = dir
-	shortRunner, err := NewRunner(shortCfg, build(), clients, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shortHist, err := shortRunner.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(shortHist.Records[short-1].TestAccuracy) {
-		t.Fatal("short run must have force-evaluated its final round")
-	}
-
-	extCfg := newCfg(long)
-	extCfg.CheckpointDir = dir
-	extModel := build()
-	extRunner, err := NewRunner(extCfg, extModel, clients, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if round, err := extRunner.ResumeLatest(); err != nil || round != short {
-		t.Fatalf("resumed round %d, err %v", round, err)
-	}
-	extHist, err := extRunner.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	freshModel := build()
-	freshRunner, err := NewRunner(newCfg(long), freshModel, clients, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freshHist, err := freshRunner.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(freshHist.Records[short-1].TestAccuracy) {
-		t.Fatalf("premise broken: fresh run evaluated round %d", short)
-	}
-	if !histEqual(freshHist, extHist) {
-		t.Fatalf("sparse-eval extension diverged:\nfresh:    %+v\nextended: %+v", freshHist, extHist)
-	}
-	requireSameState(t, freshModel, extModel)
 }
 
 // TestRunStateRoundTrip: a real run's snapshot survives

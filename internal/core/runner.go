@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,6 +12,7 @@ import (
 	"fedfteds/internal/metrics"
 	"fedfteds/internal/models"
 	"fedfteds/internal/sched"
+	"fedfteds/internal/selection"
 	"fedfteds/internal/simtime"
 	"fedfteds/internal/strategy"
 	"fedfteds/internal/tensor"
@@ -31,8 +31,7 @@ type RoundRecord struct {
 	SchedPolicy string
 	// Participants is the number of clients whose updates were aggregated.
 	Participants int
-	// TestAccuracy is the global model's test accuracy after this round, or
-	// NaN when the round was not evaluated.
+	// TestAccuracy is the global model's test accuracy after this round.
 	TestAccuracy float64
 	// MeanTrainLoss averages the participants' final local losses.
 	MeanTrainLoss float64
@@ -58,7 +57,7 @@ type History struct {
 	TotalDownlinkBytes int64
 }
 
-// Curve returns the per-round test accuracies (NaN for unevaluated rounds).
+// Curve returns the per-round test accuracies.
 func (h History) Curve() []float64 {
 	out := make([]float64, len(h.Records))
 	for i, r := range h.Records {
@@ -84,16 +83,11 @@ type Progress struct {
 }
 
 // Record appends one round's record, filling its Cum* fields from the
-// accounting; an evaluated round (TestAccuracy not NaN) also updates the
-// best and final accuracy.
+// accounting, and updates the best and final accuracy.
 func (p *Progress) Record(rec RoundRecord) {
 	rec.CumTrainSeconds, rec.CumUplinkBytes = p.Acct.TotalSeconds(), p.Acct.UplinkBytes()
-	if acc := rec.TestAccuracy; !math.IsNaN(acc) {
-		if acc > p.Hist.BestAccuracy {
-			p.Hist.BestAccuracy = acc
-		}
-		p.Hist.FinalAccuracy = acc
-	}
+	p.Hist.BestAccuracy = max(p.Hist.BestAccuracy, rec.TestAccuracy)
+	p.Hist.FinalAccuracy = rec.TestAccuracy
 	p.Hist.Records = append(p.Hist.Records, rec)
 }
 
@@ -252,24 +246,20 @@ func (r *Runner) prepareRun() error {
 }
 
 // recordRound closes one round from what its folded updates reported: it
-// evaluates on the EvalEvery cadence and records the round.
+// evaluates the global model and records the round.
 func (r *Runner) recordRound(round, cohortSize int, sum comm.RoundSum) error {
-	rec := RoundRecord{
+	acc, err := r.eval.Accuracy()
+	if err != nil {
+		return fmt.Errorf("core: eval round %d: %w", round, err)
+	}
+	r.prog.Record(RoundRecord{
 		Round:         round,
 		CohortSize:    cohortSize,
 		Participants:  sum.Updates,
-		TestAccuracy:  math.NaN(),
+		TestAccuracy:  acc,
 		MeanTrainLoss: sum.LossSum / float64(sum.Updates),
 		SchedPolicy:   r.schedName(),
-	}
-	if r.cfg.EvalEvery > 0 && (round%r.cfg.EvalEvery == 0 || round == r.cfg.Rounds) {
-		acc, err := r.eval.Accuracy()
-		if err != nil {
-			return fmt.Errorf("core: eval round %d: %w", round, err)
-		}
-		rec.TestAccuracy = acc
-	}
-	r.prog.Record(rec)
+	})
 	r.doneRound = round
 	return nil
 }
@@ -336,14 +326,17 @@ func (r *Runner) clientInput(rep *replica, pos int, cl *Client) (in *data.Datase
 // sees its data: the test set's frozen-prefix features, computed on the
 // first Accuracy, under the model entered at its FrozenDepth. Groups below
 // the finetune part are never communicated, so nothing a run does can write
-// them and one pass through them lasts the run; whoever writes them between
-// two uses calls Reset. The Runner and federation.Serve each keep one.
+// them and one pass through them, split once into evaluation batches, lasts
+// the run; whoever writes them between two uses calls Reset. The Runner and
+// federation.Serve each keep one.
 type EvalView struct {
 	global *models.Model
 	test   *data.Dataset
 	head   *models.Model
-	set    *data.Dataset
-	feats  features
+	// batches views the features in metrics.EvalBatchSize batches; nil
+	// until the first Accuracy after construction or Reset.
+	batches []data.Batch
+	feats   features
 }
 
 // NewEvalView returns global's view of test; nothing runs before the first
@@ -356,19 +349,24 @@ func NewEvalView(global *models.Model, test *data.Dataset) *EvalView {
 // metrics.Accuracy(global, test), running the test set through the frozen
 // prefix only on the first call after construction or Reset.
 func (v *EvalView) Accuracy() (float64, error) {
-	if v.set == nil {
+	if v.batches == nil {
 		p := v.global.FrozenDepth()
 		set, err := v.feats.of(v.global, 0, p, v.test)
 		if err != nil {
 			return 0, err
 		}
-		v.head, v.set = v.global.From(p), set
+		batches, err := set.Batches(metrics.EvalBatchSize, nil)
+		if err != nil {
+			return 0, err
+		}
+		v.head, v.batches = v.global.From(p), batches
 	}
-	return metrics.Accuracy(v.head, v.set)
+	return metrics.BatchesTopKAccuracy(v.head, v.batches, 1)
 }
 
-// Reset drops the features; the next Accuracy rebuilds them.
-func (v *EvalView) Reset() { v.set = nil }
+// Reset drops the features and their batches; the next Accuracy rebuilds
+// them.
+func (v *EvalView) Reset() { v.batches = nil }
 
 // schedName names the configured cohort scheduler; empty without one.
 func (r *Runner) schedName() string {
@@ -496,11 +494,11 @@ func (r *Runner) cacheProjectedCosts() error {
 		)
 		if r.tiers != nil {
 			cost, err = simtime.ClientRoundCostFor(r.global, r.tierMasks[r.tiers[i]].groups, d.Device,
-				d.DataSize, projectedSelected(d.DataSize, r.cfg.SelectFraction),
+				d.DataSize, selection.TargetCount(d.DataSize, r.cfg.SelectFraction),
 				r.cfg.LocalEpochs, r.cfg.Selector.ScoringPasses())
 		} else {
 			cost, err = simtime.ClientRoundCost(r.global, d.Device,
-				d.DataSize, projectedSelected(d.DataSize, r.cfg.SelectFraction),
+				d.DataSize, selection.TargetCount(d.DataSize, r.cfg.SelectFraction),
 				r.cfg.LocalEpochs, r.cfg.Selector.ScoringPasses())
 		}
 		if err != nil {
@@ -534,18 +532,6 @@ func (r *Runner) schedule(round, k int, cands []sched.Candidate) []int {
 	}
 	srng := tensor.NewRand(uint64(r.cfg.Seed), uint64(round), sched.StreamTag)
 	return r.cfg.Scheduler.Schedule(round, cands, k, srng)
-}
-
-// projectedSelected mirrors the selector's targetCount for cost projection.
-func projectedSelected(n int, fraction float64) int {
-	k := int(math.Ceil(fraction * float64(n)))
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	return k
 }
 
 // trainFlights runs one dispatch's local rounds on a bounded worker pool of

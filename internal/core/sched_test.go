@@ -178,7 +178,6 @@ func TestRerunStartsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := entropyFeedbackConfig()
-	cfg.EvalEvery = 1
 	runner, err := NewRunner(cfg, m, clients, test)
 	if err != nil {
 		t.Fatal(err)

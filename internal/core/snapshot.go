@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math"
 	"os"
 
 	"fedfteds/internal/ckpt"
@@ -171,10 +170,11 @@ type tagText string
 // checkpoint/parallelism knobs (they must not affect results at all). An
 // explicit strategy contributes its Fingerprint; a nil Strategy contributes
 // nothing, keeping legacy configs' tags — and therefore their committed
-// checkpoints — stable across the strategy redesign. Three deleted fields
+// checkpoints — stable across the strategy redesign. Four deleted fields
 // keep their renderings: 0.0 for the weight decay clients no longer take,
-// and, absorbed by the Strategy, 0.0 for the FedProx μ and the text the
-// aggregation weighting rendered beside a nil or an explicit Strategy.
+// 1 for the evaluation interval (every round evaluates), and, absorbed by
+// the Strategy, 0.0 for the FedProx μ and the text the aggregation
+// weighting rendered beside a nil or an explicit Strategy.
 func (c Config) trainingTag() uint64 {
 	weighting := tagText("core.AggWeighting:selected;")
 	if c.Strategy != nil {
@@ -182,7 +182,7 @@ func (c Config) trainingTag() uint64 {
 	}
 	parts := []any{c.LocalEpochs, c.BatchSize, c.LR, c.Momentum, 0.0,
 		0.0, c.FinetunePart, c.Selector, c.SelectFraction, c.CohortSize,
-		c.Straggler, weighting, c.EvalEvery}
+		c.Straggler, weighting, 1}
 	if c.Strategy != nil {
 		parts = append(parts, c.Strategy.Fingerprint())
 	}
@@ -429,31 +429,6 @@ func (s *RunState) RestoreInto(r *Runner) error {
 		return err
 	}
 	r.dropFrozenViews() // derived from the weights just replaced
-
-	// Extending a finished run: that run force-evaluated its final round
-	// (Run always evaluates round == Rounds), which a longer run would skip
-	// when the round misses the EvalEvery cadence. Evaluation never mutates
-	// training state, so only the history needs repair: un-evaluate the
-	// record and recompute the accuracy aggregates, keeping the extension
-	// bit-identical to a from-scratch longer run.
-	hist := &r.prog.Hist
-	if s.Round > 0 && s.Round < r.cfg.Rounds && s.Round%r.cfg.EvalEvery != 0 {
-		rec := &hist.Records[s.Round-1]
-		if !math.IsNaN(rec.TestAccuracy) {
-			rec.TestAccuracy = math.NaN()
-			var best, final float64
-			for _, rr := range hist.Records {
-				if !math.IsNaN(rr.TestAccuracy) {
-					if rr.TestAccuracy > best {
-						best = rr.TestAccuracy
-					}
-					final = rr.TestAccuracy
-				}
-			}
-			hist.BestAccuracy, hist.FinalAccuracy = best, final
-		}
-	}
-
 	r.startRound = s.Round
 	r.doneRound = s.Round
 	r.restored = true

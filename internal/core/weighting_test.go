@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"fedfteds/internal/models"
@@ -35,35 +34,6 @@ func TestWeightByLocalSizeEndToEnd(t *testing.T) {
 	}
 	if hist.BestAccuracy <= 0.2 {
 		t.Fatalf("local-size weighting run did not learn: %v", hist.BestAccuracy)
-	}
-}
-
-func TestFinalRoundAlwaysEvaluated(t *testing.T) {
-	// EvalEvery larger than the round count: only the final round evaluates.
-	clients, _, test, spec := testFederation(t, 3, 0.5)
-	m, err := models.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(Config{
-		Rounds: 3, LocalEpochs: 1, LR: 0.1, EvalEvery: 100, Seed: 32,
-	}, m, clients, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	curve := hist.Curve()
-	if !math.IsNaN(curve[0]) || !math.IsNaN(curve[1]) {
-		t.Fatalf("intermediate rounds evaluated: %v", curve)
-	}
-	if math.IsNaN(curve[2]) {
-		t.Fatal("final round not evaluated")
-	}
-	if hist.FinalAccuracy != curve[2] {
-		t.Fatalf("FinalAccuracy %v != last curve point %v", hist.FinalAccuracy, curve[2])
 	}
 }
 

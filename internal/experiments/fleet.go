@@ -236,12 +236,8 @@ func (r *FleetDayResult) Render() string {
 		r.Stats.Materializations, r.Stats.Hits, r.Stats.Evictions, r.Stats.PeakResident)
 	fmt.Fprintf(&b, "%5s %9s %9s %12s %14s\n", "hour", "cohort", "test acc", "train loss", "client-seconds")
 	for _, rec := range r.Hist.Records {
-		acc := "-"
-		if rec.TestAccuracy == rec.TestAccuracy { // not NaN
-			acc = fmt.Sprintf("%8.2f%%", 100*rec.TestAccuracy)
-		}
-		fmt.Fprintf(&b, "%5d %9d %9s %12.4f %14.4g\n",
-			rec.Round, rec.CohortSize, acc, rec.MeanTrainLoss, rec.CumTrainSeconds)
+		fmt.Fprintf(&b, "%5d %9d %8.2f%% %12.4f %14.4g\n",
+			rec.Round, rec.CohortSize, 100*rec.TestAccuracy, rec.MeanTrainLoss, rec.CumTrainSeconds)
 	}
 	fmt.Fprintf(&b, "best %.2f%%, final %.2f%%, %.4g simulated client-seconds\n",
 		100*r.Hist.BestAccuracy, 100*r.Hist.FinalAccuracy, r.Hist.TotalTrainSeconds)

@@ -90,7 +90,8 @@ func F3(v float64) string {
 type Series struct {
 	// Name labels the curve.
 	Name string
-	// Values holds one value per round; NaN marks unevaluated rounds.
+	// Values holds one value per round; NaN marks a round without a test
+	// accuracy (a centralised run given no test set).
 	Values []float64
 }
 

@@ -160,7 +160,6 @@ func TestServeRefusesRecipeItCannotSend(t *testing.T) {
 		"relays above clients": func(c *Config) { c.Relays = 5 },
 		"buffer above peers":   func(c *Config) { c.Run.Async.Buffer = 5 },
 		"straggler policy":     func(c *Config) { c.Run.Straggler = simtime.FractionParticipation{Fraction: 0.5} },
-		"eval every 2 rounds":  func(c *Config) { c.Run.EvalEvery = 2 },
 		"checkpoint every 2":   func(c *Config) { c.Run.CheckpointEvery = 2 },
 	} {
 		cfg := testConfig(1)

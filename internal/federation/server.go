@@ -49,9 +49,9 @@ type Config struct {
 // succeed. A buffer replaces the synchronous round's admission rules (the
 // cohort, the quorum) and refuses the codecs that decode against the
 // round's broadcast, which buffered clients no longer share. The Run fields
-// Serve does not read — a straggler policy, an evaluation or checkpoint
-// interval above one round — are refused by name rather than dropped
-// (DESIGN.md tabulates every field).
+// Serve does not read — a straggler policy, a checkpoint interval above one
+// round — are refused by name rather than dropped (DESIGN.md tabulates every
+// field).
 func (c Config) Validate() error {
 	run := c.Run
 	peers := c.NumClients
@@ -97,8 +97,6 @@ func (c Config) Validate() error {
 	case run.Straggler != nil:
 		return fmt.Errorf("federation: straggler policy %T is simulated only: a served round admits "+
 			"by -quorum and -round-deadline", run.Straggler)
-	case run.EvalEvery > 1:
-		return fmt.Errorf("federation: EvalEvery %d: a served run evaluates every round", run.EvalEvery)
 	case run.CheckpointEvery > 1:
 		return fmt.Errorf("federation: CheckpointEvery %d: a served run checkpoints every round", run.CheckpointEvery)
 	case run.Async.Buffer == 0:

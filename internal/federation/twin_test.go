@@ -73,7 +73,7 @@ func TestSimulatorMatchesLoopbackFederation(t *testing.T) {
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			run := core.Config{Rounds: rounds, LocalEpochs: 1, LR: 0.05, Momentum: 0.5, FinetunePart: tt.part,
-				Selector: tt.sel, SelectFraction: tt.pds, Seed: 1, Strategy: tt.strat, EvalEvery: 1,
+				Selector: tt.sel, SelectFraction: tt.pds, Seed: 1, Strategy: tt.strat,
 				Parallelism: 1, Codec: tt.codec}
 			if tt.tiers != "" {
 				if run.TierDist, err = device.ParseDistribution(tt.tiers); err != nil {

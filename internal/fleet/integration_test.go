@@ -60,8 +60,7 @@ func fleetCfg(rounds, cohort int) core.Config {
 	}
 }
 
-// histEqual compares histories with bitwise float semantics (NaN == NaN for
-// unevaluated rounds).
+// histEqual compares histories with bitwise float semantics.
 func histEqual(a, b core.History) bool {
 	f64 := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	if len(a.Records) != len(b.Records) ||

@@ -19,8 +19,8 @@ import (
 // ErrMetrics reports an invalid metrics computation.
 var ErrMetrics = errors.New("metrics: invalid input")
 
-// evalBatchSize is the batch size used for evaluation forward passes.
-const evalBatchSize = 128
+// EvalBatchSize is the batch size used for evaluation forward passes.
+const EvalBatchSize = 128
 
 // Accuracy returns top-1 accuracy of m on ds in [0, 1].
 func Accuracy(m *models.Model, ds *data.Dataset) (float64, error) {
@@ -30,17 +30,20 @@ func Accuracy(m *models.Model, ds *data.Dataset) (float64, error) {
 // TopKAccuracy returns the fraction of samples whose true label is within
 // the k highest-scoring predictions.
 func TopKAccuracy(m *models.Model, ds *data.Dataset, k int) (float64, error) {
-	if k < 1 {
-		return 0, fmt.Errorf("%w: k=%d", ErrMetrics, k)
-	}
-	if ds.Len() == 0 {
-		return 0, fmt.Errorf("%w: empty dataset", ErrMetrics)
-	}
-	batches, err := ds.Batches(evalBatchSize, nil)
+	batches, err := ds.Batches(EvalBatchSize, nil)
 	if err != nil {
 		return 0, err
 	}
-	correct := 0
+	return BatchesTopKAccuracy(m, batches, k)
+}
+
+// BatchesTopKAccuracy is TopKAccuracy over a dataset already split into
+// batches; a caller that evaluates one set again and again keeps its views.
+func BatchesTopKAccuracy(m *models.Model, batches []data.Batch, k int) (float64, error) {
+	if k < 1 {
+		return 0, fmt.Errorf("%w: k=%d", ErrMetrics, k)
+	}
+	correct, total := 0, 0
 	for _, b := range batches {
 		logits := m.Forward(b.X, false)
 		n, c := logits.Dim(0), logits.Dim(1)
@@ -66,8 +69,12 @@ func TopKAccuracy(m *models.Model, ds *data.Dataset, k int) (float64, error) {
 				correct++
 			}
 		}
+		total += n
 	}
-	return float64(correct) / float64(ds.Len()), nil
+	if total == 0 {
+		return 0, fmt.Errorf("%w: empty dataset", ErrMetrics)
+	}
+	return float64(correct) / float64(total), nil
 }
 
 // LinearCKA computes the linear Centered Kernel Alignment between two

@@ -6,8 +6,6 @@ import (
 
 	"fedfteds/internal/data"
 	"fedfteds/internal/models"
-	"fedfteds/internal/nn"
-	"fedfteds/internal/tensor"
 )
 
 // GradNorm selects samples with the largest per-sample gradient-norm upper
@@ -32,34 +30,19 @@ func (GradNorm) Name() string { return "gradnorm" }
 func (GradNorm) ScoringPasses() int { return 1 }
 
 // Select implements Selector.
-func (GradNorm) Select(m *models.Model, ds *data.Dataset, fraction float64, rng *rand.Rand) ([]int, error) {
-	k, err := targetCount(ds.Len(), fraction)
-	if err != nil {
-		return nil, err
-	}
-	scores := make([]float64, 0, ds.Len())
-	batches, err := ds.Batches(scoreBatchSize, nil)
-	if err != nil {
-		return nil, err
-	}
-	var ws tensor.SoftmaxScratch
-	var probs *tensor.Tensor
-	for _, b := range batches {
-		logits := m.Forward(b.X, false)
-		probs = nn.SoftmaxInto(&ws, probs, logits, 1.0)
-		n, c := probs.Dim(0), probs.Dim(1)
-		for i := 0; i < n; i++ {
-			row := probs.Data()[i*c : (i+1)*c]
-			var s float64
-			for j, p := range row {
-				d := float64(p)
-				if j == b.Y[i] {
-					d -= 1
-				}
-				s += d * d
-			}
-			scores = append(scores, math.Sqrt(s))
+func (GradNorm) Select(m *models.Model, ds *data.Dataset, fraction float64, _ *rand.Rand) ([]int, error) {
+	return topKByProbabilities(m, ds, fraction, gradNormScore)
+}
+
+// gradNormScore is ‖p − onehot(label)‖₂ for one probability row.
+func gradNormScore(row []float32, label int) float64 {
+	var s float64
+	for j, p := range row {
+		d := float64(p)
+		if j == label {
+			d -= 1
 		}
+		s += d * d
 	}
-	return topKByScore(scores, k), nil
+	return math.Sqrt(s)
 }

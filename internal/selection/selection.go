@@ -58,19 +58,19 @@ type UtilityScorer interface {
 	SelectWithUtility(m *models.Model, ds *data.Dataset, fraction float64, rng *rand.Rand) (idx []int, utility float64, err error)
 }
 
-// targetCount converts a fraction into a sample count.
+// TargetCount is how many of n samples a selector keeps at a fraction in
+// (0, 1]: ceil(fraction·n), at least one and at most n. The runner's cost
+// projection counts with it too.
+func TargetCount(n int, fraction float64) int {
+	return min(max(int(math.Ceil(fraction*float64(n))), 1), n)
+}
+
+// targetCount validates fraction and converts it into a sample count.
 func targetCount(n int, fraction float64) (int, error) {
 	if fraction <= 0 || fraction > 1 {
 		return 0, fmt.Errorf("%w: fraction %v outside (0,1]", ErrSelection, fraction)
 	}
-	k := int(math.Ceil(fraction * float64(n)))
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	return k, nil
+	return TargetCount(n, fraction), nil
 }
 
 // All selects every local sample (the FedFT-ALL baseline).
@@ -200,38 +200,23 @@ func (Margin) Name() string { return "margin" }
 func (Margin) ScoringPasses() int { return 1 }
 
 // Select implements Selector.
-func (Margin) Select(m *models.Model, ds *data.Dataset, fraction float64, rng *rand.Rand) ([]int, error) {
-	k, err := targetCount(ds.Len(), fraction)
-	if err != nil {
-		return nil, err
-	}
-	scores := make([]float64, 0, ds.Len())
-	batches, err := ds.Batches(scoreBatchSize, nil)
-	if err != nil {
-		return nil, err
-	}
-	var ws tensor.SoftmaxScratch
-	var probs *tensor.Tensor
-	for _, b := range batches {
-		logits := m.Forward(b.X, false)
-		probs = nn.SoftmaxInto(&ws, probs, logits, 1.0)
-		n, c := probs.Dim(0), probs.Dim(1)
-		for i := 0; i < n; i++ {
-			row := probs.Data()[i*c : (i+1)*c]
-			best, second := float32(-1), float32(-1)
-			for _, p := range row {
-				if p > best {
-					second = best
-					best = p
-				} else if p > second {
-					second = p
-				}
-			}
-			// Smaller margin = harder: negate so topK picks smallest margins.
-			scores = append(scores, -float64(best-second))
+func (Margin) Select(m *models.Model, ds *data.Dataset, fraction float64, _ *rand.Rand) ([]int, error) {
+	return topKByProbabilities(m, ds, fraction, marginScore)
+}
+
+// marginScore is the negated gap between a row's two largest probabilities:
+// smaller margin = harder, so topK picks the smallest margins.
+func marginScore(row []float32, _ int) float64 {
+	best, second := float32(-1), float32(-1)
+	for _, p := range row {
+		if p > best {
+			second = best
+			best = p
+		} else if p > second {
+			second = p
 		}
 	}
-	return topKByScore(scores, k), nil
+	return -float64(best - second)
 }
 
 // LeastConfidence selects samples whose top-1 probability is lowest.
@@ -246,34 +231,19 @@ func (LeastConfidence) Name() string { return "leastconf" }
 func (LeastConfidence) ScoringPasses() int { return 1 }
 
 // Select implements Selector.
-func (LeastConfidence) Select(m *models.Model, ds *data.Dataset, fraction float64, rng *rand.Rand) ([]int, error) {
-	k, err := targetCount(ds.Len(), fraction)
-	if err != nil {
-		return nil, err
-	}
-	scores := make([]float64, 0, ds.Len())
-	batches, err := ds.Batches(scoreBatchSize, nil)
-	if err != nil {
-		return nil, err
-	}
-	var ws tensor.SoftmaxScratch
-	var probs *tensor.Tensor
-	for _, b := range batches {
-		logits := m.Forward(b.X, false)
-		probs = nn.SoftmaxInto(&ws, probs, logits, 1.0)
-		n, c := probs.Dim(0), probs.Dim(1)
-		for i := 0; i < n; i++ {
-			row := probs.Data()[i*c : (i+1)*c]
-			best := float32(-1)
-			for _, p := range row {
-				if p > best {
-					best = p
-				}
-			}
-			scores = append(scores, -float64(best))
+func (LeastConfidence) Select(m *models.Model, ds *data.Dataset, fraction float64, _ *rand.Rand) ([]int, error) {
+	return topKByProbabilities(m, ds, fraction, leastConfidenceScore)
+}
+
+// leastConfidenceScore is the negated top-1 probability of a row.
+func leastConfidenceScore(row []float32, _ int) float64 {
+	best := float32(-1)
+	for _, p := range row {
+		if p > best {
+			best = p
 		}
 	}
-	return topKByScore(scores, k), nil
+	return -float64(best)
 }
 
 // BatchEntropy ranks fixed-size batches by their mean entropy and selects
@@ -344,6 +314,35 @@ func (b BatchEntropy) Select(m *models.Model, ds *data.Dataset, fraction float64
 	}
 	sort.Ints(out)
 	return out, nil
+}
+
+// topKByProbabilities is the scoring loop of the selectors that rank samples
+// by their softmax probabilities (ρ = 1): one forward pass over ds, score
+// applied to every sample's probability row and label, then the
+// top-fraction highest scores. score is a plain function, so the loop
+// allocates nothing per batch.
+func topKByProbabilities(m *models.Model, ds *data.Dataset, fraction float64,
+	score func(row []float32, label int) float64) ([]int, error) {
+	k, err := targetCount(ds.Len(), fraction)
+	if err != nil {
+		return nil, err
+	}
+	scores := make([]float64, 0, ds.Len())
+	batches, err := ds.Batches(scoreBatchSize, nil)
+	if err != nil {
+		return nil, err
+	}
+	var ws tensor.SoftmaxScratch
+	var probs *tensor.Tensor
+	for _, b := range batches {
+		logits := m.Forward(b.X, false)
+		probs = nn.SoftmaxInto(&ws, probs, logits, 1.0)
+		n, c := probs.Dim(0), probs.Dim(1)
+		for i := 0; i < n; i++ {
+			scores = append(scores, score(probs.Data()[i*c:(i+1)*c], b.Y[i]))
+		}
+	}
+	return topKByScore(scores, k), nil
 }
 
 // topKByScore returns the indices of the k largest scores, ties broken by

@@ -93,20 +93,6 @@ func TestActiveKernelListed(t *testing.T) {
 	t.Fatalf("active kernel %q not in available set %v", active, avail)
 }
 
-func TestParseKernelThreads(t *testing.T) {
-	for s, want := range map[string]int{"": 0, "1": 1, "4": 4, "64": 64} {
-		got, err := parseKernelThreads(s)
-		if err != nil || got != want {
-			t.Fatalf("parseKernelThreads(%q) = %d, %v; want %d", s, got, err, want)
-		}
-	}
-	for _, s := range []string{"0", "-2", "two", "4.5", " 4"} {
-		if _, err := parseKernelThreads(s); err == nil {
-			t.Fatalf("parseKernelThreads(%q) should error", s)
-		}
-	}
-}
-
 func TestParallelForCoversEveryIndexOnce(t *testing.T) {
 	for _, cores := range []int{1, 4} {
 		withGOMAXPROCS(cores, func() {
@@ -158,9 +144,6 @@ func TestParallelForRespectsMinChunk(t *testing.T) {
 // and k occupied, a kernel call gets 5 − k of them, and never fewer than one.
 func TestOccupiedLanesLeaveTheRest(t *testing.T) {
 	withGOMAXPROCS(4, func() {
-		if maxWorkers() != 4 {
-			t.Skip("FEDFTEDS_KERNEL_THREADS overrides the four-lane target")
-		}
 		for _, c := range []struct{ busy, want int }{{0, 4}, {1, 4}, {2, 3}, {3, 2}, {4, 1}, {6, 1}} {
 			Occupy(c.busy)
 			got := maxWorkers()
@@ -210,9 +193,6 @@ func TestOccupiedLanesRunKernelsInline(t *testing.T) {
 	refMatMul(want, a, b)
 	withGOMAXPROCS(4, func() {
 		lanes := maxWorkers()
-		if lanes < 2 {
-			t.Skip("FEDFTEDS_KERNEL_THREADS caps the pool at one lane")
-		}
 		Occupy(lanes)
 		busy := runOnPool(a, b, want)
 		Release(lanes)
@@ -238,9 +218,6 @@ func TestOccupiedLanesRunKernelsInline(t *testing.T) {
 // per-lane caches and allocates on its own.
 func TestFanOutAfterGCAllocatesNothing(t *testing.T) {
 	withGOMAXPROCS(2, func() {
-		if maxWorkers() < 2 {
-			t.Skip("FEDFTEDS_KERNEL_THREADS caps the pool at one lane")
-		}
 		const rows, n, k, runs = 64, 64, 64, 20
 		dst, a, b := make([]float32, rows*n), make([]float32, rows*k), make([]float32, k*n)
 		fn := func(lo, hi int) {}

@@ -1,10 +1,7 @@
 package tensor
 
 import (
-	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -33,10 +30,7 @@ import (
 //     are started lazily up to the current target (they never exit; idle
 //     workers just block on the queue), so raising GOMAXPROCS mid-process —
 //     as the multicore benchmarks do — recruits more workers instead of
-//     being pinned to the value seen at first use. FEDFTEDS_KERNEL_THREADS
-//     overrides the target explicitly; it is read once, at the first
-//     parallel dispatch, and latched for the life of the process. The
-//     occupied-lane rule applies beneath it.
+//     being pinned to the value seen at first use.
 //
 // Row partitioning never changes a per-element accumulation order and
 // ParallelFor's chunks write disjoint ranges, so the lane count a dispatch
@@ -85,9 +79,6 @@ var (
 	workersStarted atomic.Int32
 	occupied       atomic.Int32 // lanes held by Occupy and not yet Released
 	tasksQueued    atomic.Int64 // tasks dispatch handed to the pool (tests read it)
-
-	threadsOnce sync.Once
-	threadsEnv  int // 0 = follow GOMAXPROCS
 )
 
 // wgFree holds the completion WaitGroups of finished fan-outs, so a fan-out
@@ -127,19 +118,6 @@ func getScratch(n int) *[]float32 {
 
 func putScratch(sp *[]float32) { scratchPool.Put(sp) }
 
-// parseKernelThreads validates a FEDFTEDS_KERNEL_THREADS value: a positive
-// integer thread count, or empty to follow GOMAXPROCS.
-func parseKernelThreads(s string) (int, error) {
-	if s == "" {
-		return 0, nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil || v < 1 {
-		return 0, fmt.Errorf("tensor: FEDFTEDS_KERNEL_THREADS=%q: want a positive integer thread count", s)
-	}
-	return v, nil
-}
-
 // Occupy marks n lanes as running outer work — one per goroutine that
 // trains a client — until a matching Release. Kernel calls made meanwhile
 // fan out only across the lanes left over.
@@ -151,22 +129,11 @@ func Release(n int) { occupied.Add(-int32(n)) }
 // Occupied reports how many lanes are held by Occupy right now.
 func Occupied() int { return int(occupied.Load()) }
 
-// maxWorkers returns the parallelism target for this dispatch: the latched
-// FEDFTEDS_KERNEL_THREADS override when set, else GOMAXPROCS right now, less
-// the lanes other goroutines occupy (a caller on an occupied lane counts its
-// own lane once), and never under 1.
+// maxWorkers returns the parallelism target for this dispatch: GOMAXPROCS
+// right now, less the lanes other goroutines occupy (a caller on an occupied
+// lane counts its own lane once), and never under 1.
 func maxWorkers() int {
-	threadsOnce.Do(func() {
-		v, err := parseKernelThreads(os.Getenv("FEDFTEDS_KERNEL_THREADS"))
-		if err != nil {
-			panic(err) // fail fast: a typoed thread count must not silently serialize
-		}
-		threadsEnv = v
-	})
-	target := threadsEnv
-	if target == 0 {
-		target = runtime.GOMAXPROCS(0)
-	}
+	target := runtime.GOMAXPROCS(0)
 	if busy := int(occupied.Load()); busy > 0 {
 		return max(1, target-busy+1)
 	}
